@@ -13,8 +13,8 @@
 // On SIGINT/SIGTERM the server drains: it stops accepting connections,
 // refuses new sessions with a retryable error, lets in-flight sessions
 // finish (bounded by -drain-timeout), finalizes the engine and — when
-// -store is set — persists the deduplicated store with the crash-safe
-// generation commit, then exits. A second signal forces immediate exit.
+// -store is set — folds the write-ahead log into a fresh generation with
+// the crash-safe commit, then exits. A second signal forces immediate exit.
 //
 // -metrics-addr serves the debug endpoint set: /metrics.json (operational
 // counters, occupancy gauges, latency histogram snapshots and engine
@@ -53,7 +53,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":7444", "listen address")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics.json and /healthz on this address (off when empty)")
-	flag.StringVar(&o.storeDir, "store", "", "store directory: resumed from on start (if it exists), saved to on drain")
+	flag.StringVar(&o.storeDir, "store", "", "store directory: mounted through the write-ahead log (replayed if it exists), compacted on drain")
 	flag.StringVar(&o.algo, "algo", "mhd", "engine: mhd or si-mhd")
 	flag.IntVar(&o.ecs, "ecs", 4096, "expected chunk size in bytes")
 	flag.IntVar(&o.sd, "sd", 64, "sample distance (hashes)")
@@ -70,7 +70,6 @@ func main() {
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "bound on graceful drain before forcing shutdown")
 	flag.StringVar(&o.logLevel, "log-level", "info", "event log level: debug, info, warn or error")
 	flag.DurationVar(&o.slowOp, "slow-op", 100*time.Millisecond, "emit a warn slow_op event for operations at or above this duration (negative disables)")
-	flag.BoolVar(&o.noWAL, "no-wal", false, "disable the write-ahead log; persist only at drain (legacy behavior)")
 	flag.DurationVar(&o.checkpointInterval, "checkpoint-interval", 30*time.Second, "fold the write-ahead log into a fresh generation at least this often (negative disables age-triggered compaction)")
 	flag.DurationVar(&o.logFlushInterval, "log-flush-interval", 200*time.Millisecond, "background group-commit cadence for the write-ahead log")
 	flag.Int64Var(&o.compactLogBytes, "compact-log-bytes", 64<<20, "fold the log into a fresh generation once it exceeds this many bytes (negative disables)")
@@ -106,7 +105,6 @@ type options struct {
 	logLevel       string
 	slowOp         time.Duration
 
-	noWAL              bool
 	checkpointInterval time.Duration
 	logFlushInterval   time.Duration
 	compactLogBytes    int64
@@ -205,8 +203,7 @@ func run(o options) error {
 	if err := eng.Finish(); err != nil {
 		return fmt.Errorf("finish: %w", err)
 	}
-	switch {
-	case dur != nil:
+	if dur != nil {
 		// The log already holds everything; fold it so the directory
 		// restarts from a bare generation, then stop the machinery.
 		if err := dur.Compact(); err != nil {
@@ -216,11 +213,6 @@ func run(o options) error {
 			return fmt.Errorf("close log: %w", err)
 		}
 		logger.Printf("store compacted to %s", o.storeDir)
-	case o.storeDir != "":
-		if err := dedup.SaveStore(eng, o.storeDir); err != nil {
-			return fmt.Errorf("save store: %w", err)
-		}
-		logger.Printf("store saved to %s", o.storeDir)
 	}
 	rep := eng.Report()
 	logger.Printf("shut down: %d files, %d input bytes, real DER %.4f",
@@ -230,9 +222,9 @@ func run(o options) error {
 
 // buildEngine constructs (or resumes) the shared engine. Only MHD and
 // SI-MHD are session-capable, so those are the only algorithms served.
-// With a store directory and the WAL enabled (the default) the engine is
-// mounted through dedup.ResumeDurable, so every mutation is journaled and
-// the returned Durability handle drives checkpoints and admission control.
+// A store directory is always mounted through dedup.ResumeDurable, so
+// every mutation is journaled and the returned Durability handle drives
+// checkpoints and admission control; without one the engine is in-memory.
 func buildEngine(o options, evlog *events.Log) (*core.Dedup, *dedup.Durability, bool, error) {
 	algo := dedup.Algorithm(o.algo)
 	if algo != dedup.MHD && algo != dedup.SIMHD {
@@ -246,53 +238,42 @@ func buildEngine(o options, evlog *events.Log) (*core.Dedup, *dedup.Durability, 
 		IngestWorkers:  o.maxSessions,
 		RecipeTrees:    o.recipeTrees,
 	}
-	resumed := false
-	if o.storeDir != "" {
-		if _, err := os.Stat(o.storeDir); err == nil {
-			resumed = true
-		}
-	}
-	if o.storeDir != "" && !o.noWAL {
-		dopt := dedup.DurabilityOptions{
-			FlushInterval:    o.logFlushInterval,
-			CompactLogBytes:  o.compactLogBytes,
-			CompactInterval:  o.checkpointInterval,
-			ShedPendingBytes: o.shedPendingBytes,
-			ShedLogBytes:     o.shedLogBytes,
-			ScrubInterval:    o.scrubInterval,
-			Events:           evlog,
-		}
-		if o.maintenanceP99 > 0 {
-			// Same name server.New resolves, so maintenance paces itself
-			// by the live ingest apply latency.
-			dopt.PaceHistogram = metrics.Default.Histogram("server.apply_ns")
-			dopt.P99Budget = o.maintenanceP99
-		}
-		eng, dur, rep, err := dedup.ResumeDurable(algo, opts, o.storeDir, dopt)
+	if o.storeDir == "" {
+		eng, err := dedup.New(algo, opts)
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("open durable store %s: %w", o.storeDir, err)
+			return nil, nil, false, err
 		}
-		if rep.Records > 0 || rep.Truncated {
-			evlog.Info("wal.replayed",
-				events.F("records", rep.Records),
-				events.F("bytes", rep.Bytes),
-				events.F("segments", rep.Segments),
-				events.F("torn_tail", rep.Truncated))
-		}
-		return eng.(*core.Dedup), dur, resumed, nil
+		return eng.(*core.Dedup), nil, false, nil
 	}
-	if resumed {
-		eng, err := dedup.Resume(algo, opts, o.storeDir)
-		if err != nil {
-			return nil, nil, false, fmt.Errorf("resume %s: %w", o.storeDir, err)
-		}
-		return eng.(*core.Dedup), nil, true, nil
+	_, statErr := os.Stat(o.storeDir)
+	resumed := statErr == nil
+	dopt := dedup.DurabilityOptions{
+		FlushInterval:    o.logFlushInterval,
+		CompactLogBytes:  o.compactLogBytes,
+		CompactInterval:  o.checkpointInterval,
+		ShedPendingBytes: o.shedPendingBytes,
+		ShedLogBytes:     o.shedLogBytes,
+		ScrubInterval:    o.scrubInterval,
+		Events:           evlog,
 	}
-	eng, err := dedup.New(algo, opts)
+	if o.maintenanceP99 > 0 {
+		// Same name server.New resolves, so maintenance paces itself
+		// by the live ingest apply latency.
+		dopt.PaceHistogram = metrics.Default.Histogram("server.apply_ns")
+		dopt.P99Budget = o.maintenanceP99
+	}
+	eng, dur, rep, err := dedup.ResumeDurable(algo, opts, o.storeDir, dopt)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, false, fmt.Errorf("open durable store %s: %w", o.storeDir, err)
 	}
-	return eng.(*core.Dedup), nil, false, nil
+	if rep.Records > 0 || rep.Truncated {
+		evlog.Info("wal.replayed",
+			events.F("records", rep.Records),
+			events.F("bytes", rep.Bytes),
+			events.F("segments", rep.Segments),
+			events.F("torn_tail", rep.Truncated))
+	}
+	return eng.(*core.Dedup), dur, resumed, nil
 }
 
 // metricsServer exposes the debug endpoint set over HTTP: /metrics.json

@@ -131,11 +131,6 @@ type Options struct {
 	// FastCDC selects the gear-hash chunker for MHD (faster scanning,
 	// tighter size distribution; mutually exclusive with TTTD).
 	FastCDC bool
-	// ReferenceChunker selects the per-byte reference chunker scan instead
-	// of the block-processed fast path. Cut points are bit-identical either
-	// way (pinned by the conformance harness); this is a throughput knob
-	// for differential benchmarking. MHD/SI-MHD only.
-	ReferenceChunker bool
 	// HashWorkers > 0 enables MHD's per-stream chunk/hash pipeline (ordered
 	// fan-out SHA-1; bit-identical results). Other engines ignore it.
 	HashWorkers int
@@ -177,7 +172,6 @@ func New(a Algorithm, opt Options) (Engine, error) {
 		SHMPerSlice:        opt.SHMPerSlice,
 		TTTD:               opt.TTTD,
 		FastCDC:            opt.FastCDC,
-		ReferenceChunker:   opt.ReferenceChunker,
 		HashWorkers:        opt.HashWorkers,
 		IngestWorkers:      opt.IngestWorkers,
 		RecipeTrees:        opt.RecipeTrees,
@@ -590,7 +584,6 @@ func resumeOnDisk(a Algorithm, opt Options, disk *simdisk.Disk) (Engine, error) 
 		cfg.SHMPerSlice = opt.SHMPerSlice
 		cfg.TTTD = opt.TTTD
 		cfg.FastCDC = opt.FastCDC
-		cfg.ReferenceChunker = opt.ReferenceChunker
 		cfg.HashWorkers = opt.HashWorkers
 		cfg.IngestWorkers = opt.IngestWorkers
 		cfg.SparseIndex = a == SIMHD

@@ -62,14 +62,6 @@ type Params struct {
 	// WindowSize is the sliding-window width; zero defaults to
 	// rabin.DefaultWindowSize.
 	WindowSize int
-
-	// Reference selects the per-byte reference implementations (Rabin,
-	// FastCDC) in the NewCDC/NewGear factories instead of the
-	// block-processed fast paths (FastRabin, FastGear). The two paths emit
-	// bit-identical cut sequences — pinned by the conformance harness and
-	// the golden vectors under testdata/ — so Reference exists for
-	// differential testing and benchmarking, not because outputs differ.
-	Reference bool
 }
 
 // withDefaults returns p with zero fields filled in and validates it.
@@ -179,24 +171,12 @@ func (f *readFiller) finalErr() error {
 	return f.err
 }
 
-// NewCDC returns the LBFS Rabin content-defined chunker over r: the
-// block-processed FastRabin by default, the per-byte reference Rabin when
-// p.Reference is set. Both emit bit-identical chunks; the engines and the
-// re-chunking primitives construct through this factory so one Params knob
-// flips the whole system between paths.
-func NewCDC(r io.Reader, p Params) (Chunker, error) {
-	if p.Reference {
-		return NewRabin(r, p)
-	}
-	return NewFastRabin(r, p)
-}
+// NewCDC returns the LBFS Rabin content-defined chunker over r — the
+// block-processed FastRabin. The per-byte NewRabin emits bit-identical
+// chunks and stays exported as the oracle the conformance harness, the
+// golden vectors and the parity fuzzer hold it to.
+func NewCDC(r io.Reader, p Params) (Chunker, error) { return NewFastRabin(r, p) }
 
-// NewGear returns the gear-hash (FastCDC-algorithm) chunker over r: the
-// block-processed FastGear by default, the per-byte reference FastCDC when
-// p.Reference is set. Both emit bit-identical chunks.
-func NewGear(r io.Reader, p Params) (Chunker, error) {
-	if p.Reference {
-		return NewFastCDC(r, p)
-	}
-	return NewFastGear(r, p)
-}
+// NewGear returns the gear-hash (FastCDC-algorithm) chunker over r — the
+// block-processed FastGear, with the per-byte NewFastCDC as its oracle.
+func NewGear(r io.Reader, p Params) (Chunker, error) { return NewFastGear(r, p) }

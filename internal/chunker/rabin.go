@@ -63,9 +63,8 @@ func (c *Rabin) Next() (Chunk, error) {
 // Split divides data into CDC chunks in one call. Offsets are relative to
 // data[0]. It is the re-chunking primitive used by Bimodal, SubChunk and
 // HHR, and produces the same cuts as streaming the same bytes through
-// NewRabin — it runs the block-processed FastRabin by default (reference
-// Rabin when p.Reference is set), which the conformance harness proves
-// cut-point identical.
+// NewRabin — it runs the block-processed FastRabin, which the conformance
+// harness proves cut-point identical.
 func Split(data []byte, p Params) ([]Chunk, error) {
 	c, err := NewCDC(bytes.NewReader(data), p)
 	if err != nil {

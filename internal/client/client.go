@@ -22,6 +22,7 @@ import (
 
 	"mhdedup/internal/events"
 	"mhdedup/internal/metrics"
+	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
 )
 
@@ -150,56 +151,11 @@ func shedError(cfg *Config, em wire.ErrorMsg) *ShedError {
 		RetryAfter: time.Duration(em.RetryAfterMs) * time.Millisecond}
 }
 
-// errTransport marks a connection-level failure that reconnection can
-// heal; anything else is permanent.
-type errTransport struct{ err error }
-
-func (e errTransport) Error() string { return "client: transport: " + e.err.Error() }
-func (e errTransport) Unwrap() error { return e.err }
-
-func transportf(err error) error { return errTransport{err} }
-
-func isTransport(err error) bool {
-	var t errTransport
-	return errors.As(err, &t)
-}
-
-// conn is one live framed connection with byte accounting.
-type conn struct {
-	c     net.Conn
-	stats *Stats
-	max   uint32 // server's frame payload cap
-}
-
-func (cn *conn) write(t uint8, payload []byte) error {
-	n, err := wire.WriteFrame(cn.c, t, payload)
-	cn.stats.WireBytesOut += int64(n)
-	if err != nil {
-		return transportf(err)
-	}
-	return nil
-}
-
-func (cn *conn) read() (wire.Frame, error) {
-	f, err := wire.ReadFrame(cn.c, cn.max)
-	if err != nil {
-		return f, transportf(err)
-	}
-	cn.stats.WireBytesIn += int64(wire.HeaderSize + len(f.Payload) + wire.TrailerSize)
-	return f, nil
-}
-
-func (cn *conn) close() {
-	if cn.c != nil {
-		cn.c.Close()
-	}
-}
-
 // dialAndHello opens a connection and performs the handshake, retrying
-// with exponential backoff on dial failures and retryable server errors
-// (Busy, idle-timeout notices). Returns the connection and the server's
-// HelloOK.
-func dialAndHello(cfg *Config, hello wire.Hello, stats *Stats) (*conn, wire.HelloOK, error) {
+// with exponential backoff on transport failures and retryable server
+// errors (Busy, idle-timeout notices). Frame bytes are accounted into m.
+// Returns the connection and the server's HelloOK.
+func dialAndHello(cfg *Config, hello wire.Hello, m session.Meter) (*session.Conn, wire.HelloOK, error) {
 	var lastErr error
 	delay := cfg.RetryDelay
 	for attempt := 0; attempt < cfg.RetryAttempts; attempt++ {
@@ -209,56 +165,27 @@ func dialAndHello(cfg *Config, hello wire.Hello, stats *Stats) (*conn, wire.Hell
 				delay *= 2
 			}
 		}
-		nc, err := cfg.Dial(cfg.Addr)
-		if err != nil {
-			lastErr = err
+		cn, ok, err := session.Dial(cfg.Dial, cfg.Addr, hello, session.Limits{}, m)
+		if err == nil {
+			return cn, ok, nil
+		}
+		var em wire.ErrorMsg
+		switch {
+		case session.IsTransport(err):
 			cfg.Events.Warn("client.dial_retry",
 				events.F("addr", cfg.Addr), events.F("attempt", attempt+1), events.F("err", err))
-			continue
-		}
-		cn := &conn{c: nc, stats: stats, max: wire.DefaultMaxPayload}
-		if err := cn.write(wire.TypeHello, hello.Marshal()); err != nil {
-			cn.close()
-			lastErr = err
-			continue
-		}
-		f, err := cn.read()
-		if err != nil {
-			cn.close()
-			lastErr = err
-			continue
-		}
-		switch f.Type {
-		case wire.TypeHelloOK:
-			ok, err := wire.UnmarshalHelloOK(f.Payload)
-			if err != nil {
-				cn.close()
-				return nil, wire.HelloOK{}, fmt.Errorf("client: bad HelloOK: %w", err)
+		case errors.As(err, &em) && em.Retryable:
+			if sh := shedError(cfg, em); sh != nil {
+				return nil, wire.HelloOK{}, sh
 			}
-			if ok.MaxPayload > 0 {
-				cn.max = ok.MaxPayload
-			}
-			return cn, ok, nil
-		case wire.TypeError:
-			em, uerr := wire.UnmarshalError(f.Payload)
-			cn.close()
-			if uerr != nil {
-				return nil, wire.HelloOK{}, fmt.Errorf("client: bad Error frame: %w", uerr)
-			}
-			if em.Retryable {
-				if sh := shedError(cfg, em); sh != nil {
-					return nil, wire.HelloOK{}, sh
-				}
-				lastErr = em
-				cfg.Events.Warn("client.refused_retry",
-					events.F("attempt", attempt+1), events.F("err", em))
-				continue
-			}
+			cfg.Events.Warn("client.refused_retry",
+				events.F("attempt", attempt+1), events.F("err", em))
+		case errors.As(err, &em):
 			return nil, wire.HelloOK{}, fmt.Errorf("client: server refused session: %w", em)
 		default:
-			cn.close()
-			return nil, wire.HelloOK{}, fmt.Errorf("client: expected HelloOK, got %s", wire.TypeName(f.Type))
+			return nil, wire.HelloOK{}, fmt.Errorf("client: handshake: %w", err)
 		}
+		lastErr = err
 	}
 	return nil, wire.HelloOK{}, fmt.Errorf("client: connect to %s failed after %d attempts: %w",
 		cfg.Addr, cfg.RetryAttempts, lastErr)

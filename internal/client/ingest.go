@@ -3,11 +3,13 @@ package client
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/events"
 	"mhdedup/internal/hashutil"
+	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
 )
 
@@ -16,13 +18,16 @@ import (
 // ordered command stream.
 type Ingestor struct {
 	cfg   Config
-	cn    *conn
+	cn    *session.Conn
 	token uint64
 	win   int
 
 	nextSeq uint64
 	unacked []*command // commands sent, Ack not yet received (seq order)
 	stats   Stats
+	// Frame bytes of every connection this session has used; folded
+	// into Stats on read.
+	wireIn, wireOut atomic.Int64
 
 	// recoverBudget bounds back-to-back reconnects with no forward
 	// progress (an Ack) in between, so a persistently sick server cannot
@@ -59,7 +64,7 @@ func Connect(cfg Config) (*Ingestor, error) {
 	ing := &Ingestor{cfg: cfg, recoverBudget: cfg.RetryAttempts}
 	hello := wire.Hello{Mode: wire.ModeIngest, Options: cfg.Options,
 		Tenant: cfg.Tenant, Secret: cfg.Secret}
-	cn, ok, err := dialAndHello(&ing.cfg, hello, &ing.stats)
+	cn, ok, err := dialAndHello(&ing.cfg, hello, ing.meter())
 	if err != nil {
 		return nil, err
 	}
@@ -70,12 +75,19 @@ func Connect(cfg Config) (*Ingestor, error) {
 		ing.win = 1
 	}
 	ing.cfg.Events.Info("client.session_open",
-		events.F("session", ing.token), events.F("window", ing.win), events.F("max_payload", cn.max))
+		events.F("session", ing.token), events.F("window", ing.win), events.F("max_payload", cn.MaxPayload()))
 	return ing, nil
 }
 
+// meter accounts a connection's frame bytes to this session.
+func (c *Ingestor) meter() session.Meter { return session.Meter{In: &c.wireIn, Out: &c.wireOut} }
+
 // Stats returns the wire accounting so far.
-func (c *Ingestor) Stats() Stats { return c.stats }
+func (c *Ingestor) Stats() Stats {
+	st := c.stats
+	st.WireBytesIn, st.WireBytesOut = c.wireIn.Load(), c.wireOut.Load()
+	return st
+}
 
 // PutFile chunks r locally, negotiates by hash and uploads name. It
 // returns once the server has acknowledged the complete, integrity-
@@ -156,31 +168,19 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 // exchange and releases the connection.
 func (c *Ingestor) Close() error {
 	if c.broken != nil {
-		c.cn.close()
+		c.cn.Close()
 		return c.broken
 	}
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	defer c.cn.close()
+	defer c.cn.Close()
 	if err := c.drain(); err != nil {
 		return c.fail(err)
 	}
-	if err := c.cn.write(wire.TypeClose, nil); err != nil {
-		return c.fail(err)
-	}
-	f, err := c.cn.read()
-	if err != nil {
-		return c.fail(err)
-	}
-	if f.Type == wire.TypeError {
-		if em, uerr := wire.UnmarshalError(f.Payload); uerr == nil {
-			return c.fail(fmt.Errorf("client: close refused: %w", em))
-		}
-	}
-	if f.Type != wire.TypeCloseOK {
-		return c.fail(fmt.Errorf("client: expected CloseOK, got %s", wire.TypeName(f.Type)))
+	if _, err := c.cn.Call(wire.TypeClose, nil, wire.TypeCloseOK); err != nil {
+		return c.fail(fmt.Errorf("client: close: %w", err))
 	}
 	return nil
 }
@@ -200,7 +200,7 @@ func (c *Ingestor) issue(typ uint8, marshal func(seq uint64) []byte, chunks [][]
 	// Window backpressure: never exceed the server's un-applied budget.
 	for len(c.unacked) >= c.win {
 		if err := c.pump(); err != nil {
-			if !isTransport(err) {
+			if !session.IsTransport(err) {
 				return err
 			}
 			if err := c.recover(); err != nil {
@@ -212,7 +212,7 @@ func (c *Ingestor) issue(typ uint8, marshal func(seq uint64) []byte, chunks [][]
 	cmd := &command{seq: c.nextSeq, typ: typ, payload: marshal(c.nextSeq), chunks: chunks}
 	c.unacked = append(c.unacked, cmd)
 	if err := c.transmit(cmd); err != nil {
-		if !isTransport(err) {
+		if !session.IsTransport(err) {
 			return err
 		}
 		return c.recover() // replays cmd along with everything else un-acked
@@ -226,7 +226,7 @@ func (c *Ingestor) issue(typ uint8, marshal func(seq uint64) []byte, chunks [][]
 // pays per batch — is recorded in the client.offer_rtt_ns histogram.
 func (c *Ingestor) transmit(cmd *command) error {
 	start := time.Now()
-	if err := c.cn.write(cmd.typ, cmd.payload); err != nil {
+	if err := c.cn.Write(cmd.typ, cmd.payload); err != nil {
 		return err
 	}
 	if cmd.typ != wire.TypeOffer {
@@ -247,8 +247,8 @@ func (c *Ingestor) transmit(cmd *command) error {
 // sendNeeded streams the chunks the server asked for as ChunkData runs
 // bounded by the frame payload cap.
 func (c *Ingestor) sendNeeded(cmd *command) error {
-	const perChunkOverhead = 4   // length prefix per chunk in ChunkData
-	budget := int(c.cn.max) - 64 // header fields + margin
+	const perChunkOverhead = 4            // length prefix per chunk in ChunkData
+	budget := int(c.cn.MaxPayload()) - 64 // header fields + margin
 	start := 0
 	for start < len(cmd.need) {
 		run := make([][]byte, 0, len(cmd.need)-start)
@@ -262,7 +262,7 @@ func (c *Ingestor) sendNeeded(cmd *command) error {
 			bytes += len(data) + perChunkOverhead
 		}
 		cd := wire.ChunkData{Seq: cmd.seq, Start: uint32(start), Chunks: run}
-		if err := c.cn.write(wire.TypeChunkData, cd.Marshal()); err != nil {
+		if err := c.cn.Write(wire.TypeChunkData, cd.Marshal()); err != nil {
 			return err
 		}
 		c.stats.ChunksSent += int64(len(run))
@@ -278,7 +278,7 @@ func (c *Ingestor) sendNeeded(cmd *command) error {
 func (c *Ingestor) drain() error {
 	for len(c.unacked) > 0 {
 		if err := c.pump(); err != nil {
-			if !isTransport(err) {
+			if !session.IsTransport(err) {
 				return err
 			}
 			if err := c.recover(); err != nil {
@@ -293,7 +293,7 @@ func (c *Ingestor) drain() error {
 // commands (in order), Needs complete pending Offers, Error frames map
 // to transport (retryable) or permanent errors.
 func (c *Ingestor) pump() error {
-	f, err := c.cn.read()
+	f, err := c.cn.Read()
 	if err != nil {
 		return err
 	}
@@ -335,7 +335,7 @@ func (c *Ingestor) pump() error {
 				// file boundary, before any of its commands apply).
 				return sh
 			}
-			return transportf(em)
+			return &session.TransportError{Err: em}
 		}
 		return fmt.Errorf("client: server error: %w", em)
 	default:
@@ -366,10 +366,10 @@ func (c *Ingestor) recover() error {
 		time.Sleep(delay)
 	}
 	c.recoverBudget--
-	c.cn.close()
+	c.cn.Close()
 	hello := wire.Hello{Mode: wire.ModeIngest, ResumeToken: c.token,
 		Tenant: c.cfg.Tenant, Secret: c.cfg.Secret}
-	cn, ok, err := dialAndHello(&c.cfg, hello, &c.stats)
+	cn, ok, err := dialAndHello(&c.cfg, hello, c.meter())
 	if err != nil {
 		return err
 	}
@@ -390,7 +390,7 @@ func (c *Ingestor) recover() error {
 	for _, cmd := range c.unacked {
 		cmd.need, cmd.needReady = nil, false
 		if err := c.transmit(cmd); err != nil {
-			if !isTransport(err) {
+			if !session.IsTransport(err) {
 				return err
 			}
 			return c.recover() // budget-bounded
@@ -401,10 +401,7 @@ func (c *Ingestor) recover() error {
 
 // newChunker builds the chunker matching the negotiated engine options —
 // the same cut points the server's engine will re-produce when it
-// re-chunks the reassembled stream. The client always uses the
-// block-processed fast path: it is bit-identical to the reference scan
-// (pinned by the conformance harness), so it matches the server's cuts
-// regardless of which implementation the server side selected.
+// re-chunks the reassembled stream.
 func newChunker(r io.Reader, o wire.EngineOptions) (chunker.Chunker, error) {
 	p := chunker.Params{ECS: int(o.ECS)}
 	switch {

@@ -1,10 +1,12 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
 	"mhdedup/internal/hashutil"
+	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
 )
 
@@ -20,25 +22,16 @@ func List(cfg Config) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer cn.close()
-	if err := cn.write(wire.TypeListReq, nil); err != nil {
-		return nil, err
-	}
-	f, err := cn.read()
+	defer cn.Close()
+	f, err := cn.Call(wire.TypeListReq, nil, wire.TypeListResp)
 	if err != nil {
-		return nil, err
-	}
-	if f.Type == wire.TypeError {
-		return nil, restoreError(f)
-	}
-	if f.Type != wire.TypeListResp {
-		return nil, fmt.Errorf("client: expected ListResp, got %s", wire.TypeName(f.Type))
+		return nil, fmt.Errorf("client: list: %w", err)
 	}
 	resp, err := wire.UnmarshalListResp(f.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("client: bad ListResp: %w", err)
 	}
-	closeRestore(cn)
+	cn.Goodbye()
 	return resp.Names, nil
 }
 
@@ -52,9 +45,9 @@ func Restore(cfg Config, name string, verify bool, w io.Writer) (RestoreResult, 
 	if err != nil {
 		return RestoreResult{}, err
 	}
-	defer cn.close()
+	defer cn.Close()
 	req := wire.RestoreReq{Name: name, Verify: verify}
-	if err := cn.write(wire.TypeRestoreReq, req.Marshal()); err != nil {
+	if err := cn.Write(wire.TypeRestoreReq, req.Marshal()); err != nil {
 		return RestoreResult{}, err
 	}
 	return receiveRestore(cn, name, w)
@@ -73,84 +66,41 @@ func RestoreRange(cfg Config, name string, verify bool, offset, length int64, w 
 	if err != nil {
 		return RestoreResult{}, err
 	}
-	defer cn.close()
+	defer cn.Close()
 	req := wire.RestoreRange{Name: name, Verify: verify, Offset: uint64(offset), Length: wire.RestoreToEOF}
 	if length >= 0 {
 		req.Length = uint64(length)
 	}
-	if err := cn.write(wire.TypeRestoreRange, req.Marshal()); err != nil {
+	if err := cn.Write(wire.TypeRestoreRange, req.Marshal()); err != nil {
 		return RestoreResult{}, err
 	}
 	return receiveRestore(cn, name, w)
 }
 
-// receiveRestore drains one RestoreData*/RestoreEnd reply stream into w,
-// verifying the server's declared size and sum.
-func receiveRestore(cn *conn, name string, w io.Writer) (RestoreResult, error) {
-	hash := hashutil.NewHasher()
-	var total uint64
-	for {
-		f, err := cn.read()
-		if err != nil {
-			return RestoreResult{}, err
-		}
-		switch f.Type {
-		case wire.TypeRestoreData:
-			rd, err := wire.UnmarshalRestoreData(f.Payload)
-			if err != nil {
-				return RestoreResult{}, fmt.Errorf("client: bad RestoreData: %w", err)
-			}
-			if _, err := w.Write(rd.Data); err != nil {
-				return RestoreResult{}, fmt.Errorf("client: writing restore of %q: %w", name, err)
-			}
-			hash.Write(rd.Data)
-			total += uint64(len(rd.Data))
-		case wire.TypeRestoreEnd:
-			end, err := wire.UnmarshalRestoreEnd(f.Payload)
-			if err != nil {
-				return RestoreResult{}, fmt.Errorf("client: bad RestoreEnd: %w", err)
-			}
-			sum := hash.Sum()
-			if total != end.TotalBytes {
-				return RestoreResult{}, fmt.Errorf("client: restore of %q: received %d bytes, server declared %d",
-					name, total, end.TotalBytes)
-			}
-			if sum != end.Sum {
-				return RestoreResult{}, fmt.Errorf("client: restore of %q: received stream does not hash to the server's sum", name)
-			}
-			closeRestore(cn)
-			return RestoreResult{Bytes: total, Sum: sum}, nil
-		case wire.TypeError:
-			return RestoreResult{}, restoreError(f)
-		default:
-			return RestoreResult{}, fmt.Errorf("client: unexpected %s frame in restore stream", wire.TypeName(f.Type))
-		}
+// receiveRestore drains one reply stream into w; the connection verifies
+// it against the server's declared size and sum.
+func receiveRestore(cn *session.Conn, name string, w io.Writer) (RestoreResult, error) {
+	end, err := cn.ReceiveRestore(func(data []byte) error {
+		_, err := w.Write(data)
+		return err
+	})
+	var em wire.ErrorMsg
+	switch {
+	case errors.As(err, &em):
+		return RestoreResult{}, fmt.Errorf("client: server error: %w", em)
+	case err != nil:
+		return RestoreResult{}, fmt.Errorf("client: restore of %q: %w", name, err)
 	}
+	cn.Goodbye()
+	return RestoreResult{Bytes: end.TotalBytes, Sum: end.Sum}, nil
 }
 
 // restoreSession dials and completes a ModeRestore handshake.
-func restoreSession(cfg *Config) (*conn, error) {
+func restoreSession(cfg *Config) (*session.Conn, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	var stats Stats
 	hello := wire.Hello{Mode: wire.ModeRestore, Tenant: cfg.Tenant, Secret: cfg.Secret}
-	cn, _, err := dialAndHello(cfg, hello, &stats)
+	cn, _, err := dialAndHello(cfg, hello, session.Meter{})
 	return cn, err
-}
-
-// closeRestore performs the best-effort orderly Close exchange.
-func closeRestore(cn *conn) {
-	if cn.write(wire.TypeClose, nil) == nil {
-		cn.read() // CloseOK, or whatever; the conn is closing either way
-	}
-}
-
-// restoreError maps a server Error frame to a client error.
-func restoreError(f wire.Frame) error {
-	em, uerr := wire.UnmarshalError(f.Payload)
-	if uerr != nil {
-		return fmt.Errorf("client: bad Error frame: %w", uerr)
-	}
-	return fmt.Errorf("client: server error: %w", em)
 }

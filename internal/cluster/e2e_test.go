@@ -5,6 +5,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -532,5 +533,49 @@ func TestClusterTenants(t *testing.T) {
 	}
 	if err := ing2.PutFile("img4", bytes.NewReader(dataA)); err == nil {
 		t.Fatal("over-quota put with retries eventually succeeded")
+	}
+}
+
+// TestGatewayDrainExpiresParkedSession is the gateway half of the
+// parked-session drain fix (see internal/session): a client session
+// parked by a dropped connection must not hold Drain open until
+// ResumeTimeout, because nothing can reattach once the listener closed.
+func TestGatewayDrainExpiresParkedSession(t *testing.T) {
+	tc := startCluster(t, 2, func(cfg *cluster.GatewayConfig) { cfg.ResumeTimeout = time.Hour })
+	c, err := net.Dial("tcp", tc.gwAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.WriteFrame(c, wire.TypeHello,
+		wire.Hello{Mode: wire.ModeIngest, Options: tc.options}.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if f, err := wire.ReadFrame(c, wire.DefaultMaxPayload); err != nil || f.Type != wire.TypeHelloOK {
+		t.Fatalf("handshake: %s, %v", wire.TypeName(f.Type), err)
+	}
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for tc.registry.Counter("gateway.sessions.active").Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("session never parked after its connection dropped")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := tc.gw.SessionCount(); n != 1 {
+		t.Fatalf("%d sessions parked, want 1", n)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := tc.gw.Drain(ctx); err != nil {
+		t.Fatalf("drain with only a parked session: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("drain took %v, want well under a second", d)
+	}
+	if n := tc.gw.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions survive the drain", n)
 	}
 }

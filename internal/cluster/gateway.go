@@ -13,6 +13,7 @@ import (
 	"mhdedup/internal/events"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
+	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
 )
 
@@ -123,42 +124,30 @@ func (c *GatewayConfig) fillDefaults() error {
 // chunk any tenant has pushed through the cluster never crosses a
 // client link twice.
 type Gateway struct {
-	cfg      GatewayConfig
-	tenants  *Tenants
-	ring     *Ring // full membership: placement history, restores, peer fetch
-	tokenSrc atomic.Uint64
-	peers    *peerPool
+	cfg     GatewayConfig
+	tenants *Tenants
+	ring    *Ring // full membership: placement history, restores, peer fetch
+	peers   *peerPool
+	ep      *session.Endpoint[*gwSession]
 
 	mu        sync.Mutex
-	ln        net.Listener
-	conns     map[net.Conn]struct{}
-	sessions  map[uint64]*gwSession
 	drainSet  map[string]bool // shard IDs excluded from the write ring
 	writeRing *Ring           // ring minus draining shards: placement of NEW files
-	draining  bool            // whole-gateway shutdown
-	closed    bool
-	connWG    sync.WaitGroup
 
 	// Per-shard routing tallies (files and logical bytes homed there) —
 	// the balance numbers cmd/bench reports.
 	routedFiles map[string]*atomic.Int64
 	routedBytes map[string]*atomic.Int64
 
-	cSessionsTotal  *atomic.Int64
-	cSessionsActive *atomic.Int64
-	cSessionsResume *atomic.Int64
-	cFiles          *atomic.Int64
-	cChunksClient   *atomic.Int64 // chunk bytes that had to come from the client
-	cChunksPeer     *atomic.Int64 // chunks satisfied shard→shard instead
-	cPeerPuts       *atomic.Int64
-	cRestores       *atomic.Int64
-	cFailovers      *atomic.Int64 // restores that fell over to a replica
-	cMigrated       *atomic.Int64 // files moved by rebalance
-	cRepaired       *atomic.Int64 // files re-replicated by repair
-	cQuotaRejects   *atomic.Int64
-	cErrors         *atomic.Int64
-	cWireBytesIn    *atomic.Int64
-	cWireBytesOut   *atomic.Int64
+	cFiles        *atomic.Int64
+	cChunksClient *atomic.Int64 // chunk bytes that had to come from the client
+	cChunksPeer   *atomic.Int64 // chunks satisfied shard→shard instead
+	cPeerPuts     *atomic.Int64
+	cRestores     *atomic.Int64
+	cFailovers    *atomic.Int64 // restores that fell over to a replica
+	cMigrated     *atomic.Int64 // files moved by rebalance
+	cRepaired     *atomic.Int64 // files re-replicated by repair
+	cQuotaRejects *atomic.Int64
 }
 
 // NewGateway builds an unstarted gateway.
@@ -175,17 +164,12 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		tenants:     NewTenants(cfg.Tenants),
 		ring:        ring,
 		writeRing:   ring,
-		conns:       make(map[net.Conn]struct{}),
-		sessions:    make(map[uint64]*gwSession),
 		drainSet:    make(map[string]bool),
 		routedFiles: make(map[string]*atomic.Int64, len(cfg.Shards)),
 		routedBytes: make(map[string]*atomic.Int64, len(cfg.Shards)),
 	}
 	gw.peers = &peerPool{gw: gw, conns: make(map[string]*peerConn)}
 	r := cfg.Registry
-	gw.cSessionsTotal = r.Counter("gateway.sessions.total")
-	gw.cSessionsActive = r.Counter("gateway.sessions.active")
-	gw.cSessionsResume = r.Counter("gateway.sessions.resumed")
 	gw.cFiles = r.Counter("gateway.files")
 	gw.cChunksClient = r.Counter("gateway.chunks.from_client")
 	gw.cChunksPeer = r.Counter("gateway.chunks.peer_routed")
@@ -195,19 +179,27 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	gw.cMigrated = r.Counter("gateway.rebalance.files")
 	gw.cRepaired = r.Counter("gateway.repair.files")
 	gw.cQuotaRejects = r.Counter("gateway.quota_rejects")
-	gw.cErrors = r.Counter("gateway.errors")
-	gw.cWireBytesIn = r.Counter("gateway.wire.bytes_in")
-	gw.cWireBytesOut = r.Counter("gateway.wire.bytes_out")
 	for _, s := range cfg.Shards {
 		gw.routedFiles[s.ID] = r.Counter("gateway.shard." + s.ID + ".files")
 		gw.routedBytes[s.ID] = r.Counter("gateway.shard." + s.ID + ".bytes")
 	}
-	r.SetGauge("gateway.sessions.live", func() int64 {
-		gw.mu.Lock()
-		defer gw.mu.Unlock()
-		return int64(len(gw.sessions))
+	// The gateway serves no ModePeer and needs no on-expire hook: a parked
+	// session holds no backend connections (its incarnation closed them).
+	gw.ep = session.NewEndpoint(session.Config[*gwSession]{
+		Name:        "gateway",
+		EventPrefix: "gateway.session_",
+		Limits: session.Limits{IdleTimeout: cfg.IdleTimeout, WriteTimeout: cfg.WriteTimeout,
+			MaxPayload: cfg.MaxPayload},
+		Window:        cfg.Window,
+		MaxSessions:   cfg.MaxSessions,
+		ResumeTimeout: cfg.ResumeTimeout,
+		Registry:      r,
+		Events:        cfg.Events,
+		Authenticate:  gw.tenants.Authenticate,
+		New:           gw.newSession,
+		Ingest:        gw.serveIngestConn,
+		Restore:       gw.serveRestoreConn,
 	})
-	gw.tokenSrc.Store(uint64(time.Now().UnixNano()))
 	return gw, nil
 }
 
@@ -277,181 +269,26 @@ func (gw *Gateway) shardDraining(id string) bool {
 }
 
 // Serve accepts client connections until Drain or Close.
-func (gw *Gateway) Serve(ln net.Listener) error {
-	gw.mu.Lock()
-	if gw.draining {
-		gw.mu.Unlock()
-		return errors.New("cluster: gateway already shut down")
-	}
-	gw.ln = ln
-	gw.mu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			gw.mu.Lock()
-			draining := gw.draining
-			gw.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return err
-		}
-		gw.mu.Lock()
-		if gw.closed {
-			gw.mu.Unlock()
-			c.Close()
-			continue
-		}
-		gw.conns[c] = struct{}{}
-		gw.connWG.Add(1)
-		gw.mu.Unlock()
-		go func() {
-			defer gw.connWG.Done()
-			gw.handleConn(c)
-		}()
-	}
-}
+func (gw *Gateway) Serve(ln net.Listener) error { return gw.ep.Serve(ln) }
 
 // Drain gracefully shuts the gateway down: stop accepting, refuse new
-// sessions retryably, wait for in-flight sessions.
+// sessions retryably, expire parked sessions, wait for in-flight ones.
 func (gw *Gateway) Drain(ctx context.Context) error {
-	gw.mu.Lock()
-	gw.draining = true
-	ln := gw.ln
-	gw.mu.Unlock()
-	gw.cfg.Events.Info("gateway.drain")
-	if ln != nil {
-		ln.Close()
-	}
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		gw.mu.Lock()
-		idle := len(gw.sessions) == 0 && len(gw.conns) == 0
-		gw.mu.Unlock()
-		if idle {
-			gw.connWG.Wait()
-			gw.peers.closeAll()
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			gw.Close()
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
+	err := gw.ep.Drain(ctx)
+	gw.peers.closeAll()
+	return err
 }
 
 // Close hard-stops the gateway: listener, client connections, sessions
 // (and their backend connections), peer connections.
 func (gw *Gateway) Close() error {
-	gw.mu.Lock()
-	gw.draining = true
-	gw.closed = true
-	ln := gw.ln
-	conns := make([]net.Conn, 0, len(gw.conns))
-	for c := range gw.conns {
-		conns = append(conns, c)
-	}
-	sessions := make([]*gwSession, 0, len(gw.sessions))
-	for _, ss := range gw.sessions {
-		sessions = append(sessions, ss)
-	}
-	gw.mu.Unlock()
-	gw.cfg.Events.Info("gateway.close",
-		events.F("conns", len(conns)), events.F("sessions", len(sessions)))
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	for _, ss := range sessions {
-		gw.expireSession(ss)
-	}
-	gw.connWG.Wait()
+	gw.ep.Close()
 	gw.peers.closeAll()
 	return nil
 }
 
 // SessionCount returns live (attached or parked-resumable) sessions.
-func (gw *Gateway) SessionCount() int {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	return len(gw.sessions)
-}
-
-// ---------------------------------------------------------------------------
-// Connection handling.
-
-type sender func(t uint8, payload []byte) error
-
-func (gw *Gateway) handleConn(c net.Conn) {
-	defer func() {
-		c.Close()
-		gw.mu.Lock()
-		delete(gw.conns, c)
-		gw.mu.Unlock()
-	}()
-	send := func(t uint8, payload []byte) error {
-		if gw.cfg.WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Now().Add(gw.cfg.WriteTimeout))
-		}
-		n, err := wire.WriteFrame(c, t, payload)
-		gw.cWireBytesOut.Add(int64(n))
-		return err
-	}
-	sendErr := func(code uint16, retryable bool, format string, args ...any) {
-		gw.cErrors.Add(1)
-		msg := wire.ErrorMsg{Code: code, Retryable: retryable, Msg: fmt.Sprintf(format, args...)}
-		send(wire.TypeError, msg.Marshal())
-	}
-	read := func() (wire.Frame, error) {
-		if gw.cfg.IdleTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(gw.cfg.IdleTimeout))
-		}
-		f, err := wire.ReadFrame(c, gw.cfg.MaxPayload)
-		if err == nil {
-			gw.cWireBytesIn.Add(int64(wire.HeaderSize + len(f.Payload) + wire.TrailerSize))
-		}
-		return f, err
-	}
-
-	f, err := read()
-	if err != nil {
-		return
-	}
-	if f.Type != wire.TypeHello {
-		sendErr(wire.CodeProtocol, false, "expected Hello, got %s", wire.TypeName(f.Type))
-		return
-	}
-	hello, err := wire.UnmarshalHello(f.Payload)
-	if err != nil {
-		sendErr(wire.CodeProtocol, false, "bad Hello: %v", err)
-		return
-	}
-	if !wire.ValidTenant(hello.Tenant) {
-		sendErr(wire.CodeHandshake, false, "invalid tenant identifier %q", hello.Tenant)
-		return
-	}
-	if err := gw.tenants.Authenticate(hello.Tenant, hello.Secret); err != nil {
-		sendErr(wire.CodeHandshake, false, "authentication failed: %v", err)
-		return
-	}
-	switch hello.Mode {
-	case wire.ModeRestore:
-		ok := wire.HelloOK{Window: uint32(gw.cfg.Window), MaxPayload: gw.cfg.MaxPayload}
-		if err := send(wire.TypeHelloOK, ok.Marshal()); err != nil {
-			return
-		}
-		gw.serveRestoreConn(hello.Tenant, read, send, sendErr)
-	case wire.ModeIngest:
-		gw.serveIngestConn(c, hello, read, send, sendErr)
-	default:
-		sendErr(wire.CodeProtocol, false, "session mode %d not served by the gateway", hello.Mode)
-	}
-}
+func (gw *Gateway) SessionCount() int { return gw.ep.Sessions.Len() }
 
 // ---------------------------------------------------------------------------
 // Restore proxying.
@@ -461,10 +298,9 @@ func (gw *Gateway) handleConn(c net.Conn) {
 // ring owner first, then — because drain moves placement of rewritten
 // names — every other shard, so a drain never makes a stored file
 // unreachable through the gateway.
-func (gw *Gateway) serveRestoreConn(tenant string, read func() (wire.Frame, error),
-	send sender, sendErr func(code uint16, retryable bool, format string, args ...any)) {
+func (gw *Gateway) serveRestoreConn(c *session.Conn, tenant string) {
 	for {
-		f, err := read()
+		f, err := c.Read()
 		if err != nil {
 			return
 		}
@@ -472,19 +308,19 @@ func (gw *Gateway) serveRestoreConn(tenant string, read func() (wire.Frame, erro
 		case wire.TypeListReq:
 			names, err := gw.mergedList(tenant)
 			if err != nil {
-				sendErr(wire.CodeInternal, true, "cluster list: %v", err)
+				c.Errorf(wire.CodeInternal, true, "cluster list: %v", err)
 				return
 			}
-			if err := send(wire.TypeListResp, wire.ListResp{Names: names}.Marshal()); err != nil {
+			if err := c.Write(wire.TypeListResp, wire.ListResp{Names: names}.Marshal()); err != nil {
 				return
 			}
 		case wire.TypeRestoreReq:
 			req, err := wire.UnmarshalRestoreReq(f.Payload)
 			if err != nil {
-				sendErr(wire.CodeProtocol, false, "bad RestoreReq: %v", err)
+				c.Errorf(wire.CodeProtocol, false, "bad RestoreReq: %v", err)
 				return
 			}
-			if err := gw.relayRestore(tenant, req.Name, f.Type, f.Payload, send, sendErr); err != nil {
+			if err := gw.relayRestore(c, tenant, req.Name, f.Type, f.Payload); err != nil {
 				return
 			}
 		case wire.TypeRestoreRange:
@@ -493,17 +329,17 @@ func (gw *Gateway) serveRestoreConn(tenant string, read func() (wire.Frame, erro
 			// the name itself from the tenant on its Hello.
 			req, err := wire.UnmarshalRestoreRange(f.Payload)
 			if err != nil {
-				sendErr(wire.CodeProtocol, false, "bad RestoreRange: %v", err)
+				c.Errorf(wire.CodeProtocol, false, "bad RestoreRange: %v", err)
 				return
 			}
-			if err := gw.relayRestore(tenant, req.Name, f.Type, f.Payload, send, sendErr); err != nil {
+			if err := gw.relayRestore(c, tenant, req.Name, f.Type, f.Payload); err != nil {
 				return
 			}
 		case wire.TypeClose:
-			send(wire.TypeCloseOK, nil)
+			c.Write(wire.TypeCloseOK, nil)
 			return
 		default:
-			sendErr(wire.CodeProtocol, false, "unexpected %s frame on restore session", wire.TypeName(f.Type))
+			c.Errorf(wire.CodeProtocol, false, "unexpected %s frame on restore session", wire.TypeName(f.Type))
 			return
 		}
 	}
@@ -542,34 +378,20 @@ func (gw *Gateway) mergedList(tenant string) ([]string, error) {
 // shardList fetches one shard's tenant-scoped listing over a one-shot
 // restore connection.
 func (gw *Gateway) shardList(sh Shard, tenant string) ([]string, error) {
-	bc, err := gw.dialShard(sh, wire.Hello{Mode: wire.ModeRestore, Tenant: tenant})
+	bc, _, err := gw.dialShard(sh, wire.Hello{Mode: wire.ModeRestore, Tenant: tenant})
 	if err != nil {
 		return nil, err
 	}
-	defer bc.close()
-	if err := bc.write(wire.TypeListReq, nil); err != nil {
-		return nil, err
-	}
-	f, err := bc.read()
+	defer bc.Close()
+	f, err := bc.Call(wire.TypeListReq, nil, wire.TypeListResp)
 	if err != nil {
 		return nil, err
-	}
-	if f.Type == wire.TypeError {
-		em, uerr := wire.UnmarshalError(f.Payload)
-		if uerr != nil {
-			return nil, uerr
-		}
-		return nil, em
-	}
-	if f.Type != wire.TypeListResp {
-		return nil, fmt.Errorf("expected ListResp, got %s", wire.TypeName(f.Type))
 	}
 	resp, err := wire.UnmarshalListResp(f.Payload)
 	if err != nil {
 		return nil, err
 	}
-	bc.write(wire.TypeClose, nil)
-	bc.read() // CloseOK, best effort
+	bc.Goodbye()
 	return resp.Names, nil
 }
 
@@ -611,14 +433,13 @@ func (gw *Gateway) restoreProbeOrder(fullName string) []Shard {
 // is still coherent (complete relay, or an error frame sent before any
 // data); a non-nil return means the client connection is compromised and
 // must be dropped.
-func (gw *Gateway) relayRestore(tenant, name string, ftype uint8, payload []byte, send sender,
-	sendErr func(code uint16, retryable bool, format string, args ...any)) error {
+func (gw *Gateway) relayRestore(c *session.Conn, tenant, name string, ftype uint8, payload []byte) error {
 	probe := gw.restoreProbeOrder(wire.NSJoin(tenant, name))
 	var lastErr error
 	var relayed uint64 // client-visible payload bytes already sent
 	attempted := 0
 	for _, sh := range probe {
-		sent, done, err := gw.relayRestoreFrom(sh, tenant, ftype, payload, send, relayed)
+		sent, done, err := gw.relayRestoreFrom(c, sh, tenant, ftype, payload, relayed)
 		if attempted++; sent > 0 && relayed > 0 {
 			gw.cFailovers.Add(1)
 		}
@@ -635,16 +456,15 @@ func (gw *Gateway) relayRestore(tenant, name string, ftype uint8, payload []byte
 		// gone; no RestoreEnd may be claimed — kill the stream.
 		return fmt.Errorf("restore of %q lost all %d sources mid-stream (last: %v)", name, attempted, lastErr)
 	}
-	gw.cErrors.Add(1)
 	var em wire.ErrorMsg
 	if errors.As(lastErr, &em) {
 		// Relay the most recent shard verdict with its code intact (a
 		// NotFound stays a NotFound, an integrity error stays one).
 		em.Msg = fmt.Sprintf("restore %q: %s", name, em.Msg)
-		send(wire.TypeError, em.Marshal())
+		c.SendError(em)
 		return nil
 	}
-	sendErr(wire.CodeNotFound, false, "no shard has %q (last: %v)", name, lastErr)
+	c.Errorf(wire.CodeNotFound, false, "no shard has %q (last: %v)", name, lastErr)
 	return nil
 }
 
@@ -655,19 +475,19 @@ func (gw *Gateway) relayRestore(tenant, name string, ftype uint8, payload []byte
 // splice-able: either nothing was relayed (the file is not there, or the
 // shard is unreachable) or the shard died mid-stream and the next replica
 // may continue from skip+sent.
-func (gw *Gateway) relayRestoreFrom(sh Shard, tenant string, ftype uint8, payload []byte,
-	send sender, skip uint64) (sent uint64, done bool, err error) {
-	bc, derr := gw.dialShard(sh, wire.Hello{Mode: wire.ModeRestore, Tenant: tenant})
+func (gw *Gateway) relayRestoreFrom(c *session.Conn, sh Shard, tenant string, ftype uint8, payload []byte,
+	skip uint64) (sent uint64, done bool, err error) {
+	bc, _, derr := gw.dialShard(sh, wire.Hello{Mode: wire.ModeRestore, Tenant: tenant})
 	if derr != nil {
 		return 0, false, derr
 	}
-	defer bc.close()
-	if werr := bc.write(ftype, payload); werr != nil {
+	defer bc.Close()
+	if werr := bc.Write(ftype, payload); werr != nil {
 		return 0, false, werr
 	}
 	discarded := uint64(0)
 	for {
-		f, rerr := bc.read()
+		f, rerr := bc.Read()
 		if rerr != nil {
 			// Shard lost. If this source contributed nothing the caller
 			// simply probes the next one; if it did, the caller fails over
@@ -694,7 +514,7 @@ func (gw *Gateway) relayRestoreFrom(sh Shard, tenant string, ftype uint8, payloa
 				}
 				frame = wire.RestoreData{Data: data}.Marshal()
 			}
-			if serr := send(wire.TypeRestoreData, frame); serr != nil {
+			if serr := c.Write(wire.TypeRestoreData, frame); serr != nil {
 				return sent, true, serr
 			}
 			sent += uint64(len(data))
@@ -708,7 +528,7 @@ func (gw *Gateway) relayRestoreFrom(sh Shard, tenant string, ftype uint8, payloa
 					sh.ID, skip-discarded)
 			}
 			gw.cRestores.Add(1)
-			return sent, true, send(wire.TypeRestoreEnd, f.Payload)
+			return sent, true, c.Write(wire.TypeRestoreEnd, f.Payload)
 		case wire.TypeError:
 			em, uerr := wire.UnmarshalError(f.Payload)
 			if uerr != nil {
@@ -729,72 +549,15 @@ func (gw *Gateway) relayRestoreFrom(sh Shard, tenant string, ftype uint8, payloa
 // ---------------------------------------------------------------------------
 // Shard connections.
 
-// shardConn is one framed connection to a backend shard.
-type shardConn struct {
-	shard Shard
-	c     net.Conn
-	gw    *Gateway
-	max   uint32
-	ok    wire.HelloOK
-}
-
-func (bc *shardConn) write(t uint8, payload []byte) error {
-	if bc.gw.cfg.WriteTimeout > 0 {
-		bc.c.SetWriteDeadline(time.Now().Add(bc.gw.cfg.WriteTimeout))
-	}
-	_, err := wire.WriteFrame(bc.c, t, payload)
-	return err
-}
-
-func (bc *shardConn) read() (wire.Frame, error) {
-	if bc.gw.cfg.IdleTimeout > 0 {
-		bc.c.SetReadDeadline(time.Now().Add(bc.gw.cfg.IdleTimeout))
-	}
-	return wire.ReadFrame(bc.c, bc.max)
-}
-
-func (bc *shardConn) close() { bc.c.Close() }
-
 // dialShard opens a connection to a shard and completes the handshake.
-// An Error answer comes back as *wire.ErrorMsg (via errors.As).
-func (gw *Gateway) dialShard(sh Shard, hello wire.Hello) (*shardConn, error) {
-	nc, err := gw.cfg.Dial(sh.Addr)
+// A refusal comes back as wire.ErrorMsg (via errors.As).
+func (gw *Gateway) dialShard(sh Shard, hello wire.Hello) (*session.Conn, wire.HelloOK, error) {
+	lim := session.Limits{IdleTimeout: gw.cfg.IdleTimeout, WriteTimeout: gw.cfg.WriteTimeout}
+	bc, ok, err := session.Dial(gw.cfg.Dial, sh.Addr, hello, lim, session.Meter{})
 	if err != nil {
-		return nil, fmt.Errorf("dial shard %s (%s): %w", sh.ID, sh.Addr, err)
+		return nil, ok, fmt.Errorf("shard %s (%s): %w", sh.ID, sh.Addr, err)
 	}
-	bc := &shardConn{shard: sh, c: nc, gw: gw, max: wire.DefaultMaxPayload}
-	if err := bc.write(wire.TypeHello, hello.Marshal()); err != nil {
-		bc.close()
-		return nil, err
-	}
-	f, err := bc.read()
-	if err != nil {
-		bc.close()
-		return nil, err
-	}
-	switch f.Type {
-	case wire.TypeHelloOK:
-		ok, err := wire.UnmarshalHelloOK(f.Payload)
-		if err != nil {
-			bc.close()
-			return nil, err
-		}
-		if ok.MaxPayload > 0 {
-			bc.max = ok.MaxPayload
-		}
-		bc.ok = ok
-		return bc, nil
-	case wire.TypeError:
-		em, uerr := wire.UnmarshalError(f.Payload)
-		bc.close()
-		if uerr != nil {
-			return nil, uerr
-		}
-		return nil, fmt.Errorf("shard %s refused: %w", sh.ID, em)
-	default:
-		bc.close()
-		return nil, fmt.Errorf("shard %s: expected HelloOK, got %s", sh.ID, wire.TypeName(f.Type))
-	}
+	return bc, ok, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -812,7 +575,7 @@ type peerPool struct {
 
 type peerConn struct {
 	mu sync.Mutex
-	bc *shardConn
+	bc *session.Conn
 }
 
 func (p *peerPool) get(sh Shard) *peerConn {
@@ -832,8 +595,8 @@ func (p *peerPool) closeAll() {
 	for id, pc := range p.conns {
 		pc.mu.Lock()
 		if pc.bc != nil {
-			pc.bc.write(wire.TypeClose, nil)
-			pc.bc.close()
+			pc.bc.Write(wire.TypeClose, nil)
+			pc.bc.Close()
 			pc.bc = nil
 		}
 		pc.mu.Unlock()
@@ -849,30 +612,22 @@ func (p *peerPool) rpc(sh Shard, reqType uint8, payload []byte, wantType uint8) 
 	defer pc.mu.Unlock()
 	for attempt := 0; attempt < 2; attempt++ {
 		if pc.bc == nil {
-			bc, err := p.gw.dialShard(sh, wire.Hello{Mode: wire.ModePeer})
+			bc, _, err := p.gw.dialShard(sh, wire.Hello{Mode: wire.ModePeer})
 			if err != nil {
 				return wire.Frame{}, err
 			}
 			pc.bc = bc
 		}
-		if err := pc.bc.write(reqType, payload); err != nil {
-			pc.bc.close()
-			pc.bc = nil
-			continue // stale pooled conn: one re-dial
+		f, err := pc.bc.Call(reqType, payload, wantType)
+		if err == nil {
+			return f, nil
 		}
-		f, err := pc.bc.read()
-		if err != nil {
-			pc.bc.close()
-			pc.bc = nil
-			continue
+		pc.bc.Close()
+		pc.bc = nil
+		if !session.IsTransport(err) {
+			return wire.Frame{}, fmt.Errorf("peer %s: %w", sh.ID, err)
 		}
-		if f.Type != wantType {
-			pc.bc.close()
-			pc.bc = nil
-			return wire.Frame{}, fmt.Errorf("peer %s: expected %s, got %s",
-				sh.ID, wire.TypeName(wantType), wire.TypeName(f.Type))
-		}
-		return f, nil
+		// Stale pooled conn: one re-dial.
 	}
 	return wire.Frame{}, fmt.Errorf("peer %s: connection lost twice", sh.ID)
 }

@@ -3,12 +3,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sort"
-	"time"
 
 	"mhdedup/internal/events"
 	"mhdedup/internal/hashutil"
+	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
 )
 
@@ -20,8 +19,8 @@ import (
 // peer-plane chunk routing, and backend acks are re-ordered back into
 // the client's contiguous sequence.
 //
-// Ownership mirrors internal/server: exactly one connection handler owns
-// the session while attached; attach/detach/expire go through gw.mu.
+// Ownership is session.Table's rule: exactly one connection handler owns
+// the session while it is attached.
 // Everything per-incarnation (connections, channels, reader goroutines)
 // is rebuilt on resume — backend connections are deliberately bounced
 // (re-dialed with their shard resume tokens, which clears the shards'
@@ -32,12 +31,6 @@ type gwSession struct {
 	token  uint64
 	tenant string
 	opts   wire.EngineOptions
-
-	// Guarded by gw.mu.
-	attached    bool
-	gone        bool
-	expireTimer *time.Timer
-	epoch       uint64
 
 	// Owned by the attached handler; survive re-attachment.
 	lastAcked   uint64            // highest client seq released as Ack
@@ -50,7 +43,7 @@ type gwSession struct {
 	curFile     *gwFile
 
 	// Incarnation-local (rebuilt each attachment).
-	conns     map[string]*shardConn
+	conns     map[string]*session.Conn
 	backendCh chan bEvent
 	done      chan struct{}
 }
@@ -125,102 +118,18 @@ type cEvent struct {
 	err error
 }
 
-// ---------------------------------------------------------------------------
-// Session lifecycle (mirrors internal/server's epoch pattern).
-
-func (gw *Gateway) attachSession(hello wire.Hello) (*gwSession, *wire.ErrorMsg) {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	if hello.ResumeToken != 0 {
-		ss, ok := gw.sessions[hello.ResumeToken]
-		if !ok || ss.gone || ss.tenant != hello.Tenant {
-			return nil, &wire.ErrorMsg{Code: wire.CodeNotFound,
-				Msg: fmt.Sprintf("no resumable session %d (expired?)", hello.ResumeToken)}
-		}
-		if ss.attached {
-			return nil, &wire.ErrorMsg{Code: wire.CodeBusy, Retryable: true,
-				Msg: fmt.Sprintf("session %d already has a live connection", hello.ResumeToken)}
-		}
-		if ss.expireTimer != nil {
-			ss.expireTimer.Stop()
-			ss.expireTimer = nil
-		}
-		ss.epoch++
-		ss.attached = true
-		gw.cSessionsResume.Add(1)
-		gw.cSessionsActive.Add(1)
-		return ss, nil
-	}
-	if gw.draining {
-		return nil, &wire.ErrorMsg{Code: wire.CodeDraining, Retryable: true, Msg: "gateway is draining"}
-	}
-	if len(gw.sessions) >= gw.cfg.MaxSessions {
-		return nil, &wire.ErrorMsg{Code: wire.CodeBusy, Retryable: true,
-			Msg: fmt.Sprintf("session limit reached (%d)", gw.cfg.MaxSessions)}
-	}
-	ss := &gwSession{
+func (gw *Gateway) newSession(token uint64, hello wire.Hello) *gwSession {
+	return &gwSession{
 		gw:          gw,
-		token:       gw.tokenSrc.Add(1),
+		token:       token,
 		tenant:      hello.Tenant,
 		opts:        hello.Options,
-		attached:    true,
 		cmds:        make(map[uint64]*gwCmd),
 		rev:         make(map[string]map[uint64]uint64),
 		lastSeq:     make(map[string]uint64),
 		shardTokens: make(map[string]uint64),
 		shardByID:   make(map[string]Shard),
 	}
-	gw.sessions[ss.token] = ss
-	gw.cSessionsTotal.Add(1)
-	gw.cSessionsActive.Add(1)
-	return ss, nil
-}
-
-func (gw *Gateway) detachSession(ss *gwSession) {
-	gw.mu.Lock()
-	if ss.gone || !ss.attached {
-		gw.mu.Unlock()
-		return
-	}
-	ss.attached = false
-	gw.cSessionsActive.Add(-1)
-	ss.epoch++
-	epoch := ss.epoch
-	ss.expireTimer = time.AfterFunc(gw.cfg.ResumeTimeout, func() { gw.expireTimerFired(ss, epoch) })
-	gw.mu.Unlock()
-	gw.cfg.Events.Info("gateway.session_detach",
-		events.F("session", ss.token), events.F("resumable", gw.cfg.ResumeTimeout))
-}
-
-func (gw *Gateway) expireTimerFired(ss *gwSession, epoch uint64) {
-	gw.mu.Lock()
-	if ss.gone || ss.attached || ss.epoch != epoch {
-		gw.mu.Unlock()
-		return
-	}
-	gw.mu.Unlock()
-	gw.cfg.Events.Info("gateway.session_expire", events.F("session", ss.token))
-	gw.expireSession(ss)
-}
-
-func (gw *Gateway) expireSession(ss *gwSession) {
-	gw.mu.Lock()
-	if ss.gone {
-		gw.mu.Unlock()
-		return
-	}
-	ss.gone = true
-	ss.epoch++
-	if ss.expireTimer != nil {
-		ss.expireTimer.Stop()
-		ss.expireTimer = nil
-	}
-	if ss.attached {
-		gw.cSessionsActive.Add(-1)
-		ss.attached = false
-	}
-	delete(gw.sessions, ss.token)
-	gw.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
@@ -238,58 +147,43 @@ const (
 	dispExpire                    // session is over (orderly or fatal)
 )
 
-func (gw *Gateway) serveIngestConn(c net.Conn, hello wire.Hello,
-	read func() (wire.Frame, error), send sender,
-	sendErr func(code uint16, retryable bool, format string, args ...any)) {
-
-	ss, errMsg := gw.attachSession(hello)
-	if errMsg != nil {
-		gw.cErrors.Add(1)
-		send(wire.TypeError, errMsg.Marshal())
-		return
-	}
+func (gw *Gateway) serveIngestConn(c *session.Conn, hello wire.Hello, ss *gwSession) {
 	// Fresh incarnation plumbing: connections, the backend event channel
 	// and the done gate readers use to avoid posting into a dead loop.
-	ss.conns = make(map[string]*shardConn)
+	ss.conns = make(map[string]*session.Conn)
 	ss.backendCh = make(chan bEvent, 4*gw.cfg.Window+32)
 	ss.done = make(chan struct{})
 
-	disp := ss.relay(hello, read, send, sendErr)
+	disp := ss.relay(c, hello)
 
 	close(ss.done)
 	for _, bc := range ss.conns {
-		bc.close()
+		bc.Close()
 	}
 	ss.conns = nil
 	switch disp {
 	case dispDetach:
-		gw.detachSession(ss)
+		gw.ep.Sessions.Detach(ss.token)
 	case dispExpire:
-		gw.expireSession(ss)
+		gw.ep.Sessions.Expire(ss.token, false)
 	}
 }
 
 // relay runs one incarnation of the session: handshake completion, then
 // the event loop owning all session state and all frame writes.
-func (ss *gwSession) relay(hello wire.Hello, read func() (wire.Frame, error), send sender,
-	sendErr func(code uint16, retryable bool, format string, args ...any)) disposition {
+func (ss *gwSession) relay(c *session.Conn, hello wire.Hello) disposition {
 	gw := ss.gw
 
 	if hello.ResumeToken != 0 {
 		if err := ss.bounceBackends(); err != nil {
 			var em wire.ErrorMsg
 			if errors.As(err, &em) && !em.Retryable {
-				sendErr(wire.CodeInternal, false, "resume lost backend state: %v", err)
+				c.Errorf(wire.CodeInternal, false, "resume lost backend state: %v", err)
 				return dispExpire
 			}
-			sendErr(wire.CodeInternal, true, "shard unreachable during resume: %v", err)
+			c.Errorf(wire.CodeInternal, true, "shard unreachable during resume: %v", err)
 			return dispDetach
 		}
-		gw.cfg.Events.Info("gateway.session_resume",
-			events.F("session", ss.token), events.F("acked", ss.lastAcked))
-	} else {
-		gw.cfg.Events.Info("gateway.session_attach",
-			events.F("session", ss.token), events.F("tenant", ss.tenant))
 	}
 
 	ok := wire.HelloOK{
@@ -298,7 +192,7 @@ func (ss *gwSession) relay(hello wire.Hello, read func() (wire.Frame, error), se
 		MaxPayload:   gw.cfg.MaxPayload,
 		LastApplied:  ss.lastAcked,
 	}
-	if err := send(wire.TypeHelloOK, ok.Marshal()); err != nil {
+	if err := c.Write(wire.TypeHelloOK, ok.Marshal()); err != nil {
 		return dispDetach
 	}
 
@@ -306,7 +200,7 @@ func (ss *gwSession) relay(hello wire.Hello, read func() (wire.Frame, error), se
 	done := ss.done // this incarnation's gate, not whatever a successor installs
 	go func() {
 		for {
-			f, err := read()
+			f, err := c.Read()
 			select {
 			case clientCh <- cEvent{f: f, err: err}:
 			case <-done:
@@ -327,25 +221,25 @@ func (ss *gwSession) relay(hello wire.Hello, read func() (wire.Frame, error), se
 		select {
 		case ev := <-clientCh:
 			if ev.err != nil {
-				if isTimeout(ev.err) {
-					sendErr(wire.CodeProtocol, true, "idle timeout: no frame for %v", gw.cfg.IdleTimeout)
+				if session.IsTimeout(ev.err) {
+					c.Errorf(wire.CodeProtocol, true, "idle timeout: no frame for %v", gw.cfg.IdleTimeout)
 				}
 				return dispDetach
 			}
 			if closing != nil {
-				sendErr(wire.CodeProtocol, false, "frame after Close")
+				c.Errorf(wire.CodeProtocol, false, "frame after Close")
 				return dispExpire
 			}
 			switch ev.f.Type {
 			case wire.TypeFileBegin:
 				var fb wire.FileBegin
 				if fb, herr = wire.UnmarshalFileBegin(ev.f.Payload); herr == nil {
-					herr = ss.handleFileBegin(fb, send)
+					herr = ss.handleFileBegin(fb, c)
 				}
 			case wire.TypeOffer:
 				var of wire.Offer
 				if of, herr = wire.UnmarshalOffer(ev.f.Payload); herr == nil {
-					herr = ss.handleOffer(of, send)
+					herr = ss.handleOffer(of, c)
 				}
 			case wire.TypeChunkData:
 				var cd wire.ChunkData
@@ -355,17 +249,17 @@ func (ss *gwSession) relay(hello wire.Hello, read func() (wire.Frame, error), se
 			case wire.TypeFileEnd:
 				var fe wire.FileEnd
 				if fe, herr = wire.UnmarshalFileEnd(ev.f.Payload); herr == nil {
-					herr = ss.handleFileEnd(fe, send)
+					herr = ss.handleFileEnd(fe, c)
 				}
 			case wire.TypeClose:
 				closing, herr = ss.beginClose()
 				if herr == nil && len(closing) == 0 {
-					send(wire.TypeCloseOK, nil)
+					c.Write(wire.TypeCloseOK, nil)
 					gw.cfg.Events.Info("gateway.session_close", events.F("session", ss.token))
 					return dispExpire
 				}
 			default:
-				herr = gwFatalf(wire.CodeProtocol, "unexpected %s frame on ingest session", wire.TypeName(ev.f.Type))
+				herr = session.Fatalf(wire.CodeProtocol, "unexpected %s frame on ingest session", wire.TypeName(ev.f.Type))
 			}
 
 		case ev := <-ss.backendCh:
@@ -376,96 +270,68 @@ func (ss *gwSession) relay(hello wire.Hello, read func() (wire.Frame, error), se
 					// is harmless; don't fail an orderly close over it.
 					delete(closing, ev.shard)
 					if len(closing) == 0 {
-						send(wire.TypeCloseOK, nil)
+						c.Write(wire.TypeCloseOK, nil)
 						return dispExpire
 					}
 					continue
 				}
-				sendErr(wire.CodeInternal, true, "shard %s connection lost: %v", ev.shard, ev.err)
+				c.Errorf(wire.CodeInternal, true, "shard %s connection lost: %v", ev.shard, ev.err)
 				return dispDetach
 			}
 			switch ev.f.Type {
 			case wire.TypeNeed:
 				var need wire.Need
 				if need, herr = wire.UnmarshalNeed(ev.f.Payload); herr == nil {
-					herr = ss.handleBackendNeed(ev.shard, need, send)
+					herr = ss.handleBackendNeed(ev.shard, need, c)
 				}
 			case wire.TypeAck:
 				var ack wire.Ack
 				if ack, herr = wire.UnmarshalAck(ev.f.Payload); herr == nil {
-					herr = ss.handleBackendAck(ev.shard, ack, send)
+					herr = ss.handleBackendAck(ev.shard, ack, c)
 				}
 			case wire.TypeCloseOK:
 				if closing == nil || !closing[ev.shard] {
-					herr = gwFatalf(wire.CodeProtocol, "unsolicited CloseOK from shard %s", ev.shard)
+					herr = session.Fatalf(wire.CodeProtocol, "unsolicited CloseOK from shard %s", ev.shard)
 					break
 				}
 				delete(closing, ev.shard)
 				if len(closing) == 0 {
-					send(wire.TypeCloseOK, nil)
+					c.Write(wire.TypeCloseOK, nil)
 					gw.cfg.Events.Info("gateway.session_close", events.F("session", ss.token))
 					return dispExpire
 				}
 			case wire.TypeError:
 				em, uerr := wire.UnmarshalError(ev.f.Payload)
 				if uerr != nil {
-					herr = gwFatalf(wire.CodeProtocol, "bad Error frame from shard %s: %v", ev.shard, uerr)
+					herr = session.Fatalf(wire.CodeProtocol, "bad Error frame from shard %s: %v", ev.shard, uerr)
 					break
 				}
 				if em.Retryable {
 					// Shard shed or detached us. Hand the backoff to the
 					// client; its resume will bounce and replay.
-					gw.cErrors.Add(1)
 					em.Msg = fmt.Sprintf("shard %s: %s", ev.shard, em.Msg)
-					send(wire.TypeError, em.Marshal())
+					c.SendError(em)
 					return dispDetach
 				}
-				herr = &gwFatal{msg: wire.ErrorMsg{Code: em.Code,
+				herr = &session.Fatal{Msg: wire.ErrorMsg{Code: em.Code,
 					Msg: fmt.Sprintf("shard %s: %s", ev.shard, em.Msg)}}
 			default:
-				herr = gwFatalf(wire.CodeProtocol, "unexpected %s frame from shard %s", wire.TypeName(ev.f.Type), ev.shard)
+				herr = session.Fatalf(wire.CodeProtocol, "unexpected %s frame from shard %s", wire.TypeName(ev.f.Type), ev.shard)
 			}
 		}
 
 		if herr != nil {
-			var shed *gwShed
-			if errors.As(herr, &shed) {
-				gw.cErrors.Add(1)
-				send(wire.TypeError, shed.msg.Marshal())
-				return dispDetach
-			}
-			var fatal *gwFatal
-			if errors.As(herr, &fatal) {
-				gw.cErrors.Add(1)
-				send(wire.TypeError, fatal.msg.Marshal())
+			// A shed, or a transport-level failure (client or shard write
+			// failed), parks the session.
+			if fatal := c.Report(herr); fatal != nil {
 				gw.cfg.Events.Error("gateway.session_fail",
-					events.F("session", ss.token), events.F("code", fatal.msg.Code),
-					events.F("msg", fatal.msg.Msg))
+					events.F("session", ss.token), events.F("code", fatal.Msg.Code),
+					events.F("msg", fatal.Msg.Msg))
 				return dispExpire
 			}
-			// Transport-level: client or shard write failed.
 			return dispDetach
 		}
 	}
-}
-
-// gwFatal ends the session with an Error frame; gwShed parks it
-// resumable after a retryable Error frame.
-type gwFatal struct{ msg wire.ErrorMsg }
-
-func (e *gwFatal) Error() string { return e.msg.Error() }
-
-func gwFatalf(code uint16, format string, args ...any) error {
-	return &gwFatal{msg: wire.ErrorMsg{Code: code, Msg: fmt.Sprintf(format, args...)}}
-}
-
-type gwShed struct{ msg wire.ErrorMsg }
-
-func (e *gwShed) Error() string { return e.msg.Error() }
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // ---------------------------------------------------------------------------
@@ -473,7 +339,7 @@ func isTimeout(err error) bool {
 
 // backendFor returns the live connection to sh's backend session,
 // dialing (and resuming, if this session talked to sh before) on demand.
-func (ss *gwSession) backendFor(sh Shard) (*shardConn, error) {
+func (ss *gwSession) backendFor(sh Shard) (*session.Conn, error) {
 	if bc, ok := ss.conns[sh.ID]; ok {
 		return bc, nil
 	}
@@ -481,24 +347,24 @@ func (ss *gwSession) backendFor(sh Shard) (*shardConn, error) {
 	if tok := ss.shardTokens[sh.ID]; tok != 0 {
 		hello.ResumeToken = tok
 	}
-	bc, err := ss.gw.dialShard(sh, hello)
+	bc, ok, err := ss.gw.dialShard(sh, hello)
 	if err != nil {
 		return nil, err
 	}
 	// The gateway's client-facing contract must be coverable by the
 	// shard's: a window the shard won't honor or frames it won't accept
 	// would corrupt the relay invariants, so refuse loudly at dial time.
-	if int(bc.ok.Window) < ss.gw.cfg.Window {
-		bc.close()
+	if int(ok.Window) < ss.gw.cfg.Window {
+		bc.Close()
 		return nil, fmt.Errorf("shard %s window %d below gateway window %d (misconfigured cluster)",
-			sh.ID, bc.ok.Window, ss.gw.cfg.Window)
+			sh.ID, ok.Window, ss.gw.cfg.Window)
 	}
-	if bc.max < ss.gw.cfg.MaxPayload {
-		bc.close()
+	if bc.MaxPayload() < ss.gw.cfg.MaxPayload {
+		bc.Close()
 		return nil, fmt.Errorf("shard %s max payload %d below gateway's %d (misconfigured cluster)",
-			sh.ID, bc.max, ss.gw.cfg.MaxPayload)
+			sh.ID, bc.MaxPayload(), ss.gw.cfg.MaxPayload)
 	}
-	ss.shardTokens[sh.ID] = bc.ok.SessionToken
+	ss.shardTokens[sh.ID] = ok.SessionToken
 	ss.shardByID[sh.ID] = sh
 	ss.conns[sh.ID] = bc
 	// The channel and done gate are passed by value: a reader from a
@@ -508,9 +374,9 @@ func (ss *gwSession) backendFor(sh Shard) (*shardConn, error) {
 	return bc, nil
 }
 
-func readBackend(shardID string, bc *shardConn, ch chan<- bEvent, done <-chan struct{}) {
+func readBackend(shardID string, bc *session.Conn, ch chan<- bEvent, done <-chan struct{}) {
 	for {
-		f, err := bc.read()
+		f, err := bc.Read()
 		select {
 		case ch <- bEvent{shard: shardID, f: f, err: err}:
 		case <-done:
@@ -549,7 +415,7 @@ func (ss *gwSession) bounceBackends() error {
 			needed[sh.ID] = true
 		}
 	}
-	for id, tok := range ss.shardTokens {
+	for id := range ss.shardTokens {
 		sh := ss.shardByID[id]
 		if _, err := ss.backendFor(sh); err != nil {
 			if !needed[id] {
@@ -558,7 +424,6 @@ func (ss *gwSession) bounceBackends() error {
 					events.F("session", ss.token), events.F("shard", id), events.F("err", err))
 				continue
 			}
-			_ = tok
 			return err
 		}
 	}
@@ -596,9 +461,9 @@ func (ss *gwSession) forward(cmd *gwCmd) error {
 		case wire.TypeFileEnd:
 			payload = wire.FileEnd{Seq: bseq, TotalBytes: cmd.totalBytes, Sum: cmd.sum}.Marshal()
 		default:
-			return gwFatalf(wire.CodeInternal, "unforwardable command kind %d", cmd.kind)
+			return session.Fatalf(wire.CodeInternal, "unforwardable command kind %d", cmd.kind)
 		}
-		if err := bc.write(cmd.kind, payload); err != nil {
+		if err := bc.Write(cmd.kind, payload); err != nil {
 			return ss.backendError(sh, err)
 		}
 	}
@@ -615,14 +480,14 @@ func (ss *gwSession) forward(cmd *gwCmd) error {
 func (ss *gwSession) backendError(sh Shard, err error) error {
 	var em wire.ErrorMsg
 	if errors.As(err, &em) && !em.Retryable {
-		return &gwFatal{msg: wire.ErrorMsg{Code: em.Code,
+		return &session.Fatal{Msg: wire.ErrorMsg{Code: em.Code,
 			Msg: fmt.Sprintf("shard %s: %s", sh.ID, em.Msg)}}
 	}
 	if ss.gw.shardDraining(sh.ID) {
-		return &gwFatal{msg: wire.ErrorMsg{Code: wire.CodeInternal,
+		return &session.Fatal{Msg: wire.ErrorMsg{Code: wire.CodeInternal,
 			Msg: fmt.Sprintf("draining shard %s unavailable: %v (re-put through a new session for fresh placement)", sh.ID, err)}}
 	}
-	return &gwShed{msg: wire.ErrorMsg{Code: wire.CodeOverloaded, Retryable: true,
+	return &session.Shed{Msg: wire.ErrorMsg{Code: wire.CodeOverloaded, Retryable: true,
 		Msg: fmt.Sprintf("shard %s unavailable: %v", sh.ID, err)}}
 }
 
@@ -631,23 +496,23 @@ func (ss *gwSession) backendError(sh Shard, err error) error {
 
 func (ss *gwSession) admit(seq uint64) error {
 	if len(ss.cmds) >= ss.gw.cfg.Window {
-		return gwFatalf(wire.CodeProtocol, "in-flight window exceeded (%d commands unacked, window %d)",
+		return session.Fatalf(wire.CodeProtocol, "in-flight window exceeded (%d commands unacked, window %d)",
 			len(ss.cmds), ss.gw.cfg.Window)
 	}
 	if seq > ss.lastAcked+uint64(ss.gw.cfg.Window) {
-		return gwFatalf(wire.CodeProtocol, "command seq %d too far ahead of acked %d (window %d)",
+		return session.Fatalf(wire.CodeProtocol, "command seq %d too far ahead of acked %d (window %d)",
 			seq, ss.lastAcked, ss.gw.cfg.Window)
 	}
 	if seq <= ss.maxSeq {
-		return gwFatalf(wire.CodeProtocol, "command seq %d reuses a live sequence number", seq)
+		return session.Fatalf(wire.CodeProtocol, "command seq %d reuses a live sequence number", seq)
 	}
 	ss.maxSeq = seq
 	return nil
 }
 
-func (ss *gwSession) handleFileBegin(fb wire.FileBegin, send sender) error {
+func (ss *gwSession) handleFileBegin(fb wire.FileBegin, c *session.Conn) error {
 	if fb.Seq <= ss.lastAcked {
-		return send(wire.TypeAck, wire.Ack{Seq: fb.Seq}.Marshal())
+		return c.Write(wire.TypeAck, wire.Ack{Seq: fb.Seq}.Marshal())
 	}
 	if cmd, ok := ss.cmds[fb.Seq]; ok {
 		// Replay after resume: same placement, same backend seqs; the
@@ -663,7 +528,7 @@ func (ss *gwSession) handleFileBegin(fb wire.FileBegin, send sender) error {
 		ss.gw.cfg.Events.Warn("gateway.quota_reject",
 			events.F("session", ss.token), events.F("tenant", ss.tenant),
 			events.F("used", ss.gw.tenants.Used(ss.tenant)))
-		return &gwShed{msg: wire.ErrorMsg{Code: wire.CodeQuota, Retryable: true,
+		return &session.Shed{Msg: wire.ErrorMsg{Code: wire.CodeQuota, Retryable: true,
 			RetryAfterMs: uint32(retry.Milliseconds()),
 			Msg:          fmt.Sprintf("tenant %q over quota (%d bytes used)", ss.tenant, ss.gw.tenants.Used(ss.tenant))}}
 	}
@@ -694,15 +559,15 @@ func (ss *gwSession) newCmd(seq uint64, shards []Shard, kind uint8) *gwCmd {
 	return cmd
 }
 
-func (ss *gwSession) handleOffer(of wire.Offer, send sender) error {
+func (ss *gwSession) handleOffer(of wire.Offer, c *session.Conn) error {
 	if of.Seq <= ss.lastAcked {
-		return send(wire.TypeAck, wire.Ack{Seq: of.Seq}.Marshal())
+		return c.Write(wire.TypeAck, wire.Ack{Seq: of.Seq}.Marshal())
 	}
 	if cmd, ok := ss.cmds[of.Seq]; ok {
 		return ss.forward(cmd) // replay: shard re-answers Need or re-acks
 	}
 	if ss.curFile == nil {
-		return gwFatalf(wire.CodeProtocol, "Offer %d outside a file", of.Seq)
+		return session.Fatalf(wire.CodeProtocol, "Offer %d outside a file", of.Seq)
 	}
 	if err := ss.admit(of.Seq); err != nil {
 		return err
@@ -713,15 +578,15 @@ func (ss *gwSession) handleOffer(of wire.Offer, send sender) error {
 	return ss.forward(cmd)
 }
 
-func (ss *gwSession) handleFileEnd(fe wire.FileEnd, send sender) error {
+func (ss *gwSession) handleFileEnd(fe wire.FileEnd, c *session.Conn) error {
 	if fe.Seq <= ss.lastAcked {
-		return send(wire.TypeAck, wire.Ack{Seq: fe.Seq}.Marshal())
+		return c.Write(wire.TypeAck, wire.Ack{Seq: fe.Seq}.Marshal())
 	}
 	if cmd, ok := ss.cmds[fe.Seq]; ok {
 		return ss.forward(cmd)
 	}
 	if ss.curFile == nil {
-		return gwFatalf(wire.CodeProtocol, "FileEnd %d outside a file", fe.Seq)
+		return session.Fatalf(wire.CodeProtocol, "FileEnd %d outside a file", fe.Seq)
 	}
 	if err := ss.admit(fe.Seq); err != nil {
 		return err
@@ -744,11 +609,11 @@ func (ss *gwSession) handleChunkData(cd wire.ChunkData) error {
 	}
 	cmd, ok := ss.cmds[cd.Seq]
 	if !ok || cmd.kind != wire.TypeOffer {
-		return gwFatalf(wire.CodeProtocol, "chunk data for unknown offer seq %d", cd.Seq)
+		return session.Fatalf(wire.CodeProtocol, "chunk data for unknown offer seq %d", cd.Seq)
 	}
 	off := cmd.offer
 	if !off.needSent {
-		return gwFatalf(wire.CodeProtocol, "chunk data for offer %d before its Need was answered", cd.Seq)
+		return session.Fatalf(wire.CodeProtocol, "chunk data for offer %d before its Need was answered", cd.Seq)
 	}
 	full, _ := ss.gw.rings()
 	replica := make(map[string]bool, len(cmd.shards))
@@ -760,15 +625,15 @@ func (ss *gwSession) handleChunkData(cd wire.ChunkData) error {
 	for j, chunk := range cd.Chunks {
 		cpos := int(cd.Start) + j
 		if cpos < 0 || cpos >= len(off.clientNeed) {
-			return gwFatalf(wire.CodeProtocol, "chunk data position %d outside need list (len %d)", cpos, len(off.clientNeed))
+			return session.Fatalf(wire.CodeProtocol, "chunk data position %d outside need list (len %d)", cpos, len(off.clientNeed))
 		}
 		idx := off.clientNeed[cpos]
 		e := off.entries[idx]
 		if uint32(len(chunk)) != e.Size {
-			return gwFatalf(wire.CodeIntegrity, "offer %d index %d: got %d bytes, offered %d", cd.Seq, idx, len(chunk), e.Size)
+			return session.Fatalf(wire.CodeIntegrity, "offer %d index %d: got %d bytes, offered %d", cd.Seq, idx, len(chunk), e.Size)
 		}
 		if hashutil.SumBytes(chunk) != e.Hash {
-			return gwFatalf(wire.CodeIntegrity, "offer %d index %d: chunk bytes do not hash to the offered address", cd.Seq, idx)
+			return session.Fatalf(wire.CodeIntegrity, "offer %d index %d: chunk bytes do not hash to the offered address", cd.Seq, idx)
 		}
 		for _, sh := range cmd.shards {
 			if p, needed := off.pos[sh.ID][idx]; needed {
@@ -822,7 +687,7 @@ func (ss *gwSession) injectChunks(cmd *gwCmd, sh Shard, chunks []placedChunk) er
 	}
 	sort.Slice(chunks, func(a, b int) bool { return chunks[a].pos < chunks[b].pos })
 	const perChunkOverhead = 4
-	budget := int(bc.max) - 64
+	budget := int(bc.MaxPayload()) - 64
 	i := 0
 	for i < len(chunks) {
 		start := chunks[i].pos
@@ -836,7 +701,7 @@ func (ss *gwSession) injectChunks(cmd *gwCmd, sh Shard, chunks []placedChunk) er
 			j++
 		}
 		cdata := wire.ChunkData{Seq: cmd.bseqs[sh.ID], Start: uint32(start), Chunks: run}
-		if err := bc.write(wire.TypeChunkData, cdata.Marshal()); err != nil {
+		if err := bc.Write(wire.TypeChunkData, cdata.Marshal()); err != nil {
 			return ss.backendError(sh, err)
 		}
 		i = j
@@ -849,14 +714,14 @@ func (ss *gwSession) injectChunks(cmd *gwCmd, sh Shard, chunks []placedChunk) er
 // CloseOK is still owed.
 func (ss *gwSession) beginClose() (map[string]bool, error) {
 	if ss.curFile != nil {
-		return nil, gwFatalf(wire.CodeProtocol, "Close with file %q still open", ss.curFile.name)
+		return nil, session.Fatalf(wire.CodeProtocol, "Close with file %q still open", ss.curFile.name)
 	}
 	if len(ss.cmds) != 0 {
-		return nil, gwFatalf(wire.CodeProtocol, "Close with %d commands unacked", len(ss.cmds))
+		return nil, session.Fatalf(wire.CodeProtocol, "Close with %d commands unacked", len(ss.cmds))
 	}
 	waiting := make(map[string]bool, len(ss.conns))
 	for id, bc := range ss.conns {
-		if err := bc.write(wire.TypeClose, nil); err != nil {
+		if err := bc.Write(wire.TypeClose, nil); err != nil {
 			return nil, ss.backendError(ss.shardByID[id], err)
 		}
 		waiting[id] = true
@@ -872,7 +737,7 @@ func (ss *gwSession) beginClose() (map[string]bool, error) {
 // or an Ack standing in for "need nothing" on replay), because the
 // client's list is the union of what the replicas still lack after the
 // peer plane was consulted.
-func (ss *gwSession) handleBackendNeed(shardID string, need wire.Need, send sender) error {
+func (ss *gwSession) handleBackendNeed(shardID string, need wire.Need, c *session.Conn) error {
 	clientSeq, ok := ss.rev[shardID][need.Seq]
 	if !ok {
 		return nil // stale frame for a retired mapping; ignore
@@ -885,14 +750,14 @@ func (ss *gwSession) handleBackendNeed(shardID string, need wire.Need, send send
 	pos := make(map[uint32]int, len(need.Indices))
 	for p, idx := range need.Indices {
 		if int(idx) >= len(off.entries) {
-			return gwFatalf(wire.CodeProtocol, "shard %s needs index %d beyond offer of %d", shardID, idx, len(off.entries))
+			return session.Fatalf(wire.CodeProtocol, "shard %s needs index %d beyond offer of %d", shardID, idx, len(off.entries))
 		}
 		pos[idx] = p
 	}
 	off.needs[shardID] = need.Indices
 	off.pos[shardID] = pos
 	off.answered[shardID] = true
-	return ss.maybeAnswerNeed(cmd, send)
+	return ss.maybeAnswerNeed(cmd, c)
 }
 
 // maybeAnswerNeed runs once all replicas have answered: the chunk-routing
@@ -901,7 +766,7 @@ func (ss *gwSession) handleBackendNeed(shardID string, need wire.Need, send send
 // plane, and what they supply is injected into every replica that needs
 // it. Only the remainder — chunks the cluster has truly never seen, or
 // whose owner is itself a lacking replica — goes back to the client.
-func (ss *gwSession) maybeAnswerNeed(cmd *gwCmd, send sender) error {
+func (ss *gwSession) maybeAnswerNeed(cmd *gwCmd, c *session.Conn) error {
 	off := cmd.offer
 	if off.needSent {
 		return nil
@@ -976,7 +841,7 @@ func (ss *gwSession) maybeAnswerNeed(cmd *gwCmd, send sender) error {
 		}
 	}
 	off.needSent = true
-	return send(wire.TypeNeed, wire.Need{Seq: cmd.seq, Indices: off.clientNeed}.Marshal())
+	return c.Write(wire.TypeNeed, wire.Need{Seq: cmd.seq, Indices: off.clientNeed}.Marshal())
 }
 
 // handleBackendAck marks a command applied on one replica shard; once
@@ -986,7 +851,7 @@ func (ss *gwSession) maybeAnswerNeed(cmd *gwCmd, send sender) error {
 // FileEnd — logical bytes, independent of how many replicas hold the
 // copies, and a replayed ack can never reach this point twice because
 // release deletes the command.
-func (ss *gwSession) handleBackendAck(shardID string, ack wire.Ack, send sender) error {
+func (ss *gwSession) handleBackendAck(shardID string, ack wire.Ack, c *session.Conn) error {
 	clientSeq, ok := ss.rev[shardID][ack.Seq]
 	if !ok {
 		return nil // ack for a retired mapping (idempotent replay tail)
@@ -1002,7 +867,7 @@ func (ss *gwSession) handleBackendAck(shardID string, ack wire.Ack, send sender)
 		// last replica has spoken the client gets its (possibly empty)
 		// need list — its replay still blocks on one.
 		cmd.offer.answered[shardID] = true
-		if err := ss.maybeAnswerNeed(cmd, send); err != nil {
+		if err := ss.maybeAnswerNeed(cmd, c); err != nil {
 			return err
 		}
 	}
@@ -1024,7 +889,7 @@ func (ss *gwSession) handleBackendAck(shardID string, ack wire.Ack, send sender)
 			delete(ss.rev[sh.ID], next.bseqs[sh.ID])
 		}
 		ss.lastAcked = next.seq
-		if err := send(wire.TypeAck, wire.Ack{Seq: next.seq}.Marshal()); err != nil {
+		if err := c.Write(wire.TypeAck, wire.Ack{Seq: next.seq}.Marshal()); err != nil {
 			return err
 		}
 	}

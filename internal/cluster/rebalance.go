@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"mhdedup/internal/events"
-	"mhdedup/internal/hashutil"
 	"mhdedup/internal/wire"
 )
 
@@ -20,99 +19,21 @@ import (
 // the frame payload cap even with maximal names.
 const statBatch = 512
 
-// migrateConn wraps a ModePeer connection for migrate/stat/drop verbs,
-// cached per shard for the duration of one rebalance or repair pass.
-type migrateConn struct {
-	bc *shardConn
-}
-
-// peerVerbs opens (or reuses) ModePeer connections keyed by shard ID.
-type peerVerbs struct {
-	gw    *Gateway
-	conns map[string]*migrateConn
-}
-
-func (gw *Gateway) newPeerVerbs() *peerVerbs {
-	return &peerVerbs{gw: gw, conns: make(map[string]*migrateConn)}
-}
-
-func (pv *peerVerbs) get(sh Shard) (*migrateConn, error) {
-	if mc, ok := pv.conns[sh.ID]; ok {
-		return mc, nil
-	}
-	bc, err := pv.gw.dialShard(sh, wire.Hello{Mode: wire.ModePeer})
-	if err != nil {
-		return nil, err
-	}
-	mc := &migrateConn{bc: bc}
-	pv.conns[sh.ID] = mc
-	return mc, nil
-}
-
-// drop discards a sick connection so the next verb re-dials.
-func (pv *peerVerbs) drop(sh Shard) {
-	if mc, ok := pv.conns[sh.ID]; ok {
-		mc.bc.close()
-		delete(pv.conns, sh.ID)
-	}
-}
-
-func (pv *peerVerbs) closeAll() {
-	for id, mc := range pv.conns {
-		mc.bc.write(wire.TypeClose, nil)
-		mc.bc.close()
-		delete(pv.conns, id)
-	}
-}
-
-// expect reads one frame and demands the given type, decoding a shard
-// Error frame into a real error.
-func (mc *migrateConn) expect(want uint8) (wire.Frame, error) {
-	f, err := mc.bc.read()
-	if err != nil {
-		return f, err
-	}
-	if f.Type == wire.TypeError {
-		em, uerr := wire.UnmarshalError(f.Payload)
-		if uerr != nil {
-			return f, uerr
-		}
-		return f, em
-	}
-	if f.Type != want {
-		return f, fmt.Errorf("expected %s, got %s", wire.TypeName(want), wire.TypeName(f.Type))
-	}
-	return f, nil
-}
-
-// stat asks sh which of names it holds, in batches.
-func (pv *peerVerbs) stat(sh Shard, names []string) ([]bool, error) {
+// statFiles asks sh which of names it holds, in batches, over the pooled
+// peer connection.
+func (gw *Gateway) statFiles(sh Shard, names []string) ([]bool, error) {
 	out := make([]bool, 0, len(names))
 	for start := 0; start < len(names); start += statBatch {
-		end := start + statBatch
-		if end > len(names) {
-			end = len(names)
-		}
-		mc, err := pv.get(sh)
+		end := min(start+statBatch, len(names))
+		f, err := gw.peers.rpc(sh, wire.TypeFileStat, wire.FileStat{Names: names[start:end]}.Marshal(), wire.TypeFileStatOK)
 		if err != nil {
-			return nil, err
-		}
-		if err := mc.bc.write(wire.TypeFileStat, wire.FileStat{Names: names[start:end]}.Marshal()); err != nil {
-			pv.drop(sh)
-			return nil, err
-		}
-		f, err := mc.expect(wire.TypeFileStatOK)
-		if err != nil {
-			pv.drop(sh)
 			return nil, err
 		}
 		ok, err := wire.UnmarshalFileStatOK(f.Payload)
 		if err != nil {
-			pv.drop(sh)
 			return nil, err
 		}
 		if len(ok.Present) != end-start {
-			pv.drop(sh)
 			return nil, fmt.Errorf("shard %s answered %d presence bits for %d names", sh.ID, len(ok.Present), end-start)
 		}
 		out = append(out, ok.Present...)
@@ -120,108 +41,61 @@ func (pv *peerVerbs) stat(sh Shard, names []string) ([]bool, error) {
 	return out, nil
 }
 
-// fileDrop forgets name on sh (idempotent on the shard side).
-func (pv *peerVerbs) fileDrop(sh Shard, name string) error {
-	mc, err := pv.get(sh)
-	if err != nil {
-		return err
-	}
-	if err := mc.bc.write(wire.TypeFileDrop, wire.FileDrop{Name: name}.Marshal()); err != nil {
-		pv.drop(sh)
-		return err
-	}
-	if _, err := mc.expect(wire.TypeFileDropOK); err != nil {
-		pv.drop(sh)
-		return err
-	}
-	return nil
+// dropFile forgets name on sh (idempotent on the shard side).
+func (gw *Gateway) dropFile(sh Shard, name string) error {
+	_, err := gw.peers.rpc(sh, wire.TypeFileDrop, wire.FileDrop{Name: name}.Marshal(), wire.TypeFileDropOK)
+	return err
 }
 
 // migrate streams name from src into dst: a root-namespace restore on
 // the source side feeds a migrate-ingest on the target side, with the
 // gateway verifying the source's declared size and sum against the bytes
-// it actually relayed before asking the target to commit.
-func (pv *peerVerbs) migrate(src, dst Shard, name string) error {
-	gw := pv.gw
-	rc, err := gw.dialShard(src, wire.Hello{Mode: wire.ModeRestore})
+// it actually relayed before asking the target to commit. Each migration
+// runs on its own pair of connections (the pooled peer connection stays
+// free for chunk routing); closing the target's half-fed is what makes
+// the shard abort the ingest on any failure.
+func (gw *Gateway) migrate(src, dst Shard, name string) error {
+	rc, _, err := gw.dialShard(src, wire.Hello{Mode: wire.ModeRestore})
 	if err != nil {
+		return fmt.Errorf("source: %w", err)
+	}
+	defer rc.Close()
+	if err := rc.Write(wire.TypeRestoreReq, wire.RestoreReq{Name: name}.Marshal()); err != nil {
 		return fmt.Errorf("source %s: %w", src.ID, err)
 	}
-	defer rc.close()
-	if err := rc.write(wire.TypeRestoreReq, wire.RestoreReq{Name: name}.Marshal()); err != nil {
-		return fmt.Errorf("source %s: %w", src.ID, err)
-	}
-
-	mc, err := pv.get(dst)
+	mc, _, err := gw.dialShard(dst, wire.Hello{Mode: wire.ModePeer})
 	if err != nil {
+		return fmt.Errorf("target: %w", err)
+	}
+	defer mc.Close()
+	if err := mc.Write(wire.TypeMigrateBegin, wire.MigrateBegin{Name: name}.Marshal()); err != nil {
 		return fmt.Errorf("target %s: %w", dst.ID, err)
-	}
-	fail := func(e error) error {
-		// The migrate stream on dst is now half-fed and unusable; drop the
-		// connection so the shard aborts the ingest.
-		pv.drop(dst)
-		return e
-	}
-	if err := mc.bc.write(wire.TypeMigrateBegin, wire.MigrateBegin{Name: name}.Marshal()); err != nil {
-		return fail(fmt.Errorf("target %s: %w", dst.ID, err))
 	}
 	// MigrateData adds a 4-byte blob prefix to what RestoreData carried,
 	// so re-cut runs that would overflow the target's payload cap.
-	budget := int(mc.bc.max) - 64
-	hash := hashutil.NewHasher()
-	var relayed uint64
-	for {
-		f, err := rc.read()
-		if err != nil {
-			return fail(fmt.Errorf("source %s: %w", src.ID, err))
+	budget := int(mc.MaxPayload()) - 64
+	// Verified relay: ReceiveRestore holds what the source DECLARED to
+	// what actually passed through here, or the copy is not a copy.
+	end, err := rc.ReceiveRestore(func(data []byte) error {
+		for len(data) > 0 {
+			n := min(len(data), budget)
+			if err := mc.Write(wire.TypeMigrateData, wire.MigrateData{Data: data[:n]}.Marshal()); err != nil {
+				return fmt.Errorf("target %s: %w", dst.ID, err)
+			}
+			data = data[n:]
 		}
-		switch f.Type {
-		case wire.TypeRestoreData:
-			rd, err := wire.UnmarshalRestoreData(f.Payload)
-			if err != nil {
-				return fail(fmt.Errorf("source %s: bad RestoreData: %w", src.ID, err))
-			}
-			hash.Write(rd.Data)
-			relayed += uint64(len(rd.Data))
-			for data := rd.Data; len(data) > 0; {
-				n := len(data)
-				if n > budget {
-					n = budget
-				}
-				if err := mc.bc.write(wire.TypeMigrateData, wire.MigrateData{Data: data[:n]}.Marshal()); err != nil {
-					return fail(fmt.Errorf("target %s: %w", dst.ID, err))
-				}
-				data = data[n:]
-			}
-		case wire.TypeRestoreEnd:
-			re, err := wire.UnmarshalRestoreEnd(f.Payload)
-			if err != nil {
-				return fail(fmt.Errorf("source %s: bad RestoreEnd: %w", src.ID, err))
-			}
-			// Verified relay: what the source DECLARED must match what we
-			// actually saw, or the copy is not a copy.
-			if relayed != re.TotalBytes || hash.Sum() != re.Sum {
-				return fail(fmt.Errorf("source %s stream for %q does not match its declared size/sum", src.ID, name))
-			}
-			if err := mc.bc.write(wire.TypeMigrateEnd, wire.MigrateEnd{TotalBytes: relayed, Sum: re.Sum}.Marshal()); err != nil {
-				return fail(fmt.Errorf("target %s: %w", dst.ID, err))
-			}
-			if _, err := mc.expect(wire.TypeMigrateOK); err != nil {
-				return fail(fmt.Errorf("target %s: %w", dst.ID, err))
-			}
-			rc.write(wire.TypeClose, nil)
-			rc.read() // CloseOK, best effort
-			return nil
-		case wire.TypeError:
-			em, uerr := wire.UnmarshalError(f.Payload)
-			if uerr != nil {
-				return fail(uerr)
-			}
-			return fail(fmt.Errorf("source %s: %w", src.ID, em))
-		default:
-			return fail(fmt.Errorf("source %s: unexpected %s in restore stream", src.ID, wire.TypeName(f.Type)))
-		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("migrating %q from %s: %w", name, src.ID, err)
 	}
+	commit := wire.MigrateEnd{TotalBytes: end.TotalBytes, Sum: end.Sum}
+	if _, err := mc.Call(wire.TypeMigrateEnd, commit.Marshal(), wire.TypeMigrateOK); err != nil {
+		return fmt.Errorf("target %s: %w", dst.ID, err)
+	}
+	rc.Goodbye()
+	mc.Goodbye()
+	return nil
 }
 
 // RebalanceReport summarizes one RebalanceShard pass.
@@ -262,9 +136,6 @@ func (gw *Gateway) RebalanceShard(id string) (RebalanceReport, error) {
 	}
 	rep.Files = len(names)
 
-	pv := gw.newPeerVerbs()
-	defer pv.closeAll()
-
 	// Presence on each distinct target, batched per shard up front.
 	present := make(map[string]map[string]bool) // target ID → name → present
 	ownersOf := make(map[string][]Shard, len(names))
@@ -279,7 +150,7 @@ func (gw *Gateway) RebalanceShard(id string) (RebalanceReport, error) {
 		}
 	}
 	for tid, tnames := range targets {
-		bits, err := pv.stat(shardByID[tid], tnames)
+		bits, err := gw.statFiles(shardByID[tid], tnames)
 		if err != nil {
 			return rep, fmt.Errorf("cluster: stat on %s: %w", tid, err)
 		}
@@ -297,7 +168,7 @@ func (gw *Gateway) RebalanceShard(id string) (RebalanceReport, error) {
 			if present[owner.ID][name] {
 				continue
 			}
-			if err := pv.migrate(src, owner, name); err != nil {
+			if err := gw.migrate(src, owner, name); err != nil {
 				gw.cfg.Events.Warn("gateway.rebalance_migrate_fail",
 					events.F("file", name), events.F("target", owner.ID), events.F("err", err))
 				if firstErr == nil {
@@ -313,7 +184,7 @@ func (gw *Gateway) RebalanceShard(id string) (RebalanceReport, error) {
 		if !confirmed {
 			continue // keep the source copy; a later pass retries
 		}
-		if err := pv.fileDrop(src, name); err != nil {
+		if err := gw.dropFile(src, name); err != nil {
 			gw.cfg.Events.Warn("gateway.rebalance_drop_fail",
 				events.F("file", name), events.F("err", err))
 			if firstErr == nil {

@@ -65,9 +65,6 @@ func (gw *Gateway) RepairScan() (RepairReport, error) {
 	}
 	_, write := gw.rings()
 
-	pv := gw.newPeerVerbs()
-	defer pv.closeAll()
-
 	names := make([]string, 0, len(holders))
 	for n := range holders {
 		names = append(names, n)
@@ -92,7 +89,7 @@ func (gw *Gateway) RepairScan() (RepairReport, error) {
 				continue // dead owner: nothing to write to yet
 			}
 			anyOwnerReachable = true
-			if err := pv.migrate(srcs[0], owner, name); err != nil {
+			if err := gw.migrate(srcs[0], owner, name); err != nil {
 				gw.cfg.Events.Warn("gateway.repair_migrate_fail",
 					events.F("file", name), events.F("target", owner.ID), events.F("err", err))
 				if firstErr == nil {

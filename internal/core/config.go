@@ -67,11 +67,6 @@ type Config struct {
 	// on a single-CPU machine its hand-off overhead makes ingest slower,
 	// so leave it off there (see BenchmarkIngestPipeline4).
 	HashWorkers int
-	// ReferenceChunker selects the per-byte reference chunker scan instead
-	// of the block-processed fast path. Both produce bit-identical cut
-	// sequences (pinned by the chunker conformance harness), so this knob
-	// changes throughput only; it exists for differential benchmarking.
-	ReferenceChunker bool
 	// IngestWorkers caps how many backup streams IngestStreams deduplicates
 	// concurrently. 0 or 1 runs streams sequentially in order — bit-identical
 	// to feeding PutFile from a single loop; N > 1 runs up to N sessions in
@@ -135,5 +130,5 @@ func (c Config) Validate() error {
 
 // chunkerParams maps the configuration onto chunker parameters.
 func (c Config) chunkerParams() chunker.Params {
-	return chunker.Params{ECS: c.ECS, Poly: c.Poly, Reference: c.ReferenceChunker}
+	return chunker.Params{ECS: c.ECS, Poly: c.Poly}
 }

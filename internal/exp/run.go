@@ -59,10 +59,6 @@ type Params struct {
 	SHMPerSlice bool
 	TTTD        bool
 	FastCDC     bool
-	// ReferenceChunker selects the per-byte reference chunker scan instead
-	// of the block-processed fast path (bit-identical cuts; MHD/SI-MHD
-	// only — throughput knob for differential benchmarking).
-	ReferenceChunker bool
 	// HashWorkers enables MHD's per-stream chunk/hash pipeline; IngestWorkers
 	// caps how many backup streams ingest concurrently (MHD/SI-MHD only —
 	// the baseline engines are single-stream).
@@ -122,7 +118,6 @@ func Build(p Params) (algo.Deduplicator, error) {
 		cfg.SHMPerSlice = p.SHMPerSlice
 		cfg.TTTD = p.TTTD
 		cfg.FastCDC = p.FastCDC
-		cfg.ReferenceChunker = p.ReferenceChunker
 		cfg.HashWorkers = p.HashWorkers
 		cfg.IngestWorkers = p.IngestWorkers
 		cfg.SparseIndex = p.Algo == AlgoSIMHD

@@ -13,6 +13,7 @@ import (
 	"mhdedup/internal/client"
 	"mhdedup/internal/core"
 	"mhdedup/internal/simdisk"
+	"mhdedup/internal/wire"
 )
 
 // genData returns n deterministic pseudo-random bytes.
@@ -296,6 +297,47 @@ func TestDrainWaitsForInFlightSession(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), data) {
 		t.Fatal("file ingested across a drain is corrupt")
+	}
+}
+
+// TestDrainExpiresParkedSession: a session parked by a dropped
+// connection can never reattach once the listener is closed, so Drain
+// must expire it (aborting its open file) instead of waiting out
+// ResumeTimeout — with the daemon defaults (resume 2m > drain 1m) one
+// dropped client used to make every SIGTERM sit the full drain timeout
+// and report "drain incomplete".
+func TestDrainExpiresParkedSession(t *testing.T) {
+	srv, _, addr := startServer(t, func(c *Config) { c.ResumeTimeout = time.Hour })
+	c, write, read := rawConn(t, addr)
+	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+	if f := read(); f.Type != wire.TypeHelloOK {
+		t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
+	}
+	write(wire.TypeFileBegin, wire.FileBegin{Seq: 1, Name: "half"}.Marshal())
+	expectAck(t, read, 1)
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.cfg.Registry.Counter("server.sessions.active").Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("session never parked after its connection dropped")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := srv.SessionCount(); n != 1 {
+		t.Fatalf("%d sessions parked, want 1", n)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("drain with only a parked session: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("drain took %v, want well under a second", d)
+	}
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions survive the drain", n)
 	}
 }
 

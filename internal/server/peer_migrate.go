@@ -8,6 +8,7 @@ import (
 
 	"mhdedup/internal/events"
 	"mhdedup/internal/hashutil"
+	"mhdedup/internal/session"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/wire"
 )
@@ -92,17 +93,16 @@ func (m *peerMigration) cancel() {
 // peer-connection loop. It returns (handled, fatal): fatal means the
 // connection must be dropped (an Error frame was already sent where the
 // protocol allows one).
-func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, send sender,
-	sendErr func(code uint16, retryable bool, format string, args ...any)) (bool, bool) {
+func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, c *session.Conn) (bool, bool) {
 	switch f.Type {
 	case wire.TypeMigrateBegin:
 		mb, err := wire.UnmarshalMigrateBegin(f.Payload)
 		if err != nil {
-			sendErr(wire.CodeProtocol, false, "bad MigrateBegin: %v", err)
+			c.Errorf(wire.CodeProtocol, false, "bad MigrateBegin: %v", err)
 			return true, true
 		}
 		if *mig != nil {
-			sendErr(wire.CodeProtocol, false, "MigrateBegin %q while %q is still streaming", mb.Name, (*mig).name)
+			c.Errorf(wire.CodeProtocol, false, "MigrateBegin %q while %q is still streaming", mb.Name, (*mig).name)
 			return true, true
 		}
 		// MigrateBegin means "this shard must end up with THIS copy": an
@@ -113,7 +113,7 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, send sen
 		// so re-ingest costs index lookups, not storage.
 		if disk := s.cfg.Engine.Disk(); disk.Exists(simdisk.FileManifest, mb.Name) {
 			if err := disk.Delete(simdisk.FileManifest, mb.Name); err != nil {
-				sendErr(wire.CodeInternal, true, "replace %q: %v", mb.Name, err)
+				c.Errorf(wire.CodeInternal, true, "replace %q: %v", mb.Name, err)
 				return true, true
 			}
 		}
@@ -124,15 +124,15 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, send sen
 	case wire.TypeMigrateData:
 		md, err := wire.UnmarshalMigrateData(f.Payload)
 		if err != nil {
-			sendErr(wire.CodeProtocol, false, "bad MigrateData: %v", err)
+			c.Errorf(wire.CodeProtocol, false, "bad MigrateData: %v", err)
 			return true, true
 		}
 		if *mig == nil {
-			sendErr(wire.CodeProtocol, false, "MigrateData outside a migration")
+			c.Errorf(wire.CodeProtocol, false, "MigrateData outside a migration")
 			return true, true
 		}
 		if err := (*mig).feed(md.Data); err != nil {
-			sendErr(wire.CodeInternal, false, "migrate feed: %v", err)
+			c.Errorf(wire.CodeInternal, false, "migrate feed: %v", err)
 			(*mig).cancel()
 			*mig = nil
 			return true, true
@@ -142,25 +142,25 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, send sen
 	case wire.TypeMigrateEnd:
 		me, err := wire.UnmarshalMigrateEnd(f.Payload)
 		if err != nil {
-			sendErr(wire.CodeProtocol, false, "bad MigrateEnd: %v", err)
+			c.Errorf(wire.CodeProtocol, false, "bad MigrateEnd: %v", err)
 			return true, true
 		}
 		if *mig == nil {
-			sendErr(wire.CodeProtocol, false, "MigrateEnd outside a migration")
+			c.Errorf(wire.CodeProtocol, false, "MigrateEnd outside a migration")
 			return true, true
 		}
 		m := *mig
 		*mig = nil
 		if err := m.finish(me); err != nil {
 			m.abort()
-			sendErr(wire.CodeIntegrity, false, "%v", err)
+			c.Errorf(wire.CodeIntegrity, false, "%v", err)
 			return true, true
 		}
 		// Same durability barrier as a client FileEnd ack: MigrateOK is
 		// the shard's promise that the replica survives a crash.
 		if d := s.cfg.Durability; d != nil {
 			if err := d.Commit(); err != nil {
-				sendErr(wire.CodeInternal, false, "migrated %q not durable: %v", m.name, err)
+				c.Errorf(wire.CodeInternal, false, "migrated %q not durable: %v", m.name, err)
 				return true, true
 			}
 		}
@@ -168,30 +168,30 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, send sen
 		s.cMigratedBytes.Add(int64(m.fed))
 		s.cfg.Events.Info("server.migrate_done",
 			events.F("name", m.name), events.F("bytes", m.fed))
-		return true, !sendOK(send, wire.TypeMigrateOK)
+		return true, c.Write(wire.TypeMigrateOK, nil) != nil
 
 	case wire.TypeFileDrop:
 		fd, err := wire.UnmarshalFileDrop(f.Payload)
 		if err != nil {
-			sendErr(wire.CodeProtocol, false, "bad FileDrop: %v", err)
+			c.Errorf(wire.CodeProtocol, false, "bad FileDrop: %v", err)
 			return true, true
 		}
 		disk := s.cfg.Engine.Disk()
 		if disk.Exists(simdisk.FileManifest, fd.Name) {
 			if err := disk.Delete(simdisk.FileManifest, fd.Name); err != nil {
-				sendErr(wire.CodeInternal, true, "drop %q: %v", fd.Name, err)
+				c.Errorf(wire.CodeInternal, true, "drop %q: %v", fd.Name, err)
 				return true, true
 			}
 			s.cFileDrops.Add(1)
 			s.cfg.Events.Info("server.file_drop", events.F("name", fd.Name))
 		}
 		// Dropping an absent file is success: the caller wants "gone".
-		return true, !sendOK(send, wire.TypeFileDropOK)
+		return true, c.Write(wire.TypeFileDropOK, nil) != nil
 
 	case wire.TypeFileStat:
 		fs, err := wire.UnmarshalFileStat(f.Payload)
 		if err != nil {
-			sendErr(wire.CodeProtocol, false, "bad FileStat: %v", err)
+			c.Errorf(wire.CodeProtocol, false, "bad FileStat: %v", err)
 			return true, true
 		}
 		disk := s.cfg.Engine.Disk()
@@ -199,9 +199,7 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, send sen
 		for i, n := range fs.Names {
 			resp.Present[i] = disk.Exists(simdisk.FileManifest, n)
 		}
-		return true, send(wire.TypeFileStatOK, resp.Marshal()) != nil
+		return true, c.Write(wire.TypeFileStatOK, resp.Marshal()) != nil
 	}
 	return false, false
 }
-
-func sendOK(send sender, t uint8) bool { return send(t, nil) == nil }

@@ -27,7 +27,6 @@ import (
 	"io"
 	"net"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,6 +35,7 @@ import (
 	"mhdedup/internal/exp"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
+	"mhdedup/internal/session"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
 	"mhdedup/internal/wire"
@@ -98,8 +98,8 @@ type Config struct {
 	// ack means the whole file is on stable storage — group-committed,
 	// N sessions share one fsync), and Overloaded gates admission: while
 	// it reports true, new sessions and new files are refused with
-	// retryable Overloaded frames instead of queued in RAM. Nil keeps
-	// the legacy persist-at-drain behavior.
+	// retryable Overloaded frames instead of queued in RAM. Nil is the
+	// in-memory server (tests, benchmarks, dedupd without -store).
 	Durability Durability
 	// Registry receives the server's operational counters, latency
 	// histograms and occupancy gauges; default metrics.Default.
@@ -162,36 +162,24 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// Server is one dedupd instance.
+// Server is one dedupd instance: a session.Endpoint (listener, handshake,
+// resumable-session table) plus the ingest, restore and peer protocols it
+// dispatches to.
 type Server struct {
-	cfg      Config
-	opts     wire.EngineOptions // the handshake contract clients must match
-	cache    *chunkCache
-	tokenSrc atomic.Uint64
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	sessions map[uint64]*ingestSession
-	draining bool
-	closed   bool // Close() ran: late-accepted conns are shut immediately
-	connWG   sync.WaitGroup
+	cfg   Config
+	opts  wire.EngineOptions // the handshake contract clients must match
+	cache *chunkCache
+	ep    *session.Endpoint[*ingestSession]
 
 	// Hot operational counters (also registered in cfg.Registry).
-	cSessionsActive *atomic.Int64
-	cSessionsTotal  *atomic.Int64
-	cSessionsResume *atomic.Int64
 	cFilesIngested  *atomic.Int64
 	cChunksOffered  *atomic.Int64
 	cChunksNeeded   *atomic.Int64
 	cChunksReceived *atomic.Int64
 	cChunksCacheHit *atomic.Int64
 	cChunkBytesIn   *atomic.Int64
-	cWireBytesIn    *atomic.Int64
-	cWireBytesOut   *atomic.Int64
 	cRestores       *atomic.Int64
 	cRestoreBytes   *atomic.Int64
-	cErrors         *atomic.Int64
 	cShed           *atomic.Int64
 	cPeerServed     *atomic.Int64
 	cPeerMissed     *atomic.Int64
@@ -236,25 +224,17 @@ func New(cfg Config) (*Server, error) {
 			TTTD:      ec.TTTD,
 			FastCDC:   ec.FastCDC,
 		},
-		cache:    newChunkCache(cfg.ChunkCacheBytes),
-		conns:    make(map[net.Conn]struct{}),
-		sessions: make(map[uint64]*ingestSession),
+		cache: newChunkCache(cfg.ChunkCacheBytes),
 	}
 	r := cfg.Registry
-	s.cSessionsActive = r.Counter("server.sessions.active")
-	s.cSessionsTotal = r.Counter("server.sessions.total")
-	s.cSessionsResume = r.Counter("server.sessions.resumed")
 	s.cFilesIngested = r.Counter("server.files.ingested")
 	s.cChunksOffered = r.Counter("server.chunks.offered")
 	s.cChunksNeeded = r.Counter("server.chunks.needed")
 	s.cChunksReceived = r.Counter("server.chunks.received")
 	s.cChunksCacheHit = r.Counter("server.chunks.cache_hits")
 	s.cChunkBytesIn = r.Counter("server.chunks.bytes_received")
-	s.cWireBytesIn = r.Counter("server.wire.bytes_in")
-	s.cWireBytesOut = r.Counter("server.wire.bytes_out")
 	s.cRestores = r.Counter("server.restores")
 	s.cRestoreBytes = r.Counter("server.restore.bytes")
-	s.cErrors = r.Counter("server.errors")
 	s.cShed = r.Counter("server.shed")
 	s.cPeerServed = r.Counter("server.peer.chunks_served")
 	s.cPeerMissed = r.Counter("server.peer.chunks_missed")
@@ -271,12 +251,30 @@ func New(cfg Config) (*Server, error) {
 	s.hApply = r.Histogram("server.apply_ns")
 	s.hRestore = r.Histogram("server.restore_ns")
 	s.hCommit = r.Histogram("server.commit_ns")
-	r.SetGauge("server.sessions.live", func() int64 { return int64(s.SessionCount()) })
 	r.SetGauge("server.cache.bytes", func() int64 { b, _ := s.cache.stats(); return b })
 	r.SetGauge("server.cache.entries", func() int64 { _, n := s.cache.stats(); return int64(n) })
-	// Seed the token source so resume tokens from a previous process
-	// incarnation are never accidentally honored.
-	s.tokenSrc.Store(uint64(time.Now().UnixNano()))
+	s.ep = session.NewEndpoint(session.Config[*ingestSession]{
+		Name:        "server",
+		EventPrefix: "session.",
+		Limits: session.Limits{IdleTimeout: cfg.IdleTimeout, WriteTimeout: cfg.WriteTimeout,
+			MaxPayload: cfg.MaxPayload},
+		Window:        cfg.Window,
+		MaxSessions:   cfg.MaxSessions,
+		ResumeTimeout: cfg.ResumeTimeout,
+		Registry:      r,
+		Events:        cfg.Events,
+		Admit:         s.admitSession,
+		New:           s.newSession,
+		OnExpire: func(ss *ingestSession, aborting bool) {
+			ss.abort()
+			if aborting {
+				ss.abortOpenFile(errSessionExpired)
+			}
+		},
+		Ingest:  s.serveIngestConn,
+		Restore: s.serveRestoreConn,
+		Peer:    s.servePeerConn,
+	})
 	return s, nil
 }
 
@@ -285,243 +283,97 @@ func (s *Server) Options() wire.EngineOptions { return s.opts }
 
 // Serve accepts connections on ln until Drain or Close. It returns nil
 // after an orderly shutdown.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return errors.New("server: already shut down")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			// Close() already snapshotted s.conns: a connection accepted
-			// in the window between that snapshot and ln.Close() taking
-			// effect would never be closed and would pin connWG (hence
-			// Close) for up to IdleTimeout. Shut it here instead.
-			s.mu.Unlock()
-			c.Close()
-			continue
-		}
-		s.conns[c] = struct{}{}
-		s.connWG.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.connWG.Done()
-			s.handleConn(c)
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.ep.Serve(ln) }
 
 // Drain performs a graceful shutdown: stop accepting connections, refuse
-// new sessions with a retryable error frame, let in-flight sessions run
-// to their Close, and return once the server is idle. If ctx expires
-// first, remaining connections are severed and sessions aborted.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	ln := s.ln
-	s.mu.Unlock()
-	s.cfg.Events.Info("server.drain")
-	if ln != nil {
-		ln.Close()
-	}
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		s.mu.Lock()
-		idle := len(s.sessions) == 0 && len(s.conns) == 0
-		s.mu.Unlock()
-		if idle {
-			s.connWG.Wait()
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			s.Close()
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
-}
+// new sessions with a retryable error frame, expire parked sessions (no
+// client can reach them any more), let in-flight sessions run to their
+// Close, and return once the server is idle. If ctx expires first,
+// remaining connections are severed and sessions aborted.
+func (s *Server) Drain(ctx context.Context) error { return s.ep.Drain(ctx) }
 
 // Close hard-stops the server: the listener, every connection and every
-// session (in-flight ingests are cancelled). Connections that Accept
-// hands to Serve after the shutdown snapshot are closed by Serve itself
-// (it checks the closed flag), so Close never waits on a connection it
-// could not see.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.draining = true
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	sessions := make([]*ingestSession, 0, len(s.sessions))
-	for _, ss := range s.sessions {
-		sessions = append(sessions, ss)
-	}
-	s.mu.Unlock()
-	s.cfg.Events.Info("server.close",
-		events.F("conns", len(conns)), events.F("sessions", len(sessions)))
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	for _, ss := range sessions {
-		s.expireSession(ss, true)
-	}
-	s.connWG.Wait()
-	return nil
-}
+// session (in-flight ingests are cancelled).
+func (s *Server) Close() error { return s.ep.Close() }
 
 // SessionCount returns the number of live (attached or resumable)
 // sessions.
-func (s *Server) SessionCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
+func (s *Server) SessionCount() int { return s.ep.Sessions.Len() }
 
 // CacheStats exposes the wire chunk cache occupancy for metrics.
 func (s *Server) CacheStats() (bytes int64, entries int) { return s.cache.stats() }
 
 // ---------------------------------------------------------------------------
-// Connection handling.
+// Ingest sessions. The connection lifecycle (handshake, attach, detach,
+// expiry, drain) lives in internal/session; what follows is what dedupd
+// adds to it.
 
-// sender writes one frame with deadline and accounting applied.
-type sender func(t uint8, payload []byte) error
+// admitSession is the admission hook for NEW sessions: the client's
+// engine contract must match, and while the durability machinery is
+// behind budget new sessions are shed with a retryable Overloaded.
+func (s *Server) admitSession(hello wire.Hello) *wire.ErrorMsg {
+	if hello.Options != s.opts {
+		return &wire.ErrorMsg{Code: wire.CodeHandshake, Msg: fmt.Sprintf(
+			"engine mismatch: server runs %s ECS=%d SD=%d TTTD=%v FastCDC=%v; client offered %s ECS=%d SD=%d TTTD=%v FastCDC=%v",
+			s.opts.Algorithm, s.opts.ECS, s.opts.SD, s.opts.TTTD, s.opts.FastCDC,
+			hello.Options.Algorithm, hello.Options.ECS, hello.Options.SD, hello.Options.TTTD, hello.Options.FastCDC)}
+	}
+	if d := s.cfg.Durability; d != nil {
+		if reason, over := d.Overloaded(); over {
+			s.cShed.Add(1)
+			s.cfg.Events.Warn("server.shed", events.F("at", "attach"), events.F("reason", reason))
+			return &wire.ErrorMsg{Code: wire.CodeOverloaded, Retryable: true,
+				Msg: "server overloaded: " + reason}
+		}
+	}
+	return nil
+}
 
-// handleConn speaks the protocol on one accepted connection.
-func (s *Server) handleConn(c net.Conn) {
-	defer func() {
-		c.Close()
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-	}()
-	send := func(t uint8, payload []byte) error {
-		if s.cfg.WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		n, err := wire.WriteFrame(c, t, payload)
-		s.cWireBytesOut.Add(int64(n))
-		return err
-	}
-	sendErr := func(code uint16, retryable bool, format string, args ...any) {
-		s.cErrors.Add(1)
-		msg := wire.ErrorMsg{Code: code, Retryable: retryable, Msg: fmt.Sprintf(format, args...)}
-		send(wire.TypeError, msg.Marshal())
-	}
-	read := func() (wire.Frame, error) {
-		if s.cfg.IdleTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
-		f, err := wire.ReadFrame(c, s.cfg.MaxPayload)
-		if err == nil {
-			s.cWireBytesIn.Add(int64(wire.HeaderSize + len(f.Payload) + wire.TrailerSize))
-		}
-		return f, err
-	}
-
-	// Handshake.
-	f, err := read()
-	if err != nil {
-		return
-	}
-	if f.Type != wire.TypeHello {
-		sendErr(wire.CodeProtocol, false, "expected Hello, got %s", wire.TypeName(f.Type))
-		return
-	}
-	hello, err := wire.UnmarshalHello(f.Payload)
-	if err != nil {
-		sendErr(wire.CodeProtocol, false, "bad Hello: %v", err)
-		return
-	}
-	if !wire.ValidTenant(hello.Tenant) {
-		sendErr(wire.CodeHandshake, false, "invalid tenant identifier %q", hello.Tenant)
-		return
-	}
-	switch hello.Mode {
-	case wire.ModeRestore:
-		ok := wire.HelloOK{Window: uint32(s.cfg.Window), MaxPayload: s.cfg.MaxPayload}
-		if err := send(wire.TypeHelloOK, ok.Marshal()); err != nil {
-			return
-		}
-		s.serveRestoreConn(hello.Tenant, read, send, sendErr)
-	case wire.ModeIngest:
-		s.serveIngestConn(c, hello, read, send, sendErr)
-	case wire.ModePeer:
-		ok := wire.HelloOK{Window: uint32(s.cfg.Window), MaxPayload: s.cfg.MaxPayload}
-		if err := send(wire.TypeHelloOK, ok.Marshal()); err != nil {
-			return
-		}
-		s.servePeerConn(read, send, sendErr)
-	default:
-		sendErr(wire.CodeProtocol, false, "unknown session mode %d", hello.Mode)
+func (s *Server) newSession(token uint64, hello wire.Hello) *ingestSession {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &ingestSession{
+		token:   token,
+		tenant:  hello.Tenant,
+		srv:     s,
+		eng:     s.cfg.Engine.NewSession(),
+		ctx:     ctx,
+		abort:   cancel,
+		pending: make(map[uint64]*pendingCmd),
 	}
 }
 
-// serveIngestConn attaches (or creates) an ingest session and runs its
-// command loop until error, disconnect or Close.
-func (s *Server) serveIngestConn(c net.Conn, hello wire.Hello,
-	read func() (wire.Frame, error), send sender,
-	sendErr func(code uint16, retryable bool, format string, args ...any)) {
+// park hands a session whose connection died back to the table,
+// resumable. Pending batches are dropped first — the client replays
+// every command above lastApplied and need-lists are recomputed, so a
+// half-received batch costs only its bytes — which also unpins their
+// chunk bytes for as long as the session stays parked.
+func (s *Server) park(ss *ingestSession) {
+	ss.pending = make(map[uint64]*pendingCmd)
+	s.ep.Sessions.Detach(ss.token)
+}
 
-	if hello.ResumeToken == 0 && hello.Options != s.opts {
-		sendErr(wire.CodeHandshake, false,
-			"engine mismatch: server runs %s ECS=%d SD=%d TTTD=%v FastCDC=%v; client offered %s ECS=%d SD=%d TTTD=%v FastCDC=%v",
-			s.opts.Algorithm, s.opts.ECS, s.opts.SD, s.opts.TTTD, s.opts.FastCDC,
-			hello.Options.Algorithm, hello.Options.ECS, hello.Options.SD, hello.Options.TTTD, hello.Options.FastCDC)
-		return
-	}
-	ss, errMsg := s.attachSession(hello)
-	if errMsg != nil {
-		s.cErrors.Add(1)
-		send(wire.TypeError, errMsg.Marshal())
-		return
-	}
+// serveIngestConn runs an attached session's command loop until error,
+// disconnect or Close.
+func (s *Server) serveIngestConn(c *session.Conn, hello wire.Hello, ss *ingestSession) {
 	ok := wire.HelloOK{
 		SessionToken: ss.token,
 		Window:       uint32(s.cfg.Window),
 		MaxPayload:   s.cfg.MaxPayload,
 		LastApplied:  ss.lastApplied,
 	}
-	if err := send(wire.TypeHelloOK, ok.Marshal()); err != nil {
-		s.detachSession(ss)
+	if err := c.Write(wire.TypeHelloOK, ok.Marshal()); err != nil {
+		s.park(ss)
 		return
 	}
-	if hello.ResumeToken != 0 {
-		s.cfg.Events.Info("session.resume",
-			events.F("session", ss.token), events.F("applied", ss.lastApplied))
-	} else {
-		s.cfg.Events.Info("session.attach", events.F("session", ss.token))
-	}
-
 	for {
-		f, err := read()
+		f, err := c.Read()
 		if err != nil {
-			if isTimeout(err) {
+			if session.IsTimeout(err) {
 				// Retry-friendly: tell the client why before hanging up;
 				// the session survives for ResumeTimeout.
-				sendErr(wire.CodeProtocol, true, "idle timeout: no frame for %v", s.cfg.IdleTimeout)
+				c.Errorf(wire.CodeProtocol, true, "idle timeout: no frame for %v", s.cfg.IdleTimeout)
 			}
-			s.detachSession(ss)
+			s.park(ss)
 			return
 		}
 		start := time.Now()
@@ -530,33 +382,35 @@ func (s *Server) serveIngestConn(c net.Conn, hello wire.Hello,
 		case wire.TypeFileBegin:
 			var fb wire.FileBegin
 			if fb, herr = wire.UnmarshalFileBegin(f.Payload); herr == nil {
-				herr = ss.handleFileBegin(fb, send)
+				herr = ss.handleFileBegin(fb, c)
 			}
 		case wire.TypeOffer:
 			var of wire.Offer
 			if of, herr = wire.UnmarshalOffer(f.Payload); herr == nil {
-				herr = ss.handleOffer(of, send)
+				herr = ss.handleOffer(of, c)
 			}
 		case wire.TypeChunkData:
 			var cd wire.ChunkData
 			if cd, herr = wire.UnmarshalChunkData(f.Payload); herr == nil {
-				herr = ss.handleChunkData(cd, send)
+				herr = ss.handleChunkData(cd, c)
 			}
 		case wire.TypeFileEnd:
 			var fe wire.FileEnd
 			if fe, herr = wire.UnmarshalFileEnd(f.Payload); herr == nil {
-				herr = ss.handleFileEnd(fe, send)
+				herr = ss.handleFileEnd(fe, c)
 			}
 		case wire.TypeClose:
 			if herr = ss.closeRequested(); herr == nil {
-				s.expireSession(ss, false)
-				send(wire.TypeCloseOK, nil)
+				// Out of the table before CloseOK: a client that has seen
+				// CloseOK must find the session gone.
+				s.ep.Sessions.Expire(ss.token, false)
+				c.Write(wire.TypeCloseOK, nil)
 				s.cfg.Events.Info("session.close",
 					events.F("session", ss.token), events.F("applied", ss.lastApplied))
 				return
 			}
 		default:
-			herr = fatalf(wire.CodeProtocol, "unexpected %s frame on ingest session", wire.TypeName(f.Type))
+			herr = session.Fatalf(wire.CodeProtocol, "unexpected %s frame on ingest session", wire.TypeName(f.Type))
 		}
 		if h := s.hFrame[f.Type]; h != nil {
 			d := h.ObserveSince(start)
@@ -564,188 +418,21 @@ func (s *Server) serveIngestConn(c net.Conn, hello wire.Hello,
 				events.F("session", ss.token))
 		}
 		if herr != nil {
-			var sh *sessionShed
-			if errors.As(herr, &sh) {
-				// Overload shedding: report why (retryable), then park the
-				// session resumable — the client backs off, reconnects with
-				// its resume token and replays; no acknowledged work is at
-				// risk and no queue grows while the server is behind.
-				s.cErrors.Add(1)
-				send(wire.TypeError, sh.msg.Marshal())
-				s.detachSession(ss)
-				return
-			}
-			var sf *sessionFatal
-			if errors.As(herr, &sf) {
-				s.cErrors.Add(1)
-				send(wire.TypeError, sf.msg.Marshal())
-				s.expireSession(ss, true)
+			// A shed parks the session resumable — the client backs off,
+			// reconnects with its resume token and replays; no acknowledged
+			// work is at risk and no queue grows while the server is behind.
+			// So does a send-path failure: the connection is gone.
+			if sf := c.Report(herr); sf != nil {
+				s.ep.Sessions.Expire(ss.token, true)
 				s.cfg.Events.Error("session.fail",
-					events.F("session", ss.token), events.F("code", sf.msg.Code),
-					events.F("msg", sf.msg.Msg))
+					events.F("session", ss.token), events.F("code", sf.Msg.Code),
+					events.F("msg", sf.Msg.Msg))
 			} else {
-				// Send-path failure: the connection is gone; keep the
-				// session resumable.
-				s.detachSession(ss)
+				s.park(ss)
 			}
 			return
 		}
 	}
-}
-
-// attachSession resolves a Hello to a session: resuming an existing one
-// or creating a fresh one, subject to draining and MaxSessions.
-func (s *Server) attachSession(hello wire.Hello) (*ingestSession, *wire.ErrorMsg) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if hello.ResumeToken != 0 {
-		ss, ok := s.sessions[hello.ResumeToken]
-		if !ok || ss.gone {
-			return nil, &wire.ErrorMsg{Code: wire.CodeNotFound,
-				Msg: fmt.Sprintf("no resumable session %d (expired?)", hello.ResumeToken)}
-		}
-		if ss.tenant != hello.Tenant {
-			// A resume token must not let one tenant continue another's
-			// session; answer as if the token did not exist.
-			return nil, &wire.ErrorMsg{Code: wire.CodeNotFound,
-				Msg: fmt.Sprintf("no resumable session %d (expired?)", hello.ResumeToken)}
-		}
-		if ss.attached {
-			return nil, &wire.ErrorMsg{Code: wire.CodeBusy, Retryable: true,
-				Msg: fmt.Sprintf("session %d already has a live connection", hello.ResumeToken)}
-		}
-		// Disarm the resume-expiry timer. Stop()'s return value is
-		// deliberately not trusted to mean "nothing will run": the timer
-		// may already have fired and be blocked on s.mu right now. The
-		// epoch bump is what invalidates such an in-flight expiry — the
-		// timer captured the epoch it was armed in, and expireTimerFired
-		// no-ops on mismatch.
-		if ss.expireTimer != nil {
-			ss.expireTimer.Stop()
-			ss.expireTimer = nil
-		}
-		ss.epoch++
-		ss.attached = true
-		// A fresh connection replays commands above lastApplied;
-		// half-received batches from the dead connection are void.
-		ss.pending = make(map[uint64]*pendingCmd)
-		s.cSessionsResume.Add(1)
-		s.cSessionsActive.Add(1)
-		return ss, nil
-	}
-	if s.draining {
-		return nil, &wire.ErrorMsg{Code: wire.CodeDraining, Retryable: true, Msg: "server is draining"}
-	}
-	if s.cfg.Durability != nil {
-		// Admission control: refuse NEW sessions while the durability
-		// machinery is behind budget (resumes are always honored — they
-		// hold resources already, and bouncing them only adds retries).
-		if reason, over := s.cfg.Durability.Overloaded(); over {
-			s.cShed.Add(1)
-			s.cfg.Events.Warn("server.shed", events.F("at", "attach"), events.F("reason", reason))
-			return nil, &wire.ErrorMsg{Code: wire.CodeOverloaded, Retryable: true,
-				Msg: "server overloaded: " + reason}
-		}
-	}
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		return nil, &wire.ErrorMsg{Code: wire.CodeBusy, Retryable: true,
-			Msg: fmt.Sprintf("session limit reached (%d)", s.cfg.MaxSessions)}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ss := &ingestSession{
-		token:    s.tokenSrc.Add(1),
-		tenant:   hello.Tenant,
-		srv:      s,
-		eng:      s.cfg.Engine.NewSession(),
-		ctx:      ctx,
-		abort:    cancel,
-		attached: true,
-		pending:  make(map[uint64]*pendingCmd),
-	}
-	s.sessions[ss.token] = ss
-	s.cSessionsTotal.Add(1)
-	s.cSessionsActive.Add(1)
-	return ss, nil
-}
-
-// detachSession parks a session for resumption after its connection died:
-// pending state is dropped (the client replays), the in-flight file feed
-// stays open, and an expiry timer bounds how long that lasts. The timer
-// captures the detach epoch so a later resume invalidates it even if it
-// has already fired and is waiting on the mutex.
-func (s *Server) detachSession(ss *ingestSession) {
-	s.mu.Lock()
-	if ss.gone || !ss.attached {
-		s.mu.Unlock()
-		return
-	}
-	ss.attached = false
-	ss.pending = make(map[uint64]*pendingCmd)
-	s.cSessionsActive.Add(-1)
-	ss.epoch++
-	epoch := ss.epoch
-	ss.expireTimer = time.AfterFunc(s.cfg.ResumeTimeout, func() { s.expireTimerFired(ss, epoch) })
-	s.mu.Unlock()
-	s.cfg.Events.Info("session.detach",
-		events.F("session", ss.token), events.F("resumable", s.cfg.ResumeTimeout))
-}
-
-// expireTimerFired is the resume-window expiry path. The epoch check is
-// the fix for the resume-vs-expiry race: time.AfterFunc may have fired
-// the timer just before a resume Stop()ped it, leaving this goroutine
-// blocked on s.mu while attachSession commits the resume. Without the
-// check it would then tear down — and abort the in-flight file of — a
-// session that has a live connection again. The timer only acts if the
-// session is still in the exact detach generation it was armed for.
-func (s *Server) expireTimerFired(ss *ingestSession, epoch uint64) {
-	s.mu.Lock()
-	if ss.gone || ss.attached || ss.epoch != epoch {
-		s.mu.Unlock()
-		s.cfg.Events.Debug("session.expire_stale",
-			events.F("session", ss.token), events.F("armed_epoch", epoch))
-		return
-	}
-	s.mu.Unlock()
-	s.cfg.Events.Info("session.expire", events.F("session", ss.token))
-	s.expireSession(ss, true)
-}
-
-// expireSession removes a session for good: on abort the in-flight file
-// is cancelled; on orderly close there is none.
-func (s *Server) expireSession(ss *ingestSession, aborting bool) {
-	s.mu.Lock()
-	if ss.gone {
-		s.mu.Unlock()
-		return
-	}
-	if aborting && ss.attached {
-		// Called from Close() while a handler owns the session: the
-		// handler's connection is being torn down; it will not touch the
-		// session again once its read fails against the closed conn.
-		// Session teardown still proceeds here.
-	}
-	ss.gone = true
-	ss.epoch++ // invalidate any armed (or fired-and-blocked) expiry timer
-	if ss.expireTimer != nil {
-		ss.expireTimer.Stop()
-		ss.expireTimer = nil
-	}
-	if ss.attached {
-		s.cSessionsActive.Add(-1)
-		ss.attached = false
-	}
-	delete(s.sessions, ss.token)
-	s.mu.Unlock()
-	ss.abort()
-	if aborting {
-		ss.abortOpenFile(errSessionExpired)
-	}
-}
-
-// isTimeout reports whether err is a deadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // ---------------------------------------------------------------------------
@@ -756,10 +443,9 @@ func isTimeout(err error) bool {
 // returns only (and strips the prefix from) the tenant's names, and
 // Restore resolves the request inside the tenant's slice of the store —
 // another tenant's files are unreachable, not merely hidden.
-func (s *Server) serveRestoreConn(tenant string, read func() (wire.Frame, error), send sender,
-	sendErr func(code uint16, retryable bool, format string, args ...any)) {
+func (s *Server) serveRestoreConn(c *session.Conn, tenant string) {
 	for {
-		f, err := read()
+		f, err := c.Read()
 		if err != nil {
 			return
 		}
@@ -773,21 +459,18 @@ func (s *Server) serveRestoreConn(tenant string, read func() (wire.Frame, error)
 				}
 			}
 			sort.Strings(names)
-			if err := send(wire.TypeListResp, wire.ListResp{Names: names}.Marshal()); err != nil {
+			if err := c.Write(wire.TypeListResp, wire.ListResp{Names: names}.Marshal()); err != nil {
 				return
 			}
 		case wire.TypeRestoreReq:
 			req, err := wire.UnmarshalRestoreReq(f.Payload)
 			if err != nil {
-				sendErr(wire.CodeProtocol, false, "bad RestoreReq: %v", err)
+				c.Errorf(wire.CodeProtocol, false, "bad RestoreReq: %v", err)
 				return
 			}
 			req.Name = wire.NSJoin(tenant, req.Name)
-			if err := s.streamRestore(req, send); err != nil {
-				var sf *sessionFatal
-				if errors.As(err, &sf) {
-					s.cErrors.Add(1)
-					send(wire.TypeError, sf.msg.Marshal())
+			if err := s.streamRestore(req, c); err != nil {
+				if c.Report(err) != nil {
 					continue // stream not corrupted: error sent before or instead of End
 				}
 				return // transport failure
@@ -795,24 +478,21 @@ func (s *Server) serveRestoreConn(tenant string, read func() (wire.Frame, error)
 		case wire.TypeRestoreRange:
 			req, err := wire.UnmarshalRestoreRange(f.Payload)
 			if err != nil {
-				sendErr(wire.CodeProtocol, false, "bad RestoreRange: %v", err)
+				c.Errorf(wire.CodeProtocol, false, "bad RestoreRange: %v", err)
 				return
 			}
 			req.Name = wire.NSJoin(tenant, req.Name)
-			if err := s.streamRestoreRange(req, send); err != nil {
-				var sf *sessionFatal
-				if errors.As(err, &sf) {
-					s.cErrors.Add(1)
-					send(wire.TypeError, sf.msg.Marshal())
+			if err := s.streamRestoreRange(req, c); err != nil {
+				if c.Report(err) != nil {
 					continue
 				}
 				return
 			}
 		case wire.TypeClose:
-			send(wire.TypeCloseOK, nil)
+			c.Write(wire.TypeCloseOK, nil)
 			return
 		default:
-			sendErr(wire.CodeProtocol, false, "unexpected %s frame on restore session", wire.TypeName(f.Type))
+			c.Errorf(wire.CodeProtocol, false, "unexpected %s frame on restore session", wire.TypeName(f.Type))
 			return
 		}
 	}
@@ -835,8 +515,7 @@ const peerChunkOverhead = 8
 // here: a trusted link is still not a trusted computation, and a cache
 // poisoned with bytes filed under the wrong address would silently
 // corrupt every later negotiation that hits it.
-func (s *Server) servePeerConn(read func() (wire.Frame, error), send sender,
-	sendErr func(code uint16, retryable bool, format string, args ...any)) {
+func (s *Server) servePeerConn(c *session.Conn) {
 	// At most one migrated-file ingest streams per peer connection; if the
 	// connection dies mid-stream the half-fed file must be aborted, never
 	// committed.
@@ -847,11 +526,11 @@ func (s *Server) servePeerConn(read func() (wire.Frame, error), send sender,
 		}
 	}()
 	for {
-		f, err := read()
+		f, err := c.Read()
 		if err != nil {
 			return
 		}
-		if handled, fatal := s.handleMigrateFrames(f, &mig, send, sendErr); handled {
+		if handled, fatal := s.handleMigrateFrames(f, &mig, c); handled {
 			if fatal {
 				return
 			}
@@ -861,7 +540,7 @@ func (s *Server) servePeerConn(read func() (wire.Frame, error), send sender,
 		case wire.TypePeerFetch:
 			pf, err := wire.UnmarshalPeerFetch(f.Payload)
 			if err != nil {
-				sendErr(wire.CodeProtocol, false, "bad PeerFetch: %v", err)
+				c.Errorf(wire.CodeProtocol, false, "bad PeerFetch: %v", err)
 				return
 			}
 			resp := wire.PeerChunks{}
@@ -885,27 +564,27 @@ func (s *Server) servePeerConn(read func() (wire.Frame, error), send sender,
 				resp.Chunks = append(resp.Chunks, data)
 				s.cPeerServed.Add(1)
 			}
-			if err := send(wire.TypePeerChunks, resp.Marshal()); err != nil {
+			if err := c.Write(wire.TypePeerChunks, resp.Marshal()); err != nil {
 				return
 			}
 		case wire.TypePeerPut:
 			pp, err := wire.UnmarshalPeerPut(f.Payload)
 			if err != nil {
-				sendErr(wire.CodeProtocol, false, "bad PeerPut: %v", err)
+				c.Errorf(wire.CodeProtocol, false, "bad PeerPut: %v", err)
 				return
 			}
 			for _, chunk := range pp.Chunks {
 				s.cache.put(hashutil.SumBytes(chunk), chunk)
 			}
 			s.cPeerPut.Add(int64(len(pp.Chunks)))
-			if err := send(wire.TypePeerPutOK, nil); err != nil {
+			if err := c.Write(wire.TypePeerPutOK, nil); err != nil {
 				return
 			}
 		case wire.TypeClose:
-			send(wire.TypeCloseOK, nil)
+			c.Write(wire.TypeCloseOK, nil)
 			return
 		default:
-			sendErr(wire.CodeProtocol, false, "unexpected %s frame on peer session", wire.TypeName(f.Type))
+			c.Errorf(wire.CodeProtocol, false, "unexpected %s frame on peer session", wire.TypeName(f.Type))
 			return
 		}
 	}
@@ -936,13 +615,13 @@ func (s *Server) restoreStore() *store.Store {
 // cfg.RestoreWorkers container reads proceed out of order while the
 // pipeline's in-order emitter feeds the frameWriter, so RestoreData
 // frames always carry the file's bytes in order.
-func (s *Server) streamRestore(req wire.RestoreReq, send sender) error {
+func (s *Server) streamRestore(req wire.RestoreReq, c *session.Conn) error {
 	if !s.cfg.Engine.Disk().Exists(simdisk.FileManifest, req.Name) {
-		return fatalf(wire.CodeNotFound, "no such file %q", req.Name)
+		return session.Fatalf(wire.CodeNotFound, "no such file %q", req.Name)
 	}
 	start := time.Now()
 	st := s.restoreStore()
-	fw := &frameWriter{send: send, max: int(s.cfg.MaxPayload) - restoreDataOverhead, hash: hashutil.NewHasher()}
+	fw := &frameWriter{c: c, max: int(s.cfg.MaxPayload) - restoreDataOverhead, hash: hashutil.NewHasher()}
 	ropts := store.RestoreOptions{Workers: s.cfg.RestoreWorkers, WindowBytes: s.cfg.RestoreWindowBytes}
 	var rerr error
 	if req.Verify {
@@ -954,7 +633,7 @@ func (s *Server) streamRestore(req wire.RestoreReq, send sender) error {
 		rerr = st.RestoreFileOpts(req.Name, fw, ropts)
 	}
 	if rerr != nil {
-		return fatalf(wire.CodeInternal, "restore %q: %v", req.Name, rerr)
+		return session.Fatalf(wire.CodeInternal, "restore %q: %v", req.Name, rerr)
 	}
 	if err := fw.flush(); err != nil {
 		return err
@@ -965,7 +644,7 @@ func (s *Server) streamRestore(req wire.RestoreReq, send sender) error {
 	s.cfg.Events.SlowOp("restore", d,
 		events.F("name", req.Name), events.F("bytes", fw.total))
 	end := wire.RestoreEnd{TotalBytes: fw.total, Sum: fw.hash.Sum()}
-	return send(wire.TypeRestoreEnd, end.Marshal())
+	return c.Write(wire.TypeRestoreEnd, end.Marshal())
 }
 
 // streamRestoreRange is streamRestore for a byte range: the store's
@@ -975,9 +654,9 @@ func (s *Server) streamRestore(req wire.RestoreReq, send sender) error {
 // whole-file grammar — RestoreData frames then RestoreEnd whose size and
 // SHA-1 describe the range actually sent (ranges past EOF clamp, so a
 // client can probe with a huge length and trust the End frame).
-func (s *Server) streamRestoreRange(req wire.RestoreRange, send sender) error {
+func (s *Server) streamRestoreRange(req wire.RestoreRange, c *session.Conn) error {
 	if !s.cfg.Engine.Disk().Exists(simdisk.FileManifest, req.Name) {
-		return fatalf(wire.CodeNotFound, "no such file %q", req.Name)
+		return session.Fatalf(wire.CodeNotFound, "no such file %q", req.Name)
 	}
 	off := int64(req.Offset)
 	length := int64(-1)
@@ -986,7 +665,7 @@ func (s *Server) streamRestoreRange(req wire.RestoreRange, send sender) error {
 	}
 	start := time.Now()
 	st := s.restoreStore()
-	fw := &frameWriter{send: send, max: int(s.cfg.MaxPayload) - restoreDataOverhead, hash: hashutil.NewHasher()}
+	fw := &frameWriter{c: c, max: int(s.cfg.MaxPayload) - restoreDataOverhead, hash: hashutil.NewHasher()}
 	ropts := store.RestoreOptions{Workers: s.cfg.RestoreWorkers, WindowBytes: s.cfg.RestoreWindowBytes}
 	var rerr error
 	if req.Verify {
@@ -995,7 +674,7 @@ func (s *Server) streamRestoreRange(req wire.RestoreRange, send sender) error {
 		_, rerr = st.RestoreRange(req.Name, off, length, fw, ropts)
 	}
 	if rerr != nil {
-		return fatalf(wire.CodeInternal, "restore %q [%d,+%d): %v", req.Name, off, length, rerr)
+		return session.Fatalf(wire.CodeInternal, "restore %q [%d,+%d): %v", req.Name, off, length, rerr)
 	}
 	if err := fw.flush(); err != nil {
 		return err
@@ -1006,13 +685,13 @@ func (s *Server) streamRestoreRange(req wire.RestoreRange, send sender) error {
 	s.cfg.Events.SlowOp("restore_range", d,
 		events.F("name", req.Name), events.F("offset", off), events.F("bytes", fw.total))
 	end := wire.RestoreEnd{TotalBytes: fw.total, Sum: fw.hash.Sum()}
-	return send(wire.TypeRestoreEnd, end.Marshal())
+	return c.Write(wire.TypeRestoreEnd, end.Marshal())
 }
 
 // frameWriter adapts the restore io.Writer to RestoreData frames bounded
 // by the payload cap, hashing everything it emits.
 type frameWriter struct {
-	send  sender
+	c     *session.Conn
 	max   int
 	hash  *hashutil.Hasher
 	total uint64
@@ -1048,7 +727,7 @@ func (w *frameWriter) flush() error {
 }
 
 func (w *frameWriter) emit(b []byte) error {
-	return w.send(wire.TypeRestoreData, wire.RestoreData{Data: b}.Marshal())
+	return w.c.Write(wire.TypeRestoreData, wire.RestoreData{Data: b}.Marshal())
 }
 
 var _ io.Writer = (*frameWriter)(nil)

@@ -11,6 +11,7 @@ import (
 	"mhdedup/internal/core"
 	"mhdedup/internal/events"
 	"mhdedup/internal/hashutil"
+	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
 )
 
@@ -22,13 +23,10 @@ var errSessionExpired = errors.New("server: session resume window expired")
 // core.Session on the shared engine, the ordered-application state (seq
 // numbers, pending command window) and the open-file feed.
 //
-// Ownership: exactly one connection handler owns a session while
-// `attached`; attach/detach/expire transitions go through the Server's
-// mutex, which is what makes handler access to the other fields safe
-// without per-field locking. Pending batches are discarded on detach —
-// the client replays every command above lastApplied on resume and the
-// need-lists are recomputed, so a half-received batch costs only its
-// bytes, never correctness.
+// Ownership: exactly one connection handler owns a session while it is
+// attached in the endpoint's session.Table (see that type for the rule),
+// which is what makes handler access to the fields below safe without
+// per-field locking.
 type ingestSession struct {
 	token  uint64
 	tenant string // namespace prefix for every file this session ingests
@@ -36,19 +34,6 @@ type ingestSession struct {
 	eng    *core.Session
 	ctx    context.Context
 	abort  context.CancelFunc
-
-	// Guarded by srv.mu.
-	attached    bool
-	gone        bool
-	expireTimer *time.Timer
-	// epoch is the attach/detach generation counter. Every transition
-	// (resume, detach, teardown) increments it; the resume-expiry timer
-	// captures the epoch it was armed in and its firing is honored only
-	// while the session is still in that exact generation. This closes
-	// the race where a timer fires, blocks on srv.mu, a resume commits,
-	// and the stale expiry then aborts the re-attached session's
-	// in-flight file under a live connection.
-	epoch uint64
 
 	// Owned by the attached handler.
 	lastApplied uint64
@@ -107,29 +92,10 @@ type openFile struct {
 	fed  uint64
 }
 
-// sessionFatal is an error that must be reported to the client as an
-// Error frame and ends the session (no resume).
-type sessionFatal struct {
-	msg wire.ErrorMsg
-}
-
-func (e *sessionFatal) Error() string { return e.msg.Error() }
-
-func fatalf(code uint16, format string, args ...any) error {
-	return &sessionFatal{msg: wire.ErrorMsg{Code: code, Msg: fmt.Sprintf(format, args...)}}
-}
-
-// sessionShed is an overload refusal: reported to the client as a
-// retryable Overloaded frame, after which the session is parked resumable
-// (unlike sessionFatal, which ends it). The client backs off and replays.
-type sessionShed struct {
-	msg wire.ErrorMsg
-}
-
-func (e *sessionShed) Error() string { return e.msg.Error() }
-
+// shedf is an overload refusal: reported to the client as a retryable
+// Overloaded frame, after which the session is parked resumable.
 func shedf(format string, args ...any) error {
-	return &sessionShed{msg: wire.ErrorMsg{Code: wire.CodeOverloaded, Retryable: true,
+	return &session.Shed{Msg: wire.ErrorMsg{Code: wire.CodeOverloaded, Retryable: true,
 		Msg: fmt.Sprintf(format, args...)}}
 }
 
@@ -138,9 +104,9 @@ func shedf(format string, args ...any) error {
 // behind budget, starting another file would only grow the un-fsynced
 // backlog, so the session is parked with a retryable Overloaded frame
 // instead (replayed commands are never shed — their work is done).
-func (ss *ingestSession) handleFileBegin(fb wire.FileBegin, send sender) error {
+func (ss *ingestSession) handleFileBegin(fb wire.FileBegin, c *session.Conn) error {
 	if fb.Seq <= ss.lastApplied {
-		return send(wire.TypeAck, wire.Ack{Seq: fb.Seq}.Marshal())
+		return c.Write(wire.TypeAck, wire.Ack{Seq: fb.Seq}.Marshal())
 	}
 	if d := ss.srv.cfg.Durability; d != nil {
 		if reason, over := d.Overloaded(); over {
@@ -155,17 +121,17 @@ func (ss *ingestSession) handleFileBegin(fb wire.FileBegin, send sender) error {
 		return err
 	}
 	ss.pending[fb.Seq] = &pendingCmd{seq: fb.Seq, kind: wire.TypeFileBegin, begin: fb}
-	return ss.applyReady(send)
+	return ss.applyReady(c)
 }
 
 // handleOffer computes the need-list for a batch of offered hashes,
 // pinning cache hits immediately so later eviction cannot invalidate the
 // answer, replies with the Need frame and queues the batch.
-func (ss *ingestSession) handleOffer(of wire.Offer, send sender) error {
+func (ss *ingestSession) handleOffer(of wire.Offer, c *session.Conn) error {
 	if of.Seq <= ss.lastApplied {
 		// Replayed batch that was already applied before the reconnect:
 		// nothing is needed, just restate the ack.
-		return send(wire.TypeAck, wire.Ack{Seq: of.Seq}.Marshal())
+		return c.Write(wire.TypeAck, wire.Ack{Seq: of.Seq}.Marshal())
 	}
 	if err := ss.admit(of.Seq); err != nil {
 		return err
@@ -184,36 +150,36 @@ func (ss *ingestSession) handleOffer(of wire.Offer, send sender) error {
 	ss.srv.cChunksOffered.Add(int64(len(of.Entries)))
 	ss.srv.cChunksNeeded.Add(int64(len(pc.need)))
 	ss.srv.cChunksCacheHit.Add(int64(len(of.Entries) - len(pc.need)))
-	if err := send(wire.TypeNeed, wire.Need{Seq: of.Seq, Indices: pc.need}.Marshal()); err != nil {
+	if err := c.Write(wire.TypeNeed, wire.Need{Seq: of.Seq, Indices: pc.need}.Marshal()); err != nil {
 		return err
 	}
-	return ss.applyReady(send)
+	return ss.applyReady(c)
 }
 
 // handleChunkData verifies and stores a run of needed chunk bytes.
-func (ss *ingestSession) handleChunkData(cd wire.ChunkData, send sender) error {
+func (ss *ingestSession) handleChunkData(cd wire.ChunkData, c *session.Conn) error {
 	if cd.Seq <= ss.lastApplied {
 		return nil // late data for an already-applied batch; harmless
 	}
 	pc, ok := ss.pending[cd.Seq]
 	if !ok || pc.kind != wire.TypeOffer {
-		return fatalf(wire.CodeProtocol, "chunk data for unknown offer seq %d", cd.Seq)
+		return session.Fatalf(wire.CodeProtocol, "chunk data for unknown offer seq %d", cd.Seq)
 	}
 	for j, chunk := range cd.Chunks {
 		pos := int(cd.Start) + j
 		if pos < 0 || pos >= len(pc.need) {
-			return fatalf(wire.CodeProtocol, "chunk data index %d outside need list (len %d)", pos, len(pc.need))
+			return session.Fatalf(wire.CodeProtocol, "chunk data index %d outside need list (len %d)", pos, len(pc.need))
 		}
 		idx := pc.need[pos]
 		entry := pc.offer.Entries[idx]
 		if pc.data[idx] != nil {
-			return fatalf(wire.CodeProtocol, "duplicate chunk data for offer %d index %d", cd.Seq, idx)
+			return session.Fatalf(wire.CodeProtocol, "duplicate chunk data for offer %d index %d", cd.Seq, idx)
 		}
 		if uint32(len(chunk)) != entry.Size {
-			return fatalf(wire.CodeIntegrity, "offer %d index %d: got %d bytes, offered %d", cd.Seq, idx, len(chunk), entry.Size)
+			return session.Fatalf(wire.CodeIntegrity, "offer %d index %d: got %d bytes, offered %d", cd.Seq, idx, len(chunk), entry.Size)
 		}
 		if hashutil.SumBytes(chunk) != entry.Hash {
-			return fatalf(wire.CodeIntegrity, "offer %d index %d: chunk bytes do not hash to the offered address", cd.Seq, idx)
+			return session.Fatalf(wire.CodeIntegrity, "offer %d index %d: chunk bytes do not hash to the offered address", cd.Seq, idx)
 		}
 		pc.data[idx] = chunk
 		pc.missing--
@@ -221,33 +187,33 @@ func (ss *ingestSession) handleChunkData(cd wire.ChunkData, send sender) error {
 		ss.srv.cChunksReceived.Add(1)
 		ss.srv.cChunkBytesIn.Add(int64(len(chunk)))
 	}
-	return ss.applyReady(send)
+	return ss.applyReady(c)
 }
 
 // handleFileEnd queues a FileEnd command.
-func (ss *ingestSession) handleFileEnd(fe wire.FileEnd, send sender) error {
+func (ss *ingestSession) handleFileEnd(fe wire.FileEnd, c *session.Conn) error {
 	if fe.Seq <= ss.lastApplied {
-		return send(wire.TypeAck, wire.Ack{Seq: fe.Seq}.Marshal())
+		return c.Write(wire.TypeAck, wire.Ack{Seq: fe.Seq}.Marshal())
 	}
 	if err := ss.admit(fe.Seq); err != nil {
 		return err
 	}
 	ss.pending[fe.Seq] = &pendingCmd{seq: fe.Seq, kind: wire.TypeFileEnd, end: fe}
-	return ss.applyReady(send)
+	return ss.applyReady(c)
 }
 
 // admit enforces the per-session in-flight window and seq sanity — the
 // server's backpressure contract: at most Window unapplied commands.
 func (ss *ingestSession) admit(seq uint64) error {
 	if _, dup := ss.pending[seq]; dup {
-		return fatalf(wire.CodeProtocol, "duplicate command seq %d", seq)
+		return session.Fatalf(wire.CodeProtocol, "duplicate command seq %d", seq)
 	}
 	if len(ss.pending) >= ss.srv.cfg.Window {
-		return fatalf(wire.CodeProtocol, "in-flight window exceeded (%d commands unapplied, window %d)",
+		return session.Fatalf(wire.CodeProtocol, "in-flight window exceeded (%d commands unapplied, window %d)",
 			len(ss.pending), ss.srv.cfg.Window)
 	}
 	if seq > ss.lastApplied+uint64(ss.srv.cfg.Window) {
-		return fatalf(wire.CodeProtocol, "command seq %d too far ahead of applied %d (window %d)",
+		return session.Fatalf(wire.CodeProtocol, "command seq %d too far ahead of applied %d (window %d)",
 			seq, ss.lastApplied, ss.srv.cfg.Window)
 	}
 	return nil
@@ -257,7 +223,7 @@ func (ss *ingestSession) admit(seq uint64) error {
 // one is complete, acking each. This is where the ordered stream the
 // engine requires is re-established from the windowed, pipelined wire
 // conversation.
-func (ss *ingestSession) applyReady(send sender) error {
+func (ss *ingestSession) applyReady(c *session.Conn) error {
 	for {
 		pc, ok := ss.pending[ss.lastApplied+1]
 		if !ok {
@@ -280,7 +246,7 @@ func (ss *ingestSession) applyReady(send sender) error {
 		}
 		delete(ss.pending, pc.seq)
 		ss.lastApplied = pc.seq
-		if err := send(wire.TypeAck, wire.Ack{Seq: pc.seq}.Marshal()); err != nil {
+		if err := c.Write(wire.TypeAck, wire.Ack{Seq: pc.seq}.Marshal()); err != nil {
 			return err
 		}
 	}
@@ -294,7 +260,7 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 		if ss.file != nil {
 			open := ss.file.name
 			ss.fileMu.Unlock()
-			return fatalf(wire.CodeProtocol, "FileBegin %q while %q is open", pc.begin.Name, open)
+			return session.Fatalf(wire.CodeProtocol, "FileBegin %q while %q is open", pc.begin.Name, open)
 		}
 		pr, pw := io.Pipe()
 		f := &openFile{name: wire.NSJoin(ss.tenant, pc.begin.Name), pw: pw, done: make(chan error, 1), hash: hashutil.NewHasher()}
@@ -312,11 +278,11 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 	case wire.TypeOffer:
 		f := ss.currentFile()
 		if f == nil {
-			return fatalf(wire.CodeProtocol, "Offer %d outside a file", pc.seq)
+			return session.Fatalf(wire.CodeProtocol, "Offer %d outside a file", pc.seq)
 		}
 		for i, data := range pc.data {
 			if data == nil {
-				return fatalf(wire.CodeInternal, "offer %d index %d has no bytes at apply time", pc.seq, i)
+				return session.Fatalf(wire.CodeInternal, "offer %d index %d has no bytes at apply time", pc.seq, i)
 			}
 			if _, err := f.pw.Write(data); err != nil {
 				return ss.feedFailure(f.name, err)
@@ -329,17 +295,17 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 	case wire.TypeFileEnd:
 		f := ss.takeFile()
 		if f == nil {
-			return fatalf(wire.CodeProtocol, "FileEnd %d outside a file", pc.seq)
+			return session.Fatalf(wire.CodeProtocol, "FileEnd %d outside a file", pc.seq)
 		}
 		f.pw.Close()
 		if err := <-f.done; err != nil {
-			return fatalf(wire.CodeInternal, "ingest of %q failed: %v", f.name, err)
+			return session.Fatalf(wire.CodeInternal, "ingest of %q failed: %v", f.name, err)
 		}
 		if f.fed != pc.end.TotalBytes {
-			return fatalf(wire.CodeIntegrity, "file %q: reassembled %d bytes, client declared %d", f.name, f.fed, pc.end.TotalBytes)
+			return session.Fatalf(wire.CodeIntegrity, "file %q: reassembled %d bytes, client declared %d", f.name, f.fed, pc.end.TotalBytes)
 		}
 		if f.hash.Sum() != pc.end.Sum {
-			return fatalf(wire.CodeIntegrity, "file %q: reassembled stream does not hash to the declared sum", f.name)
+			return session.Fatalf(wire.CodeIntegrity, "file %q: reassembled stream does not hash to the declared sum", f.name)
 		}
 		// Durability barrier: the FileEnd ack this apply unlocks is the
 		// server's promise that the file survives a crash, so it is not
@@ -348,7 +314,7 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 		if d := ss.srv.cfg.Durability; d != nil {
 			start := time.Now()
 			if err := d.Commit(); err != nil {
-				return fatalf(wire.CodeInternal, "file %q ingested but not durable: %v", f.name, err)
+				return session.Fatalf(wire.CodeInternal, "file %q ingested but not durable: %v", f.name, err)
 			}
 			dur := ss.srv.hCommit.ObserveSince(start)
 			ss.srv.cfg.Events.SlowOp("commit", dur,
@@ -357,7 +323,7 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 		ss.srv.cFilesIngested.Add(1)
 		return nil
 	}
-	return fatalf(wire.CodeInternal, "unapplicable command kind %d", pc.kind)
+	return session.Fatalf(wire.CodeInternal, "unapplicable command kind %d", pc.kind)
 }
 
 // feedFailure maps a pipe-write failure (the engine goroutine died, or
@@ -365,9 +331,9 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 func (ss *ingestSession) feedFailure(name string, writeErr error) error {
 	var done errIngestDone
 	if errors.As(writeErr, &done) && done.err != nil {
-		return fatalf(wire.CodeInternal, "ingest of %q failed: %v", name, done.err)
+		return session.Fatalf(wire.CodeInternal, "ingest of %q failed: %v", name, done.err)
 	}
-	return fatalf(wire.CodeInternal, "ingest feed of %q failed: %v", name, writeErr)
+	return session.Fatalf(wire.CodeInternal, "ingest feed of %q failed: %v", name, writeErr)
 }
 
 // errIngestDone carries PutFile's result through the pipe so a blocked
@@ -385,10 +351,10 @@ func (e errIngestDone) Error() string {
 // must already be applied and no file may be open.
 func (ss *ingestSession) closeRequested() error {
 	if f := ss.currentFile(); f != nil {
-		return fatalf(wire.CodeProtocol, "Close with file %q still open", f.name)
+		return session.Fatalf(wire.CodeProtocol, "Close with file %q still open", f.name)
 	}
 	if len(ss.pending) != 0 {
-		return fatalf(wire.CodeProtocol, "Close with %d commands unapplied", len(ss.pending))
+		return session.Fatalf(wire.CodeProtocol, "Close with %d commands unapplied", len(ss.pending))
 	}
 	return nil
 }
