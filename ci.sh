@@ -1,8 +1,7 @@
 #!/bin/sh
-# CI gate: static checks, full build, the complete test suite under the
-# race detector, dedicated crash-consistency and WAL kill-every-point
-# smokes, a race-enabled sustained-write soak, a bench smoke that
-# emits and shape-checks the BENCH_ingest.json perf-trajectory artifact,
+# CI gate: static checks, full build, a code-size ratchet, the complete
+# test suite under the race detector, dedicated crash-consistency and WAL
+# kill-every-point smokes, a race-enabled sustained-write soak,
 # a live dedupd debug-endpoint smoke (/metrics.json, /healthz,
 # /events.json, pprof), a gateway loopback smoke plus a live dedup-gw
 # admin-endpoint smoke, the cluster fault-matrix short preset, 30-second
@@ -12,6 +11,12 @@
 # robustness work is held to — `go test -race` covers the 8-goroutine
 # ingest stress test, the striped index and LRU hammer tests, the pipeline
 # shutdown/leak tests, and the kill-point persistence tests.
+#
+# Performance has no separate smoke here: `go test -race ./...` runs
+# ./benchmark's four-workload smoke (the one harness every number comes
+# from), and the differential properties — chunker cut parity, WAL replay,
+# parallel-vs-serial and tree-vs-flat restore, failover after a rebalance —
+# are ordinary tests in that same run.
 #
 # Usage: ./ci.sh
 set -eu
@@ -23,10 +28,17 @@ echo "== go build =="
 go build ./...
 
 echo "== code size =="
-# ROADMAP item 3 is judged by this number going down: non-test Go lines
-# outside benchmark/ (25,588 before the item's first PR).
-echo "non-test Go lines outside benchmark/: $(find . -name '*.go' ! -name '*_test.go' \
-    ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
+# ROADMAP item 5 is judged by this number going down: non-test Go lines
+# outside benchmark/ (25,588 before the item's first PR). The ceiling is a
+# ratchet — a PR that deletes code lowers it to its own count; nothing
+# raises it.
+SIZE_CEILING=24012
+size=$(find . -name '*.go' ! -name '*_test.go' \
+    ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
+echo "non-test Go lines outside benchmark/: $size (ceiling $SIZE_CEILING)"
+if [ "$size" -gt "$SIZE_CEILING" ]; then
+    echo "code size: $size non-test Go lines exceeds SIZE_CEILING=$SIZE_CEILING" >&2; exit 1
+fi
 
 echo "== go test -race =="
 # The experiment suite (internal/exp) takes ~1 minute plain; under the race
@@ -71,10 +83,11 @@ echo "== gateway loopback smoke (race) =="
 # restore bit-identically to a single node, chunk routing must keep a
 # cross-shard re-ingest under 15% of its bytes on the client link, a
 # mid-run shard drain must stay fully restorable with the newest bytes,
-# a killed client connection must resume through the gateway, and tenant
-# auth/isolation/quota must hold.
+# a killed client connection must resume through the gateway, tenant
+# auth/isolation/quota must hold, and an R=2 cluster with one shard
+# rebalanced away must restore everything after another shard dies.
 go test -race -count=1 \
-    -run 'TestClusterRoundTripMatchesSingleNode|TestClusterChunkRoutingSavesClientBandwidth|TestClusterDrainMidRun|TestClusterKillConnectionResume|TestClusterTenants|TestGatewayDrainExpiresParkedSession' \
+    -run 'TestClusterRoundTripMatchesSingleNode|TestClusterChunkRoutingSavesClientBandwidth|TestClusterDrainMidRun|TestClusterKillConnectionResume|TestClusterTenants|TestGatewayDrainExpiresParkedSession|TestRebalanceShardConverges' \
     ./internal/cluster
 
 echo "== cluster fault matrix (short preset, race) =="
@@ -104,69 +117,6 @@ echo "== sustained-write soak (race) =="
 # group commits, background compaction and online scrub churn underneath,
 # then a reopen verifying every acked file bit-exact.
 go test -race -count=1 -run 'TestSustainedWriteSoak' ./internal/server
-
-echo "== bench smoke (perf-trajectory artifact) =="
-# A small seeded ingest+restore run must emit a BENCH_ingest.json with
-# the expected document shape: throughput, per-file latency percentiles,
-# the per-stage latency split and the engine's DER numbers.
-go run ./cmd/bench -out /tmp/BENCH_ingest.ci.json \
-    -restore-out /tmp/BENCH_restore.ci.json -restore-workers 8 \
-    -machines 2 -days 2 -snapshot $((1<<20)) -edits 4
-for key in '"mb_per_s"' '"per_file_ms"' '"stage_latency_ms"' \
-    '"core.chunk_ns"' '"store.container_write_ns"' '"real_der"' '"p99_ms"'; do
-    grep -q "$key" /tmp/BENCH_ingest.ci.json || {
-        echo "bench smoke: $key missing from BENCH_ingest.json" >&2; exit 1; }
-done
-# The chunking stage is a differential gate like the restore stage: the
-# block-processed fast chunkers must emit the exact cut sequence of the
-# per-byte reference scans (bench exits non-zero on divergence; the grep
-# double-checks the emitted document says so).
-for key in '"chunk_mb_per_s"' '"cuts_identical": true'; do
-    grep -q "$key" /tmp/BENCH_ingest.ci.json || {
-        echo "bench smoke: $key missing from BENCH_ingest.json" >&2; exit 1; }
-done
-# The WAL stage gates log-enabled ingest: a group commit per file, then a
-# reopen that replays the whole log and restores every file against the
-# ingested hash (bench exits non-zero on divergence or an empty replay).
-for key in '"wal_mb_per_s"' '"group_commits"' '"replayed_records"' \
-    '"commit_latency_ms"' '"hash_match": true'; do
-    grep -q "$key" /tmp/BENCH_ingest.ci.json || {
-        echo "bench smoke: $key missing from BENCH_ingest.json" >&2; exit 1; }
-done
-# The cluster stage pushes the same workload through a gateway + 3
-# dedupd shards over loopback and restores it back through the gateway
-# (bench exits non-zero if the round-trip hash diverges). The
-# replication sub-stage re-runs it at R=2, rebalances one shard away,
-# kills another, and restores everything through what is left (bench
-# exits non-zero if the failover restore hash diverges; the grep
-# double-checks the emitted document says so).
-for key in '"cluster_mb_per_s"' '"shard_balance"' '"balance_ratio"' \
-    '"chunks_peer_routed"' '"replication_overhead_ratio"' \
-    '"rebalanced_files"' '"failover_restore_ok": true'; do
-    grep -q "$key" /tmp/BENCH_ingest.ci.json || {
-        echo "bench smoke: $key missing from BENCH_ingest.json" >&2; exit 1; }
-done
-# The restore stage is a differential gate, not just a perf artifact: the
-# parallel pipeline's combined output hash must equal the serial reference
-# path's (bench exits non-zero on mismatch; the grep double-checks the
-# emitted document says so).
-for key in '"hash_match": true' '"coalesce_ratio"' '"read_latency_ms"' \
-    '"speedup"' '"serial_sha1"' '"parallel_sha1"'; do
-    grep -q "$key" /tmp/BENCH_restore.ci.json || {
-        echo "bench smoke: $key missing from BENCH_restore.json" >&2; exit 1; }
-done
-# The ranged stage is a second differential gate: the same byte ranges are
-# restored from flat manifests and again after the store's recipes are
-# rewritten as recipe trees, and the output streams must hash identically
-# (bench exits non-zero on mismatch or if a second near-identical
-# snapshot's tree stores >=20% of its leaf bytes as new chunks).
-for key in '"ranged_hash_match": true' '"ranged_seek_ms"' '"flat_seek_ms"' \
-    '"recipe_tree_dedup_ratio"' '"recipe_reads_per_seek"' \
-    '"second_snapshot_new_leaf_fraction"'; do
-    grep -q "$key" /tmp/BENCH_restore.ci.json || {
-        echo "bench smoke: $key missing from BENCH_restore.json" >&2; exit 1; }
-done
-rm -f /tmp/BENCH_ingest.ci.json /tmp/BENCH_restore.ci.json
 
 echo "== dedupd debug endpoint smoke =="
 # The server must serve /healthz, a histogram-bearing /metrics.json, the

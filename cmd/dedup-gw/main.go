@@ -171,6 +171,15 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	// Bound before anything serves: a gateway that came up without its
+	// health endpoint and admin verbs would look dead to whatever runs it.
+	var mln net.Listener
+	if o.metricsAddr != "" {
+		if mln, err = net.Listen("tcp", o.metricsAddr); err != nil {
+			ln.Close()
+			return fmt.Errorf("-metrics-addr: %w", err)
+		}
+	}
 	ids := make([]string, len(shards))
 	for i, s := range shards {
 		ids[i] = s.ID
@@ -180,14 +189,14 @@ func run(o options) error {
 
 	var draining atomic.Bool
 	var msrv *http.Server
-	if o.metricsAddr != "" {
-		msrv = metricsServer(o.metricsAddr, gw, evlog, &draining, logger)
+	if mln != nil {
+		msrv = metricsServer(gw, evlog, &draining, logger)
 		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {
 				logger.Printf("metrics server: %v", err)
 			}
 		}()
-		logger.Printf("debug endpoints on http://%s: /metrics.json /healthz /events.json /drain-shard /debug/pprof/", o.metricsAddr)
+		logger.Printf("debug endpoints on http://%s: /metrics.json /healthz /events.json /drain-shard /debug/pprof/", mln.Addr())
 	}
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -221,7 +230,7 @@ func run(o options) error {
 }
 
 // metricsServer is the gateway's debug/admin endpoint set.
-func metricsServer(addr string, gw *cluster.Gateway, evlog *events.Log,
+func metricsServer(gw *cluster.Gateway, evlog *events.Log,
 	draining *atomic.Bool, logger *log.Logger) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
@@ -360,5 +369,5 @@ func metricsServer(addr string, gw *cluster.Gateway, evlog *events.Log,
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return &http.Server{Addr: addr, Handler: mux}
+	return &http.Server{Handler: mux}
 }

@@ -154,6 +154,15 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	// Bound before anything serves: a daemon that came up without its
+	// health and metrics endpoint would look dead to whatever watches it.
+	var mln net.Listener
+	if o.metricsAddr != "" {
+		if mln, err = net.Listen("tcp", o.metricsAddr); err != nil {
+			ln.Close()
+			return fmt.Errorf("-metrics-addr: %w", err)
+		}
+	}
 	opts := srv.Options()
 	logger.Printf("listening on %s (%s ECS=%d SD=%d, resumed=%v, max sessions %d, window %d)",
 		ln.Addr(), opts.Algorithm, opts.ECS, opts.SD, resumed, o.maxSessions, o.window)
@@ -165,14 +174,14 @@ func run(o options) error {
 
 	var draining atomic.Bool
 	var msrv *http.Server
-	if o.metricsAddr != "" {
-		msrv = metricsServer(o.metricsAddr, srv, eng, evlog, &draining)
+	if mln != nil {
+		msrv = metricsServer(srv, eng, evlog, &draining)
 		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {
 				logger.Printf("metrics server: %v", err)
 			}
 		}()
-		logger.Printf("debug endpoints on http://%s: /metrics.json /healthz /events.json /debug/pprof/", o.metricsAddr)
+		logger.Printf("debug endpoints on http://%s: /metrics.json /healthz /events.json /debug/pprof/", mln.Addr())
 	}
 
 	// Serve until the first SIGINT/SIGTERM, then drain; a second signal
@@ -280,7 +289,7 @@ func buildEngine(o options, evlog *events.Log) (*core.Dedup, *dedup.Durability, 
 // (counters + gauges + latency histogram snapshots + engine statistics),
 // /healthz (drain-aware), /events.json (the structured event ring) and
 // the standard pprof profiles under /debug/pprof/.
-func metricsServer(addr string, srv *server.Server, eng *core.Dedup, evlog *events.Log, draining *atomic.Bool) *http.Server {
+func metricsServer(srv *server.Server, eng *core.Dedup, evlog *events.Log, draining *atomic.Bool) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		cacheBytes, cacheEntries := srv.CacheStats()
@@ -345,5 +354,5 @@ func metricsServer(addr string, srv *server.Server, eng *core.Dedup, evlog *even
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return &http.Server{Addr: addr, Handler: mux}
+	return &http.Server{Handler: mux}
 }

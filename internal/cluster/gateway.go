@@ -135,7 +135,7 @@ type Gateway struct {
 	writeRing *Ring           // ring minus draining shards: placement of NEW files
 
 	// Per-shard routing tallies (files and logical bytes homed there) —
-	// the balance numbers cmd/bench reports.
+	// the balance numbers ShardStats and /metrics.json report.
 	routedFiles map[string]*atomic.Int64
 	routedBytes map[string]*atomic.Int64
 

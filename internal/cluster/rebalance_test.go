@@ -16,7 +16,8 @@ import (
 // TestRebalanceShardConverges drains and rebalances a live shard, then
 // proves the pass was complete and idempotent: every file restores
 // bit-identical, the drained shard holds nothing, and a second
-// RebalanceShard of the same shard is a no-op with file count 0.
+// RebalanceShard of the same shard is a no-op with file count 0. It then
+// kills a different shard and restores everything through what is left.
 func TestRebalanceShardConverges(t *testing.T) {
 	tc := startCluster(t, 3, func(c *cluster.GatewayConfig) { c.Replication = 2 })
 	files, order := matrixFiles(t, tc, 77, 2, 1<<18)
@@ -61,6 +62,27 @@ func TestRebalanceShardConverges(t *testing.T) {
 
 	if migrated := tc.registry.Counter("gateway.rebalance.files").Load(); migrated == 0 {
 		t.Fatal("gateway.rebalance.files counter never moved")
+	}
+
+	// Failover after rebalance: hard-kill a DIFFERENT shard, one that holds
+	// replicas. The rebalanced placement must have left a live copy of
+	// every file outside both the drained and the dead shard, so everything
+	// still restores bit-identical through what is left.
+	held := 0
+	for name := range files {
+		if tc.engines[1].Disk().Exists(simdisk.FileManifest, name) {
+			held++
+		}
+	}
+	if held == 0 {
+		t.Fatalf("shard %s holds no replica; killing it would prove nothing", tc.shards[1].ID)
+	}
+	tc.servers[1].Close()
+	for name, want := range files {
+		if got := restoreOne(t, tc.clientConfig(), name); !bytes.Equal(got, want) {
+			t.Fatalf("%s: restore with %s drained and %s dead differs from input",
+				name, victim, tc.shards[1].ID)
+		}
 	}
 }
 

@@ -184,27 +184,3 @@ func DeltaP99(cur, prev []int64) (p99 int64, n int64) {
 	}
 	return bucketUpper(histBuckets - 1), total
 }
-
-// DurationsMS converts a nanosecond-valued snapshot to milliseconds with
-// fractional precision — the human-facing rendering used by bench output.
-type DurationsMS struct {
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P90MS  float64 `json:"p90_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
-// ToMS renders a nanosecond snapshot in milliseconds.
-func (s HistogramSnapshot) ToMS() DurationsMS {
-	const ms = float64(time.Millisecond)
-	return DurationsMS{
-		Count:  s.Count,
-		MeanMS: s.Mean / ms,
-		P50MS:  float64(s.P50) / ms,
-		P90MS:  float64(s.P90) / ms,
-		P99MS:  float64(s.P99) / ms,
-		MaxMS:  float64(s.Max) / ms,
-	}
-}

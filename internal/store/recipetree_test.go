@@ -602,6 +602,27 @@ func TestConvertToRecipeTrees(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), wants[f]) {
 			t.Fatalf("%s restores different bytes after conversion", name)
 		}
+		// Ranged restores seek through the converted tree: interior slice,
+		// open-ended tail, offset past EOF.
+		total := int64(len(wants[f]))
+		for _, r := range [][2]int64{{total/2 + 17, 8192}, {total - total/8, -1}, {total + 4096, 64}} {
+			off, length := r[0], r[1]
+			buf.Reset()
+			rs, err := s.RestoreRange(name, off, length, &buf, RestoreOptions{Workers: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := min(off, total), total
+			if length >= 0 {
+				hi = min(off+length, total)
+			}
+			if !bytes.Equal(buf.Bytes(), wants[f][lo:hi]) {
+				t.Fatalf("%s range [%d,+%d) differs after conversion", name, off, length)
+			}
+			if lo < hi && rs.RecipeReads == 0 {
+				t.Fatalf("%s range [%d,+%d) read no recipe chunk; it was not served from the tree", name, off, length)
+			}
+		}
 	}
 	// Converting again is a no-op.
 	n, err = s.ConvertToRecipeTrees(nil)
@@ -646,10 +667,16 @@ func TestRecipeTreeRangedEqualsFlatSlice(t *testing.T) {
 		if _, err := tree.WriteFileManifestTree(fmTree); err != nil {
 			t.Fatal(err)
 		}
-		for probe := 0; probe < 20; probe++ {
-			off := int64(rng.Intn(int(total)))
-			length := int64(rng.Intn(int(total)))
-			for _, workers := range []int{0, 4} {
+		// Fixed shapes first — the head, an unaligned interior slice, an
+		// open-ended tail (length < 0) and an offset past EOF (zero bytes,
+		// no error) — then random ranges.
+		probes := [][2]int64{{0, 64 << 10}, {total/2 + 17, 128 << 10}, {total - total/8, -1}, {total + 4096, 64}}
+		for len(probes) < 24 {
+			probes = append(probes, [2]int64{int64(rng.Intn(int(total))), int64(rng.Intn(int(total)))})
+		}
+		for _, p := range probes {
+			off, length := p[0], p[1]
+			for _, workers := range []int{0, 4, 8} {
 				opts := RestoreOptions{Workers: workers}
 				var a, b bytes.Buffer
 				if _, err := flat.RestoreRange("f", off, length, &a, opts); err != nil {
