@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // buildConcurrentStore ingests several near-duplicate files and returns
@@ -137,8 +138,8 @@ func TestStoreConcurrentRestoreVsDeleteSweep(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentVerifyRestores exercises the shared verification
-// index from many goroutines at once (it is serialized internally).
+// TestStoreConcurrentVerifyRestores exercises the shared Verifier from
+// many goroutines at once.
 func TestStoreConcurrentVerifyRestores(t *testing.T) {
 	st, want := buildConcurrentStore(t)
 	var wg sync.WaitGroup
@@ -160,6 +161,84 @@ func TestStoreConcurrentVerifyRestores(t *testing.T) {
 		}(name, data)
 	}
 	wg.Wait()
+}
+
+// parkedWriter stalls a restore mid-flight: its first Write signals parked
+// and blocks until release is closed.
+type parkedWriter struct {
+	bytes.Buffer
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func (w *parkedWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.parked)
+		<-w.release
+	})
+	return w.Buffer.Write(p)
+}
+
+// TestVerifiedRestoresRunConcurrently pins the Store locking contract for
+// the verified path: verified restores are reads like any other, so while
+// one is parked mid-file eight more — whole-file and ranged, of other
+// files, over the same shared Verifier — run to completion bit-identical
+// (no verifier-wide lock may be held across a restore), and a Delete
+// issued meanwhile still waits for the parked one.
+func TestVerifiedRestoresRunConcurrently(t *testing.T) {
+	st, want := buildConcurrentStore(t)
+	slow := &parkedWriter{parked: make(chan struct{}), release: make(chan struct{})}
+	slowDone := make(chan error, 1)
+	go func() { slowDone <- st.VerifyRestore("img-0", slow) }()
+	<-slow.parked
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			name := fmt.Sprintf("img-%d", 1+i%5)
+			data := want[name]
+			var got bytes.Buffer
+			off, err := int64(0), error(nil)
+			if i%2 == 0 {
+				err = st.VerifyRestore(name, &got)
+			} else {
+				off = int64(10_000 * i)
+				_, err = st.VerifyRestoreRange(name, off, -1, &got)
+			}
+			if err != nil {
+				t.Errorf("%s @%d: %v", name, off, err)
+			} else if !bytes.Equal(got.Bytes(), data[off:]) {
+				t.Errorf("%s @%d: bytes differ", name, off)
+			}
+		}(i)
+	}
+	others := make(chan struct{})
+	go func() { wg.Wait(); close(others) }()
+	select {
+	case <-others:
+	case <-time.After(30 * time.Second):
+		t.Fatal("verified restores serialize behind one that is still in flight")
+	}
+
+	deleted := make(chan error, 1)
+	go func() { deleted <- st.Delete("img-0") }()
+	select {
+	case err := <-deleted:
+		t.Fatalf("Delete returned (%v) while a verified restore of the file was in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(slow.release)
+	if err := <-slowDone; err != nil || !bytes.Equal(slow.Bytes(), want["img-0"]) {
+		t.Fatalf("parked verified restore: err %v, %d of %d bytes", err, slow.Len(), len(want["img-0"]))
+	}
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
+	}
+	if err := st.VerifyRestore("img-0", &bytes.Buffer{}); err == nil {
+		t.Fatal("deleted file still restores")
+	}
 }
 
 // TestStoreConcurrentSaveVsRestore races Save (a mutation-class

@@ -296,9 +296,7 @@ func SaveStore(eng Engine, dir string) error {
 // other; mutations (Delete, Sweep, Scrub, Save) are exclusive — they
 // wait for in-flight reads to finish and block new ones, so a Restore
 // never observes a half-swept object set and a Sweep never reclaims a
-// container out from under a reader. VerifyRestore additionally
-// serializes against other VerifyRestore calls (the verification index
-// memoizes container verdicts and is single-threaded by design).
+// container out from under a reader.
 type Store struct {
 	// mu is the object-set lock: read operations take RLock, mutating
 	// operations take Lock. Lock order is always mu before verMu.
@@ -306,18 +304,16 @@ type Store struct {
 	st  *store.Store
 	dir string
 
-	// ropts selects the restore engine: the zero value keeps the serial
-	// per-ref reference path; Workers ≥ 1 routes Restore/VerifyRestore
-	// through the batched pipeline (see SetRestoreOptions).
+	// ropts tunes the restore pipeline (see SetRestoreOptions). The zero
+	// value keeps Restore on the serial per-ref reference path; verified
+	// restores always run the planned path, serially when Workers ≤ 1.
 	ropts RestoreOptions
 
-	// verMu guards ver and serializes whole VerifyRestore calls —
-	// store.Verifier is not safe for concurrent use.
+	// verMu guards only the ver pointer: its lazy construction and its
+	// invalidation. Restores run on the Verifier outside it.
 	verMu sync.Mutex
-	// ver is the cached verification index (manifest claims and container
-	// verdicts). Building it decodes every manifest, so it is shared across
-	// VerifyRestore calls — `restore -all -verify` costs one index, not one
-	// per file — and dropped whenever the object set mutates.
+	// ver is the shared Verifier (see verifier), dropped whenever the
+	// object set mutates.
 	ver *store.Verifier
 }
 
@@ -374,7 +370,8 @@ func (s *Store) Files() []string {
 // container readers feeding an in-order emitter through a reorder buffer
 // bounded by WindowBytes, with adjacent/overlapping recipe ranges
 // coalesced (bridging container gaps up to CoalesceGap) into minimal
-// reads. The zero value selects the serial per-ref reference path;
+// reads. The zero value selects Restore's serial per-ref reference path
+// (verified restores have one path: planned, and serial at Workers ≤ 1);
 // Workers of 1 runs the planned/coalesced pipeline synchronously;
 // Workers > 1 reads in parallel. Output is bit-identical in every mode.
 type RestoreOptions = store.RestoreOptions
@@ -418,17 +415,13 @@ func (s *Store) RestoreRange(name string, offset, length int64, w io.Writer) (Ra
 }
 
 // VerifyRestoreRange is RestoreRange with VerifyRestore's end-to-end
-// chunk verification: every range served to w is re-hashed against the
-// content address its manifest vouches for before it is written.
+// chunk verification: every manifest entry overlapping a byte served to w
+// is re-hashed against its content address before that byte is written.
+// Like Restore, it runs concurrently with other restores, verified or not.
 func (s *Store) VerifyRestoreRange(name string, offset, length int64, w io.Writer) (RangeStats, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.verMu.Lock()
-	defer s.verMu.Unlock()
-	if s.ver == nil {
-		s.ver = store.NewVerifier(s.st, store.VerifyOpts{})
-	}
-	return s.ver.RestoreRange(name, offset, length, w, s.ropts)
+	return s.verifier().RestoreRange(name, offset, length, w, s.ropts)
 }
 
 // RecipeTreeStats summarizes one file's recipe tree: depth, node/leaf
@@ -473,31 +466,36 @@ type VerifyOpts = store.VerifyOpts
 type ScrubReport = store.ScrubReport
 
 // VerifyRestore rebuilds one file into w with end-to-end verification:
-// every chunk range the file references is re-hashed against the content
-// address its manifest vouches for, and the bytes written to w are served
-// from the very read that hashed clean — never from a separate, unchecked
-// re-read. Transient read faults are retried; persistent mismatches fail
-// the restore with an error naming the corrupt container, so w never
-// silently receives corrupt data. The verification index is built on
-// first use and shared across calls (see Scrub/Delete/Sweep for when it
-// is rebuilt).
+// the restore reads, per planned container read, exactly the manifest
+// entries that overlap the bytes it serves, re-hashes each against the
+// content address the manifest vouches for, and writes to w from the very
+// buffer that hashed clean — never from a separate, unchecked re-read. So
+// it costs what it restores. Ranges no manifest vouches for are refused;
+// transient read faults are retried; a persistent mismatch fails the
+// restore with an error naming the corrupt entry, so w never silently
+// receives corrupt data. It is VerifyRestoreRange of the whole file.
 func (s *Store) VerifyRestore(name string, w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	_, err := s.VerifyRestoreRange(name, 0, -1, w)
+	return err
+}
+
+// verifier returns the shared Verifier, building it on first use. It
+// caches the manifest claims of the containers restores have touched (in
+// the multi-container format: of every manifest), so `restore -all
+// -verify` decodes each manifest once; mutations drop it. Callers hold
+// s.mu at least shared.
+func (s *Store) verifier() *store.Verifier {
 	s.verMu.Lock()
 	defer s.verMu.Unlock()
 	if s.ver == nil {
 		s.ver = store.NewVerifier(s.st, store.VerifyOpts{})
 	}
-	if s.ropts.Workers >= 1 {
-		return s.ver.RestoreFileOpts(name, w, s.ropts)
-	}
-	return s.ver.RestoreFile(name, w)
+	return s.ver
 }
 
-// invalidateVerifier drops the cached verification index; the next
-// VerifyRestore rebuilds it over the mutated object set. Callers hold
-// s.mu exclusively (lock order mu → verMu).
+// invalidateVerifier drops the cached claims; the next VerifyRestore
+// reloads them over the mutated object set. Callers hold s.mu exclusively
+// (lock order mu → verMu).
 func (s *Store) invalidateVerifier() {
 	s.verMu.Lock()
 	s.ver = nil

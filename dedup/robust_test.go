@@ -212,11 +212,12 @@ func TestScrubCleanAcrossAllEngines(t *testing.T) {
 	}
 }
 
-// TestVerifyRestoreSharesOneVerifier: the verification index (which
-// decodes every manifest in the store) is built once and shared across
-// VerifyRestore calls — `restore -all -verify` is O(store + files), not
-// O(files × store) — and is rebuilt only after a mutation (Delete, Sweep,
-// Scrub) invalidates it.
+// TestVerifyRestoreSharesOneVerifier: the Verifier (which caches the
+// manifest claims of every container a restore has touched) is shared
+// across VerifyRestore calls — `restore -all -verify` decodes each
+// manifest at most once, not once per file that references its container —
+// and is dropped only when a mutation (Delete, Sweep, Scrub) invalidates
+// it.
 func TestVerifyRestoreSharesOneVerifier(t *testing.T) {
 	dir, files := buildSavedStore(t)
 	s, err := OpenStore(dir)
@@ -229,34 +230,36 @@ func TestVerifyRestoreSharesOneVerifier(t *testing.T) {
 	}
 
 	manifestReads := 0
-	s.st.Disk().SetFailureHook(func(op simdisk.Op, cat simdisk.Category, _ string) error {
+	readsOf := map[string]int{}
+	s.st.Disk().SetFailureHook(func(op simdisk.Op, cat simdisk.Category, name string) error {
 		if op == simdisk.OpRead && cat == simdisk.Manifest {
 			manifestReads++
+			readsOf[name]++
 		}
 		return nil
 	})
 	defer s.st.Disk().SetFailureHook(nil)
 
 	var buf bytes.Buffer
-	if err := s.VerifyRestore(names[0], &buf); err != nil {
-		t.Fatal(err)
+	for pass := 0; pass < 2; pass++ {
+		for _, name := range names {
+			buf.Reset()
+			if err := s.VerifyRestore(name, &buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), files[name]) {
+				t.Fatalf("%s restored wrong bytes", name)
+			}
+		}
 	}
 	afterFirst := manifestReads
 	if afterFirst == 0 {
-		t.Fatal("building the verifier read no manifests; the counter hook is off target")
+		t.Fatal("verified restores read no manifests; the counter hook is off target")
 	}
-	for _, name := range names[1:] {
-		buf.Reset()
-		if err := s.VerifyRestore(name, &buf); err != nil {
-			t.Fatal(err)
+	for name, n := range readsOf {
+		if n != 1 {
+			t.Fatalf("manifest %s read %d times over two passes of every file: verifier not shared", name[:8], n)
 		}
-		if !bytes.Equal(buf.Bytes(), files[name]) {
-			t.Fatalf("%s restored wrong bytes", name)
-		}
-	}
-	if manifestReads != afterFirst {
-		t.Fatalf("later VerifyRestores re-read manifests (%d -> %d): verifier not shared",
-			afterFirst, manifestReads)
 	}
 
 	// A mutation invalidates the index: the next VerifyRestore rebuilds it.

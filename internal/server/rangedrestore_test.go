@@ -8,6 +8,7 @@ import (
 	"mhdedup/internal/client"
 	"mhdedup/internal/core"
 	"mhdedup/internal/exp"
+	"mhdedup/internal/simdisk"
 )
 
 // newTreeEngine builds an MHD engine that stores recipes as recipe trees.
@@ -93,5 +94,48 @@ func TestLoopbackRangedRestore(t *testing.T) {
 				t.Fatalf("ranged restore of unknown file: %v", err)
 			}
 		})
+	}
+}
+
+// TestPlainRestoreReadsNoManifests: a plain restore follows the recipe to
+// raw container ranges and never looks at a manifest, so serving one —
+// ranged or whole — must read none: nothing on the request path, format
+// detection included, may decode the store's manifests.
+func TestPlainRestoreReadsNoManifests(t *testing.T) {
+	srv, eng, addr := startServer(t, nil)
+	data := genData(32, 2<<20)
+	ing, err := client.Connect(clientConfig(srv, addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if err := ing.PutFile(name, bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Disk().ObjectCount(simdisk.Manifest) == 0 {
+		t.Fatal("ingest wrote no manifests; nothing for a restore to (not) read")
+	}
+
+	before := eng.Disk().Counters().Reads.Get(simdisk.Manifest)
+	var got bytes.Buffer
+	if _, err := client.RestoreRange(clientConfig(srv, addr), "b", false, 1<<20, 64<<10, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), data[1<<20:1<<20+64<<10]) {
+		t.Fatal("ranged restore returned wrong bytes")
+	}
+	got.Reset()
+	if _, err := client.Restore(clientConfig(srv, addr), "b", false, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), data) {
+		t.Fatal("whole-file restore returned wrong bytes")
+	}
+	if n := eng.Disk().Counters().Reads.Get(simdisk.Manifest) - before; n != 0 {
+		t.Fatalf("two plain restores read %d manifests, want 0", n)
 	}
 }

@@ -170,6 +170,9 @@ type Server struct {
 	opts  wire.EngineOptions // the handshake contract clients must match
 	cache *chunkCache
 	ep    *session.Endpoint[*ingestSession]
+	// st is the store view remote restores read through (see New for its
+	// manifest format).
+	st *store.Store
 
 	// Hot operational counters (also registered in cfg.Registry).
 	cFilesIngested  *atomic.Int64
@@ -226,6 +229,20 @@ func New(cfg Config) (*Server, error) {
 		},
 		cache: newChunkCache(cfg.ChunkCacheBytes),
 	}
+	// The manifest format verified restores decode with is decided once,
+	// here, not per request (detection decodes every manifest): a dedupd
+	// can be pointed at a store written by another tool or an older engine
+	// whose manifests are not FormatMHD. An empty disk — which DetectFormat
+	// would call FormatBasic — or an ambiguous one gets the engine's own
+	// write format, the only consistent choice.
+	disk, format := cfg.Engine.Disk(), store.FormatMHD
+	if disk.ObjectCount(simdisk.Manifest) > 0 {
+		if f, ok := store.DetectFormat(disk); ok {
+			format = f
+		}
+	}
+	s.st = store.New(disk, format)
+	s.st.SetEventLog(cfg.Events)
 	r := cfg.Registry
 	s.cFilesIngested = r.Counter("server.files.ingested")
 	s.cChunksOffered = r.Counter("server.chunks.offered")
@@ -462,31 +479,29 @@ func (s *Server) serveRestoreConn(c *session.Conn, tenant string) {
 			if err := c.Write(wire.TypeListResp, wire.ListResp{Names: names}.Marshal()); err != nil {
 				return
 			}
-		case wire.TypeRestoreReq:
-			req, err := wire.UnmarshalRestoreReq(f.Payload)
+		case wire.TypeRestoreReq, wire.TypeRestoreRange:
+			var req wire.RestoreRange
+			event := "restore_range"
+			if f.Type == wire.TypeRestoreReq {
+				// A whole-file request is the range [0, EOF) under its own
+				// slow-op event name.
+				var whole wire.RestoreReq
+				whole, err = wire.UnmarshalRestoreReq(f.Payload)
+				req = wire.RestoreRange{Name: whole.Name, Verify: whole.Verify, Length: wire.RestoreToEOF}
+				event = "restore"
+			} else {
+				req, err = wire.UnmarshalRestoreRange(f.Payload)
+			}
 			if err != nil {
-				c.Errorf(wire.CodeProtocol, false, "bad RestoreReq: %v", err)
+				c.Errorf(wire.CodeProtocol, false, "bad %s: %v", wire.TypeName(f.Type), err)
 				return
 			}
 			req.Name = wire.NSJoin(tenant, req.Name)
-			if err := s.streamRestore(req, c); err != nil {
+			if err := s.streamRestore(req, event, c); err != nil {
 				if c.Report(err) != nil {
 					continue // stream not corrupted: error sent before or instead of End
 				}
 				return // transport failure
-			}
-		case wire.TypeRestoreRange:
-			req, err := wire.UnmarshalRestoreRange(f.Payload)
-			if err != nil {
-				c.Errorf(wire.CodeProtocol, false, "bad RestoreRange: %v", err)
-				return
-			}
-			req.Name = wire.NSJoin(tenant, req.Name)
-			if err := s.streamRestoreRange(req, c); err != nil {
-				if c.Report(err) != nil {
-					continue
-				}
-				return
 			}
 		case wire.TypeClose:
 			c.Write(wire.TypeCloseOK, nil)
@@ -590,71 +605,18 @@ func (s *Server) servePeerConn(c *session.Conn) {
 	}
 }
 
-// restoreStore builds the store view remote restores read through. The
-// manifest format is detected from the store contents — a dedupd can be
-// pointed at a store written by another tool or an older engine whose
-// manifests are not FormatMHD, and the verifying path decodes manifests,
-// so hardcoding FormatMHD here silently misparsed entries. When
-// detection is ambiguous the engine's own write format (FormatMHD) is
-// the only consistent choice.
-func (s *Server) restoreStore() *store.Store {
-	disk := s.cfg.Engine.Disk()
-	format, ok := store.DetectFormat(disk)
-	if !ok {
-		format = store.FormatMHD
-	}
-	st := store.New(disk, format)
-	st.SetEventLog(s.cfg.Events)
-	return st
-}
-
-// streamRestore rebuilds one file through the engine's store — through
-// the verifying path when requested — and streams it as RestoreData
-// frames followed by RestoreEnd carrying the whole-file size and SHA-1.
-// The rebuild runs through the batched restore pipeline: up to
-// cfg.RestoreWorkers container reads proceed out of order while the
-// pipeline's in-order emitter feeds the frameWriter, so RestoreData
-// frames always carry the file's bytes in order.
-func (s *Server) streamRestore(req wire.RestoreReq, c *session.Conn) error {
-	if !s.cfg.Engine.Disk().Exists(simdisk.FileManifest, req.Name) {
-		return session.Fatalf(wire.CodeNotFound, "no such file %q", req.Name)
-	}
-	start := time.Now()
-	st := s.restoreStore()
-	fw := &frameWriter{c: c, max: int(s.cfg.MaxPayload) - restoreDataOverhead, hash: hashutil.NewHasher()}
-	ropts := store.RestoreOptions{Workers: s.cfg.RestoreWorkers, WindowBytes: s.cfg.RestoreWindowBytes}
-	var rerr error
-	if req.Verify {
-		// The PR 2 verified-restore path: every chunk range is re-hashed
-		// against the content address its manifest vouches for, and the
-		// bytes streamed are the ones that hashed clean.
-		rerr = store.NewVerifier(st, store.VerifyOpts{}).RestoreFileOpts(req.Name, fw, ropts)
-	} else {
-		rerr = st.RestoreFileOpts(req.Name, fw, ropts)
-	}
-	if rerr != nil {
-		return session.Fatalf(wire.CodeInternal, "restore %q: %v", req.Name, rerr)
-	}
-	if err := fw.flush(); err != nil {
-		return err
-	}
-	s.cRestores.Add(1)
-	s.cRestoreBytes.Add(int64(fw.total))
-	d := s.hRestore.ObserveSince(start)
-	s.cfg.Events.SlowOp("restore", d,
-		events.F("name", req.Name), events.F("bytes", fw.total))
-	end := wire.RestoreEnd{TotalBytes: fw.total, Sum: fw.hash.Sum()}
-	return c.Write(wire.TypeRestoreEnd, end.Marshal())
-}
-
-// streamRestoreRange is streamRestore for a byte range: the store's
-// RestoreRange descends the file's recipe (O(log n) recipe-chunk reads on
-// a tree; a linear recipe decode on a flat manifest) and only the covering
-// sub-manifest flows through the restore pipeline. The reply stream is the
-// whole-file grammar — RestoreData frames then RestoreEnd whose size and
-// SHA-1 describe the range actually sent (ranges past EOF clamp, so a
-// client can probe with a huge length and trust the End frame).
-func (s *Server) streamRestoreRange(req wire.RestoreRange, c *session.Conn) error {
+// streamRestore rebuilds a byte range of one file through the engine's
+// store — through the verifying path when requested — and streams it as
+// RestoreData frames followed by RestoreEnd, whose size and SHA-1 describe
+// the range actually sent (ranges past EOF clamp, so a client can probe
+// with a huge length and trust the End frame; for a whole-file request
+// that is the file's). The store's RestoreRange descends the file's recipe
+// (O(log n) recipe-chunk reads on a tree; a linear recipe decode on a flat
+// manifest) and only the covering sub-manifest flows through the batched
+// restore pipeline: up to cfg.RestoreWorkers container reads proceed out of
+// order while the pipeline's in-order emitter feeds the frameWriter, so
+// RestoreData frames always carry the bytes in order.
+func (s *Server) streamRestore(req wire.RestoreRange, event string, c *session.Conn) error {
 	if !s.cfg.Engine.Disk().Exists(simdisk.FileManifest, req.Name) {
 		return session.Fatalf(wire.CodeNotFound, "no such file %q", req.Name)
 	}
@@ -664,14 +626,17 @@ func (s *Server) streamRestoreRange(req wire.RestoreRange, c *session.Conn) erro
 		length = int64(req.Length)
 	}
 	start := time.Now()
-	st := s.restoreStore()
 	fw := &frameWriter{c: c, max: int(s.cfg.MaxPayload) - restoreDataOverhead, hash: hashutil.NewHasher()}
 	ropts := store.RestoreOptions{Workers: s.cfg.RestoreWorkers, WindowBytes: s.cfg.RestoreWindowBytes}
 	var rerr error
 	if req.Verify {
-		_, rerr = store.NewVerifier(st, store.VerifyOpts{}).RestoreRange(req.Name, off, length, fw, ropts)
+		// Every manifest entry overlapping a served byte is re-hashed
+		// against its content address, and the bytes streamed are the ones
+		// that hashed clean. A Verifier per request costs nothing up front:
+		// it loads only the manifests of the containers this range touches.
+		_, rerr = store.NewVerifier(s.st, store.VerifyOpts{}).RestoreRange(req.Name, off, length, fw, ropts)
 	} else {
-		_, rerr = st.RestoreRange(req.Name, off, length, fw, ropts)
+		_, rerr = s.st.RestoreRange(req.Name, off, length, fw, ropts)
 	}
 	if rerr != nil {
 		return session.Fatalf(wire.CodeInternal, "restore %q [%d,+%d): %v", req.Name, off, length, rerr)
@@ -682,7 +647,7 @@ func (s *Server) streamRestoreRange(req wire.RestoreRange, c *session.Conn) erro
 	s.cRestores.Add(1)
 	s.cRestoreBytes.Add(int64(fw.total))
 	d := s.hRestore.ObserveSince(start)
-	s.cfg.Events.SlowOp("restore_range", d,
+	s.cfg.Events.SlowOp(event, d,
 		events.F("name", req.Name), events.F("offset", off), events.F("bytes", fw.total))
 	end := wire.RestoreEnd{TotalBytes: fw.total, Sum: fw.hash.Sum()}
 	return c.Write(wire.TypeRestoreEnd, end.Marshal())

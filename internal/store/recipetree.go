@@ -499,6 +499,14 @@ func rangeManifestDisk(disk *simdisk.Disk, file string, data []byte, off, length
 	if off < 0 {
 		return nil, 0, 0, fmt.Errorf("store: restore %q: negative offset %d", file, off)
 	}
+	if off == 0 && length < 0 {
+		// The whole file: materializing also holds a tree to its root's totals.
+		fm, _, reads, err := materializeManifest(disk, file, data, retries)
+		if err != nil {
+			return nil, 0, reads, err
+		}
+		return fm, fm.TotalBytes(), reads, nil
+	}
 	end := int64(math.MaxInt64)
 	if length >= 0 && off <= math.MaxInt64-length {
 		end = off + length
@@ -573,34 +581,18 @@ type RangeStats struct {
 // successfully); a negative offset is an error. On a recipe tree the
 // descent reads only the chunks covering the range.
 func (s *Store) RestoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions) (RangeStats, error) {
-	raw, err := s.disk.Read(simdisk.FileManifest, file)
-	if err != nil {
-		return RangeStats{}, fmt.Errorf("store: restore %q: %w", file, err)
-	}
-	sub, total, reads, err := rangeManifestDisk(s.disk, file, raw, off, length, 0)
-	if err != nil {
-		return RangeStats{RecipeReads: reads}, err
-	}
-	plan, err := planRestore(sub, opts.gap())
-	if err != nil {
-		return RangeStats{RecipeReads: reads, FileBytes: total}, err
-	}
-	rs, err := s.runRestorePipeline(plan, s.readPlanned, w, opts)
-	return RangeStats{RestoreStats: rs, RecipeReads: reads,
-		FileBytes: total, Offset: off, Length: sub.TotalBytes()}, err
+	return s.restoreRange(file, off, length, w, opts, s.readPlanned, 0)
 }
 
-// RestoreRange is the verified ranged restore: the covering sub-manifest
-// is found exactly as in Store.RestoreRange (recipe chunks additionally
-// prove themselves against their content addresses, with retry), and every
-// data byte written to w passed the verified pipeline — sliced from a
-// container read whose claims hashed clean, uncovered ranges refused.
-func (v *Verifier) RestoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions) (RangeStats, error) {
-	raw, err := readRetry(v.s.disk, simdisk.FileManifest, file, v.opts.retries())
+// restoreRange is the one ranged restore under both the plain and the
+// verified (Verifier.RestoreRange) entry points, which differ only in how
+// a planned read is fetched and in how often recipe reads are retried.
+func (s *Store) restoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions, read plannedReadFn, retries int) (RangeStats, error) {
+	raw, err := readRetry(s.disk, simdisk.FileManifest, file, retries)
 	if err != nil {
 		return RangeStats{}, fmt.Errorf("store: restore %q: %w", file, err)
 	}
-	sub, total, reads, err := rangeManifestDisk(v.s.disk, file, raw, off, length, v.opts.retries())
+	sub, total, reads, err := rangeManifestDisk(s.disk, file, raw, off, length, retries)
 	if err != nil {
 		return RangeStats{RecipeReads: reads}, err
 	}
@@ -608,7 +600,7 @@ func (v *Verifier) RestoreRange(file string, off, length int64, w io.Writer, opt
 	if err != nil {
 		return RangeStats{RecipeReads: reads, FileBytes: total}, err
 	}
-	rs, err := v.s.runRestorePipeline(plan, v.readPlannedVerified, w, opts)
+	rs, err := s.runRestorePipeline(plan, read, w, opts)
 	return RangeStats{RestoreStats: rs, RecipeReads: reads,
 		FileBytes: total, Offset: off, Length: sub.TotalBytes()}, err
 }

@@ -60,8 +60,9 @@ type RestoreStats struct {
 
 // plannedReadFn fetches one planned read's bytes: exactly pr.length bytes
 // of pr.container starting at pr.start. The plain path issues one
-// ReadDiskChunkRange; the verified path re-hashes the container's claims
-// and slices from the buffer that checked clean.
+// ReadDiskChunkRange; the verified path reads the manifest claims the
+// read serves from, hashes them, and slices from the buffer that checked
+// clean (Verifier.readPlannedVerified).
 type plannedReadFn func(pr *plannedRead) ([]byte, error)
 
 // errRestoreAborted marks reads skipped because the pipeline already

@@ -287,14 +287,21 @@ func (e *errAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestVerifierPipelineMatchesSerial: the verifying pipeline must produce
-// the same bytes as the serial verifying walk on a clean store, for
-// parallel worker counts.
+// TestVerifierPipelineMatchesSerial: the one verified path must produce the
+// constructed bytes — which the naive per-ref walk (Store.RestoreFile, the
+// oracle: there is no second verified path to compare against) must
+// produce too — for the serial walk and for parallel worker counts.
 func TestVerifierPipelineMatchesSerial(t *testing.T) {
 	s, files := buildVerifyStore(t)
 	v := NewVerifier(s, VerifyOpts{})
 	for name, want := range files {
-		var serial bytes.Buffer
+		var naive, serial bytes.Buffer
+		if err := s.RestoreFile(name, &naive); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(naive.Bytes(), want) {
+			t.Fatalf("%s: naive ref-walk diverges from construction", name)
+		}
 		if err := v.RestoreFile(name, &serial); err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +310,7 @@ func TestVerifierPipelineMatchesSerial(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 8} {
 			var got bytes.Buffer
-			if err := v.RestoreFileOpts(name, &got, RestoreOptions{Workers: workers, WindowBytes: 512}); err != nil {
+			if _, err := v.RestoreRange(name, 0, -1, &got, RestoreOptions{Workers: workers, WindowBytes: 512}); err != nil {
 				t.Fatalf("%s workers %d: %v", name, workers, err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
@@ -328,7 +335,7 @@ func TestVerifierPipelineRefusesCorruptData(t *testing.T) {
 	v := NewVerifier(s, VerifyOpts{})
 	for _, name := range []string{"f/one", "f/two"} {
 		var got bytes.Buffer
-		err := v.RestoreFileOpts(name, &got, RestoreOptions{Workers: 4})
+		_, err := v.RestoreRange(name, 0, -1, &got, RestoreOptions{Workers: 4})
 		if err == nil {
 			t.Fatalf("%s: corrupt container restored without error", name)
 		}
@@ -337,7 +344,7 @@ func TestVerifierPipelineRefusesCorruptData(t *testing.T) {
 		}
 	}
 	var got bytes.Buffer
-	if err := v.RestoreFileOpts("f/shared", &got, RestoreOptions{Workers: 4}); err != nil {
+	if _, err := v.RestoreRange("f/shared", 0, -1, &got, RestoreOptions{Workers: 4}); err != nil {
 		t.Fatalf("f/shared references only clean data, got %v", err)
 	}
 	if !bytes.Equal(got.Bytes(), files["f/shared"]) {

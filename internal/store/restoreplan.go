@@ -133,6 +133,9 @@ func planRestore(fm *FileManifest, gap int64) (*restorePlan, error) {
 				fm.File, ref.Container.Short(), ref.Start, ref.Size)
 		}
 		p.refs++
+		if ref.Size == 0 {
+			continue // a corrupt flat recipe's empty ref: nothing to read or emit
+		}
 		p.outputBytes += ref.Size
 		if n := len(p.reads); n > 0 {
 			last := &p.reads[n-1]

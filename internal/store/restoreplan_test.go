@@ -143,6 +143,28 @@ func TestPlanRejectsMalformedRefs(t *testing.T) {
 	}
 }
 
+// TestPlanDropsEmptyRefs: a zero-size ref (only a corrupt flat recipe has
+// one) emits nothing, so it must not plan a read, stretch a neighbour's
+// span over bytes no segment serves, or split a coalescible run.
+func TestPlanDropsEmptyRefs(t *testing.T) {
+	c := sum("c")
+	p, err := planRestore(rawManifest("f",
+		FileRef{Container: c, Start: 100, Size: 50},
+		FileRef{Container: c, Start: 10, Size: 0},
+		FileRef{Container: sum("d"), Start: 7, Size: 0},
+		FileRef{Container: c, Start: 150, Size: 50},
+	), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.reads) != 1 || p.reads[0].start != 100 || p.reads[0].length != 100 || len(p.reads[0].segs) != 2 {
+		t.Fatalf("plan = %+v, want one read [100,+100) of two segments", p.reads)
+	}
+	if p.refs != 4 || p.outputBytes != 100 || p.plannedBytes != 100 {
+		t.Fatalf("plan stats refs=%d output=%d planned=%d, want 4/100/100", p.refs, p.outputBytes, p.plannedBytes)
+	}
+}
+
 // TestPlanSegmentsReconstructOutput is the planner's semantic invariant:
 // applying the plan's segments to the planned container ranges must
 // reproduce exactly the bytes the ref-by-ref walk produces, for randomized

@@ -3,10 +3,12 @@ package store
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
 	"mhdedup/internal/hashutil"
+	"mhdedup/internal/metrics"
 	"mhdedup/internal/simdisk"
 )
 
@@ -16,24 +18,41 @@ import (
 // information-theoretic worst case of deduplication: one lost chunk, all
 // referencing files gone). The Verifier closes that hole end-to-end:
 // manifest entries carry the SHA-1 content address of every chunk range,
-// and entries tile their containers, so re-hashing the stored ranges
-// against the entries detects any corruption of chunk data. Reads are
-// retried a bounded number of times first (transient faults — a failing
-// bus, an inject-on-read FaultDisk — heal on retry); only damage that
-// persists is reported, and Scrub quarantines exactly those objects so the
-// rest of the store keeps serving.
+// and entries tile their containers, so re-hashing stored ranges against
+// the entries detects any corruption of chunk data.
 //
-// Crucially, a verified restore serves bytes from the very buffer that
-// hashed clean: verification and serving are one read, never a verify-read
-// followed by a separate, unchecked serve-read. A flip injected on any
-// read either heals on retry or fails the restore — there is no window in
-// which verified-then-reread bytes reach the caller unchecked.
+// The unit of verification is the claim — one manifest entry — not the
+// container: a verified restore reads and hashes exactly the claims that
+// overlap the bytes it serves, so it costs what it restores, not
+// containers touched × container size. Four invariants hold throughout:
+//
+//  1. Served bytes come from the very buffer that hashed clean:
+//     verification and serving are one read, never a verify-read followed
+//     by a separate, unchecked serve-read.
+//  2. A served range that no claim vouches for is refused.
+//  3. A mismatching claim that overlaps a served byte fails the restore,
+//     after a bounded number of re-reads (transient faults — a failing
+//     bus, an inject-on-read FaultDisk — heal on retry). A claim only
+//     partly served is still hashed whole: part of a claim cannot be
+//     vouched for.
+//  4. Scrub verifies every claim of every container and quarantines
+//     exactly the objects with persistent damage, so the rest of the
+//     store keeps serving.
+//
+// Bytes a planned read merely bridges (coalescing gaps) are neither
+// vouched for nor hashed: they are never emitted.
+
+// Bytes hashed and bytes served by verified planned reads. Their ratio is
+// what claims straddling a read's edges cost on top of one SHA-1 pass.
+var (
+	cVerifyHashedBytes = metrics.Counter("store.verify.hashed_bytes")
+	cVerifyServedBytes = metrics.Counter("store.verify.served_bytes")
+)
 
 // VerifyOpts tunes verification.
 type VerifyOpts struct {
-	// MaxRetries is how many times a failed or mismatching container read
-	// is retried before the damage is declared persistent. Zero means the
-	// default of 2.
+	// MaxRetries is how many times a failed or mismatching read is retried
+	// before the damage is declared persistent. Zero means the default of 2.
 	MaxRetries int
 }
 
@@ -71,93 +90,126 @@ type coverEntry struct {
 	entry       int
 	start, size int64
 	hash        hashutil.Sum
+	// maxEnd is the furthest end among this claim and all sorted before it.
+	// Claims sort by start, so maxEnd never decreases and the claims that
+	// reach past an offset are found by binary search even where
+	// FormatMultiContainer manifests overlap.
+	maxEnd int64
 }
 
-// containerVerdict memoizes one container's verification outcome.
-type containerVerdict struct {
-	bad []Mismatch
-	err error // unreadable after retries
-}
+func (ce *coverEntry) end() int64 { return ce.start + ce.size }
 
-// Verifier indexes every manifest's content claims and verifies container
-// bytes against them on demand, memoizing verdicts. It is built once per
-// maintenance pass or verified-restore session. Its exported methods are
-// meant to be driven from one goroutine at a time; internally, the
-// claims index is immutable after construction and the verdict memo is
-// mutex-guarded, which is what lets RestoreFileOpts fan planned reads out
-// to concurrent pipeline workers over one shared Verifier.
+// Verifier verifies stored bytes against the manifests' content claims:
+// RestoreRange for exactly the claims a restore serves from, and
+// VerifyContainer (Scrub's engine) for every claim of one container. It is
+// safe for concurrent use — whole restores may run side by side on one
+// Verifier, each fanning its planned reads out to pipeline workers.
 type Verifier struct {
 	s    *Store
 	opts VerifyOpts
 
-	// cover is immutable after NewVerifier returns — concurrent pipeline
-	// readers consult it without locking.
+	// mu guards cover and full.
+	mu sync.Mutex
+	// cover maps a container to its claims, sorted by start. In the
+	// single-container formats the claims on container C are exactly
+	// manifest C's entries, so cover fills one manifest per container
+	// touched. full means it holds every manifest's claims: built up front
+	// for FormatMultiContainer, where any manifest may claim bytes of any
+	// container, and on demand for Containers and Scrub.
 	cover map[string][]coverEntry
+	full  bool
 
-	// vmu guards verdicts: the only Verifier state the pipeline's
-	// concurrent readers mutate.
-	vmu      sync.Mutex
-	verdicts map[string]*containerVerdict
-
-	// serveName/serveData/serveBad/serveErr cache the most recently
-	// verified container *buffer* for RestoreFile, so consecutive refs into
-	// the same container are served from one verified read. Only one
-	// container's bytes are held at a time — restore memory stays bounded
-	// by the largest container, not the store.
-	serveValid bool
-	serveName  string
-	serveData  []byte
-	serveBad   []Mismatch
-	serveErr   error
-
-	// BadManifests lists manifests that could not be read or decoded and
-	// therefore contribute no claims (Check reports the same objects; a
-	// Scrub quarantines them).
+	// BadManifests lists the manifests the full index build could not read
+	// or decode and that therefore contribute no claims (Check reports the
+	// same objects; a Scrub quarantines them).
 	BadManifests []string
 }
 
-// NewVerifier builds the container→claims index from every manifest in the
-// store. Manifests that fail to read or decode are recorded in
-// BadManifests rather than aborting — verification must degrade, not die.
+// NewVerifier returns a Verifier over s. In the single-container formats
+// it reads nothing: a verified ranged restore from a large store costs the
+// manifests of the containers it touches, not every manifest there is.
 func NewVerifier(s *Store, opts VerifyOpts) *Verifier {
-	v := &Verifier{
-		s:        s,
-		opts:     opts,
-		cover:    make(map[string][]coverEntry),
-		verdicts: make(map[string]*containerVerdict),
-	}
-	names := s.disk.Names(simdisk.Manifest)
-	sort.Strings(names)
-	for _, name := range names {
-		sum, err := hashutil.ParseHex(name)
-		if err != nil {
-			v.BadManifests = append(v.BadManifests, name)
-			continue
-		}
-		raw, err := readRetry(s.disk, simdisk.Manifest, name, opts.retries())
-		if err != nil {
-			v.BadManifests = append(v.BadManifests, name)
-			continue
-		}
-		m, err := DecodeManifest(sum, s.format, raw)
-		if err != nil {
-			v.BadManifests = append(v.BadManifests, name)
-			continue
-		}
-		for i, e := range m.Entries {
-			if e.Size <= 0 || e.Start < 0 {
-				continue // Check's domain; nothing to verify
-			}
-			c := m.ContainerOf(e).Hex()
-			v.cover[c] = append(v.cover[c], coverEntry{
-				manifest: sum, entry: i, start: e.Start, size: e.Size, hash: e.Hash,
-			})
-		}
-	}
-	for _, entries := range v.cover {
-		sort.Slice(entries, func(i, j int) bool { return entries[i].start < entries[j].start })
+	v := &Verifier{s: s, opts: opts, cover: make(map[string][]coverEntry)}
+	if s.format == FormatMultiContainer {
+		v.buildIndex()
 	}
 	return v
+}
+
+// loadManifest adds one manifest's claims to cover, reporting whether the
+// manifest could be read and decoded.
+func (v *Verifier) loadManifest(cover map[string][]coverEntry, name string) bool {
+	sum, err := hashutil.ParseHex(name)
+	if err != nil {
+		return false
+	}
+	raw, err := readRetry(v.s.disk, simdisk.Manifest, name, v.opts.retries())
+	if err != nil {
+		return false
+	}
+	m, err := DecodeManifest(sum, v.s.format, raw)
+	if err != nil {
+		return false
+	}
+	for i, e := range m.Entries {
+		if e.Size <= 0 || e.Start < 0 || e.Start+e.Size < 0 {
+			continue // Check's domain; nothing to verify
+		}
+		c := m.ContainerOf(e).Hex()
+		cover[c] = append(cover[c], coverEntry{
+			manifest: sum, entry: i, start: e.Start, size: e.Size, hash: e.Hash,
+		})
+	}
+	return true
+}
+
+// sortClaims orders one container's claims by start and fills in maxEnd.
+func sortClaims(claims []coverEntry) {
+	sort.Slice(claims, func(i, j int) bool { return claims[i].start < claims[j].start })
+	var maxEnd int64
+	for i := range claims {
+		maxEnd = max(maxEnd, claims[i].end())
+		claims[i].maxEnd = maxEnd
+	}
+}
+
+// buildIndex loads the claims of every manifest in the store. Manifests
+// that fail to read or decode are recorded in BadManifests rather than
+// aborting — verification must degrade, not die.
+func (v *Verifier) buildIndex() {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.full {
+		return
+	}
+	cover := make(map[string][]coverEntry)
+	names := v.s.disk.Names(simdisk.Manifest)
+	sort.Strings(names)
+	for _, name := range names {
+		if !v.loadManifest(cover, name) {
+			v.BadManifests = append(v.BadManifests, name)
+		}
+	}
+	for _, claims := range cover {
+		sortClaims(claims)
+	}
+	v.cover, v.full = cover, true
+}
+
+// claims returns the claims on a container, sorted by start. Short of the
+// full index it loads the container's own manifest on first touch; one
+// that is missing or undecodable vouches for nothing.
+func (v *Verifier) claims(container string) []coverEntry {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	claims, ok := v.cover[container]
+	if !ok && !v.full {
+		v.loadManifest(v.cover, container)
+		claims = v.cover[container]
+		sortClaims(claims)
+		v.cover[container] = claims
+	}
+	return claims
 }
 
 // readRetry reads an object, retrying transient failures.
@@ -175,12 +227,15 @@ func readRetry(disk *simdisk.Disk, cat simdisk.Category, name string, retries in
 
 // Covered reports whether any manifest claims bytes of the container.
 func (v *Verifier) Covered(container string) bool {
-	return len(v.cover[container]) > 0
+	return len(v.claims(container)) > 0
 }
 
 // Containers returns the sorted names of every container at least one
-// manifest makes claims about.
+// manifest makes claims about. It builds the full index.
 func (v *Verifier) Containers() []string {
+	v.buildIndex()
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	out := make([]string, 0, len(v.cover))
 	for c := range v.cover {
 		out = append(out, c)
@@ -189,214 +244,137 @@ func (v *Verifier) Containers() []string {
 	return out
 }
 
-// verifyOnce reads one container and hashes every claimed range of that
-// read, returning the buffer alongside the violations so callers can serve
-// bytes from exactly the read that was checked.
-func (v *Verifier) verifyOnce(container string) ([]byte, []Mismatch, error) {
-	data, err := v.s.disk.Read(simdisk.Data, container)
-	if err != nil {
-		return nil, nil, err
-	}
-	csum, _ := hashutil.ParseHex(container)
+// checkClaims hashes each claim on buf, which holds the container's bytes
+// from offset base on, and returns the claims that do not check out. A
+// claim reaching outside buf (a truncated container) is a mismatch whose
+// Got stays zero.
+func checkClaims(container hashutil.Sum, claims []coverEntry, buf []byte, base int64) []Mismatch {
 	var bad []Mismatch
-	for _, ce := range v.cover[container] {
+	for _, ce := range claims {
 		mm := Mismatch{
-			Container: csum, Manifest: ce.manifest, Entry: ce.entry,
+			Container: container, Manifest: ce.manifest, Entry: ce.entry,
 			Start: ce.start, Size: ce.size, Want: ce.hash,
 		}
-		if ce.start+ce.size > int64(len(data)) {
-			bad = append(bad, mm) // truncated container: Got stays zero
-			continue
+		if ce.start >= base && ce.end() <= base+int64(len(buf)) {
+			mm.Got = hashutil.SumBytes(buf[ce.start-base : ce.end()-base])
 		}
-		mm.Got = hashutil.SumBytes(data[ce.start : ce.start+ce.size])
 		if mm.Got != ce.hash {
 			bad = append(bad, mm)
 		}
 	}
-	return data, bad, nil
-}
-
-// verifyData performs the full read-verify-retry loop on a fresh container
-// read (a transient flip heals on re-read; persistent damage does not) and
-// records the outcome in the verdict memo. It returns the final attempt's
-// buffer: every claim not listed in bad hashed clean on exactly those
-// bytes, so slices of ranges outside bad are safe to serve.
-func (v *Verifier) verifyData(container string) ([]byte, []Mismatch, error) {
-	var (
-		data []byte
-		bad  []Mismatch
-		err  error
-	)
-	for attempt := 0; attempt <= v.opts.retries(); attempt++ {
-		data, bad, err = v.verifyOnce(container)
-		if err == nil && len(bad) == 0 {
-			break
-		}
-	}
-	v.vmu.Lock()
-	v.verdicts[container] = &containerVerdict{bad: bad, err: err}
-	v.vmu.Unlock()
-	return data, bad, err
+	return bad
 }
 
 // VerifyContainer re-hashes every claimed range of the container against
-// its content addresses, retrying the whole read on failure or mismatch.
-// The verdict is memoized. A nil, nil return means every claim checked
-// out.
-func (v *Verifier) VerifyContainer(container string) ([]Mismatch, error) {
-	v.vmu.Lock()
-	verdict, ok := v.verdicts[container]
-	v.vmu.Unlock()
-	if ok {
-		return verdict.bad, verdict.err
+// its content addresses, retrying the whole read on failure or mismatch (a
+// transient flip heals on re-read; persistent damage does not). A nil, nil
+// return means every claim checked out.
+func (v *Verifier) VerifyContainer(container string) (bad []Mismatch, err error) {
+	csum, _ := hashutil.ParseHex(container)
+	claims := v.claims(container)
+	for attempt := 0; attempt <= v.opts.retries(); attempt++ {
+		var data []byte
+		if data, err = v.s.disk.Read(simdisk.Data, container); err != nil {
+			bad = nil
+			continue
+		}
+		if bad = checkClaims(csum, claims, data, 0); len(bad) == 0 {
+			break
+		}
 	}
-	_, bad, err := v.verifyData(container)
 	return bad, err
 }
 
-// RestoreFile rebuilds one file into w with end-to-end verification: every
-// container the recipe touches is verified against its manifest claims,
-// ranges no manifest vouches for are refused, and the bytes written to w
-// are sliced from the very buffer that hash-verified clean — never from a
-// separate, unchecked re-read, so a flip on any read either heals on retry
-// or fails the restore (w never silently receives corrupt data). The
-// returned error is per-file — other files restore independently.
+// RestoreFile rebuilds one whole file into w: RestoreRange from offset 0
+// to EOF, one planned read at a time.
 func (v *Verifier) RestoreFile(file string, w io.Writer) error {
-	raw, err := readRetry(v.s.disk, simdisk.FileManifest, file, v.opts.retries())
-	if err != nil {
-		return fmt.Errorf("store: restore %q: %w", file, err)
-	}
-	fm, err := loadFileManifestDisk(v.s.disk, file, raw, v.opts.retries())
-	if err != nil {
-		return fmt.Errorf("store: restore %q: %w", file, err)
-	}
-	for _, ref := range fm.Refs {
-		cname := ref.Container.Hex()
-		if uncovered := v.coverageGap(cname, ref.Start, ref.Size); uncovered {
-			return fmt.Errorf("store: restore %q: range [%d,+%d) of container %s is not vouched for by any manifest",
-				file, ref.Start, ref.Size, ref.Container.Short())
-		}
-		data, bad, err := v.servingData(cname)
-		if err != nil {
-			return fmt.Errorf("store: restore %q: container %s unreadable: %w", file, ref.Container.Short(), err)
-		}
-		for _, mm := range bad {
-			if overlaps(mm.Start, mm.Size, ref.Start, ref.Size) {
-				return fmt.Errorf("store: restore %q: corrupt data: %s", file, mm)
-			}
-		}
-		if ref.Start < 0 || ref.Start+ref.Size > int64(len(data)) {
-			// Unreachable when the ref is covered (a covering entry past the
-			// buffer's end lands in bad and overlaps the ref), but guard the
-			// slice anyway.
-			return fmt.Errorf("store: restore %q: ref %s[%d+%d] outside container (%d bytes)",
-				file, ref.Container.Short(), ref.Start, ref.Size, len(data))
-		}
-		if _, err := w.Write(data[ref.Start : ref.Start+ref.Size]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RestoreFileOpts rebuilds one file into w with end-to-end verification
-// through the batched restore pipeline: the recipe is planned into
-// coalesced container reads (restoreplan.go) and fetched by up to
-// opts.Workers concurrent readers, but every byte written to w is still
-// sliced from a container read that hash-verified clean, uncovered ranges
-// are still refused, and the emitter writes strictly in output order — the
-// same guarantees as the serial RestoreFile, differentially pinned against
-// it. Concurrent planned reads share this Verifier safely (the claims
-// index is immutable; the verdict memo is locked); whole RestoreFileOpts
-// calls should still be serialized by the caller.
-func (v *Verifier) RestoreFileOpts(file string, w io.Writer, opts RestoreOptions) error {
-	raw, err := readRetry(v.s.disk, simdisk.FileManifest, file, v.opts.retries())
-	if err != nil {
-		return fmt.Errorf("store: restore %q: %w", file, err)
-	}
-	fm, err := loadFileManifestDisk(v.s.disk, file, raw, v.opts.retries())
-	if err != nil {
-		return fmt.Errorf("store: restore %q: %w", file, err)
-	}
-	plan, err := planRestore(fm, opts.gap())
-	if err != nil {
-		return err
-	}
-	_, err = v.s.runRestorePipeline(plan, v.readPlannedVerified, w, opts)
+	_, err := v.RestoreRange(file, 0, -1, w, RestoreOptions{})
 	return err
 }
 
-// readPlannedVerified fetches one planned read with the verified-restore
-// guarantees: every segment the read serves must be vouched for by a
-// manifest claim, the container is (re)read and re-hashed against all its
-// claims with bounded retry on this very read, and a persistent mismatch
-// overlapping any served segment fails the read. The returned slice
-// aliases the buffer that hashed clean — verification and serving are one
-// read, exactly as in the serial path. Safe for concurrent use.
+// RestoreRange rebuilds file bytes [off, off+length) into w with
+// end-to-end verification (length < 0 means to EOF, so 0, -1 is the whole
+// file; ranges clamp as in Store.RestoreRange). The recipe is found and
+// planned into coalesced container reads exactly as for a plain restore —
+// recipe chunks additionally prove themselves against their content
+// addresses, with retry — and every planned read is fetched by
+// readPlannedVerified, by up to opts.Workers concurrent readers
+// (Workers ≤ 1 is the serial walk). The emitter writes strictly in output
+// order. The returned error is per-file: other files restore independently.
+func (v *Verifier) RestoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions) (RangeStats, error) {
+	return v.s.restoreRange(file, off, length, w, opts, v.readPlannedVerified, v.opts.retries())
+}
+
+// readPlannedVerified fetches one planned read under the four invariants
+// above: it selects the claims overlapping the read's served segments
+// (refusing a segment they do not cover), issues one ranged read spanning
+// those claims, hashes each of them on that buffer — re-reading a bounded
+// number of times on error or mismatch — and returns a slice of the buffer
+// that hashed clean. Safe for concurrent use.
 func (v *Verifier) readPlannedVerified(pr *plannedRead) ([]byte, error) {
-	cname := pr.container.Hex()
+	claims := v.claims(pr.container.Hex())
+	var sel []int
+	var served int64
 	for _, seg := range pr.segs {
-		if v.coverageGap(cname, pr.start+seg.off, seg.size) {
+		lo, hi := pr.start+seg.off, pr.start+seg.off+seg.size
+		// Claims before i end at or before lo; claims from j on start at or
+		// after hi. Walking [i, j) in start order, a claim starting past
+		// pos leaves [pos, its start) unclaimed.
+		i := sort.Search(len(claims), func(k int) bool { return claims[k].maxEnd > lo })
+		j := sort.Search(len(claims), func(k int) bool { return claims[k].start >= hi })
+		pos := lo
+		for k := i; k < j && claims[k].start <= pos; k++ {
+			if end := claims[k].end(); end > lo {
+				sel = append(sel, k)
+				pos = max(pos, end)
+			}
+		}
+		if pos < hi {
 			return nil, fmt.Errorf("range [%d,+%d) of container %s is not vouched for by any manifest",
-				pr.start+seg.off, seg.size, pr.container.Short())
+				lo, seg.size, pr.container.Short())
+		}
+		served += seg.size
+	}
+	slices.Sort(sel)
+	sel = slices.Compact(sel)
+	picked := make([]coverEntry, len(sel))
+	var hashed int64
+	lo, hi := claims[sel[0]].start, int64(0)
+	for n, k := range sel {
+		picked[n] = claims[k]
+		hashed += claims[k].size
+		hi = max(hi, claims[k].end())
+	}
+	if pr.start < lo || pr.start+pr.length > hi {
+		// Unreachable: the read's span is the hull of its segments, each
+		// covered by a selected claim. Guard the slice below anyway.
+		return nil, fmt.Errorf("read %s[%d+%d] outside its claims [%d,%d)",
+			pr.container.Short(), pr.start, pr.length, lo, hi)
+	}
+	// Clamp to the container: a claim running past a truncated container's
+	// end must read what is left and mismatch, not fail as a bad range.
+	size, _ := v.s.DiskChunkSize(pr.container)
+	lo, hi = min(lo, size), min(hi, size)
+
+	var (
+		bad []Mismatch
+		err error
+	)
+	for attempt := 0; attempt <= v.opts.retries(); attempt++ {
+		var buf []byte
+		if buf, err = v.s.ReadDiskChunkRange(pr.container, lo, hi-lo); err != nil {
+			continue
+		}
+		cVerifyHashedBytes.Add(hashed)
+		if bad = checkClaims(pr.container, picked, buf, lo); len(bad) == 0 {
+			cVerifyServedBytes.Add(served)
+			return buf[pr.start-lo:][:pr.length], nil
 		}
 	}
-	data, bad, err := v.verifyData(cname)
 	if err != nil {
 		return nil, fmt.Errorf("container %s unreadable: %w", pr.container.Short(), err)
 	}
-	for _, seg := range pr.segs {
-		for _, mm := range bad {
-			if overlaps(mm.Start, mm.Size, pr.start+seg.off, seg.size) {
-				return nil, fmt.Errorf("corrupt data: %s", mm)
-			}
-		}
-	}
-	if pr.start < 0 || pr.start+pr.length > int64(len(data)) {
-		// Unreachable when every segment is covered (a covering claim past
-		// the buffer's end lands in bad), but guard the slice anyway.
-		return nil, fmt.Errorf("read %s[%d+%d] outside container (%d bytes)",
-			pr.container.Short(), pr.start, pr.length, len(data))
-	}
-	return data[pr.start : pr.start+pr.length], nil
-}
-
-// servingData returns a container's verified bytes for serving, caching
-// the most recent container so a recipe's consecutive refs into the same
-// container cost one read. The buffer is (re)verified on every fresh read
-// — a verdict memoized from an earlier, different read never vouches for
-// bytes it was not computed over.
-func (v *Verifier) servingData(container string) ([]byte, []Mismatch, error) {
-	if v.serveValid && v.serveName == container {
-		return v.serveData, v.serveBad, v.serveErr
-	}
-	data, bad, err := v.verifyData(container)
-	v.serveValid = true
-	v.serveName, v.serveData, v.serveBad, v.serveErr = container, data, bad, err
-	return data, bad, err
-}
-
-// overlaps reports whether [aStart,+aSize) and [bStart,+bSize) intersect.
-func overlaps(aStart, aSize, bStart, bSize int64) bool {
-	return aStart < bStart+bSize && bStart < aStart+aSize
-}
-
-// coverageGap reports whether any byte of [start,+size) is claimed by no
-// manifest entry (and therefore cannot be verified).
-func (v *Verifier) coverageGap(container string, start, size int64) bool {
-	pos := start
-	for _, ce := range v.cover[container] {
-		if ce.start > pos {
-			break
-		}
-		if end := ce.start + ce.size; end > pos {
-			pos = end
-			if pos >= start+size {
-				return false
-			}
-		}
-	}
-	return pos < start+size
+	return nil, fmt.Errorf("corrupt data: %s", bad[0])
 }
 
 // QuarantineFunc persists one corrupt object's surviving bytes outside the
@@ -444,6 +422,7 @@ func (r ScrubReport) OK() bool {
 // serving corrupt bytes. The store's remaining objects are untouched.
 func (s *Store) Scrub(opts VerifyOpts, quarantine QuarantineFunc) (ScrubReport, error) {
 	v := NewVerifier(s, opts)
+	v.buildIndex()
 	var rep ScrubReport
 	rep.BadManifests = append(rep.BadManifests, v.BadManifests...)
 
@@ -454,7 +433,7 @@ func (s *Store) Scrub(opts VerifyOpts, quarantine QuarantineFunc) (ScrubReport, 
 			continue
 		}
 		rep.ContainersChecked++
-		rep.EntriesVerified += len(v.cover[cname])
+		rep.EntriesVerified += len(v.claims(cname))
 		bad, err := v.VerifyContainer(cname)
 		if err != nil {
 			rep.Unreadable = append(rep.Unreadable, cname)

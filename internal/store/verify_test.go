@@ -285,7 +285,7 @@ func TestVerifiedRestoreRandomFlipsNeverSilent(t *testing.T) {
 	}
 	flip = true
 	successes, failures := 0, 0
-	for _, v := range verifiers {
+	for i, v := range verifiers {
 		for _, name := range names {
 			var buf bytes.Buffer
 			err := v.RestoreFile(name, &buf)
@@ -298,9 +298,87 @@ func TestVerifiedRestoreRandomFlipsNeverSilent(t *testing.T) {
 				t.Fatalf("silent corruption: %q restored wrong bytes with a nil error", name)
 			}
 		}
+		// The same property for ranged restores, whose edges fall inside
+		// claims, serially and with four workers racing over the flips.
+		for _, name := range names {
+			want := files[name]
+			off := int64(rng.Intn(len(want)))
+			length := int64(1 + rng.Intn(len(want)-int(off)))
+			var buf bytes.Buffer
+			_, err := v.RestoreRange(name, off, length, &buf, RestoreOptions{Workers: 1 + 3*(i%2)})
+			if err != nil {
+				failures++
+				continue
+			}
+			successes++
+			if !bytes.Equal(buf.Bytes(), want[off:off+length]) {
+				t.Fatalf("silent corruption: %q [%d,+%d) restored wrong bytes with a nil error", name, off, length)
+			}
+		}
 	}
 	if successes == 0 || failures == 0 {
 		t.Fatalf("trial mix degenerate: %d successes, %d failures — tune the flip rate", successes, failures)
+	}
+}
+
+// TestVerifierOverlappingMultiContainerClaims: in FormatMultiContainer any
+// manifest may claim bytes of any container, so claims overlap and nest.
+// Every claim that overlaps a served byte must be found — a long claim
+// sorted far before the offset included — and one wrong claim among them
+// fails the read even when another manifest vouches for the same bytes.
+func TestVerifierOverlappingMultiContainerClaims(t *testing.T) {
+	s := New(simdisk.New(), FormatMultiContainer)
+	data := make([]byte, 2048)
+	rand.New(rand.NewSource(3)).Read(data)
+	c := hashutil.SumString("mc")
+	if err := s.WriteDiskChunk(c, data); err != nil {
+		t.Fatal(err)
+	}
+	claim := func(manifest string, wrong bool, ranges ...[2]int64) {
+		m := NewManifest(hashutil.SumString(manifest), FormatMultiContainer)
+		for _, r := range ranges {
+			h := hashutil.SumBytes(data[r[0] : r[0]+r[1]])
+			if wrong {
+				h[0] ^= 1
+			}
+			m.Append(Entry{Hash: h, Container: c, Start: r[0], Size: r[1]})
+		}
+		if err := s.CreateManifest(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	claim("long", false, [2]int64{0, 1024})                        // nests the two below
+	claim("short", false, [2]int64{100, 100}, [2]int64{300, 100})  // both inside "long"
+	claim("twin", false, [2]int64{1024, 512}, [2]int64{1536, 512}) // tiles the second half
+	claim("liar", true, [2]int64{1024, 512})                       // same range as twin's first, wrong hash
+	if err := s.WriteFileManifest(&FileManifest{File: "f", Refs: []FileRef{{Container: c, Start: 0, Size: 2048}}}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 4} {
+		for _, tc := range []struct {
+			off, length int64
+			corrupt     bool
+		}{
+			{500, 100, false},  // only "long" reaches here, two shorter claims sort after it
+			{150, 10, false},   // "long" and short's first
+			{1536, 512, false}, // twin's second entry: the liar does not overlap it
+			{1000, 100, true},  // crosses into the range the liar also claims
+			{1024, 512, true},  // vouched for by twin, contradicted by the liar
+			{0, -1, true},      // the whole file
+		} {
+			var buf bytes.Buffer
+			_, err := NewVerifier(s, VerifyOpts{}).RestoreRange("f", tc.off, tc.length, &buf, RestoreOptions{Workers: workers})
+			if tc.corrupt {
+				if err == nil || !strings.Contains(err.Error(), "corrupt data") || !strings.Contains(err.Error(), hashutil.SumString("liar").Short()) {
+					t.Fatalf("workers %d [%d,+%d): error %v, want corrupt data naming the liar's manifest", workers, tc.off, tc.length, err)
+				}
+				continue
+			}
+			if err != nil || !bytes.Equal(buf.Bytes(), data[tc.off:tc.off+tc.length]) {
+				t.Fatalf("workers %d [%d,+%d): %v", workers, tc.off, tc.length, err)
+			}
+		}
 	}
 }
 
