@@ -32,7 +32,6 @@ import (
 	"sync"
 
 	"mhdedup/internal/algo"
-	"mhdedup/internal/baseline"
 	"mhdedup/internal/core"
 	"mhdedup/internal/exp"
 	"mhdedup/internal/metrics"
@@ -44,7 +43,7 @@ import (
 // Algorithm selects a deduplication engine.
 type Algorithm string
 
-// The five engines.
+// The nine engines.
 const (
 	// MHD is the paper's metadata harnessing deduplication (BF-MHD).
 	MHD Algorithm = exp.AlgoMHD
@@ -104,9 +103,10 @@ func DefaultCostModel() CostModel { return simdisk.Default2013() }
 type Options struct {
 	// ECS is the expected (small) chunk size in bytes; default 4096.
 	ECS int
-	// SD is MHD's sample distance, the big/small chunk ratio of Bimodal
-	// and SubChunk, and SparseIndexing's hook sampling rate; default 64.
-	// CDC ignores it.
+	// SD is MHD's sample distance, the big/small chunk ratio of Bimodal,
+	// SubChunk and FBC, SparseIndexing's hook sampling rate and
+	// Fingerdiff's coalescing bound; default 64. CDC and ExtremeBinning
+	// ignore it.
 	SD int
 	// BloomBytes sizes the bloom filter; zero auto-sizes it from
 	// ExpectedInputBytes (or 1 MiB when that is unknown).
@@ -148,8 +148,9 @@ type Options struct {
 	RecipeTrees bool
 }
 
-// New returns an engine for the given algorithm.
-func New(a Algorithm, opt Options) (Engine, error) {
+// params maps Options onto the engine table's parameter set, filling in the
+// defaults — once, for New, Resume and ResumeDurable alike.
+func (opt Options) params(a Algorithm) exp.Params {
 	if opt.ECS == 0 {
 		opt.ECS = 4096
 	}
@@ -159,7 +160,7 @@ func New(a Algorithm, opt Options) (Engine, error) {
 	if opt.CacheManifests == 0 {
 		opt.CacheManifests = 64
 	}
-	p := exp.Params{
+	return exp.Params{
 		Algo:               string(a),
 		ECS:                opt.ECS,
 		SD:                 opt.SD,
@@ -176,11 +177,19 @@ func New(a Algorithm, opt Options) (Engine, error) {
 		IngestWorkers:      opt.IngestWorkers,
 		RecipeTrees:        opt.RecipeTrees,
 	}
-	eng, err := exp.Build(p)
+}
+
+// built marks a construction error from the engine table as this package's.
+func built(eng Engine, err error) (Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dedup: %w", err)
 	}
 	return eng, nil
+}
+
+// New returns an engine for the given algorithm.
+func New(a Algorithm, opt Options) (Engine, error) {
+	return built(exp.Build(opt.params(a)))
 }
 
 // IngestItem is one input file of an ingest stream: the Restore key and an
@@ -335,18 +344,8 @@ func RecoverStore(dir string) (RecoverReport, error) {
 // first: if the last save was interrupted, its partial state is rolled back
 // and the previous consistent generation is mounted.
 func OpenStore(dir string) (*Store, error) {
-	// Recovery is best-effort here (the directory may be read-only);
-	// LoadDir performs the same generation selection read-only and is the
-	// authority on whether the store is mountable.
-	simdisk.Recover(dir)
-	disk, err := simdisk.LoadDir(dir)
+	disk, err := mountDir(dir)
 	if err != nil {
-		return nil, err
-	}
-	// A durable server run leaves acknowledged work in the write-ahead
-	// log until compaction folds it; replay its surviving prefix so those
-	// ingests are restorable here too.
-	if _, err := simdisk.ReplayWAL(dir, disk); err != nil {
 		return nil, err
 	}
 	// Restore follows FileManifests and raw chunk ranges only, but
@@ -355,6 +354,27 @@ func OpenStore(dir string) (*Store, error) {
 	// are then reported by Scrub/Check rather than trusted blindly).
 	format, _ := store.DetectFormat(disk)
 	return &Store{st: store.New(disk, format), dir: dir}, nil
+}
+
+// mountDir loads the store saved in dir, as OpenStore and Resume both do.
+func mountDir(dir string) (*simdisk.Disk, error) {
+	// Roll back any interrupted save first, so the mount is the last
+	// consistent generation, never a hybrid. Recovery is best-effort here
+	// (the directory may be read-only); LoadDir performs the same generation
+	// selection read-only and is the authority on whether the store is
+	// mountable.
+	simdisk.Recover(dir)
+	disk, err := simdisk.LoadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	// A durable server run leaves acknowledged work in the write-ahead
+	// log until compaction folds it; replay its surviving prefix so those
+	// ingests are mounted too.
+	if _, err := simdisk.ReplayWAL(dir, disk); err != nil {
+		return nil, err
+	}
+	return disk, nil
 }
 
 // Files lists the restorable file names, sorted.
@@ -540,64 +560,11 @@ func (s *Store) Scrub(opts VerifyOpts) (ScrubReport, error) {
 // resumed engine itself is NOT durable — new work persists at the next
 // SaveStore, which also supersedes and clears the old log.
 func Resume(a Algorithm, opt Options, dir string) (Engine, error) {
-	// As in OpenStore: roll back any interrupted save first, so the session
-	// resumes from the last consistent generation, never a hybrid.
-	simdisk.Recover(dir)
-	disk, err := simdisk.LoadDir(dir)
+	disk, err := mountDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := simdisk.ReplayWAL(dir, disk); err != nil {
-		return nil, err
-	}
-	return resumeOnDisk(a, opt, disk)
-}
-
-// resumeOnDisk rebuilds an engine's detection state over an already-mounted
-// disk (shared by Resume and ResumeDurable).
-func resumeOnDisk(a Algorithm, opt Options, disk *simdisk.Disk) (Engine, error) {
-	if opt.ECS == 0 {
-		opt.ECS = 4096
-	}
-	if opt.SD == 0 {
-		opt.SD = 64
-	}
-	if opt.CacheManifests == 0 {
-		opt.CacheManifests = 64
-	}
-	bloomBytes := opt.BloomBytes
-	if bloomBytes == 0 {
-		bloomBytes = 1 << 20
-	}
-	switch a {
-	case MHD, SIMHD:
-		cfg := core.DefaultConfig()
-		cfg.ECS = opt.ECS
-		cfg.SD = opt.SD
-		cfg.BloomBytes = bloomBytes
-		cfg.CacheManifests = opt.CacheManifests
-		cfg.UseBloom = !opt.DisableBloom
-		cfg.ByteCompare = !opt.DisableByteCompare
-		cfg.EdgeHash = !opt.DisableEdgeHash
-		cfg.SHMPerSlice = opt.SHMPerSlice
-		cfg.TTTD = opt.TTTD
-		cfg.FastCDC = opt.FastCDC
-		cfg.HashWorkers = opt.HashWorkers
-		cfg.IngestWorkers = opt.IngestWorkers
-		cfg.SparseIndex = a == SIMHD
-		cfg.RecipeTrees = opt.RecipeTrees
-		return core.Resume(cfg, disk)
-	case CDC:
-		cfg := baseline.DefaultCDCConfig()
-		cfg.ECS = opt.ECS
-		cfg.BloomBytes = bloomBytes
-		cfg.CacheManifests = opt.CacheManifests
-		cfg.UseBloom = !opt.DisableBloom
-		cfg.RecipeTrees = opt.RecipeTrees
-		return baseline.ResumeCDC(cfg, disk)
-	default:
-		return nil, fmt.Errorf("dedup: resume is not supported for %q (its detection state is not reconstructible from disk)", a)
-	}
+	return built(exp.Resume(opt.params(a), disk))
 }
 
 // Durability is a handle to a store directory's continuous-durability
@@ -629,7 +596,7 @@ func ResumeDurable(a Algorithm, opt Options, dir string, dopt DurabilityOptions)
 	if err != nil {
 		return nil, nil, rep, err
 	}
-	eng, err := resumeOnDisk(a, opt, dur.Disk())
+	eng, err := built(exp.Resume(opt.params(a), dur.Disk()))
 	if err != nil {
 		dur.Close()
 		return nil, nil, rep, err

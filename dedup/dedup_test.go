@@ -224,6 +224,49 @@ func TestResumeDeduplicatesAgainstSavedStore(t *testing.T) {
 	}
 }
 
+// TestResumeSizesBloomLikeNew pins the one construction path: an engine
+// resumed over a saved store mounts the same bloom filter as the engine that
+// wrote it — auto-sized from ExpectedInputBytes when BloomBytes is zero,
+// BloomBytes when it is given. With nothing ingested the filter is the whole
+// RAM footprint.
+func TestResumeSizesBloomLikeNew(t *testing.T) {
+	for _, a := range []Algorithm{MHD, CDC} {
+		for _, opts := range []Options{
+			{ExpectedInputBytes: 4 << 30},
+			{ExpectedInputBytes: 4 << 30, BloomBytes: 1 << 16},
+		} {
+			fresh, err := New(a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := SaveStore(fresh, dir); err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := Resume(a, opts, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			want, got := fresh.Report().RAMBytes, resumed.Report().RAMBytes
+			if got != want {
+				t.Errorf("%s %+v: resumed engine holds a %d-byte filter, the new one %d", a, opts, got, want)
+			}
+			if opts.BloomBytes != 0 && want != int64(opts.BloomBytes) {
+				t.Errorf("%s: explicit BloomBytes %d ignored: filter is %d bytes", a, opts.BloomBytes, want)
+			}
+			if opts.BloomBytes == 0 && want <= 1<<20 {
+				t.Errorf("%s: filter of %d bytes was not sized from ExpectedInputBytes", a, want)
+			}
+		}
+	}
+}
+
 func TestResumeUnsupportedAlgorithms(t *testing.T) {
 	dir := t.TempDir()
 	for _, a := range []Algorithm{SubChunk, SparseIndexing, Bimodal, FBC} {

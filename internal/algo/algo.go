@@ -1,5 +1,5 @@
 // Package algo defines the interface every deduplication algorithm in this
-// repository implements — MHD and the four baselines alike — so the
+// repository implements — MHD, SI-MHD and the seven baselines alike — so the
 // experiment harness, CLI and benchmarks can drive them uniformly.
 package algo
 

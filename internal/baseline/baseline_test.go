@@ -1,4 +1,6 @@
-package baseline
+// The tests live outside the package so that the shared matrices can be
+// driven from internal/exp's engine table (which imports this package).
+package baseline_test
 
 import (
 	"bytes"
@@ -8,16 +10,19 @@ import (
 	"testing"
 
 	"mhdedup/internal/algo"
+	"mhdedup/internal/baseline"
+	"mhdedup/internal/exp"
 	"mhdedup/internal/metrics"
+	"mhdedup/internal/simdisk"
 	"mhdedup/internal/trace"
 )
 
 // Compile-time interface checks.
 var (
-	_ algo.Deduplicator = (*CDC)(nil)
-	_ algo.Deduplicator = (*Bimodal)(nil)
-	_ algo.Deduplicator = (*SubChunk)(nil)
-	_ algo.Deduplicator = (*Sparse)(nil)
+	_ algo.Deduplicator = (*baseline.CDC)(nil)
+	_ algo.Deduplicator = (*baseline.Bimodal)(nil)
+	_ algo.Deduplicator = (*baseline.SubChunk)(nil)
+	_ algo.Deduplicator = (*baseline.Sparse)(nil)
 )
 
 func randBytes(seed int64, n int) []byte {
@@ -26,54 +31,37 @@ func randBytes(seed int64, n int) []byte {
 	return b
 }
 
-// builders constructs each baseline with small-scale parameters (ECS 512,
+// smallConfig is the small-scale configuration the tests run at (ECS 512,
 // SD 4).
+func smallConfig() baseline.Config {
+	cfg := baseline.DefaultConfig()
+	cfg.ECS = 512
+	cfg.SD = 4
+	cfg.BloomBytes = 1 << 16
+	return cfg
+}
+
+// builders constructs each baseline at smallConfig's scale, one per row of
+// the engine table that is not MHD's — so an engine added to the table joins
+// every shared matrix below.
 func builders(t *testing.T) map[string]func() algo.Deduplicator {
 	t.Helper()
-	return map[string]func() algo.Deduplicator{
-		"cdc": func() algo.Deduplicator {
-			cfg := DefaultCDCConfig()
-			cfg.ECS = 512
-			cfg.BloomBytes = 1 << 16
-			d, err := NewCDC(cfg)
+	out := make(map[string]func() algo.Deduplicator)
+	for _, a := range exp.AllAlgorithms {
+		if a == exp.AlgoMHD || a == exp.AlgoSIMHD {
+			continue
+		}
+		p := exp.DefaultParams(a, 512, 4, 0)
+		p.BloomBytes = 1 << 16
+		out[a] = func() algo.Deduplicator {
+			d, err := exp.Build(p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return d
-		},
-		"bimodal": func() algo.Deduplicator {
-			cfg := DefaultBimodalConfig()
-			cfg.ECS = 512
-			cfg.SD = 4
-			cfg.BloomBytes = 1 << 16
-			d, err := NewBimodal(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
-		"subchunk": func() algo.Deduplicator {
-			cfg := DefaultSubChunkConfig()
-			cfg.ECS = 512
-			cfg.SD = 4
-			cfg.BloomBytes = 1 << 16
-			d, err := NewSubChunk(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
-		"sparse": func() algo.Deduplicator {
-			cfg := DefaultSparseConfig()
-			cfg.ECS = 512
-			cfg.SD = 4
-			d, err := NewSparse(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
+		}
 	}
+	return out
 }
 
 func feed(t *testing.T, d algo.Deduplicator, files map[string][]byte, order []string) {
@@ -209,10 +197,7 @@ func TestBackupWorkloadAllBaselines(t *testing.T) {
 }
 
 func TestCDCHooksPerChunk(t *testing.T) {
-	cfg := DefaultCDCConfig()
-	cfg.ECS = 512
-	cfg.BloomBytes = 1 << 16
-	d, _ := NewCDC(cfg)
+	d, _ := baseline.NewCDC(smallConfig(), simdisk.New())
 	feed(t, d, map[string][]byte{"a": randBytes(10, 200_000)}, []string{"a"})
 	r := d.Report()
 	// CDC's defining cost: one hook per non-duplicate chunk (Table I).
@@ -225,15 +210,12 @@ func TestCDCHooksPerChunk(t *testing.T) {
 }
 
 func TestBimodalRechunksOnlyTransitions(t *testing.T) {
-	cfg := DefaultBimodalConfig()
-	cfg.ECS = 512
-	cfg.SD = 4
-	cfg.BloomBytes = 1 << 16
+	cfg := smallConfig()
 	base := randBytes(20, 400_000)
 	edited := append([]byte(nil), base...)
 	copy(edited[200_000:], randBytes(21, 4_000))
 
-	d, _ := NewBimodal(cfg)
+	d, _ := baseline.NewBimodal(cfg, simdisk.New())
 	feed(t, d, map[string][]byte{"a": base, "b": edited}, []string{"a", "b"})
 	checkRestoreAll(t, "bimodal", d, map[string][]byte{"a": base, "b": edited})
 	r := d.Report()
@@ -253,13 +235,9 @@ func TestBimodalRechunksOnlyTransitions(t *testing.T) {
 }
 
 func TestSubChunkShape(t *testing.T) {
-	cfg := DefaultSubChunkConfig()
-	cfg.ECS = 512
-	cfg.SD = 4
-	cfg.BloomBytes = 1 << 16
 	base := randBytes(30, 300_000)
 	files := map[string][]byte{"a": base, "b": append([]byte(nil), base...)}
-	d, _ := NewSubChunk(cfg)
+	d, _ := baseline.NewSubChunk(smallConfig(), simdisk.New())
 	feed(t, d, files, []string{"a", "b"})
 	checkRestoreAll(t, "subchunk", d, files)
 	r := d.Report()
@@ -281,13 +259,11 @@ func TestSubChunkShape(t *testing.T) {
 }
 
 func TestSparseShape(t *testing.T) {
-	cfg := DefaultSparseConfig()
-	cfg.ECS = 512
-	cfg.SD = 4
+	cfg := smallConfig()
 	cfg.SegmentFactor = 5
 	base := randBytes(40, 400_000)
 	files := map[string][]byte{"a": base, "b": append([]byte(nil), base...)}
-	d, _ := NewSparse(cfg)
+	d, _ := baseline.NewSparse(cfg, simdisk.New())
 	feed(t, d, files, []string{"a", "b"})
 	checkRestoreAll(t, "sparse", d, files)
 	r := d.Report()
@@ -328,17 +304,10 @@ func TestSubChunkMissesWithoutLocality(t *testing.T) {
 	files := map[string][]byte{"a": mk(51), "b": mk(53)}
 	order := []string{"a", "b"}
 
-	ccfg := DefaultCDCConfig()
-	ccfg.ECS = 512
-	ccfg.BloomBytes = 1 << 16
-	cdc, _ := NewCDC(ccfg)
+	cdc, _ := baseline.NewCDC(smallConfig(), simdisk.New())
 	feed(t, cdc, files, order)
 
-	scfg := DefaultSubChunkConfig()
-	scfg.ECS = 512
-	scfg.SD = 4
-	scfg.BloomBytes = 1 << 16
-	sub, _ := NewSubChunk(scfg)
+	sub, _ := baseline.NewSubChunk(smallConfig(), simdisk.New())
 	feed(t, sub, files, order)
 	checkRestoreAll(t, "subchunk", sub, files)
 
@@ -349,16 +318,16 @@ func TestSubChunkMissesWithoutLocality(t *testing.T) {
 }
 
 func TestBaselineValidation(t *testing.T) {
-	if _, err := NewCDC(CDCConfig{}); err == nil {
+	if _, err := baseline.NewCDC(baseline.Config{}, simdisk.New()); err == nil {
 		t.Error("zero CDC config accepted")
 	}
-	if _, err := NewBimodal(BimodalConfig{ECS: 512, SD: 1}); err == nil {
+	if _, err := baseline.NewBimodal(baseline.Config{ECS: 512, SD: 1}, simdisk.New()); err == nil {
 		t.Error("bimodal SD=1 accepted")
 	}
-	if _, err := NewSubChunk(SubChunkConfig{ECS: 512, SD: 0}); err == nil {
+	if _, err := baseline.NewSubChunk(baseline.Config{ECS: 512, SD: 0}, simdisk.New()); err == nil {
 		t.Error("subchunk SD=0 accepted")
 	}
-	if _, err := NewSparse(SparseConfig{ECS: 512, SD: 4}); err == nil {
+	if _, err := baseline.NewSparse(baseline.Config{ECS: 512, SD: 4}, simdisk.New()); err == nil {
 		t.Error("sparse with zero factors accepted")
 	}
 }
@@ -368,7 +337,7 @@ func TestRestoreAfterFinishDoesNotPerturbNothing(t *testing.T) {
 	// correctly (callers snapshot before restoring; the disk counters do
 	// move, which is expected and documented).
 	files := map[string][]byte{"a": randBytes(60, 100_000)}
-	d, _ := NewCDC(func() CDCConfig { c := DefaultCDCConfig(); c.ECS = 512; c.BloomBytes = 1 << 16; return c }())
+	d, _ := baseline.NewCDC(smallConfig(), simdisk.New())
 	feed(t, d, files, []string{"a"})
 	before := d.Report()
 	var buf bytes.Buffer

@@ -1,57 +1,13 @@
 package baseline
 
 import (
-	"fmt"
 	"io"
 
-	"mhdedup/internal/bloom"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
-	"mhdedup/internal/metrics"
-	"mhdedup/internal/rabin"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
 )
-
-// BimodalConfig parameterizes the Bimodal baseline. Expected big-chunk size
-// is ECS·SD, matching the paper's granularity alignment across algorithms.
-type BimodalConfig struct {
-	ECS            int
-	SD             int
-	BloomBytes     int
-	BloomHashes    int
-	UseBloom       bool
-	CacheManifests int
-	Poly           rabin.Poly
-	// RecipeTrees stores file recipes as deduplicated recipe trees.
-	RecipeTrees bool
-}
-
-// DefaultBimodalConfig returns a usable default.
-func DefaultBimodalConfig() BimodalConfig {
-	return BimodalConfig{
-		ECS:            4096,
-		SD:             64,
-		BloomBytes:     1 << 20,
-		BloomHashes:    5,
-		UseBloom:       true,
-		CacheManifests: 64,
-	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c BimodalConfig) Validate() error {
-	if c.ECS <= 0 || c.SD < 2 {
-		return fmt.Errorf("baseline: bimodal needs ECS > 0 and SD >= 2")
-	}
-	if c.UseBloom && (c.BloomBytes <= 0 || c.BloomHashes <= 0 || c.BloomHashes > 32) {
-		return fmt.Errorf("baseline: invalid bloom parameters")
-	}
-	if c.CacheManifests <= 0 {
-		return fmt.Errorf("baseline: CacheManifests must be positive")
-	}
-	return nil
-}
 
 // Bimodal implements bimodal content-defined chunking (Kruus et al.): the
 // stream is first cut into big chunks (ECS·SD expected) for duplicate
@@ -61,54 +17,27 @@ func (c BimodalConfig) Validate() error {
 // entry and its own hook, which is what makes Bimodal's metadata balloon
 // near transition points (Table I's 2L(SD−1) terms).
 type Bimodal struct {
-	cfg    BimodalConfig
-	disk   *simdisk.Disk
-	st     *store.Store
-	filter *bloom.Filter
-	mc     *manifestCache
-	stats  metrics.Stats
-	dt     dupTracker
-	peak   int64
+	base
 }
 
-// NewBimodal returns a Bimodal deduplicator over a fresh simulated disk.
-func NewBimodal(cfg BimodalConfig) (*Bimodal, error) {
-	return NewBimodalOnDisk(cfg, simdisk.New())
-}
-
-// NewBimodalOnDisk returns a Bimodal deduplicator over the given disk.
-func NewBimodalOnDisk(cfg BimodalConfig, disk *simdisk.Disk) (*Bimodal, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	d := &Bimodal{cfg: cfg, disk: disk, st: store.New(disk, store.FormatBasic)}
-	d.st.SetRecipeConfig(store.RecipeConfig{Trees: cfg.RecipeTrees})
-	if cfg.UseBloom {
-		f, err := bloom.New(cfg.BloomBytes, cfg.BloomHashes)
-		if err != nil {
-			return nil, err
-		}
-		d.filter = f
-	}
-	mc, err := newManifestCache(d.st, cfg.CacheManifests)
+// NewBimodal returns a Bimodal deduplicator over the given disk. Expected
+// big-chunk size is ECS·SD, matching the paper's granularity alignment
+// across algorithms.
+func NewBimodal(cfg Config, disk *simdisk.Disk) (*Bimodal, error) {
+	b, err := newBase(cfg, disk, substrate{format: store.FormatBasic, minSD: 2, bloom: true, cache: true})
 	if err != nil {
 		return nil, err
 	}
-	d.mc = mc
-	return d, nil
+	return &Bimodal{base: b}, nil
 }
-
-// Disk exposes the simulated disk.
-func (d *Bimodal) Disk() *simdisk.Disk { return d.disk }
 
 // bigChunk is one classified big chunk of the current file.
 type bigChunk struct {
 	data []byte
 	hash hashutil.Sum
-	// dup location, valid when dup is true.
-	dup       bool
-	container hashutil.Sum
-	start     int64
+	// ref is where the chunk is already stored, valid when dup is true.
+	dup bool
+	ref store.FileRef
 }
 
 // PutFile deduplicates one input file: big-chunk pass first, then selective
@@ -118,8 +47,7 @@ func (d *Bimodal) PutFile(name string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	d.stats.FilesTotal++
-	d.dt.reset()
+	d.beginFile()
 
 	// Pass 1: read and classify every big chunk (one duplicate query each —
 	// Table II's "Big Chunk Query Times").
@@ -132,173 +60,45 @@ func (d *Bimodal) PutFile(name string, r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		d.stats.InputBytes += c.Size()
-		d.stats.ChunkedBytes += c.Size()
-		d.stats.HashedBytes += c.Size()
+		d.scanned(c.Size())
 		bc := bigChunk{data: c.Data, hash: hashutil.SumBytes(c.Data)}
 		d.stats.BigChunkQueries++
-		if m, idx, ok := d.lookup(bc.hash); ok {
-			e := m.Entries[idx]
-			bc.dup = true
-			bc.container = m.ContainerOf(e)
-			bc.start = e.Start
+		if bc.ref, bc.dup, err = d.lookup(bc.hash); err != nil {
+			return err
 		}
 		chunks = append(chunks, bc)
 	}
 
 	// Pass 2: store, re-chunking non-duplicate big chunks at transition
 	// points.
-	chunkName := d.st.NextName()
-	manifest := store.NewManifest(chunkName, store.FormatBasic)
-	var data []byte
-	var hooks []hashutil.Sum
-	fm := &store.FileManifest{File: name}
-
-	appendStored := func(chunkData []byte, h hashutil.Sum) error {
-		start := int64(len(data))
-		data = append(data, chunkData...)
-		manifest.Append(store.Entry{Hash: h, Start: start, Size: int64(len(chunkData)), Kind: store.KindHook})
-		hooks = append(hooks, h)
-		if err := fm.Append(store.FileRef{Container: chunkName, Start: start, Size: int64(len(chunkData))}); err != nil {
-			return err
-		}
-		d.stats.NonDupChunks++
-		d.dt.note(false)
-		return nil
-	}
-	markDup := func(size int64, container hashutil.Sum, start int64) error {
-		if err := fm.Append(store.FileRef{Container: container, Start: start, Size: size}); err != nil {
-			return err
-		}
-		d.stats.DupChunks++
-		d.stats.DupBytes += size
-		if d.dt.note(true) {
-			d.stats.DupSlices++
-		}
-		return nil
-	}
-
+	out := d.newDiskChunk(name)
 	for i, bc := range chunks {
 		if bc.dup {
-			d.stats.ChunksIn++
-			if err := markDup(int64(len(bc.data)), bc.container, bc.start); err != nil {
+			if err := out.dup(bc.ref); err != nil {
 				return err
 			}
 			continue
 		}
 		transition := (i > 0 && chunks[i-1].dup) || (i+1 < len(chunks) && chunks[i+1].dup)
 		if !transition {
-			d.stats.ChunksIn++
-			if err := appendStored(bc.data, bc.hash); err != nil {
+			if err := out.add(bc.data, bc.hash); err != nil {
 				return err
 			}
 			continue
 		}
 		// Transition point: re-chunk at small granularity and deduplicate
-		// the small chunks individually.
+		// the small chunks individually (both big and small hashes are
+		// hooked when stored, so one query serves both).
 		smalls, err := chunker.Split(bc.data, chunker.Params{ECS: d.cfg.ECS, Poly: d.cfg.Poly})
 		if err != nil {
 			return err
 		}
 		for _, sc := range smalls {
-			d.stats.ChunksIn++
 			d.stats.HashedBytes += sc.Size()
-			h := hashutil.SumBytes(sc.Data)
-			if m, idx, ok := d.lookup(h); ok {
-				e := m.Entries[idx]
-				if err := markDup(sc.Size(), m.ContainerOf(e), e.Start); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := appendStored(sc.Data, h); err != nil {
+			if err := out.put(sc.Data, hashutil.SumBytes(sc.Data)); err != nil {
 				return err
 			}
 		}
 	}
-
-	if len(data) > 0 {
-		if err := d.st.WriteDiskChunk(chunkName, data); err != nil {
-			return err
-		}
-		if err := d.st.CreateManifest(manifest); err != nil {
-			return err
-		}
-		for _, h := range hooks {
-			if d.st.HookKnown(h) {
-				continue
-			}
-			if err := d.st.CreateHook(h, chunkName); err != nil {
-				return err
-			}
-			if d.filter != nil {
-				d.filter.Add(h)
-			}
-		}
-		d.stats.Files++
-		d.stats.StoredDataBytes += int64(len(data))
-		// Manifests enter the cache only via load-on-hit, mirroring each
-		// original system's locality path (no free self-insertion).
-		d.trackRAM()
-	}
-	return d.st.WriteFileManifest(fm)
-}
-
-// lookup is the shared cache → bloom → disk-hook duplicate query, used for
-// both big and small hashes (both are hooked when stored).
-func (d *Bimodal) lookup(h hashutil.Sum) (*store.Manifest, int, bool) {
-	if m, idx, ok := d.mc.lookup(h); ok {
-		return m, idx, true
-	}
-	if d.filter != nil && !d.filter.Test(h) {
-		return nil, 0, false
-	}
-	if !d.st.HookExists(h) {
-		return nil, 0, false
-	}
-	targets, err := d.st.ReadHook(h)
-	if err != nil || len(targets) == 0 {
-		return nil, 0, false
-	}
-	m, err := d.mc.load(targets[0])
-	if err != nil {
-		return nil, 0, false
-	}
-	idx, ok := m.Lookup(h)
-	if !ok {
-		return nil, 0, false
-	}
-	return m, idx, true
-}
-
-func (d *Bimodal) trackRAM() {
-	cur := d.mc.bytesResident()
-	if d.filter != nil {
-		cur += d.filter.SizeBytes()
-	}
-	if cur > d.peak {
-		d.peak = cur
-	}
-}
-
-// Finish flushes the manifest cache.
-func (d *Bimodal) Finish() error {
-	d.trackRAM()
-	d.stats.RAMBytes = d.peak
-	return d.mc.flush()
-}
-
-// Report returns statistics plus disk accounting.
-func (d *Bimodal) Report() metrics.Report {
-	s := d.stats
-	s.ManifestLoads = d.mc.loads
-	if s.RAMBytes == 0 {
-		s.RAMBytes = d.peak
-	}
-	return metrics.BuildReport(s, d.disk)
-}
-
-// Restore rebuilds an ingested file.
-func (d *Bimodal) Restore(name string, w io.Writer) error {
-	return d.st.RestoreFile(name, w)
+	return out.commit()
 }

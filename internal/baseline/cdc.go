@@ -4,57 +4,11 @@ import (
 	"fmt"
 	"io"
 
-	"mhdedup/internal/bloom"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
-	"mhdedup/internal/metrics"
-	"mhdedup/internal/rabin"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
 )
-
-// CDCConfig parameterizes the plain CDC baseline.
-type CDCConfig struct {
-	// ECS is the expected chunk size.
-	ECS int
-	// BloomBytes/BloomHashes size the bloom filter; UseBloom disables it
-	// for the Table II no-bloom ablation.
-	BloomBytes  int
-	BloomHashes int
-	UseBloom    bool
-	// CacheManifests is the locality cache capacity.
-	CacheManifests int
-	// Poly optionally overrides the Rabin polynomial.
-	Poly rabin.Poly
-	// RecipeTrees stores file recipes as deduplicated recipe trees instead
-	// of flat manifests (see store.RecipeConfig).
-	RecipeTrees bool
-}
-
-// DefaultCDCConfig returns a usable default.
-func DefaultCDCConfig() CDCConfig {
-	return CDCConfig{
-		ECS:            4096,
-		BloomBytes:     1 << 20,
-		BloomHashes:    5,
-		UseBloom:       true,
-		CacheManifests: 64,
-	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c CDCConfig) Validate() error {
-	if c.ECS <= 0 {
-		return fmt.Errorf("baseline: ECS must be positive, got %d", c.ECS)
-	}
-	if c.UseBloom && (c.BloomBytes <= 0 || c.BloomHashes <= 0 || c.BloomHashes > 32) {
-		return fmt.Errorf("baseline: invalid bloom parameters")
-	}
-	if c.CacheManifests <= 0 {
-		return fmt.Errorf("baseline: CacheManifests must be positive")
-	}
-	return nil
-}
 
 // CDC is the plain content-defined-chunking deduplicator of the paper's
 // "CDC" column: LBFS-style small chunks, a full per-chunk on-disk index
@@ -62,45 +16,17 @@ func (c CDCConfig) Validate() error {
 // cache as in Data Domain. It finds the most duplicates per byte scanned
 // but pays metadata linear in N — the behavior Figs 7 and 8 chart.
 type CDC struct {
-	cfg    CDCConfig
-	disk   *simdisk.Disk
-	st     *store.Store
-	filter *bloom.Filter
-	mc     *manifestCache
-	stats  metrics.Stats
-	dt     dupTracker
-	peak   int64
+	base
 }
 
-// NewCDC returns a CDC deduplicator over a fresh simulated disk.
-func NewCDC(cfg CDCConfig) (*CDC, error) {
-	return NewCDCOnDisk(cfg, simdisk.New())
-}
-
-// NewCDCOnDisk returns a CDC deduplicator over the given disk.
-func NewCDCOnDisk(cfg CDCConfig, disk *simdisk.Disk) (*CDC, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	d := &CDC{cfg: cfg, disk: disk, st: store.New(disk, store.FormatBasic)}
-	d.st.SetRecipeConfig(store.RecipeConfig{Trees: cfg.RecipeTrees})
-	if cfg.UseBloom {
-		f, err := bloom.New(cfg.BloomBytes, cfg.BloomHashes)
-		if err != nil {
-			return nil, err
-		}
-		d.filter = f
-	}
-	mc, err := newManifestCache(d.st, cfg.CacheManifests)
+// NewCDC returns a CDC deduplicator over the given disk.
+func NewCDC(cfg Config, disk *simdisk.Disk) (*CDC, error) {
+	b, err := newBase(cfg, disk, substrate{format: store.FormatBasic, bloom: true, cache: true})
 	if err != nil {
 		return nil, err
 	}
-	d.mc = mc
-	return d, nil
+	return &CDC{base: b}, nil
 }
-
-// Disk exposes the simulated disk.
-func (d *CDC) Disk() *simdisk.Disk { return d.disk }
 
 // PutFile deduplicates one input file chunk by chunk.
 func (d *CDC) PutFile(name string, r io.Reader) error {
@@ -108,14 +34,8 @@ func (d *CDC) PutFile(name string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	d.stats.FilesTotal++
-	d.dt.reset()
-	chunkName := d.st.NextName()
-	manifest := store.NewManifest(chunkName, store.FormatBasic)
-	var data []byte
-	var hooks []hashutil.Sum
-	fm := &store.FileManifest{File: name}
-
+	d.beginFile()
+	out := d.newDiskChunk(name)
 	for {
 		c, err := ch.Next()
 		if err == io.EOF {
@@ -124,129 +44,21 @@ func (d *CDC) PutFile(name string, r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		d.stats.ChunksIn++
-		d.stats.InputBytes += c.Size()
-		d.stats.ChunkedBytes += c.Size()
-		d.stats.HashedBytes += c.Size()
-		h := hashutil.SumBytes(c.Data)
-
-		if m, idx, ok := d.lookup(h); ok {
-			e := m.Entries[idx]
-			if err := fm.Append(store.FileRef{Container: m.ContainerOf(e), Start: e.Start, Size: e.Size}); err != nil {
-				return err
-			}
-			d.stats.DupChunks++
-			d.stats.DupBytes += c.Size()
-			if d.dt.note(true) {
-				d.stats.DupSlices++
-			}
-			continue
-		}
-		// Non-duplicate: append to this file's DiskChunk; every stored
-		// chunk gets a manifest entry and its own hook (Table I: hooks=N).
-		start := int64(len(data))
-		data = append(data, c.Data...)
-		manifest.Append(store.Entry{Hash: h, Start: start, Size: c.Size(), Kind: store.KindHook})
-		hooks = append(hooks, h)
-		if err := fm.Append(store.FileRef{Container: chunkName, Start: start, Size: c.Size()}); err != nil {
+		d.scanned(c.Size())
+		if err := out.put(c.Data, hashutil.SumBytes(c.Data)); err != nil {
 			return err
 		}
-		d.stats.NonDupChunks++
-		d.dt.note(false)
 	}
-
-	if len(data) > 0 {
-		if err := d.st.WriteDiskChunk(chunkName, data); err != nil {
-			return err
-		}
-		if err := d.st.CreateManifest(manifest); err != nil {
-			return err
-		}
-		for _, h := range hooks {
-			if d.st.HookKnown(h) {
-				continue
-			}
-			if err := d.st.CreateHook(h, chunkName); err != nil {
-				return err
-			}
-			if d.filter != nil {
-				d.filter.Add(h)
-			}
-		}
-		d.stats.Files++
-		d.stats.StoredDataBytes += int64(len(data))
-		// Manifests enter the cache only via load-on-hit, mirroring each
-		// original system's locality path (no free self-insertion).
-		d.trackRAM()
-	}
-	return d.st.WriteFileManifest(fm)
-}
-
-// lookup runs the duplicate query: locality cache, then bloom filter, then
-// the on-disk hook index.
-func (d *CDC) lookup(h hashutil.Sum) (*store.Manifest, int, bool) {
-	if m, idx, ok := d.mc.lookup(h); ok {
-		return m, idx, true
-	}
-	if d.filter != nil && !d.filter.Test(h) {
-		return nil, 0, false
-	}
-	if !d.st.HookExists(h) {
-		return nil, 0, false
-	}
-	targets, err := d.st.ReadHook(h)
-	if err != nil || len(targets) == 0 {
-		return nil, 0, false
-	}
-	m, err := d.mc.load(targets[0])
-	if err != nil {
-		return nil, 0, false
-	}
-	idx, ok := m.Lookup(h)
-	if !ok {
-		return nil, 0, false
-	}
-	return m, idx, true
-}
-
-func (d *CDC) trackRAM() {
-	cur := d.mc.bytesResident()
-	if d.filter != nil {
-		cur += d.filter.SizeBytes()
-	}
-	if cur > d.peak {
-		d.peak = cur
-	}
-}
-
-// Finish flushes the manifest cache.
-func (d *CDC) Finish() error {
-	d.trackRAM()
-	d.stats.RAMBytes = d.peak
-	return d.mc.flush()
-}
-
-// Report returns statistics plus disk accounting.
-func (d *CDC) Report() metrics.Report {
-	s := d.stats
-	s.ManifestLoads = d.mc.loads
-	if s.RAMBytes == 0 {
-		s.RAMBytes = d.peak
-	}
-	return metrics.BuildReport(s, d.disk)
-}
-
-// Restore rebuilds an ingested file.
-func (d *CDC) Restore(name string, w io.Writer) error {
-	return d.st.RestoreFile(name, w)
+	return out.commit()
 }
 
 // ResumeCDC returns a CDC deduplicator over an existing deduplicated disk:
 // the bloom filter is rebuilt from the on-disk hook names (a mount-time
 // directory scan) so new files deduplicate against everything already
-// stored. Statistics start fresh for the session.
-func ResumeCDC(cfg CDCConfig, disk *simdisk.Disk) (*CDC, error) {
-	d, err := NewCDCOnDisk(cfg, disk)
+// stored. Statistics start fresh for the session. Over an empty disk it is
+// NewCDC.
+func ResumeCDC(cfg Config, disk *simdisk.Disk) (*CDC, error) {
+	d, err := NewCDC(cfg, disk)
 	if err != nil {
 		return nil, err
 	}

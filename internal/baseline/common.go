@@ -1,12 +1,24 @@
-// Package baseline implements the four comparison algorithms of the
-// paper's evaluation: plain CDC deduplication (the Data-Domain-style
-// baseline of Table I/II's "CDC" column), Bimodal chunking (Kruus et al.,
-// FAST'10), SubChunk / anchor-driven sub-chunk deduplication (Romanski et
-// al., SYSTOR'11) and Sparse Indexing (Lillibridge et al., FAST'09). All
-// four share the substrates of the MHD implementation — chunkers, bloom
-// filter, manifest/hook/file-manifest formats, simulated disk — so that
-// metadata and I/O comparisons measure algorithmic differences, not
-// implementation accidents.
+// Package baseline implements the seven algorithms MHD is compared with:
+// the four of the paper's evaluation — plain CDC deduplication (the
+// Data-Domain-style baseline of Table I/II's "CDC" column), Bimodal chunking
+// (Kruus et al., FAST'10), SubChunk / anchor-driven sub-chunk deduplication
+// (Romanski et al., SYSTOR'11) and Sparse Indexing (Lillibridge et al.,
+// FAST'09) — and the three related-work schemes its survey discusses (FBC,
+// Fingerdiff, Extreme Binning). With MHD and SI-MHD in internal/core that
+// makes the nine engines of internal/exp's table.
+//
+// All seven share the substrates of the MHD implementation — chunkers,
+// bloom filter, manifest/hook/file-manifest formats, simulated disk — so
+// that metadata and I/O comparisons measure algorithmic differences, not
+// implementation accidents. The sharing is by construction: one Config, and
+// one embedded base (base.go) that owns the disk, store, bloom filter,
+// manifest cache, D/N/L accounting and RAM high-water mark and implements
+// Disk, Finish, Report, Restore and the cache → bloom → hook lookup once.
+// An engine's file supplies only what is its algorithm: PutFile, its
+// private detection state, its manifest format and which substrates it
+// stands on (the substrate passed to newBase), and the one RAM term it
+// adds (base.extraRAM). Adding an engine is that one file plus one row in
+// internal/exp's table.
 package baseline
 
 import (

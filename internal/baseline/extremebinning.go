@@ -7,32 +7,9 @@ import (
 
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
-	"mhdedup/internal/metrics"
-	"mhdedup/internal/rabin"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
 )
-
-// ExtremeBinningConfig parameterizes the Extreme Binning baseline.
-type ExtremeBinningConfig struct {
-	ECS  int
-	Poly rabin.Poly
-	// RecipeTrees stores file recipes as deduplicated recipe trees.
-	RecipeTrees bool
-}
-
-// DefaultExtremeBinningConfig returns a usable default.
-func DefaultExtremeBinningConfig() ExtremeBinningConfig {
-	return ExtremeBinningConfig{ECS: 4096}
-}
-
-// Validate reports whether the configuration is usable.
-func (c ExtremeBinningConfig) Validate() error {
-	if c.ECS <= 0 {
-		return fmt.Errorf("baseline: extreme binning needs ECS > 0")
-	}
-	return nil
-}
 
 // binInfo is one primary-index entry: the bin holding similar files'
 // chunks, plus the whole-file hash that lets an identical file skip the
@@ -53,39 +30,22 @@ type binInfo struct {
 // files in other bins are missed by design; that recall/IO trade is the
 // scheme's signature.
 type ExtremeBinning struct {
-	cfg     ExtremeBinningConfig
-	disk    *simdisk.Disk
-	st      *store.Store
+	base
 	primary map[hashutil.Sum]binInfo
-	stats   metrics.Stats
-	dt      dupTracker
-	peak    int64
 }
 
-// NewExtremeBinning returns an ExtremeBinning deduplicator over a fresh
+// NewExtremeBinning returns an ExtremeBinning deduplicator over the given
 // disk.
-func NewExtremeBinning(cfg ExtremeBinningConfig) (*ExtremeBinning, error) {
-	return NewExtremeBinningOnDisk(cfg, simdisk.New())
-}
-
-// NewExtremeBinningOnDisk returns an ExtremeBinning deduplicator over the
-// given disk.
-func NewExtremeBinningOnDisk(cfg ExtremeBinningConfig, disk *simdisk.Disk) (*ExtremeBinning, error) {
-	if err := cfg.Validate(); err != nil {
+func NewExtremeBinning(cfg Config, disk *simdisk.Disk) (*ExtremeBinning, error) {
+	b, err := newBase(cfg, disk, substrate{format: store.FormatMultiContainer})
+	if err != nil {
 		return nil, err
 	}
-	d := &ExtremeBinning{
-		cfg:     cfg,
-		disk:    disk,
-		st:      store.New(disk, store.FormatMultiContainer),
-		primary: make(map[hashutil.Sum]binInfo),
-	}
-	d.st.SetRecipeConfig(store.RecipeConfig{Trees: cfg.RecipeTrees})
+	d := &ExtremeBinning{base: b, primary: make(map[hashutil.Sum]binInfo)}
+	// The primary index: representative hash + bin name + file hash.
+	d.extraRAM = func() int64 { return int64(len(d.primary)) * (3*hashutil.Size + 16) }
 	return d, nil
 }
-
-// Disk exposes the simulated disk.
-func (d *ExtremeBinning) Disk() *simdisk.Disk { return d.disk }
 
 // PutFile deduplicates one input file. Extreme Binning is file-at-a-time
 // by design: all chunk hashes are computed first to find the
@@ -95,8 +55,7 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	d.stats.FilesTotal++
-	d.dt.reset()
+	d.beginFile()
 
 	var chunks []chunker.Chunk
 	var hashes []hashutil.Sum
@@ -110,10 +69,8 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		d.stats.ChunksIn++
-		d.stats.InputBytes += c.Size()
-		d.stats.ChunkedBytes += c.Size()
-		d.stats.HashedBytes += 2 * c.Size() // chunk hash + whole-file hash
+		d.scanned(c.Size())
+		d.stats.HashedBytes += c.Size() // the whole-file hash reads it again
 		h := hashutil.SumBytes(c.Data)
 		fileHasher.Write(c.Data)
 		chunks = append(chunks, c)
@@ -143,15 +100,10 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 			if !ok {
 				return fmt.Errorf("baseline: extreme binning: identical file missing chunk %d in bin", i)
 			}
-			e := bin.Entries[idx]
-			if err := fm.Append(store.FileRef{Container: bin.ContainerOf(e), Start: e.Start, Size: e.Size}); err != nil {
+			if err := fm.Append(entryRef(bin, idx)); err != nil {
 				return err
 			}
-			d.stats.DupChunks++
-			d.stats.DupBytes += c.Size()
-			if d.dt.note(true) {
-				d.stats.DupSlices++
-			}
+			d.noteDup(c.Size())
 		}
 		d.trackRAM()
 		return d.st.WriteFileManifest(fm)
@@ -177,15 +129,10 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 	var data []byte
 	for i, c := range chunks {
 		if idx, ok := bin.Lookup(hashes[i]); ok {
-			e := bin.Entries[idx]
-			if err := fm.Append(store.FileRef{Container: bin.ContainerOf(e), Start: e.Start, Size: e.Size}); err != nil {
+			if err := fm.Append(entryRef(bin, idx)); err != nil {
 				return err
 			}
-			d.stats.DupChunks++
-			d.stats.DupBytes += c.Size()
-			if d.dt.note(true) {
-				d.stats.DupSlices++
-			}
+			d.noteDup(c.Size())
 			continue
 		}
 		start := int64(len(data))
@@ -199,8 +146,7 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 		if err := fm.Append(store.FileRef{Container: container, Start: start, Size: c.Size()}); err != nil {
 			return err
 		}
-		d.stats.NonDupChunks++
-		d.dt.note(false)
+		d.noteNew()
 	}
 	if len(data) > 0 {
 		if err := d.st.WriteDiskChunk(container, data); err != nil {
@@ -220,32 +166,4 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 	d.primary[rep] = binInfo{bin: binName, fileHash: fileHash}
 	d.trackRAM()
 	return d.st.WriteFileManifest(fm)
-}
-
-func (d *ExtremeBinning) trackRAM() {
-	cur := int64(len(d.primary)) * (3*hashutil.Size + 16)
-	if cur > d.peak {
-		d.peak = cur
-	}
-}
-
-// Finish finalizes RAM accounting.
-func (d *ExtremeBinning) Finish() error {
-	d.trackRAM()
-	d.stats.RAMBytes = d.peak
-	return nil
-}
-
-// Report returns statistics plus disk accounting.
-func (d *ExtremeBinning) Report() metrics.Report {
-	s := d.stats
-	if s.RAMBytes == 0 {
-		s.RAMBytes = d.peak
-	}
-	return metrics.BuildReport(s, d.disk)
-}
-
-// Restore rebuilds an ingested file.
-func (d *ExtremeBinning) Restore(name string, w io.Writer) error {
-	return d.st.RestoreFile(name, w)
 }

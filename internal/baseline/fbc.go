@@ -4,69 +4,12 @@ import (
 	"fmt"
 	"io"
 
-	"mhdedup/internal/bloom"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
-	"mhdedup/internal/metrics"
-	"mhdedup/internal/rabin"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/sketch"
 	"mhdedup/internal/store"
 )
-
-// FBCConfig parameterizes the frequency-based-chunking baseline.
-type FBCConfig struct {
-	ECS            int
-	SD             int
-	BloomBytes     int
-	BloomHashes    int
-	UseBloom       bool
-	CacheManifests int
-	// FreqThreshold is the estimated small-chunk frequency at which a big
-	// chunk is considered to contain popular content and is re-chunked.
-	FreqThreshold uint32
-	// SketchRows/SketchWidth size the count-min sketch.
-	SketchRows  int
-	SketchWidth int
-	Poly        rabin.Poly
-	// RecipeTrees stores file recipes as deduplicated recipe trees.
-	RecipeTrees bool
-}
-
-// DefaultFBCConfig returns a usable default.
-func DefaultFBCConfig() FBCConfig {
-	return FBCConfig{
-		ECS:            4096,
-		SD:             64,
-		BloomBytes:     1 << 20,
-		BloomHashes:    5,
-		UseBloom:       true,
-		CacheManifests: 64,
-		FreqThreshold:  2,
-		SketchRows:     4,
-		SketchWidth:    1 << 16,
-	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c FBCConfig) Validate() error {
-	if c.ECS <= 0 || c.SD < 2 {
-		return fmt.Errorf("baseline: fbc needs ECS > 0 and SD >= 2")
-	}
-	if c.UseBloom && (c.BloomBytes <= 0 || c.BloomHashes <= 0 || c.BloomHashes > 32) {
-		return fmt.Errorf("baseline: invalid bloom parameters")
-	}
-	if c.CacheManifests <= 0 {
-		return fmt.Errorf("baseline: CacheManifests must be positive")
-	}
-	if c.FreqThreshold == 0 {
-		return fmt.Errorf("baseline: FreqThreshold must be positive")
-	}
-	if c.SketchRows <= 0 || c.SketchWidth <= 0 {
-		return fmt.Errorf("baseline: sketch dimensions must be positive")
-	}
-	return nil
-}
 
 // FBC implements frequency-based chunking (Lu, Jin & Du, MASCOTS'10) as the
 // paper's §II describes it: big-chunk-first deduplication with *selective*
@@ -76,51 +19,27 @@ func (c FBCConfig) Validate() error {
 // estimated frequency reaches the threshold — popular content earns its own
 // chunk boundaries, cold content stays coarse.
 type FBC struct {
-	cfg    FBCConfig
-	disk   *simdisk.Disk
-	st     *store.Store
-	filter *bloom.Filter
-	mc     *manifestCache
-	freq   *sketch.CountMin
-	stats  metrics.Stats
-	dt     dupTracker
-	peak   int64
+	base
+	freq *sketch.CountMin
 }
 
-// NewFBC returns an FBC deduplicator over a fresh simulated disk.
-func NewFBC(cfg FBCConfig) (*FBC, error) {
-	return NewFBCOnDisk(cfg, simdisk.New())
-}
-
-// NewFBCOnDisk returns an FBC deduplicator over the given disk.
-func NewFBCOnDisk(cfg FBCConfig, disk *simdisk.Disk) (*FBC, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// NewFBC returns an FBC deduplicator over the given disk.
+func NewFBC(cfg Config, disk *simdisk.Disk) (*FBC, error) {
+	if cfg.FreqThreshold == 0 {
+		return nil, fmt.Errorf("baseline: FreqThreshold must be positive")
 	}
-	d := &FBC{cfg: cfg, disk: disk, st: store.New(disk, store.FormatBasic)}
-	d.st.SetRecipeConfig(store.RecipeConfig{Trees: cfg.RecipeTrees})
-	if cfg.UseBloom {
-		f, err := bloom.New(cfg.BloomBytes, cfg.BloomHashes)
-		if err != nil {
-			return nil, err
-		}
-		d.filter = f
+	b, err := newBase(cfg, disk, substrate{format: store.FormatBasic, minSD: 2, bloom: true, cache: true})
+	if err != nil {
+		return nil, err
 	}
 	freq, err := sketch.New(cfg.SketchRows, cfg.SketchWidth)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	d.freq = freq
-	mc, err := newManifestCache(d.st, cfg.CacheManifests)
-	if err != nil {
-		return nil, err
-	}
-	d.mc = mc
+	d := &FBC{base: b, freq: freq}
+	d.extraRAM = freq.SizeBytes
 	return d, nil
 }
-
-// Disk exposes the simulated disk.
-func (d *FBC) Disk() *simdisk.Disk { return d.disk }
 
 // PutFile deduplicates one input file.
 func (d *FBC) PutFile(name string, r io.Reader) error {
@@ -128,39 +47,8 @@ func (d *FBC) PutFile(name string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	d.stats.FilesTotal++
-	d.dt.reset()
-
-	chunkName := d.st.NextName()
-	manifest := store.NewManifest(chunkName, store.FormatBasic)
-	var data []byte
-	var hooks []hashutil.Sum
-	fm := &store.FileManifest{File: name}
-
-	appendStored := func(chunkData []byte, h hashutil.Sum) error {
-		start := int64(len(data))
-		data = append(data, chunkData...)
-		manifest.Append(store.Entry{Hash: h, Start: start, Size: int64(len(chunkData)), Kind: store.KindHook})
-		hooks = append(hooks, h)
-		if err := fm.Append(store.FileRef{Container: chunkName, Start: start, Size: int64(len(chunkData))}); err != nil {
-			return err
-		}
-		d.stats.NonDupChunks++
-		d.dt.note(false)
-		return nil
-	}
-	markDup := func(size int64, container hashutil.Sum, start int64) error {
-		if err := fm.Append(store.FileRef{Container: container, Start: start, Size: size}); err != nil {
-			return err
-		}
-		d.stats.DupChunks++
-		d.stats.DupBytes += size
-		if d.dt.note(true) {
-			d.stats.DupSlices++
-		}
-		return nil
-	}
-
+	d.beginFile()
+	out := d.newDiskChunk(name)
 	for {
 		c, err := big.Next()
 		if err == io.EOF {
@@ -169,16 +57,16 @@ func (d *FBC) PutFile(name string, r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		d.stats.InputBytes += c.Size()
-		d.stats.ChunkedBytes += c.Size()
-		d.stats.HashedBytes += c.Size()
+		d.scanned(c.Size())
 		bh := hashutil.SumBytes(c.Data)
 
 		d.stats.BigChunkQueries++
-		if m, idx, ok := d.lookup(bh); ok {
-			e := m.Entries[idx]
-			d.stats.ChunksIn++
-			if err := markDup(c.Size(), m.ContainerOf(e), e.Start); err != nil {
+		ref, found, err := d.lookup(bh)
+		if err != nil {
+			return err
+		}
+		if found {
+			if err := out.dup(ref); err != nil {
 				return err
 			}
 			continue
@@ -205,8 +93,7 @@ func (d *FBC) PutFile(name string, r io.Reader) error {
 		}
 
 		if !rechunk {
-			d.stats.ChunksIn++
-			if err := appendStored(c.Data, bh); err != nil {
+			if err := out.add(c.Data, bh); err != nil {
 				return err
 			}
 			continue
@@ -214,99 +101,10 @@ func (d *FBC) PutFile(name string, r io.Reader) error {
 		// Popular content inside: re-chunk and deduplicate the small
 		// chunks individually.
 		for i, sc := range smalls {
-			d.stats.ChunksIn++
-			if m, idx, ok := d.lookup(smallHashes[i]); ok {
-				e := m.Entries[idx]
-				if err := markDup(sc.Size(), m.ContainerOf(e), e.Start); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := appendStored(sc.Data, smallHashes[i]); err != nil {
+			if err := out.put(sc.Data, smallHashes[i]); err != nil {
 				return err
 			}
 		}
 	}
-
-	if len(data) > 0 {
-		if err := d.st.WriteDiskChunk(chunkName, data); err != nil {
-			return err
-		}
-		if err := d.st.CreateManifest(manifest); err != nil {
-			return err
-		}
-		for _, h := range hooks {
-			if d.st.HookKnown(h) {
-				continue
-			}
-			if err := d.st.CreateHook(h, chunkName); err != nil {
-				return err
-			}
-			if d.filter != nil {
-				d.filter.Add(h)
-			}
-		}
-		d.stats.Files++
-		d.stats.StoredDataBytes += int64(len(data))
-		d.trackRAM()
-	}
-	return d.st.WriteFileManifest(fm)
-}
-
-// lookup is the cache → bloom → disk-hook duplicate query.
-func (d *FBC) lookup(h hashutil.Sum) (*store.Manifest, int, bool) {
-	if m, idx, ok := d.mc.lookup(h); ok {
-		return m, idx, true
-	}
-	if d.filter != nil && !d.filter.Test(h) {
-		return nil, 0, false
-	}
-	if !d.st.HookExists(h) {
-		return nil, 0, false
-	}
-	targets, err := d.st.ReadHook(h)
-	if err != nil || len(targets) == 0 {
-		return nil, 0, false
-	}
-	m, err := d.mc.load(targets[0])
-	if err != nil {
-		return nil, 0, false
-	}
-	idx, ok := m.Lookup(h)
-	if !ok {
-		return nil, 0, false
-	}
-	return m, idx, true
-}
-
-func (d *FBC) trackRAM() {
-	cur := d.mc.bytesResident() + d.freq.SizeBytes()
-	if d.filter != nil {
-		cur += d.filter.SizeBytes()
-	}
-	if cur > d.peak {
-		d.peak = cur
-	}
-}
-
-// Finish flushes the manifest cache.
-func (d *FBC) Finish() error {
-	d.trackRAM()
-	d.stats.RAMBytes = d.peak
-	return d.mc.flush()
-}
-
-// Report returns statistics plus disk accounting.
-func (d *FBC) Report() metrics.Report {
-	s := d.stats
-	s.ManifestLoads = d.mc.loads
-	if s.RAMBytes == 0 {
-		s.RAMBytes = d.peak
-	}
-	return metrics.BuildReport(s, d.disk)
-}
-
-// Restore rebuilds an ingested file.
-func (d *FBC) Restore(name string, w io.Writer) error {
-	return d.st.RestoreFile(name, w)
+	return out.commit()
 }

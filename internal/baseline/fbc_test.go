@@ -1,20 +1,14 @@
-package baseline
+package baseline_test
 
 import (
 	"testing"
 
 	"mhdedup/internal/algo"
+	"mhdedup/internal/baseline"
+	"mhdedup/internal/simdisk"
 )
 
-var _ algo.Deduplicator = (*FBC)(nil)
-
-func fbcConfig() FBCConfig {
-	cfg := DefaultFBCConfig()
-	cfg.ECS = 512
-	cfg.SD = 4
-	cfg.BloomBytes = 1 << 16
-	return cfg
-}
+var _ algo.Deduplicator = (*baseline.FBC)(nil)
 
 func TestFBCRoundTrip(t *testing.T) {
 	base := randBytes(101, 300_000)
@@ -25,7 +19,7 @@ func TestFBCRoundTrip(t *testing.T) {
 		"b": append([]byte(nil), base...),
 		"c": edited,
 	}
-	d, err := NewFBC(fbcConfig())
+	d, err := baseline.NewFBC(smallConfig(), simdisk.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +51,7 @@ func TestFBCRechunksOnlyFrequentContent(t *testing.T) {
 		files[name] = mk(200 + i)
 		order = append(order, name)
 	}
-	d, err := NewFBC(fbcConfig())
+	d, err := baseline.NewFBC(smallConfig(), simdisk.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +75,7 @@ func TestFBCRechunksOnlyFrequentContent(t *testing.T) {
 func TestFBCCompletelyColdDataStaysCoarse(t *testing.T) {
 	// All-unique input: nothing is frequent, so nothing is re-chunked —
 	// chunk count stays at big-chunk granularity.
-	d, err := NewFBC(fbcConfig())
+	d, err := baseline.NewFBC(smallConfig(), simdisk.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +89,14 @@ func TestFBCCompletelyColdDataStaysCoarse(t *testing.T) {
 }
 
 func TestFBCValidation(t *testing.T) {
-	cfg := fbcConfig()
+	cfg := smallConfig()
 	cfg.FreqThreshold = 0
-	if _, err := NewFBC(cfg); err == nil {
+	if _, err := baseline.NewFBC(cfg, simdisk.New()); err == nil {
 		t.Error("zero threshold accepted")
 	}
-	cfg = fbcConfig()
+	cfg = smallConfig()
 	cfg.SketchWidth = 0
-	if _, err := NewFBC(cfg); err == nil {
+	if _, err := baseline.NewFBC(cfg, simdisk.New()); err == nil {
 		t.Error("zero sketch width accepted")
 	}
 }

@@ -1,43 +1,13 @@
 package baseline
 
 import (
-	"fmt"
 	"io"
 
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
-	"mhdedup/internal/metrics"
-	"mhdedup/internal/rabin"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
 )
-
-// FingerdiffConfig parameterizes the Fingerdiff baseline.
-type FingerdiffConfig struct {
-	ECS int
-	// MaxCoalesce bounds how many contiguous non-duplicate chunks merge
-	// into one stored big chunk (the paper aligns this with SD).
-	MaxCoalesce int
-	Poly        rabin.Poly
-	// RecipeTrees stores file recipes as deduplicated recipe trees.
-	RecipeTrees bool
-}
-
-// DefaultFingerdiffConfig returns a usable default.
-func DefaultFingerdiffConfig() FingerdiffConfig {
-	return FingerdiffConfig{ECS: 4096, MaxCoalesce: 64}
-}
-
-// Validate reports whether the configuration is usable.
-func (c FingerdiffConfig) Validate() error {
-	if c.ECS <= 0 {
-		return fmt.Errorf("baseline: fingerdiff needs ECS > 0")
-	}
-	if c.MaxCoalesce < 1 {
-		return fmt.Errorf("baseline: MaxCoalesce must be positive")
-	}
-	return nil
-}
 
 // Fingerdiff implements Bobbarjung et al.'s scheme as the paper's §I
 // characterizes it: contiguous non-duplicate chunks coalesce (up to a
@@ -49,39 +19,24 @@ func (c FingerdiffConfig) Validate() error {
 // realistic"); this implementation charges it to RAMBytes so the Summary
 // table shows the trade directly.
 type Fingerdiff struct {
-	cfg  FingerdiffConfig
-	disk *simdisk.Disk
-	st   *store.Store
+	base
 	// db is the full per-chunk index: chunk hash → location.
-	db    map[hashutil.Sum]store.FileRef
-	stats metrics.Stats
-	dt    dupTracker
-	peak  int64
+	db map[hashutil.Sum]store.FileRef
 }
 
-// NewFingerdiff returns a Fingerdiff deduplicator over a fresh disk.
-func NewFingerdiff(cfg FingerdiffConfig) (*Fingerdiff, error) {
-	return NewFingerdiffOnDisk(cfg, simdisk.New())
-}
-
-// NewFingerdiffOnDisk returns a Fingerdiff deduplicator over the given
-// disk.
-func NewFingerdiffOnDisk(cfg FingerdiffConfig, disk *simdisk.Disk) (*Fingerdiff, error) {
-	if err := cfg.Validate(); err != nil {
+// NewFingerdiff returns a Fingerdiff deduplicator over the given disk. At
+// most SD contiguous non-duplicate chunks merge into one stored big chunk
+// (the paper aligns the coalescing bound with SD).
+func NewFingerdiff(cfg Config, disk *simdisk.Disk) (*Fingerdiff, error) {
+	b, err := newBase(cfg, disk, substrate{format: store.FormatBasic, minSD: 1})
+	if err != nil {
 		return nil, err
 	}
-	d := &Fingerdiff{
-		cfg:  cfg,
-		disk: disk,
-		st:   store.New(disk, store.FormatBasic),
-		db:   make(map[hashutil.Sum]store.FileRef),
-	}
-	d.st.SetRecipeConfig(store.RecipeConfig{Trees: cfg.RecipeTrees})
+	d := &Fingerdiff{base: b, db: make(map[hashutil.Sum]store.FileRef)}
+	// The full chunk database: hash key + FileRef per entry.
+	d.extraRAM = func() int64 { return int64(len(d.db)) * (hashutil.Size + store.FileRefBytes + 16) }
 	return d, nil
 }
-
-// Disk exposes the simulated disk.
-func (d *Fingerdiff) Disk() *simdisk.Disk { return d.disk }
 
 // PutFile deduplicates one input file.
 func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
@@ -89,8 +44,7 @@ func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	d.stats.FilesTotal++
-	d.dt.reset()
+	d.beginFile()
 	chunkName := d.st.NextName()
 	manifest := store.NewManifest(chunkName, store.FormatBasic)
 	var data []byte
@@ -133,10 +87,7 @@ func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		d.stats.ChunksIn++
-		d.stats.InputBytes += c.Size()
-		d.stats.ChunkedBytes += c.Size()
-		d.stats.HashedBytes += c.Size()
+		d.scanned(c.Size())
 		h := hashutil.SumBytes(c.Data)
 		if ref, ok := d.db[h]; ok {
 			if err := flushRun(); err != nil {
@@ -145,18 +96,13 @@ func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
 			if err := fm.Append(ref); err != nil {
 				return err
 			}
-			d.stats.DupChunks++
-			d.stats.DupBytes += c.Size()
-			if d.dt.note(true) {
-				d.stats.DupSlices++
-			}
+			d.noteDup(c.Size())
 			continue
 		}
 		run = append(run, c)
 		runHashes = append(runHashes, h)
-		d.stats.NonDupChunks++
-		d.dt.note(false)
-		if len(run) >= d.cfg.MaxCoalesce {
+		d.noteNew()
+		if len(run) >= d.cfg.SD {
 			if err := flushRun(); err != nil {
 				return err
 			}
@@ -178,33 +124,4 @@ func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
 		d.trackRAM()
 	}
 	return d.st.WriteFileManifest(fm)
-}
-
-func (d *Fingerdiff) trackRAM() {
-	// The full chunk database: hash key + FileRef per entry.
-	cur := int64(len(d.db)) * (hashutil.Size + store.FileRefBytes + 16)
-	if cur > d.peak {
-		d.peak = cur
-	}
-}
-
-// Finish finalizes RAM accounting (Fingerdiff keeps no dirty disk state).
-func (d *Fingerdiff) Finish() error {
-	d.trackRAM()
-	d.stats.RAMBytes = d.peak
-	return nil
-}
-
-// Report returns statistics plus disk accounting.
-func (d *Fingerdiff) Report() metrics.Report {
-	s := d.stats
-	if s.RAMBytes == 0 {
-		s.RAMBytes = d.peak
-	}
-	return metrics.BuildReport(s, d.disk)
-}
-
-// Restore rebuilds an ingested file.
-func (d *Fingerdiff) Restore(name string, w io.Writer) error {
-	return d.st.RestoreFile(name, w)
 }

@@ -1,4 +1,4 @@
-package baseline
+package baseline_test
 
 import (
 	"bytes"
@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"mhdedup/internal/algo"
+	"mhdedup/internal/baseline"
+	"mhdedup/internal/simdisk"
 )
 
 var (
-	_ algo.Deduplicator = (*Fingerdiff)(nil)
-	_ algo.Deduplicator = (*ExtremeBinning)(nil)
+	_ algo.Deduplicator = (*baseline.Fingerdiff)(nil)
+	_ algo.Deduplicator = (*baseline.ExtremeBinning)(nil)
 )
 
 func TestFingerdiffRoundTripAndShape(t *testing.T) {
@@ -22,10 +24,9 @@ func TestFingerdiffRoundTripAndShape(t *testing.T) {
 		"b": append([]byte(nil), base...),
 		"c": edited,
 	}
-	cfg := DefaultFingerdiffConfig()
-	cfg.ECS = 512
-	cfg.MaxCoalesce = 8
-	d, err := NewFingerdiff(cfg)
+	cfg := smallConfig()
+	cfg.SD = 8
+	d, err := baseline.NewFingerdiff(cfg, simdisk.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +55,11 @@ func TestFingerdiffRoundTripAndShape(t *testing.T) {
 }
 
 func TestFingerdiffCoalesceBound(t *testing.T) {
-	cfg := DefaultFingerdiffConfig()
-	cfg.ECS = 512
-	cfg.MaxCoalesce = 4
-	d, _ := NewFingerdiff(cfg)
+	d, _ := baseline.NewFingerdiff(smallConfig(), simdisk.New())
 	content := randBytes(310, 200_000)
 	feed(t, d, map[string][]byte{"u": content}, []string{"u"})
 	r := d.Report()
-	// Unique data: entries = ceil(chunks / MaxCoalesce) approximately.
+	// Unique data: entries = ceil(chunks / SD) approximately.
 	maxEntries := r.NonDupChunks/4 + 2
 	if got := r.ManifestBytes / 36; got > maxEntries {
 		t.Errorf("manifest entries %d exceed coalesce bound ~%d", got, maxEntries)
@@ -71,9 +69,7 @@ func TestFingerdiffCoalesceBound(t *testing.T) {
 func TestExtremeBinningIdenticalFile(t *testing.T) {
 	base := randBytes(320, 250_000)
 	files := map[string][]byte{"a": base, "b": append([]byte(nil), base...)}
-	cfg := DefaultExtremeBinningConfig()
-	cfg.ECS = 512
-	d, err := NewExtremeBinning(cfg)
+	d, err := baseline.NewExtremeBinning(smallConfig(), simdisk.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +90,7 @@ func TestExtremeBinningSimilarFile(t *testing.T) {
 	edited := append([]byte(nil), base...)
 	copy(edited[120_000:], randBytes(331, 5_000))
 	files := map[string][]byte{"a": base, "b": edited}
-	cfg := DefaultExtremeBinningConfig()
-	cfg.ECS = 512
-	d, _ := NewExtremeBinning(cfg)
+	d, _ := baseline.NewExtremeBinning(smallConfig(), simdisk.New())
 	feed(t, d, files, []string{"a", "b"})
 	checkRestoreAll(t, "eb", d, files)
 	r := d.Report()
@@ -112,9 +106,7 @@ func TestExtremeBinningSimilarFile(t *testing.T) {
 }
 
 func TestExtremeBinningManyGenerations(t *testing.T) {
-	cfg := DefaultExtremeBinningConfig()
-	cfg.ECS = 512
-	d, _ := NewExtremeBinning(cfg)
+	d, _ := baseline.NewExtremeBinning(smallConfig(), simdisk.New())
 	base := randBytes(340, 200_000)
 	files := map[string][]byte{}
 	var order []string
@@ -140,20 +132,22 @@ func TestExtremeBinningManyGenerations(t *testing.T) {
 }
 
 func TestRelatedWorkValidation(t *testing.T) {
-	if _, err := NewFingerdiff(FingerdiffConfig{}); err == nil {
+	if _, err := baseline.NewFingerdiff(baseline.Config{}, simdisk.New()); err == nil {
 		t.Error("zero fingerdiff config accepted")
 	}
-	if _, err := NewFingerdiff(FingerdiffConfig{ECS: 512, MaxCoalesce: 0}); err == nil {
-		t.Error("zero MaxCoalesce accepted")
+	if _, err := baseline.NewFingerdiff(baseline.Config{ECS: 512, SD: 0}, simdisk.New()); err == nil {
+		t.Error("zero SD (the coalescing bound) accepted")
 	}
-	if _, err := NewExtremeBinning(ExtremeBinningConfig{}); err == nil {
+	if _, err := baseline.NewExtremeBinning(baseline.Config{}, simdisk.New()); err == nil {
 		t.Error("zero extreme binning config accepted")
 	}
 }
 
 func TestRelatedWorkEmptyFiles(t *testing.T) {
-	fd, _ := NewFingerdiff(func() FingerdiffConfig { c := DefaultFingerdiffConfig(); c.ECS = 512; return c }())
-	eb, _ := NewExtremeBinning(func() ExtremeBinningConfig { c := DefaultExtremeBinningConfig(); c.ECS = 512; return c }())
+	cfg := baseline.DefaultConfig()
+	cfg.ECS = 512
+	fd, _ := baseline.NewFingerdiff(cfg, simdisk.New())
+	eb, _ := baseline.NewExtremeBinning(cfg, simdisk.New())
 	for name, d := range map[string]algo.Deduplicator{"fingerdiff": fd, "eb": eb} {
 		if err := d.PutFile("empty", bytes.NewReader(nil)); err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -8,55 +8,9 @@ import (
 
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
-	"mhdedup/internal/metrics"
-	"mhdedup/internal/rabin"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
 )
-
-// SparseConfig parameterizes the Sparse Indexing baseline, following the
-// paper's experimental setup: hooks sampled at rate 1/SD from the input
-// chunks, segments of ECS·SD·SegmentFactor bytes, at most MaxChampions
-// champion manifests per segment and at most MaxManifestsPerHook manifests
-// per sparse-index entry (LRU).
-type SparseConfig struct {
-	ECS                 int
-	SD                  int
-	SegmentFactor       int
-	MaxChampions        int
-	MaxManifestsPerHook int
-	CacheManifests      int
-	Poly                rabin.Poly
-	// RecipeTrees stores file recipes as deduplicated recipe trees.
-	RecipeTrees bool
-}
-
-// DefaultSparseConfig returns the paper's setup (segment = ECS·SD·5, 10
-// champions, 5 manifests per hook).
-func DefaultSparseConfig() SparseConfig {
-	return SparseConfig{
-		ECS:                 4096,
-		SD:                  64,
-		SegmentFactor:       5,
-		MaxChampions:        10,
-		MaxManifestsPerHook: 5,
-		CacheManifests:      64,
-	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c SparseConfig) Validate() error {
-	if c.ECS <= 0 || c.SD < 2 {
-		return fmt.Errorf("baseline: sparse indexing needs ECS > 0 and SD >= 2")
-	}
-	if c.SegmentFactor <= 0 || c.MaxChampions <= 0 || c.MaxManifestsPerHook <= 0 {
-		return fmt.Errorf("baseline: sparse indexing factors must be positive")
-	}
-	if c.CacheManifests <= 0 {
-		return fmt.Errorf("baseline: CacheManifests must be positive")
-	}
-	return nil
-}
 
 // Sparse implements Sparse Indexing (Lillibridge et al.): the stream is
 // divided into segments; a sparse in-RAM index maps sampled hook hashes to
@@ -67,17 +21,10 @@ func (c SparseConfig) Validate() error {
 // (Table III) and its per-manifest hash re-recording (Fig 7(b)) are the
 // quantities the paper charts.
 type Sparse struct {
-	cfg  SparseConfig
-	disk *simdisk.Disk
-	st   *store.Store
-	mc   *manifestCache
+	base
 	// index is the sparse index: sampled hook hash → up to
 	// MaxManifestsPerHook manifest names, most recent last.
 	index map[hashutil.Sum][]hashutil.Sum
-
-	stats metrics.Stats
-	dt    dupTracker
-	peak  int64
 
 	// Per-file segment assembly state.
 	seg      []chunker.Chunk
@@ -86,33 +33,19 @@ type Sparse struct {
 	stored   bool
 }
 
-// NewSparse returns a Sparse deduplicator over a fresh simulated disk.
-func NewSparse(cfg SparseConfig) (*Sparse, error) {
-	return NewSparseOnDisk(cfg, simdisk.New())
-}
-
-// NewSparseOnDisk returns a Sparse deduplicator over the given disk.
-func NewSparseOnDisk(cfg SparseConfig, disk *simdisk.Disk) (*Sparse, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// NewSparse returns a Sparse deduplicator over the given disk.
+func NewSparse(cfg Config, disk *simdisk.Disk) (*Sparse, error) {
+	if cfg.SegmentFactor <= 0 || cfg.MaxChampions <= 0 || cfg.MaxManifestsPerHook <= 0 {
+		return nil, fmt.Errorf("baseline: sparse indexing factors must be positive")
 	}
-	d := &Sparse{
-		cfg:   cfg,
-		disk:  disk,
-		st:    store.New(disk, store.FormatMultiContainer),
-		index: make(map[hashutil.Sum][]hashutil.Sum),
-	}
-	d.st.SetRecipeConfig(store.RecipeConfig{Trees: cfg.RecipeTrees})
-	mc, err := newManifestCache(d.st, cfg.CacheManifests)
+	b, err := newBase(cfg, disk, substrate{format: store.FormatMultiContainer, minSD: 2, cache: true})
 	if err != nil {
 		return nil, err
 	}
-	d.mc = mc
+	d := &Sparse{base: b, index: make(map[hashutil.Sum][]hashutil.Sum)}
+	d.extraRAM = d.SparseIndexBytes
 	return d, nil
 }
-
-// Disk exposes the simulated disk.
-func (d *Sparse) Disk() *simdisk.Disk { return d.disk }
 
 // isHook applies the content-based sampling: a chunk hash is a hook when
 // its leading 64 bits are divisible by SD.
@@ -132,8 +65,7 @@ func (d *Sparse) PutFile(name string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	d.stats.FilesTotal++
-	d.dt.reset()
+	d.beginFile()
 	d.fm = &store.FileManifest{File: name}
 	d.stored = false
 	for {
@@ -144,10 +76,7 @@ func (d *Sparse) PutFile(name string, r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		d.stats.InputBytes += c.Size()
-		d.stats.ChunkedBytes += c.Size()
-		d.stats.HashedBytes += c.Size()
-		d.stats.ChunksIn++
+		d.scanned(c.Size())
 		d.seg = append(d.seg, c)
 		d.segBytes += c.Size()
 		if d.segBytes >= d.segmentTarget() {
@@ -228,28 +157,21 @@ func (d *Sparse) flushSegment() error {
 	var data []byte
 	for i, c := range seg {
 		h := hashes[i]
-		var hitEntry *store.Entry
-		var hitManifest *store.Manifest
+		var ref store.FileRef
+		hit := false
 		for _, m := range champions {
 			if idx, ok := m.Lookup(h); ok {
-				hitEntry = &m.Entries[idx]
-				hitManifest = m
+				ref, hit = entryRef(m, idx), true
 				break
 			}
 		}
 		// A chunk may also repeat within the current segment.
-		if hitEntry == nil {
+		if !hit {
 			if idx, ok := manifest.Lookup(h); ok {
-				hitEntry = &manifest.Entries[idx]
-				hitManifest = manifest
+				ref, hit = entryRef(manifest, idx), true
 			}
 		}
-		if hitEntry != nil {
-			ref := store.FileRef{
-				Container: hitManifest.ContainerOf(*hitEntry),
-				Start:     hitEntry.Start,
-				Size:      hitEntry.Size,
-			}
+		if hit {
 			if err := d.fm.Append(ref); err != nil {
 				return err
 			}
@@ -263,11 +185,7 @@ func (d *Sparse) flushSegment() error {
 				Size:      ref.Size,
 				Kind:      store.KindPlain,
 			})
-			d.stats.DupChunks++
-			d.stats.DupBytes += c.Size()
-			if d.dt.note(true) {
-				d.stats.DupSlices++
-			}
+			d.noteDup(c.Size())
 			continue
 		}
 		start := int64(len(data))
@@ -282,8 +200,7 @@ func (d *Sparse) flushSegment() error {
 		if err := d.fm.Append(store.FileRef{Container: container, Start: start, Size: c.Size()}); err != nil {
 			return err
 		}
-		d.stats.NonDupChunks++
-		d.dt.note(false)
+		d.noteNew()
 	}
 
 	if len(data) > 0 {
@@ -335,33 +252,4 @@ func (d *Sparse) SparseIndexBytes() int64 {
 		n += hashutil.Size + int64(len(targets))*hashutil.Size + 16
 	}
 	return n
-}
-
-func (d *Sparse) trackRAM() {
-	cur := d.mc.bytesResident() + d.SparseIndexBytes()
-	if cur > d.peak {
-		d.peak = cur
-	}
-}
-
-// Finish flushes the manifest cache.
-func (d *Sparse) Finish() error {
-	d.trackRAM()
-	d.stats.RAMBytes = d.peak
-	return d.mc.flush()
-}
-
-// Report returns statistics plus disk accounting.
-func (d *Sparse) Report() metrics.Report {
-	s := d.stats
-	s.ManifestLoads = d.mc.loads
-	if s.RAMBytes == 0 {
-		s.RAMBytes = d.peak
-	}
-	return metrics.BuildReport(s, d.disk)
-}
-
-// Restore rebuilds an ingested file.
-func (d *Sparse) Restore(name string, w io.Writer) error {
-	return d.st.RestoreFile(name, w)
 }

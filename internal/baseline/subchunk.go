@@ -1,56 +1,13 @@
 package baseline
 
 import (
-	"fmt"
 	"io"
 
-	"mhdedup/internal/bloom"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
-	"mhdedup/internal/metrics"
-	"mhdedup/internal/rabin"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
 )
-
-// SubChunkConfig parameterizes the SubChunk baseline.
-type SubChunkConfig struct {
-	ECS            int
-	SD             int
-	BloomBytes     int
-	BloomHashes    int
-	UseBloom       bool
-	CacheManifests int
-	Poly           rabin.Poly
-	// RecipeTrees stores file recipes as deduplicated recipe trees.
-	RecipeTrees bool
-}
-
-// DefaultSubChunkConfig returns a usable default.
-func DefaultSubChunkConfig() SubChunkConfig {
-	return SubChunkConfig{
-		ECS:            4096,
-		SD:             64,
-		BloomBytes:     1 << 20,
-		BloomHashes:    5,
-		UseBloom:       true,
-		CacheManifests: 64,
-	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c SubChunkConfig) Validate() error {
-	if c.ECS <= 0 || c.SD < 2 {
-		return fmt.Errorf("baseline: subchunk needs ECS > 0 and SD >= 2")
-	}
-	if c.UseBloom && (c.BloomBytes <= 0 || c.BloomHashes <= 0 || c.BloomHashes > 32) {
-		return fmt.Errorf("baseline: invalid bloom parameters")
-	}
-	if c.CacheManifests <= 0 {
-		return fmt.Errorf("baseline: CacheManifests must be positive")
-	}
-	return nil
-}
 
 // bigRecipe records how a previously seen big chunk deduplicated: the
 // manifest describing it and the refs reconstructing its bytes. It is the
@@ -72,51 +29,20 @@ type bigRecipe struct {
 // missed, which is the recall gap the paper contrasts with MHD's match
 // extension.
 type SubChunk struct {
-	cfg    SubChunkConfig
-	disk   *simdisk.Disk
-	st     *store.Store
-	filter *bloom.Filter
-	mc     *manifestCache
+	base
 	bigIdx map[hashutil.Sum]bigRecipe
-	stats  metrics.Stats
-	dt     dupTracker
-	peak   int64
 }
 
-// NewSubChunk returns a SubChunk deduplicator over a fresh simulated disk.
-func NewSubChunk(cfg SubChunkConfig) (*SubChunk, error) {
-	return NewSubChunkOnDisk(cfg, simdisk.New())
-}
-
-// NewSubChunkOnDisk returns a SubChunk deduplicator over the given disk.
-func NewSubChunkOnDisk(cfg SubChunkConfig, disk *simdisk.Disk) (*SubChunk, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	d := &SubChunk{
-		cfg:    cfg,
-		disk:   disk,
-		st:     store.New(disk, store.FormatMultiContainer),
-		bigIdx: make(map[hashutil.Sum]bigRecipe),
-	}
-	d.st.SetRecipeConfig(store.RecipeConfig{Trees: cfg.RecipeTrees})
-	if cfg.UseBloom {
-		f, err := bloom.New(cfg.BloomBytes, cfg.BloomHashes)
-		if err != nil {
-			return nil, err
-		}
-		d.filter = f
-	}
-	mc, err := newManifestCache(d.st, cfg.CacheManifests)
+// NewSubChunk returns a SubChunk deduplicator over the given disk.
+func NewSubChunk(cfg Config, disk *simdisk.Disk) (*SubChunk, error) {
+	b, err := newBase(cfg, disk, substrate{format: store.FormatMultiContainer, minSD: 2, bloom: true, cache: true})
 	if err != nil {
 		return nil, err
 	}
-	d.mc = mc
+	d := &SubChunk{base: b, bigIdx: make(map[hashutil.Sum]bigRecipe)}
+	d.extraRAM = d.recipeIndexBytes
 	return d, nil
 }
-
-// Disk exposes the simulated disk.
-func (d *SubChunk) Disk() *simdisk.Disk { return d.disk }
 
 // PutFile deduplicates one input file.
 func (d *SubChunk) PutFile(name string, r io.Reader) error {
@@ -124,8 +50,7 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	d.stats.FilesTotal++
-	d.dt.reset()
+	d.beginFile()
 
 	manifestName := d.st.NextName()
 	manifest := store.NewManifest(manifestName, store.FormatMultiContainer)
@@ -141,9 +66,7 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		d.stats.InputBytes += c.Size()
-		d.stats.ChunkedBytes += c.Size()
-		d.stats.HashedBytes += c.Size()
+		d.scanned(c.Size())
 		bh := hashutil.SumBytes(c.Data)
 		if fileHook.IsZero() {
 			fileHook = bh
@@ -170,12 +93,7 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 					return err
 				}
 			}
-			d.stats.ChunksIn++
-			d.stats.DupChunks++
-			d.stats.DupBytes += c.Size()
-			if d.dt.note(true) {
-				d.stats.DupSlices++
-			}
+			d.noteDup(c.Size())
 			continue
 		}
 
@@ -197,19 +115,13 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 			return nil
 		}
 		for _, sc := range smalls {
-			d.stats.ChunksIn++
 			d.stats.HashedBytes += sc.Size()
 			sh := hashutil.SumBytes(sc.Data)
 			if m, idx, ok := d.mc.lookup(sh); ok {
-				e := m.Entries[idx]
-				if err := appendRef(store.FileRef{Container: m.ContainerOf(e), Start: e.Start, Size: e.Size}); err != nil {
+				if err := appendRef(entryRef(m, idx)); err != nil {
 					return err
 				}
-				d.stats.DupChunks++
-				d.stats.DupBytes += sc.Size()
-				if d.dt.note(true) {
-					d.stats.DupSlices++
-				}
+				d.noteDup(sc.Size())
 				continue
 			}
 			start := int64(len(data))
@@ -224,8 +136,7 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 			if err := appendRef(store.FileRef{Container: container, Start: start, Size: sc.Size()}); err != nil {
 				return err
 			}
-			d.stats.NonDupChunks++
-			d.dt.note(false)
+			d.noteNew()
 		}
 		if len(data) > 0 {
 			if err := d.st.WriteDiskChunk(container, data); err != nil {
@@ -259,38 +170,12 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 	return d.st.WriteFileManifest(fm)
 }
 
-func (d *SubChunk) trackRAM() {
-	cur := d.mc.bytesResident()
-	if d.filter != nil {
-		cur += d.filter.SizeBytes()
-	}
-	// Recipe index: hash key + manifest name + refs.
+// recipeIndexBytes is the recipe index's RAM footprint: hash key + manifest
+// name + refs per entry.
+func (d *SubChunk) recipeIndexBytes() int64 {
+	var n int64
 	for _, rec := range d.bigIdx {
-		cur += 2*hashutil.Size + int64(len(rec.refs))*store.FileRefBytes + 16
+		n += 2*hashutil.Size + int64(len(rec.refs))*store.FileRefBytes + 16
 	}
-	if cur > d.peak {
-		d.peak = cur
-	}
-}
-
-// Finish flushes the manifest cache.
-func (d *SubChunk) Finish() error {
-	d.trackRAM()
-	d.stats.RAMBytes = d.peak
-	return d.mc.flush()
-}
-
-// Report returns statistics plus disk accounting.
-func (d *SubChunk) Report() metrics.Report {
-	s := d.stats
-	s.ManifestLoads = d.mc.loads
-	if s.RAMBytes == 0 {
-		s.RAMBytes = d.peak
-	}
-	return metrics.BuildReport(s, d.disk)
-}
-
-// Restore rebuilds an ingested file.
-func (d *SubChunk) Restore(name string, w io.Writer) error {
-	return d.st.RestoreFile(name, w)
+	return n
 }

@@ -1,8 +1,16 @@
 package exp
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"mhdedup/internal/algo"
+	"mhdedup/internal/metrics"
+	"mhdedup/internal/simdisk"
 )
 
 // quickSuite builds one shared suite for the package's tests.
@@ -24,14 +32,56 @@ func suite(t *testing.T) *Suite {
 }
 
 func TestBuildAllAlgorithms(t *testing.T) {
-	for _, a := range AllAlgorithms {
-		p := DefaultParams(a, 1024, 8, 1<<20)
-		if _, err := Build(p); err != nil {
-			t.Errorf("Build(%s): %v", a, err)
+	if len(AllAlgorithms) != len(engines) {
+		t.Fatalf("AllAlgorithms has %d names for %d table rows", len(AllAlgorithms), len(engines))
+	}
+	base := make([]byte, 200_000)
+	rand.New(rand.NewSource(7)).Read(base)
+	edited := append([]byte(nil), base...)
+	copy(edited[90_000:], base[:6_000])
+	for _, e := range engines {
+		p := DefaultParams(e.name, 1024, 8, 1<<20)
+		built, err := Build(p)
+		if err != nil {
+			t.Errorf("Build(%s): %v", e.name, err)
+			continue
+		}
+		// A new engine is a mount of an empty disk: same input, same Report.
+		mounted, err := e.mount(p, simdisk.New())
+		if err != nil {
+			t.Fatalf("%s: mount on an empty disk: %v", e.name, err)
+		}
+		var reports [2]metrics.Report
+		for i, d := range []algo.Deduplicator{built, mounted} {
+			for j, content := range [][]byte{base, edited} {
+				if err := d.PutFile(fmt.Sprint("gen", j), bytes.NewReader(content)); err != nil {
+					t.Fatalf("%s: PutFile: %v", e.name, err)
+				}
+			}
+			if err := d.Finish(); err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			reports[i] = d.Report()
+		}
+		if !reflect.DeepEqual(reports[0], reports[1]) {
+			t.Errorf("%s: built and mounted-on-empty-disk engines report differently:\n%+v\n%+v",
+				e.name, reports[0], reports[1])
+		}
+
+		// The row's two capabilities are refused exactly where it says so.
+		if _, err := Resume(p, simdisk.New()); (err == nil) != e.resumable {
+			t.Errorf("Resume(%s): err = %v, row says resumable = %v", e.name, err, e.resumable)
+		}
+		p.IngestWorkers = 2
+		if _, err := Build(p); (err == nil) != e.concurrent {
+			t.Errorf("Build(%s, IngestWorkers=2): err = %v, row says concurrent = %v", e.name, err, e.concurrent)
 		}
 	}
 	if _, err := Build(Params{Algo: "nope", ECS: 1024, SD: 8}); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+	if _, err := Resume(Params{Algo: "nope", ECS: 1024, SD: 8}, simdisk.New()); err == nil {
+		t.Error("unknown algorithm resumed")
 	}
 }
 

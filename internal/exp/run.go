@@ -1,4 +1,4 @@
-// Package exp is the experiment harness: it builds any of the five
+// Package exp is the experiment harness: it builds any of the nine
 // deduplicators from a uniform parameter set, runs them over synthetic
 // disk-image workloads, and regenerates every figure and table of the
 // paper's evaluation section (§V).
@@ -29,17 +29,50 @@ const (
 	AlgoExtremeBinning = "extremebinning"
 )
 
+// engine is one row of the algorithm table.
+type engine struct {
+	name string
+	// mount returns the engine over disk, with its detection state rebuilt
+	// from whatever the disk already holds. A new engine is a mount of an
+	// empty disk, where there is nothing to rebuild.
+	mount func(Params, *simdisk.Disk) (algo.Deduplicator, error)
+	// resumable says mount can rebuild the detection state of a non-empty
+	// disk: it lives on disk (hooks, manifests), not only in RAM.
+	resumable bool
+	// concurrent says the engine ingests several backup streams at once
+	// (Params.IngestWorkers > 1); the others' state is single-stream.
+	concurrent bool
+}
+
+// engines is the one table every engine is built from — by Build, by Resume
+// (so by all of package dedup) and by the tests' matrices. Adding an
+// algorithm is its file plus its row here. The order is AllAlgorithms'.
+var engines = []engine{
+	{name: AlgoMHD, mount: mountMHD(false), resumable: true, concurrent: true},
+	{name: AlgoSIMHD, mount: mountMHD(true), resumable: true, concurrent: true},
+	{name: AlgoCDC, mount: mountBaseline(baseline.ResumeCDC), resumable: true},
+	{name: AlgoBimodal, mount: mountBaseline(baseline.NewBimodal)},
+	{name: AlgoSubChunk, mount: mountBaseline(baseline.NewSubChunk)},
+	{name: AlgoSparse, mount: mountBaseline(baseline.NewSparse)},
+	{name: AlgoFBC, mount: mountBaseline(baseline.NewFBC)},
+	{name: AlgoFingerdiff, mount: mountBaseline(baseline.NewFingerdiff)},
+	{name: AlgoExtremeBinning, mount: mountBaseline(baseline.NewExtremeBinning)},
+}
+
 // Algorithms lists the comparison set of the paper's figures (plain CDC is
 // analyzed in Tables I/II but not plotted).
 var Algorithms = []string{AlgoMHD, AlgoBimodal, AlgoSubChunk, AlgoSparse}
 
-// AllAlgorithms additionally includes plain CDC and the two extensions the
-// paper mentions but does not plot: SI-MHD (MHD over a sparse in-RAM hook
-// index) and FBC (frequency-based chunking).
-var AllAlgorithms = []string{
-	AlgoMHD, AlgoSIMHD, AlgoCDC, AlgoBimodal, AlgoSubChunk, AlgoSparse,
-	AlgoFBC, AlgoFingerdiff, AlgoExtremeBinning,
-}
+// AllAlgorithms lists every row of the table: the figures' set plus plain
+// CDC and the extensions the paper mentions but does not plot — SI-MHD (MHD
+// over a sparse in-RAM hook index), FBC, Fingerdiff and Extreme Binning.
+var AllAlgorithms = func() []string {
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.name
+	}
+	return names
+}()
 
 // Params selects and configures one deduplicator run.
 type Params struct {
@@ -99,14 +132,9 @@ func (p Params) bloomBytes() int {
 	return b
 }
 
-// Build constructs the deduplicator p describes.
-func Build(p Params) (algo.Deduplicator, error) {
-	if p.IngestWorkers > 1 && p.Algo != AlgoMHD && p.Algo != AlgoSIMHD {
-		return nil, fmt.Errorf("exp: %q does not support concurrent ingest (IngestWorkers=%d); only %s and %s do",
-			p.Algo, p.IngestWorkers, AlgoMHD, AlgoSIMHD)
-	}
-	switch p.Algo {
-	case AlgoMHD, AlgoSIMHD:
+// mountMHD is the table's mount for MHD and, with sparseIndex, SI-MHD.
+func mountMHD(sparseIndex bool) func(Params, *simdisk.Disk) (algo.Deduplicator, error) {
+	return func(p Params, disk *simdisk.Disk) (algo.Deduplicator, error) {
 		cfg := core.DefaultConfig()
 		cfg.ECS = p.ECS
 		cfg.SD = p.SD
@@ -120,65 +148,71 @@ func Build(p Params) (algo.Deduplicator, error) {
 		cfg.FastCDC = p.FastCDC
 		cfg.HashWorkers = p.HashWorkers
 		cfg.IngestWorkers = p.IngestWorkers
-		cfg.SparseIndex = p.Algo == AlgoSIMHD
+		cfg.SparseIndex = sparseIndex
 		cfg.RecipeTrees = p.RecipeTrees
-		return core.New(cfg)
-	case AlgoCDC:
-		cfg := baseline.DefaultCDCConfig()
-		cfg.ECS = p.ECS
-		cfg.BloomBytes = p.bloomBytes()
-		cfg.CacheManifests = p.CacheManifests
-		cfg.UseBloom = p.UseBloom
-		cfg.RecipeTrees = p.RecipeTrees
-		return baseline.NewCDC(cfg)
-	case AlgoBimodal:
-		cfg := baseline.DefaultBimodalConfig()
-		cfg.ECS = p.ECS
-		cfg.SD = p.SD
-		cfg.BloomBytes = p.bloomBytes()
-		cfg.CacheManifests = p.CacheManifests
-		cfg.UseBloom = p.UseBloom
-		cfg.RecipeTrees = p.RecipeTrees
-		return baseline.NewBimodal(cfg)
-	case AlgoSubChunk:
-		cfg := baseline.DefaultSubChunkConfig()
-		cfg.ECS = p.ECS
-		cfg.SD = p.SD
-		cfg.BloomBytes = p.bloomBytes()
-		cfg.CacheManifests = p.CacheManifests
-		cfg.UseBloom = p.UseBloom
-		cfg.RecipeTrees = p.RecipeTrees
-		return baseline.NewSubChunk(cfg)
-	case AlgoSparse:
-		cfg := baseline.DefaultSparseConfig()
-		cfg.ECS = p.ECS
-		cfg.SD = p.SD
-		cfg.CacheManifests = p.CacheManifests
-		cfg.RecipeTrees = p.RecipeTrees
-		return baseline.NewSparse(cfg)
-	case AlgoFBC:
-		cfg := baseline.DefaultFBCConfig()
-		cfg.ECS = p.ECS
-		cfg.SD = p.SD
-		cfg.BloomBytes = p.bloomBytes()
-		cfg.CacheManifests = p.CacheManifests
-		cfg.UseBloom = p.UseBloom
-		cfg.RecipeTrees = p.RecipeTrees
-		return baseline.NewFBC(cfg)
-	case AlgoFingerdiff:
-		cfg := baseline.DefaultFingerdiffConfig()
-		cfg.ECS = p.ECS
-		cfg.MaxCoalesce = p.SD
-		cfg.RecipeTrees = p.RecipeTrees
-		return baseline.NewFingerdiff(cfg)
-	case AlgoExtremeBinning:
-		cfg := baseline.DefaultExtremeBinningConfig()
-		cfg.ECS = p.ECS
-		cfg.RecipeTrees = p.RecipeTrees
-		return baseline.NewExtremeBinning(cfg)
-	default:
-		return nil, fmt.Errorf("exp: unknown algorithm %q", p.Algo)
+		d, err := core.Resume(cfg, disk)
+		if err != nil {
+			return nil, err
+		}
+		return d, nil
 	}
+}
+
+// mountBaseline is the table's mount for an internal/baseline engine: every
+// one of them is configured from the same Params the same way.
+func mountBaseline[E algo.Deduplicator](mk func(baseline.Config, *simdisk.Disk) (E, error)) func(Params, *simdisk.Disk) (algo.Deduplicator, error) {
+	return func(p Params, disk *simdisk.Disk) (algo.Deduplicator, error) {
+		cfg := baseline.DefaultConfig()
+		cfg.ECS = p.ECS
+		cfg.SD = p.SD
+		cfg.BloomBytes = p.bloomBytes()
+		cfg.CacheManifests = p.CacheManifests
+		cfg.UseBloom = p.UseBloom
+		cfg.RecipeTrees = p.RecipeTrees
+		d, err := mk(cfg, disk)
+		if err != nil {
+			return nil, err
+		}
+		return d, nil
+	}
+}
+
+// row finds p's row of the table, refusing what the row says the engine
+// cannot do.
+func row(p Params) (engine, error) {
+	for _, e := range engines {
+		if e.name != p.Algo {
+			continue
+		}
+		if p.IngestWorkers > 1 && !e.concurrent {
+			return engine{}, fmt.Errorf("exp: %q does not support concurrent ingest (IngestWorkers=%d)", p.Algo, p.IngestWorkers)
+		}
+		return e, nil
+	}
+	return engine{}, fmt.Errorf("exp: unknown algorithm %q", p.Algo)
+}
+
+// Build constructs the deduplicator p describes over a fresh simulated disk.
+func Build(p Params) (algo.Deduplicator, error) {
+	e, err := row(p)
+	if err != nil {
+		return nil, err
+	}
+	return e.mount(p, simdisk.New())
+}
+
+// Resume constructs the deduplicator p describes over an existing
+// deduplicated disk, so new files deduplicate against everything already
+// stored. Engines whose detection state lives only in RAM are refused.
+func Resume(p Params, disk *simdisk.Disk) (algo.Deduplicator, error) {
+	e, err := row(p)
+	if err != nil {
+		return nil, err
+	}
+	if !e.resumable {
+		return nil, fmt.Errorf("exp: resume is not supported for %q (its detection state is not reconstructible from disk)", p.Algo)
+	}
+	return e.mount(p, disk)
 }
 
 // Record is one completed run.

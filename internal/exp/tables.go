@@ -226,7 +226,7 @@ func (s *Suite) Ablations(ecs int) (string, error) {
 	return table(title, header, rows), nil
 }
 
-// Summary renders the headline comparison across all five algorithms at one
+// Summary renders the headline comparison across all nine algorithms at one
 // configuration.
 func (s *Suite) Summary(ecs int) (string, error) {
 	header := []string{"algorithm", "data DER", "real DER", "MetaDataRatio%", "inodes/MB", "ThroughputRatio", "RAM (KiB)"}

@@ -124,7 +124,7 @@ func TestResumeExpiryRaceStress(t *testing.T) {
 // format is detected from the store contents.
 func TestRemoteRestoreNonMHDFormatStore(t *testing.T) {
 	disk := simdisk.New()
-	cdc, err := baseline.NewCDCOnDisk(baseline.DefaultCDCConfig(), disk)
+	cdc, err := baseline.NewCDC(baseline.DefaultConfig(), disk)
 	if err != nil {
 		t.Fatal(err)
 	}
