@@ -131,9 +131,6 @@ type Options struct {
 	// FastCDC selects the gear-hash chunker for MHD (faster scanning,
 	// tighter size distribution; mutually exclusive with TTTD).
 	FastCDC bool
-	// HashWorkers > 0 enables MHD's per-stream chunk/hash pipeline (ordered
-	// fan-out SHA-1; bit-identical results). Other engines ignore it.
-	HashWorkers int
 	// IngestWorkers caps how many backup streams IngestParallel deduplicates
 	// concurrently on an MHD/SI-MHD engine. 0 or 1 is fully sequential and
 	// bit-identical to calling PutFile in a loop. Engines other than MHD and
@@ -173,7 +170,6 @@ func (opt Options) params(a Algorithm) exp.Params {
 		SHMPerSlice:        opt.SHMPerSlice,
 		TTTD:               opt.TTTD,
 		FastCDC:            opt.FastCDC,
-		HashWorkers:        opt.HashWorkers,
 		IngestWorkers:      opt.IngestWorkers,
 		RecipeTrees:        opt.RecipeTrees,
 	}

@@ -30,7 +30,12 @@ import (
 )
 
 // Chunk is one chunk of a stream. Data is owned by the caller once returned;
-// chunkers never reuse returned buffers.
+// chunkers never reuse returned buffers. The block-processed chunkers
+// (FastRabin, FastGear) carve Data out of a slab shared with the stream's
+// neighbouring chunks and return it capacity-clipped (cap == len), so an
+// append to it reallocates instead of reaching the next chunk — but a
+// retained chunk keeps its whole slab (up to slabMax bytes) reachable:
+// holders that outlive the file they came from should copy.
 type Chunk struct {
 	Data []byte
 	Off  int64 // offset of Data[0] within the stream
@@ -103,6 +108,38 @@ func (p Params) Mask() rabin.Poly {
 	}
 	k := bits.Len(uint(target)) - 1
 	return rabin.Poly(1)<<uint(k) - 1
+}
+
+// Slab sizes of the chunk arena: the first slab of a stream is slabMin (or
+// one maximal chunk, if larger) so a small file does not pay for a large
+// one, and each further slab doubles up to slabMax.
+const (
+	slabMin = 64 << 10
+	slabMax = 1 << 20
+)
+
+// arena hands out chunk buffers carved from shared slabs, so that a chunk
+// costs its own length, not a zeroed Max-sized allocation. No byte of a
+// slab is handed out twice, so returned chunks are never overwritten.
+type arena struct {
+	free []byte // unused tail of the current slab
+	size int    // capacity of the current slab
+}
+
+// next returns an empty buffer with room for a chunk of up to n bytes.
+func (a *arena) next(n int) []byte {
+	if len(a.free) < n {
+		a.size = max(min(2*a.size, slabMax), slabMin, n)
+		a.free = make([]byte, a.size)
+	}
+	return a.free[:0:n]
+}
+
+// take finishes the chunk built in the buffer next returned: the arena
+// moves past it and the chunk comes back clipped to its length.
+func (a *arena) take(cur []byte) []byte {
+	a.free = a.free[len(cur):]
+	return cur[:len(cur):len(cur)]
 }
 
 // readFiller pulls bytes from an io.Reader into chunker buffers, tracking a

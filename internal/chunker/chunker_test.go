@@ -358,6 +358,7 @@ func TestMaskExpectedSize(t *testing.T) {
 func BenchmarkRabinChunk1M(b *testing.B) {
 	data := randomData(1, 1<<20)
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c, _ := NewRabin(bytes.NewReader(data), Params{ECS: 4096})
 		for {
@@ -371,6 +372,7 @@ func BenchmarkRabinChunk1M(b *testing.B) {
 func BenchmarkTTTDChunk1M(b *testing.B) {
 	data := randomData(1, 1<<20)
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c, _ := NewTTTD(bytes.NewReader(data), Params{ECS: 4096})
 		for {

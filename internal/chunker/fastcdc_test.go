@@ -151,6 +151,7 @@ func TestFastCDCEmptyAndValidation(t *testing.T) {
 func BenchmarkFastCDCChunk1M(b *testing.B) {
 	data := randomData(1, 1<<20)
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c, _ := NewFastCDC(bytes.NewReader(data), Params{ECS: 4096})
 		for {
@@ -164,6 +165,7 @@ func BenchmarkFastCDCChunk1M(b *testing.B) {
 func BenchmarkFastGearChunk1M(b *testing.B) {
 	data := randomData(1, 1<<20)
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c, _ := NewFastGear(bytes.NewReader(data), Params{ECS: 4096})
 		for {
@@ -177,6 +179,7 @@ func BenchmarkFastGearChunk1M(b *testing.B) {
 func BenchmarkFastRabinChunk1M(b *testing.B) {
 	data := randomData(1, 1<<20)
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c, _ := NewFastRabin(bytes.NewReader(data), Params{ECS: 4096})
 		for {

@@ -31,6 +31,7 @@ type FastGear struct {
 	maskStrict uint64
 	maskLoose  uint64
 	src        *readFiller
+	buf        arena
 	off        int64
 	done       bool
 }
@@ -62,14 +63,14 @@ func (c *FastGear) Next() (Chunk, error) {
 		hashFrom = 0
 	}
 	gear := &c.gear
-	cur := make([]byte, 0, max)
+	cur := c.buf.next(max)
 	var h uint64
 	for {
 		blk := c.src.peek()
 		if len(blk) == 0 {
 			c.done = true
 			if len(cur) > 0 {
-				chunk := Chunk{Data: cur, Off: c.off}
+				chunk := Chunk{Data: c.buf.take(cur), Off: c.off}
 				c.off += chunk.Size()
 				return chunk, nil
 			}
@@ -130,7 +131,7 @@ func (c *FastGear) Next() (Chunk, error) {
 		cur = append(cur, blk[:consumed]...)
 		c.src.consume(consumed)
 		if cut >= 0 || len(cur) >= max {
-			chunk := Chunk{Data: cur, Off: c.off}
+			chunk := Chunk{Data: c.buf.take(cur), Off: c.off}
 			c.off += chunk.Size()
 			return chunk, nil
 		}

@@ -26,6 +26,7 @@ type FastRabin struct {
 	mask rabin.Poly
 	win  *rabin.Window
 	src  *readFiller
+	buf  arena
 	off  int64
 	done bool
 }
@@ -52,13 +53,13 @@ func (c *FastRabin) Next() (Chunk, error) {
 	min, max := c.p.Min, c.p.Max
 	rollFrom := min - c.win.Size() // ≥ 0: Params validation enforces Min ≥ WindowSize
 	c.win.Reset()
-	cur := make([]byte, 0, max)
+	cur := c.buf.next(max)
 	for {
 		blk := c.src.peek()
 		if len(blk) == 0 {
 			c.done = true
 			if len(cur) > 0 {
-				chunk := Chunk{Data: cur, Off: c.off}
+				chunk := Chunk{Data: c.buf.take(cur), Off: c.off}
 				c.off += chunk.Size()
 				return chunk, nil
 			}
@@ -101,7 +102,7 @@ func (c *FastRabin) Next() (Chunk, error) {
 		cur = append(cur, blk[:consumed]...)
 		c.src.consume(consumed)
 		if cut >= 0 || len(cur) >= max {
-			chunk := Chunk{Data: cur, Off: c.off}
+			chunk := Chunk{Data: c.buf.take(cur), Off: c.off}
 			c.off += chunk.Size()
 			return chunk, nil
 		}

@@ -59,14 +59,6 @@ type Config struct {
 	// post-paper extension roughly 2× faster than Rabin scanning with a
 	// tighter chunk-size distribution.
 	FastCDC bool
-	// HashWorkers > 0 enables the parallel ingest pipeline: chunking and
-	// SHA-1 run on up to HashWorkers goroutines ahead of the (inherently
-	// sequential) dedup stage, with chunks delivered in input order. The
-	// result is bit-identical to the synchronous path. Zero keeps ingest
-	// fully synchronous. The pipeline pays off only with spare cores —
-	// on a single-CPU machine its hand-off overhead makes ingest slower,
-	// so leave it off there (see BenchmarkIngestPipeline4).
-	HashWorkers int
 	// IngestWorkers caps how many backup streams IngestStreams deduplicates
 	// concurrently. 0 or 1 runs streams sequentially in order — bit-identical
 	// to feeding PutFile from a single loop; N > 1 runs up to N sessions in
@@ -115,9 +107,6 @@ func (c Config) Validate() error {
 	}
 	if c.CacheManifests <= 0 {
 		return fmt.Errorf("core: CacheManifests must be positive, got %d", c.CacheManifests)
-	}
-	if c.HashWorkers < 0 {
-		return fmt.Errorf("core: HashWorkers must be non-negative, got %d", c.HashWorkers)
 	}
 	if c.IngestWorkers < 0 {
 		return fmt.Errorf("core: IngestWorkers must be non-negative, got %d", c.IngestWorkers)

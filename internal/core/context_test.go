@@ -75,9 +75,7 @@ func (n neverEnding) Read(p []byte) (int, error) {
 }
 
 func TestPutFileContextCancelWithPipeline(t *testing.T) {
-	cfg := testCfg()
-	cfg.HashWorkers = 2
-	d, err := New(cfg)
+	d, err := New(testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -42,10 +43,13 @@ import (
 // Lock order is cache → manifest → {stripe, disk}; no path acquires them
 // in the reverse direction, and stripe/disk are leaves.
 //
-// A single-session run takes exactly the code path of the previous serial
-// engine (same operations in the same order), so its manifests, metrics
-// and disk counters are bit-identical to the pre-concurrency engine — the
-// determinism regression test pins this.
+// Inside one stream, boundary scanning and chunk SHA-1 run ahead of this
+// ordered stage on the file's chunkPipeline (pipeline.go); they touch no
+// engine state, so the ordered stage performs the serial engine's
+// operations in the serial engine's order. A single-session run's
+// manifests, metrics and disk counters are therefore bit-identical to the
+// pre-concurrency, pre-pipeline engine at any GOMAXPROCS — the determinism
+// regression test pins this against goldens recorded from that engine.
 type Dedup struct {
 	cfg    Config
 	disk   *simdisk.Disk
@@ -250,12 +254,13 @@ type fileState struct {
 	name      string
 	chunkName hashutil.Sum
 	manifest  *store.Manifest
-	data      []byte   // bytes destined for this file's DiskChunk
+	parts     [][]byte // flushed chunks, in DiskChunk order; assembled once at file end
+	size      int64    // their total length: the DiskChunk offset of the next flush
 	pending   []pchunk // non-duplicate chunks awaiting SHM flush (≤ 2·SD)
 	replay    []pchunk // chunks prefetched by FME but not consumed
 	slots     []slotState
 	hooks     []hashutil.Sum // hook hashes to publish at file end
-	pipe      *chunkPipeline // non-nil when the parallel pipeline is on
+	pipe      *chunkPipeline // the stream's hashed chunks, in order
 }
 
 // PutFile deduplicates one input file on the default session. Files of one
@@ -285,12 +290,9 @@ func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	f := &fileState{name: name, chunkName: d.st.NextName()}
+	f := &fileState{name: name, chunkName: d.st.NextName(), pipe: newChunkPipeline(ch)}
+	defer f.pipe.stop()
 	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
-	if d.cfg.HashWorkers > 0 {
-		f.pipe = newChunkPipeline(ch, d.cfg.HashWorkers)
-		defer f.pipe.stop()
-	}
 	d.stats.FilesTotal.Add(1)
 	done := ctx.Done()
 	for {
@@ -301,14 +303,14 @@ func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
 			default:
 			}
 		}
-		pc, ok, err := d.nextChunk(f, ch)
+		pc, ok, err := d.nextChunk(f)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		if err := d.process(f, ch, pc); err != nil {
+		if err := d.process(f, pc); err != nil {
 			return err
 		}
 	}
@@ -316,66 +318,49 @@ func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
 }
 
 // nextChunk yields the next chunk in stream order: FME leftovers first,
-// then fresh chunks from the chunker.
-func (d *Dedup) nextChunk(f *fileState, ch chunker.Chunker) (pchunk, bool, error) {
+// then fresh chunks from the pipeline.
+func (d *Dedup) nextChunk(f *fileState) (pchunk, bool, error) {
 	if len(f.replay) > 0 {
 		pc := f.replay[0]
 		f.replay = f.replay[1:]
 		return pc, true, nil
 	}
-	return d.pull(f, ch)
+	return d.pull(f)
 }
 
-// pull reads one fresh chunk, hashes it and allocates its recipe slot. With
-// the parallel pipeline on, the chunk arrives pre-hashed.
-func (d *Dedup) pull(f *fileState, ch chunker.Chunker) (pchunk, bool, error) {
-	var data []byte
-	var h hashutil.Sum
+// pull takes one fresh, already hashed chunk off the pipeline and allocates
+// its recipe slot.
+func (d *Dedup) pull(f *fileState) (pchunk, bool, error) {
 	start := time.Now()
-	if f.pipe != nil {
-		item := f.pipe.next()
-		if item.err == io.EOF || item.err == errPipelineClosed {
-			return pchunk{}, false, nil
-		}
-		if item.err != nil {
-			return pchunk{}, false, item.err
-		}
-		data, h = item.data, item.hash
-	} else {
-		c, err := ch.Next()
-		if err == io.EOF {
-			return pchunk{}, false, nil
-		}
-		if err != nil {
-			return pchunk{}, false, err
-		}
-		data, h = c.Data, hashutil.SumBytes(c.Data)
+	pc, err := f.pipe.next()
+	if err == io.EOF {
+		return pchunk{}, false, nil
+	}
+	if err != nil {
+		return pchunk{}, false, err
 	}
 	hChunkNS.ObserveSince(start)
+	size := int64(len(pc.data))
 	d.stats.ChunksIn.Add(1)
-	d.stats.InputBytes.Add(int64(len(data)))
-	d.stats.ChunkedBytes.Add(int64(len(data)))
-	d.stats.HashedBytes.Add(int64(len(data)))
-	slot := len(f.slots)
-	f.slots = append(f.slots, slotState{size: int64(len(data))})
-	return pchunk{data: data, hash: h, slot: slot}, true, nil
+	d.stats.InputBytes.Add(size)
+	d.stats.ChunkedBytes.Add(size)
+	d.stats.HashedBytes.Add(size)
+	pc.slot = len(f.slots)
+	f.slots = append(f.slots, slotState{size: size})
+	return pc, true, nil
 }
 
 // process runs one chunk through Fig 4's flow: cached-manifest hit → match
 // extension; bloom + on-disk hook hit → load manifest, match extension;
 // otherwise buffer as non-duplicate, flushing half the buffer via SHM when
 // it fills.
-func (d *Dedup) process(f *fileState, ch chunker.Chunker, pc pchunk) error {
+func (d *Dedup) process(f *fileState, pc pchunk) error {
 	lkStart := time.Now()
 	m, hit := d.lookupCached(pc.hash)
 	hLookupNS.ObserveSince(lkStart)
 	if hit {
-		done, err := d.tryExtend(f, ch, m, pc)
-		if err != nil {
+		if done, err := d.tryExtend(f, m, pc); err != nil || done {
 			return err
-		}
-		if done {
-			return nil
 		}
 		// The hash no longer resolves in the manifest (an HHR splice —
 		// possibly by a concurrent session — retired it). Drop the stale
@@ -383,59 +368,44 @@ func (d *Dedup) process(f *fileState, ch chunker.Chunker, pc pchunk) error {
 		// serial engine treated a revalidation miss.
 		d.cacheIdx.deleteIf(pc.hash, m.Name)
 	}
-	if d.sparseIdx != nil {
-		// SI-MHD: the in-RAM index answers the hook query with no disk
-		// access; only the manifest load touches the disk.
-		prStart := time.Now()
-		target, ok := d.sparseIdx.get(pc.hash)
-		hHookProbeNS.ObserveSince(prStart)
-		if ok {
-			m, err := d.loadManifest(target)
-			if err != nil {
-				return err
-			}
-			done, err := d.tryExtend(f, ch, m, pc)
-			if err != nil {
-				return err
-			}
-			if done {
-				return nil
-			}
-		}
-	} else {
-		prStart := time.Now()
-		mightExist := true
-		if d.filter != nil {
-			mightExist = d.filter.Test(pc.hash)
-		}
-		var targets []hashutil.Sum
-		var err error
-		if mightExist && d.st.HookExists(pc.hash) {
-			targets, err = d.st.ReadHook(pc.hash)
-		}
-		hHookProbeNS.ObserveSince(prStart)
+	prStart := time.Now()
+	target, ok, err := d.probeHook(pc.hash)
+	hHookProbeNS.ObserveSince(prStart)
+	if err != nil {
+		return err
+	}
+	if ok {
+		m, err := d.loadManifest(target)
 		if err != nil {
 			return err
 		}
-		if len(targets) > 0 {
-			m, err := d.loadManifest(targets[0])
-			if err != nil {
-				return err
-			}
-			done, err := d.tryExtend(f, ch, m, pc)
-			if err != nil {
-				return err
-			}
-			if done {
-				return nil
-			}
+		if done, err := d.tryExtend(f, m, pc); err != nil || done {
+			return err
 		}
 	}
 	f.pending = append(f.pending, pc)
 	if len(f.pending) >= 2*d.cfg.SD {
-		return d.flushPending(f, d.cfg.SD)
+		d.flushPending(f, d.cfg.SD)
 	}
 	return nil
+}
+
+// probeHook asks the mode's hook index which manifest first stored h:
+// SI-MHD's in-RAM index, which costs no disk access, or the bloom filter
+// and then the on-disk hook object.
+func (d *Dedup) probeHook(h hashutil.Sum) (hashutil.Sum, bool, error) {
+	if d.sparseIdx != nil {
+		target, ok := d.sparseIdx.get(h)
+		return target, ok, nil
+	}
+	if (d.filter != nil && !d.filter.Test(h)) || !d.st.HookExists(h) {
+		return hashutil.Sum{}, false, nil
+	}
+	targets, err := d.st.ReadHook(h)
+	if err != nil || len(targets) == 0 {
+		return hashutil.Sum{}, false, err
+	}
+	return targets[0], true, nil
 }
 
 // tryExtend locks the (possibly shared) manifest, revalidates that the
@@ -445,14 +415,14 @@ func (d *Dedup) process(f *fileState, ch chunker.Chunker, pc pchunk) error {
 // and the caller should continue down the miss path. If extension dirtied
 // a manifest that has meanwhile been evicted from the cache, the splice is
 // written back here so it is never lost.
-func (d *Dedup) tryExtend(f *fileState, ch chunker.Chunker, m *store.Manifest, pc pchunk) (bool, error) {
+func (d *Dedup) tryExtend(f *fileState, m *store.Manifest, pc pchunk) (bool, error) {
 	m.Lock()
 	idx, ok := m.Lookup(pc.hash)
 	if !ok {
 		m.Unlock()
 		return false, nil
 	}
-	err := d.extendMatch(f, ch, m, idx, pc)
+	err := d.extendMatch(f, m, idx, pc)
 	dirty := m.Dirty()
 	m.Unlock()
 	if err != nil {
@@ -507,46 +477,37 @@ func (d *Dedup) resolveOwn(f *fileState, pc pchunk, start int64) {
 // buffer, performing SHM per group of SD chunks: the group leader's hash is
 // kept verbatim as a Hook entry, the up-to-SD−1 followers merge into one
 // hash over their concatenated bytes.
-func (d *Dedup) flushPending(f *fileState, n int) error {
-	if n > len(f.pending) {
-		n = len(f.pending)
-	}
+func (d *Dedup) flushPending(f *fileState, n int) {
+	n = min(n, len(f.pending))
 	for start := 0; start < n; start += d.cfg.SD {
-		end := start + d.cfg.SD
-		if end > n {
-			end = n
-		}
-		d.flushGroup(f, f.pending[start:end])
+		d.flushGroup(f, f.pending[start:min(start+d.cfg.SD, n)])
 	}
 	f.pending = append(f.pending[:0], f.pending[n:]...)
-	return nil
 }
 
-// flushGroup appends one SHM group to the file's DiskChunk buffer and
-// manifest.
+// flushGroup appends one SHM group to the file's DiskChunk and manifest.
+// The chunk bytes are not copied here: finishFile assembles the DiskChunk
+// once, at its exact size, from the flushed slices.
 func (d *Dedup) flushGroup(f *fileState, group []pchunk) {
 	lead := group[0]
-	start := int64(len(f.data))
-	f.data = append(f.data, lead.data...)
 	f.manifest.Append(store.Entry{
 		Hash:  lead.hash,
-		Start: start,
+		Start: f.size,
 		Size:  int64(len(lead.data)),
 		Kind:  store.KindHook,
 	})
 	f.hooks = append(f.hooks, lead.hash)
-	d.resolveOwn(f, lead, start)
+	d.flushChunk(f, lead)
 	if len(group) == 1 {
 		return
 	}
-	mergedStart := int64(len(f.data))
+	mergedStart := f.size
 	h := hashutil.NewHasher()
 	for _, pc := range group[1:] {
-		d.resolveOwn(f, pc, int64(len(f.data)))
-		f.data = append(f.data, pc.data...)
+		d.flushChunk(f, pc)
 		h.Write(pc.data)
 	}
-	mergedSize := int64(len(f.data)) - mergedStart
+	mergedSize := f.size - mergedStart
 	d.stats.HashedBytes.Add(mergedSize)
 	f.manifest.Append(store.Entry{
 		Hash:  h.Sum(),
@@ -554,6 +515,13 @@ func (d *Dedup) flushGroup(f *fileState, group []pchunk) {
 		Size:  mergedSize,
 		Kind:  store.KindMerged,
 	})
+}
+
+// flushChunk places one chunk at the end of the file's DiskChunk.
+func (d *Dedup) flushChunk(f *fileState, pc pchunk) {
+	d.resolveOwn(f, pc, f.size)
+	f.parts = append(f.parts, pc.data)
+	f.size += int64(len(pc.data))
 }
 
 // finishFile flushes the hysteresis buffer, writes the DiskChunk, Manifest
@@ -566,11 +534,9 @@ func (d *Dedup) finishFile(f *fileState) error {
 	if len(f.replay) > 0 {
 		return fmt.Errorf("core: %d replay chunks left at end of %q", len(f.replay), f.name)
 	}
-	if err := d.flushPending(f, len(f.pending)); err != nil {
-		return err
-	}
-	if len(f.data) > 0 {
-		if err := d.st.WriteDiskChunk(f.chunkName, f.data); err != nil {
+	d.flushPending(f, len(f.pending))
+	if f.size > 0 {
+		if err := d.st.WriteDiskChunk(f.chunkName, bytes.Join(f.parts, nil)); err != nil {
 			return err
 		}
 		if err := d.st.CreateManifest(f.manifest); err != nil {
@@ -582,7 +548,7 @@ func (d *Dedup) finishFile(f *fileState) error {
 			}
 		}
 		d.stats.Files.Add(1)
-		d.stats.StoredDataBytes.Add(int64(len(f.data)))
+		d.stats.StoredDataBytes.Add(f.size)
 		// The new manifest is NOT inserted into the cache: per Fig 4,
 		// manifests enter RAM only through hook-hit loading. Cross-file
 		// locality therefore costs one manifest load per duplicate slice,

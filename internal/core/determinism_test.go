@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha1"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 
 	"mhdedup/internal/metrics"
@@ -72,11 +76,32 @@ func compareSnapshots(t *testing.T, label string, want, got map[string][]byte) {
 	}
 }
 
-// TestSingleStreamDeterminism is the serial-parity regression test: a
-// one-worker IngestStreams run and a HashWorkers-pipelined run must both
-// produce a store byte-identical to the plain PutFile loop and an
-// identical metrics.Report. This pins the tentpole invariant that
-// `-parallel 1` IS the serial engine, not merely an equivalent of it.
+// goldenDigest folds a Report and a disk snapshot into one SHA-1: the
+// Report's printed form, then every object as "category/name size" and its
+// bytes, in name order.
+func goldenDigest(rep metrics.Report, disk map[string][]byte) string {
+	names := make([]string, 0, len(disk))
+	for name := range disk {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha1.New()
+	fmt.Fprintf(h, "%+v\n", rep)
+	for _, name := range names {
+		fmt.Fprintf(h, "%s %d\n", name, len(disk[name]))
+		h.Write(disk[name])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSingleStreamDeterminism is the serial-parity regression test. The
+// synchronous engine (chunk, hash and deduplicate one chunk at a time on
+// the calling goroutine) is gone, so its output is kept as goldens: the
+// digests below were recorded from its plain PutFile loop at the last
+// commit that had it. The pipelined PutFile loop and a one-worker
+// IngestStreams run must both reproduce them — the same store, byte for
+// byte, and the same metrics.Report — whatever the schedule: the run is
+// repeated at GOMAXPROCS 1, 2 and 8.
 func TestSingleStreamDeterminism(t *testing.T) {
 	cfg := trace.Default()
 	cfg.Machines = 3
@@ -89,52 +114,55 @@ func TestSingleStreamDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serialFeed := func(d *Dedup) error {
-		return ds.EachFile(func(info trace.FileInfo, r io.Reader) error {
-			return d.PutFile(info.Name, r)
-		})
-	}
-	// IngestStreams with one worker must walk the same files in the same
-	// order: machine streams are fed in slice order, day by day — exactly
-	// the EachFile order (machine-major, day-minor).
-	streamFeed := func(d *Dedup) error {
-		return d.IngestStreams(1, machineStreams(ds))
+	feeds := []struct {
+		name string
+		feed func(*Dedup) error
+	}{
+		{"PutFile", func(d *Dedup) error {
+			return ds.EachFile(func(info trace.FileInfo, r io.Reader) error {
+				return d.PutFile(info.Name, r)
+			})
+		}},
+		// IngestStreams with one worker must walk the same files in the
+		// same order: machine streams are fed in slice order, day by day —
+		// exactly the EachFile order (machine-major, day-minor).
+		{"IngestStreams(1)", func(d *Dedup) error {
+			return d.IngestStreams(1, machineStreams(ds))
+		}},
 	}
 
 	for _, mode := range []struct {
 		name   string
 		sparse bool
-	}{{"bf-mhd", false}, {"si-mhd", true}} {
+		golden string
+	}{
+		{"bf-mhd", false, "0df1afcdafe4b5ff53a50e6d6fbf672152173cbd"},
+		{"si-mhd", true, "c63eba618641315ced49820c15e7721d5362fd3d"},
+	} {
 		t.Run(mode.name, func(t *testing.T) {
 			ecfg := stressConfig(mode.sparse)
 			ecfg.CacheManifests = 2 // force evictions; they must replay identically
-
-			wantRep, wantDisk := runVariant(t, ecfg, ds, serialFeed)
-
-			gotRep, gotDisk := runVariant(t, ecfg, ds, streamFeed)
-			if !reflect.DeepEqual(gotRep, wantRep) {
-				t.Errorf("IngestStreams(1) report differs:\n got %+v\nwant %+v", gotRep, wantRep)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			var wantRep metrics.Report
+			var wantDisk map[string][]byte
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				for _, f := range feeds {
+					label := fmt.Sprintf("GOMAXPROCS=%d %s", procs, f.name)
+					rep, disk := runVariant(t, ecfg, ds, f.feed)
+					if wantDisk == nil {
+						wantRep, wantDisk = rep, disk
+						if got := goldenDigest(rep, disk); got != mode.golden {
+							t.Errorf("%s: digest %s, the synchronous engine's was %s", label, got, mode.golden)
+						}
+						continue
+					}
+					if !reflect.DeepEqual(rep, wantRep) {
+						t.Errorf("%s report differs:\n got %+v\nwant %+v", label, rep, wantRep)
+					}
+					compareSnapshots(t, label, wantDisk, disk)
+				}
 			}
-			compareSnapshots(t, "IngestStreams(1)", wantDisk, gotDisk)
-
-			// The hash pipeline changes only WHO computes the SHA-1s, not
-			// any observable result.
-			pcfg := ecfg
-			pcfg.HashWorkers = 2
-			pipeRep, pipeDisk := runVariant(t, pcfg, ds, serialFeed)
-			if !reflect.DeepEqual(pipeRep, wantRep) {
-				t.Errorf("HashWorkers=2 report differs:\n got %+v\nwant %+v", pipeRep, wantRep)
-			}
-			compareSnapshots(t, "HashWorkers=2", wantDisk, pipeDisk)
-
-			// Both together: one ingest worker over the pipelined chunker.
-			bcfg := ecfg
-			bcfg.HashWorkers = 2
-			bothRep, bothDisk := runVariant(t, bcfg, ds, streamFeed)
-			if !reflect.DeepEqual(bothRep, wantRep) {
-				t.Errorf("IngestStreams(1)+HashWorkers report differs:\n got %+v\nwant %+v", bothRep, wantRep)
-			}
-			compareSnapshots(t, "IngestStreams(1)+HashWorkers", wantDisk, bothDisk)
 		})
 	}
 }

@@ -100,19 +100,32 @@ func TestBMEStopsAtMismatchWithoutPending(t *testing.T) {
 	}
 }
 
-// drainPipe pulls every chunk from a chunker for FME fixtures.
+// sliceChunker replays fixed chunks, then ends with err (io.EOF when nil).
 type sliceChunker struct {
 	chunks []chunker.Chunk
+	err    error
 	i      int
 }
 
 func (s *sliceChunker) Next() (chunker.Chunk, error) {
 	if s.i >= len(s.chunks) {
+		if s.err != nil {
+			return chunker.Chunk{}, s.err
+		}
 		return chunker.Chunk{}, io.EOF
 	}
 	c := s.chunks[s.i]
 	s.i++
 	return c, nil
+}
+
+// streamFile returns a fresh fileState whose stream continues with chunks.
+func streamFile(t *testing.T, d *Dedup, chunks ...chunker.Chunk) *fileState {
+	f := &fileState{name: "f", chunkName: d.st.NextName(),
+		pipe: newChunkPipeline(&sliceChunker{chunks: chunks})}
+	t.Cleanup(f.pipe.stop)
+	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
+	return f
 }
 
 func TestFMEExtendsForwardAcrossEntries(t *testing.T) {
@@ -130,11 +143,9 @@ func TestFMEExtendsForwardAcrossEntries(t *testing.T) {
 	for off := 1024; off < 4096; off += 1024 {
 		chunks = append(chunks, chunker.Chunk{Data: content[off : off+1024]})
 	}
-	src := &sliceChunker{chunks: chunks}
-	f := &fileState{name: "f", chunkName: d.st.NextName()}
-	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
+	f := streamFile(t, d, chunks...)
 
-	if err := d.fme(f, src, m, 0); err != nil {
+	if err := d.fme(f, m, 0); err != nil {
 		t.Fatal(err)
 	}
 	if d.stats.HHROps.Load() != 0 {
@@ -162,11 +173,9 @@ func TestFMEPushesUnmatchedChunksToReplay(t *testing.T) {
 
 	// Stream: one chunk that does NOT match entry 1.
 	foreign := randBytes(954, 1024)
-	src := &sliceChunker{chunks: []chunker.Chunk{{Data: foreign}}}
-	f := &fileState{name: "f", chunkName: d.st.NextName()}
-	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
+	f := streamFile(t, d, chunker.Chunk{Data: foreign})
 
-	if err := d.fme(f, src, m, 0); err != nil {
+	if err := d.fme(f, m, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.replay) != 1 || !bytes.Equal(f.replay[0].data, foreign) {
@@ -186,8 +195,8 @@ func TestExtendMatchFullPath(t *testing.T) {
 		[]int64{1024, 1024, 1024},
 		[]store.EntryKind{store.KindHook, store.KindHook, store.KindHook})
 
-	f := &fileState{name: "f", chunkName: d.st.NextName()}
-	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
+	// Stream continues with entry 2's bytes.
+	f := streamFile(t, d, chunker.Chunk{Data: content[2048:]})
 	// Pending: the chunk before the hit.
 	pc0 := pchunk{data: content[:1024], hash: hashutil.SumBytes(content[:1024]), slot: 0}
 	f.slots = append(f.slots, slotState{size: 1024})
@@ -195,10 +204,8 @@ func TestExtendMatchFullPath(t *testing.T) {
 	// Hit chunk: entry 1.
 	hit := pchunk{data: content[1024:2048], hash: hashutil.SumBytes(content[1024:2048]), slot: 1}
 	f.slots = append(f.slots, slotState{size: 1024})
-	// Stream continues with entry 2's bytes.
-	src := &sliceChunker{chunks: []chunker.Chunk{{Data: content[2048:]}}}
 
-	if err := d.extendMatch(f, src, m, 1, hit); err != nil {
+	if err := d.extendMatch(f, m, 1, hit); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

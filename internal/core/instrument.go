@@ -11,9 +11,11 @@ import "mhdedup/internal/metrics"
 //
 // All values are nanoseconds.
 var (
-	// hChunkNS is the time to acquire the next hashed chunk — the
-	// chunker boundary scan plus SHA-1, or the pipeline hand-off wait
-	// when HashWorkers > 0.
+	// hChunkNS is the ordered stage's wait for its next hashed chunk:
+	// nothing for a chunk of the batch in hand, and for the first chunk
+	// of a batch however long the pipeline still needs to cut and hash
+	// it. Scanning and SHA-1 run ahead on other goroutines, so the sum
+	// is the time dedup starved, not what chunking and hashing cost.
 	hChunkNS = metrics.GetHistogram("core.chunk_ns")
 	// hLookupNS is one flat cache-index lookup (hash → cached manifest).
 	hLookupNS = metrics.GetHistogram("core.lookup_ns")

@@ -1,135 +1,132 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
 )
 
-// The parallel ingest pipeline. Deduplication itself is an ordered,
-// stateful process (the hysteresis buffer, match extension and HHR all
-// depend on stream order), but chunk hashing is embarrassingly parallel
-// and dominates the CPU cost of ingest. With HashWorkers > 0, PutFile
-// overlaps Rabin scanning and SHA-1 with the dedup stage:
+// The ingest pipeline. Deduplication itself is an ordered, stateful process
+// (the hysteresis buffer, match extension and HHR all depend on stream
+// order), but boundary detection and chunk hashing need no engine state and
+// are most of ingest's CPU, so every PutFile runs them ahead of the dedup
+// stage:
 //
-//	chunker goroutine ──► SHA-1 worker pool ──► in-order delivery ──► dedup
+//	chunker goroutine ──► SHA-1 per batch ──► in-order delivery ──► dedup
 //
-// Order is preserved with the classic ordered fan-out idiom: the reader
-// assigns each chunk a one-buffered result slot and queues the slots in
-// input order; workers fill slots as they finish; the consumer drains the
-// queue in order. Results — chunk classification, metadata, statistics —
-// are bit-identical to the synchronous path, which tests verify.
+// The hand-off grain is a batch of chunks, not a chunk: the chunker
+// goroutine cuts a batch, starts a goroutine hashing it and queues it in
+// input order; the ordered stage drains the queue, waiting for each batch's
+// hashes in turn. One hand-off per ≈400 KiB is cheap enough that the
+// pipeline beats a serial loop even on a single P, so there is no serial
+// twin and nothing to configure: hashing is as wide as the batches in
+// flight and GOMAXPROCS allow. Results do not depend on the schedule — the
+// golden-snapshot determinism test pins them, at GOMAXPROCS 1, 2 and 8, to
+// what the synchronous engine this replaced produced.
+const (
+	// batchChunks is the number of chunks handed off at a time.
+	batchChunks = 128
+	// batchesAhead is the queue depth. With the batch being cut and the one
+	// being drained, read-ahead per open file is at most batchesAhead+2
+	// batches: ≈2.4 MiB at ECS 4096, (batchesAhead+2)·batchChunks·Max at
+	// worst. The same bound holds for the hashing goroutines, one per batch.
+	batchesAhead = 4
+)
 
-// hashedChunk is one pipeline item: a chunk with its digest, or a terminal
-// error from the chunker.
-type hashedChunk struct {
-	data []byte
-	hash hashutil.Sum
-	err  error
+// chunkBatch is one pipeline item: consecutive chunks of the stream and,
+// when the chunker stopped inside the batch, its terminal error (io.EOF
+// included), which surfaces after the chunks that preceded it — exactly
+// where a serial loop would have met it.
+type chunkBatch struct {
+	chunks []pchunk // slots are assigned by the ordered stage
+	err    error
+	hashed chan struct{} // closed once every chunk's hash is filled in
 }
 
-// chunkPipeline produces hashed chunks of one input stream in order.
+// chunkPipeline produces the hashed chunks of one input stream in order.
 type chunkPipeline struct {
-	queue chan chan hashedChunk
+	queue chan *chunkBatch
 	done  chan struct{}
 	wg    sync.WaitGroup
+
+	cur *chunkBatch // the batch the ordered stage is draining
+	i   int         // the next chunk in it
 }
 
-// newChunkPipeline starts the pipeline over ch with the given worker count.
-func newChunkPipeline(ch chunker.Chunker, workers int) *chunkPipeline {
-	if workers > runtime.NumCPU() {
-		workers = runtime.NumCPU()
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// newChunkPipeline starts the pipeline over ch.
+func newChunkPipeline(ch chunker.Chunker) *chunkPipeline {
 	p := &chunkPipeline{
-		// Queue depth bounds read-ahead: enough to keep workers busy
-		// without buffering unbounded chunk data.
-		queue: make(chan chan hashedChunk, workers*4),
+		queue: make(chan *chunkBatch, batchesAhead),
 		done:  make(chan struct{}),
+		cur:   &chunkBatch{},
 	}
-	work := make(chan struct {
-		data []byte
-		slot chan hashedChunk
-	}, workers*4)
-
-	// Reader: pulls chunks in order, queues one slot per chunk.
 	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer close(p.queue)
-		defer close(work)
-		for {
-			c, err := ch.Next()
-			if err != nil {
-				slot := make(chan hashedChunk, 1)
-				slot <- hashedChunk{err: err}
-				select {
-				case p.queue <- slot:
-				case <-p.done:
-				}
-				return
-			}
-			slot := make(chan hashedChunk, 1)
-			select {
-			case p.queue <- slot:
-			case <-p.done:
-				return
-			}
-			select {
-			case work <- struct {
-				data []byte
-				slot chan hashedChunk
-			}{c.Data, slot}:
-			case <-p.done:
-				return
-			}
-		}
-	}()
-
-	// Workers: hash out of order, deliver into the per-chunk slot.
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for item := range work {
-				item.slot <- hashedChunk{data: item.data, hash: hashutil.SumBytes(item.data)}
-			}
-		}()
-	}
+	go p.produce(ch)
 	return p
 }
 
-// next returns the next hashed chunk in input order.
-func (p *chunkPipeline) next() hashedChunk {
-	slot, ok := <-p.queue
-	if !ok {
-		return hashedChunk{err: errPipelineClosed}
-	}
-	return <-slot
-}
-
-// stop tears the pipeline down (safe after normal exhaustion too).
-func (p *chunkPipeline) stop() {
-	close(p.done)
-	// Drain remaining slots so workers blocked on slot sends can finish.
-	for slot := range p.queue {
+// produce cuts batches until the chunker's terminal error, which travels in
+// the last batch. done is polled before every chunk, not every batch: after
+// stop, the producer must not go back to a source that may never deliver
+// again (a pipe whose writer is waiting for this very ingest to return).
+func (p *chunkPipeline) produce(ch chunker.Chunker) {
+	defer p.wg.Done()
+	for {
+		b := &chunkBatch{chunks: make([]pchunk, 0, batchChunks), hashed: make(chan struct{})}
+		for len(b.chunks) < batchChunks && b.err == nil {
+			select {
+			case <-p.done:
+				return
+			default:
+			}
+			c, err := ch.Next()
+			if err != nil {
+				b.err = err
+				break
+			}
+			b.chunks = append(b.chunks, pchunk{data: c.Data})
+		}
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			for i := range b.chunks {
+				b.chunks[i].hash = hashutil.SumBytes(b.chunks[i].data)
+			}
+			close(b.hashed)
+		}()
 		select {
-		case <-slot:
-		default:
+		case p.queue <- b:
+		case <-p.done:
+			return
+		}
+		if b.err != nil {
+			return
 		}
 	}
-	p.wg.Wait()
 }
 
-// errPipelineClosed signals the queue closed without a terminal item; it is
-// mapped to io.EOF by the caller (the chunker's own error always arrives
-// first in normal operation).
-var errPipelineClosed = pipelineClosedError{}
+// next returns the next hashed chunk in input order, or the chunker's
+// terminal error once the chunks before it have been returned. Only the
+// ordered stage calls it, and not after stop.
+func (p *chunkPipeline) next() (pchunk, error) {
+	for p.i == len(p.cur.chunks) {
+		if p.cur.err != nil {
+			return pchunk{}, p.cur.err
+		}
+		p.cur, p.i = <-p.queue, 0
+		<-p.cur.hashed
+	}
+	c := p.cur.chunks[p.i]
+	p.i++
+	return c, nil
+}
 
-type pipelineClosedError struct{}
-
-func (pipelineClosedError) Error() string { return "core: chunk pipeline closed" }
+// stop tears the pipeline down (safe after normal exhaustion too) and
+// returns once no goroutine of it is left. A producer inside Next returns
+// at the end of the chunk it is cutting, so stop waits for the source to
+// deliver at most one more chunk's bytes (Max+1) or to end.
+func (p *chunkPipeline) stop() {
+	close(p.done)
+	p.wg.Wait()
+}

@@ -6,46 +6,95 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"mhdedup/internal/chunker"
+	"mhdedup/internal/hashutil"
+	"mhdedup/internal/simdisk"
 )
 
-// TestPipelineParityWithSynchronous is the pipeline's master test: with any
-// worker count, every statistic and every restored byte must be identical
-// to the synchronous path.
+// TestPipelineParityWithSynchronous is the pipeline's master test: at every
+// batch edge it must deliver exactly what a serial loop calling Next and
+// SumBytes chunk by chunk would have seen — the same chunks with the same
+// hashes in the same order, and then the chunker's terminal error, after
+// (never instead of) the good chunks that preceded it in its batch.
 func TestPipelineParityWithSynchronous(t *testing.T) {
-	base := randBytes(201, 400_000)
-	files := map[string][]byte{"a": base}
-	order := []string{"a"}
-	for i := int64(1); i <= 3; i++ {
-		e := append([]byte(nil), base...)
-		copy(e[90_000*i:], randBytes(700+i, 7_000))
-		name := fmt.Sprintf("p%d", i)
-		files[name] = e
-		order = append(order, name)
+	boom := errors.New("stream died")
+	for _, tc := range []struct {
+		chunks int
+		err    error
+	}{
+		{0, nil}, {1, nil}, {batchChunks - 1, nil}, {batchChunks, nil},
+		{batchChunks + 1, nil}, {3*batchChunks + 7, nil},
+		{0, boom}, {batchChunks, boom}, {batchChunks + 5, boom},
+	} {
+		chunks := make([]chunker.Chunk, tc.chunks)
+		for i := range chunks {
+			chunks[i].Data = randBytes(int64(i), 1+i%300)
+		}
+		wantErr := tc.err
+		if wantErr == nil {
+			wantErr = io.EOF
+		}
+		p := newChunkPipeline(&sliceChunker{chunks: chunks, err: tc.err})
+		for i, c := range chunks {
+			got, err := p.next()
+			if err != nil {
+				t.Fatalf("%d chunks, err %v: chunk %d: %v", tc.chunks, tc.err, i, err)
+			}
+			if !bytes.Equal(got.data, c.Data) || got.hash != hashutil.SumBytes(c.Data) {
+				t.Fatalf("%d chunks, err %v: chunk %d differs from the serial loop's", tc.chunks, tc.err, i)
+			}
+		}
+		for range 2 { // the terminal error is sticky
+			if _, err := p.next(); err != wantErr {
+				t.Errorf("%d chunks, err %v: terminal error %v, want %v", tc.chunks, tc.err, err, wantErr)
+			}
+		}
+		p.stop()
 	}
+}
 
-	sync := ingest(t, testConfig(), files, order)
-	for _, workers := range []int{1, 2, 4, 16} {
-		cfg := testConfig()
-		cfg.HashWorkers = workers
-		par := ingest(t, cfg, files, order)
-		checkRestore(t, par, files)
-		if par.Stats() != sync.Stats() {
-			t.Errorf("workers=%d: stats differ from synchronous run\nsync: %+v\npar:  %+v",
-				workers, sync.Stats(), par.Stats())
+// TestPipelineReaderFailsMidBatch is the same contract seen through the
+// engine: when the reader dies mid-batch, every chunk cut before the error
+// has been ingested by the time PutFile returns it.
+func TestPipelineReaderFailsMidBatch(t *testing.T) {
+	boom := errors.New("stream died")
+	data := randBytes(202, 100_000) // 1.x batches at ECS 512
+	failing := func() io.Reader {
+		return io.MultiReader(bytes.NewReader(data), &failingReader{err: boom})
+	}
+	cfg := testConfig()
+	ch, err := chunker.NewCDC(failing(), cfg.chunkerParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for {
+		if _, err = ch.Next(); err != nil {
+			break
 		}
-		if par.Report().MetadataBytes != sync.Report().MetadataBytes {
-			t.Errorf("workers=%d: metadata differs", workers)
-		}
+		want++
+	}
+	if want <= batchChunks || want%batchChunks == 0 || err != boom {
+		t.Fatalf("fixture: %d chunks then %v, want a partial second batch then the reader's error", want, err)
+	}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutFile("x", failing()); !errors.Is(err, boom) {
+		t.Fatalf("PutFile error = %v, want the reader's error", err)
+	}
+	if got := d.Stats().ChunksIn; got != want {
+		t.Errorf("%d chunks ingested before the error surfaced, the serial loop saw %d", got, want)
 	}
 }
 
 func TestPipelineErrorPropagation(t *testing.T) {
-	cfg := testConfig()
-	cfg.HashWorkers = 4
-	d, err := New(cfg)
+	d, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +135,12 @@ func (c *endlessChunker) Next() (chunker.Chunk, error) {
 func TestPipelineStopMidStreamNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		p := newChunkPipeline(&endlessChunker{}, 4)
-		// Consume a few chunks so slots, workers and the reader are all in
-		// flight, then walk away mid-stream.
+		p := newChunkPipeline(&endlessChunker{})
+		// Consume a few chunks so queued batches, hashing goroutines and
+		// the producer are all in flight, then walk away mid-stream.
 		for j := 0; j < 5; j++ {
-			if item := p.next(); item.err != nil {
-				t.Fatalf("next: %v", item.err)
+			if _, err := p.next(); err != nil {
+				t.Fatalf("next: %v", err)
 			}
 		}
 		p.stop()
@@ -108,15 +157,15 @@ func TestPipelineStopAfterExhaustion(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		chunks = append(chunks, chunker.Chunk{Data: randBytes(int64(300+i), 2048)})
 	}
-	p := newChunkPipeline(&sliceChunker{chunks: chunks}, 4)
+	p := newChunkPipeline(&sliceChunker{chunks: chunks})
 	var got int
 	for {
-		item := p.next()
-		if item.err == io.EOF || item.err == errPipelineClosed {
+		_, err := p.next()
+		if err == io.EOF {
 			break
 		}
-		if item.err != nil {
-			t.Fatalf("next: %v", item.err)
+		if err != nil {
+			t.Fatalf("next: %v", err)
 		}
 		got++
 	}
@@ -131,9 +180,7 @@ func TestPipelineStopAfterExhaustion(t *testing.T) {
 // error) must tear its pipeline down via the deferred stop — no goroutine
 // may outlive the call.
 func TestPutFileAbortReleasesPipeline(t *testing.T) {
-	cfg := testConfig()
-	cfg.HashWorkers = 4
-	d, err := New(cfg)
+	d, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,30 +200,77 @@ func TestPutFileAbortReleasesPipeline(t *testing.T) {
 
 func TestPipelineEmptyAndTinyFiles(t *testing.T) {
 	cfg := testConfig()
-	cfg.HashWorkers = 8
 	files := map[string][]byte{"empty": {}, "tiny": []byte("abc"), "tiny2": []byte("abc")}
 	d := ingest(t, cfg, files, []string{"empty", "tiny", "tiny2"})
 	checkRestore(t, d, files)
 }
 
-func TestPipelineWorkerCountValidation(t *testing.T) {
+// TestPutFileTeardownDoesNotWaitForSource: when the ordered stage fails
+// mid-file, PutFile's return may wait for the producer to finish the chunk
+// it is cutting, but not for the rest of its batch — the source may be a
+// pipe whose writer only learns of the failure from PutFile returning (the
+// server's ingest feed). Zeros never match the divisor, so every chunk is
+// exactly Max bytes and the test knows where the producer stands.
+func TestPutFileTeardownDoesNotWaitForSource(t *testing.T) {
 	cfg := testConfig()
-	cfg.HashWorkers = -1
-	if _, err := New(cfg); err == nil {
-		t.Error("negative HashWorkers accepted")
+	max := 4 * cfg.ECS
+	disk := simdisk.New()
+	d, err := NewOnDisk(cfg, disk)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := d.PutFile("a", bytes.NewReader(make([]byte, 8*max))); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("manifest unreadable")
+	faulted := make(chan struct{})
+	var once sync.Once
+	disk.SetFailureHook(func(op simdisk.Op, cat simdisk.Category, _ string) error {
+		if op == simdisk.OpRead && cat == simdisk.Manifest {
+			once.Do(func() { close(faulted) })
+			return boom
+		}
+		return nil
+	})
+
+	baseline := runtime.NumGoroutine()
+	pr, pw := io.Pipe()
+	defer pr.Close() // releases a feed the pipeline rightly never read
+	result := make(chan error, 1)
+	go func() { result <- d.PutFile("b", pr) }()
+	// One full batch: Write returns once the producer has cut it. Its first
+	// chunk hits a's hook and the manifest load fails.
+	if _, err := pw.Write(make([]byte, batchChunks*max)); err != nil {
+		t.Fatal(err)
+	}
+	<-faulted
+	// The producer is now waiting for the bytes of batch 2. Supply one
+	// chunk's worth and pause without closing. (A feed may slip in between
+	// the fault and the teardown that follows it, so allow a few — far
+	// fewer than the batch a producer polling per batch would wait for.)
+	for range 8 {
+		go pw.Write(make([]byte, max+1))
+		select {
+		case err := <-result:
+			if !errors.Is(err, boom) {
+				t.Fatalf("PutFile error = %v, want the injected fault", err)
+			}
+			pr.Close()
+			waitForGoroutines(t, baseline)
+			return
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	t.Fatal("PutFile did not return: its teardown is waiting for the source to fill a batch")
 }
 
-func BenchmarkIngestSynchronous(b *testing.B) { benchIngestWorkers(b, 0) }
-func BenchmarkIngestPipeline4(b *testing.B)   { benchIngestWorkers(b, 4) }
-
-func benchIngestWorkers(b *testing.B, workers int) {
+func BenchmarkIngest(b *testing.B) {
 	data := randBytes(1, 8<<20)
 	cfg := DefaultConfig()
 	cfg.ECS = 4096
 	cfg.SD = 16
-	cfg.HashWorkers = workers
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d, err := New(cfg)

@@ -92,10 +92,8 @@ type Params struct {
 	SHMPerSlice bool
 	TTTD        bool
 	FastCDC     bool
-	// HashWorkers enables MHD's per-stream chunk/hash pipeline; IngestWorkers
-	// caps how many backup streams ingest concurrently (MHD/SI-MHD only —
-	// the baseline engines are single-stream).
-	HashWorkers   int
+	// IngestWorkers caps how many backup streams ingest concurrently
+	// (MHD/SI-MHD only — the baseline engines are single-stream).
 	IngestWorkers int
 	// RecipeTrees stores file recipes as deduplicated recipe trees
 	// (64-bit-clean, O(log n) ranged restore) instead of flat manifests.
@@ -146,7 +144,6 @@ func mountMHD(sparseIndex bool) func(Params, *simdisk.Disk) (algo.Deduplicator, 
 		cfg.SHMPerSlice = p.SHMPerSlice
 		cfg.TTTD = p.TTTD
 		cfg.FastCDC = p.FastCDC
-		cfg.HashWorkers = p.HashWorkers
 		cfg.IngestWorkers = p.IngestWorkers
 		cfg.SparseIndex = sparseIndex
 		cfg.RecipeTrees = p.RecipeTrees

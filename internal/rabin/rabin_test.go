@@ -381,6 +381,52 @@ func TestRollFindMatchesRoll(t *testing.T) {
 	}
 }
 
+// TestBlockRollsMatchRollAroundWindowSize is the property both block paths
+// are held to: any interleaving of RollBlock and RollFind calls leaves the
+// window exactly where per-byte Roll leaves it, and RollFind stops where
+// Roll first matches. Block lengths straddle the window size, where
+// RollBlock switches to resetting and RollFind hands over from the ring
+// to the out8Tab loop; the ring itself is checked by the steps that follow,
+// which evict what earlier steps rolled in.
+func TestBlockRollsMatchRollAroundWindowSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for _, size := range []int{1, 2, 16, 48, 64} {
+		ref := mustWindow(t, DefaultPoly, size)
+		fast := mustWindow(t, DefaultPoly, size)
+		for step := 0; step < 3000; step++ {
+			n := size + rng.Intn(5) - 2
+			if rng.Intn(4) == 0 {
+				n = rng.Intn(3*size + 2)
+			}
+			blk := make([]byte, max(n, 0))
+			rng.Read(blk)
+			if rng.Intn(2) == 0 {
+				fast.RollBlock(blk)
+				for _, b := range blk {
+					ref.Roll(b)
+				}
+			} else {
+				mask := Poly(1)<<uint(rng.Intn(8)) - 1
+				want, wantFound := len(blk), false
+				for i, b := range blk {
+					if ref.Roll(b)&mask == mask {
+						want, wantFound = i+1, true
+						break
+					}
+				}
+				if got, found := fast.RollFind(blk, mask); got != want || found != wantFound {
+					t.Fatalf("size=%d step %d: RollFind(%d bytes, %#x) = %d, %v; Roll matches at %d, %v",
+						size, step, len(blk), uint64(mask), got, found, want, wantFound)
+				}
+			}
+			if ref.Fingerprint() != fast.Fingerprint() {
+				t.Fatalf("size=%d step %d: digest %#x after a %d-byte block, Roll's is %#x",
+					size, step, uint64(fast.Fingerprint()), len(blk), uint64(ref.Fingerprint()))
+			}
+		}
+	}
+}
+
 func BenchmarkRollBlock(b *testing.B) {
 	w, err := NewWindow(DefaultPoly, DefaultWindowSize)
 	if err != nil {

@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -361,5 +364,112 @@ func TestCloseShutsLateAcceptedConn(t *testing.T) {
 		t.Fatal("late-accepted conn still open: read succeeded")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("late-accepted conn was never closed (read timed out)")
+	}
+}
+
+// TestEngineFaultMidFileReachesTheSender: when a shard's engine fails in
+// the middle of a file (here: the manifest a hook points at cannot be
+// read), the ingest pipeline's teardown must not wait for more of the
+// stream than the chunk it is cutting — the feed into it only learns of
+// the failure from PutFileContext returning. The sender must see the
+// engine's error at its next Offer/MigrateData or at the file's end, on
+// both planes that feed the engine through a pipe, and every goroutine of
+// the failed session must be gone afterwards.
+func TestEngineFaultMidFileReachesTheSender(t *testing.T) {
+	srv, eng, addr := startServer(t, nil)
+	baseline := runtime.NumGoroutine()
+	// Zeros never match the chunker's divisor, so every chunk is exactly
+	// Max (4·ECS) bytes and the pipeline hands the engine its first batch
+	// after exactly 128 of them.
+	const batch = 128 * 4 * 4096
+	data := make([]byte, 2*batch)
+
+	ing, err := client.Connect(clientConfig(srv, addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.PutFile("gen1", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// From here on the very first chunk of a re-sent gen1 hits its hook and
+	// fails to load the manifest: a fault in the ordered stage with almost
+	// the whole file still to come.
+	faulted := make(chan struct{}, 1)
+	eng.Disk().SetFailureHook(func(op simdisk.Op, cat simdisk.Category, _ string) error {
+		if op == simdisk.OpRead && cat == simdisk.Manifest {
+			select {
+			case faulted <- struct{}{}:
+			default:
+			}
+			return errors.New("manifest unreadable")
+		}
+		return nil
+	})
+
+	t.Run("client", func(t *testing.T) {
+		ing, err := client.Connect(clientConfig(srv, addr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ing.Close()
+		err = ing.PutFile("gen2", bytes.NewReader(data))
+		<-faulted
+		if err == nil || !strings.Contains(err.Error(), `ingest of "gen2" failed`) ||
+			!strings.Contains(err.Error(), "manifest unreadable") {
+			t.Fatalf("PutFile error = %v, want the engine's fault as an `ingest of \"gen2\" failed` frame", err)
+		}
+	})
+	t.Run("peer", func(t *testing.T) {
+		// The migrate plane has no acks to pace the sender, so the test
+		// does: exactly the batch whose first chunk meets the fault, then
+		// one frame at a time. The first lets the pipeline finish the chunk
+		// it is cutting; the next must come back as the engine's error. (A
+		// frame may slip in between the fault and the teardown that follows
+		// it, so a few are allowed — 4 chunks each, far fewer than the batch
+		// a producer polling per batch would wait for.)
+		conn, write, _ := rawConn(t, addr)
+		write(wire.TypeHello, wire.Hello{Mode: wire.ModePeer}.Marshal())
+		write(wire.TypeMigrateBegin, wire.MigrateBegin{Name: "gen3"}.Marshal())
+		const frame = 64 << 10
+		for off := 0; off < batch; off += frame {
+			write(wire.TypeMigrateData, wire.MigrateData{Data: data[off : off+frame]}.Marshal())
+		}
+		<-faulted
+		reply := make(chan wire.Frame, 1)
+		go func() {
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			for {
+				f, err := wire.ReadFrame(conn, wire.DefaultMaxPayload)
+				if err != nil || f.Type != wire.TypeHelloOK {
+					reply <- f
+					return
+				}
+			}
+		}()
+		for range 8 {
+			write(wire.TypeMigrateData, wire.MigrateData{Data: data[:frame]}.Marshal())
+			select {
+			case f := <-reply:
+				em := expectError(t, f, wire.CodeInternal, false)
+				if !strings.Contains(em.Msg, "manifest unreadable") {
+					t.Fatalf("migration error %q does not carry the engine's fault", em.Msg)
+				}
+				return
+			case <-time.After(200 * time.Millisecond):
+			}
+		}
+		t.Fatal("the engine's fault never reached the sender: the pipeline's teardown is waiting for the stream to fill a batch")
+	})
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines, %d before the sessions:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 	}
 }
