@@ -247,7 +247,6 @@ func benchParallelIngest(b *testing.B, workers int) {
 		ccfg.ECS = 4096
 		ccfg.SD = 16
 		ccfg.BloomBytes = 1 << 18
-		ccfg.IngestWorkers = workers
 		d, err := core.New(ccfg)
 		if err != nil {
 			b.Fatal(err)

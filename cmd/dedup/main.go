@@ -159,7 +159,6 @@ func run(o runOptions) error {
 		SD:             o.sd,
 		CacheManifests: o.cache,
 		DisableBloom:   o.noBloom,
-		IngestWorkers:  o.parallel,
 	}
 	var eng dedup.Engine
 	var err error

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"mhdedup/internal/simdisk"
@@ -130,11 +131,11 @@ func TestRunErrors(t *testing.T) {
 	// Concurrent ingest on a single-stream engine must be rejected.
 	o = baseOptions()
 	o.algo = "cdc"
-	o.parallel = 4
+	o.parallel = 2
 	o.workload = true
 	o.machines, o.days, o.snapshot, o.edits, o.editSize, o.seed = 2, 1, 1<<20, 1, 1024, 1
-	if err := run(o); err == nil {
-		t.Error("parallel ingest on cdc accepted")
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "concurrent ingest") {
+		t.Errorf("-algo cdc -parallel 2: err = %v, want a refusal naming concurrent ingest", err)
 	}
 	o = baseOptions()
 	o.parallel = 0

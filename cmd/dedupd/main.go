@@ -63,8 +63,8 @@ func main() {
 	flag.IntVar(&o.maxSessions, "max-sessions", 16, "maximum concurrent ingest sessions")
 	flag.IntVar(&o.window, "window", 8, "per-session in-flight command window")
 	flag.Int64Var(&o.chunkCache, "chunk-cache-bytes", 256<<20, "wire chunk byte cache budget (0 disables)")
-	flag.IntVar(&o.restoreWorkers, "restore-workers", 4, "concurrent container reads per restore stream (1 = synchronous pipeline)")
-	flag.Int64Var(&o.restoreWindow, "restore-window-bytes", 8<<20, "restore reorder-buffer budget in bytes")
+	flag.IntVar(&o.restoreWorkers, "restore-workers", 4, "planned container reads each restore stream keeps in flight (1 = one at a time)")
+	flag.Int64Var(&o.restoreWindow, "restore-window-bytes", 8<<20, "byte budget of a restore stream's reads in flight")
 	flag.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "close connections idle longer than this")
 	flag.DurationVar(&o.resumeTimeout, "resume-timeout", 2*time.Minute, "keep detached sessions resumable this long")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "bound on graceful drain before forcing shutdown")
@@ -244,7 +244,6 @@ func buildEngine(o options, evlog *events.Log) (*core.Dedup, *dedup.Durability, 
 		SD:             o.sd,
 		CacheManifests: o.cache,
 		DisableBloom:   o.noBloom,
-		IngestWorkers:  o.maxSessions,
 		RecipeTrees:    o.recipeTrees,
 	}
 	if o.storeDir == "" {

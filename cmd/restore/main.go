@@ -62,8 +62,8 @@ func main() {
 	flag.StringVar(&o.remote, "remote", "", "restore from a dedupd server at host:port instead of -store")
 	flag.StringVar(&o.tenant, "tenant", "", "tenant name for a multi-tenant server or gateway")
 	flag.StringVar(&o.secret, "secret", "", "tenant secret (with -tenant)")
-	flag.IntVar(&o.workers, "workers", 4, "concurrent container reads per restore through the batched pipeline (0 = legacy serial path)")
-	flag.Int64Var(&o.window, "window", 8<<20, "restore reorder-buffer budget in bytes")
+	flag.IntVar(&o.workers, "workers", 4, "planned container reads a restore keeps in flight ahead of the bytes it is writing (0 or 1 = one at a time, inline)")
+	flag.Int64Var(&o.window, "window", 8<<20, "byte budget of the reads in flight")
 	flag.StringVar(&o.logLevel, "log-level", "warn", "structured event log level on stderr: debug, info, warn or error")
 	flag.Parse()
 	if err := run(o, os.Stdout); err != nil {
@@ -115,9 +115,8 @@ func run(o restoreOptions, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// -workers >= 1 routes restores through the batched parallel pipeline;
-	// 0 keeps the serial per-ref reference path. Output bytes are
-	// identical either way (differentially tested).
+	// -workers sets only how far a restore reads ahead; the plan and the
+	// bytes written are the same for every value.
 	st.SetRestoreOptions(dedup.RestoreOptions{Workers: o.workers, WindowBytes: o.window})
 
 	if o.scrub {

@@ -213,10 +213,10 @@ func TestCheckFlag(t *testing.T) {
 }
 
 // TestRestoreWorkersMatchesSerial is the CLI-level differential check:
-// -workers 8 (with a reorder window small enough to make the pipeline
-// constantly recycle buffers) must write byte-identical output to the
-// legacy serial path (-workers 0), for single-file and -all restores,
-// plain and verified.
+// -workers 8 (with a window small enough to keep the executor under
+// constant backpressure) and -workers 0 (one read at a time, inline) must
+// both write the original bytes, for single-file and -all restores, plain
+// and verified.
 func TestRestoreWorkersMatchesSerial(t *testing.T) {
 	storeDir, files := buildStore(t)
 	for _, verify := range []bool{false, true} {
@@ -239,7 +239,7 @@ func TestRestoreWorkersMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(serial, parallel) {
-				t.Errorf("verify=%v: %s differs between -workers 0 and -workers 8", verify, name)
+				t.Errorf("verify=%v: %s differs between -workers 0 (inline) and -workers 8", verify, name)
 			}
 			if !bytes.Equal(serial, files[name]) {
 				t.Errorf("verify=%v: %s differs from original", verify, name)

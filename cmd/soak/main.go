@@ -124,7 +124,6 @@ func run(o options) error {
 	var servers []*server.Server
 	for i := 0; i < o.shards; i++ {
 		p := exp.DefaultParams(exp.AlgoMHD, 4096, 64, 64<<20)
-		p.IngestWorkers = 4
 		eng, err := exp.Build(p)
 		if err != nil {
 			return err

@@ -131,12 +131,6 @@ type Options struct {
 	// FastCDC selects the gear-hash chunker for MHD (faster scanning,
 	// tighter size distribution; mutually exclusive with TTTD).
 	FastCDC bool
-	// IngestWorkers caps how many backup streams IngestParallel deduplicates
-	// concurrently on an MHD/SI-MHD engine. 0 or 1 is fully sequential and
-	// bit-identical to calling PutFile in a loop. Engines other than MHD and
-	// SIMHD reject values above 1 at construction (their state is
-	// single-stream).
-	IngestWorkers int
 	// RecipeTrees stores file recipes as deduplicated recipe trees: the
 	// ref stream is content-defined into content-addressed recipe chunks
 	// with a Merkle-style root, so near-identical snapshots share recipe
@@ -170,7 +164,6 @@ func (opt Options) params(a Algorithm) exp.Params {
 		SHMPerSlice:        opt.SHMPerSlice,
 		TTTD:               opt.TTTD,
 		FastCDC:            opt.FastCDC,
-		IngestWorkers:      opt.IngestWorkers,
 		RecipeTrees:        opt.RecipeTrees,
 	}
 }
@@ -309,9 +302,8 @@ type Store struct {
 	st  *store.Store
 	dir string
 
-	// ropts tunes the restore pipeline (see SetRestoreOptions). The zero
-	// value keeps Restore on the serial per-ref reference path; verified
-	// restores always run the planned path, serially when Workers ≤ 1.
+	// ropts is every restore's read-ahead (see SetRestoreOptions); the
+	// zero value fetches one planned read at a time.
 	ropts RestoreOptions
 
 	// verMu guards only the ver pointer: its lazy construction and its
@@ -382,19 +374,18 @@ func (s *Store) Files() []string {
 	return names
 }
 
-// RestoreOptions tunes the batched restore pipeline: Workers concurrent
-// container readers feeding an in-order emitter through a reorder buffer
-// bounded by WindowBytes, with adjacent/overlapping recipe ranges
-// coalesced (bridging container gaps up to CoalesceGap) into minimal
-// reads. The zero value selects Restore's serial per-ref reference path
-// (verified restores have one path: planned, and serial at Workers ≤ 1);
-// Workers of 1 runs the planned/coalesced pipeline synchronously;
-// Workers > 1 reads in parallel. Output is bit-identical in every mode.
+// RestoreOptions sets how far a restore reads ahead. Every restore —
+// whole or ranged, plain or verified — plans the recipe into coalesced
+// container reads and emits them in order; at most Workers of them are
+// outstanding at once, their bytes within WindowBytes. The zero value (and
+// any Workers ≤ 1) fetches one planned read at a time on the calling
+// goroutine. Output is bit-identical for every setting.
 type RestoreOptions = store.RestoreOptions
 
-// SetRestoreOptions selects the restore engine used by Restore and
-// VerifyRestore. It is safe to call between restores; in-flight restores
-// finish with the options they started with.
+// SetRestoreOptions sets the read-ahead of every restore this Store
+// performs from now on (Restore, RestoreRange and their verified forms).
+// It is safe to call between restores; in-flight restores finish with the
+// options they started with.
 func (s *Store) SetRestoreOptions(o RestoreOptions) {
 	s.mu.Lock()
 	s.ropts = o
@@ -403,15 +394,10 @@ func (s *Store) SetRestoreOptions(o RestoreOptions) {
 
 // Restore rebuilds one file into w. Concurrent Restores are fine;
 // mutations (Delete, Sweep, Scrub) wait until in-flight restores finish.
-// With SetRestoreOptions{Workers ≥ 1} the batched pipeline is used; the
-// bytes written are identical either way.
+// It is RestoreRange of the whole file.
 func (s *Store) Restore(name string, w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.ropts.Workers >= 1 {
-		return s.st.RestoreFileOpts(name, w, s.ropts)
-	}
-	return s.st.RestoreFile(name, w)
+	_, err := s.RestoreRange(name, 0, -1, w)
+	return err
 }
 
 // RangeStats reports what a ranged restore did: the bytes written, the

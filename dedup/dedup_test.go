@@ -2,8 +2,10 @@ package dedup
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -53,6 +55,37 @@ func TestAllEnginesThroughFacade(t *testing.T) {
 				t.Errorf("throughput ratio = %v", ratio)
 			}
 		})
+	}
+}
+
+// TestIngestParallelRefusedBySingleStreamEngines: concurrency is
+// IngestParallel's workers argument and nothing else — MHD and SI-MHD take
+// two streams at once, the seven single-stream engines refuse, and every
+// engine takes the same streams one at a time.
+func TestIngestParallelRefusedBySingleStreamEngines(t *testing.T) {
+	streams := make([]IngestStream, 2)
+	for i := range streams {
+		data := randBytes(int64(i+1), 50_000)
+		streams[i] = IngestStream{Items: []IngestItem{{
+			Name: fmt.Sprintf("s%d", i),
+			Open: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil },
+		}}}
+	}
+	for _, a := range Algorithms() {
+		for _, workers := range []int{1, 2} {
+			eng, err := New(a, Options{ECS: 512, SD: 4, BloomBytes: 1 << 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = IngestParallel(eng, workers, streams)
+			refuse := workers > 1 && a != MHD && a != SIMHD
+			if refuse != (err != nil) {
+				t.Errorf("%s workers %d: err = %v, want refusal = %v", a, workers, err, refuse)
+			}
+			if refuse && err != nil && !strings.Contains(err.Error(), "concurrent ingest") {
+				t.Errorf("%s: refusal %q does not name concurrent ingest", a, err)
+			}
+		}
 	}
 }
 

@@ -25,14 +25,15 @@ func matrixWorkload(seed int64) map[string][]byte {
 	return files
 }
 
-// TestRestoreMatrixParallelEqualsSerial is the PR's differential
-// acceptance gate at the public API: for every servable format — the two
-// paper algorithms and the three baselines, which lay out containers and
-// recipes differently — every file restored through the batched parallel
-// pipeline must be bit-identical to the serial reference path, across
-// worker counts, reorder windows small enough to force constant
-// backpressure, a save/open round-trip, and an explicit crash-recovery
-// pass. The verifying restore path is held to the same standard.
+// TestRestoreMatrixParallelEqualsSerial is the differential acceptance
+// gate at the public API: for every servable format — the two paper
+// algorithms and the three baselines, which lay out containers and recipes
+// differently — every file restored with reads in flight must be
+// bit-identical to the default one-read-at-a-time restore and to the bytes
+// that were ingested, across worker counts, windows small enough to force
+// constant backpressure, a save/open round-trip, and an explicit
+// crash-recovery pass. The verifying restore path is held to the same
+// standard.
 func TestRestoreMatrixParallelEqualsSerial(t *testing.T) {
 	algos := []Algorithm{MHD, SIMHD, CDC, Bimodal, SubChunk}
 	for _, algo := range algos {
@@ -64,8 +65,9 @@ func TestRestoreMatrixParallelEqualsSerial(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					// Serial reference bytes first (zero RestoreOptions =
-					// the legacy per-ref walk), per file, both paths.
+					// The default restore first (zero RestoreOptions = one
+					// planned read at a time), per file, both paths, against
+					// the ingested bytes.
 					serial := map[string][]byte{}
 					serialVerified := map[string][]byte{}
 					for _, name := range st.Files() {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mhdedup/internal/metrics"
 	"mhdedup/internal/simdisk"
 )
 
@@ -281,6 +282,59 @@ func TestVerifyRestoreSharesOneVerifier(t *testing.T) {
 	}
 	if err := s.VerifyRestore(names[0], &bytes.Buffer{}); err == nil {
 		t.Fatal("deleted file still restores")
+	}
+}
+
+// TestOnlineScrubSeesBitRot: the online scrub of a durable store (dedupd
+// -scrub-interval) restores every file through the verified path, so one
+// flipped bit in a persisted container fails the pass — mounting a
+// generation checks only object counts and byte totals, and an unverified
+// restore would read the rotten byte without complaint.
+func TestOnlineScrubSeesBitRot(t *testing.T) {
+	dir := t.TempDir()
+	eng, dur, _, err := ResumeDurable(MHD, Options{ECS: 1024, SD: 8, BloomBytes: 1 << 16}, dir,
+		DurabilityOptions{FlushInterval: -1, Registry: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	if err := eng.PutFile("img", bytes.NewReader(randBytes(60, 1<<20))); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Scrub(); err != nil {
+		t.Fatalf("scrub of an intact store: %v", err)
+	}
+
+	containers, err := filepath.Glob(filepath.Join(dir, "gen-*", "chunks", "*"))
+	if err != nil || len(containers) == 0 {
+		t.Fatalf("no persisted containers under %s: %v", dir, err)
+	}
+	var largest string
+	var size int64
+	for _, c := range containers {
+		if fi, err := os.Stat(c); err == nil && fi.Size() > size {
+			largest, size = c, fi.Size()
+		}
+	}
+	raw, err := os.ReadFile(largest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x10
+	if err := os.WriteFile(largest, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Scrub(); err == nil {
+		t.Fatal("a flipped bit in a persisted container scrubbed clean")
 	}
 }
 

@@ -31,7 +31,6 @@ func testEvents(t *testing.T) *events.Log {
 func newEngine(t *testing.T) *core.Dedup {
 	t.Helper()
 	p := exp.DefaultParams(exp.AlgoMHD, 4096, 64, 64<<20)
-	p.IngestWorkers = 4
 	eng, err := exp.Build(p)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,6 @@ func startTreeCluster(t *testing.T, n int) *testCluster {
 	tc := &testCluster{registry: metrics.NewRegistry()}
 	for i := 0; i < n; i++ {
 		p := exp.DefaultParams(exp.AlgoMHD, 4096, 64, 64<<20)
-		p.IngestWorkers = 4
 		p.RecipeTrees = true
 		built, err := exp.Build(p)
 		if err != nil {

@@ -59,14 +59,6 @@ type Config struct {
 	// post-paper extension roughly 2× faster than Rabin scanning with a
 	// tighter chunk-size distribution.
 	FastCDC bool
-	// IngestWorkers caps how many backup streams IngestStreams deduplicates
-	// concurrently. 0 or 1 runs streams sequentially in order — bit-identical
-	// to feeding PutFile from a single loop; N > 1 runs up to N sessions in
-	// parallel, each owning one stream's ordered files while sharing the
-	// striped indexes, bloom filter, manifest cache and disk. Totals (input
-	// bytes, chunk counts, stored bytes) are exact regardless of N; RAM peaks
-	// and disk-access interleavings may differ run to run when N > 1.
-	IngestWorkers int
 	// Poly optionally overrides the Rabin polynomial.
 	Poly rabin.Poly
 	// RecipeTrees stores file recipes as deduplicated recipe trees (the
@@ -107,9 +99,6 @@ func (c Config) Validate() error {
 	}
 	if c.CacheManifests <= 0 {
 		return fmt.Errorf("core: CacheManifests must be positive, got %d", c.CacheManifests)
-	}
-	if c.IngestWorkers < 0 {
-		return fmt.Errorf("core: IngestWorkers must be non-negative, got %d", c.IngestWorkers)
 	}
 	if c.TTTD && c.FastCDC {
 		return fmt.Errorf("core: TTTD and FastCDC are mutually exclusive")

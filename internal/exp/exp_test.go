@@ -68,13 +68,9 @@ func TestBuildAllAlgorithms(t *testing.T) {
 				e.name, reports[0], reports[1])
 		}
 
-		// The row's two capabilities are refused exactly where it says so.
+		// The row's capability is refused exactly where it says so.
 		if _, err := Resume(p, simdisk.New()); (err == nil) != e.resumable {
 			t.Errorf("Resume(%s): err = %v, row says resumable = %v", e.name, err, e.resumable)
-		}
-		p.IngestWorkers = 2
-		if _, err := Build(p); (err == nil) != e.concurrent {
-			t.Errorf("Build(%s, IngestWorkers=2): err = %v, row says concurrent = %v", e.name, err, e.concurrent)
 		}
 	}
 	if _, err := Build(Params{Algo: "nope", ECS: 1024, SD: 8}); err == nil {

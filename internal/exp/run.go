@@ -39,17 +39,14 @@ type engine struct {
 	// resumable says mount can rebuild the detection state of a non-empty
 	// disk: it lives on disk (hooks, manifests), not only in RAM.
 	resumable bool
-	// concurrent says the engine ingests several backup streams at once
-	// (Params.IngestWorkers > 1); the others' state is single-stream.
-	concurrent bool
 }
 
 // engines is the one table every engine is built from — by Build, by Resume
 // (so by all of package dedup) and by the tests' matrices. Adding an
 // algorithm is its file plus its row here. The order is AllAlgorithms'.
 var engines = []engine{
-	{name: AlgoMHD, mount: mountMHD(false), resumable: true, concurrent: true},
-	{name: AlgoSIMHD, mount: mountMHD(true), resumable: true, concurrent: true},
+	{name: AlgoMHD, mount: mountMHD(false), resumable: true},
+	{name: AlgoSIMHD, mount: mountMHD(true), resumable: true},
 	{name: AlgoCDC, mount: mountBaseline(baseline.ResumeCDC), resumable: true},
 	{name: AlgoBimodal, mount: mountBaseline(baseline.NewBimodal)},
 	{name: AlgoSubChunk, mount: mountBaseline(baseline.NewSubChunk)},
@@ -92,9 +89,6 @@ type Params struct {
 	SHMPerSlice bool
 	TTTD        bool
 	FastCDC     bool
-	// IngestWorkers caps how many backup streams ingest concurrently
-	// (MHD/SI-MHD only — the baseline engines are single-stream).
-	IngestWorkers int
 	// RecipeTrees stores file recipes as deduplicated recipe trees
 	// (64-bit-clean, O(log n) ranged restore) instead of flat manifests.
 	RecipeTrees bool
@@ -144,7 +138,6 @@ func mountMHD(sparseIndex bool) func(Params, *simdisk.Disk) (algo.Deduplicator, 
 		cfg.SHMPerSlice = p.SHMPerSlice
 		cfg.TTTD = p.TTTD
 		cfg.FastCDC = p.FastCDC
-		cfg.IngestWorkers = p.IngestWorkers
 		cfg.SparseIndex = sparseIndex
 		cfg.RecipeTrees = p.RecipeTrees
 		d, err := core.Resume(cfg, disk)
@@ -174,17 +167,12 @@ func mountBaseline[E algo.Deduplicator](mk func(baseline.Config, *simdisk.Disk) 
 	}
 }
 
-// row finds p's row of the table, refusing what the row says the engine
-// cannot do.
+// row finds p's row of the table.
 func row(p Params) (engine, error) {
 	for _, e := range engines {
-		if e.name != p.Algo {
-			continue
+		if e.name == p.Algo {
+			return e, nil
 		}
-		if p.IngestWorkers > 1 && !e.concurrent {
-			return engine{}, fmt.Errorf("exp: %q does not support concurrent ingest (IngestWorkers=%d)", p.Algo, p.IngestWorkers)
-		}
-		return e, nil
 	}
 	return engine{}, fmt.Errorf("exp: unknown algorithm %q", p.Algo)
 }

@@ -29,7 +29,7 @@ func durableOpts() dedup.DurabilityOptions {
 // commit, and admission is shed when the durability budgets are breached.
 func startDurableServer(t *testing.T, dir string, dopt dedup.DurabilityOptions, mut func(*Config)) (*Server, *core.Dedup, *dedup.Durability, string) {
 	t.Helper()
-	opts := dedup.Options{ECS: 4096, SD: 64, CacheManifests: 64, IngestWorkers: 8}
+	opts := dedup.Options{ECS: 4096, SD: 64, CacheManifests: 64}
 	eng, dur, _, err := dedup.ResumeDurable(dedup.MHD, opts, dir, dopt)
 	if err != nil {
 		t.Fatal(err)

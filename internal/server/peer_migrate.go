@@ -3,97 +3,30 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
 
 	"mhdedup/internal/events"
-	"mhdedup/internal/hashutil"
 	"mhdedup/internal/session"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/wire"
 )
 
-// peerMigration is one in-flight migrated-file ingest on a ModePeer
+// A migration is one in-flight migrated-file ingest on a ModePeer
 // connection: a gateway (rebalancing a drained shard or repairing an
 // under-replicated file) streams the file's raw bytes and this shard's
-// engine re-chunks and dedups them like any local PutFile. The stream is
-// the trusted-interior twin of the client ingest path — same pipe-into-
-// PutFileContext feed, same size+sum check before the acknowledgement,
-// same durability barrier — minus the offer→need negotiation, which the
-// engine's own dedup makes redundant here (known chunks cost an index
-// lookup, not new storage).
-type peerMigration struct {
-	name  string
-	pw    *io.PipeWriter
-	done  chan error
-	hash  *hashutil.Hasher
-	fed   uint64
-	abort context.CancelFunc
-}
+// engine re-chunks and dedups them like any local PutFile. It is the same
+// feed the client ingest path drives — same size+sum check before the
+// engine may commit, same durability barrier before the acknowledgement —
+// minus the offer→need negotiation, which the engine's own dedup makes
+// redundant here (known chunks cost an index lookup, not new storage).
 
-// beginMigration starts the engine feed for one migrated file.
-func (s *Server) beginMigration(name string) *peerMigration {
-	ctx, cancel := context.WithCancel(context.Background())
-	pr, pw := io.Pipe()
-	m := &peerMigration{name: name, pw: pw, done: make(chan error, 1),
-		hash: hashutil.NewHasher(), abort: cancel}
-	sess := s.cfg.Engine.NewSession()
-	go func() {
-		err := sess.PutFileContext(ctx, name, pr)
-		pr.CloseWithError(errIngestDone{err})
-		m.done <- err
-	}()
-	return m
-}
-
-// feed pushes one run of bytes into the engine.
-func (m *peerMigration) feed(data []byte) error {
-	if _, err := m.pw.Write(data); err != nil {
-		var done errIngestDone
-		if errors.As(err, &done) && done.err != nil {
-			return done.err
-		}
-		return err
-	}
-	m.hash.Write(data)
-	m.fed += uint64(len(data))
-	return nil
-}
-
-// finish verifies the sender's declared size and sum against what
-// actually arrived, and only then lets the engine see EOF — a mismatched
-// stream is aborted before the engine can commit a manifest under the
-// name. Only a clean finish may be answered with MigrateOK.
-func (m *peerMigration) finish(end wire.MigrateEnd) error {
-	if m.fed != end.TotalBytes {
-		m.cancel()
-		return fmt.Errorf("migrated %q: received %d bytes, sender declared %d", m.name, m.fed, end.TotalBytes)
-	}
-	if m.hash.Sum() != end.Sum {
-		m.cancel()
-		return fmt.Errorf("migrated %q: received stream does not hash to the declared sum", m.name)
-	}
-	m.pw.Close()
-	if err := <-m.done; err != nil {
-		return fmt.Errorf("ingest of %q failed: %w", m.name, err)
-	}
-	return nil
-}
-
-// cancel tears down a half-fed migration (connection loss, protocol
-// error): the engine side is cancelled, the pipe broken, the result
-// drained so the engine goroutine never blocks.
-func (m *peerMigration) cancel() {
-	m.abort()
-	m.pw.CloseWithError(errors.New("server: migration aborted"))
-	go func() { <-m.done }()
-}
+// errMigrationAborted breaks the pipe of a half-fed migration.
+var errMigrationAborted = errors.New("server: migration aborted")
 
 // handleMigrateFrames serves one replica/migrate-plane frame inside the
 // peer-connection loop. It returns (handled, fatal): fatal means the
 // connection must be dropped (an Error frame was already sent where the
 // protocol allows one).
-func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, c *session.Conn) (bool, bool) {
+func (s *Server) handleMigrateFrames(f wire.Frame, mig **feed, c *session.Conn) (bool, bool) {
 	switch f.Type {
 	case wire.TypeMigrateBegin:
 		mb, err := wire.UnmarshalMigrateBegin(f.Payload)
@@ -117,7 +50,7 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, c *sessi
 				return true, true
 			}
 		}
-		*mig = s.beginMigration(mb.Name)
+		*mig = beginFeed(context.Background(), s.cfg.Engine.NewSession(), mb.Name)
 		s.cfg.Events.Info("server.migrate_begin", events.F("name", mb.Name))
 		return true, false
 
@@ -131,9 +64,9 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, c *sessi
 			c.Errorf(wire.CodeProtocol, false, "MigrateData outside a migration")
 			return true, true
 		}
-		if err := (*mig).feed(md.Data); err != nil {
+		if _, err := (*mig).write(md.Data); err != nil {
 			c.Errorf(wire.CodeInternal, false, "migrate feed: %v", err)
-			(*mig).cancel()
+			(*mig).cancel(errMigrationAborted)
 			*mig = nil
 			return true, true
 		}
@@ -151,9 +84,16 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, c *sessi
 		}
 		m := *mig
 		*mig = nil
-		if err := m.finish(me); err != nil {
-			m.abort()
-			c.Errorf(wire.CodeIntegrity, false, "%v", err)
+		switch err := m.finish(me.TotalBytes, me.Sum); err {
+		case nil:
+		case errFeedSize:
+			c.Errorf(wire.CodeIntegrity, false, "migrated %q: received %d bytes, sender declared %d", m.name, m.fed, me.TotalBytes)
+			return true, true
+		case errFeedSum:
+			c.Errorf(wire.CodeIntegrity, false, "migrated %q: received stream does not hash to the declared sum", m.name)
+			return true, true
+		default:
+			c.Errorf(wire.CodeIntegrity, false, "ingest of %q failed: %v", m.name, err)
 			return true, true
 		}
 		// Same durability barrier as a client FileEnd ack: MigrateOK is

@@ -15,7 +15,6 @@ import (
 func newTreeEngine(t *testing.T) *core.Dedup {
 	t.Helper()
 	p := exp.DefaultParams(exp.AlgoMHD, 4096, 64, 64<<20)
-	p.IngestWorkers = 8
 	p.RecipeTrees = true
 	eng, err := exp.Build(p)
 	if err != nil {

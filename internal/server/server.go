@@ -84,14 +84,13 @@ type Config struct {
 	// hash negotiation; default 256 MiB. Zero disables the cache (every
 	// offered chunk is then needed — correct, just bandwidth-naive).
 	ChunkCacheBytes int64
-	// RestoreWorkers is how many concurrent container reads each restore
-	// stream fans out to through the batched restore pipeline; default 4.
-	// 1 runs the planned/coalesced pipeline synchronously. Frames are
-	// always emitted in order regardless (the pipeline's emitter is
-	// in-order by construction).
+	// RestoreWorkers is how many planned container reads each restore
+	// stream keeps in flight ahead of the frame it is writing; default 4.
+	// 1 fetches them one at a time on the handler. Frames are emitted in
+	// order regardless (the executor emits in schedule order).
 	RestoreWorkers int
-	// RestoreWindowBytes bounds each restore's reorder buffer; default
-	// 8 MiB (store.DefaultRestoreWindowBytes).
+	// RestoreWindowBytes bounds the bytes of those reads; default 8 MiB
+	// (store.DefaultRestoreWindowBytes).
 	RestoreWindowBytes int64
 	// Durability, when non-nil, is the store's continuous-durability
 	// hook: Commit is awaited before each FileEnd is acknowledged (so an
@@ -534,10 +533,10 @@ func (s *Server) servePeerConn(c *session.Conn) {
 	// At most one migrated-file ingest streams per peer connection; if the
 	// connection dies mid-stream the half-fed file must be aborted, never
 	// committed.
-	var mig *peerMigration
+	var mig *feed
 	defer func() {
 		if mig != nil {
-			mig.cancel()
+			mig.cancel(errMigrationAborted)
 		}
 	}()
 	for {
@@ -612,10 +611,10 @@ func (s *Server) servePeerConn(c *session.Conn) {
 // with a huge length and trust the End frame; for a whole-file request
 // that is the file's). The store's RestoreRange descends the file's recipe
 // (O(log n) recipe-chunk reads on a tree; a linear recipe decode on a flat
-// manifest) and only the covering sub-manifest flows through the batched
-// restore pipeline: up to cfg.RestoreWorkers container reads proceed out of
-// order while the pipeline's in-order emitter feeds the frameWriter, so
-// RestoreData frames always carry the bytes in order.
+// manifest) and only the covering sub-manifest is planned: up to
+// cfg.RestoreWorkers planned reads are in flight while this goroutine emits
+// them in schedule order into the frameWriter, so RestoreData frames always
+// carry the bytes in order.
 func (s *Server) streamRestore(req wire.RestoreRange, event string, c *session.Conn) error {
 	if !s.cfg.Engine.Disk().Exists(simdisk.FileManifest, req.Name) {
 		return session.Fatalf(wire.CodeNotFound, "no such file %q", req.Name)

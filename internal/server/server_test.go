@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"mhdedup/internal/core"
 	"mhdedup/internal/events"
 	"mhdedup/internal/exp"
+	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
 	"mhdedup/internal/wire"
 )
@@ -23,7 +25,6 @@ func testEvents(t *testing.T) *events.Log {
 func newTestEngine(t *testing.T) *core.Dedup {
 	t.Helper()
 	p := exp.DefaultParams(exp.AlgoMHD, 4096, 64, 64<<20)
-	p.IngestWorkers = 8
 	eng, err := exp.Build(p)
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +168,54 @@ func TestChunkDataHashMismatchIsIntegrityError(t *testing.T) {
 	}
 	write(wire.TypeChunkData, wire.ChunkData{Seq: 2, Start: 0, Chunks: [][]byte{data}}.Marshal())
 	expectError(t, read(), wire.CodeIntegrity, false)
+}
+
+// TestFileEndBadSumCommitsNothing: a file whose FileEnd declares a sum or a
+// size the reassembled stream does not have is refused with an integrity
+// error before the engine may commit it — afterwards the name neither
+// restores nor lists. (The peer plane's twin is TestPeerMigrateBadSum; both
+// planes drive the one feed.)
+func TestFileEndBadSumCommitsNothing(t *testing.T) {
+	data := ch('z', 2048)
+	honest := wire.FileEnd{Seq: 3, TotalBytes: uint64(len(data)), Sum: hashutil.SumBytes(data)}
+	wrongSum, wrongSize := honest, honest
+	wrongSum.Sum = hashutil.SumString("not the stream's hash")
+	wrongSize.TotalBytes++
+	for name, end := range map[string]wire.FileEnd{"wrong Sum": wrongSum, "wrong TotalBytes": wrongSize} {
+		srv, eng, addr := startServer(t, nil)
+		_, write, read := rawConn(t, addr)
+		write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+		if f := read(); f.Type != wire.TypeHelloOK {
+			t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
+		}
+		write(wire.TypeFileBegin, wire.FileBegin{Seq: 1, Name: "f"}.Marshal())
+		expectAck(t, read, 1)
+		write(wire.TypeOffer, wire.Offer{Seq: 2, Entries: []wire.OfferEntry{
+			{Hash: hashutil.SumBytes(data), Size: uint32(len(data))},
+		}}.Marshal())
+		if need, err := wire.UnmarshalNeed(read().Payload); err != nil || len(need.Indices) != 1 {
+			t.Fatalf("need = %+v, %v", need, err)
+		}
+		write(wire.TypeChunkData, wire.ChunkData{Seq: 2, Start: 0, Chunks: [][]byte{data}}.Marshal())
+		expectAck(t, read, 2)
+		write(wire.TypeFileEnd, end.Marshal())
+		expectError(t, read(), wire.CodeIntegrity, false)
+
+		var sink bytes.Buffer
+		if err := eng.Restore("f", &sink); err == nil {
+			t.Errorf("%s: refused file restores %d bytes under its name", name, sink.Len())
+		}
+		_, write, read = rawConn(t, addr)
+		write(wire.TypeHello, wire.Hello{Mode: wire.ModeRestore}.Marshal())
+		if f := read(); f.Type != wire.TypeHelloOK {
+			t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
+		}
+		write(wire.TypeListReq, nil)
+		list, err := wire.UnmarshalListResp(read().Payload)
+		if err != nil || len(list.Names) != 0 {
+			t.Errorf("%s: refused file is listed: %v, %v", name, list.Names, err)
+		}
+	}
 }
 
 func TestRestoreNotFound(t *testing.T) {

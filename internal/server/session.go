@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -45,11 +44,11 @@ type ingestSession struct {
 	// so the POINTER is guarded: both sides take a reference or swap it
 	// out under fileMu and never dereference ss.file directly.
 	fileMu sync.Mutex
-	file   *openFile
+	file   *feed
 }
 
 // currentFile returns the open file (nil when none) under the lock.
-func (ss *ingestSession) currentFile() *openFile {
+func (ss *ingestSession) currentFile() *feed {
 	ss.fileMu.Lock()
 	defer ss.fileMu.Unlock()
 	return ss.file
@@ -57,7 +56,7 @@ func (ss *ingestSession) currentFile() *openFile {
 
 // takeFile detaches and returns the open file, exactly once: the caller
 // that gets a non-nil result owns its teardown or completion.
-func (ss *ingestSession) takeFile() *openFile {
+func (ss *ingestSession) takeFile() *feed {
 	ss.fileMu.Lock()
 	defer ss.fileMu.Unlock()
 	f := ss.file
@@ -79,17 +78,6 @@ type pendingCmd struct {
 	need    []uint32 // offer indices whose bytes the client must send
 	data    [][]byte // per offer index: pinned cache bytes or received bytes
 	missing int      // needed chunks not yet received
-}
-
-// openFile is the feed of the file currently being reassembled: a pipe
-// into PutFileContext running on its own goroutine, plus the running
-// total and hash used to check the client's FileEnd claim.
-type openFile struct {
-	name string
-	pw   *io.PipeWriter
-	done chan error
-	hash *hashutil.Hasher
-	fed  uint64
 }
 
 // shedf is an overload refusal: reported to the client as a retryable
@@ -262,16 +250,7 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 			ss.fileMu.Unlock()
 			return session.Fatalf(wire.CodeProtocol, "FileBegin %q while %q is open", pc.begin.Name, open)
 		}
-		pr, pw := io.Pipe()
-		f := &openFile{name: wire.NSJoin(ss.tenant, pc.begin.Name), pw: pw, done: make(chan error, 1), hash: hashutil.NewHasher()}
-		sess, ctx := ss.eng, ss.ctx
-		go func() {
-			err := sess.PutFileContext(ctx, f.name, pr)
-			// Unblock any writer still feeding the pipe, then publish.
-			pr.CloseWithError(errIngestDone{err})
-			f.done <- err
-		}()
-		ss.file = f
+		ss.file = beginFeed(ss.ctx, ss.eng, wire.NSJoin(ss.tenant, pc.begin.Name))
 		ss.fileMu.Unlock()
 		return nil
 
@@ -284,11 +263,13 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 			if data == nil {
 				return session.Fatalf(wire.CodeInternal, "offer %d index %d has no bytes at apply time", pc.seq, i)
 			}
-			if _, err := f.pw.Write(data); err != nil {
-				return ss.feedFailure(f.name, err)
+			// A failed write is the engine's own fault, or the session
+			// being torn down under the handler.
+			if engineFault, err := f.write(data); engineFault {
+				return session.Fatalf(wire.CodeInternal, "ingest of %q failed: %v", f.name, err)
+			} else if err != nil {
+				return session.Fatalf(wire.CodeInternal, "ingest feed of %q failed: %v", f.name, err)
 			}
-			f.hash.Write(data)
-			f.fed += uint64(len(data))
 		}
 		return nil
 
@@ -297,15 +278,14 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 		if f == nil {
 			return session.Fatalf(wire.CodeProtocol, "FileEnd %d outside a file", pc.seq)
 		}
-		f.pw.Close()
-		if err := <-f.done; err != nil {
-			return session.Fatalf(wire.CodeInternal, "ingest of %q failed: %v", f.name, err)
-		}
-		if f.fed != pc.end.TotalBytes {
+		switch err := f.finish(pc.end.TotalBytes, pc.end.Sum); err {
+		case nil:
+		case errFeedSize:
 			return session.Fatalf(wire.CodeIntegrity, "file %q: reassembled %d bytes, client declared %d", f.name, f.fed, pc.end.TotalBytes)
-		}
-		if f.hash.Sum() != pc.end.Sum {
+		case errFeedSum:
 			return session.Fatalf(wire.CodeIntegrity, "file %q: reassembled stream does not hash to the declared sum", f.name)
+		default:
+			return session.Fatalf(wire.CodeInternal, "ingest of %q failed: %v", f.name, err)
 		}
 		// Durability barrier: the FileEnd ack this apply unlocks is the
 		// server's promise that the file survives a crash, so it is not
@@ -326,27 +306,6 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 	return session.Fatalf(wire.CodeInternal, "unapplicable command kind %d", pc.kind)
 }
 
-// feedFailure maps a pipe-write failure (the engine goroutine died, or
-// the session was torn down under the handler) to the real error.
-func (ss *ingestSession) feedFailure(name string, writeErr error) error {
-	var done errIngestDone
-	if errors.As(writeErr, &done) && done.err != nil {
-		return session.Fatalf(wire.CodeInternal, "ingest of %q failed: %v", name, done.err)
-	}
-	return session.Fatalf(wire.CodeInternal, "ingest feed of %q failed: %v", name, writeErr)
-}
-
-// errIngestDone carries PutFile's result through the pipe so a blocked
-// feed learns why the engine stopped reading.
-type errIngestDone struct{ err error }
-
-func (e errIngestDone) Error() string {
-	if e.err == nil {
-		return "server: ingest finished"
-	}
-	return "server: ingest failed: " + e.err.Error()
-}
-
 // closeRequested finalizes the session on an orderly Close: every command
 // must already be applied and no file may be open.
 func (ss *ingestSession) closeRequested() error {
@@ -360,16 +319,9 @@ func (ss *ingestSession) closeRequested() error {
 }
 
 // abortOpenFile tears down the in-flight file feed (detach-expiry and
-// fatal-error paths): the engine side is cancelled via the session
-// context by the caller; here the pipe is broken so both ends unblock.
+// fatal-error paths).
 func (ss *ingestSession) abortOpenFile(cause error) {
-	f := ss.takeFile()
-	if f == nil {
-		return
+	if f := ss.takeFile(); f != nil {
+		f.cancel(cause)
 	}
-	f.pw.CloseWithError(cause)
-	// Drain the result so the engine goroutine's buffered send never
-	// blocks; the error itself is expected (cancelled context or pipe
-	// breakage) and already accounted.
-	go func() { <-f.done }()
 }

@@ -83,9 +83,10 @@ type DurableOptions struct {
 	ShedPendingBytes int64
 	ShedLogBytes     int64
 
-	// ScrubInterval runs an online scrub (restore every file from a
-	// consistent snapshot, verifying decodability) this often. Default
-	// 0 = no scrubbing.
+	// ScrubInterval runs an online scrub (a verified restore of every file
+	// from a consistent snapshot: each byte is re-hashed against the
+	// manifest entry that vouches for it) this often. Default 0 = no
+	// scrubbing.
 	ScrubInterval time.Duration
 
 	// PaceHistogram + P99Budget pace background maintenance: each tick
@@ -246,9 +247,14 @@ func (d *Durable) compactLocked() error {
 
 // Scrub verifies the store online: it mounts a consistent read-only
 // snapshot (newest generation + the log's valid prefix) and restores
-// every file to a discard writer through the normal decode path, so any
-// undecodable manifest or missing chunk surfaces as an event — without
-// ever touching the live engine's disk or blocking ingest.
+// every file to a discard writer through the verified path, so an
+// undecodable manifest, a missing chunk or a flipped bit in a persisted
+// container surfaces as an event — without ever touching the live engine's
+// disk or blocking ingest. Any log prefix verifies: a file's records are
+// logged DiskChunk → Manifest → Hooks → FileManifest, so a recipe in the
+// prefix has every container and manifest it points into ahead of it, and
+// an HHR write-back only replaces a manifest entry by entries over the same
+// bytes, so either version of a manifest vouches for them.
 func (d *Durable) Scrub() error {
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
@@ -264,12 +270,12 @@ func (d *Durable) Scrub() error {
 		return err
 	}
 	format, _ := DetectFormat(snap)
-	st := New(snap, format)
+	ver := NewVerifier(New(snap, format), VerifyOpts{})
 	names := snap.Names(simdisk.FileManifest)
 	sort.Strings(names)
 	bad := 0
 	for _, name := range names {
-		if err := st.RestoreFile(name, io.Discard); err != nil {
+		if err := ver.RestoreFile(name, io.Discard); err != nil {
 			bad++
 			d.ev.Error("scrub.corrupt",
 				events.F("file", name), events.F("err", err.Error()))

@@ -575,18 +575,18 @@ type RangeStats struct {
 	FileBytes, Offset, Length int64
 }
 
-// RestoreRange rebuilds file bytes [off, off+length) into w through the
-// restore planner/pipeline. length < 0 means to EOF; a range reaching past
-// EOF is clamped (an offset at or past EOF restores zero bytes,
-// successfully); a negative offset is an error. On a recipe tree the
-// descent reads only the chunks covering the range.
+// RestoreRange rebuilds file bytes [off, off+length) into w: one plan, one
+// executor (restoreplan.go, restorepipe.go). length < 0 means to EOF; a
+// range reaching past EOF is clamped (an offset at or past EOF restores
+// zero bytes, successfully); a negative offset is an error. On a recipe
+// tree the descent reads only the chunks covering the range.
 func (s *Store) RestoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions) (RangeStats, error) {
 	return s.restoreRange(file, off, length, w, opts, s.readPlanned, 0)
 }
 
-// restoreRange is the one ranged restore under both the plain and the
-// verified (Verifier.RestoreRange) entry points, which differ only in how
-// a planned read is fetched and in how often recipe reads are retried.
+// restoreRange is the one restore under every entry point, whole-file or
+// ranged. Plain and verified (Verifier.RestoreRange) differ only in how a
+// planned read is fetched and in how often recipe reads are retried.
 func (s *Store) restoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions, read plannedReadFn, retries int) (RangeStats, error) {
 	raw, err := readRetry(s.disk, simdisk.FileManifest, file, retries)
 	if err != nil {
@@ -596,11 +596,11 @@ func (s *Store) restoreRange(file string, off, length int64, w io.Writer, opts R
 	if err != nil {
 		return RangeStats{RecipeReads: reads}, err
 	}
-	plan, err := planRestore(sub, opts.gap())
+	plan, err := planRestore(sub, DefaultRestoreCoalesceGap)
 	if err != nil {
 		return RangeStats{RecipeReads: reads, FileBytes: total}, err
 	}
-	rs, err := s.runRestorePipeline(plan, read, w, opts)
+	rs, err := s.runPlan(plan, read, w, opts)
 	return RangeStats{RestoreStats: rs, RecipeReads: reads,
 		FileBytes: total, Offset: off, Length: sub.TotalBytes()}, err
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -11,28 +10,25 @@ import (
 	"mhdedup/internal/metrics"
 )
 
-// Batched, pipelined restore engine. planRestore (restoreplan.go) turns a
-// FileManifest into a totally ordered schedule of coalesced container
-// reads; this file executes the schedule: N reader goroutines fetch
-// planned ranges out of order while a single in-order emitter reassembles
-// the logical byte stream from a windowed reorder buffer, so the output
-// written to w is bit-identical to the serial per-ref walk no matter how
-// reads complete.
+// The restore executor. planRestore (restoreplan.go) turns a FileManifest
+// into a totally ordered schedule of coalesced container reads; runPlan
+// executes it, and is the only thing that does: whole or ranged, plain or
+// verified, every restore is this loop (DESIGN §11).
 //
-// Memory is bounded by RestoreOptions.WindowBytes: a dispatcher admits
-// reads (in schedule order) into the window only while the bytes of all
-// admitted-but-unemitted reads fit, and the emitter credits a read's bytes
-// back the moment its last segment is written. A single read larger than
-// the whole window is admitted only when the window is empty, so the true
-// bound is max(WindowBytes, largest planned read). Because reads are
-// emitted in exactly admission order, the emitter can only ever be waiting
-// on a read that is already in flight — or admissible into an empty
-// window — so the pipeline cannot deadlock, and a stalled writer simply
-// holds the window full (backpressure) without growing it.
+// The calling goroutine emits the planned reads in schedule order. Before
+// it waits for read i it starts every later read that fits: at most
+// RestoreOptions.Workers reads are started and not yet emitted, and their
+// bytes stay within max(WindowBytes, largest planned read) — a read larger
+// than the whole window starts only when nothing else is outstanding.
+// Starting and emitting share one loop and one order, so the read awaited
+// has always been started: that is the whole deadlock argument, and a
+// stalled writer is backpressure by construction (nothing is emitted, so
+// nothing new starts). Workers ≤ 1 fetches each read inline on the caller —
+// no goroutine, no channel hop — which is every default restore.
 
-// Pipeline instrumentation on the process-wide registry: plan size and
-// coalesce ratio per restore, per-planned-read latency, and window
-// occupancy at each admission.
+// Executor instrumentation on the process-wide registry: plan size and
+// coalesce ratio per restore, per-planned-read latency, and the bytes
+// outstanding each time a read is started ahead.
 var (
 	hRestorePlanReads     = metrics.GetHistogram("store.restore_plan_reads")
 	hRestoreCoalesceX1000 = metrics.GetHistogram("store.restore_coalesce_x1000")
@@ -40,8 +36,8 @@ var (
 	hRestoreWindowBytes   = metrics.GetHistogram("store.restore_window_bytes")
 )
 
-// RestoreStats describes one pipelined restore: how much the planner
-// coalesced and how full the reorder window got.
+// RestoreStats describes one restore: how much the planner coalesced and
+// how far the executor read ahead.
 type RestoreStats struct {
 	// Refs is the number of recipe entries; Reads the number of planned
 	// container reads they coalesced into.
@@ -51,10 +47,11 @@ type RestoreStats struct {
 	OutputBytes, PlannedBytes int64
 	// CoalesceRatio is Refs/Reads (≥ 1; 0 for an empty file).
 	CoalesceRatio float64
-	// PeakWindowBytes is the largest total of admitted-but-unemitted read
+	// PeakWindowBytes is the largest total of started-but-unemitted read
 	// bytes observed — always ≤ max(WindowBytes, largest single read).
 	PeakWindowBytes int64
-	// Workers is the number of reader goroutines actually used.
+	// Workers is the most reads the executor keeps outstanding at once (1:
+	// each read is fetched inline on the caller).
 	Workers int
 }
 
@@ -65,40 +62,20 @@ type RestoreStats struct {
 // clean (Verifier.readPlannedVerified).
 type plannedReadFn func(pr *plannedRead) ([]byte, error)
 
-// errRestoreAborted marks reads skipped because the pipeline already
-// failed; it never escapes to the caller (the first real error does).
-var errRestoreAborted = errors.New("store: restore aborted")
-
-// SetEventLog attaches a structured event log to the store; restore
-// pipelines report slow planned reads and per-file plan summaries to it.
-// A nil log (the default) is silently discarded.
+// SetEventLog attaches a structured event log to the store; restores
+// report slow planned reads and per-file plan summaries to it. A nil log
+// (the default) is silently discarded.
 func (s *Store) SetEventLog(l *events.Log) { s.ev = l }
 
-// RestoreFileOpts rebuilds an input file through the batched restore
-// pipeline and writes the bytes — bit-identical to RestoreFile's serial
-// walk — to w. See RestoreFileStats for the plan/window statistics.
-func (s *Store) RestoreFileOpts(file string, w io.Writer, opts RestoreOptions) error {
-	_, err := s.RestoreFileStats(file, w, opts)
-	return err
-}
-
-// RestoreFileStats is RestoreFileOpts returning the pipeline statistics
-// (plan size, coalesce ratio, peak reorder-window occupancy).
+// RestoreFileStats is RestoreFile under opts, returning the plan and
+// look-ahead statistics.
 func (s *Store) RestoreFileStats(file string, w io.Writer, opts RestoreOptions) (RestoreStats, error) {
-	fm, err := s.ReadFileManifest(file)
-	if err != nil {
-		return RestoreStats{}, fmt.Errorf("store: restore %q: %w", file, err)
-	}
-	plan, err := planRestore(fm, opts.gap())
-	if err != nil {
-		return RestoreStats{}, err
-	}
-	return s.runRestorePipeline(plan, s.readPlanned, w, opts)
+	rs, err := s.RestoreRange(file, 0, -1, w, opts)
+	return rs.RestoreStats, err
 }
 
 // readPlanned is the plain (unverified) plannedReadFn: one coalesced
-// container range read — the batching win over the serial path's
-// read-per-ref.
+// container range read.
 func (s *Store) readPlanned(pr *plannedRead) ([]byte, error) {
 	data, err := s.ReadDiskChunkRange(pr.container, pr.start, pr.length)
 	if err != nil {
@@ -107,9 +84,10 @@ func (s *Store) readPlanned(pr *plannedRead) ([]byte, error) {
 	return data, nil
 }
 
-// runRestorePipeline executes a restore plan: synchronously for
-// opts.Workers ≤ 1, otherwise with the windowed parallel pipeline.
-func (s *Store) runRestorePipeline(plan *restorePlan, read plannedReadFn, w io.Writer, opts RestoreOptions) (RestoreStats, error) {
+// runPlan executes a restore plan into w, fetching each planned read with
+// read. It returns only once every read it started has finished, so a
+// failed restore leaves no disk access behind it.
+func (s *Store) runPlan(plan *restorePlan, read plannedReadFn, w io.Writer, opts RestoreOptions) (RestoreStats, error) {
 	stats := RestoreStats{
 		Refs:          plan.refs,
 		Reads:         len(plan.reads),
@@ -120,44 +98,72 @@ func (s *Store) runRestorePipeline(plan *restorePlan, read plannedReadFn, w io.W
 	}
 	hRestorePlanReads.Observe(int64(len(plan.reads)))
 	hRestoreCoalesceX1000.Observe(int64(stats.CoalesceRatio * 1000))
+	begin := time.Now()
 
-	start := time.Now()
-	var err error
-	if opts.workers() <= 1 {
-		err = s.restoreSerialPlan(plan, read, w, &stats)
-	} else {
-		err = s.restoreParallelPlan(plan, read, w, opts, &stats)
+	type result struct {
+		buf []byte
+		err error
 	}
-	if err == nil {
-		d := s.ev.SlowOp("restore.pipeline", time.Since(start),
+	var (
+		reads   = plan.reads
+		width   = stats.Workers
+		window  = opts.window()
+		slots   []chan result // read i reports on slots[i%width]
+		started int           // reads[:started] have been started
+		used    int64         // bytes of started-and-unemitted reads
+		wg      sync.WaitGroup
+	)
+	if width > 1 {
+		// At most width consecutive reads are outstanding, so read i's slot
+		// is free by the time read i starts; one buffered result each means
+		// a reader never blocks, whether or not anyone is left to receive.
+		slots = make([]chan result, width)
+		for k := range slots {
+			slots[k] = make(chan result, 1)
+		}
+		defer wg.Wait()
+	}
+	for i := range reads {
+		var r result
+		if width <= 1 {
+			used = reads[i].length
+			r.buf, r.err = s.timedRead(read, &reads[i])
+		} else {
+			for ; started < len(reads) && started-i < width &&
+				(used == 0 || used+reads[started].length <= window); started++ {
+				pr, slot := &reads[started], slots[started%width]
+				used += pr.length
+				hRestoreWindowBytes.Observe(used)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					buf, err := s.timedRead(read, pr)
+					slot <- result{buf, err}
+				}()
+			}
+			r = <-slots[i%width]
+		}
+		if used > stats.PeakWindowBytes {
+			stats.PeakWindowBytes = used
+		}
+		if r.err != nil {
+			return stats, fmt.Errorf("store: restore %q: %w", plan.file, r.err)
+		}
+		if err := emitSegments(w, &reads[i], r.buf); err != nil {
+			return stats, err
+		}
+		used -= reads[i].length
+	}
+
+	d := s.ev.SlowOp("restore.pipeline", time.Since(begin),
+		events.F("file", plan.file), events.F("bytes", stats.OutputBytes),
+		events.F("reads", stats.Reads), events.F("workers", stats.Workers))
+	if !d {
+		s.ev.Debug("restore.pipeline.done",
 			events.F("file", plan.file), events.F("bytes", stats.OutputBytes),
-			events.F("reads", stats.Reads), events.F("workers", stats.Workers))
-		if !d {
-			s.ev.Debug("restore.pipeline.done",
-				events.F("file", plan.file), events.F("bytes", stats.OutputBytes),
-				events.F("refs", stats.Refs), events.F("reads", stats.Reads))
-		}
+			events.F("refs", stats.Refs), events.F("reads", stats.Reads))
 	}
-	return stats, err
-}
-
-// restoreSerialPlan runs the schedule one read at a time on the calling
-// goroutine — the Workers ≤ 1 pipeline, still coalesced.
-func (s *Store) restoreSerialPlan(plan *restorePlan, read plannedReadFn, w io.Writer, stats *RestoreStats) error {
-	for i := range plan.reads {
-		pr := &plan.reads[i]
-		if pr.length > stats.PeakWindowBytes {
-			stats.PeakWindowBytes = pr.length
-		}
-		buf, err := s.timedRead(read, pr)
-		if err != nil {
-			return fmt.Errorf("store: restore %q: %w", plan.file, err)
-		}
-		if err := emitSegments(w, pr, buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return stats, nil
 }
 
 // timedRead wraps one planned read with the latency histogram and the
@@ -183,143 +189,4 @@ func emitSegments(w io.Writer, pr *plannedRead, buf []byte) error {
 		}
 	}
 	return nil
-}
-
-// restoreParallelPlan is the windowed parallel pipeline: a dispatcher
-// admits reads in order under the byte budget, opts.Workers goroutines
-// fetch them out of order, and the calling goroutine emits in order.
-func (s *Store) restoreParallelPlan(plan *restorePlan, read plannedReadFn, w io.Writer, opts RestoreOptions, stats *RestoreStats) error {
-	var (
-		mu      sync.Mutex
-		cond    = sync.NewCond(&mu)
-		results = make([][]byte, len(plan.reads))
-		ready   = make([]bool, len(plan.reads))
-		errs    = make([]error, len(plan.reads))
-		used    int64 // bytes of admitted-but-unemitted reads
-		peak    int64
-		failed  bool // stop admitting/reading; emitter is unwinding
-	)
-	window := opts.window()
-	fail := func() { // callers hold mu
-		failed = true
-		cond.Broadcast()
-	}
-
-	// Dispatcher: admit reads in schedule order, each only once its bytes
-	// fit the window (or the window is empty, for oversized reads).
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := range plan.reads {
-			sz := plan.reads[i].length
-			mu.Lock()
-			for !failed && used > 0 && used+sz > window {
-				cond.Wait()
-			}
-			if failed {
-				mu.Unlock()
-				return
-			}
-			used += sz
-			if used > peak {
-				peak = used
-			}
-			occupancy := used
-			mu.Unlock()
-			hRestoreWindowBytes.Observe(occupancy)
-			jobs <- i
-		}
-	}()
-
-	// Readers: fetch planned ranges out of order.
-	var wg sync.WaitGroup
-	for k := 0; k < opts.workers(); k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				mu.Lock()
-				aborted := failed
-				mu.Unlock()
-				var (
-					buf []byte
-					err error
-				)
-				if aborted {
-					err = errRestoreAborted
-				} else {
-					buf, err = s.timedRead(read, &plan.reads[i])
-				}
-				mu.Lock()
-				results[i], errs[i], ready[i] = buf, err, true
-				if err != nil {
-					failed = true
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-
-	// Emitter (this goroutine): in-order reassembly from the reorder
-	// buffer. Because admission and emission share one total order, the
-	// read awaited here is always in flight or admissible.
-	var emitErr error
-	for i := range plan.reads {
-		mu.Lock()
-		for !ready[i] && !failed {
-			cond.Wait()
-		}
-		if !ready[i] { // failed elsewhere before this read was fetched
-			err := firstReadError(errs)
-			fail()
-			mu.Unlock()
-			emitErr = err
-			break
-		}
-		buf, err := results[i], errs[i]
-		mu.Unlock()
-		if err != nil {
-			mu.Lock()
-			fail()
-			mu.Unlock()
-			if errors.Is(err, errRestoreAborted) {
-				err = firstReadError(errs)
-			}
-			emitErr = fmt.Errorf("store: restore %q: %w", plan.file, err)
-			break
-		}
-		werr := emitSegments(w, &plan.reads[i], buf)
-		mu.Lock()
-		results[i] = nil
-		used -= plan.reads[i].length
-		if werr != nil {
-			fail()
-		}
-		cond.Broadcast()
-		mu.Unlock()
-		if werr != nil {
-			emitErr = werr
-			break
-		}
-	}
-	// Unwind: the dispatcher exits on failed (or schedule end), closing
-	// jobs; readers drain remaining jobs as aborted no-ops and exit.
-	wg.Wait()
-	mu.Lock()
-	stats.PeakWindowBytes = peak
-	mu.Unlock()
-	return emitErr
-}
-
-// firstReadError returns the lowest-indexed real read error (skipping
-// aborted placeholders), or a generic failure — the error the emitter
-// reports when it stopped because a read somewhere failed.
-func firstReadError(errs []error) error {
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, errRestoreAborted) {
-			return fmt.Errorf("store: restore: %w", err)
-		}
-	}
-	return errors.New("store: restore: pipeline failed")
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,13 +19,21 @@ import (
 // buildFragmentedStore synthesizes a store whose single file has a
 // deliberately hostile recipe: many small refs alternating between
 // containers, with gaps, overlaps and backward jumps — everything the
-// planner and the reorder buffer must get right. Returns the store, the
-// file name and the expected bytes.
+// planner and the executor must get right. Returns the store, the file
+// name and the expected bytes.
 func buildFragmentedStore(t *testing.T, seed int64, refCount int) (*Store, string, []byte) {
 	t.Helper()
+	s := New(simdisk.New(), FormatBasic)
+	file, want := fillFragmented(t, s, seed, refCount)
+	return s, file, want
+}
+
+// fillFragmented writes buildFragmentedStore's containers and file into s,
+// in s's manifest and recipe formats. Every container is tiled by manifest
+// entries, so the file restores through the verified path too.
+func fillFragmented(t *testing.T, s *Store, seed int64, refCount int) (string, []byte) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	disk := simdisk.New()
-	s := New(disk, FormatBasic)
 
 	const containerSize = 64 << 10
 	containers := map[hashutil.Sum][]byte{}
@@ -33,6 +43,13 @@ func buildFragmentedStore(t *testing.T, seed int64, refCount int) (*Store, strin
 		rng.Read(data)
 		name := hashutil.SumString(fmt.Sprintf("frag-c%d", i))
 		if err := s.WriteDiskChunk(name, data); err != nil {
+			t.Fatal(err)
+		}
+		m := NewManifest(name, s.Format())
+		for off := int64(0); off < containerSize; off += 1 << 10 {
+			m.Append(Entry{Hash: hashutil.SumBytes(data[off : off+1<<10]), Start: off, Size: 1 << 10})
+		}
+		if err := s.CreateManifest(m); err != nil {
 			t.Fatal(err)
 		}
 		containers[name] = data
@@ -69,22 +86,89 @@ func buildFragmentedStore(t *testing.T, seed int64, refCount int) (*Store, strin
 	if err := s.WriteFileManifest(fm); err != nil {
 		t.Fatal(err)
 	}
-	return s, fm.File, want
+	return fm.File, want
+}
+
+// refWalk is the restore oracle: the naive walk of a file's recipe, one
+// container read per ref, that every restore path once was. It lives only
+// in test code; TestRestoreDifferential holds the one executor to it.
+func refWalk(t *testing.T, s *Store, file string) []byte {
+	t.Helper()
+	fm, err := s.ReadFileManifest(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, ref := range fm.Refs {
+		data, err := s.ReadDiskChunkRange(ref.Container, ref.Start, ref.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, data...)
+	}
+	return out
+}
+
+// TestRestoreDifferential is the one differential table: every way into the
+// one executor — plain and verified, flat and tree recipes, whole files and
+// ranges, every look-ahead width and window including one-byte windows
+// where each read runs alone — writes exactly the bytes of the ref-walk
+// oracle.
+func TestRestoreDifferential(t *testing.T) {
+	layouts := map[string]func() *Store{
+		"flat": func() *Store { return New(simdisk.New(), FormatBasic) },
+		"tree": treeStore,
+	}
+	for layout, mk := range layouts {
+		s := mk()
+		file, built := fillFragmented(t, s, 23, 300)
+		want := refWalk(t, s, file)
+		if !bytes.Equal(want, built) {
+			t.Fatalf("%s: ref-walk oracle diverges from construction", layout)
+		}
+		total := int64(len(want))
+		paths := map[string]func(string, int64, int64, io.Writer, RestoreOptions) (RangeStats, error){
+			"plain":    s.RestoreRange,
+			"verified": NewVerifier(s, VerifyOpts{}).RestoreRange,
+		}
+		for path, restore := range paths {
+			for _, workers := range []int{0, 1, 2, 8} {
+				for _, window := range []int64{0, 1, 4 << 10, 1 << 20} {
+					for _, r := range [][2]int64{{0, -1}, {total/3 + 7, 20_000}, {total - 5_000, -1}, {total + 10, 64}} {
+						off, length := r[0], r[1]
+						lo, hi := min(off, total), total
+						if length >= 0 {
+							hi = min(off+length, total)
+						}
+						var got bytes.Buffer
+						rs, err := restore(file, off, length, &got, RestoreOptions{Workers: workers, WindowBytes: window})
+						label := fmt.Sprintf("%s %s workers %d window %d range [%d,+%d)", layout, path, workers, window, off, length)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !bytes.Equal(got.Bytes(), want[lo:hi]) {
+							t.Fatalf("%s: output diverges from the ref walk (%d vs %d bytes)", label, got.Len(), hi-lo)
+						}
+						if rs.FileBytes != total || rs.Length != hi-lo || rs.OutputBytes != hi-lo {
+							t.Fatalf("%s: stats %+v, want %d of %d bytes", label, rs, hi-lo, total)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestPipelineMatchesSerialReference is the core differential invariant at
 // the store layer: for every worker count and window size — including
-// pathological one-read windows that force constant reordering pressure —
-// the pipeline's output is bit-identical to the serial per-ref walk.
+// pathological one-read windows that force constant backpressure — the
+// executor's output is bit-identical to the per-ref walk (the refWalk
+// oracle), over several recipes.
 func TestPipelineMatchesSerialReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		s, file, want := buildFragmentedStore(t, seed, 300)
-		var serial bytes.Buffer
-		if err := s.RestoreFile(file, &serial); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(serial.Bytes(), want) {
-			t.Fatalf("seed %d: serial reference path diverges from construction", seed)
+		if !bytes.Equal(refWalk(t, s, file), want) {
+			t.Fatalf("seed %d: ref-walk oracle diverges from construction", seed)
 		}
 		for _, workers := range []int{0, 1, 2, 8} {
 			for _, window := range []int64{0, 1, 4096, 1 << 20} {
@@ -159,14 +243,7 @@ func TestPipelineBackpressureBoundsMemory(t *testing.T) {
 	// of this store is far smaller than the window... but the plan may
 	// coalesce, so allow one max-read slack on top of the budget.
 	var largest int64
-	fm, err := s.ReadFileManifest(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := planRestore(fm, RestoreOptions{}.gap())
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := planOf(t, s, file)
 	for i := range plan.reads {
 		if plan.reads[i].length > largest {
 			largest = plan.reads[i].length
@@ -212,8 +289,7 @@ func TestPipelineOversizedReadRunsAlone(t *testing.T) {
 	}
 	// With a 1-byte window every read is oversized and runs alone: the
 	// peak equals the largest planned read.
-	fm, _ := s.ReadFileManifest(file)
-	plan, _ := planRestore(fm, RestoreOptions{}.gap())
+	plan := planOf(t, s, file)
 	var largest int64
 	for i := range plan.reads {
 		if plan.reads[i].length > largest {
@@ -247,7 +323,7 @@ func TestPipelineReadErrorPropagates(t *testing.T) {
 			return nil
 		})
 		var got bytes.Buffer
-		err := s.RestoreFileOpts(file, &got, RestoreOptions{Workers: workers})
+		_, err := s.RestoreFileStats(file, &got, RestoreOptions{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers %d: injected read failure not reported", workers)
 		}
@@ -266,7 +342,7 @@ func TestPipelineWriterErrorPropagates(t *testing.T) {
 	s, file, _ := buildFragmentedStore(t, 17, 150)
 	boom := errors.New("destination full")
 	ew := &errAfterWriter{n: 3, err: boom}
-	err := s.RestoreFileOpts(file, ew, RestoreOptions{Workers: 8, WindowBytes: 8 << 10})
+	_, err := s.RestoreFileStats(file, ew, RestoreOptions{Workers: 8, WindowBytes: 8 << 10})
 	if !errors.Is(err, boom) {
 		t.Fatalf("writer error not propagated: %v", err)
 	}
@@ -287,19 +363,176 @@ func (e *errAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// planOf is the schedule a restore of file executes.
+func planOf(t *testing.T, s *Store, file string) *restorePlan {
+	t.Helper()
+	fm, err := s.ReadFileManifest(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planRestore(fm, DefaultRestoreCoalesceGap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// readProbe wraps the plain planned read with the executor's-eye counters:
+// how many reads were ever started, how many are inside the read right
+// now, and the most that ever were.
+type readProbe struct {
+	s                       *Store
+	started, inside, widest atomic.Int64
+	// before, when set, runs inside every read ahead of the disk access;
+	// returning an error fails the read without touching the disk.
+	before func(pr *plannedRead) error
+}
+
+func (p *readProbe) read(pr *plannedRead) ([]byte, error) {
+	p.started.Add(1)
+	n := p.inside.Add(1)
+	defer p.inside.Add(-1)
+	for w := p.widest.Load(); n > w && !p.widest.CompareAndSwap(w, n); w = p.widest.Load() {
+	}
+	if p.before != nil {
+		if err := p.before(pr); err != nil {
+			return nil, err
+		}
+	}
+	return p.s.readPlanned(pr)
+}
+
+// TestPipelineWidth pins look-ahead from both sides. Enough: when every
+// read parks until Workers of them (or all that are left) are parked, a
+// restore can only finish if the executor really keeps Workers reads in
+// flight. Not more: with the writer frozen on its first byte nothing has
+// been emitted, so the reads started are the reads outstanding, and they
+// settle at exactly Workers however long the writer stalls — the window
+// is far larger than the file, so only the width can be what stops them.
+func TestPipelineWidth(t *testing.T) {
+	s, file, want := buildFragmentedStore(t, 19, 300)
+	plan := planOf(t, s, file)
+	for _, width := range []int{2, 8} {
+		opts := RestoreOptions{Workers: width, WindowBytes: 64 << 20}
+
+		var mu sync.Mutex
+		parked, left, gate := 0, len(plan.reads), make(chan struct{})
+		probe := &readProbe{s: s, before: func(*plannedRead) error {
+			mu.Lock()
+			parked++
+			mine := gate
+			if parked == min(width, left) {
+				left, parked, gate = left-parked, 0, make(chan struct{})
+				close(mine)
+			}
+			mu.Unlock()
+			<-mine
+			return nil
+		}}
+		var got bytes.Buffer
+		finished := make(chan error, 1)
+		go func() {
+			_, err := s.runPlan(plan, probe.read, &got, opts)
+			finished <- err
+		}()
+		select {
+		case err := <-finished:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers %d: restore never had %d reads in flight at once", width, width)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("workers %d: output diverges", width)
+		}
+		if w := probe.widest.Load(); w != int64(width) {
+			t.Fatalf("workers %d: at most %d reads were in flight at once", width, w)
+		}
+
+		probe = &readProbe{s: s}
+		w := &blockingWriter{stalled: make(chan struct{}), release: make(chan struct{})}
+		go func() {
+			_, err := s.runPlan(plan, probe.read, w, opts)
+			finished <- err
+		}()
+		<-w.stalled
+		for deadline := time.Now().Add(10 * time.Second); probe.started.Load() < int64(width); {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers %d: only %d reads started behind a stalled writer", width, probe.started.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond) // every chance to run further ahead
+		if n := probe.started.Load(); n != int64(width) {
+			t.Fatalf("workers %d: %d reads started with nothing emitted", width, n)
+		}
+		close(w.release)
+		if err := <-finished; err != nil {
+			t.Fatal(err)
+		}
+		if w.received != int64(len(want)) {
+			t.Fatalf("workers %d: restored %d bytes, want %d", width, w.received, len(want))
+		}
+	}
+}
+
+// TestPipelineQuiescence: a restore that fails — on a read in the middle of
+// the plan, or on its writer — returns only after every read it started
+// ahead has come back, and starts none afterwards: once it has returned,
+// no read is inside the disk and the disk's read counter no longer moves.
+// A per-read device latency keeps the look-ahead reads in flight at the
+// moment the failure is met.
+func TestPipelineQuiescence(t *testing.T) {
+	boom := errors.New("injected failure")
+	s, file, _ := buildFragmentedStore(t, 29, 300)
+	plan := planOf(t, s, file)
+	s.Disk().SetReadDelay(2 * time.Millisecond)
+	failAt := &plan.reads[len(plan.reads)/2]
+	cases := map[string]struct {
+		before func(pr *plannedRead) error
+		w      func() io.Writer
+	}{
+		"read failure": {func(pr *plannedRead) error {
+			if pr == failAt {
+				return boom
+			}
+			return nil
+		}, func() io.Writer { return io.Discard }},
+		"writer failure": {nil, func() io.Writer { return &errAfterWriter{n: 3, err: boom} }},
+	}
+	for name, tc := range cases {
+		for _, workers := range []int{1, 2, 8} {
+			probe := &readProbe{s: s, before: tc.before}
+			_, err := s.runPlan(plan, probe.read, tc.w(), RestoreOptions{Workers: workers})
+			inside, reads := probe.inside.Load(), s.Disk().Counters().Reads[simdisk.Data]
+			if !errors.Is(err, boom) {
+				t.Fatalf("%s workers %d: err = %v", name, workers, err)
+			}
+			if inside != 0 {
+				t.Fatalf("%s workers %d: returned with %d reads still in flight", name, workers, inside)
+			}
+			if n := probe.started.Load(); n == 0 || n == int64(len(plan.reads)) {
+				t.Fatalf("%s workers %d: %d of %d reads started; the failure did not land mid-plan", name, workers, n, len(plan.reads))
+			}
+			time.Sleep(10 * time.Millisecond)
+			if after := s.Disk().Counters().Reads[simdisk.Data]; after != reads {
+				t.Fatalf("%s workers %d: disk read counter moved %d → %d after the restore returned", name, workers, reads, after)
+			}
+		}
+	}
+}
+
 // TestVerifierPipelineMatchesSerial: the one verified path must produce the
-// constructed bytes — which the naive per-ref walk (Store.RestoreFile, the
-// oracle: there is no second verified path to compare against) must
-// produce too — for the serial walk and for parallel worker counts.
+// constructed bytes — which the naive per-ref walk (the refWalk oracle:
+// there is no second verified path to compare against) must produce too —
+// for the inline executor and for wider look-aheads.
 func TestVerifierPipelineMatchesSerial(t *testing.T) {
 	s, files := buildVerifyStore(t)
 	v := NewVerifier(s, VerifyOpts{})
 	for name, want := range files {
-		var naive, serial bytes.Buffer
-		if err := s.RestoreFile(name, &naive); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(naive.Bytes(), want) {
+		var serial bytes.Buffer
+		if !bytes.Equal(refWalk(t, s, name), want) {
 			t.Fatalf("%s: naive ref-walk diverges from construction", name)
 		}
 		if err := v.RestoreFile(name, &serial); err != nil {

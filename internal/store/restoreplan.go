@@ -17,23 +17,22 @@ import (
 // side worked to create (FileManifest.Append already merges byte-contiguous
 // runs): it walks the refs in output order, groups consecutive refs that
 // land in the same container, and coalesces their ranges — overlapping,
-// adjacent, or separated by at most CoalesceGap container bytes — into one
-// planned read. Gap bytes are read and discarded: one slightly larger
+// adjacent, or separated by at most DefaultRestoreCoalesceGap container
+// bytes — into one planned read. Gap bytes are read and discarded: one slightly larger
 // sequential read beats two disk accesses.
 //
 // Every planned read serves one contiguous run of the output, so the reads
 // are totally ordered by output position. That property is what makes the
-// pipeline in restorepipe.go trivially deadlock-free and its memory bound
-// exact: reads are admitted into the window in order, emitted in order,
-// and a read's buffer is freed as soon as its last segment is written —
-// a buffer never has to survive an unbounded stretch of output the way it
-// would if far-apart refs shared one read.
+// executor in restorepipe.go one loop with an exact memory bound: reads are
+// started in order, emitted in order, and a read's buffer is freed as soon
+// as its last segment is written — a buffer never has to survive an
+// unbounded stretch of output the way it would if far-apart refs shared one
+// read.
 
-// Default tuning for RestoreOptions zero fields.
 const (
-	// DefaultRestoreWindowBytes bounds the reorder buffer: admitted-but-
-	// unemitted read bytes never exceed it (except for a single read larger
-	// than the whole window, which runs alone).
+	// DefaultRestoreWindowBytes bounds read-ahead: started-but-unemitted
+	// read bytes never exceed it (except for a single read larger than the
+	// whole window, which runs alone).
 	DefaultRestoreWindowBytes = 8 << 20
 	// DefaultRestoreCoalesceGap is how many container bytes of gap a
 	// planned read bridges: two refs into the same container separated by
@@ -41,22 +40,19 @@ const (
 	DefaultRestoreCoalesceGap = 64 << 10
 )
 
-// RestoreOptions tunes the batched restore pipeline.
+// RestoreOptions sets how far a restore reads ahead of the bytes it is
+// emitting. The zero value — what every engine's Restore, the online scrub
+// and cmd/restore use by default — plans and coalesces like any other and
+// fetches one read at a time on the calling goroutine.
 type RestoreOptions struct {
-	// Workers is the number of concurrent container-read goroutines.
-	// Values ≤ 1 run the pipeline synchronously on the calling goroutine
-	// (still planned and coalesced, but one read at a time, in order).
+	// Workers is the most planned reads outstanding (started, not yet
+	// emitted) at once, each on its own goroutine. Values ≤ 1 fetch every
+	// read inline on the calling goroutine, in order.
 	Workers int
-	// WindowBytes bounds the reorder buffer: the total bytes of planned
-	// reads in flight or buffered awaiting emission. Zero means
-	// DefaultRestoreWindowBytes. A single read larger than the window is
-	// admitted alone (the bound is then that read's size).
+	// WindowBytes bounds the bytes of those outstanding reads. Zero means
+	// DefaultRestoreWindowBytes. A single read larger than the window
+	// starts alone (the bound is then that read's size).
 	WindowBytes int64
-	// CoalesceGap is the largest container-byte gap a planned read bridges
-	// (gap bytes are read and discarded). Zero means
-	// DefaultRestoreCoalesceGap; negative disables gap bridging (only
-	// overlapping/adjacent ranges coalesce).
-	CoalesceGap int64
 }
 
 func (o RestoreOptions) window() int64 {
@@ -64,16 +60,6 @@ func (o RestoreOptions) window() int64 {
 		return DefaultRestoreWindowBytes
 	}
 	return o.WindowBytes
-}
-
-func (o RestoreOptions) gap() int64 {
-	if o.CoalesceGap == 0 {
-		return DefaultRestoreCoalesceGap
-	}
-	if o.CoalesceGap < 0 {
-		return 0
-	}
-	return o.CoalesceGap
 }
 
 func (o RestoreOptions) workers() int {
@@ -122,9 +108,10 @@ func (p *restorePlan) coalesceRatio() float64 {
 	return float64(p.refs) / float64(len(p.reads))
 }
 
-// planRestore builds the read schedule for fm. Refs are validated the way
-// the serial path's container reads would reject them (negative
-// start/size), so a plan that builds is safe to slice.
+// planRestore builds the read schedule for fm, bridging container gaps of
+// up to gap bytes (DefaultRestoreCoalesceGap outside the planner's own
+// tests). Refs are validated the way a container read would reject them
+// (negative start/size), so a plan that builds is safe to slice.
 func planRestore(fm *FileManifest, gap int64) (*restorePlan, error) {
 	p := &restorePlan{file: fm.File}
 	for _, ref := range fm.Refs {

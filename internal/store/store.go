@@ -234,26 +234,12 @@ func (s *Store) ReadFileManifest(file string) (*FileManifest, error) {
 	return loadFileManifestDisk(s.disk, file, data, 0)
 }
 
-// RestoreFile rebuilds an input file by following its FileManifest and
-// writes the bytes to w: one synchronous container read per recipe ref.
-// It is the serial reference implementation the batched pipeline
-// (RestoreFileOpts, restorepipe.go) is differentially tested against, and
-// the foundation of the round-trip correctness tests. Restores performed
-// after deduplication statistics have been snapshotted do not perturb
-// them.
+// RestoreFile rebuilds an input file into w: RestoreRange from offset 0 to
+// EOF under the zero RestoreOptions, so the recipe is planned into
+// coalesced container reads fetched one at a time on the calling
+// goroutine. Restores performed after deduplication statistics have been
+// snapshotted do not perturb them.
 func (s *Store) RestoreFile(file string, w io.Writer) error {
-	fm, err := s.ReadFileManifest(file)
-	if err != nil {
-		return fmt.Errorf("store: restore %q: %w", file, err)
-	}
-	for _, ref := range fm.Refs {
-		data, err := s.ReadDiskChunkRange(ref.Container, ref.Start, ref.Size)
-		if err != nil {
-			return fmt.Errorf("store: restore %q: ref %s[%d+%d]: %w", file, ref.Container, ref.Start, ref.Size, err)
-		}
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := s.RestoreRange(file, 0, -1, w, RestoreOptions{})
+	return err
 }

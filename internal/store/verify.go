@@ -103,7 +103,7 @@ func (ce *coverEntry) end() int64 { return ce.start + ce.size }
 // RestoreRange for exactly the claims a restore serves from, and
 // VerifyContainer (Scrub's engine) for every claim of one container. It is
 // safe for concurrent use — whole restores may run side by side on one
-// Verifier, each fanning its planned reads out to pipeline workers.
+// Verifier, each with its own planned reads in flight.
 type Verifier struct {
 	s    *Store
 	opts VerifyOpts
@@ -298,9 +298,9 @@ func (v *Verifier) RestoreFile(file string, w io.Writer) error {
 // planned into coalesced container reads exactly as for a plain restore —
 // recipe chunks additionally prove themselves against their content
 // addresses, with retry — and every planned read is fetched by
-// readPlannedVerified, by up to opts.Workers concurrent readers
-// (Workers ≤ 1 is the serial walk). The emitter writes strictly in output
-// order. The returned error is per-file: other files restore independently.
+// readPlannedVerified, up to opts.Workers of them in flight (Workers ≤ 1:
+// one at a time, inline). Bytes are written strictly in output order. The
+// returned error is per-file: other files restore independently.
 func (v *Verifier) RestoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions) (RangeStats, error) {
 	return v.s.restoreRange(file, off, length, w, opts, v.readPlannedVerified, v.opts.retries())
 }
