@@ -307,10 +307,11 @@ func BenchmarkRestoreMHD(b *testing.B) {
 	}
 }
 
-// BenchmarkChunkers measures the per-byte reference chunker scans against
-// their block-processed fast paths (bit-identical cut sequences, pinned by
-// the conformance harness in internal/chunker) over synthetic snapshot
-// bytes. MB/s is the headline; the fast paths are the system-wide default.
+// BenchmarkChunkers measures the block-processed chunker scans — the only
+// ones the system runs — over synthetic snapshot bytes; MB/s is the
+// headline. Their per-byte references are benchmarked beside the conformance
+// harness that uses them (internal/chunker: BenchmarkRabinChunk1M,
+// BenchmarkFastCDCChunk1M).
 func BenchmarkChunkers(b *testing.B) {
 	cfg := trace.Default()
 	cfg.Machines = 1
@@ -333,9 +334,7 @@ func BenchmarkChunkers(b *testing.B) {
 		name string
 		mk   func(r io.Reader, p chunker.Params) (chunker.Chunker, error)
 	}{
-		{"RabinReference", func(r io.Reader, p chunker.Params) (chunker.Chunker, error) { return chunker.NewRabin(r, p) }},
 		{"RabinFast", func(r io.Reader, p chunker.Params) (chunker.Chunker, error) { return chunker.NewFastRabin(r, p) }},
-		{"GearReference", func(r io.Reader, p chunker.Params) (chunker.Chunker, error) { return chunker.NewFastCDC(r, p) }},
 		{"GearFast", func(r io.Reader, p chunker.Params) (chunker.Chunker, error) { return chunker.NewFastGear(r, p) }},
 	} {
 		b.Run(impl.name, func(b *testing.B) {

@@ -22,6 +22,7 @@
 package chunker
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/bits"
@@ -96,6 +97,13 @@ func (p Params) withDefaults() (Params, error) {
 		return p, fmt.Errorf("chunker: Min %d smaller than window size %d", p.Min, p.WindowSize)
 	}
 	return p, nil
+}
+
+// Bounds returns the sizes p cuts within: no chunk is longer than max, and
+// only a stream's last chunk may be shorter than min.
+func (p Params) Bounds() (min, max int, err error) {
+	p, err = p.withDefaults()
+	return p.Min, p.Max, err
 }
 
 // Mask returns the cut-point mask for p: k low bits set, where 2^k is the
@@ -209,11 +217,48 @@ func (f *readFiller) finalErr() error {
 }
 
 // NewCDC returns the LBFS Rabin content-defined chunker over r — the
-// block-processed FastRabin. The per-byte NewRabin emits bit-identical
-// chunks and stays exported as the oracle the conformance harness, the
-// golden vectors and the parity fuzzer hold it to.
+// block-processed FastRabin. Its per-byte reference emits bit-identical
+// chunks and lives with the conformance harness, the golden vectors and the
+// parity fuzzer that hold it to them (reference_test.go).
 func NewCDC(r io.Reader, p Params) (Chunker, error) { return NewFastRabin(r, p) }
 
 // NewGear returns the gear-hash (FastCDC-algorithm) chunker over r — the
-// block-processed FastGear, with the per-byte NewFastCDC as its oracle.
+// block-processed FastGear, whose per-byte reference lives there too.
 func NewGear(r io.Reader, p Params) (Chunker, error) { return NewFastGear(r, p) }
+
+// Split divides data into CDC chunks in one call. Offsets are relative to
+// data[0]. It is the re-chunking primitive used by Bimodal, SubChunk and
+// HHR, and produces the same cuts as streaming the same bytes through
+// NewCDC: it runs the block-processed FastRabin, which the conformance
+// harness proves cut-point identical to the per-byte reference.
+func Split(data []byte, p Params) ([]Chunk, error) {
+	c, err := NewCDC(bytes.NewReader(data), p)
+	if err != nil {
+		return nil, err
+	}
+	var out []Chunk
+	for {
+		ch, err := c.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ch)
+	}
+}
+
+// New returns the content-defined chunker an engine configuration selects:
+// TTTD, gear, or by default Rabin CDC. The engine and every client cutting
+// on its behalf build theirs here, so equal parameters mean equal cuts.
+func New(r io.Reader, p Params, tttd, gear bool) (Chunker, error) {
+	switch {
+	case tttd:
+		return NewTTTD(r, p)
+	case gear:
+		return NewGear(r, p)
+	default:
+		return NewCDC(r, p)
+	}
+}

@@ -1,6 +1,9 @@
 package chunker
 
-import "io"
+import (
+	"io"
+	"math/rand"
+)
 
 // FastGear is the block-processed twin of FastCDC: the same gear hash, the
 // same normalized-chunking masks, the same cut points — bit-identical, as
@@ -37,7 +40,7 @@ type FastGear struct {
 }
 
 // NewFastGear returns a block-processed gear chunker over r, cut-point
-// identical to NewFastCDC with the same parameters.
+// identical to the per-byte FastCDC reference with the same parameters.
 func NewFastGear(r io.Reader, p Params) (*FastGear, error) {
 	p, err := p.withDefaults()
 	if err != nil {
@@ -136,4 +139,60 @@ func (c *FastGear) Next() (Chunk, error) {
 			return chunk, nil
 		}
 	}
+}
+
+// gearTableSeed derives the 256-entry gear table; fixed so chunking is
+// deterministic across processes, overridable for tests through the
+// polynomial field (reused as a seed when set).
+const gearTableSeed = 0x3DA3358B4DC173
+
+// gearTable builds the 256-entry gear table for p. Factored out so the
+// block-processed FastGear and its per-byte reference (FastCDC, in
+// reference_test.go) derive byte-identical tables — the foundation of their
+// cut-point identity.
+func gearTable(p Params) [256]uint64 {
+	seed := int64(gearTableSeed)
+	if p.Poly != 0 {
+		seed = int64(p.Poly)
+	}
+	var tab [256]uint64
+	rng := rand.New(rand.NewSource(seed))
+	for i := range tab {
+		tab[i] = rng.Uint64()
+	}
+	return tab
+}
+
+// gearMasks returns the normalized-chunking masks for p: bits(ECS)+2 mask
+// bits before the target size, bits(ECS)−2 after. FastCDC spreads mask bits
+// across the word; the gear hash's upper bits carry the entropy, so both
+// masks take them from the top. Shared by FastCDC and FastGear.
+func gearMasks(p Params) (strict, loose uint64) {
+	bits := 0
+	for n := p.ECS; n > 1; n >>= 1 {
+		bits++
+	}
+	return topMask(bits + 2), topMask(bits - 2)
+}
+
+// topMask returns a mask with n high bits set, clamped to [1,63].
+//
+// The low clamp is a deliberate semantic choice for degenerate ECS values
+// (bits(ECS) ≤ 2, i.e. ECS ≤ 7): unclamped, the loose mask's bits(ECS)−2
+// would reach zero, and a zero mask means h&mask == 0 at every byte — the
+// chunker would cut unconditionally at len == ECS, degenerating to
+// fixed-size partitioning past the target with no boundary-shift
+// resilience. Clamping to one high bit keeps even the loose region
+// content-defined (a cut with probability 1/2 per byte), at the cost of a
+// mean slightly above ECS for such tiny targets. TestFastCDCSmallECSClamp
+// pins this: sizes stay within [Min, Max] and the loose mask never has
+// more bits set than the strict one.
+func topMask(n int) uint64 {
+	if n < 1 {
+		n = 1
+	}
+	if n > 63 {
+		n = 63
+	}
+	return ^uint64(0) << (64 - uint(n))
 }

@@ -32,7 +32,7 @@ type FastRabin struct {
 }
 
 // NewFastRabin returns a block-processed CDC chunker over r, cut-point
-// identical to NewRabin with the same parameters.
+// identical to the per-byte Rabin reference with the same parameters.
 func NewFastRabin(r io.Reader, p Params) (*FastRabin, error) {
 	p, err := p.withDefaults()
 	if err != nil {

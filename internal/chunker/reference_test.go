@@ -1,9 +1,68 @@
 package chunker
 
+// The per-byte reference chunkers. Rabin and FastCDC are the oracles the
+// conformance harness, the golden cut vectors and the parity fuzzer hold the
+// block-processed FastRabin and FastGear to; nothing outside these tests
+// runs them.
+
 import (
 	"io"
-	"math/rand"
+
+	"mhdedup/internal/rabin"
 )
+
+// Rabin is the basic LBFS-style content-defined chunker: cut where the
+// window fingerprint, masked to k bits, equals the mask, with the chunk size
+// clamped to [Min, Max].
+type Rabin struct {
+	p    Params
+	mask rabin.Poly
+	win  *rabin.Window
+	src  *readFiller
+	off  int64
+	done bool
+}
+
+// NewRabin returns a CDC chunker over r with the given parameters.
+func NewRabin(r io.Reader, p Params) (*Rabin, error) {
+	p, err := p.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	win, err := rabin.NewWindow(p.Poly, p.WindowSize)
+	if err != nil {
+		return nil, err
+	}
+	return &Rabin{p: p, mask: p.Mask(), win: win, src: newReadFiller(r)}, nil
+}
+
+// Next returns the next chunk, or io.EOF after the last one.
+func (c *Rabin) Next() (Chunk, error) {
+	if c.done {
+		return Chunk{}, c.src.finalErr()
+	}
+	c.win.Reset()
+	cur := make([]byte, 0, c.p.Max)
+	for {
+		b, ok := c.src.next()
+		if !ok {
+			c.done = true
+			if len(cur) > 0 {
+				chunk := Chunk{Data: cur, Off: c.off}
+				c.off += chunk.Size()
+				return chunk, nil
+			}
+			return Chunk{}, c.src.finalErr()
+		}
+		cur = append(cur, b)
+		fp := c.win.Roll(b)
+		if len(cur) >= c.p.Max || (len(cur) >= c.p.Min && fp&c.mask == c.mask) {
+			chunk := Chunk{Data: cur, Off: c.off}
+			c.off += chunk.Size()
+			return chunk, nil
+		}
+	}
+}
 
 // FastCDC implements the gear-hash chunker of Xia et al. (USENIX ATC'16) —
 // the successor to Rabin CDC that most modern deduplication systems
@@ -24,61 +83,6 @@ type FastCDC struct {
 	src        *readFiller
 	off        int64
 	done       bool
-}
-
-// gearTableSeed derives the 256-entry gear table; fixed so chunking is
-// deterministic across processes, overridable for tests through the
-// polynomial field (reused as a seed when set).
-const gearTableSeed = 0x3DA3358B4DC173
-
-// gearTable builds the 256-entry gear table for p. Factored out so FastCDC
-// and the block-processed FastGear derive byte-identical tables — the
-// foundation of their cut-point identity.
-func gearTable(p Params) [256]uint64 {
-	seed := int64(gearTableSeed)
-	if p.Poly != 0 {
-		seed = int64(p.Poly)
-	}
-	var tab [256]uint64
-	rng := rand.New(rand.NewSource(seed))
-	for i := range tab {
-		tab[i] = rng.Uint64()
-	}
-	return tab
-}
-
-// gearMasks returns the normalized-chunking masks for p: bits(ECS)+2 mask
-// bits before the target size, bits(ECS)−2 after. FastCDC spreads mask bits
-// across the word; the gear hash's upper bits carry the entropy, so both
-// masks take them from the top. Shared by FastCDC and FastGear.
-func gearMasks(p Params) (strict, loose uint64) {
-	bits := 0
-	for n := p.ECS; n > 1; n >>= 1 {
-		bits++
-	}
-	return topMask(bits + 2), topMask(bits - 2)
-}
-
-// topMask returns a mask with n high bits set, clamped to [1,63].
-//
-// The low clamp is a deliberate semantic choice for degenerate ECS values
-// (bits(ECS) ≤ 2, i.e. ECS ≤ 7): unclamped, the loose mask's bits(ECS)−2
-// would reach zero, and a zero mask means h&mask == 0 at every byte — the
-// chunker would cut unconditionally at len == ECS, degenerating to
-// fixed-size partitioning past the target with no boundary-shift
-// resilience. Clamping to one high bit keeps even the loose region
-// content-defined (a cut with probability 1/2 per byte), at the cost of a
-// mean slightly above ECS for such tiny targets. TestFastCDCSmallECSClamp
-// pins this: sizes stay within [Min, Max] and the loose mask never has
-// more bits set than the strict one.
-func topMask(n int) uint64 {
-	if n < 1 {
-		n = 1
-	}
-	if n > 63 {
-		n = 63
-	}
-	return ^uint64(0) << (64 - uint(n))
 }
 
 // NewFastCDC returns a FastCDC chunker over r with the given parameters.

@@ -1,9 +1,9 @@
 // Package client is the dedup-aware network client for dedupd. It chunks
-// files locally with the same chunker configuration the server's engine
-// uses (negotiated in the Hello handshake), offers chunk hashes in
-// batches, and ships only the chunk bytes the server asks for — so a
-// backup that is mostly duplicate of what the server has already seen
-// moves almost no data.
+// and hashes files locally, once for every replica — the server's engine
+// stores these cuts and digests as offered, under the chunker configuration
+// the Hello handshake pins to its own — offers the chunk hashes in batches,
+// and ships only the chunk bytes the server asks for, so a backup that is
+// mostly duplicate of what the server has already seen moves almost no data.
 //
 // The ingest conversation is windowed and resumable: every command
 // (FileBegin, Offer, FileEnd) carries a session-scoped sequence number,

@@ -100,7 +100,9 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 	if c.closed {
 		return fmt.Errorf("client: PutFile %q after Close", name)
 	}
-	ch, err := newChunker(r, c.cfg.Options)
+	// The engine's own constructor: these cuts are what every replica stores.
+	o := c.cfg.Options
+	ch, err := chunker.New(r, chunker.Params{ECS: int(o.ECS)}, o.TTTD, o.FastCDC)
 	if err != nil {
 		return fmt.Errorf("client: chunker for %q: %w", name, err)
 	}
@@ -109,7 +111,7 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 		return c.fail(err)
 	}
 
-	fileHash := hashutil.NewHasher()
+	digests := hashutil.NewHasher() // FileEnd.Sum: over the chunk digests, in order
 	var total uint64
 	batch := make([]wire.OfferEntry, 0, c.cfg.BatchChunks)
 	chunks := make([][]byte, 0, c.cfg.BatchChunks)
@@ -119,6 +121,9 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 		}
 		entries := append([]wire.OfferEntry(nil), batch...)
 		data := append([][]byte(nil), chunks...)
+		for i := range entries {
+			digests.Write(entries[i].Hash[:]) // indexed: a copy's Hash[:] would escape
+		}
 		err := c.issue(wire.TypeOffer,
 			func(seq uint64) []byte { return wire.Offer{Seq: seq, Entries: entries}.Marshal() }, data)
 		c.stats.ChunksOffered += int64(len(entries))
@@ -135,7 +140,6 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 			// half-sent file is not. Surface it; the caller decides.
 			return c.fail(fmt.Errorf("client: reading %q: %w", name, cerr))
 		}
-		fileHash.Write(chunk.Data)
 		total += uint64(chunk.Size())
 		c.stats.InputBytes += chunk.Size()
 		batch = append(batch, wire.OfferEntry{Hash: hashutil.SumBytes(chunk.Data), Size: uint32(len(chunk.Data))})
@@ -149,7 +153,7 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 	if err := flush(); err != nil {
 		return c.fail(err)
 	}
-	sum := fileHash.Sum()
+	sum := digests.Sum()
 	if err := c.issue(wire.TypeFileEnd,
 		func(seq uint64) []byte { return wire.FileEnd{Seq: seq, TotalBytes: total, Sum: sum}.Marshal() }, nil); err != nil {
 		return c.fail(err)
@@ -397,19 +401,4 @@ func (c *Ingestor) recover() error {
 		}
 	}
 	return nil
-}
-
-// newChunker builds the chunker matching the negotiated engine options —
-// the same cut points the server's engine will re-produce when it
-// re-chunks the reassembled stream.
-func newChunker(r io.Reader, o wire.EngineOptions) (chunker.Chunker, error) {
-	p := chunker.Params{ECS: int(o.ECS)}
-	switch {
-	case o.TTTD:
-		return chunker.NewTTTD(r, p)
-	case o.FastCDC:
-		return chunker.NewGear(r, p)
-	default:
-		return chunker.NewCDC(r, p)
-	}
 }

@@ -260,7 +260,8 @@ type fileState struct {
 	replay    []pchunk // chunks prefetched by FME but not consumed
 	slots     []slotState
 	hooks     []hashutil.Sum // hook hashes to publish at file end
-	pipe      *chunkPipeline // the stream's hashed chunks, in order
+	src       chunkSource    // the stream's hashed chunks, in order
+	scanned   bool           // the engine cut and hashed them itself (PutFile)
 }
 
 // PutFile deduplicates one input file on the default session. Files of one
@@ -271,27 +272,23 @@ func (d *Dedup) PutFile(name string, r io.Reader) error {
 	return d.defaultSession.PutFile(name, r)
 }
 
-// putFile is the per-stream ingest path shared by every session.
-// Cancellation is polled once per chunk — the finest boundary at which
-// the hysteresis state is consistent enough to abandon the file cleanly
-// (no FileManifest is emitted, so the partial file never looks
-// restorable).
+// putFile cuts and hashes r ahead of the ordered stage and ingests it.
 func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
-	var ch chunker.Chunker
-	var err error
-	switch {
-	case d.cfg.TTTD:
-		ch, err = chunker.NewTTTD(r, d.cfg.chunkerParams())
-	case d.cfg.FastCDC:
-		ch, err = chunker.NewGear(r, d.cfg.chunkerParams())
-	default:
-		ch, err = chunker.NewCDC(r, d.cfg.chunkerParams())
-	}
+	ch, err := chunker.New(r, d.cfg.chunkerParams(), d.cfg.TTTD, d.cfg.FastCDC)
 	if err != nil {
 		return err
 	}
-	f := &fileState{name: name, chunkName: d.st.NextName(), pipe: newChunkPipeline(ch)}
-	defer f.pipe.stop()
+	return d.ingest(ctx, &fileState{name: name, src: newChunkPipeline(ch), scanned: true})
+}
+
+// ingest is the per-stream ordered stage shared by every session and both
+// kinds of source. Cancellation is polled once per chunk — the finest
+// boundary at which the hysteresis state is consistent enough to abandon
+// the file cleanly (no FileManifest is emitted, so the partial file never
+// looks restorable).
+func (d *Dedup) ingest(ctx context.Context, f *fileState) error {
+	defer f.src.stop()
+	f.chunkName = d.st.NextName()
 	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
 	d.stats.FilesTotal.Add(1)
 	done := ctx.Done()
@@ -318,7 +315,7 @@ func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
 }
 
 // nextChunk yields the next chunk in stream order: FME leftovers first,
-// then fresh chunks from the pipeline.
+// then fresh chunks from the file's source.
 func (d *Dedup) nextChunk(f *fileState) (pchunk, bool, error) {
 	if len(f.replay) > 0 {
 		pc := f.replay[0]
@@ -328,11 +325,11 @@ func (d *Dedup) nextChunk(f *fileState) (pchunk, bool, error) {
 	return d.pull(f)
 }
 
-// pull takes one fresh, already hashed chunk off the pipeline and allocates
-// its recipe slot.
+// pull takes one fresh, already hashed chunk off the file's source and
+// allocates its recipe slot.
 func (d *Dedup) pull(f *fileState) (pchunk, bool, error) {
 	start := time.Now()
-	pc, err := f.pipe.next()
+	pc, err := f.src.next()
 	if err == io.EOF {
 		return pchunk{}, false, nil
 	}
@@ -343,8 +340,10 @@ func (d *Dedup) pull(f *fileState) (pchunk, bool, error) {
 	size := int64(len(pc.data))
 	d.stats.ChunksIn.Add(1)
 	d.stats.InputBytes.Add(size)
-	d.stats.ChunkedBytes.Add(size)
-	d.stats.HashedBytes.Add(size)
+	if f.scanned {
+		d.stats.ChunkedBytes.Add(size)
+		d.stats.HashedBytes.Add(size)
+	}
 	pc.slot = len(f.slots)
 	f.slots = append(f.slots, slotState{size: size})
 	return pc, true, nil

@@ -122,8 +122,8 @@ func (s *sliceChunker) Next() (chunker.Chunk, error) {
 // streamFile returns a fresh fileState whose stream continues with chunks.
 func streamFile(t *testing.T, d *Dedup, chunks ...chunker.Chunk) *fileState {
 	f := &fileState{name: "f", chunkName: d.st.NextName(),
-		pipe: newChunkPipeline(&sliceChunker{chunks: chunks})}
-	t.Cleanup(f.pipe.stop)
+		src: newChunkPipeline(&sliceChunker{chunks: chunks}), scanned: true}
+	t.Cleanup(f.src.stop)
 	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
 	return f
 }

@@ -34,6 +34,41 @@ const (
 	batchesAhead = 4
 )
 
+// chunkSource is where the ordered stage gets a stream's hashed chunks:
+// next returns them in input order, then the stream's terminal error (io.EOF
+// included); stop, safe after that too, returns once the source runs nothing.
+type chunkSource interface {
+	next() (pchunk, error)
+	stop()
+}
+
+// HashedChunk is one chunk of a pre-chunked stream and the SHA-1 of its bytes.
+type HashedChunk struct {
+	Hash hashutil.Sum
+	Data []byte
+}
+
+// runSource is PutChunks' source: the caller's runs, pulled on the ordered
+// stage's own goroutine, so there is nothing to stop.
+type runSource struct {
+	pull func() ([]HashedChunk, error)
+	run  []HashedChunk // what is left of the last run pulled
+}
+
+func (s *runSource) next() (pchunk, error) {
+	for len(s.run) == 0 {
+		var err error
+		if s.run, err = s.pull(); err != nil {
+			return pchunk{}, err
+		}
+	}
+	c := &s.run[0]
+	s.run = s.run[1:]
+	return pchunk{data: c.Data, hash: c.Hash}, nil
+}
+
+func (s *runSource) stop() {}
+
 // chunkBatch is one pipeline item: consecutive chunks of the stream and,
 // when the chunker stopped inside the batch, its terminal error (io.EOF
 // included), which surfaces after the chunks that preceded it — exactly

@@ -51,6 +51,20 @@ func (s *Session) PutFileContext(ctx context.Context, name string, r io.Reader) 
 	return s.d.putFile(ctx, name, r)
 }
 
+// PutChunksContext is PutFileContext for a stream that arrives cut and
+// hashed: pull returns the next run of chunks in stream order, io.EOF after
+// the last, any other error to abort the file with it. The engine takes
+// cuts and digests as given — it runs neither chunker nor per-chunk SHA-1,
+// and Stats' ChunkedBytes and HashedBytes count none of these bytes — and
+// the rest is PutFile: the configured chunker's cuts leave PutFile's store,
+// bit for bit; other cuts cost dedup ratio, never restored bytes. A wrong
+// digest would poison the index, so the caller must have verified each
+// chunk against its digest and leave its bytes alone afterwards. pull runs
+// on the calling goroutine; one that can block should watch ctx.
+func (s *Session) PutChunksContext(ctx context.Context, name string, pull func() ([]HashedChunk, error)) error {
+	return s.d.ingest(ctx, &fileState{name: name, src: &runSource{pull: pull}})
+}
+
 // Item is one input file of a stream: a name (the Restore key, unique
 // across the whole Dedup) and an opener returning its contents. The opener
 // runs on the worker goroutine that ingests the stream, so ingest I/O

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 
 	"mhdedup/internal/events"
 	"mhdedup/internal/session"
@@ -12,15 +11,14 @@ import (
 
 // A migration is one in-flight migrated-file ingest on a ModePeer
 // connection: a gateway (rebalancing a drained shard or repairing an
-// under-replicated file) streams the file's raw bytes and this shard's
-// engine re-chunks and dedups them like any local PutFile. It is the same
-// feed the client ingest path drives — same size+sum check before the
-// engine may commit, same durability barrier before the acknowledgement —
-// minus the offer→need negotiation, which the engine's own dedup makes
-// redundant here (known chunks cost an index lookup, not new storage).
-
-// errMigrationAborted breaks the pipe of a half-fed migration.
-var errMigrationAborted = errors.New("server: migration aborted")
+// under-replicated file) streams the file's raw bytes — it holds no cuts —
+// so here, and only here, the shard is the edge: its engine chunks, hashes
+// and dedups them like any local PutFile, and the closing claim is a SHA-1
+// over the stream. It is the feed the client ingest path drives — same
+// size+sum check before the engine may commit, same durability barrier
+// before the acknowledgement — minus the offer→need negotiation, which the
+// engine's own dedup makes redundant here (known chunks cost an index
+// lookup, not new storage).
 
 // handleMigrateFrames serves one replica/migrate-plane frame inside the
 // peer-connection loop. It returns (handled, fatal): fatal means the
@@ -50,7 +48,7 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **feed, c *session.Conn) 
 				return true, true
 			}
 		}
-		*mig = beginFeed(context.Background(), s.cfg.Engine.NewSession(), mb.Name)
+		*mig = beginByteFeed(context.Background(), s.cfg.Engine.NewSession(), mb.Name)
 		s.cfg.Events.Info("server.migrate_begin", events.F("name", mb.Name))
 		return true, false
 
@@ -64,9 +62,9 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **feed, c *session.Conn) 
 			c.Errorf(wire.CodeProtocol, false, "MigrateData outside a migration")
 			return true, true
 		}
-		if _, err := (*mig).write(md.Data); err != nil {
+		if err := (*mig).write(md.Data); err != nil {
 			c.Errorf(wire.CodeInternal, false, "migrate feed: %v", err)
-			(*mig).cancel(errMigrationAborted)
+			(*mig).cancel()
 			*mig = nil
 			return true, true
 		}
@@ -84,16 +82,8 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **feed, c *session.Conn) 
 		}
 		m := *mig
 		*mig = nil
-		switch err := m.finish(me.TotalBytes, me.Sum); err {
-		case nil:
-		case errFeedSize:
-			c.Errorf(wire.CodeIntegrity, false, "migrated %q: received %d bytes, sender declared %d", m.name, m.fed, me.TotalBytes)
-			return true, true
-		case errFeedSum:
-			c.Errorf(wire.CodeIntegrity, false, "migrated %q: received stream does not hash to the declared sum", m.name)
-			return true, true
-		default:
-			c.Errorf(wire.CodeIntegrity, false, "ingest of %q failed: %v", m.name, err)
+		if err := m.finish(me.TotalBytes, me.Sum); err != nil {
+			c.Errorf(wire.CodeIntegrity, false, "migrated %q: %v", m.name, err)
 			return true, true
 		}
 		// Same durability barrier as a client FileEnd ack: MigrateOK is

@@ -30,11 +30,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mhdedup/internal/chunker"
 	"mhdedup/internal/core"
 	"mhdedup/internal/events"
 	"mhdedup/internal/exp"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
+	"mhdedup/internal/rabin"
 	"mhdedup/internal/session"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
@@ -169,6 +171,8 @@ type Server struct {
 	opts  wire.EngineOptions // the handshake contract clients must match
 	cache *chunkCache
 	ep    *session.Endpoint[*ingestSession]
+	// The negotiated chunker's bounds, which every offered cut is held to.
+	minChunk, maxChunk uint32
 	// st is the store view remote restores read through (see New for its
 	// manifest format).
 	st *store.Store
@@ -189,12 +193,17 @@ type Server struct {
 	cMigratedIn     *atomic.Int64
 	cMigratedBytes  *atomic.Int64
 	cFileDrops      *atomic.Int64
+	cOffersRefused  *atomic.Int64 // Offers refused for a cut outside the chunker's bounds
 
 	// Latency histograms (nanoseconds; also in cfg.Registry).
-	hFrame   map[uint8]*metrics.Histogram // per ingest frame type
-	hApply   *metrics.Histogram           // one engine-feed command apply
-	hRestore *metrics.Histogram           // one whole streamed restore
-	hCommit  *metrics.Histogram           // one durability group commit
+	hFrame map[uint8]*metrics.Histogram // per ingest frame type
+	// hApply is one command's apply: for an Offer decode-to-enqueue (the
+	// engine drains the queue on its own goroutine; hFeedWait is the wait
+	// for room in it), for a FileEnd the engine's drain and commit.
+	hApply    *metrics.Histogram
+	hFeedWait *metrics.Histogram // one run's wait to be handed to the engine
+	hRestore  *metrics.Histogram // one whole streamed restore
+	hCommit   *metrics.Histogram // one durability group commit
 }
 
 // Durability is the hook a continuously-durable store plugs into the
@@ -213,6 +222,16 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	ec := cfg.Engine.Config()
+	// Clients cut for the engine from the handshake's options alone, the
+	// migrate plane with the engine's own: the two must not disagree.
+	if ec.Poly != 0 && ec.Poly != rabin.DefaultPoly {
+		return nil, fmt.Errorf("server: engine cuts with polynomial %#x, which the handshake cannot express (only the default, %#x)",
+			uint64(ec.Poly), uint64(rabin.DefaultPoly))
+	}
+	minChunk, maxChunk, err := chunker.Params{ECS: ec.ECS}.Bounds()
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	algorithm := exp.AlgoMHD
 	if ec.SparseIndex {
 		algorithm = exp.AlgoSIMHD
@@ -226,7 +245,9 @@ func New(cfg Config) (*Server, error) {
 			TTTD:      ec.TTTD,
 			FastCDC:   ec.FastCDC,
 		},
-		cache: newChunkCache(cfg.ChunkCacheBytes),
+		minChunk: uint32(minChunk),
+		maxChunk: uint32(maxChunk),
+		cache:    newChunkCache(cfg.ChunkCacheBytes),
 	}
 	// The manifest format verified restores decode with is decided once,
 	// here, not per request (detection decodes every manifest): a dedupd
@@ -258,6 +279,7 @@ func New(cfg Config) (*Server, error) {
 	s.cMigratedIn = r.Counter("server.migrate.files_in")
 	s.cMigratedBytes = r.Counter("server.migrate.bytes_in")
 	s.cFileDrops = r.Counter("server.migrate.drops")
+	s.cOffersRefused = r.Counter("server.offers.refused_bounds")
 	s.hFrame = map[uint8]*metrics.Histogram{
 		wire.TypeFileBegin: r.Histogram("server.frame.file_begin_ns"),
 		wire.TypeOffer:     r.Histogram("server.frame.offer_ns"),
@@ -265,6 +287,7 @@ func New(cfg Config) (*Server, error) {
 		wire.TypeFileEnd:   r.Histogram("server.frame.file_end_ns"),
 	}
 	s.hApply = r.Histogram("server.apply_ns")
+	s.hFeedWait = r.Histogram("server.feed_wait_ns")
 	s.hRestore = r.Histogram("server.restore_ns")
 	s.hCommit = r.Histogram("server.commit_ns")
 	r.SetGauge("server.cache.bytes", func() int64 { b, _ := s.cache.stats(); return b })
@@ -284,7 +307,7 @@ func New(cfg Config) (*Server, error) {
 		OnExpire: func(ss *ingestSession, aborting bool) {
 			ss.abort()
 			if aborting {
-				ss.abortOpenFile(errSessionExpired)
+				ss.abortOpenFile()
 			}
 		},
 		Ingest:  s.serveIngestConn,
@@ -536,7 +559,7 @@ func (s *Server) servePeerConn(c *session.Conn) {
 	var mig *feed
 	defer func() {
 		if mig != nil {
-			mig.cancel(errMigrationAborted)
+			mig.cancel()
 		}
 	}()
 	for {

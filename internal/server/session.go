@@ -14,10 +14,6 @@ import (
 	"mhdedup/internal/wire"
 )
 
-// errSessionExpired aborts a detached session's in-flight PutFile when the
-// resume window runs out.
-var errSessionExpired = errors.New("server: session resume window expired")
-
 // ingestSession is the server half of one client backup session: a
 // core.Session on the shared engine, the ordered-application state (seq
 // numbers, pending command window) and the open-file feed.
@@ -75,9 +71,9 @@ type pendingCmd struct {
 	end   wire.FileEnd
 
 	offer   wire.Offer
-	need    []uint32 // offer indices whose bytes the client must send
-	data    [][]byte // per offer index: pinned cache bytes or received bytes
-	missing int      // needed chunks not yet received
+	need    []uint32           // offer indices whose bytes the client must send
+	run     []core.HashedChunk // per offer index: the offered digest over pinned cache bytes or received bytes
+	missing int                // needed chunks not yet received
 }
 
 // shedf is an overload refusal: reported to the client as a retryable
@@ -114,7 +110,10 @@ func (ss *ingestSession) handleFileBegin(fb wire.FileBegin, c *session.Conn) err
 
 // handleOffer computes the need-list for a batch of offered hashes,
 // pinning cache hits immediately so later eviction cannot invalidate the
-// answer, replies with the Need frame and queues the batch.
+// answer, replies with the Need frame and queues the batch. The engine
+// stores these cuts as offered, so an entry no negotiated chunker could
+// have cut, empty or above its maximum, is refused before anything is
+// answered (its minimum is a matter of stream order: see apply).
 func (ss *ingestSession) handleOffer(of wire.Offer, c *session.Conn) error {
 	if of.Seq <= ss.lastApplied {
 		// Replayed batch that was already applied before the reconnect:
@@ -125,10 +124,16 @@ func (ss *ingestSession) handleOffer(of wire.Offer, c *session.Conn) error {
 		return err
 	}
 	pc := &pendingCmd{seq: of.Seq, kind: wire.TypeOffer, offer: of,
-		data: make([][]byte, len(of.Entries))}
+		run: make([]core.HashedChunk, len(of.Entries))}
 	for i, e := range of.Entries {
+		if e.Size == 0 || e.Size > ss.srv.maxChunk {
+			ss.srv.cOffersRefused.Add(1)
+			return session.Fatalf(wire.CodeProtocol, "offer %d index %d: a %d-byte chunk, the negotiated chunker cuts at most %d",
+				of.Seq, i, e.Size, ss.srv.maxChunk)
+		}
+		pc.run[i].Hash = e.Hash
 		if data, ok := ss.srv.cache.get(e.Hash); ok && uint32(len(data)) == e.Size {
-			pc.data[i] = data
+			pc.run[i].Data = data
 			continue
 		}
 		pc.need = append(pc.need, uint32(i))
@@ -160,7 +165,7 @@ func (ss *ingestSession) handleChunkData(cd wire.ChunkData, c *session.Conn) err
 		}
 		idx := pc.need[pos]
 		entry := pc.offer.Entries[idx]
-		if pc.data[idx] != nil {
+		if pc.run[idx].Data != nil {
 			return session.Fatalf(wire.CodeProtocol, "duplicate chunk data for offer %d index %d", cd.Seq, idx)
 		}
 		if uint32(len(chunk)) != entry.Size {
@@ -169,7 +174,7 @@ func (ss *ingestSession) handleChunkData(cd wire.ChunkData, c *session.Conn) err
 		if hashutil.SumBytes(chunk) != entry.Hash {
 			return session.Fatalf(wire.CodeIntegrity, "offer %d index %d: chunk bytes do not hash to the offered address", cd.Seq, idx)
 		}
-		pc.data[idx] = chunk
+		pc.run[idx].Data = chunk
 		pc.missing--
 		ss.srv.cache.put(entry.Hash, chunk)
 		ss.srv.cChunksReceived.Add(1)
@@ -220,9 +225,9 @@ func (ss *ingestSession) applyReady(c *session.Conn) error {
 		if pc.kind == wire.TypeOffer && pc.missing > 0 {
 			return nil
 		}
-		// Time the apply: this is where the handler feeds the engine pipe
-		// and where a slow engine (or a stalled FileEnd waiting on
-		// PutFileContext) shows up as an applyReady stall.
+		// Time the apply: this is where the handler queues an Offer's run
+		// for the engine, and where a slow engine (a full queue, a FileEnd
+		// waiting for the drain and commit) shows up as an applyReady stall.
 		start := time.Now()
 		err := ss.apply(pc)
 		d := ss.srv.hApply.ObserveSince(start)
@@ -250,7 +255,7 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 			ss.fileMu.Unlock()
 			return session.Fatalf(wire.CodeProtocol, "FileBegin %q while %q is open", pc.begin.Name, open)
 		}
-		ss.file = beginFeed(ss.ctx, ss.eng, wire.NSJoin(ss.tenant, pc.begin.Name))
+		ss.file = beginChunkFeed(ss.ctx, ss.eng, wire.NSJoin(ss.tenant, pc.begin.Name), ss.srv.hFeedWait)
 		ss.fileMu.Unlock()
 		return nil
 
@@ -259,17 +264,18 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 		if f == nil {
 			return session.Fatalf(wire.CodeProtocol, "Offer %d outside a file", pc.seq)
 		}
-		for i, data := range pc.data {
-			if data == nil {
-				return session.Fatalf(wire.CodeInternal, "offer %d index %d has no bytes at apply time", pc.seq, i)
+		// Only a stream's last chunk may be below the chunker's minimum.
+		for i := range pc.run {
+			if f.short {
+				ss.srv.cOffersRefused.Add(1)
+				return session.Fatalf(wire.CodeProtocol, "offer %d index %d: file %q continues after a chunk below the negotiated chunker's minimum %d",
+					pc.seq, i, f.name, ss.srv.minChunk)
 			}
-			// A failed write is the engine's own fault, or the session
-			// being torn down under the handler.
-			if engineFault, err := f.write(data); engineFault {
-				return session.Fatalf(wire.CodeInternal, "ingest of %q failed: %v", f.name, err)
-			} else if err != nil {
-				return session.Fatalf(wire.CodeInternal, "ingest feed of %q failed: %v", f.name, err)
-			}
+			f.short = uint32(len(pc.run[i].Data)) < ss.srv.minChunk
+		}
+		// The engine's own fault, or the session torn down under the handler.
+		if err := f.put(pc.run); err != nil {
+			return session.Fatalf(wire.CodeInternal, "ingest of %q failed: %v", f.name, err)
 		}
 		return nil
 
@@ -278,13 +284,9 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 		if f == nil {
 			return session.Fatalf(wire.CodeProtocol, "FileEnd %d outside a file", pc.seq)
 		}
-		switch err := f.finish(pc.end.TotalBytes, pc.end.Sum); err {
-		case nil:
-		case errFeedSize:
-			return session.Fatalf(wire.CodeIntegrity, "file %q: reassembled %d bytes, client declared %d", f.name, f.fed, pc.end.TotalBytes)
-		case errFeedSum:
-			return session.Fatalf(wire.CodeIntegrity, "file %q: reassembled stream does not hash to the declared sum", f.name)
-		default:
+		if err := f.finish(pc.end.TotalBytes, pc.end.Sum); errors.Is(err, errFeedClaim) {
+			return session.Fatalf(wire.CodeIntegrity, "file %q: %v", f.name, err)
+		} else if err != nil {
 			return session.Fatalf(wire.CodeInternal, "ingest of %q failed: %v", f.name, err)
 		}
 		// Durability barrier: the FileEnd ack this apply unlocks is the
@@ -320,8 +322,8 @@ func (ss *ingestSession) closeRequested() error {
 
 // abortOpenFile tears down the in-flight file feed (detach-expiry and
 // fatal-error paths).
-func (ss *ingestSession) abortOpenFile(cause error) {
+func (ss *ingestSession) abortOpenFile() {
 	if f := ss.takeFile(); f != nil {
-		f.cancel(cause)
+		f.cancel()
 	}
 }

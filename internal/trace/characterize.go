@@ -57,7 +57,7 @@ func (d *Dataset) Characterize(ecs int) (Characteristics, error) {
 	c := Characteristics{ECS: ecs}
 	seen := make(map[hashutil.Sum]bool)
 	err := d.EachFile(func(_ FileInfo, r io.Reader) error {
-		ch, err := chunker.NewRabin(r, chunker.Params{ECS: ecs})
+		ch, err := chunker.NewCDC(r, chunker.Params{ECS: ecs})
 		if err != nil {
 			return err
 		}

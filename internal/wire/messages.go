@@ -558,9 +558,11 @@ func UnmarshalChunkData(p []byte) (ChunkData, error) {
 	return d, r.done()
 }
 
-// FileEnd completes the current file: the server checks that exactly
-// TotalBytes were reassembled and that their SHA-1 equals Sum before
-// acknowledging — end-to-end integrity over the negotiated transfer.
+// FileEnd completes the current file. Sum is the SHA-1 over the file's
+// chunk digests as offered, in stream order. Every chunk was checked
+// against its digest on the way in, so a server holding exactly TotalBytes
+// under that Sum holds the client's stream, whole and in order — end-to-end
+// integrity over the negotiated transfer — and only then acknowledges.
 type FileEnd struct {
 	Seq        uint64
 	TotalBytes uint64

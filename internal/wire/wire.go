@@ -6,7 +6,7 @@
 //
 //	offset  size  field
 //	0       4     magic "MHDW"
-//	4       1     protocol version (currently 1)
+//	4       1     protocol version (Version)
 //	5       1     frame type
 //	6       2     flags (reserved, must be 0)
 //	8       4     payload length (big endian)
@@ -38,8 +38,10 @@ import (
 // Magic identifies a frame stream ("MHDW", MHD wire).
 const Magic uint32 = 0x4D484457
 
-// Version is the protocol version this codec speaks.
-const Version uint8 = 1
+// Version is the protocol version this codec speaks. Since 2, FileEnd.Sum
+// covers the file's chunk digests, not its bytes: a version-1 peer fails
+// closed on its first frame instead of with an integrity error on each file.
+const Version uint8 = 2
 
 // HeaderSize is the fixed frame prologue (magic + version + type + flags +
 // length); TrailerSize the CRC suffix.
@@ -95,9 +97,9 @@ const (
 
 	// Replica/migrate plane (gateway ⇄ shard, ModePeer). Used by shard
 	// rebalance and replication repair: the gateway streams a file it
-	// restored from one shard into another shard's engine (which
-	// re-chunks and dedups the stream itself — no chunker handshake is
-	// needed on this interior link), batch-checks file presence, and
+	// restored from one shard into another shard's engine (which chunks
+	// and dedups the stream itself — no chunker handshake is needed on
+	// this interior link), batch-checks file presence, and
 	// drops a fully-migrated file from its drained source.
 	TypeMigrateBegin uint8 = 22 // gateway → shard: start migrated-file ingest
 	TypeMigrateData  uint8 = 23 // gateway → shard: run of file bytes

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"testing"
@@ -116,6 +118,13 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 	}{
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, ErrBadMagic},
 		{"bad version", func(b []byte) []byte { b[4] = 99; return b }, ErrBadVersion},
+		// A well-formed frame from a version-1 peer, CRC and all: its
+		// FileEnd.Sum would mean something else, so it fails closed here.
+		{"version 1", func(b []byte) []byte {
+			b[4] = 1
+			binary.BigEndian.PutUint32(b[len(b)-TrailerSize:], crc32.ChecksumIEEE(b[4:len(b)-TrailerSize]))
+			return b
+		}, ErrBadVersion},
 		{"reserved flags", func(b []byte) []byte { b[6] = 1; return b }, ErrBadFlags},
 		{"payload bit flip", func(b []byte) []byte { b[HeaderSize] ^= 0x01; return b }, ErrBadCRC},
 		{"crc bit flip", func(b []byte) []byte { b[len(b)-1] ^= 0x80; return b }, ErrBadCRC},
