@@ -47,6 +47,37 @@ type testCluster struct {
 	gwAddr   string
 	registry *metrics.Registry
 	options  wire.EngineOptions
+	// listeners[i] is shard i's, which remembers what it accepted so a test
+	// can sever a shard's connections from the shard's side.
+	listeners []*trackedListener
+}
+
+// trackedListener remembers the connections it accepts.
+type trackedListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *trackedListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, nc)
+		l.mu.Unlock()
+	}
+	return nc, err
+}
+
+// dropConns closes the shard's end of every connection accepted so far:
+// what a restarted or idle-timing-out shard does to a gateway's kept links.
+func (l *trackedListener) dropConns() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, nc := range l.conns {
+		nc.Close()
+	}
+	l.conns = nil
 }
 
 func startCluster(t *testing.T, n int, mut func(*cluster.GatewayConfig)) *testCluster {
@@ -62,10 +93,12 @@ func startCluster(t *testing.T, n int, mut func(*cluster.GatewayConfig)) *testCl
 		if err != nil {
 			t.Fatal(err)
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		tcp, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		ln := &trackedListener{Listener: tcp}
+		tc.listeners = append(tc.listeners, ln)
 		go srv.Serve(ln)
 		t.Cleanup(func() { srv.Close() })
 		tc.servers = append(tc.servers, srv)

@@ -128,6 +128,7 @@ type Gateway struct {
 	tenants *Tenants
 	ring    *Ring // full membership: placement history, restores, peer fetch
 	peers   *peerPool
+	links   *restoreLinks
 	ep      *session.Endpoint[*gwSession]
 
 	mu        sync.Mutex
@@ -144,9 +145,12 @@ type Gateway struct {
 	cChunksPeer   *atomic.Int64 // chunks satisfied shard→shard instead
 	cPeerPuts     *atomic.Int64
 	cRestores     *atomic.Int64
-	cFailovers    *atomic.Int64 // restores that fell over to a replica
-	cMigrated     *atomic.Int64 // files moved by rebalance
-	cRepaired     *atomic.Int64 // files re-replicated by repair
+	cFailovers    *atomic.Int64      // restores that fell over to a replica
+	cShardDials   *atomic.Int64      // ModeRestore links dialed to shards
+	cShardReuses  *atomic.Int64      // requests served on a link kept from an earlier one
+	hRestore      *metrics.Histogram // request frame read → RestoreEnd relayed
+	cMigrated     *atomic.Int64      // files moved by rebalance
+	cRepaired     *atomic.Int64      // files re-replicated by repair
 	cQuotaRejects *atomic.Int64
 }
 
@@ -169,6 +173,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		routedBytes: make(map[string]*atomic.Int64, len(cfg.Shards)),
 	}
 	gw.peers = &peerPool{gw: gw, conns: make(map[string]*peerConn)}
+	gw.links = &restoreLinks{gw: gw, idle: make(map[string][]*restoreLink)}
 	r := cfg.Registry
 	gw.cFiles = r.Counter("gateway.files")
 	gw.cChunksClient = r.Counter("gateway.chunks.from_client")
@@ -176,6 +181,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	gw.cPeerPuts = r.Counter("gateway.chunks.peer_seeded")
 	gw.cRestores = r.Counter("gateway.restores")
 	gw.cFailovers = r.Counter("gateway.restore.failovers")
+	gw.cShardDials = r.Counter("gateway.restore.shard_dials")
+	gw.cShardReuses = r.Counter("gateway.restore.shard_reuses")
+	gw.hRestore = r.Histogram("gateway.restore_ns")
 	gw.cMigrated = r.Counter("gateway.rebalance.files")
 	gw.cRepaired = r.Counter("gateway.repair.files")
 	gw.cQuotaRejects = r.Counter("gateway.quota_rejects")
@@ -225,14 +233,7 @@ func (gw *Gateway) ShardStats() map[string][2]int64 {
 func (gw *Gateway) DrainShard(id string) error {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	found := false
-	for _, s := range gw.ring.Shards() {
-		if s.ID == id {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if _, found := gw.ring.Shard(id); !found {
 		return fmt.Errorf("cluster: no shard %q", id)
 	}
 	if gw.drainSet[id] {
@@ -276,14 +277,17 @@ func (gw *Gateway) Serve(ln net.Listener) error { return gw.ep.Serve(ln) }
 func (gw *Gateway) Drain(ctx context.Context) error {
 	err := gw.ep.Drain(ctx)
 	gw.peers.closeAll()
+	gw.links.closeAll()
 	return err
 }
 
 // Close hard-stops the gateway: listener, client connections, sessions
-// (and their backend connections), peer connections.
+// (and their backend connections), peer connections and parked restore
+// links.
 func (gw *Gateway) Close() error {
 	gw.ep.Close()
 	gw.peers.closeAll()
+	gw.links.closeAll()
 	return nil
 }
 
@@ -300,7 +304,7 @@ func (gw *Gateway) SessionCount() int { return gw.ep.Sessions.Len() }
 // unreachable through the gateway.
 func (gw *Gateway) serveRestoreConn(c *session.Conn, tenant string) {
 	for {
-		f, err := c.Read()
+		f, err := c.ReadRequest()
 		if err != nil {
 			return
 		}
@@ -314,25 +318,17 @@ func (gw *Gateway) serveRestoreConn(c *session.Conn, tenant string) {
 			if err := c.Write(wire.TypeListResp, wire.ListResp{Names: names}.Marshal()); err != nil {
 				return
 			}
-		case wire.TypeRestoreReq:
-			req, err := wire.UnmarshalRestoreReq(f.Payload)
-			if err != nil {
-				c.Errorf(wire.CodeProtocol, false, "bad RestoreReq: %v", err)
-				return
-			}
-			if err := gw.relayRestore(c, tenant, req.Name, f.Type, f.Payload); err != nil {
-				return
-			}
-		case wire.TypeRestoreRange:
+		case wire.TypeRestoreReq, wire.TypeRestoreRange:
 			// Decode only to learn the name (placement) and validate the
 			// frame; the payload is relayed verbatim — the shard re-scopes
 			// the name itself from the tenant on its Hello.
-			req, err := wire.UnmarshalRestoreRange(f.Payload)
+			start := time.Now()
+			req, err := wire.UnmarshalRestoreRequest(f)
 			if err != nil {
-				c.Errorf(wire.CodeProtocol, false, "bad RestoreRange: %v", err)
+				c.Errorf(wire.CodeProtocol, false, "bad %s: %v", wire.TypeName(f.Type), err)
 				return
 			}
-			if err := gw.relayRestore(c, tenant, req.Name, f.Type, f.Payload); err != nil {
+			if err := gw.relayRestore(c, tenant, req.Name, f, start); err != nil {
 				return
 			}
 		case wire.TypeClose:
@@ -375,24 +371,18 @@ func (gw *Gateway) mergedList(tenant string) ([]string, error) {
 	return out, nil
 }
 
-// shardList fetches one shard's tenant-scoped listing over a one-shot
-// restore connection.
-func (gw *Gateway) shardList(sh Shard, tenant string) ([]string, error) {
-	bc, _, err := gw.dialShard(sh, wire.Hello{Mode: wire.ModeRestore, Tenant: tenant})
-	if err != nil {
-		return nil, err
-	}
-	defer bc.Close()
-	f, err := bc.Call(wire.TypeListReq, nil, wire.TypeListResp)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.UnmarshalListResp(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	bc.Goodbye()
-	return resp.Names, nil
+// shardList fetches one shard's tenant-scoped listing over a restore link.
+func (gw *Gateway) shardList(sh Shard, tenant string) (names []string, err error) {
+	err = gw.links.do(sh, tenant, func(bc *session.Conn) (bool, error) {
+		f, err := bc.Call(wire.TypeListReq, nil, wire.TypeListResp)
+		if err == nil {
+			var resp wire.ListResp
+			resp, err = wire.UnmarshalListResp(f.Payload)
+			names = resp.Names
+		}
+		return answered(err), err
+	})
+	return names, err
 }
 
 // restoreProbeOrder is the shard order a restore tries: the write-ring
@@ -420,26 +410,26 @@ func (gw *Gateway) restoreProbeOrder(fullName string) []Shard {
 	return probe
 }
 
-// relayRestore streams one file (or range: the request frame — RestoreReq
-// or RestoreRange — is relayed verbatim as ftype/payload; name is its
-// already-decoded file name, used only for placement) from whichever shard
-// has it. Losing a shard mid-stream fails over to the next replica: the
-// continuation stream's first `skip` bytes — the prefix the client already
-// received — are discarded, and the relay resumes from there. That splice
-// is end-to-end safe because the client independently hashes everything it
+// relayRestore streams one file (or range: req, the client's RestoreReq or
+// RestoreRange frame, is relayed verbatim; name is its already-decoded
+// file name, used only for placement) from whichever shard has it. Losing a
+// shard mid-stream fails over to the next replica: the continuation
+// stream's first `skip` bytes — the prefix the client already received —
+// are discarded, and the relay resumes from there. That splice is
+// end-to-end safe because the client independently hashes everything it
 // receives and checks it against RestoreEnd's declared sum, so a replica
 // whose content diverges from the prefix surfaces as a verification
 // failure, never silent corruption. A nil return means the client stream
 // is still coherent (complete relay, or an error frame sent before any
 // data); a non-nil return means the client connection is compromised and
 // must be dropped.
-func (gw *Gateway) relayRestore(c *session.Conn, tenant, name string, ftype uint8, payload []byte) error {
+func (gw *Gateway) relayRestore(c *session.Conn, tenant, name string, req wire.Frame, start time.Time) error {
 	probe := gw.restoreProbeOrder(wire.NSJoin(tenant, name))
 	var lastErr error
 	var relayed uint64 // client-visible payload bytes already sent
 	attempted := 0
 	for _, sh := range probe {
-		sent, done, err := gw.relayRestoreFrom(c, sh, tenant, ftype, payload, relayed)
+		sent, done, err := gw.relayRestoreFrom(c, sh, tenant, req, relayed, start)
 		if attempted++; sent > 0 && relayed > 0 {
 			gw.cFailovers.Add(1)
 		}
@@ -468,82 +458,89 @@ func (gw *Gateway) relayRestore(c *session.Conn, tenant, name string, ftype uint
 	return nil
 }
 
-// relayRestoreFrom attempts the relay from one shard, discarding the
-// first `skip` payload bytes (already relayed from a failed source) and
-// passing the rest through. sent counts the client-visible bytes this
-// shard contributed. done=false means the client stream is still
+// relayRestoreFrom attempts the relay from one shard, over a pooled restore
+// link. Every frame the shard sends is CRC-checked by ReadStream and every
+// RestoreData decoded; what passes is forwarded as the bytes it arrived in
+// (the CRC just verified is the CRC the client will verify). Only a
+// failover splice re-encodes: the first `skip` payload bytes (already
+// relayed from a failed source) are discarded, and a frame the cut falls
+// inside is rebuilt around its tail. sent counts the client-visible bytes
+// this shard contributed. done=false means the client stream is still
 // splice-able: either nothing was relayed (the file is not there, or the
 // shard is unreachable) or the shard died mid-stream and the next replica
 // may continue from skip+sent.
-func (gw *Gateway) relayRestoreFrom(c *session.Conn, sh Shard, tenant string, ftype uint8, payload []byte,
-	skip uint64) (sent uint64, done bool, err error) {
-	bc, _, derr := gw.dialShard(sh, wire.Hello{Mode: wire.ModeRestore, Tenant: tenant})
-	if derr != nil {
-		return 0, false, derr
-	}
-	defer bc.Close()
-	if werr := bc.Write(ftype, payload); werr != nil {
-		return 0, false, werr
-	}
-	discarded := uint64(0)
-	for {
-		f, rerr := bc.Read()
-		if rerr != nil {
-			// Shard lost. If this source contributed nothing the caller
-			// simply probes the next one; if it did, the caller fails over
-			// mid-stream the same way.
-			return sent, false, rerr
+func (gw *Gateway) relayRestoreFrom(c *session.Conn, sh Shard, tenant string, req wire.Frame,
+	skip uint64, start time.Time) (sent uint64, done bool, err error) {
+	err = gw.links.do(sh, tenant, func(bc *session.Conn) (atLoop bool, err error) {
+		if werr := bc.Write(req.Type, req.Payload); werr != nil {
+			return false, werr
 		}
-		switch f.Type {
-		case wire.TypeRestoreData:
-			frame := f.Payload
-			rd, uerr := wire.UnmarshalRestoreData(frame)
-			if uerr != nil {
-				return sent, sent > 0, fmt.Errorf("shard %s: bad RestoreData: %w", sh.ID, uerr)
+		discarded := uint64(0)
+		var prefix [4]byte
+		// garbled ends the relay on something no replica's stream may
+		// follow once the client has data: a frame that makes no sense.
+		garbled := func(err error) (bool, error) { done = sent > 0; return false, err }
+		for {
+			f, raw, rerr := bc.ReadStream()
+			if rerr != nil {
+				// Shard lost. If this source contributed nothing the caller
+				// simply probes the next one; if it did, the caller fails
+				// over mid-stream the same way.
+				return false, rerr
 			}
-			data := rd.Data
-			if discarded < skip {
-				cut := skip - discarded
-				if cut > uint64(len(data)) {
-					cut = uint64(len(data))
+			switch f.Type {
+			case wire.TypeRestoreData:
+				rd, uerr := wire.UnmarshalRestoreData(f.Payload)
+				if uerr != nil {
+					return garbled(fmt.Errorf("shard %s: bad RestoreData: %w", sh.ID, uerr))
 				}
-				discarded += cut
-				data = data[cut:]
-				if len(data) == 0 {
-					continue
+				var serr error
+				if cut := min(skip-discarded, uint64(len(rd.Data))); cut == 0 {
+					serr = c.WriteRaw(raw)
+				} else {
+					discarded += cut
+					if rd.Data = rd.Data[cut:]; len(rd.Data) == 0 {
+						continue
+					}
+					head, data := rd.Parts(&prefix)
+					serr = c.Write(wire.TypeRestoreData, head, data)
 				}
-				frame = wire.RestoreData{Data: data}.Marshal()
+				if serr != nil {
+					done = true
+					return false, serr
+				}
+				sent += uint64(len(rd.Data))
+			case wire.TypeRestoreEnd:
+				done = true
+				if discarded < skip {
+					// This replica's stream is SHORTER than what the client
+					// already received — a diverging stale copy. Relaying its
+					// RestoreEnd would claim success for a stream the client
+					// will fail to verify anyway; kill the relay instead.
+					return true, fmt.Errorf("shard %s stream ended %d bytes short of the relayed prefix",
+						sh.ID, skip-discarded)
+				}
+				gw.cRestores.Add(1)
+				serr := c.WriteRaw(raw)
+				gw.hRestore.ObserveSince(start)
+				return true, serr
+			case wire.TypeError:
+				em, uerr := wire.UnmarshalError(f.Payload)
+				if uerr != nil {
+					return garbled(uerr)
+				}
+				// Any shard-side error — not found, corrupt chunk caught by a
+				// verified read, engine failure — means this source cannot
+				// complete the stream. Fail over: another replica may hold a
+				// clean copy, and the client's end-to-end verification keeps
+				// the splice honest.
+				return true, em
+			default:
+				return garbled(fmt.Errorf("unexpected %s in shard restore stream", wire.TypeName(f.Type)))
 			}
-			if serr := c.Write(wire.TypeRestoreData, frame); serr != nil {
-				return sent, true, serr
-			}
-			sent += uint64(len(data))
-		case wire.TypeRestoreEnd:
-			if discarded < skip {
-				// This replica's stream is SHORTER than what the client
-				// already received — a diverging stale copy. Relaying its
-				// RestoreEnd would claim success for a stream the client
-				// will fail to verify anyway; kill the relay instead.
-				return sent, true, fmt.Errorf("shard %s stream ended %d bytes short of the relayed prefix",
-					sh.ID, skip-discarded)
-			}
-			gw.cRestores.Add(1)
-			return sent, true, c.Write(wire.TypeRestoreEnd, f.Payload)
-		case wire.TypeError:
-			em, uerr := wire.UnmarshalError(f.Payload)
-			if uerr != nil {
-				return sent, sent > 0, uerr
-			}
-			// Any shard-side error — not found, corrupt chunk caught by a
-			// verified read, engine failure — means this source cannot
-			// complete the stream. Fail over: another replica may hold a
-			// clean copy, and the client's end-to-end verification keeps
-			// the splice honest.
-			return sent, false, em
-		default:
-			return sent, sent > 0, fmt.Errorf("unexpected %s in shard restore stream", wire.TypeName(f.Type))
 		}
-	}
+	})
+	return sent, done, err
 }
 
 // ---------------------------------------------------------------------------
@@ -551,13 +548,127 @@ func (gw *Gateway) relayRestoreFrom(c *session.Conn, sh Shard, tenant string, ft
 
 // dialShard opens a connection to a shard and completes the handshake.
 // A refusal comes back as wire.ErrorMsg (via errors.As).
-func (gw *Gateway) dialShard(sh Shard, hello wire.Hello) (*session.Conn, wire.HelloOK, error) {
+func (gw *Gateway) dialShard(sh Shard, hello wire.Hello, m session.Meter) (*session.Conn, wire.HelloOK, error) {
 	lim := session.Limits{IdleTimeout: gw.cfg.IdleTimeout, WriteTimeout: gw.cfg.WriteTimeout}
-	bc, ok, err := session.Dial(gw.cfg.Dial, sh.Addr, hello, lim, session.Meter{})
+	bc, ok, err := session.Dial(gw.cfg.Dial, sh.Addr, hello, lim, m)
 	if err != nil {
 		return nil, ok, fmt.Errorf("shard %s (%s): %w", sh.ID, sh.Addr, err)
 	}
 	return bc, ok, nil
+}
+
+// ---------------------------------------------------------------------------
+// Restore links.
+
+// restoreLinkCap is how many idle restore links the gateway keeps per
+// shard; a link returned beyond it replaces the oldest.
+const restoreLinkCap = 4
+
+// restoreLinks is the one place the gateway dials a shard for restore. A
+// ModeRestore connection serves any number of requests one after another,
+// so instead of a dial and a Hello per request the gateway keeps the links
+// it has: idle links per shard, newest last, each usable only for the
+// tenant its Hello named (which is what scopes the shard's answers). A link
+// is either parked here or owned by the one request using it.
+type restoreLinks struct {
+	gw     *Gateway
+	mu     sync.Mutex
+	idle   map[string][]*restoreLink // shard ID → parked links
+	closed bool
+}
+
+type restoreLink struct {
+	bc     *session.Conn
+	tenant string
+	heard  atomic.Int64 // frame bytes the shard has sent on this link
+}
+
+// do runs one request on a restore link to sh: use sends it, consumes the
+// answer and reports whether the shard is provably back at its request loop
+// (it sent RestoreEnd, a ListResp or an Error frame). Then the link is
+// parked for the next request; on any other exit — transport error,
+// malformed frame, client gone mid-stream — it is closed. A parked link the
+// shard dropped meanwhile fails before the shard has said a word: that
+// request, nothing of which was acted on, is run once more on a fresh dial
+// — a retry, never a failover.
+func (p *restoreLinks) do(sh Shard, tenant string, use func(bc *session.Conn) (atLoop bool, err error)) error {
+	l := p.take(sh.ID, tenant)
+	for {
+		reused := l != nil
+		if reused {
+			p.gw.cShardReuses.Add(1)
+		} else {
+			l = &restoreLink{tenant: tenant}
+			bc, _, err := p.gw.dialShard(sh, wire.Hello{Mode: wire.ModeRestore, Tenant: tenant},
+				session.Meter{In: &l.heard})
+			if err != nil {
+				return err
+			}
+			l.bc = bc
+			p.gw.cShardDials.Add(1)
+		}
+		before := l.heard.Load()
+		atLoop, err := use(l.bc)
+		if atLoop {
+			p.park(sh.ID, l)
+			return err
+		}
+		l.bc.Close()
+		if !reused || l.heard.Load() != before || !session.IsTransport(err) {
+			return err
+		}
+		l = nil
+	}
+}
+
+// answered reports whether err, the outcome of one request on a restore
+// link, leaves the shard at its request loop: it answered in full, or with
+// an Error frame in place of (the rest of) the answer.
+func answered(err error) bool { return err == nil || errors.As(err, new(wire.ErrorMsg)) }
+
+// take unparks the newest idle link to the shard under tenant's Hello.
+func (p *restoreLinks) take(shardID, tenant string) *restoreLink {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	idle := p.idle[shardID]
+	for i := len(idle) - 1; i >= 0; i-- {
+		if l := idle[i]; l.tenant == tenant {
+			p.idle[shardID] = append(idle[:i], idle[i+1:]...)
+			return l
+		}
+	}
+	return nil
+}
+
+// park keeps l for the shard's next request, dropping the oldest link when
+// the shard is at its cap — or l itself once closeAll has run.
+func (p *restoreLinks) park(shardID string, l *restoreLink) {
+	p.mu.Lock()
+	drop := l
+	if !p.closed {
+		idle := append(p.idle[shardID], l)
+		if drop = nil; len(idle) > restoreLinkCap {
+			drop, idle = idle[0], idle[1:]
+		}
+		p.idle[shardID] = idle
+	}
+	p.mu.Unlock()
+	if drop != nil {
+		drop.bc.Close()
+	}
+}
+
+// closeAll closes every parked link, and every link parked from now on.
+func (p *restoreLinks) closeAll() {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle, p.closed = nil, true
+	p.mu.Unlock()
+	for _, links := range idle {
+		for _, l := range links {
+			l.bc.Close()
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -612,7 +723,7 @@ func (p *peerPool) rpc(sh Shard, reqType uint8, payload []byte, wantType uint8) 
 	defer pc.mu.Unlock()
 	for attempt := 0; attempt < 2; attempt++ {
 		if pc.bc == nil {
-			bc, _, err := p.gw.dialShard(sh, wire.Hello{Mode: wire.ModePeer})
+			bc, _, err := p.gw.dialShard(sh, wire.Hello{Mode: wire.ModePeer}, session.Meter{})
 			if err != nil {
 				return wire.Frame{}, err
 			}

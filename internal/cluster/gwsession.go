@@ -347,7 +347,7 @@ func (ss *gwSession) backendFor(sh Shard) (*session.Conn, error) {
 	if tok := ss.shardTokens[sh.ID]; tok != 0 {
 		hello.ResumeToken = tok
 	}
-	bc, ok, err := ss.gw.dialShard(sh, hello)
+	bc, ok, err := ss.gw.dialShard(sh, hello, session.Meter{})
 	if err != nil {
 		return nil, err
 	}
@@ -659,12 +659,8 @@ func (ss *gwSession) handleChunkData(cd wire.ChunkData) error {
 
 // shardForID resolves a shard ID against the ring membership.
 func (ss *gwSession) shardForID(id string, r *Ring) Shard {
-	for _, sh := range r.Shards() {
-		if sh.ID == id {
-			return sh
-		}
-	}
-	return Shard{ID: id}
+	sh, _ := r.Shard(id)
+	return sh
 }
 
 // placedChunk is a chunk addressed by its position in the home shard's

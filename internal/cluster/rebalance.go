@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"mhdedup/internal/events"
+	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
 )
 
@@ -50,20 +51,13 @@ func (gw *Gateway) dropFile(sh Shard, name string) error {
 // migrate streams name from src into dst: a root-namespace restore on
 // the source side feeds a migrate-ingest on the target side, with the
 // gateway verifying the source's declared size and sum against the bytes
-// it actually relayed before asking the target to commit. Each migration
-// runs on its own pair of connections (the pooled peer connection stays
-// free for chunk routing); closing the target's half-fed is what makes
-// the shard abort the ingest on any failure.
+// it actually relayed before asking the target to commit. The source side
+// is a pooled restore link; the target side is the migration's own
+// connection (the pooled peer connection stays free for chunk routing), and
+// closing it half-fed is what makes the shard abort the ingest on any
+// failure.
 func (gw *Gateway) migrate(src, dst Shard, name string) error {
-	rc, _, err := gw.dialShard(src, wire.Hello{Mode: wire.ModeRestore})
-	if err != nil {
-		return fmt.Errorf("source: %w", err)
-	}
-	defer rc.Close()
-	if err := rc.Write(wire.TypeRestoreReq, wire.RestoreReq{Name: name}.Marshal()); err != nil {
-		return fmt.Errorf("source %s: %w", src.ID, err)
-	}
-	mc, _, err := gw.dialShard(dst, wire.Hello{Mode: wire.ModePeer})
+	mc, _, err := gw.dialShard(dst, wire.Hello{Mode: wire.ModePeer}, session.Meter{})
 	if err != nil {
 		return fmt.Errorf("target: %w", err)
 	}
@@ -74,17 +68,25 @@ func (gw *Gateway) migrate(src, dst Shard, name string) error {
 	// MigrateData adds a 4-byte blob prefix to what RestoreData carried,
 	// so re-cut runs that would overflow the target's payload cap.
 	budget := int(mc.MaxPayload()) - 64
-	// Verified relay: ReceiveRestore holds what the source DECLARED to
-	// what actually passed through here, or the copy is not a copy.
-	end, err := rc.ReceiveRestore(func(data []byte) error {
-		for len(data) > 0 {
-			n := min(len(data), budget)
-			if err := mc.Write(wire.TypeMigrateData, wire.MigrateData{Data: data[:n]}.Marshal()); err != nil {
-				return fmt.Errorf("target %s: %w", dst.ID, err)
-			}
-			data = data[n:]
+	var end wire.RestoreEnd
+	err = gw.links.do(src, "", func(rc *session.Conn) (bool, error) {
+		if err := rc.Write(wire.TypeRestoreReq, wire.RestoreReq{Name: name}.Marshal()); err != nil {
+			return false, err
 		}
-		return nil
+		// Verified relay: ReceiveRestore holds what the source DECLARED to
+		// what actually passed through here, or the copy is not a copy.
+		var err error
+		end, err = rc.ReceiveRestore(func(data []byte) error {
+			for len(data) > 0 {
+				n := min(len(data), budget)
+				if err := mc.Write(wire.TypeMigrateData, wire.MigrateData{Data: data[:n]}.Marshal()); err != nil {
+					return fmt.Errorf("target %s: %w", dst.ID, err)
+				}
+				data = data[n:]
+			}
+			return nil
+		})
+		return answered(err), err
 	})
 	if err != nil {
 		return fmt.Errorf("migrating %q from %s: %w", name, src.ID, err)
@@ -93,7 +95,6 @@ func (gw *Gateway) migrate(src, dst Shard, name string) error {
 	if _, err := mc.Call(wire.TypeMigrateEnd, commit.Marshal(), wire.TypeMigrateOK); err != nil {
 		return fmt.Errorf("target %s: %w", dst.ID, err)
 	}
-	rc.Goodbye()
 	mc.Goodbye()
 	return nil
 }
@@ -119,14 +120,7 @@ func (gw *Gateway) RebalanceShard(id string) (RebalanceReport, error) {
 		return rep, err
 	}
 	full, write := gw.rings()
-	var src Shard
-	found := false
-	for _, sh := range full.Shards() {
-		if sh.ID == id {
-			src, found = sh, true
-			break
-		}
-	}
+	src, found := full.Shard(id)
 	if !found {
 		return rep, fmt.Errorf("cluster: no shard %q", id)
 	}

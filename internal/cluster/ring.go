@@ -95,6 +95,16 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 // Shards returns the ring's membership (shared slice; do not mutate).
 func (r *Ring) Shards() []Shard { return r.shards }
 
+// Shard looks a member up by ID; a miss returns the bare ID, unaddressed.
+func (r *Ring) Shard(id string) (Shard, bool) {
+	for _, s := range r.shards {
+		if s.ID == id {
+			return s, true
+		}
+	}
+	return Shard{ID: id}, false
+}
+
 // Without derives the ring with the given shard IDs removed — the write
 // ring while those shards drain. Keys owned by a surviving shard keep
 // their owner (the removed shards' points simply vanish, so only keys

@@ -58,12 +58,16 @@ func IsTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Conn is one framed connection. Read and Write may be used from two
+// Conn is one framed connection. Reads and writes may be used from two
 // goroutines (one each); neither is safe for concurrent use with itself.
 type Conn struct {
-	nc  net.Conn
-	lim Limits
-	m   Meter
+	nc     net.Conn
+	lim    Limits
+	m      Meter
+	stream []byte // ReadStream's buffer
+	// parked, set by an Endpoint on its sessionless connections, brackets
+	// ReadRequest's wait; see Endpoint.parked.
+	parked func(waiting bool) error
 }
 
 // NewConn frames nc under lim, accounting into m.
@@ -79,27 +83,77 @@ func (c *Conn) MaxPayload() uint32 {
 	return c.lim.MaxPayload
 }
 
-// Read returns the next frame, waiting at most the idle timeout.
+// Read returns the next frame, waiting at most the idle timeout. The
+// payload is the caller's to keep.
 func (c *Conn) Read() (wire.Frame, error) {
+	var buf []byte
+	f, _, err := c.read(&buf)
+	return f, err
+}
+
+// ReadStream is Read into a buffer the connection owns, for a consumer
+// that is done with one frame before it asks for the next: the payload,
+// and raw — the frame's bytes as they arrived, which WriteRaw forwards —
+// are overwritten by the next ReadStream. Same deadline, cap and CRC
+// checks as Read; they are one function.
+func (c *Conn) ReadStream() (f wire.Frame, raw []byte, err error) {
+	return c.read(&c.stream)
+}
+
+func (c *Conn) read(buf *[]byte) (wire.Frame, []byte, error) {
 	if c.lim.IdleTimeout > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(c.lim.IdleTimeout))
 	}
-	f, err := wire.ReadFrame(c.nc, c.lim.MaxPayload)
+	f, raw, err := wire.ReadFrameInto(c.nc, c.lim.MaxPayload, buf)
 	if err != nil {
-		return f, &TransportError{err}
+		return f, nil, &TransportError{err}
 	}
 	if c.m.In != nil {
-		c.m.In.Add(int64(wire.HeaderSize + len(f.Payload) + wire.TrailerSize))
+		c.m.In.Add(int64(len(raw)))
 	}
-	return f, nil
+	return f, raw, nil
 }
 
-// Write sends one frame within the write timeout.
-func (c *Conn) Write(t uint8, payload []byte) error {
+// ReadRequest is Read for a sessionless connection's next request. While
+// it waits the connection holds nothing a shutdown must wait for, so the
+// Endpoint that accepted it may close it (Drain does); on a dialed
+// connection it is Read.
+func (c *Conn) ReadRequest() (wire.Frame, error) {
+	if c.parked == nil {
+		return c.Read()
+	}
+	if err := c.parked(true); err != nil {
+		return wire.Frame{}, &TransportError{err}
+	}
+	f, err := c.Read()
+	if perr := c.parked(false); perr != nil && err == nil {
+		err = &TransportError{perr}
+	}
+	return f, err
+}
+
+// Write sends one frame, whose payload is the concatenation of parts,
+// within the write timeout. It is the one place a frame is encoded for a
+// connection (wire.WriteFrame: no assembled copy).
+func (c *Conn) Write(t uint8, parts ...[]byte) error {
+	c.armWrite()
+	return c.wrote(wire.WriteFrame(c.nc, t, parts...))
+}
+
+// WriteRaw forwards raw, one whole frame exactly as ReadStream verified
+// and returned it, without re-encoding it.
+func (c *Conn) WriteRaw(raw []byte) error {
+	c.armWrite()
+	return c.wrote(c.nc.Write(raw))
+}
+
+func (c *Conn) armWrite() {
 	if c.lim.WriteTimeout > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(c.lim.WriteTimeout))
 	}
-	n, err := wire.WriteFrame(c.nc, t, payload)
+}
+
+func (c *Conn) wrote(n int, err error) error {
 	if c.m.Out != nil {
 		c.m.Out.Add(int64(n))
 	}
@@ -189,13 +243,14 @@ func (c *Conn) Call(t uint8, payload []byte, want uint8) (wire.Frame, error) {
 // each run of bytes to sink, and holds the stream to the size and SHA-1
 // its RestoreEnd declares — so every consumer of a restore (a client
 // writing a file, the gateway splicing one into a migration) gets
-// verified bytes or an error. The sender's Error frame comes back as a
-// wire.ErrorMsg.
+// verified bytes or an error. The frames are read with ReadStream, so sink
+// must be done with data when it returns. The sender's Error frame comes
+// back as a wire.ErrorMsg.
 func (c *Conn) ReceiveRestore(sink func(data []byte) error) (wire.RestoreEnd, error) {
 	hash := hashutil.NewHasher()
 	var total uint64
 	for {
-		f, err := c.Read()
+		f, _, err := c.ReadStream()
 		if err != nil {
 			return wire.RestoreEnd{}, err
 		}

@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -55,7 +56,9 @@ type Config[S any] struct {
 	// Sessions.Detach or Sessions.Expire before returning.
 	Ingest func(c *Conn, hello wire.Hello, s S)
 	// Restore and Peer serve the sessionless modes after the endpoint has
-	// answered HelloOK; a nil callback means the mode is not served.
+	// answered HelloOK; a nil callback means the mode is not served. They
+	// wait for each next request with c.ReadRequest, so that Drain can tell
+	// a connection parked between requests from one in the middle of one.
 	Restore func(c *Conn, tenant string)
 	Peer    func(c *Conn)
 }
@@ -67,9 +70,11 @@ type Endpoint[S any] struct {
 	meter    Meter
 	Sessions *Table[S]
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
+	mu sync.Mutex
+	ln net.Listener
+	// conns is every open connection; true marks a sessionless one waiting
+	// for its next request (Conn.ReadRequest), which Drain closes.
+	conns    map[net.Conn]bool
 	draining bool
 	closed   bool // Close ran: late-accepted conns are shut immediately
 	connWG   sync.WaitGroup
@@ -77,7 +82,7 @@ type Endpoint[S any] struct {
 
 // NewEndpoint builds an unstarted endpoint and its session table.
 func NewEndpoint[S any](cfg Config[S]) *Endpoint[S] {
-	e := &Endpoint[S]{cfg: cfg, conns: make(map[net.Conn]struct{})}
+	e := &Endpoint[S]{cfg: cfg, conns: make(map[net.Conn]bool)}
 	e.Sessions = NewTable(&e.cfg)
 	r := e.cfg.Registry
 	e.meter = Meter{
@@ -119,7 +124,7 @@ func (e *Endpoint[S]) Serve(ln net.Listener) error {
 			nc.Close()
 			continue
 		}
-		e.conns[nc] = struct{}{}
+		e.conns[nc] = false
 		e.connWG.Add(1)
 		e.mu.Unlock()
 		go func() {
@@ -130,13 +135,21 @@ func (e *Endpoint[S]) Serve(ln net.Listener) error {
 }
 
 // Drain shuts down gracefully: stop accepting, refuse new sessions with a
-// retryable error, expire parked sessions (see Table.Drain), let attached
-// sessions and open connections run to their end, and return once idle.
-// If ctx expires first everything left is severed as by Close.
+// retryable error, expire parked sessions (see Table.Drain), close
+// sessionless connections that are waiting for their next request (their
+// peer would hold them open for IdleTimeout), let attached sessions and
+// connections in the middle of a request or stream run to their end, and
+// return once idle. If ctx expires first everything left is severed as by
+// Close.
 func (e *Endpoint[S]) Drain(ctx context.Context) error {
 	e.mu.Lock()
 	e.draining = true
 	ln := e.ln
+	for nc, waiting := range e.conns {
+		if waiting {
+			nc.Close()
+		}
+	}
 	e.mu.Unlock()
 	e.cfg.Events.Info(e.cfg.Name + ".drain")
 	if ln != nil {
@@ -241,8 +254,25 @@ func (e *Endpoint[S]) handle(nc net.Conn) {
 	}
 }
 
-// sessionless answers the HelloOK of a mode that carries no session.
+// sessionless answers the HelloOK of a mode that carries no session and
+// makes the connection's waits between requests visible to Drain.
 func (e *Endpoint[S]) sessionless(c *Conn) bool {
+	c.parked = func(waiting bool) error { return e.parked(c.nc, waiting) }
 	ok := wire.HelloOK{Window: uint32(e.cfg.Window), MaxPayload: e.cfg.MaxPayload}
 	return c.Write(wire.TypeHelloOK, ok.Marshal()) == nil
+}
+
+// parked records that a sessionless connection starts or stops waiting for
+// its next request. The mark and the draining flag share e.mu, so a
+// connection either is seen waiting by Drain and closed, or finds the flag
+// set — before its wait: nothing to wait for; after it: Drain closed the
+// connection under it — and gives up.
+func (e *Endpoint[S]) parked(nc net.Conn, waiting bool) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.draining {
+		return errors.New("endpoint is draining")
+	}
+	e.conns[nc] = waiting
+	return nil
 }

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"mhdedup/internal/events"
+	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
 	"mhdedup/internal/wire"
 )
@@ -275,7 +277,9 @@ func startEndpoint(t *testing.T, cfg Config[*state]) (*Endpoint[*state], *pipeLi
 		}
 		ep.Sessions.Detach(s.token)
 	}
-	cfg.Restore = func(c *Conn, tenant string) { c.Read() }
+	if cfg.Restore == nil {
+		cfg.Restore = func(c *Conn, tenant string) { c.Read() }
+	}
 	ep = NewEndpoint(cfg)
 	ln := newPipeListener()
 	served := make(chan error, 1)
@@ -523,5 +527,164 @@ func TestCloseShutsLateAcceptedConn(t *testing.T) {
 	}
 	if err := ep.Serve(ln); err == nil {
 		t.Fatal("Serve on a closed endpoint succeeded")
+	}
+}
+
+// TestReadStreamReusesItsBufferReadDoesNot is the ownership rule of the two
+// reads: a ReadStream payload (and its raw frame) is the connection's and
+// the next ReadStream overwrites it; a Read payload is the caller's.
+func TestReadStreamReusesItsBufferReadDoesNot(t *testing.T) {
+	near, far := net.Pipe()
+	defer near.Close()
+	defer far.Close()
+	first, second := bytes.Repeat([]byte{0xAA}, 300), bytes.Repeat([]byte{0xBB}, 300)
+	go func() {
+		for i := 0; i < 2; i++ {
+			wire.WriteFrame(far, wire.TypeRestoreData, first)
+			wire.WriteFrame(far, wire.TypeRestoreData, second)
+		}
+	}()
+	c := NewConn(near, Limits{IdleTimeout: 5 * time.Second}, Meter{})
+
+	a, araw, err := c.ReadStream()
+	if err != nil || !bytes.Equal(a.Payload, first) || !bytes.Equal(araw, wire.AppendFrame(nil, wire.TypeRestoreData, first)) {
+		t.Fatalf("first ReadStream: %v", err)
+	}
+	b, _, err := c.ReadStream()
+	if err != nil || !bytes.Equal(b.Payload, second) {
+		t.Fatalf("second ReadStream: %v", err)
+	}
+	if !bytes.Equal(a.Payload, second) || &a.Payload[0] != &b.Payload[0] {
+		t.Fatal("the second ReadStream did not reuse the first one's buffer")
+	}
+
+	kept, err := c.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(kept.Payload, first) {
+		t.Fatal("a later Read overwrote a Read payload")
+	}
+}
+
+// dialSessionless opens a ModeRestore or ModePeer connection to ln.
+func dialSessionless(t *testing.T, ln *pipeListener, mode uint8) *Conn {
+	t.Helper()
+	c, _, err := Dial(ln.dial, "", wire.Hello{Mode: mode}, Limits{IdleTimeout: 10 * time.Second}, Meter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// serveRequests is a sessionless serve callback: it waits for requests the
+// way dedupd and the gateway do and answers a RestoreReq with frames
+// RestoreData frames and a RestoreEnd, a ListReq with an empty ListResp.
+// streaming, when not nil, is signalled after the first data frame and the
+// stream then waits on resume — the window a test drains in.
+func serveRequests(frames int, streaming chan<- struct{}, resume <-chan struct{}) func(c *Conn) {
+	return func(c *Conn) {
+		for {
+			f, err := c.ReadRequest()
+			if err != nil {
+				return
+			}
+			switch f.Type {
+			case wire.TypeListReq:
+				c.Write(wire.TypeListResp, wire.ListResp{}.Marshal())
+			case wire.TypeRestoreReq:
+				hash := hashutil.NewHasher()
+				var prefix [4]byte
+				for i := 0; i < frames; i++ {
+					data := bytes.Repeat([]byte{byte(i)}, 1000)
+					hash.Write(data)
+					head, body := wire.RestoreData{Data: data}.Parts(&prefix)
+					if c.Write(wire.TypeRestoreData, head, body) != nil {
+						return
+					}
+					if i == 0 && streaming != nil {
+						streaming <- struct{}{}
+						<-resume
+					}
+				}
+				end := wire.RestoreEnd{TotalBytes: uint64(frames) * 1000, Sum: hash.Sum()}
+				c.Write(wire.TypeRestoreEnd, end.Marshal())
+			default:
+				return
+			}
+		}
+	}
+}
+
+// TestDrainClosesParkedSessionlessConns: a peer and a restore connection
+// that have each served a request and sit waiting for the next one — what a
+// gateway's pooled links look like from the shard — hold nothing a drain
+// must wait for. Drain closes them; it used to wait out their IdleTimeout.
+func TestDrainClosesParkedSessionlessConns(t *testing.T) {
+	cfg := testConfig(t)
+	serve := serveRequests(1, nil, nil)
+	cfg.Peer = serve
+	cfg.Restore = func(c *Conn, _ string) { serve(c) }
+	ep, ln := startEndpoint(t, cfg)
+	for _, mode := range []uint8{wire.ModePeer, wire.ModeRestore} {
+		c := dialSessionless(t, ln, mode)
+		if _, err := c.Call(wire.TypeListReq, nil, wire.TypeListResp); err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := ep.Drain(ctx); err != nil {
+		t.Fatalf("Drain with two parked sessionless connections: %v", err)
+	}
+}
+
+// TestDrainLetsStreamingRestoreFinish: a connection in the middle of a
+// stream is not parked. Drain issued mid-stream waits for it; the client
+// receives the whole verified file, and only then — the connection now
+// waiting for a next request that cannot be served — does Drain return,
+// although the client never hangs up.
+func TestDrainLetsStreamingRestoreFinish(t *testing.T) {
+	const frames = 20
+	streaming, resume := make(chan struct{}), make(chan struct{})
+	serve := serveRequests(frames, streaming, resume)
+	cfg := testConfig(t)
+	cfg.Restore = func(c *Conn, _ string) { serve(c) }
+	ep, ln := startEndpoint(t, cfg)
+	c := dialSessionless(t, ln, wire.ModeRestore)
+	if err := c.Write(wire.TypeRestoreReq, wire.RestoreReq{Name: "f"}.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	type received struct {
+		bytes int
+		err   error
+	}
+	got := make(chan received, 1)
+	go func() {
+		var n int
+		_, err := c.ReceiveRestore(func(data []byte) error { n += len(data); return nil })
+		got <- received{n, err}
+	}()
+	<-streaming
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- ep.Drain(ctx) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned %v in the middle of a restore stream", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(resume)
+	if r := <-got; r.err != nil || r.bytes != frames*1000 {
+		t.Fatalf("restore under drain: %d bytes, err %v; want the whole verified stream", r.bytes, r.err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain after the stream ended: %v", err)
 	}
 }

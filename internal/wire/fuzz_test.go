@@ -10,7 +10,9 @@ import (
 // total-function invariants: no panic, no accepted-then-ambiguous input.
 // Whenever the input does decode, re-encoding the typed message must
 // reproduce the payload byte-for-byte (the codec has one canonical form),
-// and re-framing must reproduce the raw frame.
+// and re-framing must reproduce the raw frame. The two stream decoders —
+// ReadFrame and ReadFrameInto — must agree with Decode on every input: all
+// three run the same validators, and the fuzzer holds them to it.
 func FuzzWireDecode(f *testing.F) {
 	// Seed with every valid message framed, plus structured garbage.
 	for _, tc := range sampleMessages() {
@@ -22,6 +24,21 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(make([]byte, HeaderSize+TrailerSize))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fr, err := Decode(raw, 0)
+		rf, rerr := ReadFrame(bytes.NewReader(raw), 0)
+		sf, sraw, serr := streamRead(raw, 0)
+		if (rerr == nil) != (serr == nil) || (rerr == nil && (rf.Type != sf.Type || !bytes.Equal(rf.Payload, sf.Payload))) {
+			t.Fatalf("ReadFrame (%v) and the stream read (%v) disagree", rerr, serr)
+		}
+		if err == nil && (serr != nil || sf.Type != fr.Type || !bytes.Equal(sf.Payload, fr.Payload) || !bytes.Equal(sraw, raw)) {
+			t.Fatalf("Decode accepted a frame the stream read did not return (%v)", serr)
+		}
+		if err != nil && serr == nil {
+			// The one input Decode refuses and a stream reader accepts is a
+			// good frame with bytes after it: the next frame's, on a stream.
+			if again, aerr := Decode(sraw, 0); aerr != nil || len(sraw) >= len(raw) || again.Type != sf.Type {
+				t.Fatalf("the stream read accepted what Decode refuses: %v", err)
+			}
+		}
 		if err != nil {
 			return
 		}

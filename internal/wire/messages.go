@@ -687,6 +687,16 @@ func UnmarshalRestoreRange(p []byte) (RestoreRange, error) {
 	return q, nil
 }
 
+// UnmarshalRestoreRequest decodes either restore request frame: a
+// RestoreReq reads as the range [0, EOF) of its file.
+func UnmarshalRestoreRequest(f Frame) (RestoreRange, error) {
+	if f.Type == TypeRestoreRange {
+		return UnmarshalRestoreRange(f.Payload)
+	}
+	whole, err := UnmarshalRestoreReq(f.Payload)
+	return RestoreRange{Name: whole.Name, Verify: whole.Verify, Length: RestoreToEOF}, err
+}
+
 // RestoreData is one run of restored bytes, in file order.
 type RestoreData struct {
 	Data []byte
@@ -695,6 +705,13 @@ type RestoreData struct {
 // Marshal encodes d as a TypeRestoreData payload.
 func (d RestoreData) Marshal() []byte {
 	return putBlob(make([]byte, 0, 4+len(d.Data)), d.Data)
+}
+
+// Parts is Marshal without the copy: the payload as its length prefix,
+// written into prefix, and d.Data itself — two parts for WriteFrame.
+func (d RestoreData) Parts(prefix *[4]byte) (head, data []byte) {
+	binary.BigEndian.PutUint32(prefix[:], uint32(len(d.Data)))
+	return prefix[:], d.Data
 }
 
 // UnmarshalRestoreData decodes a TypeRestoreData payload. Data aliases p.

@@ -33,6 +33,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"sync"
 )
 
 // Magic identifies a frame stream ("MHDW", MHD wire).
@@ -152,29 +154,67 @@ type Frame struct {
 	Payload []byte
 }
 
-// AppendFrame appends the encoded frame for (t, payload) to dst and
-// returns the extended slice — the allocation-free core of WriteFrame.
-func AppendFrame(dst []byte, t uint8, payload []byte) []byte {
-	var hdr [HeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], Magic)
-	hdr[4] = Version
-	hdr[5] = t
-	// hdr[6:8] flags, zero.
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(dst[len(dst)-len(payload)-(HeaderSize-4) : len(dst)])
-	var tr [TrailerSize]byte
-	binary.BigEndian.PutUint32(tr[:], crc)
-	return append(dst, tr[:]...)
+// seal fills ends with the prologue ([0, HeaderSize)) and the CRC trailer
+// (the rest) of the frame whose payload is the concatenation of parts.
+func seal(ends *[HeaderSize + TrailerSize]byte, t uint8, parts [][]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	binary.BigEndian.PutUint32(ends[0:4], Magic)
+	ends[4] = Version
+	ends[5] = t
+	ends[6], ends[7] = 0, 0 // flags
+	binary.BigEndian.PutUint32(ends[8:12], uint32(n))
+	crc := crc32.ChecksumIEEE(ends[4:HeaderSize])
+	for _, p := range parts {
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+	}
+	binary.BigEndian.PutUint32(ends[HeaderSize:], crc)
 }
 
-// WriteFrame encodes and writes one frame. It returns the number of bytes
-// put on the wire so callers can account bandwidth exactly.
-func WriteFrame(w io.Writer, t uint8, payload []byte) (int, error) {
-	buf := AppendFrame(make([]byte, 0, HeaderSize+len(payload)+TrailerSize), t, payload)
-	n, err := w.Write(buf)
-	return n, err
+// AppendFrame appends the encoded frame for (t, payload) to dst and
+// returns the extended slice: the frame assembled in memory, which is what
+// WriteFrame puts on a connection without assembling it.
+func AppendFrame(dst []byte, t uint8, payload []byte) []byte {
+	var ends [HeaderSize + TrailerSize]byte
+	seal(&ends, t, [][]byte{payload})
+	dst = append(dst, ends[:HeaderSize]...)
+	dst = append(dst, payload...)
+	return append(dst, ends[HeaderSize:]...)
+}
+
+// frameVec is one frame write's scratch: the sealed ends and the vector
+// that strings them around the caller's payload parts. Pooled, so that a
+// frame write allocates nothing.
+type frameVec struct {
+	ends [HeaderSize + TrailerSize]byte
+	vec  [4][]byte
+	bufs net.Buffers
+}
+
+var frameVecs = sync.Pool{New: func() any { return new(frameVec) }}
+
+// WriteFrame writes one frame whose payload is the concatenation of parts,
+// without assembling it: header, parts and trailer go to w as one vectored
+// write (writev on a TCP connection; on any other writer one Write per
+// piece, in order — the same bytes either way, and the bytes AppendFrame
+// builds). It returns the number of bytes put on the wire so callers can
+// account bandwidth exactly.
+func WriteFrame(w io.Writer, t uint8, parts ...[]byte) (int, error) {
+	v := frameVecs.Get().(*frameVec)
+	seal(&v.ends, t, parts)
+	v.bufs = append(v.vec[:0], v.ends[:HeaderSize])
+	for _, p := range parts {
+		if len(p) > 0 {
+			v.bufs = append(v.bufs, p)
+		}
+	}
+	v.bufs = append(v.bufs, v.ends[HeaderSize:])
+	n, err := v.bufs.WriteTo(w)
+	clear(v.bufs) // what a failed write left unsent still points at the caller's parts
+	frameVecs.Put(v)
+	return int(n), err
 }
 
 // ReadFrame reads and validates one frame. maxPayload caps the payload
@@ -182,81 +222,90 @@ func WriteFrame(w io.Writer, t uint8, payload []byte) (int, error) {
 // the header before any payload allocation. The returned payload is a
 // fresh slice owned by the caller.
 func ReadFrame(r io.Reader, maxPayload uint32) (Frame, error) {
-	if maxPayload == 0 {
-		maxPayload = DefaultMaxPayload
+	var buf []byte
+	f, _, err := ReadFrameInto(r, maxPayload, &buf)
+	return f, err
+}
+
+// ReadFrameInto is ReadFrame into *buf, which it grows when the frame does
+// not fit and otherwise reuses: the returned payload, and raw — the whole
+// frame as it arrived, header to trailer — alias *buf and are valid until
+// the caller next hands the same buffer in.
+func ReadFrameInto(r io.Reader, maxPayload uint32, buf *[]byte) (f Frame, raw []byte, err error) {
+	if cap(*buf) < HeaderSize+TrailerSize {
+		*buf = make([]byte, HeaderSize+TrailerSize)
 	}
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+	hdr := (*buf)[:HeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Frame{}, nil, err
 	}
-	f, n, err := parseHeader(hdr)
+	n, err := checkHeader(hdr, maxPayload)
 	if err != nil {
-		return Frame{}, err
+		return Frame{}, nil, err
 	}
-	if n > maxPayload {
-		return Frame{}, fmt.Errorf("%w: %d > %d", ErrTooLarge, n, maxPayload)
+	if size := HeaderSize + int(n) + TrailerSize; cap(*buf) < size {
+		*buf = append(make([]byte, 0, size), hdr...)
 	}
-	body := make([]byte, int(n)+TrailerSize)
-	if _, err := io.ReadFull(r, body); err != nil {
+	raw = (*buf)[:HeaderSize+int(n)+TrailerSize]
+	if _, err := io.ReadFull(r, raw[HeaderSize:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, err
+		return Frame{}, nil, err
 	}
-	payload := body[:n]
-	want := binary.BigEndian.Uint32(body[n:])
-	crc := crc32.ChecksumIEEE(hdr[4:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if crc != want {
-		return Frame{}, ErrBadCRC
+	if f, err = checkSealed(raw); err != nil {
+		return Frame{}, nil, err
 	}
-	f.Payload = payload
-	return f, nil
+	return f, raw, nil
 }
 
-// parseHeader validates the fixed prologue and returns the frame skeleton
-// plus the declared payload length.
-func parseHeader(hdr [HeaderSize]byte) (Frame, uint32, error) {
-	if binary.BigEndian.Uint32(hdr[0:4]) != Magic {
-		return Frame{}, 0, ErrBadMagic
-	}
-	if hdr[4] != Version {
-		return Frame{}, 0, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, hdr[4], Version)
-	}
-	if hdr[6] != 0 || hdr[7] != 0 {
-		return Frame{}, 0, ErrBadFlags
-	}
-	return Frame{Type: hdr[5]}, binary.BigEndian.Uint32(hdr[8:12]), nil
-}
-
-// Decode parses raw as one complete frame (header, payload, trailer) held
-// entirely in memory — the fuzzable entry point shared with ReadFrame's
-// validation logic. Trailing bytes after the frame are an error.
-func Decode(raw []byte, maxPayload uint32) (Frame, error) {
+// checkHeader validates a frame's fixed prologue — magic, version, flags,
+// and the declared payload length against the cap (0 means
+// DefaultMaxPayload) — and returns that length. It is the one validator of
+// an inbound header, run before anything is allocated for the payload.
+func checkHeader(hdr []byte, maxPayload uint32) (uint32, error) {
 	if maxPayload == 0 {
 		maxPayload = DefaultMaxPayload
 	}
+	if binary.BigEndian.Uint32(hdr[0:4]) != Magic {
+		return 0, ErrBadMagic
+	}
+	if hdr[4] != Version {
+		return 0, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, hdr[4], Version)
+	}
+	if hdr[6] != 0 || hdr[7] != 0 {
+		return 0, ErrBadFlags
+	}
+	n := binary.BigEndian.Uint32(hdr[8:12])
+	if n > maxPayload {
+		return 0, fmt.Errorf("%w: %d > %d", ErrTooLarge, n, maxPayload)
+	}
+	return n, nil
+}
+
+// checkSealed verifies the CRC of raw, one whole frame whose header
+// checkHeader has passed, and returns the frame; its payload aliases raw.
+func checkSealed(raw []byte) (Frame, error) {
+	body := raw[:len(raw)-TrailerSize]
+	if crc32.ChecksumIEEE(body[4:]) != binary.BigEndian.Uint32(raw[len(body):]) {
+		return Frame{}, ErrBadCRC
+	}
+	return Frame{Type: raw[5], Payload: body[HeaderSize:]}, nil
+}
+
+// Decode parses raw as one complete frame (header, payload, trailer) held
+// entirely in memory — the fuzzable entry point, through the validators
+// ReadFrame runs. Trailing bytes after the frame are an error.
+func Decode(raw []byte, maxPayload uint32) (Frame, error) {
 	if len(raw) < HeaderSize+TrailerSize {
 		return Frame{}, io.ErrUnexpectedEOF
 	}
-	var hdr [HeaderSize]byte
-	copy(hdr[:], raw)
-	f, n, err := parseHeader(hdr)
+	n, err := checkHeader(raw[:HeaderSize], maxPayload)
 	if err != nil {
 		return Frame{}, err
-	}
-	if n > maxPayload {
-		return Frame{}, fmt.Errorf("%w: %d > %d", ErrTooLarge, n, maxPayload)
 	}
 	if uint64(len(raw)) != uint64(HeaderSize)+uint64(n)+uint64(TrailerSize) {
 		return Frame{}, io.ErrUnexpectedEOF
 	}
-	payload := raw[HeaderSize : HeaderSize+n]
-	want := binary.BigEndian.Uint32(raw[HeaderSize+n:])
-	crc := crc32.ChecksumIEEE(raw[4 : HeaderSize+n])
-	if crc != want {
-		return Frame{}, ErrBadCRC
-	}
-	f.Payload = payload
-	return f, nil
+	return checkSealed(raw)
 }

@@ -109,13 +109,17 @@ func TestWriteFrameReportsWireBytes(t *testing.T) {
 	}
 }
 
-func TestReadFrameRejectsCorruption(t *testing.T) {
-	base := AppendFrame(nil, TypeAck, Ack{Seq: 5}.Marshal())
-	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
-		want   error
-	}{
+// corruptCase is one single-fault mutation of a good frame and the error
+// every frame reader must give for it.
+type corruptCase struct {
+	name   string
+	mutate func([]byte) []byte
+	want   error
+}
+
+func corruptionCases() (base []byte, cases []corruptCase) {
+	base = AppendFrame(nil, TypeAck, Ack{Seq: 5}.Marshal())
+	cases = []corruptCase{
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, ErrBadMagic},
 		{"bad version", func(b []byte) []byte { b[4] = 99; return b }, ErrBadVersion},
 		// A well-formed frame from a version-1 peer, CRC and all: its
@@ -130,6 +134,11 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 		{"crc bit flip", func(b []byte) []byte { b[len(b)-1] ^= 0x80; return b }, ErrBadCRC},
 		{"type bit flip", func(b []byte) []byte { b[5] ^= 0x02; return b }, ErrBadCRC},
 	}
+	return base, cases
+}
+
+func TestReadFrameRejectsCorruption(t *testing.T) {
+	base, cases := corruptionCases()
 	for _, tc := range cases {
 		raw := tc.mutate(append([]byte(nil), base...))
 		if _, err := ReadFrame(bytes.NewReader(raw), 0); !errors.Is(err, tc.want) {
