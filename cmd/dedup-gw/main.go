@@ -62,6 +62,7 @@ import (
 
 	"mhdedup/internal/cluster"
 	"mhdedup/internal/events"
+	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
 )
 
@@ -184,8 +185,9 @@ func run(o options) error {
 	for i, s := range shards {
 		ids[i] = s.ID
 	}
-	logger.Printf("listening on %s, routing %d shards (%s), replication %d, %d tenants, max sessions %d, window %d",
-		ln.Addr(), len(shards), strings.Join(ids, " "), gw.Replication(), len(tenants), o.maxSessions, o.window)
+	logger.Printf("listening on %s, routing %d shards (%s), replication %d, %d tenants, max sessions %d, window %d, sha1 %s",
+		ln.Addr(), len(shards), strings.Join(ids, " "), gw.Replication(), len(tenants), o.maxSessions, o.window, hashutil.Kernel())
+	metrics.Default.SetGauge("hashutil.sha_ni", hashutil.SHANI)
 
 	var draining atomic.Bool
 	var msrv *http.Server

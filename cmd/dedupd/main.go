@@ -45,6 +45,7 @@ import (
 	"mhdedup/dedup"
 	"mhdedup/internal/core"
 	"mhdedup/internal/events"
+	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
 	"mhdedup/internal/server"
 )
@@ -164,8 +165,9 @@ func run(o options) error {
 		}
 	}
 	opts := srv.Options()
-	logger.Printf("listening on %s (%s ECS=%d SD=%d, resumed=%v, max sessions %d, window %d)",
-		ln.Addr(), opts.Algorithm, opts.ECS, opts.SD, resumed, o.maxSessions, o.window)
+	logger.Printf("listening on %s (%s ECS=%d SD=%d, resumed=%v, max sessions %d, window %d, sha1 %s)",
+		ln.Addr(), opts.Algorithm, opts.ECS, opts.SD, resumed, o.maxSessions, o.window, hashutil.Kernel())
+	metrics.Default.SetGauge("hashutil.sha_ni", hashutil.SHANI)
 	if dur != nil {
 		dur.Start()
 		logger.Printf("write-ahead log on (checkpoint %v, flush %v, compact at %d MiB)",

@@ -223,14 +223,3 @@ func AccessesCDC(in Inputs) AccessModel {
 func MHDBeatsAllOnAccesses(in Inputs) bool {
 	return 3*in.L < in.D/in.SD
 }
-
-// MaxSingleHashSpan returns, per §IV, the maximal bytes representable by a
-// single SHA-1 hash in each algorithm given the basic expected chunk size.
-func MaxSingleHashSpan(ecs int64, in Inputs) map[string]int64 {
-	return map[string]int64{
-		"MHD":      ecs * (in.SD - 1),
-		"SubChunk": ecs * in.SD,
-		"Bimodal":  ecs * in.SD,
-		"CDC":      ecs,
-	}
-}

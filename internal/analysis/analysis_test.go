@@ -160,19 +160,6 @@ func TestAccessesScaleMonotonically(t *testing.T) {
 	}
 }
 
-func TestMaxSingleHashSpan(t *testing.T) {
-	spans := MaxSingleHashSpan(4096, Inputs{SD: 1000})
-	if spans["MHD"] != 4096*999 {
-		t.Errorf("MHD span = %d", spans["MHD"])
-	}
-	if spans["SubChunk"] != 4096*1000 || spans["Bimodal"] != 4096*1000 {
-		t.Error("big-chunk algorithms span ECS·SD")
-	}
-	if spans["CDC"] != 4096 {
-		t.Errorf("CDC span = %d", spans["CDC"])
-	}
-}
-
 func TestZeroDuplicationDegeneratesGracefully(t *testing.T) {
 	in := Inputs{F: 5, N: 1000, D: 0, L: 0, SD: 10}
 	for _, m := range []MetadataModel{MetadataMHD(in), MetadataSubChunk(in), MetadataBimodal(in), MetadataCDC(in)} {

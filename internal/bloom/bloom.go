@@ -12,14 +12,13 @@ package bloom
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"mhdedup/internal/hashutil"
 )
 
 // Filter is a Bloom filter over hashutil.Sum keys. The zero value is not
-// usable; construct with New or NewWithEstimate.
+// usable; construct with New.
 //
 // Filter is safe for concurrent use. Unlike the striped hash→location
 // index, the filter cannot be sharded by low hash bits without changing its
@@ -34,7 +33,6 @@ type Filter struct {
 	bits   []uint64
 	nbits  uint64
 	k      int
-	adds   atomic.Uint64
 	tested atomic.Uint64
 	hits   atomic.Uint64
 }
@@ -55,25 +53,6 @@ func New(sizeBytes int, k int) (*Filter, error) {
 		nbits: nbits,
 		k:     k,
 	}, nil
-}
-
-// NewWithEstimate returns a filter sized for the expected number of elements
-// n at the target false-positive rate fp, using the standard optimal
-// m = −n·ln(fp)/ln(2)² and k = m/n·ln(2).
-func NewWithEstimate(n uint64, fp float64) (*Filter, error) {
-	if n == 0 {
-		return nil, fmt.Errorf("bloom: expected element count must be positive")
-	}
-	if fp <= 0 || fp >= 1 {
-		return nil, fmt.Errorf("bloom: false-positive rate must be in (0,1), got %g", fp)
-	}
-	ln2 := math.Ln2
-	mBits := math.Ceil(-float64(n) * math.Log(fp) / (ln2 * ln2))
-	k := int(math.Round(mBits / float64(n) * ln2))
-	if k < 1 {
-		k = 1
-	}
-	return New(int(mBits/8)+1, k)
 }
 
 // probes derives the two double-hashing words from a Sum.
@@ -102,7 +81,6 @@ func (f *Filter) Add(h hashutil.Sum) {
 			}
 		}
 	}
-	f.adds.Add(1)
 }
 
 // Test reports whether h might be in the filter. False means certainly not
@@ -126,40 +104,8 @@ func (f *Filter) SizeBytes() int64 {
 	return int64(len(f.bits) * 8)
 }
 
-// Count returns the number of Add calls.
-func (f *Filter) Count() uint64 { return f.adds.Load() }
-
 // Stats returns the number of Test calls and how many returned true.
 func (f *Filter) Stats() (tested, hits uint64) { return f.tested.Load(), f.hits.Load() }
-
-// EstimatedFPRate returns the expected false-positive probability given the
-// current load: (1 − e^(−k·n/m))^k.
-func (f *Filter) EstimatedFPRate() float64 {
-	adds := f.adds.Load()
-	if adds == 0 {
-		return 0
-	}
-	exp := -float64(f.k) * float64(adds) / float64(f.nbits)
-	return math.Pow(1-math.Exp(exp), float64(f.k))
-}
-
-// FillRatio returns the fraction of set bits, a direct measure of load.
-func (f *Filter) FillRatio() float64 {
-	var set int
-	for i := range f.bits {
-		set += popcount(atomic.LoadUint64(&f.bits[i]))
-	}
-	return float64(set) / float64(f.nbits)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
 
 // Reset clears the filter. Reset must not race with Add/Test (it is a
 // maintenance operation, not a data-path one).
@@ -167,7 +113,6 @@ func (f *Filter) Reset() {
 	for i := range f.bits {
 		atomic.StoreUint64(&f.bits[i], 0)
 	}
-	f.adds.Store(0)
 	f.tested.Store(0)
 	f.hits.Store(0)
 }

@@ -47,7 +47,9 @@ func TestNoFalseNegativesProperty(t *testing.T) {
 
 func TestFalsePositiveRateNearPrediction(t *testing.T) {
 	const n = 20_000
-	f, err := NewWithEstimate(n, 0.01)
+	// Sized for 1% at n: m = −n·ln(fp)/ln(2)² bits, k = m/n·ln(2).
+	mBits := math.Ceil(-n * math.Log(0.01) / (math.Ln2 * math.Ln2))
+	f, err := New(int(mBits/8)+1, int(math.Round(mBits/n*math.Ln2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +67,6 @@ func TestFalsePositiveRateNearPrediction(t *testing.T) {
 	if rate > 0.03 {
 		t.Errorf("measured FP rate %.4f, want near 0.01", rate)
 	}
-	if est := f.EstimatedFPRate(); math.Abs(est-0.01) > 0.01 {
-		t.Errorf("estimated FP rate %.4f, want near 0.01", est)
-	}
 }
 
 func TestEmptyFilterRejectsEverything(t *testing.T) {
@@ -77,18 +76,12 @@ func TestEmptyFilterRejectsEverything(t *testing.T) {
 			t.Fatalf("empty filter claims membership for %d", i)
 		}
 	}
-	if f.EstimatedFPRate() != 0 {
-		t.Error("empty filter should estimate FP rate 0")
-	}
 }
 
 func TestStatsAndCount(t *testing.T) {
 	f, _ := New(1<<14, 5)
 	for i := uint64(0); i < 100; i++ {
 		f.Add(sumOf(i))
-	}
-	if f.Count() != 100 {
-		t.Errorf("Count = %d, want 100", f.Count())
 	}
 	for i := uint64(0); i < 200; i++ {
 		f.Test(sumOf(i))
@@ -109,23 +102,10 @@ func TestReset(t *testing.T) {
 	if f.Test(sumOf(1)) {
 		t.Error("Reset did not clear the filter")
 	}
-	if f.FillRatio() != 0 {
-		t.Error("Reset left set bits")
-	}
-}
-
-func TestFillRatioGrowsWithLoad(t *testing.T) {
-	f, _ := New(4096, 5)
-	prev := f.FillRatio()
-	for i := uint64(0); i < 2000; i += 500 {
-		for j := i; j < i+500; j++ {
-			f.Add(sumOf(j))
+	for i, w := range f.bits {
+		if w != 0 {
+			t.Errorf("Reset left set bits in word %d", i)
 		}
-		cur := f.FillRatio()
-		if cur <= prev {
-			t.Fatalf("fill ratio did not grow: %.4f -> %.4f", prev, cur)
-		}
-		prev = cur
 	}
 }
 
@@ -138,15 +118,6 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := New(1024, 33); err == nil {
 		t.Error("k > 32 accepted")
-	}
-	if _, err := NewWithEstimate(0, 0.01); err == nil {
-		t.Error("n = 0 accepted")
-	}
-	if _, err := NewWithEstimate(100, 0); err == nil {
-		t.Error("fp = 0 accepted")
-	}
-	if _, err := NewWithEstimate(100, 1); err == nil {
-		t.Error("fp = 1 accepted")
 	}
 }
 

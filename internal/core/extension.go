@@ -123,6 +123,7 @@ func (d *Dedup) fme(f *fileState, m *store.Manifest, hitIdx int) error {
 					d.resolveDup(f, pc, container, off)
 					off += int64(len(pc.data))
 				}
+				d.stats.FMEDupChunks.Add(int64(k))
 				pre = pre[k:]
 				continue
 			}

@@ -217,3 +217,31 @@ func TestExtendMatchFullPath(t *testing.T) {
 		t.Error("extendMatch refs misplaced")
 	}
 }
+
+// FMEDupChunks counts what a lazily hashing FME would save (ROADMAP item
+// 3(c)): a first generation has nothing to extend over, a second resolves
+// most of its chunks by forward extension without ever looking their own
+// digests up.
+func TestFMEDupChunksCountsForwardExtension(t *testing.T) {
+	base := randBytes(3, 400_000)
+	edited := append([]byte(nil), base...)
+	copy(edited[150_011:], randBytes(4, 20_000))
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutFile("gen0", bytes.NewReader(base)); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stats().FMEDupChunks; got != 0 {
+		t.Errorf("first generation: FMEDupChunks = %d, want 0", got)
+	}
+	if err := d.PutFile("gen1", bytes.NewReader(edited)); err != nil {
+		t.Fatal(err)
+	}
+	s := d.Stats()
+	if s.FMEDupChunks <= 0 || s.FMEDupChunks > s.DupChunks {
+		t.Errorf("second generation: FMEDupChunks = %d of %d duplicate chunks, want in (0, DupChunks]", s.FMEDupChunks, s.DupChunks)
+	}
+	t.Logf("FMEDupChunks %d of ChunksIn %d (DupChunks %d)", s.FMEDupChunks, s.ChunksIn, s.DupChunks)
+}

@@ -168,6 +168,7 @@ func (d *Dedup) hhrForward(f *fileState, m *store.Manifest, i int, pre []pchunk)
 			d.resolveDup(f, pc, container, off)
 			off += int64(len(pc.data))
 		}
+		d.stats.FMEDupChunks.Add(int64(k))
 	}
 	r := e.Size - s - b
 	if _, err := d.hhrSplit(m, i, old,

@@ -83,16 +83,6 @@ type Event struct {
 	Fields []Field
 }
 
-// Field returns the value of the named field and whether it is present.
-func (e Event) Field(key string) (any, bool) {
-	for _, f := range e.Fields {
-		if f.Key == key {
-			return f.Value, true
-		}
-	}
-	return nil, false
-}
-
 // String renders the event in the line format the writer sink emits
 // (without the timestamp, which the sink prepends).
 func (e Event) String() string {
@@ -168,27 +158,10 @@ func Nop() *Log {
 	return New(Options{Level: LevelError + 1, RingSize: -1, SlowOpThreshold: -1})
 }
 
-// SetLevel changes the minimum emitted level at runtime.
-func (l *Log) SetLevel(lv Level) {
-	if l == nil {
-		return
-	}
-	l.level.Store(int32(lv))
-}
-
 // Enabled reports whether events at lv would be emitted — the guard hot
 // paths use before assembling fields.
 func (l *Log) Enabled(lv Level) bool {
 	return l != nil && int32(lv) >= l.level.Load()
-}
-
-// SlowThreshold returns the current slow-op threshold (negative:
-// disabled).
-func (l *Log) SlowThreshold() time.Duration {
-	if l == nil {
-		return -1
-	}
-	return time.Duration(l.slow.Load())
 }
 
 // Emit records one event at lv.
@@ -272,17 +245,6 @@ func (l *Log) Recent() []Event {
 		out = append(out, l.ring[:l.next]...)
 	} else {
 		out = append(out, l.ring[:l.next]...)
-	}
-	return out
-}
-
-// Types returns the event types of Recent() in order — the compact form
-// lifecycle tests assert against.
-func (l *Log) Types() []string {
-	evs := l.Recent()
-	out := make([]string, len(evs))
-	for i, e := range evs {
-		out[i] = e.Type
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package events
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -37,16 +36,11 @@ func TestLevelFiltering(t *testing.T) {
 	l.Info("i")
 	l.Warn("w")
 	l.Error("e")
-	if got := l.Types(); !reflect.DeepEqual(got, []string{"w", "e"}) {
+	if got := l.Recent(); len(got) != 2 || got[0].Type != "w" || got[1].Type != "e" {
 		t.Fatalf("warn-level log retained %v, want [w e]", got)
 	}
-	l.SetLevel(LevelDebug)
-	if !l.Enabled(LevelDebug) {
-		t.Fatal("SetLevel(Debug) did not take effect")
-	}
-	l.Debug("d2")
-	if got := l.Types(); got[len(got)-1] != "d2" {
-		t.Fatalf("debug event not retained after SetLevel: %v", got)
+	if l.Enabled(LevelInfo) || !l.Enabled(LevelWarn) {
+		t.Fatal("Enabled disagrees with the warn level")
 	}
 }
 
@@ -55,8 +49,14 @@ func TestRingWraparound(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		l.Info(fmt.Sprintf("e%d", i))
 	}
-	if got := l.Types(); !reflect.DeepEqual(got, []string{"e2", "e3", "e4", "e5"}) {
+	got := l.Recent()
+	if len(got) != 4 {
 		t.Fatalf("ring = %v, want last 4 oldest-first", got)
+	}
+	for i, e := range got {
+		if e.Type != fmt.Sprintf("e%d", i+2) {
+			t.Fatalf("ring = %v, want last 4 oldest-first", got)
+		}
 	}
 }
 
@@ -64,12 +64,6 @@ func TestEventRenderingAndFields(t *testing.T) {
 	e := Event{Level: LevelWarn, Type: "slow_op", Fields: []Field{F("op", "apply"), F("ms", 12.5)}}
 	if got, want := e.String(), "WARN slow_op op=apply ms=12.5"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
-	}
-	if v, ok := e.Field("op"); !ok || v != "apply" {
-		t.Fatalf("Field(op) = %v, %v", v, ok)
-	}
-	if _, ok := e.Field("absent"); ok {
-		t.Fatal("Field(absent) reported present")
 	}
 }
 
@@ -106,19 +100,13 @@ func TestSlowOp(t *testing.T) {
 	if len(evs) != 1 || evs[0].Type != "slow_op" || evs[0].Level != LevelWarn {
 		t.Fatalf("ring after SlowOp = %+v", evs)
 	}
-	if v, _ := evs[0].Field("op"); v != "apply" {
-		t.Fatalf("slow_op op field = %v", v)
-	}
-	if v, _ := evs[0].Field("ms"); v != 20.0 {
-		t.Fatalf("slow_op ms field = %v", v)
+	if f := evs[0].Fields; len(f) < 2 || f[0] != F("op", "apply") || f[1] != F("ms", 20.0) {
+		t.Fatalf("slow_op fields = %v, want op=apply ms=20 first", f)
 	}
 	// Disabled threshold never fires.
 	off := New(Options{SlowOpThreshold: -1})
 	if off.SlowOp("apply", time.Hour) {
 		t.Fatal("SlowOp fired with negative threshold")
-	}
-	if off.SlowThreshold() >= 0 {
-		t.Fatalf("SlowThreshold = %v, want negative", off.SlowThreshold())
 	}
 }
 
@@ -130,14 +118,13 @@ func TestNilAndNopSafety(t *testing.T) {
 	l.Info("i")
 	l.Warn("w")
 	l.Error("e")
-	l.SetLevel(LevelDebug)
 	if l.Enabled(LevelError) {
 		t.Fatal("nil log reports enabled")
 	}
 	if l.SlowOp("x", time.Hour) {
 		t.Fatal("nil log fired slow_op")
 	}
-	if l.Recent() != nil || len(l.Types()) != 0 {
+	if l.Recent() != nil {
 		t.Fatal("nil log returned events")
 	}
 	n := Nop()
@@ -168,7 +155,6 @@ func TestConcurrentEmit(t *testing.T) {
 		defer close(readerDone)
 		for i := 0; i < 200; i++ {
 			_ = l.Recent()
-			_ = l.Types()
 		}
 	}()
 	wg.Wait()

@@ -2,17 +2,19 @@
 // deduplication system.
 //
 // The paper (and virtually every 2013-era deduplication system) identifies
-// chunks by their SHA-1 digest; a Sum is therefore a 20-byte value. The
-// package wraps crypto/sha1 with a comparable array type so Sums can be used
-// directly as map keys, and provides the helpers the rest of the system
-// relies on: one-shot hashing, incremental hashing across several byte
-// regions, and stable textual forms.
+// chunks by their SHA-1 digest; a Sum is therefore a 20-byte value, a
+// comparable array type so Sums can be used directly as map keys. The package
+// is every SHA-1 the system computes — one-shot hashing, a streaming Hasher,
+// stable textual forms — and it picks the block function once, from the CPU:
+// the SHA extensions' kernel (digest, sha1block_amd64.s) where CPUID reports
+// them, crypto/sha1 whole and untouched everywhere else (DESIGN §12a).
 package hashutil
 
 import (
 	"crypto/sha1"
 	"encoding/hex"
 	"fmt"
+	"hash"
 )
 
 // Size is the byte length of a Sum (SHA-1 digest size).
@@ -25,30 +27,33 @@ type Sum [Size]byte
 
 // SumBytes returns the SHA-1 digest of b.
 func SumBytes(b []byte) Sum {
-	return Sum(sha1.Sum(b))
-}
-
-// SumString returns the SHA-1 digest of s without copying it to a []byte
-// first beyond what the hash requires.
-func SumString(s string) Sum {
-	h := sha1.New()
-	h.Write([]byte(s))
-	var out Sum
-	h.Sum(out[:0])
-	return out
-}
-
-// SumRegions returns the SHA-1 digest of the concatenation of the given byte
-// slices, without materializing the concatenation. It is used by SHM and by
-// match extension, both of which hash runs of buffered chunks.
-func SumRegions(regions ...[]byte) Sum {
-	h := sha1.New()
-	for _, r := range regions {
-		h.Write(r)
+	if !useSHANI {
+		return Sum(sha1.Sum(b))
 	}
-	var out Sum
-	h.Sum(out[:0])
-	return out
+	var d digest
+	d.reset()
+	d.write(b)
+	return d.sum()
+}
+
+// SumString returns the SHA-1 digest of s.
+func SumString(s string) Sum { return SumBytes([]byte(s)) }
+
+// Kernel names the block function every Sum in this process comes from:
+// "sha-ni" or "crypto/sha1".
+func Kernel() string {
+	if useSHANI {
+		return "sha-ni"
+	}
+	return "crypto/sha1"
+}
+
+// SHANI is the same fact in the shape of a metrics gauge: 1 for "sha-ni".
+func SHANI() int64 {
+	if useSHANI {
+		return 1
+	}
+	return 0
 }
 
 // Hex returns the lowercase hexadecimal form of s (40 characters).
@@ -90,32 +95,46 @@ func ParseHex(text string) (Sum, error) {
 // streaming data (e.g. whole restored files in round-trip tests) without
 // buffering.
 type Hasher struct {
-	inner interface {
-		Write(p []byte) (int, error)
-		Sum(b []byte) []byte
-		Reset()
-	}
+	d   digest    // the SHA-NI kernel's whole state, inline: no allocation per use
+	std hash.Hash // crypto/sha1's, on a CPU without the SHA extensions; else nil
 }
 
 // NewHasher returns a ready-to-use Hasher.
 func NewHasher() *Hasher {
-	return &Hasher{inner: sha1.New()}
+	h := &Hasher{}
+	if useSHANI {
+		h.d.reset()
+	} else {
+		h.std = sha1.New()
+	}
+	return h
 }
 
 // Write adds p to the running hash. It never fails.
 func (h *Hasher) Write(p []byte) (int, error) {
-	return h.inner.Write(p)
+	if h.std != nil {
+		return h.std.Write(p)
+	}
+	h.d.write(p)
+	return len(p), nil
 }
 
 // Sum returns the digest of everything written so far. The Hasher may keep
 // being written to afterwards; Sum does not reset it.
 func (h *Hasher) Sum() Sum {
-	var out Sum
-	h.inner.Sum(out[:0])
-	return out
+	if h.std != nil {
+		var out Sum
+		h.std.Sum(out[:0])
+		return out
+	}
+	return h.d.sum()
 }
 
 // Reset returns the Hasher to its initial state.
 func (h *Hasher) Reset() {
-	h.inner.Reset()
+	if h.std != nil {
+		h.std.Reset()
+	} else {
+		h.d.reset()
+	}
 }

@@ -31,22 +31,6 @@ func TestSumStringMatchesSumBytes(t *testing.T) {
 	}
 }
 
-func TestSumRegionsEqualsConcatenation(t *testing.T) {
-	f := func(a, b, c []byte) bool {
-		concat := append(append(append([]byte{}, a...), b...), c...)
-		return SumRegions(a, b, c) == SumBytes(concat)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSumRegionsEmpty(t *testing.T) {
-	if SumRegions() != SumBytes(nil) {
-		t.Error("SumRegions() should equal hash of empty input")
-	}
-}
-
 func TestHexRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
 		s := SumBytes(data)

@@ -112,9 +112,6 @@ func (c *Cache[K, V]) Len() int {
 	return c.order.Len()
 }
 
-// Cap returns the capacity.
-func (c *Cache[K, V]) Cap() int { return c.capacity }
-
 // Stats returns hit/miss/eviction counters.
 func (c *Cache[K, V]) Stats() (hits, misses, evictions uint64) {
 	c.mu.Lock()

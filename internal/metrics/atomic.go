@@ -29,6 +29,7 @@ type Atomic struct {
 	HHROps          atomic.Int64
 	HHRDiskAccesses atomic.Int64
 	ManifestLoads   atomic.Int64
+	FMEDupChunks    atomic.Int64
 	BigChunkQueries atomic.Int64
 }
 
@@ -53,6 +54,7 @@ func (a *Atomic) Snapshot() Stats {
 		HHROps:          a.HHROps.Load(),
 		HHRDiskAccesses: a.HHRDiskAccesses.Load(),
 		ManifestLoads:   a.ManifestLoads.Load(),
+		FMEDupChunks:    a.FMEDupChunks.Load(),
 		BigChunkQueries: a.BigChunkQueries.Load(),
 	}
 }

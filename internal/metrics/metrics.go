@@ -50,6 +50,9 @@ type Stats struct {
 	HHRDiskAccesses int64
 	// ManifestLoads counts manifest reads from disk (Table V).
 	ManifestLoads int64
+	// FMEDupChunks counts the chunks forward match extension (FME and its
+	// HHR) resolved as duplicates: their own digests were never looked up.
+	FMEDupChunks int64
 	// BigChunkQueries counts duplicate queries made at big-chunk
 	// granularity (Bimodal and SubChunk only).
 	BigChunkQueries int64

@@ -13,22 +13,22 @@ func waitForEvent(t *testing.T, log *events.Log, typ string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, got := range log.Types() {
-			if got == typ {
+		for _, got := range log.Recent() {
+			if got.Type == typ {
 				return
 			}
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("event %q never appeared; log holds %v", typ, log.Types())
+	t.Fatalf("event %q never appeared; log holds %v", typ, log.Recent())
 }
 
 // containsSubsequence reports whether want appears in got, in order (not
 // necessarily adjacent — other events may interleave).
-func containsSubsequence(got, want []string) bool {
+func containsSubsequence(got []events.Event, want []string) bool {
 	i := 0
 	for _, g := range got {
-		if i < len(want) && g == want[i] {
+		if i < len(want) && g.Type == want[i] {
 			i++
 		}
 	}
@@ -82,7 +82,7 @@ func TestSessionLifecycleEvents(t *testing.T) {
 		"session.attach", "session.detach", "session.resume", "session.close",
 		"session.attach", "session.detach", "session.expire",
 	}
-	if got := evlog.Types(); !containsSubsequence(got, want) {
+	if got := evlog.Recent(); !containsSubsequence(got, want) {
 		t.Fatalf("lifecycle events out of order:\n got %v\nwant subsequence %v", got, want)
 	}
 }

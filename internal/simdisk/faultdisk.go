@@ -121,9 +121,6 @@ func NewFaultDisk(disk *Disk, plan FaultPlan) *FaultDisk {
 	}
 }
 
-// Inner returns the wrapped disk (for counters and direct inspection).
-func (f *FaultDisk) Inner() *Disk { return f.inner }
-
 // Stats returns a snapshot of the injected-fault counters.
 func (f *FaultDisk) Stats() FaultStats {
 	f.mu.Lock()

@@ -20,7 +20,6 @@ type CountMin struct {
 	rows  int
 	width uint64
 	cells []uint32
-	adds  uint64
 }
 
 // New returns a sketch with the given number of rows (hash functions) and
@@ -56,7 +55,6 @@ func (c *CountMin) Add(key hashutil.Sum) {
 			c.cells[p]++
 		}
 	}
-	c.adds++
 }
 
 // Estimate returns the estimated count for key. The estimate never
@@ -71,18 +69,7 @@ func (c *CountMin) Estimate(key hashutil.Sum) uint32 {
 	return min
 }
 
-// Adds returns the total number of Add calls.
-func (c *CountMin) Adds() uint64 { return c.adds }
-
 // SizeBytes returns the sketch's memory footprint.
 func (c *CountMin) SizeBytes() int64 {
 	return int64(len(c.cells)) * 4
-}
-
-// Reset clears all counters.
-func (c *CountMin) Reset() {
-	for i := range c.cells {
-		c.cells[i] = 0
-	}
-	c.adds = 0
 }

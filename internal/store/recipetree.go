@@ -124,9 +124,6 @@ type RecipeTreeStats struct {
 	NewLeafBytes, NewNodeBytes int64
 }
 
-// NewBytes is the total recipe bytes this write added to the store.
-func (st RecipeTreeStats) NewBytes() int64 { return st.NewLeafBytes + st.NewNodeBytes }
-
 // nodeEntry is one decoded interior-node record.
 type nodeEntry struct {
 	sum  hashutil.Sum

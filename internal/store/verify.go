@@ -246,8 +246,8 @@ func (v *Verifier) Containers() []string {
 
 // checkClaims hashes each claim on buf, which holds the container's bytes
 // from offset base on, and returns the claims that do not check out. A
-// claim reaching outside buf (a truncated container) is a mismatch whose
-// Got stays zero.
+// claim reaching outside buf (a truncated container) is a mismatch by that
+// fact alone, whatever hash it records; its Got stays zero.
 func checkClaims(container hashutil.Sum, claims []coverEntry, buf []byte, base int64) []Mismatch {
 	var bad []Mismatch
 	for _, ce := range claims {
@@ -255,10 +255,11 @@ func checkClaims(container hashutil.Sum, claims []coverEntry, buf []byte, base i
 			Container: container, Manifest: ce.manifest, Entry: ce.entry,
 			Start: ce.start, Size: ce.size, Want: ce.hash,
 		}
-		if ce.start >= base && ce.end() <= base+int64(len(buf)) {
+		inside := ce.start >= base && ce.end() <= base+int64(len(buf))
+		if inside {
 			mm.Got = hashutil.SumBytes(buf[ce.start-base : ce.end()-base])
 		}
-		if mm.Got != ce.hash {
+		if !inside || mm.Got != ce.hash {
 			bad = append(bad, mm)
 		}
 	}

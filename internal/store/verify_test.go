@@ -406,6 +406,57 @@ func TestVerifierReportsTruncatedContainer(t *testing.T) {
 	}
 }
 
+// A claim that reaches past the end of what was read mismatches by that fact,
+// not by comparing a never-computed Got with the recorded hash — which a
+// claim recording the zero Sum would pass.
+func TestCheckClaimsOutOfRangeZeroHashClaim(t *testing.T) {
+	bad := checkClaims(hashutil.Sum{}, []coverEntry{{start: 0, size: 10}}, make([]byte, 5), 0)
+	if len(bad) != 1 || bad[0].Start != 0 || bad[0].Size != 10 {
+		t.Fatalf("claim [0,+10) on 5 bytes with a zero recorded hash: mismatches = %v, want that claim", bad)
+	}
+}
+
+// The same end to end: manifests carry no checksum of their own, so a
+// zero-filled sector inside one leaves an entry recording the zero Sum. With
+// the container truncated inside that entry's range, verification must still
+// say so — in a restore, in a scrub — and never reslice past what it read.
+func TestVerifierZeroedEntryOverTruncatedContainer(t *testing.T) {
+	s, _ := buildVerifyStore(t)
+	c2 := hashutil.SumString("c2").Hex()
+	raw, err := s.Disk().Read(simdisk.Manifest, c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Entry 1 of c2's manifest claims [256,+512); zero its recorded hash.
+	clear(raw[FormatBasic.EntrySize():][:hashutil.Size])
+	if err := s.Disk().Write(simdisk.Manifest, c2, raw); err != nil {
+		t.Fatal(err)
+	}
+	fd := simdisk.NewFaultDisk(s.Disk(), simdisk.FaultPlan{Seed: 1})
+	if err := fd.TruncateStored(simdisk.Data, c2, 300); err != nil {
+		t.Fatal(err)
+	}
+
+	v := NewVerifier(s, VerifyOpts{})
+	// f/two serves c2[256,+512), all of it inside the zeroed claim.
+	if err := v.RestoreFile("f/two", &bytes.Buffer{}); err == nil {
+		t.Error("verified restore through a truncated container succeeded")
+	} else if !strings.Contains(err.Error(), "corrupt data") {
+		t.Errorf("verified restore error = %v, want corrupt data", err)
+	}
+	rep, err := s.Scrub(VerifyOpts{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, mm := range rep.Corrupt {
+		found = found || (mm.Container.Hex() == c2 && mm.Start == 256 && mm.Size == 512)
+	}
+	if !found {
+		t.Errorf("scrub: truncated claim c2[256,+512) not under Corrupt: %v", rep.Corrupt)
+	}
+}
+
 func TestVerifierRefusesUnvouchedRanges(t *testing.T) {
 	s, _ := buildVerifyStore(t)
 	// Remove c1's manifest: its bytes are no longer vouched for by anyone.
