@@ -150,22 +150,36 @@ func (a *arena) take(cur []byte) []byte {
 	return cur[:len(cur):len(cur)]
 }
 
+// fillSize is how many bytes a readFiller buffers behind its history;
+// maxEmptyReads how many consecutive (0, nil) reads it takes before giving
+// the reader up with io.ErrNoProgress — bufio's bound: retried for ever they
+// would spin a chunker inside Next, where no cancellation reaches it.
+const (
+	fillSize      = 64 << 10
+	maxEmptyReads = 100
+)
+
 // readFiller pulls bytes from an io.Reader into chunker buffers, tracking a
-// sticky error.
+// sticky error. The unread bytes are buf[pos:n]; the hist bytes before pos
+// are always the stream's bytes before them (zeros before its first byte),
+// which is what lets FastRabin roll a window into a block from in front.
 type readFiller struct {
-	r   io.Reader
-	buf []byte
-	pos int // next unread byte in buf
-	n   int // valid bytes in buf
-	err error
+	r    io.Reader
+	buf  []byte
+	hist int // bytes of history kept in front of pos
+	pos  int // next unread byte in buf
+	n    int // valid bytes in buf
+	err  error
 }
 
-func newReadFiller(r io.Reader) *readFiller {
-	return &readFiller{r: r, buf: make([]byte, 64<<10)}
+func newReadFiller(r io.Reader) *readFiller { return newHistoryFiller(r, 0) }
+
+func newHistoryFiller(r io.Reader, hist int) *readFiller {
+	return &readFiller{r: r, buf: make([]byte, hist+fillSize), hist: hist, pos: hist, n: hist}
 }
 
 // next returns the next byte. ok is false when the stream is exhausted or
-// failed; check err() afterwards.
+// failed; check finalErr afterwards.
 func (f *readFiller) next() (byte, bool) {
 	blk := f.peek()
 	if len(blk) == 0 {
@@ -178,33 +192,38 @@ func (f *readFiller) next() (byte, bool) {
 // peek returns the unread buffered bytes, refilling from the reader when the
 // buffer is drained. An empty result means the stream is exhausted or
 // failed; check finalErr afterwards. The returned slice is valid until the
-// next peek and must be released with consume — the block-processed
-// chunkers scan it in place and copy out only the bytes of the chunk they
-// emit.
+// next peek and is released by advancing pos — the block-processed chunkers
+// scan it in place and copy out only the bytes of the chunk they emit.
 func (f *readFiller) peek() []byte {
-	if f.pos >= f.n {
-		if f.err != nil {
-			return nil
-		}
-		f.pos, f.n = 0, 0
-		for f.n == 0 {
-			n, err := f.r.Read(f.buf)
-			f.n = n
-			if err != nil {
-				f.err = err
-				break
-			}
-		}
-		if f.n == 0 {
-			return nil
-		}
+	if f.pos >= f.n && !f.fill() {
+		return nil
 	}
 	return f.buf[f.pos:f.n]
 }
 
-// consume marks n bytes of the last peek as read.
-func (f *readFiller) consume(n int) {
-	f.pos += n
+// fill reads the next block, buf[pos:n], into a drained buffer; false means
+// the stream is exhausted or failed. The block goes behind the bytes already
+// consumed while there is room, so they are its history where they lie; only
+// a full buffer starts over, its last hist bytes moved to the front — once
+// per fillSize bytes, not once per Read, however little a Read delivers.
+func (f *readFiller) fill() bool {
+	if f.err != nil {
+		return false
+	}
+	if f.n == len(f.buf) {
+		copy(f.buf, f.buf[f.n-f.hist:])
+		f.pos, f.n = f.hist, f.hist
+	}
+	for empty := 0; empty < maxEmptyReads; empty++ {
+		n, err := f.r.Read(f.buf[f.n:])
+		f.n += n
+		f.err = err
+		if n > 0 || err != nil {
+			return n > 0
+		}
+	}
+	f.err = io.ErrNoProgress
+	return false
 }
 
 // finalErr converts the sticky error for Next: io.EOF stays io.EOF, other

@@ -30,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/iotest"
 
 	"mhdedup/internal/rabin"
 )
@@ -204,7 +205,10 @@ func (r *randSizeReader) Read(p []byte) (int, error) {
 // scan whatever block the filler buffered, so every refill boundary is a
 // potential off-by-one site; the patterns place boundaries everywhere —
 // one-shot, 1-byte, prime strides, exactly and just past the 64 KiB filler
-// buffer, data+EOF in one call, and seeded random with zero-byte reads.
+// buffer, data+EOF in one call, and seeded random with zero-byte reads; and,
+// since a block is also the unit FastRabin scans, 100 bytes (a one-lane
+// block of more than a window) and half of whatever room the filler has
+// left (block lengths that shrink towards every buffer wrap).
 var fragmentations = []struct {
 	name string
 	mk   func(data []byte, seed int64) io.Reader
@@ -219,6 +223,8 @@ var fragmentations = []struct {
 	{"rand", func(d []byte, seed int64) io.Reader {
 		return &randSizeReader{data: d, rng: rand.New(rand.NewSource(seed))}
 	}},
+	{"100B", func(d []byte, _ int64) io.Reader { return &sizedReader{data: d, max: 100} }},
+	{"half", func(d []byte, _ int64) io.Reader { return iotest.HalfReader(bytes.NewReader(d)) }},
 }
 
 // chunkAll drains c, returning the chunks and the terminal error (io.EOF

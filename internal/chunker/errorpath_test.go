@@ -92,3 +92,31 @@ func TestReadErrorImmediateAllChunkers(t *testing.T) {
 		}
 	}
 }
+
+// TestStalledReaderIsGivenUp: a reader that delivers its bytes and then
+// returns (0, nil) for ever is legal and must not hang Next — no
+// cancellation reaches a chunker inside a Read loop. After maxEmptyReads
+// empty reads in a row the filler gives the reader up: the bytes delivered
+// come out first, as with any mid-stream error, then io.ErrNoProgress,
+// sticky.
+func TestStalledReaderIsGivenUp(t *testing.T) {
+	data := streamData("random", 69, 10_000)
+	for _, impl := range allChunkers {
+		// A failingReader whose error is nil stalls instead of failing.
+		c, err := impl.mk(&failingReader{data: append([]byte(nil), data...)}, Params{ECS: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks, err := chunkAll(c)
+		if !errors.Is(err, io.ErrNoProgress) {
+			t.Fatalf("%s: terminal error %v, want io.ErrNoProgress", impl.name, err)
+		}
+		if !bytes.Equal(reassemble(chunks), data) {
+			t.Errorf("%s: emitted %d of %d delivered bytes before giving the reader up",
+				impl.name, len(reassemble(chunks)), len(data))
+		}
+		if _, err := c.Next(); !errors.Is(err, io.ErrNoProgress) {
+			t.Errorf("%s: second Next after giving up returned %v", impl.name, err)
+		}
+	}
+}

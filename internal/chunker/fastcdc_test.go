@@ -2,6 +2,7 @@ package chunker
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -176,16 +177,33 @@ func BenchmarkFastGearChunk1M(b *testing.B) {
 	}
 }
 
+// BenchmarkFastRabinChunk1M times the service's chunker over 1 MiB for each
+// reader shape: the whole stream per Read, and 1, 100, 1,460 (a TCP
+// segment), 4,093 and 16 Ki bytes per Read. A block is what one Read
+// delivers, so the shapes price the one-lane scan, the lane split's warm-up
+// and the filler's per-Read cost against each other.
 func BenchmarkFastRabinChunk1M(b *testing.B) {
 	data := randomData(1, 1<<20)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c, _ := NewFastRabin(bytes.NewReader(data), Params{ECS: 4096})
-		for {
-			if _, err := c.Next(); err != nil {
-				break
-			}
+	for _, per := range []int{0, 1, 100, 1460, 4093, 16 << 10} {
+		name := "whole"
+		if per > 0 {
+			name = fmt.Sprintf("read=%d", per)
 		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var r io.Reader = bytes.NewReader(data)
+				if per > 0 {
+					r = &sizedReader{data: data, max: per}
+				}
+				c, _ := NewFastRabin(r, Params{ECS: 4096})
+				for {
+					if _, err := c.Next(); err != nil {
+						break
+					}
+				}
+			}
+		})
 	}
 }

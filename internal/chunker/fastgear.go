@@ -132,7 +132,7 @@ func (c *FastGear) Next() (Chunk, error) {
 			consumed = cut
 		}
 		cur = append(cur, blk[:consumed]...)
-		c.src.consume(consumed)
+		c.src.pos += consumed
 		if cut >= 0 || len(cur) >= max {
 			chunk := Chunk{Data: c.buf.take(cur), Off: c.off}
 			c.off += chunk.Size()

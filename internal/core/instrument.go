@@ -17,6 +17,11 @@ var (
 	// it. Scanning and SHA-1 run ahead on other goroutines, so the sum
 	// is the time dedup starved, not what chunking and hashing cost.
 	hChunkNS = metrics.GetHistogram("core.chunk_ns")
+	// hScanWaitNS and hHashWaitNS split that wait by the stage it was for,
+	// once per batch: blocked on an empty queue (the next batch not cut
+	// yet), then on the batch's digests (cut, not yet hashed).
+	hScanWaitNS = metrics.GetHistogram("core.scan_wait_ns")
+	hHashWaitNS = metrics.GetHistogram("core.hash_wait_ns")
 	// hLookupNS is one flat cache-index lookup (hash → cached manifest).
 	hLookupNS = metrics.GetHistogram("core.lookup_ns")
 	// hHookProbeNS is one duplicate-detection probe on the miss path:

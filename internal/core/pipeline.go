@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"time"
 
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
@@ -149,8 +150,11 @@ func (p *chunkPipeline) next() (pchunk, error) {
 		if p.cur.err != nil {
 			return pchunk{}, p.cur.err
 		}
+		start := time.Now()
 		p.cur, p.i = <-p.queue, 0
+		cut := start.Add(hScanWaitNS.ObserveSince(start))
 		<-p.cur.hashed
+		hHashWaitNS.ObserveSince(cut)
 	}
 	c := p.cur.chunks[p.i]
 	p.i++

@@ -285,3 +285,62 @@ func BenchmarkIngest(b *testing.B) {
 		}
 	}
 }
+
+// TestPutFileStalledReaderIsGivenUp: a source that stops making progress —
+// (0, nil) for ever, legal for an io.Reader and at one time enough to hang
+// PutFile beyond any cancellation, the chunker spinning inside Next where
+// the producer polls nothing — fails the file with io.ErrNoProgress, like
+// any mid-stream read error, and leaves no goroutine behind.
+func TestPutFileStalledReaderIsGivenUp(t *testing.T) {
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	err = d.PutFile("stalled", io.MultiReader(bytes.NewReader(randBytes(600, 10_000)),
+		&failingReader{})) // a failingReader with no error to fail with stalls
+	if !errors.Is(err, io.ErrNoProgress) {
+		t.Fatalf("PutFile error = %v, want io.ErrNoProgress", err)
+	}
+	waitForGoroutines(t, baseline)
+}
+
+// slowReader sleeps before every Read and delivers at most max bytes.
+type slowReader struct {
+	r     io.Reader
+	max   int
+	delay time.Duration
+}
+
+func (s *slowReader) Read(p []byte) (int, error) {
+	time.Sleep(s.delay)
+	return s.r.Read(p[:min(len(p), s.max)])
+}
+
+// TestSlowReaderShowsAsScanWait pins what the two per-batch waits mean: a
+// source that trickles keeps the chunker from cutting, so the ordered
+// stage's starvation lands in core.scan_wait_ns — most of the time the
+// reader slept — and not in core.hash_wait_ns, the digests of a batch
+// being ready soon after its last chunk is cut.
+func TestSlowReaderShowsAsScanWait(t *testing.T) {
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reads, delay = 128, 2 * time.Millisecond
+	src := &slowReader{r: bytes.NewReader(randBytes(601, reads*16<<10)), max: 16 << 10, delay: delay}
+	scan0, hash0 := hScanWaitNS.Snapshot(), hHashWaitNS.Snapshot()
+	if err := d.PutFile("slow", src); err != nil {
+		t.Fatal(err)
+	}
+	scan, hash := hScanWaitNS.Snapshot(), hHashWaitNS.Snapshot()
+	if scan.Count == scan0.Count || scan.Count-scan0.Count != hash.Count-hash0.Count {
+		t.Fatalf("%d scan waits and %d hash waits observed, want one of each per batch",
+			scan.Count-scan0.Count, hash.Count-hash0.Count)
+	}
+	scanWait, hashWait := time.Duration(scan.Sum-scan0.Sum), time.Duration(hash.Sum-hash0.Sum)
+	if slept := reads * delay; scanWait < slept/2 || hashWait > scanWait/4 {
+		t.Errorf("reader slept %v: scan wait %v (want most of it), hash wait %v (want little)",
+			slept, scanWait, hashWait)
+	}
+}

@@ -298,144 +298,3 @@ func BenchmarkRoll(b *testing.B) {
 		}
 	}
 }
-
-func TestRollBlockMatchesRoll(t *testing.T) {
-	// RollBlock over any split of the input must leave the window in the
-	// exact state per-byte Roll produces — digests equal after every block
-	// and at the end, for several window sizes and block fragmentations.
-	rng := rand.New(rand.NewSource(71))
-	data := make([]byte, 4096)
-	rng.Read(data)
-	for _, size := range []int{1, 16, 48, 64} {
-		ref, err := NewWindow(DefaultPoly, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blk, _ := NewWindow(DefaultPoly, size)
-		for _, b := range data {
-			ref.Roll(b)
-		}
-		for off := 0; off < len(data); {
-			n := rng.Intn(97) + 1
-			if off+n > len(data) {
-				n = len(data) - off
-			}
-			blk.RollBlock(data[off : off+n])
-			off += n
-		}
-		if ref.Fingerprint() != blk.Fingerprint() {
-			t.Errorf("size=%d: RollBlock digest %#x != Roll digest %#x",
-				size, uint64(blk.Fingerprint()), uint64(ref.Fingerprint()))
-		}
-	}
-}
-
-func TestRollFindMatchesRoll(t *testing.T) {
-	// RollFind must stop at exactly the first byte whose fingerprint
-	// satisfies fp&mask == mask, consuming the same number of bytes and
-	// leaving the same digest as a per-byte Roll+compare loop — across
-	// random data, masks of several widths, and arbitrary resume points.
-	rng := rand.New(rand.NewSource(73))
-	data := make([]byte, 1<<16)
-	rng.Read(data)
-	for _, maskBits := range []uint{4, 8, 11} {
-		mask := Poly(1)<<maskBits - 1
-		ref, err := NewWindow(DefaultPoly, 48)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, _ := NewWindow(DefaultPoly, 48)
-
-		// Reference: scan byte-by-byte recording every match position.
-		var refMatches []int
-		for i, b := range data {
-			if ref.Roll(b)&mask == mask {
-				refMatches = append(refMatches, i+1)
-			}
-		}
-
-		// Fast: repeated RollFind calls over the remaining suffix.
-		var fastMatches []int
-		off := 0
-		for off < len(data) {
-			n, found := fast.RollFind(data[off:], mask)
-			off += n
-			if !found {
-				break
-			}
-			fastMatches = append(fastMatches, off)
-		}
-		if len(refMatches) != len(fastMatches) {
-			t.Fatalf("mask=%d bits: %d reference matches, %d RollFind matches",
-				maskBits, len(refMatches), len(fastMatches))
-		}
-		for i := range refMatches {
-			if refMatches[i] != fastMatches[i] {
-				t.Fatalf("mask=%d bits: match %d at %d (reference) vs %d (RollFind)",
-					maskBits, i, refMatches[i], fastMatches[i])
-			}
-		}
-		if ref.Fingerprint() != fast.Fingerprint() {
-			t.Errorf("mask=%d bits: final digests differ", maskBits)
-		}
-	}
-}
-
-// TestBlockRollsMatchRollAroundWindowSize is the property both block paths
-// are held to: any interleaving of RollBlock and RollFind calls leaves the
-// window exactly where per-byte Roll leaves it, and RollFind stops where
-// Roll first matches. Block lengths straddle the window size, where
-// RollBlock switches to resetting and RollFind hands over from the ring
-// to the out8Tab loop; the ring itself is checked by the steps that follow,
-// which evict what earlier steps rolled in.
-func TestBlockRollsMatchRollAroundWindowSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	for _, size := range []int{1, 2, 16, 48, 64} {
-		ref := mustWindow(t, DefaultPoly, size)
-		fast := mustWindow(t, DefaultPoly, size)
-		for step := 0; step < 3000; step++ {
-			n := size + rng.Intn(5) - 2
-			if rng.Intn(4) == 0 {
-				n = rng.Intn(3*size + 2)
-			}
-			blk := make([]byte, max(n, 0))
-			rng.Read(blk)
-			if rng.Intn(2) == 0 {
-				fast.RollBlock(blk)
-				for _, b := range blk {
-					ref.Roll(b)
-				}
-			} else {
-				mask := Poly(1)<<uint(rng.Intn(8)) - 1
-				want, wantFound := len(blk), false
-				for i, b := range blk {
-					if ref.Roll(b)&mask == mask {
-						want, wantFound = i+1, true
-						break
-					}
-				}
-				if got, found := fast.RollFind(blk, mask); got != want || found != wantFound {
-					t.Fatalf("size=%d step %d: RollFind(%d bytes, %#x) = %d, %v; Roll matches at %d, %v",
-						size, step, len(blk), uint64(mask), got, found, want, wantFound)
-				}
-			}
-			if ref.Fingerprint() != fast.Fingerprint() {
-				t.Fatalf("size=%d step %d: digest %#x after a %d-byte block, Roll's is %#x",
-					size, step, uint64(fast.Fingerprint()), len(blk), uint64(ref.Fingerprint()))
-			}
-		}
-	}
-}
-
-func BenchmarkRollBlock(b *testing.B) {
-	w, err := NewWindow(DefaultPoly, DefaultWindowSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 1<<20)
-	rand.New(rand.NewSource(1)).Read(data)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		w.RollBlock(data)
-	}
-}
