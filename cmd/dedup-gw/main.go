@@ -44,26 +44,20 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"mhdedup/internal/cluster"
-	"mhdedup/internal/events"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
+	"mhdedup/internal/session"
 )
 
 func main() {
@@ -136,16 +130,11 @@ func loadTenants(path string) (map[string]cluster.TenantAuth, error) {
 }
 
 func run(o options) error {
-	logger := log.New(os.Stderr, "dedup-gw: ", log.LstdFlags)
-	level, err := events.ParseLevel(o.logLevel)
+	d, err := session.NewDaemon("dedup-gw", o.logLevel, o.slowOp)
 	if err != nil {
 		return err
 	}
-	evlog := events.New(events.Options{
-		Level:           level,
-		Out:             os.Stderr,
-		SlowOpThreshold: o.slowOp,
-	})
+	logger := d.Logger
 	shards, err := parseShards(o.shards)
 	if err != nil {
 		return err
@@ -163,65 +152,26 @@ func run(o options) error {
 		Window:        o.window,
 		IdleTimeout:   o.idleTimeout,
 		ResumeTimeout: o.resumeTimeout,
-		Events:        evlog,
+		Events:        d.Events,
 	})
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", o.addr)
+	addr, err := d.Listen(o.addr, o.metricsAddr)
 	if err != nil {
 		return err
-	}
-	// Bound before anything serves: a gateway that came up without its
-	// health endpoint and admin verbs would look dead to whatever runs it.
-	var mln net.Listener
-	if o.metricsAddr != "" {
-		if mln, err = net.Listen("tcp", o.metricsAddr); err != nil {
-			ln.Close()
-			return fmt.Errorf("-metrics-addr: %w", err)
-		}
 	}
 	ids := make([]string, len(shards))
 	for i, s := range shards {
 		ids[i] = s.ID
 	}
 	logger.Printf("listening on %s, routing %d shards (%s), replication %d, %d tenants, max sessions %d, window %d, sha1 %s",
-		ln.Addr(), len(shards), strings.Join(ids, " "), gw.Replication(), len(tenants), o.maxSessions, o.window, hashutil.Kernel())
+		addr, len(shards), strings.Join(ids, " "), gw.Replication(), len(tenants), o.maxSessions, o.window, hashutil.Kernel())
 	metrics.Default.SetGauge("hashutil.sha_ni", hashutil.SHANI)
 
-	var draining atomic.Bool
-	var msrv *http.Server
-	if mln != nil {
-		msrv = metricsServer(gw, evlog, &draining, logger)
-		go func() {
-			if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {
-				logger.Printf("metrics server: %v", err)
-			}
-		}()
-		logger.Printf("debug endpoints on http://%s: /metrics.json /healthz /events.json /drain-shard /debug/pprof/", mln.Addr())
-	}
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- gw.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
+	admin := func(mux *http.ServeMux) { adminVerbs(mux, gw, logger) }
+	if err := d.Run(gw, o.drainTimeout, func() any { return metricsDoc(gw) }, admin); err != nil {
 		return err
-	case <-sigCtx.Done():
-	}
-	stop() // second signal kills the process
-	draining.Store(true)
-	logger.Printf("draining (timeout %v)...", o.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	if err := gw.Drain(drainCtx); err != nil {
-		logger.Printf("drain incomplete: %v (sessions aborted)", err)
-	}
-	<-serveErr
-	if msrv != nil {
-		msrv.Close()
 	}
 	balance := gw.ShardStats()
 	for _, id := range ids {
@@ -231,145 +181,88 @@ func run(o options) error {
 	return nil
 }
 
-// metricsServer is the gateway's debug/admin endpoint set.
-func metricsServer(gw *cluster.Gateway, evlog *events.Log,
-	draining *atomic.Bool, logger *log.Logger) *http.Server {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		export := metrics.Default.ExportAll()
-		type shardLine struct {
-			ID    string `json:"id"`
-			Files int64  `json:"files"`
-			Bytes int64  `json:"bytes"`
-		}
-		stats := gw.ShardStats()
-		shardDoc := make([]shardLine, 0, len(stats))
-		for id, fb := range stats {
-			shardDoc = append(shardDoc, shardLine{ID: id, Files: fb[0], Bytes: fb[1]})
-		}
-		sort.Slice(shardDoc, func(a, b int) bool { return shardDoc[a].ID < shardDoc[b].ID })
-		doc := struct {
-			Counters   map[string]int64                     `json:"counters"`
-			Gauges     map[string]int64                     `json:"gauges,omitempty"`
-			Histograms map[string]metrics.HistogramSnapshot `json:"histograms,omitempty"`
-			Sessions   int                                  `json:"sessions"`
-			Shards     []shardLine                          `json:"shards"`
-			Tenants    map[string]int64                     `json:"tenant_used_bytes"`
-		}{
-			Counters:   export.Counters,
-			Gauges:     export.Gauges,
-			Histograms: export.Histograms,
-			Sessions:   gw.SessionCount(),
-			Shards:     shardDoc,
-			Tenants:    gw.Tenants().Usage(),
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
-	})
-	mux.HandleFunc("/events.json", func(w http.ResponseWriter, r *http.Request) {
-		evs := evlog.Recent()
-		type line struct {
-			Time  string `json:"time"`
-			Level string `json:"level"`
-			Type  string `json:"type"`
-			Line  string `json:"line"`
-		}
-		out := make([]line, len(evs))
-		for i, e := range evs {
-			out[i] = line{
-				Time:  e.Time.Format(time.RFC3339Nano),
-				Level: e.Level.String(),
-				Type:  e.Type,
-				Line:  e.String(),
+// metricsDoc is /metrics.json: gateway counters, per-shard routing balance
+// and tenant usage.
+func metricsDoc(gw *cluster.Gateway) any {
+	type shardLine struct {
+		ID    string `json:"id"`
+		Files int64  `json:"files"`
+		Bytes int64  `json:"bytes"`
+	}
+	stats := gw.ShardStats()
+	shardDoc := make([]shardLine, 0, len(stats))
+	for id, fb := range stats {
+		shardDoc = append(shardDoc, shardLine{ID: id, Files: fb[0], Bytes: fb[1]})
+	}
+	sort.Slice(shardDoc, func(a, b int) bool { return shardDoc[a].ID < shardDoc[b].ID })
+	return struct {
+		metrics.Export
+		Sessions int              `json:"sessions"`
+		Shards   []shardLine      `json:"shards"`
+		Tenants  map[string]int64 `json:"tenant_used_bytes"`
+	}{metrics.Default.ExportAll(), gw.SessionCount(), shardDoc, gw.Tenants().Usage()}
+}
+
+// adminVerbs adds the gateway's admin endpoints to the debug mux.
+func adminVerbs(mux *http.ServeMux, gw *cluster.Gateway, logger *log.Logger) {
+	// post registers a POST-only verb, on the shard ?id= names when needID;
+	// a verb that fails answers 409 with its error.
+	post := func(path string, needID bool, do func(w http.ResponseWriter, id string) error) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			id := r.URL.Query().Get("id")
+			switch {
+			case r.Method != http.MethodPost:
+				http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			case needID && id == "":
+				http.Error(w, "missing ?id=", http.StatusBadRequest)
+			default:
+				if err := do(w, id); err != nil {
+					http.Error(w, err.Error(), http.StatusConflict)
+				}
 			}
-		}
+		})
+	}
+	reply := func(w http.ResponseWriter, rep any) {
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Events []line `json:"events"`
-		}{Events: out})
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if draining.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
+		json.NewEncoder(w).Encode(rep)
+	}
 	// POST /drain-shard?id=s1 — the online rebalance verb: remove a shard
 	// from the write ring while keeping its stored files readable.
-	mux.HandleFunc("/drain-shard", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		id := r.URL.Query().Get("id")
-		if id == "" {
-			http.Error(w, "missing ?id=", http.StatusBadRequest)
-			return
-		}
+	post("/drain-shard", true, func(w http.ResponseWriter, id string) error {
 		if err := gw.DrainShard(id); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
+			return err
 		}
 		logger.Printf("shard %s removed from the write ring", id)
 		fmt.Fprintf(w, "shard %s draining\n", id)
+		return nil
 	})
 	// POST /rebalance-shard?id=s1 — drain and EMPTY the shard: every file
 	// it holds is migrated to the file's new write-ring owners and only
 	// then dropped, leaving the shard safe to decommission.
-	mux.HandleFunc("/rebalance-shard", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		id := r.URL.Query().Get("id")
-		if id == "" {
-			http.Error(w, "missing ?id=", http.StatusBadRequest)
-			return
-		}
+	post("/rebalance-shard", true, func(w http.ResponseWriter, id string) error {
 		rep, err := gw.RebalanceShard(id)
 		if err != nil {
 			logger.Printf("rebalance of %s failed: %v (report %+v)", id, err, rep)
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
+			return err
 		}
 		logger.Printf("shard %s rebalanced: %d files, %d migrated, %d dropped", id, rep.Files, rep.Migrated, rep.Dropped)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(rep)
+		reply(w, rep)
+		return nil
 	})
 	// POST /repair-scan — re-replicate under-replicated files back to the
 	// configured factor (after a shard death, or after raising -replication).
-	mux.HandleFunc("/repair-scan", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
+	post("/repair-scan", false, func(w http.ResponseWriter, _ string) error {
 		rep, err := gw.RepairScan()
 		if err != nil {
 			logger.Printf("repair scan incomplete: %v (report %+v)", err, rep)
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
+			return err
 		}
 		logger.Printf("repair scan: %d files, %d repaired, %d unfixable, %d skipped",
 			rep.Files, rep.Repaired, rep.Unfixable, rep.Skipped)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(rep)
+		reply(w, rep)
+		return nil
 	})
 	// GET /replication — the invariant check: which files are missing from
 	// one of their write-ring owners.
-	mux.HandleFunc("/replication", func(w http.ResponseWriter, r *http.Request) {
-		rep := gw.CheckReplication()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(rep)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return &http.Server{Handler: mux}
+	mux.HandleFunc("/replication", func(w http.ResponseWriter, r *http.Request) { reply(w, gw.CheckReplication()) })
 }

@@ -28,18 +28,9 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"mhdedup/dedup"
@@ -48,6 +39,7 @@ import (
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
 	"mhdedup/internal/server"
+	"mhdedup/internal/session"
 )
 
 func main() {
@@ -116,16 +108,11 @@ type options struct {
 }
 
 func run(o options) error {
-	logger := log.New(os.Stderr, "dedupd: ", log.LstdFlags)
-	level, err := events.ParseLevel(o.logLevel)
+	d, err := session.NewDaemon("dedupd", o.logLevel, o.slowOp)
 	if err != nil {
 		return err
 	}
-	evlog := events.New(events.Options{
-		Level:           level,
-		Out:             os.Stderr,
-		SlowOpThreshold: o.slowOp,
-	})
+	logger, evlog := d.Logger, d.Events
 
 	eng, dur, resumed, err := buildEngine(o, evlog)
 	if err != nil {
@@ -151,22 +138,13 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", o.addr)
+	addr, err := d.Listen(o.addr, o.metricsAddr)
 	if err != nil {
 		return err
 	}
-	// Bound before anything serves: a daemon that came up without its
-	// health and metrics endpoint would look dead to whatever watches it.
-	var mln net.Listener
-	if o.metricsAddr != "" {
-		if mln, err = net.Listen("tcp", o.metricsAddr); err != nil {
-			ln.Close()
-			return fmt.Errorf("-metrics-addr: %w", err)
-		}
-	}
 	opts := srv.Options()
 	logger.Printf("listening on %s (%s ECS=%d SD=%d, resumed=%v, max sessions %d, window %d, sha1 %s)",
-		ln.Addr(), opts.Algorithm, opts.ECS, opts.SD, resumed, o.maxSessions, o.window, hashutil.Kernel())
+		addr, opts.Algorithm, opts.ECS, opts.SD, resumed, o.maxSessions, o.window, hashutil.Kernel())
 	metrics.Default.SetGauge("hashutil.sha_ni", hashutil.SHANI)
 	if dur != nil {
 		dur.Start()
@@ -174,41 +152,20 @@ func run(o options) error {
 			o.checkpointInterval, o.logFlushInterval, o.compactLogBytes>>20)
 	}
 
-	var draining atomic.Bool
-	var msrv *http.Server
-	if mln != nil {
-		msrv = metricsServer(srv, eng, evlog, &draining)
-		go func() {
-			if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {
-				logger.Printf("metrics server: %v", err)
-			}
-		}()
-		logger.Printf("debug endpoints on http://%s: /metrics.json /healthz /events.json /debug/pprof/", mln.Addr())
+	// /metrics.json: counters + gauges + latency histogram snapshots +
+	// engine statistics.
+	metricsDoc := func() any {
+		cacheBytes, cacheEntries := srv.CacheStats()
+		return struct {
+			metrics.Export
+			Sessions     int           `json:"sessions"`
+			CacheBytes   int64         `json:"chunk_cache_bytes"`
+			CacheEntries int           `json:"chunk_cache_entries"`
+			Engine       metrics.Stats `json:"engine"`
+		}{metrics.Default.ExportAll(), srv.SessionCount(), cacheBytes, cacheEntries, eng.Stats()}
 	}
-
-	// Serve until the first SIGINT/SIGTERM, then drain; a second signal
-	// aborts the drain.
-	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
+	if err := d.Run(srv, o.drainTimeout, metricsDoc, nil); err != nil {
 		return err
-	case <-sigCtx.Done():
-	}
-	stop() // restore default signal behavior: second signal kills the process
-	draining.Store(true)
-	logger.Printf("draining (timeout %v)...", o.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	if err := srv.Drain(drainCtx); err != nil {
-		logger.Printf("drain incomplete: %v (sessions aborted)", err)
-	}
-	<-serveErr
-	if msrv != nil {
-		msrv.Close()
 	}
 
 	if err := eng.Finish(); err != nil {
@@ -284,76 +241,4 @@ func buildEngine(o options, evlog *events.Log) (*core.Dedup, *dedup.Durability, 
 			events.F("torn_tail", rep.Truncated))
 	}
 	return eng.(*core.Dedup), dur, resumed, nil
-}
-
-// metricsServer exposes the debug endpoint set over HTTP: /metrics.json
-// (counters + gauges + latency histogram snapshots + engine statistics),
-// /healthz (drain-aware), /events.json (the structured event ring) and
-// the standard pprof profiles under /debug/pprof/.
-func metricsServer(srv *server.Server, eng *core.Dedup, evlog *events.Log, draining *atomic.Bool) *http.Server {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		cacheBytes, cacheEntries := srv.CacheStats()
-		export := metrics.Default.ExportAll()
-		doc := struct {
-			Counters     map[string]int64                     `json:"counters"`
-			Gauges       map[string]int64                     `json:"gauges,omitempty"`
-			Histograms   map[string]metrics.HistogramSnapshot `json:"histograms,omitempty"`
-			Sessions     int                                  `json:"sessions"`
-			CacheBytes   int64                                `json:"chunk_cache_bytes"`
-			CacheEntries int                                  `json:"chunk_cache_entries"`
-			Engine       metrics.Stats                        `json:"engine"`
-		}{
-			Counters:     export.Counters,
-			Gauges:       export.Gauges,
-			Histograms:   export.Histograms,
-			Sessions:     srv.SessionCount(),
-			CacheBytes:   cacheBytes,
-			CacheEntries: cacheEntries,
-			Engine:       eng.Stats(),
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
-	})
-	mux.HandleFunc("/events.json", func(w http.ResponseWriter, r *http.Request) {
-		evs := evlog.Recent()
-		type line struct {
-			Time  string `json:"time"`
-			Level string `json:"level"`
-			Type  string `json:"type"`
-			Line  string `json:"line"`
-		}
-		out := make([]line, len(evs))
-		for i, e := range evs {
-			out[i] = line{
-				Time:  e.Time.Format(time.RFC3339Nano),
-				Level: e.Level.String(),
-				Type:  e.Type,
-				Line:  e.String(),
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Events []line `json:"events"`
-		}{Events: out})
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if draining.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	// The standard pprof profile set; an explicit wire-up because the
-	// server runs its own mux, not http.DefaultServeMux.
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return &http.Server{Handler: mux}
 }

@@ -322,7 +322,7 @@ type RecoverReport = simdisk.RecoverReport
 // RecoverStore repairs the debris of an interrupted SaveStore/Save in dir:
 // partially written generations are rolled back and the commit marker is
 // rewritten if it was torn, leaving exactly the last consistent generation.
-// It is idempotent and a no-op on clean, legacy, or empty directories.
+// It is idempotent and a no-op on clean or empty directories.
 // OpenStore and Resume call it automatically.
 func RecoverStore(dir string) (RecoverReport, error) {
 	return simdisk.Recover(dir)

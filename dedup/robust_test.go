@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -336,6 +337,104 @@ func TestOnlineScrubSeesBitRot(t *testing.T) {
 	if err := dur.Scrub(); err == nil {
 		t.Fatal("a flipped bit in a persisted container scrubbed clean")
 	}
+}
+
+// TestDurableContainerStreamsWhileCut: through a durable engine a container
+// is in the log, extent by extent, before its file ends, the file's commit
+// journals a seal instead of the bytes again, a crash before the seal
+// mounts nothing of that file, a compaction in mid-file loses none of it,
+// and a put that fails leaves no extents behind for compaction to carry.
+func TestDurableContainerStreamsWhileCut(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{ECS: 1024, SD: 8, BloomBytes: 1 << 16}
+	dopts := DurabilityOptions{FlushInterval: -1, Registry: metrics.NewRegistry()}
+	eng, dur, _, err := ResumeDurable(MHD, opts, dir, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := randBytes(61, 1<<20), randBytes(62, 1<<20)
+	if err := eng.PutFile("first", bytes.NewReader(first)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	st := dur.WAL().Stats()
+	if st.StreamedBytes < int64(len(first))/2 {
+		t.Fatalf("only %d of %d bytes were written back before the commit", st.StreamedBytes, len(first))
+	}
+	if st.DurableBytes > int64(len(first))*11/10 {
+		t.Fatalf("log holds %d bytes for a %d-byte file: the container was logged twice", st.DurableBytes, len(first))
+	}
+
+	// The second file dies half way — after a compaction has folded the log
+	// under its first extents — and a third is cut across another one.
+	half := &compactingReader{r: bytes.NewReader(second), at: len(second) / 2, dur: dur, fail: true}
+	if err := eng.PutFile("second", half); err == nil || half.err != nil {
+		t.Fatalf("put through a failing reader = %v (compaction: %v)", err, half.err)
+	}
+	if err := dur.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := dur.WAL().Stats(); st.PendingRecords != 0 {
+		t.Fatalf("a compaction after the failed put re-logged %d records: its extents were kept", st.PendingRecords)
+	}
+	whole := &compactingReader{r: bytes.NewReader(second), at: len(second) / 2, dur: dur}
+	if err := eng.PutFile("third", whole); err != nil || whole.err != nil {
+		t.Fatalf("put across a compaction = %v (compaction: %v)", err, whole.err)
+	}
+	if err := dur.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// No Close: the process dies here, a fourth file's extents in the log.
+	eng.PutFile("fourth", &compactingReader{r: bytes.NewReader(randBytes(63, 1<<20)), at: 1 << 19, fail: true})
+	dur.WAL().Sync()
+
+	eng2, dur2, rep, err := ResumeDurable(MHD, opts, dir, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur2.Close()
+	if rep.Unsealed != 1 {
+		t.Fatalf("replay %+v, want exactly the fourth file's container unsealed", rep)
+	}
+	for name, want := range map[string][]byte{"first": first, "third": second} {
+		var buf bytes.Buffer
+		if err := eng2.Restore(name, &buf); err != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s after the crash: %v, %d of %d bytes", name, err, buf.Len(), len(want))
+		}
+	}
+	for _, name := range []string{"second", "fourth"} {
+		if err := eng2.Restore(name, io.Discard); err == nil {
+			t.Fatalf("%s was never committed and restores", name)
+		}
+	}
+}
+
+// compactingReader compacts dur (when set) once at bytes have been read,
+// and then fails (when fail is set) instead of reading on.
+type compactingReader struct {
+	r    io.Reader
+	at   int
+	dur  *Durability
+	fail bool
+	err  error
+	n    int
+}
+
+func (c *compactingReader) Read(p []byte) (int, error) {
+	if c.n >= c.at && c.at >= 0 {
+		c.at = -1
+		if c.dur != nil {
+			c.err = c.dur.Compact()
+		}
+		if c.fail {
+			return 0, errors.New("reader died")
+		}
+	}
+	n, err := c.r.Read(p[:min(len(p), 64<<10)])
+	c.n += n
+	return n, err
 }
 
 // TestOpenStoreRecoversInterruptedSave crashes a SaveStore mid-flight at

@@ -254,7 +254,7 @@ type fileState struct {
 	name      string
 	chunkName hashutil.Sum
 	manifest  *store.Manifest
-	parts     [][]byte // flushed chunks, in DiskChunk order; assembled once at file end
+	parts     [][]byte // flushed chunks, in DiskChunk order: staged as flushed, joined and sealed at file end
 	size      int64    // their total length: the DiskChunk offset of the next flush
 	pending   []pchunk // non-duplicate chunks awaiting SHM flush (≤ 2·SD)
 	replay    []pchunk // chunks prefetched by FME but not consumed
@@ -286,9 +286,14 @@ func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
 // boundary at which the hysteresis state is consistent enough to abandon
 // the file cleanly (no FileManifest is emitted, so the partial file never
 // looks restorable).
-func (d *Dedup) ingest(ctx context.Context, f *fileState) error {
+func (d *Dedup) ingest(ctx context.Context, f *fileState) (err error) {
 	defer f.src.stop()
 	f.chunkName = d.st.NextName()
+	defer func() {
+		if err != nil {
+			d.st.UnstageDiskChunk(f.chunkName) // no seal will follow
+		}
+	}()
 	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
 	d.stats.FilesTotal.Add(1)
 	done := ctx.Done()
@@ -475,11 +480,17 @@ func (d *Dedup) resolveOwn(f *fileState, pc pchunk, start int64) {
 // flushPending flushes the first n pending chunks to the file's DiskChunk
 // buffer, performing SHM per group of SD chunks: the group leader's hash is
 // kept verbatim as a Hook entry, the up-to-SD−1 followers merge into one
-// hash over their concatenated bytes.
+// hash over their concatenated bytes. The flushed chunks are staged with
+// the store at once, by reference: a write-ahead log, if there is one, has
+// the container on its way to the platter while the file is still being cut.
 func (d *Dedup) flushPending(f *fileState, n int) {
 	n = min(n, len(f.pending))
+	from, off := len(f.parts), f.size
 	for start := 0; start < n; start += d.cfg.SD {
 		d.flushGroup(f, f.pending[start:min(start+d.cfg.SD, n)])
+	}
+	if from < len(f.parts) {
+		d.st.StageDiskChunk(f.chunkName, off, f.parts[from:])
 	}
 	f.pending = append(f.pending[:0], f.pending[n:]...)
 }
@@ -535,7 +546,7 @@ func (d *Dedup) finishFile(f *fileState) error {
 	}
 	d.flushPending(f, len(f.pending))
 	if f.size > 0 {
-		if err := d.st.WriteDiskChunk(f.chunkName, bytes.Join(f.parts, nil)); err != nil {
+		if err := d.st.SealDiskChunk(f.chunkName, bytes.Join(f.parts, nil)); err != nil {
 			return err
 		}
 		if err := d.st.CreateManifest(f.manifest); err != nil {

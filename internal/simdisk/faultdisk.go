@@ -15,7 +15,7 @@ import (
 // truncated) writes, latent sector corruption (bit flips) and crashes in
 // the middle of a persistence pass. FaultDisk is the deterministic,
 // seed-driven fault injector the robustness tests are built on: it wraps a
-// *Disk, implements the same operation surface (Interface), and decides
+// *Disk, implements the same operation surface, and decides
 // the fate of every operation from a FaultPlan and a seeded RNG, so every
 // failing schedule is reproducible from its seed.
 
@@ -29,26 +29,6 @@ var (
 	// and deliberately leaves its partial temporary state on disk so
 	// recovery paths can be exercised against realistic wreckage.
 	ErrKilled = errors.New("simulated crash")
-)
-
-// Interface is the operation surface shared by *Disk and *FaultDisk: the
-// primitive object operations the deduplication data path uses. Code that
-// wants to be fault-testable can accept an Interface instead of a concrete
-// *Disk.
-type Interface interface {
-	Create(cat Category, name string, data []byte) error
-	Write(cat Category, name string, data []byte) error
-	Delete(cat Category, name string) error
-	Read(cat Category, name string) ([]byte, error)
-	ReadRange(cat Category, name string, off, length int64) ([]byte, error)
-	Exists(cat Category, name string) bool
-	Size(cat Category, name string) (int64, bool)
-	Names(cat Category) []string
-}
-
-var (
-	_ Interface = (*Disk)(nil)
-	_ Interface = (*FaultDisk)(nil)
 )
 
 // FaultPlan configures a FaultDisk. Rates are probabilities in [0,1]
@@ -198,36 +178,29 @@ func (f *FaultDisk) maybeFlip(cat Category, data []byte) []byte {
 
 // Create stores a new object, possibly failing or tearing the write.
 func (f *FaultDisk) Create(cat Category, name string, data []byte) error {
-	tearAt, err := f.step(OpCreate, cat, len(data))
+	return f.put(OpCreate, f.inner.Create, cat, name, data)
+}
+
+// Write replaces an object's content, possibly failing or tearing first.
+func (f *FaultDisk) Write(cat Category, name string, data []byte) error {
+	return f.put(OpWrite, f.inner.Write, cat, name, data)
+}
+
+func (f *FaultDisk) put(op Op, put func(Category, string, []byte) error, cat Category, name string, data []byte) error {
+	tearAt, err := f.step(op, cat, len(data))
 	if err != nil {
 		return err
 	}
 	if tearAt >= 0 {
 		// Persist the prefix, then report failure: exactly what a crash
 		// between a file system's data blocks and its size update leaves.
-		if err := f.inner.Create(cat, name, data[:tearAt]); err != nil {
+		if err := put(cat, name, data[:tearAt]); err != nil {
 			return err
 		}
 		return fmt.Errorf("%w: torn write of %v %q after %d/%d bytes",
 			ErrInjected, cat, name, tearAt, len(data))
 	}
-	return f.inner.Create(cat, name, data)
-}
-
-// Write replaces an object's content, possibly failing first.
-func (f *FaultDisk) Write(cat Category, name string, data []byte) error {
-	tearAt, err := f.step(OpWrite, cat, len(data))
-	if err != nil {
-		return err
-	}
-	if tearAt >= 0 {
-		if err := f.inner.Write(cat, name, data[:tearAt]); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: torn write of %v %q after %d/%d bytes",
-			ErrInjected, cat, name, tearAt, len(data))
-	}
-	return f.inner.Write(cat, name, data)
+	return put(cat, name, data)
 }
 
 // Delete removes an object.
@@ -240,22 +213,19 @@ func (f *FaultDisk) Delete(cat Category, name string) error {
 
 // Read returns an object's content, possibly failing or flipping a bit.
 func (f *FaultDisk) Read(cat Category, name string) ([]byte, error) {
-	if _, err := f.step(OpRead, cat, 0); err != nil {
-		return nil, err
-	}
-	data, err := f.inner.Read(cat, name)
-	if err != nil {
-		return nil, err
-	}
-	return f.maybeFlip(cat, data), nil
+	return f.read(cat, func() ([]byte, error) { return f.inner.Read(cat, name) })
 }
 
 // ReadRange returns part of an object, possibly failing or flipping a bit.
 func (f *FaultDisk) ReadRange(cat Category, name string, off, length int64) ([]byte, error) {
+	return f.read(cat, func() ([]byte, error) { return f.inner.ReadRange(cat, name, off, length) })
+}
+
+func (f *FaultDisk) read(cat Category, read func() ([]byte, error)) ([]byte, error) {
 	if _, err := f.step(OpRead, cat, 0); err != nil {
 		return nil, err
 	}
-	data, err := f.inner.ReadRange(cat, name, off, length)
+	data, err := read()
 	if err != nil {
 		return nil, err
 	}
@@ -274,11 +244,6 @@ func (f *FaultDisk) Exists(cat Category, name string) bool {
 // Size passes through to the inner disk (in-RAM metadata, never faulted).
 func (f *FaultDisk) Size(cat Category, name string) (int64, bool) {
 	return f.inner.Size(cat, name)
-}
-
-// Names passes through to the inner disk (inspection, never faulted).
-func (f *FaultDisk) Names(cat Category) []string {
-	return f.inner.Names(cat)
 }
 
 // --- Persistent (latent) corruption helpers -------------------------------

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -38,8 +37,6 @@ import (
 // the old or the new generation committed, never a hybrid; Recover (and the
 // read-only selection inside LoadDir) detects interrupted saves, ignores or
 // rolls back partial state, and mounts the last consistent generation.
-// Directories without MANIFEST.json or gen-* subdirectories are loaded in
-// the legacy flat layout (category dirs at top level) for compatibility.
 
 // categoryDirs maps categories to directory names (stable on disk).
 var categoryDirs = map[Category]string{
@@ -142,14 +139,11 @@ func (d *Disk) SaveDir(dir string) error {
 		}
 	}
 
-	// Post-commit cleanup: older generations and any legacy flat layout
-	// are now garbage. A crash in here is harmless — the marker already
+	// Post-commit cleanup: older generations are now garbage. A crash in
+	// here is harmless — the marker already
 	// names the new generation — but the kill hook still covers it so the
 	// harness exercises this window too.
-	if err := d.cleanupAfterCommit(dir, genName); err != nil {
-		return err
-	}
-	return nil
+	return d.cleanupAfterCommit(dir, genName)
 }
 
 // writeGeneration materializes the disk's objects as generation gen under
@@ -179,7 +173,7 @@ func (d *Disk) writeGeneration(dir, tmpDir, genName string, gen int) error {
 		sort.Strings(names)
 		for _, name := range names {
 			data := d.objects[cat][name]
-			path := filepath.Join(catDir, encodeName(name))
+			path := filepath.Join(catDir, EncodeName(name))
 			if err := d.savePoint(path, data); err != nil {
 				return fmt.Errorf("simdisk: save %v %q: %w", cat, name, err)
 			}
@@ -235,8 +229,8 @@ func (d *Disk) writeGeneration(dir, tmpDir, genName string, gen int) error {
 }
 
 // cleanupAfterCommit removes everything except the committed generation and
-// the marker: older/newer generation dirs, stray temp dirs, legacy flat
-// category dirs, and — when no attached WAL owns it — the wal/ directory.
+// the marker: older/newer generation dirs, stray temp dirs, and — when no
+// attached WAL owns it — the wal/ directory.
 // That last one matters: a generation commit supersedes the whole log, and
 // a stale log left behind by an earlier durable run would otherwise replay
 // on top of this generation and resurrect objects deleted since (deletes
@@ -256,16 +250,8 @@ func (d *Disk) cleanupAfterCommit(dir, keep string) error {
 			if walOwned {
 				continue // just reset by compacted(); it is the live log
 			}
-		} else {
-			legacy := false
-			for _, sub := range categoryDirs {
-				if name == sub {
-					legacy = true
-				}
-			}
-			if !legacy && !strings.HasPrefix(name, genPrefix) && name != markerFile+".tmp" {
-				continue
-			}
+		} else if !strings.HasPrefix(name, genPrefix) && name != markerFile+".tmp" {
+			continue
 		}
 		if err := d.removePoint(filepath.Join(dir, name)); err != nil {
 			if errors.Is(err, ErrKilled) {
@@ -277,16 +263,20 @@ func (d *Disk) cleanupAfterCommit(dir, keep string) error {
 	return nil
 }
 
-// savePoint writes one file durably (write + fsync), consulting the save
-// hook first. The hook may tear the payload (write the returned prefix,
-// then fail) or abort the write entirely.
+// savePoint writes one file durably (write + fsync) through the save hook.
 func (d *Disk) savePoint(path string, data []byte) error {
-	if d.saveHook != nil {
-		torn, err := d.saveHook(path, data)
+	return hookWrite(d.saveHook, path, data, func(b []byte) error { return writeFileSync(path, b) })
+}
+
+// hookWrite makes one payload write, consulting hook (if there is one)
+// first: the hook may abort the write, or tear it — the prefix it returns
+// with its error is written, as a crash mid-write would leave it.
+func hookWrite(hook SaveHook, op string, data []byte, write func([]byte) error) error {
+	if hook != nil {
+		torn, err := hook(op, data)
 		if err != nil {
 			if torn != nil && len(torn) < len(data) {
-				// Torn write: persist the prefix, then crash.
-				writeFileSync(path, torn)
+				write(torn)
 			}
 			return err
 		}
@@ -294,27 +284,33 @@ func (d *Disk) savePoint(path string, data []byte) error {
 			data = torn
 		}
 	}
-	return writeFileSync(path, data)
+	return write(data)
 }
 
 // renamePoint renames oldp to newp, consulting the save hook first.
 func (d *Disk) renamePoint(oldp, newp string) error {
-	if d.saveHook != nil {
-		if _, err := d.saveHook("rename:"+newp, nil); err != nil {
-			return err
-		}
+	if err := hookPoint(d.saveHook, "rename:"+newp); err != nil {
+		return err
 	}
 	return os.Rename(oldp, newp)
 }
 
 // removePoint removes a path during cleanup, consulting the save hook.
 func (d *Disk) removePoint(path string) error {
-	if d.saveHook != nil {
-		if _, err := d.saveHook("remove:"+path, nil); err != nil {
-			return err
-		}
+	if err := hookPoint(d.saveHook, "remove:"+path); err != nil {
+		return err
 	}
 	return os.RemoveAll(path)
+}
+
+// hookPoint consults hook, if there is one, for a file-system mutation
+// that carries no payload: the kill-point mechanism of the crash harnesses.
+func hookPoint(hook SaveHook, op string) error {
+	if hook == nil {
+		return nil
+	}
+	_, err := hook(op, nil)
+	return err
 }
 
 // writeFileSync writes path and fsyncs it before closing, so the data is
@@ -445,41 +441,32 @@ func newestValidGen(dir string) (int, string, bool) {
 	return best, bestDir, best > 0
 }
 
-// selectGeneration decides, read-only, what a mount of dir should see:
-// the generation directory to load (legacy == false), the legacy flat
-// layout (legacy == true, genDir == dir), or an empty store (genDir == "").
-// Preference order: the marker's generation when it validates; otherwise
-// the newest self-validating generation; otherwise the legacy layout if
-// any category dir exists at top level.
-func selectGeneration(dir string) (gen int, genDir string, legacy bool, err error) {
+// selectGeneration decides, read-only, what a mount of dir should see: the
+// generation directory to load, or an empty store (genDir == ""). The
+// marker's generation when it validates; otherwise the newest
+// self-validating generation.
+func selectGeneration(dir string) (gen int, genDir string, err error) {
 	m, markerPresent, markerErr := readMarker(dir)
 	if markerErr == nil && m != nil {
 		candidate := filepath.Join(dir, fmt.Sprintf("%s%06d", genPrefix, m.Generation))
 		if _, err := readGenManifest(candidate); err == nil {
-			return m.Generation, candidate, false, nil
+			return m.Generation, candidate, nil
 		}
 		// Marker names a generation that is missing or fails validation
 		// (post-commit damage): fall back to the newest consistent one.
 	}
 	if g, gdir, ok := newestValidGen(dir); ok {
-		return g, gdir, false, nil
+		return g, gdir, nil
 	}
 	if markerPresent {
 		// A marker exists (even corrupt) but no generation validates:
 		// the store is unrecoverable, which the caller must hear about.
 		if markerErr != nil {
-			return 0, "", false, fmt.Errorf("simdisk: no consistent generation under %s (marker: %v)", dir, markerErr)
+			return 0, "", fmt.Errorf("simdisk: no consistent generation under %s (marker: %v)", dir, markerErr)
 		}
-		return 0, "", false, fmt.Errorf("simdisk: no consistent generation under %s", dir)
+		return 0, "", fmt.Errorf("simdisk: no consistent generation under %s", dir)
 	}
-	// No marker, no generations: legacy flat layout (or an empty/missing
-	// directory, which loads as an empty store).
-	for _, sub := range categoryDirs {
-		if st, err := os.Stat(filepath.Join(dir, sub)); err == nil && st.IsDir() {
-			return 0, dir, true, nil
-		}
-	}
-	return 0, "", false, nil
+	return 0, "", nil // no marker, no generations: an empty or missing directory
 }
 
 // LoadDir returns a disk populated from a directory written by SaveDir.
@@ -489,7 +476,7 @@ func selectGeneration(dir string) (gen int, genDir string, legacy bool, err erro
 // zero: loading models mounting existing storage, not re-performing the
 // writes.
 func LoadDir(dir string) (*Disk, error) {
-	_, genDir, _, err := selectGeneration(dir)
+	_, genDir, err := selectGeneration(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -526,12 +513,8 @@ func LoadDir(dir string) (*Disk, error) {
 
 // RecoverReport describes what Recover found and did.
 type RecoverReport struct {
-	// Generation is the generation left mounted (0 for legacy or empty
-	// stores).
+	// Generation is the generation left mounted (0 for an empty store).
 	Generation int
-	// Legacy is true when the directory uses the pre-generation flat
-	// layout.
-	Legacy bool
 	// RolledBack lists directories removed because they belonged to
 	// interrupted saves or superseded generations.
 	RolledBack []string
@@ -563,144 +546,147 @@ func recoverPoint(step string) error {
 // the commit marker is rewritten if it was torn or lost, and the
 // write-ahead log's torn tail is trimmed on disk (post-corruption segments
 // removed), so the directory afterwards holds exactly the last consistent
-// generation plus the log's valid prefix. Legacy flat-layout directories
-// and empty/missing directories are left untouched (their wal/ debris, if
-// any, is still repaired). Recover is idempotent and re-entrant: running
-// it twice — or crashing at any point inside it and running it again —
-// converges on the same store.
+// generation plus the log's valid prefix. Empty/missing directories are
+// left untouched (their wal/ debris, if any, is still repaired). Recover is
+// idempotent and re-entrant: running it twice — or crashing at any point
+// inside it and running it again — converges on the same store.
 func Recover(dir string) (RecoverReport, error) {
-	var rep RecoverReport
-	gen, genDir, legacy, err := selectGeneration(dir)
+	rep, err := recoverGenerations(dir)
 	if err != nil {
 		return rep, err
 	}
-	rep.Generation, rep.Legacy = gen, legacy
-	if genDir != "" && !legacy {
-		keep := filepath.Base(genDir)
-
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return rep, err
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if name == keep || name == markerFile || name == walDirName {
-				continue
-			}
-			stale := name == markerFile+".tmp" || strings.HasSuffix(name, ".tmp")
-			if n, ok := genNumber(name); ok && n != gen {
-				stale = true
-			}
-			if !stale {
-				continue
-			}
-			if err := recoverPoint("remove:" + name); err != nil {
-				return rep, err
-			}
-			if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
-				return rep, fmt.Errorf("simdisk: recover: %w", err)
-			}
-			rep.RolledBack = append(rep.RolledBack, name)
-		}
-
-		// Re-point the marker if it is missing, torn, or names a
-		// generation other than the one that validated.
-		m, _, markerErr := readMarker(dir)
-		if markerErr != nil || m == nil || m.Generation != gen {
-			gm, err := readGenManifest(genDir)
-			if err != nil {
-				return rep, fmt.Errorf("simdisk: recover: %w", err)
-			}
-			raw, err := json.Marshal(gm)
-			if err != nil {
-				return rep, err
-			}
-			if err := recoverPoint("marker"); err != nil {
-				return rep, err
-			}
-			tmp := filepath.Join(dir, markerFile+".tmp")
-			if err := writeFileSync(tmp, raw); err != nil {
-				return rep, fmt.Errorf("simdisk: recover: %w", err)
-			}
-			if err := os.Rename(tmp, filepath.Join(dir, markerFile)); err != nil {
-				return rep, fmt.Errorf("simdisk: recover: %w", err)
-			}
-			if err := syncDir(dir); err != nil {
-				return rep, fmt.Errorf("simdisk: recover: %w", err)
-			}
-			rep.RepairedMarker = true
-		}
-		sort.Strings(rep.RolledBack)
-	}
-
 	// Write-ahead-log debris: trim the torn tail so the on-disk log is
 	// exactly its valid prefix before anyone appends after it.
-	sum, werr := recoverWAL(dir, recoverHook)
-	rep.WALTrimmed = sum.Trimmed
-	if werr != nil {
-		return rep, werr
+	wrep, _, err := walPass(dir, nil, true)
+	rep.WALTrimmed = wrep.Trimmed
+	return rep, err
+}
+
+// Mount opens dir as a continuously durable store: Recover's repairs, the
+// newest committed generation, the log's valid prefix replayed on top of
+// it and a fresh log segment attached, so every mutation from here on is
+// journaled — with the log read and checked once, by the pass that trims
+// it. The report says how much log survived the last run.
+func Mount(dir string) (*Disk, *WAL, WALReplayReport, error) {
+	if _, err := recoverGenerations(dir); err != nil {
+		return nil, nil, WALReplayReport{}, err
 	}
+	d, err := LoadDir(dir)
+	if err != nil {
+		return nil, nil, WALReplayReport{}, err
+	}
+	w, rep, err := openWAL(dir, d)
+	if err != nil {
+		return nil, nil, rep, err
+	}
+	d.wal = w
+	return d, w, rep, nil
+}
+
+// recoverGenerations is the generation half of Recover.
+func recoverGenerations(dir string) (RecoverReport, error) {
+	var rep RecoverReport
+	gen, genDir, err := selectGeneration(dir)
+	if err != nil || genDir == "" {
+		return rep, err
+	}
+	rep.Generation = gen
+	keep := filepath.Base(genDir)
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return rep, err
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if name == keep || name == markerFile || name == walDirName {
+			continue
+		}
+		stale := name == markerFile+".tmp" || strings.HasSuffix(name, ".tmp")
+		if n, ok := genNumber(name); ok && n != gen {
+			stale = true
+		}
+		if !stale {
+			continue
+		}
+		if err := recoverPoint("remove:" + name); err != nil {
+			return rep, err
+		}
+		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
+			return rep, fmt.Errorf("simdisk: recover: %w", err)
+		}
+		rep.RolledBack = append(rep.RolledBack, name)
+	}
+	sort.Strings(rep.RolledBack)
+
+	// Re-point the marker if it is missing, torn, or names a
+	// generation other than the one that validated.
+	m, _, markerErr := readMarker(dir)
+	if markerErr == nil && m != nil && m.Generation == gen {
+		return rep, nil
+	}
+	gm, err := readGenManifest(genDir)
+	if err != nil {
+		return rep, fmt.Errorf("simdisk: recover: %w", err)
+	}
+	raw, err := json.Marshal(gm)
+	if err != nil {
+		return rep, err
+	}
+	if err := recoverPoint("marker"); err != nil {
+		return rep, err
+	}
+	tmp := filepath.Join(dir, markerFile+".tmp")
+	if err := writeFileSync(tmp, raw); err != nil {
+		return rep, fmt.Errorf("simdisk: recover: %w", err)
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, markerFile)); err != nil {
+		return rep, fmt.Errorf("simdisk: recover: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
+		return rep, fmt.Errorf("simdisk: recover: %w", err)
+	}
+	rep.RepairedMarker = true
 	return rep, nil
 }
 
 // DirSize returns the on-disk footprint of a saved store's object payload
-// (the mounted generation's object files; marker and generation manifests
-// are bookkeeping and excluded), for CLI reporting.
+// (the mounted generation's object files, as its validated manifest totals
+// them; marker and generation manifests are bookkeeping and excluded), for
+// CLI reporting.
 func DirSize(dir string) (int64, error) {
-	_, genDir, _, err := selectGeneration(dir)
+	_, genDir, err := selectGeneration(dir)
+	if err != nil || genDir == "" {
+		return 0, err
+	}
+	m, err := readGenManifest(genDir)
 	if err != nil {
 		return 0, err
 	}
-	if genDir == "" {
-		return 0, nil
-	}
 	var total int64
-	for _, sub := range categoryDirs {
-		catDir := filepath.Join(genDir, sub)
-		err := filepath.WalkDir(catDir, func(_ string, e fs.DirEntry, err error) error {
-			if err != nil {
-				if os.IsNotExist(err) {
-					return fs.SkipAll
-				}
-				return err
-			}
-			if e.IsDir() {
-				return nil
-			}
-			info, err := e.Info()
-			if err != nil {
-				return err
-			}
-			total += info.Size()
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
+	for _, n := range m.Bytes {
+		total += n
 	}
 	return total, nil
 }
 
-// encodeName makes an object name safe as a file name. Hash-addressable
+// EncodeName makes an object name safe as a file name (also for tools that
+// materialize object payloads outside a store proper, like the quarantine
+// directory a scrub writes corrupt objects into). Hash-addressable
 // names are already hex; FileManifest keys are arbitrary user paths, so
 // '/' and other separators are escaped. The encoding is canonical: exactly
 // the four bytes {%, /, \, :} are escaped, always as uppercase %XX, so
-// encodeName is injective and decodeName can reject every non-canonical
+// EncodeName is injective and decodeName can reject every non-canonical
 // spelling (two distinct on-disk names can never collide on one object
 // name).
-func encodeName(name string) string {
+func EncodeName(name string) string {
 	r := strings.NewReplacer("%", "%25", "/", "%2F", "\\", "%5C", ":", "%3A")
 	return r.Replace(name)
 }
 
-// EncodeName exposes the canonical object-name → file-name encoding for
-// tools that materialize object payloads outside a store proper (e.g. the
-// quarantine directory a scrub writes corrupt objects into).
-func EncodeName(name string) string { return encodeName(name) }
-
-// decodeName inverts encodeName, strictly: only the canonical escapes
+// decodeName inverts EncodeName, strictly: only the canonical escapes
 // %25 %2F %5C %3A (uppercase) are accepted, and raw separator bytes —
-// which encodeName would have escaped — are rejected. Anything else is
+// which EncodeName would have escaped — are rejected. Anything else is
 // corruption or an adversarial file name, never a panic.
 func decodeName(file string) (string, error) {
 	var b strings.Builder

@@ -58,7 +58,7 @@ func TestLoadMissingDirIsEmpty(t *testing.T) {
 
 func TestNameEncodingRoundTrip(t *testing.T) {
 	f := func(s string) bool {
-		enc := encodeName(s)
+		enc := EncodeName(s)
 		if filepath.Base(enc) != enc && s != "" {
 			// Encoded names must not contain separators (single path
 			// element), except the degenerate empty string.
@@ -71,7 +71,7 @@ func TestNameEncodingRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"a/b/c", "x%2Fy", "%", "C:\\img", ""} {
-		dec, err := decodeName(encodeName(s))
+		dec, err := decodeName(EncodeName(s))
 		if err != nil || dec != s {
 			t.Errorf("round-trip of %q failed: %q, %v", s, dec, err)
 		}

@@ -70,50 +70,6 @@ func TestSaveDirGenerations(t *testing.T) {
 	}
 }
 
-func TestLoadDirLegacyFlatLayout(t *testing.T) {
-	// A pre-generation store: category dirs at top level, no marker.
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "chunks"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "chunks", "aabb"), []byte("legacy"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.Read(Data, "aabb")
-	if err != nil || !bytes.Equal(got, []byte("legacy")) {
-		t.Fatalf("legacy object = %q, %v", got, err)
-	}
-	// Recover leaves legacy layouts untouched.
-	rep, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Legacy || len(rep.RolledBack) != 0 || rep.RepairedMarker {
-		t.Errorf("recover of legacy layout = %+v, want untouched legacy", rep)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "chunks", "aabb")); err != nil {
-		t.Error("legacy object removed by Recover")
-	}
-	// Saving over a legacy dir upgrades it to the generation layout.
-	if err := d.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "chunks")); !os.IsNotExist(err) {
-		t.Error("legacy category dir should be cleaned up after upgrade save")
-	}
-	back, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := back.Read(Data, "aabb"); !bytes.Equal(got, []byte("legacy")) {
-		t.Error("object lost across legacy → generation upgrade")
-	}
-}
-
 func TestRecoverRollsBackInterruptedSave(t *testing.T) {
 	dir := t.TempDir()
 	d := New()
@@ -374,9 +330,9 @@ func FuzzEncodeDecodeName(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		// Forward direction: every object name round-trips exactly and the
 		// encoded form is a single path element.
-		enc := encodeName(s)
+		enc := EncodeName(s)
 		if s != "" && filepath.Base(enc) != enc {
-			t.Fatalf("encodeName(%q) = %q contains separators", s, enc)
+			t.Fatalf("EncodeName(%q) = %q contains separators", s, enc)
 		}
 		dec, err := decodeName(enc)
 		if err != nil {
@@ -390,8 +346,8 @@ func FuzzEncodeDecodeName(f *testing.F) {
 		// its result — so two distinct on-disk names cannot collide on one
 		// object name.
 		if dec2, err := decodeName(s); err == nil {
-			if encodeName(dec2) != s {
-				t.Fatalf("decodeName accepted non-canonical %q -> %q (canonical %q)", s, dec2, encodeName(dec2))
+			if EncodeName(dec2) != s {
+				t.Fatalf("decodeName accepted non-canonical %q -> %q (canonical %q)", s, dec2, EncodeName(dec2))
 			}
 		}
 	})

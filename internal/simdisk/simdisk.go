@@ -158,9 +158,10 @@ type Disk struct {
 	readDelay atomic.Int64
 
 	// wal, when non-nil, journals every successful Create/Write/Delete as
-	// a delta record (see wal.go). Appends happen under d.mu, which is
-	// what guarantees log order == mutation order; durability is deferred
-	// to WAL.Sync (group commit).
+	// a delta record (see wal.go), by reference to the stored bytes — stored
+	// objects are replaced, never modified. Appends happen under d.mu, which
+	// is what guarantees log order == mutation order; durability is
+	// deferred to WAL.Sync (group commit).
 	wal *WAL
 }
 
@@ -197,18 +198,11 @@ func (d *Disk) SetReadTransform(fn func(cat Category, name string, data []byte) 
 // SaveDir into the WAL's own store directory folds the log into the new
 // generation (compaction). Pass nil to detach. The WAL must belong to the
 // directory the disk is persisted into; attach it right after
-// LoadDir+ReplayWAL, before any mutation.
+// LoadDir+ReplayWAL, before any mutation (Mount does all three).
 func (d *Disk) SetWAL(w *WAL) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.wal = w
-}
-
-// WAL returns the attached write-ahead log, or nil.
-func (d *Disk) WAL() *WAL {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.wal
 }
 
 func (d *Disk) check(op Op, cat Category, name string) error {
@@ -228,16 +222,41 @@ func (d *Disk) check(op Op, cat Category, name string) error {
 // and the Hook files that have been written to disk will not be further
 // modified").
 func (d *Disk) Create(cat Category, name string, data []byte) error {
+	return d.put(OpCreate, cat, name, append([]byte(nil), data...))
+}
+
+// CreateOwned is Create without the copy: the disk keeps data itself, so the
+// caller must never touch it again. If the attached log was handed every
+// byte of it beforehand (Stage), the create is journaled as their seal.
+func (d *Disk) CreateOwned(cat Category, name string, data []byte) error {
+	return d.put(OpCreate, cat, name, data)
+}
+
+// Write replaces the content of an existing object (only Manifests are
+// updated in place during deduplication).
+func (d *Disk) Write(cat Category, name string, data []byte) error {
+	return d.put(OpWrite, cat, name, append([]byte(nil), data...))
+}
+
+// put stores data, which the disk owns from here on, as a new object
+// (OpCreate) or in place of an existing one (OpWrite).
+func (d *Disk) put(op Op, cat Category, name string, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.check(OpCreate, cat, name); err != nil {
+	if err := d.check(op, cat, name); err != nil {
 		return err
 	}
-	if _, exists := d.objects[cat][name]; exists {
+	if _, exists := d.objects[cat][name]; exists && op == OpCreate {
 		return fmt.Errorf("simdisk: %v object %q already exists", cat, name)
+	} else if !exists && op == OpWrite {
+		return fmt.Errorf("simdisk: %v object %q does not exist", cat, name)
 	}
-	d.objects[cat][name] = append([]byte(nil), data...)
-	d.counters.Creates[cat]++
+	d.objects[cat][name] = data
+	if op == OpCreate {
+		d.counters.Creates[cat]++
+	} else {
+		d.counters.Writes[cat]++
+	}
 	d.counters.BytesWritten[cat] += int64(len(data))
 	if d.wal != nil {
 		d.wal.Append(WALRecord{Op: WALSet, Cat: cat, Name: name, Data: data})
@@ -245,24 +264,28 @@ func (d *Disk) Create(cat Category, name string, data []byte) error {
 	return nil
 }
 
-// Write replaces the content of an existing object (only Manifests are
-// updated in place during deduplication).
-func (d *Disk) Write(cat Category, name string, data []byte) error {
+// Stage hands the attached log the next bytes, at offset off, of an object
+// that a later CreateOwned will store whole: they reach the log (and, past
+// its write-back threshold, the platter) while the object is still being
+// assembled, and stay invisible to every reader and every mount until that
+// create seals them. parts are kept by reference and must not change. No
+// access is charged — the one Create is — and without a log nothing happens.
+// Unstage forgets the extents of an object that will never be created.
+func (d *Disk) Stage(cat Category, name string, off int64, parts [][]byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.check(OpWrite, cat, name); err != nil {
-		return err
+	if d.wal != nil && cat >= 0 && cat < numCategories {
+		d.wal.Append(WALRecord{Op: WALExtent, Cat: cat, Name: name, Off: off, Parts: parts})
 	}
-	if _, exists := d.objects[cat][name]; !exists {
-		return fmt.Errorf("simdisk: %v object %q does not exist", cat, name)
-	}
-	d.objects[cat][name] = append([]byte(nil), data...)
-	d.counters.Writes[cat]++
-	d.counters.BytesWritten[cat] += int64(len(data))
+}
+
+// Unstage: see Stage.
+func (d *Disk) Unstage(cat Category, name string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.wal != nil {
-		d.wal.Append(WALRecord{Op: WALSet, Cat: cat, Name: name, Data: data})
+		d.wal.unstage(cat, name)
 	}
-	return nil
 }
 
 // Delete removes an object (one disk access). Deleting a missing object is
@@ -307,41 +330,23 @@ func (d *Disk) sleepRead() {
 
 // Read returns a copy of the object's content.
 func (d *Disk) Read(cat Category, name string) ([]byte, error) {
-	out, err := d.readLocked(cat, name)
+	out, err := d.readLocked(cat, name, 0, 0, true)
 	d.sleepRead()
 	return out, err
-}
-
-func (d *Disk) readLocked(cat Category, name string) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.check(OpRead, cat, name); err != nil {
-		return nil, err
-	}
-	data, exists := d.objects[cat][name]
-	if !exists {
-		d.counters.MissedLookups[cat]++
-		return nil, fmt.Errorf("simdisk: %v object %q does not exist", cat, name)
-	}
-	d.counters.Reads[cat]++
-	d.counters.BytesRead[cat] += int64(len(data))
-	out := append([]byte(nil), data...)
-	if d.readTransform != nil {
-		out = d.readTransform(cat, name, out)
-	}
-	return out, nil
 }
 
 // ReadRange returns length bytes of the object starting at off. It is the
 // primitive HHR uses to reload part of an old DiskChunk, and counts as one
 // disk access like Read.
 func (d *Disk) ReadRange(cat Category, name string, off, length int64) ([]byte, error) {
-	out, err := d.readRangeLocked(cat, name, off, length)
+	out, err := d.readLocked(cat, name, off, length, false)
 	d.sleepRead()
 	return out, err
 }
 
-func (d *Disk) readRangeLocked(cat Category, name string, off, length int64) ([]byte, error) {
+// readLocked is Read (whole: every byte, whatever off and length say) and
+// ReadRange.
+func (d *Disk) readLocked(cat Category, name string, off, length int64, whole bool) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.check(OpRead, cat, name); err != nil {
@@ -351,6 +356,9 @@ func (d *Disk) readRangeLocked(cat Category, name string, off, length int64) ([]
 	if !exists {
 		d.counters.MissedLookups[cat]++
 		return nil, fmt.Errorf("simdisk: %v object %q does not exist", cat, name)
+	}
+	if whole {
+		off, length = 0, int64(len(data))
 	}
 	if off < 0 || length < 0 || off+length > int64(len(data)) {
 		return nil, fmt.Errorf("simdisk: range [%d,%d) outside %v object %q of %d bytes",
@@ -448,10 +456,6 @@ func (d *Disk) ObjectCount(cat Category) int64 {
 func (d *Disk) TotalObjects() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.totalObjectsLocked()
-}
-
-func (d *Disk) totalObjectsLocked() int64 {
 	var t int64
 	for i := range d.objects {
 		t += int64(len(d.objects[i]))
@@ -463,10 +467,6 @@ func (d *Disk) totalObjectsLocked() int64 {
 func (d *Disk) BytesStored(cat Category) int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.bytesStoredLocked(cat)
-}
-
-func (d *Disk) bytesStoredLocked(cat Category) int64 {
 	var t int64
 	for _, data := range d.objects[cat] {
 		t += int64(len(data))

@@ -49,6 +49,7 @@ type Durable struct {
 	prevBuckets []int64
 
 	hCompact *metrics.Histogram
+	hCommit  *metrics.Histogram
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -133,8 +134,8 @@ func (o *DurableOptions) fillDefaults() {
 	}
 }
 
-// OpenDurable mounts dir as a continuously-durable store: crash debris is
-// repaired (simdisk.Recover, including the log's torn tail), the newest
+// OpenDurable mounts dir as a continuously-durable store (simdisk.Mount):
+// crash debris is repaired, including the log's torn tail, the newest
 // committed generation is loaded, the write-ahead log's valid prefix is
 // replayed on top of it, and a fresh log segment is attached to the disk
 // so every mutation from here on is journaled. The returned replay report
@@ -143,23 +144,10 @@ func (o *DurableOptions) fillDefaults() {
 // on the way out.
 func OpenDurable(dir string, opts DurableOptions) (*Durable, simdisk.WALReplayReport, error) {
 	opts.fillDefaults()
-	var rep simdisk.WALReplayReport
-	if _, err := simdisk.Recover(dir); err != nil {
-		return nil, rep, fmt.Errorf("store: durable open: %w", err)
-	}
-	disk, err := simdisk.LoadDir(dir)
+	disk, wal, rep, err := simdisk.Mount(dir)
 	if err != nil {
 		return nil, rep, fmt.Errorf("store: durable open: %w", err)
 	}
-	rep, err = simdisk.ReplayWAL(dir, disk)
-	if err != nil {
-		return nil, rep, fmt.Errorf("store: durable open: %w", err)
-	}
-	wal, err := simdisk.OpenWAL(dir)
-	if err != nil {
-		return nil, rep, fmt.Errorf("store: durable open: %w", err)
-	}
-	disk.SetWAL(wal)
 
 	d := &Durable{
 		dir:  dir,
@@ -175,11 +163,13 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, simdisk.WALReplayRe
 
 	reg := opts.Registry
 	d.hCompact = reg.Histogram("store.compaction_ns")
+	d.hCommit = reg.Histogram("store.commit_ns")
 	hBatch := reg.Histogram("store.group_commit_batch")
 	wal.SetBatchObserver(func(records int) { hBatch.Observe(int64(records)) })
 	reg.SetGauge("store.log_bytes", func() int64 { return d.wal.Stats().DurableBytes })
 	reg.SetGauge("store.log_records", func() int64 { return d.wal.Stats().DurableRecords })
 	reg.SetGauge("store.log_pending_bytes", func() int64 { return d.wal.Stats().PendingBytes })
+	reg.SetGauge("store.log_streamed_bytes", func() int64 { return d.wal.Stats().StreamedBytes })
 	reg.SetGauge("store.last_fsync_ns", func() int64 { return d.wal.Stats().LastSyncUnixNano })
 	reg.SetGauge("store.compactions", d.compactions.Load)
 	reg.SetGauge("store.compaction_backoffs", d.backoffs.Load)
@@ -192,13 +182,16 @@ func (d *Durable) Disk() *simdisk.Disk { return d.disk }
 // WAL returns the attached write-ahead log.
 func (d *Durable) WAL() *simdisk.WAL { return d.wal }
 
-// Dir returns the store directory.
-func (d *Durable) Dir() string { return d.dir }
-
 // Commit group-commits the log: it returns once every mutation made
 // before the call is durable. This is the server's acknowledgement
-// barrier; N concurrent callers share one fsync.
-func (d *Durable) Commit() error { return d.wal.Sync() }
+// barrier; N concurrent callers share one fsync. What the call waits for
+// is in store.commit_ns: with store.log_streamed_bytes close to
+// store.log_bytes that is the fsync alone, the log having been written
+// back while the files were still being cut.
+func (d *Durable) Commit() error {
+	defer d.hCommit.ObserveSince(time.Now())
+	return d.wal.Sync()
+}
 
 // Overloaded implements admission control: it reports (with a reason)
 // when the durability machinery has fallen behind its budgets and new
@@ -222,10 +215,6 @@ func (d *Durable) Overloaded() (string, bool) {
 func (d *Durable) Compact() error {
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
-	return d.compactLocked()
-}
-
-func (d *Durable) compactLocked() error {
 	st := d.wal.Stats()
 	d.ev.Info("compaction.start",
 		events.F("log_bytes", st.DurableBytes),

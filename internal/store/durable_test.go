@@ -290,19 +290,40 @@ func TestDurableGaugesExported(t *testing.T) {
 	if err := d.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// A container big enough to be written back while it is still staged:
+	// by its commit the log has streamed it, and the commit is one more
+	// sample of store.commit_ns.
+	big := bytes.Repeat([]byte("0123456789abcdef"), 16<<10)
+	d.Disk().Stage(simdisk.Data, "big", 0, [][]byte{big})
+	if err := d.Disk().CreateOwned(simdisk.Data, "big", big); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	export := reg.ExportAll()
-	for _, name := range []string{"store.log_bytes", "store.log_records", "store.log_pending_bytes", "store.last_fsync_ns", "store.compactions", "store.compaction_backoffs"} {
+	for _, name := range []string{"store.log_bytes", "store.log_records", "store.log_pending_bytes", "store.log_streamed_bytes", "store.last_fsync_ns", "store.compactions", "store.compaction_backoffs"} {
 		if _, ok := export.Gauges[name]; !ok {
 			t.Errorf("gauge %s not exported", name)
 		}
 	}
-	if export.Gauges["store.log_records"] != 1 {
-		t.Errorf("store.log_records = %d, want 1", export.Gauges["store.log_records"])
+	if export.Gauges["store.log_records"] != 3 {
+		t.Errorf("store.log_records = %d, want 3 (a set, an extent, a seal)", export.Gauges["store.log_records"])
+	}
+	if got := export.Gauges["store.log_streamed_bytes"]; got < int64(len(big)) || got >= export.Gauges["store.log_bytes"] {
+		t.Errorf("store.log_streamed_bytes = %d, want the staged %d bytes and less than store.log_bytes %d",
+			got, len(big), export.Gauges["store.log_bytes"])
+	}
+	if export.Gauges["store.log_pending_bytes"] != 0 {
+		t.Errorf("store.log_pending_bytes = %d after a commit", export.Gauges["store.log_pending_bytes"])
 	}
 	if export.Gauges["store.last_fsync_ns"] == 0 {
 		t.Error("store.last_fsync_ns never stamped")
 	}
 	if _, ok := export.Histograms["store.group_commit_batch"]; !ok {
 		t.Error("group-commit batch histogram not exported")
+	}
+	if h, ok := export.Histograms["store.commit_ns"]; !ok || h.Count != 2 {
+		t.Errorf("store.commit_ns = %+v, want one sample per Commit", h)
 	}
 }

@@ -86,11 +86,28 @@ func (s *Store) NextName() hashutil.Sum {
 
 // WriteDiskChunk stores the data payload of a DiskChunk.
 func (s *Store) WriteDiskChunk(name hashutil.Sum, data []byte) error {
-	start := time.Now()
-	err := s.disk.Create(simdisk.Data, name.Hex(), data)
-	hContainerWriteNS.ObserveSince(start)
-	return err
+	defer hContainerWriteNS.ObserveSince(time.Now())
+	return s.disk.Create(simdisk.Data, name.Hex(), data)
 }
+
+// StageDiskChunk hands the disk's log the next run of chunks, at offset off,
+// of a DiskChunk still being cut, so the container is on its way to the
+// platter before its file ends; SealDiskChunk then stores the whole
+// payload — the one Create the paper charges per file — taking ownership of
+// data, and the log journals a seal instead of the bytes again. A file
+// that fails before its seal calls UnstageDiskChunk. See simdisk.Disk.Stage.
+func (s *Store) StageDiskChunk(name hashutil.Sum, off int64, parts [][]byte) {
+	s.disk.Stage(simdisk.Data, name.Hex(), off, parts)
+}
+
+// SealDiskChunk: see StageDiskChunk.
+func (s *Store) SealDiskChunk(name hashutil.Sum, data []byte) error {
+	defer hContainerWriteNS.ObserveSince(time.Now())
+	return s.disk.CreateOwned(simdisk.Data, name.Hex(), data)
+}
+
+// UnstageDiskChunk: see StageDiskChunk.
+func (s *Store) UnstageDiskChunk(name hashutil.Sum) { s.disk.Unstage(simdisk.Data, name.Hex()) }
 
 // DiskChunkSize returns the stored size of a DiskChunk without a disk
 // access.
