@@ -10,7 +10,8 @@
 # compactions under them included), a repeated restore smoke (the one
 # executor's width / memory / error / quiescence properties, the
 # differential table against the test-code ref walk, and the verified
-# path's trust invariants), a race-enabled sustained-write soak,
+# path's trust invariants at its default width and again on one P, where
+# that width is inline), a race-enabled sustained-write soak,
 # a loopback server smoke (including the hostile-client table, the
 # client-vs-local store equality that pre-chunked ingest rests on, and the
 # restore stream's frame bound and abandoned-stream behaviour),
@@ -159,10 +160,15 @@ echo "== restore smoke (race, 5x) =="
 # table against the ref-walk oracle, then the verified path on top of it —
 # whole verified restores running concurrently on one Verifier, each with
 # its own reads in flight, the four trust invariants, the exact read/hash
-# count gates and the scrub tests — repeated to shake out interleavings.
+# count gates, the claim-boundary split of oversized verified reads, the
+# default width against Workers: 1 (FuzzVerifiedRestoreWidth's seeds), a
+# manifest load that failed being retried, and the scrub tests (the online
+# one inline) — repeated to shake out interleavings. Then the verified
+# tests once more on a single P, where the default width must be inline.
 go test -race -count=5 \
-    -run 'TestPipeline|TestRestoreDifferential|TestVerified|TestVerifier|TestScrub' \
+    -run 'TestPipeline|TestRestoreDifferential|TestVerified|TestVerifier|TestScrub|FuzzVerifiedRestoreWidth' \
     ./internal/store ./dedup
+GOMAXPROCS=1 go test -race -count=1 -run 'TestVerif|TestScrub' ./internal/store ./dedup
 
 echo "== session lifecycle smoke (race, 20x) =="
 # The one attach/detach/expire epoch machine, the drain contract (parked
@@ -302,13 +308,17 @@ wait "$SHARD0_PID" "$SHARD1_PID"
 trap - EXIT
 rm -f /tmp/dedupd.ci /tmp/dedup-gw.ci
 
-echo "== fuzz smokes (5s each; the log's replay 20s) =="
+echo "== fuzz smokes (5s each; the log's replay and the verified width 20s) =="
 # Each target runs alone: `go test -fuzz` accepts only one matching fuzz
 # target per invocation. FuzzWALScanReplay holds the segment scan, the
 # stage/seal replay, the repair and the mount to a byte-at-a-time model
 # over arbitrary segment bytes: refuse loudly or mount exactly the model's
-# objects, never a partly staged one.
+# objects, never a partly staged one. FuzzVerifiedRestoreWidth holds the
+# verified path at its default width to Workers: 1 over random ranges and
+# random damage: the same bytes or both fail, never a wrong byte, and a
+# failure exactly when a damaged claim overlaps a served byte.
 go test -run '^$' -fuzz 'FuzzWALScanReplay' -fuzztime 20s ./internal/simdisk
+go test -run '^$' -fuzz 'FuzzVerifiedRestoreWidth' -fuzztime 20s ./dedup
 go test -run '^$' -fuzz 'FuzzEncodeDecodeName' -fuzztime 5s ./internal/simdisk
 go test -run '^$' -fuzz 'FuzzDecodeManifest$' -fuzztime 5s ./internal/store
 go test -run '^$' -fuzz 'FuzzDecodeFileManifest' -fuzztime 5s ./internal/store

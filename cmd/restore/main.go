@@ -62,7 +62,7 @@ func main() {
 	flag.StringVar(&o.remote, "remote", "", "restore from a dedupd server at host:port instead of -store")
 	flag.StringVar(&o.tenant, "tenant", "", "tenant name for a multi-tenant server or gateway")
 	flag.StringVar(&o.secret, "secret", "", "tenant secret (with -tenant)")
-	flag.IntVar(&o.workers, "workers", 4, "planned container reads a restore keeps in flight ahead of the bytes it is writing (0 or 1 = one at a time, inline)")
+	flag.IntVar(&o.workers, "workers", 4, "planned container reads a restore keeps in flight ahead of the bytes it is writing (1 = one at a time, inline; 0 = inline, or with -verify a width from GOMAXPROCS)")
 	flag.Int64Var(&o.window, "window", 8<<20, "byte budget of the reads in flight")
 	flag.StringVar(&o.logLevel, "log-level", "warn", "structured event log level on stderr: debug, info, warn or error")
 	flag.Parse()

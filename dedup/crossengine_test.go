@@ -93,10 +93,3 @@ func TestCrossEngineWorkload(t *testing.T) {
 		})
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -377,9 +377,10 @@ func (s *Store) Files() []string {
 // RestoreOptions sets how far a restore reads ahead. Every restore —
 // whole or ranged, plain or verified — plans the recipe into coalesced
 // container reads and emits them in order; at most Workers of them are
-// outstanding at once, their bytes within WindowBytes. The zero value (and
-// any Workers ≤ 1) fetches one planned read at a time on the calling
-// goroutine. Output is bit-identical for every setting.
+// outstanding at once, their bytes within WindowBytes. Workers 1 fetches
+// one planned read at a time on the calling goroutine, and so does the zero
+// value for a plain restore; a verified one then keeps a width derived from
+// GOMAXPROCS in flight. Output is bit-identical for every setting.
 type RestoreOptions = store.RestoreOptions
 
 // SetRestoreOptions sets the read-ahead of every restore this Store

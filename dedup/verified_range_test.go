@@ -26,6 +26,12 @@ type genStore struct {
 
 func buildGenStore(t *testing.T, days int, snapshotBytes int64) *genStore {
 	t.Helper()
+	return buildGenStoreOf(t, MHD, days, snapshotBytes)
+}
+
+// buildGenStoreOf is buildGenStore through any engine.
+func buildGenStoreOf(t *testing.T, alg Algorithm, days int, snapshotBytes int64) *genStore {
+	t.Helper()
 	cfg := DefaultWorkloadConfig()
 	cfg.Machines, cfg.Days = 1, days
 	cfg.SnapshotBytes = snapshotBytes
@@ -35,7 +41,7 @@ func buildGenStore(t *testing.T, days int, snapshotBytes int64) *genStore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(MHD, Options{ECS: 1024, SD: 16, BloomBytes: 1 << 16, RecipeTrees: true})
+	eng, err := New(alg, Options{ECS: 1024, SD: 16, BloomBytes: 1 << 16, RecipeTrees: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +63,11 @@ func buildGenStore(t *testing.T, days int, snapshotBytes int64) *genStore {
 	if err := eng.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	g.st = store.New(eng.Disk(), store.FormatMHD)
+	format, ok := store.DetectFormat(eng.Disk())
+	if !ok {
+		t.Fatalf("%s: no manifest format detected", alg)
+	}
+	g.st = store.New(eng.Disk(), format)
 	return g
 }
 

@@ -1,6 +1,6 @@
 // Package chunker divides byte streams into chunks.
 //
-// Three chunkers are provided:
+// Two chunkers are provided:
 //
 //   - Rabin: content-defined chunking (CDC) as in LBFS — a sliding-window
 //     Rabin fingerprint is computed at every byte and a cut point is declared
@@ -11,8 +11,9 @@
 //     HPL-2005-30): a second, more permissive divisor records backup cut
 //     candidates so that chunks forced out at the maximum size still end at
 //     a content-defined position.
-//   - Fixed: fixed-size partitioning (FSP) as in Venti — the boundary-shift
-//     strawman.
+//
+// Fixed-size partitioning (FSP) as in Venti, the boundary-shift strawman,
+// lives in the tests (fixed_test.go).
 //
 // All chunkers reset their rolling window at each emitted cut. This makes
 // chunking self-contained per chunk: re-chunking a stored big chunk in

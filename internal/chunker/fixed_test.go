@@ -7,7 +7,9 @@ import (
 
 // Fixed is a fixed-size partitioning (FSP) chunker, the Venti/OceanStore
 // approach the paper cites as the strawman that suffers the boundary-shift
-// problem: a one-byte insertion changes every subsequent chunk.
+// problem: a one-byte insertion changes every subsequent chunk. No engine
+// cuts with it; it lives here to show that problem and to share the
+// chunkers' error-path tests.
 type Fixed struct {
 	r    io.Reader
 	size int

@@ -6,15 +6,10 @@
 // A fingerprint is the residue of the input, interpreted as a polynomial
 // over GF(2), modulo a fixed irreducible polynomial P of degree < 64. The
 // package provides the polynomial arithmetic (multiplication, modulo,
-// irreducibility testing, random generation of irreducible polynomials) and
-// a sliding-window fingerprinter with precomputed push/pop tables so the
-// per-byte cost is two table lookups and two XORs.
+// irreducibility testing) and a sliding-window fingerprinter with
+// precomputed push/pop tables so the per-byte cost is two table lookups
+// and two XORs.
 package rabin
-
-import (
-	"errors"
-	"math/rand"
-)
 
 // Poly is a polynomial over GF(2). Bit i represents the coefficient of x^i,
 // so the uint64 value 0b1011 is x^3 + x + 1.
@@ -130,26 +125,4 @@ func (p Poly) Irreducible() bool {
 		}
 	}
 	return true
-}
-
-// ErrNoPolynomial is returned by RandomPoly when no irreducible polynomial
-// was found within the attempt budget (practically unreachable: roughly one
-// in deg polynomials of a given degree is irreducible).
-var ErrNoPolynomial = errors.New("rabin: no irreducible polynomial found")
-
-// RandomPoly returns a random irreducible polynomial of degree 53 derived
-// deterministically from seed. Distinct seeds almost always give distinct
-// polynomials, which lets tests confirm that chunking is robust to the
-// choice of polynomial.
-func RandomPoly(seed int64) (Poly, error) {
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < 1_000_000; i++ {
-		// Degree exactly 53: force the top and bottom coefficients; the
-		// bottom avoids divisibility by x.
-		p := Poly(rng.Uint64())&((1<<53)-1) | (1 << 53) | 1
-		if p.Irreducible() {
-			return p, nil
-		}
-	}
-	return 0, ErrNoPolynomial
 }

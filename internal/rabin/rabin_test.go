@@ -1,6 +1,7 @@
 package rabin
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -297,4 +298,36 @@ func BenchmarkRoll(b *testing.B) {
 			w.Roll(c)
 		}
 	}
+}
+
+// RandomPoly returns a random irreducible polynomial of degree 53 derived
+// deterministically from seed. Distinct seeds almost always give distinct
+// polynomials, which lets tests confirm that chunking is robust to the
+// choice of polynomial.
+func RandomPoly(seed int64) (Poly, error) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 1_000_000; i++ {
+		// Degree exactly 53: force the top and bottom coefficients; the
+		// bottom avoids divisibility by x.
+		p := Poly(rng.Uint64())&((1<<53)-1) | (1 << 53) | 1
+		if p.Irreducible() {
+			return p, nil
+		}
+	}
+	// Practically unreachable: roughly one in deg polynomials of a given
+	// degree is irreducible.
+	return 0, errors.New("rabin: no irreducible polynomial found")
+}
+
+// FingerprintOf computes, without any rolling state, the fingerprint of the
+// given bytes modulo poly. It is the reference the rolling implementation is
+// tested against.
+func FingerprintOf(poly Poly, data []byte) Poly {
+	var d Poly
+	for _, b := range data {
+		d <<= 8
+		d |= Poly(b)
+		d = d.Mod(poly)
+	}
+	return d
 }

@@ -115,16 +115,3 @@ func (w *Window) Roll(b byte) Poly {
 func (w *Window) Fingerprint() Poly {
 	return w.digest
 }
-
-// FingerprintOf computes, without any rolling state, the fingerprint of the
-// given bytes modulo poly. It is the reference the rolling implementation is
-// tested against.
-func FingerprintOf(poly Poly, data []byte) Poly {
-	var d Poly
-	for _, b := range data {
-		d <<= 8
-		d |= Poly(b)
-		d = d.Mod(poly)
-	}
-	return d
-}

@@ -239,7 +239,8 @@ func (d *Durable) Compact() error {
 // every file to a discard writer through the verified path, so an
 // undecodable manifest, a missing chunk or a flipped bit in a persisted
 // container surfaces as an event — without ever touching the live engine's
-// disk or blocking ingest. Any log prefix verifies: a file's records are
+// disk or blocking ingest, and inline (Workers: 1), so it never takes a
+// second core from ingest. Any log prefix verifies: a file's records are
 // logged DiskChunk → Manifest → Hooks → FileManifest, so a recipe in the
 // prefix has every container and manifest it points into ahead of it, and
 // an HHR write-back only replaces a manifest entry by entries over the same
@@ -264,7 +265,7 @@ func (d *Durable) Scrub() error {
 	sort.Strings(names)
 	bad := 0
 	for _, name := range names {
-		if err := ver.RestoreFile(name, io.Discard); err != nil {
+		if _, err := ver.RestoreRange(name, 0, -1, io.Discard, RestoreOptions{Workers: 1}); err != nil {
 			bad++
 			d.ev.Error("scrub.corrupt",
 				events.F("file", name), events.F("err", err.Error()))

@@ -240,6 +240,39 @@ func TestDurableMaintenanceBacksOffUnderLatency(t *testing.T) {
 	}
 }
 
+// TestScrubOnlineRunsInline: the online scrub verifies beside live ingest,
+// so it keeps one planned read in flight whatever the default width is. A
+// default verified restore of the store starts reads ahead (on more than
+// one P); Durable.Scrub restores the same file and starts none.
+func TestScrubOnlineRunsInline(t *testing.T) {
+	d, _ := openDurableT(t, t.TempDir(), DurableOptions{})
+	defer d.Close()
+	s := New(d.Disk(), FormatBasic)
+	file, want := fillFragmented(t, s, 5, 300)
+	if err := d.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ahead := func() int64 { return hRestoreWindowBytes.Snapshot().Count }
+	before := ahead()
+	var got bytes.Buffer
+	if err := NewVerifier(s, VerifyOpts{}).RestoreFile(file, &got); err != nil || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("verified restore: %v", err)
+	}
+	if started := ahead() - before; (started > 0) != (verifiedWorkers() > 1) {
+		t.Fatalf("a default verified restore at width %d started %d reads ahead", verifiedWorkers(), started)
+	}
+	before, plans := ahead(), hRestorePlanReads.Snapshot().Count
+	if err := d.Scrub(); err != nil {
+		t.Fatal(err)
+	}
+	if n := hRestorePlanReads.Snapshot().Count - plans; n != 1 {
+		t.Fatalf("the scrub restored %d files, want 1", n)
+	}
+	if started := ahead() - before; started != 0 {
+		t.Fatalf("the online scrub started %d reads ahead", started)
+	}
+}
+
 func TestDurableScrubFlagsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	ev := events.New(events.Options{Level: events.LevelDebug, Out: io.Discard})

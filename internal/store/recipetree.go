@@ -578,13 +578,19 @@ type RangeStats struct {
 // zero bytes, successfully); a negative offset is an error. On a recipe
 // tree the descent reads only the chunks covering the range.
 func (s *Store) RestoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions) (RangeStats, error) {
-	return s.restoreRange(file, off, length, w, opts, s.readPlanned, 0)
+	return s.restoreRange(file, off, length, w, opts, nil)
 }
 
 // restoreRange is the one restore under every entry point, whole-file or
-// ranged. Plain and verified (Verifier.RestoreRange) differ only in how a
-// planned read is fetched and in how often recipe reads are retried.
-func (s *Store) restoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions, read plannedReadFn, retries int) (RangeStats, error) {
+// ranged. Plain and verified (v non-nil, Verifier.RestoreRange) differ only
+// in how a planned read is fetched, in how often recipe reads are retried,
+// and in that a verified plan with reads in flight has its oversized reads
+// cut (Verifier.splitReads).
+func (s *Store) restoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions, v *Verifier) (RangeStats, error) {
+	read, retries := s.readPlanned, 0
+	if v != nil {
+		read, retries = v.readPlannedVerified, v.opts.retries()
+	}
 	raw, err := readRetry(s.disk, simdisk.FileManifest, file, retries)
 	if err != nil {
 		return RangeStats{}, fmt.Errorf("store: restore %q: %w", file, err)
@@ -596,6 +602,9 @@ func (s *Store) restoreRange(file string, off, length int64, w io.Writer, opts R
 	plan, err := planRestore(sub, DefaultRestoreCoalesceGap)
 	if err != nil {
 		return RangeStats{RecipeReads: reads, FileBytes: total}, err
+	}
+	if v != nil && opts.workers() > 1 {
+		v.splitReads(plan)
 	}
 	rs, err := s.runPlan(plan, read, w, opts)
 	return RangeStats{RestoreStats: rs, RecipeReads: reads,

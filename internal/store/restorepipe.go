@@ -24,7 +24,10 @@ import (
 // has always been started: that is the whole deadlock argument, and a
 // stalled writer is backpressure by construction (nothing is emitted, so
 // nothing new starts). Workers ≤ 1 fetches each read inline on the caller —
-// no goroutine, no channel hop — which is every default restore.
+// no goroutine, no channel hop — which is every default plain restore. A
+// verified restore hashes what it reads, so its zero Workers means a width
+// from GOMAXPROCS, and its oversized reads arrive here already cut into
+// sub-reads (verify.go); the loop is the same.
 
 // Executor instrumentation on the process-wide registry: plan size and
 // coalesce ratio per restore, per-planned-read latency, and the bytes

@@ -27,7 +27,9 @@ import (
 // started in order, emitted in order, and a read's buffer is freed as soon
 // as its last segment is written — a buffer never has to survive an
 // unbounded stretch of output the way it would if far-apart refs shared one
-// read.
+// read. A verified restore with reads in flight may cut a planned read into
+// sub-reads (Verifier.splitReads); each still serves one contiguous run of
+// the output, in schedule order, so the property holds for them too.
 
 const (
 	// DefaultRestoreWindowBytes bounds read-ahead: started-but-unemitted
@@ -41,13 +43,15 @@ const (
 )
 
 // RestoreOptions sets how far a restore reads ahead of the bytes it is
-// emitting. The zero value — what every engine's Restore, the online scrub
-// and cmd/restore use by default — plans and coalesces like any other and
-// fetches one read at a time on the calling goroutine.
+// emitting. The zero value — what every engine's Restore uses — plans and
+// coalesces like any other and, on the plain path, fetches one read at a
+// time on the calling goroutine; on the verified path it keeps a width
+// derived from GOMAXPROCS in flight (Verifier.RestoreRange).
 type RestoreOptions struct {
 	// Workers is the most planned reads outstanding (started, not yet
-	// emitted) at once, each on its own goroutine. Values ≤ 1 fetch every
-	// read inline on the calling goroutine, in order.
+	// emitted) at once, each on its own goroutine. 1 fetches every read
+	// inline on the calling goroutine, in order, and so does 0 on the plain
+	// path.
 	Workers int
 	// WindowBytes bounds the bytes of those outstanding reads. Zero means
 	// DefaultRestoreWindowBytes. A single read larger than the window

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -41,13 +42,33 @@ import (
 //
 // Bytes a planned read merely bridges (coalescing gaps) are neither
 // vouched for nor hashed: they are never emitted.
+//
+// Hashing, not the disk, bounds a verified restore, so it uses every core
+// (DESIGN §11): verifiedWorkers reads in flight by default, and oversized
+// reads cut at claim boundaries into sub-reads (splitReads) — planned reads
+// like any other, so the invariants hold for each unchanged.
 
-// Bytes hashed and bytes served by verified planned reads. Their ratio is
-// what claims straddling a read's edges cost on top of one SHA-1 pass.
+// Bytes hashed by verification (restores and Scrub) and bytes served by
+// verified planned reads. Over restores alone their ratio is what claims
+// straddling a read's edges cost on top of one SHA-1 pass.
 var (
 	cVerifyHashedBytes = metrics.Counter("store.verify.hashed_bytes")
 	cVerifyServedBytes = metrics.Counter("store.verify.served_bytes")
 )
+
+// verifySplitBytes is the container span past which splitReads cuts.
+const verifySplitBytes = 1 << 20
+
+// verifiedWorkers is a verified restore's width when Workers is zero: eight
+// reads per P (at most 64; the window bounds their bytes), so one long read
+// at the head of the schedule does not idle the other cores — and inline
+// on a single P.
+func verifiedWorkers() int {
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		return min(8*p, 64)
+	}
+	return 1
+}
 
 // VerifyOpts tunes verification.
 type VerifyOpts struct {
@@ -108,7 +129,7 @@ type Verifier struct {
 	s    *Store
 	opts VerifyOpts
 
-	// mu guards cover and full.
+	// mu guards cover, full and loading.
 	mu sync.Mutex
 	// cover maps a container to its claims, sorted by start. In the
 	// single-container formats the claims on container C are exactly
@@ -118,6 +139,10 @@ type Verifier struct {
 	// container, and on demand for Containers and Scrub.
 	cover map[string][]coverEntry
 	full  bool
+	// loading holds the containers whose manifest a reader is loading;
+	// loaded (on mu) wakes the reads waiting for one of those loads.
+	loading map[string]bool
+	loaded  sync.Cond
 
 	// BadManifests lists the manifests the full index build could not read
 	// or decode and that therefore contribute no claims (Check reports the
@@ -129,27 +154,28 @@ type Verifier struct {
 // it reads nothing: a verified ranged restore from a large store costs the
 // manifests of the containers it touches, not every manifest there is.
 func NewVerifier(s *Store, opts VerifyOpts) *Verifier {
-	v := &Verifier{s: s, opts: opts, cover: make(map[string][]coverEntry)}
+	v := &Verifier{s: s, opts: opts, cover: make(map[string][]coverEntry), loading: make(map[string]bool)}
+	v.loaded.L = &v.mu
 	if s.format == FormatMultiContainer {
 		v.buildIndex()
 	}
 	return v
 }
 
-// loadManifest adds one manifest's claims to cover, reporting whether the
-// manifest could be read and decoded.
-func (v *Verifier) loadManifest(cover map[string][]coverEntry, name string) bool {
+// loadManifest adds one manifest's claims to cover, or says why the
+// manifest could not be read and decoded.
+func (v *Verifier) loadManifest(cover map[string][]coverEntry, name string) error {
 	sum, err := hashutil.ParseHex(name)
 	if err != nil {
-		return false
+		return err
 	}
 	raw, err := readRetry(v.s.disk, simdisk.Manifest, name, v.opts.retries())
 	if err != nil {
-		return false
+		return err
 	}
 	m, err := DecodeManifest(sum, v.s.format, raw)
 	if err != nil {
-		return false
+		return err
 	}
 	for i, e := range m.Entries {
 		if e.Size <= 0 || e.Start < 0 || e.Start+e.Size < 0 {
@@ -160,7 +186,7 @@ func (v *Verifier) loadManifest(cover map[string][]coverEntry, name string) bool
 			manifest: sum, entry: i, start: e.Start, size: e.Size, hash: e.Hash,
 		})
 	}
-	return true
+	return nil
 }
 
 // sortClaims orders one container's claims by start and fills in maxEnd.
@@ -186,7 +212,7 @@ func (v *Verifier) buildIndex() {
 	names := v.s.disk.Names(simdisk.Manifest)
 	sort.Strings(names)
 	for _, name := range names {
-		if !v.loadManifest(cover, name) {
+		if v.loadManifest(cover, name) != nil {
 			v.BadManifests = append(v.BadManifests, name)
 		}
 	}
@@ -197,19 +223,31 @@ func (v *Verifier) buildIndex() {
 }
 
 // claims returns the claims on a container, sorted by start. Short of the
-// full index it loads the container's own manifest on first touch; one
-// that is missing or undecodable vouches for nothing.
-func (v *Verifier) claims(container string) []coverEntry {
+// full index it loads the container's own manifest on first touch, outside
+// mu and once however many reads wait for it. A manifest that is missing
+// or undecodable vouches for nothing and is reported, not remembered: the
+// next read of the container tries again.
+func (v *Verifier) claims(container string) ([]coverEntry, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	claims, ok := v.cover[container]
-	if !ok && !v.full {
-		v.loadManifest(v.cover, container)
-		claims = v.cover[container]
-		sortClaims(claims)
-		v.cover[container] = claims
+	for v.loading[container] {
+		v.loaded.Wait()
 	}
-	return claims
+	if claims, ok := v.cover[container]; ok || v.full {
+		return claims, nil
+	}
+	v.loading[container] = true
+	v.mu.Unlock()
+	cover := make(map[string][]coverEntry)
+	err := v.loadManifest(cover, container)
+	sortClaims(cover[container])
+	v.mu.Lock()
+	delete(v.loading, container)
+	v.loaded.Broadcast()
+	if err == nil && !v.full {
+		v.cover[container] = cover[container]
+	}
+	return cover[container], err
 }
 
 // readRetry reads an object, retrying transient failures.
@@ -227,7 +265,8 @@ func readRetry(disk *simdisk.Disk, cat simdisk.Category, name string, retries in
 
 // Covered reports whether any manifest claims bytes of the container.
 func (v *Verifier) Covered(container string) bool {
-	return len(v.claims(container)) > 0
+	claims, _ := v.claims(container)
+	return len(claims) > 0
 }
 
 // Containers returns the sorted names of every container at least one
@@ -266,28 +305,44 @@ func checkClaims(container hashutil.Sum, claims []coverEntry, buf []byte, base i
 	return bad
 }
 
-// VerifyContainer re-hashes every claimed range of the container against
-// its content addresses, retrying the whole read on failure or mismatch (a
-// transient flip heals on re-read; persistent damage does not). A nil, nil
-// return means every claim checked out.
-func (v *Verifier) VerifyContainer(container string) (bad []Mismatch, err error) {
-	csum, _ := hashutil.ParseHex(container)
-	claims := v.claims(container)
+// readClaims reads container bytes [lo, hi) and hashes claims on them,
+// re-reading up to the retry bound on error or mismatch (a transient flip
+// heals on re-read; persistent damage does not). It returns the buffer
+// that hashed clean, or else the last attempt's error or mismatches.
+func (v *Verifier) readClaims(container hashutil.Sum, claims []coverEntry, lo, hi int64) (buf []byte, bad []Mismatch, err error) {
+	var hashed int64
+	for _, ce := range claims {
+		hashed += ce.size
+	}
 	for attempt := 0; attempt <= v.opts.retries(); attempt++ {
-		var data []byte
-		if data, err = v.s.disk.Read(simdisk.Data, container); err != nil {
+		if buf, err = v.s.ReadDiskChunkRange(container, lo, hi-lo); err != nil {
 			bad = nil
 			continue
 		}
-		if bad = checkClaims(csum, claims, data, 0); len(bad) == 0 {
-			break
+		cVerifyHashedBytes.Add(hashed)
+		if bad = checkClaims(container, claims, buf, lo); len(bad) == 0 {
+			return buf, nil, nil
 		}
 	}
+	return nil, bad, err
+}
+
+// VerifyContainer re-hashes every claimed range of the container against
+// its content addresses, on one read of the whole container (readClaims).
+// A nil, nil return means every claim checked out.
+func (v *Verifier) VerifyContainer(container string) ([]Mismatch, error) {
+	claims, err := v.claims(container)
+	if err != nil {
+		return nil, err
+	}
+	csum, _ := hashutil.ParseHex(container)
+	size, _ := v.s.DiskChunkSize(csum)
+	_, bad, err := v.readClaims(csum, claims, 0, size)
 	return bad, err
 }
 
 // RestoreFile rebuilds one whole file into w: RestoreRange from offset 0
-// to EOF, one planned read at a time.
+// to EOF at the default width.
 func (v *Verifier) RestoreFile(file string, w io.Writer) error {
 	_, err := v.RestoreRange(file, 0, -1, w, RestoreOptions{})
 	return err
@@ -299,11 +354,80 @@ func (v *Verifier) RestoreFile(file string, w io.Writer) error {
 // planned into coalesced container reads exactly as for a plain restore —
 // recipe chunks additionally prove themselves against their content
 // addresses, with retry — and every planned read is fetched by
-// readPlannedVerified, up to opts.Workers of them in flight (Workers ≤ 1:
-// one at a time, inline). Bytes are written strictly in output order. The
-// returned error is per-file: other files restore independently.
+// readPlannedVerified, opts.Workers of them in flight (0: verifiedWorkers;
+// 1: inline). Bytes are written strictly in output order. The returned
+// error is per-file: other files restore independently.
 func (v *Verifier) RestoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions) (RangeStats, error) {
-	return v.s.restoreRange(file, off, length, w, opts, v.readPlannedVerified, v.opts.retries())
+	if opts.Workers == 0 {
+		opts.Workers = verifiedWorkers()
+	}
+	return v.s.restoreRange(file, off, length, w, opts, v)
+}
+
+// splitReads cuts every planned read spanning more than verifySplitBytes
+// into sub-reads the executor verifies side by side. A cut falls only on a
+// claim start no earlier claim reaches past (maxEnd ≤ the cut), so each
+// claim — overlapping FormatMultiContainer ones included — lies wholly on
+// one side and is hashed once, as uncut. Only reads whose segments ascend
+// through the container are cut: there output order is container order,
+// so each sub-read serves one contiguous run of the output.
+func (v *Verifier) splitReads(plan *restorePlan) {
+	out := make([]plannedRead, 0, len(plan.reads))
+	for _, pr := range plan.reads {
+		cuts := v.cuts(&pr)
+		if cuts == nil {
+			out = append(out, pr)
+			continue
+		}
+		lo, segs := pr.start, pr.segs
+		for _, hi := range append(cuts, pr.start+pr.length) {
+			sub := plannedRead{container: pr.container, start: -1}
+			for len(segs) > 0 && pr.start+segs[0].off < hi {
+				a := max(pr.start+segs[0].off, lo) // a cut segment resumes at lo
+				b := pr.start + segs[0].off + segs[0].size
+				if sub.start < 0 {
+					sub.start = a
+				}
+				sub.segs = append(sub.segs, planSegment{off: a - sub.start, size: min(b, hi) - a})
+				sub.length = min(b, hi) - sub.start
+				if b > hi {
+					break
+				}
+				segs = segs[1:]
+			}
+			if sub.start >= 0 {
+				out = append(out, sub)
+			}
+			lo = hi
+		}
+	}
+	plan.reads = out
+}
+
+// cuts lists where splitReads cuts pr, at least verifySplitBytes apart.
+func (v *Verifier) cuts(pr *plannedRead) []int64 {
+	if pr.length <= verifySplitBytes {
+		return nil
+	}
+	for k := 1; k < len(pr.segs); k++ {
+		if pr.segs[k].off < pr.segs[k-1].off+pr.segs[k-1].size {
+			return nil
+		}
+	}
+	claims, err := v.claims(pr.container.Hex())
+	if err != nil {
+		return nil // readPlannedVerified reports it
+	}
+	var cuts []int64
+	from, end := pr.start, pr.start+pr.length
+	k := sort.Search(len(claims), func(k int) bool { return claims[k].start >= from+verifySplitBytes })
+	for ; k < len(claims) && claims[k].start < end; k++ {
+		if c := claims[k].start; c-from >= verifySplitBytes && (k == 0 || claims[k-1].maxEnd <= c) {
+			cuts = append(cuts, c)
+			from = c
+		}
+	}
+	return cuts
 }
 
 // readPlannedVerified fetches one planned read under the four invariants
@@ -313,7 +437,11 @@ func (v *Verifier) RestoreRange(file string, off, length int64, w io.Writer, opt
 // number of times on error or mismatch — and returns a slice of the buffer
 // that hashed clean. Safe for concurrent use.
 func (v *Verifier) readPlannedVerified(pr *plannedRead) ([]byte, error) {
-	claims := v.claims(pr.container.Hex())
+	claims, err := v.claims(pr.container.Hex())
+	if err != nil {
+		return nil, fmt.Errorf("container %s is not vouched for: its manifest is unreadable: %w",
+			pr.container.Short(), err)
+	}
 	var sel []int
 	var served int64
 	for _, seg := range pr.segs {
@@ -339,11 +467,9 @@ func (v *Verifier) readPlannedVerified(pr *plannedRead) ([]byte, error) {
 	slices.Sort(sel)
 	sel = slices.Compact(sel)
 	picked := make([]coverEntry, len(sel))
-	var hashed int64
 	lo, hi := claims[sel[0]].start, int64(0)
 	for n, k := range sel {
 		picked[n] = claims[k]
-		hashed += claims[k].size
 		hi = max(hi, claims[k].end())
 	}
 	if pr.start < lo || pr.start+pr.length > hi {
@@ -357,25 +483,15 @@ func (v *Verifier) readPlannedVerified(pr *plannedRead) ([]byte, error) {
 	size, _ := v.s.DiskChunkSize(pr.container)
 	lo, hi = min(lo, size), min(hi, size)
 
-	var (
-		bad []Mismatch
-		err error
-	)
-	for attempt := 0; attempt <= v.opts.retries(); attempt++ {
-		var buf []byte
-		if buf, err = v.s.ReadDiskChunkRange(pr.container, lo, hi-lo); err != nil {
-			continue
-		}
-		cVerifyHashedBytes.Add(hashed)
-		if bad = checkClaims(pr.container, picked, buf, lo); len(bad) == 0 {
-			cVerifyServedBytes.Add(served)
-			return buf[pr.start-lo:][:pr.length], nil
-		}
-	}
+	buf, bad, err := v.readClaims(pr.container, picked, lo, hi)
 	if err != nil {
 		return nil, fmt.Errorf("container %s unreadable: %w", pr.container.Short(), err)
 	}
-	return nil, fmt.Errorf("corrupt data: %s", bad[0])
+	if len(bad) > 0 {
+		return nil, fmt.Errorf("corrupt data: %s", bad[0])
+	}
+	cVerifyServedBytes.Add(served)
+	return buf[pr.start-lo:][:pr.length], nil
 }
 
 // QuarantineFunc persists one corrupt object's surviving bytes outside the
@@ -434,7 +550,8 @@ func (s *Store) Scrub(opts VerifyOpts, quarantine QuarantineFunc) (ScrubReport, 
 			continue
 		}
 		rep.ContainersChecked++
-		rep.EntriesVerified += len(v.claims(cname))
+		claims, _ := v.claims(cname) // the full index: never fails
+		rep.EntriesVerified += len(claims)
 		bad, err := v.VerifyContainer(cname)
 		if err != nil {
 			rep.Unreadable = append(rep.Unreadable, cname)

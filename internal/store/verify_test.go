@@ -2,7 +2,11 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -546,5 +550,144 @@ func TestScrubQuarantinesUndecodableManifest(t *testing.T) {
 	}
 	if _, ok := s.Disk().Size(simdisk.Manifest, c1); ok {
 		t.Error("undecodable manifest still in store after scrub")
+	}
+}
+
+// TestVerifierManifestLoadFailureIsNotCached: a manifest that cannot be read
+// fails the verified restore that needed it, loudly and with the cause, but
+// is not remembered as vouching for nothing — the next restore on the same
+// Verifier loads it again and succeeds. The disk's failure hook fails every
+// attempt of the first load.
+func TestVerifierManifestLoadFailureIsNotCached(t *testing.T) {
+	s, files := buildVerifyStore(t)
+	c1 := hashutil.SumString("c1").Hex()
+	v := NewVerifier(s, VerifyOpts{})
+	failures := v.opts.retries() + 1
+	s.Disk().SetFailureHook(func(op simdisk.Op, cat simdisk.Category, name string) error {
+		if op == simdisk.OpRead && cat == simdisk.Manifest && name == c1 && failures > 0 {
+			failures--
+			return simdisk.ErrInjected
+		}
+		return nil
+	})
+	defer s.Disk().SetFailureHook(nil)
+	err := v.RestoreFile("f/shared", io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "manifest is unreadable") || !errors.Is(err, simdisk.ErrInjected) {
+		t.Fatalf("restore while c1's manifest is unreadable = %v, want a refusal naming the cause", err)
+	}
+	var buf bytes.Buffer
+	if err := v.RestoreFile("f/shared", &buf); err != nil || !bytes.Equal(buf.Bytes(), files["f/shared"]) {
+		t.Fatalf("restore on the same Verifier once the manifest reads again: %v", err)
+	}
+}
+
+// TestVerifiedSplitCutsAtCleanClaimBoundaries holds splitReads to its rule
+// on a 4 MiB container tiled by 128 KiB claims and overlapped by one long
+// FormatMultiContainer claim over [0.5, 2.5) MiB: a read is cut at least
+// verifySplitBytes apart and only where no claim crosses — never inside the
+// long claim — a read whose segments step backwards is left whole, and at
+// any width the restore writes the same bytes and hashes and serves exactly
+// what the inline restore does.
+func TestVerifiedSplitCutsAtCleanClaimBoundaries(t *testing.T) {
+	const kib, mib = 1 << 10, 1 << 20
+	s := New(simdisk.New(), FormatMultiContainer)
+	data := make([]byte, 4*mib)
+	rand.New(rand.NewSource(11)).Read(data)
+	c := hashutil.SumString("big")
+	if err := s.WriteDiskChunk(c, data); err != nil {
+		t.Fatal(err)
+	}
+	claim := func(manifest string, ranges ...[2]int64) {
+		m := NewManifest(hashutil.SumString(manifest), FormatMultiContainer)
+		for _, r := range ranges {
+			m.Append(Entry{Hash: hashutil.SumBytes(data[r[0] : r[0]+r[1]]), Container: c, Start: r[0], Size: r[1]})
+		}
+		if err := s.CreateManifest(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tiles [][2]int64
+	for off := int64(0); off < 4*mib; off += 128 * kib {
+		tiles = append(tiles, [2]int64{off, 128 * kib})
+	}
+	claim("tiles", tiles...)
+	claim("long", [2]int64{mib / 2, 2 * mib})
+
+	for _, tc := range []struct {
+		file   string
+		refs   [][2]int64 // start, size within the container, in output order
+		starts []int64    // where the planned read's sub-reads start
+	}{
+		{"whole", [][2]int64{{0, 4 * mib}}, []int64{0, 5 * mib / 2, 7 * mib / 2}},
+		{"ascending", [][2]int64{{100, 3*mib/2 - 100}, {3*mib/2 + 40*kib, 3*mib/2 - 40*kib}, {3*mib + 10, 900 * kib}},
+			[]int64{100, 5 * mib / 2, 7 * mib / 2}},
+		{"backward", [][2]int64{{mib, 3 * mib / 2}, {0, 6 * mib / 5}}, []int64{0}},
+	} {
+		fm := &FileManifest{File: tc.file}
+		var want []byte
+		for _, r := range tc.refs {
+			fm.Refs = append(fm.Refs, FileRef{Container: c, Start: r[0], Size: r[1]})
+			want = append(want, data[r[0]:r[0]+r[1]]...)
+		}
+		if err := s.WriteFileManifest(fm); err != nil {
+			t.Fatal(err)
+		}
+		v := NewVerifier(s, VerifyOpts{})
+		plan := planOf(t, s, tc.file)
+		if len(plan.reads) != 1 {
+			t.Fatalf("%s: planned %d reads, want one", tc.file, len(plan.reads))
+		}
+		v.splitReads(plan)
+		var starts []int64
+		for _, pr := range plan.reads {
+			starts = append(starts, pr.start)
+		}
+		if !slices.Equal(starts, tc.starts) {
+			t.Fatalf("%s: sub-reads start at %v, want %v", tc.file, starts, tc.starts)
+		}
+
+		var counts [2][2]int64
+		for i, workers := range []int{1, 4} {
+			hashed, served := cVerifyHashedBytes.Load(), cVerifyServedBytes.Load()
+			var got bytes.Buffer
+			if _, err := v.RestoreRange(tc.file, 0, -1, &got, RestoreOptions{Workers: workers}); err != nil {
+				t.Fatalf("%s workers %d: %v", tc.file, workers, err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("%s workers %d: wrong bytes", tc.file, workers)
+			}
+			counts[i] = [2]int64{cVerifyHashedBytes.Load() - hashed, cVerifyServedBytes.Load() - served}
+		}
+		if counts[0] != counts[1] {
+			t.Fatalf("%s: hashed/served bytes inline %v, four wide %v", tc.file, counts[0], counts[1])
+		}
+	}
+}
+
+// TestVerifiedDefaultWidth: zero options mean verifiedWorkers reads in
+// flight on the verified path — inline on a single P — and stay inline on
+// the plain path, which starts no read ahead of the caller at all.
+func TestVerifiedDefaultWidth(t *testing.T) {
+	s, file, want := buildFragmentedStore(t, 31, 300)
+	ahead := func() int64 { return hRestoreWindowBytes.Snapshot().Count }
+	before := ahead()
+	var got bytes.Buffer
+	rs, err := NewVerifier(s, VerifyOpts{}).RestoreRange(file, 0, -1, &got, RestoreOptions{})
+	if err != nil || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("verified: %v", err)
+	}
+	inline := runtime.GOMAXPROCS(0) == 1
+	if rs.Workers != verifiedWorkers() || inline != (rs.Workers == 1) || inline == (ahead() > before) {
+		t.Fatalf("GOMAXPROCS %d: verified restore at width %d started %d reads ahead",
+			runtime.GOMAXPROCS(0), rs.Workers, ahead()-before)
+	}
+	before = ahead()
+	got.Reset()
+	rs, err = s.RestoreRange(file, 0, -1, &got, RestoreOptions{})
+	if err != nil || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("plain: %v", err)
+	}
+	if rs.Workers != 1 || ahead() != before {
+		t.Fatalf("plain restore with zero options: width %d, %d reads started ahead", rs.Workers, ahead()-before)
 	}
 }

@@ -190,68 +190,6 @@ func putBlob(b, p []byte) []byte {
 	return append(b, p...)
 }
 
-// UnmarshalAny dispatches a frame to its payload decoder and returns the
-// typed message. Frame types without a payload grammar (TypeListReq,
-// TypeClose, TypeCloseOK) require an empty payload and return nil.
-func UnmarshalAny(f Frame) (any, error) {
-	switch f.Type {
-	case TypeHello:
-		return UnmarshalHello(f.Payload)
-	case TypeHelloOK:
-		return UnmarshalHelloOK(f.Payload)
-	case TypeError:
-		return UnmarshalError(f.Payload)
-	case TypeFileBegin:
-		return UnmarshalFileBegin(f.Payload)
-	case TypeOffer:
-		return UnmarshalOffer(f.Payload)
-	case TypeNeed:
-		return UnmarshalNeed(f.Payload)
-	case TypeChunkData:
-		return UnmarshalChunkData(f.Payload)
-	case TypeFileEnd:
-		return UnmarshalFileEnd(f.Payload)
-	case TypeAck:
-		return UnmarshalAck(f.Payload)
-	case TypeRestoreReq:
-		return UnmarshalRestoreReq(f.Payload)
-	case TypeRestoreRange:
-		return UnmarshalRestoreRange(f.Payload)
-	case TypeRestoreData:
-		return UnmarshalRestoreData(f.Payload)
-	case TypeRestoreEnd:
-		return UnmarshalRestoreEnd(f.Payload)
-	case TypeListResp:
-		return UnmarshalListResp(f.Payload)
-	case TypePeerFetch:
-		return UnmarshalPeerFetch(f.Payload)
-	case TypePeerChunks:
-		return UnmarshalPeerChunks(f.Payload)
-	case TypePeerPut:
-		return UnmarshalPeerPut(f.Payload)
-	case TypeMigrateBegin:
-		return UnmarshalMigrateBegin(f.Payload)
-	case TypeMigrateData:
-		return UnmarshalMigrateData(f.Payload)
-	case TypeMigrateEnd:
-		return UnmarshalMigrateEnd(f.Payload)
-	case TypeFileDrop:
-		return UnmarshalFileDrop(f.Payload)
-	case TypeFileStat:
-		return UnmarshalFileStat(f.Payload)
-	case TypeFileStatOK:
-		return UnmarshalFileStatOK(f.Payload)
-	case TypeListReq, TypeClose, TypeCloseOK, TypePeerPutOK, TypeMigrateOK,
-		TypeFileDropOK:
-		if len(f.Payload) != 0 {
-			return nil, ErrTrailing
-		}
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown frame type %d", f.Type)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Handshake.
 
