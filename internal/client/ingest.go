@@ -13,12 +13,19 @@ import (
 	"mhdedup/internal/wire"
 )
 
+// maxWindow caps the window a HelloOK may advertise: the client keeps that
+// many commands, batch bytes and all, and sizes its frame queue by it.
+const maxWindow = 1024
+
 // Ingestor is a sessioned backup upload: PutFile as many files as you
 // like, then Close. Not safe for concurrent use — one Ingestor is one
-// ordered command stream.
+// ordered command stream. It handles what its connection's reader queued
+// after every chunk it cuts and whenever it must wait: Offers stay in flight
+// while the next batch is cut, each Need answered as soon as it is handled.
 type Ingestor struct {
 	cfg   Config
 	cn    *session.Conn
+	in    <-chan inbound // cn's frames in order, then the error that ended its reader
 	token uint64
 	win   int
 
@@ -38,6 +45,12 @@ type Ingestor struct {
 	broken error // permanent failure; every later call returns it
 }
 
+// inbound is one frame the reader read, or the error that ended it.
+type inbound struct {
+	f   wire.Frame
+	err error
+}
+
 // command is one un-acked protocol command, retained for replay.
 type command struct {
 	seq     uint64
@@ -49,10 +62,10 @@ type command struct {
 	// and may ask for any subset.
 	chunks [][]byte
 
-	// need is the server's answer for an Offer (indices into chunks);
-	// needReady reports it arrived. Reset on replay.
-	need      []uint32
-	needReady bool
+	// An Offer's last transmission (its offer→need round trip starts
+	// there) and whether its Need has been answered since.
+	sent     time.Time
+	answered bool
 }
 
 // Connect dials cfg.Addr, performs the ingest handshake and returns a
@@ -68,15 +81,35 @@ func Connect(cfg Config) (*Ingestor, error) {
 	if err != nil {
 		return nil, err
 	}
-	ing.cn = cn
 	ing.token = ok.SessionToken
-	ing.win = int(ok.Window)
-	if ing.win <= 0 {
-		ing.win = 1
-	}
+	ing.attach(cn, ok)
 	ing.cfg.Events.Info("client.session_open",
 		events.F("session", ing.token), events.F("window", ing.win), events.F("max_payload", cn.MaxPayload()))
 	return ing, nil
+}
+
+// attach makes cn the session's connection and starts its reader. An honest
+// server has a Need and an Ack per command in the window outstanding at
+// most, plus an Error or CloseOK: the queue holds 2·win+1 frames and the
+// error that ends the reader, which cuts off a server that sends more.
+func (c *Ingestor) attach(cn *session.Conn, ok wire.HelloOK) {
+	c.cn, c.win = cn, int(min(max(ok.Window, 1), maxWindow))
+	in := make(chan inbound, 2*c.win+2)
+	c.in = in
+	go func() {
+		defer close(in)
+		for {
+			f, err := cn.Read()
+			if err == nil && len(in) == cap(in)-1 {
+				err = fmt.Errorf("client: server sent more than %d frames ahead of the client", cap(in)-1)
+				cn.Close()
+			}
+			in <- inbound{f, err}
+			if err != nil {
+				return
+			}
+		}
+	}()
 }
 
 // meter accounts a connection's frame bytes to this session.
@@ -149,6 +182,10 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 				return c.fail(err)
 			}
 		}
+		// Answer whatever has arrived — a Need above all — without waiting.
+		if err := c.heal(c.poll()); err != nil {
+			return c.fail(err)
+		}
 	}
 	if err := flush(); err != nil {
 		return c.fail(err)
@@ -161,7 +198,7 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 	// Drain every outstanding Ack: when issue returns the FileEnd may be
 	// merely sent; waiting here pins "PutFile returned nil ⇒ the server
 	// applied and integrity-checked the whole file".
-	if err := c.drain(); err != nil {
+	if err := c.settle(0); err != nil {
 		return c.fail(err)
 	}
 	c.stats.FilesSent++
@@ -169,28 +206,27 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 }
 
 // Close drains outstanding acks, performs the orderly Close/CloseOK
-// exchange and releases the connection.
+// exchange and releases the connection, returning once its reader is done.
 func (c *Ingestor) Close() error {
-	if c.broken != nil {
-		c.cn.Close()
-		return c.broken
+	if c.broken == nil && !c.closed {
+		c.closed = true
+		if err := c.settle(0); err != nil {
+			c.fail(err)
+		} else if err := c.cn.Write(wire.TypeClose, nil); err != nil {
+			c.fail(fmt.Errorf("client: close: %w", err))
+		} else if r := <-c.in; r.err != nil || r.f.Type != wire.TypeCloseOK {
+			// With nothing un-acked, handle refuses every frame but CloseOK.
+			c.fail(fmt.Errorf("client: close: %w", c.handle(r)))
+		}
 	}
-	if c.closed {
-		return nil
+	c.cn.Close()
+	for range c.in { // the reader closes its queue as it exits
 	}
-	c.closed = true
-	defer c.cn.Close()
-	if err := c.drain(); err != nil {
-		return c.fail(err)
-	}
-	if _, err := c.cn.Call(wire.TypeClose, nil, wire.TypeCloseOK); err != nil {
-		return c.fail(fmt.Errorf("client: close: %w", err))
-	}
-	return nil
+	return c.broken
 }
 
 // fail latches a permanent error (transport errors are healed inside
-// issue/drain; whatever reaches here is final).
+// issue/settle; whatever reaches here is final).
 func (c *Ingestor) fail(err error) error {
 	if err != nil && c.broken == nil {
 		c.broken = err
@@ -202,62 +238,33 @@ func (c *Ingestor) fail(err error) error {
 // command, healing transport failures by reconnect-and-replay.
 func (c *Ingestor) issue(typ uint8, marshal func(seq uint64) []byte, chunks [][]byte) error {
 	// Window backpressure: never exceed the server's un-applied budget.
-	for len(c.unacked) >= c.win {
-		if err := c.pump(); err != nil {
-			if !session.IsTransport(err) {
-				return err
-			}
-			if err := c.recover(); err != nil {
-				return err
-			}
-		}
+	if err := c.settle(c.win - 1); err != nil {
+		return err
 	}
 	c.nextSeq++
 	cmd := &command{seq: c.nextSeq, typ: typ, payload: marshal(c.nextSeq), chunks: chunks}
 	c.unacked = append(c.unacked, cmd)
-	if err := c.transmit(cmd); err != nil {
-		if !session.IsTransport(err) {
-			return err
-		}
-		return c.recover() // replays cmd along with everything else un-acked
-	}
-	return nil
+	return c.heal(c.transmit(cmd)) // a reconnect replays cmd with everything else un-acked
 }
 
-// transmit writes one command frame; for an Offer it then waits for the
-// server's Need answer and ships the requested chunk bytes. The
-// offer→need round-trip — the negotiation latency the hash protocol
-// pays per batch — is recorded in the client.offer_rtt_ns histogram.
+// transmit writes one command frame and returns. An Offer's round trip —
+// the negotiation latency the hash protocol pays per batch — runs from here
+// until its Need is handled (client.offer_rtt_ns).
 func (c *Ingestor) transmit(cmd *command) error {
-	start := time.Now()
-	if err := c.cn.Write(cmd.typ, cmd.payload); err != nil {
-		return err
-	}
-	if cmd.typ != wire.TypeOffer {
-		return nil
-	}
-	for !cmd.needReady {
-		if err := c.pump(); err != nil {
-			return err
-		}
-	}
-	d := hOfferRTT.ObserveSince(start)
-	c.cfg.Events.SlowOp("offer_rtt", d,
-		events.F("session", c.token), events.F("seq", cmd.seq),
-		events.F("need", len(cmd.need)))
-	return c.sendNeeded(cmd)
+	cmd.sent, cmd.answered = time.Now(), false
+	return c.cn.Write(cmd.typ, cmd.payload)
 }
 
 // sendNeeded streams the chunks the server asked for as ChunkData runs
 // bounded by the frame payload cap.
-func (c *Ingestor) sendNeeded(cmd *command) error {
+func (c *Ingestor) sendNeeded(cmd *command, need []uint32) error {
 	const perChunkOverhead = 4            // length prefix per chunk in ChunkData
 	budget := int(c.cn.MaxPayload()) - 64 // header fields + margin
 	start := 0
-	for start < len(cmd.need) {
-		run := make([][]byte, 0, len(cmd.need)-start)
+	for start < len(need) {
+		run := make([][]byte, 0, len(need)-start)
 		bytes := 0
-		for _, idx := range cmd.need[start:] {
+		for _, idx := range need[start:] {
 			data := cmd.chunks[idx]
 			if len(run) > 0 && bytes+len(data)+perChunkOverhead > budget {
 				break
@@ -278,29 +285,49 @@ func (c *Ingestor) sendNeeded(cmd *command) error {
 	return nil
 }
 
-// drain pumps until every command is acked, healing transport failures.
-func (c *Ingestor) drain() error {
-	for len(c.unacked) > 0 {
-		if err := c.pump(); err != nil {
-			if !session.IsTransport(err) {
-				return err
-			}
-			if err := c.recover(); err != nil {
-				return err
-			}
+// settle handles frames, waiting for each, until at most max commands are
+// un-acked, healing transport failures.
+func (c *Ingestor) settle(max int) error {
+	for len(c.unacked) > max {
+		if err := c.heal(c.handle(<-c.in)); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// pump reads and dispatches exactly one server frame: Acks retire
-// commands (in order), Needs complete pending Offers, Error frames map
-// to transport (retryable) or permanent errors.
-func (c *Ingestor) pump() error {
-	f, err := c.cn.Read()
-	if err != nil {
+// heal answers a transport failure by reconnecting and replaying; any
+// other error is final and passes through. Frames that arrived before the
+// break are handled first: the server may have said why it hung up.
+func (c *Ingestor) heal(err error) error {
+	if !session.IsTransport(err) {
 		return err
 	}
+	if perr := c.poll(); perr != nil && !session.IsTransport(perr) {
+		return perr
+	}
+	return c.recover()
+}
+
+// poll handles every frame that has already arrived, without waiting.
+func (c *Ingestor) poll() error {
+	for len(c.in) > 0 {
+		if err := c.handle(<-c.in); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// handle dispatches one server frame: Acks retire commands (in order),
+// Needs are answered with the chunks they ask for, Error frames map to
+// transport (retryable) or permanent errors; anything else, a Need or Ack
+// the session cannot have asked for included, is a protocol violation.
+func (c *Ingestor) handle(r inbound) error {
+	if r.err != nil {
+		return r.err
+	}
+	f := r.f
 	switch f.Type {
 	case wire.TypeAck:
 		ack, err := wire.UnmarshalAck(f.Payload)
@@ -310,6 +337,9 @@ func (c *Ingestor) pump() error {
 		if len(c.unacked) == 0 || c.unacked[0].seq != ack.Seq {
 			return fmt.Errorf("client: unexpected Ack seq %d", ack.Seq)
 		}
+		if cmd := c.unacked[0]; cmd.typ == wire.TypeOffer && !cmd.answered {
+			return fmt.Errorf("client: Ack for offer seq %d before its Need", ack.Seq)
+		}
 		c.unacked = c.unacked[1:]
 		c.recoverBudget = c.cfg.RetryAttempts // forward progress resets the budget
 		return nil
@@ -318,13 +348,29 @@ func (c *Ingestor) pump() error {
 		if err != nil {
 			return fmt.Errorf("client: bad Need: %w", err)
 		}
-		for _, cmd := range c.unacked {
-			if cmd.seq == need.Seq && cmd.typ == wire.TypeOffer {
-				cmd.need, cmd.needReady = need.Indices, true
-				return nil
+		var cmd *command
+		for _, u := range c.unacked {
+			if u.seq == need.Seq && u.typ == wire.TypeOffer {
+				cmd = u
 			}
 		}
-		return fmt.Errorf("client: Need for unknown offer seq %d", need.Seq)
+		if cmd == nil || cmd.answered {
+			return fmt.Errorf("client: Need for offer seq %d, which is unknown or already answered", need.Seq)
+		}
+		// Indices from the wire: strictly ascending, each naming one of the
+		// offer's chunks, or a chunk would go twice or not exist.
+		for i, idx := range need.Indices {
+			if int(idx) >= len(cmd.chunks) || i > 0 && idx <= need.Indices[i-1] {
+				return fmt.Errorf("client: Need for offer seq %d: index %d at %d is not ascending below %d",
+					need.Seq, idx, i, len(cmd.chunks))
+			}
+		}
+		cmd.answered = true
+		d := hOfferRTT.ObserveSince(cmd.sent)
+		c.cfg.Events.SlowOp("offer_rtt", d,
+			events.F("session", c.token), events.F("seq", cmd.seq),
+			events.F("need", len(need.Indices)))
+		return c.sendNeeded(cmd, need.Indices)
 	case wire.TypeError:
 		em, uerr := wire.UnmarshalError(f.Payload)
 		if uerr != nil {
@@ -370,18 +416,14 @@ func (c *Ingestor) recover() error {
 		time.Sleep(delay)
 	}
 	c.recoverBudget--
-	c.cn.Close()
+	c.cn.Close() // and with it the old reader
 	hello := wire.Hello{Mode: wire.ModeIngest, ResumeToken: c.token,
 		Tenant: c.cfg.Tenant, Secret: c.cfg.Secret}
 	cn, ok, err := dialAndHello(&c.cfg, hello, c.meter())
 	if err != nil {
 		return err
 	}
-	c.cn = cn
-	c.win = int(ok.Window)
-	if c.win <= 0 {
-		c.win = 1
-	}
+	c.attach(cn, ok)
 	c.stats.Reconnects++
 	cReconnects.Add(1)
 	// Retire everything the server applied before we lost the link.
@@ -392,12 +434,8 @@ func (c *Ingestor) recover() error {
 		events.F("session", c.token), events.F("applied", ok.LastApplied),
 		events.F("replay", len(c.unacked)))
 	for _, cmd := range c.unacked {
-		cmd.need, cmd.needReady = nil, false
 		if err := c.transmit(cmd); err != nil {
-			if !session.IsTransport(err) {
-				return err
-			}
-			return c.recover() // budget-bounded
+			return c.heal(err) // budget-bounded
 		}
 	}
 	return nil

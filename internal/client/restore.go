@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"mhdedup/internal/hashutil"
+	"mhdedup/internal/metrics"
 	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
 )
@@ -16,23 +17,28 @@ type RestoreResult struct {
 	Sum   hashutil.Sum // whole-file SHA-1, matched against the server's claim
 }
 
+// links keeps the ModeRestore connections of List, Restore and RestoreRange
+// for the whole process, as net/http's default transport does: a link is
+// reused only under the Addr, Tenant and Secret of its Hello, once the server
+// finished answering on it (session.Links); a dial goes through Config.Dial.
+var links = session.NewLinks(4, 16,
+	metrics.Counter("client.restore.dials"), metrics.Counter("client.restore.link_reuses"))
+
 // List returns the names of files restorable from the server, sorted.
-func List(cfg Config) ([]string, error) {
-	cn, err := restoreSession(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer cn.Close()
-	f, err := cn.Call(wire.TypeListReq, nil, wire.TypeListResp)
+func List(cfg Config) (names []string, err error) {
+	err = onLink(&cfg, func(cn *session.Conn) (bool, error) {
+		f, err := cn.Call(wire.TypeListReq, nil, wire.TypeListResp)
+		if err == nil {
+			var resp wire.ListResp
+			resp, err = wire.UnmarshalListResp(f.Payload)
+			names = resp.Names
+		}
+		return session.Answered(err), err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("client: list: %w", err)
 	}
-	resp, err := wire.UnmarshalListResp(f.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("client: bad ListResp: %w", err)
-	}
-	cn.Goodbye()
-	return resp.Names, nil
+	return names, nil
 }
 
 // Restore streams one file from the server into w. With verify the
@@ -41,16 +47,7 @@ func List(cfg Config) ([]string, error) {
 // checks the received stream against the server's declared size and
 // SHA-1 regardless.
 func Restore(cfg Config, name string, verify bool, w io.Writer) (RestoreResult, error) {
-	cn, err := restoreSession(&cfg)
-	if err != nil {
-		return RestoreResult{}, err
-	}
-	defer cn.Close()
-	req := wire.RestoreReq{Name: name, Verify: verify}
-	if err := cn.Write(wire.TypeRestoreReq, req.Marshal()); err != nil {
-		return RestoreResult{}, err
-	}
-	return receiveRestore(cn, name, w)
+	return restore(&cfg, name, wire.TypeRestoreReq, wire.RestoreReq{Name: name, Verify: verify}.Marshal(), w)
 }
 
 // RestoreRange streams length bytes of one file starting at offset into
@@ -62,45 +59,47 @@ func RestoreRange(cfg Config, name string, verify bool, offset, length int64, w 
 	if offset < 0 {
 		return RestoreResult{}, fmt.Errorf("client: restore of %q: negative offset %d", name, offset)
 	}
-	cn, err := restoreSession(&cfg)
-	if err != nil {
-		return RestoreResult{}, err
-	}
-	defer cn.Close()
 	req := wire.RestoreRange{Name: name, Verify: verify, Offset: uint64(offset), Length: wire.RestoreToEOF}
 	if length >= 0 {
 		req.Length = uint64(length)
 	}
-	if err := cn.Write(wire.TypeRestoreRange, req.Marshal()); err != nil {
-		return RestoreResult{}, err
-	}
-	return receiveRestore(cn, name, w)
+	return restore(&cfg, name, wire.TypeRestoreRange, req.Marshal(), w)
 }
 
-// receiveRestore drains one reply stream into w; the connection verifies
-// it against the server's declared size and sum.
-func receiveRestore(cn *session.Conn, name string, w io.Writer) (RestoreResult, error) {
-	end, err := cn.ReceiveRestore(func(data []byte) error {
-		_, err := w.Write(data)
-		return err
+// restore sends one restore request and drains its reply stream into w; the
+// connection holds the stream to the server's declared size and sum.
+func restore(cfg *Config, name string, typ uint8, req []byte, w io.Writer) (RestoreResult, error) {
+	var end wire.RestoreEnd
+	err := onLink(cfg, func(cn *session.Conn) (bool, error) {
+		if err := cn.Write(typ, req); err != nil {
+			return false, err
+		}
+		var err error
+		end, err = cn.ReceiveRestore(func(data []byte) error {
+			_, err := w.Write(data)
+			return err
+		})
+		return session.Answered(err), err
 	})
 	var em wire.ErrorMsg
 	switch {
 	case errors.As(err, &em):
-		return RestoreResult{}, fmt.Errorf("client: server error: %w", em)
+		return RestoreResult{}, fmt.Errorf("client: server error: %w", err)
 	case err != nil:
 		return RestoreResult{}, fmt.Errorf("client: restore of %q: %w", name, err)
 	}
-	cn.Goodbye()
 	return RestoreResult{Bytes: end.TotalBytes, Sum: end.Sum}, nil
 }
 
-// restoreSession dials and completes a ModeRestore handshake.
-func restoreSession(cfg *Config) (*session.Conn, error) {
+// onLink runs one request on a kept link for cfg, else dialAndHello's.
+func onLink(cfg *Config, use func(cn *session.Conn) (atLoop bool, err error)) error {
 	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
+		return err
 	}
 	hello := wire.Hello{Mode: wire.ModeRestore, Tenant: cfg.Tenant, Secret: cfg.Secret}
-	cn, _, err := dialAndHello(cfg, hello, session.Meter{})
-	return cn, err
+	return links.Do(session.LinkKey{Peer: cfg.Addr, Tenant: cfg.Tenant, Secret: cfg.Secret},
+		func(m session.Meter) (*session.Conn, error) {
+			cn, _, err := dialAndHello(cfg, hello, m)
+			return cn, err
+		}, use)
 }

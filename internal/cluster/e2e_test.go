@@ -48,8 +48,10 @@ type testCluster struct {
 	registry *metrics.Registry
 	options  wire.EngineOptions
 	// listeners[i] is shard i's, which remembers what it accepted so a test
-	// can sever a shard's connections from the shard's side.
-	listeners []*trackedListener
+	// can sever a shard's connections from the shard's side; gwListener is
+	// the gateway's.
+	listeners  []*trackedListener
+	gwListener *trackedListener
 }
 
 // trackedListener remembers the connections it accepts.
@@ -121,13 +123,14 @@ func startCluster(t *testing.T, n int, mut func(*cluster.GatewayConfig)) *testCl
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln := &trackedListener{Listener: tcp}
 	go gw.Serve(ln)
 	t.Cleanup(func() { gw.Close() })
-	tc.gw = gw
+	tc.gw, tc.gwListener = gw, ln
 	tc.gwAddr = ln.Addr().String()
 	return tc
 }

@@ -5,11 +5,9 @@ const RestoreLinkCap = restoreLinkCap
 
 // IdleRestoreLinks reports how many restore links are parked per shard.
 func (gw *Gateway) IdleRestoreLinks() map[string]int {
-	gw.links.mu.Lock()
-	defer gw.links.mu.Unlock()
-	out := make(map[string]int, len(gw.links.idle))
-	for id, idle := range gw.links.idle {
-		out[id] = len(idle)
+	out := make(map[string]int)
+	for key, n := range gw.links.Idle() {
+		out[key.Peer] += n
 	}
 	return out
 }

@@ -126,9 +126,9 @@ func (c *GatewayConfig) fillDefaults() error {
 type Gateway struct {
 	cfg     GatewayConfig
 	tenants *Tenants
-	ring    *Ring // full membership: placement history, restores, peer fetch
-	peers   *peerPool
-	links   *restoreLinks
+	ring    *Ring          // full membership: placement history, restores, peer fetch
+	links   *session.Links // kept ModeRestore links to shards
+	peers   *session.Links // kept ModePeer links to shards
 	ep      *session.Endpoint[*gwSession]
 
 	mu        sync.Mutex
@@ -146,8 +146,6 @@ type Gateway struct {
 	cPeerPuts     *atomic.Int64
 	cRestores     *atomic.Int64
 	cFailovers    *atomic.Int64      // restores that fell over to a replica
-	cShardDials   *atomic.Int64      // ModeRestore links dialed to shards
-	cShardReuses  *atomic.Int64      // requests served on a link kept from an earlier one
 	hRestore      *metrics.Histogram // request frame read → RestoreEnd relayed
 	cMigrated     *atomic.Int64      // files moved by rebalance
 	cRepaired     *atomic.Int64      // files re-replicated by repair
@@ -172,8 +170,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		routedFiles: make(map[string]*atomic.Int64, len(cfg.Shards)),
 		routedBytes: make(map[string]*atomic.Int64, len(cfg.Shards)),
 	}
-	gw.peers = &peerPool{gw: gw, conns: make(map[string]*peerConn)}
-	gw.links = &restoreLinks{gw: gw, idle: make(map[string][]*restoreLink)}
 	r := cfg.Registry
 	gw.cFiles = r.Counter("gateway.files")
 	gw.cChunksClient = r.Counter("gateway.chunks.from_client")
@@ -181,8 +177,10 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	gw.cPeerPuts = r.Counter("gateway.chunks.peer_seeded")
 	gw.cRestores = r.Counter("gateway.restores")
 	gw.cFailovers = r.Counter("gateway.restore.failovers")
-	gw.cShardDials = r.Counter("gateway.restore.shard_dials")
-	gw.cShardReuses = r.Counter("gateway.restore.shard_reuses")
+	gw.links = session.NewLinks(restoreLinkCap, restoreLinkCap*len(cfg.Shards),
+		r.Counter("gateway.restore.shard_dials"), r.Counter("gateway.restore.shard_reuses"))
+	gw.peers = session.NewLinks(restoreLinkCap, restoreLinkCap*len(cfg.Shards),
+		r.Counter("gateway.peer.dials"), r.Counter("gateway.peer.reuses"))
 	gw.hRestore = r.Histogram("gateway.restore_ns")
 	gw.cMigrated = r.Counter("gateway.rebalance.files")
 	gw.cRepaired = r.Counter("gateway.repair.files")
@@ -276,8 +274,8 @@ func (gw *Gateway) Serve(ln net.Listener) error { return gw.ep.Serve(ln) }
 // sessions retryably, expire parked sessions, wait for in-flight ones.
 func (gw *Gateway) Drain(ctx context.Context) error {
 	err := gw.ep.Drain(ctx)
-	gw.peers.closeAll()
-	gw.links.closeAll()
+	gw.peers.Close()
+	gw.links.Close()
 	return err
 }
 
@@ -286,8 +284,8 @@ func (gw *Gateway) Drain(ctx context.Context) error {
 // links.
 func (gw *Gateway) Close() error {
 	gw.ep.Close()
-	gw.peers.closeAll()
-	gw.links.closeAll()
+	gw.peers.Close()
+	gw.links.Close()
 	return nil
 }
 
@@ -373,14 +371,14 @@ func (gw *Gateway) mergedList(tenant string) ([]string, error) {
 
 // shardList fetches one shard's tenant-scoped listing over a restore link.
 func (gw *Gateway) shardList(sh Shard, tenant string) (names []string, err error) {
-	err = gw.links.do(sh, tenant, func(bc *session.Conn) (bool, error) {
+	err = gw.restoreLink(sh, tenant, func(bc *session.Conn) (bool, error) {
 		f, err := bc.Call(wire.TypeListReq, nil, wire.TypeListResp)
 		if err == nil {
 			var resp wire.ListResp
 			resp, err = wire.UnmarshalListResp(f.Payload)
 			names = resp.Names
 		}
-		return answered(err), err
+		return session.Answered(err), err
 	})
 	return names, err
 }
@@ -471,7 +469,7 @@ func (gw *Gateway) relayRestore(c *session.Conn, tenant, name string, req wire.F
 // may continue from skip+sent.
 func (gw *Gateway) relayRestoreFrom(c *session.Conn, sh Shard, tenant string, req wire.Frame,
 	skip uint64, start time.Time) (sent uint64, done bool, err error) {
-	err = gw.links.do(sh, tenant, func(bc *session.Conn) (atLoop bool, err error) {
+	err = gw.restoreLink(sh, tenant, func(bc *session.Conn) (atLoop bool, err error) {
 		if werr := bc.Write(req.Type, req.Payload); werr != nil {
 			return false, werr
 		}
@@ -558,201 +556,50 @@ func (gw *Gateway) dialShard(sh Shard, hello wire.Hello, m session.Meter) (*sess
 }
 
 // ---------------------------------------------------------------------------
-// Restore links.
+// Kept shard links: restore and peer plane.
 
-// restoreLinkCap is how many idle restore links the gateway keeps per
-// shard; a link returned beyond it replaces the oldest.
+// restoreLinkCap is how many idle links of each plane the gateway keeps per
+// shard (and tenant), and, times the shard count, in all.
 const restoreLinkCap = 4
 
-// restoreLinks is the one place the gateway dials a shard for restore. A
-// ModeRestore connection serves any number of requests one after another,
-// so instead of a dial and a Hello per request the gateway keeps the links
-// it has: idle links per shard, newest last, each usable only for the
-// tenant its Hello named (which is what scopes the shard's answers). A link
-// is either parked here or owned by the one request using it.
-type restoreLinks struct {
-	gw     *Gateway
-	mu     sync.Mutex
-	idle   map[string][]*restoreLink // shard ID → parked links
-	closed bool
+// restoreLink runs one request on a kept ModeRestore link to sh under
+// tenant's Hello. The two link pools (session.Links) are where the gateway
+// dials a shard for anything but an ingest session or a migration target.
+func (gw *Gateway) restoreLink(sh Shard, tenant string, use func(bc *session.Conn) (atLoop bool, err error)) error {
+	return gw.links.Do(session.LinkKey{Peer: sh.ID, Tenant: tenant}, func(m session.Meter) (*session.Conn, error) {
+		bc, _, err := gw.dialShard(sh, wire.Hello{Mode: wire.ModeRestore, Tenant: tenant}, m)
+		return bc, err
+	}, use)
 }
 
-type restoreLink struct {
-	bc     *session.Conn
-	tenant string
-	heard  atomic.Int64 // frame bytes the shard has sent on this link
-}
-
-// do runs one request on a restore link to sh: use sends it, consumes the
-// answer and reports whether the shard is provably back at its request loop
-// (it sent RestoreEnd, a ListResp or an Error frame). Then the link is
-// parked for the next request; on any other exit — transport error,
-// malformed frame, client gone mid-stream — it is closed. A parked link the
-// shard dropped meanwhile fails before the shard has said a word: that
-// request, nothing of which was acted on, is run once more on a fresh dial
-// — a retry, never a failover.
-func (p *restoreLinks) do(sh Shard, tenant string, use func(bc *session.Conn) (atLoop bool, err error)) error {
-	l := p.take(sh.ID, tenant)
-	for {
-		reused := l != nil
-		if reused {
-			p.gw.cShardReuses.Add(1)
-		} else {
-			l = &restoreLink{tenant: tenant}
-			bc, _, err := p.gw.dialShard(sh, wire.Hello{Mode: wire.ModeRestore, Tenant: tenant},
-				session.Meter{In: &l.heard})
-			if err != nil {
-				return err
-			}
-			l.bc = bc
-			p.gw.cShardDials.Add(1)
-		}
-		before := l.heard.Load()
-		atLoop, err := use(l.bc)
-		if atLoop {
-			p.park(sh.ID, l)
-			return err
-		}
-		l.bc.Close()
-		if !reused || l.heard.Load() != before || !session.IsTransport(err) {
-			return err
-		}
-		l = nil
+// peerRPC runs one request/response exchange on a kept ModePeer link to sh.
+// Peer traffic is a bandwidth optimization, never a correctness dependency:
+// every failure degrades to "the chunk comes from the client".
+func (gw *Gateway) peerRPC(sh Shard, reqType uint8, payload []byte, wantType uint8) (f wire.Frame, err error) {
+	err = gw.peers.Do(session.LinkKey{Peer: sh.ID}, func(m session.Meter) (*session.Conn, error) {
+		bc, _, err := gw.dialShard(sh, wire.Hello{Mode: wire.ModePeer}, m)
+		return bc, err
+	}, func(bc *session.Conn) (bool, error) {
+		var cerr error
+		f, cerr = bc.Call(reqType, payload, wantType)
+		return session.Answered(cerr), cerr
+	})
+	if err != nil {
+		return f, fmt.Errorf("peer %s: %w", sh.ID, err)
 	}
+	return f, nil
 }
 
-// answered reports whether err, the outcome of one request on a restore
-// link, leaves the shard at its request loop: it answered in full, or with
-// an Error frame in place of (the rest of) the answer.
-func answered(err error) bool { return err == nil || errors.As(err, new(wire.ErrorMsg)) }
-
-// take unparks the newest idle link to the shard under tenant's Hello.
-func (p *restoreLinks) take(shardID, tenant string) *restoreLink {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	idle := p.idle[shardID]
-	for i := len(idle) - 1; i >= 0; i-- {
-		if l := idle[i]; l.tenant == tenant {
-			p.idle[shardID] = append(idle[:i], idle[i+1:]...)
-			return l
-		}
-	}
-	return nil
-}
-
-// park keeps l for the shard's next request, dropping the oldest link when
-// the shard is at its cap — or l itself once closeAll has run.
-func (p *restoreLinks) park(shardID string, l *restoreLink) {
-	p.mu.Lock()
-	drop := l
-	if !p.closed {
-		idle := append(p.idle[shardID], l)
-		if drop = nil; len(idle) > restoreLinkCap {
-			drop, idle = idle[0], idle[1:]
-		}
-		p.idle[shardID] = idle
-	}
-	p.mu.Unlock()
-	if drop != nil {
-		drop.bc.Close()
-	}
-}
-
-// closeAll closes every parked link, and every link parked from now on.
-func (p *restoreLinks) closeAll() {
-	p.mu.Lock()
-	idle := p.idle
-	p.idle, p.closed = nil, true
-	p.mu.Unlock()
-	for _, links := range idle {
-		for _, l := range links {
-			l.bc.Close()
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Peer plane client.
-
-// peerPool maintains one lazily-dialed ModePeer connection per shard,
-// serialized per shard. Peer traffic is a bandwidth optimization, never
-// a correctness dependency: every failure degrades to "the chunk comes
-// from the client" and the sick connection is dropped for re-dial.
-type peerPool struct {
-	gw    *Gateway
-	mu    sync.Mutex
-	conns map[string]*peerConn
-}
-
-type peerConn struct {
-	mu sync.Mutex
-	bc *session.Conn
-}
-
-func (p *peerPool) get(sh Shard) *peerConn {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pc, ok := p.conns[sh.ID]
-	if !ok {
-		pc = &peerConn{}
-		p.conns[sh.ID] = pc
-	}
-	return pc
-}
-
-func (p *peerPool) closeAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for id, pc := range p.conns {
-		pc.mu.Lock()
-		if pc.bc != nil {
-			pc.bc.Write(wire.TypeClose, nil)
-			pc.bc.Close()
-			pc.bc = nil
-		}
-		pc.mu.Unlock()
-		delete(p.conns, id)
-	}
-}
-
-// rpc runs one request/response exchange on the shard's peer connection,
-// dialing on demand and retrying once on a stale connection.
-func (p *peerPool) rpc(sh Shard, reqType uint8, payload []byte, wantType uint8) (wire.Frame, error) {
-	pc := p.get(sh)
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	for attempt := 0; attempt < 2; attempt++ {
-		if pc.bc == nil {
-			bc, _, err := p.gw.dialShard(sh, wire.Hello{Mode: wire.ModePeer}, session.Meter{})
-			if err != nil {
-				return wire.Frame{}, err
-			}
-			pc.bc = bc
-		}
-		f, err := pc.bc.Call(reqType, payload, wantType)
-		if err == nil {
-			return f, nil
-		}
-		pc.bc.Close()
-		pc.bc = nil
-		if !session.IsTransport(err) {
-			return wire.Frame{}, fmt.Errorf("peer %s: %w", sh.ID, err)
-		}
-		// Stale pooled conn: one re-dial.
-	}
-	return wire.Frame{}, fmt.Errorf("peer %s: connection lost twice", sh.ID)
-}
-
-// fetch asks sh for the chunks in entries; the result maps the index
+// peerFetch asks sh for the chunks in entries; the result maps the index
 // within entries to verified chunk bytes. Any failure returns nil (all
 // misses). Returned bytes are re-hashed here — a chunk that does not
 // hash to its offered address is dropped rather than injected into the
 // home shard (where it would kill the client's session as an integrity
 // violation).
-func (p *peerPool) fetch(sh Shard, entries []wire.OfferEntry) map[int][]byte {
-	f, err := p.rpc(sh, wire.TypePeerFetch, wire.PeerFetch{Entries: entries}.Marshal(), wire.TypePeerChunks)
+func (gw *Gateway) peerFetch(sh Shard, entries []wire.OfferEntry) map[int][]byte {
+	f, err := gw.peerRPC(sh, wire.TypePeerFetch, wire.PeerFetch{Entries: entries}.Marshal(), wire.TypePeerChunks)
 	if err != nil {
-		p.gw.cfg.Events.Debug("gateway.peer_fetch_fail",
+		gw.cfg.Events.Debug("gateway.peer_fetch_fail",
 			events.F("shard", sh.ID), events.F("err", err))
 		return nil
 	}
@@ -775,15 +622,15 @@ func (p *peerPool) fetch(sh Shard, entries []wire.OfferEntry) map[int][]byte {
 	return out
 }
 
-// put seeds chunks into sh's cache, best effort.
-func (p *peerPool) put(sh Shard, chunks [][]byte) {
+// peerPut seeds chunks into sh's cache, best effort.
+func (gw *Gateway) peerPut(sh Shard, chunks [][]byte) {
 	if len(chunks) == 0 {
 		return
 	}
-	if _, err := p.rpc(sh, wire.TypePeerPut, wire.PeerPut{Chunks: chunks}.Marshal(), wire.TypePeerPutOK); err != nil {
-		p.gw.cfg.Events.Debug("gateway.peer_put_fail",
+	if _, err := gw.peerRPC(sh, wire.TypePeerPut, wire.PeerPut{Chunks: chunks}.Marshal(), wire.TypePeerPutOK); err != nil {
+		gw.cfg.Events.Debug("gateway.peer_put_fail",
 			events.F("shard", sh.ID), events.F("err", err))
 		return
 	}
-	p.gw.cPeerPuts.Add(int64(len(chunks)))
+	gw.cPeerPuts.Add(int64(len(chunks)))
 }

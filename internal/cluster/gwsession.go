@@ -652,7 +652,7 @@ func (ss *gwSession) handleChunkData(cd wire.ChunkData) error {
 		}
 	}
 	for id, chunks := range seed {
-		ss.gw.peers.put(ss.shardForID(id, full), chunks)
+		ss.gw.peerPut(ss.shardForID(id, full), chunks)
 	}
 	return nil
 }
@@ -813,7 +813,7 @@ func (ss *gwSession) maybeAnswerNeed(cmd *gwCmd, c *session.Conn) error {
 		for i, idx := range idxs {
 			entries[i] = off.entries[idx]
 		}
-		got := ss.gw.peers.fetch(ss.shardForID(ownerID, full), entries)
+		got := ss.gw.peerFetch(ss.shardForID(ownerID, full), entries)
 		for i, idx := range idxs {
 			data, ok := got[i]
 			if !ok {

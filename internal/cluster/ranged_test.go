@@ -156,6 +156,10 @@ func TestClusterRangedRestoreKillResume(t *testing.T) {
 	putAll(t, tc.clientConfig(), map[string][]byte{name: want}, []string{name})
 	killCfg := tc.clientConfig()
 	killCfg.RetryAttempts = 1
+	// Links are kept per Addr, Tenant and Secret, and the probes above parked
+	// one under the plain config; a secret of its own (the gateway is open)
+	// makes this restore dial, through the killing dialer.
+	killCfg.Secret = "killed"
 	var once sync.Once
 	killCfg.Dial = func(a string) (net.Conn, error) {
 		nc, err := net.Dial("tcp", a)

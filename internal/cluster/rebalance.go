@@ -26,7 +26,7 @@ func (gw *Gateway) statFiles(sh Shard, names []string) ([]bool, error) {
 	out := make([]bool, 0, len(names))
 	for start := 0; start < len(names); start += statBatch {
 		end := min(start+statBatch, len(names))
-		f, err := gw.peers.rpc(sh, wire.TypeFileStat, wire.FileStat{Names: names[start:end]}.Marshal(), wire.TypeFileStatOK)
+		f, err := gw.peerRPC(sh, wire.TypeFileStat, wire.FileStat{Names: names[start:end]}.Marshal(), wire.TypeFileStatOK)
 		if err != nil {
 			return nil, err
 		}
@@ -44,7 +44,7 @@ func (gw *Gateway) statFiles(sh Shard, names []string) ([]bool, error) {
 
 // dropFile forgets name on sh (idempotent on the shard side).
 func (gw *Gateway) dropFile(sh Shard, name string) error {
-	_, err := gw.peers.rpc(sh, wire.TypeFileDrop, wire.FileDrop{Name: name}.Marshal(), wire.TypeFileDropOK)
+	_, err := gw.peerRPC(sh, wire.TypeFileDrop, wire.FileDrop{Name: name}.Marshal(), wire.TypeFileDropOK)
 	return err
 }
 
@@ -69,7 +69,7 @@ func (gw *Gateway) migrate(src, dst Shard, name string) error {
 	// so re-cut runs that would overflow the target's payload cap.
 	budget := int(mc.MaxPayload()) - 64
 	var end wire.RestoreEnd
-	err = gw.links.do(src, "", func(rc *session.Conn) (bool, error) {
+	err = gw.restoreLink(src, "", func(rc *session.Conn) (bool, error) {
 		if err := rc.Write(wire.TypeRestoreReq, wire.RestoreReq{Name: name}.Marshal()); err != nil {
 			return false, err
 		}
@@ -86,7 +86,7 @@ func (gw *Gateway) migrate(src, dst Shard, name string) error {
 			}
 			return nil
 		})
-		return answered(err), err
+		return session.Answered(err), err
 	})
 	if err != nil {
 		return fmt.Errorf("migrating %q from %s: %w", name, src.ID, err)
@@ -95,7 +95,7 @@ func (gw *Gateway) migrate(src, dst Shard, name string) error {
 	if _, err := mc.Call(wire.TypeMigrateEnd, commit.Marshal(), wire.TypeMigrateOK); err != nil {
 		return fmt.Errorf("target %s: %w", dst.ID, err)
 	}
-	mc.Goodbye()
+	mc.Write(wire.TypeClose, nil) // best effort: the copy is already committed
 	return nil
 }
 

@@ -6,7 +6,8 @@
 // an ingest session alive across connection loss. dedupd
 // (internal/server) and the cluster gateway (internal/cluster) are both
 // an Endpoint plus their own per-mode serve callbacks; internal/client
-// and the gateway's shard links both go through Dial.
+// and the gateway's shard links both go through Dial, and both keep their
+// restore links between requests in a Links pool.
 package session
 
 import (
@@ -286,14 +287,6 @@ func (c *Conn) ReceiveRestore(sink func(data []byte) error) (wire.RestoreEnd, er
 		default:
 			return wire.RestoreEnd{}, fmt.Errorf("unexpected %s frame in restore stream", wire.TypeName(f.Type))
 		}
-	}
-}
-
-// Goodbye performs the best-effort orderly Close/CloseOK exchange on a
-// connection the caller is done with; it does not close the transport.
-func (c *Conn) Goodbye() {
-	if c.Write(wire.TypeClose, nil) == nil {
-		c.Read() // CloseOK, or whatever: the conn is closing either way
 	}
 }
 
