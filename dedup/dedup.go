@@ -323,16 +323,18 @@ type RecoverReport = simdisk.RecoverReport
 // partially written generations are rolled back and the commit marker is
 // rewritten if it was torn, leaving exactly the last consistent generation.
 // It is idempotent and a no-op on clean or empty directories.
-// OpenStore and Resume call it automatically.
+// OpenStore and Resume make the same repairs, best-effort, as they load.
 func RecoverStore(dir string) (RecoverReport, error) {
 	return simdisk.Recover(dir)
 }
 
-// OpenStore opens a directory written by SaveStore, running crash recovery
-// first: if the last save was interrupted, its partial state is rolled back
-// and the previous consistent generation is mounted.
+// OpenStore opens a directory written by SaveStore: the last consistent
+// generation, never a hybrid, plus the surviving prefix of the write-ahead
+// log a durable server run leaves until compaction folds it, read in one
+// pass. An interrupted save is rolled back and a torn log tail trimmed on the
+// way, when the directory can be written.
 func OpenStore(dir string) (*Store, error) {
-	disk, err := mountDir(dir)
+	disk, _, err := simdisk.Load(dir, true)
 	if err != nil {
 		return nil, err
 	}
@@ -342,27 +344,6 @@ func OpenStore(dir string) (*Store, error) {
 	// are then reported by Scrub/Check rather than trusted blindly).
 	format, _ := store.DetectFormat(disk)
 	return &Store{st: store.New(disk, format), dir: dir}, nil
-}
-
-// mountDir loads the store saved in dir, as OpenStore and Resume both do.
-func mountDir(dir string) (*simdisk.Disk, error) {
-	// Roll back any interrupted save first, so the mount is the last
-	// consistent generation, never a hybrid. Recovery is best-effort here
-	// (the directory may be read-only); LoadDir performs the same generation
-	// selection read-only and is the authority on whether the store is
-	// mountable.
-	simdisk.Recover(dir)
-	disk, err := simdisk.LoadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	// A durable server run leaves acknowledged work in the write-ahead
-	// log until compaction folds it; replay its surviving prefix so those
-	// ingests are mounted too.
-	if _, err := simdisk.ReplayWAL(dir, disk); err != nil {
-		return nil, err
-	}
-	return disk, nil
 }
 
 // Files lists the restorable file names, sorted.
@@ -543,7 +524,7 @@ func (s *Store) Scrub(opts VerifyOpts) (ScrubReport, error) {
 // resumed engine itself is NOT durable — new work persists at the next
 // SaveStore, which also supersedes and clears the old log.
 func Resume(a Algorithm, opt Options, dir string) (Engine, error) {
-	disk, err := mountDir(dir)
+	disk, _, err := simdisk.Load(dir, true)
 	if err != nil {
 		return nil, err
 	}

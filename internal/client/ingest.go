@@ -133,6 +133,11 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 	if c.closed {
 		return fmt.Errorf("client: PutFile %q after Close", name)
 	}
+	if len(name) > wire.MaxNameLen {
+		// Refused before a FileBegin the server could only reject; nothing
+		// was sent, so the session goes on.
+		return fmt.Errorf("client: file name of %d bytes, the wire carries at most %d", len(name), wire.MaxNameLen)
+	}
 	// The engine's own constructor: these cuts are what every replica stores.
 	o := c.cfg.Options
 	ch, err := chunker.New(r, chunker.Params{ECS: int(o.ECS)}, o.TTTD, o.FastCDC)

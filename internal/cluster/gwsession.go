@@ -230,36 +230,12 @@ func (ss *gwSession) relay(c *session.Conn, hello wire.Hello) disposition {
 				c.Errorf(wire.CodeProtocol, false, "frame after Close")
 				return dispExpire
 			}
-			switch ev.f.Type {
-			case wire.TypeFileBegin:
-				var fb wire.FileBegin
-				if fb, herr = wire.UnmarshalFileBegin(ev.f.Payload); herr == nil {
-					herr = ss.handleFileBegin(fb, c)
-				}
-			case wire.TypeOffer:
-				var of wire.Offer
-				if of, herr = wire.UnmarshalOffer(ev.f.Payload); herr == nil {
-					herr = ss.handleOffer(of, c)
-				}
-			case wire.TypeChunkData:
-				var cd wire.ChunkData
-				if cd, herr = wire.UnmarshalChunkData(ev.f.Payload); herr == nil {
-					herr = ss.handleChunkData(cd)
-				}
-			case wire.TypeFileEnd:
-				var fe wire.FileEnd
-				if fe, herr = wire.UnmarshalFileEnd(ev.f.Payload); herr == nil {
-					herr = ss.handleFileEnd(fe, c)
-				}
-			case wire.TypeClose:
-				closing, herr = ss.beginClose()
-				if herr == nil && len(closing) == 0 {
-					c.Write(wire.TypeCloseOK, nil)
-					gw.cfg.Events.Info("gateway.session_close", events.F("session", ss.token))
-					return dispExpire
-				}
-			default:
-				herr = session.Fatalf(wire.CodeProtocol, "unexpected %s frame on ingest session", wire.TypeName(ev.f.Type))
+			if ev.f.Type != wire.TypeClose {
+				herr = session.IngestCommand(ev.f, ss, c)
+			} else if closing, herr = ss.beginClose(); herr == nil && len(closing) == 0 {
+				c.Write(wire.TypeCloseOK, nil)
+				gw.cfg.Events.Info("gateway.session_close", events.F("session", ss.token))
+				return dispExpire
 			}
 
 		case ev := <-ss.backendCh:
@@ -510,7 +486,7 @@ func (ss *gwSession) admit(seq uint64) error {
 	return nil
 }
 
-func (ss *gwSession) handleFileBegin(fb wire.FileBegin, c *session.Conn) error {
+func (ss *gwSession) HandleFileBegin(fb wire.FileBegin, c *session.Conn) error {
 	if fb.Seq <= ss.lastAcked {
 		return c.Write(wire.TypeAck, wire.Ack{Seq: fb.Seq}.Marshal())
 	}
@@ -559,7 +535,7 @@ func (ss *gwSession) newCmd(seq uint64, shards []Shard, kind uint8) *gwCmd {
 	return cmd
 }
 
-func (ss *gwSession) handleOffer(of wire.Offer, c *session.Conn) error {
+func (ss *gwSession) HandleOffer(of wire.Offer, c *session.Conn) error {
 	if of.Seq <= ss.lastAcked {
 		return c.Write(wire.TypeAck, wire.Ack{Seq: of.Seq}.Marshal())
 	}
@@ -578,7 +554,7 @@ func (ss *gwSession) handleOffer(of wire.Offer, c *session.Conn) error {
 	return ss.forward(cmd)
 }
 
-func (ss *gwSession) handleFileEnd(fe wire.FileEnd, c *session.Conn) error {
+func (ss *gwSession) HandleFileEnd(fe wire.FileEnd, c *session.Conn) error {
 	if fe.Seq <= ss.lastAcked {
 		return c.Write(wire.TypeAck, wire.Ack{Seq: fe.Seq}.Marshal())
 	}
@@ -598,12 +574,12 @@ func (ss *gwSession) handleFileEnd(fe wire.FileEnd, c *session.Conn) error {
 	return ss.forward(cmd)
 }
 
-// handleChunkData translates client chunk runs from client-need
+// HandleChunkData translates client chunk runs from client-need
 // positions into each replica shard's need positions, relays them to
 // every replica that asked for the chunk, and seeds each chunk's ring
 // owner through the peer plane so the next tenant offering the same hash
 // anywhere in the cluster hits shard-local bytes.
-func (ss *gwSession) handleChunkData(cd wire.ChunkData) error {
+func (ss *gwSession) HandleChunkData(cd wire.ChunkData, _ *session.Conn) error {
 	if cd.Seq <= ss.lastAcked {
 		return nil // late data for an acked batch; harmless
 	}

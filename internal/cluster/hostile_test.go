@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,5 +105,56 @@ func TestClusterHostileClientCommitsOnNoReplica(t *testing.T) {
 				t.Fatal("honest file after the refusal restored different bytes")
 			}
 		})
+	}
+}
+
+// TestGatewayMalformedIngestCommandIsRefused is internal/server's
+// TestMalformedIngestCommandIsRefused through the gateway, which decodes the
+// client's commands with the same helper: a payload that does not decode
+// ends the session with a final protocol error instead of parking it.
+func TestGatewayMalformedIngestCommandIsRefused(t *testing.T) {
+	cl := startCluster(t, 2, nil)
+	long := wire.FileBegin{Seq: 1, Name: strings.Repeat("n", wire.MaxNameLen+1)}.Marshal()
+	for _, cmd := range []struct {
+		typ     uint8
+		payload []byte
+	}{
+		{wire.TypeFileBegin, []byte{0xFF}},
+		{wire.TypeFileBegin, long},
+		{wire.TypeOffer, []byte{0xFF}},
+		{wire.TypeChunkData, []byte{0xFF}},
+		{wire.TypeFileEnd, []byte{0xFF}},
+	} {
+		conn, err := net.Dial("tcp", cl.gwAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		read := func() wire.Frame {
+			t.Helper()
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			f, err := wire.ReadFrame(conn, wire.DefaultMaxPayload)
+			if err != nil {
+				t.Fatalf("bad %s: read frame: %v", wire.TypeName(cmd.typ), err)
+			}
+			return f
+		}
+		wire.WriteFrame(conn, wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: cl.options}.Marshal())
+		if f := read(); f.Type != wire.TypeHelloOK {
+			t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
+		}
+		wire.WriteFrame(conn, cmd.typ, cmd.payload)
+		f := read()
+		if em, err := wire.UnmarshalError(f.Payload); f.Type != wire.TypeError || err != nil ||
+			em.Code != wire.CodeProtocol || em.Retryable {
+			t.Fatalf("bad %s: answered %s %+v, want a final protocol error", wire.TypeName(cmd.typ), wire.TypeName(f.Type), em)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for cl.gw.SessionCount() != 0 && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if n := cl.gw.SessionCount(); n != 0 {
+			t.Fatalf("bad %s: %d sessions left, want the session expired", wire.TypeName(cmd.typ), n)
+		}
 	}
 }

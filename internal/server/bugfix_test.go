@@ -473,3 +473,41 @@ func TestEngineFaultMidFileReachesTheSender(t *testing.T) {
 		t.Fatalf("%d goroutines, %d before the sessions:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 	}
 }
+
+// TestPutFileRefusesUnsendableName: a FileBegin carries at most
+// wire.MaxNameLen bytes of name, so PutFile refuses a longer one before it
+// sends anything — not by reconnecting until its retries run out — and the
+// same Ingestor goes on to put files whose names fit, the longest included.
+func TestPutFileRefusesUnsendableName(t *testing.T) {
+	srv, eng, addr := startServer(t, nil)
+	ing, err := client.Connect(clientConfig(srv, addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := ch('q', 3<<12)
+	sent := ing.Stats().WireBytesOut
+	if err := ing.PutFile(strings.Repeat("n", wire.MaxNameLen+1), bytes.NewReader(data)); err == nil {
+		t.Fatal("a name the wire cannot carry was accepted")
+	}
+	if st := ing.Stats(); st.WireBytesOut != sent || st.Reconnects != 0 {
+		t.Fatalf("the refusal sent %d bytes and reconnected %d times, want neither", st.WireBytesOut-sent, st.Reconnects)
+	}
+	longest := strings.Repeat("m", wire.MaxNameLen)
+	for _, name := range []string{"after", longest} {
+		if err := ing.PutFile(name, bytes.NewReader(data)); err != nil {
+			t.Fatalf("PutFile of a %d-byte name on the same Ingestor: %v", len(name), err)
+		}
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"after", longest} {
+		var got bytes.Buffer
+		if err := eng.Restore(name, &got); err != nil || !bytes.Equal(got.Bytes(), data) {
+			t.Fatalf("%d-byte name restores %d bytes, %v", len(name), got.Len(), err)
+		}
+	}
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions left after Close", n)
+	}
+}

@@ -428,39 +428,16 @@ func (s *Server) serveIngestConn(c *session.Conn, hello wire.Hello, ss *ingestSe
 		}
 		start := time.Now()
 		var herr error
-		switch f.Type {
-		case wire.TypeFileBegin:
-			var fb wire.FileBegin
-			if fb, herr = wire.UnmarshalFileBegin(f.Payload); herr == nil {
-				herr = ss.handleFileBegin(fb, c)
-			}
-		case wire.TypeOffer:
-			var of wire.Offer
-			if of, herr = wire.UnmarshalOffer(f.Payload); herr == nil {
-				herr = ss.handleOffer(of, c)
-			}
-		case wire.TypeChunkData:
-			var cd wire.ChunkData
-			if cd, herr = wire.UnmarshalChunkData(f.Payload); herr == nil {
-				herr = ss.handleChunkData(cd, c)
-			}
-		case wire.TypeFileEnd:
-			var fe wire.FileEnd
-			if fe, herr = wire.UnmarshalFileEnd(f.Payload); herr == nil {
-				herr = ss.handleFileEnd(fe, c)
-			}
-		case wire.TypeClose:
-			if herr = ss.closeRequested(); herr == nil {
-				// Out of the table before CloseOK: a client that has seen
-				// CloseOK must find the session gone.
-				s.ep.Sessions.Expire(ss.token, false)
-				c.Write(wire.TypeCloseOK, nil)
-				s.cfg.Events.Info("session.close",
-					events.F("session", ss.token), events.F("applied", ss.lastApplied))
-				return
-			}
-		default:
-			herr = session.Fatalf(wire.CodeProtocol, "unexpected %s frame on ingest session", wire.TypeName(f.Type))
+		if f.Type != wire.TypeClose {
+			herr = session.IngestCommand(f, ss, c)
+		} else if herr = ss.closeRequested(); herr == nil {
+			// Out of the table before CloseOK: a client that has seen
+			// CloseOK must find the session gone.
+			s.ep.Sessions.Expire(ss.token, false)
+			c.Write(wire.TypeCloseOK, nil)
+			s.cfg.Events.Info("session.close",
+				events.F("session", ss.token), events.F("applied", ss.lastApplied))
+			return
 		}
 		if h := s.hFrame[f.Type]; h != nil {
 			d := h.ObserveSince(start)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,6 +146,40 @@ func TestWindowEnforced(t *testing.T) {
 	// backpressure contract.
 	write(wire.TypeFileBegin, wire.FileBegin{Seq: 6, Name: "too-far"}.Marshal())
 	expectError(t, read(), wire.CodeProtocol, false)
+}
+
+// TestMalformedIngestCommandIsRefused: a command whose payload does not
+// decode — garbage, or a name longer than the wire carries — ends the
+// session with a non-retryable protocol error. Parked instead, it would be
+// replayed byte for byte on every resume until the client gave up.
+func TestMalformedIngestCommandIsRefused(t *testing.T) {
+	srv, _, addr := startServer(t, nil)
+	long := wire.FileBegin{Seq: 1, Name: strings.Repeat("n", wire.MaxNameLen+1)}.Marshal()
+	for _, cmd := range []struct {
+		typ     uint8
+		payload []byte
+	}{
+		{wire.TypeFileBegin, []byte{0xFF}},
+		{wire.TypeFileBegin, long},
+		{wire.TypeOffer, []byte{0xFF}},
+		{wire.TypeChunkData, []byte{0xFF}},
+		{wire.TypeFileEnd, []byte{0xFF}},
+	} {
+		_, write, read := rawConn(t, addr)
+		write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+		if f := read(); f.Type != wire.TypeHelloOK {
+			t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
+		}
+		write(cmd.typ, cmd.payload)
+		expectError(t, read(), wire.CodeProtocol, false)
+		deadline := time.Now().Add(2 * time.Second)
+		for srv.SessionCount() != 0 && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := srv.SessionCount(); n != 0 {
+			t.Fatalf("bad %s: %d sessions left, want the session expired", wire.TypeName(cmd.typ), n)
+		}
+	}
 }
 
 func TestChunkDataHashMismatchIsIntegrityError(t *testing.T) {

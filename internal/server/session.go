@@ -83,12 +83,12 @@ func shedf(format string, args ...any) error {
 		Msg: fmt.Sprintf(format, args...)}}
 }
 
-// handleFileBegin queues (or idempotently acks) a FileBegin command. A
+// HandleFileBegin queues (or idempotently acks) a FileBegin command. A
 // file boundary is also the shed point: while the durability layer is
 // behind budget, starting another file would only grow the un-fsynced
 // backlog, so the session is parked with a retryable Overloaded frame
 // instead (replayed commands are never shed — their work is done).
-func (ss *ingestSession) handleFileBegin(fb wire.FileBegin, c *session.Conn) error {
+func (ss *ingestSession) HandleFileBegin(fb wire.FileBegin, c *session.Conn) error {
 	if fb.Seq <= ss.lastApplied {
 		return c.Write(wire.TypeAck, wire.Ack{Seq: fb.Seq}.Marshal())
 	}
@@ -108,13 +108,13 @@ func (ss *ingestSession) handleFileBegin(fb wire.FileBegin, c *session.Conn) err
 	return ss.applyReady(c)
 }
 
-// handleOffer computes the need-list for a batch of offered hashes,
+// HandleOffer computes the need-list for a batch of offered hashes,
 // pinning cache hits immediately so later eviction cannot invalidate the
 // answer, replies with the Need frame and queues the batch. The engine
 // stores these cuts as offered, so an entry no negotiated chunker could
 // have cut, empty or above its maximum, is refused before anything is
 // answered (its minimum is a matter of stream order: see apply).
-func (ss *ingestSession) handleOffer(of wire.Offer, c *session.Conn) error {
+func (ss *ingestSession) HandleOffer(of wire.Offer, c *session.Conn) error {
 	if of.Seq <= ss.lastApplied {
 		// Replayed batch that was already applied before the reconnect:
 		// nothing is needed, just restate the ack.
@@ -149,8 +149,8 @@ func (ss *ingestSession) handleOffer(of wire.Offer, c *session.Conn) error {
 	return ss.applyReady(c)
 }
 
-// handleChunkData verifies and stores a run of needed chunk bytes.
-func (ss *ingestSession) handleChunkData(cd wire.ChunkData, c *session.Conn) error {
+// HandleChunkData verifies and stores a run of needed chunk bytes.
+func (ss *ingestSession) HandleChunkData(cd wire.ChunkData, c *session.Conn) error {
 	if cd.Seq <= ss.lastApplied {
 		return nil // late data for an already-applied batch; harmless
 	}
@@ -183,8 +183,8 @@ func (ss *ingestSession) handleChunkData(cd wire.ChunkData, c *session.Conn) err
 	return ss.applyReady(c)
 }
 
-// handleFileEnd queues a FileEnd command.
-func (ss *ingestSession) handleFileEnd(fe wire.FileEnd, c *session.Conn) error {
+// HandleFileEnd queues a FileEnd command.
+func (ss *ingestSession) HandleFileEnd(fe wire.FileEnd, c *session.Conn) error {
 	if fe.Seq <= ss.lastApplied {
 		return c.Write(wire.TypeAck, wire.Ack{Seq: fe.Seq}.Marshal())
 	}

@@ -196,6 +196,49 @@ type Shed struct{ Msg wire.ErrorMsg }
 
 func (e *Shed) Error() string { return e.Msg.Error() }
 
+// Ingester is an ingest session's handlers for the four client commands.
+// dedupd and the gateway each implement it once; IngestCommand decodes for
+// both.
+type Ingester interface {
+	HandleFileBegin(wire.FileBegin, *Conn) error
+	HandleOffer(wire.Offer, *Conn) error
+	HandleChunkData(wire.ChunkData, *Conn) error
+	HandleFileEnd(wire.FileEnd, *Conn) error
+}
+
+// IngestCommand decodes f as one of the four ingest commands and hands it
+// to in. Any other frame, and a payload that does not decode, is Fatal: a
+// session parked over a malformed command would be replayed the same bytes
+// on resume and fail the same way until the client gave up.
+func IngestCommand(f wire.Frame, in Ingester, c *Conn) error {
+	var err error
+	switch f.Type {
+	case wire.TypeFileBegin:
+		var fb wire.FileBegin
+		if fb, err = wire.UnmarshalFileBegin(f.Payload); err == nil {
+			return in.HandleFileBegin(fb, c)
+		}
+	case wire.TypeOffer:
+		var of wire.Offer
+		if of, err = wire.UnmarshalOffer(f.Payload); err == nil {
+			return in.HandleOffer(of, c)
+		}
+	case wire.TypeChunkData:
+		var cd wire.ChunkData
+		if cd, err = wire.UnmarshalChunkData(f.Payload); err == nil {
+			return in.HandleChunkData(cd, c)
+		}
+	case wire.TypeFileEnd:
+		var fe wire.FileEnd
+		if fe, err = wire.UnmarshalFileEnd(f.Payload); err == nil {
+			return in.HandleFileEnd(fe, c)
+		}
+	default:
+		return Fatalf(wire.CodeProtocol, "unexpected %s frame on ingest session", wire.TypeName(f.Type))
+	}
+	return Fatalf(wire.CodeProtocol, "bad %s: %v", wire.TypeName(f.Type), err)
+}
+
 // Report tells the peer what a handler error entitles it to know and
 // classifies the error: a non-nil result means the session must end;
 // nil (a Shed, or a transport failure nobody can be told about) means it

@@ -583,6 +583,27 @@ func Mount(dir string) (*Disk, *WAL, WALReplayReport, error) {
 	return d, w, rep, nil
 }
 
+// Load reads dir as a snapshot: the newest committed generation with the
+// log's valid prefix replayed on top, the log read once and nothing
+// attached. With repair it first makes Recover's repairs, best-effort — a
+// directory that cannot be written still loads, and the generation choice
+// and the replay are the authority on what mounts. Without it nothing on
+// disk changes, so it may run beside the store's live writer.
+func Load(dir string, repair bool) (*Disk, WALReplayReport, error) {
+	if repair {
+		recoverGenerations(dir)
+	}
+	d, err := LoadDir(dir)
+	if err != nil {
+		return nil, WALReplayReport{}, err
+	}
+	rep, _, err := walPass(dir, d, repair)
+	if err != nil && !errors.Is(err, errWALRepair) {
+		return nil, rep, fmt.Errorf("simdisk: wal replay: %w", err)
+	}
+	return d, rep, nil
+}
+
 // recoverGenerations is the generation half of Recover.
 func recoverGenerations(dir string) (RecoverReport, error) {
 	var rep RecoverReport

@@ -197,8 +197,8 @@ func (d *Disk) SetReadTransform(fn func(cat Category, name string, data []byte) 
 // Create/Write/Delete from here on is journaled as a delta record, and a
 // SaveDir into the WAL's own store directory folds the log into the new
 // generation (compaction). Pass nil to detach. The WAL must belong to the
-// directory the disk is persisted into; attach it right after
-// LoadDir+ReplayWAL, before any mutation (Mount does all three).
+// directory the disk is persisted into; attach it right after the load,
+// before any mutation (Mount does both).
 func (d *Disk) SetWAL(w *WAL) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -3,6 +3,7 @@ package simdisk
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -696,33 +697,24 @@ func (p *walFold) apply(r WALRecord) error {
 	return nil
 }
 
-// ReplayWAL applies the store directory's write-ahead log onto d, in
-// segment order, stopping cleanly at the first invalid record (the torn
-// tail of a crash): everything before it is applied, everything from it
-// onward — including all later segments — is ignored. Read-only: the log
-// files are not modified (Recover and OpenWAL trim the tail on disk).
-// A missing or empty log replays as zero records.
-func ReplayWAL(storeDir string, d *Disk) (WALReplayReport, error) {
-	rep, _, err := walPass(storeDir, d, false)
-	if err != nil {
-		err = fmt.Errorf("simdisk: wal replay: %w", err)
-	}
-	return rep, err
-}
+// errWALRepair marks a walPass error raised by its repair, after the fold
+// succeeded.
+var errWALRepair = errors.New("wal repair")
 
-// walPass is the one walk over a store directory's log that replay,
-// recovery and the durable mount share: every segment is read and CRC'd
-// once, its valid records folded onto d (nil: only checked), and — when
-// repair is set — the crash debris trimmed on disk so the valid prefix is
-// exactly what remains: a segment with a torn tail is truncated to it (or
-// removed when even its magic is gone) and every later segment removed —
-// appending must never resume after bytes a replay would discard. The
-// repair is idempotent AND re-entrant: later segments go in reverse order
-// and the boundary segment is repaired last, so a crash anywhere in here
-// leaves the boundary in place to keep marking where the valid prefix ends
-// (repairing it first would let the surviving later segments rejoin the log
-// and resurrect discarded records). recoverPoint is consulted before each
-// repair. lastSeg is the highest segment number the log has used.
+// walPass is the one walk over a store directory's log that Load, Recover
+// and Mount share: every segment is read and CRC'd once, its valid records
+// folded onto d (nil: only checked), and — when repair is set — the crash
+// debris trimmed on disk so the valid prefix is exactly what remains: a
+// segment with a torn tail is truncated to it (or removed when even its
+// magic is gone) and every later segment removed — appending must never
+// resume after bytes a replay would discard. The repair is idempotent AND
+// re-entrant: later segments go in reverse order and the boundary segment is
+// repaired last, so a crash anywhere in here leaves the boundary in place to
+// keep marking where the valid prefix ends (repairing it first would let the
+// surviving later segments rejoin the log and resurrect discarded records).
+// recoverPoint is consulted before each repair, and a repair that fails is
+// marked errWALRepair. lastSeg is the highest segment number the log has
+// used.
 func walPass(storeDir string, d *Disk, repair bool) (rep WALReplayReport, lastSeg int, err error) {
 	names, lastSeg, err := walSegments(storeDir)
 	if err != nil || len(names) == 0 {
@@ -761,6 +753,14 @@ func walPass(storeDir string, d *Disk, repair bool) (rep WALReplayReport, lastSe
 	if boundary < 0 || !repair {
 		return rep, lastSeg, nil
 	}
+
+	// What fails from here on fails the repair, not the fold: a best-effort
+	// Load keeps the folded disk.
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %w", errWALRepair, err)
+		}
+	}()
 
 	// Pass 2: remove the segments beyond the boundary, newest first.
 	remove := func(name string) error {

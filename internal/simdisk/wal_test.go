@@ -16,13 +16,9 @@ import (
 // newest committed generation + the write-ahead log's valid prefix.
 func mountReplayed(t *testing.T, dir string) (*Disk, WALReplayReport) {
 	t.Helper()
-	d, err := LoadDir(dir)
+	d, rep, err := Load(dir, false)
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
-	}
-	rep, err := ReplayWAL(dir, d)
-	if err != nil {
-		t.Fatalf("replay %s: %v", dir, err)
 	}
 	return d, rep
 }
@@ -132,8 +128,7 @@ func TestWALTornTailDiscard(t *testing.T) {
 
 	// Replay is read-only and stops cleanly at the tear: a, b, c visible;
 	// the torn d and everything after (all of segment 3) discarded.
-	d := New()
-	rep, err := ReplayWAL(dir, d)
+	d, rep, err := Load(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +179,52 @@ func TestWALTornTailDiscard(t *testing.T) {
 	defer w.Close()
 	if st := w.Stats(); st.Segment != 3 || st.DurableRecords != 3 {
 		t.Fatalf("reopened stats = %+v, want segment 3 over 3 records", st)
+	}
+}
+
+// TestLoadRepairsBestEffort: a Load that may repair folds the generation
+// and the log in the same pass as its trim, and when no repair can be made
+// (a read-only directory; here every repair step fails) it still loads
+// exactly what a read-only Load does. A later Load that can write trims.
+func TestLoadRepairsBestEffort(t *testing.T) {
+	dir := t.TempDir()
+	gen := New()
+	gen.Create(Manifest, "m", []byte("in the generation"))
+	if err := gen.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "gen-000002.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := func(name, data string) WALRecord {
+		return WALRecord{Op: WALSet, Cat: Data, Name: name, Data: []byte(data)}
+	}
+	writeSeg(t, dir, 1, []WALRecord{rec("a", "aaaa"), rec("b", "bbbb")}, 5) // torn
+	writeSeg(t, dir, 2, []WALRecord{rec("c", "cccc")}, 0)                   // beyond the tear
+	want, wantRep := mountReplayed(t, dir)
+	if len(snapshot(want)[Manifest]) != 1 || len(snapshot(want)[Data]) != 1 {
+		t.Fatalf("read-only load = %v, want the generation's manifest and record a", snapshot(want))
+	}
+
+	recoverHook = func(step string) error { return fmt.Errorf("read-only: %s", step) }
+	d, rep, err := Load(dir, true)
+	recoverHook = nil
+	if err != nil || !sameState(snapshot(d), snapshot(want)) || rep.Records != wantRep.Records || len(rep.Trimmed) != 0 {
+		t.Fatalf("Load with every repair failing = %+v, %v; want the read-only load, nothing trimmed", rep, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "gen-000002.tmp")); err != nil {
+		t.Fatalf("the failed repair removed the interrupted save: %v", err)
+	}
+
+	d, rep, err = Load(dir, true)
+	if err != nil || !sameState(snapshot(d), snapshot(want)) || len(rep.Trimmed) != 2 {
+		t.Fatalf("Load = %+v, %v; want the same objects and the torn segment and the one after it trimmed", rep, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "gen-000002.tmp")); !os.IsNotExist(err) {
+		t.Fatalf("the interrupted save survived a repairing Load: %v", err)
+	}
+	if _, rep := mountReplayed(t, dir); rep.Truncated || rep.Records != 1 {
+		t.Fatalf("after the repair the log replays as %+v, want one record and no torn tail", rep)
 	}
 }
 
@@ -456,8 +497,7 @@ func TestWALReplayStagedObjects(t *testing.T) {
 				}
 				writeSeg(t, dir, i+1, recs, tear)
 			}
-			d := New()
-			rep, err := ReplayWAL(dir, d)
+			d, rep, err := Load(dir, false)
 			if c.err != "" {
 				if err == nil || !strings.Contains(err.Error(), c.err) {
 					t.Fatalf("replay error = %v, want one naming %q", err, c.err)
@@ -488,7 +528,7 @@ func TestWALReplayStagedObjects(t *testing.T) {
 			}
 			defer w.Close()
 			if !sameState(snapshot(d), snapshot(md)) || mrep.Records != rep.Records || mrep.Unsealed != rep.Unsealed {
-				t.Fatalf("Mount report %+v / state differs from ReplayWAL's %+v", mrep, rep)
+				t.Fatalf("Mount report %+v / state differs from Load's %+v", mrep, rep)
 			}
 			if st := w.Stats(); st.DurableRecords != rep.Records || st.Segment != len(c.segs)+1 {
 				t.Fatalf("mounted log stats = %+v, want %d records under segment %d", st, rep.Records, len(c.segs)+1)
@@ -575,8 +615,7 @@ func FuzzWALScanReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, walDirName, walSegName(1)), seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d := New()
-		rep, err := ReplayWAL(dir, d)
+		d, rep, err := Load(dir, false)
 		_, rerr := Recover(dir)
 		if (err != nil) != refused || (rerr != nil) != refused {
 			t.Fatalf("model refuses=%v, replay error %v, recover error %v", refused, err, rerr)

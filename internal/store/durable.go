@@ -250,10 +250,7 @@ func (d *Durable) Scrub() error {
 	defer d.compactMu.Unlock()
 	start := time.Now()
 	d.ev.Info("scrub.start")
-	snap, err := simdisk.LoadDir(d.dir)
-	if err == nil {
-		_, err = simdisk.ReplayWAL(d.dir, snap)
-	}
+	snap, _, err := simdisk.Load(d.dir, false)
 	if err != nil {
 		d.scrubErrors.Add(1)
 		d.ev.Error("scrub.error", events.F("err", err.Error()))

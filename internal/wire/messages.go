@@ -1,194 +1,18 @@
-// Message payload codec. Each frame type's payload is a fixed grammar of
-// big-endian integers, length-prefixed strings/byte runs and 20-byte
-// hashes. Encoding is append-style (Marshal returns a payload for
-// WriteFrame); decoding is a pure function of the payload bytes with an
-// error-latched cursor, so a truncated or trailing-garbage payload fails
-// loudly instead of being misread.
+// Message payloads. Each frame type's payload is a fixed grammar of
+// big-endian integers, length-prefixed strings and byte runs, 20-byte hashes
+// and counted lists, written once as the message's fields method; the codec
+// (codec.go) runs that walk to size, encode and decode the payload, so
+// Marshal and UnmarshalX are thin calls into it. Decoding is a pure function
+// of the payload bytes: a truncated, out-of-range or trailing-garbage
+// payload fails loudly instead of being misread.
 package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"mhdedup/internal/hashutil"
 )
-
-// Limits on variable-length message fields, enforced by the decoders so a
-// hostile peer cannot make a small frame allocate a large structure.
-const (
-	// MaxNameLen bounds file and algorithm names.
-	MaxNameLen = 4096
-	// MaxBatchChunks bounds the chunks of one Offer/Need/ChunkData batch.
-	MaxBatchChunks = 1 << 16
-	// MaxListNames bounds one ListResp.
-	MaxListNames = 1 << 20
-)
-
-// ErrTruncated reports a payload shorter than its grammar requires.
-var ErrTruncated = errors.New("wire: truncated message payload")
-
-// ErrTrailing reports payload bytes after the end of the message grammar.
-var ErrTrailing = errors.New("wire: trailing bytes after message payload")
-
-// ErrFieldRange reports a length or count field outside its allowed range.
-var ErrFieldRange = errors.New("wire: message field out of range")
-
-// ---------------------------------------------------------------------------
-// Cursor primitives.
-
-// reader is an error-latched decode cursor: after the first failure every
-// subsequent read is a no-op returning zero values, and the final err()
-// reports what went wrong. This keeps decoders linear and total.
-type reader struct {
-	buf []byte
-	off int
-	e   error
-}
-
-func (r *reader) fail(err error) {
-	if r.e == nil {
-		r.e = err
-	}
-}
-
-func (r *reader) take(n int) []byte {
-	if r.e != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.buf) || r.off+n < r.off {
-		r.fail(ErrTruncated)
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-// bool reads a strict boolean: only 0 and 1 are accepted, so every
-// accepted payload re-encodes byte-identically (the canonical-encode
-// invariant the decode fuzzers pin).
-func (r *reader) bool() bool {
-	b := r.u8()
-	if r.e == nil && b > 1 {
-		r.fail(fmt.Errorf("%w: boolean byte 0x%02x", ErrFieldRange, b))
-	}
-	return b == 1
-}
-
-func (r *reader) hash() hashutil.Sum {
-	var s hashutil.Sum
-	b := r.take(hashutil.Size)
-	if b != nil {
-		copy(s[:], b)
-	}
-	return s
-}
-
-// str reads a u16-length-prefixed string bounded by MaxNameLen.
-func (r *reader) str() string {
-	n := int(r.u16())
-	if r.e == nil && n > MaxNameLen {
-		r.fail(fmt.Errorf("%w: string length %d > %d", ErrFieldRange, n, MaxNameLen))
-		return ""
-	}
-	return string(r.take(n))
-}
-
-// blob reads a u32-length-prefixed byte run. The bytes alias the payload;
-// callers that retain them past the frame must copy.
-func (r *reader) blob() []byte {
-	n := r.u32()
-	if r.e == nil && int64(n) > int64(len(r.buf)) {
-		r.fail(fmt.Errorf("%w: blob length %d exceeds payload", ErrFieldRange, n))
-		return nil
-	}
-	return r.take(int(n))
-}
-
-// count validates a declared element count against a cap and against the
-// bytes actually remaining (each element needs at least minSize bytes), so
-// a hostile count field cannot drive a large allocation from a tiny
-// payload.
-func (r *reader) count(n uint32, cap uint32, minSize int) bool {
-	if r.e != nil {
-		return false
-	}
-	if n > cap {
-		r.fail(fmt.Errorf("%w: count %d > %d", ErrFieldRange, n, cap))
-		return false
-	}
-	if int64(n)*int64(minSize) > int64(len(r.buf)-r.off) {
-		r.fail(ErrTruncated)
-		return false
-	}
-	return true
-}
-
-// done verifies the whole payload was consumed.
-func (r *reader) done() error {
-	if r.e != nil {
-		return r.e
-	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("%w: %d bytes", ErrTrailing, len(r.buf)-r.off)
-	}
-	return nil
-}
-
-// Append-style encode primitives.
-func putU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
-func putU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func putU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-func putBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func putStr(b []byte, s string) []byte {
-	b = putU16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-func putBlob(b, p []byte) []byte {
-	b = putU32(b, uint32(len(p)))
-	return append(b, p...)
-}
 
 // ---------------------------------------------------------------------------
 // Handshake.
@@ -229,35 +53,20 @@ type Hello struct {
 	Secret      string
 }
 
-// Marshal encodes h as a TypeHello payload.
-func (h Hello) Marshal() []byte {
-	b := make([]byte, 0, 40+len(h.Options.Algorithm)+len(h.Tenant)+len(h.Secret))
-	b = append(b, h.Mode)
-	b = putStr(b, h.Options.Algorithm)
-	b = putU32(b, h.Options.ECS)
-	b = putU32(b, h.Options.SD)
-	b = putBool(b, h.Options.TTTD)
-	b = putBool(b, h.Options.FastCDC)
-	b = putU64(b, h.ResumeToken)
-	b = putStr(b, h.Tenant)
-	b = putStr(b, h.Secret)
-	return b
+func (h *Hello) fields(c *codec) *codec {
+	o := &h.Options
+	return c.u8(&h.Mode).str(&o.Algorithm).u32(&o.ECS).u32(&o.SD).bool(&o.TTTD).bool(&o.FastCDC).
+		u64(&h.ResumeToken).str(&h.Tenant).str(&h.Secret)
 }
+
+// Marshal encodes h as a TypeHello payload.
+func (h Hello) Marshal() []byte { return h.fields(h.fields(&codec{}).encoder()).buf }
 
 // UnmarshalHello decodes a TypeHello payload.
 func UnmarshalHello(p []byte) (Hello, error) {
-	r := &reader{buf: p}
 	var h Hello
-	h.Mode = r.u8()
-	h.Options.Algorithm = r.str()
-	h.Options.ECS = r.u32()
-	h.Options.SD = r.u32()
-	h.Options.TTTD = r.bool()
-	h.Options.FastCDC = r.bool()
-	h.ResumeToken = r.u64()
-	h.Tenant = r.str()
-	h.Secret = r.str()
-	return h, r.done()
+	err := h.fields(decoder(p)).done()
+	return h, err
 }
 
 // HelloOK accepts a session.
@@ -275,25 +84,18 @@ type HelloOK struct {
 	LastApplied uint64
 }
 
-// Marshal encodes ok as a TypeHelloOK payload.
-func (ok HelloOK) Marshal() []byte {
-	b := make([]byte, 0, 24)
-	b = putU64(b, ok.SessionToken)
-	b = putU32(b, ok.Window)
-	b = putU32(b, ok.MaxPayload)
-	b = putU64(b, ok.LastApplied)
-	return b
+func (ok *HelloOK) fields(c *codec) *codec {
+	return c.u64(&ok.SessionToken).u32(&ok.Window).u32(&ok.MaxPayload).u64(&ok.LastApplied)
 }
+
+// Marshal encodes ok as a TypeHelloOK payload.
+func (ok HelloOK) Marshal() []byte { return ok.fields(ok.fields(&codec{}).encoder()).buf }
 
 // UnmarshalHelloOK decodes a TypeHelloOK payload.
 func UnmarshalHelloOK(p []byte) (HelloOK, error) {
-	r := &reader{buf: p}
 	var ok HelloOK
-	ok.SessionToken = r.u64()
-	ok.Window = r.u32()
-	ok.MaxPayload = r.u32()
-	ok.LastApplied = r.u64()
-	return ok, r.done()
+	err := ok.fields(decoder(p)).done()
+	return ok, err
 }
 
 // ---------------------------------------------------------------------------
@@ -330,25 +132,18 @@ func (e ErrorMsg) Error() string {
 	return fmt.Sprintf("wire: remote error code=%d retryable=%v: %s", e.Code, e.Retryable, e.Msg)
 }
 
-// Marshal encodes e as a TypeError payload.
-func (e ErrorMsg) Marshal() []byte {
-	b := make([]byte, 0, 12+len(e.Msg))
-	b = putU16(b, e.Code)
-	b = putBool(b, e.Retryable)
-	b = putStr(b, e.Msg)
-	b = putU32(b, e.RetryAfterMs)
-	return b
+func (e *ErrorMsg) fields(c *codec) *codec {
+	return c.u16(&e.Code).bool(&e.Retryable).str(&e.Msg).u32(&e.RetryAfterMs)
 }
+
+// Marshal encodes e as a TypeError payload.
+func (e ErrorMsg) Marshal() []byte { return e.fields(e.fields(&codec{}).encoder()).buf }
 
 // UnmarshalError decodes a TypeError payload.
 func UnmarshalError(p []byte) (ErrorMsg, error) {
-	r := &reader{buf: p}
 	var e ErrorMsg
-	e.Code = r.u16()
-	e.Retryable = r.bool()
-	e.Msg = r.str()
-	e.RetryAfterMs = r.u32()
-	return e, r.done()
+	err := e.fields(decoder(p)).done()
+	return e, err
 }
 
 // ---------------------------------------------------------------------------
@@ -360,21 +155,16 @@ type FileBegin struct {
 	Name string
 }
 
+func (f *FileBegin) fields(c *codec) *codec { return c.u64(&f.Seq).str(&f.Name) }
+
 // Marshal encodes f as a TypeFileBegin payload.
-func (f FileBegin) Marshal() []byte {
-	b := make([]byte, 0, 16+len(f.Name))
-	b = putU64(b, f.Seq)
-	b = putStr(b, f.Name)
-	return b
-}
+func (f FileBegin) Marshal() []byte { return f.fields(f.fields(&codec{}).encoder()).buf }
 
 // UnmarshalFileBegin decodes a TypeFileBegin payload.
 func UnmarshalFileBegin(p []byte) (FileBegin, error) {
-	r := &reader{buf: p}
 	var f FileBegin
-	f.Seq = r.u64()
-	f.Name = r.str()
-	return f, r.done()
+	err := f.fields(decoder(p)).done()
+	return f, err
 }
 
 // OfferEntry is one locally chunked chunk: its hash and exact size.
@@ -390,34 +180,16 @@ type Offer struct {
 	Entries []OfferEntry
 }
 
+func (o *Offer) fields(c *codec) *codec { return c.u64(&o.Seq).entries(&o.Entries) }
+
 // Marshal encodes o as a TypeOffer payload.
-func (o Offer) Marshal() []byte {
-	b := make([]byte, 0, 12+len(o.Entries)*(hashutil.Size+4))
-	b = putU64(b, o.Seq)
-	b = putU32(b, uint32(len(o.Entries)))
-	for _, e := range o.Entries {
-		b = append(b, e.Hash[:]...)
-		b = putU32(b, e.Size)
-	}
-	return b
-}
+func (o Offer) Marshal() []byte { return o.fields(o.fields(&codec{}).encoder()).buf }
 
 // UnmarshalOffer decodes a TypeOffer payload.
 func UnmarshalOffer(p []byte) (Offer, error) {
-	r := &reader{buf: p}
 	var o Offer
-	o.Seq = r.u64()
-	n := r.u32()
-	if r.count(n, MaxBatchChunks, hashutil.Size+4) {
-		o.Entries = make([]OfferEntry, 0, n)
-		for i := uint32(0); i < n && r.e == nil; i++ {
-			var e OfferEntry
-			e.Hash = r.hash()
-			e.Size = r.u32()
-			o.Entries = append(o.Entries, e)
-		}
-	}
-	return o, r.done()
+	err := o.fields(decoder(p)).done()
+	return o, err
 }
 
 // Need answers an Offer: the offer-batch indices whose bytes the server
@@ -428,30 +200,16 @@ type Need struct {
 	Indices []uint32
 }
 
+func (n *Need) fields(c *codec) *codec { return c.u64(&n.Seq).u32s(&n.Indices) }
+
 // Marshal encodes n as a TypeNeed payload.
-func (n Need) Marshal() []byte {
-	b := make([]byte, 0, 12+4*len(n.Indices))
-	b = putU64(b, n.Seq)
-	b = putU32(b, uint32(len(n.Indices)))
-	for _, i := range n.Indices {
-		b = putU32(b, i)
-	}
-	return b
-}
+func (n Need) Marshal() []byte { return n.fields(n.fields(&codec{}).encoder()).buf }
 
 // UnmarshalNeed decodes a TypeNeed payload.
 func UnmarshalNeed(p []byte) (Need, error) {
-	r := &reader{buf: p}
 	var n Need
-	n.Seq = r.u64()
-	c := r.u32()
-	if r.count(c, MaxBatchChunks, 4) {
-		n.Indices = make([]uint32, 0, c)
-		for i := uint32(0); i < c && r.e == nil; i++ {
-			n.Indices = append(n.Indices, r.u32())
-		}
-	}
-	return n, r.done()
+	err := n.fields(decoder(p)).done()
+	return n, err
 }
 
 // ChunkData carries a run of needed chunk bytes for offer batch Seq:
@@ -463,37 +221,17 @@ type ChunkData struct {
 	Chunks [][]byte
 }
 
+func (d *ChunkData) fields(c *codec) *codec { return c.u64(&d.Seq).u32(&d.Start).blobs(&d.Chunks) }
+
 // Marshal encodes d as a TypeChunkData payload.
-func (d ChunkData) Marshal() []byte {
-	size := 16
-	for _, c := range d.Chunks {
-		size += 4 + len(c)
-	}
-	b := make([]byte, 0, size)
-	b = putU64(b, d.Seq)
-	b = putU32(b, d.Start)
-	b = putU32(b, uint32(len(d.Chunks)))
-	for _, c := range d.Chunks {
-		b = putBlob(b, c)
-	}
-	return b
-}
+func (d ChunkData) Marshal() []byte { return d.fields(d.fields(&codec{}).encoder()).buf }
 
 // UnmarshalChunkData decodes a TypeChunkData payload. The chunk slices
 // alias the payload buffer.
 func UnmarshalChunkData(p []byte) (ChunkData, error) {
-	r := &reader{buf: p}
 	var d ChunkData
-	d.Seq = r.u64()
-	d.Start = r.u32()
-	n := r.u32()
-	if r.count(n, MaxBatchChunks, 4) {
-		d.Chunks = make([][]byte, 0, n)
-		for i := uint32(0); i < n && r.e == nil; i++ {
-			d.Chunks = append(d.Chunks, r.blob())
-		}
-	}
-	return d, r.done()
+	err := d.fields(decoder(p)).done()
+	return d, err
 }
 
 // FileEnd completes the current file. Sum is the SHA-1 over the file's
@@ -507,22 +245,16 @@ type FileEnd struct {
 	Sum        hashutil.Sum
 }
 
+func (f *FileEnd) fields(c *codec) *codec { return c.u64(&f.Seq).u64(&f.TotalBytes).hash(&f.Sum) }
+
 // Marshal encodes f as a TypeFileEnd payload.
-func (f FileEnd) Marshal() []byte {
-	b := make([]byte, 0, 16+hashutil.Size)
-	b = putU64(b, f.Seq)
-	b = putU64(b, f.TotalBytes)
-	return append(b, f.Sum[:]...)
-}
+func (f FileEnd) Marshal() []byte { return f.fields(f.fields(&codec{}).encoder()).buf }
 
 // UnmarshalFileEnd decodes a TypeFileEnd payload.
 func UnmarshalFileEnd(p []byte) (FileEnd, error) {
-	r := &reader{buf: p}
 	var f FileEnd
-	f.Seq = r.u64()
-	f.TotalBytes = r.u64()
-	f.Sum = r.hash()
-	return f, r.done()
+	err := f.fields(decoder(p)).done()
+	return f, err
 }
 
 // Ack acknowledges that command Seq (FileBegin, Offer or FileEnd) was
@@ -532,14 +264,16 @@ type Ack struct {
 	Seq uint64
 }
 
+func (a *Ack) fields(c *codec) *codec { return c.u64(&a.Seq) }
+
 // Marshal encodes a as a TypeAck payload.
-func (a Ack) Marshal() []byte { return putU64(make([]byte, 0, 8), a.Seq) }
+func (a Ack) Marshal() []byte { return a.fields(a.fields(&codec{}).encoder()).buf }
 
 // UnmarshalAck decodes a TypeAck payload.
 func UnmarshalAck(p []byte) (Ack, error) {
-	r := &reader{buf: p}
-	a := Ack{Seq: r.u64()}
-	return a, r.done()
+	var a Ack
+	err := a.fields(decoder(p)).done()
+	return a, err
 }
 
 // ---------------------------------------------------------------------------
@@ -552,20 +286,16 @@ type RestoreReq struct {
 	Verify bool
 }
 
+func (q *RestoreReq) fields(c *codec) *codec { return c.str(&q.Name).bool(&q.Verify) }
+
 // Marshal encodes q as a TypeRestoreReq payload.
-func (q RestoreReq) Marshal() []byte {
-	b := make([]byte, 0, 4+len(q.Name))
-	b = putStr(b, q.Name)
-	return putBool(b, q.Verify)
-}
+func (q RestoreReq) Marshal() []byte { return q.fields(q.fields(&codec{}).encoder()).buf }
 
 // UnmarshalRestoreReq decodes a TypeRestoreReq payload.
 func UnmarshalRestoreReq(p []byte) (RestoreReq, error) {
-	r := &reader{buf: p}
 	var q RestoreReq
-	q.Name = r.str()
-	q.Verify = r.bool()
-	return q, r.done()
+	err := q.fields(decoder(p)).done()
+	return q, err
 }
 
 // RestoreToEOF is the RestoreRange length meaning "through end of file".
@@ -591,38 +321,21 @@ type RestoreRange struct {
 	Length uint64
 }
 
-// Marshal encodes q as a TypeRestoreRange payload.
-func (q RestoreRange) Marshal() []byte {
-	b := make([]byte, 0, 1+4+len(q.Name)+1+16)
-	b = append(b, restoreRangeVersion)
-	b = putStr(b, q.Name)
-	b = putBool(b, q.Verify)
-	b = putU64(b, q.Offset)
-	return putU64(b, q.Length)
+func (q *RestoreRange) fields(c *codec) *codec {
+	c = c.version(restoreRangeVersion, "RestoreRange").str(&q.Name).bool(&q.Verify).u64(&q.Offset).u64(&q.Length)
+	return c.refuse(q.Offset > maxRestoreExtent, "RestoreRange offset beyond 2^62").
+		refuse(q.Length > maxRestoreExtent && q.Length != RestoreToEOF, "RestoreRange length beyond 2^62")
 }
+
+// Marshal encodes q as a TypeRestoreRange payload.
+func (q RestoreRange) Marshal() []byte { return q.fields(q.fields(&codec{}).encoder()).buf }
 
 // UnmarshalRestoreRange decodes a TypeRestoreRange payload, rejecting
 // extents no real file can have before any arithmetic happens on them.
 func UnmarshalRestoreRange(p []byte) (RestoreRange, error) {
-	r := &reader{buf: p}
-	if v := r.u8(); r.e == nil && v != restoreRangeVersion {
-		return RestoreRange{}, fmt.Errorf("wire: RestoreRange version %d not supported", v)
-	}
 	var q RestoreRange
-	q.Name = r.str()
-	q.Verify = r.bool()
-	q.Offset = r.u64()
-	q.Length = r.u64()
-	if err := r.done(); err != nil {
-		return RestoreRange{}, err
-	}
-	if q.Offset > maxRestoreExtent {
-		return RestoreRange{}, fmt.Errorf("wire: RestoreRange offset %d out of range", q.Offset)
-	}
-	if q.Length > maxRestoreExtent && q.Length != RestoreToEOF {
-		return RestoreRange{}, fmt.Errorf("wire: RestoreRange length %d out of range", q.Length)
-	}
-	return q, nil
+	err := q.fields(decoder(p)).done()
+	return q, err
 }
 
 // UnmarshalRestoreRequest decodes either restore request frame: a
@@ -640,10 +353,10 @@ type RestoreData struct {
 	Data []byte
 }
 
+func (d *RestoreData) fields(c *codec) *codec { return c.blob(&d.Data) }
+
 // Marshal encodes d as a TypeRestoreData payload.
-func (d RestoreData) Marshal() []byte {
-	return putBlob(make([]byte, 0, 4+len(d.Data)), d.Data)
-}
+func (d RestoreData) Marshal() []byte { return d.fields(d.fields(&codec{}).encoder()).buf }
 
 // Parts is Marshal without the copy: the payload as its length prefix,
 // written into prefix, and d.Data itself — two parts for WriteFrame.
@@ -654,9 +367,9 @@ func (d RestoreData) Parts(prefix *[4]byte) (head, data []byte) {
 
 // UnmarshalRestoreData decodes a TypeRestoreData payload. Data aliases p.
 func UnmarshalRestoreData(p []byte) (RestoreData, error) {
-	r := &reader{buf: p}
-	d := RestoreData{Data: r.blob()}
-	return d, r.done()
+	var d RestoreData
+	err := d.fields(decoder(p)).done()
+	return d, err
 }
 
 // RestoreEnd closes a restore stream with the file's total size and
@@ -666,19 +379,16 @@ type RestoreEnd struct {
 	Sum        hashutil.Sum
 }
 
+func (e *RestoreEnd) fields(c *codec) *codec { return c.u64(&e.TotalBytes).hash(&e.Sum) }
+
 // Marshal encodes e as a TypeRestoreEnd payload.
-func (e RestoreEnd) Marshal() []byte {
-	b := putU64(make([]byte, 0, 8+hashutil.Size), e.TotalBytes)
-	return append(b, e.Sum[:]...)
-}
+func (e RestoreEnd) Marshal() []byte { return e.fields(e.fields(&codec{}).encoder()).buf }
 
 // UnmarshalRestoreEnd decodes a TypeRestoreEnd payload.
 func UnmarshalRestoreEnd(p []byte) (RestoreEnd, error) {
-	r := &reader{buf: p}
 	var e RestoreEnd
-	e.TotalBytes = r.u64()
-	e.Sum = r.hash()
-	return e, r.done()
+	err := e.fields(decoder(p)).done()
+	return e, err
 }
 
 // ListResp carries the store's restorable file names.
@@ -686,27 +396,16 @@ type ListResp struct {
 	Names []string
 }
 
+func (l *ListResp) fields(c *codec) *codec { return c.strs(&l.Names, MaxListNames) }
+
 // Marshal encodes l as a TypeListResp payload.
-func (l ListResp) Marshal() []byte {
-	b := putU32(make([]byte, 0, 64), uint32(len(l.Names)))
-	for _, n := range l.Names {
-		b = putStr(b, n)
-	}
-	return b
-}
+func (l ListResp) Marshal() []byte { return l.fields(l.fields(&codec{}).encoder()).buf }
 
 // UnmarshalListResp decodes a TypeListResp payload.
 func UnmarshalListResp(p []byte) (ListResp, error) {
-	r := &reader{buf: p}
 	var l ListResp
-	n := r.u32()
-	if r.count(n, MaxListNames, 2) {
-		l.Names = make([]string, 0, n)
-		for i := uint32(0); i < n && r.e == nil; i++ {
-			l.Names = append(l.Names, r.str())
-		}
-	}
-	return l, r.done()
+	err := l.fields(decoder(p)).done()
+	return l, err
 }
 
 // ---------------------------------------------------------------------------
@@ -720,32 +419,16 @@ type PeerFetch struct {
 	Entries []OfferEntry
 }
 
+func (f *PeerFetch) fields(c *codec) *codec { return c.entries(&f.Entries) }
+
 // Marshal encodes f as a TypePeerFetch payload.
-func (f PeerFetch) Marshal() []byte {
-	b := make([]byte, 0, 4+len(f.Entries)*(hashutil.Size+4))
-	b = putU32(b, uint32(len(f.Entries)))
-	for _, e := range f.Entries {
-		b = append(b, e.Hash[:]...)
-		b = putU32(b, e.Size)
-	}
-	return b
-}
+func (f PeerFetch) Marshal() []byte { return f.fields(f.fields(&codec{}).encoder()).buf }
 
 // UnmarshalPeerFetch decodes a TypePeerFetch payload.
 func UnmarshalPeerFetch(p []byte) (PeerFetch, error) {
-	r := &reader{buf: p}
 	var f PeerFetch
-	n := r.u32()
-	if r.count(n, MaxBatchChunks, hashutil.Size+4) {
-		f.Entries = make([]OfferEntry, 0, n)
-		for i := uint32(0); i < n && r.e == nil; i++ {
-			var e OfferEntry
-			e.Hash = r.hash()
-			e.Size = r.u32()
-			f.Entries = append(f.Entries, e)
-		}
-	}
-	return f, r.done()
+	err := f.fields(decoder(p)).done()
+	return f, err
 }
 
 // PeerChunks answers a PeerFetch: Chunks[i] is the bytes of fetch-list
@@ -755,48 +438,22 @@ type PeerChunks struct {
 	Chunks  [][]byte
 }
 
-// Marshal encodes c as a TypePeerChunks payload.
-func (c PeerChunks) Marshal() []byte {
-	size := 8 + 4*len(c.Indices)
-	for _, ch := range c.Chunks {
-		size += 4 + len(ch)
-	}
-	b := make([]byte, 0, size)
-	b = putU32(b, uint32(len(c.Indices)))
-	for _, i := range c.Indices {
-		b = putU32(b, i)
-	}
-	b = putU32(b, uint32(len(c.Chunks)))
-	for _, ch := range c.Chunks {
-		b = putBlob(b, ch)
-	}
-	return b
+// A well-formed reply has matching Indices and Chunks lengths; the decoder
+// enforces it so consumers can index freely.
+func (pc *PeerChunks) fields(c *codec) *codec {
+	c = c.u32s(&pc.Indices).blobs(&pc.Chunks)
+	return c.refuse(len(pc.Indices) != len(pc.Chunks), "PeerChunks with more indices than chunks or fewer")
 }
 
+// Marshal encodes pc as a TypePeerChunks payload.
+func (pc PeerChunks) Marshal() []byte { return pc.fields(pc.fields(&codec{}).encoder()).buf }
+
 // UnmarshalPeerChunks decodes a TypePeerChunks payload. The chunk slices
-// alias the payload buffer. A well-formed reply has matching Indices and
-// Chunks lengths; the decoder enforces it so consumers can index freely.
+// alias the payload buffer.
 func UnmarshalPeerChunks(p []byte) (PeerChunks, error) {
-	r := &reader{buf: p}
-	var c PeerChunks
-	ni := r.u32()
-	if r.count(ni, MaxBatchChunks, 4) {
-		c.Indices = make([]uint32, 0, ni)
-		for i := uint32(0); i < ni && r.e == nil; i++ {
-			c.Indices = append(c.Indices, r.u32())
-		}
-	}
-	nc := r.u32()
-	if r.e == nil && nc != ni {
-		r.fail(fmt.Errorf("%w: PeerChunks has %d indices but %d chunks", ErrFieldRange, ni, nc))
-	}
-	if r.count(nc, MaxBatchChunks, 4) {
-		c.Chunks = make([][]byte, 0, nc)
-		for i := uint32(0); i < nc && r.e == nil; i++ {
-			c.Chunks = append(c.Chunks, r.blob())
-		}
-	}
-	return c, r.done()
+	var pc PeerChunks
+	err := pc.fields(decoder(p)).done()
+	return pc, err
 }
 
 // PeerPut seeds chunk bytes into the receiving shard's wire cache. The
@@ -808,31 +465,15 @@ type PeerPut struct {
 	Chunks [][]byte
 }
 
-// Marshal encodes p as a TypePeerPut payload.
-func (pp PeerPut) Marshal() []byte {
-	size := 4
-	for _, ch := range pp.Chunks {
-		size += 4 + len(ch)
-	}
-	b := make([]byte, 0, size)
-	b = putU32(b, uint32(len(pp.Chunks)))
-	for _, ch := range pp.Chunks {
-		b = putBlob(b, ch)
-	}
-	return b
-}
+func (pp *PeerPut) fields(c *codec) *codec { return c.blobs(&pp.Chunks) }
+
+// Marshal encodes pp as a TypePeerPut payload.
+func (pp PeerPut) Marshal() []byte { return pp.fields(pp.fields(&codec{}).encoder()).buf }
 
 // UnmarshalPeerPut decodes a TypePeerPut payload. The chunk slices alias
 // the payload buffer.
 func UnmarshalPeerPut(p []byte) (PeerPut, error) {
-	r := &reader{buf: p}
 	var pp PeerPut
-	n := r.u32()
-	if r.count(n, MaxBatchChunks, 4) {
-		pp.Chunks = make([][]byte, 0, n)
-		for i := uint32(0); i < n && r.e == nil; i++ {
-			pp.Chunks = append(pp.Chunks, r.blob())
-		}
-	}
-	return pp, r.done()
+	err := pp.fields(decoder(p)).done()
+	return pp, err
 }

@@ -1,24 +1,17 @@
-// Replica/migrate plane payload codecs. These frames ride ModePeer
-// connections between a cluster gateway and a shard during rebalance and
-// replication repair: MigrateBegin/MigrateData/MigrateEnd stream a whole
-// file into the target shard's engine (which re-chunks and dedups the
-// byte stream itself, so no chunker-options handshake is needed on this
-// interior link), FileStat batch-checks which files a shard holds, and
-// FileDrop forgets a file that finished migrating off a drained shard.
+// Replica/migrate plane payloads. These frames ride ModePeer connections
+// between a cluster gateway and a shard during rebalance and replication
+// repair: MigrateBegin/MigrateData/MigrateEnd stream a whole file into the
+// target shard's engine (which re-chunks and dedups the byte stream itself,
+// so no chunker-options handshake is needed on this interior link),
+// FileStat batch-checks which files a shard holds, and FileDrop forgets a
+// file that finished migrating off a drained shard.
 //
 // Every request grammar is versioned like RestoreRange: the shard rejects
 // a version it does not speak instead of misparsing it, so the plane can
 // grow fields without a flag day.
 package wire
 
-import (
-	"fmt"
-
-	"mhdedup/internal/hashutil"
-)
-
-// MaxStatNames bounds one FileStat batch.
-const MaxStatNames = 1 << 16
+import "mhdedup/internal/hashutil"
 
 // migrateVersion versions the MigrateBegin payload grammar.
 const migrateVersion uint8 = 1
@@ -36,29 +29,18 @@ type MigrateBegin struct {
 	Name string
 }
 
-// Marshal encodes m as a TypeMigrateBegin payload.
-func (m MigrateBegin) Marshal() []byte {
-	b := make([]byte, 0, 3+len(m.Name))
-	b = append(b, migrateVersion)
-	b = putStr(b, m.Name)
-	return b
+func (m *MigrateBegin) fields(c *codec) *codec {
+	return c.version(migrateVersion, "MigrateBegin").str(&m.Name).refuse(m.Name == "", "MigrateBegin with empty name")
 }
+
+// Marshal encodes m as a TypeMigrateBegin payload.
+func (m MigrateBegin) Marshal() []byte { return m.fields(m.fields(&codec{}).encoder()).buf }
 
 // UnmarshalMigrateBegin decodes a TypeMigrateBegin payload.
 func UnmarshalMigrateBegin(p []byte) (MigrateBegin, error) {
-	r := &reader{buf: p}
-	if v := r.u8(); r.e == nil && v != migrateVersion {
-		return MigrateBegin{}, fmt.Errorf("wire: MigrateBegin version %d not supported", v)
-	}
 	var m MigrateBegin
-	m.Name = r.str()
-	if err := r.done(); err != nil {
-		return MigrateBegin{}, err
-	}
-	if m.Name == "" {
-		return MigrateBegin{}, fmt.Errorf("%w: MigrateBegin with empty name", ErrFieldRange)
-	}
-	return m, nil
+	err := m.fields(decoder(p)).done()
+	return m, err
 }
 
 // MigrateData carries one in-order run of the migrating file's bytes.
@@ -66,22 +48,17 @@ type MigrateData struct {
 	Data []byte
 }
 
+func (d *MigrateData) fields(c *codec) *codec { return c.blob(&d.Data) }
+
 // Marshal encodes d as a TypeMigrateData payload.
-func (d MigrateData) Marshal() []byte {
-	b := make([]byte, 0, 4+len(d.Data))
-	return putBlob(b, d.Data)
-}
+func (d MigrateData) Marshal() []byte { return d.fields(d.fields(&codec{}).encoder()).buf }
 
 // UnmarshalMigrateData decodes a TypeMigrateData payload. The returned
 // bytes alias the payload; callers that retain them must copy.
 func UnmarshalMigrateData(p []byte) (MigrateData, error) {
-	r := &reader{buf: p}
 	var d MigrateData
-	d.Data = r.blob()
-	if err := r.done(); err != nil {
-		return MigrateData{}, err
-	}
-	return d, nil
+	err := d.fields(decoder(p)).done()
+	return d, err
 }
 
 // MigrateEnd closes the migrated stream, declaring its whole-file size
@@ -92,23 +69,16 @@ type MigrateEnd struct {
 	Sum        hashutil.Sum
 }
 
+func (e *MigrateEnd) fields(c *codec) *codec { return c.u64(&e.TotalBytes).hash(&e.Sum) }
+
 // Marshal encodes e as a TypeMigrateEnd payload.
-func (e MigrateEnd) Marshal() []byte {
-	b := make([]byte, 0, 8+hashutil.Size)
-	b = putU64(b, e.TotalBytes)
-	return append(b, e.Sum[:]...)
-}
+func (e MigrateEnd) Marshal() []byte { return e.fields(e.fields(&codec{}).encoder()).buf }
 
 // UnmarshalMigrateEnd decodes a TypeMigrateEnd payload.
 func UnmarshalMigrateEnd(p []byte) (MigrateEnd, error) {
-	r := &reader{buf: p}
 	var e MigrateEnd
-	e.TotalBytes = r.u64()
-	e.Sum = r.hash()
-	if err := r.done(); err != nil {
-		return MigrateEnd{}, err
-	}
-	return e, nil
+	err := e.fields(decoder(p)).done()
+	return e, err
 }
 
 // FileDrop asks a shard to forget one (fully namespaced) file — the final
@@ -118,29 +88,18 @@ type FileDrop struct {
 	Name string
 }
 
-// Marshal encodes d as a TypeFileDrop payload.
-func (d FileDrop) Marshal() []byte {
-	b := make([]byte, 0, 3+len(d.Name))
-	b = append(b, fileDropVersion)
-	b = putStr(b, d.Name)
-	return b
+func (d *FileDrop) fields(c *codec) *codec {
+	return c.version(fileDropVersion, "FileDrop").str(&d.Name).refuse(d.Name == "", "FileDrop with empty name")
 }
+
+// Marshal encodes d as a TypeFileDrop payload.
+func (d FileDrop) Marshal() []byte { return d.fields(d.fields(&codec{}).encoder()).buf }
 
 // UnmarshalFileDrop decodes a TypeFileDrop payload.
 func UnmarshalFileDrop(p []byte) (FileDrop, error) {
-	r := &reader{buf: p}
-	if v := r.u8(); r.e == nil && v != fileDropVersion {
-		return FileDrop{}, fmt.Errorf("wire: FileDrop version %d not supported", v)
-	}
 	var d FileDrop
-	d.Name = r.str()
-	if err := r.done(); err != nil {
-		return FileDrop{}, err
-	}
-	if d.Name == "" {
-		return FileDrop{}, fmt.Errorf("%w: FileDrop with empty name", ErrFieldRange)
-	}
-	return d, nil
+	err := d.fields(decoder(p)).done()
+	return d, err
 }
 
 // FileStat asks which of a batch of (fully namespaced) file names the
@@ -149,36 +108,18 @@ type FileStat struct {
 	Names []string
 }
 
-// Marshal encodes s as a TypeFileStat payload.
-func (s FileStat) Marshal() []byte {
-	b := make([]byte, 0, 16)
-	b = append(b, fileStatVersion)
-	b = putU32(b, uint32(len(s.Names)))
-	for _, n := range s.Names {
-		b = putStr(b, n)
-	}
-	return b
+func (s *FileStat) fields(c *codec) *codec {
+	return c.version(fileStatVersion, "FileStat").strs(&s.Names, MaxStatNames)
 }
 
-// UnmarshalFileStat decodes a TypeFileStat payload, rejecting hostile
-// counts (each declared name needs at least its 2-byte length prefix).
+// Marshal encodes s as a TypeFileStat payload.
+func (s FileStat) Marshal() []byte { return s.fields(s.fields(&codec{}).encoder()).buf }
+
+// UnmarshalFileStat decodes a TypeFileStat payload.
 func UnmarshalFileStat(p []byte) (FileStat, error) {
-	r := &reader{buf: p}
-	if v := r.u8(); r.e == nil && v != fileStatVersion {
-		return FileStat{}, fmt.Errorf("wire: FileStat version %d not supported", v)
-	}
-	n := r.u32()
-	if !r.count(n, MaxStatNames, 2) {
-		return FileStat{}, r.done()
-	}
-	s := FileStat{Names: make([]string, n)}
-	for i := range s.Names {
-		s.Names[i] = r.str()
-	}
-	if err := r.done(); err != nil {
-		return FileStat{}, err
-	}
-	return s, nil
+	var s FileStat
+	err := s.fields(decoder(p)).done()
+	return s, err
 }
 
 // FileStatOK answers FileStat: Present[i] reports whether Names[i] exists
@@ -187,29 +128,14 @@ type FileStatOK struct {
 	Present []bool
 }
 
+func (s *FileStatOK) fields(c *codec) *codec { return c.bools(&s.Present) }
+
 // Marshal encodes s as a TypeFileStatOK payload.
-func (s FileStatOK) Marshal() []byte {
-	b := make([]byte, 0, 4+len(s.Present))
-	b = putU32(b, uint32(len(s.Present)))
-	for _, v := range s.Present {
-		b = putBool(b, v)
-	}
-	return b
-}
+func (s FileStatOK) Marshal() []byte { return s.fields(s.fields(&codec{}).encoder()).buf }
 
 // UnmarshalFileStatOK decodes a TypeFileStatOK payload.
 func UnmarshalFileStatOK(p []byte) (FileStatOK, error) {
-	r := &reader{buf: p}
-	n := r.u32()
-	if !r.count(n, MaxStatNames, 1) {
-		return FileStatOK{}, r.done()
-	}
-	s := FileStatOK{Present: make([]bool, n)}
-	for i := range s.Present {
-		s.Present[i] = r.bool()
-	}
-	if err := r.done(); err != nil {
-		return FileStatOK{}, err
-	}
-	return s, nil
+	var s FileStatOK
+	err := s.fields(decoder(p)).done()
+	return s, err
 }

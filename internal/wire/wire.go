@@ -14,8 +14,9 @@
 //	12+n    4     CRC-32 (IEEE) over bytes [4, 12+n) — version..payload
 //
 // Every multi-byte integer in the protocol is big endian. The payload of
-// each frame type is defined in messages.go; the codec there is pure
-// (bytes in, message out) so it can be fuzzed without sockets.
+// each frame type is one fields method (messages.go, replica.go) that the
+// codec in codec.go runs; it is pure (bytes in, message out) so it can be
+// fuzzed without sockets.
 //
 // Design rules, in the order they are enforced by ReadFrame:
 //

@@ -34,6 +34,7 @@ func sampleMessages() []struct {
 		{TypeFileEnd, FileEnd{Seq: 11, TotalBytes: 1 << 30, Sum: h1}},
 		{TypeAck, Ack{Seq: 11}},
 		{TypeRestoreReq, RestoreReq{Name: "m00/d01", Verify: true}},
+		{TypeRestoreRange, RestoreRange{Name: "m00/d01", Verify: true, Offset: 1 << 20, Length: RestoreToEOF}},
 		{TypeRestoreData, RestoreData{Data: []byte("hello bytes")}},
 		{TypeRestoreEnd, RestoreEnd{TotalBytes: 999, Sum: h2}},
 		{TypeListResp, ListResp{Names: []string{"a", "b/c", ""}}},
@@ -204,6 +205,12 @@ func TestMessageDecodersRejectTruncation(t *testing.T) {
 	}
 }
 
+// Append-style encoders for hand-built payloads, hostile ones above all.
+func putU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
+func putU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
+func putU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+func putBlob(b, p []byte) []byte       { return append(putU32(b, uint32(len(p))), p...) }
+
 func TestHostileCountsDoNotAllocate(t *testing.T) {
 	// An Offer claiming 2^16 entries with a near-empty payload must fail
 	// before allocating room for them.
@@ -212,9 +219,15 @@ func TestHostileCountsDoNotAllocate(t *testing.T) {
 	if _, err := UnmarshalOffer(p); err == nil {
 		t.Fatal("hostile offer count accepted")
 	}
+	if a := testing.AllocsPerRun(10, func() { UnmarshalOffer(p) }); a != 0 {
+		t.Fatalf("hostile offer count: %v allocations before the refusal", a)
+	}
 	p = putU32(nil, MaxListNames)
 	if _, err := UnmarshalListResp(p); err == nil {
 		t.Fatal("hostile list count accepted")
+	}
+	if a := testing.AllocsPerRun(10, func() { UnmarshalListResp(p) }); a != 0 {
+		t.Fatalf("hostile list count: %v allocations before the refusal", a)
 	}
 }
 
