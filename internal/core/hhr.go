@@ -23,14 +23,6 @@ import (
 // final granularity — that restriction is the hysteresis that bounds HHR's
 // disk cost (Fig 10(b)).
 
-// minInt64 avoids importing a dependency for two-value min on int64.
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // hhrSplit performs the splice shared by both directions: entry i of m
 // becomes [remainder r | edge b | shared s] in the given byte order
 // (backward: remainder first; forward: shared first). Offsets are assigned
@@ -103,7 +95,7 @@ func (d *Dedup) hhrBackward(f *fileState, m *store.Manifest, i int) (shift int, 
 	if d.cfg.EdgeHash && s < e.Size && k > 0 {
 		// Boundary block sized like the first mismatching buffered chunk
 		// (the paper's "EdgeHash ... with the same size of Chunk N3").
-		b = minInt64(int64(len(f.pending[k-1].data)), e.Size-s)
+		b = min(int64(len(f.pending[k-1].data)), e.Size-s)
 	}
 	if s == 0 && b == 0 {
 		return 0, nil
@@ -156,7 +148,7 @@ func (d *Dedup) hhrForward(f *fileState, m *store.Manifest, i int, pre []pchunk)
 	}
 	var b int64
 	if d.cfg.EdgeHash && s < e.Size && k < len(pre) {
-		b = minInt64(int64(len(pre[k].data)), e.Size-s)
+		b = min(int64(len(pre[k].data)), e.Size-s)
 	}
 	if s == 0 && b == 0 {
 		return 0, nil

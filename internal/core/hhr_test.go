@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mhdedup/internal/hashutil"
+	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
 )
 
@@ -237,6 +238,53 @@ func TestHHRWholeEntryMatchedViaBytes(t *testing.T) {
 	}
 	if m.Entries[0].Size != 3000 {
 		t.Errorf("entry size = %d", m.Entries[0].Size)
+	}
+}
+
+// TestHHRCorruptMergedEntryFailsIngest: DecodeManifest does not bound an
+// MHD entry's Start and Size, and HHR hands them straight to the container
+// read. A merged entry whose Start and Size are both 2^62 — a range whose
+// end wraps past MaxInt64 — must fail the ingest that reloads it with an
+// error, not panic slicing the container.
+func TestHHRCorruptMergedEntryFailsIngest(t *testing.T) {
+	cfg := testConfig()
+	base := randBytes(912, 64<<10)
+	d := ingest(t, cfg, map[string][]byte{"gen1": base}, []string{"gen1"})
+	disk := d.st.Disk()
+	corrupted := 0
+	for _, hex := range disk.Names(simdisk.Manifest) {
+		name, err := hashutil.ParseHex(hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := d.st.ReadManifest(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range m.Entries {
+			if m.Entries[i].Kind == store.KindMerged {
+				m.Entries[i].Start, m.Entries[i].Size = 1<<62, 1<<62
+				corrupted++
+			}
+		}
+		if err := disk.Write(simdisk.Manifest, hex, m.Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if corrupted == 0 {
+		t.Fatal("the first generation stored no merged entry")
+	}
+
+	d2, err := Resume(cfg, disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen2 := append([]byte(nil), base...)
+	copy(gen2[20<<10:], randBytes(913, 2<<10))
+	reloads := d2.stats.HHRDiskAccesses.Load()
+	if err := d2.PutFile("gen2", bytes.NewReader(gen2)); err == nil {
+		t.Fatalf("ingest over %d corrupt merged entries succeeded (%d HHR reloads)",
+			corrupted, d2.stats.HHRDiskAccesses.Load()-reloads)
 	}
 }
 

@@ -670,8 +670,8 @@ func (s *Server) streamRestore(req wire.RestoreRange, event string, c *session.C
 // bytes (a stream's last one shorter). A byte is copied at most once: what
 // fills a frame by itself goes out straight from the slice the store handed
 // over, anything smaller is gathered in one reused frame-sized buffer. Each
-// frame is hashed as it leaves, not the whole write up front, so the next
-// hop works on frame k while this one reads and hashes k+1.
+// frame is hashed after it is on the wire, not the whole write up front, so
+// the next hops relay and hash frame k while this one hashes it too.
 type frameWriter struct {
 	c      *session.Conn
 	max    int
@@ -722,11 +722,12 @@ func (w *frameWriter) flush() error {
 }
 
 func (w *frameWriter) emit(b []byte) error {
+	head, data := wire.RestoreData{Data: b}.Parts(&w.prefix)
+	err := w.c.Write(wire.TypeRestoreData, head, data)
 	w.hash.Write(b)
 	w.total += uint64(len(b))
 	w.frames++
-	head, data := wire.RestoreData{Data: b}.Parts(&w.prefix)
-	return w.c.Write(wire.TypeRestoreData, head, data)
+	return err
 }
 
 var _ io.Writer = (*frameWriter)(nil)

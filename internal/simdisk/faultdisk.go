@@ -248,10 +248,10 @@ func (f *FaultDisk) Size(cat Category, name string) (int64, bool) {
 
 // --- Persistent (latent) corruption helpers -------------------------------
 //
-// The methods below mutate the *stored* objects of the inner disk directly,
-// modelling latent sector errors: the damage persists until detected and
-// repaired. They bypass the operation counters (corruption is not an access
-// the store performs) and are deterministic under the plan's seed.
+// The methods below replace *stored* objects of the inner disk with damaged
+// copies, modelling latent sector errors: the damage persists until found
+// and repaired. They bypass the operation counters (corruption is not an
+// access the store performs) and are deterministic under the plan's seed.
 
 // FlipStoredBit flips one bit of the stored object, persistently. The bit
 // index is taken modulo the object's size in bits.

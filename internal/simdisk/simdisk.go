@@ -123,8 +123,9 @@ func (c Counters) Accesses() int64 {
 // model — stay exact no matter how many ingest sessions run at once. The
 // lock models what a real spindle serializes anyway (each Create/Read/Write
 // is "one disk access" in the paper's accounting), and the operations under
-// it are map lookups and memcpy, so it is never the scaling bottleneck:
-// chunking and SHA-1 dominate and run outside it.
+// it are map lookups and O(1) slicing (Read, Create and Write copy outside
+// it; ReadRange copies nothing), so it is never the scaling bottleneck:
+// chunking and SHA-1 dominate and run outside it too.
 type Disk struct {
 	mu       sync.Mutex
 	objects  [numCategories]map[string][]byte
@@ -141,11 +142,10 @@ type Disk struct {
 	// kill-point mechanism of the crash-consistency harness.
 	saveHook SaveHook
 
-	// readTransform, when non-nil, post-processes the copy returned by
-	// every Read/ReadRange. The stored object is untouched, so it models
-	// transient corruption on the read path (bus/RAM flips) that a
-	// re-read heals. Called with the disk lock held; must not call back
-	// into the Disk.
+	// readTransform, when non-nil, post-processes a copy of what every
+	// Read/ReadRange returns, never the stored object or a view of it: it
+	// models transient read-path corruption (bus/RAM flips) that a re-read
+	// heals. Called with the disk lock held; must not call back into the Disk.
 	readTransform func(Category, string, []byte) []byte
 
 	// readDelay (nanoseconds), when non-zero, is slept by every
@@ -328,25 +328,30 @@ func (d *Disk) sleepRead() {
 	}
 }
 
-// Read returns a copy of the object's content.
+// Read returns a private copy of the object: metadata decoders may keep it.
 func (d *Disk) Read(cat Category, name string) ([]byte, error) {
-	out, err := d.readLocked(cat, name, 0, 0, true)
+	out, err := d.view(cat, name, 0, 0, true)
+	if err == nil {
+		out = append([]byte(nil), out...) // outside the lock
+	}
 	d.sleepRead()
 	return out, err
 }
 
-// ReadRange returns length bytes of the object starting at off. It is the
-// primitive HHR uses to reload part of an old DiskChunk, and counts as one
-// disk access like Read.
+// ReadRange returns length bytes of the object starting at off, one disk
+// access like Read: HHR's reloads and every restore's container reads. The
+// result is a view of the stored bytes, and holders must never write to it;
+// objects are replaced, never modified, so it keeps its bytes whatever
+// happens to the object later. Its capacity is clipped to its length.
 func (d *Disk) ReadRange(cat Category, name string, off, length int64) ([]byte, error) {
-	out, err := d.readLocked(cat, name, off, length, false)
+	out, err := d.view(cat, name, off, length, false)
 	d.sleepRead()
 	return out, err
 }
 
-// readLocked is Read (whole: every byte, whatever off and length say) and
-// ReadRange.
-func (d *Disk) readLocked(cat Category, name string, off, length int64, whole bool) ([]byte, error) {
+// view charges one read and slices the stored object (whole: every byte,
+// whatever off and length say), or returns the read transform of a copy.
+func (d *Disk) view(cat Category, name string, off, length int64, whole bool) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.check(OpRead, cat, name); err != nil {
@@ -360,15 +365,15 @@ func (d *Disk) readLocked(cat Category, name string, off, length int64, whole bo
 	if whole {
 		off, length = 0, int64(len(data))
 	}
-	if off < 0 || length < 0 || off+length > int64(len(data)) {
-		return nil, fmt.Errorf("simdisk: range [%d,%d) outside %v object %q of %d bytes",
-			off, off+length, cat, name, len(data))
+	if off < 0 || length < 0 || length > int64(len(data))-off {
+		return nil, fmt.Errorf("simdisk: range [%d,+%d) outside %v object %q of %d bytes",
+			off, length, cat, name, len(data))
 	}
 	d.counters.Reads[cat]++
 	d.counters.BytesRead[cat] += length
-	out := append([]byte(nil), data[off:off+length]...)
+	out := data[off : off+length : off+length]
 	if d.readTransform != nil {
-		out = d.readTransform(cat, name, out)
+		out = d.readTransform(cat, name, append([]byte(nil), out...))
 	}
 	return out, nil
 }
@@ -414,11 +419,10 @@ func (d *Disk) Names(cat Category) []string {
 	return out
 }
 
-// mutateRaw rewrites a stored object's bytes in place without charging any
-// disk access or byte counter. It is the primitive behind FaultDisk's
-// latent-corruption helpers (bit flips, truncation): the mutation models
-// damage that happens *to* the medium, not an operation performed by the
-// store.
+// mutateRaw replaces a stored object with fn's copy of it, charging no disk
+// access or byte counter (fn must not write to data: views of it may be
+// held). It is the primitive behind FaultDisk's latent-corruption helpers:
+// damage that happens *to* the medium, not an operation of the store.
 func (d *Disk) mutateRaw(cat Category, name string, fn func(data []byte) ([]byte, error)) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -3,6 +3,7 @@ package simdisk
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -48,8 +49,9 @@ func TestWriteRequiresExistence(t *testing.T) {
 }
 
 func TestReadIsolation(t *testing.T) {
-	// Mutating a returned buffer must not corrupt the stored object, and
-	// mutating the input buffer after Create must not either.
+	// Mutating a buffer Read returned must not corrupt the stored object,
+	// and mutating the input buffer after Create must not either. (ReadRange
+	// returns a view instead: TestReadRangeView.)
 	d := New()
 	src := []byte("immutable")
 	d.Create(Data, "c", src)
@@ -82,6 +84,108 @@ func TestReadRange(t *testing.T) {
 	}
 	if _, err := d.ReadRange(Data, "absent", 0, 1); err == nil {
 		t.Error("ReadRange of absent object succeeded")
+	}
+}
+
+// TestReadRangeOverflow: a range whose end wraps past MaxInt64 is outside
+// the object, not a slice expression that panics.
+func TestReadRangeOverflow(t *testing.T) {
+	d := New()
+	d.Create(Data, "c", []byte("0123456789"))
+	for _, bad := range [][2]int64{
+		{2, math.MaxInt64}, {math.MaxInt64, 1}, {math.MaxInt64, math.MaxInt64},
+		{1 << 62, 1 << 62}, {11, 0}, {math.MinInt64, 5},
+	} {
+		if got, err := d.ReadRange(Data, "c", bad[0], bad[1]); err == nil {
+			t.Errorf("ReadRange(%d,%d) = %d bytes, want error", bad[0], bad[1], len(got))
+		}
+	}
+	if c := d.Counters(); c.Reads.Get(Data) != 0 || c.BytesRead.Get(Data) != 0 {
+		t.Errorf("refused ranges were charged: %d reads, %d bytes", c.Reads.Get(Data), c.BytesRead.Get(Data))
+	}
+}
+
+// TestReadRangeView is ReadRange's contract: the result is a view of the
+// stored bytes whose capacity ends at its length, so an append reallocates,
+// and since objects are replaced, never modified, a view keeps its bytes
+// whatever happens to the object after it was taken.
+func TestReadRangeView(t *testing.T) {
+	const content = "0123456789"
+	d := New()
+	fd := NewFaultDisk(d, FaultPlan{})
+	d.Create(Data, "c", []byte(content))
+	v, err := d.ReadRange(Data, "c", 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v) != 3 || cap(v) != len(v) {
+		t.Fatalf("view len %d cap %d, want 3/3", len(v), cap(v))
+	}
+	_ = append(v, "XYZ"...)
+	if got, _ := d.Read(Data, "c"); string(got) != content {
+		t.Fatalf("append to a view reached the stored object: %q", got)
+	}
+
+	for _, step := range []struct {
+		what string
+		do   func() error
+	}{
+		{"FlipStoredBit", func() error { return fd.FlipStoredBit(Data, "c", 8*5) }},
+		{"TruncateStored", func() error { return fd.TruncateStored(Data, "c", 4) }},
+		{"Write", func() error { return d.Write(Data, "c", []byte("abcdefghij")) }},
+		{"Delete", func() error { return d.Delete(Data, "c") }},
+	} {
+		before, err := d.ReadRange(Data, "c", 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := string(before)
+		if err := step.do(); err != nil {
+			t.Fatal(err)
+		}
+		if string(before) != want || string(v) != "234" {
+			t.Errorf("%s changed views taken before it: %q (want %q), %q (want \"234\")",
+				step.what, before, want, v)
+		}
+	}
+}
+
+// TestReadFaultsNeverReachStore: a read transform, even one that writes
+// into the bytes it is given, and a FaultDisk read flip damage only what
+// that read returns — never the stored object or a view of it.
+func TestReadFaultsNeverReachStore(t *testing.T) {
+	const content = "0123456789"
+	d := New()
+	d.Create(Data, "c", []byte(content))
+	held, _ := d.ReadRange(Data, "c", 0, 10)
+	d.SetReadTransform(func(_ Category, _ string, data []byte) []byte {
+		for i := range data {
+			data[i] = 'X'
+		}
+		return data
+	})
+	for _, read := range []func() ([]byte, error){
+		func() ([]byte, error) { return d.Read(Data, "c") },
+		func() ([]byte, error) { return d.ReadRange(Data, "c", 1, 8) },
+	} {
+		if got, err := read(); err != nil || len(got) == 0 || got[0] != 'X' {
+			t.Fatalf("transform did not run: %q, %v", got, err)
+		}
+	}
+	d.SetReadTransform(nil)
+
+	fd := NewFaultDisk(d, FaultPlan{Seed: 1, ReadFlipRate: 1})
+	for i := 0; i < 8; i++ {
+		got, err := fd.ReadRange(Data, "c", 0, 10)
+		if err != nil || string(got) == content {
+			t.Fatalf("read %d was not flipped: %q, %v", i, got, err)
+		}
+	}
+	if fd.Stats().ReadFlips != 8 {
+		t.Fatalf("%d flips, want 8", fd.Stats().ReadFlips)
+	}
+	if got, _ := d.Read(Data, "c"); string(got) != content || string(held) != content {
+		t.Fatalf("read faults reached the store: stored %q, view %q", got, held)
 	}
 }
 

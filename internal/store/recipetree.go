@@ -599,7 +599,7 @@ func (s *Store) restoreRange(file string, off, length int64, w io.Writer, opts R
 	if err != nil {
 		return RangeStats{RecipeReads: reads}, err
 	}
-	plan, err := planRestore(sub, DefaultRestoreCoalesceGap)
+	plan, err := planRestore(sub)
 	if err != nil {
 		return RangeStats{RecipeReads: reads, FileBytes: total}, err
 	}

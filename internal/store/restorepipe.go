@@ -180,14 +180,16 @@ func (s *Store) timedRead(read plannedReadFn, pr *plannedRead) ([]byte, error) {
 	return buf, err
 }
 
-// emitSegments writes one read's segments, in order, from its buffer.
+// emitSegments writes one read's segments, in order, from its buffer: a
+// view of the stored container, so each goes out with its capacity clipped.
 func emitSegments(w io.Writer, pr *plannedRead, buf []byte) error {
 	if int64(len(buf)) < pr.length {
 		return fmt.Errorf("store: restore: container %s read [%d,+%d) returned %d bytes",
 			pr.container.Short(), pr.start, pr.length, len(buf))
 	}
 	for _, seg := range pr.segs {
-		if _, err := w.Write(buf[seg.off : seg.off+seg.size]); err != nil {
+		end := seg.off + seg.size
+		if _, err := w.Write(buf[seg.off:end:end]); err != nil {
 			return err
 		}
 	}

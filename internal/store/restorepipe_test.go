@@ -370,7 +370,7 @@ func planOf(t *testing.T, s *Store, file string) *restorePlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planRestore(fm, DefaultRestoreCoalesceGap)
+	plan, err := planRestore(fm)
 	if err != nil {
 		t.Fatal(err)
 	}

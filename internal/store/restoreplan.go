@@ -23,11 +23,11 @@ import (
 //
 // Every planned read serves one contiguous run of the output, so the reads
 // are totally ordered by output position. That property is what makes the
-// executor in restorepipe.go one loop with an exact memory bound: reads are
-// started in order, emitted in order, and a read's buffer is freed as soon
-// as its last segment is written — a buffer never has to survive an
-// unbounded stretch of output the way it would if far-apart refs shared one
-// read. A verified restore with reads in flight may cut a planned read into
+// executor in restorepipe.go one loop with an exact read-ahead bound: reads
+// are started in order, emitted in order, and a read is dropped as soon as
+// its last segment is written — a read never has to survive an unbounded
+// stretch of output the way it would if far-apart refs shared one read. A
+// verified restore with reads in flight may cut a planned read into
 // sub-reads (Verifier.splitReads); each still serves one contiguous run of
 // the output, in schedule order, so the property holds for them too.
 
@@ -53,7 +53,8 @@ type RestoreOptions struct {
 	// inline on the calling goroutine, in order, and so does 0 on the plain
 	// path.
 	Workers int
-	// WindowBytes bounds the bytes of those outstanding reads. Zero means
+	// WindowBytes bounds the bytes of those outstanding reads — views of
+	// the stored containers, which cost no memory. Zero means
 	// DefaultRestoreWindowBytes. A single read larger than the window
 	// starts alone (the bound is then that read's size).
 	WindowBytes int64
@@ -112,11 +113,10 @@ func (p *restorePlan) coalesceRatio() float64 {
 	return float64(p.refs) / float64(len(p.reads))
 }
 
-// planRestore builds the read schedule for fm, bridging container gaps of
-// up to gap bytes (DefaultRestoreCoalesceGap outside the planner's own
-// tests). Refs are validated the way a container read would reject them
-// (negative start/size), so a plan that builds is safe to slice.
-func planRestore(fm *FileManifest, gap int64) (*restorePlan, error) {
+// planRestore builds the read schedule for fm. Refs are validated the way a
+// container read would reject them (negative start/size), so a plan that
+// builds is safe to slice.
+func planRestore(fm *FileManifest) (*restorePlan, error) {
 	p := &restorePlan{file: fm.File}
 	for _, ref := range fm.Refs {
 		if ref.Start < 0 || ref.Size < 0 {
@@ -130,15 +130,9 @@ func planRestore(fm *FileManifest, gap int64) (*restorePlan, error) {
 		p.outputBytes += ref.Size
 		if n := len(p.reads); n > 0 {
 			last := &p.reads[n-1]
-			if last.container == ref.Container && bridgeable(last.start, last.length, ref.Start, ref.Size, gap) {
+			if last.container == ref.Container && bridgeable(last.start, last.length, ref.Start, ref.Size) {
 				lo, hi := last.start, last.start+last.length
-				nlo, nhi := lo, hi
-				if ref.Start < nlo {
-					nlo = ref.Start
-				}
-				if end := ref.Start + ref.Size; end > nhi {
-					nhi = end
-				}
+				nlo, nhi := min(lo, ref.Start), max(hi, ref.Start+ref.Size)
 				if shift := lo - nlo; shift > 0 {
 					// The read grew backwards: earlier segments move right
 					// within the (now longer) buffer.
@@ -165,7 +159,8 @@ func planRestore(fm *FileManifest, gap int64) (*restorePlan, error) {
 
 // bridgeable reports whether range [bStart,+bSize) can join a read
 // currently covering [aStart,+aSize): overlap, adjacency, or a gap of at
-// most gap container bytes on either side.
-func bridgeable(aStart, aSize, bStart, bSize, gap int64) bool {
+// most DefaultRestoreCoalesceGap container bytes on either side.
+func bridgeable(aStart, aSize, bStart, bSize int64) bool {
+	const gap = DefaultRestoreCoalesceGap
 	return bStart <= aStart+aSize+gap && aStart <= bStart+bSize+gap
 }

@@ -25,7 +25,7 @@ func TestPlanCoalescesAdjacentRefs(t *testing.T) {
 		FileRef{Container: c, Start: 100, Size: 50},
 		FileRef{Container: c, Start: 150, Size: 25},
 	)
-	p, err := planRestore(fm, 0)
+	p, err := planRestore(fm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,34 +49,35 @@ func TestPlanCoalescesAdjacentRefs(t *testing.T) {
 }
 
 func TestPlanBridgesGapsUpToLimit(t *testing.T) {
+	const gap = DefaultRestoreCoalesceGap
 	c := sum("c")
 	fm := rawManifest("f",
 		FileRef{Container: c, Start: 0, Size: 100},
-		FileRef{Container: c, Start: 164, Size: 100}, // 64-byte gap
+		FileRef{Container: c, Start: 100 + gap, Size: 100}, // a gap of exactly the limit
 	)
-	p, err := planRestore(fm, 64)
+	p, err := planRestore(fm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.reads) != 1 {
-		t.Fatalf("64-byte gap with gap=64 planned as %d reads, want 1", len(p.reads))
+		t.Fatalf("a gap of %d bytes planned as %d reads, want 1", gap, len(p.reads))
 	}
 	// The bridged read fetches the gap bytes too.
-	if p.plannedBytes != 264 || p.outputBytes != 200 {
-		t.Fatalf("planned=%d output=%d, want 264/200", p.plannedBytes, p.outputBytes)
+	if p.plannedBytes != 200+gap || p.outputBytes != 200 {
+		t.Fatalf("planned=%d output=%d, want %d/200", p.plannedBytes, p.outputBytes, 200+gap)
 	}
-	if off := p.reads[0].segs[1].off; off != 164 {
-		t.Fatalf("second segment at buffer offset %d, want 164", off)
+	if off := p.reads[0].segs[1].off; off != 100+gap {
+		t.Fatalf("second segment at buffer offset %d, want %d", off, 100+gap)
 	}
 
 	// One byte over the limit: two reads.
-	fm.Refs[1].Start = 165
-	p, err = planRestore(fm, 64)
+	fm.Refs[1].Start++
+	p, err = planRestore(fm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.reads) != 2 {
-		t.Fatalf("65-byte gap with gap=64 planned as %d reads, want 2", len(p.reads))
+		t.Fatalf("a gap of %d bytes planned as %d reads, want 2", gap+1, len(p.reads))
 	}
 	if p.plannedBytes != 200 {
 		t.Fatalf("split plan fetches %d bytes, want 200", p.plannedBytes)
@@ -90,7 +91,7 @@ func TestPlanDoesNotCoalesceAcrossContainers(t *testing.T) {
 		FileRef{Container: b, Start: 10, Size: 10},
 		FileRef{Container: a, Start: 10, Size: 10}, // adjacent to read 0, but b interleaves
 	)
-	p, err := planRestore(fm, DefaultRestoreCoalesceGap)
+	p, err := planRestore(fm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestPlanOverlapAndBackwardGrowth(t *testing.T) {
 		FileRef{Container: c, Start: 100, Size: 50},
 		FileRef{Container: c, Start: 40, Size: 70}, // [40,110) overlaps [100,150)
 	)
-	p, err := planRestore(fm, 0)
+	p, err := planRestore(fm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestPlanRejectsMalformedRefs(t *testing.T) {
 		{Container: c, Start: -1, Size: 10},
 		{Container: c, Start: 0, Size: -10},
 	} {
-		if _, err := planRestore(rawManifest("f", bad), 0); err == nil {
+		if _, err := planRestore(rawManifest("f", bad)); err == nil {
 			t.Fatalf("malformed ref %+v accepted", bad)
 		}
 	}
@@ -153,7 +154,7 @@ func TestPlanDropsEmptyRefs(t *testing.T) {
 		FileRef{Container: c, Start: 10, Size: 0},
 		FileRef{Container: sum("d"), Start: 7, Size: 0},
 		FileRef{Container: c, Start: 150, Size: 50},
-	), 0)
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,32 +169,48 @@ func TestPlanDropsEmptyRefs(t *testing.T) {
 // TestPlanSegmentsReconstructOutput is the planner's semantic invariant:
 // applying the plan's segments to the planned container ranges must
 // reproduce exactly the bytes the ref-by-ref walk produces, for randomized
-// recipes full of overlaps, gaps, repeats and container switches.
+// recipes full of overlaps, gaps (bridged and not: the containers span
+// several coalesce gaps), repeats and container switches.
 func TestPlanSegmentsReconstructOutput(t *testing.T) {
+	const size = 4 * DefaultRestoreCoalesceGap
 	rng := rand.New(rand.NewSource(42))
 	containers := map[hashutil.Sum][]byte{}
 	var names []hashutil.Sum
 	for i := 0; i < 3; i++ {
-		data := make([]byte, 4096)
+		data := make([]byte, size)
 		rng.Read(data)
 		n := sum(string(rune('a' + i)))
 		containers[n] = data
 		names = append(names, n)
 	}
+	bridged, split := 0, 0
 	for trial := 0; trial < 200; trial++ {
 		var refs []FileRef
 		var want []byte
 		for n := rng.Intn(20); n >= 0; n-- {
 			c := names[rng.Intn(len(names))]
-			start := int64(rng.Intn(4000))
-			size := int64(rng.Intn(int(4096 - start)))
-			refs = append(refs, FileRef{Container: c, Start: start, Size: size})
-			want = append(want, containers[c][start:start+size]...)
+			start := int64(rng.Intn(size - 4096))
+			n := int64(rng.Intn(4096))
+			refs = append(refs, FileRef{Container: c, Start: start, Size: n})
+			want = append(want, containers[c][start:start+n]...)
 		}
-		gap := int64(rng.Intn(512))
-		p, err := planRestore(rawManifest("f", refs...), gap)
+		p, err := planRestore(rawManifest("f", refs...))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i := 1; i < len(p.reads); i++ {
+			if p.reads[i].container == p.reads[i-1].container {
+				split++
+			}
+		}
+		for _, r := range p.reads {
+			var served int64
+			for _, seg := range r.segs {
+				served += seg.size
+			}
+			if served < r.length {
+				bridged++
+			}
 		}
 		var got []byte
 		var planned int64
@@ -206,8 +223,8 @@ func TestPlanSegmentsReconstructOutput(t *testing.T) {
 			}
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (gap %d): plan output diverges from ref walk (%d vs %d bytes)",
-				trial, gap, len(got), len(want))
+			t.Fatalf("trial %d: plan output diverges from ref walk (%d vs %d bytes)",
+				trial, len(got), len(want))
 		}
 		if planned != p.plannedBytes {
 			t.Fatalf("trial %d: plannedBytes %d, reads total %d", trial, p.plannedBytes, planned)
@@ -215,5 +232,8 @@ func TestPlanSegmentsReconstructOutput(t *testing.T) {
 		if p.refs != len(refs) || len(p.reads) > len(refs) {
 			t.Fatalf("trial %d: refs=%d reads=%d for %d input refs", trial, p.refs, len(p.reads), len(refs))
 		}
+	}
+	if bridged == 0 || split == 0 {
+		t.Fatalf("trials bridged %d gaps and left %d unbridged: want both", bridged, split)
 	}
 }

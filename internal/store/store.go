@@ -115,8 +115,9 @@ func (s *Store) DiskChunkSize(name hashutil.Sum) (int64, bool) {
 	return s.disk.Size(simdisk.Data, name.Hex())
 }
 
-// ReadDiskChunkRange reloads part of a stored DiskChunk — the HHR byte
-// reload, one disk access.
+// ReadDiskChunkRange reads part of a stored DiskChunk — an HHR reload or a
+// restore's container read, one disk access — as a view of the stored bytes
+// that its holders must never write to (simdisk.Disk.ReadRange).
 func (s *Store) ReadDiskChunkRange(name hashutil.Sum, off, length int64) ([]byte, error) {
 	start := time.Now()
 	data, err := s.disk.ReadRange(simdisk.Data, name.Hex(), off, length)
