@@ -55,9 +55,7 @@ func main() {
 	flag.BoolVar(&o.recipeTrees, "recipe-trees", false, "store file recipes as deduplicated recipe trees (64-bit offsets, O(log n) ranged restore)")
 	flag.IntVar(&o.maxSessions, "max-sessions", 16, "maximum concurrent ingest sessions")
 	flag.IntVar(&o.window, "window", 8, "per-session in-flight command window")
-	flag.Int64Var(&o.chunkCache, "chunk-cache-bytes", 256<<20, "wire chunk byte cache budget (0 disables)")
-	flag.IntVar(&o.restoreWorkers, "restore-workers", 4, "planned container reads each restore stream keeps in flight (1 = one at a time)")
-	flag.Int64Var(&o.restoreWindow, "restore-window-bytes", 8<<20, "byte budget of a restore stream's reads in flight")
+	flag.Int64Var(&o.chunkCache, "chunk-cache-bytes", 256<<20, "wire chunk byte cache budget (negative disables)")
 	flag.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "close connections idle longer than this")
 	flag.DurationVar(&o.resumeTimeout, "resume-timeout", 2*time.Minute, "keep detached sessions resumable this long")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "bound on graceful drain before forcing shutdown")
@@ -78,25 +76,23 @@ func main() {
 }
 
 type options struct {
-	addr           string
-	metricsAddr    string
-	storeDir       string
-	algo           string
-	ecs            int
-	sd             int
-	cache          int
-	noBloom        bool
-	recipeTrees    bool
-	maxSessions    int
-	window         int
-	chunkCache     int64
-	restoreWorkers int
-	restoreWindow  int64
-	idleTimeout    time.Duration
-	resumeTimeout  time.Duration
-	drainTimeout   time.Duration
-	logLevel       string
-	slowOp         time.Duration
+	addr          string
+	metricsAddr   string
+	storeDir      string
+	algo          string
+	ecs           int
+	sd            int
+	cache         int
+	noBloom       bool
+	recipeTrees   bool
+	maxSessions   int
+	window        int
+	chunkCache    int64
+	idleTimeout   time.Duration
+	resumeTimeout time.Duration
+	drainTimeout  time.Duration
+	logLevel      string
+	slowOp        time.Duration
 
 	checkpointInterval time.Duration
 	logFlushInterval   time.Duration
@@ -119,15 +115,13 @@ func run(o options) error {
 		return err
 	}
 	cfg := server.Config{
-		Engine:             eng,
-		MaxSessions:        o.maxSessions,
-		Window:             o.window,
-		IdleTimeout:        o.idleTimeout,
-		ResumeTimeout:      o.resumeTimeout,
-		ChunkCacheBytes:    o.chunkCache,
-		RestoreWorkers:     o.restoreWorkers,
-		RestoreWindowBytes: o.restoreWindow,
-		Events:             evlog,
+		Engine:          eng,
+		MaxSessions:     o.maxSessions,
+		Window:          o.window,
+		IdleTimeout:     o.idleTimeout,
+		ResumeTimeout:   o.resumeTimeout,
+		ChunkCacheBytes: o.chunkCache,
+		Events:          evlog,
 	}
 	if dur != nil {
 		// Assigned conditionally: a typed-nil *Durability inside the

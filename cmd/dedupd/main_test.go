@@ -24,8 +24,6 @@ func testOptions() options {
 		maxSessions:        4,
 		window:             8,
 		chunkCache:         1 << 20,
-		restoreWorkers:     4,
-		restoreWindow:      8 << 20,
 		idleTimeout:        2 * time.Minute,
 		resumeTimeout:      2 * time.Minute,
 		drainTimeout:       time.Minute,

@@ -26,7 +26,9 @@
 // so corrupt stores fail loudly instead of producing corrupt output. Output
 // files are written atomically (to <name>.tmp, renamed into place on
 // success), so an interrupted or failed restore never leaves a truncated
-// file that looks complete. -scrub verifies the whole store, quarantines
+// file that looks complete. -all writes each file at its stored name under
+// -out; a name that would land outside -out ("../x") is reported FAILED and
+// not written. -scrub verifies the whole store, quarantines
 // objects with persistent damage under <store>/quarantine/, and saves the
 // cleaned store back.
 package main
@@ -62,8 +64,6 @@ func main() {
 	flag.StringVar(&o.remote, "remote", "", "restore from a dedupd server at host:port instead of -store")
 	flag.StringVar(&o.tenant, "tenant", "", "tenant name for a multi-tenant server or gateway")
 	flag.StringVar(&o.secret, "secret", "", "tenant secret (with -tenant)")
-	flag.IntVar(&o.workers, "workers", 4, "planned container reads a restore keeps in flight ahead of the bytes it is writing (1 = one at a time, inline; 0 = inline, or with -verify a width from GOMAXPROCS)")
-	flag.Int64Var(&o.window, "window", 8<<20, "byte budget of the reads in flight")
 	flag.StringVar(&o.logLevel, "log-level", "warn", "structured event log level on stderr: debug, info, warn or error")
 	flag.Parse()
 	if err := run(o, os.Stdout); err != nil {
@@ -90,8 +90,6 @@ type restoreOptions struct {
 	remote   string
 	tenant   string
 	secret   string
-	workers  int
-	window   int64
 	logLevel string
 }
 
@@ -108,16 +106,10 @@ func run(o restoreOptions, w io.Writer) error {
 	if o.storeDir == "" {
 		return fmt.Errorf("-store or -remote is required")
 	}
-	if o.workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
-	}
 	st, err := dedup.OpenStore(o.storeDir)
 	if err != nil {
 		return err
 	}
-	// -workers sets only how far a restore reads ahead; the plan and the
-	// bytes written are the same for every value.
-	st.SetRestoreOptions(dedup.RestoreOptions{Workers: o.workers, WindowBytes: o.window})
 
 	if o.scrub {
 		if err := runScrub(st, o.storeDir, w); err != nil {
@@ -190,28 +182,7 @@ func run(o restoreOptions, w io.Writer) error {
 		}
 		return nil
 	case o.all:
-		if o.out == "" {
-			return fmt.Errorf("-all requires -out directory")
-		}
-		// Restore every file, continuing past per-file failures: one bad
-		// container must not hold the rest of the archive hostage. Each
-		// outcome is reported; any failure makes the run exit non-zero.
-		var ok, failed int
-		for _, name := range st.Files() {
-			path := filepath.Join(o.out, filepath.FromSlash(strings.ReplaceAll(name, ":", "_")))
-			if err := restoreTo(restore, name, path); err != nil {
-				fmt.Fprintf(w, "FAILED   %s: %v\n", name, err)
-				failed++
-				continue
-			}
-			fmt.Fprintf(w, "restored %s\n", name)
-			ok++
-		}
-		fmt.Fprintf(w, "%d restored, %d failed\n", ok, failed)
-		if failed > 0 {
-			return fmt.Errorf("%d of %d files failed to restore", failed, ok+failed)
-		}
-		return nil
+		return restoreAll(w, o.out, func() ([]string, error) { return st.Files(), nil }, restore)
 	case o.file != "":
 		if o.out == "" {
 			return fmt.Errorf("-file requires -out path")
@@ -285,29 +256,7 @@ func runRemote(o restoreOptions, w io.Writer) error {
 		}
 		return nil
 	case o.all:
-		if o.out == "" {
-			return fmt.Errorf("-all requires -out directory")
-		}
-		names, err := listSorted()
-		if err != nil {
-			return err
-		}
-		var ok, failed int
-		for _, name := range names {
-			path := filepath.Join(o.out, filepath.FromSlash(strings.ReplaceAll(name, ":", "_")))
-			if err := restoreTo(restore, name, path); err != nil {
-				fmt.Fprintf(w, "FAILED   %s: %v\n", name, err)
-				failed++
-				continue
-			}
-			fmt.Fprintf(w, "restored %s\n", name)
-			ok++
-		}
-		fmt.Fprintf(w, "%d restored, %d failed\n", ok, failed)
-		if failed > 0 {
-			return fmt.Errorf("%d of %d files failed to restore", failed, ok+failed)
-		}
-		return nil
+		return restoreAll(w, o.out, listSorted, restore)
 	case o.file != "":
 		if o.out == "" {
 			return fmt.Errorf("-file requires -out path")
@@ -320,6 +269,44 @@ func runRemote(o restoreOptions, w io.Writer) error {
 	default:
 		return fmt.Errorf("one of -list, -file or -all is required with -remote")
 	}
+}
+
+// restoreAll restores every listed file under dir, continuing past per-file
+// failures: one bad container must not hold the rest of the archive
+// hostage. Each outcome is reported; any failure makes the run exit
+// non-zero. A name is the store's — or, with -remote, the server's — so one
+// whose output path would not lie strictly under dir ("../../x", "a/..")
+// fails without a byte written.
+func restoreAll(w io.Writer, dir string, list func() ([]string, error), restore func(string, io.Writer) error) error {
+	if dir == "" {
+		return fmt.Errorf("-all requires -out directory")
+	}
+	names, err := list()
+	if err != nil {
+		return err
+	}
+	var ok, failed int
+	for _, name := range names {
+		path := filepath.Join(dir, filepath.FromSlash(strings.ReplaceAll(name, ":", "_")))
+		rel, err := filepath.Rel(dir, path)
+		if err != nil || rel == "." || !filepath.IsLocal(rel) {
+			err = fmt.Errorf("output path %s does not lie under %s", path, dir)
+		} else {
+			err = restoreTo(restore, name, path)
+		}
+		if err != nil {
+			fmt.Fprintf(w, "FAILED   %s: %v\n", name, err)
+			failed++
+			continue
+		}
+		fmt.Fprintf(w, "restored %s\n", name)
+		ok++
+	}
+	fmt.Fprintf(w, "%d restored, %d failed\n", ok, failed)
+	if failed > 0 {
+		return fmt.Errorf("%d of %d files failed to restore", failed, ok+failed)
+	}
+	return nil
 }
 
 // runScrub verifies every container of the store, quarantines persistently

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,6 +12,9 @@ import (
 	"testing"
 
 	"mhdedup/dedup"
+	"mhdedup/internal/core"
+	"mhdedup/internal/metrics"
+	"mhdedup/internal/server"
 	"mhdedup/internal/simdisk"
 )
 
@@ -212,58 +216,67 @@ func TestCheckFlag(t *testing.T) {
 	}
 }
 
-// TestRestoreWorkersMatchesSerial is the CLI-level differential check:
-// -workers 8 (with a window small enough to keep the executor under
-// constant backpressure) and -workers 0 (one read at a time, inline) must
-// both write the original bytes, for single-file and -all restores, plain
-// and verified.
-func TestRestoreWorkersMatchesSerial(t *testing.T) {
-	storeDir, files := buildStore(t)
-	for _, verify := range []bool{false, true} {
-		serialDir, parallelDir := t.TempDir(), t.TempDir()
-		if err := run(restoreOptions{storeDir: storeDir, all: true, out: serialDir, verify: verify, workers: 0}, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(restoreOptions{storeDir: storeDir, all: true, out: parallelDir, verify: verify,
-			workers: 8, window: 4 << 10}, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		for name := range files {
-			rel := filepath.FromSlash(name)
-			serial, err := os.ReadFile(filepath.Join(serialDir, rel))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallel, err := os.ReadFile(filepath.Join(parallelDir, rel))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serial, parallel) {
-				t.Errorf("verify=%v: %s differs between -workers 0 (inline) and -workers 8", verify, name)
-			}
-			if !bytes.Equal(serial, files[name]) {
-				t.Errorf("verify=%v: %s differs from original", verify, name)
-			}
-		}
-	}
-	out := filepath.Join(t.TempDir(), "one.out")
-	if err := run(restoreOptions{storeDir: storeDir, file: "m0/a", out: out, workers: 8, window: 1}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(out)
+// TestRestoreAllRefusesEscapingNames: -all writes only strictly under -out.
+// A stored name that climbs out of it ("../../escaped") or lands on -out
+// itself ("a/..") fails with a FAILED line and a non-zero exit and writes
+// nothing anywhere, while the file beside them is still restored — from a
+// local store and, through the same loop, from a dedupd whose List hands
+// the names out.
+func TestRestoreAllRefusesEscapingNames(t *testing.T) {
+	eng, err := dedup.New(dedup.MHD, dedup.Options{ECS: 512, SD: 4, BloomBytes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, files["m0/a"]) {
-		t.Error("-workers 8 single-file restore differs from original")
+	rng := rand.New(rand.NewSource(6))
+	files := map[string][]byte{}
+	for _, name := range []string{"../../escaped", "a/..", "m0/ok"} {
+		files[name] = make([]byte, 50_000)
+		rng.Read(files[name])
+		if err := eng.PutFile(name, bytes.NewReader(files[name])); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
+	if err := eng.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	storeDir := filepath.Join(t.TempDir(), "store")
+	if err := dedup.SaveStore(eng, storeDir); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Engine: eng.(*core.Dedup), Registry: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
 
-func TestRestoreRejectsNegativeWorkers(t *testing.T) {
-	storeDir, _ := buildStore(t)
-	err := run(restoreOptions{storeDir: storeDir, list: true, workers: -1}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-workers") {
-		t.Fatalf("negative -workers accepted: %v", err)
+	for mode, o := range map[string]restoreOptions{
+		"local":  {storeDir: storeDir},
+		"remote": {remote: ln.Addr().String()},
+	} {
+		root := t.TempDir()
+		o.all, o.out = true, filepath.Join(root, "a", "b", "out")
+		var buf bytes.Buffer
+		if err := run(o, &buf); err == nil {
+			t.Errorf("%s: -all exited zero over an escaping name:\n%s", mode, buf.String())
+		}
+		if out := buf.String(); !strings.Contains(out, "FAILED   ../../escaped") ||
+			!strings.Contains(out, "FAILED   a/..") || !strings.Contains(out, "1 restored, 2 failed") {
+			t.Errorf("%s: want both escaping names FAILED and the other restored:\n%s", mode, out)
+		}
+		if got, err := os.ReadFile(filepath.Join(o.out, "m0", "ok")); err != nil || !bytes.Equal(got, files["m0/ok"]) {
+			t.Errorf("%s: m0/ok not restored beside the refused name: %v", mode, err)
+		}
+		filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && !strings.HasPrefix(path, o.out+string(filepath.Separator)) {
+				t.Errorf("%s: %s written outside -out", mode, path)
+			}
+			return err
+		})
 	}
 }
 
@@ -291,7 +304,7 @@ func TestRestoreListAndAllDeterministic(t *testing.T) {
 	prev = ""
 	for i := 0; i < 3; i++ {
 		var buf bytes.Buffer
-		if err := run(restoreOptions{storeDir: storeDir, all: true, out: t.TempDir(), workers: 2}, &buf); err != nil {
+		if err := run(restoreOptions{storeDir: storeDir, all: true, out: t.TempDir()}, &buf); err != nil {
 			t.Fatal(err)
 		}
 		if i > 0 && buf.String() != prev {

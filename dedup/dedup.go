@@ -302,10 +302,6 @@ type Store struct {
 	st  *store.Store
 	dir string
 
-	// ropts is every restore's read-ahead (see SetRestoreOptions); the
-	// zero value fetches one planned read at a time.
-	ropts RestoreOptions
-
 	// verMu guards only the ver pointer: its lazy construction and its
 	// invalidation. Restores run on the Verifier outside it.
 	verMu sync.Mutex
@@ -355,25 +351,6 @@ func (s *Store) Files() []string {
 	return names
 }
 
-// RestoreOptions sets how far a restore reads ahead. Every restore —
-// whole or ranged, plain or verified — plans the recipe into coalesced
-// container reads and emits them in order; at most Workers of them are
-// outstanding at once, their bytes within WindowBytes. Workers 1 fetches
-// one planned read at a time on the calling goroutine, and so does the zero
-// value for a plain restore; a verified one then keeps a width derived from
-// GOMAXPROCS in flight. Output is bit-identical for every setting.
-type RestoreOptions = store.RestoreOptions
-
-// SetRestoreOptions sets the read-ahead of every restore this Store
-// performs from now on (Restore, RestoreRange and their verified forms).
-// It is safe to call between restores; in-flight restores finish with the
-// options they started with.
-func (s *Store) SetRestoreOptions(o RestoreOptions) {
-	s.mu.Lock()
-	s.ropts = o
-	s.mu.Unlock()
-}
-
 // Restore rebuilds one file into w. Concurrent Restores are fine;
 // mutations (Delete, Sweep, Scrub) wait until in-flight restores finish.
 // It is RestoreRange of the whole file.
@@ -391,21 +368,24 @@ type RangeStats = store.RangeStats
 // file into w. A negative length means "to end of file"; a range past EOF
 // is clamped (an offset at or past EOF succeeds and writes nothing). When
 // the file's recipe is stored as a recipe tree (Options.RecipeTrees), the
-// seek reads O(log n) recipe chunks instead of the whole manifest.
+// seek reads O(log n) recipe chunks instead of the whole manifest. The
+// recipe's coalesced container reads are fetched one at a time on the
+// calling goroutine.
 func (s *Store) RestoreRange(name string, offset, length int64, w io.Writer) (RangeStats, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.st.RestoreRange(name, offset, length, w, s.ropts)
+	return s.st.RestoreRange(name, offset, length, w, store.RestoreOptions{})
 }
 
 // VerifyRestoreRange is RestoreRange with VerifyRestore's end-to-end
 // chunk verification: every manifest entry overlapping a byte served to w
-// is re-hashed against its content address before that byte is written.
-// Like Restore, it runs concurrently with other restores, verified or not.
+// is re-hashed against its content address before that byte is written,
+// with reads hashed side by side on every core. Like Restore, it runs
+// concurrently with other restores, verified or not.
 func (s *Store) VerifyRestoreRange(name string, offset, length int64, w io.Writer) (RangeStats, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.verifier().RestoreRange(name, offset, length, w, s.ropts)
+	return s.verifier().RestoreRange(name, offset, length, w, store.RestoreOptions{})
 }
 
 // RecipeTreeStats summarizes one file's recipe tree: depth, node/leaf

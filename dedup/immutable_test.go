@@ -108,17 +108,11 @@ func TestStoredBytesStayImmutable(t *testing.T) {
 	format, _ := store.DetectFormat(disk)
 	s := &Store{st: store.New(disk, format)}
 	for _, workers := range []int{1, 8} {
-		s.SetRestoreOptions(RestoreOptions{Workers: workers})
 		for name, want := range files {
 			for _, verify := range []bool{false, true} {
 				for _, r := range [][2]int64{{0, -1}, {1000, 70 << 10}, {int64(len(want)) - 5000, 5000}} {
 					var got bytes.Buffer
-					var err error
-					if verify {
-						_, err = s.VerifyRestoreRange(name, r[0], r[1], &got)
-					} else {
-						_, err = s.RestoreRange(name, r[0], r[1], &got)
-					}
+					_, err := s.restoreAt(workers, verify, name, r[0], r[1], &got)
 					end := int64(len(want))
 					if r[1] >= 0 {
 						end = r[0] + r[1]
@@ -201,7 +195,6 @@ func TestVerifiedRestoreRacesStoredBitFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetRestoreOptions(RestoreOptions{Workers: 8})
 	disk := s.st.Disk()
 	fd := simdisk.NewFaultDisk(disk, simdisk.FaultPlan{Seed: 7})
 	containers := disk.Names(simdisk.Data)
@@ -249,7 +242,7 @@ func TestVerifiedRestoreRacesStoredBitFlips(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				for _, name := range names {
 					w := &emitChecker{want: files[name], bad: -1}
-					err := s.VerifyRestore(name, w)
+					_, err := s.restoreAt(8, true, name, 0, -1, w)
 					if w.bad >= 0 {
 						t.Errorf("%s: a verified restore emitted a wrong byte at %d (restore error: %v)", name, w.bad, err)
 						return

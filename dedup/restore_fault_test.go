@@ -21,7 +21,6 @@ func TestParallelVerifiedRestoreTransientFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetRestoreOptions(RestoreOptions{Workers: 8, WindowBytes: 32 << 10})
 
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(99))
@@ -46,7 +45,7 @@ func TestParallelVerifiedRestoreTransientFlips(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		for name, want := range files {
 			var buf bytes.Buffer
-			err := s.VerifyRestore(name, &buf)
+			_, err := s.restoreAt(8, true, name, 0, -1, &buf)
 			if err != nil {
 				failed++
 				continue
@@ -74,7 +73,6 @@ func TestParallelVerifiedRestorePersistentDamage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetRestoreOptions(RestoreOptions{Workers: workers, WindowBytes: 16 << 10})
 
 		fd := simdisk.NewFaultDisk(s.st.Disk(), simdisk.FaultPlan{Seed: int64(workers)})
 		names := s.st.Disk().Names(simdisk.Data)
@@ -92,7 +90,7 @@ func TestParallelVerifiedRestorePersistentDamage(t *testing.T) {
 		detected := 0
 		for name, want := range files {
 			var buf bytes.Buffer
-			err := s.VerifyRestore(name, &buf)
+			_, err := s.restoreAt(workers, true, name, 0, -1, &buf)
 			if err != nil {
 				detected++
 				continue

@@ -29,9 +29,8 @@ func matrixWorkload(seed int64) map[string][]byte {
 // gate at the public API: for every servable format — the two paper
 // algorithms and the three baselines, which lay out containers and recipes
 // differently — every file restored with reads in flight must be
-// bit-identical to the default one-read-at-a-time restore and to the bytes
-// that were ingested, across worker counts, windows small enough to force
-// constant backpressure, a save/open round-trip, and an explicit
+// bit-identical to the default restore and to the bytes that were
+// ingested, across worker counts, a save/open round-trip, and an explicit
 // crash-recovery pass. The verifying restore path is held to the same
 // standard.
 func TestRestoreMatrixParallelEqualsSerial(t *testing.T) {
@@ -65,9 +64,9 @@ func TestRestoreMatrixParallelEqualsSerial(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					// The default restore first (zero RestoreOptions = one
-					// planned read at a time), per file, both paths, against
-					// the ingested bytes.
+					// The default restore first (plain: one planned read at a
+					// time; verified: the GOMAXPROCS width), per file, both
+					// paths, against the ingested bytes.
 					serial := map[string][]byte{}
 					serialVerified := map[string][]byte{}
 					for _, name := range st.Files() {
@@ -86,22 +85,19 @@ func TestRestoreMatrixParallelEqualsSerial(t *testing.T) {
 						serialVerified[name] = verified.Bytes()
 					}
 					for _, workers := range []int{1, 2, 8} {
-						for _, window := range []int64{1 << 10, 0} { // tiny (forces reordering pressure) and default
-							st.SetRestoreOptions(RestoreOptions{Workers: workers, WindowBytes: window})
-							for _, name := range st.Files() {
-								var plain, verified bytes.Buffer
-								if err := st.Restore(name, &plain); err != nil {
-									t.Fatalf("%s workers=%d window=%d: restore %s: %v", label, workers, window, name, err)
-								}
-								if !bytes.Equal(plain.Bytes(), serial[name]) {
-									t.Fatalf("%s workers=%d window=%d: %s diverges from serial", label, workers, window, name)
-								}
-								if err := st.VerifyRestore(name, &verified); err != nil {
-									t.Fatalf("%s workers=%d window=%d: verified restore %s: %v", label, workers, window, name, err)
-								}
-								if !bytes.Equal(verified.Bytes(), serialVerified[name]) {
-									t.Fatalf("%s workers=%d window=%d: verified %s diverges from serial", label, workers, window, name)
-								}
+						for _, name := range st.Files() {
+							var plain, verified bytes.Buffer
+							if _, err := st.restoreAt(workers, false, name, 0, -1, &plain); err != nil {
+								t.Fatalf("%s workers=%d: restore %s: %v", label, workers, name, err)
+							}
+							if !bytes.Equal(plain.Bytes(), serial[name]) {
+								t.Fatalf("%s workers=%d: %s diverges from serial", label, workers, name)
+							}
+							if _, err := st.restoreAt(workers, true, name, 0, -1, &verified); err != nil {
+								t.Fatalf("%s workers=%d: verified restore %s: %v", label, workers, name, err)
+							}
+							if !bytes.Equal(verified.Bytes(), serialVerified[name]) {
+								t.Fatalf("%s workers=%d: verified %s diverges from serial", label, workers, name)
 							}
 						}
 					}

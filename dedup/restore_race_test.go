@@ -2,22 +2,35 @@ package dedup
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
+
+	"mhdedup/internal/store"
 )
+
+// restoreAt is RestoreRange, or VerifyRestoreRange when verify is set, with
+// workers planned reads in flight instead of the Store's default, under the
+// same read lock.
+func (s *Store) restoreAt(workers int, verify bool, name string, off, length int64, w io.Writer) (RangeStats, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	opts := store.RestoreOptions{Workers: workers}
+	if verify {
+		return s.verifier().RestoreRange(name, off, length, w, opts)
+	}
+	return s.st.RestoreRange(name, off, length, w, opts)
+}
 
 // TestParallelRestoreRacesMutators extends the Store locking contract to
 // the batched pipeline: many concurrent parallel restores (plain and
-// verifying, each internally running 4 reader goroutines over a tiny
-// reorder window) race against Delete, Sweep and Scrub on one shared
-// Store. Under -race this doubles as the pipeline's data-race gate; at the
-// byte level every restore must either reproduce the original exactly or
-// fail cleanly — never hand back a torn stream.
+// verifying, each internally running 4 reader goroutines) race against
+// Delete, Sweep and Scrub on one shared Store. Under -race this doubles as
+// the pipeline's data-race gate; at the byte level every restore must
+// either reproduce the original exactly or fail cleanly — never hand back a
+// torn stream.
 func TestParallelRestoreRacesMutators(t *testing.T) {
 	st, want := buildConcurrentStore(t)
-	// Small window + several workers: maximal internal concurrency and
-	// constant admission/emission churn while the mutators run.
-	st.SetRestoreOptions(RestoreOptions{Workers: 4, WindowBytes: 8 << 10})
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -27,12 +40,7 @@ func TestParallelRestoreRacesMutators(t *testing.T) {
 		<-start
 		for i := 0; i < 6; i++ {
 			var got bytes.Buffer
-			var err error
-			if verify {
-				err = st.VerifyRestore(name, &got)
-			} else {
-				err = st.Restore(name, &got)
-			}
+			_, err := st.restoreAt(4, verify, name, 0, -1, &got)
 			deletable := name == "img-4" || name == "img-5"
 			switch {
 			case err == nil:

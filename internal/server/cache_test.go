@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"testing"
 
+	"mhdedup/internal/client"
 	"mhdedup/internal/hashutil"
 )
 
@@ -65,5 +67,34 @@ func TestChunkCacheOversizedAndZeroBudget(t *testing.T) {
 	z.put(hashutil.SumBytes(small), small)
 	if _, ok := z.get(hashutil.SumBytes(small)); ok {
 		t.Fatal("zero budget must disable caching")
+	}
+}
+
+// TestServerChunkCacheBudget: a negative Config.ChunkCacheBytes disables the
+// server's chunk cache — an ingest leaves it empty — while zero keeps the
+// default 256 MiB budget, which the same ingest starts to fill.
+func TestServerChunkCacheBudget(t *testing.T) {
+	for _, tc := range []struct {
+		budget int64
+		cached bool
+	}{{-1, false}, {0, true}} {
+		srv, _, addr := startServer(t, func(c *Config) { c.ChunkCacheBytes = tc.budget })
+		ing, err := client.Connect(clientConfig(srv, addr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ing.PutFile("img", bytes.NewReader(genData(31, 256<<10))); err != nil {
+			t.Fatal(err)
+		}
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		n, entries := srv.CacheStats()
+		if (n > 0) != tc.cached || (entries > 0) != tc.cached {
+			t.Fatalf("ChunkCacheBytes %d: cache holds %d bytes in %d entries after an ingest", tc.budget, n, entries)
+		}
+		if tc.budget == 0 && srv.cache.budget != 256<<20 {
+			t.Fatalf("ChunkCacheBytes 0: budget %d, want the 256 MiB default", srv.cache.budget)
+		}
 	}
 }

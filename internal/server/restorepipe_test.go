@@ -9,18 +9,16 @@ import (
 )
 
 // TestRestoreStreamParallelPipelineBitIdentical drives the server's
-// restore streaming through the batched parallel pipeline at its most
-// hostile setting — 8 concurrent container readers over a 4 KiB reorder
-// window, so nearly every read waits on admission — and demands the
-// framed stream deliver bit-identical bytes, plain and verified. The
-// RestoreData frames must arrive in order no matter how the reads
-// complete; the client's size/whole-file-hash check would catch any
-// reordering or corruption.
+// restore streaming through the executor at the shard's width
+// (restoreWorkers reads in flight) and demands the framed stream deliver
+// bit-identical bytes, plain and verified. The RestoreData frames must
+// arrive in order no matter how the reads complete; the client's
+// size/whole-file-hash check would catch any reordering or corruption.
 func TestRestoreStreamParallelPipelineBitIdentical(t *testing.T) {
-	srv, _, addr := startServer(t, func(c *Config) {
-		c.RestoreWorkers = 8
-		c.RestoreWindowBytes = 4 << 10
-	})
+	if restoreWorkers < 2 {
+		t.Fatalf("restoreWorkers = %d: a restore stream has no reads in flight", restoreWorkers)
+	}
+	srv, _, addr := startServer(t, nil)
 
 	files := map[string][]byte{}
 	ing, err := client.Connect(clientConfig(srv, addr))

@@ -252,7 +252,7 @@ func TestScrubOnlineRunsInline(t *testing.T) {
 	if err := d.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	ahead := func() int64 { return hRestoreWindowBytes.Snapshot().Count }
+	ahead := func() int64 { return hRestoreWindow.Snapshot().Count }
 	before := ahead()
 	var got bytes.Buffer
 	if err := NewVerifier(s, VerifyOpts{}).RestoreFile(file, &got); err != nil || !bytes.Equal(got.Bytes(), want) {

@@ -18,8 +18,8 @@ import (
 // The calling goroutine emits the planned reads in schedule order. Before
 // it waits for read i it starts every later read that fits: at most
 // RestoreOptions.Workers reads are started and not yet emitted, and their
-// bytes stay within max(WindowBytes, largest planned read) — a read larger
-// than the whole window starts only when nothing else is outstanding.
+// bytes stay within max(restoreWindow, largest planned read) — a read
+// larger than the whole window starts only when nothing else is outstanding.
 // Starting and emitting share one loop and one order, so the read awaited
 // has always been started: that is the whole deadlock argument, and a
 // stalled writer is backpressure by construction (nothing is emitted, so
@@ -29,6 +29,16 @@ import (
 // from GOMAXPROCS, and its oversized reads arrive here already cut into
 // sub-reads (verify.go); the loop is the same.
 
+// restoreWindow bounds read-ahead in bytes: the reads started and not yet
+// emitted span at most this many container bytes, unless one read alone is
+// larger. They are views of the stored containers, so the bound holds no
+// memory; what it bounds is how far hashing runs ahead of emission, and so,
+// most likely, how many hashed bytes must stay in cache until they are
+// written. A constant, not an option: unbounded, fresh-local
+// restore_verified_mb_s fell 2004 → 1832, 1834 → 1645, 2022 → 1807 and
+// 2118 → 1890 MiB/s (0.89–0.91×, seeds 1–4), and gen-local's 0.83–1.01×.
+const restoreWindow = 8 << 20
+
 // Executor instrumentation on the process-wide registry: plan size and
 // coalesce ratio per restore, per-planned-read latency, and the bytes
 // outstanding each time a read is started ahead.
@@ -36,7 +46,7 @@ var (
 	hRestorePlanReads     = metrics.GetHistogram("store.restore_plan_reads")
 	hRestoreCoalesceX1000 = metrics.GetHistogram("store.restore_coalesce_x1000")
 	hRestoreReadNS        = metrics.GetHistogram("store.restore_read_ns")
-	hRestoreWindowBytes   = metrics.GetHistogram("store.restore_window_bytes")
+	hRestoreWindow        = metrics.GetHistogram("store.restore_window_bytes")
 )
 
 // RestoreStats describes one restore: how much the planner coalesced and
@@ -50,9 +60,6 @@ type RestoreStats struct {
 	OutputBytes, PlannedBytes int64
 	// CoalesceRatio is Refs/Reads (≥ 1; 0 for an empty file).
 	CoalesceRatio float64
-	// PeakWindowBytes is the largest total of started-but-unemitted read
-	// bytes observed — always ≤ max(WindowBytes, largest single read).
-	PeakWindowBytes int64
 	// Workers is the most reads the executor keeps outstanding at once (1:
 	// each read is fetched inline on the caller).
 	Workers int
@@ -110,7 +117,6 @@ func (s *Store) runPlan(plan *restorePlan, read plannedReadFn, w io.Writer, opts
 	var (
 		reads   = plan.reads
 		width   = stats.Workers
-		window  = opts.window()
 		slots   []chan result // read i reports on slots[i%width]
 		started int           // reads[:started] have been started
 		used    int64         // bytes of started-and-unemitted reads
@@ -129,14 +135,13 @@ func (s *Store) runPlan(plan *restorePlan, read plannedReadFn, w io.Writer, opts
 	for i := range reads {
 		var r result
 		if width <= 1 {
-			used = reads[i].length
 			r.buf, r.err = s.timedRead(read, &reads[i])
 		} else {
 			for ; started < len(reads) && started-i < width &&
-				(used == 0 || used+reads[started].length <= window); started++ {
+				(used == 0 || used+reads[started].length <= restoreWindow); started++ {
 				pr, slot := &reads[started], slots[started%width]
 				used += pr.length
-				hRestoreWindowBytes.Observe(used)
+				hRestoreWindow.Observe(used)
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -145,9 +150,8 @@ func (s *Store) runPlan(plan *restorePlan, read plannedReadFn, w io.Writer, opts
 				}()
 			}
 			r = <-slots[i%width]
-		}
-		if used > stats.PeakWindowBytes {
-			stats.PeakWindowBytes = used
+			// Nothing starts before read i is emitted, at the loop's head.
+			used -= reads[i].length
 		}
 		if r.err != nil {
 			return stats, fmt.Errorf("store: restore %q: %w", plan.file, r.err)
@@ -155,7 +159,6 @@ func (s *Store) runPlan(plan *restorePlan, read plannedReadFn, w io.Writer, opts
 		if err := emitSegments(w, &reads[i], r.buf); err != nil {
 			return stats, err
 		}
-		used -= reads[i].length
 	}
 
 	d := s.ev.SlowOp("restore.pipeline", time.Since(begin),

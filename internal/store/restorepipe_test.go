@@ -111,8 +111,7 @@ func refWalk(t *testing.T, s *Store, file string) []byte {
 
 // TestRestoreDifferential is the one differential table: every way into the
 // one executor — plain and verified, flat and tree recipes, whole files and
-// ranges, every look-ahead width and window including one-byte windows
-// where each read runs alone — writes exactly the bytes of the ref-walk
+// ranges, every look-ahead width — writes exactly the bytes of the ref-walk
 // oracle.
 func TestRestoreDifferential(t *testing.T) {
 	layouts := map[string]func() *Store{
@@ -133,25 +132,23 @@ func TestRestoreDifferential(t *testing.T) {
 		}
 		for path, restore := range paths {
 			for _, workers := range []int{0, 1, 2, 8} {
-				for _, window := range []int64{0, 1, 4 << 10, 1 << 20} {
-					for _, r := range [][2]int64{{0, -1}, {total/3 + 7, 20_000}, {total - 5_000, -1}, {total + 10, 64}} {
-						off, length := r[0], r[1]
-						lo, hi := min(off, total), total
-						if length >= 0 {
-							hi = min(off+length, total)
-						}
-						var got bytes.Buffer
-						rs, err := restore(file, off, length, &got, RestoreOptions{Workers: workers, WindowBytes: window})
-						label := fmt.Sprintf("%s %s workers %d window %d range [%d,+%d)", layout, path, workers, window, off, length)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if !bytes.Equal(got.Bytes(), want[lo:hi]) {
-							t.Fatalf("%s: output diverges from the ref walk (%d vs %d bytes)", label, got.Len(), hi-lo)
-						}
-						if rs.FileBytes != total || rs.Length != hi-lo || rs.OutputBytes != hi-lo {
-							t.Fatalf("%s: stats %+v, want %d of %d bytes", label, rs, hi-lo, total)
-						}
+				for _, r := range [][2]int64{{0, -1}, {total/3 + 7, 20_000}, {total - 5_000, -1}, {total + 10, 64}} {
+					off, length := r[0], r[1]
+					lo, hi := min(off, total), total
+					if length >= 0 {
+						hi = min(off+length, total)
+					}
+					var got bytes.Buffer
+					rs, err := restore(file, off, length, &got, RestoreOptions{Workers: workers})
+					label := fmt.Sprintf("%s %s workers %d range [%d,+%d)", layout, path, workers, off, length)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !bytes.Equal(got.Bytes(), want[lo:hi]) {
+						t.Fatalf("%s: output diverges from the ref walk (%d vs %d bytes)", label, got.Len(), hi-lo)
+					}
+					if rs.FileBytes != total || rs.Length != hi-lo || rs.OutputBytes != hi-lo {
+						t.Fatalf("%s: stats %+v, want %d of %d bytes", label, rs, hi-lo, total)
 					}
 				}
 			}
@@ -160,10 +157,9 @@ func TestRestoreDifferential(t *testing.T) {
 }
 
 // TestPipelineMatchesSerialReference is the core differential invariant at
-// the store layer: for every worker count and window size — including
-// pathological one-read windows that force constant backpressure — the
-// executor's output is bit-identical to the per-ref walk (the refWalk
-// oracle), over several recipes.
+// the store layer: for every worker count the executor's output is
+// bit-identical to the per-ref walk (the refWalk oracle), over several
+// recipes.
 func TestPipelineMatchesSerialReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		s, file, want := buildFragmentedStore(t, seed, 300)
@@ -171,31 +167,28 @@ func TestPipelineMatchesSerialReference(t *testing.T) {
 			t.Fatalf("seed %d: ref-walk oracle diverges from construction", seed)
 		}
 		for _, workers := range []int{0, 1, 2, 8} {
-			for _, window := range []int64{0, 1, 4096, 1 << 20} {
-				opts := RestoreOptions{Workers: workers, WindowBytes: window}
-				var got bytes.Buffer
-				stats, err := s.RestoreFileStats(file, &got, opts)
-				if err != nil {
-					t.Fatalf("seed %d workers %d window %d: %v", seed, workers, window, err)
-				}
-				if !bytes.Equal(got.Bytes(), want) {
-					t.Fatalf("seed %d workers %d window %d: output diverges (%d vs %d bytes)",
-						seed, workers, window, got.Len(), len(want))
-				}
-				if stats.Refs != 300 || stats.Reads < 1 || stats.Reads > stats.Refs {
-					t.Fatalf("implausible stats: %+v", stats)
-				}
-				if stats.OutputBytes != int64(len(want)) {
-					t.Fatalf("stats.OutputBytes %d, want %d", stats.OutputBytes, len(want))
-				}
+			var got bytes.Buffer
+			stats, err := s.RestoreFileStats(file, &got, RestoreOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("seed %d workers %d: output diverges (%d vs %d bytes)",
+					seed, workers, got.Len(), len(want))
+			}
+			if stats.Refs != 300 || stats.Reads < 1 || stats.Reads > stats.Refs {
+				t.Fatalf("implausible stats: %+v", stats)
+			}
+			if stats.OutputBytes != int64(len(want)) {
+				t.Fatalf("stats.OutputBytes %d, want %d", stats.OutputBytes, len(want))
 			}
 		}
 	}
 }
 
 // blockingWriter stalls the restore's output: the first Write signals
-// stalled and parks until released. It lets the backpressure test freeze
-// the emitter mid-restore.
+// stalled and parks until released. It lets the width test freeze the
+// emitter mid-restore.
 type blockingWriter struct {
 	stalled  chan struct{}
 	release  chan struct{}
@@ -212,93 +205,102 @@ func (b *blockingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestPipelineBackpressureBoundsMemory freezes the writer and checks the
-// window actually bounds work: with the emitter stalled no credit is ever
-// returned, so the container bytes the readers fetch can never exceed the
-// window budget (admission happens before the disk read). Peak window
-// occupancy must respect the same bound.
-func TestPipelineBackpressureBoundsMemory(t *testing.T) {
-	s, file, want := buildFragmentedStore(t, 7, 400)
-	const window = 16 << 10
+// steppedWriter stops the restore's output at every Write until the test
+// lets it go: each Write announces itself on at and waits on next.
+type steppedWriter struct {
+	at, next chan struct{}
+	received int64
+}
 
-	baseline := s.Disk().Counters().BytesRead[simdisk.Data]
-	w := &blockingWriter{stalled: make(chan struct{}), release: make(chan struct{})}
-	done := make(chan RestoreStats, 1)
-	go func() {
-		stats, err := s.RestoreFileStats(file, w, RestoreOptions{Workers: 8, WindowBytes: window})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- stats
-	}()
+func (w *steppedWriter) Write(p []byte) (int, error) {
+	w.at <- struct{}{}
+	<-w.next
+	w.received += int64(len(p))
+	return len(p), nil
+}
 
-	<-w.stalled
-	// Give the readers every chance to run ahead; if the window did not
-	// bound admission they would fetch the whole plan here.
-	time.Sleep(100 * time.Millisecond)
-	inFlight := s.Disk().Counters().BytesRead[simdisk.Data] - baseline
-	// Everything fetched so far was admitted into the window while zero
-	// bytes have been credited back (the writer is frozen before its first
-	// byte lands). Oversized reads are impossible here: every planned read
-	// of this store is far smaller than the window... but the plan may
-	// coalesce, so allow one max-read slack on top of the budget.
+// fetchedAtEachEmission runs a synthetic plan — one read of each length, one
+// segment each, served from one shared buffer with no disk behind it, so a
+// read can be as large as the window it is to fill — at width, behind a
+// writer stopped at every read's emission in turn, and checks that by then
+// exactly want[i] bytes have been fetched in all.
+func fetchedAtEachEmission(t *testing.T, width int, lengths, want []int64) {
+	t.Helper()
+	plan := &restorePlan{file: "synthetic"}
 	var largest int64
-	plan := planOf(t, s, file)
-	for i := range plan.reads {
-		if plan.reads[i].length > largest {
-			largest = plan.reads[i].length
-		}
+	for _, n := range lengths {
+		plan.reads = append(plan.reads, plannedRead{length: n, segs: []planSegment{{size: n}}})
+		plan.refs++
+		plan.outputBytes += n
+		plan.plannedBytes += n
+		largest = max(largest, n)
 	}
-	bound := int64(window)
-	if largest > bound {
-		bound = largest
-	}
-	if inFlight > bound {
-		t.Fatalf("with writer stalled, %d container bytes fetched; window bound is %d (largest read %d)",
-			inFlight, bound, largest)
-	}
-	if inFlight == 0 {
-		t.Fatal("no bytes fetched while stalled; pipeline did not start")
+	buf := make([]byte, largest)
+	var fetched atomic.Int64
+	read := func(pr *plannedRead) ([]byte, error) {
+		fetched.Add(pr.length)
+		return buf[:pr.length], nil
 	}
 
-	close(w.release)
-	stats := <-done
-	if w.received != int64(len(want)) {
-		t.Fatalf("restored %d bytes, want %d", w.received, len(want))
+	s := New(simdisk.New(), FormatBasic)
+	w := &steppedWriter{at: make(chan struct{}), next: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.runPlan(plan, read, w, RestoreOptions{Workers: width})
+		done <- err
+	}()
+	for i := range lengths {
+		<-w.at
+		for deadline := time.Now().Add(10 * time.Second); fetched.Load() < want[i]; {
+			if time.Now().After(deadline) {
+				t.Fatalf("emitting read %d: only %d bytes fetched, want %d", i, fetched.Load(), want[i])
+			}
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // every chance to run further ahead
+		if got := fetched.Load(); got != want[i] {
+			t.Fatalf("emitting read %d: %d bytes fetched, want %d", i, got, want[i])
+		}
+		w.next <- struct{}{}
 	}
-	if stats.PeakWindowBytes > bound {
-		t.Fatalf("PeakWindowBytes %d exceeds bound %d", stats.PeakWindowBytes, bound)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
-	if stats.PeakWindowBytes <= 0 {
-		t.Fatal("PeakWindowBytes not recorded")
+	if w.received != plan.outputBytes {
+		t.Fatalf("restored %d bytes, want %d", w.received, plan.outputBytes)
 	}
 }
 
-// TestPipelineOversizedReadRunsAlone: a window smaller than a single
-// planned read must not wedge the pipeline — the oversized read is
-// admitted into an empty window and becomes the effective bound.
+// TestPipelineBackpressureBoundsMemory: behind a writer that stops at each
+// read's emission, the reads fetched and not yet emitted stay within
+// restoreWindow, however wide the executor may run. Eight reads of
+// 3 MiB at width 8: two fit the 8 MiB window, so two are fetched ahead of
+// each emission and no more.
+func TestPipelineBackpressureBoundsMemory(t *testing.T) {
+	const n, size = 8, 3 << 20
+	lengths, want := make([]int64, n), make([]int64, n)
+	for i := range lengths {
+		lengths[i] = size
+		want[i] = int64(min(n, i+restoreWindow/size)) * size
+	}
+	if want[0] > restoreWindow {
+		t.Fatalf("the model admits %d bytes past the %d-byte window", want[0], restoreWindow)
+	}
+	fetchedAtEachEmission(t, n, lengths, want)
+}
+
+// TestPipelineOversizedReadRunsAlone: a read larger than the whole window
+// must not wedge the executor — it starts once nothing else is outstanding,
+// and nothing starts behind it until it is emitted.
 func TestPipelineOversizedReadRunsAlone(t *testing.T) {
-	s, file, want := buildFragmentedStore(t, 11, 200)
-	var got bytes.Buffer
-	stats, err := s.RestoreFileStats(file, &got, RestoreOptions{Workers: 4, WindowBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatal("oversized-read restore diverges from reference")
-	}
-	// With a 1-byte window every read is oversized and runs alone: the
-	// peak equals the largest planned read.
-	plan := planOf(t, s, file)
-	var largest int64
-	for i := range plan.reads {
-		if plan.reads[i].length > largest {
-			largest = plan.reads[i].length
-		}
-	}
-	if stats.PeakWindowBytes != largest {
-		t.Fatalf("PeakWindowBytes %d, want largest read %d", stats.PeakWindowBytes, largest)
-	}
+	const mib = 1 << 20
+	lengths := []int64{mib, restoreWindow + mib, mib, mib}
+	fetchedAtEachEmission(t, 4, lengths, []int64{
+		mib,                   // the oversized read waits for read 0
+		2*mib + restoreWindow, // and then runs alone
+		4*mib + restoreWindow, // the two behind it fit together
+		4*mib + restoreWindow,
+	})
 }
 
 // TestPipelineReadErrorPropagates: a failing container read must surface
@@ -342,7 +344,7 @@ func TestPipelineWriterErrorPropagates(t *testing.T) {
 	s, file, _ := buildFragmentedStore(t, 17, 150)
 	boom := errors.New("destination full")
 	ew := &errAfterWriter{n: 3, err: boom}
-	_, err := s.RestoreFileStats(file, ew, RestoreOptions{Workers: 8, WindowBytes: 8 << 10})
+	_, err := s.RestoreFileStats(file, ew, RestoreOptions{Workers: 8})
 	if !errors.Is(err, boom) {
 		t.Fatalf("writer error not propagated: %v", err)
 	}
@@ -408,12 +410,12 @@ func (p *readProbe) read(pr *plannedRead) ([]byte, error) {
 // flight. Not more: with the writer frozen on its first byte nothing has
 // been emitted, so the reads started are the reads outstanding, and they
 // settle at exactly Workers however long the writer stalls — the window
-// is far larger than the file, so only the width can be what stops them.
+// is far larger than the planned reads, so only the width can stop them.
 func TestPipelineWidth(t *testing.T) {
 	s, file, want := buildFragmentedStore(t, 19, 300)
 	plan := planOf(t, s, file)
 	for _, width := range []int{2, 8} {
-		opts := RestoreOptions{Workers: width, WindowBytes: 64 << 20}
+		opts := RestoreOptions{Workers: width}
 
 		var mu sync.Mutex
 		parked, left, gate := 0, len(plan.reads), make(chan struct{})
@@ -543,7 +545,7 @@ func TestVerifierPipelineMatchesSerial(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 8} {
 			var got bytes.Buffer
-			if _, err := v.RestoreRange(name, 0, -1, &got, RestoreOptions{Workers: workers, WindowBytes: 512}); err != nil {
+			if _, err := v.RestoreRange(name, 0, -1, &got, RestoreOptions{Workers: workers}); err != nil {
 				t.Fatalf("%s workers %d: %v", name, workers, err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {

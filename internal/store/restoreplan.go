@@ -31,40 +31,23 @@ import (
 // sub-reads (Verifier.splitReads); each still serves one contiguous run of
 // the output, in schedule order, so the property holds for them too.
 
-const (
-	// DefaultRestoreWindowBytes bounds read-ahead: started-but-unemitted
-	// read bytes never exceed it (except for a single read larger than the
-	// whole window, which runs alone).
-	DefaultRestoreWindowBytes = 8 << 20
-	// DefaultRestoreCoalesceGap is how many container bytes of gap a
-	// planned read bridges: two refs into the same container separated by
-	// at most this many bytes coalesce into one read that discards the gap.
-	DefaultRestoreCoalesceGap = 64 << 10
-)
+// DefaultRestoreCoalesceGap is how many container bytes of gap a planned
+// read bridges: two refs into the same container separated by at most this
+// many bytes coalesce into one read that discards the gap.
+const DefaultRestoreCoalesceGap = 64 << 10
 
-// RestoreOptions sets how far a restore reads ahead of the bytes it is
-// emitting. The zero value — what every engine's Restore uses — plans and
-// coalesces like any other and, on the plain path, fetches one read at a
-// time on the calling goroutine; on the verified path it keeps a width
-// derived from GOMAXPROCS in flight (Verifier.RestoreRange).
+// RestoreOptions sets how many planned reads a restore keeps in flight
+// ahead of the bytes it is emitting; their bytes stay within
+// restoreWindow at any width. The zero value — what every engine's
+// Restore uses — plans and coalesces like any other and, on the plain path,
+// fetches one read at a time on the calling goroutine; on the verified path
+// it keeps a width derived from GOMAXPROCS in flight (Verifier.RestoreRange).
 type RestoreOptions struct {
 	// Workers is the most planned reads outstanding (started, not yet
 	// emitted) at once, each on its own goroutine. 1 fetches every read
 	// inline on the calling goroutine, in order, and so does 0 on the plain
 	// path.
 	Workers int
-	// WindowBytes bounds the bytes of those outstanding reads — views of
-	// the stored containers, which cost no memory. Zero means
-	// DefaultRestoreWindowBytes. A single read larger than the window
-	// starts alone (the bound is then that read's size).
-	WindowBytes int64
-}
-
-func (o RestoreOptions) window() int64 {
-	if o.WindowBytes <= 0 {
-		return DefaultRestoreWindowBytes
-	}
-	return o.WindowBytes
 }
 
 func (o RestoreOptions) workers() int {

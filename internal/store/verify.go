@@ -60,9 +60,9 @@ var (
 const verifySplitBytes = 1 << 20
 
 // verifiedWorkers is a verified restore's width when Workers is zero: eight
-// reads per P (at most 64; the window bounds their bytes), so one long read
-// at the head of the schedule does not idle the other cores — and inline
-// on a single P.
+// reads per P (at most 64; restoreWindow bounds their bytes), so one long
+// read at the head of the schedule does not idle the other cores — and
+// inline on a single P.
 func verifiedWorkers() int {
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		return min(8*p, 64)

@@ -669,7 +669,7 @@ func TestVerifiedSplitCutsAtCleanClaimBoundaries(t *testing.T) {
 // the plain path, which starts no read ahead of the caller at all.
 func TestVerifiedDefaultWidth(t *testing.T) {
 	s, file, want := buildFragmentedStore(t, 31, 300)
-	ahead := func() int64 { return hRestoreWindowBytes.Snapshot().Count }
+	ahead := func() int64 { return hRestoreWindow.Snapshot().Count }
 	before := ahead()
 	var got bytes.Buffer
 	rs, err := NewVerifier(s, VerifyOpts{}).RestoreRange(file, 0, -1, &got, RestoreOptions{})
