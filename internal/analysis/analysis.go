@@ -140,13 +140,6 @@ type AccessModel struct {
 	PaperSummaryWithBloom int64
 }
 
-// ComponentSum returns the total of the component rows (the no-bloom case:
-// every query reaches disk).
-func (a AccessModel) ComponentSum() int64 {
-	return a.ChunkOutputs + a.ChunkInputs + a.HookOutputs + a.HookInputs +
-		a.ManifestOutputs + a.ManifestInputs + a.BigChunkQueries + a.SmallChunkQueries
-}
-
 // AccessesMHD returns MHD's Table II column.
 func AccessesMHD(in Inputs) AccessModel {
 	return AccessModel{
@@ -215,11 +208,4 @@ func AccessesCDC(in Inputs) AccessModel {
 		PaperSummaryNoBloom:   2*in.F + 3*in.L + 2*in.N,
 		PaperSummaryWithBloom: 2*in.F + 3*in.L + in.N,
 	}
-}
-
-// MHDBeatsAllOnAccesses evaluates the paper's §IV claim: with the bloom
-// filter assumed perfect, MHD performs fewer disk accesses than every other
-// algorithm whenever 3L < D/SD.
-func MHDBeatsAllOnAccesses(in Inputs) bool {
-	return 3*in.L < in.D/in.SD
 }

@@ -173,3 +173,17 @@ func TestZeroDuplicationDegeneratesGracefully(t *testing.T) {
 		t.Error("Bimodal hooks without duplication should be N/SD")
 	}
 }
+
+// ComponentSum returns the total of the component rows (the no-bloom case:
+// every query reaches disk).
+func (a AccessModel) ComponentSum() int64 {
+	return a.ChunkOutputs + a.ChunkInputs + a.HookOutputs + a.HookInputs +
+		a.ManifestOutputs + a.ManifestInputs + a.BigChunkQueries + a.SmallChunkQueries
+}
+
+// MHDBeatsAllOnAccesses evaluates the paper's §IV claim: with the bloom
+// filter assumed perfect, MHD performs fewer disk accesses than every other
+// algorithm whenever 3L < D/SD.
+func MHDBeatsAllOnAccesses(in Inputs) bool {
+	return 3*in.L < in.D/in.SD
+}

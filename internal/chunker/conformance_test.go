@@ -207,8 +207,11 @@ func (r *randSizeReader) Read(p []byte) (int, error) {
 // one-shot, 1-byte, prime strides, exactly and just past the 64 KiB filler
 // buffer, data+EOF in one call, and seeded random with zero-byte reads; and,
 // since a block is also the unit FastRabin scans, 100 bytes (a one-lane
-// block of more than a window) and half of whatever room the filler has
-// left (block lengths that shrink towards every buffer wrap).
+// block of more than a window), half of whatever room the filler has left
+// (block lengths that shrink towards every buffer wrap) and just short of
+// the filler buffer. Whole, 4093-byte and 64 KiB ± 1 reads hand FastRabin
+// blocks its 64-lane scan takes where the CPU has it (internal/rabin's
+// TestChunkerCutsComeFromWideKernel shows that it does).
 var fragmentations = []struct {
 	name string
 	mk   func(data []byte, seed int64) io.Reader
@@ -225,6 +228,7 @@ var fragmentations = []struct {
 	}},
 	{"100B", func(d []byte, _ int64) io.Reader { return &sizedReader{data: d, max: 100} }},
 	{"half", func(d []byte, _ int64) io.Reader { return iotest.HalfReader(bytes.NewReader(d)) }},
+	{"64KiB-1", func(d []byte, _ int64) io.Reader { return &sizedReader{data: d, max: 64<<10 - 1} }},
 }
 
 // chunkAll drains c, returning the chunks and the terminal error (io.EOF
@@ -288,9 +292,10 @@ func compareParity(t *testing.T, label string, ref, fast mkChunker, p Params,
 
 // TestChunkerParityMatrix is the differential matrix: every reference/fast
 // pair × every Params corner × adversarial streams × every fragmentation
-// pattern × random seeds.
+// pattern × random seeds. Axis 1's streams are three filler blocks and a
+// part of a fourth.
 func TestChunkerParityMatrix(t *testing.T) {
-	const n = 192 << 10
+	const n = 3*fillSize + 4093
 	for _, pair := range parityPairs {
 		// Axis 1: all Params corners × all fragmentations on random data
 		// plus the two nastiest deterministic streams.
@@ -577,6 +582,11 @@ func FuzzChunkerParity(f *testing.F) {
 	f.Add(streamData("random", 9, 5000), uint8(3), uint8(7), int64(2))
 	f.Add(streamData("periodic", 9, 3000), uint8(8), uint8(0), int64(3))
 	f.Add([]byte{}, uint8(10), uint8(4), int64(4))
+	// Three filler blocks and a part, read whole, 4093 bytes and 64 KiB ± 1
+	// at a time: blocks long enough for FastRabin's 64-lane scan.
+	for i, frag := range []uint8{0, 3, 4, 5, 10} {
+		f.Add(streamData("random", int64(11+i), 3*fillSize+4093), uint8(i%2), frag, int64(5+i))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, paramSel, fragSel uint8, seed int64) {
 		if len(data) > 256<<10 {
 			data = data[:256<<10]

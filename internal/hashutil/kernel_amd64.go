@@ -8,12 +8,12 @@ package hashutil
 var useSHANI = cpuHasSHANI()
 
 func cpuHasSHANI() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
+	maxLeaf, _, _, _ := CPUID(0, 0)
 	if maxLeaf < 7 {
 		return false
 	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	_, ebx7, _, _ := cpuid(7, 0)
+	_, _, ecx1, _ := CPUID(1, 0)
+	_, ebx7, _, _ := CPUID(7, 0)
 	const ssse3, sse41, sha = 1 << 9, 1 << 19, 1 << 29
 	return ecx1&ssse3 != 0 && ecx1&sse41 != 0 && ebx7&sha != 0
 }
@@ -24,4 +24,7 @@ func cpuHasSHANI() bool {
 //go:noescape
 func block(h *[5]uint32, p []byte)
 
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+// CPUID and XGETBV (XCR0) are the one reader of the CPU's features: the SHA-1
+// kernel here and the Rabin scan's (internal/rabin) are chosen from them.
+func CPUID(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+func XGETBV() (eax, edx uint32)

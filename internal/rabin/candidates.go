@@ -1,5 +1,10 @@
 package rabin
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // lanes is how many segments of a block Candidates rolls side by side. The
 // per-byte recurrence is one dependency chain — shift, modTab load, XOR —
 // and a core retires several such chains in the time one takes: one lane
@@ -7,11 +12,21 @@ package rabin
 // A segment shorter than minLane windows is not worth its warm-up.
 const lanes, minLane = 4, 2
 
+// wideLanes is how many segments the byte-sliced kernel rolls side by side
+// where the CPU has it (useWide, DESIGN §12.1): one per byte of a ZMM
+// register. A block's first tile of steps costs what four lanes take for
+// 384–512 bytes, so a block is only given to it from wideMinLane bytes a
+// lane on.
+const wideLanes, wideMinLane = 64, 8
+
 // Candidates rolls buf[from:] through the window, as Roll would byte by
 // byte, and appends to dst, in increasing order, every index whose
 // fingerprint masked by mask equals mask: the candidate cuts of a whole
 // block in one pass, for the caller to apply its minimum and maximum to.
-// A block of lanes·minLane windows or more is rolled on four lanes.
+// A block of wideLanes·wideMinLane bytes or more is rolled on 64 lanes
+// where the CPU has the byte-sliced kernel and the window and mask fit it
+// (windowTabs.wide, a mask below 2^16); a block, or what the 64 lanes leave
+// of it, of lanes·minLane windows or more on four lanes; the rest on one.
 //
 // The scan evicts from the slice, not the ring, so a window's width of
 // bytes before from must be in buf — and is what the window is taken to
@@ -34,6 +49,12 @@ func (w *Window) Candidates(dst []int, buf []byte, from int, mask Poly, cont boo
 	if !cont {
 		d = w.tabs.warm(w.shift, buf[from-size:from])
 	}
+	if q := (len(buf) - from) / wideLanes; useWide && w.tabs.wide != nil && mask < 1<<16 && q >= wideMinLane {
+		// The wide scan warms its first lane like the others: a window's
+		// digest is a function of the bytes it holds, so that is d.
+		dst, d = w.scanWide(dst, buf, from, q, mask)
+		from += wideLanes * q
+	}
 	if q := (len(buf) - from) / lanes; q >= minLane*size {
 		dst, d = w.scanLanes(dst, buf, from, q, d, mask)
 		from += lanes * q
@@ -47,6 +68,65 @@ func (w *Window) Candidates(dst []int, buf []byte, from int, mask Poly, cont boo
 	w.digest, w.pos = d, 0
 	copy(w.window, buf[len(buf)-size:])
 	return dst
+}
+
+// wideTabs holds modTab and out8Tab as the byte-sliced kernel takes them.
+// Both are GF(2)-linear in their index, so byte j of either is an 8×8 bit
+// matrix times the index byte: mod[j] and out[j], in VGF2P8AFFINEQB's
+// layout, where bit i of the product is the parity of row 7−i and the
+// index. top (bits deg-8…deg-1 of the digest) is picked out of digest bytes
+// 5 and 6 by VPMULTISHIFTQB with ctrl5 and ctrl6, the bits where sel is set
+// from byte 5.
+type wideTabs struct {
+	mod, out          [7]uint64
+	ctrl5, ctrl6, sel uint64
+}
+
+func newWideTabs(t *windowTabs, deg int) *wideTabs {
+	w := &wideTabs{sel: 0x0101010101010101 * uint64(0xff>>(deg-48))}
+	for i := 0; i < 8; i++ {
+		w.ctrl5 |= uint64(8*i+deg-48) << (8 * i)
+		w.ctrl6 |= uint64((8*i+deg-56)&63) << (8 * i)
+		for j := range w.mod {
+			for k := 0; k < 8; k++ {
+				w.mod[j] |= uint64(t.modTab[1<<k]>>(8*j+i)&1) << (8*(7-i) + k)
+				w.out[j] |= uint64(t.out8Tab[1<<k]>>(8*j+i)&1) << (8*(7-i) + k)
+			}
+		}
+	}
+	return w
+}
+
+// wideState is the byte-sliced scan between tiles (wide_amd64.s): byte j of
+// lane k's digest in planes[j][k]; a hit record {lanes that hit, step} for
+// each step of the last tile some lane hit at; and a ring of 128 transposed
+// columns, column s holding step s of every lane, 64-byte aligned in ring.
+type wideState struct {
+	planes [7][wideLanes]byte
+	hits   [64][2]uint64
+	ring   [129 * wideLanes]byte
+}
+
+// scanWide is scanLanes on wideLanes segments, in tiles of 64 steps: a
+// lane's first size steps warm it over the window before its segment, the
+// next q roll the segment. Hits come out step by step, lane by lane, and are
+// sorted into position order at the end — in place, allocating nothing.
+func (w *Window) scanWide(dst []int, buf []byte, from, q int, mask Poly) ([]int, Poly) {
+	var st wideState
+	size, start := w.size, len(dst)
+	for g, n := 0, size+q; g < n; g += 64 {
+		for _, h := range st.hits[:wideTile(&st, w.tabs.wide, &buf[from-size], q, g, n, size, uint64(mask))] {
+			for m, i := h[0], int(h[1])-size; m != 0 && i >= 0; m &= m - 1 {
+				dst = append(dst, from+bits.TrailingZeros64(m)*q+i)
+			}
+		}
+	}
+	slices.Sort(dst[start:])
+	var d Poly
+	for j := range st.planes {
+		d |= Poly(st.planes[j][wideLanes-1]) << (8 * j)
+	}
+	return dst, d
 }
 
 // scanLanes rolls lanes segments of q bytes from buf[from] side by side,

@@ -11,8 +11,9 @@ import (
 // immune to boundary shifting.
 const DefaultWindowSize = 48
 
-// Window is a sliding-window Rabin fingerprinter. Feed bytes with Roll; the
-// current fingerprint of the most recent WindowSize bytes is Fingerprint().
+// Window is a sliding-window Rabin fingerprinter. Feed bytes with Roll, which
+// returns the fingerprint of the most recent WindowSize bytes, or list a
+// block's candidate cuts with Candidates.
 // The zero value is not usable; construct with NewWindow.
 type Window struct {
 	size   int
@@ -37,6 +38,10 @@ type windowTabs struct {
 	// appending and then XORing out8Tab[b] — which takes the evicted byte's
 	// table load off the serial dependency chain of Candidates' loops.
 	out8Tab [256]Poly
+	// wide is the same two tables as the byte-sliced kernel takes them, for
+	// a degree of 49…56 and a window of at most 64 bytes: its seven planes
+	// hold such a digest and its ring such a window. Otherwise nil.
+	wide *wideTabs
 }
 
 type windowTabKey struct {
@@ -80,6 +85,9 @@ func NewWindow(poly Poly, size int) (*Window, error) {
 			tabs.outTab[b] = h
 			tabs.out8Tab[b] = (h << 8) ^ tabs.modTab[byte(h>>shift)]
 		}
+		if 49 <= deg && deg <= 56 && size <= 64 {
+			tabs.wide = newWideTabs(tabs, deg)
+		}
 		cached, _ = tabCache.LoadOrStore(key, tabs)
 	}
 	return &Window{size: size, shift: shift, tabs: cached.(*windowTabs), window: make([]byte, size)}, nil
@@ -107,11 +115,5 @@ func (w *Window) Roll(b byte) Poly {
 	top := byte(w.digest >> w.shift)
 	w.digest = (w.digest << 8) | Poly(b)
 	w.digest ^= w.tabs.modTab[top]
-	return w.digest
-}
-
-// Fingerprint returns the fingerprint of the bytes currently in the window
-// (the last size bytes rolled, zero-padded if fewer have been seen).
-func (w *Window) Fingerprint() Poly {
 	return w.digest
 }

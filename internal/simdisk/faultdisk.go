@@ -108,14 +108,6 @@ func (f *FaultDisk) Stats() FaultStats {
 	return f.stats
 }
 
-// TotalLatency returns the simulated latency accumulated so far under the
-// plan's OpLatency table.
-func (f *FaultDisk) TotalLatency() time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.latency
-}
-
 // eligible reports whether cat is subject to injection under the plan.
 func (f *FaultDisk) eligible(cat Category) bool {
 	return f.plan.Categories == nil || f.plan.Categories[cat]

@@ -234,3 +234,11 @@ func TestCorruptStoredDeterministicAndExact(t *testing.T) {
 		}
 	}
 }
+
+// TotalLatency returns the simulated latency accumulated so far under the
+// plan's OpLatency table.
+func (f *FaultDisk) TotalLatency() time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.latency
+}

@@ -193,18 +193,6 @@ func (d *Disk) SetReadTransform(fn func(cat Category, name string, data []byte) 
 	d.readTransform = fn
 }
 
-// SetWAL attaches w as the disk's write-ahead delta log: every successful
-// Create/Write/Delete from here on is journaled as a delta record, and a
-// SaveDir into the WAL's own store directory folds the log into the new
-// generation (compaction). Pass nil to detach. The WAL must belong to the
-// directory the disk is persisted into; attach it right after the load,
-// before any mutation (Mount does both).
-func (d *Disk) SetWAL(w *WAL) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.wal = w
-}
-
 func (d *Disk) check(op Op, cat Category, name string) error {
 	if cat < 0 || cat >= numCategories {
 		return fmt.Errorf("simdisk: invalid category %d", int(cat))

@@ -293,15 +293,6 @@ func (w *WAL) openSegmentLocked() error {
 	return nil
 }
 
-// SetHook installs fn as the log's persistence fault injector (consulted
-// before every segment create/append/fsync/remove, on whichever goroutine
-// makes it); nil clears it.
-func (w *WAL) SetHook(fn SaveHook) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.hook = fn
-}
-
 // SetBatchObserver installs fn to observe each group-commit batch (the
 // number of records one fsync made durable). Used to feed the
 // group-commit-batch-size histogram; nil clears it.

@@ -1261,3 +1261,24 @@ func TestRecoverIdempotentDebris(t *testing.T) {
 		})
 	}
 }
+
+// SetWAL attaches w as the disk's write-ahead delta log: every successful
+// Create/Write/Delete from here on is journaled as a delta record, and a
+// SaveDir into the WAL's own store directory folds the log into the new
+// generation (compaction). Pass nil to detach. The WAL must belong to the
+// directory the disk is persisted into; attach it right after the load,
+// before any mutation (Mount does both).
+func (d *Disk) SetWAL(w *WAL) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.wal = w
+}
+
+// SetHook installs fn as the log's persistence fault injector (consulted
+// before every segment create/append/fsync/remove, on whichever goroutine
+// makes it); nil clears it.
+func (w *WAL) SetHook(fn SaveHook) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.hook = fn
+}

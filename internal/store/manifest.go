@@ -361,12 +361,3 @@ func (m *Manifest) validateEntry(e Entry) error {
 	}
 	return nil
 }
-
-// AppendChecked validates and appends e.
-func (m *Manifest) AppendChecked(e Entry) error {
-	if err := m.validateEntry(e); err != nil {
-		return err
-	}
-	m.Append(e)
-	return nil
-}

@@ -386,3 +386,12 @@ func TestKindString(t *testing.T) {
 		t.Error("unknown kind String empty")
 	}
 }
+
+// AppendChecked validates and appends e.
+func (m *Manifest) AppendChecked(e Entry) error {
+	if err := m.validateEntry(e); err != nil {
+		return err
+	}
+	m.Append(e)
+	return nil
+}
