@@ -53,7 +53,7 @@ echo "== code size =="
 # outside benchmark/ (25,588 before the item's first PR). The ceiling is a
 # ratchet — a PR that deletes code lowers it to its own count; nothing
 # raises it.
-SIZE_CEILING=22835
+SIZE_CEILING=22535
 size=$(find . -name '*.go' ! -name '*_test.go' \
     ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
 echo "non-test Go lines outside benchmark/: $size (ceiling $SIZE_CEILING)"
@@ -80,7 +80,7 @@ echo "== hashutil: both SHA-1 kernels against crypto/sha1 =="
 # this machine never executes building: one under its own tests, the other
 # through vet and a full cross-build.
 go test -race -count=3 ./internal/hashutil
-go test -run '^$' -fuzz FuzzDigestMatchesStdlib -fuzztime 20s ./internal/hashutil
+go test -run '^$' -fuzz FuzzDigestMatchesStdlib -fuzztime 20s -fuzzminimizetime 2s ./internal/hashutil
 go vet -tags purego ./internal/hashutil && go test -tags purego ./internal/hashutil
 GOARCH=arm64 go vet ./... && GOARCH=arm64 go build ./...
 # The log's write-back hint is the other build-tagged pair: the arm64 line
@@ -99,18 +99,24 @@ echo "== rabin: the candidate scan against per-byte Roll, and what the lanes buy
 # CPUID offers AVX-512 and GFNI (the fuzz runs both per input). The arm64
 # line above already builds the portable file set; the purego line runs it
 # here. Then the reason each kernel exists, as ratios that cannot rot
-# silently, measured in one process so the machine's speed cancels: the same
+# silently, measured on the same machine so its speed cancels: the same
 # 1 MiB scanned on four lanes (the byte-sliced kernel turned off) and on one,
 # measured 2.66x, and below 1.5x the lanes no longer pay for their code; and
 # on 64 lanes against four, measured 9-13x, below 2.0x the kernel no longer
 # pays for its assembly. Where CPUID does not offer the kernel its
-# sub-benchmark skips, and so does only that ratio.
-# Minimizing a new input may take the fuzzer's default of 60 s, and the
-# whole 20 s with it: capped, the 20 s run ≈ 40,000 inputs instead of ≈ 20.
+# sub-benchmark skips, and so does only that ratio. A single round read the
+# first ratio anywhere from 1.32x to 1.91x as neighbours came and went, so
+# there are five rounds, each scanning with every kernel in turn, and each
+# kernel's best round is what is compared: a busy stretch of the machine
+# slows one round of each, not one kernel's every round.
+# The fuzzer's minimization (see the fuzz smokes below) is capped at 2 s.
 go test -run '^$' -fuzz FuzzCandidatesMatchRoll -fuzztime 20s -fuzzminimizetime 2s ./internal/rabin
 go vet -tags purego ./internal/rabin && go test -tags purego ./internal/rabin
-go test -run '^$' -bench 'BenchmarkCandidates1M' -benchtime 200x ./internal/rabin | awk '
-    { for (i = 2; i <= NF; i++) if ($i == "MB/s") { if ($1 ~ /lanes=4/) four = $(i-1); if ($1 ~ /lanes=1/) one = $(i-1); if ($1 ~ /kernel=wide/) wide = $(i-1) } }
+for round in 1 2 3 4 5; do
+    go test -run '^$' -bench 'BenchmarkCandidates1M' -benchtime 200x ./internal/rabin
+done | awk '
+    function best(old, v) { return v > old ? v : old }
+    { for (i = 2; i <= NF; i++) if ($i == "MB/s") { v = $(i-1) + 0; if ($1 ~ /lanes=4/) four = best(four, v); if ($1 ~ /lanes=1/) one = best(one, v); if ($1 ~ /kernel=wide/) wide = best(wide, v) } }
     END {
         if (one == 0 || four == 0) { print "rabin lanes: benchmark printed no MB/s" > "/dev/stderr"; exit 1 }
         printf "four lanes %.0f MB/s, one lane %.0f MB/s: %.2fx\n", four, one, four / one
@@ -174,8 +180,8 @@ echo "== WAL crash smoke (kill-every-point, race) =="
 # suite above already ran the 100+-run one. Beside them, the container read's
 # own contract: a range whose end wraps past MaxInt64 is refused, not
 # sliced; a ReadRange is a view, capacity clipped, that keeps its bytes
-# through a flip, a truncation, a Write and a Delete; and a read transform or
-# read flip never reaches the stored object.
+# through a flip, a truncation, a Write and a Delete; and a read transform,
+# even one that writes into its bytes, never reaches the stored object.
 go test -race -short -count=1 \
     -run 'TestWALKillEveryPoint|TestRecoverIdempotentDebris|TestWALReplayStagedObjects|TestWALStreamsAheadOfSync|TestWALBackgroundWriteErrorIsSticky|TestWALConcurrentSessionsStream|TestReadRangeOverflow|TestReadRangeView|TestReadFaultsNeverReachStore' \
     ./internal/simdisk
@@ -376,17 +382,21 @@ echo "== fuzz smokes (5s each; the log's replay, the verified width, the hostile
 # codec replaced, each message's Marshal at one allocation and its decode
 # at no more than that codec made; then any payload a decoder accepts must
 # re-encode byte for byte.
-go test -run '^$' -fuzz 'FuzzWALScanReplay' -fuzztime 20s ./internal/simdisk
-go test -run '^$' -fuzz 'FuzzVerifiedRestoreWidth' -fuzztime 20s ./dedup
-go test -run '^$' -fuzz 'FuzzClientHostileServer' -fuzztime 20s ./internal/client
-go test -run '^$' -fuzz 'FuzzEncodeDecodeName' -fuzztime 5s ./internal/simdisk
-go test -run '^$' -fuzz 'FuzzDecodeManifest$' -fuzztime 5s ./internal/store
-go test -run '^$' -fuzz 'FuzzDecodeFileManifest' -fuzztime 5s ./internal/store
-go test -run '^$' -fuzz 'FuzzDecompressRecipe' -fuzztime 5s ./internal/store
+# Every fuzz line caps -fuzzminimizetime at 2 s. Minimizing a new input may
+# otherwise take the fuzzer's default of 60 s, and with it the whole
+# -fuzztime: uncapped, a 20 s run of FuzzCandidatesMatchRoll once executed
+# about 20 inputs, capped about 40,000. -fuzztime is unchanged.
+go test -run '^$' -fuzz 'FuzzWALScanReplay' -fuzztime 20s -fuzzminimizetime 2s ./internal/simdisk
+go test -run '^$' -fuzz 'FuzzVerifiedRestoreWidth' -fuzztime 20s -fuzzminimizetime 2s ./dedup
+go test -run '^$' -fuzz 'FuzzClientHostileServer' -fuzztime 20s -fuzzminimizetime 2s ./internal/client
+go test -run '^$' -fuzz 'FuzzEncodeDecodeName' -fuzztime 5s -fuzzminimizetime 2s ./internal/simdisk
+go test -run '^$' -fuzz 'FuzzDecodeManifest$' -fuzztime 5s -fuzzminimizetime 2s ./internal/store
+go test -run '^$' -fuzz 'FuzzDecodeFileManifest' -fuzztime 5s -fuzzminimizetime 2s ./internal/store
+go test -run '^$' -fuzz 'FuzzDecompressRecipe' -fuzztime 5s -fuzzminimizetime 2s ./internal/store
 go test -count=1 -run 'TestGoldenPayloads|TestCodecAllocs|TestRestoreRangeBounds' ./internal/wire
-go test -run '^$' -fuzz 'FuzzWireDecode$' -fuzztime 20s ./internal/wire
-go test -run '^$' -fuzz 'FuzzWireReplicaDecode' -fuzztime 20s ./internal/wire
-go test -run '^$' -fuzz 'FuzzChunkerParity' -fuzztime 5s ./internal/chunker
-go test -run '^$' -fuzz 'FuzzPutChunksAnyCuts' -fuzztime 5s ./internal/core
+go test -run '^$' -fuzz 'FuzzWireDecode$' -fuzztime 20s -fuzzminimizetime 2s ./internal/wire
+go test -run '^$' -fuzz 'FuzzWireReplicaDecode' -fuzztime 20s -fuzzminimizetime 2s ./internal/wire
+go test -run '^$' -fuzz 'FuzzChunkerParity' -fuzztime 5s -fuzzminimizetime 2s ./internal/chunker
+go test -run '^$' -fuzz 'FuzzPutChunksAnyCuts' -fuzztime 5s -fuzzminimizetime 2s ./internal/core
 
 echo "CI OK"

@@ -58,7 +58,6 @@ func main() {
 	flag.BoolVar(&o.verify, "verify", false, "restore every file and verify it matches the input")
 	flag.StringVar(&o.save, "save", "", "persist the deduplicated store to this directory after Finish")
 	flag.StringVar(&o.resume, "resume", "", "resume from a store directory previously written with -save")
-	flag.StringVar(&o.scrub, "scrub", "", "verify a saved store, quarantine corrupt objects, and exit (no ingest)")
 	flag.StringVar(&o.remote, "remote", "", "back up to a dedupd server at host:port instead of a local engine")
 	flag.StringVar(&o.tenant, "tenant", "", "tenant name for a multi-tenant server or gateway")
 	flag.StringVar(&o.secret, "secret", "", "tenant secret (with -tenant)")
@@ -90,64 +89,13 @@ type runOptions struct {
 	verify   bool
 	save     string
 	resume   string
-	scrub    string
 	remote   string
 	tenant   string
 	secret   string
 	logLevel string
 }
 
-// runScrub is the maintenance path: run crash recovery on a saved store,
-// verify every container against the content addresses its manifests vouch
-// for, quarantine persistently damaged objects under <dir>/quarantine/, and
-// persist the cleaned store. Exits non-zero when corruption was found, so
-// scripted backups notice.
-func runScrub(dir string) error {
-	rec, err := dedup.RecoverStore(dir)
-	if err != nil {
-		return err
-	}
-	if len(rec.RolledBack) > 0 || rec.RepairedMarker {
-		fmt.Printf("recovery       rolled back %v (marker repaired: %v), mounted generation %d\n",
-			rec.RolledBack, rec.RepairedMarker, rec.Generation)
-	}
-	st, err := dedup.OpenStore(dir)
-	if err != nil {
-		return err
-	}
-	rep, err := st.Scrub(dedup.VerifyOpts{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("scrub          %d containers checked, %d entries verified\n",
-		rep.ContainersChecked, rep.EntriesVerified)
-	for _, m := range rep.Corrupt {
-		fmt.Println("CORRUPT:", m.String())
-	}
-	for _, name := range rep.Unreadable {
-		fmt.Println("UNREADABLE: container", name)
-	}
-	for _, name := range rep.BadManifests {
-		fmt.Println("BAD MANIFEST:", name)
-	}
-	for _, f := range rep.AffectedFiles {
-		fmt.Println("file lost data:", f)
-	}
-	if rep.OK() {
-		fmt.Println("scrub          store is clean")
-		return nil
-	}
-	if err := st.Save(dir); err != nil {
-		return err
-	}
-	return fmt.Errorf("scrub quarantined %d objects into %s; %d files lost data",
-		len(rep.Quarantined), filepath.Join(dir, "quarantine"), len(rep.AffectedFiles))
-}
-
 func run(o runOptions) error {
-	if o.scrub != "" {
-		return runScrub(o.scrub)
-	}
 	if o.remote != "" {
 		return runRemote(o)
 	}

@@ -4,11 +4,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
-
-	"mhdedup/internal/simdisk"
 )
 
 func writeTestFiles(t *testing.T, dir string) map[string][]byte {
@@ -142,46 +139,5 @@ func TestRunErrors(t *testing.T) {
 	o.workload = true
 	if err := run(o); err == nil {
 		t.Error("-parallel 0 accepted")
-	}
-}
-
-func TestRunScrubMode(t *testing.T) {
-	dir := t.TempDir()
-	writeTestFiles(t, dir)
-	storeDir := filepath.Join(t.TempDir(), "store")
-	o := baseOptions()
-	o.dir = dir
-	o.save = storeDir
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	// A clean store scrubs clean.
-	if err := run(runOptions{scrub: storeDir}); err != nil {
-		t.Fatalf("scrub of clean store: %v", err)
-	}
-	// Corrupt one stored chunk file on disk; scrub must notice, quarantine,
-	// and exit non-zero.
-	disk, err := simdisk.LoadDir(storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := disk.Names(simdisk.Data)
-	sort.Strings(names)
-	fd := simdisk.NewFaultDisk(disk, simdisk.FaultPlan{Seed: 3})
-	if err := fd.FlipStoredBit(simdisk.Data, names[0], 123); err != nil {
-		t.Fatal(err)
-	}
-	if err := disk.SaveDir(storeDir); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(runOptions{scrub: storeDir}); err == nil {
-		t.Fatal("scrub of corrupt store should exit non-zero")
-	}
-	if _, err := os.Stat(filepath.Join(storeDir, "quarantine", "data-"+names[0])); err != nil {
-		t.Errorf("quarantined object not preserved: %v", err)
-	}
-	// The quarantining was persisted: a second scrub is clean.
-	if err := run(runOptions{scrub: storeDir}); err != nil {
-		t.Fatalf("second scrub: %v", err)
 	}
 }

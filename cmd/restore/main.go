@@ -29,11 +29,13 @@
 // file that looks complete. -all writes each file at its stored name under
 // -out; a name that would land outside -out ("../x") is reported FAILED and
 // not written. -scrub verifies the whole store, quarantines
-// objects with persistent damage under <store>/quarantine/, and saves the
-// cleaned store back.
+// objects with persistent damage under <store>/quarantine/, saves the
+// cleaned store back, and then exits non-zero if it quarantined anything,
+// after any -list, -file or -all of the same run.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -99,7 +101,7 @@ type restoreOptions struct {
 // zero bytes" precision is not reachable from this CLI.
 func (o restoreOptions) ranged() bool { return o.offset != 0 || o.length > 0 }
 
-func run(o restoreOptions, w io.Writer) error {
+func run(o restoreOptions, w io.Writer) (err error) {
 	if o.remote != "" {
 		return runRemote(o, w)
 	}
@@ -112,12 +114,15 @@ func run(o restoreOptions, w io.Writer) error {
 	}
 
 	if o.scrub {
-		if err := runScrub(st, o.storeDir, w); err != nil {
-			return err
+		damage, scrubErr := runScrub(st, o.storeDir, w)
+		if scrubErr != nil {
+			return scrubErr
 		}
 		if !o.list && o.file == "" && !o.all {
-			return nil
+			return damage
 		}
+		// What the scrub quarantined fails the run once the rest has run.
+		defer func() { err = errors.Join(err, damage) }()
 	}
 	if o.del != "" || o.gc {
 		if o.del != "" {
@@ -310,11 +315,13 @@ func restoreAll(w io.Writer, dir string, list func() ([]string, error), restore 
 }
 
 // runScrub verifies every container of the store, quarantines persistently
-// damaged objects, reports, and persists the scrubbed store.
-func runScrub(st *dedup.Store, dir string, w io.Writer) error {
+// damaged objects, reports, and persists the scrubbed store. damage is
+// non-nil when anything was quarantined, so the run exits non-zero and
+// scripted backups notice; err is a scrub or save that failed.
+func runScrub(st *dedup.Store, dir string, w io.Writer) (damage, err error) {
 	rep, err := st.Scrub(dedup.VerifyOpts{})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "scrub: %d containers checked, %d entries verified\n",
 		rep.ContainersChecked, rep.EntriesVerified)
@@ -335,14 +342,13 @@ func runScrub(st *dedup.Store, dir string, w io.Writer) error {
 	}
 	if rep.OK() {
 		fmt.Fprintln(w, "scrub: store is clean")
-		return nil
+		return nil, nil
 	}
 	if err := st.Save(dir); err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Fprintf(w, "scrub: quarantined %d objects into %s\n",
-		len(rep.Quarantined), filepath.Join(dir, "quarantine"))
-	return nil
+	return fmt.Errorf("scrub quarantined %d objects into %s; %d files lost data",
+		len(rep.Quarantined), filepath.Join(dir, "quarantine"), len(rep.AffectedFiles)), nil
 }
 
 // restoreTo writes one restored file atomically: the bytes go to

@@ -58,8 +58,7 @@ func corruptOneContainer(t *testing.T, storeDir string) string {
 		t.Fatal("store has no containers")
 	}
 	sort.Strings(names)
-	fd := simdisk.NewFaultDisk(disk, simdisk.FaultPlan{Seed: 9})
-	if err := fd.FlipStoredBit(simdisk.Data, names[0], 37); err != nil {
+	if err := disk.FlipStoredBit(simdisk.Data, names[0], 37); err != nil {
 		t.Fatal(err)
 	}
 	if err := disk.SaveDir(storeDir); err != nil {
@@ -160,12 +159,34 @@ func TestRestoreFailureLeavesNoPartialOutput(t *testing.T) {
 	}
 }
 
+// TestRunScrubMode: the exit code of a scrub says whether it found damage,
+// so scripted backups notice.
+func TestRunScrubMode(t *testing.T) {
+	storeDir, _ := buildStore(t)
+	// A clean store scrubs clean.
+	if err := run(restoreOptions{storeDir: storeDir, scrub: true}, io.Discard); err != nil {
+		t.Fatalf("scrub of clean store: %v", err)
+	}
+	// A corrupt one is noticed, quarantined, and the run exits non-zero.
+	bad := corruptOneContainer(t, storeDir)
+	if err := run(restoreOptions{storeDir: storeDir, scrub: true}, io.Discard); err == nil {
+		t.Fatal("scrub of corrupt store should exit non-zero")
+	}
+	if _, err := os.Stat(filepath.Join(storeDir, "quarantine", "data-"+bad)); err != nil {
+		t.Errorf("quarantined object not preserved: %v", err)
+	}
+	// The quarantining was persisted: a second scrub is clean.
+	if err := run(restoreOptions{storeDir: storeDir, scrub: true}, io.Discard); err != nil {
+		t.Fatalf("second scrub: %v", err)
+	}
+}
+
 func TestScrubFlagQuarantinesAndSaves(t *testing.T) {
 	storeDir, _ := buildStore(t)
 	bad := corruptOneContainer(t, storeDir)
 	var buf bytes.Buffer
-	if err := run(restoreOptions{storeDir: storeDir, scrub: true}, &buf); err != nil {
-		t.Fatalf("scrub: %v\n%s", err, buf.String())
+	if err := run(restoreOptions{storeDir: storeDir, scrub: true}, &buf); err == nil {
+		t.Fatalf("scrub of a corrupt store should exit non-zero:\n%s", buf.String())
 	}
 	if !strings.Contains(buf.String(), "quarantined data/"+bad) {
 		t.Errorf("scrub output does not report the quarantined container:\n%s", buf.String())
@@ -180,6 +201,22 @@ func TestScrubFlagQuarantinesAndSaves(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "store is clean") {
 		t.Errorf("second scrub not clean:\n%s", buf.String())
+	}
+}
+
+// TestScrubThenRestoreAll: with -all in the same run, a scrub that
+// quarantined something still lets every file be tried before the run
+// fails.
+func TestScrubThenRestoreAll(t *testing.T) {
+	storeDir, _ := buildStore(t)
+	corruptOneContainer(t, storeDir)
+	var buf bytes.Buffer
+	err := run(restoreOptions{storeDir: storeDir, scrub: true, all: true, out: t.TempDir()}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "scrub quarantined") {
+		t.Fatalf("scrub -all of a corrupt store = %v, want the scrub's damage as the error", err)
+	}
+	if !strings.Contains(buf.String(), " restored, ") {
+		t.Errorf("-all did not run after the scrub:\n%s", buf.String())
 	}
 }
 

@@ -196,7 +196,6 @@ func TestVerifiedRestoreRacesStoredBitFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk := s.st.Disk()
-	fd := simdisk.NewFaultDisk(disk, simdisk.FaultPlan{Seed: 7})
 	containers := disk.Names(simdisk.Data)
 	sort.Strings(containers)
 	names := make([]string, 0, len(files))
@@ -220,12 +219,12 @@ func TestVerifiedRestoreRacesStoredBitFlips(t *testing.T) {
 			default:
 			}
 			c, bit := containers[rng.Intn(len(containers))], rng.Int()
-			if err := fd.FlipStoredBit(simdisk.Data, c, bit); err != nil {
+			if err := disk.FlipStoredBit(simdisk.Data, c, bit); err != nil {
 				t.Error(err)
 				return
 			}
 			time.Sleep(100 * time.Microsecond)
-			if err := fd.FlipStoredBit(simdisk.Data, c, bit); err != nil {
+			if err := disk.FlipStoredBit(simdisk.Data, c, bit); err != nil {
 				t.Error(err)
 				return
 			}

@@ -74,16 +74,16 @@ func TestParallelVerifiedRestorePersistentDamage(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		fd := simdisk.NewFaultDisk(s.st.Disk(), simdisk.FaultPlan{Seed: int64(workers)})
-		names := s.st.Disk().Names(simdisk.Data)
+		disk := s.st.Disk()
+		names := disk.Names(simdisk.Data)
 		if len(names) < 2 {
 			t.Fatalf("workload produced only %d containers", len(names))
 		}
 		// Persistent single-bit flip in one container, truncation of another.
-		if err := fd.FlipStoredBit(simdisk.Data, names[0], 12345); err != nil {
+		if err := disk.FlipStoredBit(simdisk.Data, names[0], 12345); err != nil {
 			t.Fatal(err)
 		}
-		if err := fd.TruncateStored(simdisk.Data, names[1], 100); err != nil {
+		if err := disk.TruncateStored(simdisk.Data, names[1], 100); err != nil {
 			t.Fatal(err)
 		}
 

@@ -75,8 +75,7 @@ func TestVerifiedRestoreAndScrubUnderBitFlips(t *testing.T) {
 			// is hit so the low-rate case still tests something.
 			var corrupted []string
 			for seed := int64(1); len(corrupted) == 0; seed++ {
-				fd := simdisk.NewFaultDisk(s.st.Disk(), simdisk.FaultPlan{Seed: seed})
-				corrupted = fd.CorruptStored(simdisk.Data, rate)
+				corrupted = s.st.Disk().CorruptStored(simdisk.Data, rate, seed)
 				if seed > 1000 {
 					t.Fatal("no container corrupted after 1000 seeds")
 				}

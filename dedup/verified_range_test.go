@@ -253,39 +253,39 @@ func TestVerifiedRangeFaults(t *testing.T) {
 		name string
 		// inject damages the probe's container and returns the claim whose
 		// range the restore's error must name ("" when it must succeed).
-		inject func(t *testing.T, fd *simdisk.FaultDisk, p *probe) (failing *store.Entry)
+		inject func(t *testing.T, disk *simdisk.Disk, p *probe) (failing *store.Entry)
 	}
-	flip := func(fd *simdisk.FaultDisk, p *probe, off int64) error {
-		return fd.FlipStoredBit(simdisk.Data, p.container.Hex(), int(off)*8)
+	flip := func(disk *simdisk.Disk, p *probe, off int64) error {
+		return disk.FlipStoredBit(simdisk.Data, p.container.Hex(), int(off)*8)
 	}
 	faults := []fault{
-		{"flip in an unserved claim of the same container", func(t *testing.T, fd *simdisk.FaultDisk, p *probe) *store.Entry {
-			if err := flip(fd, p, p.c[8].Start+3); err != nil {
+		{"flip in an unserved claim of the same container", func(t *testing.T, disk *simdisk.Disk, p *probe) *store.Entry {
+			if err := flip(disk, p, p.c[8].Start+3); err != nil {
 				t.Fatal(err)
 			}
 			return nil
 		}},
-		{"flip in a claim inside the bridged gap", func(t *testing.T, fd *simdisk.FaultDisk, p *probe) *store.Entry {
-			if err := flip(fd, p, p.c[4].Start+p.c[4].Size/2); err != nil {
+		{"flip in a claim inside the bridged gap", func(t *testing.T, disk *simdisk.Disk, p *probe) *store.Entry {
+			if err := flip(disk, p, p.c[4].Start+p.c[4].Size/2); err != nil {
 				t.Fatal(err)
 			}
 			return nil
 		}},
-		{"flip in the unserved head of a straddling claim", func(t *testing.T, fd *simdisk.FaultDisk, p *probe) *store.Entry {
-			if err := flip(fd, p, p.c[2].Start+2); err != nil {
+		{"flip in the unserved head of a straddling claim", func(t *testing.T, disk *simdisk.Disk, p *probe) *store.Entry {
+			if err := flip(disk, p, p.c[2].Start+2); err != nil {
 				t.Fatal(err)
 			}
 			return &p.c[2]
 		}},
-		{"flip in the unserved tail of a straddling claim", func(t *testing.T, fd *simdisk.FaultDisk, p *probe) *store.Entry {
-			if err := flip(fd, p, p.c[3].Start+p.c[3].Size-2); err != nil {
+		{"flip in the unserved tail of a straddling claim", func(t *testing.T, disk *simdisk.Disk, p *probe) *store.Entry {
+			if err := flip(disk, p, p.c[3].Start+p.c[3].Size-2); err != nil {
 				t.Fatal(err)
 			}
 			return &p.c[3]
 		}},
-		{"truncation inside a straddling claim", func(t *testing.T, fd *simdisk.FaultDisk, p *probe) *store.Entry {
+		{"truncation inside a straddling claim", func(t *testing.T, disk *simdisk.Disk, p *probe) *store.Entry {
 			// Every served byte survives; the last 5 bytes of c[5] do not.
-			if err := fd.TruncateStored(simdisk.Data, p.container.Hex(), int(p.c[5].Start+p.c[5].Size)-5); err != nil {
+			if err := disk.TruncateStored(simdisk.Data, p.container.Hex(), int(p.c[5].Start+p.c[5].Size)-5); err != nil {
 				t.Fatal(err)
 			}
 			return &p.c[5]
@@ -296,7 +296,7 @@ func TestVerifiedRangeFaults(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			g := buildGenStore(t, 2, 1<<20)
 			p := writeProbe(t, g)
-			failing := f.inject(t, simdisk.NewFaultDisk(g.st.Disk(), simdisk.FaultPlan{Seed: 1}), p)
+			failing := f.inject(t, g.st.Disk(), p)
 			total := int64(len(p.want))
 			for _, workers := range []int{1, 4} {
 				for _, r := range []struct{ off, length int64 }{{0, -1}, {7, total - 14}} {

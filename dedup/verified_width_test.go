@@ -172,14 +172,14 @@ func FuzzVerifiedRestoreWidth(f *testing.F) {
 		case 1, 2:
 			orig := ws.read(t, cat, obj)
 			defer ws.restore(t, cat, obj, orig)
-			fd := simdisk.NewFaultDisk(ws.st.Disk(), simdisk.FaultPlan{})
+			disk := ws.st.Disk()
 			if damage%4 == 1 {
-				err = fd.FlipStoredBit(cat, obj, int(at)*8+int(where%8))
+				err = disk.FlipStoredBit(cat, obj, int(at)*8+int(where%8))
 				damaged = func(c hashutil.Sum, cl widthClaim) bool {
 					return c == ref.Container && cl.start <= at && at < cl.end
 				}
 			} else {
-				err = fd.TruncateStored(cat, obj, int(at))
+				err = disk.TruncateStored(cat, obj, int(at))
 				damaged = func(c hashutil.Sum, cl widthClaim) bool { return c == ref.Container && cl.end > at }
 			}
 			if err != nil {

@@ -190,7 +190,7 @@ func (tc *testCluster) namesByShard(t *testing.T, tenant string, per int) map[st
 			t.Fatal("could not find names covering every shard")
 		}
 		name := fmt.Sprintf("img-%d", i)
-		id := ring.OwnerOfName(wire.NSJoin(tenant, name)).ID
+		id := ring.OwnersOfName(wire.NSJoin(tenant, name), 1)[0].ID
 		if len(out[id]) < per {
 			out[id] = append(out[id], name)
 		}

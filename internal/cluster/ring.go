@@ -136,12 +136,6 @@ func (r *Ring) Owner(h hashutil.Sum) Shard {
 	return r.shards[r.ownerOf(binary.BigEndian.Uint64(h[:8]))]
 }
 
-// OwnerOfName maps a (namespaced) file name to its home shard — the
-// shard that stores and restores the whole file.
-func (r *Ring) OwnerOfName(name string) Shard {
-	return r.Owner(hashutil.SumString(name))
-}
-
 // Owners maps a content hash to its n distinct successor owners: the
 // shards encountered walking clockwise from the hash's ring position,
 // first occurrence of each shard in walk order. Owners(h, 1)[0] ==

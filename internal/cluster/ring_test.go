@@ -309,7 +309,7 @@ func TestOwnerOfNameStable(t *testing.T) {
 	}
 	for i := 0; i < 1000; i++ {
 		name := fmt.Sprintf("acme/disk-%d.img", i)
-		if r.OwnerOfName(name).ID != r2.OwnerOfName(name).ID {
+		if r.OwnersOfName(name, 1)[0].ID != r2.OwnersOfName(name, 1)[0].ID {
 			t.Fatalf("name %q routed differently across identical rings", name)
 		}
 	}

@@ -154,7 +154,7 @@ type Disk struct {
 	// accepts concurrent requests, the way an NVMe queue or a RAID spreads
 	// reads. Concurrent readers overlap their delays, a serial reader pays
 	// them back to back — exactly the asymmetry the parallel restore
-	// pipeline exists to exploit, and what the restore benchmark measures.
+	// pipeline exists to exploit.
 	readDelay atomic.Int64
 
 	// wal, when non-nil, journals every successful Create/Write/Delete as
@@ -298,9 +298,9 @@ func (d *Disk) Delete(cat Category, name string) error {
 // SetReadDelay installs a per-read latency of delay (zero clears it):
 // every Read/ReadRange sleeps that long after releasing the disk lock, so
 // concurrent readers overlap their waits while a serial reader pays them
-// back to back. Restore benchmarks use it to model a real device's read
-// latency; the default is zero (pure RAM, as the paper's accounting
-// assumes).
+// back to back. The read-overlap test and the restore pipeline's quiescence
+// test use it to model a real device's read latency; the default is zero
+// (pure RAM, as the paper's accounting assumes).
 func (d *Disk) SetReadDelay(delay time.Duration) {
 	if delay < 0 {
 		delay = 0
@@ -409,8 +409,9 @@ func (d *Disk) Names(cat Category) []string {
 
 // mutateRaw replaces a stored object with fn's copy of it, charging no disk
 // access or byte counter (fn must not write to data: views of it may be
-// held). It is the primitive behind FaultDisk's latent-corruption helpers:
-// damage that happens *to* the medium, not an operation of the store.
+// held). It is the primitive behind FlipStoredBit, TruncateStored and
+// CorruptStored: damage that happens *to* the medium, not an operation of
+// the store.
 func (d *Disk) mutateRaw(cat Category, name string, fn func(data []byte) ([]byte, error)) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

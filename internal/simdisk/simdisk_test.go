@@ -112,7 +112,6 @@ func TestReadRangeOverflow(t *testing.T) {
 func TestReadRangeView(t *testing.T) {
 	const content = "0123456789"
 	d := New()
-	fd := NewFaultDisk(d, FaultPlan{})
 	d.Create(Data, "c", []byte(content))
 	v, err := d.ReadRange(Data, "c", 2, 3)
 	if err != nil {
@@ -130,8 +129,8 @@ func TestReadRangeView(t *testing.T) {
 		what string
 		do   func() error
 	}{
-		{"FlipStoredBit", func() error { return fd.FlipStoredBit(Data, "c", 8*5) }},
-		{"TruncateStored", func() error { return fd.TruncateStored(Data, "c", 4) }},
+		{"FlipStoredBit", func() error { return d.FlipStoredBit(Data, "c", 8*5) }},
+		{"TruncateStored", func() error { return d.TruncateStored(Data, "c", 4) }},
 		{"Write", func() error { return d.Write(Data, "c", []byte("abcdefghij")) }},
 		{"Delete", func() error { return d.Delete(Data, "c") }},
 	} {
@@ -151,8 +150,8 @@ func TestReadRangeView(t *testing.T) {
 }
 
 // TestReadFaultsNeverReachStore: a read transform, even one that writes
-// into the bytes it is given, and a FaultDisk read flip damage only what
-// that read returns — never the stored object or a view of it.
+// into the bytes it is given, damages only what that read returns — never
+// the stored object or a view of it.
 func TestReadFaultsNeverReachStore(t *testing.T) {
 	const content = "0123456789"
 	d := New()
@@ -173,17 +172,6 @@ func TestReadFaultsNeverReachStore(t *testing.T) {
 		}
 	}
 	d.SetReadTransform(nil)
-
-	fd := NewFaultDisk(d, FaultPlan{Seed: 1, ReadFlipRate: 1})
-	for i := 0; i < 8; i++ {
-		got, err := fd.ReadRange(Data, "c", 0, 10)
-		if err != nil || string(got) == content {
-			t.Fatalf("read %d was not flipped: %q, %v", i, got, err)
-		}
-	}
-	if fd.Stats().ReadFlips != 8 {
-		t.Fatalf("%d flips, want 8", fd.Stats().ReadFlips)
-	}
 	if got, _ := d.Read(Data, "c"); string(got) != content || string(held) != content {
 		t.Fatalf("read faults reached the store: stored %q, view %q", got, held)
 	}

@@ -25,14 +25,14 @@ func TestCheckDetectsInjectedCorruption(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		corrupt func(t *testing.T, s *Store, fd *simdisk.FaultDisk)
+		corrupt func(t *testing.T, s *Store, disk *simdisk.Disk)
 		want    string // substring every matching Problems line must carry
 	}{
 		{
 			name: "bit-flipped manifest start breaks tiling",
-			corrupt: func(t *testing.T, s *Store, fd *simdisk.FaultDisk) {
+			corrupt: func(t *testing.T, s *Store, disk *simdisk.Disk) {
 				// 512 -> 513: entry 1 no longer abuts entry 0.
-				if err := fd.FlipStoredBit(simdisk.Manifest, c1, entry1StartLSB); err != nil {
+				if err := disk.FlipStoredBit(simdisk.Manifest, c1, entry1StartLSB); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -40,9 +40,9 @@ func TestCheckDetectsInjectedCorruption(t *testing.T) {
 		},
 		{
 			name: "bit-flipped manifest size breaks coverage",
-			corrupt: func(t *testing.T, s *Store, fd *simdisk.FaultDisk) {
+			corrupt: func(t *testing.T, s *Store, disk *simdisk.Disk) {
 				// Entry 0 claims 513 bytes: entries now cover 1025 of 1024.
-				if err := fd.FlipStoredBit(simdisk.Manifest, c1, entry0SizeLSB); err != nil {
+				if err := disk.FlipStoredBit(simdisk.Manifest, c1, entry0SizeLSB); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -50,8 +50,8 @@ func TestCheckDetectsInjectedCorruption(t *testing.T) {
 		},
 		{
 			name: "truncated manifest is undecodable",
-			corrupt: func(t *testing.T, s *Store, fd *simdisk.FaultDisk) {
-				if err := fd.TruncateStored(simdisk.Manifest, c1, 35); err != nil {
+			corrupt: func(t *testing.T, s *Store, disk *simdisk.Disk) {
+				if err := disk.TruncateStored(simdisk.Manifest, c1, 35); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -59,7 +59,7 @@ func TestCheckDetectsInjectedCorruption(t *testing.T) {
 		},
 		{
 			name: "dangling hook after manifest loss",
-			corrupt: func(t *testing.T, s *Store, fd *simdisk.FaultDisk) {
+			corrupt: func(t *testing.T, s *Store, disk *simdisk.Disk) {
 				if err := s.Disk().Delete(simdisk.Manifest, c1); err != nil {
 					t.Fatal(err)
 				}
@@ -68,8 +68,8 @@ func TestCheckDetectsInjectedCorruption(t *testing.T) {
 		},
 		{
 			name: "truncated hook payload",
-			corrupt: func(t *testing.T, s *Store, fd *simdisk.FaultDisk) {
-				if err := fd.TruncateStored(simdisk.Hook, hk1, 10); err != nil {
+			corrupt: func(t *testing.T, s *Store, disk *simdisk.Disk) {
+				if err := disk.TruncateStored(simdisk.Hook, hk1, 10); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -77,8 +77,8 @@ func TestCheckDetectsInjectedCorruption(t *testing.T) {
 		},
 		{
 			name: "truncated file manifest",
-			corrupt: func(t *testing.T, s *Store, fd *simdisk.FaultDisk) {
-				if err := fd.TruncateStored(simdisk.FileManifest, "f/one", 30); err != nil {
+			corrupt: func(t *testing.T, s *Store, disk *simdisk.Disk) {
+				if err := disk.TruncateStored(simdisk.FileManifest, "f/one", 30); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -86,8 +86,8 @@ func TestCheckDetectsInjectedCorruption(t *testing.T) {
 		},
 		{
 			name: "truncated container orphans manifest ranges",
-			corrupt: func(t *testing.T, s *Store, fd *simdisk.FaultDisk) {
-				if err := fd.TruncateStored(simdisk.Data, c1, 700); err != nil {
+			corrupt: func(t *testing.T, s *Store, disk *simdisk.Disk) {
+				if err := disk.TruncateStored(simdisk.Data, c1, 700); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -95,7 +95,7 @@ func TestCheckDetectsInjectedCorruption(t *testing.T) {
 		},
 		{
 			name: "deleted container reported for files too",
-			corrupt: func(t *testing.T, s *Store, fd *simdisk.FaultDisk) {
+			corrupt: func(t *testing.T, s *Store, disk *simdisk.Disk) {
 				if err := s.Disk().Delete(simdisk.Data, c1); err != nil {
 					t.Fatal(err)
 				}
@@ -108,8 +108,7 @@ func TestCheckDetectsInjectedCorruption(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			s, _ := buildVerifyStore(t)
-			fd := simdisk.NewFaultDisk(s.Disk(), simdisk.FaultPlan{Seed: 1})
-			tc.corrupt(t, s, fd)
+			tc.corrupt(t, s, s.Disk())
 
 			rep := Check(s.Disk(), FormatBasic)
 			if rep.OK() {
@@ -148,8 +147,7 @@ func TestCheckDetectsInjectedCorruption(t *testing.T) {
 func TestCheckSurvivesRandomCorruptionStorm(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		s, _ := buildVerifyStore(t)
-		fd := simdisk.NewFaultDisk(s.Disk(), simdisk.FaultPlan{Seed: seed})
-		mutated := fd.CorruptStored(simdisk.Manifest, 1.0)
+		mutated := s.Disk().CorruptStored(simdisk.Manifest, 1.0, seed)
 		if len(mutated) == 0 {
 			t.Fatal("corruption plan mutated nothing")
 		}

@@ -14,7 +14,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"mhdedup/internal/hashutil"
@@ -339,25 +338,4 @@ func DecodeManifest(name hashutil.Sum, format Format, data []byte) (*Manifest, e
 		return nil, fmt.Errorf("store: unknown manifest format %d", format)
 	}
 	return m, nil
-}
-
-// validateEntry checks an entry fits the manifest's encoding.
-func (m *Manifest) validateEntry(e Entry) error {
-	if e.Start < 0 || e.Size <= 0 {
-		return fmt.Errorf("store: entry with start %d size %d", e.Start, e.Size)
-	}
-	if m.Format == FormatMultiContainer && e.Size > math.MaxUint32 {
-		return fmt.Errorf("store: entry size %d exceeds multi-container format limit", e.Size)
-	}
-	if m.Format != FormatMultiContainer && !e.Container.IsZero() {
-		return fmt.Errorf("store: foreign container reference requires FormatMultiContainer")
-	}
-	if m.Format != FormatMHD && e.Kind != KindPlain && e.Kind != KindHook {
-		// Merged entries only exist in the MHD format; other formats
-		// tolerate the hook marker (it just isn't serialized).
-		if e.Kind == KindMerged {
-			return fmt.Errorf("store: merged entries require FormatMHD")
-		}
-	}
-	return nil
 }

@@ -194,26 +194,6 @@ func TestManifestLookupAndSplice(t *testing.T) {
 	}
 }
 
-func TestAppendCheckedValidation(t *testing.T) {
-	basic := NewManifest(sumOf("b"), FormatBasic)
-	if err := basic.AppendChecked(Entry{Hash: sumOf("h"), Size: 0}); err == nil {
-		t.Error("zero-size entry accepted")
-	}
-	if err := basic.AppendChecked(Entry{Hash: sumOf("h"), Size: 10, Container: sumOf("c")}); err == nil {
-		t.Error("foreign container in basic format accepted")
-	}
-	if err := basic.AppendChecked(Entry{Hash: sumOf("h"), Size: 10, Kind: KindMerged}); err == nil {
-		t.Error("merged entry in basic format accepted")
-	}
-	mc := NewManifest(sumOf("m"), FormatMultiContainer)
-	if err := mc.AppendChecked(Entry{Hash: sumOf("h"), Size: 1 << 40}); err == nil {
-		t.Error("oversized entry in multi-container format accepted")
-	}
-	if err := mc.AppendChecked(Entry{Hash: sumOf("h"), Size: 10}); err != nil {
-		t.Errorf("valid entry rejected: %v", err)
-	}
-}
-
 func TestFileManifestCoalescing(t *testing.T) {
 	fm := &FileManifest{File: "f"}
 	c1, c2 := sumOf("c1"), sumOf("c2")
@@ -385,13 +365,4 @@ func TestKindString(t *testing.T) {
 	if EntryKind(9).String() == "" {
 		t.Error("unknown kind String empty")
 	}
-}
-
-// AppendChecked validates and appends e.
-func (m *Manifest) AppendChecked(e Entry) error {
-	if err := m.validateEntry(e); err != nil {
-		return err
-	}
-	m.Append(e)
-	return nil
 }

@@ -33,7 +33,7 @@ import (
 //  2. A served range that no claim vouches for is refused.
 //  3. A mismatching claim that overlaps a served byte fails the restore,
 //     after a bounded number of re-reads (transient faults — a failing
-//     bus, an inject-on-read FaultDisk — heal on retry). A claim only
+//     bus, a disk read transform — heal on retry). A claim only
 //     partly served is still hashed whole: part of a claim cannot be
 //     vouched for.
 //  4. Scrub verifies every claim of every container and quarantines

@@ -106,10 +106,9 @@ func TestVerifierCleanStore(t *testing.T) {
 
 func TestVerifierDetectsPersistentBitFlip(t *testing.T) {
 	s, files := buildVerifyStore(t)
-	fd := simdisk.NewFaultDisk(s.Disk(), simdisk.FaultPlan{Seed: 1})
 	c1 := hashutil.SumString("c1").Hex()
 	// Flip a bit inside [0,512): corrupts f/one and f/shared, not f/two.
-	if err := fd.FlipStoredBit(simdisk.Data, c1, 100*8); err != nil {
+	if err := s.Disk().FlipStoredBit(simdisk.Data, c1, 100*8); err != nil {
 		t.Fatal(err)
 	}
 	v := NewVerifier(s, VerifyOpts{})
@@ -138,13 +137,16 @@ func TestVerifierDetectsPersistentBitFlip(t *testing.T) {
 	}
 }
 
+// errInjected is what the failure hooks below make a read return.
+var errInjected = errors.New("injected I/O fault")
+
 func TestVerifierRetriesTransientReadErrors(t *testing.T) {
 	s, _ := buildVerifyStore(t)
 	failures := 2
 	s.Disk().SetFailureHook(func(op simdisk.Op, cat simdisk.Category, _ string) error {
 		if op == simdisk.OpRead && cat == simdisk.Data && failures > 0 {
 			failures--
-			return simdisk.ErrInjected
+			return errInjected
 		}
 		return nil
 	})
@@ -388,9 +390,8 @@ func TestVerifierOverlappingMultiContainerClaims(t *testing.T) {
 
 func TestVerifierReportsTruncatedContainer(t *testing.T) {
 	s, _ := buildVerifyStore(t)
-	fd := simdisk.NewFaultDisk(s.Disk(), simdisk.FaultPlan{Seed: 1})
 	c2 := hashutil.SumString("c2").Hex()
-	if err := fd.TruncateStored(simdisk.Data, c2, 300); err != nil {
+	if err := s.Disk().TruncateStored(simdisk.Data, c2, 300); err != nil {
 		t.Fatal(err)
 	}
 	v := NewVerifier(s, VerifyOpts{})
@@ -436,8 +437,7 @@ func TestVerifierZeroedEntryOverTruncatedContainer(t *testing.T) {
 	if err := s.Disk().Write(simdisk.Manifest, c2, raw); err != nil {
 		t.Fatal(err)
 	}
-	fd := simdisk.NewFaultDisk(s.Disk(), simdisk.FaultPlan{Seed: 1})
-	if err := fd.TruncateStored(simdisk.Data, c2, 300); err != nil {
+	if err := s.Disk().TruncateStored(simdisk.Data, c2, 300); err != nil {
 		t.Fatal(err)
 	}
 
@@ -476,9 +476,8 @@ func TestVerifierRefusesUnvouchedRanges(t *testing.T) {
 
 func TestScrubQuarantinesExactlyTheCorruptObjects(t *testing.T) {
 	s, _ := buildVerifyStore(t)
-	fd := simdisk.NewFaultDisk(s.Disk(), simdisk.FaultPlan{Seed: 1})
 	c2 := hashutil.SumString("c2").Hex()
-	if err := fd.FlipStoredBit(simdisk.Data, c2, 5000); err != nil {
+	if err := s.Disk().FlipStoredBit(simdisk.Data, c2, 5000); err != nil {
 		t.Fatal(err)
 	}
 	var quarantined []string
@@ -534,11 +533,10 @@ func TestScrubQuarantinesExactlyTheCorruptObjects(t *testing.T) {
 
 func TestScrubQuarantinesUndecodableManifest(t *testing.T) {
 	s, _ := buildVerifyStore(t)
-	fd := simdisk.NewFaultDisk(s.Disk(), simdisk.FaultPlan{Seed: 1})
 	c1 := hashutil.SumString("c1").Hex()
 	// Truncating a basic manifest to a non-multiple of 36 makes it
 	// undecodable.
-	if err := fd.TruncateStored(simdisk.Manifest, c1, 35); err != nil {
+	if err := s.Disk().TruncateStored(simdisk.Manifest, c1, 35); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := s.Scrub(VerifyOpts{}, nil)
@@ -566,13 +564,13 @@ func TestVerifierManifestLoadFailureIsNotCached(t *testing.T) {
 	s.Disk().SetFailureHook(func(op simdisk.Op, cat simdisk.Category, name string) error {
 		if op == simdisk.OpRead && cat == simdisk.Manifest && name == c1 && failures > 0 {
 			failures--
-			return simdisk.ErrInjected
+			return errInjected
 		}
 		return nil
 	})
 	defer s.Disk().SetFailureHook(nil)
 	err := v.RestoreFile("f/shared", io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "manifest is unreadable") || !errors.Is(err, simdisk.ErrInjected) {
+	if err == nil || !strings.Contains(err.Error(), "manifest is unreadable") || !errors.Is(err, errInjected) {
 		t.Fatalf("restore while c1's manifest is unreadable = %v, want a refusal naming the cause", err)
 	}
 	var buf bytes.Buffer
