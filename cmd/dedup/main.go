@@ -14,12 +14,15 @@
 // one stream, in directory mode each file is its own stream. -parallel 1
 // (the default) is fully sequential and bit-identical to the serial engine.
 //
+// -resume adopts the store's recorded cut contract: -algo and -ecs may be
+// left out, and a value other than the recorded one is refused.
+//
 // -remote host:port backs up over the network to a dedupd server instead
 // of a local engine: files are chunked locally, chunk hashes are offered
 // to the server, and only the chunk bytes the server has not seen cross
-// the wire. -algo/-ecs/-sd must match the server's engine (the handshake
-// refuses mismatches). -verify then restores every file back from the
-// server and compares byte-for-byte.
+// the wire, cut as the server announces; the local engine's flags are
+// refused. -verify then restores every file back from the server and
+// compares byte-for-byte.
 //
 //	dedup -remote localhost:7444 -dir /path/to/files -verify
 package main
@@ -36,15 +39,15 @@ import (
 	"mhdedup/dedup"
 	"mhdedup/internal/client"
 	"mhdedup/internal/events"
-	"mhdedup/internal/wire"
+	"mhdedup/internal/store"
 )
 
 func main() {
 	var o runOptions
-	flag.StringVar(&o.algo, "algo", "mhd", "algorithm: mhd, si-mhd, cdc, bimodal, subchunk, sparse, fbc, fingerdiff, extremebinning")
-	flag.IntVar(&o.ecs, "ecs", 4096, "expected chunk size in bytes")
-	flag.IntVar(&o.sd, "sd", 64, "sample distance (hashes)")
-	flag.IntVar(&o.cache, "cache", 64, "manifest cache capacity")
+	flag.StringVar(&o.algo, "algo", "", "algorithm: mhd (default), si-mhd, cdc, bimodal, subchunk, sparse, fbc, fingerdiff, extremebinning; -resume adopts the store's")
+	flag.IntVar(&o.ecs, "ecs", 0, "expected chunk size in bytes (default 4096; -resume adopts the store's)")
+	flag.IntVar(&o.sd, "sd", 0, "sample distance in hashes (default 64)")
+	flag.IntVar(&o.cache, "cache", 0, "manifest cache capacity (default 64)")
 	flag.BoolVar(&o.noBloom, "no-bloom", false, "disable the bloom filter")
 	flag.IntVar(&o.parallel, "parallel", 1, "ingest up to N backup streams concurrently (mhd/si-mhd only; 1 = serial)")
 	flag.StringVar(&o.dir, "dir", "", "deduplicate the files under this directory")
@@ -132,7 +135,8 @@ func run(o runOptions) error {
 	}
 
 	rep := eng.Report()
-	fmt.Printf("algorithm      %s (ECS=%d SD=%d parallel=%d)\n", o.algo, o.ecs, o.sd, o.parallel)
+	c, _ := store.ContractOf(eng.Disk())
+	fmt.Printf("algorithm      %s (ECS=%d TTTD=%v FastCDC=%v parallel=%d)\n", c.Algorithm, c.ECS, c.TTTD, c.FastCDC, o.parallel)
 	fmt.Printf("files          %d (%d stored)\n", rep.FilesTotal, rep.Files)
 	fmt.Printf("input          %d bytes\n", rep.InputBytes)
 	fmt.Printf("stored data    %d bytes\n", rep.StoredDataBytes)
@@ -149,30 +153,9 @@ func run(o runOptions) error {
 	fmt.Printf("peak RAM       %d bytes\n", rep.RAMBytes)
 
 	if o.verify {
-		var n int
-		for _, st := range streams {
-			for _, it := range st.Items {
-				src, err := verifySource(it.Name)
-				if err != nil {
-					return err
-				}
-				want, err := io.ReadAll(src)
-				if c, ok := src.(io.Closer); ok {
-					c.Close()
-				}
-				if err != nil {
-					return err
-				}
-				var got countingVerifier
-				got.want = want
-				if err := eng.Restore(it.Name, &got); err != nil {
-					return fmt.Errorf("restore %s: %w", it.Name, err)
-				}
-				if got.failed || got.n != len(want) {
-					return fmt.Errorf("verify %s: restored bytes differ from input", it.Name)
-				}
-				n++
-			}
+		n, err := verifyAll(streams, verifySource, eng.Restore)
+		if err != nil {
+			return err
 		}
 		fmt.Printf("verify         OK (%d files restored byte-identically)\n", n)
 	}
@@ -188,6 +171,9 @@ func run(o runOptions) error {
 // runRemote is the network backup path: chunk locally, negotiate by
 // hash, ship only unseen chunk bytes to the dedupd server at o.remote.
 func runRemote(o runOptions) error {
+	if o.algo != "" || o.ecs != 0 || o.sd != 0 || o.cache != 0 || o.noBloom || o.parallel != 1 || o.save != "" || o.resume != "" {
+		return fmt.Errorf("-algo, -ecs, -sd, -cache, -no-bloom, -parallel, -save and -resume configure a local engine, not -remote")
+	}
 	streams, verifySource, err := buildStreams(o)
 	if err != nil {
 		return err
@@ -200,11 +186,6 @@ func runRemote(o runOptions) error {
 		Addr:   o.remote,
 		Tenant: o.tenant,
 		Secret: o.secret,
-		Options: wire.EngineOptions{
-			Algorithm: o.algo,
-			ECS:       uint32(o.ecs),
-			SD:        uint32(o.sd),
-		},
 		Events: events.New(events.Options{Level: level, Out: os.Stderr}),
 	}
 	ing, err := client.Connect(cfg)
@@ -230,7 +211,7 @@ func runRemote(o runOptions) error {
 		return err
 	}
 	stats := ing.Stats()
-	fmt.Printf("remote         %s (%s ECS=%d SD=%d)\n", o.remote, o.algo, o.ecs, o.sd)
+	fmt.Printf("remote         %s\n", o.remote)
 	fmt.Printf("files sent     %d\n", stats.FilesSent)
 	fmt.Printf("input          %d bytes\n", stats.InputBytes)
 	fmt.Printf("chunks         %d offered, %d sent (%d bytes)\n",
@@ -245,30 +226,12 @@ func runRemote(o runOptions) error {
 	}
 
 	if o.verify {
-		var n int
-		for _, st := range streams {
-			for _, it := range st.Items {
-				src, err := verifySource(it.Name)
-				if err != nil {
-					return err
-				}
-				want, err := io.ReadAll(src)
-				if c, ok := src.(io.Closer); ok {
-					c.Close()
-				}
-				if err != nil {
-					return err
-				}
-				var got countingVerifier
-				got.want = want
-				if _, err := client.Restore(cfg, it.Name, true, &got); err != nil {
-					return fmt.Errorf("remote restore %s: %w", it.Name, err)
-				}
-				if got.failed || got.n != len(want) {
-					return fmt.Errorf("verify %s: restored bytes differ from input", it.Name)
-				}
-				n++
-			}
+		n, err := verifyAll(streams, verifySource, func(name string, w io.Writer) error {
+			_, err := client.Restore(cfg, name, true, w)
+			return err
+		})
+		if err != nil {
+			return err
 		}
 		fmt.Printf("verify         OK (%d files restored byte-identically from the server)\n", n)
 	}
@@ -350,6 +313,37 @@ func buildStreams(o runOptions) ([]dedup.IngestStream, func(string) (io.Reader, 
 	default:
 		return nil, nil, fmt.Errorf("either -dir or -workload is required")
 	}
+}
+
+// verifyAll restores every file of streams through restore and compares it
+// with verifySource's bytes, returning how many files matched.
+func verifyAll(streams []dedup.IngestStream, verifySource func(string) (io.Reader, error),
+	restore func(name string, w io.Writer) error) (int, error) {
+	var n int
+	for _, st := range streams {
+		for _, it := range st.Items {
+			src, err := verifySource(it.Name)
+			if err != nil {
+				return n, err
+			}
+			want, err := io.ReadAll(src)
+			if c, ok := src.(io.Closer); ok {
+				c.Close()
+			}
+			if err != nil {
+				return n, err
+			}
+			got := countingVerifier{want: want}
+			if err := restore(it.Name, &got); err != nil {
+				return n, fmt.Errorf("restore %s: %w", it.Name, err)
+			}
+			if got.failed || got.n != len(want) {
+				return n, fmt.Errorf("verify %s: restored bytes differ from input", it.Name)
+			}
+			n++
+		}
+	}
+	return n, nil
 }
 
 // countingVerifier compares written bytes against want without buffering a

@@ -2,10 +2,16 @@ package main
 
 import (
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mhdedup/dedup"
+	"mhdedup/internal/core"
+	"mhdedup/internal/metrics"
+	"mhdedup/internal/server"
 )
 
 func writeTestFiles(t *testing.T, dir string) map[string][]byte {
@@ -139,5 +145,56 @@ func TestRunErrors(t *testing.T) {
 	o.workload = true
 	if err := run(o); err == nil {
 		t.Error("-parallel 0 accepted")
+	}
+}
+
+// TestRemoteRefusesLocalEngineFlags: -remote backs up to the server's
+// engine, which announces how it cuts, so a flag that configures a local
+// engine would do nothing (`-remote X -save D` would exit 0 having saved
+// nothing) and is refused before anything is dialed. Without one, the
+// backup goes through and restores.
+func TestRemoteRefusesLocalEngineFlags(t *testing.T) {
+	eng, err := dedup.New(dedup.MHD, dedup.Options{ECS: 1024, FastCDC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Engine: eng.(*core.Dedup), Registry: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	remote := func() runOptions {
+		return runOptions{remote: ln.Addr().String(), parallel: 1, logLevel: "error", verify: true,
+			workload: true, machines: 1, days: 2, snapshot: 256 << 10, edits: 2, editSize: 4 << 10, seed: 1}
+	}
+	saveDir := filepath.Join(t.TempDir(), "store")
+	for flag, set := range map[string]func(*runOptions){
+		"-algo": func(o *runOptions) { o.algo = "mhd" }, "-ecs": func(o *runOptions) { o.ecs = 1024 },
+		"-sd": func(o *runOptions) { o.sd = 16 }, "-cache": func(o *runOptions) { o.cache = 8 },
+		"-no-bloom": func(o *runOptions) { o.noBloom = true }, "-parallel": func(o *runOptions) { o.parallel = 2 },
+		"-save": func(o *runOptions) { o.save = saveDir }, "-resume": func(o *runOptions) { o.resume = saveDir },
+	} {
+		o := remote()
+		set(&o)
+		if err := run(o); err == nil || !strings.Contains(err.Error(), flag) || !strings.Contains(err.Error(), "-remote") {
+			t.Errorf("-remote with %s: err = %v, want a refusal naming %s", flag, err, flag)
+		}
+	}
+	if _, err := os.Stat(saveDir); !os.IsNotExist(err) {
+		t.Errorf("-save with -remote wrote %s: %v", saveDir, err)
+	}
+	if files := eng.Report().FilesTotal; files != 0 {
+		t.Fatalf("a refused run still backed up %d files", files)
+	}
+	if err := run(remote()); err != nil {
+		t.Fatalf("-remote with no engine flags: %v", err)
+	}
+	if files := eng.Report().FilesTotal; files != 2 {
+		t.Fatalf("the server ingested %d files, want 2", files)
 	}
 }

@@ -10,6 +10,9 @@
 //	dedupd -addr :7444 -store /var/lib/dedupd
 //	dedupd -addr :7444 -algo si-mhd -ecs 8192 -metrics-addr :7445
 //
+// -algo and -ecs set a new store's cut contract: a store records it, a
+// restart without them adopts it and one naming another value is refused.
+//
 // On SIGINT/SIGTERM the server drains: it stops accepting connections,
 // refuses new sessions with a retryable error, lets in-flight sessions
 // finish (bounded by -drain-timeout), finalizes the engine and — when
@@ -47,8 +50,8 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":7444", "listen address")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics.json and /healthz on this address (off when empty)")
 	flag.StringVar(&o.storeDir, "store", "", "store directory: mounted through the write-ahead log (replayed if it exists), compacted on drain")
-	flag.StringVar(&o.algo, "algo", "mhd", "engine: mhd or si-mhd")
-	flag.IntVar(&o.ecs, "ecs", 4096, "expected chunk size in bytes")
+	flag.StringVar(&o.algo, "algo", "", "engine of a new store: mhd (default) or si-mhd; a store keeps the one it records")
+	flag.IntVar(&o.ecs, "ecs", 0, "expected chunk size in bytes of a new store (default 4096); a store keeps the one it records")
 	flag.IntVar(&o.sd, "sd", 64, "sample distance (hashes)")
 	flag.IntVar(&o.cache, "cache", 64, "manifest cache capacity")
 	flag.BoolVar(&o.noBloom, "no-bloom", false, "disable the engine bloom filter")
@@ -137,8 +140,8 @@ func run(o options) error {
 		return err
 	}
 	opts := srv.Options()
-	logger.Printf("listening on %s (%s ECS=%d SD=%d, resumed=%v, max sessions %d, window %d, sha1 %s)",
-		addr, opts.Algorithm, opts.ECS, opts.SD, resumed, o.maxSessions, o.window, hashutil.Kernel())
+	logger.Printf("listening on %s (%s ECS=%d TTTD=%v FastCDC=%v SD=%d, resumed=%v, max sessions %d, window %d, sha1 %s)",
+		addr, opts.Algorithm, opts.ECS, opts.TTTD, opts.FastCDC, eng.Config().SD, resumed, o.maxSessions, o.window, hashutil.Kernel())
 	metrics.Default.SetGauge("hashutil.sha_ni", hashutil.SHANI)
 	if dur != nil {
 		dur.Start()
@@ -189,7 +192,7 @@ func run(o options) error {
 // checkpoints and admission control; without one the engine is in-memory.
 func buildEngine(o options, evlog *events.Log) (*core.Dedup, *dedup.Durability, bool, error) {
 	algo := dedup.Algorithm(o.algo)
-	if algo != dedup.MHD && algo != dedup.SIMHD {
+	if algo != "" && algo != dedup.MHD && algo != dedup.SIMHD {
 		return nil, nil, false, fmt.Errorf("algorithm %q is not servable (need %s or %s)", o.algo, dedup.MHD, dedup.SIMHD)
 	}
 	opts := dedup.Options{
@@ -227,6 +230,11 @@ func buildEngine(o options, evlog *events.Log) (*core.Dedup, *dedup.Durability, 
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("open durable store %s: %w", o.storeDir, err)
 	}
+	served, ok := eng.(*core.Dedup)
+	if !ok {
+		dur.Close()
+		return nil, nil, false, fmt.Errorf("store %s records an algorithm that is not servable", o.storeDir)
+	}
 	if rep.Records > 0 || rep.Truncated {
 		evlog.Info("wal.replayed",
 			events.F("records", rep.Records),
@@ -234,5 +242,5 @@ func buildEngine(o options, evlog *events.Log) (*core.Dedup, *dedup.Durability, 
 			events.F("segments", rep.Segments),
 			events.F("torn_tail", rep.Truncated))
 	}
-	return eng.(*core.Dedup), dur, resumed, nil
+	return served, dur, resumed, nil
 }

@@ -143,3 +143,31 @@ func TestRunFailsOnOccupiedMetricsAddr(t *testing.T) {
 		t.Fatal("run is serving although its debug endpoint could not bind")
 	}
 }
+
+// TestBuildEngineAdoptsRecordedContract: -algo and -ecs set a new store's
+// cut contract; a restart without them adopts it, and one naming another
+// value is refused with the recorded one.
+func TestBuildEngineAdoptsRecordedContract(t *testing.T) {
+	o := testOptions()
+	o.storeDir = filepath.Join(t.TempDir(), "store")
+	o.algo, o.ecs = "si-mhd", 2048
+	_, dur, _, err := buildEngine(o, quietEvents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur.Close()
+
+	o.algo, o.ecs = "", 4096
+	if _, _, _, err := buildEngine(o, quietEvents()); err == nil || !strings.Contains(err.Error(), "ECS 2048") {
+		t.Fatalf("-ecs 4096 over an ECS 2048 store: err = %v, want a refusal naming ECS 2048", err)
+	}
+	o.ecs = 0
+	eng, dur, _, err := buildEngine(o, quietEvents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	if cfg := eng.Config(); cfg.ECS != 2048 || !cfg.SparseIndex {
+		t.Fatalf("no engine flags mounted ECS %d, SI-MHD %v; want the recorded 2048, SI-MHD", cfg.ECS, cfg.SparseIndex)
+	}
+}

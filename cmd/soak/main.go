@@ -43,7 +43,6 @@ import (
 	"mhdedup/internal/exp"
 	"mhdedup/internal/metrics"
 	"mhdedup/internal/server"
-	"mhdedup/internal/wire"
 )
 
 func main() {
@@ -150,7 +149,6 @@ func run(o options) error {
 		servers = append(servers, srv)
 		shards = append(shards, cluster.Shard{ID: fmt.Sprintf("s%d", i), Addr: ln.Addr().String()})
 	}
-	options := servers[0].Options()
 
 	// Tenant mix: every client gets its own authenticated tenant; the
 	// last one is quota-capped so the shed path runs under churn too.
@@ -201,7 +199,6 @@ func run(o options) error {
 				secret:    fmt.Sprintf("secret-%d", id),
 				capped:    fmt.Sprintf("t%d", id) == capped,
 				gwAddr:    gwAddr,
-				options:   options,
 				o:         o,
 				tl:        &tl,
 				shardDown: &shardDown,
@@ -332,7 +329,6 @@ type soakClient struct {
 	secret    string
 	capped    bool
 	gwAddr    string
-	options   wire.EngineOptions
 	o         options
 	tl        *tally
 	shardDown *atomic.Bool
@@ -358,7 +354,6 @@ func (c *soakClient) remember(name string, data []byte) {
 func (c *soakClient) cleanConfig() client.Config {
 	return client.Config{
 		Addr:          c.gwAddr,
-		Options:       c.options,
 		Tenant:        c.tenant,
 		Secret:        c.secret,
 		RetryAttempts: 10,

@@ -100,6 +100,7 @@ type CostModel = simdisk.CostModel
 func DefaultCostModel() CostModel { return simdisk.Default2013() }
 
 // Options configures an engine. Zero fields take paper-faithful defaults.
+// ECS, TTTD and FastCDC are part of a store's cut contract (see Resume).
 type Options struct {
 	// ECS is the expected (small) chunk size in bytes; default 4096.
 	ECS int
@@ -140,11 +141,9 @@ type Options struct {
 }
 
 // params maps Options onto the engine table's parameter set, filling in the
-// defaults — once, for New, Resume and ResumeDurable alike.
+// defaults — once, for New, Resume and ResumeDurable alike (a zero ECS is
+// the table's to fill).
 func (opt Options) params(a Algorithm) exp.Params {
-	if opt.ECS == 0 {
-		opt.ECS = 4096
-	}
 	if opt.SD == 0 {
 		opt.SD = 64
 	}
@@ -190,24 +189,12 @@ type IngestItem = core.Item
 // always ingested in order; different streams may run concurrently.
 type IngestStream = core.Stream
 
-// StreamIngester is implemented by engines that accept multiple concurrent
-// backup streams (MHD and SIMHD).
-type StreamIngester interface {
-	IngestStreams(workers int, streams []IngestStream) error
-}
-
 // ContextStreamIngester is implemented by engines whose parallel ingest
 // honors context cancellation (MHD and SIMHD): cancelling ctx aborts
 // every in-flight file promptly and returns ctx.Err(). The engine stays
 // usable — cancelled files simply never ingested.
 type ContextStreamIngester interface {
 	IngestStreamsContext(ctx context.Context, workers int, streams []IngestStream) error
-}
-
-// ContextIngester is implemented by engines that can abort a single
-// in-flight PutFile when ctx is cancelled.
-type ContextIngester interface {
-	PutFileContext(ctx context.Context, name string, r io.Reader) error
 }
 
 // IngestParallel deduplicates the given streams with up to workers
@@ -228,12 +215,6 @@ func IngestParallelContext(ctx context.Context, eng Engine, workers int, streams
 	if si, ok := eng.(ContextStreamIngester); ok {
 		return si.IngestStreamsContext(ctx, workers, streams)
 	}
-	if si, ok := eng.(StreamIngester); ok {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return si.IngestStreams(workers, streams)
-	}
 	if workers > 1 {
 		return fmt.Errorf("dedup: engine %T does not support concurrent ingest", eng)
 	}
@@ -246,12 +227,7 @@ func IngestParallelContext(ctx context.Context, eng Engine, workers int, streams
 			if err != nil {
 				return err
 			}
-			var putErr error
-			if ci, ok := eng.(ContextIngester); ok {
-				putErr = ci.PutFileContext(ctx, it.Name, r)
-			} else {
-				putErr = eng.PutFile(it.Name, r)
-			}
+			putErr := eng.PutFile(it.Name, r)
 			r.Close()
 			if putErr != nil {
 				return putErr
@@ -334,12 +310,8 @@ func OpenStore(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Restore follows FileManifests and raw chunk ranges only, but
-	// verification and scrubbing must decode every manifest, so the format
-	// is sniffed up front (an ambiguous store still mounts; its manifests
-	// are then reported by Scrub/Check rather than trusted blindly).
-	format, _ := store.DetectFormat(disk)
-	return &Store{st: store.New(disk, format), dir: dir}, nil
+	c, _ := store.ContractOf(disk)
+	return &Store{st: store.New(disk, c.Format), dir: dir}, nil
 }
 
 // Files lists the restorable file names, sorted.
@@ -412,11 +384,7 @@ func (s *Store) ConvertRecipeTrees(perFile func(name string, st RecipeTreeStats)
 func (s *Store) Check() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	format, ok := store.DetectFormat(s.st.Disk())
-	if !ok {
-		return []string{"store: cannot determine manifest format (corrupt manifests?)"}
-	}
-	return store.Check(s.st.Disk(), format).Problems
+	return store.Check(s.st.Disk(), s.st.Format()).Problems
 }
 
 // VerifyOpts tunes verified restore and scrub: MaxRetries bounds how many
@@ -492,7 +460,9 @@ func (s *Store) Scrub(opts VerifyOpts) (ScrubReport, error) {
 }
 
 // Resume reopens a store directory written by SaveStore and returns an
-// engine that deduplicates new files against everything already stored.
+// engine that deduplicates new files against everything already stored,
+// cut as the store records: an unset algorithm (""), ECS or chunker (TTTD,
+// FastCDC) adopts the store's cut contract, one set otherwise is refused.
 // The in-RAM detection state is rebuilt from the on-disk hooks, so Resume
 // is supported for the algorithms whose detection state lives on disk:
 // MHD, SIMHD and CDC. Statistics start fresh — the Report covers the new
@@ -534,13 +504,17 @@ type WALReplayReport = simdisk.WALReplayReport
 // OpenStore) replays whatever the log holds on top of the newest committed
 // generation — so a crash loses at most the records after the last Commit,
 // never an acknowledged one. Supported for the Resume-capable algorithms
-// (MHD, SIMHD, CDC); dir may be empty or absent (a fresh store).
+// (MHD, SIMHD, CDC), with a and opt checked as by Resume; dir may be empty
+// or absent (a fresh store, whose cut contract is durable on return).
 func ResumeDurable(a Algorithm, opt Options, dir string, dopt DurabilityOptions) (Engine, *Durability, WALReplayReport, error) {
 	dur, rep, err := store.OpenDurable(dir, dopt)
 	if err != nil {
 		return nil, nil, rep, err
 	}
 	eng, err := built(exp.Resume(opt.params(a), dur.Disk()))
+	if err == nil {
+		err = dur.WAL().Sync()
+	}
 	if err != nil {
 		dur.Close()
 		return nil, nil, rep, err

@@ -105,8 +105,8 @@ func TestStoredBytesStayImmutable(t *testing.T) {
 	}
 	unchanged(t, "a generational ingest", disk, fp, false)
 
-	format, _ := store.DetectFormat(disk)
-	s := &Store{st: store.New(disk, format)}
+	c, _ := store.ContractOf(disk)
+	s := &Store{st: store.New(disk, c.Format)}
 	for _, workers := range []int{1, 8} {
 		for name, want := range files {
 			for _, verify := range []bool{false, true} {

@@ -63,11 +63,11 @@ func buildGenStoreOf(t *testing.T, alg Algorithm, days int, snapshotBytes int64)
 	if err := eng.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	format, ok := store.DetectFormat(eng.Disk())
+	c, ok := store.ContractOf(eng.Disk())
 	if !ok {
-		t.Fatalf("%s: no manifest format detected", alg)
+		t.Fatalf("%s: the engine recorded no cut contract", alg)
 	}
-	g.st = store.New(eng.Disk(), format)
+	g.st = store.New(eng.Disk(), c.Format)
 	return g
 }
 

@@ -19,11 +19,22 @@ type CDC struct {
 	base
 }
 
-// NewCDC returns a CDC deduplicator over the given disk.
+// NewCDC returns a CDC deduplicator over the given disk, with its bloom
+// filter rebuilt from the hook names the disk holds (a mount-time directory
+// scan) so new files deduplicate against everything stored.
 func NewCDC(cfg Config, disk *simdisk.Disk) (*CDC, error) {
 	b, err := newBase(cfg, disk, substrate{format: store.FormatBasic, bloom: true, cache: true})
 	if err != nil {
 		return nil, err
+	}
+	for _, name := range disk.Names(simdisk.Hook) {
+		h, err := hashutil.ParseHex(name)
+		if err != nil {
+			return nil, fmt.Errorf("baseline: resume: malformed hook name %q: %w", name, err)
+		}
+		if b.filter != nil {
+			b.filter.Add(h)
+		}
 	}
 	return &CDC{base: b}, nil
 }
@@ -50,26 +61,4 @@ func (d *CDC) PutFile(name string, r io.Reader) error {
 		}
 	}
 	return out.commit()
-}
-
-// ResumeCDC returns a CDC deduplicator over an existing deduplicated disk:
-// the bloom filter is rebuilt from the on-disk hook names (a mount-time
-// directory scan) so new files deduplicate against everything already
-// stored. Statistics start fresh for the session. Over an empty disk it is
-// NewCDC.
-func ResumeCDC(cfg Config, disk *simdisk.Disk) (*CDC, error) {
-	d, err := NewCDC(cfg, disk)
-	if err != nil {
-		return nil, err
-	}
-	if d.filter != nil {
-		for _, name := range disk.Names(simdisk.Hook) {
-			h, err := hashutil.ParseHex(name)
-			if err != nil {
-				return nil, fmt.Errorf("baseline: resume: malformed hook name %q: %w", name, err)
-			}
-			d.filter.Add(h)
-		}
-	}
-	return d, nil
 }

@@ -1,7 +1,7 @@
 // Package client is the dedup-aware network client for dedupd. It chunks
 // and hashes files locally, once for every replica — the server's engine
-// stores these cuts and digests as offered, under the chunker configuration
-// the Hello handshake pins to its own — offers the chunk hashes in batches,
+// stores these cuts and digests as offered, cut by the contract the
+// server's HelloOK announces — offers the chunk hashes in batches,
 // and ships only the chunk bytes the server asks for, so a backup that is
 // mostly duplicate of what the server has already seen moves almost no data.
 //
@@ -43,10 +43,9 @@ type Config struct {
 	// Addr is the dedupd address (host:port).
 	Addr string
 
-	// Options is the engine contract the client expects the server to
-	// run. The server refuses mismatches at handshake (CodeHandshake), so
-	// a client never silently backs up against a differently-configured
-	// engine. Required for ingest; ignored for restore/list.
+	// Options optionally pins the cut contract the server announces in
+	// HelloOK, which the client cuts by: zero adopts it, a non-zero pin
+	// that differs fails Connect. Ignored for restore/list.
 	Options wire.EngineOptions
 
 	// Tenant scopes the session to one tenant namespace when talking to a

@@ -144,11 +144,11 @@ func TestDialAndHelloSurfacesShed(t *testing.T) {
 }
 
 func TestDialAndHelloFinalRefusalReturnsImmediately(t *testing.T) {
-	mismatch := wire.ErrorMsg{Code: wire.CodeHandshake, Msg: "engine mismatch"}
-	cfg, srv := testConfig(t, refusal(mismatch))
+	refused := wire.ErrorMsg{Code: wire.CodeHandshake, Msg: "authentication failed"}
+	cfg, srv := testConfig(t, refusal(refused))
 	_, _, err := dialAndHello(cfg, wire.Hello{Mode: wire.ModeIngest}, session.Meter{})
 	var em wire.ErrorMsg
-	if !errors.As(err, &em) || em != mismatch {
+	if !errors.As(err, &em) || em != refused {
 		t.Fatalf("err = %v, want it to wrap the handshake refusal", err)
 	}
 	if n := srv.dials.Load(); n != 1 {

@@ -153,7 +153,8 @@ func (s *hostileServer) serve(nc net.Conn) {
 	if hello.ResumeToken == 0 { // a new session; a resumed one keeps its window
 		s.applied, s.window = 0, 1+uint32(b%8)
 	}
-	helloOK := wire.HelloOK{SessionToken: 7, Window: s.window, MaxPayload: 1 << 14, LastApplied: s.applied}
+	helloOK := wire.HelloOK{SessionToken: 7, Window: s.window, MaxPayload: 1 << 14, LastApplied: s.applied,
+		Options: wire.EngineOptions{Algorithm: "mhd", ECS: 1024}}
 	s.mu.Unlock()
 	if sent, _ := send(nc, m, wire.TypeHelloOK, helloOK.Marshal()); !sent {
 		return
@@ -405,7 +406,7 @@ var hostileAddrs atomic.Int64
 // an address of its own so that no other test's kept links are in play.
 func hostileConfig(s *hostileServer) Config {
 	return Config{Addr: fmt.Sprintf("hostile-%d", hostileAddrs.Add(1)), Dial: s.dial,
-		Options: wire.EngineOptions{ECS: 1024}, BatchChunks: 4,
+		BatchChunks:   4,
 		RetryAttempts: 3, RetryDelay: time.Millisecond}
 }
 

@@ -9,6 +9,7 @@ import (
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/events"
 	"mhdedup/internal/hashutil"
+	"mhdedup/internal/rabin"
 	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
 )
@@ -75,12 +76,18 @@ func Connect(cfg Config) (*Ingestor, error) {
 		return nil, err
 	}
 	ing := &Ingestor{cfg: cfg, recoverBudget: cfg.RetryAttempts}
-	hello := wire.Hello{Mode: wire.ModeIngest, Options: cfg.Options,
-		Tenant: cfg.Tenant, Secret: cfg.Secret}
+	hello := wire.Hello{Mode: wire.ModeIngest, Tenant: cfg.Tenant, Secret: cfg.Secret}
 	cn, ok, err := dialAndHello(&ing.cfg, hello, ing.meter())
 	if err != nil {
 		return nil, err
 	}
+	// The session cuts by the contract the server announced, holding chunks
+	// of up to 4·ECS in RAM, so a pin that differs or an absurd ECS is refused.
+	if pin := cfg.Options; pin != (wire.EngineOptions{}) && pin != ok.Options || ok.Options.ECS > 1<<20 {
+		cn.Close()
+		return nil, fmt.Errorf("client: server cuts by %+v; Config.Options pins %+v, ECS at most %d", ok.Options, pin, 1<<20)
+	}
+	ing.cfg.Options = ok.Options
 	ing.token = ok.SessionToken
 	ing.attach(cn, ok)
 	ing.cfg.Events.Info("client.session_open",
@@ -140,7 +147,7 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 	}
 	// The engine's own constructor: these cuts are what every replica stores.
 	o := c.cfg.Options
-	ch, err := chunker.New(r, chunker.Params{ECS: int(o.ECS)}, o.TTTD, o.FastCDC)
+	ch, err := chunker.New(r, chunker.Params{ECS: int(o.ECS), Poly: rabin.Poly(o.Poly)}, o.TTTD, o.FastCDC)
 	if err != nil {
 		return fmt.Errorf("client: chunker for %q: %w", name, err)
 	}

@@ -84,9 +84,15 @@ func (l *trackedListener) dropConns() {
 
 func startCluster(t *testing.T, n int, mut func(*cluster.GatewayConfig)) *testCluster {
 	t.Helper()
+	return startClusterOf(t, n, func(int) *core.Dedup { return newEngine(t) }, mut)
+}
+
+// startClusterOf is startCluster with shard i's engine built by engine(i).
+func startClusterOf(t *testing.T, n int, engine func(i int) *core.Dedup, mut func(*cluster.GatewayConfig)) *testCluster {
+	t.Helper()
 	tc := &testCluster{registry: metrics.NewRegistry()}
 	for i := 0; i < n; i++ {
-		eng := newEngine(t)
+		eng := engine(i)
 		srv, err := server.New(server.Config{
 			Engine:   eng,
 			Registry: metrics.NewRegistry(),
@@ -582,7 +588,7 @@ func TestGatewayDrainExpiresParkedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := wire.WriteFrame(c, wire.TypeHello,
-		wire.Hello{Mode: wire.ModeIngest, Options: tc.options}.Marshal()); err != nil {
+		wire.Hello{Mode: wire.ModeIngest}.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))

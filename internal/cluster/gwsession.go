@@ -30,7 +30,9 @@ type gwSession struct {
 	gw     *Gateway
 	token  uint64
 	tenant string
-	opts   wire.EngineOptions
+	// cut is the shards' cut contract, which the session announces: the
+	// first backend to answer sets it, and a later one must agree.
+	cut wire.EngineOptions
 
 	// Owned by the attached handler; survive re-attachment.
 	lastAcked   uint64            // highest client seq released as Ack
@@ -123,7 +125,6 @@ func (gw *Gateway) newSession(token uint64, hello wire.Hello) *gwSession {
 		gw:          gw,
 		token:       token,
 		tenant:      hello.Tenant,
-		opts:        hello.Options,
 		cmds:        make(map[uint64]*gwCmd),
 		rev:         make(map[string]map[uint64]uint64),
 		lastSeq:     make(map[string]uint64),
@@ -186,11 +187,25 @@ func (ss *gwSession) relay(c *session.Conn, hello wire.Hello) disposition {
 		}
 	}
 
+	if ss.cut == (wire.EngineOptions{}) { // a new session: ask a shard
+		err := errors.New("no write-ring shard")
+		_, write := gw.rings()
+		for _, sh := range write.Shards() {
+			if _, err = ss.backendFor(sh); err == nil {
+				break
+			}
+		}
+		if err != nil {
+			c.Errorf(wire.CodeInternal, true, "no shard reachable to announce its cut contract: %v", err)
+			return dispExpire
+		}
+	}
 	ok := wire.HelloOK{
 		SessionToken: ss.token,
 		Window:       uint32(gw.cfg.Window),
 		MaxPayload:   gw.cfg.MaxPayload,
 		LastApplied:  ss.lastAcked,
+		Options:      ss.cut,
 	}
 	if err := c.Write(wire.TypeHelloOK, ok.Marshal()); err != nil {
 		return dispDetach
@@ -319,7 +334,7 @@ func (ss *gwSession) backendFor(sh Shard) (*session.Conn, error) {
 	if bc, ok := ss.conns[sh.ID]; ok {
 		return bc, nil
 	}
-	hello := wire.Hello{Mode: wire.ModeIngest, Options: ss.opts, Tenant: ss.tenant}
+	hello := wire.Hello{Mode: wire.ModeIngest, Tenant: ss.tenant}
 	if tok := ss.shardTokens[sh.ID]; tok != 0 {
 		hello.ResumeToken = tok
 	}
@@ -339,6 +354,13 @@ func (ss *gwSession) backendFor(sh Shard) (*session.Conn, error) {
 		bc.Close()
 		return nil, fmt.Errorf("shard %s max payload %d below gateway's %d (misconfigured cluster)",
 			sh.ID, bc.MaxPayload(), ss.gw.cfg.MaxPayload)
+	}
+	if ss.cut == (wire.EngineOptions{}) {
+		ss.cut = ok.Options
+	} else if ok.Options != ss.cut {
+		bc.Close()
+		return nil, wire.ErrorMsg{Code: wire.CodeInternal, Msg: fmt.Sprintf(
+			"shard %s cuts by %+v, the session's shards by %+v (misconfigured cluster)", sh.ID, ok.Options, ss.cut)}
 	}
 	ss.shardTokens[sh.ID] = ok.SessionToken
 	ss.shardByID[sh.ID] = sh

@@ -65,7 +65,7 @@ func TestClusterHostileClientCommitsOnNoReplica(t *testing.T) {
 				return f, true
 			}
 			refused := func() bool {
-				write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: cl.options}.Marshal())
+				write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 				expect(wire.TypeHelloOK)
 				write(wire.TypeFileBegin, wire.FileBegin{Seq: 1, Name: "f"}.Marshal())
 				expect(wire.TypeAck)
@@ -139,7 +139,7 @@ func TestGatewayMalformedIngestCommandIsRefused(t *testing.T) {
 			}
 			return f
 		}
-		wire.WriteFrame(conn, wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: cl.options}.Marshal())
+		wire.WriteFrame(conn, wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 		if f := read(); f.Type != wire.TypeHelloOK {
 			t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
 		}

@@ -82,8 +82,11 @@ func New(cfg Config) (*Dedup, error) {
 	return NewOnDisk(cfg, simdisk.New())
 }
 
-// NewOnDisk returns a Dedup writing to the given disk (shared-disk setups
-// and failure-injection tests).
+// NewOnDisk returns a Dedup over the given disk that deduplicates against
+// everything it already stores: the bloom filter is rebuilt from the hook
+// names (a mount-time directory scan), SI-MHD's sparse index from the
+// manifests' hook entries (counted reads, the real cost of warming it).
+// Statistics start fresh: the Report covers this session's ingest only.
 func NewOnDisk(cfg Config, disk *simdisk.Disk) (*Dedup, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -110,6 +113,33 @@ func NewOnDisk(cfg Config, disk *simdisk.Disk) (*Dedup, error) {
 	}
 	d.cache = cache
 	d.defaultSession = &Session{d: d}
+	if d.sparseIdx != nil {
+		for _, name := range disk.Names(simdisk.Manifest) {
+			mName, err := hashutil.ParseHex(name)
+			if err != nil {
+				return nil, fmt.Errorf("core: resume: malformed manifest name %q: %w", name, err)
+			}
+			m, err := d.st.ReadManifest(mName)
+			if err != nil {
+				return nil, fmt.Errorf("core: resume: %w", err)
+			}
+			for _, e := range m.Entries {
+				if e.Kind == store.KindHook {
+					d.sparseIdx.putIfAbsent(e.Hash, mName)
+				}
+			}
+		}
+		return d, nil
+	}
+	for _, name := range disk.Names(simdisk.Hook) {
+		h, err := hashutil.ParseHex(name)
+		if err != nil {
+			return nil, fmt.Errorf("core: resume: malformed hook name %q: %w", name, err)
+		}
+		if d.filter != nil {
+			d.filter.Add(h)
+		}
+	}
 	return d, nil
 }
 
@@ -642,49 +672,4 @@ func (d *Dedup) Report() metrics.Report {
 // Restore rebuilds a previously ingested file into w.
 func (d *Dedup) Restore(name string, w io.Writer) error {
 	return d.st.RestoreFile(name, w)
-}
-
-// Resume returns a Dedup over an existing deduplicated disk (e.g. one
-// reloaded with simdisk.LoadDir): new files deduplicate against everything
-// already stored. The in-RAM duplicate-detection state is rebuilt from the
-// on-disk hooks — the bloom filter from the hook names (a mount-time
-// directory scan), or, for SI-MHD, the sparse index from the hook payloads
-// (counted disk reads, the real cost of warming that index). Statistics
-// start fresh: the Report covers this session's ingest only.
-func Resume(cfg Config, disk *simdisk.Disk) (*Dedup, error) {
-	d, err := NewOnDisk(cfg, disk)
-	if err != nil {
-		return nil, err
-	}
-	if d.sparseIdx != nil {
-		// SI-MHD keeps no hook objects on disk; its index is rebuilt by
-		// scanning the manifests' hook-flagged entries (F counted reads —
-		// the honest cost of warming the index at mount).
-		for _, name := range disk.Names(simdisk.Manifest) {
-			mName, err := hashutil.ParseHex(name)
-			if err != nil {
-				return nil, fmt.Errorf("core: resume: malformed manifest name %q: %w", name, err)
-			}
-			m, err := d.st.ReadManifest(mName)
-			if err != nil {
-				return nil, fmt.Errorf("core: resume: %w", err)
-			}
-			for _, e := range m.Entries {
-				if e.Kind == store.KindHook {
-					d.sparseIdx.putIfAbsent(e.Hash, mName)
-				}
-			}
-		}
-		return d, nil
-	}
-	for _, name := range disk.Names(simdisk.Hook) {
-		h, err := hashutil.ParseHex(name)
-		if err != nil {
-			return nil, fmt.Errorf("core: resume: malformed hook name %q: %w", name, err)
-		}
-		if d.filter != nil {
-			d.filter.Add(h)
-		}
-	}
-	return d, nil
 }

@@ -275,7 +275,7 @@ func TestHHRCorruptMergedEntryFailsIngest(t *testing.T) {
 		t.Fatal("the first generation stored no merged entry")
 	}
 
-	d2, err := Resume(cfg, disk)
+	d2, err := NewOnDisk(cfg, disk)
 	if err != nil {
 		t.Fatal(err)
 	}

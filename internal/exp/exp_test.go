@@ -11,6 +11,7 @@ import (
 	"mhdedup/internal/algo"
 	"mhdedup/internal/metrics"
 	"mhdedup/internal/simdisk"
+	"mhdedup/internal/store"
 )
 
 // quickSuite builds one shared suite for the package's tests.
@@ -46,8 +47,13 @@ func TestBuildAllAlgorithms(t *testing.T) {
 			t.Errorf("Build(%s): %v", e.name, err)
 			continue
 		}
-		// A new engine is a mount of an empty disk: same input, same Report.
-		mounted, err := e.mount(p, simdisk.New())
+		// A new engine is a mount of an empty disk under the contract it
+		// stamps: same input, same Report.
+		want := store.Contract{Algorithm: e.name, Format: e.format, ECS: p.ECS}
+		if c, ok := store.ContractOf(built.Disk()); !ok || c != want {
+			t.Errorf("Build(%s) stamped %+v, %v; want %+v", e.name, c, ok, want)
+		}
+		mounted, err := e.mount(p, want, simdisk.New())
 		if err != nil {
 			t.Fatalf("%s: mount on an empty disk: %v", e.name, err)
 		}
@@ -66,6 +72,11 @@ func TestBuildAllAlgorithms(t *testing.T) {
 		if !reflect.DeepEqual(reports[0], reports[1]) {
 			t.Errorf("%s: built and mounted-on-empty-disk engines report differently:\n%+v\n%+v",
 				e.name, reports[0], reports[1])
+		}
+		// The recorded format is the one the engine writes: every manifest
+		// decodes under it.
+		if probs := store.Check(built.Disk(), want.Format).Problems; len(probs) > 0 {
+			t.Errorf("%s: the store does not check under its recorded format: %v", e.name, probs)
 		}
 
 		// The row's capability is refused exactly where it says so.

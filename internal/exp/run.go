@@ -5,6 +5,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
@@ -12,7 +13,9 @@ import (
 	"mhdedup/internal/baseline"
 	"mhdedup/internal/core"
 	"mhdedup/internal/metrics"
+	"mhdedup/internal/rabin"
 	"mhdedup/internal/simdisk"
+	"mhdedup/internal/store"
 	"mhdedup/internal/trace"
 )
 
@@ -32,10 +35,12 @@ const (
 // engine is one row of the algorithm table.
 type engine struct {
 	name string
-	// mount returns the engine over disk, with its detection state rebuilt
-	// from whatever the disk already holds. A new engine is a mount of an
-	// empty disk, where there is nothing to rebuild.
-	mount func(Params, *simdisk.Disk) (algo.Deduplicator, error)
+	// format is the manifest format the engine writes.
+	format store.Format
+	// mount returns the engine over disk, cut as the contract says, with
+	// its detection state rebuilt from whatever the disk already holds. A
+	// new engine is a mount of an empty disk, where there is none.
+	mount func(Params, store.Contract, *simdisk.Disk) (algo.Deduplicator, error)
 	// resumable says mount can rebuild the detection state of a non-empty
 	// disk: it lives on disk (hooks, manifests), not only in RAM.
 	resumable bool
@@ -45,15 +50,15 @@ type engine struct {
 // (so by all of package dedup) and by the tests' matrices. Adding an
 // algorithm is its file plus its row here. The order is AllAlgorithms'.
 var engines = []engine{
-	{name: AlgoMHD, mount: mountMHD(false), resumable: true},
-	{name: AlgoSIMHD, mount: mountMHD(true), resumable: true},
-	{name: AlgoCDC, mount: mountBaseline(baseline.ResumeCDC), resumable: true},
-	{name: AlgoBimodal, mount: mountBaseline(baseline.NewBimodal)},
-	{name: AlgoSubChunk, mount: mountBaseline(baseline.NewSubChunk)},
-	{name: AlgoSparse, mount: mountBaseline(baseline.NewSparse)},
-	{name: AlgoFBC, mount: mountBaseline(baseline.NewFBC)},
-	{name: AlgoFingerdiff, mount: mountBaseline(baseline.NewFingerdiff)},
-	{name: AlgoExtremeBinning, mount: mountBaseline(baseline.NewExtremeBinning)},
+	{name: AlgoMHD, format: store.FormatMHD, mount: mountMHD(false), resumable: true},
+	{name: AlgoSIMHD, format: store.FormatMHD, mount: mountMHD(true), resumable: true},
+	{name: AlgoCDC, format: store.FormatBasic, mount: mountBaseline(baseline.NewCDC), resumable: true},
+	{name: AlgoBimodal, format: store.FormatBasic, mount: mountBaseline(baseline.NewBimodal)},
+	{name: AlgoSubChunk, format: store.FormatMultiContainer, mount: mountBaseline(baseline.NewSubChunk)},
+	{name: AlgoSparse, format: store.FormatMultiContainer, mount: mountBaseline(baseline.NewSparse)},
+	{name: AlgoFBC, format: store.FormatBasic, mount: mountBaseline(baseline.NewFBC)},
+	{name: AlgoFingerdiff, format: store.FormatBasic, mount: mountBaseline(baseline.NewFingerdiff)},
+	{name: AlgoExtremeBinning, format: store.FormatMultiContainer, mount: mountBaseline(baseline.NewExtremeBinning)},
 }
 
 // Algorithms lists the comparison set of the paper's figures (plain CDC is
@@ -125,10 +130,12 @@ func (p Params) bloomBytes() int {
 }
 
 // mountMHD is the table's mount for MHD and, with sparseIndex, SI-MHD.
-func mountMHD(sparseIndex bool) func(Params, *simdisk.Disk) (algo.Deduplicator, error) {
-	return func(p Params, disk *simdisk.Disk) (algo.Deduplicator, error) {
+func mountMHD(sparseIndex bool) func(Params, store.Contract, *simdisk.Disk) (algo.Deduplicator, error) {
+	return func(p Params, c store.Contract, disk *simdisk.Disk) (algo.Deduplicator, error) {
 		cfg := core.DefaultConfig()
-		cfg.ECS = p.ECS
+		cfg.ECS = c.ECS
+		cfg.Poly = rabin.Poly(c.Poly)
+		cfg.TTTD, cfg.FastCDC = c.TTTD, c.FastCDC
 		cfg.SD = p.SD
 		cfg.BloomBytes = p.bloomBytes()
 		cfg.CacheManifests = p.CacheManifests
@@ -136,11 +143,9 @@ func mountMHD(sparseIndex bool) func(Params, *simdisk.Disk) (algo.Deduplicator, 
 		cfg.ByteCompare = p.ByteCompare
 		cfg.EdgeHash = p.EdgeHash
 		cfg.SHMPerSlice = p.SHMPerSlice
-		cfg.TTTD = p.TTTD
-		cfg.FastCDC = p.FastCDC
 		cfg.SparseIndex = sparseIndex
 		cfg.RecipeTrees = p.RecipeTrees
-		d, err := core.Resume(cfg, disk)
+		d, err := core.NewOnDisk(cfg, disk)
 		if err != nil {
 			return nil, err
 		}
@@ -149,11 +154,15 @@ func mountMHD(sparseIndex bool) func(Params, *simdisk.Disk) (algo.Deduplicator, 
 }
 
 // mountBaseline is the table's mount for an internal/baseline engine: every
-// one of them is configured from the same Params the same way.
-func mountBaseline[E algo.Deduplicator](mk func(baseline.Config, *simdisk.Disk) (E, error)) func(Params, *simdisk.Disk) (algo.Deduplicator, error) {
-	return func(p Params, disk *simdisk.Disk) (algo.Deduplicator, error) {
+// one of them cuts with Rabin and is configured from Params the same way.
+func mountBaseline[E algo.Deduplicator](mk func(baseline.Config, *simdisk.Disk) (E, error)) func(Params, store.Contract, *simdisk.Disk) (algo.Deduplicator, error) {
+	return func(p Params, c store.Contract, disk *simdisk.Disk) (algo.Deduplicator, error) {
+		if c.TTTD || c.FastCDC {
+			return nil, fmt.Errorf("exp: %s cuts with Rabin only", p.Algo)
+		}
 		cfg := baseline.DefaultConfig()
-		cfg.ECS = p.ECS
+		cfg.ECS = c.ECS
+		cfg.Poly = rabin.Poly(c.Poly)
 		cfg.SD = p.SD
 		cfg.BloomBytes = p.bloomBytes()
 		cfg.CacheManifests = p.CacheManifests
@@ -167,10 +176,10 @@ func mountBaseline[E algo.Deduplicator](mk func(baseline.Config, *simdisk.Disk) 
 	}
 }
 
-// row finds p's row of the table.
+// row finds p's row of the table; a zero Algo is the default contract's.
 func row(p Params) (engine, error) {
 	for _, e := range engines {
-		if e.name == p.Algo {
+		if e.name == p.Algo || p.Algo == "" && e.name == store.DefaultContract.Algorithm {
 			return e, nil
 		}
 	}
@@ -178,26 +187,47 @@ func row(p Params) (engine, error) {
 }
 
 // Build constructs the deduplicator p describes over a fresh simulated disk.
-func Build(p Params) (algo.Deduplicator, error) {
-	e, err := row(p)
-	if err != nil {
-		return nil, err
-	}
-	return e.mount(p, simdisk.New())
-}
+func Build(p Params) (algo.Deduplicator, error) { return mount(p, simdisk.New(), false) }
 
 // Resume constructs the deduplicator p describes over an existing
-// deduplicated disk, so new files deduplicate against everything already
-// stored. Engines whose detection state lives only in RAM are refused.
-func Resume(p Params, disk *simdisk.Disk) (algo.Deduplicator, error) {
+// deduplicated disk, cut as it records (store.ContractOf): a zero Algo or
+// ECS and neither TTTD nor FastCDC adopt the record, a set one that differs
+// is refused by name. Engines whose detection state lives only in RAM are
+// refused.
+func Resume(p Params, disk *simdisk.Disk) (algo.Deduplicator, error) { return mount(p, disk, true) }
+
+// mount is Build and Resume: it mounts p's row over disk under the cut
+// contract disk records, stamping a new store with the one p describes.
+func mount(p Params, disk *simdisk.Disk, resume bool) (algo.Deduplicator, error) {
+	c, recorded := store.ContractOf(disk)
+	if recorded || disk.TotalObjects() > 0 {
+		switch {
+		case p.Algo != "" && p.Algo != c.Algorithm:
+			return nil, fmt.Errorf("exp: the store records algorithm %s, not %s", c.Algorithm, p.Algo)
+		case p.ECS != 0 && p.ECS != c.ECS:
+			return nil, fmt.Errorf("exp: the store records ECS %d, not %d", c.ECS, p.ECS)
+		case (p.TTTD || p.FastCDC) && (p.TTTD != c.TTTD || p.FastCDC != c.FastCDC):
+			return nil, fmt.Errorf("exp: the store records TTTD %v and FastCDC %v", c.TTTD, c.FastCDC)
+		}
+		p.Algo, p.ECS = c.Algorithm, c.ECS
+	}
 	e, err := row(p)
 	if err != nil {
 		return nil, err
 	}
-	if !e.resumable {
+	if resume && !e.resumable {
 		return nil, fmt.Errorf("exp: resume is not supported for %q (its detection state is not reconstructible from disk)", p.Algo)
 	}
-	return e.mount(p, disk)
+	if !recorded {
+		p.ECS = cmp.Or(p.ECS, c.ECS)
+		c = store.Contract{Algorithm: e.name, Format: e.format, TTTD: p.TTTD, FastCDC: p.FastCDC, ECS: p.ECS}
+	}
+	d, err := e.mount(p, c, disk)
+	if err != nil {
+		return nil, err
+	}
+	c.Stamp(disk)
+	return d, nil
 }
 
 // Record is one completed run.

@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"mhdedup/internal/baseline"
 	"mhdedup/internal/client"
 	"mhdedup/internal/core"
+	"mhdedup/internal/exp"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
 	"mhdedup/internal/session"
@@ -65,7 +65,7 @@ func TestResumeExpiryRaceStress(t *testing.T) {
 	resumed := 0
 	for i := 0; i < 20; i++ {
 		c, write, read := rawConn(t, addr)
-		write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+		write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 		ok, err := wire.UnmarshalHelloOK(read().Payload)
 		if err != nil {
 			t.Fatal(err)
@@ -124,13 +124,13 @@ func TestResumeExpiryRaceStress(t *testing.T) {
 // over the wire through the verifying path. Pre-fix, streamRestore
 // hardcoded FormatMHD, so the Verifier decoded the basic 36-byte manifest
 // records as 37-byte MHD records and the restore failed; post-fix the
-// format is detected from the store contents.
+// format is the one the store's cut contract records.
 func TestRemoteRestoreNonMHDFormatStore(t *testing.T) {
-	disk := simdisk.New()
-	cdc, err := baseline.NewCDC(baseline.DefaultConfig(), disk)
+	cdc, err := exp.Build(exp.DefaultParams(exp.AlgoCDC, 4096, 64, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	disk := cdc.Disk()
 	data := make([]byte, 96<<10)
 	rand.New(rand.NewSource(42)).Read(data)
 	if err := cdc.PutFile("image.raw", bytes.NewReader(data)); err != nil {
@@ -139,8 +139,8 @@ func TestRemoteRestoreNonMHDFormatStore(t *testing.T) {
 	if err := cdc.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if f, ok := store.DetectFormat(disk); !ok || f != store.FormatBasic {
-		t.Fatalf("precondition: DetectFormat = %v, %v; want FormatBasic, true", f, ok)
+	if c, ok := store.ContractOf(disk); !ok || c.Format != store.FormatBasic {
+		t.Fatalf("precondition: recorded contract %v, %v; want FormatBasic, true", c, ok)
 	}
 
 	// Mount the foreign store under an MHD engine (what a dedupd resuming

@@ -147,7 +147,7 @@ func TestOverloadShedding(t *testing.T) {
 
 	// A brand-new session is refused at the door, retryably.
 	_, write, read := rawConn(t, addr)
-	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	expectError(t, read(), wire.CodeOverloaded, true)
 	if srv.cShed.Load() == 0 {
 		t.Fatal("shed counter not bumped")

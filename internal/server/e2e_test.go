@@ -309,7 +309,7 @@ func TestDrainWaitsForInFlightSession(t *testing.T) {
 func TestDrainExpiresParkedSession(t *testing.T) {
 	srv, _, addr := startServer(t, func(c *Config) { c.ResumeTimeout = time.Hour })
 	c, write, read := rawConn(t, addr)
-	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	if f := read(); f.Type != wire.TypeHelloOK {
 		t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
 	}

@@ -42,14 +42,14 @@ func containsSubsequence(got []events.Event, want []string) bool {
 // rely on: no session state change without an event.
 func TestSessionLifecycleEvents(t *testing.T) {
 	evlog := events.New(events.Options{Level: events.LevelDebug})
-	srv, _, addr := startServer(t, func(c *Config) {
+	_, _, addr := startServer(t, func(c *Config) {
 		c.Events = evlog
 		c.ResumeTimeout = 60 * time.Millisecond
 	})
 
 	// Session A: attach → detach (dropped conn) → resume → orderly close.
 	c1, write1, read1 := rawConn(t, addr)
-	write1(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+	write1(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	ok, err := wire.UnmarshalHelloOK(read1().Payload)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestSessionLifecycleEvents(t *testing.T) {
 
 	// Session B: attach → detach → resume window runs out → expire.
 	c3, write3, read3 := rawConn(t, addr)
-	write3(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+	write3(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	if f := read3(); f.Type != wire.TypeHelloOK {
 		t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
 	}

@@ -23,20 +23,45 @@ import (
 // it is wrong — and what an honest client sends must leave the store a
 // local PutFile leaves.
 
-// TestNewRefusesEngineWhoseCutsTheHandshakeCannotExpress: clients cut from
-// wire.EngineOptions alone, which carries no polynomial, so an engine
-// cutting with a non-default one would handshake cleanly and store cuts it
-// never makes itself (and re-cut differently on the migrate plane).
-func TestNewRefusesEngineWhoseCutsTheHandshakeCannotExpress(t *testing.T) {
+// TestClientCutsWithAnnouncedPolynomial: the cut contract carries the
+// Rabin polynomial, so an engine cutting with a non-default one announces
+// it, and a client that pins nothing cuts with it: the shard stores what
+// a local PutFile stores, object for object.
+func TestClientCutsWithAnnouncedPolynomial(t *testing.T) {
 	cfg := newTestEngine(t).Config()
 	cfg.Poly = 0x3DA3358B4DC175
-	eng, err := core.New(cfg)
+	local, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Engine: eng, Registry: metrics.NewRegistry()}); err == nil {
-		t.Fatal("New accepted an engine whose polynomial the handshake cannot express")
+	remote, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	srv, _, addr := startServer(t, func(c *Config) { c.Engine = remote })
+	if got := srv.Options().Poly; got != uint64(cfg.Poly) {
+		t.Fatalf("announced polynomial %#x, want %#x", got, uint64(cfg.Poly))
+	}
+	ing, err := client.Connect(client.Config{Addr: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := genData(43, 512<<10)
+	if err := local.PutFile("img", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.PutFile("img", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []*core.Dedup{local, remote} {
+		if err := eng.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compareDisks(t, remote, local)
 }
 
 // offered is one Offer entry and the bytes sent for it; a hostile client
@@ -103,10 +128,10 @@ func hostileFiles() []hostileFile {
 // send plays f on an ingest session until the server answers with an Error
 // frame, which it returns; a server that acknowledges the whole file fails
 // the test.
-func (f hostileFile) send(t *testing.T, addr string, opts wire.EngineOptions) wire.ErrorMsg {
+func (f hostileFile) send(t *testing.T, addr string) wire.ErrorMsg {
 	t.Helper()
 	_, write, read := rawConn(t, addr)
-	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: opts}.Marshal())
+	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	if fr := read(); fr.Type != wire.TypeHelloOK {
 		t.Fatalf("expected HelloOK, got %s", wire.TypeName(fr.Type))
 	}
@@ -172,7 +197,7 @@ func TestHostileClientCommitsNothing(t *testing.T) {
 	for _, f := range hostileFiles() {
 		t.Run(f.name, func(t *testing.T) {
 			srv, eng, addr := startServer(t, nil)
-			if em := f.send(t, addr, srv.Options()); em.Code != f.code || em.Retryable {
+			if em := f.send(t, addr); em.Code != f.code || em.Retryable {
 				t.Fatalf("refused with code %d retryable %v (%s), want code %d, final", em.Code, em.Retryable, em.Msg, f.code)
 			}
 			var sink bytes.Buffer

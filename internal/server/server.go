@@ -36,7 +36,6 @@ import (
 	"mhdedup/internal/exp"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
-	"mhdedup/internal/rabin"
 	"mhdedup/internal/session"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
@@ -166,13 +165,13 @@ func (c *Config) fillDefaults() error {
 // dispatches to.
 type Server struct {
 	cfg   Config
-	opts  wire.EngineOptions // the handshake contract clients must match
+	opts  wire.EngineOptions // the cut contract HelloOK announces
 	cache *chunkCache
 	ep    *session.Endpoint[*ingestSession]
-	// The negotiated chunker's bounds, which every offered cut is held to.
+	// The announced chunker's bounds, which every offered cut is held to.
 	minChunk, maxChunk uint32
-	// st is the store view remote restores read through (see New for its
-	// manifest format).
+	// st is the store view remote restores read through, in the manifest
+	// format the store's cut contract records.
 	st *store.Store
 
 	// Hot operational counters (also registered in cfg.Registry).
@@ -221,12 +220,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	ec := cfg.Engine.Config()
-	// Clients cut for the engine from the handshake's options alone, the
-	// migrate plane with the engine's own: the two must not disagree.
-	if ec.Poly != 0 && ec.Poly != rabin.DefaultPoly {
-		return nil, fmt.Errorf("server: engine cuts with polynomial %#x, which the handshake cannot express (only the default, %#x)",
-			uint64(ec.Poly), uint64(rabin.DefaultPoly))
-	}
 	minChunk, maxChunk, err := chunker.Params{ECS: ec.ECS}.Bounds()
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -240,27 +233,18 @@ func New(cfg Config) (*Server, error) {
 		opts: wire.EngineOptions{
 			Algorithm: algorithm,
 			ECS:       uint32(ec.ECS),
-			SD:        uint32(ec.SD),
 			TTTD:      ec.TTTD,
 			FastCDC:   ec.FastCDC,
+			Poly:      uint64(ec.Poly),
 		},
 		minChunk: uint32(minChunk),
 		maxChunk: uint32(maxChunk),
 		cache:    newChunkCache(cfg.ChunkCacheBytes),
 	}
-	// The manifest format verified restores decode with is decided once,
-	// here, not per request (detection decodes every manifest): a dedupd
-	// can be pointed at a store written by another tool or an older engine
-	// whose manifests are not FormatMHD. An empty disk — which DetectFormat
-	// would call FormatBasic — or an ambiguous one gets the engine's own
-	// write format, the only consistent choice.
-	disk, format := cfg.Engine.Disk(), store.FormatMHD
-	if disk.ObjectCount(simdisk.Manifest) > 0 {
-		if f, ok := store.DetectFormat(disk); ok {
-			format = f
-		}
-	}
-	s.st = store.New(disk, format)
+	// A dedupd can serve a store another engine wrote, whose manifests are
+	// not FormatMHD: verified restores decode them as its record says.
+	c, _ := store.ContractOf(cfg.Engine.Disk())
+	s.st = store.New(cfg.Engine.Disk(), c.Format)
 	s.st.SetEventLog(cfg.Events)
 	r := cfg.Registry
 	s.cFilesIngested = r.Counter("server.files.ingested")
@@ -317,7 +301,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Options returns the engine handshake contract the server enforces.
+// Options returns the cut contract the server announces: how its engine cuts.
 func (s *Server) Options() wire.EngineOptions { return s.opts }
 
 // Serve accepts connections on ln until Drain or Close. It returns nil
@@ -347,16 +331,10 @@ func (s *Server) CacheStats() (bytes int64, entries int) { return s.cache.stats(
 // expiry, drain) lives in internal/session; what follows is what dedupd
 // adds to it.
 
-// admitSession is the admission hook for NEW sessions: the client's
-// engine contract must match, and while the durability machinery is
-// behind budget new sessions are shed with a retryable Overloaded.
+// admitSession is the admission hook for NEW sessions: while the
+// durability machinery is behind budget they are shed with a retryable
+// Overloaded.
 func (s *Server) admitSession(hello wire.Hello) *wire.ErrorMsg {
-	if hello.Options != s.opts {
-		return &wire.ErrorMsg{Code: wire.CodeHandshake, Msg: fmt.Sprintf(
-			"engine mismatch: server runs %s ECS=%d SD=%d TTTD=%v FastCDC=%v; client offered %s ECS=%d SD=%d TTTD=%v FastCDC=%v",
-			s.opts.Algorithm, s.opts.ECS, s.opts.SD, s.opts.TTTD, s.opts.FastCDC,
-			hello.Options.Algorithm, hello.Options.ECS, hello.Options.SD, hello.Options.TTTD, hello.Options.FastCDC)}
-	}
 	if d := s.cfg.Durability; d != nil {
 		if reason, over := d.Overloaded(); over {
 			s.cShed.Add(1)
@@ -399,6 +377,7 @@ func (s *Server) serveIngestConn(c *session.Conn, hello wire.Hello, ss *ingestSe
 		Window:       uint32(s.cfg.Window),
 		MaxPayload:   s.cfg.MaxPayload,
 		LastApplied:  ss.lastApplied,
+		Options:      s.opts,
 	}
 	if err := c.Write(wire.TypeHelloOK, ok.Marshal()); err != nil {
 		s.park(ss)

@@ -101,26 +101,36 @@ func expectError(t *testing.T, f wire.Frame, code uint16, retryable bool) wire.E
 	return em
 }
 
-func TestHandshakeOptionsMismatch(t *testing.T) {
-	srv, _, addr := startServer(t, nil)
-	_, write, read := rawConn(t, addr)
-	opts := srv.Options()
-	opts.ECS *= 2 // wrong chunk size
-	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: opts}.Marshal())
-	expectError(t, read(), wire.CodeHandshake, false)
+// TestHelloOKAnnouncesContract: a Hello offers no engine options; the
+// ingest HelloOK announces how the engine cuts, and a restore connection's
+// announces nothing.
+func TestHelloOKAnnouncesContract(t *testing.T) {
+	srv, eng, addr := startServer(t, nil)
+	want := wire.EngineOptions{Algorithm: "mhd", ECS: uint32(eng.Config().ECS)}
+	if srv.Options() != want {
+		t.Fatalf("Options() = %+v, want %+v", srv.Options(), want)
+	}
+	for mode, announced := range map[uint8]wire.EngineOptions{wire.ModeIngest: want, wire.ModeRestore: {}} {
+		_, write, read := rawConn(t, addr)
+		write(wire.TypeHello, wire.Hello{Mode: mode}.Marshal())
+		ok, err := wire.UnmarshalHelloOK(read().Payload)
+		if err != nil || ok.Options != announced {
+			t.Fatalf("mode %d: HelloOK %+v (%v), want Options %+v", mode, ok, err, announced)
+		}
+	}
 }
 
 func TestSessionLimitBusy(t *testing.T) {
-	srv, _, addr := startServer(t, func(c *Config) { c.MaxSessions = 1 })
+	_, _, addr := startServer(t, func(c *Config) { c.MaxSessions = 1 })
 	// First session occupies the only slot.
 	_, write1, read1 := rawConn(t, addr)
-	write1(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+	write1(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	if f := read1(); f.Type != wire.TypeHelloOK {
 		t.Fatalf("first session: expected HelloOK, got %s", wire.TypeName(f.Type))
 	}
 	// Second is refused with a retryable Busy.
 	_, write2, read2 := rawConn(t, addr)
-	write2(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+	write2(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	expectError(t, read2(), wire.CodeBusy, true)
 }
 
@@ -132,9 +142,9 @@ func TestResumeUnknownTokenNotFound(t *testing.T) {
 }
 
 func TestWindowEnforced(t *testing.T) {
-	srv, _, addr := startServer(t, func(c *Config) { c.Window = 4 })
+	_, _, addr := startServer(t, func(c *Config) { c.Window = 4 })
 	_, write, read := rawConn(t, addr)
-	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	ok, err := wire.UnmarshalHelloOK(read().Payload)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +176,7 @@ func TestMalformedIngestCommandIsRefused(t *testing.T) {
 		{wire.TypeFileEnd, []byte{0xFF}},
 	} {
 		_, write, read := rawConn(t, addr)
-		write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+		write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 		if f := read(); f.Type != wire.TypeHelloOK {
 			t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
 		}
@@ -183,9 +193,9 @@ func TestMalformedIngestCommandIsRefused(t *testing.T) {
 }
 
 func TestChunkDataHashMismatchIsIntegrityError(t *testing.T) {
-	srv, _, addr := startServer(t, nil)
+	_, _, addr := startServer(t, nil)
 	_, write, read := rawConn(t, addr)
-	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	if f := read(); f.Type != wire.TypeHelloOK {
 		t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
 	}
@@ -217,9 +227,9 @@ func TestFileEndBadSumCommitsNothing(t *testing.T) {
 	wrongSum.Sum = hashutil.SumString("not the stream's hash")
 	wrongSize.TotalBytes++
 	for name, end := range map[string]wire.FileEnd{"wrong Sum": wrongSum, "wrong TotalBytes": wrongSize} {
-		srv, eng, addr := startServer(t, nil)
+		_, eng, addr := startServer(t, nil)
 		_, write, read := rawConn(t, addr)
-		write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+		write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 		if f := read(); f.Type != wire.TypeHelloOK {
 			t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
 		}
@@ -267,7 +277,7 @@ func TestRestoreNotFound(t *testing.T) {
 func TestIdleTimeoutSendsRetryableError(t *testing.T) {
 	srv, _, addr := startServer(t, func(c *Config) { c.IdleTimeout = 80 * time.Millisecond })
 	_, write, read := rawConn(t, addr)
-	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	if f := read(); f.Type != wire.TypeHelloOK {
 		t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
 	}
@@ -287,7 +297,7 @@ func TestDrainIdleServerCompletes(t *testing.T) {
 	srv, _, addr := startServer(t, nil)
 	// One orderly session, then drain must return promptly.
 	_, write, read := rawConn(t, addr)
-	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options()}.Marshal())
+	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	if f := read(); f.Type != wire.TypeHelloOK {
 		t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))
 	}

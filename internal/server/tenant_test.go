@@ -81,18 +81,18 @@ func TestTenantNamespaceIsolation(t *testing.T) {
 }
 
 func TestInvalidTenantRejected(t *testing.T) {
-	srv, _, addr := startServer(t, nil)
+	_, _, addr := startServer(t, nil)
 	_, write, read := rawConn(t, addr)
-	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options(), Tenant: "a/b"}.Marshal())
+	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Tenant: "a/b"}.Marshal())
 	expectError(t, read(), wire.CodeHandshake, false)
 }
 
 // TestResumeCannotCrossTenants: a resume token obtained by one tenant is
 // dead in another tenant's hands, indistinguishable from an expired one.
 func TestResumeCannotCrossTenants(t *testing.T) {
-	srv, _, addr := startServer(t, nil)
+	_, _, addr := startServer(t, nil)
 	_, write, read := rawConn(t, addr)
-	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Options: srv.Options(), Tenant: "acme"}.Marshal())
+	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest, Tenant: "acme"}.Marshal())
 	f := read()
 	if f.Type != wire.TypeHelloOK {
 		t.Fatalf("expected HelloOK, got %s", wire.TypeName(f.Type))

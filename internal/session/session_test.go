@@ -387,7 +387,7 @@ func TestHandshakeHostileServers(t *testing.T) {
 		return func(nc net.Conn) { wire.WriteFrame(nc, typ, payload) }
 	}
 	busy := wire.ErrorMsg{Code: wire.CodeBusy, Retryable: true, Msg: "full", RetryAfterMs: 250}
-	mismatch := wire.ErrorMsg{Code: wire.CodeHandshake, Msg: "engine mismatch"}
+	refused := wire.ErrorMsg{Code: wire.CodeHandshake, Msg: "authentication failed"}
 
 	for _, tc := range []struct {
 		name   string
@@ -400,9 +400,9 @@ func TestHandshakeHostileServers(t *testing.T) {
 			var em wire.ErrorMsg
 			return errors.As(err, &em) && em == busy
 		}},
-		{"final Error", serve(frame(wire.TypeError, mismatch.Marshal())), func(err error) bool {
+		{"final Error", serve(frame(wire.TypeError, refused.Marshal())), func(err error) bool {
 			var em wire.ErrorMsg
-			return errors.As(err, &em) && em == mismatch
+			return errors.As(err, &em) && em == refused
 		}},
 		{"malformed Error", serve(frame(wire.TypeError, []byte{1})), func(err error) bool {
 			return err != nil && !IsTransport(err) && !errors.As(err, new(wire.ErrorMsg))

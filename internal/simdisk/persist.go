@@ -22,7 +22,8 @@ import (
 //
 //	dir/
 //	  MANIFEST.json        top-level commit marker: current generation +
-//	                       per-category object counts and byte totals
+//	                       per-category object counts and byte totals +
+//	                       the store's cut contract (Disk.Contract)
 //	  gen-000002/          the committed generation
 //	    GEN.json           the generation's own manifest (written last,
 //	                       before the directory is renamed into place)
@@ -58,12 +59,13 @@ const genPrefix = "gen-"
 
 // storeManifest is the JSON body of both MANIFEST.json and GEN.json: the
 // generation number plus per-category object counts and byte totals, which
-// is what makes a generation self-validating.
+// is what makes a generation self-validating, and the store's cut contract.
 type storeManifest struct {
 	Generation int              `json:"generation"`
 	Objects    map[string]int   `json:"objects"`
 	Bytes      map[string]int64 `json:"bytes"`
 	SavedAt    string           `json:"saved_at,omitempty"`
+	Contract   json.RawMessage  `json:"contract,omitempty"`
 }
 
 // SaveHook is consulted before every file-system mutation a SaveDir
@@ -112,7 +114,7 @@ func (d *Disk) SaveDir(dir string) error {
 	if m, _, err := readMarker(dir); err == nil && m != nil {
 		gen = m.Generation
 	}
-	if g, _, ok := newestValidGen(dir); ok && g > gen {
+	if g, _, _ := newestValidGen(dir); g > gen {
 		gen = g
 	}
 	gen++
@@ -159,6 +161,7 @@ func (d *Disk) writeGeneration(dir, tmpDir, genName string, gen int) error {
 		Objects:    make(map[string]int),
 		Bytes:      make(map[string]int64),
 		SavedAt:    time.Now().UTC().Format(time.RFC3339),
+		Contract:   d.contract,
 	}
 	for _, cat := range categoryOrder() {
 		sub := categoryDirs[cat]
@@ -418,13 +421,13 @@ func genNumber(name string) (int, bool) {
 }
 
 // newestValidGen scans dir for the highest-numbered generation directory
-// that self-validates.
-func newestValidGen(dir string) (int, string, bool) {
+// that self-validates, and returns its manifest (nil when there is none).
+func newestValidGen(dir string) (int, string, *storeManifest) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, "", false
+		return 0, "", nil
 	}
-	best, bestDir := 0, ""
+	best, bestDir, bestMan := 0, "", (*storeManifest)(nil)
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
@@ -434,39 +437,39 @@ func newestValidGen(dir string) (int, string, bool) {
 			continue
 		}
 		genDir := filepath.Join(dir, e.Name())
-		if _, err := readGenManifest(genDir); err == nil {
-			best, bestDir = n, genDir
+		if m, err := readGenManifest(genDir); err == nil {
+			best, bestDir, bestMan = n, genDir, m
 		}
 	}
-	return best, bestDir, best > 0
+	return best, bestDir, bestMan
 }
 
 // selectGeneration decides, read-only, what a mount of dir should see: the
-// generation directory to load, or an empty store (genDir == ""). The
-// marker's generation when it validates; otherwise the newest
-// self-validating generation.
-func selectGeneration(dir string) (gen int, genDir string, err error) {
+// generation directory to load and its validated manifest, or an empty
+// store (genDir == ""). The marker's generation when it validates;
+// otherwise the newest self-validating generation.
+func selectGeneration(dir string) (gen int, genDir string, man *storeManifest, err error) {
 	m, markerPresent, markerErr := readMarker(dir)
 	if markerErr == nil && m != nil {
 		candidate := filepath.Join(dir, fmt.Sprintf("%s%06d", genPrefix, m.Generation))
-		if _, err := readGenManifest(candidate); err == nil {
-			return m.Generation, candidate, nil
+		if gm, err := readGenManifest(candidate); err == nil {
+			return m.Generation, candidate, gm, nil
 		}
 		// Marker names a generation that is missing or fails validation
 		// (post-commit damage): fall back to the newest consistent one.
 	}
-	if g, gdir, ok := newestValidGen(dir); ok {
-		return g, gdir, nil
+	if g, gdir, gm := newestValidGen(dir); gm != nil {
+		return g, gdir, gm, nil
 	}
 	if markerPresent {
 		// A marker exists (even corrupt) but no generation validates:
 		// the store is unrecoverable, which the caller must hear about.
 		if markerErr != nil {
-			return 0, "", fmt.Errorf("simdisk: no consistent generation under %s (marker: %v)", dir, markerErr)
+			return 0, "", nil, fmt.Errorf("simdisk: no consistent generation under %s (marker: %v)", dir, markerErr)
 		}
-		return 0, "", fmt.Errorf("simdisk: no consistent generation under %s", dir)
+		return 0, "", nil, fmt.Errorf("simdisk: no consistent generation under %s", dir)
 	}
-	return 0, "", nil // no marker, no generations: an empty or missing directory
+	return 0, "", nil, nil // no marker, no generations: an empty or missing directory
 }
 
 // LoadDir returns a disk populated from a directory written by SaveDir.
@@ -476,7 +479,7 @@ func selectGeneration(dir string) (gen int, genDir string, err error) {
 // zero: loading models mounting existing storage, not re-performing the
 // writes.
 func LoadDir(dir string) (*Disk, error) {
-	_, genDir, err := selectGeneration(dir)
+	_, genDir, man, err := selectGeneration(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -484,6 +487,7 @@ func LoadDir(dir string) (*Disk, error) {
 	if genDir == "" {
 		return d, nil // empty or missing directory
 	}
+	d.contract = man.Contract
 	for cat, sub := range categoryDirs {
 		catDir := filepath.Join(genDir, sub)
 		entries, err := os.ReadDir(catDir)
@@ -607,7 +611,7 @@ func Load(dir string, repair bool) (*Disk, WALReplayReport, error) {
 // recoverGenerations is the generation half of Recover.
 func recoverGenerations(dir string) (RecoverReport, error) {
 	var rep RecoverReport
-	gen, genDir, err := selectGeneration(dir)
+	gen, genDir, gm, err := selectGeneration(dir)
 	if err != nil || genDir == "" {
 		return rep, err
 	}
@@ -646,10 +650,6 @@ func recoverGenerations(dir string) (RecoverReport, error) {
 	if markerErr == nil && m != nil && m.Generation == gen {
 		return rep, nil
 	}
-	gm, err := readGenManifest(genDir)
-	if err != nil {
-		return rep, fmt.Errorf("simdisk: recover: %w", err)
-	}
 	raw, err := json.Marshal(gm)
 	if err != nil {
 		return rep, err
@@ -676,12 +676,8 @@ func recoverGenerations(dir string) (RecoverReport, error) {
 // them; marker and generation manifests are bookkeeping and excluded), for
 // CLI reporting.
 func DirSize(dir string) (int64, error) {
-	_, genDir, err := selectGeneration(dir)
+	_, genDir, m, err := selectGeneration(dir)
 	if err != nil || genDir == "" {
-		return 0, err
-	}
-	m, err := readGenManifest(genDir)
-	if err != nil {
 		return 0, err
 	}
 	var total int64

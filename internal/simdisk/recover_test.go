@@ -10,8 +10,12 @@ import (
 )
 
 // snapshot captures the full object state of a disk for equality checks.
+// contractKey files the disk's cut contract in a snapshot, beside its
+// categories: a mount must bring the contract back with the objects.
+const contractKey Category = -1
+
 func snapshot(d *Disk) map[Category]map[string][]byte {
-	out := make(map[Category]map[string][]byte)
+	out := map[Category]map[string][]byte{contractKey: {"": d.Contract(nil)}}
 	for _, cat := range categoryOrder() {
 		out[cat] = make(map[string][]byte)
 		for _, name := range d.Names(cat) {
@@ -23,6 +27,9 @@ func snapshot(d *Disk) map[Category]map[string][]byte {
 }
 
 func sameState(a, b map[Category]map[string][]byte) bool {
+	if !bytes.Equal(a[contractKey][""], b[contractKey][""]) {
+		return false
+	}
 	for _, cat := range categoryOrder() {
 		if len(a[cat]) != len(b[cat]) {
 			return false

@@ -163,6 +163,10 @@ type Disk struct {
 	// is what guarantees log order == mutation order; durability is
 	// deferred to WAL.Sync (group commit).
 	wal *WAL
+
+	// contract is the store's cut contract (package store's; opaque here):
+	// journaled and saved with each generation, but no object or access.
+	contract []byte
 }
 
 // New returns an empty simulated disk.
@@ -293,6 +297,20 @@ func (d *Disk) Delete(cat Category, name string) error {
 		d.wal.Append(WALRecord{Op: WALDelete, Cat: cat, Name: name})
 	}
 	return nil
+}
+
+// Contract returns the cut contract the store records (nil: none), first
+// recording stamp if there is none — journaled, like any mutation.
+func (d *Disk) Contract(stamp []byte) []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.contract == nil && stamp != nil {
+		d.contract = stamp
+		if d.wal != nil {
+			d.wal.Append(WALRecord{Op: WALContract, Data: stamp})
+		}
+	}
+	return d.contract
 }
 
 // SetReadDelay installs a per-read latency of delay (zero clears it):

@@ -29,8 +29,9 @@ import (
 //	u32 bodyLen | u32 crc32(body) | body
 //	body := u8 op | u8 category | u32 nameLen | name | [u64 off] | data
 //
-// (off only in Extent and Seal records). A container reaches the log while
-// its file is still being cut: the engine stages each flushed run of chunks
+// (off only in Extent and Seal records; a Contract record's data is the
+// store's cut contract). A container reaches the log while its file is
+// still being cut: the engine stages each flushed run of chunks
 // as an Extent — bytes at an offset of an object that does not exist yet —
 // and the Create that finally stores the object is journaled as a Seal
 // (name, total length) instead of the payload again. Replay keeps extents
@@ -82,6 +83,8 @@ const (
 
 // WAL record operations.
 const (
+	// WALContract records the store's cut contract (Disk.Contract).
+	WALContract byte = 0
 	// WALSet records a Create or Write: the object's complete new payload.
 	WALSet byte = 1
 	// WALDelete records a Delete.
@@ -623,7 +626,7 @@ func walScanSegment(data []byte) (recs []WALRecord, validBytes int, whole bool) 
 		}
 		r := WALRecord{Op: body[0], Cat: Category(body[1])}
 		nameLen := int(binary.BigEndian.Uint32(body[2:]))
-		if r.Op < WALSet || r.Op > WALSeal || r.Cat < 0 || r.Cat >= numCategories ||
+		if r.Op > WALSeal || r.Cat < 0 || r.Cat >= numCategories ||
 			nameLen < 0 || nameLen > bodyLen-walBodyFixed {
 			return recs, off, false
 		}
@@ -680,7 +683,9 @@ func (p *walFold) apply(r WALRecord) error {
 	}
 	p.d.mu.Lock()
 	defer p.d.mu.Unlock()
-	if r.Op == WALDelete {
+	if r.Op == WALContract {
+		p.d.contract = bytes.Join(parts, nil)
+	} else if r.Op == WALDelete {
 		delete(p.d.objects[r.Cat], r.Name)
 	} else {
 		p.d.objects[r.Cat][r.Name] = bytes.Join(parts, nil)

@@ -564,6 +564,7 @@ func FuzzWALScanReplay(f *testing.F) {
 	f.Add(enc(ext("x", 0, "abc"), seal("x", 1<<40)))
 	f.Add(enc(set, ext("m", 0, "a"))[:30])
 	f.Add(append(enc(ext("x", 0, "ab")), enc(seal("x", 2))[:12]...))
+	f.Add(enc(WALRecord{Op: WALContract, Data: []byte(`{"ecs":4096}`)}, set))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		seg := append([]byte(walMagic), body...)
 		recs, valid, whole := walScanSegment(seg)
@@ -577,10 +578,12 @@ func FuzzWALScanReplay(f *testing.F) {
 			name string
 		}
 		objects, staged := map[key]string{}, map[key]string{}
-		refused := false
+		refused, contract := false, ""
 		for _, r := range recs {
 			k := key{r.Cat, r.Name}
 			switch r.Op {
+			case WALContract:
+				contract = string(r.Data)
 			case WALSet:
 				objects[k] = string(r.Data)
 			case WALDelete:
@@ -627,7 +630,13 @@ func FuzzWALScanReplay(f *testing.F) {
 			return
 		}
 		var mounted int
+		if got := string(d.Contract(nil)); got != contract {
+			t.Fatalf("mounted contract %q, model says %q", got, contract)
+		}
 		for cat, objs := range snapshot(d) {
+			if cat == contractKey {
+				continue
+			}
 			for name, data := range objs {
 				if want, ok := objects[key{cat, name}]; !ok || want != string(data) {
 					t.Fatalf("mounted %v %q = %q, model says %q (present %v)", cat, name, data, want, ok)
@@ -837,7 +846,7 @@ func TestWALConcurrentSessionsStream(t *testing.T) {
 type wop struct {
 	// 'C' create, 'W' write, 'D' delete, 'S' sync (ack), 'G' generation
 	// commit (ack), 'E' stage data[lo:hi] as an extent at lo, 'O' create
-	// owned (the seal of what was staged).
+	// owned (the seal of what was staged), 'K' stamp data as the contract.
 	kind   byte
 	cat    Category
 	name   string
@@ -857,6 +866,7 @@ func walKillScript(seed int64) []wop {
 		return b
 	}
 	return []wop{
+		{kind: 'K', data: []byte(`{"algorithm":"mhd","ecs":4096}`)},
 		{kind: 'C', cat: Data, name: "c1", data: payload(200)},
 		{kind: 'C', cat: Hook, name: "h1", data: payload(40)},
 		{kind: 'S'},
@@ -977,6 +987,8 @@ func runWALScript(t *testing.T, dir string, script []wop, streamAt int64, hook S
 			if err := d.CreateOwned(op.cat, op.name, append([]byte(nil), op.data...)); err != nil {
 				t.Fatalf("create owned %q: %v", op.name, err)
 			}
+		case 'K':
+			d.Contract(op.data)
 		case 'C':
 			if err := d.Create(op.cat, op.name, op.data); err != nil {
 				t.Fatalf("create %q: %v", op.name, err)

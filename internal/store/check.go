@@ -145,51 +145,3 @@ func Check(disk *simdisk.Disk, format Format) CheckReport {
 	}
 	return rep
 }
-
-// DetectFormat infers the manifest format of a store by scoring which
-// format decodes every manifest. Hash-addressable payloads make this
-// unambiguous in practice: basic entries are 36-byte records, MHD's are 37
-// with a validated kind byte, and multi-container manifests begin with a
-// container table. Returns false when no single format fits (corrupt or
-// empty store: an empty store reports FormatBasic, true).
-func DetectFormat(disk *simdisk.Disk) (Format, bool) {
-	names := disk.Names(simdisk.Manifest)
-	if len(names) == 0 {
-		return FormatBasic, true
-	}
-	candidates := []Format{FormatMHD, FormatBasic, FormatMultiContainer}
-	for _, f := range candidates {
-		ok := true
-		for _, name := range names {
-			sum, err := hashutil.ParseHex(name)
-			if err != nil {
-				return FormatBasic, false
-			}
-			raw, ok2 := diskPeek(disk, name)
-			if !ok2 {
-				return FormatBasic, false
-			}
-			if _, err := DecodeManifest(sum, f, raw); err != nil {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return f, true
-		}
-	}
-	return FormatBasic, false
-}
-
-// diskPeek reads a manifest without charging a disk access (format
-// detection is part of mounting, like reading a superblock).
-func diskPeek(disk *simdisk.Disk, name string) ([]byte, bool) {
-	if _, ok := disk.Size(simdisk.Manifest, name); !ok {
-		return nil, false
-	}
-	raw, err := disk.Read(simdisk.Manifest, name)
-	if err != nil {
-		return nil, false
-	}
-	return raw, true
-}

@@ -113,33 +113,48 @@ func TestCheckDetectsShortCoverage(t *testing.T) {
 	expectProblem(t, rep, "entries cover")
 }
 
-func TestDetectFormat(t *testing.T) {
-	disk, _ := buildConsistentStore(t)
-	f, ok := DetectFormat(disk)
-	if !ok || f != FormatMHD {
-		t.Errorf("DetectFormat = %v,%v, want MHD", f, ok)
+// TestContractRecord pins the cut contract's record: a disk that records
+// none reads as DefaultContract, the first stamp wins, and the record
+// survives a save and a reload and, on a durable store, the log's replay
+// before any generation holds it.
+func TestContractRecord(t *testing.T) {
+	disk := simdisk.New()
+	if c, ok := ContractOf(disk); ok || c != DefaultContract {
+		t.Fatalf("unrecorded disk: %v, %v; want DefaultContract, false", c, ok)
 	}
-	// Empty store defaults cleanly.
-	if f, ok := DetectFormat(simdisk.New()); !ok || f != FormatBasic {
-		t.Errorf("empty store: %v,%v", f, ok)
+	want := Contract{Algorithm: "cdc", Format: FormatBasic, ECS: 2048, Poly: 0x3DA3358B4DC175}
+	want.Stamp(disk)
+	Contract{Algorithm: "mhd", Format: FormatMHD, FastCDC: true, ECS: 8192}.Stamp(disk)
+	if c, ok := ContractOf(disk); !ok || c != want {
+		t.Fatalf("after two stamps: %v, %v; want the first, %v", c, ok, want)
 	}
-	// Basic-format store detects as basic (or as another format that also
-	// validates — 36-byte records are not valid 37-byte MHD records, so it
-	// is unambiguous).
-	d2 := simdisk.New()
-	s2 := New(d2, FormatBasic)
-	name := s2.NextName()
-	s2.WriteDiskChunk(name, make([]byte, 100))
-	m := NewManifest(name, FormatBasic)
-	m.Append(Entry{Hash: hashutil.SumString("x"), Start: 0, Size: 100})
-	s2.CreateManifest(m)
-	if f, ok := DetectFormat(d2); !ok || f == FormatMHD {
-		t.Errorf("basic store detected as %v,%v", f, ok)
+	dir := t.TempDir()
+	if err := disk.SaveDir(dir); err != nil {
+		t.Fatal(err)
 	}
-	// Garbage store fails detection.
-	d3 := simdisk.New()
-	d3.Create(simdisk.Manifest, hashutil.SumString("g").Hex(), []byte("not a manifest!"))
-	if _, ok := DetectFormat(d3); ok {
-		t.Error("garbage store passed detection")
+	loaded, _, err := simdisk.Load(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := ContractOf(loaded); !ok || c != want {
+		t.Fatalf("reloaded: %v, %v; want %v", c, ok, want)
+	}
+
+	logged := t.TempDir()
+	dur, _, err := OpenDurable(logged, DurableOptions{FlushInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Stamp(dur.Disk())
+	if err := dur.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	dur.Close()
+	replayed, _, err := simdisk.Load(logged, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := ContractOf(replayed); !ok || c != want {
+		t.Fatalf("replayed from the log alone: %v, %v; want %v", c, ok, want)
 	}
 }

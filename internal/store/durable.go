@@ -256,8 +256,8 @@ func (d *Durable) Scrub() error {
 		d.ev.Error("scrub.error", events.F("err", err.Error()))
 		return err
 	}
-	format, _ := DetectFormat(snap)
-	ver := NewVerifier(New(snap, format), VerifyOpts{})
+	c, _ := ContractOf(snap)
+	ver := NewVerifier(New(snap, c.Format), VerifyOpts{})
 	names := snap.Names(simdisk.FileManifest)
 	sort.Strings(names)
 	bad := 0

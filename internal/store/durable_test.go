@@ -247,6 +247,7 @@ func TestDurableMaintenanceBacksOffUnderLatency(t *testing.T) {
 func TestScrubOnlineRunsInline(t *testing.T) {
 	d, _ := openDurableT(t, t.TempDir(), DurableOptions{})
 	defer d.Close()
+	Contract{Algorithm: "cdc", Format: FormatBasic, ECS: 4096}.Stamp(d.Disk())
 	s := New(d.Disk(), FormatBasic)
 	file, want := fillFragmented(t, s, 5, 300)
 	if err := d.Commit(); err != nil {

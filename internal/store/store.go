@@ -2,8 +2,10 @@ package store
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"sync/atomic"
 	"time"
 
@@ -57,6 +59,42 @@ func New(disk *simdisk.Disk, format Format) *Store {
 
 // Disk exposes the underlying simulated disk (for counters and metrics).
 func (s *Store) Disk() *simdisk.Disk { return s.disk }
+
+// Contract is how a store's chunks were cut, recorded once per store: the
+// algorithm with the manifest Format it writes, the chunker (TTTD, FastCDC
+// or else Rabin), ECS and the Rabin polynomial (zero: the default). Chunks
+// cut otherwise do not deduplicate against the store's, so what cuts for a
+// store or decodes its manifests reads the record, not an option.
+type Contract struct {
+	Algorithm string `json:"algorithm"`
+	Format    Format `json:"format"`
+	TTTD      bool   `json:"tttd"`
+	FastCDC   bool   `json:"fastcdc"`
+	ECS       int    `json:"ecs"`
+	Poly      uint64 `json:"poly,omitempty"`
+}
+
+// DefaultContract is what a store that records none is taken to be cut by.
+var DefaultContract = Contract{Algorithm: "mhd", Format: FormatMHD, ECS: 4096}
+
+// ContractOf returns the contract disk records, or DefaultContract and
+// false (logged, for a store with objects) when it records none.
+func ContractOf(disk *simdisk.Disk) (Contract, bool) {
+	var c Contract
+	if raw := disk.Contract(nil); raw != nil && json.Unmarshal(raw, &c) == nil {
+		return c, true
+	}
+	if disk.TotalObjects() > 0 {
+		log.Printf("store: a store with objects records no cut contract; taking it as %+v", DefaultContract)
+	}
+	return DefaultContract, false
+}
+
+// Stamp records c as disk's contract unless disk records one already.
+func (c Contract) Stamp(disk *simdisk.Disk) {
+	raw, _ := json.Marshal(c) // a Contract always marshals
+	disk.Contract(raw)
+}
 
 // Format returns the manifest format the store was built with.
 func (s *Store) Format() Format { return s.format }

@@ -521,8 +521,9 @@ type ScrubReport struct {
 	// categories), sorted.
 	Quarantined []string
 	// AffectedFiles lists files whose recipes reference a quarantined
-	// container: they are no longer (fully) restorable and their restore
-	// now fails loudly instead of returning corrupt bytes.
+	// container, or one no manifest vouches for (its manifest was
+	// quarantined): their verified restore now fails loudly instead of
+	// returning corrupt bytes.
 	AffectedFiles []string
 }
 
@@ -615,7 +616,7 @@ func (s *Store) Scrub(opts VerifyOpts, quarantine QuarantineFunc) (ScrubReport, 
 			continue
 		}
 		for _, ref := range fm.Refs {
-			if drop[ref.Container.Hex()] {
+			if c := ref.Container.Hex(); drop[c] || !v.Covered(c) {
 				rep.AffectedFiles = append(rep.AffectedFiles, fname)
 				break
 			}

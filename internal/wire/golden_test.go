@@ -21,8 +21,8 @@ var wireFormat = map[uint8]struct {
 	hex    string
 	allocs float64
 }{
-	TypeHello:        {"0100036d686400001000000000400001000000000000004d000461636d650006733363726574", 3},
-	TypeHelloOK:      {"000000000000002a0000000800100000000000000000000d", 0},
+	TypeHello:        {"01000000000000004d000461636d650006733363726574", 2},
+	TypeHelloOK:      {"000000000000002a0000000800100000000000000000000d00036d6864000010000001003da3358b4dc173", 1},
 	TypeError:        {"0003010011746f6f206d616e792073657373696f6e73000005dc", 1},
 	TypeFileBegin:    {"000000000000000900076d30302f643031", 1},
 	TypeOffer:        {"000000000000000a00000002fe05bcdcdc4928012781a5f1a2a77cbb5398e10600001000ad782ecdac770fc6eb9a62e44f90873fb97fb26b0000007b", 1},

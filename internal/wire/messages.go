@@ -24,16 +24,15 @@ const (
 	ModePeer    uint8 = 3 // interior chunk-cache plane (gateway ⇄ shard)
 )
 
-// EngineOptions is the chunking/engine configuration the two sides must
-// agree on: the client chunks locally, so a mismatch would silently ruin
-// deduplication. The server validates these against its engine and
-// rejects the handshake on any difference.
+// EngineOptions is the cut contract of the store behind a server. A client
+// chunks locally, and chunks cut otherwise would silently fail to
+// deduplicate, so HelloOK announces it and the client cuts as it was told.
 type EngineOptions struct {
 	Algorithm string // "mhd" or "si-mhd"
 	ECS       uint32 // expected chunk size, bytes
-	SD        uint32 // sample distance
 	TTTD      bool   // two-thresholds-two-divisors chunker
 	FastCDC   bool   // gear-hash chunker
+	Poly      uint64 // Rabin polynomial (fastcdc: gear seed); zero is the chunker's default
 }
 
 // Hello opens (ResumeToken == 0) or resumes (ResumeToken != 0) a session.
@@ -47,16 +46,13 @@ type EngineOptions struct {
 // is an interior service and ignores it.
 type Hello struct {
 	Mode        uint8
-	Options     EngineOptions // ignored for ModeRestore/ModePeer
 	ResumeToken uint64
 	Tenant      string
 	Secret      string
 }
 
 func (h *Hello) fields(c *codec) *codec {
-	o := &h.Options
-	return c.u8(&h.Mode).str(&o.Algorithm).u32(&o.ECS).u32(&o.SD).bool(&o.TTTD).bool(&o.FastCDC).
-		u64(&h.ResumeToken).str(&h.Tenant).str(&h.Secret)
+	return c.u8(&h.Mode).u64(&h.ResumeToken).str(&h.Tenant).str(&h.Secret)
 }
 
 // Marshal encodes h as a TypeHello payload.
@@ -82,10 +78,15 @@ type HelloOK struct {
 	// LastApplied is the highest command seq the server has durably
 	// applied — on a fresh session 0, on resume the client's replay point.
 	LastApplied uint64
+	// Options is the cut contract the client must cut by, on an ingest
+	// session; zero on restore and peer connections.
+	Options EngineOptions
 }
 
 func (ok *HelloOK) fields(c *codec) *codec {
-	return c.u64(&ok.SessionToken).u32(&ok.Window).u32(&ok.MaxPayload).u64(&ok.LastApplied)
+	o := &ok.Options
+	return c.u64(&ok.SessionToken).u32(&ok.Window).u32(&ok.MaxPayload).u64(&ok.LastApplied).
+		str(&o.Algorithm).u32(&o.ECS).bool(&o.TTTD).bool(&o.FastCDC).u64(&o.Poly)
 }
 
 // Marshal encodes ok as a TypeHelloOK payload.
@@ -105,7 +106,7 @@ func UnmarshalHelloOK(p []byte) (HelloOK, error) {
 // the rest are final for the session.
 const (
 	CodeProtocol   uint16 = 1 // framing/grammar/sequencing violation
-	CodeHandshake  uint16 = 2 // algorithm/options mismatch
+	CodeHandshake  uint16 = 2 // tenant refused: a malformed name or failed auth
 	CodeBusy       uint16 = 3 // session limit reached (retryable)
 	CodeDraining   uint16 = 4 // server shutting down (retryable elsewhere)
 	CodeNotFound   uint16 = 5 // no such file / session

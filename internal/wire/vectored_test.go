@@ -113,7 +113,7 @@ func openTransports(t *testing.T) []transport {
 // the encoder every earlier version of the protocol shipped — and reports
 // their count.
 func TestWriteFrameMatchesAppendFrame(t *testing.T) {
-	if Version != 2 {
+	if Version != 3 {
 		t.Fatalf("wire.Version = %d: frame bytes changed without a version this test knows", Version)
 	}
 	for _, tr := range openTransports(t) {

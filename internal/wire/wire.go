@@ -44,7 +44,8 @@ const Magic uint32 = 0x4D484457
 // Version is the protocol version this codec speaks. Since 2, FileEnd.Sum
 // covers the file's chunk digests, not its bytes: a version-1 peer fails
 // closed on its first frame instead of with an integrity error on each file.
-const Version uint8 = 2
+// Since 3, HelloOK announces the cut contract and Hello offers none.
+const Version uint8 = 3
 
 // HeaderSize is the fixed frame prologue (magic + version + type + flags +
 // length); TrailerSize the CRC suffix.

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -24,8 +25,9 @@ func sampleMessages() []struct {
 		t   uint8
 		msg interface{ Marshal() []byte }
 	}{
-		{TypeHello, Hello{Mode: ModeIngest, Options: EngineOptions{Algorithm: "mhd", ECS: 4096, SD: 64, FastCDC: true}, ResumeToken: 77, Tenant: "acme", Secret: "s3cret"}},
-		{TypeHelloOK, HelloOK{SessionToken: 42, Window: 8, MaxPayload: 1 << 20, LastApplied: 13}},
+		{TypeHello, Hello{Mode: ModeIngest, ResumeToken: 77, Tenant: "acme", Secret: "s3cret"}},
+		{TypeHelloOK, HelloOK{SessionToken: 42, Window: 8, MaxPayload: 1 << 20, LastApplied: 13,
+			Options: EngineOptions{Algorithm: "mhd", ECS: 4096, FastCDC: true, Poly: 0x3DA3358B4DC173}}},
 		{TypeError, ErrorMsg{Code: CodeBusy, Retryable: true, Msg: "too many sessions", RetryAfterMs: 1500}},
 		{TypeFileBegin, FileBegin{Seq: 9, Name: "m00/d01"}},
 		{TypeOffer, Offer{Seq: 10, Entries: []OfferEntry{{Hash: h1, Size: 4096}, {Hash: h2, Size: 123}}}},
@@ -148,6 +150,23 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 		if _, err := Decode(raw, 0); !errors.Is(err, tc.want) {
 			t.Errorf("%s (Decode): got %v, want %v", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestVersion2FrameRefused: a version-2 peer — whose Hello offered engine
+// options and whose HelloOK announced none — fails closed on its first
+// frame, on both read paths, however well-formed that frame is.
+func TestVersion2FrameRefused(t *testing.T) {
+	v2Hello, _ := hex.DecodeString("0100036d686400001000000000400001000000000000004d000461636d650006733363726574")
+	raw := AppendFrame(nil, TypeHello, v2Hello)
+	raw[4] = 2
+	body := raw[:len(raw)-TrailerSize]
+	binary.BigEndian.PutUint32(raw[len(body):], crc32.ChecksumIEEE(body[4:]))
+	if _, err := ReadFrame(bytes.NewReader(raw), 0); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("ReadFrame: got %v, want ErrBadVersion", err)
+	}
+	if _, err := Decode(raw, 0); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("Decode: got %v, want ErrBadVersion", err)
 	}
 }
 
