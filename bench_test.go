@@ -9,6 +9,7 @@ package mhdedup
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -251,7 +252,7 @@ func benchParallelIngest(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := d.IngestStreams(workers, streamsOf()); err != nil {
+		if err := d.IngestStreamsContext(context.Background(), workers, streamsOf()); err != nil {
 			b.Fatal(err)
 		}
 		if err := d.Finish(); err != nil {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: static checks, full build, a code-size ratchet, no committed
-# binary, the SHA-1 kernel gate (both kernels against crypto/sha1 under the
-# race detector, a fuzz of the same differential, and the purego and arm64
-# file sets), the Rabin scan gate (both candidate-scan kernels, four-lane
+# binary, the SHA-1 kernel gate (every kernel, SumRuns' 16 lanes among
+# them, against crypto/sha1 under the race detector, fuzzes of the same
+# differentials, the purego and arm64 file sets, and what the lanes buy
+# over one message at a time as a ratio inside one process), the Rabin scan gate (both candidate-scan kernels, four-lane
 # and byte-sliced, against per-byte Roll under fuzzing, the purego file set,
 # and each kernel's speed over the next simpler one as a ratio inside one
 # process), the quick-scale paper reproduction compared byte for byte with
@@ -55,7 +56,7 @@ echo "== code size =="
 # outside benchmark/ (25,588 before the item's first PR). The ceiling is a
 # ratchet — a PR that deletes code lowers it to its own count; nothing
 # raises it.
-SIZE_CEILING=22529
+SIZE_CEILING=22518
 size=$(find . -name '*.go' ! -name '*_test.go' \
     ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
 echo "non-test Go lines outside benchmark/: $size (ceiling $SIZE_CEILING)"
@@ -73,18 +74,42 @@ if [ -n "$elves" ]; then
     echo "committed binaries: $elves" >&2; exit 1
 fi
 
-echo "== hashutil: both SHA-1 kernels against crypto/sha1 =="
+echo "== hashutil: every SHA-1 kernel against crypto/sha1, and what the lanes buy =="
 # Every SHA-1 in the product is internal/hashutil's, and on a CPU with the
 # SHA extensions that is a hand-written block function: the table, vector,
 # split-write and concurrency tests run against both kernels (they say which
-# they ran; a machine without SHA-NI runs crypto/sha1 only), then the same
-# differential as a fuzz. The purego and arm64 lines keep the file sets that
-# this machine never executes building: one under its own tests, the other
-# through vet and a full cross-build.
+# they ran; a machine without SHA-NI runs crypto/sha1 only). SumRuns' table
+# runs on crypto/sha1, on SHA-NI one run at a time, and on the 16-lane
+# AVX-512 kernel where CPUID offers it; then both differentials as fuzzes.
+# The purego and arm64 lines keep the file sets that this machine never
+# executes (kernel_other.go, lanes_other.go) building: one under its own
+# tests, the other through vet of the code and the tests and a full
+# cross-build. The engine's golden determinism and PutChunks parity tests
+# run once more under purego: the same goldens with the lanes (and SHA-NI)
+# off as the race run below holds them to with the lanes on. Then the reason the lanes exist, as a ratio that cannot rot
+# silently: one batch of 128 chunks of 1.5-5 KiB through SumRuns on the
+# lanes and through SumBytes a chunk at a time, measured 2.7-2.9x on a
+# two-vCPU AVX-512 Xeon; below 1.5x the lanes no longer pay for their
+# assembly. As in the rabin gate below, five rounds each run both, and each
+# side's best round is compared. Where CPUID lacks AVX-512 the lanes
+# sub-benchmark skips, and so does the ratio.
 go test -race -count=3 ./internal/hashutil
 go test -run '^$' -fuzz FuzzDigestMatchesStdlib -fuzztime 20s -fuzzminimizetime 2s ./internal/hashutil
+go test -run '^$' -fuzz FuzzSumRunsMatchesStdlib -fuzztime 20s -fuzzminimizetime 2s ./internal/hashutil
 go vet -tags purego ./internal/hashutil && go test -tags purego ./internal/hashutil
+go test -tags purego -count=1 -run 'TestSingleStreamDeterminism|TestPutChunksMatchesPutFile' ./internal/core
 GOARCH=arm64 go vet ./... && GOARCH=arm64 go build ./...
+for round in 1 2 3 4 5; do
+    go test -run '^$' -bench 'BenchmarkSumRuns' -benchtime 200x ./internal/hashutil
+done | awk '
+    function best(old, v) { return v > old ? v : old }
+    { for (i = 2; i <= NF; i++) if ($i == "MB/s") { v = $(i-1) + 0; if ($1 ~ /lanes=true/) lanes = best(lanes, v); if ($1 ~ /lanes=false/) one = best(one, v) } }
+    END {
+        if (one == 0) { print "hashutil lanes: benchmark printed no MB/s" > "/dev/stderr"; exit 1 }
+        if (lanes == 0) { print "no lane kernel on this CPU: the SumRuns ratio is skipped"; exit 0 }
+        printf "SumRuns on 16 lanes %.0f MB/s, SumBytes a chunk at a time %.0f MB/s: %.2fx\n", lanes, one, lanes / one
+        if (lanes < 1.5 * one) { print "hashutil lanes: below 1.5x of SumBytes a chunk at a time" > "/dev/stderr"; exit 1 }
+    }'
 # The log's write-back hint is the other build-tagged pair: the arm64 line
 # above compiled its Linux side (syscall.SyncFileRange) for a second
 # architecture; this compiles the no-op every other OS gets, and the purego
@@ -316,6 +341,7 @@ curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"core.scan_wait_ns"'
 curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"core.hash_wait_ns"'
 curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"server.restore.frames"'
 curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"hashutil.sha_ni"'
+curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"hashutil.lanes"'
 curl -fsS http://127.0.0.1:7472/events.json | grep -q '"events"'
 curl -fsS http://127.0.0.1:7472/debug/pprof/cmdline >/dev/null
 kill -TERM "$DEDUPD_PID"
@@ -381,6 +407,7 @@ curl -fsS http://127.0.0.1:7475/metrics.json | grep -q '"shards"'
 curl -fsS http://127.0.0.1:7475/metrics.json | grep -q '"gateway.restore_ns"'
 curl -fsS http://127.0.0.1:7475/metrics.json | grep -q '"gateway.restore.shard_dials"'
 curl -fsS http://127.0.0.1:7475/metrics.json | grep -q '"hashutil.sha_ni"'
+curl -fsS http://127.0.0.1:7475/metrics.json | grep -q '"hashutil.lanes"'
 curl -fsS http://127.0.0.1:7475/events.json | grep -q '"events"'
 curl -fsS http://127.0.0.1:7475/replication | grep -q '"fully_replicated"'
 curl -fsS -X POST http://127.0.0.1:7475/repair-scan | grep -q '"repaired"'

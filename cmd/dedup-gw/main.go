@@ -168,6 +168,7 @@ func run(o options) error {
 	logger.Printf("listening on %s, routing %d shards (%s), replication %d, %d tenants, max sessions %d, window %d, sha1 %s",
 		addr, len(shards), strings.Join(ids, " "), gw.Replication(), len(tenants), o.maxSessions, o.window, hashutil.Kernel())
 	metrics.Default.SetGauge("hashutil.sha_ni", hashutil.SHANI)
+	metrics.Default.SetGauge("hashutil.lanes", hashutil.Lanes)
 
 	admin := func(mux *http.ServeMux) { adminVerbs(mux, gw, logger) }
 	if err := d.Run(gw, o.drainTimeout, func() any { return metricsDoc(gw) }, admin); err != nil {

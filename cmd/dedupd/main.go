@@ -143,6 +143,7 @@ func run(o options) error {
 	logger.Printf("listening on %s (%s ECS=%d TTTD=%v FastCDC=%v SD=%d, resumed=%v, max sessions %d, window %d, sha1 %s)",
 		addr, opts.Algorithm, opts.ECS, opts.TTTD, opts.FastCDC, eng.Config().SD, resumed, o.maxSessions, o.window, hashutil.Kernel())
 	metrics.Default.SetGauge("hashutil.sha_ni", hashutil.SHANI)
+	metrics.Default.SetGauge("hashutil.lanes", hashutil.Lanes)
 	if dur != nil {
 		dur.Start()
 		logger.Printf("write-ahead log on (checkpoint %v, flush %v, compact at %d MiB)",

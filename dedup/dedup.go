@@ -189,40 +189,22 @@ type IngestItem = core.Item
 // always ingested in order; different streams may run concurrently.
 type IngestStream = core.Stream
 
-// ContextStreamIngester is implemented by engines whose parallel ingest
-// honors context cancellation (MHD and SIMHD): cancelling ctx aborts
-// every in-flight file promptly and returns ctx.Err(). The engine stays
-// usable — cancelled files simply never ingested.
-type ContextStreamIngester interface {
-	IngestStreamsContext(ctx context.Context, workers int, streams []IngestStream) error
-}
-
 // IngestParallel deduplicates the given streams with up to workers
 // concurrent sessions on eng. workers ≤ 1 ingests sequentially in stream
 // order — bit-identical to a serial PutFile loop. Engines that do not
 // support concurrent ingest (everything except MHD and SIMHD) return an
 // error when workers > 1 and fall back to the sequential loop otherwise.
 func IngestParallel(eng Engine, workers int, streams []IngestStream) error {
-	return IngestParallelContext(context.Background(), eng, workers, streams)
-}
-
-// IngestParallelContext is IngestParallel with cancellation: when ctx is
-// cancelled, in-flight ingests abort at the next chunk boundary and the
-// call returns ctx.Err(). This is what lets a network server kill a
-// session's ingest the moment its client is gone for good. Engines
-// without context support are cancelled between files.
-func IngestParallelContext(ctx context.Context, eng Engine, workers int, streams []IngestStream) error {
-	if si, ok := eng.(ContextStreamIngester); ok {
-		return si.IngestStreamsContext(ctx, workers, streams)
+	if si, ok := eng.(interface {
+		IngestStreamsContext(context.Context, int, []IngestStream) error
+	}); ok {
+		return si.IngestStreamsContext(context.Background(), workers, streams)
 	}
 	if workers > 1 {
 		return fmt.Errorf("dedup: engine %T does not support concurrent ingest", eng)
 	}
 	for _, st := range streams {
 		for _, it := range st.Items {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			r, err := it.Open()
 			if err != nil {
 				return err

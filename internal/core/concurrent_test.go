@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -117,7 +118,7 @@ func TestConcurrentIngestMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := par.IngestStreams(8, machineStreams(ds)); err != nil {
+			if err := par.IngestStreamsContext(context.Background(), 8, machineStreams(ds)); err != nil {
 				t.Fatal(err)
 			}
 			if err := par.Finish(); err != nil {
@@ -201,7 +202,7 @@ func TestConcurrentIngestSharedContent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.IngestStreams(8, machineStreams(ds)); err != nil {
+			if err := d.IngestStreamsContext(context.Background(), 8, machineStreams(ds)); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.Finish(); err != nil {
@@ -310,7 +311,7 @@ func TestIngestStreamsErrorPropagation(t *testing.T) {
 		}}})
 	}
 	before := runtime.NumGoroutine()
-	if err := d.IngestStreams(4, streams); !errors.Is(err, boom) {
+	if err := d.IngestStreamsContext(context.Background(), 4, streams); !errors.Is(err, boom) {
 		t.Fatalf("IngestStreams error = %v, want %v", err, boom)
 	}
 	waitForGoroutines(t, before)

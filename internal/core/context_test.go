@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"mhdedup/internal/simdisk"
@@ -151,5 +154,53 @@ func TestIngestStreamsContextPreCancelled(t *testing.T) {
 	}}}}
 	if err := d.IngestStreamsContext(ctx, 1, streams); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// A file that fails after its merged runs have gone to hashing goroutines
+// — a reader error, then a cancelled context — returns the error only once
+// those goroutines are done, and seals nothing.
+func TestPutFileFailsAfterMergedRunsHandedOff(t *testing.T) {
+	boom := errors.New("disk image unreadable")
+	data := make([]byte, 4<<20)
+	rand.New(rand.NewSource(3)).Read(data)
+	for _, tc := range []struct {
+		name string
+		put  func(d *Dedup) error
+		want error
+	}{
+		{"reader error", func(d *Dedup) error {
+			return d.PutFile("f", io.MultiReader(bytes.NewReader(data[:2<<20]), iotest.ErrReader(boom)))
+		}, boom},
+		{"cancelled context", func(d *Dedup) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			return d.NewSession().PutFileContext(ctx, "f", &cancelAfterReader{r: bytes.NewReader(data), n: 40, cancel: cancel})
+		}, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testCfg()
+			d, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			if err := tc.put(d); !errors.Is(err, tc.want) {
+				t.Fatalf("PutFile = %v, want %v", err, tc.want)
+			}
+			waitForGoroutines(t, before)
+			// SHM hashed every flushed merged run's bytes (SD-1 chunks of
+			// at most Max each): enough of them for 16 runs means at least
+			// one hand-off went to a hashing goroutine.
+			st := d.Stats()
+			if merged, perRun := st.HashedBytes-st.ChunkedBytes, int64(cfg.SD-1)*int64(4*cfg.ECS); merged < 16*perRun {
+				t.Fatalf("only %d merged bytes hashed before the failure, want at least 16 runs' %d", merged, 16*perRun)
+			}
+			for _, cat := range []simdisk.Category{simdisk.Data, simdisk.Manifest, simdisk.Hook, simdisk.FileManifest} {
+				if names := d.Disk().Names(cat); len(names) != 0 {
+					t.Errorf("the failed file left %d objects of category %v", len(names), cat)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,34 +23,16 @@ import (
 // PutFile, then call Finish to write back cached state; Stats/Report expose
 // the paper's metrics and Restore rebuilds any ingested file.
 //
-// Concurrency model: deduplication of ONE backup stream is an ordered,
-// stateful process (hysteresis buffer, match extension and HHR all depend
-// on stream order), but nothing couples DIFFERENT streams — different
-// machines' disk images, different days of a rotation — so a Dedup accepts
-// N concurrent streams. Each stream is a Session (NewSession) whose
-// per-file state (hysteresis buffer, BME/FME context, recipe slots) is
-// private; everything shared sits behind fine-grained synchronization:
-//
-//   - hash→location indexes (cache index, sparse hook index): 64-way
-//     striped RWMutexes keyed by low hash bits (stripe.go);
-//   - bloom filter: lock-free atomic word access, bit layout unchanged;
-//   - manifest LRU cache: internally locked; cache-resident manifests are
-//     additionally guarded by a per-manifest mutex held across match
-//     extension and eviction write-back;
-//   - simulated disk and its cost counters: one mutex inside simdisk, so
-//     access totals stay exact;
-//   - statistics: metrics.Atomic counters.
-//
-// Lock order is cache → manifest → {stripe, disk}; no path acquires them
-// in the reverse direction, and stripe/disk are leaves.
-//
-// Inside one stream, boundary scanning and chunk SHA-1 run ahead of this
-// ordered stage on the file's chunkPipeline (pipeline.go); they touch no
-// engine state, so the ordered stage performs the serial engine's
-// operations in the serial engine's order. A single-session run's
-// manifests, metrics and disk counters are therefore bit-identical to the
-// pre-concurrency, pre-pipeline engine at any GOMAXPROCS — the determinism
-// regression test pins this against goldens recorded from that engine.
+// One backup stream is an ordered, stateful process (hysteresis buffer,
+// match extension and HHR depend on stream order), but nothing couples
+// different streams, so a Dedup accepts N concurrent ones, a Session each.
+// Per-file state is private; what is shared — striped hash indexes, the
+// atomic bloom filter, the manifest cache and its per-manifest locks, the
+// disk, the statistics — is synchronized as DESIGN §7 lays out, locks taken
+// in the order cache → manifest → {stripe, disk}. Scanning and SHA-1 run
+// ahead of the ordered stage (pipeline.go) and touch no engine state, so a
+// single-session run is bit-identical to the serial engine at any
+// GOMAXPROCS: the determinism test pins it to goldens from that engine.
 type Dedup struct {
 	cfg    Config
 	disk   *simdisk.Disk
@@ -175,30 +158,6 @@ func (d *Dedup) onEvict(name hashutil.Sum, m *store.Manifest) {
 	}
 }
 
-// cacheInsert registers a manifest in the LRU cache and the flat index.
-// The entry hashes are collected before Put while the manifest is still
-// private to this goroutine (a freshly decoded manifest becomes shared the
-// instant it enters the cache).
-func (d *Dedup) cacheInsert(m *store.Manifest) {
-	hashes := make([]hashutil.Sum, len(m.Entries))
-	for i, e := range m.Entries {
-		hashes[i] = e.Hash
-	}
-	d.cache.Put(m.Name, m)
-	for _, h := range hashes {
-		d.cacheIdx.put(h, m.Name)
-	}
-	d.trackRAM()
-}
-
-// indexEntries refreshes the flat index after a splice added entries to m.
-// Called with m's lock held (stripe locks nest inside manifest locks).
-func (d *Dedup) indexEntries(m *store.Manifest, entries []store.Entry) {
-	for _, e := range entries {
-		d.cacheIdx.put(e.Hash, m.Name)
-	}
-}
-
 // trackRAM updates the peak resident-memory estimate: bloom filter plus
 // cached manifests plus the flat index.
 func (d *Dedup) trackRAM() {
@@ -236,11 +195,10 @@ func (d *Dedup) lookupCached(h hashutil.Sum) (*store.Manifest, bool) {
 	return m, true
 }
 
-// loadManifest brings a manifest into the cache from disk (one disk
-// access), unless it is already cached. Two sessions racing on the same
-// name may both read it; the second Put supersedes the first object, which
-// remains valid for the session still holding it (its entries reference
-// immutable DiskChunk bytes).
+// loadManifest brings a manifest into the cache and the flat index from
+// disk (one disk access), unless it is already cached. Two sessions racing
+// on a name may both read it; the second Put supersedes the first object,
+// which stays valid for the session holding it.
 func (d *Dedup) loadManifest(name hashutil.Sum) (*store.Manifest, error) {
 	if m, ok := d.cache.Get(name); ok {
 		return m, nil
@@ -252,7 +210,17 @@ func (d *Dedup) loadManifest(name hashutil.Sum) (*store.Manifest, error) {
 	}
 	hManifestLoadNS.ObserveSince(start)
 	d.stats.ManifestLoads.Add(1)
-	d.cacheInsert(m)
+	// The entry hashes are read before Put, while m is still private: it is
+	// shared the instant it enters the cache.
+	hashes := make([]hashutil.Sum, len(m.Entries))
+	for i, e := range m.Entries {
+		hashes[i] = e.Hash
+	}
+	d.cache.Put(m.Name, m)
+	for _, h := range hashes {
+		d.cacheIdx.put(h, m.Name)
+	}
+	d.trackRAM()
 	return m, nil
 }
 
@@ -271,7 +239,6 @@ type pchunk struct {
 type slotState struct {
 	resolved bool
 	dup      bool
-	size     int64
 	ref      store.FileRef
 }
 
@@ -283,11 +250,14 @@ type slotState struct {
 type fileState struct {
 	name      string
 	chunkName hashutil.Sum
-	manifest  *store.Manifest
-	parts     [][]byte // flushed chunks, in DiskChunk order: staged as flushed, joined and sealed at file end
-	size      int64    // their total length: the DiskChunk offset of the next flush
-	pending   []pchunk // non-duplicate chunks awaiting SHM flush (≤ 2·SD)
-	replay    []pchunk // chunks prefetched by FME but not consumed
+	entries   []store.Entry    // the Manifest's, a merged entry's Hash filled in at file end
+	parts     [][]byte         // flushed chunks, in DiskChunk order: staged as flushed, joined and sealed at file end
+	size      int64            // their total length: the DiskChunk offset of the next flush
+	runs      [][][]byte       // merged entries' parts, not yet handed to a hashing goroutine
+	sums      [][]hashutil.Sum // their hashes, one slice per hand-off, in entry order
+	hashing   sync.WaitGroup   // the goroutines filling sums
+	pending   []pchunk         // non-duplicate chunks awaiting SHM flush (≤ 2·SD)
+	replay    []pchunk         // chunks prefetched by FME but not consumed
 	slots     []slotState
 	hooks     []hashutil.Sum // hook hashes to publish at file end
 	src       chunkSource    // the stream's hashed chunks, in order
@@ -297,7 +267,7 @@ type fileState struct {
 // PutFile deduplicates one input file on the default session. Files of one
 // stream must be fed in backup-stream order; the name must be unique and
 // is the key for Restore. For concurrent multi-stream ingest create one
-// Session per stream (NewSession) or use IngestStreams.
+// Session per stream (NewSession) or use IngestStreamsContext.
 func (d *Dedup) PutFile(name string, r io.Reader) error {
 	return d.defaultSession.PutFile(name, r)
 }
@@ -312,19 +282,17 @@ func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
 }
 
 // ingest is the per-stream ordered stage shared by every session and both
-// kinds of source. Cancellation is polled once per chunk — the finest
-// boundary at which the hysteresis state is consistent enough to abandon
-// the file cleanly (no FileManifest is emitted, so the partial file never
-// looks restorable).
+// kinds of source. Cancellation is polled once per chunk, the finest grain
+// at which the file can be abandoned cleanly: no FileManifest, no seal.
 func (d *Dedup) ingest(ctx context.Context, f *fileState) (err error) {
 	defer f.src.stop()
+	defer f.hashing.Wait()
 	f.chunkName = d.st.NextName()
 	defer func() {
 		if err != nil {
 			d.st.UnstageDiskChunk(f.chunkName) // no seal will follow
 		}
 	}()
-	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
 	d.stats.FilesTotal.Add(1)
 	done := ctx.Done()
 	for {
@@ -380,7 +348,7 @@ func (d *Dedup) pull(f *fileState) (pchunk, bool, error) {
 		d.stats.HashedBytes.Add(size)
 	}
 	pc.slot = len(f.slots)
-	f.slots = append(f.slots, slotState{size: size})
+	f.slots = append(f.slots, slotState{})
 	return pc, true, nil
 }
 
@@ -444,11 +412,8 @@ func (d *Dedup) probeHook(h hashutil.Sum) (hashutil.Sum, bool, error) {
 
 // tryExtend locks the (possibly shared) manifest, revalidates that the
 // chunk's hash still resolves to an entry, and runs the whole match
-// extension — BME, FME, HHR splices — inside that critical section. It
-// reports whether the chunk was handled; false means the hash was retired
-// and the caller should continue down the miss path. If extension dirtied
-// a manifest that has meanwhile been evicted from the cache, the splice is
-// written back here so it is never lost.
+// extension — BME, FME, HHR splices — under that lock. False means the hash
+// was retired and the caller goes on down the miss path.
 func (d *Dedup) tryExtend(f *fileState, m *store.Manifest, pc pchunk) (bool, error) {
 	m.Lock()
 	idx, ok := m.Lookup(pc.hash)
@@ -470,15 +435,10 @@ func (d *Dedup) tryExtend(f *fileState, m *store.Manifest, pc pchunk) (bool, err
 	return true, nil
 }
 
-// persistIfOrphaned writes a dirty manifest back to disk when it is no
-// longer cache-resident. In the serial engine this never fires (a manifest
-// under extension cannot be evicted mid-extension); under concurrency
-// another session's cacheInsert can evict — and write back — a manifest
-// while this session is still splicing it, which would strand the splice
-// in an orphaned object. Once evicted, a manifest object can never re-enter
-// the cache (loads decode fresh copies), so the Peek race is benign: if it
-// is present it will be written back by eviction or Finish, if absent we
-// write it back ourselves.
+// persistIfOrphaned writes a dirty manifest back when it is no longer
+// cache-resident: another session's loadManifest may have evicted (and
+// written back) it while this session was still splicing it. An evicted
+// manifest object never re-enters the cache, so the Peek race is benign.
 func (d *Dedup) persistIfOrphaned(m *store.Manifest) error {
 	if _, cached := d.cache.Peek(m.Name); cached {
 		return nil
@@ -488,22 +448,13 @@ func (d *Dedup) persistIfOrphaned(m *store.Manifest) error {
 	return d.st.WriteBackManifest(m)
 }
 
-// resolveDup records a chunk as duplicate data found at the given location.
-func (d *Dedup) resolveDup(f *fileState, pc pchunk, container hashutil.Sum, start int64) {
-	f.slots[pc.slot] = slotState{
-		resolved: true,
-		dup:      true,
-		size:     int64(len(pc.data)),
-		ref:      store.FileRef{Container: container, Start: start, Size: int64(len(pc.data))},
-	}
-}
-
-// resolveOwn records a chunk as stored in this file's DiskChunk at start.
-func (d *Dedup) resolveOwn(f *fileState, pc pchunk, start int64) {
-	f.slots[pc.slot] = slotState{
-		resolved: true,
-		size:     int64(len(pc.data)),
-		ref:      store.FileRef{Container: f.chunkName, Start: start, Size: int64(len(pc.data))},
+// resolve records a run of chunks as stored back to back from start in
+// container: duplicate data found there, or this file's own DiskChunk.
+func (d *Dedup) resolve(f *fileState, run []pchunk, dup bool, container hashutil.Sum, start int64) {
+	for _, pc := range run {
+		size := int64(len(pc.data))
+		f.slots[pc.slot] = slotState{resolved: true, dup: dup, ref: store.FileRef{Container: container, Start: start, Size: size}}
+		start += size
 	}
 }
 
@@ -527,59 +478,64 @@ func (d *Dedup) flushPending(f *fileState, n int) {
 
 // flushGroup appends one SHM group to the file's DiskChunk and manifest.
 // The chunk bytes are not copied here: finishFile assembles the DiskChunk
-// once, at its exact size, from the flushed slices.
+// once, at its exact size, from the flushed slices. Nor are the followers
+// hashed here: their run joins f.runs, which goes to a hashing goroutine
+// every 16 runs (the lanes' width), and finishFile fills the hash in.
 func (d *Dedup) flushGroup(f *fileState, group []pchunk) {
-	lead := group[0]
-	f.manifest.Append(store.Entry{
-		Hash:  lead.hash,
-		Start: f.size,
-		Size:  int64(len(lead.data)),
-		Kind:  store.KindHook,
-	})
-	f.hooks = append(f.hooks, lead.hash)
-	d.flushChunk(f, lead)
+	d.resolve(f, group, false, f.chunkName, f.size)
+	start, lead, from := f.size, int64(len(group[0].data)), len(f.parts)
+	for _, pc := range group {
+		f.parts = append(f.parts, pc.data)
+		f.size += int64(len(pc.data))
+	}
+	f.entries = append(f.entries, store.Entry{Hash: group[0].hash, Start: start, Size: lead, Kind: store.KindHook})
+	f.hooks = append(f.hooks, group[0].hash)
 	if len(group) == 1 {
 		return
 	}
-	mergedStart := f.size
-	h := hashutil.NewHasher()
-	for _, pc := range group[1:] {
-		d.flushChunk(f, pc)
-		h.Write(pc.data)
+	d.stats.HashedBytes.Add(f.size - start - lead)
+	f.entries = append(f.entries, store.Entry{Start: start + lead, Size: f.size - start - lead, Kind: store.KindMerged})
+	if f.runs = append(f.runs, f.parts[from+1:]); len(f.runs) == 16 {
+		f.handOff()
 	}
-	mergedSize := f.size - mergedStart
-	d.stats.HashedBytes.Add(mergedSize)
-	f.manifest.Append(store.Entry{
-		Hash:  h.Sum(),
-		Start: mergedStart,
-		Size:  mergedSize,
-		Kind:  store.KindMerged,
-	})
 }
 
-// flushChunk places one chunk at the end of the file's DiskChunk.
-func (d *Dedup) flushChunk(f *fileState, pc pchunk) {
-	d.resolveOwn(f, pc, f.size)
-	f.parts = append(f.parts, pc.data)
-	f.size += int64(len(pc.data))
+// handOff starts a goroutine hashing f.runs into a slice of its own, which
+// no later append can move.
+func (f *fileState) handOff() {
+	runs, sums := f.runs, make([]hashutil.Sum, len(f.runs))
+	f.runs, f.sums = nil, append(f.sums, sums)
+	f.hashing.Add(1)
+	go func() {
+		defer f.hashing.Done()
+		hashutil.SumRuns(runs, sums)
+	}()
 }
 
-// finishFile flushes the hysteresis buffer, writes the DiskChunk, Manifest
-// and Hooks (files that turned out to be complete duplicates write none of
-// those), emits the FileManifest from the recipe slots, and folds the
-// file's slot classification into the global duplicate statistics. Hook
-// publication holds the hash's stripe lock across the check-then-create so
-// two sessions finishing identical content cannot double-create a hook.
+// finishFile flushes the hysteresis buffer, fills in the merged entries'
+// hashes, writes the DiskChunk, Manifest and Hooks (a file that turned out
+// a complete duplicate writes none of those), emits the FileManifest from
+// the recipe slots and folds their classification into the statistics.
 func (d *Dedup) finishFile(f *fileState) error {
 	if len(f.replay) > 0 {
 		return fmt.Errorf("core: %d replay chunks left at end of %q", len(f.replay), f.name)
 	}
 	d.flushPending(f, len(f.pending))
 	if f.size > 0 {
+		f.handOff()
+		m := store.NewManifest(f.chunkName, store.FormatMHD)
+		f.hashing.Wait()
+		sums := slices.Concat(f.sums...)
+		for _, e := range f.entries {
+			if e.Kind == store.KindMerged {
+				e.Hash, sums = sums[0], sums[1:]
+			}
+			m.Append(e)
+		}
 		if err := d.st.SealDiskChunk(f.chunkName, bytes.Join(f.parts, nil)); err != nil {
 			return err
 		}
-		if err := d.st.CreateManifest(f.manifest); err != nil {
+		if err := d.st.CreateManifest(m); err != nil {
 			return err
 		}
 		for _, h := range f.hooks {
@@ -606,7 +562,7 @@ func (d *Dedup) finishFile(f *fileState) error {
 		}
 		if s.dup {
 			d.stats.DupChunks.Add(1)
-			d.stats.DupBytes.Add(s.size)
+			d.stats.DupBytes.Add(s.ref.Size)
 			if !prevDup {
 				d.stats.DupSlices.Add(1)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha1"
 	"encoding/hex"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/trace"
@@ -100,8 +102,10 @@ func goldenDigest(rep metrics.Report, disk map[string][]byte) string {
 // digests below were recorded from its plain PutFile loop at the last
 // commit that had it. The pipelined PutFile loop and a one-worker
 // IngestStreams run must both reproduce them — the same store, byte for
-// byte, and the same metrics.Report — whatever the schedule: the run is
-// repeated at GOMAXPROCS 1, 2 and 8.
+// byte, and the same metrics.Report — whatever the schedule and whichever
+// SHA-1 kernels hash the batches and merged runs: the run is repeated at
+// GOMAXPROCS 1, 2 and 8, and ci.sh runs it again under -tags purego, where
+// hashutil's lanes (and its SHA-NI kernel) are off.
 func TestSingleStreamDeterminism(t *testing.T) {
 	cfg := trace.Default()
 	cfg.Machines = 3
@@ -127,7 +131,7 @@ func TestSingleStreamDeterminism(t *testing.T) {
 		// same order: machine streams are fed in slice order, day by day —
 		// exactly the EachFile order (machine-major, day-minor).
 		{"IngestStreams(1)", func(d *Dedup) error {
-			return d.IngestStreams(1, machineStreams(ds))
+			return d.IngestStreamsContext(context.Background(), 1, machineStreams(ds))
 		}},
 	}
 
@@ -148,7 +152,7 @@ func TestSingleStreamDeterminism(t *testing.T) {
 			for _, procs := range []int{1, 2, 8} {
 				runtime.GOMAXPROCS(procs)
 				for _, f := range feeds {
-					label := fmt.Sprintf("GOMAXPROCS=%d %s", procs, f.name)
+					label := fmt.Sprintf("GOMAXPROCS=%d sha1=%s %s", procs, hashutil.Kernel(), f.name)
 					rep, disk := runVariant(t, ecfg, ds, f.feed)
 					if wantDisk == nil {
 						wantRep, wantDisk = rep, disk

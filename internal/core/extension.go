@@ -12,7 +12,7 @@ import (
 // duplicate/non-duplicate boundary (HHR).
 func (d *Dedup) extendMatch(f *fileState, m *store.Manifest, hitIdx int, hit pchunk) error {
 	e := m.Entries[hitIdx]
-	d.resolveDup(f, hit, m.ContainerOf(e), e.Start)
+	d.resolve(f, []pchunk{hit}, true, m.ContainerOf(e), e.Start)
 	// A backward HHR splice replaces one entry before the hit with several,
 	// shifting the hit's index; bme reports the shift.
 	shift, err := d.bme(f, m, hitIdx)
@@ -56,7 +56,8 @@ func (d *Dedup) bme(f *fileState, m *store.Manifest, hitIdx int) (shift int, err
 		if sum == e.Size {
 			d.stats.HashedBytes.Add(sum)
 			if hashRun(f.pending[j:]) == e.Hash {
-				d.consumeTailAsDup(f, j, m, e)
+				d.resolve(f, f.pending[j:], true, m.ContainerOf(e), e.Start)
+				f.pending = f.pending[:j]
 				continue
 			}
 		}
@@ -64,18 +65,6 @@ func (d *Dedup) bme(f *fileState, m *store.Manifest, hitIdx int) (shift int, err
 		return d.hhrBackward(f, m, i)
 	}
 	return 0, nil
-}
-
-// consumeTailAsDup resolves pending[j:] as duplicates of entry e's region
-// and removes them from the buffer.
-func (d *Dedup) consumeTailAsDup(f *fileState, j int, m *store.Manifest, e store.Entry) {
-	container := m.ContainerOf(e)
-	off := e.Start
-	for _, pc := range f.pending[j:] {
-		d.resolveDup(f, pc, container, off)
-		off += int64(len(pc.data))
-	}
-	f.pending = f.pending[:j]
 }
 
 // fme is Forward Match Extension: prefetch chunks past the hit and compare
@@ -117,12 +106,7 @@ func (d *Dedup) fme(f *fileState, m *store.Manifest, hitIdx int) error {
 		if sum == e.Size {
 			d.stats.HashedBytes.Add(sum)
 			if hashRun(pre[:k]) == e.Hash {
-				container := m.ContainerOf(e)
-				off := e.Start
-				for _, pc := range pre[:k] {
-					d.resolveDup(f, pc, container, off)
-					off += int64(len(pc.data))
-				}
+				d.resolve(f, pre[:k], true, m.ContainerOf(e), e.Start)
 				d.stats.FMEDupChunks.Add(int64(k))
 				pre = pre[k:]
 				continue

@@ -58,7 +58,7 @@ func TestBMEConsumesAlignedTail(t *testing.T) {
 	f := &fileState{name: "f", chunkName: d.st.NextName(), pending: pending}
 	for i := range f.pending {
 		f.pending[i].slot = i
-		f.slots = append(f.slots, slotState{size: 1024})
+		f.slots = append(f.slots, slotState{})
 	}
 	shift, err := d.bme(f, m, 2) // hit at the trailing hook
 	if err != nil {
@@ -124,7 +124,6 @@ func streamFile(t *testing.T, d *Dedup, chunks ...chunker.Chunk) *fileState {
 	f := &fileState{name: "f", chunkName: d.st.NextName(),
 		src: newChunkPipeline(&sliceChunker{chunks: chunks}), scanned: true}
 	t.Cleanup(f.src.stop)
-	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
 	return f
 }
 
@@ -199,11 +198,11 @@ func TestExtendMatchFullPath(t *testing.T) {
 	f := streamFile(t, d, chunker.Chunk{Data: content[2048:]})
 	// Pending: the chunk before the hit.
 	pc0 := pchunk{data: content[:1024], hash: hashutil.SumBytes(content[:1024]), slot: 0}
-	f.slots = append(f.slots, slotState{size: 1024})
+	f.slots = append(f.slots, slotState{})
 	f.pending = []pchunk{pc0}
 	// Hit chunk: entry 1.
 	hit := pchunk{data: content[1024:2048], hash: hashutil.SumBytes(content[1024:2048]), slot: 1}
-	f.slots = append(f.slots, slotState{size: 1024})
+	f.slots = append(f.slots, slotState{})
 
 	if err := d.extendMatch(f, m, 1, hit); err != nil {
 		t.Fatal(err)

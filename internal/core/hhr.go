@@ -51,7 +51,9 @@ func (d *Dedup) hhrSplit(m *store.Manifest, i int, old []byte, sizes [3]int64, k
 	if err := m.Splice(i, pieces...); err != nil {
 		return nil, err
 	}
-	d.indexEntries(m, pieces)
+	for _, e := range pieces { // the flat index learns them; stripe locks nest inside m's
+		d.cacheIdx.put(e.Hash, m.Name)
+	}
 	d.stats.HHROps.Add(1)
 	if wasClean {
 		// The write-back this dirtying forces (at eviction or Finish) is
@@ -102,12 +104,7 @@ func (d *Dedup) hhrBackward(f *fileState, m *store.Manifest, i int) (shift int, 
 	}
 	if s > 0 {
 		// Consume the matched tail as duplicates of old's suffix region.
-		container := m.ContainerOf(e)
-		off := e.Start + (e.Size - s)
-		for _, pc := range f.pending[k:] {
-			d.resolveDup(f, pc, container, off)
-			off += int64(len(pc.data))
-		}
+		d.resolve(f, f.pending[k:], true, m.ContainerOf(e), e.Start+e.Size-s)
 		f.pending = f.pending[:k]
 	}
 	r := e.Size - s - b
@@ -154,12 +151,7 @@ func (d *Dedup) hhrForward(f *fileState, m *store.Manifest, i int, pre []pchunk)
 		return 0, nil
 	}
 	if s > 0 {
-		container := m.ContainerOf(e)
-		off := e.Start
-		for _, pc := range pre[:k] {
-			d.resolveDup(f, pc, container, off)
-			off += int64(len(pc.data))
-		}
+		d.resolve(f, pre[:k], true, m.ContainerOf(e), e.Start)
 		d.stats.FMEDupChunks.Add(int64(k))
 	}
 	r := e.Size - s - b

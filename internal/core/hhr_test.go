@@ -57,10 +57,7 @@ func TestHHRBackwardSplitsAtByteBoundary(t *testing.T) {
 	suffix := old[2048:]
 	pending := append(mkPending(randBytes(902, 2048), 1024), mkPending(suffix, 1024)...)
 	f := &fileState{name: "f", chunkName: d.st.NextName(), pending: pending}
-	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
-	for _, pc := range pending {
-		f.slots = append(f.slots, slotState{size: int64(len(pc.data))})
-	}
+	f.slots = make([]slotState, len(pending))
 	for i := range f.pending {
 		f.pending[i].slot = i
 	}
@@ -117,10 +114,9 @@ func TestHHRForwardSplitsPrefix(t *testing.T) {
 	// Prefetched chunks: 2 matching old's prefix, then a mismatch.
 	pre := append(mkPending(old[:2048], 1024), mkPending(randBytes(904, 1024), 1024)...)
 	f := &fileState{name: "f", chunkName: d.st.NextName()}
-	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
 	for i := range pre {
 		pre[i].slot = i
-		f.slots = append(f.slots, slotState{size: int64(len(pre[i].data))})
+		f.slots = append(f.slots, slotState{})
 	}
 
 	consumed, err := d.hhrForward(f, m, 0, pre)
@@ -225,7 +221,7 @@ func TestHHRWholeEntryMatchedViaBytes(t *testing.T) {
 	f := &fileState{name: "f", chunkName: d.st.NextName(), pending: pending}
 	for i := range f.pending {
 		f.pending[i].slot = i
-		f.slots = append(f.slots, slotState{size: 1000})
+		f.slots = append(f.slots, slotState{})
 	}
 	if _, err := d.hhrBackward(f, m, 0); err != nil {
 		t.Fatal(err)
@@ -298,7 +294,7 @@ func TestHHRSplitPiecesRestoreConcatenation(t *testing.T) {
 	f := &fileState{name: "f", chunkName: d.st.NextName(), pending: pending}
 	for i := range f.pending {
 		f.pending[i].slot = i
-		f.slots = append(f.slots, slotState{size: int64(len(f.pending[i].data))})
+		f.slots = append(f.slots, slotState{})
 	}
 	if _, err := d.hhrBackward(f, m, 0); err != nil {
 		t.Fatal(err)

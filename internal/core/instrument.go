@@ -2,14 +2,9 @@ package core
 
 import "mhdedup/internal/metrics"
 
-// Hot-path latency histograms, resolved once against the process-wide
-// metrics.Default registry (stable pointers — see metrics.GetHistogram).
-// The engine records into Default rather than a plumbed-through registry
-// on purpose: every embedder (dedupd, the CLIs, bench) shares one
-// engine-latency view, and the per-observation cost is four atomic adds,
-// cheap enough to leave on unconditionally.
-//
-// All values are nanoseconds.
+// Hot-path latency histograms in nanoseconds, on metrics.Default so that
+// every embedder shares one engine-latency view; an observation is four
+// atomic adds, cheap enough to leave on.
 var (
 	// hChunkNS is the ordered stage's wait for its next hashed chunk:
 	// nothing for a chunk of the batch in hand, and for the first chunk

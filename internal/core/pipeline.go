@@ -8,30 +8,22 @@ import (
 	"mhdedup/internal/hashutil"
 )
 
-// The ingest pipeline. Deduplication itself is an ordered, stateful process
-// (the hysteresis buffer, match extension and HHR all depend on stream
-// order), but boundary detection and chunk hashing need no engine state and
-// are most of ingest's CPU, so every PutFile runs them ahead of the dedup
-// stage:
+// The ingest pipeline (DESIGN §7). Boundary detection and chunk hashing need
+// no engine state, so every PutFile runs them ahead of the ordered stage:
 //
 //	chunker goroutine ──► SHA-1 per batch ──► in-order delivery ──► dedup
 //
-// The hand-off grain is a batch of chunks, not a chunk: the chunker
-// goroutine cuts a batch, starts a goroutine hashing it and queues it in
-// input order; the ordered stage drains the queue, waiting for each batch's
-// hashes in turn. One hand-off per ≈400 KiB is cheap enough that the
-// pipeline beats a serial loop even on a single P, so there is no serial
-// twin and nothing to configure: hashing is as wide as the batches in
-// flight and GOMAXPROCS allow. Results do not depend on the schedule — the
-// golden-snapshot determinism test pins them, at GOMAXPROCS 1, 2 and 8, to
-// what the synchronous engine this replaced produced.
+// The chunker goroutine cuts a batch, starts a goroutine hashing it
+// (hashutil.SumRuns: 16 chunks at a time where the CPU has the lanes) and
+// queues it in input order; the ordered stage waits for each batch's hashes
+// in turn. There is nothing to configure, and results do not depend on the
+// schedule (the determinism test).
 const (
 	// batchChunks is the number of chunks handed off at a time.
 	batchChunks = 128
-	// batchesAhead is the queue depth. With the batch being cut and the one
-	// being drained, read-ahead per open file is at most batchesAhead+2
-	// batches: ≈2.4 MiB at ECS 4096, (batchesAhead+2)·batchChunks·Max at
-	// worst. The same bound holds for the hashing goroutines, one per batch.
+	// batchesAhead is the queue depth: read-ahead per open file, and the
+	// hashing goroutines (one per batch), are at most batchesAhead+2
+	// batches, ≈2.4 MiB at ECS 4096.
 	batchesAhead = 4
 )
 
@@ -75,9 +67,12 @@ func (s *runSource) stop() {}
 // included), which surfaces after the chunks that preceded it — exactly
 // where a serial loop would have met it.
 type chunkBatch struct {
-	chunks []pchunk // slots are assigned by the ordered stage
+	n      int // chunks cut into it
+	data   [batchChunks][]byte
+	runs   [batchChunks][][]byte // data's chunks as hashutil.SumRuns takes them, one part each
+	sums   [batchChunks]hashutil.Sum
 	err    error
-	hashed chan struct{} // closed once every chunk's hash is filled in
+	hashed chan struct{} // closed once sums is filled in
 }
 
 // chunkPipeline produces the hashed chunks of one input stream in order.
@@ -109,8 +104,8 @@ func newChunkPipeline(ch chunker.Chunker) *chunkPipeline {
 func (p *chunkPipeline) produce(ch chunker.Chunker) {
 	defer p.wg.Done()
 	for {
-		b := &chunkBatch{chunks: make([]pchunk, 0, batchChunks), hashed: make(chan struct{})}
-		for len(b.chunks) < batchChunks && b.err == nil {
+		b := &chunkBatch{hashed: make(chan struct{})}
+		for b.n < batchChunks && b.err == nil {
 			select {
 			case <-p.done:
 				return
@@ -121,14 +116,14 @@ func (p *chunkPipeline) produce(ch chunker.Chunker) {
 				b.err = err
 				break
 			}
-			b.chunks = append(b.chunks, pchunk{data: c.Data})
+			b.data[b.n] = c.Data
+			b.runs[b.n] = b.data[b.n : b.n+1]
+			b.n++
 		}
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			for i := range b.chunks {
-				b.chunks[i].hash = hashutil.SumBytes(b.chunks[i].data)
-			}
+			hashutil.SumRuns(b.runs[:b.n], b.sums[:b.n])
 			close(b.hashed)
 		}()
 		select {
@@ -146,7 +141,7 @@ func (p *chunkPipeline) produce(ch chunker.Chunker) {
 // terminal error once the chunks before it have been returned. Only the
 // ordered stage calls it, and not after stop.
 func (p *chunkPipeline) next() (pchunk, error) {
-	for p.i == len(p.cur.chunks) {
+	for p.i == p.cur.n {
 		if p.cur.err != nil {
 			return pchunk{}, p.cur.err
 		}
@@ -156,9 +151,8 @@ func (p *chunkPipeline) next() (pchunk, error) {
 		<-p.cur.hashed
 		hHashWaitNS.ObserveSince(cut)
 	}
-	c := p.cur.chunks[p.i]
 	p.i++
-	return c, nil
+	return pchunk{data: p.cur.data[p.i-1], hash: p.cur.sums[p.i-1]}, nil
 }
 
 // stop tears the pipeline down (safe after normal exhaustion too) and

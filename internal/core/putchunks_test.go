@@ -58,7 +58,8 @@ func pullRuns(chunks []HashedChunk, rng *rand.Rand) func() ([]HashedChunk, error
 // chunker would have produced, in runs of any length, PutChunks leaves the
 // store PutFile leaves — every object byte for byte — and the same Report
 // bar the two counters that say who scanned and hashed the input: for every
-// chunker × both hook indexes, whatever the schedule.
+// chunker × both hook indexes, whatever the schedule (and, under -tags
+// purego, with hashutil's lanes off).
 func TestPutChunksMatchesPutFile(t *testing.T) {
 	tcfg := trace.Default()
 	tcfg.Machines = 3
@@ -94,6 +95,7 @@ func TestPutChunksMatchesPutFile(t *testing.T) {
 				for _, procs := range []int{1, 2, 8} {
 					runtime.GOMAXPROCS(procs)
 					rng := rand.New(rand.NewSource(int64(procs)))
+					label := fmt.Sprintf("GOMAXPROCS=%d sha1=%s", procs, hashutil.Kernel())
 					got, gotDisk := runVariant(t, cfg, ds, func(d *Dedup) error {
 						s := d.NewSession()
 						return ds.EachFile(func(info trace.FileInfo, r io.Reader) error {
@@ -104,7 +106,6 @@ func TestPutChunksMatchesPutFile(t *testing.T) {
 							return s.PutChunksContext(context.Background(), info.Name, pullRuns(cutAs(t, cfg, data), rng))
 						})
 					})
-					label := fmt.Sprintf("GOMAXPROCS=%d", procs)
 					if got.ChunkedBytes != 0 || !reflect.DeepEqual(got, want) {
 						t.Errorf("%s report differs:\n got %+v\nwant %+v", label, got, want)
 					}

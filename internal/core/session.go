@@ -7,17 +7,10 @@ import (
 	"sync"
 )
 
-// Session is one ingest stream's handle on a shared Dedup. Deduplication of
-// a single backup stream is inherently ordered — the hysteresis buffer,
-// match extension and HHR all depend on seeing the stream's chunks in order
-// — so a Session's PutFile calls must not overlap. But sessions are
-// independent of each other: N Sessions may run PutFile concurrently on the
-// same Dedup, each carrying only per-file private state (fileState) and
-// funneling every shared access through the engine's striped indexes,
-// per-manifest locks, atomic bloom filter and locked disk.
-//
-// A Session holds no state between files (fileState lives for one PutFile),
-// so it is merely an ordering token: one Session ≡ one stream.
+// Session is one ingest stream's handle on a shared Dedup: its PutFile calls
+// must not overlap, but N Sessions may run PutFile concurrently on the same
+// Dedup (DESIGN §7). It holds no state between files, so it is merely an
+// ordering token: one Session ≡ one stream.
 type Session struct {
 	d *Dedup
 }
@@ -37,16 +30,10 @@ func (s *Session) PutFile(name string, r io.Reader) error {
 }
 
 // PutFileContext is PutFile with cancellation: the ingest aborts between
-// chunks as soon as ctx is done and returns ctx.Err(). A server holding
-// one session per network connection cancels the context when the
-// connection dies, so an abandoned upload stops consuming the engine
-// instead of running to stream end. The partially ingested file writes no
-// FileManifest, so it is not restorable; chunk data already flushed for it
-// remains until a sweep, exactly as for any other mid-file error.
-//
-// Cancellation is checked per chunk, so a reader blocked in Read defers
-// it; callers that own the reader (a net.Conn, an io.Pipe) should also
-// close it on cancel to unblock immediately.
+// chunks as soon as ctx is done and returns ctx.Err(), and the file, as
+// after any mid-file error, writes no FileManifest and seals no DiskChunk.
+// A reader blocked in Read defers the check; callers that own the reader (a
+// net.Conn, an io.Pipe) should also close it on cancel.
 func (s *Session) PutFileContext(ctx context.Context, name string, r io.Reader) error {
 	return s.d.putFile(ctx, name, r)
 }
@@ -83,30 +70,13 @@ type Stream struct {
 	Items []Item
 }
 
-// IngestStreams deduplicates the given streams using up to workers
-// concurrent sessions.
-//
-// workers ≤ 1 ingests the streams sequentially, in slice order, on the
-// calling goroutine — exactly the loop a serial caller would write around
-// PutFile, so the result is bit-identical to the serial engine (the
-// determinism regression test pins this).
-//
-// workers > 1 starts min(workers, len(streams)) goroutines, each owning one
-// Session; streams are handed out in slice order from a channel, so a free
-// worker always takes the earliest unstarted stream. The first error stops
-// the hand-out, remaining workers finish their current file and exit, and
-// that first error is returned. Aggregate totals (input bytes, chunk
-// counts, stored bytes) are independent of the interleaving when streams
-// share no content; see the concurrency stress test.
-func (d *Dedup) IngestStreams(workers int, streams []Stream) error {
-	return d.IngestStreamsContext(context.Background(), workers, streams)
-}
-
-// IngestStreamsContext is IngestStreams with cancellation: once ctx is
-// done no further file is started, in-flight PutFiles abort at their next
-// chunk, and the first error returned is ctx.Err() (unless a worker
-// failed first). This is the path a network server uses to abort a
-// client's ingest when its connection dies.
+// IngestStreamsContext deduplicates the given streams using up to workers
+// concurrent sessions. workers ≤ 1 ingests them in slice order on the
+// calling goroutine, bit-identical to a serial PutFile loop. workers > 1
+// starts min(workers, len(streams)) goroutines with a Session each, which
+// take the earliest unstarted stream when free. The first error — ctx.Err()
+// once ctx is done — stops the hand-out; the workers finish their current
+// file (in-flight PutFiles abort at their next chunk) and it is returned.
 func (d *Dedup) IngestStreamsContext(ctx context.Context, workers int, streams []Stream) error {
 	if workers <= 1 || len(streams) <= 1 {
 		s := d.NewSession()

@@ -7,37 +7,18 @@ import (
 	"mhdedup/internal/hashutil"
 )
 
-// Striped locking for the shared hash→location indexes.
-//
-// The concurrent ingest engine shares two hash-keyed maps across sessions:
-// the flat cache index (entry hash → name of the cached manifest holding
-// it, Fig 4's "cache of Manifests, each organized as a hash table"
-// flattened) and, in SI-MHD mode, the sparse hook index (hook hash →
-// manifest name). A single mutex over either map would serialize every
-// chunk of every stream on one lock; instead the key space is sharded into
-// numStripes independent maps, each behind its own RWMutex, selected by the
-// low bits of the (uniformly distributed) SHA-1 key. Two sessions contend
-// only when they touch the same stripe at the same instant — expected
-// 1/numStripes of the time — and the common lookup path takes a read lock,
-// so concurrent readers of one stripe do not block each other at all.
-//
-// The same stripe locks double as the hook-publication locks: finishFile
-// holds the key's stripe write lock across its check-then-create of an
-// on-disk hook (or sparse-index insert), making duplicate-hook suppression
-// atomic when two sessions finish files containing identical content.
+// Striped locking for the hash-keyed maps sessions share (DESIGN §7): the
+// cache index and SI-MHD's sparse hook index are each numStripes maps
+// behind their own RWMutex, picked by low bits of the (uniform) SHA-1 key,
+// and the same stripes serialize hook publication (publishLocks).
 
-// numStripes is the shard count of every striped structure. 64 stripes keep
-// the expected contention probability under 2% for 8 sessions while costing
-// only 64 small maps; it must be a power of two so stripe selection is a
-// mask.
+// numStripes is the shard count of every striped structure: under 2%
+// contention for 8 sessions; a power of two, so a stripe is a mask.
 const numStripes = 64
 
-// stripeOf maps a hash to its stripe: the low bits of the little-endian
-// word formed by the hash's first 8 bytes (SHA-1 output is uniform, so any
-// fixed bit window balances; the low bits match how the bloom filter
-// derives its probe words). The mapping is pure and stable — the same hash
-// always lands on the same stripe, which is what makes the per-stripe lock
-// a lock over "all operations concerning this hash".
+// stripeOf maps a hash to its stripe, purely and stably: the low bits of
+// the little-endian word of its first 8 bytes, as the bloom filter derives
+// its probe words.
 func stripeOf(h hashutil.Sum) int {
 	return int(binary.LittleEndian.Uint64(h[:8]) & (numStripes - 1))
 }

@@ -4,10 +4,12 @@
 // The paper (and virtually every 2013-era deduplication system) identifies
 // chunks by their SHA-1 digest; a Sum is therefore a 20-byte value, a
 // comparable array type so Sums can be used directly as map keys. The package
-// is every SHA-1 the system computes — one-shot hashing, a streaming Hasher,
-// stable textual forms — and it picks the block function once, from the CPU:
-// the SHA extensions' kernel (digest, sha1block_amd64.s) where CPUID reports
-// them, crypto/sha1 whole and untouched everywhere else (DESIGN §12a).
+// is every SHA-1 the system computes — one-shot hashing, many messages at
+// once (SumRuns), a streaming Hasher, stable textual forms — and it picks the
+// block functions once, from the CPU: the SHA extensions' kernel (digest,
+// sha1block_amd64.s) where CPUID reports them, beside it a 16-lane AVX-512
+// kernel for SumRuns (lanes_amd64.s) where CPUID reports that too, and
+// crypto/sha1 whole and untouched everywhere else (DESIGN §12a).
 package hashutil
 
 import (
@@ -39,18 +41,24 @@ func SumBytes(b []byte) Sum {
 // SumString returns the SHA-1 digest of s.
 func SumString(s string) Sum { return SumBytes([]byte(s)) }
 
-// Kernel names the block function every Sum in this process comes from:
-// "sha-ni" or "crypto/sha1".
+// Kernel names the block functions every Sum in this process comes from:
+// "sha-ni+avx512x16" with SumRuns' lanes, "sha-ni" or "crypto/sha1".
 func Kernel() string {
-	if useSHANI {
+	switch {
+	case useLanes:
+		return "sha-ni+avx512x16"
+	case useSHANI:
 		return "sha-ni"
 	}
 	return "crypto/sha1"
 }
 
-// SHANI is the same fact in the shape of a metrics gauge: 1 for "sha-ni".
-func SHANI() int64 {
-	if useSHANI {
+// SHANI and Lanes are the same facts as metrics gauges: 1 when in use.
+func SHANI() int64 { return gauge(useSHANI) }
+func Lanes() int64 { return gauge(useLanes) }
+
+func gauge(on bool) int64 {
+	if on {
 		return 1
 	}
 	return 0
@@ -91,9 +99,8 @@ func ParseHex(text string) (Sum, error) {
 	return s, nil
 }
 
-// Hasher accumulates bytes and produces a Sum. It exists so callers can hash
-// streaming data (e.g. whole restored files in round-trip tests) without
-// buffering.
+// Hasher accumulates bytes and produces a Sum, for data that arrives in
+// pieces.
 type Hasher struct {
 	d   digest    // the SHA-NI kernel's whole state, inline: no allocation per use
 	std hash.Hash // crypto/sha1's, on a CPU without the SHA extensions; else nil
@@ -128,13 +135,4 @@ func (h *Hasher) Sum() Sum {
 		return out
 	}
 	return h.d.sum()
-}
-
-// Reset returns the Hasher to its initial state.
-func (h *Hasher) Reset() {
-	if h.std != nil {
-		h.std.Reset()
-	} else {
-		h.d.reset()
-	}
 }

@@ -4,6 +4,6 @@ package hashutil
 
 import "testing"
 
-const haveSHANI = false
+const haveSHANI, haveLanes = false, false
 
-func setKernel(testing.TB, bool) {}
+func setKernel(testing.TB, bool, bool) {}

@@ -19,7 +19,7 @@ func eachKernel(t *testing.T, f func(t *testing.T)) {
 		kernels = append(kernels, true)
 	}
 	for _, shaNI := range kernels {
-		setKernel(t, shaNI)
+		setKernel(t, shaNI, false)
 		t.Run(Kernel(), func(t *testing.T) {
 			t.Logf("kernel: %s", Kernel())
 			f(t)
@@ -105,13 +105,12 @@ func TestDigestEveryLength(t *testing.T) {
 func TestDigestEveryFirstWriteOffset(t *testing.T) {
 	data := pattern(64+4096, 2)
 	eachKernel(t, func(t *testing.T) {
-		h := NewHasher()
 		for first := 0; first < 64; first++ {
 			for _, rest := range []int{0, 1, 63 - first, 64 - first, 65 - first, 64, 191, 4096} {
 				if rest < 0 {
 					continue
 				}
-				h.Reset() // reuse: one Hasher serves the whole table
+				h := NewHasher()
 				h.Write(data[:first])
 				h.Write(data[first : first+rest])
 				if got, want := h.Sum(), oracle(data[:first+rest]); got != want {
@@ -188,9 +187,8 @@ func TestDigestConcurrent(t *testing.T) {
 				defer wg.Done()
 				data := pattern(3072+g, int64(g))
 				want := oracle(data)
-				h := NewHasher()
 				for i := 0; i < 200; i++ {
-					h.Reset()
+					h := NewHasher()
 					h.Write(data[:i])
 					h.Write(data[i:])
 					if got := h.Sum(); got != want || SumBytes(data) != want {
@@ -210,7 +208,7 @@ func TestSHANIPathDoesNotAllocate(t *testing.T) {
 	if !haveSHANI {
 		t.Skip("no SHA-NI kernel on this CPU or build")
 	}
-	setKernel(t, true)
+	setKernel(t, true, false)
 	data := bytes.Repeat([]byte{0x5A}, 3072+17)
 	var sink Sum
 	if n := testing.AllocsPerRun(100, func() { sink = SumBytes(data) }); n != 0 {
@@ -236,7 +234,7 @@ func BenchmarkKernel(b *testing.B) {
 		kernels = append(kernels, true)
 	}
 	for _, shaNI := range kernels {
-		setKernel(b, shaNI)
+		setKernel(b, shaNI, false)
 		for _, size := range []int{64, 3072, 1 << 20} {
 			data := pattern(size, 6)
 			b.Run(fmt.Sprintf("%s/%dB", Kernel(), size), func(b *testing.B) {

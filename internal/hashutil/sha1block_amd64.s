@@ -143,8 +143,8 @@ loop:
 	PEXTRD	$3, E0, 16(DI)
 	RET
 
-// func CPUID(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·CPUID(SB), NOSPLIT, $0-24
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL	leaf+0(FP), AX
 	MOVL	sub+4(FP), CX
 	CPUID
@@ -154,8 +154,8 @@ TEXT ·CPUID(SB), NOSPLIT, $0-24
 	MOVL	DX, edx+20(FP)
 	RET
 
-// func XGETBV() (eax, edx uint32)
-TEXT ·XGETBV(SB), NOSPLIT, $0-8
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL	$0, CX
 	XGETBV
 	MOVL	AX, eax+0(FP)
