@@ -23,8 +23,9 @@
 # restart that would cut it otherwise, and clients pass no engine flags), a
 # gateway loopback smoke (including the restore
 # link pools, the gateway's and the client's: stale link, tenant scoping,
-# mid-frame failover splice, idle bounds, drain) plus a
-# live dedup-gw admin-endpoint smoke, the cluster fault-matrix short
+# mid-frame failover splice, idle bounds, drain, migration by ingest
+# session) plus a live dedup-gw admin-endpoint smoke that rebalances real
+# files between processes, the cluster fault-matrix short
 # preset, 30-second
 # cluster churn soaks (one plain, one with a shard hard-killed mid-run
 # at R=2) under the race detector, and short fuzz smokes of the decoder
@@ -56,7 +57,7 @@ echo "== code size =="
 # outside benchmark/ (25,588 before the item's first PR). The ceiling is a
 # ratchet — a PR that deletes code lowers it to its own count; nothing
 # raises it.
-SIZE_CEILING=22518
+SIZE_CEILING=22296
 size=$(find . -name '*.go' ! -name '*_test.go' \
     ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
 echo "non-test Go lines outside benchmark/: $size (ceiling $SIZE_CEILING)"
@@ -269,11 +270,12 @@ echo "== loopback server integration smoke (race) =="
 # mid-stream costs the server that connection and nothing else. A command
 # whose payload does not decode ends its session with a final protocol
 # error instead of parking it for a replay of the same bytes, the
-# client refuses a file name the wire cannot carry before sending it, and a
+# client refuses a file name the wire cannot carry before sending it, a
 # negative chunk-cache budget leaves the cache empty while zero is the
-# default.
+# default, and a put whose reader fails closes its session in order,
+# committing nothing.
 go test -race -count=1 \
-    -run 'TestLoopbackBackupAndVerifiedRestore|TestSecondGenerationMovesFewBytes|TestKillConnectionResumeStoreEquality|TestDrainWaitsForInFlightSession|TestDrainExpiresParkedSession|TestServerCheckpointSurvivesKill|TestOverloadShedding|TestFileEndBadSumCommitsNothing|TestHostileClientCommitsNothing|TestClientPutMatchesLocalPutFile|TestRestoreStreamIsBoundedFrames|TestAbandonedRestoreStream|TestMalformedIngestCommandIsRefused|TestPutFileRefusesUnsendableName|TestServerChunkCacheBudget' \
+    -run 'TestLoopbackBackupAndVerifiedRestore|TestSecondGenerationMovesFewBytes|TestKillConnectionResumeStoreEquality|TestDrainWaitsForInFlightSession|TestDrainExpiresParkedSession|TestServerCheckpointSurvivesKill|TestOverloadShedding|TestFileEndBadSumCommitsNothing|TestHostileClientCommitsNothing|TestClientPutMatchesLocalPutFile|TestRestoreStreamIsBoundedFrames|TestAbandonedRestoreStream|TestMalformedIngestCommandIsRefused|TestPutFileRefusesUnsendableName|TestServerChunkCacheBudget|TestPutFileReadFailureFreesSession' \
     ./internal/server
 
 echo "== gateway loopback smoke (race) =="
@@ -290,15 +292,21 @@ echo "== gateway loopback smoke (race) =="
 # parked is retried on a fresh dial and is no failover, a link is only ever
 # reused for the tenant of its Hello, and a failover whose cut falls inside
 # a replica's frame splices there and verifies; the client keeps its links
-# to the gateway by the same rules (TestClientLink*).
+# to the gateway by the same rules (TestClientLink*). A migration is a
+# verified restore piped into an ingest session: the copy restores
+# verified on its new owner and came pre-chunked, a source that fails
+# mid-stream leaves no file and no session, a put whose reader fails
+# leaves no session on the gateway or any shard, and a session is out of
+# the gateway's table by its CloseOK.
 go test -race -count=1 \
-    -run 'TestClusterRoundTripMatchesSingleNode|TestClusterChunkRoutingSavesClientBandwidth|TestClusterDrainMidRun|TestClusterKillConnectionResume|TestClusterTenants|TestGatewayDrainExpiresParkedSession|TestRebalanceShardConverges|TestClusterHostileClientCommitsOnNoReplica|TestGatewayMalformedIngestCommandIsRefused|TestStaleRestoreLinkIsRetriedNotFailedOver|TestRestoreLinksAreTenantScoped|TestFailoverSpliceMidFrame|TestClientLink' \
+    -run 'TestClusterRoundTripMatchesSingleNode|TestClusterChunkRoutingSavesClientBandwidth|TestClusterDrainMidRun|TestClusterKillConnectionResume|TestClusterTenants|TestGatewayDrainExpiresParkedSession|TestRebalanceShardConverges|TestClusterHostileClientCommitsOnNoReplica|TestGatewayMalformedIngestCommandIsRefused|TestStaleRestoreLinkIsRetriedNotFailedOver|TestRestoreLinksAreTenantScoped|TestFailoverSpliceMidFrame|TestClientLink|TestRebalanceCopyIsPreChunkedAndVerified|TestRebalanceSourceFailsMidStream|TestGatewayPutFileReadFailureFreesSessions|TestGatewayCloseOKMeansSessionGone' \
     ./internal/cluster
 
 echo "== cluster fault matrix (short preset, race) =="
 # The replication acceptance gate: {kill shard mid-ingest, kill shard
 # mid-restore, drain+rebalance under live traffic, kill gateway and
-# reattach, corrupt a replica on disk}, each cell gated on bit-identical
+# reattach, corrupt a replica on disk, rebalance and repair off a rotted
+# source}, each cell gated on bit-identical
 # verified restores of every acked file and a full replication factor
 # after repair. -short runs every cell at R=2 seed=1; the full suite
 # above already ran the R=1..3 x seeds matrix.
@@ -387,9 +395,21 @@ rm -rf "$contract" /tmp/dedupd.ci /tmp/dedup.ci /tmp/restore.ci
 echo "== dedup-gw admin endpoint smoke =="
 # The gateway must serve /healthz, a shard-balance-bearing /metrics.json
 # and the drain-shard / rebalance-shard / repair-scan / replication
-# admin verbs in front of live shards, and drain cleanly on SIGTERM.
+# admin verbs in front of live shards, and drain cleanly on SIGTERM. The
+# rebalance moves real files between the processes: a directory is backed
+# up through the gateway (its names are fixed, and s1 homes some of them),
+# s1 is rebalanced away — each of its files a verified restore piped into
+# an ingest session on s0 — and a restore of everything through the
+# gateway must give back the directory byte for byte.
 go build -o /tmp/dedupd.ci ./cmd/dedupd
 go build -o /tmp/dedup-gw.ci ./cmd/dedup-gw
+go build -o /tmp/dedup.ci ./cmd/dedup
+go build -o /tmp/restore.ci ./cmd/restore
+gwsmoke=$(mktemp -d)
+mkdir "$gwsmoke/in"
+for i in 1 2 3 4 5 6 7 8; do
+    head -c 300000 /dev/urandom > "$gwsmoke/in/file$i"
+done
 /tmp/dedupd.ci -addr 127.0.0.1:7473 &
 SHARD0_PID=$!
 /tmp/dedupd.ci -addr 127.0.0.1:7476 &
@@ -411,7 +431,13 @@ curl -fsS http://127.0.0.1:7475/metrics.json | grep -q '"hashutil.lanes"'
 curl -fsS http://127.0.0.1:7475/events.json | grep -q '"events"'
 curl -fsS http://127.0.0.1:7475/replication | grep -q '"fully_replicated"'
 curl -fsS -X POST http://127.0.0.1:7475/repair-scan | grep -q '"repaired"'
-curl -fsS -X POST 'http://127.0.0.1:7475/rebalance-shard?id=s1' | grep -q '"dropped"'
+/tmp/dedup.ci -dir "$gwsmoke/in" -remote 127.0.0.1:7474 >/dev/null
+rebalanced=$(curl -fsS -X POST 'http://127.0.0.1:7475/rebalance-shard?id=s1')
+echo "$rebalanced" | grep -q '"migrated":[1-9]' || {
+    echo "dedup-gw smoke: rebalancing s1 migrated nothing: $rebalanced" >&2; exit 1; }
+echo "$rebalanced" | grep -q '"dropped":[1-9]'
+/tmp/restore.ci -remote 127.0.0.1:7474 -all -out "$gwsmoke/out" | tail -1 | grep -q ' 0 failed'
+diff -r "$gwsmoke/in" "$gwsmoke/out"
 curl -fsS -X POST 'http://127.0.0.1:7475/drain-shard?id=s1' | grep -q draining
 # Draining an unknown shard must be refused.
 if curl -fsS -X POST 'http://127.0.0.1:7475/drain-shard?id=nope' >/dev/null 2>&1; then
@@ -426,7 +452,7 @@ wait "$GW_PID"
 kill -TERM "$SHARD0_PID" "$SHARD1_PID"
 wait "$SHARD0_PID" "$SHARD1_PID"
 trap - EXIT
-rm -f /tmp/dedupd.ci /tmp/dedup-gw.ci
+rm -rf "$gwsmoke" /tmp/dedupd.ci /tmp/dedup-gw.ci /tmp/dedup.ci /tmp/restore.ci
 
 echo "== fuzz smokes (5s each; the log's replay, the verified width, the hostile server and the wire decoders 20s) =="
 # Each target runs alone: `go test -fuzz` accepts only one matching fuzz

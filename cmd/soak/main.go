@@ -242,11 +242,13 @@ func run(o options) error {
 	// it. A file acked at R>=2 survived the kill on R-1 shards; repair
 	// must bring every one back to all of its write-ring owners.
 	if o.killShard {
+		start := time.Now()
 		rep, err := gw.RepairScan()
 		if err != nil {
 			return fmt.Errorf("repair scan after shard kill: %w (report %+v)", err, rep)
 		}
-		logger.Printf("repair after shard kill: %d files seen, %d copies re-replicated", rep.Files, rep.Repaired)
+		logger.Printf("repair after shard kill: %d files seen, %d copies re-replicated in %v",
+			rep.Files, rep.Repaired, time.Since(start).Round(time.Millisecond))
 		if chk := gw.CheckReplication(); len(chk.Under) > 0 {
 			return fmt.Errorf("%d/%d files under-replicated after repair", len(chk.Under), chk.Files)
 		}

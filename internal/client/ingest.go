@@ -44,6 +44,9 @@ type Ingestor struct {
 
 	closed bool
 	broken error // permanent failure; every later call returns it
+	// abandoned: broken by a local read failure mid-file, so Close still
+	// closes in order and the server abandons the file instead of parking.
+	abandoned bool
 }
 
 // inbound is one frame the reader read, or the error that ended it.
@@ -182,7 +185,8 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 		}
 		if cerr != nil {
 			// Local read failure: the session is still coherent, but the
-			// half-sent file is not. Surface it; the caller decides.
+			// half-sent file is not. Surface it; Close abandons the file.
+			c.abandoned = true
 			return c.fail(fmt.Errorf("client: reading %q: %w", name, cerr))
 		}
 		total += uint64(chunk.Size())
@@ -219,8 +223,10 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 
 // Close drains outstanding acks, performs the orderly Close/CloseOK
 // exchange and releases the connection, returning once its reader is done.
+// After a failed read it still closes in order, so the server abandons the
+// half-sent file and frees the session; it then returns the read error.
 func (c *Ingestor) Close() error {
-	if c.broken == nil && !c.closed {
+	if (c.broken == nil || c.abandoned) && !c.closed {
 		c.closed = true
 		if err := c.settle(0); err != nil {
 			c.fail(err)

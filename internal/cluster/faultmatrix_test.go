@@ -10,12 +10,15 @@ package cluster_test
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 
 	"mhdedup/internal/client"
 	"mhdedup/internal/cluster"
 	"mhdedup/internal/simdisk"
+	"mhdedup/internal/store"
 )
 
 // faultCell is one row of the matrix: a named fault injected into a
@@ -36,6 +39,7 @@ func TestClusterFaultMatrix(t *testing.T) {
 		{"drain-rebalance-live-traffic", cellDrainRebalance},
 		{"kill-gateway-reattach", cellKillGateway},
 		{"corrupt-replica-on-disk", cellCorruptReplica},
+		{"rotted-source-rebalance-and-repair", cellRottedSource},
 	}
 	rs := []int{1, 2, 3}
 	seeds := []int64{1, 2}
@@ -306,6 +310,85 @@ func cellCorruptReplica(t *testing.T, r int, seed int64) {
 	tc.engines[0].Disk().SetReadTransform(nil)
 	verifyAcked(t, tc.clientConfig(), files, order, true)
 	requireFullReplication(t, tc.gw)
+}
+
+// cellRottedSource flips one stored bit in every container of one shard —
+// rot at rest, which the shard's own plain reads cannot see — and then
+// rebalances that shard away. A migration copies by verified restore, so
+// rot never migrates: the pass fails loudly, naming a file, and the shard
+// keeps every file whose copy does not verify. At R=1 no other shard may
+// then hold such a file; at R>=2 a repair scan fills each new owner from a
+// good holder, after which the next pass drops everything off the shard.
+func cellRottedSource(t *testing.T, r int, seed int64) {
+	tc := startCluster(t, 4, func(c *cluster.GatewayConfig) { c.Replication = r })
+	files, order := matrixFiles(t, tc, seed, 2, 1<<19)
+	putAll(t, tc.clientConfig(), files, order)
+
+	victim := tc.engines[0].Disk()
+	for _, c := range victim.Names(simdisk.Data) {
+		if err := victim.FlipStoredBit(simdisk.Data, c, 12345); err != nil {
+			t.Fatal(err)
+		}
+	}
+	contract, _ := store.ContractOf(victim)
+	verifier := store.NewVerifier(store.New(victim, contract.Format), store.VerifyOpts{})
+	var held, rotted []string
+	for _, name := range order {
+		if !victim.Exists(simdisk.FileManifest, name) {
+			continue
+		}
+		held = append(held, name)
+		if verifier.RestoreFile(name, io.Discard) != nil {
+			rotted = append(rotted, name)
+		}
+	}
+	if len(rotted) == 0 {
+		t.Fatalf("flipping a bit in every container of %s rotted none of its %d files", tc.shards[0].ID, len(held))
+	}
+
+	rep, err := tc.gw.RebalanceShard(tc.shards[0].ID)
+	if err == nil {
+		t.Fatalf("rebalance off a rotted shard succeeded: %+v", rep)
+	}
+	named := false
+	for _, name := range rotted {
+		named = named || strings.Contains(err.Error(), fmt.Sprintf("%q", name))
+	}
+	if !named {
+		t.Fatalf("rebalance error names no rotted file: %v", err)
+	}
+	for _, name := range rotted {
+		if !victim.Exists(simdisk.FileManifest, name) {
+			t.Fatalf("rotted %s was dropped from its source", name)
+		}
+		for i := 1; r == 1 && i < len(tc.engines); i++ {
+			if tc.engines[i].Disk().Exists(simdisk.FileManifest, name) {
+				t.Fatalf("rotted %s was copied to %s", name, tc.shards[i].ID)
+			}
+		}
+	}
+	for i, srv := range tc.servers {
+		if n := srv.SessionCount(); n != 0 {
+			t.Fatalf("shard %s holds %d sessions after the failed migrations", tc.shards[i].ID, n)
+		}
+	}
+
+	if r >= 2 {
+		if rep, err := tc.gw.RepairScan(); err != nil {
+			t.Fatalf("repair from the good holders: %v (report %+v)", err, rep)
+		}
+		requireFullReplication(t, tc.gw)
+		rep, err := tc.gw.RebalanceShard(tc.shards[0].ID)
+		if err != nil || rep.Migrated != 0 || rep.Dropped != len(held) {
+			t.Fatalf("rebalance after repair: %v, %+v; want all %d files dropped, none migrated", err, rep, len(held))
+		}
+	}
+	// Rot restores as an error, never as bytes: at R=1 a rotted file is
+	// lost, at R>=2 every file restores from a good copy.
+	lost := verifyAcked(t, tc.clientConfig(), files, order, r >= 2)
+	if r == 1 && len(lost) != len(rotted) {
+		t.Fatalf("R=1 lost %d files, %d of them rotted", len(lost), len(rotted))
+	}
 }
 
 // survivors filters lost names out of acked.

@@ -564,7 +564,7 @@ const restoreLinkCap = 4
 
 // restoreLink runs one request on a kept ModeRestore link to sh under
 // tenant's Hello. The two link pools (session.Links) are where the gateway
-// dials a shard for anything but an ingest session or a migration target.
+// dials a shard for anything but an ingest session, a migration's included.
 func (gw *Gateway) restoreLink(sh Shard, tenant string, use func(bc *session.Conn) (atLoop bool, err error)) error {
 	return gw.links.Do(session.LinkKey{Peer: sh.ID, Tenant: tenant}, func(m session.Meter) (*session.Conn, error) {
 		bc, _, err := gw.dialShard(sh, wire.Hello{Mode: wire.ModeRestore, Tenant: tenant}, m)

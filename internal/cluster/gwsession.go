@@ -137,10 +137,12 @@ func (gw *Gateway) newSession(token uint64, hello wire.Hello) *gwSession {
 // The ingest relay.
 
 // disposition is how an incarnation releases its session when the relay
-// loop exits. The release happens strictly AFTER this incarnation's
-// plumbing is torn down — a successor may rebuild ss.conns/backendCh/
-// done the instant detach unparks the session, so nothing here may touch
-// them once the session is released.
+// loop exits. A detach happens strictly AFTER this incarnation's plumbing
+// is torn down — a successor may rebuild ss.conns/backendCh/done the
+// instant detach unparks the session, so nothing here may touch them once
+// the session is released. An orderly Close has no successor: its session
+// leaves the table before CloseOK (see closed), and the expiry here is then
+// a no-op.
 type disposition int
 
 const (
@@ -230,6 +232,15 @@ func (ss *gwSession) relay(c *session.Conn, hello wire.Hello) disposition {
 	// closing tracks the orderly Close fan-out: which backends still owe
 	// a CloseOK.
 	var closing map[string]bool
+	// closed ends an orderly Close. The session leaves the table before
+	// CloseOK, as on a dedupd: a client that has seen CloseOK must find the
+	// session gone, not count against MaxSessions.
+	closed := func() disposition {
+		gw.ep.Sessions.Expire(ss.token, false)
+		c.Write(wire.TypeCloseOK, nil)
+		gw.cfg.Events.Info("gateway.session_close", events.F("session", ss.token))
+		return dispExpire
+	}
 
 	for {
 		var herr error
@@ -248,9 +259,7 @@ func (ss *gwSession) relay(c *session.Conn, hello wire.Hello) disposition {
 			if ev.f.Type != wire.TypeClose {
 				herr = session.IngestCommand(ev.f, ss, c)
 			} else if closing, herr = ss.beginClose(); herr == nil && len(closing) == 0 {
-				c.Write(wire.TypeCloseOK, nil)
-				gw.cfg.Events.Info("gateway.session_close", events.F("session", ss.token))
-				return dispExpire
+				return closed()
 			}
 
 		case ev := <-ss.backendCh:
@@ -261,8 +270,7 @@ func (ss *gwSession) relay(c *session.Conn, hello wire.Hello) disposition {
 					// is harmless; don't fail an orderly close over it.
 					delete(closing, ev.shard)
 					if len(closing) == 0 {
-						c.Write(wire.TypeCloseOK, nil)
-						return dispExpire
+						return closed()
 					}
 					continue
 				}
@@ -287,9 +295,7 @@ func (ss *gwSession) relay(c *session.Conn, hello wire.Hello) disposition {
 				}
 				delete(closing, ev.shard)
 				if len(closing) == 0 {
-					c.Write(wire.TypeCloseOK, nil)
-					gw.cfg.Events.Info("gateway.session_close", events.F("session", ss.token))
-					return dispExpire
+					return closed()
 				}
 			case wire.TypeError:
 				em, uerr := wire.UnmarshalError(ev.f.Payload)
@@ -705,14 +711,13 @@ func (ss *gwSession) injectChunks(cmd *gwCmd, sh Shard, chunks []placedChunk) er
 
 // beginClose validates the orderly-close preconditions and sends Close
 // to every live backend session; the returned set is the shards whose
-// CloseOK is still owed.
+// CloseOK is still owed. A file still open is abandoned: the client stopped
+// mid-file, and its replicas abandon it on the Close forwarded to them.
 func (ss *gwSession) beginClose() (map[string]bool, error) {
-	if ss.curFile != nil {
-		return nil, session.Fatalf(wire.CodeProtocol, "Close with file %q still open", ss.curFile.name)
-	}
 	if len(ss.cmds) != 0 {
 		return nil, session.Fatalf(wire.CodeProtocol, "Close with %d commands unacked", len(ss.cmds))
 	}
+	ss.curFile = nil
 	waiting := make(map[string]bool, len(ss.conns))
 	for id, bc := range ss.conns {
 		if err := bc.Write(wire.TypeClose, nil); err != nil {

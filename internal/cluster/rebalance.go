@@ -1,16 +1,19 @@
 // Shard rebalance and replica repair: the gateway-driven data plane that
-// moves whole files between shards over the trusted interior protocol.
-// Migration is a verified restore spliced into a migrate-ingest: the
-// source shard streams the file's bytes (hashed and counted by the
-// gateway as they pass), the target re-chunks them through its own
-// engine, proves size and sum, and commits durably before MigrateOK.
-// Nothing is dropped from a source until every live owner has confirmed
-// its copy.
+// moves whole files between shards. A migration is a verified restore
+// piped into an ordinary ingest session: the source shard restores the
+// file through its verified path (a stored byte that does not hash to its
+// recorded SHA-1 fails the copy), the gateway cuts and hashes the bytes as
+// any client does, and the target takes the cuts pre-chunked and commits
+// durably before its FileEnd Ack. Nothing is dropped from a source until
+// every live owner has confirmed its copy.
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"io"
 
+	"mhdedup/internal/client"
 	"mhdedup/internal/events"
 	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
@@ -48,54 +51,45 @@ func (gw *Gateway) dropFile(sh Shard, name string) error {
 	return err
 }
 
-// migrate streams name from src into dst: a root-namespace restore on
-// the source side feeds a migrate-ingest on the target side, with the
-// gateway verifying the source's declared size and sum against the bytes
-// it actually relayed before asking the target to commit. The source side
-// is a pooled restore link; the target side is the migration's own
-// connection (the pooled peer connection stays free for chunk routing), and
-// closing it half-fed is what makes the shard abort the ingest on any
-// failure.
+// migrate copies name from src to dst. The source restores it over a
+// pooled restore link with verification on, and ReceiveRestore holds what
+// the source declared to the bytes that passed; those bytes are piped into
+// a client session on the target, which cuts by the contract the target
+// announces. The target's FileEnd Ack, sent only once the file is durable,
+// confirms the copy. A restore that fails stops the pipe with its error,
+// so the client abandons the half-sent file and the target commits
+// nothing.
 func (gw *Gateway) migrate(src, dst Shard, name string) error {
-	mc, _, err := gw.dialShard(dst, wire.Hello{Mode: wire.ModePeer}, session.Meter{})
+	ing, err := client.Connect(client.Config{Addr: dst.Addr, Dial: gw.cfg.Dial})
 	if err != nil {
-		return fmt.Errorf("target: %w", err)
+		return fmt.Errorf("migrating %q to %s: %w", name, dst.ID, err)
 	}
-	defer mc.Close()
-	if err := mc.Write(wire.TypeMigrateBegin, wire.MigrateBegin{Name: name}.Marshal()); err != nil {
-		return fmt.Errorf("target %s: %w", dst.ID, err)
-	}
-	// MigrateData adds a 4-byte blob prefix to what RestoreData carried,
-	// so re-cut runs that would overflow the target's payload cap.
-	budget := int(mc.MaxPayload()) - 64
-	var end wire.RestoreEnd
-	err = gw.restoreLink(src, "", func(rc *session.Conn) (bool, error) {
-		if err := rc.Write(wire.TypeRestoreReq, wire.RestoreReq{Name: name}.Marshal()); err != nil {
-			return false, err
-		}
-		// Verified relay: ReceiveRestore holds what the source DECLARED to
-		// what actually passed through here, or the copy is not a copy.
-		var err error
-		end, err = rc.ReceiveRestore(func(data []byte) error {
-			for len(data) > 0 {
-				n := min(len(data), budget)
-				if err := mc.Write(wire.TypeMigrateData, wire.MigrateData{Data: data[:n]}.Marshal()); err != nil {
-					return fmt.Errorf("target %s: %w", dst.ID, err)
-				}
-				data = data[n:]
+	pr, pw := io.Pipe()
+	restored := make(chan error, 1)
+	go func() {
+		err := gw.restoreLink(src, "", func(rc *session.Conn) (bool, error) {
+			if err := rc.Write(wire.TypeRestoreReq, wire.RestoreReq{Name: name, Verify: true}.Marshal()); err != nil {
+				return false, err
 			}
-			return nil
+			_, err := rc.ReceiveRestore(func(data []byte) error {
+				_, err := pw.Write(data)
+				return err
+			})
+			return session.Answered(err), err
 		})
-		return session.Answered(err), err
-	})
-	if err != nil {
-		return fmt.Errorf("migrating %q from %s: %w", name, src.ID, err)
+		pw.CloseWithError(err) // nil: the reader sees EOF
+		restored <- err
+	}()
+	perr := ing.PutFile(name, pr)
+	pr.CloseWithError(perr) // a target that failed first stops the restore
+	rerr := <-restored
+	ing.Close() // frees the target's session, abandoning a half-sent file
+	if perr != nil && !errors.Is(perr, rerr) {
+		return fmt.Errorf("migrating %q to %s: %w", name, dst.ID, perr)
 	}
-	commit := wire.MigrateEnd{TotalBytes: end.TotalBytes, Sum: end.Sum}
-	if _, err := mc.Call(wire.TypeMigrateEnd, commit.Marshal(), wire.TypeMigrateOK); err != nil {
-		return fmt.Errorf("target %s: %w", dst.ID, err)
+	if rerr != nil {
+		return fmt.Errorf("migrating %q from %s: %w", name, src.ID, rerr)
 	}
-	mc.Write(wire.TypeClose, nil) // best effort: the copy is already committed
 	return nil
 }
 
@@ -103,7 +97,7 @@ func (gw *Gateway) migrate(src, dst Shard, name string) error {
 type RebalanceReport struct {
 	Shard    string `json:"shard"`
 	Files    int    `json:"files"`    // files found homed on the drained shard
-	Migrated int    `json:"migrated"` // copies streamed to new owners
+	Migrated int    `json:"migrated"` // copies made on new owners
 	Dropped  int    `json:"dropped"`  // files forgotten on the drained shard
 }
 

@@ -6,10 +6,14 @@ package cluster_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
+	"mhdedup/internal/client"
 	"mhdedup/internal/cluster"
 	"mhdedup/internal/simdisk"
+	"mhdedup/internal/store"
 	"mhdedup/internal/wire"
 )
 
@@ -158,6 +162,162 @@ func TestReplicationPlacement(t *testing.T) {
 			if has != want[sh.ID] {
 				t.Fatalf("%s on shard %s: present=%v, ring owners %v", name, sh.ID, has, want)
 			}
+		}
+	}
+}
+
+// TestRebalanceCopyIsPreChunkedAndVerified: a migration is an ingest
+// session the gateway drives, so the copy on every new owner restores
+// bit-identical through that owner's verified path, and it arrived
+// pre-chunked — no target engine ran its chunker across the rebalance.
+func TestRebalanceCopyIsPreChunkedAndVerified(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	files, order := matrixFiles(t, tc, 81, 2, 1<<19)
+	putAll(t, tc.clientConfig(), files, order)
+	var homed []string
+	for _, name := range order {
+		if tc.engines[0].Disk().Exists(simdisk.FileManifest, name) {
+			homed = append(homed, name)
+		}
+	}
+	chunked := make([]int64, len(tc.engines))
+	for i, eng := range tc.engines {
+		chunked[i] = eng.Stats().ChunkedBytes
+	}
+
+	rep, err := tc.gw.RebalanceShard(tc.shards[0].ID)
+	if err != nil || rep.Migrated != len(homed) || rep.Dropped != len(homed) || len(homed) == 0 {
+		t.Fatalf("rebalance: %v, %+v; want all %d homed files migrated and dropped", err, rep, len(homed))
+	}
+	for i, eng := range tc.engines {
+		if got := eng.Stats().ChunkedBytes; got != chunked[i] {
+			t.Fatalf("shard %s chunked %d bytes during the rebalance: the copy did not arrive pre-chunked", tc.shards[i].ID, got-chunked[i])
+		}
+	}
+	for _, name := range homed {
+		copies := 0
+		for i := 1; i < len(tc.engines); i++ {
+			disk := tc.engines[i].Disk()
+			if !disk.Exists(simdisk.FileManifest, name) {
+				continue
+			}
+			contract, _ := store.ContractOf(disk)
+			var got bytes.Buffer
+			if err := store.NewVerifier(store.New(disk, contract.Format), store.VerifyOpts{}).RestoreFile(name, &got); err != nil {
+				t.Fatalf("%s on %s: verified restore: %v", name, tc.shards[i].ID, err)
+			}
+			if !bytes.Equal(got.Bytes(), files[name]) {
+				t.Fatalf("%s on %s restores different bytes", name, tc.shards[i].ID)
+			}
+			copies++
+		}
+		if copies != 1 {
+			t.Fatalf("%s has %d copies after the rebalance, want 1", name, copies)
+		}
+	}
+}
+
+// failingReader returns its data, then err instead of EOF.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// requireNoSessions fails unless the gateway and every shard hold no
+// session, live or parked.
+func requireNoSessions(t *testing.T, tc *testCluster) {
+	t.Helper()
+	if n := tc.gw.SessionCount(); n != 0 {
+		t.Fatalf("the gateway holds %d sessions", n)
+	}
+	for i, srv := range tc.servers {
+		if n := srv.SessionCount(); n != 0 {
+			t.Fatalf("shard %s holds %d sessions", tc.shards[i].ID, n)
+		}
+	}
+}
+
+// TestGatewayPutFileReadFailureFreesSessions: a PutFile through the
+// gateway whose reader fails halfway still closes in order: the gateway
+// forwards the Close, every replica abandons the half-fed file, and no
+// session stays parked anywhere. The same name then puts cleanly.
+func TestGatewayPutFileReadFailureFreesSessions(t *testing.T) {
+	tc := startCluster(t, 3, func(c *cluster.GatewayConfig) { c.Replication = 2 })
+	data := genData(82, 1<<20+300<<10)
+	broken := errors.New("disk unreadable")
+	ing, err := client.Connect(tc.clientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.PutFile("half", &failingReader{data: data[:len(data)/2], err: broken}); !errors.Is(err, broken) {
+		t.Fatalf("PutFile = %v, want the reader's error", err)
+	}
+	ing.Close()
+	requireNoSessions(t, tc)
+	for i, eng := range tc.engines {
+		if eng.Disk().Exists(simdisk.FileManifest, "half") {
+			t.Fatalf("shard %s committed a file whose reader failed", tc.shards[i].ID)
+		}
+	}
+	putAll(t, tc.clientConfig(), map[string][]byte{"half": data}, []string{"half"})
+	if got := restoreOne(t, tc.clientConfig(), "half"); !bytes.Equal(got, data) {
+		t.Fatal("re-put after the failed read restores different bytes")
+	}
+}
+
+// TestRebalanceSourceFailsMidStream: a migration whose source restore
+// fails after some of the file has been sent leaves nothing behind — no
+// session on any shard, no file on the target — and the source keeps it.
+func TestRebalanceSourceFailsMidStream(t *testing.T) {
+	tc := startCluster(t, 2, nil)
+	byShard := tc.namesByShard(t, "", 1)
+	name := byShard[tc.shards[0].ID][0]
+	data := genData(83, 16<<20)
+	putAll(t, tc.clientConfig(), map[string][]byte{name: data}, []string{name})
+
+	// The source's container reads fail from the moment the target's engine
+	// has taken some of the file. The file is twice the source's restore
+	// window, so the source is still reading when that happens.
+	fed := tc.engines[1].Stats().InputBytes
+	tc.engines[0].Disk().SetFailureHook(func(op simdisk.Op, cat simdisk.Category, _ string) error {
+		if op == simdisk.OpRead && cat == simdisk.Data && tc.engines[1].Stats().InputBytes != fed {
+			return errors.New("sector unreadable")
+		}
+		return nil
+	})
+	rep, err := tc.gw.RebalanceShard(tc.shards[0].ID)
+	if err == nil || rep.Migrated != 0 || rep.Dropped != 0 {
+		t.Fatalf("rebalance off a failing source: %v, %+v; want an error and nothing moved", err, rep)
+	}
+	requireNoSessions(t, tc)
+	if tc.engines[1].Disk().Exists(simdisk.FileManifest, name) {
+		t.Fatal("the target committed a copy whose source failed mid-stream")
+	}
+	if !tc.engines[0].Disk().Exists(simdisk.FileManifest, name) {
+		t.Fatal("the source dropped a file it could not copy")
+	}
+}
+
+// TestGatewayCloseOKMeansSessionGone: as on a dedupd, a session is out of
+// the gateway's table before its CloseOK, so a client that has closed never
+// counts against MaxSessions.
+func TestGatewayCloseOKMeansSessionGone(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	data := genData(84, 64<<10)
+	for i := range 50 {
+		name := fmt.Sprintf("f%d", i)
+		putAll(t, tc.clientConfig(), map[string][]byte{name: data}, []string{name})
+		if n := tc.gw.SessionCount(); n != 0 {
+			t.Fatalf("cycle %d: the gateway lists %d sessions after CloseOK", i, n)
 		}
 	}
 }

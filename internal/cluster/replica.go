@@ -1,8 +1,9 @@
 // Replica repair: the background sibling of rebalance. Where rebalance
 // empties one known shard, repair sweeps the whole cluster for files
 // that are under-replicated — a shard died and took copies with it, or
-// the replication factor was raised — and re-streams each missing copy
-// from any surviving holder to the write-ring owner that lacks it.
+// the replication factor was raised — and copies each missing one to the
+// write-ring owner that lacks it from a surviving holder whose copy
+// verifies.
 package cluster
 
 import (
@@ -51,9 +52,10 @@ func (gw *Gateway) clusterNames() (holders map[string][]Shard, reachable []Shard
 }
 
 // RepairScan walks every file the reachable shards hold and re-creates
-// any missing copy on its write-ring owners, sourcing from an existing
-// holder. Owners that are unreachable (dead, not drained) are left for a
-// later pass — repair converges as shards come back or stay drained.
+// any missing copy on its write-ring owners, sourcing from the first
+// holder whose copy verifies. Owners that are unreachable (dead, not
+// drained) are left for a later pass — repair converges as shards come
+// back or stay drained.
 func (gw *Gateway) RepairScan() (RepairReport, error) {
 	var rep RepairReport
 	holders, reachable := gw.clusterNames()
@@ -89,9 +91,17 @@ func (gw *Gateway) RepairScan() (RepairReport, error) {
 				continue // dead owner: nothing to write to yet
 			}
 			anyOwnerReachable = true
-			if err := gw.migrate(srcs[0], owner, name); err != nil {
-				gw.cfg.Events.Warn("gateway.repair_migrate_fail",
-					events.F("file", name), events.F("target", owner.ID), events.F("err", err))
+			// A holder whose copy does not verify fails its migration; the
+			// next holder may have a good one.
+			var err error
+			for _, src := range srcs {
+				if err = gw.migrate(src, owner, name); err == nil {
+					break
+				}
+				gw.cfg.Events.Warn("gateway.repair_migrate_fail", events.F("file", name),
+					events.F("source", src.ID), events.F("target", owner.ID), events.F("err", err))
+			}
+			if err != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("repair %q onto %s: %w", name, owner.ID, err)
 				}

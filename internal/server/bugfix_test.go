@@ -369,12 +369,11 @@ func TestCloseShutsLateAcceptedConn(t *testing.T) {
 
 // TestEngineFaultMidFileReachesTheSender: when a shard's engine fails in
 // the middle of a file (here: the manifest a hook points at cannot be
-// read), the ingest pipeline's teardown must not wait for more of the
-// stream than the chunk it is cutting — the feed into it only learns of
-// the failure from PutFileContext returning. The sender must see the
-// engine's error at its next Offer/MigrateData or at the file's end, on
-// both planes that feed the engine through a pipe, and every goroutine of
-// the failed session must be gone afterwards.
+// read), the feed must not wait for more of the stream than the run it is
+// handing over — it only learns of the failure from PutChunksContext
+// returning. The sender must see the engine's error at its next Offer or at
+// the file's end, and every goroutine of the failed session must be gone
+// afterwards.
 func TestEngineFaultMidFileReachesTheSender(t *testing.T) {
 	srv, eng, addr := startServer(t, nil)
 	baseline := runtime.NumGoroutine()
@@ -422,48 +421,6 @@ func TestEngineFaultMidFileReachesTheSender(t *testing.T) {
 			t.Fatalf("PutFile error = %v, want the engine's fault as an `ingest of \"gen2\" failed` frame", err)
 		}
 	})
-	t.Run("peer", func(t *testing.T) {
-		// The migrate plane has no acks to pace the sender, so the test
-		// does: exactly the batch whose first chunk meets the fault, then
-		// one frame at a time. The first lets the pipeline finish the chunk
-		// it is cutting; the next must come back as the engine's error. (A
-		// frame may slip in between the fault and the teardown that follows
-		// it, so a few are allowed — 4 chunks each, far fewer than the batch
-		// a producer polling per batch would wait for.)
-		conn, write, _ := rawConn(t, addr)
-		write(wire.TypeHello, wire.Hello{Mode: wire.ModePeer}.Marshal())
-		write(wire.TypeMigrateBegin, wire.MigrateBegin{Name: "gen3"}.Marshal())
-		const frame = 64 << 10
-		for off := 0; off < batch; off += frame {
-			write(wire.TypeMigrateData, wire.MigrateData{Data: data[off : off+frame]}.Marshal())
-		}
-		<-faulted
-		reply := make(chan wire.Frame, 1)
-		go func() {
-			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-			for {
-				f, err := wire.ReadFrame(conn, wire.DefaultMaxPayload)
-				if err != nil || f.Type != wire.TypeHelloOK {
-					reply <- f
-					return
-				}
-			}
-		}()
-		for range 8 {
-			write(wire.TypeMigrateData, wire.MigrateData{Data: data[:frame]}.Marshal())
-			select {
-			case f := <-reply:
-				em := expectError(t, f, wire.CodeInternal, false)
-				if !strings.Contains(em.Msg, "manifest unreadable") {
-					t.Fatalf("migration error %q does not carry the engine's fault", em.Msg)
-				}
-				return
-			case <-time.After(200 * time.Millisecond):
-			}
-		}
-		t.Fatal("the engine's fault never reached the sender: the pipeline's teardown is waiting for the stream to fill a batch")
-	})
-
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

@@ -13,28 +13,28 @@ import (
 )
 
 // feed is one file streaming into the engine on its own goroutine, plus the
-// running total and hash its sender's closing claim is checked against.
-// Each plane feeds it what its sender holds. A client session puts chunk
-// runs — an applied Offer's chunks under the client's cuts and digests, each
-// verified against its digest on receipt — which the engine takes as given;
-// the claim is a SHA-1 over the digests. A migrating gateway holds restored
-// bytes and no cuts, so it writes raw bytes into a pipe the engine chunks
-// itself; the claim is a SHA-1 over the stream. Either way the engine sees
-// the end of the stream — and so commits a manifest under the name — only
-// from finish, and only after that claim checked out; every other way out
-// is cancel, which commits nothing.
+// running total and hash its sender's closing claim is checked against. Its
+// one input is chunk runs — an applied Offer's chunks under the client's
+// cuts and digests, each verified against its digest on receipt — which the
+// engine takes as given; the claim is a SHA-1 over the digests. A migrating
+// gateway is such a client too, so a shard never chunks. The engine sees the
+// end of the stream — and so commits a manifest under the name — only from
+// finish, and only after that claim checked out; every other way out is
+// cancel, which commits nothing.
 type feed struct {
 	name string
 	hash *hashutil.Hasher
 	fed  uint64
-	stop context.CancelFunc
-	done chan struct{} // closed when the engine has returned err
-	err  error
+	// cancel tears down a feed that must not commit (connection loss,
+	// expiry, protocol error, a refused finish, an abandoned file): both
+	// ends of the feed watch its context.
+	cancel context.CancelFunc
+	done   chan struct{} // closed when the engine has returned err
+	err    error
 
-	pw    *io.PipeWriter          // the migrate plane's input
-	runs  chan []core.HashedChunk // the client plane's input, and for it:
-	wait  *metrics.Histogram      // how long put waited to hand a run over
-	short bool                    // the last chunk put was below the chunker's minimum
+	runs  chan []core.HashedChunk
+	wait  *metrics.Histogram // how long put waited to hand a run over
+	short bool               // the last chunk put was below the chunker's minimum
 }
 
 // feedRunsAhead is how many applied Offers may wait for the engine, enough
@@ -45,24 +45,14 @@ const feedRunsAhead = 2
 // errFeedClaim marks finish's refusals, which say what did not match.
 var errFeedClaim = errors.New("stream is not what its sender declared")
 
-// start runs ingest, which consumes f's input until ctx is cancelled, on its
-// own goroutine.
-func (f *feed) start(ctx context.Context, ingest func(context.Context) error) *feed {
-	ctx, f.stop = context.WithCancel(ctx)
-	f.hash, f.done = hashutil.NewHasher(), make(chan struct{})
+// beginFeed starts sess ingesting name, on its own goroutine, from the runs
+// put into the feed until ctx is cancelled.
+func beginFeed(ctx context.Context, sess *core.Session, name string, wait *metrics.Histogram) *feed {
+	f := &feed{name: name, hash: hashutil.NewHasher(), done: make(chan struct{}),
+		runs: make(chan []core.HashedChunk, feedRunsAhead), wait: wait}
+	ctx, f.cancel = context.WithCancel(ctx)
 	go func() {
-		f.err = ingest(ctx)
-		f.stop()
-		close(f.done)
-	}()
-	return f
-}
-
-// beginChunkFeed starts sess ingesting name from the runs put into the feed.
-func beginChunkFeed(ctx context.Context, sess *core.Session, name string, wait *metrics.Histogram) *feed {
-	f := &feed{name: name, runs: make(chan []core.HashedChunk, feedRunsAhead), wait: wait}
-	return f.start(ctx, func(ctx context.Context) error {
-		return sess.PutChunksContext(ctx, name, func() ([]core.HashedChunk, error) {
+		f.err = sess.PutChunksContext(ctx, name, func() ([]core.HashedChunk, error) {
 			select {
 			case run, ok := <-f.runs:
 				if !ok {
@@ -73,17 +63,10 @@ func beginChunkFeed(ctx context.Context, sess *core.Session, name string, wait *
 				return nil, ctx.Err()
 			}
 		})
-	})
-}
-
-// beginByteFeed starts sess ingesting name from the bytes written to the feed.
-func beginByteFeed(ctx context.Context, sess *core.Session, name string) *feed {
-	pr, pw := io.Pipe()
-	return (&feed{name: name, pw: pw}).start(ctx, func(ctx context.Context) error {
-		err := sess.PutFileContext(ctx, name, pr)
-		pr.CloseWithError(err) // a writer still feeding the pipe meets the engine's error
-		return err
-	})
+		f.cancel()
+		close(f.done)
+	}()
+	return f
 }
 
 // put hands one run of verified chunks to the engine, waiting while
@@ -104,17 +87,6 @@ func (f *feed) put(run []core.HashedChunk) error {
 	return nil
 }
 
-// write pushes raw bytes into the engine. It fails, with the engine's error,
-// once the engine has stopped reading.
-func (f *feed) write(data []byte) error {
-	if _, err := f.pw.Write(data); err != nil {
-		return err
-	}
-	f.hash.Write(data)
-	f.fed += uint64(len(data))
-	return nil
-}
-
 // finish checks the sender's declared size and sum against what actually
 // arrived, and only then lets the engine see EOF and waits for it: a
 // mismatched stream (errFeedClaim) is cancelled before the engine can
@@ -131,21 +103,7 @@ func (f *feed) finish(total uint64, sum hashutil.Sum) error {
 		f.cancel()
 		return err
 	}
-	if f.pw != nil {
-		f.pw.Close()
-	} else {
-		close(f.runs)
-	}
+	close(f.runs)
 	<-f.done
 	return f.err
-}
-
-// cancel tears down a feed that must not commit (connection loss, expiry,
-// protocol error, a refused finish): the engine is cancelled, which both
-// ends of a chunk feed watch for, and a pipe is broken.
-func (f *feed) cancel() {
-	f.stop()
-	if f.pw != nil {
-		f.pw.CloseWithError(context.Canceled)
-	}
 }

@@ -2,9 +2,10 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
-	"mhdedup/internal/hashutil"
+	"mhdedup/internal/client"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/wire"
 )
@@ -20,107 +21,31 @@ func peerConn(t *testing.T, addr string) (func(uint8, []byte), func() wire.Frame
 	return write, read
 }
 
-// migrateFile drives a whole MigrateBegin→Data→End exchange by hand.
-func migrateFile(t *testing.T, write func(uint8, []byte), read func() wire.Frame,
-	name string, data []byte) wire.Frame {
-	t.Helper()
-	write(wire.TypeMigrateBegin, wire.MigrateBegin{Name: name}.Marshal())
-	for off := 0; off < len(data); off += 64 << 10 {
-		end := off + 64<<10
-		if end > len(data) {
-			end = len(data)
-		}
-		write(wire.TypeMigrateData, wire.MigrateData{Data: data[off:end]}.Marshal())
-	}
-	write(wire.TypeMigrateEnd, wire.MigrateEnd{
-		TotalBytes: uint64(len(data)),
-		Sum:        hashutil.SumBytes(data),
-	}.Marshal())
-	return read()
-}
-
-// TestPeerMigrateIngest: a file streamed over the peer plane lands in the
-// shard's engine bit-identical, restorable like any locally ingested file,
-// and re-migrating the same name is a cheap dedup overwrite, not an error.
-func TestPeerMigrateIngest(t *testing.T) {
-	_, eng, addr := startServer(t, nil)
-	write, read := peerConn(t, addr)
-
-	data := genData(11, 1<<20)
-	const name = "acme/m00/disk.img"
-	if f := migrateFile(t, write, read, name, data); f.Type != wire.TypeMigrateOK {
-		t.Fatalf("expected MigrateOK, got %s", wire.TypeName(f.Type))
-	}
-
-	var got bytes.Buffer
-	if err := eng.Restore(name, &got); err != nil {
-		t.Fatalf("restore of migrated file: %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), data) {
-		t.Fatal("migrated file restored with different bytes")
-	}
-
-	// Second migration of the same name (repair converging on a shard that
-	// already has the file) must succeed, not trip a protocol error.
-	if f := migrateFile(t, write, read, name, data); f.Type != wire.TypeMigrateOK {
-		t.Fatalf("re-migrate: expected MigrateOK, got %s", wire.TypeName(f.Type))
-	}
-}
-
-// TestPeerMigrateBadSum: a stream whose declared sum does not match the
-// received bytes is rejected with an integrity error and the manifest is
-// never committed under the name.
-func TestPeerMigrateBadSum(t *testing.T) {
-	_, eng, addr := startServer(t, nil)
-	write, read := peerConn(t, addr)
-
-	data := genData(12, 256<<10)
-	const name = "acme/m00/bad.img"
-	write(wire.TypeMigrateBegin, wire.MigrateBegin{Name: name}.Marshal())
-	write(wire.TypeMigrateData, wire.MigrateData{Data: data}.Marshal())
-	write(wire.TypeMigrateEnd, wire.MigrateEnd{
-		TotalBytes: uint64(len(data)),
-		Sum:        hashutil.SumString("not the stream's hash"),
-	}.Marshal())
-	expectError(t, read(), wire.CodeIntegrity, false)
-
-	var sink bytes.Buffer
-	if err := eng.Restore(name, &sink); err == nil {
-		t.Fatal("sum-mismatched migration still restorable under its name")
-	}
-}
-
-// TestPeerMigrateProtocol: stream frames outside a migration, and a
-// nested Begin, are protocol errors.
+// TestPeerMigrateProtocol: frame types 22–25 carried the byte-stream
+// migration, which is gone — a migration is an ingest session. A shard
+// refuses each of them on a peer connection as a protocol error, whatever
+// the payload, and commits nothing.
 func TestPeerMigrateProtocol(t *testing.T) {
-	_, _, addr := startServer(t, nil)
-
-	write, read := peerConn(t, addr)
-	write(wire.TypeMigrateData, wire.MigrateData{Data: []byte("x")}.Marshal())
-	expectError(t, read(), wire.CodeProtocol, false)
-
-	write, read = peerConn(t, addr)
-	write(wire.TypeMigrateEnd, wire.MigrateEnd{}.Marshal())
-	expectError(t, read(), wire.CodeProtocol, false)
-
-	write, read = peerConn(t, addr)
-	write(wire.TypeMigrateBegin, wire.MigrateBegin{Name: "t/a"}.Marshal())
-	write(wire.TypeMigrateBegin, wire.MigrateBegin{Name: "t/b"}.Marshal())
-	expectError(t, read(), wire.CodeProtocol, false)
+	_, eng, addr := startServer(t, nil)
+	for retired := uint8(22); retired <= 25; retired++ {
+		write, read := peerConn(t, addr)
+		write(retired, []byte("acme/m00/disk.img"))
+		expectError(t, read(), wire.CodeProtocol, false)
+	}
+	if names := eng.Disk().Names(simdisk.FileManifest); len(names) != 0 {
+		t.Fatalf("retired frames committed %v", names)
+	}
 }
 
 // TestPeerFileDropAndStat: FileDrop removes the manifest (idempotently —
 // dropping an absent name is success), and FileStat answers presence for
 // a batch of names in order.
 func TestPeerFileDropAndStat(t *testing.T) {
-	_, eng, addr := startServer(t, nil)
+	srv, eng, addr := startServer(t, nil)
 	write, read := peerConn(t, addr)
 
-	data := genData(13, 128<<10)
 	const name = "acme/m00/drop.img"
-	if f := migrateFile(t, write, read, name, data); f.Type != wire.TypeMigrateOK {
-		t.Fatalf("expected MigrateOK, got %s", wire.TypeName(f.Type))
-	}
+	putFiles(t, srv, addr, map[string][]byte{name: genData(13, 128<<10)})
 
 	stat := func(names ...string) []bool {
 		t.Helper()
@@ -158,4 +83,49 @@ func TestPeerFileDropAndStat(t *testing.T) {
 		t.Fatal("dropped file still reported present")
 	}
 	drop() // second drop of the same name: idempotent success
+}
+
+// failingReader returns its data up to the failure point, then err.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestPutFileReadFailureFreesSession: a PutFile whose reader fails halfway
+// returns the read error, and the Close after it still closes in order —
+// the server abandons the half-fed file, commits nothing under the name
+// and frees the session at once, not after ResumeTimeout. The same name
+// then puts cleanly on a new session.
+func TestPutFileReadFailureFreesSession(t *testing.T) {
+	srv, eng, addr := startServer(t, nil)
+	data := genData(14, 1<<20+300<<10)
+	broken := errors.New("disk unreadable")
+	ing, err := client.Connect(clientConfig(srv, addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.PutFile("half", &failingReader{data: data[:len(data)/2], err: broken}); !errors.Is(err, broken) {
+		t.Fatalf("PutFile = %v, want the reader's error", err)
+	}
+	ing.Close()
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions after Close of a session whose file failed to read", n)
+	}
+	if eng.Disk().Exists(simdisk.FileManifest, "half") {
+		t.Fatal("a file whose reader failed was committed")
+	}
+	putFiles(t, srv, addr, map[string][]byte{"half": data})
+	var got bytes.Buffer
+	if err := eng.Restore("half", &got); err != nil || !bytes.Equal(got.Bytes(), data) {
+		t.Fatalf("re-put after the failed read restores %d bytes, %v", got.Len(), err)
+	}
 }

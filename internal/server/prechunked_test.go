@@ -321,7 +321,7 @@ func TestChunkFeedCancelUnblocksPut(t *testing.T) {
 		return nil
 	})
 	baseline := runtime.NumGoroutine()
-	f := beginChunkFeed(context.Background(), eng.NewSession(), "f", metrics.NewRegistry().Histogram("wait"))
+	f := beginFeed(context.Background(), eng.NewSession(), "f", metrics.NewRegistry().Histogram("wait"))
 	if err := f.put(run(0)); err != nil {
 		t.Fatal(err)
 	}

@@ -188,8 +188,6 @@ type Server struct {
 	cPeerServed     *atomic.Int64
 	cPeerMissed     *atomic.Int64
 	cPeerPut        *atomic.Int64
-	cMigratedIn     *atomic.Int64
-	cMigratedBytes  *atomic.Int64
 	cFileDrops      *atomic.Int64
 	cOffersRefused  *atomic.Int64 // Offers refused for a cut outside the chunker's bounds
 
@@ -260,8 +258,6 @@ func New(cfg Config) (*Server, error) {
 	s.cPeerServed = r.Counter("server.peer.chunks_served")
 	s.cPeerMissed = r.Counter("server.peer.chunks_missed")
 	s.cPeerPut = r.Counter("server.peer.chunks_put")
-	s.cMigratedIn = r.Counter("server.migrate.files_in")
-	s.cMigratedBytes = r.Counter("server.migrate.bytes_in")
 	s.cFileDrops = r.Counter("server.migrate.drops")
 	s.cOffersRefused = r.Counter("server.offers.refused_bounds")
 	s.hFrame = map[uint8]*metrics.Histogram{
@@ -502,33 +498,15 @@ const peerChunkOverhead = 8
 // is always a correct answer. Chunks arriving by PeerPut are re-hashed
 // here: a trusted link is still not a trusted computation, and a cache
 // poisoned with bytes filed under the wrong address would silently
-// corrupt every later negotiation that hits it.
+// corrupt every later negotiation that hits it. Rebalance and repair add
+// two file-level requests: FileStat answers which of a batch of names the
+// shard holds, FileDrop forgets one. The copies they make arrive as
+// ordinary ingest sessions, so every peer frame is a request.
 func (s *Server) servePeerConn(c *session.Conn) {
-	// At most one migrated-file ingest streams per peer connection; if the
-	// connection dies mid-stream the half-fed file must be aborted, never
-	// committed.
-	var mig *feed
-	defer func() {
-		if mig != nil {
-			mig.cancel()
-		}
-	}()
 	for {
-		// Between requests the connection is Drain's to close; inside a
-		// migrated file's stream it is not.
-		read := c.ReadRequest
-		if mig != nil {
-			read = c.Read
-		}
-		f, err := read()
+		f, err := c.ReadRequest()
 		if err != nil {
 			return
-		}
-		if handled, fatal := s.handleMigrateFrames(f, &mig, c); handled {
-			if fatal {
-				return
-			}
-			continue
 		}
 		switch f.Type {
 		case wire.TypePeerFetch:
@@ -572,6 +550,39 @@ func (s *Server) servePeerConn(c *session.Conn) {
 			}
 			s.cPeerPut.Add(int64(len(pp.Chunks)))
 			if err := c.Write(wire.TypePeerPutOK, nil); err != nil {
+				return
+			}
+		case wire.TypeFileDrop:
+			fd, err := wire.UnmarshalFileDrop(f.Payload)
+			if err != nil {
+				c.Errorf(wire.CodeProtocol, false, "bad FileDrop: %v", err)
+				return
+			}
+			disk := s.cfg.Engine.Disk()
+			if disk.Exists(simdisk.FileManifest, fd.Name) {
+				if err := disk.Delete(simdisk.FileManifest, fd.Name); err != nil {
+					c.Errorf(wire.CodeInternal, true, "drop %q: %v", fd.Name, err)
+					return
+				}
+				s.cFileDrops.Add(1)
+				s.cfg.Events.Info("server.file_drop", events.F("name", fd.Name))
+			}
+			// Dropping an absent file is success: the caller wants "gone".
+			if err := c.Write(wire.TypeFileDropOK, nil); err != nil {
+				return
+			}
+		case wire.TypeFileStat:
+			fs, err := wire.UnmarshalFileStat(f.Payload)
+			if err != nil {
+				c.Errorf(wire.CodeProtocol, false, "bad FileStat: %v", err)
+				return
+			}
+			disk := s.cfg.Engine.Disk()
+			resp := wire.FileStatOK{Present: make([]bool, len(fs.Names))}
+			for i, n := range fs.Names {
+				resp.Present[i] = disk.Exists(simdisk.FileManifest, n)
+			}
+			if err := c.Write(wire.TypeFileStatOK, resp.Marshal()); err != nil {
 				return
 			}
 		case wire.TypeClose:

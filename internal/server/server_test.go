@@ -218,8 +218,7 @@ func TestChunkDataHashMismatchIsIntegrityError(t *testing.T) {
 // TestFileEndBadSumCommitsNothing: a file whose FileEnd declares a sum or a
 // size the reassembled stream does not have is refused with an integrity
 // error before the engine may commit it — afterwards the name neither
-// restores nor lists. (The peer plane's twin is TestPeerMigrateBadSum; both
-// planes drive the one feed.)
+// restores nor lists.
 func TestFileEndBadSumCommitsNothing(t *testing.T) {
 	data := ch('z', 2048)
 	honest := wire.FileEnd{Seq: 3, TotalBytes: uint64(len(data)), Sum: hashutil.SumBytes(data)}

@@ -255,7 +255,7 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 			ss.fileMu.Unlock()
 			return session.Fatalf(wire.CodeProtocol, "FileBegin %q while %q is open", pc.begin.Name, open)
 		}
-		ss.file = beginChunkFeed(ss.ctx, ss.eng, wire.NSJoin(ss.tenant, pc.begin.Name), ss.srv.hFeedWait)
+		ss.file = beginFeed(ss.ctx, ss.eng, wire.NSJoin(ss.tenant, pc.begin.Name), ss.srv.hFeedWait)
 		ss.fileMu.Unlock()
 		return nil
 
@@ -309,14 +309,14 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 }
 
 // closeRequested finalizes the session on an orderly Close: every command
-// must already be applied and no file may be open.
+// must already be applied. A file still open is abandoned, committing
+// nothing: its sender stopped mid-file (a reader that failed) and says so
+// by closing instead of sending its FileEnd.
 func (ss *ingestSession) closeRequested() error {
-	if f := ss.currentFile(); f != nil {
-		return session.Fatalf(wire.CodeProtocol, "Close with file %q still open", f.name)
-	}
 	if len(ss.pending) != 0 {
 		return session.Fatalf(wire.CodeProtocol, "Close with %d commands unapplied", len(ss.pending))
 	}
+	ss.abortOpenFile()
 	return nil
 }
 

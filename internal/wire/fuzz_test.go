@@ -21,6 +21,9 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add(AppendFrame(nil, TypeListReq, nil))
 	f.Add(AppendFrame(nil, TypeClose, nil))
+	for retired := uint8(22); retired <= 25; retired++ { // no payload grammar any more
+		f.Add(AppendFrame(nil, retired, []byte("x")))
+	}
 	f.Add([]byte("MHDW garbage"))
 	f.Add(make([]byte, HeaderSize+TrailerSize))
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -102,20 +105,13 @@ func UnmarshalAny(f Frame) (any, error) {
 		return UnmarshalPeerChunks(f.Payload)
 	case TypePeerPut:
 		return UnmarshalPeerPut(f.Payload)
-	case TypeMigrateBegin:
-		return UnmarshalMigrateBegin(f.Payload)
-	case TypeMigrateData:
-		return UnmarshalMigrateData(f.Payload)
-	case TypeMigrateEnd:
-		return UnmarshalMigrateEnd(f.Payload)
 	case TypeFileDrop:
 		return UnmarshalFileDrop(f.Payload)
 	case TypeFileStat:
 		return UnmarshalFileStat(f.Payload)
 	case TypeFileStatOK:
 		return UnmarshalFileStatOK(f.Payload)
-	case TypeListReq, TypeClose, TypeCloseOK, TypePeerPutOK, TypeMigrateOK,
-		TypeFileDropOK:
+	case TypeListReq, TypeClose, TypeCloseOK, TypePeerPutOK, TypeFileDropOK:
 		if len(f.Payload) != 0 {
 			return nil, ErrTrailing
 		}

@@ -38,9 +38,6 @@ var wireFormat = map[uint8]struct {
 	TypePeerFetch:    {"00000002fe05bcdcdc4928012781a5f1a2a77cbb5398e10600001000ad782ecdac770fc6eb9a62e44f90873fb97fb26b00000007", 1},
 	TypePeerChunks:   {"00000002000000000000000200000002000000036162630000000478797a31", 2},
 	TypePeerPut:      {"000000020000000b6368756e6b20627974657300000000", 1},
-	TypeMigrateBegin: {"01000c61636d652f6d30302f643031", 1},
-	TypeMigrateData:  {"0000000e7261772066696c65206279746573", 0},
-	TypeMigrateEnd:   {"0000000200000000fe05bcdcdc4928012781a5f1a2a77cbb5398e106", 0},
 	TypeFileDrop:     {"01000c61636d652f6d30302f643031", 1},
 	TypeFileStat:     {"0100000002000661636d652f61000162", 2},
 	TypeFileStatOK:   {"000000020100", 1},
@@ -87,9 +84,7 @@ func TestCodecAllocs(t *testing.T) {
 		TypeRestoreRange: allocsOf(UnmarshalRestoreRange), TypeRestoreData: allocsOf(UnmarshalRestoreData),
 		TypeRestoreEnd: allocsOf(UnmarshalRestoreEnd), TypeListResp: allocsOf(UnmarshalListResp),
 		TypePeerFetch: allocsOf(UnmarshalPeerFetch), TypePeerChunks: allocsOf(UnmarshalPeerChunks),
-		TypePeerPut: allocsOf(UnmarshalPeerPut), TypeMigrateBegin: allocsOf(UnmarshalMigrateBegin),
-		TypeMigrateData: allocsOf(UnmarshalMigrateData), TypeMigrateEnd: allocsOf(UnmarshalMigrateEnd),
-		TypeFileDrop: allocsOf(UnmarshalFileDrop), TypeFileStat: allocsOf(UnmarshalFileStat),
+		TypePeerPut: allocsOf(UnmarshalPeerPut), TypeFileDrop: allocsOf(UnmarshalFileDrop), TypeFileStat: allocsOf(UnmarshalFileStat),
 		TypeFileStatOK: allocsOf(UnmarshalFileStatOK),
 	}
 	for _, tc := range sampleMessages() {

@@ -1,85 +1,19 @@
-// Replica/migrate plane payloads. These frames ride ModePeer connections
-// between a cluster gateway and a shard during rebalance and replication
-// repair: MigrateBegin/MigrateData/MigrateEnd stream a whole file into the
-// target shard's engine (which re-chunks and dedups the byte stream itself,
-// so no chunker-options handshake is needed on this interior link),
+// Replica plane payloads. These frames ride ModePeer connections between a
+// cluster gateway and a shard during rebalance and replication repair:
 // FileStat batch-checks which files a shard holds, and FileDrop forgets a
-// file that finished migrating off a drained shard.
+// file that finished migrating off a drained shard. The copy itself is an
+// ordinary ingest session, so it has no frames of its own here.
 //
 // Every request grammar is versioned like RestoreRange: the shard rejects
 // a version it does not speak instead of misparsing it, so the plane can
 // grow fields without a flag day.
 package wire
 
-import "mhdedup/internal/hashutil"
-
-// migrateVersion versions the MigrateBegin payload grammar.
-const migrateVersion uint8 = 1
-
 // fileDropVersion versions the FileDrop payload grammar.
 const fileDropVersion uint8 = 1
 
 // fileStatVersion versions the FileStat payload grammar.
 const fileStatVersion uint8 = 1
-
-// MigrateBegin starts one migrated-file ingest on a shard. Name is the
-// full (already tenant-namespaced) store name — migration is an interior
-// operation, so no tenant scoping is applied by the receiving shard.
-type MigrateBegin struct {
-	Name string
-}
-
-func (m *MigrateBegin) fields(c *codec) *codec {
-	return c.version(migrateVersion, "MigrateBegin").str(&m.Name).refuse(m.Name == "", "MigrateBegin with empty name")
-}
-
-// Marshal encodes m as a TypeMigrateBegin payload.
-func (m MigrateBegin) Marshal() []byte { return m.fields(m.fields(&codec{}).encoder()).buf }
-
-// UnmarshalMigrateBegin decodes a TypeMigrateBegin payload.
-func UnmarshalMigrateBegin(p []byte) (MigrateBegin, error) {
-	var m MigrateBegin
-	err := m.fields(decoder(p)).done()
-	return m, err
-}
-
-// MigrateData carries one in-order run of the migrating file's bytes.
-type MigrateData struct {
-	Data []byte
-}
-
-func (d *MigrateData) fields(c *codec) *codec { return c.blob(&d.Data) }
-
-// Marshal encodes d as a TypeMigrateData payload.
-func (d MigrateData) Marshal() []byte { return d.fields(d.fields(&codec{}).encoder()).buf }
-
-// UnmarshalMigrateData decodes a TypeMigrateData payload. The returned
-// bytes alias the payload; callers that retain them must copy.
-func UnmarshalMigrateData(p []byte) (MigrateData, error) {
-	var d MigrateData
-	err := d.fields(decoder(p)).done()
-	return d, err
-}
-
-// MigrateEnd closes the migrated stream, declaring its whole-file size
-// and SHA-1 so the receiving shard can refuse a short or corrupted copy
-// before acknowledging it with MigrateOK.
-type MigrateEnd struct {
-	TotalBytes uint64
-	Sum        hashutil.Sum
-}
-
-func (e *MigrateEnd) fields(c *codec) *codec { return c.u64(&e.TotalBytes).hash(&e.Sum) }
-
-// Marshal encodes e as a TypeMigrateEnd payload.
-func (e MigrateEnd) Marshal() []byte { return e.fields(e.fields(&codec{}).encoder()).buf }
-
-// UnmarshalMigrateEnd decodes a TypeMigrateEnd payload.
-func UnmarshalMigrateEnd(p []byte) (MigrateEnd, error) {
-	var e MigrateEnd
-	err := e.fields(decoder(p)).done()
-	return e, err
-}
 
 // FileDrop asks a shard to forget one (fully namespaced) file — the final
 // step of migrating it off a drained shard. Dropping a file the shard

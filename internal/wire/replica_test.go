@@ -4,32 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
-
-	"mhdedup/internal/hashutil"
 )
-
-func TestMigrateBeginRejectsBadInput(t *testing.T) {
-	good := MigrateBegin{Name: "t/x"}.Marshal()
-	if _, err := UnmarshalMigrateBegin(good); err != nil {
-		t.Fatalf("good payload rejected: %v", err)
-	}
-	cases := map[string][]byte{
-		"empty":        {},
-		"bad version":  append([]byte{99}, good[1:]...),
-		"empty name":   MigrateBegin{Name: ""}.Marshal(),
-		"truncated":    good[:len(good)-1],
-		"trailing":     append(append([]byte{}, good...), 0),
-		"length lies":  {migrateVersion, 0xff, 0xff, 'x'},
-		"oversize len": append([]byte{migrateVersion}, putU16(nil, MaxNameLen+1)...),
-	}
-	for name, p := range cases {
-		if _, err := UnmarshalMigrateBegin(p); err == nil {
-			t.Errorf("%s: accepted %x", name, p)
-		}
-	}
-}
 
 func TestFileDropRejectsBadInput(t *testing.T) {
 	good := FileDrop{Name: "t/x"}.Marshal()
@@ -45,40 +23,6 @@ func TestFileDropRejectsBadInput(t *testing.T) {
 		if _, err := UnmarshalFileDrop(p); err == nil {
 			t.Errorf("%s: accepted %x", name, p)
 		}
-	}
-}
-
-func TestMigrateEndRoundTripAndBounds(t *testing.T) {
-	e := MigrateEnd{TotalBytes: 1<<40 + 7, Sum: hashutil.SumString("s")}
-	got, err := UnmarshalMigrateEnd(e.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != e {
-		t.Fatalf("round trip: got %+v want %+v", got, e)
-	}
-	if _, err := UnmarshalMigrateEnd(e.Marshal()[:10]); err == nil {
-		t.Error("truncated MigrateEnd accepted")
-	}
-	if _, err := UnmarshalMigrateEnd(append(e.Marshal(), 1)); err == nil {
-		t.Error("trailing MigrateEnd accepted")
-	}
-}
-
-func TestMigrateDataAliasesAndBounds(t *testing.T) {
-	d := MigrateData{Data: []byte("payload bytes here")}
-	got, err := UnmarshalMigrateData(d.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Data, d.Data) {
-		t.Fatalf("round trip: got %q", got.Data)
-	}
-	// A blob length claiming more bytes than the payload holds must fail,
-	// not allocate.
-	bad := putU32(nil, 1<<30)
-	if _, err := UnmarshalMigrateData(bad); err == nil {
-		t.Error("oversize blob length accepted")
 	}
 }
 
@@ -123,16 +67,14 @@ func TestFileStatOKHostileCount(t *testing.T) {
 	}
 }
 
-// TestReplicaFramesDispatch pins that UnmarshalAny routes every new frame
-// type and that the bare ack frames demand empty payloads.
+// TestReplicaFramesDispatch pins that UnmarshalAny routes every replica
+// plane frame type, that the bare ack frame demands an empty payload, and
+// that the retired numbers 22–25 decode as no frame at all.
 func TestReplicaFramesDispatch(t *testing.T) {
 	for _, tc := range []struct {
 		t   uint8
 		msg interface{ Marshal() []byte }
 	}{
-		{TypeMigrateBegin, MigrateBegin{Name: "x"}},
-		{TypeMigrateData, MigrateData{Data: []byte("d")}},
-		{TypeMigrateEnd, MigrateEnd{TotalBytes: 1}},
 		{TypeFileDrop, FileDrop{Name: "x"}},
 		{TypeFileStat, FileStat{Names: []string{"x"}}},
 		{TypeFileStatOK, FileStatOK{Present: []bool{true}}},
@@ -141,37 +83,43 @@ func TestReplicaFramesDispatch(t *testing.T) {
 			t.Errorf("%s: dispatch failed: %v", TypeName(tc.t), err)
 		}
 	}
-	for _, bare := range []uint8{TypeMigrateOK, TypeFileDropOK} {
-		if _, err := UnmarshalAny(Frame{Type: bare, Payload: nil}); err != nil {
-			t.Errorf("%s: empty payload rejected: %v", TypeName(bare), err)
+	if _, err := UnmarshalAny(Frame{Type: TypeFileDropOK, Payload: nil}); err != nil {
+		t.Errorf("FileDropOK: empty payload rejected: %v", err)
+	}
+	if _, err := UnmarshalAny(Frame{Type: TypeFileDropOK, Payload: []byte{1}}); err == nil {
+		t.Error("FileDropOK: non-empty payload accepted")
+	}
+	for retired := uint8(22); retired <= 25; retired++ {
+		if _, err := UnmarshalAny(Frame{Type: retired}); err == nil {
+			t.Errorf("retired frame type %d decoded", retired)
 		}
-		if _, err := UnmarshalAny(Frame{Type: bare, Payload: []byte{1}}); err == nil {
-			t.Errorf("%s: non-empty payload accepted", TypeName(bare))
+		if name := TypeName(retired); name != fmt.Sprintf("type%d", retired) {
+			t.Errorf("retired frame type %d is named %s", retired, name)
 		}
 	}
 }
 
-// FuzzWireReplicaDecode hammers the replica/migrate-plane decoders with
+// FuzzWireReplicaDecode hammers the replica-plane decoders with
 // hostile counts, truncation and oversize fields, and checks the
 // canonical-encode invariant: any payload a decoder accepts must
 // re-encode byte-identically.
 func FuzzWireReplicaDecode(f *testing.F) {
-	f.Add(uint8(TypeMigrateBegin), MigrateBegin{Name: "t/file"}.Marshal())
-	f.Add(uint8(TypeMigrateData), MigrateData{Data: []byte("bytes")}.Marshal())
-	f.Add(uint8(TypeMigrateEnd), MigrateEnd{TotalBytes: 42, Sum: hashutil.SumString("x")}.Marshal())
 	f.Add(uint8(TypeFileDrop), FileDrop{Name: "t/file"}.Marshal())
 	f.Add(uint8(TypeFileStat), FileStat{Names: []string{"a", "b", "c"}}.Marshal())
 	f.Add(uint8(TypeFileStatOK), FileStatOK{Present: []bool{true, false}}.Marshal())
-	// Structured garbage: hostile count, truncated string, huge blob.
+	f.Add(uint8(TypeFileDropOK), []byte{})
+	// Structured garbage: hostile counts, truncated strings, a bad version.
 	hostile := []byte{fileStatVersion}
 	hostile = binary.BigEndian.AppendUint32(hostile, 0xffffffff)
 	f.Add(uint8(TypeFileStat), hostile)
-	f.Add(uint8(TypeMigrateBegin), []byte{migrateVersion, 0xff, 0xff})
-	f.Add(uint8(TypeMigrateData), binary.BigEndian.AppendUint32(nil, 1<<31))
+	f.Add(uint8(TypeFileDrop), []byte{fileDropVersion, 0xff, 0xff})
+	f.Add(uint8(TypeFileStatOK), binary.BigEndian.AppendUint32(nil, 1<<31))
+	f.Add(uint8(TypeFileStat), []byte{fileStatVersion, 0, 0, 0, 1, 0, 9, 'x'})
+	f.Add(uint8(TypeFileDrop), []byte{fileDropVersion + 1, 0, 1, 'x'})
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		ft := typ
-		if ft < TypeMigrateBegin || ft > TypeFileStatOK {
-			ft = TypeMigrateBegin + typ%(TypeFileStatOK-TypeMigrateBegin+1)
+		if ft < TypeFileDrop || ft > TypeFileStatOK {
+			ft = TypeFileDrop + typ%(TypeFileStatOK-TypeFileDrop+1)
 		}
 		msg, err := UnmarshalAny(Frame{Type: ft, Payload: payload})
 		if err != nil || msg == nil {

@@ -99,20 +99,15 @@ const (
 	// Ranged restore (recipe trees make the seek O(log n) server-side).
 	TypeRestoreRange uint8 = 21 // client → server: restore a byte range
 
-	// Replica/migrate plane (gateway ⇄ shard, ModePeer). Used by shard
-	// rebalance and replication repair: the gateway streams a file it
-	// restored from one shard into another shard's engine (which chunks
-	// and dedups the stream itself — no chunker handshake is needed on
-	// this interior link), batch-checks file presence, and
-	// drops a fully-migrated file from its drained source.
-	TypeMigrateBegin uint8 = 22 // gateway → shard: start migrated-file ingest
-	TypeMigrateData  uint8 = 23 // gateway → shard: run of file bytes
-	TypeMigrateEnd   uint8 = 24 // gateway → shard: stream done (size + sum)
-	TypeMigrateOK    uint8 = 25 // shard → gateway: file ingested + durable
-	TypeFileDrop     uint8 = 26 // gateway → shard: forget a migrated file
-	TypeFileDropOK   uint8 = 27 // shard → gateway: dropped (or never had it)
-	TypeFileStat     uint8 = 28 // gateway → shard: which of these files exist?
-	TypeFileStatOK   uint8 = 29 // shard → gateway: presence bitmap
+	// Replica plane (gateway ⇄ shard, ModePeer). Used by shard rebalance
+	// and replication repair, which copy a file as an ordinary ingest
+	// session: the gateway batch-checks file presence, and drops a fully
+	// migrated file from its drained source. Numbers 22–25 were the four
+	// frames of a byte-stream migration; they are retired, never reused.
+	TypeFileDrop   uint8 = 26 // gateway → shard: forget a migrated file
+	TypeFileDropOK uint8 = 27 // shard → gateway: dropped (or never had it)
+	TypeFileStat   uint8 = 28 // gateway → shard: which of these files exist?
+	TypeFileStatOK uint8 = 29 // shard → gateway: presence bitmap
 )
 
 // typeNames renders frame types for errors and traces.
@@ -126,9 +121,7 @@ var typeNames = map[uint8]string{
 	TypePeerFetch: "PeerFetch", TypePeerChunks: "PeerChunks",
 	TypePeerPut: "PeerPut", TypePeerPutOK: "PeerPutOK",
 	TypeRestoreRange: "RestoreRange",
-	TypeMigrateBegin: "MigrateBegin", TypeMigrateData: "MigrateData",
-	TypeMigrateEnd: "MigrateEnd", TypeMigrateOK: "MigrateOK",
-	TypeFileDrop: "FileDrop", TypeFileDropOK: "FileDropOK",
+	TypeFileDrop:     "FileDrop", TypeFileDropOK: "FileDropOK",
 	TypeFileStat: "FileStat", TypeFileStatOK: "FileStatOK",
 }
 

@@ -43,9 +43,6 @@ func sampleMessages() []struct {
 		{TypePeerFetch, PeerFetch{Entries: []OfferEntry{{Hash: h1, Size: 4096}, {Hash: h2, Size: 7}}}},
 		{TypePeerChunks, PeerChunks{Indices: []uint32{0, 2}, Chunks: [][]byte{[]byte("abc"), []byte("xyz1")}}},
 		{TypePeerPut, PeerPut{Chunks: [][]byte{[]byte("chunk bytes"), {}}}},
-		{TypeMigrateBegin, MigrateBegin{Name: "acme/m00/d01"}},
-		{TypeMigrateData, MigrateData{Data: []byte("raw file bytes")}},
-		{TypeMigrateEnd, MigrateEnd{TotalBytes: 1 << 33, Sum: h1}},
 		{TypeFileDrop, FileDrop{Name: "acme/m00/d01"}},
 		{TypeFileStat, FileStat{Names: []string{"acme/a", "b"}}},
 		{TypeFileStatOK, FileStatOK{Present: []bool{true, false}}},
