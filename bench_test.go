@@ -14,6 +14,7 @@ import (
 	"io"
 	"testing"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/core"
 	"mhdedup/internal/exp"
@@ -184,7 +185,7 @@ func benchIngest(b *testing.B, algoName string) {
 	b.SetBytes(ds.TotalBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := exp.Build(exp.DefaultParams(algoName, 4096, 16, ds.TotalBytes()))
+		d, err := exp.Build(exp.Params{Algo: algoName, Options: algo.Options{ECS: 4096, SD: 16, ExpectedInputBytes: ds.TotalBytes()}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,11 +245,7 @@ func benchParallelIngest(b *testing.B, workers int) {
 	b.SetBytes(ds.TotalBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ccfg := core.DefaultConfig()
-		ccfg.ECS = 4096
-		ccfg.SD = 16
-		ccfg.BloomBytes = 1 << 18
-		d, err := core.New(ccfg)
+		d, err := core.New(core.Config{Options: algo.Options{ECS: 4096, SD: 16, BloomBytes: 1 << 18}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -284,7 +281,7 @@ func BenchmarkRestoreMHD(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := exp.Build(exp.DefaultParams(exp.AlgoMHD, 4096, 16, ds.TotalBytes()))
+	d, err := exp.Build(exp.Params{Algo: exp.AlgoMHD, Options: algo.Options{ECS: 4096, SD: 16, ExpectedInputBytes: ds.TotalBytes()}})
 	if err != nil {
 		b.Fatal(err)
 	}

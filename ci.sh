@@ -57,12 +57,23 @@ echo "== code size =="
 # outside benchmark/ (25,588 before the item's first PR). The ceiling is a
 # ratchet — a PR that deletes code lowers it to its own count; nothing
 # raises it.
-SIZE_CEILING=22296
+SIZE_CEILING=22126
 size=$(find . -name '*.go' ! -name '*_test.go' \
     ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
 echo "non-test Go lines outside benchmark/: $size (ceiling $SIZE_CEILING)"
 if [ "$size" -gt "$SIZE_CEILING" ]; then
     echo "code size: $size non-test Go lines exceeds SIZE_CEILING=$SIZE_CEILING" >&2; exit 1
+fi
+
+echo "== one engine configuration =="
+# All nine engines take one algo.Options, whose Resolve is the one place a
+# default is written, and the parameters no sweep varies are constants
+# beside their algorithm. A second configuration type, default set or
+# copy of those parameters must not come back.
+copies=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
+    xargs -0 grep -nwE 'DefaultConfig|DefaultParams|UseBloom|BloomHashes|SegmentFactor|MaxChampions|MaxManifestsPerHook|FreqThreshold|SketchRows|SketchWidth' || true)
+if [ -n "$copies" ]; then
+    echo "engine configuration restated outside algo.Options:" >&2; echo "$copies" >&2; exit 1
 fi
 
 echo "== no binaries committed =="

@@ -52,8 +52,8 @@ func main() {
 	flag.StringVar(&o.storeDir, "store", "", "store directory: mounted through the write-ahead log (replayed if it exists), compacted on drain")
 	flag.StringVar(&o.algo, "algo", "", "engine of a new store: mhd (default) or si-mhd; a store keeps the one it records")
 	flag.IntVar(&o.ecs, "ecs", 0, "expected chunk size in bytes of a new store (default 4096); a store keeps the one it records")
-	flag.IntVar(&o.sd, "sd", 64, "sample distance (hashes)")
-	flag.IntVar(&o.cache, "cache", 64, "manifest cache capacity")
+	flag.IntVar(&o.sd, "sd", 0, "sample distance in hashes (default 64)")
+	flag.IntVar(&o.cache, "cache", 0, "manifest cache capacity (default 64)")
 	flag.BoolVar(&o.noBloom, "no-bloom", false, "disable the engine bloom filter")
 	flag.BoolVar(&o.recipeTrees, "recipe-trees", false, "store file recipes as deduplicated recipe trees (64-bit offsets, O(log n) ranged restore)")
 	flag.IntVar(&o.maxSessions, "max-sessions", 16, "maximum concurrent ingest sessions")

@@ -10,17 +10,16 @@ import (
 	"testing"
 	"time"
 
+	"mhdedup/dedup"
+	"mhdedup/internal/core"
 	"mhdedup/internal/events"
 )
 
-// testOptions mirrors main's flag defaults on ephemeral ports, in-memory.
+// testOptions mirrors main's flag defaults on ephemeral ports, in-memory:
+// no engine flags.
 func testOptions() options {
 	return options{
 		addr:               "127.0.0.1:0",
-		algo:               "mhd",
-		ecs:                4096,
-		sd:                 64,
-		cache:              64,
 		maxSessions:        4,
 		window:             8,
 		chunkCache:         1 << 20,
@@ -59,6 +58,22 @@ func TestBuildEngineInMemory(t *testing.T) {
 	if eng == nil || dur != nil || resumed {
 		t.Fatalf("-store \"\": engine %v, durability %v, resumed %v; want an engine, no durability, not resumed",
 			eng != nil, dur != nil, resumed)
+	}
+}
+
+// TestBuildEngineDefaultsAreTheLibrarys: with no engine flags dedupd runs
+// the engine the zero dedup.Options builds — its flags restate no default.
+func TestBuildEngineDefaultsAreTheLibrarys(t *testing.T) {
+	eng, _, _, err := buildEngine(testOptions(), quietEvents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := dedup.New(dedup.MHD, dedup.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng.Config(), lib.(*core.Dedup).Config(); got != want {
+		t.Errorf("dedupd without engine flags runs %+v, the library's zero Options %+v", got, want)
 	}
 }
 

@@ -36,11 +36,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mhdedup/dedup"
 	"mhdedup/internal/client"
 	"mhdedup/internal/cluster"
 	"mhdedup/internal/core"
 	"mhdedup/internal/events"
-	"mhdedup/internal/exp"
 	"mhdedup/internal/metrics"
 	"mhdedup/internal/server"
 )
@@ -122,8 +122,7 @@ func run(o options) error {
 	var shards []cluster.Shard
 	var servers []*server.Server
 	for i := 0; i < o.shards; i++ {
-		p := exp.DefaultParams(exp.AlgoMHD, 4096, 64, 64<<20)
-		eng, err := exp.Build(p)
+		eng, err := dedup.New(dedup.MHD, dedup.Options{ExpectedInputBytes: 64 << 20})
 		if err != nil {
 			return err
 		}

@@ -99,73 +99,10 @@ type CostModel = simdisk.CostModel
 // used in the paper reproduction.
 func DefaultCostModel() CostModel { return simdisk.Default2013() }
 
-// Options configures an engine. Zero fields take paper-faithful defaults.
-// ECS, TTTD and FastCDC are part of a store's cut contract (see Resume).
-type Options struct {
-	// ECS is the expected (small) chunk size in bytes; default 4096.
-	ECS int
-	// SD is MHD's sample distance, the big/small chunk ratio of Bimodal,
-	// SubChunk and FBC, SparseIndexing's hook sampling rate and
-	// Fingerdiff's coalescing bound; default 64. CDC and ExtremeBinning
-	// ignore it.
-	SD int
-	// BloomBytes sizes the bloom filter; zero auto-sizes it from
-	// ExpectedInputBytes (or 1 MiB when that is unknown).
-	BloomBytes int
-	// ExpectedInputBytes, when known, drives bloom auto-sizing.
-	ExpectedInputBytes int64
-	// CacheManifests bounds the in-RAM manifest locality cache; default 64.
-	CacheManifests int
-	// DisableBloom turns the bloom filter off (every fresh hash then costs
-	// an on-disk hook query, as in Table II's no-bloom rows).
-	DisableBloom bool
-	// DisableByteCompare and DisableEdgeHash switch off the corresponding
-	// MHD mechanisms (ablations; other engines ignore them).
-	DisableByteCompare bool
-	DisableEdgeHash    bool
-	// SHMPerSlice selects MHD's alternative merging strategy: flush the
-	// hysteresis buffer at every duplicate-slice end so each non-duplicate
-	// slice owns at least one Hook.
-	SHMPerSlice bool
-	// TTTD selects the two-thresholds-two-divisors chunker for MHD.
-	TTTD bool
-	// FastCDC selects the gear-hash chunker for MHD (faster scanning,
-	// tighter size distribution; mutually exclusive with TTTD).
-	FastCDC bool
-	// RecipeTrees stores file recipes as deduplicated recipe trees: the
-	// ref stream is content-defined into content-addressed recipe chunks
-	// with a Merkle-style root, so near-identical snapshots share recipe
-	// subtrees and ranged restore seeks in O(log n) recipe reads. Trees
-	// carry full 64-bit offsets; the flat format refuses refs past 4 GiB.
-	RecipeTrees bool
-}
-
-// params maps Options onto the engine table's parameter set, filling in the
-// defaults — once, for New, Resume and ResumeDurable alike (a zero ECS is
-// the table's to fill).
-func (opt Options) params(a Algorithm) exp.Params {
-	if opt.SD == 0 {
-		opt.SD = 64
-	}
-	if opt.CacheManifests == 0 {
-		opt.CacheManifests = 64
-	}
-	return exp.Params{
-		Algo:               string(a),
-		ECS:                opt.ECS,
-		SD:                 opt.SD,
-		BloomBytes:         opt.BloomBytes,
-		ExpectedInputBytes: opt.ExpectedInputBytes,
-		CacheManifests:     opt.CacheManifests,
-		UseBloom:           !opt.DisableBloom,
-		ByteCompare:        !opt.DisableByteCompare,
-		EdgeHash:           !opt.DisableEdgeHash,
-		SHMPerSlice:        opt.SHMPerSlice,
-		TTTD:               opt.TTTD,
-		FastCDC:            opt.FastCDC,
-		RecipeTrees:        opt.RecipeTrees,
-	}
-}
+// Options configures an engine; the zero value is the paper's setting, and
+// each field's doc names its default. ECS, TTTD and FastCDC are part of a
+// store's cut contract (see Resume).
+type Options = algo.Options
 
 // built marks a construction error from the engine table as this package's.
 func built(eng Engine, err error) (Engine, error) {
@@ -177,7 +114,7 @@ func built(eng Engine, err error) (Engine, error) {
 
 // New returns an engine for the given algorithm.
 func New(a Algorithm, opt Options) (Engine, error) {
-	return built(exp.Build(opt.params(a)))
+	return built(exp.Build(exp.Params{Algo: string(a), Options: opt}))
 }
 
 // IngestItem is one input file of an ingest stream: the Restore key and an
@@ -189,11 +126,12 @@ type IngestItem = core.Item
 // always ingested in order; different streams may run concurrently.
 type IngestStream = core.Stream
 
-// IngestParallel deduplicates the given streams with up to workers
-// concurrent sessions on eng. workers ≤ 1 ingests sequentially in stream
-// order — bit-identical to a serial PutFile loop. Engines that do not
-// support concurrent ingest (everything except MHD and SIMHD) return an
-// error when workers > 1 and fall back to the sequential loop otherwise.
+// IngestParallel deduplicates the given streams on eng, up to workers of
+// them at once. workers ≤ 1 ingests sequentially in stream order —
+// bit-identical to a serial PutFile loop. Engines that do not support
+// concurrent ingest (everything except MHD and SIMHD) return an error when
+// workers > 1 and run the same sequential loop otherwise. A failure to
+// open, put or close an item fails the ingest on every engine.
 func IngestParallel(eng Engine, workers int, streams []IngestStream) error {
 	if si, ok := eng.(interface {
 		IngestStreamsContext(context.Context, int, []IngestStream) error
@@ -204,16 +142,8 @@ func IngestParallel(eng Engine, workers int, streams []IngestStream) error {
 		return fmt.Errorf("dedup: engine %T does not support concurrent ingest", eng)
 	}
 	for _, st := range streams {
-		for _, it := range st.Items {
-			r, err := it.Open()
-			if err != nil {
-				return err
-			}
-			putErr := eng.PutFile(it.Name, r)
-			r.Close()
-			if putErr != nil {
-				return putErr
-			}
+		if err := core.IngestStream(context.Background(), st, eng.PutFile); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -460,7 +390,7 @@ func Resume(a Algorithm, opt Options, dir string) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return built(exp.Resume(opt.params(a), disk))
+	return built(exp.Resume(exp.Params{Algo: string(a), Options: opt}, disk))
 }
 
 // Durability is a handle to a store directory's continuous-durability
@@ -493,7 +423,7 @@ func ResumeDurable(a Algorithm, opt Options, dir string, dopt DurabilityOptions)
 	if err != nil {
 		return nil, nil, rep, err
 	}
-	eng, err := built(exp.Resume(opt.params(a), dur.Disk()))
+	eng, err := built(exp.Resume(exp.Params{Algo: string(a), Options: opt}, dur.Disk()))
 	if err == nil {
 		err = dur.WAL().Sync()
 	}

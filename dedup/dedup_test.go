@@ -7,6 +7,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"mhdedup/internal/core"
+	"mhdedup/internal/store"
 )
 
 func randBytes(seed int64, n int) []byte {
@@ -101,6 +104,71 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestZeroOptionsIsThePapersSetting: every engine builds from the zero
+// Options, resolved to the defaults the Options doc names, and a negative
+// knob is refused by name.
+func TestZeroOptionsIsThePapersSetting(t *testing.T) {
+	for _, a := range Algorithms() {
+		eng, err := New(a, Options{})
+		if err != nil {
+			t.Fatalf("%s: zero Options refused: %v", a, err)
+		}
+		if c, _ := store.ContractOf(eng.Disk()); c.ECS != 4096 {
+			t.Errorf("%s: zero Options cut at ECS %d, want 4096", a, c.ECS)
+		}
+		for field, o := range map[string]Options{"SD": {SD: -1}, "ECS": {ECS: -1}, "CacheManifests": {CacheManifests: -1}} {
+			if _, err := New(a, o); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s: negative %s: err = %v, want one naming it", a, field, err)
+			}
+		}
+	}
+	eng, err := New(MHD, Options{ExpectedInputBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Options{ECS: 4096, SD: 64, CacheManifests: 64, ExpectedInputBytes: 1 << 30,
+		BloomBytes: (1<<30)/4096*12/8 + 1024}
+	if got := eng.(*core.Dedup).Config().Options; got != want {
+		t.Errorf("MHD resolved the zero Options to %+v, want %+v", got, want)
+	}
+	// A baseline's filter is sized by the same rule: the RAM of an engine
+	// that has ingested nothing is its filter.
+	cdc, err := New(CDC, Options{ExpectedInputBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cdc.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cdc.Report().RAMBytes; got != int64(want.BloomBytes) {
+		t.Errorf("CDC holds a %d-byte filter, MHD %d", got, want.BloomBytes)
+	}
+}
+
+// TestIngestParallelReportsCloseFailure: an item whose Close fails fails
+// the ingest, on every engine.
+func TestIngestParallelReportsCloseFailure(t *testing.T) {
+	streams := []IngestStream{{Name: "s", Items: []IngestItem{{
+		Name: "f",
+		Open: func() (io.ReadCloser, error) {
+			return failCloser{bytes.NewReader(randBytes(5, 50_000))}, nil
+		},
+	}}}}
+	for _, a := range []Algorithm{MHD, CDC} {
+		eng, err := New(a, Options{ECS: 512, SD: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := IngestParallel(eng, 1, streams); err == nil || !strings.Contains(err.Error(), "close") {
+			t.Errorf("%s: a failed Close gave err = %v", a, err)
+		}
+	}
+}
+
+type failCloser struct{ io.Reader }
+
+func (failCloser) Close() error { return fmt.Errorf("close failed") }
 
 func TestUnknownAlgorithm(t *testing.T) {
 	if _, err := New(Algorithm("quantum"), Options{}); err == nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/bloom"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
@@ -12,66 +13,20 @@ import (
 	"mhdedup/internal/store"
 )
 
-// Config parameterizes every engine of this package. An engine reads the
-// fields its algorithm uses and ignores the rest.
+// Config parameterizes every engine of this package: the engine options
+// every algorithm shares, plus the store's polynomial. An engine reads the
+// fields its algorithm uses and ignores the rest; the zero Config is the
+// paper's setting. SD aligns granularity across algorithms as the paper
+// does: it is the big/small chunk ratio of Bimodal, SubChunk and FBC (big
+// chunks are ECS·SD expected), Sparse's hook sampling rate (1/SD) and the
+// longest run of contiguous non-duplicate chunks Fingerdiff coalesces into
+// one stored chunk. Engines that keep no on-disk hook index (Sparse,
+// Fingerdiff, ExtremeBinning) have no bloom filter, and Fingerdiff and
+// ExtremeBinning no manifest cache. Every engine here cuts with Rabin.
 type Config struct {
-	// ECS is the expected (small) chunk size in bytes.
-	ECS int
-	// SD aligns granularity across algorithms as the paper does: it is the
-	// big/small chunk ratio of Bimodal, SubChunk and FBC (big chunks are
-	// ECS·SD expected), Sparse's hook sampling rate (1/SD) and the longest
-	// run of contiguous non-duplicate chunks Fingerdiff coalesces into one
-	// stored chunk. CDC and ExtremeBinning ignore it.
-	SD int
-	// BloomBytes/BloomHashes size the bloom filter in front of the on-disk
-	// hook index; UseBloom false removes it (Table II's no-bloom ablation).
-	// Engines that keep no on-disk hook index (Sparse, Fingerdiff,
-	// ExtremeBinning) have no filter.
-	BloomBytes  int
-	BloomHashes int
-	UseBloom    bool
-	// CacheManifests is the manifest locality cache capacity (Fingerdiff
-	// and ExtremeBinning keep no cache).
-	CacheManifests int
-	// Poly optionally overrides the Rabin polynomial.
+	algo.Options
+	// Poly optionally overrides the Rabin polynomial (the store's record).
 	Poly rabin.Poly
-	// RecipeTrees stores file recipes as deduplicated recipe trees instead
-	// of flat manifests (see store.RecipeConfig).
-	RecipeTrees bool
-
-	// Sparse only, following the paper's experimental setup: segments of
-	// ECS·SD·SegmentFactor bytes, at most MaxChampions champion manifests
-	// per segment and at most MaxManifestsPerHook manifests per
-	// sparse-index entry (LRU).
-	SegmentFactor       int
-	MaxChampions        int
-	MaxManifestsPerHook int
-
-	// FBC only: FreqThreshold is the estimated small-chunk frequency at
-	// which a big chunk is considered to contain popular content and is
-	// re-chunked; SketchRows/SketchWidth size the count-min sketch.
-	FreqThreshold uint32
-	SketchRows    int
-	SketchWidth   int
-}
-
-// DefaultConfig returns a usable default for any engine, with Sparse set up
-// as in the paper (segment = ECS·SD·5, 10 champions, 5 manifests per hook).
-func DefaultConfig() Config {
-	return Config{
-		ECS:                 4096,
-		SD:                  64,
-		BloomBytes:          1 << 20,
-		BloomHashes:         5,
-		UseBloom:            true,
-		CacheManifests:      64,
-		SegmentFactor:       5,
-		MaxChampions:        10,
-		MaxManifestsPerHook: 5,
-		FreqThreshold:       2,
-		SketchRows:          4,
-		SketchWidth:         1 << 16,
-	}
 }
 
 // substrate states which of the shared substrates an engine's algorithm
@@ -83,7 +38,7 @@ type substrate struct {
 	// ignores SD.
 	minSD int
 	// bloom asks for the bloom filter in front of an on-disk hook index
-	// (still subject to Config.UseBloom); cache for the manifest locality
+	// (still subject to DisableBloom); cache for the manifest locality
 	// cache.
 	bloom, cache bool
 }
@@ -98,7 +53,7 @@ type base struct {
 	cfg  Config
 	disk *simdisk.Disk
 	st   *store.Store
-	// filter is nil without substrate.bloom or Config.UseBloom; mc is nil
+	// filter is nil without substrate.bloom or with DisableBloom; mc is nil
 	// without substrate.cache.
 	filter *bloom.Filter
 	mc     *manifestCache
@@ -115,16 +70,21 @@ type base struct {
 // substrates over disk. The filter, cache and sketch constructors reject
 // their own out-of-range parameters.
 func newBase(cfg Config, disk *simdisk.Disk, use substrate) (base, error) {
-	if cfg.ECS <= 0 {
-		return base{}, fmt.Errorf("baseline: ECS must be positive, got %d", cfg.ECS)
+	o, err := cfg.Options.Resolve()
+	if err != nil {
+		return base{}, fmt.Errorf("baseline: %w", err)
+	}
+	cfg.Options = o
+	if cfg.TTTD || cfg.FastCDC {
+		return base{}, fmt.Errorf("baseline: cuts with Rabin only")
 	}
 	if cfg.SD < use.minSD {
 		return base{}, fmt.Errorf("baseline: SD must be at least %d, got %d", use.minSD, cfg.SD)
 	}
 	b := base{cfg: cfg, disk: disk, st: store.New(disk, use.format)}
 	b.st.SetRecipeConfig(store.RecipeConfig{Trees: cfg.RecipeTrees})
-	if use.bloom && cfg.UseBloom {
-		f, err := bloom.New(cfg.BloomBytes, cfg.BloomHashes)
+	if use.bloom && !cfg.DisableBloom {
+		f, err := bloom.New(cfg.BloomBytes, bloom.Probes)
 		if err != nil {
 			return base{}, fmt.Errorf("baseline: %w", err)
 		}

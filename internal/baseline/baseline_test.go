@@ -34,11 +34,7 @@ func randBytes(seed int64, n int) []byte {
 // smallConfig is the small-scale configuration the tests run at (ECS 512,
 // SD 4).
 func smallConfig() baseline.Config {
-	cfg := baseline.DefaultConfig()
-	cfg.ECS = 512
-	cfg.SD = 4
-	cfg.BloomBytes = 1 << 16
-	return cfg
+	return baseline.Config{Options: algo.Options{ECS: 512, SD: 4, BloomBytes: 1 << 16}}
 }
 
 // builders constructs each baseline at smallConfig's scale, one per row of
@@ -51,8 +47,7 @@ func builders(t *testing.T) map[string]func() algo.Deduplicator {
 		if a == exp.AlgoMHD || a == exp.AlgoSIMHD {
 			continue
 		}
-		p := exp.DefaultParams(a, 512, 4, 0)
-		p.BloomBytes = 1 << 16
+		p := exp.Params{Algo: a, Options: algo.Options{ECS: 512, SD: 4, BloomBytes: 1 << 16}}
 		out[a] = func() algo.Deduplicator {
 			d, err := exp.Build(p)
 			if err != nil {
@@ -260,7 +255,6 @@ func TestSubChunkShape(t *testing.T) {
 
 func TestSparseShape(t *testing.T) {
 	cfg := smallConfig()
-	cfg.SegmentFactor = 5
 	base := randBytes(40, 400_000)
 	files := map[string][]byte{"a": base, "b": append([]byte(nil), base...)}
 	d, _ := baseline.NewSparse(cfg, simdisk.New())
@@ -273,8 +267,9 @@ func TestSparseShape(t *testing.T) {
 	if r.RAMBytes < d.SparseIndexBytes() {
 		t.Error("RAM accounting must include the sparse index")
 	}
-	// Manifests are per segment: more than one per file for this size.
-	segs := r.InputBytes / (int64(cfg.ECS) * int64(cfg.SD) * int64(cfg.SegmentFactor))
+	// Manifests are per segment (ECS·SD·5 bytes): more than one per file
+	// for this size.
+	segs := r.InputBytes / (int64(cfg.ECS) * int64(cfg.SD) * 5)
 	if r.InodesManifest < segs/2 {
 		t.Errorf("manifests = %d, expected about one per segment (~%d)", r.InodesManifest, segs)
 	}
@@ -318,17 +313,28 @@ func TestSubChunkMissesWithoutLocality(t *testing.T) {
 }
 
 func TestBaselineValidation(t *testing.T) {
-	if _, err := baseline.NewCDC(baseline.Config{}, simdisk.New()); err == nil {
-		t.Error("zero CDC config accepted")
+	cfg := func(o algo.Options) baseline.Config { return baseline.Config{Options: o} }
+	if _, err := baseline.NewCDC(cfg(algo.Options{ECS: -1}), simdisk.New()); err == nil {
+		t.Error("negative ECS accepted")
 	}
-	if _, err := baseline.NewBimodal(baseline.Config{ECS: 512, SD: 1}, simdisk.New()); err == nil {
+	if _, err := baseline.NewBimodal(cfg(algo.Options{ECS: 512, SD: 1}), simdisk.New()); err == nil {
 		t.Error("bimodal SD=1 accepted")
 	}
-	if _, err := baseline.NewSubChunk(baseline.Config{ECS: 512, SD: 0}, simdisk.New()); err == nil {
-		t.Error("subchunk SD=0 accepted")
+	if _, err := baseline.NewSubChunk(cfg(algo.Options{ECS: 512, SD: -1}), simdisk.New()); err == nil {
+		t.Error("subchunk SD=-1 accepted")
 	}
-	if _, err := baseline.NewSparse(baseline.Config{ECS: 512, SD: 4}, simdisk.New()); err == nil {
-		t.Error("sparse with zero factors accepted")
+	if _, err := baseline.NewSparse(cfg(algo.Options{CacheManifests: -1}), simdisk.New()); err == nil {
+		t.Error("sparse with a negative cache accepted")
+	}
+	if _, err := baseline.NewCDC(cfg(algo.Options{TTTD: true}), simdisk.New()); err == nil {
+		t.Error("CDC cutting with TTTD accepted")
+	}
+	// The zero Config is the paper's setting.
+	if _, err := baseline.NewCDC(baseline.Config{}, simdisk.New()); err != nil {
+		t.Errorf("zero CDC config refused: %v", err)
+	}
+	if _, err := baseline.NewSparse(baseline.Config{}, simdisk.New()); err != nil {
+		t.Errorf("zero sparse config refused: %v", err)
 	}
 }
 

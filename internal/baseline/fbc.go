@@ -23,16 +23,22 @@ type FBC struct {
 	freq *sketch.CountMin
 }
 
+// FBC's fixed parameters: a big chunk is re-chunked once one of its small
+// chunks has an estimated frequency of freqThreshold, counted in a
+// sketchRows × sketchWidth count-min sketch.
+const (
+	freqThreshold = 2
+	sketchRows    = 4
+	sketchWidth   = 1 << 16
+)
+
 // NewFBC returns an FBC deduplicator over the given disk.
 func NewFBC(cfg Config, disk *simdisk.Disk) (*FBC, error) {
-	if cfg.FreqThreshold == 0 {
-		return nil, fmt.Errorf("baseline: FreqThreshold must be positive")
-	}
 	b, err := newBase(cfg, disk, substrate{format: store.FormatBasic, minSD: 2, bloom: true, cache: true})
 	if err != nil {
 		return nil, err
 	}
-	freq, err := sketch.New(cfg.SketchRows, cfg.SketchWidth)
+	freq, err := sketch.New(sketchRows, sketchWidth)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
@@ -84,7 +90,7 @@ func (d *FBC) PutFile(name string, r io.Reader) error {
 		for i, sc := range smalls {
 			d.stats.HashedBytes += sc.Size()
 			smallHashes[i] = hashutil.SumBytes(sc.Data)
-			if d.freq.Estimate(smallHashes[i]) >= d.cfg.FreqThreshold {
+			if d.freq.Estimate(smallHashes[i]) >= freqThreshold {
 				rechunk = true
 			}
 		}

@@ -87,16 +87,3 @@ func TestFBCCompletelyColdDataStaysCoarse(t *testing.T) {
 		t.Errorf("cold data produced %d chunks, expected about %d big chunks", r.ChunksIn, bigExpected)
 	}
 }
-
-func TestFBCValidation(t *testing.T) {
-	cfg := smallConfig()
-	cfg.FreqThreshold = 0
-	if _, err := baseline.NewFBC(cfg, simdisk.New()); err == nil {
-		t.Error("zero threshold accepted")
-	}
-	cfg = smallConfig()
-	cfg.SketchWidth = 0
-	if _, err := baseline.NewFBC(cfg, simdisk.New()); err == nil {
-		t.Error("zero sketch width accepted")
-	}
-}

@@ -132,20 +132,25 @@ func TestExtremeBinningManyGenerations(t *testing.T) {
 }
 
 func TestRelatedWorkValidation(t *testing.T) {
-	if _, err := baseline.NewFingerdiff(baseline.Config{}, simdisk.New()); err == nil {
-		t.Error("zero fingerdiff config accepted")
+	if _, err := baseline.NewFingerdiff(baseline.Config{Options: algo.Options{ECS: -1}}, simdisk.New()); err == nil {
+		t.Error("negative fingerdiff ECS accepted")
 	}
-	if _, err := baseline.NewFingerdiff(baseline.Config{ECS: 512, SD: 0}, simdisk.New()); err == nil {
-		t.Error("zero SD (the coalescing bound) accepted")
+	if _, err := baseline.NewFingerdiff(baseline.Config{Options: algo.Options{ECS: 512, SD: -1}}, simdisk.New()); err == nil {
+		t.Error("negative SD (the coalescing bound) accepted")
 	}
-	if _, err := baseline.NewExtremeBinning(baseline.Config{}, simdisk.New()); err == nil {
-		t.Error("zero extreme binning config accepted")
+	if _, err := baseline.NewExtremeBinning(baseline.Config{Options: algo.Options{BloomBytes: -1}}, simdisk.New()); err == nil {
+		t.Error("negative extreme binning BloomBytes accepted")
+	}
+	if _, err := baseline.NewFingerdiff(baseline.Config{}, simdisk.New()); err != nil {
+		t.Errorf("zero fingerdiff config refused: %v", err)
+	}
+	if _, err := baseline.NewExtremeBinning(baseline.Config{}, simdisk.New()); err != nil {
+		t.Errorf("zero extreme binning config refused: %v", err)
 	}
 }
 
 func TestRelatedWorkEmptyFiles(t *testing.T) {
-	cfg := baseline.DefaultConfig()
-	cfg.ECS = 512
+	cfg := baseline.Config{Options: algo.Options{ECS: 512}}
 	fd, _ := baseline.NewFingerdiff(cfg, simdisk.New())
 	eb, _ := baseline.NewExtremeBinning(cfg, simdisk.New())
 	for name, d := range map[string]algo.Deduplicator{"fingerdiff": fd, "eb": eb} {

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"sort"
 
@@ -23,7 +22,7 @@ import (
 type Sparse struct {
 	base
 	// index is the sparse index: sampled hook hash → up to
-	// MaxManifestsPerHook manifest names, most recent last.
+	// maxManifestsPerHook manifest names, most recent last.
 	index map[hashutil.Sum][]hashutil.Sum
 
 	// Per-file segment assembly state.
@@ -33,11 +32,18 @@ type Sparse struct {
 	stored   bool
 }
 
+// Sparse Indexing's fixed parameters, following the paper's experimental
+// setup: segments of ECS·SD·segmentFactor bytes, at most maxChampions
+// champion manifests per segment and at most maxManifestsPerHook manifests
+// per sparse-index entry (LRU).
+const (
+	segmentFactor       = 5
+	maxChampions        = 10
+	maxManifestsPerHook = 5
+)
+
 // NewSparse returns a Sparse deduplicator over the given disk.
 func NewSparse(cfg Config, disk *simdisk.Disk) (*Sparse, error) {
-	if cfg.SegmentFactor <= 0 || cfg.MaxChampions <= 0 || cfg.MaxManifestsPerHook <= 0 {
-		return nil, fmt.Errorf("baseline: sparse indexing factors must be positive")
-	}
 	b, err := newBase(cfg, disk, substrate{format: store.FormatMultiContainer, minSD: 2, cache: true})
 	if err != nil {
 		return nil, err
@@ -55,7 +61,7 @@ func (d *Sparse) isHook(h hashutil.Sum) bool {
 
 // segmentTarget is the segment size in bytes.
 func (d *Sparse) segmentTarget() int64 {
-	return int64(d.cfg.ECS) * int64(d.cfg.SD) * int64(d.cfg.SegmentFactor)
+	return int64(d.cfg.ECS) * int64(d.cfg.SD) * segmentFactor
 }
 
 // PutFile deduplicates one input file segment by segment. Segments do not
@@ -137,8 +143,8 @@ func (d *Sparse) flushSegment() error {
 		}
 		return cands[i].name.Hex() < cands[j].name.Hex() // deterministic tie-break
 	})
-	if len(cands) > d.cfg.MaxChampions {
-		cands = cands[:d.cfg.MaxChampions]
+	if len(cands) > maxChampions {
+		cands = cands[:maxChampions]
 	}
 	champions := make([]*store.Manifest, 0, len(cands))
 	for _, c := range cands {
@@ -230,12 +236,12 @@ func (d *Sparse) flushSegment() error {
 		}
 		if !already {
 			targets = append(targets, container)
-			if len(targets) > d.cfg.MaxManifestsPerHook {
-				targets = targets[len(targets)-d.cfg.MaxManifestsPerHook:]
+			if len(targets) > maxManifestsPerHook {
+				targets = targets[len(targets)-maxManifestsPerHook:]
 			}
 			d.index[h] = targets
 		}
-		if err := d.st.AddHookTarget(h, container, d.cfg.MaxManifestsPerHook); err != nil {
+		if err := d.st.AddHookTarget(h, container, maxManifestsPerHook); err != nil {
 			return err
 		}
 	}

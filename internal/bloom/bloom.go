@@ -37,9 +37,12 @@ type Filter struct {
 	hits   atomic.Uint64
 }
 
+// Probes is the number of probe functions every engine's filter uses: the
+// usual k ≈ 5 of the paper's experiments.
+const Probes = 5
+
 // New returns a filter with the given size in bytes and number of probe
-// functions. The paper's experiments use a 100 MB filter with the usual
-// k ≈ 5.
+// functions. The paper's experiments use a 100 MB filter with Probes.
 func New(sizeBytes int, k int) (*Filter, error) {
 	if sizeBytes <= 0 {
 		return nil, fmt.Errorf("bloom: size must be positive, got %d", sizeBytes)

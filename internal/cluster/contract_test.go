@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/client"
 	"mhdedup/internal/core"
@@ -18,7 +19,7 @@ import (
 // FastCDC cuts and SD 16.
 func gearSD16(t *testing.T) *core.Dedup {
 	t.Helper()
-	p := exp.DefaultParams(exp.AlgoMHD, 4096, 16, 64<<20)
+	p := exp.Params{Algo: exp.AlgoMHD, Options: algo.Options{ECS: 4096, SD: 16, ExpectedInputBytes: 64 << 20}}
 	p.FastCDC = true
 	eng, err := exp.Build(p)
 	if err != nil {

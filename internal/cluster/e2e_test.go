@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/client"
 	"mhdedup/internal/cluster"
 	"mhdedup/internal/core"
@@ -30,7 +31,7 @@ func testEvents(t *testing.T) *events.Log {
 
 func newEngine(t *testing.T) *core.Dedup {
 	t.Helper()
-	p := exp.DefaultParams(exp.AlgoMHD, 4096, 64, 64<<20)
+	p := exp.Params{Algo: exp.AlgoMHD, Options: algo.Options{ECS: 4096, SD: 64, ExpectedInputBytes: 64 << 20}}
 	eng, err := exp.Build(p)
 	if err != nil {
 		t.Fatal(err)

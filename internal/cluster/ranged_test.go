@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/client"
 	"mhdedup/internal/cluster"
 	"mhdedup/internal/core"
@@ -26,7 +27,7 @@ func startTreeCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
 	tc := &testCluster{registry: metrics.NewRegistry()}
 	for i := 0; i < n; i++ {
-		p := exp.DefaultParams(exp.AlgoMHD, 4096, 64, 64<<20)
+		p := exp.Params{Algo: exp.AlgoMHD, Options: algo.Options{ECS: 4096, SD: 64, ExpectedInputBytes: 64 << 20}}
 		p.RecipeTrees = true
 		built, err := exp.Build(p)
 		if err != nil {

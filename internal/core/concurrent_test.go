@@ -70,7 +70,7 @@ func disjointDataset(t *testing.T) *trace.Dataset {
 // cache-residency (and with it duplicate classification) cannot depend on
 // cross-stream eviction timing.
 func stressConfig(sparse bool) Config {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ECS = 1024
 	cfg.SD = 8
 	cfg.BloomBytes = 1 << 18
@@ -175,7 +175,7 @@ func TestConcurrentIngestMatchesSerial(t *testing.T) {
 
 // TestConcurrentIngestSharedContent hammers the actual contention paths:
 // machines share 60% of their content and the manifest cache is tiny, so
-// sessions race on hook publication, manifest extension, eviction
+// streams race on hook publication, manifest extension, eviction
 // write-back and orphaned-splice persistence. Exact totals are not
 // deterministic here; what must hold is internal consistency and — the
 // property everything else exists to protect — byte-identical restore of
@@ -240,9 +240,9 @@ func TestConcurrentIngestSharedContent(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessionsDirect exercises the raw Session API: 8 goroutines,
-// each with its own NewSession, ingesting disjoint files simultaneously
-// without the IngestStreams scheduler in between.
+// TestConcurrentSessionsDirect: 8 goroutines, each one stream, call PutFile
+// on one Dedup at once with disjoint files, without the IngestStreams
+// scheduler in between.
 func TestConcurrentSessionsDirect(t *testing.T) {
 	cfg := stressConfig(false)
 	d, err := New(cfg)
@@ -263,15 +263,14 @@ func TestConcurrentSessionsDirect(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s := d.NewSession()
 			name := fmt.Sprintf("f%d", i)
-			errs[i] = s.PutFile(name, bytes.NewReader(files[name]))
+			errs[i] = d.PutFile(name, bytes.NewReader(files[name]))
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("session %d: %v", i, err)
+			t.Fatalf("stream %d: %v", i, err)
 		}
 	}
 	if err := d.Finish(); err != nil {

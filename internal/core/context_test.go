@@ -33,7 +33,7 @@ func (c *cancelAfterReader) Read(p []byte) (int, error) {
 }
 
 func testCfg() Config {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ECS = 512
 	cfg.SD = 4
 	return cfg
@@ -49,7 +49,7 @@ func TestPutFileContextCancelAbortsMidFile(t *testing.T) {
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(1)).Read(data)
 	src := &cancelAfterReader{r: io.LimitReader(neverEnding{data}, 1<<30), n: 3, cancel: cancel}
-	err = d.NewSession().PutFileContext(ctx, "f", src)
+	err = d.PutFileContext(ctx, "f", src)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -88,7 +88,7 @@ func TestPutFileContextCancelWithPipeline(t *testing.T) {
 	rand.New(rand.NewSource(2)).Read(data)
 	src := &cancelAfterReader{r: io.LimitReader(neverEnding{data}, 1<<30), n: 5, cancel: cancel}
 	errCh := make(chan error, 1)
-	go func() { errCh <- d.NewSession().PutFileContext(ctx, "f", src) }()
+	go func() { errCh <- d.PutFileContext(ctx, "f", src) }()
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, context.Canceled) {
@@ -175,7 +175,7 @@ func TestPutFileFailsAfterMergedRunsHandedOff(t *testing.T) {
 		{"cancelled context", func(d *Dedup) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			return d.NewSession().PutFileContext(ctx, "f", &cancelAfterReader{r: bytes.NewReader(data), n: 40, cancel: cancel})
+			return d.PutFileContext(ctx, "f", &cancelAfterReader{r: bytes.NewReader(data), n: 40, cancel: cancel})
 		}, context.Canceled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,13 +25,15 @@ import (
 //
 // One backup stream is an ordered, stateful process (hysteresis buffer,
 // match extension and HHR depend on stream order), but nothing couples
-// different streams, so a Dedup accepts N concurrent ones, a Session each.
-// Per-file state is private; what is shared — striped hash indexes, the
-// atomic bloom filter, the manifest cache and its per-manifest locks, the
-// disk, the statistics — is synchronized as DESIGN §7 lays out, locks taken
-// in the order cache → manifest → {stripe, disk}. Scanning and SHA-1 run
+// different streams, so a Dedup accepts N concurrent ones: the PutFile,
+// PutFileContext and PutChunksContext calls of one stream must not overlap,
+// those of different streams may. Per-file state is private; what is
+// shared — striped hash indexes, the atomic bloom filter, the manifest
+// cache and its per-manifest locks, the disk, the statistics — is
+// synchronized as DESIGN §7 lays out, locks taken in the order cache →
+// manifest → {stripe, disk}. Scanning and SHA-1 run
 // ahead of the ordered stage (pipeline.go) and touch no engine state, so a
-// single-session run is bit-identical to the serial engine at any
+// single-stream run is bit-identical to the serial engine at any
 // GOMAXPROCS: the determinism test pins it to goldens from that engine.
 type Dedup struct {
 	cfg    Config
@@ -48,7 +50,7 @@ type Dedup struct {
 	// nil in BF-MHD mode.
 	sparseIdx *stripedIndex
 	// pubLocks serialize hook publication per hash stripe, making the
-	// check-then-create of hooks atomic across sessions.
+	// check-then-create of hooks atomic across streams.
 	pubLocks publishLocks
 
 	stats   metrics.Atomic
@@ -56,8 +58,6 @@ type Dedup struct {
 
 	errMu       sync.Mutex
 	evictionErr error
-
-	defaultSession *Session
 }
 
 // New returns a Dedup over a fresh simulated disk.
@@ -69,9 +69,10 @@ func New(cfg Config) (*Dedup, error) {
 // everything it already stores: the bloom filter is rebuilt from the hook
 // names (a mount-time directory scan), SI-MHD's sparse index from the
 // manifests' hook entries (counted reads, the real cost of warming it).
-// Statistics start fresh: the Report covers this session's ingest only.
+// Statistics start fresh: the Report covers this mount's ingest only.
 func NewOnDisk(cfg Config, disk *simdisk.Disk) (*Dedup, error) {
-	if err := cfg.Validate(); err != nil {
+	cfg, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
 	d := &Dedup{
@@ -83,8 +84,8 @@ func NewOnDisk(cfg Config, disk *simdisk.Disk) (*Dedup, error) {
 	d.st.SetRecipeConfig(store.RecipeConfig{Trees: cfg.RecipeTrees})
 	if cfg.SparseIndex {
 		d.sparseIdx = newStripedIndex()
-	} else if cfg.UseBloom {
-		f, err := bloom.New(cfg.BloomBytes, cfg.BloomHashes)
+	} else if !cfg.DisableBloom {
+		f, err := bloom.New(cfg.BloomBytes, bloom.Probes)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +96,6 @@ func NewOnDisk(cfg Config, disk *simdisk.Disk) (*Dedup, error) {
 		return nil, err
 	}
 	d.cache = cache
-	d.defaultSession = &Session{d: d}
 	if d.sparseIdx != nil {
 		for _, name := range disk.Names(simdisk.Manifest) {
 			mName, err := hashutil.ParseHex(name)
@@ -136,7 +136,7 @@ func (d *Dedup) Config() Config { return d.cfg }
 // the flat cache index. Write errors are deferred to Finish (the LRU
 // callback cannot fail). It runs with the cache lock held and takes the
 // manifest lock, so an eviction racing a match extension in another
-// session serializes on the manifest.
+// stream serializes on the manifest.
 func (d *Dedup) onEvict(name hashutil.Sum, m *store.Manifest) {
 	m.Lock()
 	if err := d.st.WriteBackManifest(m); err != nil {
@@ -196,9 +196,9 @@ func (d *Dedup) lookupCached(h hashutil.Sum) (*store.Manifest, bool) {
 }
 
 // loadManifest brings a manifest into the cache and the flat index from
-// disk (one disk access), unless it is already cached. Two sessions racing
+// disk (one disk access), unless it is already cached. Two streams racing
 // on a name may both read it; the second Put supersedes the first object,
-// which stays valid for the session holding it.
+// which stays valid for the stream holding it.
 func (d *Dedup) loadManifest(name hashutil.Sum) (*store.Manifest, error) {
 	if m, ok := d.cache.Get(name); ok {
 		return m, nil
@@ -244,7 +244,7 @@ type slotState struct {
 
 // fileState is the per-input-file processing context: one DiskChunk, one
 // Manifest, the pending (hysteresis) buffer and the recipe slots. It is
-// owned by exactly one Session for the duration of one PutFile — nothing
+// owned by exactly one stream for the duration of one PutFile — nothing
 // in it is shared, which is what makes the hysteresis machinery safe under
 // concurrent streams without any locking of its own.
 type fileState struct {
@@ -264,12 +264,11 @@ type fileState struct {
 	scanned   bool           // the engine cut and hashed them itself (PutFile)
 }
 
-// PutFile deduplicates one input file on the default session. Files of one
-// stream must be fed in backup-stream order; the name must be unique and
-// is the key for Restore. For concurrent multi-stream ingest create one
-// Session per stream (NewSession) or use IngestStreamsContext.
+// PutFile deduplicates one input file. Files of one stream must be fed in
+// backup-stream order; the name must be unique and is the key for Restore.
+// For concurrent multi-stream ingest see IngestStreamsContext.
 func (d *Dedup) PutFile(name string, r io.Reader) error {
-	return d.defaultSession.PutFile(name, r)
+	return d.putFile(context.Background(), name, r)
 }
 
 // putFile cuts and hashes r ahead of the ordered stage and ingests it.
@@ -281,7 +280,7 @@ func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
 	return d.ingest(ctx, &fileState{name: name, src: newChunkPipeline(ch), scanned: true})
 }
 
-// ingest is the per-stream ordered stage shared by every session and both
+// ingest is the per-stream ordered stage shared by every stream and both
 // kinds of source. Cancellation is polled once per chunk, the finest grain
 // at which the file can be abandoned cleanly: no FileManifest, no seal.
 func (d *Dedup) ingest(ctx context.Context, f *fileState) (err error) {
@@ -365,7 +364,7 @@ func (d *Dedup) process(f *fileState, pc pchunk) error {
 			return err
 		}
 		// The hash no longer resolves in the manifest (an HHR splice —
-		// possibly by a concurrent session — retired it). Drop the stale
+		// possibly by a concurrent stream — retired it). Drop the stale
 		// index entry and fall through to the hook paths, exactly as the
 		// serial engine treated a revalidation miss.
 		d.cacheIdx.deleteIf(pc.hash, m.Name)
@@ -436,8 +435,8 @@ func (d *Dedup) tryExtend(f *fileState, m *store.Manifest, pc pchunk) (bool, err
 }
 
 // persistIfOrphaned writes a dirty manifest back when it is no longer
-// cache-resident: another session's loadManifest may have evicted (and
-// written back) it while this session was still splicing it. An evicted
+// cache-resident: another stream's loadManifest may have evicted (and
+// written back) it while this stream was still splicing it. An evicted
 // manifest object never re-enters the cache, so the Peek race is benign.
 func (d *Dedup) persistIfOrphaned(m *store.Manifest) error {
 	if _, cached := d.cache.Peek(m.Name); cached {
@@ -600,7 +599,7 @@ func (d *Dedup) publishHook(h, chunkName hashutil.Sum) error {
 }
 
 // Finish writes back all cached dirty manifests and finalizes RAM
-// accounting. All sessions must have completed their PutFile calls before
+// accounting. All streams must have completed their PutFile calls before
 // Finish. The Dedup remains usable for Restore afterwards.
 func (d *Dedup) Finish() error {
 	d.trackRAM()

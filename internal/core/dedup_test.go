@@ -13,7 +13,7 @@ import (
 )
 
 func testConfig() Config {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ECS = 512
 	cfg.SD = 4
 	cfg.BloomBytes = 1 << 16
@@ -154,13 +154,13 @@ func TestByteCompareAblation(t *testing.T) {
 
 	withBC := ingest(t, testConfig(), files, []string{"a", "b"})
 	cfg := testConfig()
-	cfg.ByteCompare = false
+	cfg.DisableByteCompare = true
 	withoutBC := ingest(t, cfg, files, []string{"a", "b"})
 	checkRestore(t, withoutBC, files)
 	checkInvariants(t, withoutBC)
 
 	if withoutBC.Stats().HHROps != 0 {
-		t.Error("ByteCompare=false must disable HHR")
+		t.Error("DisableByteCompare must disable HHR")
 	}
 	if withBC.Stats().StoredDataBytes >= withoutBC.Stats().StoredDataBytes {
 		t.Errorf("byte comparison should store less: with %d, without %d",
@@ -218,7 +218,7 @@ func TestEdgeHashPreventsRepeatedReloads(t *testing.T) {
 	checkRestore(t, with, files)
 	checkInvariants(t, with)
 	cfg := testConfig()
-	cfg.EdgeHash = false
+	cfg.DisableEdgeHash = true
 	without := ingest(t, cfg, files, order)
 	checkRestore(t, without, files)
 	checkInvariants(t, without)
@@ -337,7 +337,7 @@ func TestTinyFile(t *testing.T) {
 
 func TestNoBloomStillCorrect(t *testing.T) {
 	cfg := testConfig()
-	cfg.UseBloom = false
+	cfg.DisableBloom = true
 	content := randBytes(19, 200_000)
 	files := map[string][]byte{"a": content, "b": append([]byte(nil), content...)}
 	d := ingest(t, cfg, files, []string{"a", "b"})
@@ -405,25 +405,27 @@ func TestEvictionWriteBackFailureSurfacesAtFinish(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.ECS = 0 },
+		func(c *Config) { c.ECS = -1 },
 		func(c *Config) { c.SD = 1 },
-		func(c *Config) { c.BloomBytes = 0 },
-		func(c *Config) { c.BloomHashes = 0 },
-		func(c *Config) { c.CacheManifests = 0 },
+		func(c *Config) { c.SD = -1 },
+		func(c *Config) { c.BloomBytes = -1 },
+		func(c *Config) { c.CacheManifests = -1 },
+		func(c *Config) { c.TTTD, c.FastCDC = true, true },
 	}
 	for i, mut := range bad {
-		cfg := DefaultConfig()
+		var cfg Config
 		mut(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	// Bloom limits don't apply when the filter is off.
-	cfg := DefaultConfig()
-	cfg.UseBloom = false
-	cfg.BloomBytes = 0
-	if _, err := New(cfg); err != nil {
-		t.Errorf("bloom params should be ignored when UseBloom=false: %v", err)
+	// The zero Config is the paper's setting.
+	d, err := New(Config{})
+	if err != nil {
+		t.Fatalf("zero config refused: %v", err)
+	}
+	if got := d.Config(); got.ECS != 4096 || got.SD != 64 || got.CacheManifests != 64 || got.BloomBytes != 1<<20 {
+		t.Errorf("zero config resolved to %+v", got.Options)
 	}
 }
 

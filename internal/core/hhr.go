@@ -72,7 +72,7 @@ func (d *Dedup) hhrSplit(m *store.Manifest, i int, old []byte, sizes [3]int64, k
 // splice inserted before the hit index.
 func (d *Dedup) hhrBackward(f *fileState, m *store.Manifest, i int) (shift int, err error) {
 	e := m.Entries[i]
-	if !d.cfg.ByteCompare || e.Kind != store.KindMerged {
+	if d.cfg.DisableByteCompare || e.Kind != store.KindMerged {
 		return 0, nil
 	}
 	old, err := d.st.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
@@ -94,7 +94,7 @@ func (d *Dedup) hhrBackward(f *fileState, m *store.Manifest, i int) (shift int, 
 		k--
 	}
 	var b int64
-	if d.cfg.EdgeHash && s < e.Size && k > 0 {
+	if !d.cfg.DisableEdgeHash && s < e.Size && k > 0 {
 		// Boundary block sized like the first mismatching buffered chunk
 		// (the paper's "EdgeHash ... with the same size of Chunk N3").
 		b = min(int64(len(f.pending[k-1].data)), e.Size-s)
@@ -123,7 +123,7 @@ func (d *Dedup) hhrBackward(f *fileState, m *store.Manifest, i int) (shift int, 
 // prefetched chunks were consumed.
 func (d *Dedup) hhrForward(f *fileState, m *store.Manifest, i int, pre []pchunk) (consumed int, err error) {
 	e := m.Entries[i]
-	if !d.cfg.ByteCompare || e.Kind != store.KindMerged {
+	if d.cfg.DisableByteCompare || e.Kind != store.KindMerged {
 		return 0, nil
 	}
 	old, err := d.st.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
@@ -144,7 +144,7 @@ func (d *Dedup) hhrForward(f *fileState, m *store.Manifest, i int, pre []pchunk)
 		k++
 	}
 	var b int64
-	if d.cfg.EdgeHash && s < e.Size && k < len(pre) {
+	if !d.cfg.DisableEdgeHash && s < e.Size && k < len(pre) {
 		b = min(int64(len(pre[k].data)), e.Size-s)
 	}
 	if s == 0 && b == 0 {

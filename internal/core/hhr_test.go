@@ -165,7 +165,7 @@ func TestHHRRefusesNonMergedEntries(t *testing.T) {
 
 func TestHHRNoMatchNoEdgeLeavesEntryIntact(t *testing.T) {
 	cfg := testConfig()
-	cfg.EdgeHash = false
+	cfg.DisableEdgeHash = true
 	old := randBytes(906, 2048)
 	d, m := hhrFixture(t, cfg, old)
 	// Pending shares nothing with old.

@@ -28,7 +28,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ECS = 1024
 	cfg.SD = 8
 	cfg.BloomBytes = 1 << 18
@@ -101,7 +101,7 @@ func TestSDTradeoff(t *testing.T) {
 	stored := map[int]int64{}
 	meta := map[int]int64{}
 	for _, sd := range []int{4, 16, 64} {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		cfg.ECS = 1024
 		cfg.SD = sd
 		cfg.BloomBytes = 1 << 18

@@ -266,7 +266,7 @@ func TestPutFileTeardownDoesNotWaitForSource(t *testing.T) {
 
 func BenchmarkIngest(b *testing.B) {
 	data := randBytes(1, 8<<20)
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ECS = 4096
 	cfg.SD = 16
 	b.SetBytes(int64(len(data)))

@@ -97,13 +97,12 @@ func TestPutChunksMatchesPutFile(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(procs)))
 					label := fmt.Sprintf("GOMAXPROCS=%d sha1=%s", procs, hashutil.Kernel())
 					got, gotDisk := runVariant(t, cfg, ds, func(d *Dedup) error {
-						s := d.NewSession()
 						return ds.EachFile(func(info trace.FileInfo, r io.Reader) error {
 							data, err := io.ReadAll(r)
 							if err != nil {
 								return err
 							}
-							return s.PutChunksContext(context.Background(), info.Name, pullRuns(cutAs(t, cfg, data), rng))
+							return d.PutChunksContext(context.Background(), info.Name, pullRuns(cutAs(t, cfg, data), rng))
 						})
 					})
 					if got.ChunkedBytes != 0 || !reflect.DeepEqual(got, want) {
@@ -164,16 +163,15 @@ func anyCuts(t *testing.T, seed int64) metrics.Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := d.NewSession()
 	files := map[string][]byte{}
 	data := randBytes(seed, 32<<10+rng.Intn(64<<10))
 	for gen := 0; gen < 5; gen++ {
 		name := fmt.Sprintf("gen%d", gen)
 		files[name] = data
 		if rng.Intn(3) == 0 {
-			err = s.PutFile(name, bytes.NewReader(data))
+			err = d.PutFile(name, bytes.NewReader(data))
 		} else {
-			err = s.PutChunksContext(context.Background(), name, pullRuns(perturb(cutAs(t, cfg, data), max, rng), rng))
+			err = d.PutChunksContext(context.Background(), name, pullRuns(perturb(cutAs(t, cfg, data), max, rng), rng))
 		}
 		if err != nil {
 			t.Fatalf("seed %d: %s: %v", seed, name, err)
@@ -239,9 +237,8 @@ func TestPutChunksTeardown(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := d.NewSession()
 			rng := rand.New(rand.NewSource(1))
-			if err := s.PutChunksContext(context.Background(), "a", pullRuns(chunks, rng)); err != nil {
+			if err := d.PutChunksContext(context.Background(), "a", pullRuns(chunks, rng)); err != nil {
 				t.Fatal(err)
 			}
 			baseline := runtime.NumGoroutine()
@@ -260,7 +257,7 @@ func TestPutChunksTeardown(t *testing.T) {
 			}
 			pulls := 0
 			pull := pullRuns(append(cutAs(t, cfg, randBytes(78, 128<<10)), chunks...), rng)
-			err = s.PutChunksContext(ctx, "b", func() ([]HashedChunk, error) {
+			err = d.PutChunksContext(ctx, "b", func() ([]HashedChunk, error) {
 				if pulls++; pulls == 3 && tc.want != boom {
 					cancel()
 				}
@@ -274,7 +271,7 @@ func TestPutChunksTeardown(t *testing.T) {
 			if disk.Exists(simdisk.FileManifest, "b") {
 				t.Fatal("the aborted file left a FileManifest")
 			}
-			if err := s.PutChunksContext(context.Background(), "c", pullRuns(chunks, rng)); err != nil {
+			if err := d.PutChunksContext(context.Background(), "c", pullRuns(chunks, rng)); err != nil {
 				t.Fatalf("engine unusable after the aborted file: %v", err)
 			}
 			checkRestore(t, d, map[string][]byte{"c": randBytes(77, 256<<10)})

@@ -7,35 +7,13 @@ import (
 	"sync"
 )
 
-// Session is one ingest stream's handle on a shared Dedup: its PutFile calls
-// must not overlap, but N Sessions may run PutFile concurrently on the same
-// Dedup (DESIGN §7). It holds no state between files, so it is merely an
-// ordering token: one Session ≡ one stream.
-type Session struct {
-	d *Dedup
-}
-
-// NewSession returns a session for one concurrent ingest stream. Sessions
-// are cheap; create one per stream.
-func (d *Dedup) NewSession() *Session {
-	return &Session{d: d}
-}
-
-// PutFile deduplicates one input file on this session's stream. Files of
-// one session must be fed in backup-stream order and must not overlap;
-// PutFile calls on different sessions of the same Dedup may run
-// concurrently.
-func (s *Session) PutFile(name string, r io.Reader) error {
-	return s.d.putFile(context.Background(), name, r)
-}
-
 // PutFileContext is PutFile with cancellation: the ingest aborts between
 // chunks as soon as ctx is done and returns ctx.Err(), and the file, as
 // after any mid-file error, writes no FileManifest and seals no DiskChunk.
 // A reader blocked in Read defers the check; callers that own the reader (a
 // net.Conn, an io.Pipe) should also close it on cancel.
-func (s *Session) PutFileContext(ctx context.Context, name string, r io.Reader) error {
-	return s.d.putFile(ctx, name, r)
+func (d *Dedup) PutFileContext(ctx context.Context, name string, r io.Reader) error {
+	return d.putFile(ctx, name, r)
 }
 
 // PutChunksContext is PutFileContext for a stream that arrives cut and
@@ -48,8 +26,8 @@ func (s *Session) PutFileContext(ctx context.Context, name string, r io.Reader) 
 // digest would poison the index, so the caller must have verified each
 // chunk against its digest and leave its bytes alone afterwards. pull runs
 // on the calling goroutine; one that can block should watch ctx.
-func (s *Session) PutChunksContext(ctx context.Context, name string, pull func() ([]HashedChunk, error)) error {
-	return s.d.ingest(ctx, &fileState{name: name, src: &runSource{pull: pull}})
+func (d *Dedup) PutChunksContext(ctx context.Context, name string, pull func() ([]HashedChunk, error)) error {
+	return d.ingest(ctx, &fileState{name: name, src: &runSource{pull: pull}})
 }
 
 // Item is one input file of a stream: a name (the Restore key, unique
@@ -70,18 +48,18 @@ type Stream struct {
 	Items []Item
 }
 
-// IngestStreamsContext deduplicates the given streams using up to workers
-// concurrent sessions. workers ≤ 1 ingests them in slice order on the
-// calling goroutine, bit-identical to a serial PutFile loop. workers > 1
-// starts min(workers, len(streams)) goroutines with a Session each, which
-// take the earliest unstarted stream when free. The first error — ctx.Err()
-// once ctx is done — stops the hand-out; the workers finish their current
-// file (in-flight PutFiles abort at their next chunk) and it is returned.
+// IngestStreamsContext deduplicates the given streams, up to workers of them
+// at once. workers ≤ 1 ingests them in slice order on the calling
+// goroutine, bit-identical to a serial PutFile loop. workers > 1 starts
+// min(workers, len(streams)) goroutines, each of which takes the earliest
+// unstarted stream when free. The first error — ctx.Err() once ctx is
+// done — stops the hand-out; the workers finish their current file
+// (in-flight PutFiles abort at their next chunk) and it is returned.
 func (d *Dedup) IngestStreamsContext(ctx context.Context, workers int, streams []Stream) error {
+	put := func(name string, r io.Reader) error { return d.PutFileContext(ctx, name, r) }
 	if workers <= 1 || len(streams) <= 1 {
-		s := d.NewSession()
 		for _, st := range streams {
-			if err := ingestStream(ctx, s, st); err != nil {
+			if err := IngestStream(ctx, st, put); err != nil {
 				return err
 			}
 		}
@@ -107,9 +85,8 @@ func (d *Dedup) IngestStreamsContext(ctx context.Context, workers int, streams [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := d.NewSession()
 			for st := range feed {
-				if err := ingestStream(ctx, s, st); err != nil {
+				if err := IngestStream(ctx, st, put); err != nil {
 					fail(err)
 					return
 				}
@@ -134,8 +111,9 @@ feeding:
 	return firstErr
 }
 
-// ingestStream runs one stream's items, in order, through one session.
-func ingestStream(ctx context.Context, s *Session, st Stream) error {
+// IngestStream feeds one stream's items, in order, to put — any engine's
+// PutFile — and reports the first failure to open, put or close an item.
+func IngestStream(ctx context.Context, st Stream, put func(name string, r io.Reader) error) error {
 	for _, it := range st.Items {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -144,7 +122,7 @@ func ingestStream(ctx context.Context, s *Session, st Stream) error {
 		if err != nil {
 			return fmt.Errorf("core: open %q (stream %q): %w", it.Name, st.Name, err)
 		}
-		putErr := s.PutFileContext(ctx, it.Name, r)
+		putErr := put(it.Name, r)
 		closeErr := r.Close()
 		if putErr != nil {
 			return putErr

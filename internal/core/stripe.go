@@ -7,13 +7,13 @@ import (
 	"mhdedup/internal/hashutil"
 )
 
-// Striped locking for the hash-keyed maps sessions share (DESIGN §7): the
+// Striped locking for the hash-keyed maps streams share (DESIGN §7): the
 // cache index and SI-MHD's sparse hook index are each numStripes maps
 // behind their own RWMutex, picked by low bits of the (uniform) SHA-1 key,
 // and the same stripes serialize hook publication (publishLocks).
 
 // numStripes is the shard count of every striped structure: under 2%
-// contention for 8 sessions; a power of two, so a stripe is a mask.
+// contention for 8 streams; a power of two, so a stripe is a mask.
 const numStripes = 64
 
 // stripeOf maps a hash to its stripe, purely and stably: the low bits of
@@ -77,7 +77,7 @@ func (s *stripedIndex) putIfAbsent(key, val hashutil.Sum) bool {
 }
 
 // deleteIf removes key only while it still maps to val (so a stale-entry
-// cleanup cannot erase a mapping another session just refreshed).
+// cleanup cannot erase a mapping another stream just refreshed).
 func (s *stripedIndex) deleteIf(key, val hashutil.Sum) {
 	sh := &s.shards[stripeOf(key)]
 	sh.mu.Lock()
@@ -111,7 +111,7 @@ func (s *stripedIndex) len() int {
 
 // publishLocks are the per-hash-stripe mutexes serializing hook
 // publication (check-then-create of on-disk hooks and bloom insertion) so
-// two sessions finishing files with identical hooks cannot double-create.
+// two streams finishing files with identical hooks cannot double-create.
 type publishLocks struct {
 	mu [numStripes]sync.Mutex
 }

@@ -60,7 +60,7 @@ func TestVariantsComposable(t *testing.T) {
 	cfg := testConfig()
 	cfg.TTTD = true
 	cfg.SHMPerSlice = true
-	cfg.UseBloom = false
+	cfg.DisableBloom = true
 	content := randBytes(73, 200_000)
 	files := map[string][]byte{"a": content, "b": append([]byte(nil), content...)}
 	d := ingest(t, cfg, files, []string{"a", "b"})

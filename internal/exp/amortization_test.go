@@ -26,7 +26,7 @@ func TestHHRAmortization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := core.DefaultConfig()
+	c := core.Config{}
 	c.ECS = 1024
 	c.SD = 32
 	c.BloomBytes = 1 << 18

@@ -41,7 +41,7 @@ func TestBuildAllAlgorithms(t *testing.T) {
 	edited := append([]byte(nil), base...)
 	copy(edited[90_000:], base[:6_000])
 	for _, e := range engines {
-		p := DefaultParams(e.name, 1024, 8, 1<<20)
+		p := Params{Algo: e.name, Options: algo.Options{ECS: 1024, SD: 8, ExpectedInputBytes: 1 << 20}}
 		built, err := Build(p)
 		if err != nil {
 			t.Errorf("Build(%s): %v", e.name, err)
@@ -53,7 +53,7 @@ func TestBuildAllAlgorithms(t *testing.T) {
 		if c, ok := store.ContractOf(built.Disk()); !ok || c != want {
 			t.Errorf("Build(%s) stamped %+v, %v; want %+v", e.name, c, ok, want)
 		}
-		mounted, err := e.mount(p, want, simdisk.New())
+		mounted, err := e.mount(p.Options, 0, simdisk.New())
 		if err != nil {
 			t.Fatalf("%s: mount on an empty disk: %v", e.name, err)
 		}
@@ -84,25 +84,11 @@ func TestBuildAllAlgorithms(t *testing.T) {
 			t.Errorf("Resume(%s): err = %v, row says resumable = %v", e.name, err, e.resumable)
 		}
 	}
-	if _, err := Build(Params{Algo: "nope", ECS: 1024, SD: 8}); err == nil {
+	if _, err := Build(Params{Algo: "nope"}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, err := Resume(Params{Algo: "nope", ECS: 1024, SD: 8}, simdisk.New()); err == nil {
+	if _, err := Resume(Params{Algo: "nope"}, simdisk.New()); err == nil {
 		t.Error("unknown algorithm resumed")
-	}
-}
-
-func TestBloomAutoSizing(t *testing.T) {
-	p := Params{ECS: 4096, ExpectedInputBytes: 1 << 30}
-	if got := p.bloomBytes(); got < (1<<30)/4096 {
-		t.Errorf("auto bloom %d bytes too small for 1 GiB input", got)
-	}
-	p.BloomBytes = 12345
-	if p.bloomBytes() != 12345 {
-		t.Error("explicit BloomBytes ignored")
-	}
-	if (Params{}).bloomBytes() <= 0 {
-		t.Error("degenerate params must still give a positive size")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/trace"
 )
 
@@ -33,16 +34,19 @@ func (s *Suite) run(algoName string, ecs, sd int) (Record, error) {
 	if rec, ok := s.cache[key]; ok {
 		return rec, nil
 	}
-	p := DefaultParams(algoName, ecs, sd, s.DS.TotalBytes())
-	if s.Scale.CacheManifests > 0 {
-		p.CacheManifests = s.Scale.CacheManifests
-	}
-	rec, err := Run(s.DS, p)
+	rec, err := Run(s.DS, s.params(algoName, ecs, sd))
 	if err != nil {
 		return Record{}, fmt.Errorf("exp: %s: %w", key, err)
 	}
 	s.cache[key] = rec
 	return rec, nil
+}
+
+// params configures one run of the suite: the scale's manifest cache (zero
+// is the engine default), the bloom filter sized for the whole dataset.
+func (s *Suite) params(algoName string, ecs, sd int) Params {
+	return Params{Algo: algoName, Options: algo.Options{ECS: ecs, SD: sd,
+		ExpectedInputBytes: s.DS.TotalBytes(), CacheManifests: s.Scale.CacheManifests}}
 }
 
 // sweep returns records for every algorithm at every ECS of the scale's

@@ -37,10 +37,11 @@ type engine struct {
 	name string
 	// format is the manifest format the engine writes.
 	format store.Format
-	// mount returns the engine over disk, cut as the contract says, with
-	// its detection state rebuilt from whatever the disk already holds. A
-	// new engine is a mount of an empty disk, where there is none.
-	mount func(Params, store.Contract, *simdisk.Disk) (algo.Deduplicator, error)
+	// mount returns the engine over disk, cut by the options and the
+	// store's polynomial, with its detection state rebuilt from whatever
+	// the disk already holds. A new engine is a mount of an empty disk,
+	// where there is none.
+	mount func(algo.Options, rabin.Poly, *simdisk.Disk) (algo.Deduplicator, error)
 	// resumable says mount can rebuild the detection state of a non-empty
 	// disk: it lives on disk (hooks, manifests), not only in RAM.
 	resumable bool
@@ -79,73 +80,13 @@ var AllAlgorithms = func() []string {
 // Params selects and configures one deduplicator run.
 type Params struct {
 	Algo string
-	ECS  int
-	SD   int
-	// BloomBytes of zero auto-sizes the filter from ExpectedInputBytes.
-	BloomBytes int
-	// ExpectedInputBytes drives bloom auto-sizing (≈1.2 bytes per expected
-	// chunk, the standard 1%-FP sizing).
-	ExpectedInputBytes int64
-	CacheManifests     int
-	UseBloom           bool
-	// MHD ablation switches.
-	ByteCompare bool
-	EdgeHash    bool
-	SHMPerSlice bool
-	TTTD        bool
-	FastCDC     bool
-	// RecipeTrees stores file recipes as deduplicated recipe trees
-	// (64-bit-clean, O(log n) ranged restore) instead of flat manifests.
-	RecipeTrees bool
-}
-
-// DefaultParams returns paper-faithful settings for one algorithm.
-func DefaultParams(algoName string, ecs, sd int, expectedInput int64) Params {
-	return Params{
-		Algo:               algoName,
-		ECS:                ecs,
-		SD:                 sd,
-		ExpectedInputBytes: expectedInput,
-		CacheManifests:     64,
-		UseBloom:           true,
-		ByteCompare:        true,
-		EdgeHash:           true,
-	}
-}
-
-// bloomBytes auto-sizes the filter: ~9.6 bits per expected chunk (1% FP).
-func (p Params) bloomBytes() int {
-	if p.BloomBytes > 0 {
-		return p.BloomBytes
-	}
-	if p.ExpectedInputBytes <= 0 || p.ECS <= 0 {
-		return 1 << 20
-	}
-	n := p.ExpectedInputBytes / int64(p.ECS)
-	b := int(n*12/8) + 1024
-	if b < 1<<16 {
-		b = 1 << 16
-	}
-	return b
+	algo.Options
 }
 
 // mountMHD is the table's mount for MHD and, with sparseIndex, SI-MHD.
-func mountMHD(sparseIndex bool) func(Params, store.Contract, *simdisk.Disk) (algo.Deduplicator, error) {
-	return func(p Params, c store.Contract, disk *simdisk.Disk) (algo.Deduplicator, error) {
-		cfg := core.DefaultConfig()
-		cfg.ECS = c.ECS
-		cfg.Poly = rabin.Poly(c.Poly)
-		cfg.TTTD, cfg.FastCDC = c.TTTD, c.FastCDC
-		cfg.SD = p.SD
-		cfg.BloomBytes = p.bloomBytes()
-		cfg.CacheManifests = p.CacheManifests
-		cfg.UseBloom = p.UseBloom
-		cfg.ByteCompare = p.ByteCompare
-		cfg.EdgeHash = p.EdgeHash
-		cfg.SHMPerSlice = p.SHMPerSlice
-		cfg.SparseIndex = sparseIndex
-		cfg.RecipeTrees = p.RecipeTrees
-		d, err := core.NewOnDisk(cfg, disk)
+func mountMHD(sparseIndex bool) func(algo.Options, rabin.Poly, *simdisk.Disk) (algo.Deduplicator, error) {
+	return func(o algo.Options, poly rabin.Poly, disk *simdisk.Disk) (algo.Deduplicator, error) {
+		d, err := core.NewOnDisk(core.Config{Options: o, Poly: poly, SparseIndex: sparseIndex}, disk)
 		if err != nil {
 			return nil, err
 		}
@@ -153,22 +94,10 @@ func mountMHD(sparseIndex bool) func(Params, store.Contract, *simdisk.Disk) (alg
 	}
 }
 
-// mountBaseline is the table's mount for an internal/baseline engine: every
-// one of them cuts with Rabin and is configured from Params the same way.
-func mountBaseline[E algo.Deduplicator](mk func(baseline.Config, *simdisk.Disk) (E, error)) func(Params, store.Contract, *simdisk.Disk) (algo.Deduplicator, error) {
-	return func(p Params, c store.Contract, disk *simdisk.Disk) (algo.Deduplicator, error) {
-		if c.TTTD || c.FastCDC {
-			return nil, fmt.Errorf("exp: %s cuts with Rabin only", p.Algo)
-		}
-		cfg := baseline.DefaultConfig()
-		cfg.ECS = c.ECS
-		cfg.Poly = rabin.Poly(c.Poly)
-		cfg.SD = p.SD
-		cfg.BloomBytes = p.bloomBytes()
-		cfg.CacheManifests = p.CacheManifests
-		cfg.UseBloom = p.UseBloom
-		cfg.RecipeTrees = p.RecipeTrees
-		d, err := mk(cfg, disk)
+// mountBaseline is the table's mount for an internal/baseline engine.
+func mountBaseline[E algo.Deduplicator](mk func(baseline.Config, *simdisk.Disk) (E, error)) func(algo.Options, rabin.Poly, *simdisk.Disk) (algo.Deduplicator, error) {
+	return func(o algo.Options, poly rabin.Poly, disk *simdisk.Disk) (algo.Deduplicator, error) {
+		d, err := mk(baseline.Config{Options: o, Poly: poly}, disk)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +138,7 @@ func mount(p Params, disk *simdisk.Disk, resume bool) (algo.Deduplicator, error)
 		case (p.TTTD || p.FastCDC) && (p.TTTD != c.TTTD || p.FastCDC != c.FastCDC):
 			return nil, fmt.Errorf("exp: the store records TTTD %v and FastCDC %v", c.TTTD, c.FastCDC)
 		}
-		p.Algo, p.ECS = c.Algorithm, c.ECS
+		p.Algo, p.ECS, p.TTTD, p.FastCDC = c.Algorithm, c.ECS, c.TTTD, c.FastCDC
 	}
 	e, err := row(p)
 	if err != nil {
@@ -222,7 +151,7 @@ func mount(p Params, disk *simdisk.Disk, resume bool) (algo.Deduplicator, error)
 		p.ECS = cmp.Or(p.ECS, c.ECS)
 		c = store.Contract{Algorithm: e.name, Format: e.format, TTTD: p.TTTD, FastCDC: p.FastCDC, ECS: p.ECS}
 	}
-	d, err := e.mount(p, c, disk)
+	d, err := e.mount(p.Options, rabin.Poly(c.Poly), disk)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +200,7 @@ func Sweep(ds *trace.Dataset, algos []string, ecsList []int, sd int) ([]Record, 
 	var out []Record
 	for _, ecs := range ecsList {
 		for _, a := range algos {
-			rec, err := Run(ds, DefaultParams(a, ecs, sd, ds.TotalBytes()))
+			rec, err := Run(ds, Params{Algo: a, Options: algo.Options{ECS: ecs, SD: sd}})
 			if err != nil {
 				return nil, fmt.Errorf("exp: %s ECS=%d SD=%d: %w", a, ecs, sd, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"testing"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/trace"
 )
 
@@ -55,7 +56,7 @@ func TestSweepUnknownAlgo(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	ds := microDataset(t)
 	for _, a := range AllAlgorithms {
-		p := DefaultParams(a, 2048, 8, ds.TotalBytes())
+		p := Params{Algo: a, Options: algo.Options{ECS: 2048, SD: 8, ExpectedInputBytes: ds.TotalBytes()}}
 		r1, err := Run(ds, p)
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)

@@ -193,9 +193,9 @@ func (s *Suite) Ablations(ecs int) (string, error) {
 	}
 	variants := []variant{
 		{"baseline (all on)", func(p *Params) {}},
-		{"bloom off", func(p *Params) { p.UseBloom = false }},
-		{"byte-compare off", func(p *Params) { p.ByteCompare = false }},
-		{"edgehash off", func(p *Params) { p.EdgeHash = false }},
+		{"bloom off", func(p *Params) { p.DisableBloom = true }},
+		{"byte-compare off", func(p *Params) { p.DisableByteCompare = true }},
+		{"edgehash off", func(p *Params) { p.DisableEdgeHash = true }},
 		{"per-slice SHM", func(p *Params) { p.SHMPerSlice = true }},
 		{"TTTD chunker", func(p *Params) { p.TTTD = true }},
 		{"FastCDC chunker", func(p *Params) { p.FastCDC = true }},
@@ -204,10 +204,7 @@ func (s *Suite) Ablations(ecs int) (string, error) {
 	header := []string{"variant", "real DER", "MetaDataRatio%", "disk accesses", "HHR accesses", "ThroughputRatio"}
 	var rows [][]string
 	for _, v := range variants {
-		p := DefaultParams(AlgoMHD, ecs, s.Scale.SD, s.DS.TotalBytes())
-		if s.Scale.CacheManifests > 0 {
-			p.CacheManifests = s.Scale.CacheManifests
-		}
+		p := s.params(AlgoMHD, ecs, s.Scale.SD)
 		v.mut(&p)
 		rec, err := Run(s.DS, p)
 		if err != nil {
@@ -258,11 +255,7 @@ func (s *Suite) RecipeCompression(ecs int) (string, error) {
 	header := []string{"algorithm", "recipes", "plain bytes", "compressed", "ratio"}
 	var rows [][]string
 	for _, a := range Algorithms {
-		p := DefaultParams(a, ecs, s.Scale.SD, s.DS.TotalBytes())
-		if s.Scale.CacheManifests > 0 {
-			p.CacheManifests = s.Scale.CacheManifests
-		}
-		eng, err := Build(p)
+		eng, err := Build(s.params(a, ecs, s.Scale.SD))
 		if err != nil {
 			return "", err
 		}

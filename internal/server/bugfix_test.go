@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/client"
 	"mhdedup/internal/core"
 	"mhdedup/internal/exp"
@@ -126,7 +127,7 @@ func TestResumeExpiryRaceStress(t *testing.T) {
 // records as 37-byte MHD records and the restore failed; post-fix the
 // format is the one the store's cut contract records.
 func TestRemoteRestoreNonMHDFormatStore(t *testing.T) {
-	cdc, err := exp.Build(exp.DefaultParams(exp.AlgoCDC, 4096, 64, 0))
+	cdc, err := exp.Build(exp.Params{Algo: exp.AlgoCDC, Options: algo.Options{ECS: 4096, SD: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestRemoteRestoreNonMHDFormatStore(t *testing.T) {
 
 	// Mount the foreign store under an MHD engine (what a dedupd resuming
 	// an older store does) and serve it.
-	eng, err := core.NewOnDisk(core.DefaultConfig(), disk)
+	eng, err := core.NewOnDisk(core.Config{}, disk)
 	if err != nil {
 		t.Fatal(err)
 	}

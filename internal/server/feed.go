@@ -45,14 +45,14 @@ const feedRunsAhead = 2
 // errFeedClaim marks finish's refusals, which say what did not match.
 var errFeedClaim = errors.New("stream is not what its sender declared")
 
-// beginFeed starts sess ingesting name, on its own goroutine, from the runs
+// beginFeed starts eng ingesting name, on its own goroutine, from the runs
 // put into the feed until ctx is cancelled.
-func beginFeed(ctx context.Context, sess *core.Session, name string, wait *metrics.Histogram) *feed {
+func beginFeed(ctx context.Context, eng *core.Dedup, name string, wait *metrics.Histogram) *feed {
 	f := &feed{name: name, hash: hashutil.NewHasher(), done: make(chan struct{}),
 		runs: make(chan []core.HashedChunk, feedRunsAhead), wait: wait}
 	ctx, f.cancel = context.WithCancel(ctx)
 	go func() {
-		f.err = sess.PutChunksContext(ctx, name, func() ([]core.HashedChunk, error) {
+		f.err = eng.PutChunksContext(ctx, name, func() ([]core.HashedChunk, error) {
 			select {
 			case run, ok := <-f.runs:
 				if !ok {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/client"
 	"mhdedup/internal/core"
 	"mhdedup/internal/exp"
@@ -248,7 +249,7 @@ func TestClientPutMatchesLocalPutFile(t *testing.T) {
 	}{{"rabin", false, false}, {"gear", false, true}, {"tttd", true, false}} {
 		t.Run(ck.name, func(t *testing.T) {
 			build := func() *core.Dedup {
-				p := exp.DefaultParams(exp.AlgoMHD, 4096, 64, 64<<20)
+				p := exp.Params{Algo: exp.AlgoMHD, Options: algo.Options{ECS: 4096, SD: 64, ExpectedInputBytes: 64 << 20}}
 				p.TTTD, p.FastCDC = ck.tttd, ck.gear
 				eng, err := exp.Build(p)
 				if err != nil {
@@ -302,7 +303,7 @@ func TestChunkFeedCancelUnblocksPut(t *testing.T) {
 	// Run 0 is already stored, so feeding it again sends the engine to the
 	// disk for its hook, where the test holds it.
 	pulled := false
-	if err := eng.NewSession().PutChunksContext(context.Background(), "seen", func() ([]core.HashedChunk, error) {
+	if err := eng.PutChunksContext(context.Background(), "seen", func() ([]core.HashedChunk, error) {
 		if pulled {
 			return nil, io.EOF
 		}
@@ -321,7 +322,7 @@ func TestChunkFeedCancelUnblocksPut(t *testing.T) {
 		return nil
 	})
 	baseline := runtime.NumGoroutine()
-	f := beginFeed(context.Background(), eng.NewSession(), "f", metrics.NewRegistry().Histogram("wait"))
+	f := beginFeed(context.Background(), eng, "f", metrics.NewRegistry().Histogram("wait"))
 	if err := f.put(run(0)); err != nil {
 		t.Fatal(err)
 	}

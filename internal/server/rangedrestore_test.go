@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/client"
 	"mhdedup/internal/core"
 	"mhdedup/internal/exp"
@@ -14,7 +15,7 @@ import (
 // newTreeEngine builds an MHD engine that stores recipes as recipe trees.
 func newTreeEngine(t *testing.T) *core.Dedup {
 	t.Helper()
-	p := exp.DefaultParams(exp.AlgoMHD, 4096, 64, 64<<20)
+	p := exp.Params{Algo: exp.AlgoMHD, Options: algo.Options{ECS: 4096, SD: 64, ExpectedInputBytes: 64 << 20}}
 	p.RecipeTrees = true
 	eng, err := exp.Build(p)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package server implements dedupd — the network half of the dedup
 // engine. It accepts N concurrent client connections over TCP, maps each
-// ingest connection onto one core.Session of a single shared MHD/SI-MHD
+// ingest connection onto one ingest stream of a single shared MHD/SI-MHD
 // engine, and speaks the internal/wire protocol: the client chunks
 // locally and negotiates by hash, so only chunk bytes the server has
 // never seen cross the wire.
@@ -348,7 +348,7 @@ func (s *Server) newSession(token uint64, hello wire.Hello) *ingestSession {
 		token:   token,
 		tenant:  hello.Tenant,
 		srv:     s,
-		eng:     s.cfg.Engine.NewSession(),
+		eng:     s.cfg.Engine,
 		ctx:     ctx,
 		abort:   cancel,
 		pending: make(map[uint64]*pendingCmd),

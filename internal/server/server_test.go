@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/core"
 	"mhdedup/internal/events"
 	"mhdedup/internal/exp"
@@ -25,7 +26,7 @@ func testEvents(t *testing.T) *events.Log {
 // newTestEngine builds a small MHD engine for server tests.
 func newTestEngine(t *testing.T) *core.Dedup {
 	t.Helper()
-	p := exp.DefaultParams(exp.AlgoMHD, 4096, 64, 64<<20)
+	p := exp.Params{Algo: exp.AlgoMHD, Options: algo.Options{ECS: 4096, SD: 64, ExpectedInputBytes: 64 << 20}}
 	eng, err := exp.Build(p)
 	if err != nil {
 		t.Fatal(err)

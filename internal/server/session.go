@@ -14,8 +14,8 @@ import (
 	"mhdedup/internal/wire"
 )
 
-// ingestSession is the server half of one client backup session: a
-// core.Session on the shared engine, the ordered-application state (seq
+// ingestSession is the server half of one client backup session: one
+// ingest stream on the shared engine, the ordered-application state (seq
 // numbers, pending command window) and the open-file feed.
 //
 // Ownership: exactly one connection handler owns a session while it is
@@ -26,7 +26,7 @@ type ingestSession struct {
 	token  uint64
 	tenant string // namespace prefix for every file this session ingests
 	srv    *Server
-	eng    *core.Session
+	eng    *core.Dedup
 	ctx    context.Context
 	abort  context.CancelFunc
 

@@ -2,8 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,10 +82,9 @@ type DurableOptions struct {
 	ShedPendingBytes int64
 	ShedLogBytes     int64
 
-	// ScrubInterval runs an online scrub (a verified restore of every file
-	// from a consistent snapshot: each byte is re-hashed against the
-	// manifest entry that vouches for it) this often. Default 0 = no
-	// scrubbing.
+	// ScrubInterval runs an online scrub (Store.Scrub of a consistent
+	// snapshot: each stored byte is re-hashed against the manifest entry
+	// that vouches for it) this often. Default 0 = no scrubbing.
 	ScrubInterval time.Duration
 
 	// PaceHistogram + P99Budget pace background maintenance: each tick
@@ -235,48 +232,49 @@ func (d *Durable) Compact() error {
 }
 
 // Scrub verifies the store online: it mounts a consistent read-only
-// snapshot (newest generation + the log's valid prefix) and restores
-// every file to a discard writer through the verified path, so an
-// undecodable manifest, a missing chunk or a flipped bit in a persisted
-// container surfaces as an event — without ever touching the live engine's
-// disk or blocking ingest, and inline (Workers: 1), so it never takes a
-// second core from ingest. Any log prefix verifies: a file's records are
-// logged DiskChunk → Manifest → Hooks → FileManifest, so a recipe in the
-// prefix has every container and manifest it points into ahead of it, and
-// an HHR write-back only replaces a manifest entry by entries over the same
-// bytes, so either version of a manifest vouches for them.
+// snapshot (newest generation + the log's valid prefix) and runs Store.Scrub
+// over it, inline, so every claimed range of every container is re-hashed
+// against its content address and each stored byte is read once. An
+// undecodable manifest or recipe, a missing chunk or a flipped bit in a
+// persisted container fails the pass and is evented per affected file,
+// without ever touching the live engine's disk or blocking ingest: what the
+// scrub drops it drops from the snapshot. Any log prefix verifies: a file's
+// records are logged DiskChunk → Manifest → Hooks → FileManifest, so a
+// recipe in the prefix has every container and manifest it points into
+// ahead of it, and an HHR write-back only replaces a manifest entry by
+// entries over the same bytes, so either version of a manifest vouches for
+// them.
 func (d *Durable) Scrub() error {
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
 	start := time.Now()
 	d.ev.Info("scrub.start")
 	snap, _, err := simdisk.Load(d.dir, false)
+	var rep ScrubReport
+	if err == nil {
+		c, _ := ContractOf(snap)
+		rep, err = New(snap, c.Format).Scrub(VerifyOpts{}, nil)
+	}
 	if err != nil {
 		d.scrubErrors.Add(1)
 		d.ev.Error("scrub.error", events.F("err", err.Error()))
 		return err
 	}
-	c, _ := ContractOf(snap)
-	ver := NewVerifier(New(snap, c.Format), VerifyOpts{})
-	names := snap.Names(simdisk.FileManifest)
-	sort.Strings(names)
-	bad := 0
-	for _, name := range names {
-		if _, err := ver.RestoreRange(name, 0, -1, io.Discard, RestoreOptions{Workers: 1}); err != nil {
-			bad++
-			d.ev.Error("scrub.corrupt",
-				events.F("file", name), events.F("err", err.Error()))
-		}
+	for _, name := range rep.AffectedFiles {
+		d.ev.Error("scrub.corrupt", events.F("file", name))
 	}
+	bad := len(rep.Corrupt) + len(rep.Unreadable) + len(rep.BadManifests) + len(rep.AffectedFiles)
 	d.scrubs.Add(1)
 	d.lastScrubNS.Store(time.Now().UnixNano())
 	d.ev.Info("scrub.done",
-		events.F("files", len(names)),
+		events.F("containers", rep.ContainersChecked),
+		events.F("entries", rep.EntriesVerified),
 		events.F("corrupt", bad),
 		events.F("ms", time.Since(start).Milliseconds()))
 	if bad > 0 {
 		d.scrubErrors.Add(int64(bad))
-		return fmt.Errorf("store: scrub: %d of %d files failed to restore", bad, len(names))
+		return fmt.Errorf("store: scrub: %d corrupt entries, %d unreadable containers, %d bad manifests, %d affected files",
+			len(rep.Corrupt), len(rep.Unreadable), len(rep.BadManifests), len(rep.AffectedFiles))
 	}
 	return nil
 }

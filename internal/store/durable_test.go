@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mhdedup/internal/events"
+	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
 	"mhdedup/internal/simdisk"
 )
@@ -241,9 +242,9 @@ func TestDurableMaintenanceBacksOffUnderLatency(t *testing.T) {
 }
 
 // TestScrubOnlineRunsInline: the online scrub verifies beside live ingest,
-// so it keeps one planned read in flight whatever the default width is. A
-// default verified restore of the store starts reads ahead (on more than
-// one P); Durable.Scrub restores the same file and starts none.
+// so it reads inline whatever the default width is. A default verified
+// restore of the store starts reads ahead (on more than one P);
+// Durable.Scrub verifies the same containers and starts none.
 func TestScrubOnlineRunsInline(t *testing.T) {
 	d, _ := openDurableT(t, t.TempDir(), DurableOptions{})
 	defer d.Close()
@@ -262,12 +263,12 @@ func TestScrubOnlineRunsInline(t *testing.T) {
 	if started := ahead() - before; (started > 0) != (verifiedWorkers() > 1) {
 		t.Fatalf("a default verified restore at width %d started %d reads ahead", verifiedWorkers(), started)
 	}
-	before, plans := ahead(), hRestorePlanReads.Snapshot().Count
+	before, hashed := ahead(), cVerifyHashedBytes.Load()
 	if err := d.Scrub(); err != nil {
 		t.Fatal(err)
 	}
-	if n := hRestorePlanReads.Snapshot().Count - plans; n != 1 {
-		t.Fatalf("the scrub restored %d files, want 1", n)
+	if cVerifyHashedBytes.Load() == hashed {
+		t.Fatal("the online scrub verified nothing")
 	}
 	if started := ahead() - before; started != 0 {
 		t.Fatalf("the online scrub started %d reads ahead", started)
@@ -311,6 +312,31 @@ func TestDurableScrubFlagsCorruption(t *testing.T) {
 	if d.scrubErrors.Load() == 0 {
 		t.Error("scrub error counter not bumped")
 	}
+}
+
+// TestDurableScrubFlagsMissingContainer: a container a recipe needs but
+// the store no longer holds fails the online scrub, naming the file.
+func TestDurableScrubFlagsMissingContainer(t *testing.T) {
+	ev := events.New(events.Options{Level: events.LevelDebug, Out: io.Discard})
+	d, _ := openDurableT(t, t.TempDir(), DurableOptions{Events: ev})
+	defer d.Close()
+	Contract{Algorithm: "cdc", Format: FormatBasic, ECS: 4096}.Stamp(d.Disk())
+	file, _ := fillFragmented(t, New(d.Disk(), FormatBasic), 7, 50)
+	if err := d.Disk().Delete(simdisk.Data, hashutil.SumString("frag-c0").Hex()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Scrub(); err == nil {
+		t.Fatal("a store missing a container scrubbed clean")
+	}
+	for _, e := range ev.Recent() {
+		if e.Type == "scrub.corrupt" && strings.Contains(e.String(), file) {
+			return
+		}
+	}
+	t.Errorf("no scrub.corrupt event names %s", file)
 }
 
 func TestDurableGaugesExported(t *testing.T) {

@@ -520,8 +520,8 @@ type ScrubReport struct {
 	// Quarantined lists the objects removed from the store (with their
 	// categories), sorted.
 	Quarantined []string
-	// AffectedFiles lists files whose recipes reference a quarantined
-	// container, or one no manifest vouches for (its manifest was
+	// AffectedFiles lists files whose recipes reference a quarantined or
+	// missing container, or one no manifest vouches for (its manifest was
 	// quarantined): their verified restore now fails loudly instead of
 	// returning corrupt bytes.
 	AffectedFiles []string
@@ -544,10 +544,12 @@ func (s *Store) Scrub(opts VerifyOpts, quarantine QuarantineFunc) (ScrubReport, 
 	var rep ScrubReport
 	rep.BadManifests = append(rep.BadManifests, v.BadManifests...)
 
-	drop := make(map[string]bool) // container names to quarantine
+	drop := make(map[string]bool)    // container names to quarantine
+	missing := make(map[string]bool) // claimed containers that do not exist
 	for _, cname := range v.Containers() {
 		if _, ok := s.disk.Size(simdisk.Data, cname); !ok {
 			rep.MissingContainers = append(rep.MissingContainers, cname)
+			missing[cname] = true
 			continue
 		}
 		rep.ContainersChecked++
@@ -616,7 +618,7 @@ func (s *Store) Scrub(opts VerifyOpts, quarantine QuarantineFunc) (ScrubReport, 
 			continue
 		}
 		for _, ref := range fm.Refs {
-			if c := ref.Container.Hex(); drop[c] || !v.Covered(c) {
+			if c := ref.Container.Hex(); drop[c] || missing[c] || !v.Covered(c) {
 				rep.AffectedFiles = append(rep.AffectedFiles, fname)
 				break
 			}
