@@ -57,7 +57,7 @@ echo "== code size =="
 # outside benchmark/ (25,588 before the item's first PR). The ceiling is a
 # ratchet — a PR that deletes code lowers it to its own count; nothing
 # raises it.
-SIZE_CEILING=22126
+SIZE_CEILING=22056
 size=$(find . -name '*.go' ! -name '*_test.go' \
     ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
 echo "non-test Go lines outside benchmark/: $size (ceiling $SIZE_CEILING)"
@@ -74,6 +74,19 @@ copies=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path
     xargs -0 grep -nwE 'DefaultConfig|DefaultParams|UseBloom|BloomHashes|SegmentFactor|MaxChampions|MaxManifestsPerHook|FreqThreshold|SketchRows|SketchWidth' || true)
 if [ -n "$copies" ]; then
     echo "engine configuration restated outside algo.Options:" >&2; echo "$copies" >&2; exit 1
+fi
+
+echo "== one set of session limits =="
+# What a shard and its gateway must agree on — the window, the payload cap,
+# the timeouts, the ring's virtual nodes — is a constant in internal/session
+# or internal/cluster. A configurable ring, a payload floor or a daemon flag
+# that restates one of them must not come back.
+knobs=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
+    xargs -0 grep -nwE 'RingConfig|DefaultVNodes|minMaxPayload' || true)
+flags=$(find cmd/dedupd cmd/dedup-gw -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 grep -nE '"(window|max-sessions|idle-timeout|resume-timeout|drain-timeout|slow-op|vnodes)"' || true)
+if [ -n "$knobs$flags" ]; then
+    echo "session limits made configurable again:" >&2; echo "$knobs$flags" >&2; exit 1
 fi
 
 echo "== no binaries committed =="
@@ -344,7 +357,8 @@ go test -race -count=1 -run 'TestSustainedWriteSoak' ./internal/server
 
 echo "== dedupd debug endpoint smoke =="
 # The server must serve /healthz, a histogram-bearing /metrics.json, the
-# event ring and pprof while running, and drain cleanly on SIGTERM.
+# event ring and pprof while running, drain cleanly on SIGTERM, and refuse
+# a tuning flag that is a constant now.
 go build -o /tmp/dedupd.ci ./cmd/dedupd
 /tmp/dedupd.ci -addr 127.0.0.1:7471 -metrics-addr 127.0.0.1:7472 &
 DEDUPD_PID=$!
@@ -366,6 +380,12 @@ curl -fsS http://127.0.0.1:7472/debug/pprof/cmdline >/dev/null
 kill -TERM "$DEDUPD_PID"
 wait "$DEDUPD_PID"
 trap - EXIT
+# The session limits are constants: a removed tuning flag is refused.
+if refusal=$(/tmp/dedupd.ci -addr 127.0.0.1:7471 -window 4 2>&1); then
+    echo "dedupd debug endpoint smoke: -window 4 was accepted" >&2; exit 1
+fi
+echo "$refusal" | grep -q 'flag provided but not defined' || {
+    echo "dedupd debug endpoint smoke: -window 4 refused otherwise: $refusal" >&2; exit 1; }
 rm -f /tmp/dedupd.ci
 
 echo "== dedupd cut contract smoke =="

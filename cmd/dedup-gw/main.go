@@ -39,8 +39,9 @@
 // /repair-scan restores the factor afterwards).
 //
 // On SIGINT/SIGTERM the gateway drains: it stops accepting, refuses new
-// sessions retryably, and waits (bounded by -drain-timeout) for in-flight
-// sessions. A second signal forces exit.
+// sessions retryably, and waits (for at most a minute) for in-flight
+// sessions. A second signal forces exit. The session limits and the ring's
+// virtual node count are constants, the same in every dedup-gw and dedupd.
 package main
 
 import (
@@ -52,7 +53,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"mhdedup/internal/cluster"
 	"mhdedup/internal/hashutil"
@@ -65,16 +65,9 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":7450", "listen address")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics.json, /healthz and /drain-shard on this address (off when empty)")
 	flag.StringVar(&o.shards, "shards", "", "cluster membership as id=addr,id=addr,... (required)")
-	flag.IntVar(&o.vnodes, "vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the hash ring")
 	flag.IntVar(&o.replication, "replication", 1, "distinct shards holding each file (>=2 survives a single shard death)")
 	flag.StringVar(&o.tenantsFile, "tenants", "", "JSON tenant table: {\"name\": {\"secret\": \"...\", \"quota_bytes\": N}, ...} (empty = open gateway)")
-	flag.IntVar(&o.maxSessions, "max-sessions", 64, "maximum concurrent client ingest sessions")
-	flag.IntVar(&o.window, "window", 8, "per-session in-flight command window (must not exceed the shards' window)")
-	flag.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "close connections idle longer than this")
-	flag.DurationVar(&o.resumeTimeout, "resume-timeout", 90*time.Second, "keep detached client sessions resumable this long (keep below the shards' resume timeout)")
-	flag.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "bound on graceful drain before forcing shutdown")
 	flag.StringVar(&o.logLevel, "log-level", "info", "event log level: debug, info, warn or error")
-	flag.DurationVar(&o.slowOp, "slow-op", 100*time.Millisecond, "emit a warn slow_op event for operations at or above this duration (negative disables)")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "dedup-gw:", err)
@@ -83,19 +76,12 @@ func main() {
 }
 
 type options struct {
-	addr          string
-	metricsAddr   string
-	shards        string
-	vnodes        int
-	replication   int
-	tenantsFile   string
-	maxSessions   int
-	window        int
-	idleTimeout   time.Duration
-	resumeTimeout time.Duration
-	drainTimeout  time.Duration
-	logLevel      string
-	slowOp        time.Duration
+	addr        string
+	metricsAddr string
+	shards      string
+	replication int
+	tenantsFile string
+	logLevel    string
 }
 
 // parseShards turns "s0=host:7444,s1=host:7445" into ring membership.
@@ -130,7 +116,7 @@ func loadTenants(path string) (map[string]cluster.TenantAuth, error) {
 }
 
 func run(o options) error {
-	d, err := session.NewDaemon("dedup-gw", o.logLevel, o.slowOp)
+	d, err := session.NewDaemon("dedup-gw", o.logLevel)
 	if err != nil {
 		return err
 	}
@@ -144,15 +130,10 @@ func run(o options) error {
 		return err
 	}
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
-		Shards:        shards,
-		VNodes:        o.vnodes,
-		Replication:   o.replication,
-		Tenants:       tenants,
-		MaxSessions:   o.maxSessions,
-		Window:        o.window,
-		IdleTimeout:   o.idleTimeout,
-		ResumeTimeout: o.resumeTimeout,
-		Events:        d.Events,
+		Shards:      shards,
+		Replication: o.replication,
+		Tenants:     tenants,
+		Events:      d.Events,
 	})
 	if err != nil {
 		return err
@@ -165,13 +146,13 @@ func run(o options) error {
 	for i, s := range shards {
 		ids[i] = s.ID
 	}
-	logger.Printf("listening on %s, routing %d shards (%s), replication %d, %d tenants, max sessions %d, window %d, sha1 %s",
-		addr, len(shards), strings.Join(ids, " "), gw.Replication(), len(tenants), o.maxSessions, o.window, hashutil.Kernel())
+	logger.Printf("listening on %s, routing %d shards (%s), replication %d, %d tenants, sha1 %s",
+		addr, len(shards), strings.Join(ids, " "), gw.Replication(), len(tenants), hashutil.Kernel())
 	metrics.Default.SetGauge("hashutil.sha_ni", hashutil.SHANI)
 	metrics.Default.SetGauge("hashutil.lanes", hashutil.Lanes)
 
 	admin := func(mux *http.ServeMux) { adminVerbs(mux, gw, logger) }
-	if err := d.Run(gw, o.drainTimeout, func() any { return metricsDoc(gw) }, admin); err != nil {
+	if err := d.Run(gw, func() any { return metricsDoc(gw) }, admin); err != nil {
 		return err
 	}
 	balance := gw.ShardStats()

@@ -92,18 +92,11 @@ func TestRunFailsOnOccupiedMetricsAddr(t *testing.T) {
 	// main's flag defaults, on an ephemeral data port; the shard is never
 	// dialed because no client connects.
 	o := options{
-		addr:          "127.0.0.1:0",
-		metricsAddr:   squatter.Addr().String(),
-		shards:        "s0=127.0.0.1:1",
-		vnodes:        cluster.DefaultVNodes,
-		replication:   1,
-		maxSessions:   64,
-		window:        8,
-		idleTimeout:   2 * time.Minute,
-		resumeTimeout: 90 * time.Second,
-		drainTimeout:  time.Minute,
-		logLevel:      "error",
-		slowOp:        100 * time.Millisecond,
+		addr:        "127.0.0.1:0",
+		metricsAddr: squatter.Addr().String(),
+		shards:      "s0=127.0.0.1:1",
+		replication: 1,
+		logLevel:    "error",
 	}
 
 	done := make(chan error, 1)

@@ -15,7 +15,7 @@
 //
 // On SIGINT/SIGTERM the server drains: it stops accepting connections,
 // refuses new sessions with a retryable error, lets in-flight sessions
-// finish (bounded by -drain-timeout), finalizes the engine and — when
+// finish (for at most a minute), finalizes the engine and — when
 // -store is set — folds the write-ahead log into a fresh generation with
 // the crash-safe commit, then exits. A second signal forces immediate exit.
 //
@@ -25,9 +25,10 @@
 // /events.json (the recent structured event ring) and the standard
 // net/http/pprof profiles under /debug/pprof/.
 //
-// -log-level (debug|info|warn|error) and -slow-op (duration; operations
-// at or above it emit warn-level slow_op events) control the structured
-// event log written to stderr.
+// -log-level (debug|info|warn|error) controls the structured event log
+// written to stderr; operations at or above 100 ms emit warn-level slow_op
+// events. The session limits (window, timeouts, payload cap) are
+// internal/session's constants, the same in every dedupd and dedup-gw.
 package main
 
 import (
@@ -56,14 +57,8 @@ func main() {
 	flag.IntVar(&o.cache, "cache", 0, "manifest cache capacity (default 64)")
 	flag.BoolVar(&o.noBloom, "no-bloom", false, "disable the engine bloom filter")
 	flag.BoolVar(&o.recipeTrees, "recipe-trees", false, "store file recipes as deduplicated recipe trees (64-bit offsets, O(log n) ranged restore)")
-	flag.IntVar(&o.maxSessions, "max-sessions", 16, "maximum concurrent ingest sessions")
-	flag.IntVar(&o.window, "window", 8, "per-session in-flight command window")
 	flag.Int64Var(&o.chunkCache, "chunk-cache-bytes", 256<<20, "wire chunk byte cache budget (negative disables)")
-	flag.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "close connections idle longer than this")
-	flag.DurationVar(&o.resumeTimeout, "resume-timeout", 2*time.Minute, "keep detached sessions resumable this long")
-	flag.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "bound on graceful drain before forcing shutdown")
 	flag.StringVar(&o.logLevel, "log-level", "info", "event log level: debug, info, warn or error")
-	flag.DurationVar(&o.slowOp, "slow-op", 100*time.Millisecond, "emit a warn slow_op event for operations at or above this duration (negative disables)")
 	flag.DurationVar(&o.checkpointInterval, "checkpoint-interval", 30*time.Second, "fold the write-ahead log into a fresh generation at least this often (negative disables age-triggered compaction)")
 	flag.DurationVar(&o.logFlushInterval, "log-flush-interval", 200*time.Millisecond, "background group-commit cadence for the write-ahead log")
 	flag.Int64Var(&o.compactLogBytes, "compact-log-bytes", 64<<20, "fold the log into a fresh generation once it exceeds this many bytes (negative disables)")
@@ -79,23 +74,17 @@ func main() {
 }
 
 type options struct {
-	addr          string
-	metricsAddr   string
-	storeDir      string
-	algo          string
-	ecs           int
-	sd            int
-	cache         int
-	noBloom       bool
-	recipeTrees   bool
-	maxSessions   int
-	window        int
-	chunkCache    int64
-	idleTimeout   time.Duration
-	resumeTimeout time.Duration
-	drainTimeout  time.Duration
-	logLevel      string
-	slowOp        time.Duration
+	addr        string
+	metricsAddr string
+	storeDir    string
+	algo        string
+	ecs         int
+	sd          int
+	cache       int
+	noBloom     bool
+	recipeTrees bool
+	chunkCache  int64
+	logLevel    string
 
 	checkpointInterval time.Duration
 	logFlushInterval   time.Duration
@@ -107,7 +96,7 @@ type options struct {
 }
 
 func run(o options) error {
-	d, err := session.NewDaemon("dedupd", o.logLevel, o.slowOp)
+	d, err := session.NewDaemon("dedupd", o.logLevel)
 	if err != nil {
 		return err
 	}
@@ -119,10 +108,6 @@ func run(o options) error {
 	}
 	cfg := server.Config{
 		Engine:          eng,
-		MaxSessions:     o.maxSessions,
-		Window:          o.window,
-		IdleTimeout:     o.idleTimeout,
-		ResumeTimeout:   o.resumeTimeout,
 		ChunkCacheBytes: o.chunkCache,
 		Events:          evlog,
 	}
@@ -140,8 +125,8 @@ func run(o options) error {
 		return err
 	}
 	opts := srv.Options()
-	logger.Printf("listening on %s (%s ECS=%d TTTD=%v FastCDC=%v SD=%d, resumed=%v, max sessions %d, window %d, sha1 %s)",
-		addr, opts.Algorithm, opts.ECS, opts.TTTD, opts.FastCDC, eng.Config().SD, resumed, o.maxSessions, o.window, hashutil.Kernel())
+	logger.Printf("listening on %s (%s ECS=%d TTTD=%v FastCDC=%v SD=%d, resumed=%v, sha1 %s)",
+		addr, opts.Algorithm, opts.ECS, opts.TTTD, opts.FastCDC, eng.Config().SD, resumed, hashutil.Kernel())
 	metrics.Default.SetGauge("hashutil.sha_ni", hashutil.SHANI)
 	metrics.Default.SetGauge("hashutil.lanes", hashutil.Lanes)
 	if dur != nil {
@@ -162,7 +147,7 @@ func run(o options) error {
 			Engine       metrics.Stats `json:"engine"`
 		}{metrics.Default.ExportAll(), srv.SessionCount(), cacheBytes, cacheEntries, eng.Stats()}
 	}
-	if err := d.Run(srv, o.drainTimeout, metricsDoc, nil); err != nil {
+	if err := d.Run(srv, metricsDoc, nil); err != nil {
 		return err
 	}
 

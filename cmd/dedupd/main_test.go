@@ -20,14 +20,8 @@ import (
 func testOptions() options {
 	return options{
 		addr:               "127.0.0.1:0",
-		maxSessions:        4,
-		window:             8,
 		chunkCache:         1 << 20,
-		idleTimeout:        2 * time.Minute,
-		resumeTimeout:      2 * time.Minute,
-		drainTimeout:       time.Minute,
 		logLevel:           "error",
-		slowOp:             100 * time.Millisecond,
 		checkpointInterval: 30 * time.Second,
 		logFlushInterval:   200 * time.Millisecond,
 		compactLogBytes:    64 << 20,

@@ -187,7 +187,7 @@ func (tc *testCluster) clientConfig() client.Config {
 // placement regardless of how the ring happens to land.
 func (tc *testCluster) namesByShard(t *testing.T, tenant string, per int) map[string][]string {
 	t.Helper()
-	ring, err := cluster.NewRing(cluster.RingConfig{Shards: tc.shards})
+	ring, err := cluster.NewRing(tc.shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,6 +490,82 @@ func TestClusterKillConnectionResume(t *testing.T) {
 	}
 	if resumed := tc.registry.Counter("gateway.sessions.resumed").Load(); resumed == 0 {
 		t.Fatal("gateway never saw a session resume")
+	}
+}
+
+// lingerConn is a gateway→shard link whose Close leaves the connection
+// open, so the shard still sees its session attached when the gateway
+// resumes it.
+type lingerConn struct{ net.Conn }
+
+func (lingerConn) Close() error { return nil }
+
+// TestResumeDroppedBackendStartsOver: a client dies between files and
+// resumes at the gateway while a shard still holds its old connection. The
+// resume drops that backend (it owes nothing), and the session's next file
+// homed there opens a fresh backend session, whose command seqs must start
+// over at 1. They used to continue from the dropped session's, and the
+// shard held the file's commands for the missing ones until the idle
+// timeout.
+func TestResumeDroppedBackendStartsOver(t *testing.T) {
+	var mu sync.Mutex
+	var lingering []net.Conn
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range lingering {
+			nc.Close()
+		}
+	})
+	tc := startCluster(t, 2, func(cfg *cluster.GatewayConfig) {
+		cfg.Dial = func(a string) (net.Conn, error) {
+			nc, err := net.Dial("tcp", a)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			lingering = append(lingering, nc)
+			mu.Unlock()
+			return lingerConn{nc}, nil
+		}
+	})
+	names := tc.namesByShard(t, "", 2)["s1"]
+	var client2gw net.Conn
+	cfg := tc.clientConfig()
+	cfg.Dial = func(a string) (net.Conn, error) {
+		nc, err := net.Dial("tcp", a)
+		mu.Lock()
+		client2gw = nc
+		mu.Unlock()
+		return nc, err
+	}
+	ing, err := client.Connect(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.PutFile(names[0], bytes.NewReader(genData(31, 64<<10))); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	client2gw.Close()
+	mu.Unlock()
+
+	data := genData(32, 64<<10)
+	done := make(chan error, 1)
+	go func() { done <- ing.PutFile(names[1], bytes.NewReader(data)) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the file homed on the dropped backend never completed")
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := restoreOne(t, tc.clientConfig(), names[1]); !bytes.Equal(got, data) {
+		t.Fatal("restore differs from the file put after the resume")
 	}
 }
 

@@ -18,12 +18,12 @@ import (
 )
 
 // GatewayConfig parameterizes a Gateway. Shards is required; zero fields
-// take the documented defaults.
+// take the documented defaults. The limits the gateway and its shards must
+// agree on — the window, the payload cap, the idle and write timeouts — are
+// internal/session's constants.
 type GatewayConfig struct {
 	// Shards is the cluster membership the ring is built over.
 	Shards []Shard
-	// VNodes per shard on the ring; default DefaultVNodes.
-	VNodes int
 	// Tenants is the auth/quota table; nil runs the gateway open (any
 	// tenant, no quota).
 	Tenants map[string]TenantAuth
@@ -38,20 +38,10 @@ type GatewayConfig struct {
 	// MaxSessions caps concurrent (live or parked-resumable) client
 	// ingest sessions; default 64.
 	MaxSessions int
-	// Window is the per-session in-flight command budget advertised to
-	// clients; default 8. It must not exceed any shard's window — the
-	// gateway validates that against each shard's HelloOK.
-	Window int
-	// MaxPayload caps client-facing frame payloads; default
-	// wire.DefaultMaxPayload.
-	MaxPayload uint32
-	// IdleTimeout bounds the gap between client frames; default 2m.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each frame write; default 1m.
-	WriteTimeout time.Duration
 	// ResumeTimeout is how long a detached client session stays
-	// resumable; default 2m. Keep it below the shards' resume timeout or
-	// a late-resuming client will find its backend sessions expired.
+	// resumable; default session.GatewayResumeTimeout. Keep it below the
+	// shards' resume timeout or a late-resuming client will find its
+	// backend sessions expired.
 	ResumeTimeout time.Duration
 
 	// Dial opens transport to a shard; default net.DialTimeout 10s.
@@ -76,20 +66,8 @@ func (c *GatewayConfig) fillDefaults() error {
 	if c.Replication < 1 {
 		return fmt.Errorf("cluster: Replication (%d) must be positive", c.Replication)
 	}
-	if c.Window == 0 {
-		c.Window = 8
-	}
-	if c.MaxPayload == 0 {
-		c.MaxPayload = wire.DefaultMaxPayload
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = time.Minute
-	}
 	if c.ResumeTimeout == 0 {
-		c.ResumeTimeout = 2 * time.Minute
+		c.ResumeTimeout = session.GatewayResumeTimeout
 	}
 	if c.Dial == nil {
 		c.Dial = func(addr string) (net.Conn, error) {
@@ -102,8 +80,8 @@ func (c *GatewayConfig) fillDefaults() error {
 	if c.Events == nil {
 		c.Events = events.Nop()
 	}
-	if c.MaxSessions < 1 || c.Window < 1 {
-		return fmt.Errorf("cluster: MaxSessions (%d) and Window (%d) must be positive", c.MaxSessions, c.Window)
+	if c.MaxSessions < 1 {
+		return fmt.Errorf("cluster: MaxSessions (%d) must be positive", c.MaxSessions)
 	}
 	return nil
 }
@@ -157,7 +135,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	ring, err := NewRing(RingConfig{Shards: cfg.Shards, VNodes: cfg.VNodes})
+	ring, err := NewRing(cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -192,11 +170,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	// The gateway serves no ModePeer and needs no on-expire hook: a parked
 	// session holds no backend connections (its incarnation closed them).
 	gw.ep = session.NewEndpoint(session.Config[*gwSession]{
-		Name:        "gateway",
-		EventPrefix: "gateway.session_",
-		Limits: session.Limits{IdleTimeout: cfg.IdleTimeout, WriteTimeout: cfg.WriteTimeout,
-			MaxPayload: cfg.MaxPayload},
-		Window:        cfg.Window,
+		Name:          "gateway",
+		EventPrefix:   "gateway.session_",
+		Limits:        session.Limits{IdleTimeout: session.IdleTimeout, WriteTimeout: session.WriteTimeout},
 		MaxSessions:   cfg.MaxSessions,
 		ResumeTimeout: cfg.ResumeTimeout,
 		Registry:      r,
@@ -547,7 +523,7 @@ func (gw *Gateway) relayRestoreFrom(c *session.Conn, sh Shard, tenant string, re
 // dialShard opens a connection to a shard and completes the handshake.
 // A refusal comes back as wire.ErrorMsg (via errors.As).
 func (gw *Gateway) dialShard(sh Shard, hello wire.Hello, m session.Meter) (*session.Conn, wire.HelloOK, error) {
-	lim := session.Limits{IdleTimeout: gw.cfg.IdleTimeout, WriteTimeout: gw.cfg.WriteTimeout}
+	lim := session.Limits{IdleTimeout: session.IdleTimeout, WriteTimeout: session.WriteTimeout}
 	bc, ok, err := session.Dial(gw.cfg.Dial, sh.Addr, hello, lim, m)
 	if err != nil {
 		return nil, ok, fmt.Errorf("shard %s (%s): %w", sh.ID, sh.Addr, err)

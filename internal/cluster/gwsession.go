@@ -154,7 +154,7 @@ func (gw *Gateway) serveIngestConn(c *session.Conn, hello wire.Hello, ss *gwSess
 	// Fresh incarnation plumbing: connections, the backend event channel
 	// and the done gate readers use to avoid posting into a dead loop.
 	ss.conns = make(map[string]*session.Conn)
-	ss.backendCh = make(chan bEvent, 4*gw.cfg.Window+32)
+	ss.backendCh = make(chan bEvent, 4*session.Window+32)
 	ss.done = make(chan struct{})
 
 	disp := ss.relay(c, hello)
@@ -204,8 +204,8 @@ func (ss *gwSession) relay(c *session.Conn, hello wire.Hello) disposition {
 	}
 	ok := wire.HelloOK{
 		SessionToken: ss.token,
-		Window:       uint32(gw.cfg.Window),
-		MaxPayload:   gw.cfg.MaxPayload,
+		Window:       session.Window,
+		MaxPayload:   c.MaxPayload(),
 		LastApplied:  ss.lastAcked,
 		Options:      ss.cut,
 	}
@@ -248,7 +248,7 @@ func (ss *gwSession) relay(c *session.Conn, hello wire.Hello) disposition {
 		case ev := <-clientCh:
 			if ev.err != nil {
 				if session.IsTimeout(ev.err) {
-					c.Errorf(wire.CodeProtocol, true, "idle timeout: no frame for %v", gw.cfg.IdleTimeout)
+					c.Errorf(wire.CodeProtocol, true, "idle timeout: no frame for %v", session.IdleTimeout)
 				}
 				return dispDetach
 			}
@@ -351,22 +351,24 @@ func (ss *gwSession) backendFor(sh Shard) (*session.Conn, error) {
 	// The gateway's client-facing contract must be coverable by the
 	// shard's: a window the shard won't honor or frames it won't accept
 	// would corrupt the relay invariants, so refuse loudly at dial time.
-	if int(ok.Window) < ss.gw.cfg.Window {
-		bc.Close()
-		return nil, fmt.Errorf("shard %s window %d below gateway window %d (misconfigured cluster)",
-			sh.ID, ok.Window, ss.gw.cfg.Window)
+	// Both are constants of this build; a shard of another build may
+	// announce less. A retry meets the same shard, so the refusal is final.
+	misconfigured := ""
+	switch {
+	case ok.Window < session.Window:
+		misconfigured = fmt.Sprintf("window %d below gateway window %d", ok.Window, session.Window)
+	case bc.MaxPayload() < wire.DefaultMaxPayload:
+		misconfigured = fmt.Sprintf("max payload %d below gateway's %d", bc.MaxPayload(), wire.DefaultMaxPayload)
+	case ss.cut != (wire.EngineOptions{}) && ok.Options != ss.cut:
+		misconfigured = fmt.Sprintf("cuts by %+v, the session's shards by %+v", ok.Options, ss.cut)
 	}
-	if bc.MaxPayload() < ss.gw.cfg.MaxPayload {
+	if misconfigured != "" {
 		bc.Close()
-		return nil, fmt.Errorf("shard %s max payload %d below gateway's %d (misconfigured cluster)",
-			sh.ID, bc.MaxPayload(), ss.gw.cfg.MaxPayload)
+		return nil, wire.ErrorMsg{Code: wire.CodeInternal, Msg: fmt.Sprintf(
+			"shard %s %s (misconfigured cluster)", sh.ID, misconfigured)}
 	}
 	if ss.cut == (wire.EngineOptions{}) {
 		ss.cut = ok.Options
-	} else if ok.Options != ss.cut {
-		bc.Close()
-		return nil, wire.ErrorMsg{Code: wire.CodeInternal, Msg: fmt.Sprintf(
-			"shard %s cuts by %+v, the session's shards by %+v (misconfigured cluster)", sh.ID, ok.Options, ss.cut)}
 	}
 	ss.shardTokens[sh.ID] = ok.SessionToken
 	ss.shardByID[sh.ID] = sh
@@ -396,8 +398,10 @@ func readBackend(shardID string, bc *session.Conn, ch chan<- bEvent, done <-chan
 // with unacked commands (or the open file) are mandatory: resuming them
 // clears their pending windows so the client's replay is accepted
 // cleanly. Shards this session only has historical tokens for are
-// optional — if their sessions expired while we were parked, the tokens
-// are dropped and the shards clean up on their own.
+// optional — if their sessions expired while we were parked, or still
+// hold the old connection, the tokens are dropped and the shards clean up
+// on their own. The shard's seq numbering goes with its token: a later
+// command there opens a fresh backend session, which counts from 1.
 func (ss *gwSession) bounceBackends() error {
 	needed := make(map[string]bool)
 	for _, cmd := range ss.cmds {
@@ -424,6 +428,8 @@ func (ss *gwSession) bounceBackends() error {
 		if _, err := ss.backendFor(sh); err != nil {
 			if !needed[id] {
 				delete(ss.shardTokens, id)
+				delete(ss.lastSeq, id)
+				delete(ss.rev, id)
 				ss.gw.cfg.Events.Warn("gateway.backend_dropped",
 					events.F("session", ss.token), events.F("shard", id), events.F("err", err))
 				continue
@@ -499,13 +505,13 @@ func (ss *gwSession) backendError(sh Shard, err error) error {
 // Client command handling.
 
 func (ss *gwSession) admit(seq uint64) error {
-	if len(ss.cmds) >= ss.gw.cfg.Window {
+	if len(ss.cmds) >= session.Window {
 		return session.Fatalf(wire.CodeProtocol, "in-flight window exceeded (%d commands unacked, window %d)",
-			len(ss.cmds), ss.gw.cfg.Window)
+			len(ss.cmds), session.Window)
 	}
-	if seq > ss.lastAcked+uint64(ss.gw.cfg.Window) {
+	if seq > ss.lastAcked+session.Window {
 		return session.Fatalf(wire.CodeProtocol, "command seq %d too far ahead of acked %d (window %d)",
-			seq, ss.lastAcked, ss.gw.cfg.Window)
+			seq, ss.lastAcked, session.Window)
 	}
 	if seq <= ss.maxSeq {
 		return session.Fatalf(wire.CodeProtocol, "command seq %d reuses a live sequence number", seq)

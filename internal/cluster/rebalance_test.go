@@ -150,7 +150,7 @@ func TestReplicationPlacement(t *testing.T) {
 	files, order := matrixFiles(t, tc, 79, 1, 1<<18)
 	putAll(t, tc.clientConfig(), files, order)
 
-	ring, err := cluster.NewRing(cluster.RingConfig{Shards: tc.shards})
+	ring, err := cluster.NewRing(tc.shards)
 	if err != nil {
 		t.Fatal(err)
 	}

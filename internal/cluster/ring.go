@@ -20,24 +20,17 @@ import (
 	"mhdedup/internal/hashutil"
 )
 
-// DefaultVNodes is how many virtual nodes each shard projects onto the
-// ring. More vnodes smooth the balance (stddev of a shard's share decays
-// as 1/sqrt(vnodes)) at the cost of a larger sorted point table.
-const DefaultVNodes = 128
+// VNodes is how many virtual nodes each shard projects onto the ring.
+// More vnodes smooth the balance (stddev of a shard's share decays as
+// 1/sqrt(vnodes)) at the cost of a larger sorted point table. A constant,
+// not an option: every point moves with it, so a gateway restarted at
+// another value would re-home files it had already placed.
+const VNodes = 128
 
 // Shard is one dedupd backend in the cluster.
 type Shard struct {
 	ID   string `json:"id"`   // stable identity — ring placement hashes this
 	Addr string `json:"addr"` // host:port the gateway dials
-}
-
-// RingConfig describes the hash-space partition. The ring built from it
-// is a pure function of this value: two processes (or two incarnations of
-// one) given the same config route every key identically, which is what
-// makes routing restart-stable with no handoff protocol.
-type RingConfig struct {
-	Shards []Shard
-	VNodes int // default DefaultVNodes
 }
 
 // point is one virtual node: a position on the [0, 2^64) ring owned by a
@@ -57,20 +50,19 @@ type Ring struct {
 	points []point // sorted by pos
 }
 
-// NewRing builds the ring for cfg. Shard IDs must be unique and
+// NewRing builds the ring over shards. The ring is a pure function of the
+// shard list: two processes (or two incarnations of one) given the same
+// shards route every key identically, which is what makes routing
+// restart-stable with no handoff protocol. Shard IDs must be unique and
 // non-empty; at least one shard is required.
-func NewRing(cfg RingConfig) (*Ring, error) {
-	if len(cfg.Shards) == 0 {
+func NewRing(shards []Shard) (*Ring, error) {
+	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one shard")
 	}
-	vnodes := cfg.VNodes
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	seen := make(map[string]bool, len(cfg.Shards))
+	seen := make(map[string]bool, len(shards))
 	r := &Ring{
-		shards: append([]Shard(nil), cfg.Shards...),
-		points: make([]point, 0, len(cfg.Shards)*vnodes),
+		shards: append([]Shard(nil), shards...),
+		points: make([]point, 0, len(shards)*VNodes),
 	}
 	for i, s := range r.shards {
 		if s.ID == "" {
@@ -80,7 +72,7 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate shard ID %q", s.ID)
 		}
 		seen[s.ID] = true
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < VNodes; v++ {
 			h := hashutil.SumString(s.ID + "#" + strconv.Itoa(v))
 			r.points = append(r.points, point{
 				pos:   binary.BigEndian.Uint64(h[:8]),
@@ -124,11 +116,7 @@ func (r *Ring) Without(ids ...string) (*Ring, error) {
 	if len(keep) == len(r.shards) {
 		return r, nil // nothing removed; rings are immutable so sharing is safe
 	}
-	vnodes := 0
-	if len(r.shards) > 0 {
-		vnodes = len(r.points) / len(r.shards)
-	}
-	return NewRing(RingConfig{Shards: keep, VNodes: vnodes})
+	return NewRing(keep)
 }
 
 // Owner maps a content hash to its owning shard.

@@ -23,16 +23,16 @@ func testKeys(n int) []hashutil.Sum {
 	return out
 }
 
-// TestRingDeterminism: the ring is a pure function of its config — two
+// TestRingDeterminism: the ring is a pure function of its shards — two
 // independently built rings (a restart, in effect) route every key
 // identically.
 func TestRingDeterminism(t *testing.T) {
-	cfg := RingConfig{Shards: testShards(5)}
-	r1, err := NewRing(cfg)
+	shards := testShards(5)
+	r1, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing(cfg)
+	r2, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +41,13 @@ func TestRingDeterminism(t *testing.T) {
 			t.Fatalf("key routed to %s on one ring, %s on its twin", a, b)
 		}
 	}
-	// Shard order in the config must not matter either: identity is the
-	// ID, not the slice index.
-	rev := append([]Shard(nil), cfg.Shards...)
+	// Shard order must not matter either: identity is the ID, not the
+	// slice index.
+	rev := append([]Shard(nil), shards...)
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	r3, err := NewRing(RingConfig{Shards: rev})
+	r3, err := NewRing(rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestRingDeterminism(t *testing.T) {
 	}
 }
 
-// TestRingBalance: with DefaultVNodes every shard's share of a large key
+// TestRingBalance: with VNodes every shard's share of a large key
 // population stays within a generous band around the fair share.
 func TestRingBalance(t *testing.T) {
 	const nShards, nKeys = 8, 200000
-	r, err := NewRing(RingConfig{Shards: testShards(nShards)})
+	r, err := NewRing(testShards(nShards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestRingBalance(t *testing.T) {
 func TestRingAddMovesMinimally(t *testing.T) {
 	const nKeys = 100000
 	shards := testShards(6)
-	small, err := NewRing(RingConfig{Shards: shards[:5]})
+	small, err := NewRing(shards[:5])
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := NewRing(RingConfig{Shards: shards})
+	big, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRingAddMovesMinimally(t *testing.T) {
 func TestRingRemoveMovesMinimally(t *testing.T) {
 	const nKeys = 100000
 	shards := testShards(5)
-	r, err := NewRing(RingConfig{Shards: shards})
+	r, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,16 +157,16 @@ func TestRingRemoveMovesMinimally(t *testing.T) {
 
 // TestRingRejectsBadConfig pins the constructor's validation.
 func TestRingRejectsBadConfig(t *testing.T) {
-	if _, err := NewRing(RingConfig{}); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty ring accepted")
 	}
-	if _, err := NewRing(RingConfig{Shards: []Shard{{ID: ""}}}); err == nil {
+	if _, err := NewRing([]Shard{{ID: ""}}); err == nil {
 		t.Fatal("empty shard ID accepted")
 	}
-	if _, err := NewRing(RingConfig{Shards: []Shard{{ID: "a"}, {ID: "a"}}}); err == nil {
+	if _, err := NewRing([]Shard{{ID: "a"}, {ID: "a"}}); err == nil {
 		t.Fatal("duplicate shard ID accepted")
 	}
-	r, err := NewRing(RingConfig{Shards: []Shard{{ID: "solo"}}})
+	r, err := NewRing([]Shard{{ID: "solo"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestRingRejectsBadConfig(t *testing.T) {
 // order permutation (identity is the ID set, never slice order).
 func TestRingOwnersProperties(t *testing.T) {
 	shards := testShards(6)
-	r, err := NewRing(RingConfig{Shards: shards})
+	r, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRingOwnersProperties(t *testing.T) {
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	rp, err := NewRing(RingConfig{Shards: rev})
+	rp, err := NewRing(rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestRingOwnersProperties(t *testing.T) {
 func TestRingOwnersMovementBounded(t *testing.T) {
 	const R = 3
 	shards := testShards(6)
-	r, err := NewRing(RingConfig{Shards: shards})
+	r, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +299,11 @@ func TestRingOwnersMovementBounded(t *testing.T) {
 // TestOwnerOfNameStable pins name routing (used for home-shard
 // placement) to the same determinism as hash routing.
 func TestOwnerOfNameStable(t *testing.T) {
-	r, err := NewRing(RingConfig{Shards: testShards(4)})
+	r, err := NewRing(testShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing(RingConfig{Shards: testShards(4)})
+	r2, err := NewRing(testShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,23 +171,6 @@ func TestRemoteRestoreNonMHDFormatStore(t *testing.T) {
 	}
 }
 
-// TestTinyMaxPayloadRejected pins the fillDefaults floor: MaxPayload
-// values that cannot fit the restore codec overhead plus data are
-// configuration errors, not runtime infinite loops.
-func TestTinyMaxPayloadRejected(t *testing.T) {
-	eng := newTestEngine(t)
-	for _, mp := range []uint32{1, restoreDataOverhead, 16, 512, minMaxPayload - 1} {
-		if _, err := New(Config{Engine: eng, MaxPayload: mp}); err == nil {
-			t.Errorf("New accepted MaxPayload=%d, want rejection below %d", mp, minMaxPayload)
-		}
-	}
-	for _, mp := range []uint32{0, minMaxPayload, wire.DefaultMaxPayload} {
-		if _, err := New(Config{Engine: eng, MaxPayload: mp, Registry: metrics.NewRegistry()}); err != nil {
-			t.Errorf("New rejected MaxPayload=%d: %v", mp, err)
-		}
-	}
-}
-
 // collectFrames returns a session.Conn over an in-memory pipe; received
 // closes it and returns every frame that was written to it.
 func collectFrames() (c *session.Conn, received func() []wire.Frame) {
@@ -220,8 +203,8 @@ func TestFrameWriterPayloadBudget(t *testing.T) {
 		maxPayload uint32
 		writes     []int // sizes fed to Write
 	}{
-		{minMaxPayload, []int{1, minMaxPayload - restoreDataOverhead, 3000, 1}},
-		{minMaxPayload, []int{5000}},
+		{1024, []int{1, 1024 - restoreDataOverhead, 3000, 1}},
+		{1024, []int{5000}},
 		{4096, []int{4096, 4096, 17}},
 		{wire.DefaultMaxPayload, []int{1 << 20}},
 	} {

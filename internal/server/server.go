@@ -42,17 +42,9 @@ import (
 	"mhdedup/internal/wire"
 )
 
-// minMaxPayload is the smallest MaxPayload a server accepts. Below this
-// the protocol cannot make progress: a restore frame must fit its
-// length-prefix overhead plus at least some data, and chunk negotiation
-// with sub-kilobyte frames is pathological.
-const minMaxPayload = 1024
-
 // restoreDataOverhead is the exact wire overhead a RestoreData payload adds
 // around the data bytes (one u32 length prefix). The restore frame writer
-// never budgets more than MaxPayload - restoreDataOverhead; deriving it
-// here (rather than guessing a margin) keeps the budget positive for every
-// legal MaxPayload.
+// never budgets more than wire.DefaultMaxPayload - restoreDataOverhead.
 const restoreDataOverhead = 4
 
 // restoreFrameBytes is how many restored bytes one RestoreData frame
@@ -73,7 +65,8 @@ const restoreFrameBytes = 64 << 10
 const restoreWorkers = 4
 
 // Config parameterizes a Server. Zero fields take the documented
-// defaults.
+// defaults. The limits a gateway must agree on — the window, the payload
+// cap, the write timeout — are internal/session's constants.
 type Config struct {
 	// Engine is the shared deduplicator every ingest session feeds. It
 	// must be an MHD or SI-MHD engine (the session-capable ones).
@@ -82,21 +75,13 @@ type Config struct {
 	// MaxSessions caps concurrent (live, including detached-resumable)
 	// ingest sessions; default 16. Excess clients get a retryable Busy.
 	MaxSessions int
-	// Window caps un-applied commands per session — the backpressure
-	// contract mirrored to the client in HelloOK; default 8.
-	Window int
-	// MaxPayload caps frame payloads; default wire.DefaultMaxPayload,
-	// minimum minMaxPayload (1024).
-	MaxPayload uint32
 	// IdleTimeout bounds how long a connection may sit between frames;
-	// default 2 minutes. Expiry closes the connection (retry-friendly:
-	// the session stays resumable for ResumeTimeout).
+	// default session.IdleTimeout. Expiry closes the connection
+	// (retry-friendly: the session stays resumable for ResumeTimeout).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each frame write; default 1 minute.
-	WriteTimeout time.Duration
 	// ResumeTimeout is how long a detached session survives for
-	// reconnection before its in-flight file is aborted; default 2
-	// minutes.
+	// reconnection before its in-flight file is aborted; default
+	// session.ResumeTimeout.
 	ResumeTimeout time.Duration
 	// ChunkCacheBytes budgets the wire-level chunk byte cache that powers
 	// hash negotiation; default (zero) 256 MiB. A negative budget disables
@@ -126,24 +111,11 @@ func (c *Config) fillDefaults() error {
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 16
 	}
-	if c.Window == 0 {
-		c.Window = 8
-	}
-	if c.MaxPayload == 0 {
-		c.MaxPayload = wire.DefaultMaxPayload
-	}
-	if c.MaxPayload < minMaxPayload {
-		return fmt.Errorf("server: MaxPayload %d below minimum %d (frames must fit codec overhead plus data)",
-			c.MaxPayload, minMaxPayload)
-	}
 	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = time.Minute
+		c.IdleTimeout = session.IdleTimeout
 	}
 	if c.ResumeTimeout == 0 {
-		c.ResumeTimeout = 2 * time.Minute
+		c.ResumeTimeout = session.ResumeTimeout
 	}
 	if c.ChunkCacheBytes == 0 {
 		c.ChunkCacheBytes = 256 << 20
@@ -154,8 +126,8 @@ func (c *Config) fillDefaults() error {
 	if c.Events == nil {
 		c.Events = events.Nop()
 	}
-	if c.MaxSessions < 1 || c.Window < 1 {
-		return fmt.Errorf("server: MaxSessions (%d) and Window (%d) must be positive", c.MaxSessions, c.Window)
+	if c.MaxSessions < 1 {
+		return fmt.Errorf("server: MaxSessions (%d) must be positive", c.MaxSessions)
 	}
 	return nil
 }
@@ -273,11 +245,9 @@ func New(cfg Config) (*Server, error) {
 	r.SetGauge("server.cache.bytes", func() int64 { b, _ := s.cache.stats(); return b })
 	r.SetGauge("server.cache.entries", func() int64 { _, n := s.cache.stats(); return int64(n) })
 	s.ep = session.NewEndpoint(session.Config[*ingestSession]{
-		Name:        "server",
-		EventPrefix: "session.",
-		Limits: session.Limits{IdleTimeout: cfg.IdleTimeout, WriteTimeout: cfg.WriteTimeout,
-			MaxPayload: cfg.MaxPayload},
-		Window:        cfg.Window,
+		Name:          "server",
+		EventPrefix:   "session.",
+		Limits:        session.Limits{IdleTimeout: cfg.IdleTimeout, WriteTimeout: session.WriteTimeout},
 		MaxSessions:   cfg.MaxSessions,
 		ResumeTimeout: cfg.ResumeTimeout,
 		Registry:      r,
@@ -370,8 +340,8 @@ func (s *Server) park(ss *ingestSession) {
 func (s *Server) serveIngestConn(c *session.Conn, hello wire.Hello, ss *ingestSession) {
 	ok := wire.HelloOK{
 		SessionToken: ss.token,
-		Window:       uint32(s.cfg.Window),
-		MaxPayload:   s.cfg.MaxPayload,
+		Window:       session.Window,
+		MaxPayload:   c.MaxPayload(),
 		LastApplied:  ss.lastApplied,
 		Options:      s.opts,
 	}
@@ -518,7 +488,7 @@ func (s *Server) servePeerConn(c *session.Conn) {
 			resp := wire.PeerChunks{}
 			// Keep the reply inside the frame payload cap: 4 bytes for each
 			// of the two count prefixes, then index+length+bytes per chunk.
-			budget := int(s.cfg.MaxPayload) - 8
+			budget := wire.DefaultMaxPayload - 8
 			for i, e := range pf.Entries {
 				data, ok := s.cache.get(e.Hash)
 				if !ok || uint32(len(data)) != e.Size {
@@ -617,7 +587,7 @@ func (s *Server) streamRestore(req wire.RestoreRange, event string, c *session.C
 	}
 	start := time.Now()
 	fw := &frameWriter{c: c, hash: hashutil.NewHasher(),
-		max: min(restoreFrameBytes, int(s.cfg.MaxPayload)-restoreDataOverhead)}
+		max: min(restoreFrameBytes, wire.DefaultMaxPayload-restoreDataOverhead)}
 	ropts := store.RestoreOptions{Workers: restoreWorkers}
 	var rerr error
 	if req.Verify {
@@ -663,8 +633,8 @@ type frameWriter struct {
 
 func (w *frameWriter) Write(p []byte) (int, error) {
 	if w.max <= 0 {
-		// Defensive: fillDefaults rejects MaxPayload below the floor, so
-		// this cannot happen through New; without the guard a non-positive
+		// Defensive: streamRestore's budget is a positive constant, so this
+		// cannot happen through a Server; without the guard a non-positive
 		// budget turns the emit loop below into an infinite loop.
 		return 0, fmt.Errorf("server: restore frame budget %d is not positive", w.max)
 	}

@@ -14,6 +14,7 @@ import (
 	"mhdedup/internal/exp"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/metrics"
+	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
 )
 
@@ -143,19 +144,19 @@ func TestResumeUnknownTokenNotFound(t *testing.T) {
 }
 
 func TestWindowEnforced(t *testing.T) {
-	_, _, addr := startServer(t, func(c *Config) { c.Window = 4 })
+	_, _, addr := startServer(t, nil)
 	_, write, read := rawConn(t, addr)
 	write(wire.TypeHello, wire.Hello{Mode: wire.ModeIngest}.Marshal())
 	ok, err := wire.UnmarshalHelloOK(read().Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok.Window != 4 {
-		t.Fatalf("HelloOK.Window = %d, want 4", ok.Window)
+	if ok.Window != session.Window {
+		t.Fatalf("HelloOK.Window = %d, want %d", ok.Window, session.Window)
 	}
 	// A command whose seq jumps past lastApplied+Window violates the
 	// backpressure contract.
-	write(wire.TypeFileBegin, wire.FileBegin{Seq: 6, Name: "too-far"}.Marshal())
+	write(wire.TypeFileBegin, wire.FileBegin{Seq: session.Window + 2, Name: "too-far"}.Marshal())
 	expectError(t, read(), wire.CodeProtocol, false)
 }
 

@@ -201,13 +201,13 @@ func (ss *ingestSession) admit(seq uint64) error {
 	if _, dup := ss.pending[seq]; dup {
 		return session.Fatalf(wire.CodeProtocol, "duplicate command seq %d", seq)
 	}
-	if len(ss.pending) >= ss.srv.cfg.Window {
+	if len(ss.pending) >= session.Window {
 		return session.Fatalf(wire.CodeProtocol, "in-flight window exceeded (%d commands unapplied, window %d)",
-			len(ss.pending), ss.srv.cfg.Window)
+			len(ss.pending), session.Window)
 	}
-	if seq > ss.lastApplied+uint64(ss.srv.cfg.Window) {
+	if seq > ss.lastApplied+session.Window {
 		return session.Fatalf(wire.CodeProtocol, "command seq %d too far ahead of applied %d (window %d)",
-			seq, ss.lastApplied, ss.srv.cfg.Window)
+			seq, ss.lastApplied, session.Window)
 	}
 	return nil
 }

@@ -33,6 +33,31 @@ type Limits struct {
 	MaxPayload uint32
 }
 
+// The limits every dedupd and dedup-gw serves under: constants, because a
+// shard and its gateway must agree on them. The gateway relays a client's
+// window and frames to its shards unchanged, and its parked sessions must
+// expire before the backend sessions they hold; one value on both sides
+// makes both orderings hold. A shard of another build that announces less
+// is refused at dial time.
+const (
+	// Window is the in-flight command budget an ingest session announces
+	// in HelloOK.
+	Window = 8
+	// IdleTimeout bounds the wait for each inbound frame on a served
+	// connection.
+	IdleTimeout = 2 * time.Minute
+	// WriteTimeout bounds each frame write.
+	WriteTimeout = time.Minute
+	// ResumeTimeout is how long a shard keeps a detached session resumable.
+	ResumeTimeout = 2 * time.Minute
+	// GatewayResumeTimeout is how long a gateway keeps one: shorter than
+	// the shards', so the backend sessions outlive the client's.
+	GatewayResumeTimeout = ResumeTimeout * 3 / 4
+	// DrainTimeout bounds a daemon's graceful drain before what is left is
+	// severed.
+	DrainTimeout = time.Minute
+)
+
 // Meter is where a Conn accounts its traffic; nil counters are skipped.
 type Meter struct {
 	In, Out *atomic.Int64 // frame bytes read / written

@@ -18,7 +18,7 @@ import (
 )
 
 // Daemon is the process dedupd and dedup-gw both are around their
-// different servers: an event log from the two logging flags, the data and
+// different servers: an event log at the -log-level flag's level, the data and
 // debug listeners bound before anything serves, the debug endpoint set
 // (/metrics.json, /events.json, a drain-aware /healthz, pprof) and
 // serve-until-signal-then-drain.
@@ -36,15 +36,16 @@ type Service interface {
 	Drain(context.Context) error
 }
 
-// NewDaemon builds the loggers; name prefixes the process log.
-func NewDaemon(name, logLevel string, slowOp time.Duration) (*Daemon, error) {
+// NewDaemon builds the loggers; name prefixes the process log. Operations
+// at or above the event log's default threshold (100 ms) emit slow_op.
+func NewDaemon(name, logLevel string) (*Daemon, error) {
 	level, err := events.ParseLevel(logLevel)
 	if err != nil {
 		return nil, err
 	}
 	return &Daemon{
 		Logger: log.New(os.Stderr, name+": ", log.LstdFlags),
-		Events: events.New(events.Options{Level: level, Out: os.Stderr, SlowOpThreshold: slowOp}),
+		Events: events.New(events.Options{Level: level, Out: os.Stderr}),
 	}, nil
 }
 
@@ -75,10 +76,10 @@ func WriteJSON(w http.ResponseWriter, doc any) {
 }
 
 // Run serves svc on the listeners Listen bound until it fails or the first
-// SIGINT/SIGTERM, then drains it within drainTimeout (a second signal kills
+// SIGINT/SIGTERM, then drains it within DrainTimeout (a second signal kills
 // the process). metrics is the /metrics.json document; admin, when not nil,
 // adds the daemon's own verbs to the debug mux.
-func (d *Daemon) Run(svc Service, drainTimeout time.Duration, metrics func() any, admin func(*http.ServeMux)) error {
+func (d *Daemon) Run(svc Service, metrics func() any, admin func(*http.ServeMux)) error {
 	var msrv *http.Server
 	if d.mln != nil {
 		mux := http.NewServeMux()
@@ -122,8 +123,8 @@ func (d *Daemon) Run(svc Service, drainTimeout time.Duration, metrics func() any
 	}
 	stop() // restore default signal behavior: a second signal kills the process
 	d.draining.Store(true)
-	d.Logger.Printf("draining (timeout %v)...", drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	d.Logger.Printf("draining (timeout %v)...", DrainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), DrainTimeout)
 	defer cancel()
 	if err := svc.Drain(drainCtx); err != nil {
 		d.Logger.Printf("drain incomplete: %v (sessions aborted)", err)

@@ -27,8 +27,6 @@ type Config[S any] struct {
 	EventPrefix string
 
 	Limits
-	// Window is the in-flight command budget advertised in HelloOK.
-	Window int
 	// MaxSessions caps live (attached or parked) sessions.
 	MaxSessions int
 	// ResumeTimeout is how long a parked session waits for its client.
@@ -258,7 +256,7 @@ func (e *Endpoint[S]) handle(nc net.Conn) {
 // makes the connection's waits between requests visible to Drain.
 func (e *Endpoint[S]) sessionless(c *Conn) bool {
 	c.parked = func(waiting bool) error { return e.parked(c.nc, waiting) }
-	ok := wire.HelloOK{Window: uint32(e.cfg.Window), MaxPayload: e.cfg.MaxPayload}
+	ok := wire.HelloOK{Window: Window, MaxPayload: c.MaxPayload()}
 	return c.Write(wire.TypeHelloOK, ok.Marshal()) == nil
 }
 

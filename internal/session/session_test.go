@@ -28,7 +28,6 @@ func testConfig(t *testing.T) Config[*state] {
 	return Config[*state]{
 		Name:          "test",
 		EventPrefix:   "session.",
-		Window:        8,
 		MaxSessions:   4,
 		ResumeTimeout: time.Hour,
 		Registry:      metrics.NewRegistry(),
