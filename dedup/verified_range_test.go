@@ -121,7 +121,7 @@ func TestVerifiedRestoreReadsWhatItServes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive = append(naive, data...)
+		naive = append(naive, data.Bytes()...)
 	}
 	if !bytes.Equal(naive, want) {
 		t.Fatal("naive ref-walk diverges from the ingested bytes")

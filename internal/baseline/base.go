@@ -275,7 +275,7 @@ func (c *diskChunk) add(data []byte, h hashutil.Sum) error {
 func (c *diskChunk) commit() error {
 	b := c.b
 	if len(c.data) > 0 {
-		if err := b.st.WriteDiskChunk(c.name, c.data); err != nil {
+		if err := b.st.SealDiskChunk(c.name, c.data); err != nil {
 			return err
 		}
 		if err := b.st.CreateManifest(c.manifest); err != nil {

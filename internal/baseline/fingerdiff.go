@@ -113,7 +113,7 @@ func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
 	}
 
 	if len(data) > 0 {
-		if err := d.st.WriteDiskChunk(chunkName, data); err != nil {
+		if err := d.st.SealDiskChunk(chunkName, data); err != nil {
 			return err
 		}
 		if err := d.st.CreateManifest(manifest); err != nil {

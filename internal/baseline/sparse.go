@@ -210,7 +210,7 @@ func (d *Sparse) flushSegment() error {
 	}
 
 	if len(data) > 0 {
-		if err := d.st.WriteDiskChunk(container, data); err != nil {
+		if err := d.st.SealDiskChunk(container, data); err != nil {
 			return err
 		}
 		d.stats.StoredDataBytes += int64(len(data))

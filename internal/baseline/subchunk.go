@@ -139,7 +139,7 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 			d.noteNew()
 		}
 		if len(data) > 0 {
-			if err := d.st.WriteDiskChunk(container, data); err != nil {
+			if err := d.st.SealDiskChunk(container, data); err != nil {
 				return err
 			}
 			d.stats.StoredDataBytes += int64(len(data))

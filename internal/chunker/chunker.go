@@ -32,15 +32,19 @@ import (
 )
 
 // Chunk is one chunk of a stream. Data is owned by the caller once returned;
-// chunkers never reuse returned buffers. The block-processed chunkers
-// (FastRabin, FastGear) carve Data out of a slab shared with the stream's
-// neighbouring chunks and return it capacity-clipped (cap == len), so an
-// append to it reallocates instead of reaching the next chunk — but a
-// retained chunk keeps its whole slab (up to slabMax bytes) reachable:
-// holders that outlive the file they came from should copy.
+// chunkers never reuse returned buffers. Data is a view of the slab the
+// stream was read into (up to slabMax bytes, shared with the neighbouring
+// chunks), clipped to cap == len so an append to it reallocates instead of
+// reaching the next chunk. A retained chunk keeps its whole slab reachable,
+// whatever its own length: holders that outlive the file it came from
+// should copy, and Gather copies what a container would store of a slab it
+// mostly does not.
 type Chunk struct {
 	Data []byte
 	Off  int64 // offset of Data[0] within the stream
+
+	slab []byte // the slab Data is slab[at:at+len(Data)] of; nil if none
+	at   int
 }
 
 // Size returns len(Data) as an int64 for offset arithmetic.
@@ -119,104 +123,66 @@ func (p Params) Mask() rabin.Poly {
 	return rabin.Poly(1)<<uint(k) - 1
 }
 
-// Slab sizes of the chunk arena: the first slab of a stream is slabMin (or
-// one maximal chunk, if larger) so a small file does not pay for a large
-// one, and each further slab doubles up to slabMax.
+// Slab sizes of the slab reader: a stream's first slab is slabMin, so a
+// small file does not pay for a large one, and each further slab doubles up
+// to slabMax — or to twice what moves into it, if that is more.
 const (
 	slabMin = 64 << 10
 	slabMax = 1 << 20
 )
 
-// arena hands out chunk buffers carved from shared slabs, so that a chunk
-// costs its own length, not a zeroed Max-sized allocation. No byte of a
-// slab is handed out twice, so returned chunks are never overwritten.
-type arena struct {
-	free []byte // unused tail of the current slab
-	size int    // capacity of the current slab
-}
-
-// next returns an empty buffer with room for a chunk of up to n bytes.
-func (a *arena) next(n int) []byte {
-	if len(a.free) < n {
-		a.size = max(min(2*a.size, slabMax), slabMin, n)
-		a.free = make([]byte, a.size)
-	}
-	return a.free[:0:n]
-}
-
-// take finishes the chunk built in the buffer next returned: the arena
-// moves past it and the chunk comes back clipped to its length.
-func (a *arena) take(cur []byte) []byte {
-	a.free = a.free[len(cur):]
-	return cur[:len(cur):len(cur)]
-}
-
-// fillSize is how many bytes a readFiller buffers behind its history;
-// maxEmptyReads how many consecutive (0, nil) reads it takes before giving
-// the reader up with io.ErrNoProgress — bufio's bound: retried for ever they
-// would spin a chunker inside Next, where no cancellation reaches it.
+// fillSize bounds one Read; maxEmptyReads is how many consecutive (0, nil)
+// reads it takes before the reader is given up with io.ErrNoProgress —
+// bufio's bound: retried for ever they would spin a chunker inside Next,
+// where no cancellation reaches it.
 const (
 	fillSize      = 64 << 10
 	maxEmptyReads = 100
 )
 
-// readFiller pulls bytes from an io.Reader into chunker buffers, tracking a
-// sticky error. The unread bytes are buf[pos:n]; the hist bytes before pos
-// are always the stream's bytes before them (zeros before its first byte),
-// which is what lets FastRabin roll a window into a block from in front.
-type readFiller struct {
-	r    io.Reader
-	buf  []byte
-	hist int // bytes of history kept in front of pos
-	pos  int // next unread byte in buf
-	n    int // valid bytes in buf
-	err  error
+// slabReader reads a stream straight into slabs that are never reused, and
+// the chunkers return their chunks as views of them: the Read is the one
+// copy a stream's bytes get. buf[start:pos] is the chunk being cut,
+// buf[pos:n] what was read and not yet scanned, and the hist bytes before
+// pos are always the stream's bytes before them (zeros before its first),
+// which lets FastRabin roll a window into a block from in front. Only a
+// full slab is left behind: the next one starts with the unfinished chunk
+// and that history, the only bytes ever moved — once per slab, however
+// little a Read delivers.
+type slabReader struct {
+	r     io.Reader
+	buf   []byte // the current slab; no byte of it before n is written again
+	hist  int    // bytes of history kept in front of pos
+	start int    // first byte of the chunk being cut
+	pos   int    // next unscanned byte
+	n     int    // bytes read into buf
+	off   int64  // stream offset of buf[start]
+	err   error  // sticky: io.EOF, the reader's error or io.ErrNoProgress
 }
 
-func newReadFiller(r io.Reader) *readFiller { return newHistoryFiller(r, 0) }
-
-func newHistoryFiller(r io.Reader, hist int) *readFiller {
-	return &readFiller{r: r, buf: make([]byte, hist+fillSize), hist: hist, pos: hist, n: hist}
+// newSlabReader starts with a full "slab" of hist zeros, so the first fill
+// sizes the first real one like any other.
+func newSlabReader(r io.Reader, hist int) *slabReader {
+	return &slabReader{r: r, buf: make([]byte, hist), hist: hist, start: hist, pos: hist, n: hist}
 }
 
-// next returns the next byte. ok is false when the stream is exhausted or
-// failed; check finalErr afterwards.
-func (f *readFiller) next() (byte, bool) {
-	blk := f.peek()
-	if len(blk) == 0 {
-		return 0, false
-	}
-	f.pos++
-	return blk[0], true
-}
-
-// peek returns the unread buffered bytes, refilling from the reader when the
-// buffer is drained. An empty result means the stream is exhausted or
-// failed; check finalErr afterwards. The returned slice is valid until the
-// next peek and is released by advancing pos — the block-processed chunkers
-// scan it in place and copy out only the bytes of the chunk they emit.
-func (f *readFiller) peek() []byte {
-	if f.pos >= f.n && !f.fill() {
-		return nil
-	}
-	return f.buf[f.pos:f.n]
-}
-
-// fill reads the next block, buf[pos:n], into a drained buffer; false means
-// the stream is exhausted or failed. The block goes behind the bytes already
-// consumed while there is room, so they are its history where they lie; only
-// a full buffer starts over, its last hist bytes moved to the front — once
-// per fillSize bytes, not once per Read, however little a Read delivers.
-func (f *readFiller) fill() bool {
+// fill reads the next block, buf[pos:n], once the last is scanned (pos ==
+// n); false means the stream ended, and err is io.EOF or why it failed:
+// what Next returns from then on.
+func (f *slabReader) fill() bool {
 	if f.err != nil {
 		return false
 	}
 	if f.n == len(f.buf) {
-		copy(f.buf, f.buf[f.n-f.hist:])
-		f.pos, f.n = f.hist, f.hist
+		from := min(f.start, f.n-f.hist)
+		moved := f.buf[from:f.n]
+		size := max(min(2*len(f.buf), slabMax), slabMin, 2*len(moved))
+		f.buf = make([]byte, size)
+		f.n = copy(f.buf, moved)
+		f.start, f.pos = f.start-from, f.pos-from
 	}
 	for empty := 0; empty < maxEmptyReads; empty++ {
-		n, err := f.r.Read(f.buf[f.n:])
+		n, err := f.r.Read(f.buf[f.n:min(len(f.buf), f.n+fillSize)])
 		f.n += n
 		f.err = err
 		if n > 0 || err != nil {
@@ -227,13 +193,61 @@ func (f *readFiller) fill() bool {
 	return false
 }
 
-// finalErr converts the sticky error for Next: io.EOF stays io.EOF, other
-// errors pass through, nil means still readable.
-func (f *readFiller) finalErr() error {
-	if f.err == nil || f.err == io.EOF {
-		return io.EOF
+// take ends the chunk being cut at end (≤ n) and returns it clipped; the
+// next chunk, and the scan, start there.
+func (f *slabReader) take(end int) Chunk {
+	c := Chunk{Data: f.buf[f.start:end:end], Off: f.off, slab: f.buf, at: f.start}
+	f.off += c.Size()
+	f.start, f.pos = end, end
+	return c
+}
+
+// Gather lists the chunks one container stores, in order, as runs of the
+// slabs they are views of: a chunk that continues its predecessor in the
+// same slab extends its run. The zero value is empty.
+type Gather struct {
+	runs []Chunk // each a run: Data spans the chunks it merged
+}
+
+// Add appends c's bytes.
+func (g *Gather) Add(c Chunk) {
+	if n := len(g.runs); n > 0 && c.slab != nil {
+		if last := &g.runs[n-1]; last.slab != nil && &last.slab[0] == &c.slab[0] && last.at+len(last.Data) == c.at {
+			end := c.at + len(c.Data)
+			last.Data = last.slab[last.at:end:end]
+			return
+		}
 	}
-	return f.err
+	g.runs = append(g.runs, c)
+}
+
+// Runs returns the container's bytes as views, in order, except where a
+// view would keep mostly unstored bytes reachable: the runs of a slab the
+// container stores less than half of are copied — back-to-back ones into
+// one exact-size buffer — so a kept slab holds at most one other byte per
+// stored byte. Chunks cut elsewhere are copied too: each is its own
+// allocation (a wire frame's, for a shard), so as views they would stay
+// one run per chunk, and every restore would pay for gathering them.
+func (g *Gather) Runs() [][]byte {
+	used := make(map[*byte]int)
+	for _, c := range g.runs {
+		if c.slab != nil {
+			used[&c.slab[0]] += len(c.Data)
+		}
+	}
+	keep := func(c Chunk) bool { return c.slab != nil && 2*used[&c.slab[0]] >= len(c.slab) }
+	var out, copied [][]byte
+	for i, c := range g.runs {
+		if keep(c) {
+			out = append(out, c.Data)
+		} else {
+			copied = append(copied, c.Data)
+		}
+		if len(copied) > 0 && (i+1 == len(g.runs) || keep(g.runs[i+1])) {
+			out, copied = append(out, bytes.Join(copied, nil)), copied[:0]
+		}
+	}
+	return out
 }
 
 // NewCDC returns the LBFS Rabin content-defined chunker over r — the

@@ -176,7 +176,7 @@ func (r *eofWithDataReader) Read(p []byte) (int, error) {
 }
 
 // randSizeReader serves random-size reads, with occasional (0, nil) calls —
-// also legal, and retried by readFiller.
+// also legal, and retried by the slab reader.
 type randSizeReader struct {
 	data []byte
 	rng  *rand.Rand
@@ -202,14 +202,14 @@ func (r *randSizeReader) Read(p []byte) (int, error) {
 }
 
 // fragmentations maps a pattern name to a reader over data. The fast paths
-// scan whatever block the filler buffered, so every refill boundary is a
+// scan whatever block the slab reader read, so every refill boundary is a
 // potential off-by-one site; the patterns place boundaries everywhere —
-// one-shot, 1-byte, prime strides, exactly and just past the 64 KiB filler
-// buffer, data+EOF in one call, and seeded random with zero-byte reads; and,
+// one-shot, 1-byte, prime strides, exactly and just past the 64 KiB bound
+// on one Read, data+EOF in one call, and seeded random with zero-byte reads; and,
 // since a block is also the unit FastRabin scans, 100 bytes (a one-lane
-// block of more than a window), half of whatever room the filler has left
+// block of more than a window), half of whatever room the slab has left
 // (block lengths that shrink towards every buffer wrap) and just short of
-// the filler buffer. Whole, 4093-byte and 64 KiB ± 1 reads hand FastRabin
+// one Read. Whole, 4093-byte and 64 KiB ± 1 reads hand FastRabin
 // blocks its 64-lane scan takes where the CPU has it (internal/rabin's
 // TestChunkerCutsComeFromWideKernel shows that it does).
 var fragmentations = []struct {
@@ -292,7 +292,7 @@ func compareParity(t *testing.T, label string, ref, fast mkChunker, p Params,
 
 // TestChunkerParityMatrix is the differential matrix: every reference/fast
 // pair × every Params corner × adversarial streams × every fragmentation
-// pattern × random seeds. Axis 1's streams are three filler blocks and a
+// pattern × random seeds. Axis 1's streams are three reader blocks and a
 // part of a fourth.
 func TestChunkerParityMatrix(t *testing.T) {
 	const n = 3*fillSize + 4093
@@ -582,7 +582,7 @@ func FuzzChunkerParity(f *testing.F) {
 	f.Add(streamData("random", 9, 5000), uint8(3), uint8(7), int64(2))
 	f.Add(streamData("periodic", 9, 3000), uint8(8), uint8(0), int64(3))
 	f.Add([]byte{}, uint8(10), uint8(4), int64(4))
-	// Three filler blocks and a part, read whole, 4093 bytes and 64 KiB ± 1
+	// Three reader blocks and a part, read whole, 4093 bytes and 64 KiB ± 1
 	// at a time: blocks long enough for FastRabin's 64-lane scan.
 	for i, frag := range []uint8{0, 3, 4, 5, 10} {
 		f.Add(streamData("random", int64(11+i), 3*fillSize+4093), uint8(i%2), frag, int64(5+i))

@@ -1,6 +1,6 @@
 package chunker
 
-// readFiller / chunker error-path contract, pinned for every chunker
+// slab reader / chunker error-path contract, pinned for every chunker
 // (reference, block-processed and fixed-size): a failing reader's bytes are
 // consumed first — emitted as chunks, the tail as a final partial chunk —
 // and then the reader's error surfaces from Next, verbatim, never masked as
@@ -96,7 +96,7 @@ func TestReadErrorImmediateAllChunkers(t *testing.T) {
 // TestStalledReaderIsGivenUp: a reader that delivers its bytes and then
 // returns (0, nil) for ever is legal and must not hang Next — no
 // cancellation reaches a chunker inside a Read loop. After maxEmptyReads
-// empty reads in a row the filler gives the reader up: the bytes delivered
+// empty reads in a row the slab reader gives the reader up: the bytes delivered
 // come out first, as with any mid-stream error, then io.ErrNoProgress,
 // sticky.
 func TestStalledReaderIsGivenUp(t *testing.T) {

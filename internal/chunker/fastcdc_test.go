@@ -181,7 +181,7 @@ func BenchmarkFastGearChunk1M(b *testing.B) {
 // reader shape: the whole stream per Read, and 1, 100, 1,460 (a TCP
 // segment), 4,093 and 16 Ki bytes per Read. A block is what one Read
 // delivers, so the shapes price the one-lane scan, the lane split's warm-up
-// and the filler's per-Read cost against each other.
+// and the slab reader's per-Read cost against each other.
 func BenchmarkFastRabinChunk1M(b *testing.B) {
 	data := randomData(1, 1<<20)
 	for _, per := range []int{0, 1, 100, 1460, 4093, 16 << 10} {

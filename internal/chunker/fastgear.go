@@ -8,8 +8,7 @@ import (
 // FastGear is the block-processed twin of FastCDC: the same gear hash, the
 // same normalized-chunking masks, the same cut points — bit-identical, as
 // the conformance harness proves — but scanned over buffered []byte slices
-// in tight branch-light loops instead of pulling one byte at a time through
-// readFiller.next().
+// in tight branch-light loops instead of pulling one byte at a time.
 //
 // Three structural changes carry the speedup (the vectorization playbook of
 // "Accelerating Data Chunking in Deduplication Systems using Vector
@@ -19,12 +18,12 @@ import (
 //  1. Skip-ahead to Min: h = (h<<1) + gear[b] shifts a byte's contribution
 //     out of the 64-bit word after 64 more bytes, so the hash at the first
 //     checked position (len == Min) depends only on the 64 bytes ending
-//     there. Bytes before Min−64 are copied, never hashed.
+//     there. Bytes before Min−64 are never hashed.
 //  2. Region-split loops: the scan between Min, ECS and Max runs as
 //     separate loops with the mask and bound hoisted, so the per-byte body
 //     is one table add plus one mask test — no position comparisons.
-//  3. Block accumulation: chunk bytes are appended as whole sub-slices of
-//     the read buffer, not byte-by-byte.
+//  3. No accumulation: a chunk is a view of the slab its bytes were read
+//     into, cut off where the scan stopped.
 //
 // Like FastCDC, the hash restarts at every cut, so re-chunking a stored
 // region reproduces the in-stream cut points.
@@ -33,10 +32,7 @@ type FastGear struct {
 	gear       [256]uint64
 	maskStrict uint64
 	maskLoose  uint64
-	src        *readFiller
-	buf        arena
-	off        int64
-	done       bool
+	src        *slabReader
 }
 
 // NewFastGear returns a block-processed gear chunker over r, cut-point
@@ -46,7 +42,7 @@ func NewFastGear(r io.Reader, p Params) (*FastGear, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &FastGear{p: p, src: newReadFiller(r)}
+	c := &FastGear{p: p, src: newSlabReader(r, 0)}
 	c.gear = gearTable(p)
 	c.maskStrict, c.maskLoose = gearMasks(p)
 	return c, nil
@@ -54,9 +50,7 @@ func NewFastGear(r io.Reader, p Params) (*FastGear, error) {
 
 // Next returns the next chunk, or io.EOF after the last one.
 func (c *FastGear) Next() (Chunk, error) {
-	if c.done {
-		return Chunk{}, c.src.finalErr()
-	}
+	f := c.src
 	min, ecs, max := c.p.Min, c.p.ECS, c.p.Max
 	// First index whose byte can still influence the hash at the first
 	// checked position (chunk index min−1): contributions older than 63
@@ -66,20 +60,16 @@ func (c *FastGear) Next() (Chunk, error) {
 		hashFrom = 0
 	}
 	gear := &c.gear
-	cur := c.buf.next(max)
 	var h uint64
 	for {
-		blk := c.src.peek()
-		if len(blk) == 0 {
-			c.done = true
-			if len(cur) > 0 {
-				chunk := Chunk{Data: c.buf.take(cur), Off: c.off}
-				c.off += chunk.Size()
-				return chunk, nil
+		if f.pos == f.n && !f.fill() {
+			if f.pos > f.start {
+				return f.take(f.pos), nil
 			}
-			return Chunk{}, c.src.finalErr()
+			return Chunk{}, f.err
 		}
-		base := len(cur) // chunk index of blk[0]
+		blk := f.buf[f.pos:f.n]
+		base := f.pos - f.start // chunk index of blk[0]
 		limit := len(blk)
 		if base+limit > max { // cap at the forced-cut boundary
 			limit = max - base
@@ -131,12 +121,9 @@ func (c *FastGear) Next() (Chunk, error) {
 		if cut >= 0 {
 			consumed = cut
 		}
-		cur = append(cur, blk[:consumed]...)
-		c.src.pos += consumed
-		if cut >= 0 || len(cur) >= max {
-			chunk := Chunk{Data: c.buf.take(cur), Off: c.off}
-			c.off += chunk.Size()
-			return chunk, nil
+		f.pos += consumed
+		if cut >= 0 || f.pos-f.start >= max {
+			return f.take(f.pos), nil
 		}
 	}
 }

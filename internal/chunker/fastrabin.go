@@ -13,7 +13,7 @@ import (
 // WindowSize, so the fingerprint at every position it does check is that of
 // the WindowSize stream bytes ending there, whichever chunk they fall in:
 // whether a position is a candidate cut depends on the stream alone.
-// FastRabin lists the candidates of each block the filler reads in one pass
+// FastRabin lists the candidates of each block the reader reads in one pass
 // (rabin.Window.Candidates, four windows side by side); Next is a cursor
 // over the list. A cut still depends on nothing before its chunk, so
 // re-chunking a stored region reproduces the in-stream cut points.
@@ -21,11 +21,9 @@ type FastRabin struct {
 	p    Params
 	mask rabin.Poly
 	win  *rabin.Window
-	src  *readFiller
-	buf  arena
-	off  int64
+	src  *slabReader
 
-	cands   []int // candidate cuts of the filler's current block, as indices into src.buf
+	cands   []int // candidate cuts of the reader's current block, as indices into src.buf
 	next    int   // first of cands not yet behind the current chunk's first checked byte
 	scanned int64 // stream offset the last scan ended at (0: a fresh window holds the zeros before the stream)
 }
@@ -41,55 +39,51 @@ func NewFastRabin(r io.Reader, p Params) (*FastRabin, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FastRabin{p: p, mask: p.Mask(), win: win, src: newHistoryFiller(r, p.WindowSize)}, nil
+	return &FastRabin{p: p, mask: p.Mask(), win: win, src: newSlabReader(r, p.WindowSize)}, nil
 }
 
 // Next returns the next chunk, or io.EOF after the last one: the chunk ends
 // at its first candidate of length ≥ Min, else at Max, else with the stream.
 func (c *FastRabin) Next() (Chunk, error) {
 	f := c.src
-	if f.pos == f.n && !c.refill(0) {
-		return Chunk{}, f.finalErr()
+	if f.pos == f.n && !c.refill() {
+		return Chunk{}, f.err
 	}
-	cur := c.buf.next(c.p.Max)
 	for {
-		// In buffer indices: the chunk's first checked byte (len == Min),
+		// In slab indices: the chunk's first checked byte (len == Min),
 		// and one past its last possible one (len == Max).
-		first := f.pos + c.p.Min - 1 - len(cur)
-		end := f.pos + c.p.Max - len(cur)
+		first := f.start + c.p.Min - 1
+		end := f.start + c.p.Max
 		for c.next < len(c.cands) && c.cands[c.next] < first {
 			c.next++
 		}
 		if c.next < len(c.cands) && c.cands[c.next] < end {
 			end = c.cands[c.next] + 1
 		}
-		cut := end <= f.n
-		end = min(end, f.n)
-		cur = append(cur, f.buf[f.pos:end]...)
-		f.pos = end
-		if cut || !c.refill(len(cur)) {
-			break
+		if end <= f.n {
+			return f.take(end), nil
+		}
+		f.pos = f.n
+		if !c.refill() {
+			return f.take(f.n), nil
 		}
 	}
-	chunk := Chunk{Data: c.buf.take(cur), Off: c.off}
-	c.off += chunk.Size()
-	return chunk, nil
 }
 
-// refill reads the next block into the drained filler, false at the end of
-// the stream, and lists its candidates; base is the chunk index of its first
-// byte. The scan starts at the chunk's first checked byte — nothing before
-// it can be a cut, of this chunk or a later one, so a reader that delivers
-// less than Min per Read has those blocks skipped unrolled — and continues
-// the last scan's window when it starts where that one ended.
-func (c *FastRabin) refill(base int) bool {
+// refill reads the next block into the drained reader, false at the end of
+// the stream, and lists its candidates. The scan starts at the chunk's
+// first checked byte — nothing before it can be a cut, of this chunk or a
+// later one, so a reader that delivers less than Min per Read has those
+// blocks skipped unrolled — and continues the last scan's window when it
+// starts where that one ended.
+func (c *FastRabin) refill() bool {
 	f := c.src
 	if !f.fill() {
 		return false
 	}
 	c.cands, c.next = c.cands[:0], 0
-	if from := f.pos + max(c.p.Min-1-base, 0); from < f.n {
-		at := c.off + int64(base+from-f.pos) // stream offset of buf[from]
+	if from := max(f.pos, f.start+c.p.Min-1); from < f.n {
+		at := f.off + int64(from-f.start) // stream offset of buf[from]
 		c.cands = c.win.Candidates(c.cands, f.buf[:f.n], from, c.mask, at == c.scanned)
 		c.scanned = at + int64(f.n-from)
 	}

@@ -18,7 +18,7 @@ type Rabin struct {
 	p    Params
 	mask rabin.Poly
 	win  *rabin.Window
-	src  *readFiller
+	src  *slabReader
 	off  int64
 	done bool
 }
@@ -33,18 +33,18 @@ func NewRabin(r io.Reader, p Params) (*Rabin, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Rabin{p: p, mask: p.Mask(), win: win, src: newReadFiller(r)}, nil
+	return &Rabin{p: p, mask: p.Mask(), win: win, src: newSlabReader(r, 0)}, nil
 }
 
 // Next returns the next chunk, or io.EOF after the last one.
 func (c *Rabin) Next() (Chunk, error) {
 	if c.done {
-		return Chunk{}, c.src.finalErr()
+		return Chunk{}, c.src.err
 	}
 	c.win.Reset()
 	cur := make([]byte, 0, c.p.Max)
 	for {
-		b, ok := c.src.next()
+		b, ok := nextByte(c.src)
 		if !ok {
 			c.done = true
 			if len(cur) > 0 {
@@ -52,7 +52,7 @@ func (c *Rabin) Next() (Chunk, error) {
 				c.off += chunk.Size()
 				return chunk, nil
 			}
-			return Chunk{}, c.src.finalErr()
+			return Chunk{}, c.src.err
 		}
 		cur = append(cur, b)
 		fp := c.win.Roll(b)
@@ -80,7 +80,7 @@ type FastCDC struct {
 	gear       [256]uint64
 	maskStrict uint64
 	maskLoose  uint64
-	src        *readFiller
+	src        *slabReader
 	off        int64
 	done       bool
 }
@@ -93,7 +93,7 @@ func NewFastCDC(r io.Reader, p Params) (*FastCDC, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &FastCDC{p: p, src: newReadFiller(r)}
+	c := &FastCDC{p: p, src: newSlabReader(r, 0)}
 	c.gear = gearTable(p)
 	c.maskStrict, c.maskLoose = gearMasks(p)
 	return c, nil
@@ -102,12 +102,12 @@ func NewFastCDC(r io.Reader, p Params) (*FastCDC, error) {
 // Next returns the next chunk, or io.EOF after the last one.
 func (c *FastCDC) Next() (Chunk, error) {
 	if c.done {
-		return Chunk{}, c.src.finalErr()
+		return Chunk{}, c.src.err
 	}
 	cur := make([]byte, 0, c.p.Max)
 	var h uint64
 	for {
-		b, ok := c.src.next()
+		b, ok := nextByte(c.src)
 		if !ok {
 			c.done = true
 			if len(cur) > 0 {
@@ -115,7 +115,7 @@ func (c *FastCDC) Next() (Chunk, error) {
 				c.off += chunk.Size()
 				return chunk, nil
 			}
-			return Chunk{}, c.src.finalErr()
+			return Chunk{}, c.src.err
 		}
 		cur = append(cur, b)
 		h = (h << 1) + c.gear[b]
@@ -132,4 +132,16 @@ func (c *FastCDC) Next() (Chunk, error) {
 			return chunk, nil
 		}
 	}
+}
+
+// nextByte is the per-byte references' source: the next byte of f, false
+// once the stream is exhausted or failed (then c.src.err says why). The references
+// copy what they read, so f never holds a chunk open behind pos.
+func nextByte(f *slabReader) (byte, bool) {
+	if f.pos == f.n && !f.fill() {
+		return 0, false
+	}
+	f.start = f.pos + 1
+	f.pos++
+	return f.buf[f.pos-1], true
 }

@@ -17,13 +17,7 @@ type TTTD struct {
 	mainMask rabin.Poly
 	backMask rabin.Poly
 	win      *rabin.Window
-	src      *readFiller
-	off      int64
-	done     bool
-
-	// carry holds bytes that were read past a backup cut point and belong to
-	// the next chunk.
-	carry []byte
+	src      *slabReader
 }
 
 // NewTTTD returns a TTTD chunker over r.
@@ -42,61 +36,41 @@ func NewTTTD(r io.Reader, p Params) (*TTTD, error) {
 		mainMask: main,
 		backMask: main >> 1,
 		win:      win,
-		src:      newReadFiller(r),
+		src:      newSlabReader(r, 0),
 	}, nil
 }
 
-// Next returns the next chunk, or io.EOF after the last one.
+// Next returns the next chunk, or io.EOF after the last one. A chunk cut
+// at a backup candidate leaves the bytes scanned past it in the slab, where
+// the next chunk rolls them again through its fresh window.
 func (c *TTTD) Next() (Chunk, error) {
-	if c.done && len(c.carry) == 0 {
-		return Chunk{}, c.src.finalErr()
-	}
+	f := c.src
 	c.win.Reset()
-	cur := make([]byte, 0, c.p.Max)
-	// Replay carried-over bytes through the window first so their
-	// fingerprints are identical to a fresh read.
-	carry := c.carry
-	c.carry = nil
-	backupAt := -1 // index in cur after which a backup cut would fall
-	emit := func(n int) Chunk {
-		chunk := Chunk{Data: cur[:n:n], Off: c.off}
-		c.off += chunk.Size()
-		if n < len(cur) {
-			c.carry = append([]byte(nil), cur[n:]...)
-		}
-		return chunk
-	}
+	backup := 0 // chunk length at the latest backup cut candidate
 	for {
-		var b byte
-		if len(carry) > 0 {
-			b, carry = carry[0], carry[1:]
-		} else {
-			var ok bool
-			b, ok = c.src.next()
-			if !ok {
-				c.done = true
-				if len(cur) > 0 {
-					return emit(len(cur)), nil
-				}
-				return Chunk{}, c.src.finalErr()
+		if f.pos == f.n && !f.fill() {
+			if f.pos > f.start {
+				return f.take(f.pos), nil
 			}
+			return Chunk{}, f.err
 		}
-		cur = append(cur, b)
-		fp := c.win.Roll(b)
-		if len(cur) < c.p.Min {
+		fp := c.win.Roll(f.buf[f.pos])
+		f.pos++
+		n := f.pos - f.start
+		if n < c.p.Min {
 			continue
 		}
 		if fp&c.mainMask == c.mainMask {
-			return emit(len(cur)), nil
+			return f.take(f.pos), nil
 		}
 		if fp&c.backMask == c.backMask {
-			backupAt = len(cur)
+			backup = n
 		}
-		if len(cur) >= c.p.Max {
-			if backupAt > 0 {
-				return emit(backupAt), nil
+		if n >= c.p.Max {
+			if backup > 0 {
+				return f.take(f.start + backup), nil
 			}
-			return emit(len(cur)), nil
+			return f.take(f.pos), nil
 		}
 	}
 }

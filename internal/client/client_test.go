@@ -1,8 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,5 +165,50 @@ func TestDialAndHelloFinalRefusalReturnsImmediately(t *testing.T) {
 	}
 	if n := srv.dials.Load(); n != 1 {
 		t.Fatalf("%d dials after a protocol violation, want 1", n)
+	}
+}
+
+// TestIngestGiveUpNamesTheCause: a server that answers every command of
+// every session with the same retryable Error spends the client's
+// reconnect budget, and the put's error says both that the client gave up
+// and why it kept reconnecting.
+func TestIngestGiveUpNamesTheCause(t *testing.T) {
+	const why = "shard s7 is rebuilding its index"
+	var dials atomic.Int32
+	dial := func(string) (net.Conn, error) {
+		dials.Add(1)
+		near, far := net.Pipe()
+		go func() {
+			defer far.Close()
+			if f, err := wire.ReadFrame(far, 0); err != nil || f.Type != wire.TypeHello {
+				return
+			}
+			ok := wire.HelloOK{SessionToken: 42, Window: 8, MaxPayload: 1 << 16,
+				Options: wire.EngineOptions{Algorithm: "mhd", ECS: 4096}}
+			wire.WriteFrame(far, wire.TypeHelloOK, ok.Marshal())
+			if _, err := wire.ReadFrame(far, 1<<16); err != nil {
+				return
+			}
+			em := wire.ErrorMsg{Code: wire.CodeInternal, Retryable: true, Msg: why}
+			wire.WriteFrame(far, wire.TypeError, em.Marshal())
+			io.Copy(io.Discard, far)
+		}()
+		return near, nil
+	}
+	ing, err := Connect(Config{Addr: "scripted", Dial: dial, RetryAttempts: 3, RetryDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	err = ing.PutFile("f", bytes.NewReader(make([]byte, 10000)))
+	if err == nil || !strings.Contains(err.Error(), "giving up") || !strings.Contains(err.Error(), why) {
+		t.Fatalf("put error %v, want it to give up and name %q", err, why)
+	}
+	var em wire.ErrorMsg
+	if !errors.As(err, &em) || em.Msg != why {
+		t.Fatalf("put error %v does not wrap the server's Error", err)
+	}
+	if n := dials.Load(); n != 4 {
+		t.Fatalf("%d dials, want the first and RetryAttempts = 3 reconnects", n)
 	}
 }

@@ -324,7 +324,7 @@ func (c *Ingestor) heal(err error) error {
 	if perr := c.poll(); perr != nil && !session.IsTransport(perr) {
 		return perr
 	}
-	return c.recover()
+	return c.recover(err)
 }
 
 // poll handles every frame that has already arrived, without waiting.
@@ -414,10 +414,12 @@ func (c *Ingestor) handle(r inbound) error {
 // recover reconnects with the resume token and replays every command the
 // server has not applied, in order. Offers replay fully: the server
 // recomputes the need-list (the wire cache may have changed) and the
-// client answers it from the retained batch bytes.
-func (c *Ingestor) recover() error {
+// client answers it from the retained batch bytes. cause is the transport
+// failure that broke the link; once the budget is spent it is what the
+// give-up error wraps.
+func (c *Ingestor) recover(cause error) error {
 	if c.recoverBudget <= 0 {
-		return fmt.Errorf("client: giving up after %d reconnects without progress", c.cfg.RetryAttempts)
+		return fmt.Errorf("client: giving up after %d reconnects without progress: %w", c.cfg.RetryAttempts, cause)
 	}
 	// Back off before re-dialing, growing with each fruitless attempt: an
 	// overloaded server sheds with retryable frames precisely so clients

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
 	"mhdedup/internal/client"
@@ -279,14 +280,22 @@ func TestGatewayPutFileReadFailureFreesSessions(t *testing.T) {
 // session on any shard, no file on the target — and the source keeps it.
 func TestRebalanceSourceFailsMidStream(t *testing.T) {
 	tc := startCluster(t, 2, nil)
-	byShard := tc.namesByShard(t, "", 1)
-	name := byShard[tc.shards[0].ID][0]
-	data := genData(83, 16<<20)
-	putAll(t, tc.clientConfig(), map[string][]byte{name: data}, []string{name})
+	pair := tc.namesByShard(t, "", 2)[tc.shards[0].ID]
+	sort.Strings(pair)
+	name, base := pair[0], pair[1] // the shard lists name first, so it migrates first
+	// name alternates 1 MiB of base with 1 MiB of its own, so its restore is
+	// sixteen planned reads from two containers, one at a time past the
+	// source's restore window: the source is still reading when the target
+	// has taken some of the file.
+	baseData, own := genData(83, 8<<20), genData(85, 8<<20)
+	var data []byte
+	for off := 0; off < 8<<20; off += 1 << 20 {
+		data = append(append(data, baseData[off:off+1<<20]...), own[off:off+1<<20]...)
+	}
+	putAll(t, tc.clientConfig(), map[string][]byte{base: baseData, name: data}, []string{base, name})
 
 	// The source's container reads fail from the moment the target's engine
-	// has taken some of the file. The file is twice the source's restore
-	// window, so the source is still reading when that happens.
+	// has taken some of the file.
 	fed := tc.engines[1].Stats().InputBytes
 	tc.engines[0].Disk().SetFailureHook(func(op simdisk.Op, cat simdisk.Category, _ string) error {
 		if op == simdisk.OpRead && cat == simdisk.Data && tc.engines[1].Stats().InputBytes != fed {
@@ -299,11 +308,13 @@ func TestRebalanceSourceFailsMidStream(t *testing.T) {
 		t.Fatalf("rebalance off a failing source: %v, %+v; want an error and nothing moved", err, rep)
 	}
 	requireNoSessions(t, tc)
-	if tc.engines[1].Disk().Exists(simdisk.FileManifest, name) {
-		t.Fatal("the target committed a copy whose source failed mid-stream")
-	}
-	if !tc.engines[0].Disk().Exists(simdisk.FileManifest, name) {
-		t.Fatal("the source dropped a file it could not copy")
+	for _, n := range pair {
+		if tc.engines[1].Disk().Exists(simdisk.FileManifest, n) {
+			t.Fatalf("the target committed a copy of %s whose source failed", n)
+		}
+		if !tc.engines[0].Disk().Exists(simdisk.FileManifest, n) {
+			t.Fatalf("the source dropped %s, which it could not copy", n)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -224,10 +223,11 @@ func (d *Dedup) loadManifest(name hashutil.Sum) (*store.Manifest, error) {
 	return m, nil
 }
 
-// pchunk is a chunk in flight: its bytes, hash and the recipe slot it will
-// resolve.
+// pchunk is a chunk in flight: its bytes (a view of the slab the chunker
+// read them into, or the caller's buffer for PutChunks), hash and the
+// recipe slot it will resolve.
 type pchunk struct {
-	data []byte
+	chunker.Chunk
 	hash hashutil.Sum
 	slot int
 }
@@ -251,7 +251,8 @@ type fileState struct {
 	name      string
 	chunkName hashutil.Sum
 	entries   []store.Entry    // the Manifest's, a merged entry's Hash filled in at file end
-	parts     [][]byte         // flushed chunks, in DiskChunk order: staged as flushed, joined and sealed at file end
+	parts     [][]byte         // flushed chunks, in DiskChunk order: staged as flushed
+	stored    chunker.Gather   // the same chunks as runs of their slabs: sealed at file end
 	size      int64            // their total length: the DiskChunk offset of the next flush
 	runs      [][][]byte       // merged entries' parts, not yet handed to a hashing goroutine
 	sums      [][]hashutil.Sum // their hashes, one slice per hand-off, in entry order
@@ -339,7 +340,7 @@ func (d *Dedup) pull(f *fileState) (pchunk, bool, error) {
 		return pchunk{}, false, err
 	}
 	hChunkNS.ObserveSince(start)
-	size := int64(len(pc.data))
+	size := pc.Size()
 	d.stats.ChunksIn.Add(1)
 	d.stats.InputBytes.Add(size)
 	if f.scanned {
@@ -451,7 +452,7 @@ func (d *Dedup) persistIfOrphaned(m *store.Manifest) error {
 // container: duplicate data found there, or this file's own DiskChunk.
 func (d *Dedup) resolve(f *fileState, run []pchunk, dup bool, container hashutil.Sum, start int64) {
 	for _, pc := range run {
-		size := int64(len(pc.data))
+		size := pc.Size()
 		f.slots[pc.slot] = slotState{resolved: true, dup: dup, ref: store.FileRef{Container: container, Start: start, Size: size}}
 		start += size
 	}
@@ -476,16 +477,18 @@ func (d *Dedup) flushPending(f *fileState, n int) {
 }
 
 // flushGroup appends one SHM group to the file's DiskChunk and manifest.
-// The chunk bytes are not copied here: finishFile assembles the DiskChunk
-// once, at its exact size, from the flushed slices. Nor are the followers
-// hashed here: their run joins f.runs, which goes to a hashing goroutine
-// every 16 runs (the lanes' width), and finishFile fills the hash in.
+// The chunk bytes are not copied here, nor ever: finishFile seals the
+// DiskChunk as the runs of the slabs the chunker read them into. Nor are
+// the followers hashed here: their run joins f.runs, which goes to a
+// hashing goroutine every 16 runs (the lanes' width), and finishFile fills
+// the hash in.
 func (d *Dedup) flushGroup(f *fileState, group []pchunk) {
 	d.resolve(f, group, false, f.chunkName, f.size)
-	start, lead, from := f.size, int64(len(group[0].data)), len(f.parts)
+	start, lead, from := f.size, group[0].Size(), len(f.parts)
 	for _, pc := range group {
-		f.parts = append(f.parts, pc.data)
-		f.size += int64(len(pc.data))
+		f.parts = append(f.parts, pc.Data)
+		f.stored.Add(pc.Chunk)
+		f.size += pc.Size()
 	}
 	f.entries = append(f.entries, store.Entry{Hash: group[0].hash, Start: start, Size: lead, Kind: store.KindHook})
 	f.hooks = append(f.hooks, group[0].hash)
@@ -515,6 +518,9 @@ func (f *fileState) handOff() {
 // hashes, writes the DiskChunk, Manifest and Hooks (a file that turned out
 // a complete duplicate writes none of those), emits the FileManifest from
 // the recipe slots and folds their classification into the statistics.
+// The DiskChunk is sealed as its chunks' runs (chunker.Gather): views of
+// the slabs they were read into, except where a view would keep mostly
+// bytes the container does not store reachable — those runs are copied.
 func (d *Dedup) finishFile(f *fileState) error {
 	if len(f.replay) > 0 {
 		return fmt.Errorf("core: %d replay chunks left at end of %q", len(f.replay), f.name)
@@ -531,7 +537,7 @@ func (d *Dedup) finishFile(f *fileState) error {
 			}
 			m.Append(e)
 		}
-		if err := d.st.SealDiskChunk(f.chunkName, bytes.Join(f.parts, nil)); err != nil {
+		if err := d.st.SealDiskChunk(f.chunkName, f.stored.Runs()...); err != nil {
 			return err
 		}
 		if err := d.st.CreateManifest(m); err != nil {

@@ -32,7 +32,7 @@ func (d *Dedup) extendMatch(f *fileState, m *store.Manifest, hitIdx int, hit pch
 func hashRun(run []pchunk) hashutil.Sum {
 	h := hashutil.NewHasher()
 	for _, pc := range run {
-		h.Write(pc.data)
+		h.Write(pc.Data)
 	}
 	return h.Sum()
 }
@@ -51,7 +51,7 @@ func (d *Dedup) bme(f *fileState, m *store.Manifest, hitIdx int) (shift int, err
 		var sum int64
 		for j > 0 && sum < e.Size {
 			j--
-			sum += int64(len(f.pending[j].data))
+			sum += f.pending[j].Size()
 		}
 		if sum == e.Size {
 			d.stats.HashedBytes.Add(sum)
@@ -83,7 +83,7 @@ func (d *Dedup) fme(f *fileState, m *store.Manifest, hitIdx int) error {
 		e := m.Entries[i]
 		var total int64
 		for _, pc := range pre {
-			total += int64(len(pc.data))
+			total += pc.Size()
 		}
 		for total < e.Size {
 			pc, ok, err := d.nextChunk(f)
@@ -94,13 +94,13 @@ func (d *Dedup) fme(f *fileState, m *store.Manifest, hitIdx int) error {
 				break
 			}
 			pre = append(pre, pc)
-			total += int64(len(pc.data))
+			total += pc.Size()
 		}
 		// Take the prefix of pre summing exactly to e.Size.
 		k := 0
 		var sum int64
 		for k < len(pre) && sum < e.Size {
-			sum += int64(len(pre[k].data))
+			sum += pre[k].Size()
 			k++
 		}
 		if sum == e.Size {

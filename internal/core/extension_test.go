@@ -20,7 +20,7 @@ func extFixture(t *testing.T, cfg Config, content []byte, sizes []int64, kinds [
 		t.Fatal(err)
 	}
 	name := d.st.NextName()
-	if err := d.st.WriteDiskChunk(name, content); err != nil {
+	if err := d.st.SealDiskChunk(name, content); err != nil {
 		t.Fatal(err)
 	}
 	m := store.NewManifest(name, store.FormatMHD)
@@ -177,7 +177,7 @@ func TestFMEPushesUnmatchedChunksToReplay(t *testing.T) {
 	if err := d.fme(f, m, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.replay) != 1 || !bytes.Equal(f.replay[0].data, foreign) {
+	if len(f.replay) != 1 || !bytes.Equal(f.replay[0].Data, foreign) {
 		t.Fatalf("unmatched prefetch not replayed: %d items", len(f.replay))
 	}
 	if f.slots[0].resolved {
@@ -197,11 +197,11 @@ func TestExtendMatchFullPath(t *testing.T) {
 	// Stream continues with entry 2's bytes.
 	f := streamFile(t, d, chunker.Chunk{Data: content[2048:]})
 	// Pending: the chunk before the hit.
-	pc0 := pchunk{data: content[:1024], hash: hashutil.SumBytes(content[:1024]), slot: 0}
+	pc0 := pchunk{Chunk: chunker.Chunk{Data: content[:1024]}, hash: hashutil.SumBytes(content[:1024]), slot: 0}
 	f.slots = append(f.slots, slotState{})
 	f.pending = []pchunk{pc0}
 	// Hit chunk: entry 1.
-	hit := pchunk{data: content[1024:2048], hash: hashutil.SumBytes(content[1024:2048]), slot: 1}
+	hit := pchunk{Chunk: chunker.Chunk{Data: content[1024:2048]}, hash: hashutil.SumBytes(content[1024:2048]), slot: 1}
 	f.slots = append(f.slots, slotState{})
 
 	if err := d.extendMatch(f, m, 1, hit); err != nil {

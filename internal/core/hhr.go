@@ -75,17 +75,19 @@ func (d *Dedup) hhrBackward(f *fileState, m *store.Manifest, i int) (shift int, 
 	if d.cfg.DisableByteCompare || e.Kind != store.KindMerged {
 		return 0, nil
 	}
-	old, err := d.st.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
+	// One disk access; the bytes are joined only if they span two runs.
+	runs, err := d.st.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
 	if err != nil {
 		return 0, err
 	}
 	d.stats.HHRDiskAccesses.Add(1)
+	old := runs.Bytes()
 
 	// Longest suffix of whole pending chunks matching old's suffix.
 	var s int64
 	k := len(f.pending)
 	for k > 0 {
-		c := f.pending[k-1].data
+		c := f.pending[k-1].Data
 		n := int64(len(c))
 		if s+n > e.Size || !bytes.Equal(c, old[e.Size-s-n:e.Size-s]) {
 			break
@@ -97,7 +99,7 @@ func (d *Dedup) hhrBackward(f *fileState, m *store.Manifest, i int) (shift int, 
 	if !d.cfg.DisableEdgeHash && s < e.Size && k > 0 {
 		// Boundary block sized like the first mismatching buffered chunk
 		// (the paper's "EdgeHash ... with the same size of Chunk N3").
-		b = min(int64(len(f.pending[k-1].data)), e.Size-s)
+		b = min(f.pending[k-1].Size(), e.Size-s)
 	}
 	if s == 0 && b == 0 {
 		return 0, nil
@@ -126,16 +128,18 @@ func (d *Dedup) hhrForward(f *fileState, m *store.Manifest, i int, pre []pchunk)
 	if d.cfg.DisableByteCompare || e.Kind != store.KindMerged {
 		return 0, nil
 	}
-	old, err := d.st.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
+	// One disk access; the bytes are joined only if they span two runs.
+	runs, err := d.st.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
 	if err != nil {
 		return 0, err
 	}
 	d.stats.HHRDiskAccesses.Add(1)
+	old := runs.Bytes()
 
 	var s int64
 	k := 0
 	for k < len(pre) {
-		c := pre[k].data
+		c := pre[k].Data
 		n := int64(len(c))
 		if s+n > e.Size || !bytes.Equal(c, old[s:s+n]) {
 			break
@@ -145,7 +149,7 @@ func (d *Dedup) hhrForward(f *fileState, m *store.Manifest, i int, pre []pchunk)
 	}
 	var b int64
 	if !d.cfg.DisableEdgeHash && s < e.Size && k < len(pre) {
-		b = min(int64(len(pre[k].data)), e.Size-s)
+		b = min(pre[k].Size(), e.Size-s)
 	}
 	if s == 0 && b == 0 {
 		return 0, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
@@ -11,7 +12,10 @@ import (
 
 // hhrFixture builds a Dedup whose disk holds one DiskChunk of given bytes
 // with a single-entry manifest covering it as one merged region — the
-// minimal stage on which to exercise the HHR split paths directly.
+// minimal stage on which to exercise the HHR split paths directly. The
+// DiskChunk is sealed as three runs, as an ingest seals the runs of the
+// slabs its chunks were read into, so every reload straddles run
+// boundaries.
 func hhrFixture(t *testing.T, cfg Config, content []byte) (*Dedup, *store.Manifest) {
 	t.Helper()
 	d, err := New(cfg)
@@ -19,7 +23,9 @@ func hhrFixture(t *testing.T, cfg Config, content []byte) (*Dedup, *store.Manife
 		t.Fatal(err)
 	}
 	name := d.st.NextName()
-	if err := d.st.WriteDiskChunk(name, content); err != nil {
+	a, b := len(content)/3, 2*len(content)/3
+	runs := [][]byte{bytes.Clone(content[:a]), bytes.Clone(content[a:b]), bytes.Clone(content[b:])}
+	if err := d.st.SealDiskChunk(name, runs...); err != nil {
 		t.Fatal(err)
 	}
 	m := store.NewManifest(name, store.FormatMHD)
@@ -42,7 +48,7 @@ func mkPending(data []byte, chunkSize int) []pchunk {
 		if end > len(data) {
 			end = len(data)
 		}
-		out = append(out, pchunk{data: data[off:end], hash: hashutil.SumBytes(data[off:end])})
+		out = append(out, pchunk{Chunk: chunker.Chunk{Data: data[off:end]}, hash: hashutil.SumBytes(data[off:end])})
 	}
 	return out
 }
@@ -301,10 +307,11 @@ func TestHHRSplitPiecesRestoreConcatenation(t *testing.T) {
 	}
 	var rebuilt []byte
 	for _, e := range m.Entries {
-		part, err := d.st.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
+		runs, err := d.st.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
 		if err != nil {
 			t.Fatal(err)
 		}
+		part := runs.Bytes()
 		if hashutil.SumBytes(part) != e.Hash {
 			t.Error("entry hash does not match its bytes")
 		}

@@ -57,7 +57,7 @@ func (s *runSource) next() (pchunk, error) {
 	}
 	c := &s.run[0]
 	s.run = s.run[1:]
-	return pchunk{data: c.Data, hash: c.Hash}, nil
+	return pchunk{Chunk: chunker.Chunk{Data: c.Data}, hash: c.Hash}, nil
 }
 
 func (s *runSource) stop() {}
@@ -68,6 +68,7 @@ func (s *runSource) stop() {}
 // where a serial loop would have met it.
 type chunkBatch struct {
 	n      int // chunks cut into it
+	chunks [batchChunks]chunker.Chunk
 	data   [batchChunks][]byte
 	runs   [batchChunks][][]byte // data's chunks as hashutil.SumRuns takes them, one part each
 	sums   [batchChunks]hashutil.Sum
@@ -116,7 +117,7 @@ func (p *chunkPipeline) produce(ch chunker.Chunker) {
 				b.err = err
 				break
 			}
-			b.data[b.n] = c.Data
+			b.chunks[b.n], b.data[b.n] = c, c.Data
 			b.runs[b.n] = b.data[b.n : b.n+1]
 			b.n++
 		}
@@ -152,7 +153,7 @@ func (p *chunkPipeline) next() (pchunk, error) {
 		hHashWaitNS.ObserveSince(cut)
 	}
 	p.i++
-	return pchunk{data: p.cur.data[p.i-1], hash: p.cur.sums[p.i-1]}, nil
+	return pchunk{Chunk: p.cur.chunks[p.i-1], hash: p.cur.sums[p.i-1]}, nil
 }
 
 // stop tears the pipeline down (safe after normal exhaustion too) and

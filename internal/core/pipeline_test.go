@@ -44,7 +44,7 @@ func TestPipelineParityWithSynchronous(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d chunks, err %v: chunk %d: %v", tc.chunks, tc.err, i, err)
 			}
-			if !bytes.Equal(got.data, c.Data) || got.hash != hashutil.SumBytes(c.Data) {
+			if !bytes.Equal(got.Data, c.Data) || got.hash != hashutil.SumBytes(c.Data) {
 				t.Fatalf("%d chunks, err %v: chunk %d differs from the serial loop's", tc.chunks, tc.err, i)
 			}
 		}

@@ -175,13 +175,13 @@ func (d *Disk) writeGeneration(dir, tmpDir, genName string, gen int) error {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			data := d.objects[cat][name]
+			runs := d.objects[cat][name].runs
 			path := filepath.Join(catDir, EncodeName(name))
-			if err := d.savePoint(path, data); err != nil {
+			if err := d.savePoint(path, runs...); err != nil {
 				return fmt.Errorf("simdisk: save %v %q: %w", cat, name, err)
 			}
 			man.Objects[sub]++
-			man.Bytes[sub] += int64(len(data))
+			man.Bytes[sub] += runs.Len()
 		}
 		if err := syncDir(catDir); err != nil {
 			return fmt.Errorf("simdisk: save: %w", err)
@@ -266,9 +266,13 @@ func (d *Disk) cleanupAfterCommit(dir, keep string) error {
 	return nil
 }
 
-// savePoint writes one file durably (write + fsync) through the save hook.
-func (d *Disk) savePoint(path string, data []byte) error {
-	return hookWrite(d.saveHook, path, data, func(b []byte) error { return writeFileSync(path, b) })
+// savePoint writes one file durably (write + fsync) through the save hook,
+// its parts one after another: only a hook, which may tear it, sees a join.
+func (d *Disk) savePoint(path string, parts ...[]byte) error {
+	if d.saveHook == nil {
+		return writeFileSync(path, parts...)
+	}
+	return hookWrite(d.saveHook, path, Runs(parts).Bytes(), func(b []byte) error { return writeFileSync(path, b) })
 }
 
 // hookWrite makes one payload write, consulting hook (if there is one)
@@ -316,16 +320,18 @@ func hookPoint(hook SaveHook, op string) error {
 	return err
 }
 
-// writeFileSync writes path and fsyncs it before closing, so the data is
-// durable before any rename that depends on it.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync writes parts to path, in order, and fsyncs it before
+// closing, so the data is durable before any rename that depends on it.
+func writeFileSync(path string, parts ...[]byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	for _, p := range parts {
+		if _, err := f.Write(p); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -509,7 +515,7 @@ func LoadDir(dir string) (*Disk, error) {
 			if err != nil {
 				return nil, fmt.Errorf("simdisk: load %v %q: %w", cat, name, err)
 			}
-			d.objects[cat][name] = data
+			d.objects[cat][name] = newObject(Runs{data})
 		}
 	}
 	return d, nil

@@ -14,7 +14,9 @@
 package simdisk
 
 import (
+	"bytes"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,18 +119,76 @@ func (c Counters) Accesses() int64 {
 		c.ExistsQueries.Total() + c.Deletes.Total()
 }
 
+// Runs is an object's bytes, or a range of them, as the views they are
+// stored as, in order. A container is sealed as the runs of the slabs its
+// chunks were read into, so reads return views of those runs.
+type Runs [][]byte
+
+// Len returns the total length of r.
+func (r Runs) Len() int64 {
+	var n int64
+	for _, run := range r {
+		n += int64(len(run))
+	}
+	return n
+}
+
+// Slice returns bytes [lo, hi) of r as views of its runs, each clipped.
+func (r Runs) Slice(lo, hi int64) Runs {
+	var out Runs
+	for i := 0; i < len(r) && hi > 0; i++ {
+		n := int64(len(r[i]))
+		if a, b := max(lo, 0), min(hi, n); a < b {
+			out = append(out, r[i][a:b:b])
+		}
+		lo, hi = lo-n, hi-n
+	}
+	return out
+}
+
+// Bytes returns r as one slice: its only run, or a joined copy.
+func (r Runs) Bytes() []byte {
+	if len(r) == 1 {
+		return r[0]
+	}
+	return bytes.Join(r, nil)
+}
+
+// object is one stored object: its runs and where each starts, so a range
+// is found by binary search however many runs it has.
+type object struct {
+	runs Runs
+	at   []int64 // at[i] is the offset of runs[i], at[len(runs)] the size
+}
+
+func newObject(runs Runs) object {
+	at := make([]int64, 1, len(runs)+1)
+	for _, run := range runs {
+		at = append(at, at[len(at)-1]+int64(len(run)))
+	}
+	return object{runs, at}
+}
+
+func (o object) size() int64 { return o.at[len(o.runs)] }
+
+// slice returns bytes [off, off+length) of o, which lie inside it.
+func (o object) slice(off, length int64) Runs {
+	i := sort.Search(len(o.runs), func(i int) bool { return o.at[i+1] > off })
+	return o.runs[i:].Slice(off-o.at[i], off-o.at[i]+length)
+}
+
 // Disk is the simulated disk. The zero value is not usable; construct with
 // New. Disk is safe for concurrent use: a single mutex serializes every
 // operation, so the access and byte counters — the inputs of the disk cost
 // model — stay exact no matter how many ingest sessions run at once. The
 // lock models what a real spindle serializes anyway (each Create/Read/Write
 // is "one disk access" in the paper's accounting), and the operations under
-// it are map lookups and O(1) slicing (Read, Create and Write copy outside
-// it; ReadRange copies nothing), so it is never the scaling bottleneck:
+// it are map lookups and slicing (Read and Write copy outside it; Create
+// and ReadRange copy nothing), so it is never the scaling bottleneck:
 // chunking and SHA-1 dominate and run outside it too.
 type Disk struct {
 	mu       sync.Mutex
-	objects  [numCategories]map[string][]byte
+	objects  [numCategories]map[string]object
 	counters Counters
 
 	// failHook, when non-nil, is consulted before every operation; a
@@ -173,7 +233,7 @@ type Disk struct {
 func New() *Disk {
 	d := &Disk{}
 	for i := range d.objects {
-		d.objects[i] = make(map[string][]byte)
+		d.objects[i] = make(map[string]object)
 	}
 	return d
 }
@@ -209,30 +269,26 @@ func (d *Disk) check(op Op, cat Category, name string) error {
 	return nil
 }
 
-// Create stores a new object. It is an error if the object already exists:
-// DiskChunks and Hooks are immutable once written (per §III, "the DiskChunk
-// and the Hook files that have been written to disk will not be further
-// modified").
-func (d *Disk) Create(cat Category, name string, data []byte) error {
-	return d.put(OpCreate, cat, name, append([]byte(nil), data...))
+// Create stores a new object, the concatenation of runs. It is an error if
+// the object already exists: DiskChunks and Hooks are immutable once
+// written (per §III, "the DiskChunk and the Hook files that have been
+// written to disk will not be further modified"). The disk keeps the runs
+// themselves, not a copy, so the caller must never touch them again. If the
+// attached log was handed every byte of them beforehand (Stage), the create
+// is journaled as their seal.
+func (d *Disk) Create(cat Category, name string, runs ...[]byte) error {
+	return d.put(OpCreate, cat, name, runs)
 }
 
-// CreateOwned is Create without the copy: the disk keeps data itself, so the
-// caller must never touch it again. If the attached log was handed every
-// byte of it beforehand (Stage), the create is journaled as their seal.
-func (d *Disk) CreateOwned(cat Category, name string, data []byte) error {
-	return d.put(OpCreate, cat, name, data)
-}
-
-// Write replaces the content of an existing object (only Manifests are
-// updated in place during deduplication).
+// Write replaces the content of an existing object with a copy of data
+// (only Manifests are updated in place during deduplication).
 func (d *Disk) Write(cat Category, name string, data []byte) error {
-	return d.put(OpWrite, cat, name, append([]byte(nil), data...))
+	return d.put(OpWrite, cat, name, Runs{append([]byte(nil), data...)})
 }
 
-// put stores data, which the disk owns from here on, as a new object
+// put stores runs, which the disk owns from here on, as a new object
 // (OpCreate) or in place of an existing one (OpWrite).
-func (d *Disk) put(op Op, cat Category, name string, data []byte) error {
+func (d *Disk) put(op Op, cat Category, name string, runs Runs) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.check(op, cat, name); err != nil {
@@ -243,21 +299,22 @@ func (d *Disk) put(op Op, cat Category, name string, data []byte) error {
 	} else if !exists && op == OpWrite {
 		return fmt.Errorf("simdisk: %v object %q does not exist", cat, name)
 	}
-	d.objects[cat][name] = data
+	o := newObject(runs)
+	d.objects[cat][name] = o
 	if op == OpCreate {
 		d.counters.Creates[cat]++
 	} else {
 		d.counters.Writes[cat]++
 	}
-	d.counters.BytesWritten[cat] += int64(len(data))
+	d.counters.BytesWritten[cat] += o.size()
 	if d.wal != nil {
-		d.wal.Append(WALRecord{Op: WALSet, Cat: cat, Name: name, Data: data})
+		d.wal.Append(WALRecord{Op: WALSet, Cat: cat, Name: name, Parts: runs})
 	}
 	return nil
 }
 
 // Stage hands the attached log the next bytes, at offset off, of an object
-// that a later CreateOwned will store whole: they reach the log (and, past
+// that a later Create will store whole: they reach the log (and, past
 // its write-back threshold, the platter) while the object is still being
 // assembled, and stay invisible to every reader and every mount until that
 // create seals them. parts are kept by reference and must not change. No
@@ -336,20 +393,18 @@ func (d *Disk) sleepRead() {
 
 // Read returns a private copy of the object: metadata decoders may keep it.
 func (d *Disk) Read(cat Category, name string) ([]byte, error) {
-	out, err := d.view(cat, name, 0, 0, true)
-	if err == nil {
-		out = append([]byte(nil), out...) // outside the lock
-	}
+	runs, err := d.view(cat, name, 0, 0, true)
 	d.sleepRead()
-	return out, err
+	return bytes.Join(runs, nil), err // the copy, outside the lock
 }
 
 // ReadRange returns length bytes of the object starting at off, one disk
-// access like Read: HHR's reloads and every restore's container reads. The
-// result is a view of the stored bytes, and holders must never write to it;
-// objects are replaced, never modified, so it keeps its bytes whatever
-// happens to the object later. Its capacity is clipped to its length.
-func (d *Disk) ReadRange(cat Category, name string, off, length int64) ([]byte, error) {
+// access like Read, whatever the number of runs they span: HHR's reloads
+// and every restore's container reads. The result is views of the stored
+// runs it covers, each clipped, and holders must never write to them;
+// objects are replaced, never modified, so they keep their bytes whatever
+// happens to the object later.
+func (d *Disk) ReadRange(cat Category, name string, off, length int64) (Runs, error) {
 	out, err := d.view(cat, name, off, length, false)
 	d.sleepRead()
 	return out, err
@@ -357,29 +412,29 @@ func (d *Disk) ReadRange(cat Category, name string, off, length int64) ([]byte, 
 
 // view charges one read and slices the stored object (whole: every byte,
 // whatever off and length say), or returns the read transform of a copy.
-func (d *Disk) view(cat Category, name string, off, length int64, whole bool) ([]byte, error) {
+func (d *Disk) view(cat Category, name string, off, length int64, whole bool) (Runs, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.check(OpRead, cat, name); err != nil {
 		return nil, err
 	}
-	data, exists := d.objects[cat][name]
+	o, exists := d.objects[cat][name]
 	if !exists {
 		d.counters.MissedLookups[cat]++
 		return nil, fmt.Errorf("simdisk: %v object %q does not exist", cat, name)
 	}
 	if whole {
-		off, length = 0, int64(len(data))
+		off, length = 0, o.size()
 	}
-	if off < 0 || length < 0 || length > int64(len(data))-off {
+	if off < 0 || length < 0 || length > o.size()-off {
 		return nil, fmt.Errorf("simdisk: range [%d,+%d) outside %v object %q of %d bytes",
-			off, length, cat, name, len(data))
+			off, length, cat, name, o.size())
 	}
 	d.counters.Reads[cat]++
 	d.counters.BytesRead[cat] += length
-	out := data[off : off+length : off+length]
+	out := o.slice(off, length)
 	if d.readTransform != nil {
-		out = d.readTransform(cat, name, append([]byte(nil), out...))
+		out = Runs{d.readTransform(cat, name, bytes.Join(out, nil))}
 	}
 	return out, nil
 }
@@ -405,8 +460,10 @@ func (d *Disk) Exists(cat Category, name string) bool {
 func (d *Disk) Size(cat Category, name string) (int64, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	data, ok := d.objects[cat][name]
-	return int64(len(data)), ok
+	if o, ok := d.objects[cat][name]; ok {
+		return o.size(), true
+	}
+	return 0, false
 }
 
 // Names returns the names of all stored objects in cat, in unspecified
@@ -425,26 +482,26 @@ func (d *Disk) Names(cat Category) []string {
 	return out
 }
 
-// mutateRaw replaces a stored object with fn's copy of it, charging no disk
-// access or byte counter (fn must not write to data: views of it may be
-// held). It is the primitive behind FlipStoredBit, TruncateStored and
-// CorruptStored: damage that happens *to* the medium, not an operation of
-// the store.
+// mutateRaw replaces a stored object with fn's copy of it, as one run,
+// charging no disk access or byte counter (fn must not write to data:
+// views of it may be held). It is the primitive behind FlipStoredBit,
+// TruncateStored and CorruptStored: damage that happens *to* the medium,
+// not an operation of the store.
 func (d *Disk) mutateRaw(cat Category, name string, fn func(data []byte) ([]byte, error)) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if cat < 0 || cat >= numCategories {
 		return fmt.Errorf("simdisk: invalid category %d", int(cat))
 	}
-	data, exists := d.objects[cat][name]
+	o, exists := d.objects[cat][name]
 	if !exists {
 		return fmt.Errorf("simdisk: %v object %q does not exist", cat, name)
 	}
-	out, err := fn(data)
+	out, err := fn(o.runs.Bytes())
 	if err != nil {
 		return err
 	}
-	d.objects[cat][name] = out
+	d.objects[cat][name] = newObject(Runs{out})
 	return nil
 }
 
@@ -479,8 +536,8 @@ func (d *Disk) BytesStored(cat Category) int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var t int64
-	for _, data := range d.objects[cat] {
-		t += int64(len(data))
+	for _, o := range d.objects[cat] {
+		t += o.size()
 	}
 	return t
 }

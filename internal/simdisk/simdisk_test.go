@@ -49,17 +49,16 @@ func TestWriteRequiresExistence(t *testing.T) {
 }
 
 func TestReadIsolation(t *testing.T) {
-	// Mutating a buffer Read returned must not corrupt the stored object,
-	// and mutating the input buffer after Create must not either. (ReadRange
-	// returns a view instead: TestReadRangeView.)
+	// Mutating a buffer Read returned must not corrupt the stored object.
+	// Create keeps its runs instead of copying them, so the caller hands
+	// them over, and ReadRange returns views (TestReadRangeView).
 	d := New()
 	src := []byte("immutable")
 	d.Create(Data, "c", src)
-	src[0] = 'X'
-	got1, _ := d.Read(Data, "c")
-	if string(got1) != "immutable" {
-		t.Error("Create did not copy its input")
+	if v, _ := d.ReadRange(Data, "c", 0, 9); &v[0][0] != &src[0] {
+		t.Error("Create copied the runs it was handed")
 	}
+	got1, _ := d.Read(Data, "c")
 	got1[0] = 'Y'
 	got2, _ := d.Read(Data, "c")
 	if string(got2) != "immutable" {
@@ -74,7 +73,7 @@ func TestReadRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "3456" {
+	if string(got.Bytes()) != "3456" {
 		t.Errorf("ReadRange = %q, want 3456", got)
 	}
 	for _, bad := range [][2]int64{{-1, 2}, {0, 11}, {8, 3}, {2, -1}} {
@@ -113,13 +112,14 @@ func TestReadRangeView(t *testing.T) {
 	const content = "0123456789"
 	d := New()
 	d.Create(Data, "c", []byte(content))
-	v, err := d.ReadRange(Data, "c", 2, 3)
+	runs, err := d.ReadRange(Data, "c", 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v) != 3 || cap(v) != len(v) {
-		t.Fatalf("view len %d cap %d, want 3/3", len(v), cap(v))
+	if len(runs) != 1 || len(runs[0]) != 3 || cap(runs[0]) != 3 {
+		t.Fatalf("views %q, want one of len 3, cap 3", runs)
 	}
+	v := runs[0]
 	_ = append(v, "XYZ"...)
 	if got, _ := d.Read(Data, "c"); string(got) != content {
 		t.Fatalf("append to a view reached the stored object: %q", got)
@@ -134,10 +134,11 @@ func TestReadRangeView(t *testing.T) {
 		{"Write", func() error { return d.Write(Data, "c", []byte("abcdefghij")) }},
 		{"Delete", func() error { return d.Delete(Data, "c") }},
 	} {
-		before, err := d.ReadRange(Data, "c", 0, 4)
+		runs, err := d.ReadRange(Data, "c", 0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := runs[0]
 		want := string(before)
 		if err := step.do(); err != nil {
 			t.Fatal(err)
@@ -156,7 +157,8 @@ func TestReadFaultsNeverReachStore(t *testing.T) {
 	const content = "0123456789"
 	d := New()
 	d.Create(Data, "c", []byte(content))
-	held, _ := d.ReadRange(Data, "c", 0, 10)
+	runs, _ := d.ReadRange(Data, "c", 0, 10)
+	held := runs[0]
 	d.SetReadTransform(func(_ Category, _ string, data []byte) []byte {
 		for i := range data {
 			data[i] = 'X'
@@ -165,7 +167,7 @@ func TestReadFaultsNeverReachStore(t *testing.T) {
 	})
 	for _, read := range []func() ([]byte, error){
 		func() ([]byte, error) { return d.Read(Data, "c") },
-		func() ([]byte, error) { return d.ReadRange(Data, "c", 1, 8) },
+		func() ([]byte, error) { runs, err := d.ReadRange(Data, "c", 1, 8); return runs.Bytes(), err },
 	} {
 		if got, err := read(); err != nil || len(got) == 0 || got[0] != 'X' {
 			t.Fatalf("transform did not run: %q, %v", got, err)

@@ -103,19 +103,14 @@ type WALRecord struct {
 	Name string
 	Off  int64 // an extent's offset in its object; a seal's total length
 	Data []byte
-	// Parts continues Data: an extent is handed over as the slices it was
-	// cut into and joined only in the log's encode buffer.
+	// Parts continues Data: an extent, or a Set of an object stored as
+	// runs, is handed over as the slices it was cut into and joined only in
+	// the log's encode buffer.
 	Parts [][]byte
 }
 
 // payloadLen is the length of the record's payload, Data then Parts.
-func (r *WALRecord) payloadLen() int64 {
-	n := int64(len(r.Data))
-	for _, p := range r.Parts {
-		n += int64(len(p))
-	}
-	return n
-}
+func (r *WALRecord) payloadLen() int64 { return int64(len(r.Data)) + Runs(r.Parts).Len() }
 
 // walKey names an object in the staging maps of the log and of its replay.
 type walKey struct {
@@ -378,7 +373,7 @@ func (w *WAL) Append(r WALRecord) {
 	case WALSet:
 		if ext, ok := w.staged[key]; ok {
 			delete(w.staged, key)
-			if n := int64(len(r.Data)); n == stagedLen(ext) {
+			if n := r.payloadLen(); n == stagedLen(ext) {
 				r = WALRecord{Op: WALSeal, Cat: r.Cat, Name: r.Name, Off: n}
 			}
 		}
@@ -688,7 +683,7 @@ func (p *walFold) apply(r WALRecord) error {
 	} else if r.Op == WALDelete {
 		delete(p.d.objects[r.Cat], r.Name)
 	} else {
-		p.d.objects[r.Cat][r.Name] = bytes.Join(parts, nil)
+		p.d.objects[r.Cat][r.Name] = newObject(Runs{bytes.Join(parts, nil)})
 	}
 	return nil
 }

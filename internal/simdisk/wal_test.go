@@ -689,7 +689,7 @@ func TestWALStreamsAheadOfSync(t *testing.T) {
 	if d.Exists(Data, "c") {
 		t.Fatal("a staged object is visible before its seal")
 	}
-	if err := d.CreateOwned(Data, "c", payload); err != nil {
+	if err := d.Create(Data, "c", payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Sync(); err != nil {
@@ -709,7 +709,7 @@ func TestWALStreamsAheadOfSync(t *testing.T) {
 
 	// A create that does not match what was staged is logged whole.
 	d.Stage(Data, "short", 0, [][]byte{[]byte("abc")})
-	if err := d.CreateOwned(Data, "short", []byte("abcd")); err != nil {
+	if err := d.Create(Data, "short", []byte("abcd")); err != nil {
 		t.Fatal(err)
 	}
 	// And an unstaged one leaves nothing for compaction to re-log.
@@ -814,7 +814,7 @@ func TestWALConcurrentSessionsStream(t *testing.T) {
 						t.Error(err)
 					}
 				}
-				if err := d.CreateOwned(Data, name, data); err != nil {
+				if err := d.Create(Data, name, data); err != nil {
 					t.Error(err)
 				}
 				if err := d.Create(FileManifest, name, []byte(name)); err != nil {
@@ -984,7 +984,7 @@ func runWALScript(t *testing.T, dir string, script []wop, streamAt int64, hook S
 			d.Stage(op.cat, op.name, int64(op.lo), [][]byte{op.data[op.lo:mid], op.data[mid:op.hi]})
 			continue
 		case 'O':
-			if err := d.CreateOwned(op.cat, op.name, append([]byte(nil), op.data...)); err != nil {
+			if err := d.Create(op.cat, op.name, append([]byte(nil), op.data...)); err != nil {
 				t.Fatalf("create owned %q: %v", op.name, err)
 			}
 		case 'K':

@@ -15,7 +15,7 @@ func buildConsistentStore(t *testing.T) (*simdisk.Disk, *Store) {
 	s := New(disk, FormatMHD)
 	name := s.NextName()
 	payload := make([]byte, 4096)
-	if err := s.WriteDiskChunk(name, payload); err != nil {
+	if err := s.SealDiskChunk(name, payload); err != nil {
 		t.Fatal(err)
 	}
 	m := NewManifest(name, FormatMHD)
@@ -92,7 +92,7 @@ func TestCheckDetectsManifestGap(t *testing.T) {
 	disk := simdisk.New()
 	s := New(disk, FormatMHD)
 	name := s.NextName()
-	s.WriteDiskChunk(name, make([]byte, 2048))
+	s.SealDiskChunk(name, make([]byte, 2048))
 	m := NewManifest(name, FormatMHD)
 	m.Append(Entry{Hash: hashutil.SumString("a"), Start: 0, Size: 1000, Kind: KindHook})
 	m.Append(Entry{Hash: hashutil.SumString("b"), Start: 1100, Size: 948, Kind: KindPlain}) // gap at 1000
@@ -105,7 +105,7 @@ func TestCheckDetectsShortCoverage(t *testing.T) {
 	disk := simdisk.New()
 	s := New(disk, FormatMHD)
 	name := s.NextName()
-	s.WriteDiskChunk(name, make([]byte, 2048))
+	s.SealDiskChunk(name, make([]byte, 2048))
 	m := NewManifest(name, FormatMHD)
 	m.Append(Entry{Hash: hashutil.SumString("a"), Start: 0, Size: 1024, Kind: KindHook})
 	s.CreateManifest(m) // covers half the chunk

@@ -55,7 +55,7 @@ func addRandomBatch(t *testing.T, rng *rand.Rand, s *Store, tag string) {
 		data := make([]byte, size)
 		rng.Read(data)
 		name := hashutil.SumString(fmt.Sprintf("%s-c%d", tag, c))
-		if err := s.WriteDiskChunk(name, data); err != nil {
+		if err := s.SealDiskChunk(name, data); err != nil {
 			t.Fatal(err)
 		}
 		m := NewManifest(name, FormatBasic)

@@ -355,7 +355,7 @@ func TestDurableGaugesExported(t *testing.T) {
 	// sample of store.commit_ns.
 	big := bytes.Repeat([]byte("0123456789abcdef"), 16<<10)
 	d.Disk().Stage(simdisk.Data, "big", 0, [][]byte{big})
-	if err := d.Disk().CreateOwned(simdisk.Data, "big", big); err != nil {
+	if err := d.Disk().Create(simdisk.Data, "big", big); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Commit(); err != nil {

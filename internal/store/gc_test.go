@@ -16,7 +16,7 @@ func gcFixture(t *testing.T) (*simdisk.Disk, *Store, hashutil.Sum, hashutil.Sum)
 
 	mkContainer := func(tag string, size int64) hashutil.Sum {
 		name := s.NextName()
-		if err := s.WriteDiskChunk(name, make([]byte, size)); err != nil {
+		if err := s.SealDiskChunk(name, make([]byte, size)); err != nil {
 			t.Fatal(err)
 		}
 		m := NewManifest(name, FormatMHD)
@@ -131,8 +131,8 @@ func TestSweepPrunesMultiContainerManifests(t *testing.T) {
 	s := New(disk, FormatMultiContainer)
 	// Two containers; one segment manifest referencing both.
 	c1, c2 := s.NextName(), s.NextName()
-	s.WriteDiskChunk(c1, make([]byte, 1024))
-	s.WriteDiskChunk(c2, make([]byte, 1024))
+	s.SealDiskChunk(c1, make([]byte, 1024))
+	s.SealDiskChunk(c2, make([]byte, 1024))
 	m := NewManifest(c1, FormatMultiContainer)
 	m.Append(Entry{Hash: hashutil.SumString("x"), Container: c1, Start: 0, Size: 1024})
 	m.Append(Entry{Hash: hashutil.SumString("y"), Container: c2, Start: 0, Size: 1024})

@@ -584,8 +584,7 @@ func (s *Store) RestoreRange(file string, off, length int64, w io.Writer, opts R
 // restoreRange is the one restore under every entry point, whole-file or
 // ranged. Plain and verified (v non-nil, Verifier.RestoreRange) differ only
 // in how a planned read is fetched, in how often recipe reads are retried,
-// and in that a verified plan with reads in flight has its oversized reads
-// cut (Verifier.splitReads).
+// and in that a wide one may cut its reads (Verifier.splitReads).
 func (s *Store) restoreRange(file string, off, length int64, w io.Writer, opts RestoreOptions, v *Verifier) (RangeStats, error) {
 	read, retries := s.readPlanned, 0
 	if v != nil {
@@ -603,7 +602,7 @@ func (s *Store) restoreRange(file string, off, length int64, w io.Writer, opts R
 	if err != nil {
 		return RangeStats{RecipeReads: reads, FileBytes: total}, err
 	}
-	if v != nil && opts.workers() > 1 {
+	if v != nil && opts.workers() > 1 && hashutil.Lanes() == 0 {
 		v.splitReads(plan)
 	}
 	rs, err := s.runPlan(plan, read, w, opts)

@@ -180,7 +180,7 @@ func rangedFixture(t *testing.T, nref int) (*Store, []byte, []int64) {
 	container := s.NextName()
 	cdata := make([]byte, 1<<16)
 	rng.Read(cdata)
-	if err := s.WriteDiskChunk(container, cdata); err != nil {
+	if err := s.SealDiskChunk(container, cdata); err != nil {
 		t.Fatal(err)
 	}
 	// One manifest entry vouching for the whole container, so the Verifier
@@ -292,7 +292,7 @@ func TestRestoreRangeFlatManifest(t *testing.T) {
 	s := New(simdisk.New(), FormatBasic)
 	c := s.NextName()
 	data := []byte("abcdefghijklmnopqrstuvwxyz")
-	if err := s.WriteDiskChunk(c, data); err != nil {
+	if err := s.SealDiskChunk(c, data); err != nil {
 		t.Fatal(err)
 	}
 	fm := &FileManifest{File: "f"}
@@ -329,7 +329,7 @@ func TestRestoreRangeLogarithmicReads(t *testing.T) {
 	container := s.NextName()
 	cdata := make([]byte, 1<<16)
 	rand.New(rand.NewSource(7)).Read(cdata)
-	if err := s.WriteDiskChunk(container, cdata); err != nil {
+	if err := s.SealDiskChunk(container, cdata); err != nil {
 		t.Fatal(err)
 	}
 	// 200k refs of 16 KiB each: a ~3.2 GB image, all ranges inside one
@@ -558,7 +558,7 @@ func TestConvertToRecipeTrees(t *testing.T) {
 	c := s.NextName()
 	data := make([]byte, 1<<15)
 	rand.New(rand.NewSource(3)).Read(data)
-	if err := s.WriteDiskChunk(c, data); err != nil {
+	if err := s.SealDiskChunk(c, data); err != nil {
 		t.Fatal(err)
 	}
 	var wants [][]byte
@@ -641,10 +641,10 @@ func TestRecipeTreeRangedEqualsFlatSlice(t *testing.T) {
 		cdata := make([]byte, 1<<15)
 		rng.Read(cdata)
 		cf, ct := flat.NextName(), tree.NextName()
-		if err := flat.WriteDiskChunk(cf, cdata); err != nil {
+		if err := flat.SealDiskChunk(cf, cdata); err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.WriteDiskChunk(ct, cdata); err != nil {
+		if err := tree.SealDiskChunk(ct, cdata); err != nil {
 			t.Fatal(err)
 		}
 		fmFlat := &FileManifest{File: "f"}

@@ -8,6 +8,7 @@ import (
 
 	"mhdedup/internal/events"
 	"mhdedup/internal/metrics"
+	"mhdedup/internal/simdisk"
 )
 
 // The restore executor. planRestore (restoreplan.go) turns a FileManifest
@@ -25,9 +26,8 @@ import (
 // stalled writer is backpressure by construction (nothing is emitted, so
 // nothing new starts). Workers ≤ 1 fetches each read inline on the caller —
 // no goroutine, no channel hop — which is every default plain restore. A
-// verified restore hashes what it reads, so its zero Workers means a width
-// from GOMAXPROCS, and its oversized reads arrive here already cut into
-// sub-reads (verify.go); the loop is the same.
+// verified restore hashes what it reads: its zero Workers is a width from
+// GOMAXPROCS, and without SHA-1 lanes its long reads come cut (verify.go).
 
 // restoreWindow bounds read-ahead in bytes: the reads started and not yet
 // emitted span at most this many container bytes, unless one read alone is
@@ -66,11 +66,11 @@ type RestoreStats struct {
 }
 
 // plannedReadFn fetches one planned read's bytes: exactly pr.length bytes
-// of pr.container starting at pr.start. The plain path issues one
-// ReadDiskChunkRange; the verified path reads the manifest claims the
-// read serves from, hashes them, and slices from the buffer that checked
-// clean (Verifier.readPlannedVerified).
-type plannedReadFn func(pr *plannedRead) ([]byte, error)
+// of pr.container starting at pr.start, as views of the runs they are
+// stored in. The plain path issues one ReadDiskChunkRange; the verified
+// path reads the manifest claims the read serves from, hashes them, and
+// slices from the runs that checked clean (Verifier.readPlannedVerified).
+type plannedReadFn func(pr *plannedRead) (simdisk.Runs, error)
 
 // SetEventLog attaches a structured event log to the store; restores
 // report slow planned reads and per-file plan summaries to it. A nil log
@@ -86,7 +86,7 @@ func (s *Store) RestoreFileStats(file string, w io.Writer, opts RestoreOptions) 
 
 // readPlanned is the plain (unverified) plannedReadFn: one coalesced
 // container range read.
-func (s *Store) readPlanned(pr *plannedRead) ([]byte, error) {
+func (s *Store) readPlanned(pr *plannedRead) (simdisk.Runs, error) {
 	data, err := s.ReadDiskChunkRange(pr.container, pr.start, pr.length)
 	if err != nil {
 		return nil, fmt.Errorf("ref %s[%d+%d]: %w", pr.container, pr.start, pr.length, err)
@@ -111,7 +111,7 @@ func (s *Store) runPlan(plan *restorePlan, read plannedReadFn, w io.Writer, opts
 	begin := time.Now()
 
 	type result struct {
-		buf []byte
+		buf simdisk.Runs
 		err error
 	}
 	var (
@@ -174,7 +174,7 @@ func (s *Store) runPlan(plan *restorePlan, read plannedReadFn, w io.Writer, opts
 
 // timedRead wraps one planned read with the latency histogram and the
 // slow-op event.
-func (s *Store) timedRead(read plannedReadFn, pr *plannedRead) ([]byte, error) {
+func (s *Store) timedRead(read plannedReadFn, pr *plannedRead) (simdisk.Runs, error) {
 	start := time.Now()
 	buf, err := read(pr)
 	d := hRestoreReadNS.ObserveSince(start)
@@ -183,17 +183,19 @@ func (s *Store) timedRead(read plannedReadFn, pr *plannedRead) ([]byte, error) {
 	return buf, err
 }
 
-// emitSegments writes one read's segments, in order, from its buffer: a
-// view of the stored container, so each goes out with its capacity clipped.
-func emitSegments(w io.Writer, pr *plannedRead, buf []byte) error {
-	if int64(len(buf)) < pr.length {
+// emitSegments writes one read's segments, in order, from its runs: views
+// of the stored container, so each piece goes out with its capacity
+// clipped, one Write per run a segment spans.
+func emitSegments(w io.Writer, pr *plannedRead, buf simdisk.Runs) error {
+	if n := buf.Len(); n < pr.length {
 		return fmt.Errorf("store: restore: container %s read [%d,+%d) returned %d bytes",
-			pr.container.Short(), pr.start, pr.length, len(buf))
+			pr.container.Short(), pr.start, pr.length, n)
 	}
 	for _, seg := range pr.segs {
-		end := seg.off + seg.size
-		if _, err := w.Write(buf[seg.off:end:end]); err != nil {
-			return err
+		for _, run := range buf.Slice(seg.off, seg.off+seg.size) {
+			if _, err := w.Write(run); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -42,7 +42,7 @@ func fillFragmented(t *testing.T, s *Store, seed int64, refCount int) (string, [
 		data := make([]byte, containerSize)
 		rng.Read(data)
 		name := hashutil.SumString(fmt.Sprintf("frag-c%d", i))
-		if err := s.WriteDiskChunk(name, data); err != nil {
+		if err := s.SealDiskChunk(name, data); err != nil {
 			t.Fatal(err)
 		}
 		m := NewManifest(name, s.Format())
@@ -104,7 +104,7 @@ func refWalk(t *testing.T, s *Store, file string) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, data...)
+		out = append(out, data.Bytes()...)
 	}
 	return out
 }
@@ -237,9 +237,9 @@ func fetchedAtEachEmission(t *testing.T, width int, lengths, want []int64) {
 	}
 	buf := make([]byte, largest)
 	var fetched atomic.Int64
-	read := func(pr *plannedRead) ([]byte, error) {
+	read := func(pr *plannedRead) (simdisk.Runs, error) {
 		fetched.Add(pr.length)
-		return buf[:pr.length], nil
+		return simdisk.Runs{buf[:pr.length]}, nil
 	}
 
 	s := New(simdisk.New(), FormatBasic)
@@ -390,7 +390,7 @@ type readProbe struct {
 	before func(pr *plannedRead) error
 }
 
-func (p *readProbe) read(pr *plannedRead) ([]byte, error) {
+func (p *readProbe) read(pr *plannedRead) (simdisk.Runs, error) {
 	p.started.Add(1)
 	n := p.inside.Add(1)
 	defer p.inside.Add(-1)

@@ -26,10 +26,7 @@ import (
 // executor in restorepipe.go one loop with an exact read-ahead bound: reads
 // are started in order, emitted in order, and a read is dropped as soon as
 // its last segment is written — a read never has to survive an unbounded
-// stretch of output the way it would if far-apart refs shared one read. A
-// verified restore with reads in flight may cut a planned read into
-// sub-reads (Verifier.splitReads); each still serves one contiguous run of
-// the output, in schedule order, so the property holds for them too.
+// stretch of output the way it would if far-apart refs shared one read.
 
 // DefaultRestoreCoalesceGap is how many container bytes of gap a planned
 // read bridges: two refs into the same container separated by at most this

@@ -122,26 +122,22 @@ func (s *Store) NextName() hashutil.Sum {
 	}
 }
 
-// WriteDiskChunk stores the data payload of a DiskChunk.
-func (s *Store) WriteDiskChunk(name hashutil.Sum, data []byte) error {
-	defer hContainerWriteNS.ObserveSince(time.Now())
-	return s.disk.Create(simdisk.Data, name.Hex(), data)
-}
-
 // StageDiskChunk hands the disk's log the next run of chunks, at offset off,
 // of a DiskChunk still being cut, so the container is on its way to the
 // platter before its file ends; SealDiskChunk then stores the whole
-// payload — the one Create the paper charges per file — taking ownership of
-// data, and the log journals a seal instead of the bytes again. A file
-// that fails before its seal calls UnstageDiskChunk. See simdisk.Disk.Stage.
+// payload — the one Create the paper charges per file — as the runs it is
+// handed, taking ownership of them, and the log journals a seal instead of
+// the bytes again. A file that fails before its seal calls
+// UnstageDiskChunk. See simdisk.Disk.Stage.
 func (s *Store) StageDiskChunk(name hashutil.Sum, off int64, parts [][]byte) {
 	s.disk.Stage(simdisk.Data, name.Hex(), off, parts)
 }
 
-// SealDiskChunk: see StageDiskChunk.
-func (s *Store) SealDiskChunk(name hashutil.Sum, data []byte) error {
+// SealDiskChunk stores a DiskChunk, the concatenation of runs (see
+// StageDiskChunk): every engine's one container write per file.
+func (s *Store) SealDiskChunk(name hashutil.Sum, runs ...[]byte) error {
 	defer hContainerWriteNS.ObserveSince(time.Now())
-	return s.disk.CreateOwned(simdisk.Data, name.Hex(), data)
+	return s.disk.Create(simdisk.Data, name.Hex(), runs...)
 }
 
 // UnstageDiskChunk: see StageDiskChunk.
@@ -154,9 +150,10 @@ func (s *Store) DiskChunkSize(name hashutil.Sum) (int64, bool) {
 }
 
 // ReadDiskChunkRange reads part of a stored DiskChunk — an HHR reload or a
-// restore's container read, one disk access — as a view of the stored bytes
-// that its holders must never write to (simdisk.Disk.ReadRange).
-func (s *Store) ReadDiskChunkRange(name hashutil.Sum, off, length int64) ([]byte, error) {
+// restore's container read, one disk access — as views of the stored runs
+// it spans, which their holders must never write to
+// (simdisk.Disk.ReadRange).
+func (s *Store) ReadDiskChunkRange(name hashutil.Sum, off, length int64) (simdisk.Runs, error) {
 	start := time.Now()
 	data, err := s.disk.ReadRange(simdisk.Data, name.Hex(), off, length)
 	hContainerReadNS.ObserveSince(start)

@@ -247,7 +247,7 @@ func TestStoreChunkAndManifestFlow(t *testing.T) {
 		t.Fatal("NextName returned a duplicate")
 	}
 	payload := []byte("0123456789abcdef")
-	if err := s.WriteDiskChunk(name, payload); err != nil {
+	if err := s.SealDiskChunk(name, payload); err != nil {
 		t.Fatal(err)
 	}
 	if sz, ok := s.DiskChunkSize(name); !ok || sz != int64(len(payload)) {
@@ -257,7 +257,7 @@ func TestStoreChunkAndManifestFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "456789" {
+	if string(got.Bytes()) != "456789" {
 		t.Errorf("ReadDiskChunkRange = %q", got)
 	}
 
@@ -337,8 +337,8 @@ func TestStoreHooks(t *testing.T) {
 func TestStoreRestoreFile(t *testing.T) {
 	s := New(simdisk.New(), FormatBasic)
 	c1, c2 := s.NextName(), s.NextName()
-	s.WriteDiskChunk(c1, []byte("AAAABBBB"))
-	s.WriteDiskChunk(c2, []byte("CCCC"))
+	s.SealDiskChunk(c1, []byte("AAAABBBB"))
+	s.SealDiskChunk(c2, []byte("CCCC"))
 	fm := &FileManifest{File: "file1"}
 	fm.Append(FileRef{Container: c1, Start: 4, Size: 4}) // BBBB
 	fm.Append(FileRef{Container: c2, Start: 0, Size: 4}) // CCCC

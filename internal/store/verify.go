@@ -43,10 +43,9 @@ import (
 // Bytes a planned read merely bridges (coalescing gaps) are neither
 // vouched for nor hashed: they are never emitted.
 //
-// Hashing, not the disk, bounds a verified restore, so it uses every core
-// (DESIGN §11): verifiedWorkers reads in flight by default, and oversized
-// reads cut at claim boundaries into sub-reads (splitReads) — planned reads
-// like any other, so the invariants hold for each unchanged.
+// Hashing, not the disk, bounds a verified restore (DESIGN §11): a read's
+// claims are hashed in one hashutil.SumRuns, 16 at a time where the CPU has
+// the lanes, and verifiedWorkers reads are in flight by default.
 
 // Bytes hashed by verification (restores and Scrub) and bytes served by
 // verified planned reads. Over restores alone their ratio is what claims
@@ -55,9 +54,6 @@ var (
 	cVerifyHashedBytes = metrics.Counter("store.verify.hashed_bytes")
 	cVerifyServedBytes = metrics.Counter("store.verify.served_bytes")
 )
-
-// verifySplitBytes is the container span past which splitReads cuts.
-const verifySplitBytes = 1 << 20
 
 // verifiedWorkers is a verified restore's width when Workers is zero: eight
 // reads per P (at most 64; restoreWindow bounds their bytes), so one long
@@ -283,22 +279,32 @@ func (v *Verifier) Containers() []string {
 	return out
 }
 
-// checkClaims hashes each claim on buf, which holds the container's bytes
-// from offset base on, and returns the claims that do not check out. A
-// claim reaching outside buf (a truncated container) is a mismatch by that
-// fact alone, whatever hash it records; its Got stays zero.
-func checkClaims(container hashutil.Sum, claims []coverEntry, buf []byte, base int64) []Mismatch {
+// checkClaims hashes each claim on buf, the container's bytes from offset
+// base on as the runs they are stored in — all claims in one SumRuns, a
+// claim that spans runs hashed across them without a copy — and returns
+// the claims that do not check out. A claim reaching outside buf (a
+// truncated container) is a mismatch by that fact alone, whatever hash it
+// records; its Got stays zero.
+func checkClaims(container hashutil.Sum, claims []coverEntry, buf simdisk.Runs, base int64) []Mismatch {
+	n := buf.Len()
+	inside := func(ce coverEntry) bool { return ce.start >= base && ce.end() <= base+n }
+	runs, sums := make([][][]byte, len(claims)), make([]hashutil.Sum, len(claims))
+	for i, ce := range claims {
+		if inside(ce) {
+			runs[i] = buf.Slice(ce.start-base, ce.end()-base)
+		}
+	}
+	hashutil.SumRuns(runs, sums)
 	var bad []Mismatch
-	for _, ce := range claims {
-		mm := Mismatch{
-			Container: container, Manifest: ce.manifest, Entry: ce.entry,
-			Start: ce.start, Size: ce.size, Want: ce.hash,
-		}
-		inside := ce.start >= base && ce.end() <= base+int64(len(buf))
-		if inside {
-			mm.Got = hashutil.SumBytes(buf[ce.start-base : ce.end()-base])
-		}
-		if !inside || mm.Got != ce.hash {
+	for i, ce := range claims {
+		if !inside(ce) || sums[i] != ce.hash {
+			mm := Mismatch{
+				Container: container, Manifest: ce.manifest, Entry: ce.entry,
+				Start: ce.start, Size: ce.size, Want: ce.hash,
+			}
+			if inside(ce) {
+				mm.Got = sums[i]
+			}
 			bad = append(bad, mm)
 		}
 	}
@@ -307,9 +313,9 @@ func checkClaims(container hashutil.Sum, claims []coverEntry, buf []byte, base i
 
 // readClaims reads container bytes [lo, hi) and hashes claims on them,
 // re-reading up to the retry bound on error or mismatch (a transient flip
-// heals on re-read; persistent damage does not). It returns the buffer
-// that hashed clean, or else the last attempt's error or mismatches.
-func (v *Verifier) readClaims(container hashutil.Sum, claims []coverEntry, lo, hi int64) (buf []byte, bad []Mismatch, err error) {
+// heals on re-read; persistent damage does not). It returns the runs that
+// hashed clean, or else the last attempt's error or mismatches.
+func (v *Verifier) readClaims(container hashutil.Sum, claims []coverEntry, lo, hi int64) (buf simdisk.Runs, bad []Mismatch, err error) {
 	var hashed int64
 	for _, ce := range claims {
 		hashed += ce.size
@@ -364,70 +370,27 @@ func (v *Verifier) RestoreRange(file string, off, length int64, w io.Writer, opt
 	return v.s.restoreRange(file, off, length, w, opts, v)
 }
 
-// splitReads cuts every planned read spanning more than verifySplitBytes
-// into sub-reads the executor verifies side by side. A cut falls only on a
-// claim start no earlier claim reaches past (maxEnd ≤ the cut), so each
-// claim — overlapping FormatMultiContainer ones included — lies wholly on
-// one side and is hashed once, as uncut. Only reads whose segments ascend
-// through the container are cut: there output order is container order,
-// so each sub-read serves one contiguous run of the output.
+// splitReads cuts, where the CPU has no SHA-1 lanes (SumRuns then hashes on
+// one core), each one-segment read at claim starts ≥ 1 MiB apart that no
+// earlier claim reaches past: every claim is still hashed once, and the
+// sub-reads are verified side by side and each emitted once it is done.
 func (v *Verifier) splitReads(plan *restorePlan) {
-	out := make([]plannedRead, 0, len(plan.reads))
+	var out []plannedRead
 	for _, pr := range plan.reads {
-		cuts := v.cuts(&pr)
-		if cuts == nil {
-			out = append(out, pr)
-			continue
+		var claims []coverEntry
+		if len(pr.segs) == 1 && pr.length > 1<<20 {
+			claims, _ = v.claims(pr.container.Hex()) // a failure is readPlannedVerified's to report
 		}
-		lo, segs := pr.start, pr.segs
-		for _, hi := range append(cuts, pr.start+pr.length) {
-			sub := plannedRead{container: pr.container, start: -1}
-			for len(segs) > 0 && pr.start+segs[0].off < hi {
-				a := max(pr.start+segs[0].off, lo) // a cut segment resumes at lo
-				b := pr.start + segs[0].off + segs[0].size
-				if sub.start < 0 {
-					sub.start = a
-				}
-				sub.segs = append(sub.segs, planSegment{off: a - sub.start, size: min(b, hi) - a})
-				sub.length = min(b, hi) - sub.start
-				if b > hi {
-					break
-				}
-				segs = segs[1:]
+		for k := 1; k < len(claims) && claims[k].start < pr.start+pr.length; k++ {
+			if c := claims[k].start; c-pr.start >= 1<<20 && claims[k-1].maxEnd <= c {
+				n := c - pr.start
+				out = append(out, plannedRead{container: pr.container, start: pr.start, length: n, segs: []planSegment{{size: n}}})
+				pr.start, pr.length, pr.segs = c, pr.length-n, []planSegment{{size: pr.length - n}}
 			}
-			if sub.start >= 0 {
-				out = append(out, sub)
-			}
-			lo = hi
 		}
+		out = append(out, pr)
 	}
 	plan.reads = out
-}
-
-// cuts lists where splitReads cuts pr, at least verifySplitBytes apart.
-func (v *Verifier) cuts(pr *plannedRead) []int64 {
-	if pr.length <= verifySplitBytes {
-		return nil
-	}
-	for k := 1; k < len(pr.segs); k++ {
-		if pr.segs[k].off < pr.segs[k-1].off+pr.segs[k-1].size {
-			return nil
-		}
-	}
-	claims, err := v.claims(pr.container.Hex())
-	if err != nil {
-		return nil // readPlannedVerified reports it
-	}
-	var cuts []int64
-	from, end := pr.start, pr.start+pr.length
-	k := sort.Search(len(claims), func(k int) bool { return claims[k].start >= from+verifySplitBytes })
-	for ; k < len(claims) && claims[k].start < end; k++ {
-		if c := claims[k].start; c-from >= verifySplitBytes && (k == 0 || claims[k-1].maxEnd <= c) {
-			cuts = append(cuts, c)
-			from = c
-		}
-	}
-	return cuts
 }
 
 // readPlannedVerified fetches one planned read under the four invariants
@@ -436,7 +399,7 @@ func (v *Verifier) cuts(pr *plannedRead) []int64 {
 // those claims, hashes each of them on that buffer — re-reading a bounded
 // number of times on error or mismatch — and returns a slice of the buffer
 // that hashed clean. Safe for concurrent use.
-func (v *Verifier) readPlannedVerified(pr *plannedRead) ([]byte, error) {
+func (v *Verifier) readPlannedVerified(pr *plannedRead) (simdisk.Runs, error) {
 	claims, err := v.claims(pr.container.Hex())
 	if err != nil {
 		return nil, fmt.Errorf("container %s is not vouched for: its manifest is unreadable: %w",
@@ -491,7 +454,7 @@ func (v *Verifier) readPlannedVerified(pr *plannedRead) ([]byte, error) {
 		return nil, fmt.Errorf("corrupt data: %s", bad[0])
 	}
 	cVerifyServedBytes.Add(served)
-	return buf[pr.start-lo:][:pr.length], nil
+	return buf.Slice(pr.start-lo, pr.start-lo+pr.length), nil
 }
 
 // QuarantineFunc persists one corrupt object's surviving bytes outside the
