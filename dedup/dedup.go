@@ -83,8 +83,9 @@ func Algorithms() []Algorithm {
 }
 
 // Engine is a deduplication engine: feed input files in stream order, call
-// Finish once, then read the Report and Restore files at will. Engines are
-// not safe for concurrent use.
+// Finish once, then read the Report and Restore files at will. MHD and
+// SI-MHD take concurrent streams (IngestParallel); the other seven take
+// one, and their calls must not overlap.
 type Engine = algo.Deduplicator
 
 // Report carries a run's statistics and derived metrics (DER,

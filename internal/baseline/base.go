@@ -1,13 +1,33 @@
+// Package baseline implements the seven algorithms MHD is compared with:
+// the four of the paper's evaluation — plain CDC deduplication (the
+// Data-Domain-style baseline of Table I/II's "CDC" column), Bimodal chunking
+// (Kruus et al., FAST'10), SubChunk / anchor-driven sub-chunk deduplication
+// (Romanski et al., SYSTOR'11) and Sparse Indexing (Lillibridge et al.,
+// FAST'09) — and the three related-work schemes its survey discusses (FBC,
+// Fingerdiff, Extreme Binning). With MHD and SI-MHD in internal/core that
+// makes the nine engines of internal/exp's table.
+//
+// All seven stand on the one substrate MHD and SI-MHD stand on —
+// algo.Substrate: disk, store, bloom filter, hook index, manifest cache,
+// statistics, RAM high-water mark, and Disk, Finish, Report, Stats and
+// Restore — plus the chunkers and manifest/hook/file-manifest formats, so
+// that metadata and I/O comparisons measure algorithmic differences, not
+// implementation accidents: the code that counts a manifest load or a
+// RAM byte is literally the same for all nine engines. Each engine here
+// embeds a base (base.go), which adds one Config, the D/N/L accounting
+// and the cache → bloom → hook lookup. An engine's file supplies only
+// what is its algorithm: PutFile, its private detection state, its
+// manifest format and which parts of the substrate it stands on (the
+// algo.Needs passed to newBase), the one RAM term it adds
+// (Substrate.ExtraRAM) and where it samples RAM. Adding an engine is that
+// one file plus one row in internal/exp's table.
 package baseline
 
 import (
 	"fmt"
-	"io"
 
 	"mhdedup/internal/algo"
-	"mhdedup/internal/bloom"
 	"mhdedup/internal/hashutil"
-	"mhdedup/internal/metrics"
 	"mhdedup/internal/rabin"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
@@ -29,47 +49,20 @@ type Config struct {
 	Poly rabin.Poly
 }
 
-// substrate states which of the shared substrates an engine's algorithm
-// stands on; newBase validates and builds exactly those.
-type substrate struct {
-	// format is the engine's manifest format.
-	format store.Format
-	// minSD is the least SD the algorithm can run with; zero when it
-	// ignores SD.
-	minSD int
-	// bloom asks for the bloom filter in front of an on-disk hook index
-	// (still subject to DisableBloom); cache for the manifest locality
-	// cache.
-	bloom, cache bool
-}
-
-// base is everything an engine does that is not its algorithm: the disk and
-// store it writes through, the bloom filter and manifest cache it detects
-// duplicates with, the D/N/L accounting, the RAM high-water mark, and the
-// Disk/Finish/Report/Restore quarter of algo.Deduplicator. Every engine
-// embeds one, so those are the same code for all of them — which is what
-// lets their metadata and I/O numbers be compared.
+// base is what the engines of this package share beyond the substrate:
+// their Config, the D/N/L accounting of one stream and the cache → bloom
+// → hook lookup and per-file DiskChunk of the hook-indexed engines.
 type base struct {
-	cfg  Config
-	disk *simdisk.Disk
-	st   *store.Store
-	// filter is nil without substrate.bloom or with DisableBloom; mc is nil
-	// without substrate.cache.
-	filter *bloom.Filter
-	mc     *manifestCache
-	stats  metrics.Stats
-	dt     dupTracker
-	peak   int64
-	// extraRAM returns the footprint of the engine's own in-RAM detection
-	// state — the term its algorithm adds to Table III. Nil when the bloom
-	// filter and manifest cache are all it holds.
-	extraRAM func() int64
+	*algo.Substrate
+	cfg Config
+	sl  algo.Slices
 }
 
-// newBase validates cfg against what the engine uses and mounts the
-// substrates over disk. The filter, cache and sketch constructors reject
-// their own out-of-range parameters.
-func newBase(cfg Config, disk *simdisk.Disk, use substrate) (base, error) {
+// newBase validates cfg against what the engine uses — Rabin cuts, SD at
+// least minSD (zero when it ignores SD) — and mounts the substrate n asks
+// for over disk. The filter, cache and sketch constructors reject their
+// own out-of-range parameters.
+func newBase(cfg Config, disk *simdisk.Disk, minSD int, n algo.Needs) (base, error) {
 	o, err := cfg.Options.Resolve()
 	if err != nil {
 		return base{}, fmt.Errorf("baseline: %w", err)
@@ -78,86 +71,27 @@ func newBase(cfg Config, disk *simdisk.Disk, use substrate) (base, error) {
 	if cfg.TTTD || cfg.FastCDC {
 		return base{}, fmt.Errorf("baseline: cuts with Rabin only")
 	}
-	if cfg.SD < use.minSD {
-		return base{}, fmt.Errorf("baseline: SD must be at least %d, got %d", use.minSD, cfg.SD)
+	if cfg.SD < minSD {
+		return base{}, fmt.Errorf("baseline: SD must be at least %d, got %d", minSD, cfg.SD)
 	}
-	b := base{cfg: cfg, disk: disk, st: store.New(disk, use.format)}
-	b.st.SetRecipeConfig(store.RecipeConfig{Trees: cfg.RecipeTrees})
-	if use.bloom && !cfg.DisableBloom {
-		f, err := bloom.New(cfg.BloomBytes, bloom.Probes)
-		if err != nil {
-			return base{}, fmt.Errorf("baseline: %w", err)
-		}
-		b.filter = f
+	s, err := algo.Mount(o, disk, n)
+	if err != nil {
+		return base{}, fmt.Errorf("baseline: %w", err)
 	}
-	if use.cache {
-		mc, err := newManifestCache(b.st, cfg.CacheManifests)
-		if err != nil {
-			return base{}, fmt.Errorf("baseline: CacheManifests: %w", err)
-		}
-		b.mc = mc
-	}
-	return b, nil
-}
-
-// Disk exposes the simulated disk.
-func (b *base) Disk() *simdisk.Disk { return b.disk }
-
-// Restore rebuilds an ingested file.
-func (b *base) Restore(name string, w io.Writer) error {
-	return b.st.RestoreFile(name, w)
-}
-
-// Finish finalizes RAM accounting and flushes the manifest cache.
-func (b *base) Finish() error {
-	b.trackRAM()
-	b.stats.RAMBytes = b.peak
-	if b.mc == nil {
-		return nil
-	}
-	return b.mc.flush()
-}
-
-// Report returns statistics plus disk accounting.
-func (b *base) Report() metrics.Report {
-	s := b.stats
-	if b.mc != nil {
-		s.ManifestLoads += b.mc.loads
-	}
-	if s.RAMBytes == 0 {
-		s.RAMBytes = b.peak
-	}
-	return metrics.BuildReport(s, b.disk)
-}
-
-// trackRAM raises the RAM high-water mark to the current footprint.
-func (b *base) trackRAM() {
-	var cur int64
-	if b.mc != nil {
-		cur += b.mc.bytesResident()
-	}
-	if b.filter != nil {
-		cur += b.filter.SizeBytes()
-	}
-	if b.extraRAM != nil {
-		cur += b.extraRAM()
-	}
-	if cur > b.peak {
-		b.peak = cur
-	}
+	return base{Substrate: s, cfg: cfg}, nil
 }
 
 // beginFile starts a new input file (duplicate slices do not span files).
 func (b *base) beginFile() {
-	b.stats.FilesTotal++
-	b.dt.reset()
+	b.Count.FilesTotal.Add(1)
+	b.sl = algo.Slices{}
 }
 
 // scanned accounts size bytes cut from the input stream and hashed once.
 func (b *base) scanned(size int64) {
-	b.stats.InputBytes += size
-	b.stats.ChunkedBytes += size
-	b.stats.HashedBytes += size
+	b.Count.InputBytes.Add(size)
+	b.Count.ChunkedBytes.Add(size)
+	b.Count.HashedBytes.Add(size)
 }
 
 // noteDup classifies one chunk of size bytes as duplicate (D, and L when it
@@ -165,18 +99,13 @@ func (b *base) scanned(size int64) {
 // Every chunk an engine deduplicates on is classified exactly once, so
 // ChunksIn is counted here too.
 func (b *base) noteDup(size int64) {
-	b.stats.ChunksIn++
-	b.stats.DupChunks++
-	b.stats.DupBytes += size
-	if b.dt.note(true) {
-		b.stats.DupSlices++
-	}
+	b.Count.ChunksIn.Add(1)
+	b.Classify(&b.sl, true, size)
 }
 
 func (b *base) noteNew() {
-	b.stats.ChunksIn++
-	b.stats.NonDupChunks++
-	b.dt.note(false)
+	b.Count.ChunksIn.Add(1)
+	b.Classify(&b.sl, false, 0)
 }
 
 // entryRef is the recipe reference to entry idx of m.
@@ -185,25 +114,32 @@ func entryRef(m *store.Manifest, idx int) store.FileRef {
 	return store.FileRef{Container: m.ContainerOf(e), Start: e.Start, Size: e.Size}
 }
 
+// cached finds h in a manifest of the locality cache.
+func (b *base) cached(h hashutil.Sum) (*store.Manifest, int, bool) {
+	m, ok := b.Cached(h)
+	if !ok {
+		return nil, 0, false
+	}
+	idx, ok := m.Lookup(h)
+	if !ok {
+		b.Forget(h, m.Name)
+	}
+	return m, idx, ok
+}
+
 // lookup runs the duplicate query of the hook-indexed engines: locality
 // cache, then bloom filter, then the on-disk hook index and the manifest
 // the hook names. A missing hook is "not found"; a hook or manifest that
 // exists but cannot be read is an error, never a silently lost duplicate.
 func (b *base) lookup(h hashutil.Sum) (ref store.FileRef, found bool, err error) {
-	if m, idx, ok := b.mc.lookup(h); ok {
+	if m, idx, ok := b.cached(h); ok {
 		return entryRef(m, idx), true, nil
 	}
-	if b.filter != nil && !b.filter.Test(h) {
-		return ref, false, nil
-	}
-	if !b.st.HookExists(h) {
-		return ref, false, nil
-	}
-	targets, err := b.st.ReadHook(h)
-	if err != nil || len(targets) == 0 {
+	target, ok, err := b.ProbeHook(h)
+	if err != nil || !ok {
 		return ref, false, err
 	}
-	m, err := b.mc.load(targets[0])
+	m, _, err := b.Load(target)
 	if err != nil {
 		return ref, false, err
 	}
@@ -227,11 +163,11 @@ type diskChunk struct {
 }
 
 func (b *base) newDiskChunk(file string) *diskChunk {
-	name := b.st.NextName()
+	name := b.Store.NextName()
 	return &diskChunk{
 		b:        b,
 		name:     name,
-		manifest: store.NewManifest(name, b.st.Format()),
+		manifest: store.NewManifest(name, b.Store.Format()),
 		fm:       &store.FileManifest{File: file},
 	}
 }
@@ -275,28 +211,22 @@ func (c *diskChunk) add(data []byte, h hashutil.Sum) error {
 func (c *diskChunk) commit() error {
 	b := c.b
 	if len(c.data) > 0 {
-		if err := b.st.SealDiskChunk(c.name, c.data); err != nil {
+		if err := b.Store.SealDiskChunk(c.name, c.data); err != nil {
 			return err
 		}
-		if err := b.st.CreateManifest(c.manifest); err != nil {
+		if err := b.Store.CreateManifest(c.manifest); err != nil {
 			return err
 		}
 		for _, e := range c.manifest.Entries {
-			if b.st.HookKnown(e.Hash) {
-				continue
-			}
-			if err := b.st.CreateHook(e.Hash, c.name); err != nil {
+			if err := b.PublishHook(e.Hash, c.name); err != nil {
 				return err
 			}
-			if b.filter != nil {
-				b.filter.Add(e.Hash)
-			}
 		}
-		b.stats.Files++
-		b.stats.StoredDataBytes += int64(len(c.data))
+		b.Count.Files.Add(1)
+		b.Count.StoredDataBytes.Add(int64(len(c.data)))
 		// Manifests enter the cache only via load-on-hit, mirroring each
 		// original system's locality path (no free self-insertion).
-		b.trackRAM()
+		b.SampleRAM()
 	}
-	return b.st.WriteFileManifest(c.fm)
+	return b.Store.WriteFileManifest(c.fm)
 }

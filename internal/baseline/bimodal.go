@@ -3,6 +3,7 @@ package baseline
 import (
 	"io"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/simdisk"
@@ -24,7 +25,7 @@ type Bimodal struct {
 // big-chunk size is ECS·SD, matching the paper's granularity alignment
 // across algorithms.
 func NewBimodal(cfg Config, disk *simdisk.Disk) (*Bimodal, error) {
-	b, err := newBase(cfg, disk, substrate{format: store.FormatBasic, minSD: 2, bloom: true, cache: true})
+	b, err := newBase(cfg, disk, 2, algo.Needs{Format: store.FormatBasic, Bloom: true, Cache: true})
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +63,7 @@ func (d *Bimodal) PutFile(name string, r io.Reader) error {
 		}
 		d.scanned(c.Size())
 		bc := bigChunk{data: c.Data, hash: hashutil.SumBytes(c.Data)}
-		d.stats.BigChunkQueries++
+		d.Count.BigChunkQueries.Add(1)
 		if bc.ref, bc.dup, err = d.lookup(bc.hash); err != nil {
 			return err
 		}
@@ -94,7 +95,7 @@ func (d *Bimodal) PutFile(name string, r io.Reader) error {
 			return err
 		}
 		for _, sc := range smalls {
-			d.stats.HashedBytes += sc.Size()
+			d.Count.HashedBytes.Add(sc.Size())
 			if err := out.put(sc.Data, hashutil.SumBytes(sc.Data)); err != nil {
 				return err
 			}

@@ -1,9 +1,9 @@
 package baseline
 
 import (
-	"fmt"
 	"io"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/simdisk"
@@ -23,18 +23,9 @@ type CDC struct {
 // filter rebuilt from the hook names the disk holds (a mount-time directory
 // scan) so new files deduplicate against everything stored.
 func NewCDC(cfg Config, disk *simdisk.Disk) (*CDC, error) {
-	b, err := newBase(cfg, disk, substrate{format: store.FormatBasic, bloom: true, cache: true})
+	b, err := newBase(cfg, disk, 0, algo.Needs{Format: store.FormatBasic, Bloom: true, Cache: true})
 	if err != nil {
 		return nil, err
-	}
-	for _, name := range disk.Names(simdisk.Hook) {
-		h, err := hashutil.ParseHex(name)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: resume: malformed hook name %q: %w", name, err)
-		}
-		if b.filter != nil {
-			b.filter.Add(h)
-		}
 	}
 	return &CDC{base: b}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/simdisk"
@@ -37,13 +38,13 @@ type ExtremeBinning struct {
 // NewExtremeBinning returns an ExtremeBinning deduplicator over the given
 // disk.
 func NewExtremeBinning(cfg Config, disk *simdisk.Disk) (*ExtremeBinning, error) {
-	b, err := newBase(cfg, disk, substrate{format: store.FormatMultiContainer})
+	b, err := newBase(cfg, disk, 0, algo.Needs{Format: store.FormatMultiContainer})
 	if err != nil {
 		return nil, err
 	}
 	d := &ExtremeBinning{base: b, primary: make(map[hashutil.Sum]binInfo)}
 	// The primary index: representative hash + bin name + file hash.
-	d.extraRAM = func() int64 { return int64(len(d.primary)) * (3*hashutil.Size + 16) }
+	d.ExtraRAM = func() int64 { return int64(len(d.primary)) * (3*hashutil.Size + 16) }
 	return d, nil
 }
 
@@ -70,7 +71,7 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 			return err
 		}
 		d.scanned(c.Size())
-		d.stats.HashedBytes += c.Size() // the whole-file hash reads it again
+		d.Count.HashedBytes.Add(c.Size()) // the whole-file hash reads it again
 		h := hashutil.SumBytes(c.Data)
 		fileHasher.Write(c.Data)
 		chunks = append(chunks, c)
@@ -81,20 +82,21 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 	}
 	fm := &store.FileManifest{File: name}
 	if len(chunks) == 0 {
-		return d.st.WriteFileManifest(fm)
+		return d.Store.WriteFileManifest(fm)
 	}
 	fileHash := fileHasher.Sum()
 
 	info, known := d.primary[rep]
 	if known && info.fileHash == fileHash {
-		// Whole-file duplicate: resolve against the bin without loading it
-		// from disk — the paper's "only one disk access is needed per
-		// file" best case is actually zero here. The bin holds every chunk
-		// of the identical file.
-		bin, err := d.st.ReadManifest(info.bin) // one access, worst case kept
+		// Whole-file duplicate: the bin holds every chunk of the identical
+		// file. Resolving the recipe still reads it — the paper's "only one
+		// disk access is needed per file", kept as the worst case — and
+		// that read is a manifest load like any other.
+		bin, err := d.Store.ReadManifest(info.bin)
 		if err != nil {
 			return err
 		}
+		d.Count.ManifestLoads.Add(1)
 		for i, c := range chunks {
 			idx, ok := bin.Lookup(hashes[i])
 			if !ok {
@@ -105,8 +107,8 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 			}
 			d.noteDup(c.Size())
 		}
-		d.trackRAM()
-		return d.st.WriteFileManifest(fm)
+		d.SampleRAM()
+		return d.Store.WriteFileManifest(fm)
 	}
 
 	var bin *store.Manifest
@@ -114,18 +116,18 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 	if known {
 		// Similar (not identical) file: load the one bin and deduplicate
 		// against it; the bin grows by the file's new chunks.
-		bin, err = d.st.ReadManifest(info.bin)
+		bin, err = d.Store.ReadManifest(info.bin)
 		if err != nil {
 			return err
 		}
 		binName = info.bin
-		d.stats.ManifestLoads++
+		d.Count.ManifestLoads.Add(1)
 	} else {
-		binName = d.st.NextName()
+		binName = d.Store.NextName()
 		bin = store.NewManifest(binName, store.FormatMultiContainer)
 	}
 
-	container := d.st.NextName()
+	container := d.Store.NextName()
 	var data []byte
 	for i, c := range chunks {
 		if idx, ok := bin.Lookup(hashes[i]); ok {
@@ -149,21 +151,21 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 		d.noteNew()
 	}
 	if len(data) > 0 {
-		if err := d.st.SealDiskChunk(container, data); err != nil {
+		if err := d.Store.SealDiskChunk(container, data); err != nil {
 			return err
 		}
-		d.stats.StoredDataBytes += int64(len(data))
-		d.stats.Files++
+		d.Count.StoredDataBytes.Add(int64(len(data)))
+		d.Count.Files.Add(1)
 	}
 	if known {
 		bin.MarkDirty()
-		if err := d.st.WriteBackManifest(bin); err != nil {
+		if err := d.Store.WriteBackManifest(bin); err != nil {
 			return err
 		}
-	} else if err := d.st.CreateManifest(bin); err != nil {
+	} else if err := d.Store.CreateManifest(bin); err != nil {
 		return err
 	}
 	d.primary[rep] = binInfo{bin: binName, fileHash: fileHash}
-	d.trackRAM()
-	return d.st.WriteFileManifest(fm)
+	d.SampleRAM()
+	return d.Store.WriteFileManifest(fm)
 }

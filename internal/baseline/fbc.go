@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/simdisk"
@@ -34,7 +35,7 @@ const (
 
 // NewFBC returns an FBC deduplicator over the given disk.
 func NewFBC(cfg Config, disk *simdisk.Disk) (*FBC, error) {
-	b, err := newBase(cfg, disk, substrate{format: store.FormatBasic, minSD: 2, bloom: true, cache: true})
+	b, err := newBase(cfg, disk, 2, algo.Needs{Format: store.FormatBasic, Bloom: true, Cache: true})
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +44,7 @@ func NewFBC(cfg Config, disk *simdisk.Disk) (*FBC, error) {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	d := &FBC{base: b, freq: freq}
-	d.extraRAM = freq.SizeBytes
+	d.ExtraRAM = freq.SizeBytes
 	return d, nil
 }
 
@@ -66,7 +67,7 @@ func (d *FBC) PutFile(name string, r io.Reader) error {
 		d.scanned(c.Size())
 		bh := hashutil.SumBytes(c.Data)
 
-		d.stats.BigChunkQueries++
+		d.Count.BigChunkQueries.Add(1)
 		ref, found, err := d.lookup(bh)
 		if err != nil {
 			return err
@@ -88,7 +89,7 @@ func (d *FBC) PutFile(name string, r io.Reader) error {
 		smallHashes := make([]hashutil.Sum, len(smalls))
 		rechunk := false
 		for i, sc := range smalls {
-			d.stats.HashedBytes += sc.Size()
+			d.Count.HashedBytes.Add(sc.Size())
 			smallHashes[i] = hashutil.SumBytes(sc.Data)
 			if d.freq.Estimate(smallHashes[i]) >= freqThreshold {
 				rechunk = true

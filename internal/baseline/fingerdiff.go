@@ -3,6 +3,7 @@ package baseline
 import (
 	"io"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/simdisk"
@@ -28,13 +29,13 @@ type Fingerdiff struct {
 // most SD contiguous non-duplicate chunks merge into one stored big chunk
 // (the paper aligns the coalescing bound with SD).
 func NewFingerdiff(cfg Config, disk *simdisk.Disk) (*Fingerdiff, error) {
-	b, err := newBase(cfg, disk, substrate{format: store.FormatBasic, minSD: 1})
+	b, err := newBase(cfg, disk, 1, algo.Needs{Format: store.FormatBasic})
 	if err != nil {
 		return nil, err
 	}
 	d := &Fingerdiff{base: b, db: make(map[hashutil.Sum]store.FileRef)}
 	// The full chunk database: hash key + FileRef per entry.
-	d.extraRAM = func() int64 { return int64(len(d.db)) * (hashutil.Size + store.FileRefBytes + 16) }
+	d.ExtraRAM = func() int64 { return int64(len(d.db)) * (hashutil.Size + store.FileRefBytes + 16) }
 	return d, nil
 }
 
@@ -45,7 +46,7 @@ func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
 		return err
 	}
 	d.beginFile()
-	chunkName := d.st.NextName()
+	chunkName := d.Store.NextName()
 	manifest := store.NewManifest(chunkName, store.FormatBasic)
 	var data []byte
 	fm := &store.FileManifest{File: name}
@@ -70,7 +71,7 @@ func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
 			h.Write(c.Data)
 		}
 		size := int64(len(data)) - start
-		d.stats.HashedBytes += size
+		d.Count.HashedBytes.Add(size)
 		manifest.Append(store.Entry{Hash: h.Sum(), Start: start, Size: size})
 		if err := fm.Append(store.FileRef{Container: chunkName, Start: start, Size: size}); err != nil {
 			return err
@@ -113,15 +114,15 @@ func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
 	}
 
 	if len(data) > 0 {
-		if err := d.st.SealDiskChunk(chunkName, data); err != nil {
+		if err := d.Store.SealDiskChunk(chunkName, data); err != nil {
 			return err
 		}
-		if err := d.st.CreateManifest(manifest); err != nil {
+		if err := d.Store.CreateManifest(manifest); err != nil {
 			return err
 		}
-		d.stats.Files++
-		d.stats.StoredDataBytes += int64(len(data))
-		d.trackRAM()
+		d.Count.Files.Add(1)
+		d.Count.StoredDataBytes.Add(int64(len(data)))
+		d.SampleRAM()
 	}
-	return d.st.WriteFileManifest(fm)
+	return d.Store.WriteFileManifest(fm)
 }

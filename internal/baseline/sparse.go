@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/simdisk"
@@ -44,12 +45,12 @@ const (
 
 // NewSparse returns a Sparse deduplicator over the given disk.
 func NewSparse(cfg Config, disk *simdisk.Disk) (*Sparse, error) {
-	b, err := newBase(cfg, disk, substrate{format: store.FormatMultiContainer, minSD: 2, cache: true})
+	b, err := newBase(cfg, disk, 2, algo.Needs{Format: store.FormatMultiContainer, Cache: true})
 	if err != nil {
 		return nil, err
 	}
 	d := &Sparse{base: b, index: make(map[hashutil.Sum][]hashutil.Sum)}
-	d.extraRAM = d.SparseIndexBytes
+	d.ExtraRAM = d.SparseIndexBytes
 	return d, nil
 }
 
@@ -95,11 +96,11 @@ func (d *Sparse) PutFile(name string, r io.Reader) error {
 		return err
 	}
 	if d.stored {
-		d.stats.Files++
+		d.Count.Files.Add(1)
 	}
 	fm := d.fm
 	d.fm = nil
-	return d.st.WriteFileManifest(fm)
+	return d.Store.WriteFileManifest(fm)
 }
 
 // flushSegment deduplicates the assembled segment against its champions
@@ -148,7 +149,7 @@ func (d *Sparse) flushSegment() error {
 	}
 	champions := make([]*store.Manifest, 0, len(cands))
 	for _, c := range cands {
-		m, err := d.mc.load(c.name)
+		m, _, err := d.Load(c.name)
 		if err != nil {
 			return err
 		}
@@ -158,7 +159,7 @@ func (d *Sparse) flushSegment() error {
 	// Deduplicate the segment against its champions (and only them — the
 	// flat cache index may hold other manifests, but sparse indexing's
 	// recall is defined by the champion set).
-	container := d.st.NextName()
+	container := d.Store.NextName()
 	manifest := store.NewManifest(container, store.FormatMultiContainer)
 	var data []byte
 	for i, c := range seg {
@@ -210,13 +211,13 @@ func (d *Sparse) flushSegment() error {
 	}
 
 	if len(data) > 0 {
-		if err := d.st.SealDiskChunk(container, data); err != nil {
+		if err := d.Store.SealDiskChunk(container, data); err != nil {
 			return err
 		}
-		d.stats.StoredDataBytes += int64(len(data))
+		d.Count.StoredDataBytes.Add(int64(len(data)))
 		d.stored = true
 	}
-	if err := d.st.CreateManifest(manifest); err != nil {
+	if err := d.Store.CreateManifest(manifest); err != nil {
 		return err
 	}
 	// Manifests enter the cache only via load-on-hit, mirroring each
@@ -241,11 +242,11 @@ func (d *Sparse) flushSegment() error {
 			}
 			d.index[h] = targets
 		}
-		if err := d.st.AddHookTarget(h, container, maxManifestsPerHook); err != nil {
+		if err := d.Store.AddHookTarget(h, container, maxManifestsPerHook); err != nil {
 			return err
 		}
 	}
-	d.trackRAM()
+	d.SampleRAM()
 	return nil
 }
 

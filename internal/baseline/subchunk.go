@@ -3,6 +3,7 @@ package baseline
 import (
 	"io"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/simdisk"
@@ -35,12 +36,12 @@ type SubChunk struct {
 
 // NewSubChunk returns a SubChunk deduplicator over the given disk.
 func NewSubChunk(cfg Config, disk *simdisk.Disk) (*SubChunk, error) {
-	b, err := newBase(cfg, disk, substrate{format: store.FormatMultiContainer, minSD: 2, bloom: true, cache: true})
+	b, err := newBase(cfg, disk, 2, algo.Needs{Format: store.FormatMultiContainer, Bloom: true, Cache: true})
 	if err != nil {
 		return nil, err
 	}
 	d := &SubChunk{base: b, bigIdx: make(map[hashutil.Sum]bigRecipe)}
-	d.extraRAM = d.recipeIndexBytes
+	d.ExtraRAM = d.recipeIndexBytes
 	return d, nil
 }
 
@@ -52,7 +53,7 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 	}
 	d.beginFile()
 
-	manifestName := d.st.NextName()
+	manifestName := d.Store.NextName()
 	manifest := store.NewManifest(manifestName, store.FormatMultiContainer)
 	fm := &store.FileManifest{File: name}
 	var fileHook hashutil.Sum
@@ -75,16 +76,13 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 		// Big-chunk duplicate query. The bloom filter gates the on-disk
 		// hook probe (one hook per file: only first-big-chunk hashes hit);
 		// the recipe index answers for all previously seen big chunks.
-		d.stats.BigChunkQueries++
-		probed := false
-		if d.filter == nil || d.filter.Test(bh) {
-			probed = d.st.HookExists(bh) // charged disk query
-		}
+		d.Count.BigChunkQueries.Add(1)
+		probed := d.HookExists(bh) // a charged disk query past the filter
 		if rec, ok := d.bigIdx[bh]; ok {
 			if probed {
 				// Worst-case manifest load per duplicate slice (§IV): pull
 				// the manifest the recipe points to for locality.
-				if _, err := d.mc.load(rec.manifest); err != nil {
+				if _, _, err := d.Load(rec.manifest); err != nil {
 					return err
 				}
 			}
@@ -104,7 +102,7 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		container := d.st.NextName()
+		container := d.Store.NextName()
 		var data []byte
 		var recipe []store.FileRef
 		appendRef := func(ref store.FileRef) error {
@@ -115,9 +113,9 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 			return nil
 		}
 		for _, sc := range smalls {
-			d.stats.HashedBytes += sc.Size()
+			d.Count.HashedBytes.Add(sc.Size())
 			sh := hashutil.SumBytes(sc.Data)
-			if m, idx, ok := d.mc.lookup(sh); ok {
+			if m, idx, ok := d.cached(sh); ok {
 				if err := appendRef(entryRef(m, idx)); err != nil {
 					return err
 				}
@@ -139,35 +137,33 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 			d.noteNew()
 		}
 		if len(data) > 0 {
-			if err := d.st.SealDiskChunk(container, data); err != nil {
+			if err := d.Store.SealDiskChunk(container, data); err != nil {
 				return err
 			}
-			d.stats.StoredDataBytes += int64(len(data))
+			d.Count.StoredDataBytes.Add(int64(len(data)))
 			stored = true
 		}
 		d.bigIdx[bh] = bigRecipe{manifest: manifestName, refs: recipe}
-		if d.filter != nil {
-			d.filter.Add(bh)
-		}
+		d.FilterAdd(bh)
 	}
 
 	if stored {
-		if err := d.st.CreateManifest(manifest); err != nil {
+		if err := d.Store.CreateManifest(manifest); err != nil {
 			return err
 		}
 		// One hook per manifest (Table I: hooks = F), keyed by the file's
 		// first big-chunk hash.
-		if !fileHook.IsZero() && !d.st.HookKnown(fileHook) {
-			if err := d.st.CreateHook(fileHook, manifestName); err != nil {
+		if !fileHook.IsZero() {
+			if err := d.PublishHook(fileHook, manifestName); err != nil {
 				return err
 			}
 		}
-		d.stats.Files++
+		d.Count.Files.Add(1)
 		// Manifests enter the cache only via load-on-hit, mirroring each
 		// original system's locality path (no free self-insertion).
-		d.trackRAM()
+		d.SampleRAM()
 	}
-	return d.st.WriteFileManifest(fm)
+	return d.Store.WriteFileManifest(fm)
 }
 
 // recipeIndexBytes is the recipe index's RAM footprint: hash key + manifest

@@ -321,6 +321,7 @@ func (ss *gwSession) relay(c *session.Conn, hello wire.Hello) disposition {
 			// A shed, or a transport-level failure (client or shard write
 			// failed), parks the session.
 			if fatal := c.Report(herr); fatal != nil {
+				gw.ep.Sessions.Fail(ss.token, false, fatal.Msg)
 				gw.cfg.Events.Error("gateway.session_fail",
 					events.F("session", ss.token), events.F("code", fatal.Msg.Code),
 					events.F("msg", fatal.Msg.Msg))

@@ -6,14 +6,11 @@ import (
 	"io"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"mhdedup/internal/bloom"
+	"mhdedup/internal/algo"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
-	"mhdedup/internal/lru"
-	"mhdedup/internal/metrics"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
 )
@@ -27,36 +24,20 @@ import (
 // different streams, so a Dedup accepts N concurrent ones: the PutFile,
 // PutFileContext and PutChunksContext calls of one stream must not overlap,
 // those of different streams may. Per-file state is private; what is
-// shared — striped hash indexes, the atomic bloom filter, the manifest
-// cache and its per-manifest locks, the disk, the statistics — is
-// synchronized as DESIGN §7 lays out, locks taken in the order cache →
+// shared — the substrate every engine stands on (algo.Substrate: bloom
+// filter, hook index, manifest cache and its striped index, disk,
+// statistics), the per-manifest locks and SI-MHD's striped sparse index —
+// is synchronized as DESIGN §7 lays out, locks taken in the order cache →
 // manifest → {stripe, disk}. Scanning and SHA-1 run
 // ahead of the ordered stage (pipeline.go) and touch no engine state, so a
 // single-stream run is bit-identical to the serial engine at any
 // GOMAXPROCS: the determinism test pins it to goldens from that engine.
 type Dedup struct {
-	cfg    Config
-	disk   *simdisk.Disk
-	st     *store.Store
-	filter *bloom.Filter
-	cache  *lru.Cache[hashutil.Sum, *store.Manifest]
-	// cacheIdx maps every entry hash of every cached manifest to the
-	// manifest holding it — the "cache of Manifests, each organized as a
-	// hash table" of Fig 4, flattened for O(1) lookup and striped for
-	// concurrency.
-	cacheIdx *stripedIndex
+	*algo.Substrate
+	cfg Config
 	// sparseIdx is SI-MHD's in-RAM hook index (hook hash → manifest name);
 	// nil in BF-MHD mode.
-	sparseIdx *stripedIndex
-	// pubLocks serialize hook publication per hash stripe, making the
-	// check-then-create of hooks atomic across streams.
-	pubLocks publishLocks
-
-	stats   metrics.Atomic
-	peakRAM atomic.Int64
-
-	errMu       sync.Mutex
-	evictionErr error
+	sparseIdx *algo.Index
 }
 
 // New returns a Dedup over a fresh simulated disk.
@@ -65,163 +46,46 @@ func New(cfg Config) (*Dedup, error) {
 }
 
 // NewOnDisk returns a Dedup over the given disk that deduplicates against
-// everything it already stores: the bloom filter is rebuilt from the hook
-// names (a mount-time directory scan), SI-MHD's sparse index from the
-// manifests' hook entries (counted reads, the real cost of warming it).
-// Statistics start fresh: the Report covers this mount's ingest only.
+// everything it already stores: the substrate rebuilds the bloom filter
+// from the hook names, SI-MHD warms its sparse index from the manifests'
+// hook entries (counted reads, the real cost of warming it). Statistics
+// start fresh: the Report covers this mount's ingest only.
 func NewOnDisk(cfg Config, disk *simdisk.Disk) (*Dedup, error) {
 	cfg, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	d := &Dedup{
-		cfg:      cfg,
-		disk:     disk,
-		st:       store.New(disk, store.FormatMHD),
-		cacheIdx: newStripedIndex(),
-	}
-	d.st.SetRecipeConfig(store.RecipeConfig{Trees: cfg.RecipeTrees})
-	if cfg.SparseIndex {
-		d.sparseIdx = newStripedIndex()
-	} else if !cfg.DisableBloom {
-		f, err := bloom.New(cfg.BloomBytes, bloom.Probes)
-		if err != nil {
-			return nil, err
-		}
-		d.filter = f
-	}
-	cache, err := lru.New[hashutil.Sum, *store.Manifest](cfg.CacheManifests, d.onEvict)
+	s, err := algo.Mount(cfg.Options, disk, algo.Needs{Format: store.FormatMHD, Bloom: !cfg.SparseIndex, Cache: true, LoadNS: hManifestLoadNS})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	d.cache = cache
-	if d.sparseIdx != nil {
-		for _, name := range disk.Names(simdisk.Manifest) {
-			mName, err := hashutil.ParseHex(name)
-			if err != nil {
-				return nil, fmt.Errorf("core: resume: malformed manifest name %q: %w", name, err)
-			}
-			m, err := d.st.ReadManifest(mName)
-			if err != nil {
-				return nil, fmt.Errorf("core: resume: %w", err)
-			}
-			for _, e := range m.Entries {
-				if e.Kind == store.KindHook {
-					d.sparseIdx.putIfAbsent(e.Hash, mName)
-				}
-			}
-		}
+	d := &Dedup{Substrate: s, cfg: cfg}
+	if !cfg.SparseIndex {
 		return d, nil
 	}
-	for _, name := range disk.Names(simdisk.Hook) {
-		h, err := hashutil.ParseHex(name)
+	d.sparseIdx = algo.NewIndex()
+	// SI-MHD's Table III term: hook hash, manifest name and map overhead.
+	d.ExtraRAM = func() int64 { return int64(d.sparseIdx.Len()) * (hashutil.Size + hashutil.Size + 16) }
+	for _, name := range disk.Names(simdisk.Manifest) {
+		mName, err := hashutil.ParseHex(name)
 		if err != nil {
-			return nil, fmt.Errorf("core: resume: malformed hook name %q: %w", name, err)
+			return nil, fmt.Errorf("core: resume: malformed manifest name %q: %w", name, err)
 		}
-		if d.filter != nil {
-			d.filter.Add(h)
+		m, err := d.Store.ReadManifest(mName)
+		if err != nil {
+			return nil, fmt.Errorf("core: resume: %w", err)
+		}
+		for _, e := range m.Entries {
+			if e.Kind == store.KindHook {
+				d.sparseIdx.PutIfAbsent(e.Hash, mName)
+			}
 		}
 	}
 	return d, nil
 }
 
-// Disk exposes the simulated disk for metrics collection.
-func (d *Dedup) Disk() *simdisk.Disk { return d.disk }
-
 // Config returns the configuration.
 func (d *Dedup) Config() Config { return d.cfg }
-
-// onEvict writes a dirty manifest back to disk and drops its hashes from
-// the flat cache index. Write errors are deferred to Finish (the LRU
-// callback cannot fail). It runs with the cache lock held and takes the
-// manifest lock, so an eviction racing a match extension in another
-// stream serializes on the manifest.
-func (d *Dedup) onEvict(name hashutil.Sum, m *store.Manifest) {
-	m.Lock()
-	if err := d.st.WriteBackManifest(m); err != nil {
-		d.errMu.Lock()
-		if d.evictionErr == nil {
-			d.evictionErr = err
-		}
-		d.errMu.Unlock()
-	}
-	hashes := make([]hashutil.Sum, len(m.Entries))
-	for i, e := range m.Entries {
-		hashes[i] = e.Hash
-	}
-	m.Unlock()
-	for _, h := range hashes {
-		// Only remove mappings still pointing at this manifest: a reload
-		// of the same name may have re-registered them.
-		d.cacheIdx.deleteIf(h, name)
-	}
-}
-
-// trackRAM updates the peak resident-memory estimate: bloom filter plus
-// cached manifests plus the flat index.
-func (d *Dedup) trackRAM() {
-	var cur int64
-	if d.filter != nil {
-		cur = d.filter.SizeBytes()
-	}
-	d.cache.Each(func(_ hashutil.Sum, m *store.Manifest) {
-		m.Lock()
-		cur += int64(m.ByteSize())
-		m.Unlock()
-	})
-	cur += int64(d.cacheIdx.len()) * (hashutil.Size + hashutil.Size + 8)
-	if d.sparseIdx != nil {
-		cur += int64(d.sparseIdx.len()) * (hashutil.Size + hashutil.Size + 16)
-	}
-	metrics.MaxInt64(&d.peakRAM, cur)
-}
-
-// lookupCached consults the flat cache index and returns the cached
-// manifest the hash maps to. The entry index is NOT resolved here: the
-// caller revalidates under the manifest lock (tryExtend), because a
-// concurrent HHR splice can retire the hash between the index lookup and
-// the extension.
-func (d *Dedup) lookupCached(h hashutil.Sum) (*store.Manifest, bool) {
-	name, ok := d.cacheIdx.get(h)
-	if !ok {
-		return nil, false
-	}
-	m, ok := d.cache.Get(name)
-	if !ok {
-		d.cacheIdx.deleteIf(h, name)
-		return nil, false
-	}
-	return m, true
-}
-
-// loadManifest brings a manifest into the cache and the flat index from
-// disk (one disk access), unless it is already cached. Two streams racing
-// on a name may both read it; the second Put supersedes the first object,
-// which stays valid for the stream holding it.
-func (d *Dedup) loadManifest(name hashutil.Sum) (*store.Manifest, error) {
-	if m, ok := d.cache.Get(name); ok {
-		return m, nil
-	}
-	start := time.Now()
-	m, err := d.st.ReadManifest(name)
-	if err != nil {
-		return nil, err
-	}
-	hManifestLoadNS.ObserveSince(start)
-	d.stats.ManifestLoads.Add(1)
-	// The entry hashes are read before Put, while m is still private: it is
-	// shared the instant it enters the cache.
-	hashes := make([]hashutil.Sum, len(m.Entries))
-	for i, e := range m.Entries {
-		hashes[i] = e.Hash
-	}
-	d.cache.Put(m.Name, m)
-	for _, h := range hashes {
-		d.cacheIdx.put(h, m.Name)
-	}
-	d.trackRAM()
-	return m, nil
-}
 
 // pchunk is a chunk in flight: its bytes (a view of the slab the chunker
 // read them into, or the caller's buffer for PutChunks), hash and the
@@ -287,13 +151,13 @@ func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
 func (d *Dedup) ingest(ctx context.Context, f *fileState) (err error) {
 	defer f.src.stop()
 	defer f.hashing.Wait()
-	f.chunkName = d.st.NextName()
+	f.chunkName = d.Store.NextName()
 	defer func() {
 		if err != nil {
-			d.st.UnstageDiskChunk(f.chunkName) // no seal will follow
+			d.Store.UnstageDiskChunk(f.chunkName) // no seal will follow
 		}
 	}()
-	d.stats.FilesTotal.Add(1)
+	d.Count.FilesTotal.Add(1)
 	done := ctx.Done()
 	for {
 		if done != nil {
@@ -341,11 +205,11 @@ func (d *Dedup) pull(f *fileState) (pchunk, bool, error) {
 	}
 	hChunkNS.ObserveSince(start)
 	size := pc.Size()
-	d.stats.ChunksIn.Add(1)
-	d.stats.InputBytes.Add(size)
+	d.Count.ChunksIn.Add(1)
+	d.Count.InputBytes.Add(size)
 	if f.scanned {
-		d.stats.ChunkedBytes.Add(size)
-		d.stats.HashedBytes.Add(size)
+		d.Count.ChunkedBytes.Add(size)
+		d.Count.HashedBytes.Add(size)
 	}
 	pc.slot = len(f.slots)
 	f.slots = append(f.slots, slotState{})
@@ -358,7 +222,7 @@ func (d *Dedup) pull(f *fileState) (pchunk, bool, error) {
 // it fills.
 func (d *Dedup) process(f *fileState, pc pchunk) error {
 	lkStart := time.Now()
-	m, hit := d.lookupCached(pc.hash)
+	m, hit := d.Cached(pc.hash)
 	hLookupNS.ObserveSince(lkStart)
 	if hit {
 		if done, err := d.tryExtend(f, m, pc); err != nil || done {
@@ -368,7 +232,7 @@ func (d *Dedup) process(f *fileState, pc pchunk) error {
 		// possibly by a concurrent stream — retired it). Drop the stale
 		// index entry and fall through to the hook paths, exactly as the
 		// serial engine treated a revalidation miss.
-		d.cacheIdx.deleteIf(pc.hash, m.Name)
+		d.Forget(pc.hash, m.Name)
 	}
 	prStart := time.Now()
 	target, ok, err := d.probeHook(pc.hash)
@@ -377,9 +241,12 @@ func (d *Dedup) process(f *fileState, pc pchunk) error {
 		return err
 	}
 	if ok {
-		m, err := d.loadManifest(target)
+		m, read, err := d.Load(target)
 		if err != nil {
 			return err
+		}
+		if read {
+			d.SampleRAM() // MHD's rule: the peak is sampled at every manifest load
 		}
 		if done, err := d.tryExtend(f, m, pc); err != nil || done {
 			return err
@@ -393,21 +260,14 @@ func (d *Dedup) process(f *fileState, pc pchunk) error {
 }
 
 // probeHook asks the mode's hook index which manifest first stored h:
-// SI-MHD's in-RAM index, which costs no disk access, or the bloom filter
-// and then the on-disk hook object.
+// SI-MHD's in-RAM index, which costs no disk access, or the substrate's
+// bloom filter and on-disk hook object.
 func (d *Dedup) probeHook(h hashutil.Sum) (hashutil.Sum, bool, error) {
 	if d.sparseIdx != nil {
-		target, ok := d.sparseIdx.get(h)
+		target, ok := d.sparseIdx.Get(h)
 		return target, ok, nil
 	}
-	if (d.filter != nil && !d.filter.Test(h)) || !d.st.HookExists(h) {
-		return hashutil.Sum{}, false, nil
-	}
-	targets, err := d.st.ReadHook(h)
-	if err != nil || len(targets) == 0 {
-		return hashutil.Sum{}, false, err
-	}
-	return targets[0], true, nil
+	return d.ProbeHook(h)
 }
 
 // tryExtend locks the (possibly shared) manifest, revalidates that the
@@ -440,12 +300,12 @@ func (d *Dedup) tryExtend(f *fileState, m *store.Manifest, pc pchunk) (bool, err
 // written back) it while this stream was still splicing it. An evicted
 // manifest object never re-enters the cache, so the Peek race is benign.
 func (d *Dedup) persistIfOrphaned(m *store.Manifest) error {
-	if _, cached := d.cache.Peek(m.Name); cached {
+	if d.Resident(m.Name) {
 		return nil
 	}
 	m.Lock()
 	defer m.Unlock()
-	return d.st.WriteBackManifest(m)
+	return d.Store.WriteBackManifest(m)
 }
 
 // resolve records a run of chunks as stored back to back from start in
@@ -471,7 +331,7 @@ func (d *Dedup) flushPending(f *fileState, n int) {
 		d.flushGroup(f, f.pending[start:min(start+d.cfg.SD, n)])
 	}
 	if from < len(f.parts) {
-		d.st.StageDiskChunk(f.chunkName, off, f.parts[from:])
+		d.Store.StageDiskChunk(f.chunkName, off, f.parts[from:])
 	}
 	f.pending = append(f.pending[:0], f.pending[n:]...)
 }
@@ -495,7 +355,7 @@ func (d *Dedup) flushGroup(f *fileState, group []pchunk) {
 	if len(group) == 1 {
 		return
 	}
-	d.stats.HashedBytes.Add(f.size - start - lead)
+	d.Count.HashedBytes.Add(f.size - start - lead)
 	f.entries = append(f.entries, store.Entry{Start: start + lead, Size: f.size - start - lead, Kind: store.KindMerged})
 	if f.runs = append(f.runs, f.parts[from+1:]); len(f.runs) == 16 {
 		f.handOff()
@@ -537,10 +397,10 @@ func (d *Dedup) finishFile(f *fileState) error {
 			}
 			m.Append(e)
 		}
-		if err := d.st.SealDiskChunk(f.chunkName, f.stored.Runs()...); err != nil {
+		if err := d.Store.SealDiskChunk(f.chunkName, f.stored.Runs()...); err != nil {
 			return err
 		}
-		if err := d.st.CreateManifest(m); err != nil {
+		if err := d.Store.CreateManifest(m); err != nil {
 			return err
 		}
 		for _, h := range f.hooks {
@@ -548,8 +408,8 @@ func (d *Dedup) finishFile(f *fileState) error {
 				return err
 			}
 		}
-		d.stats.Files.Add(1)
-		d.stats.StoredDataBytes.Add(f.size)
+		d.Count.Files.Add(1)
+		d.Count.StoredDataBytes.Add(f.size)
 		// The new manifest is NOT inserted into the cache: per Fig 4,
 		// manifests enter RAM only through hook-hit loading. Cross-file
 		// locality therefore costs one manifest load per duplicate slice,
@@ -557,7 +417,7 @@ func (d *Dedup) finishFile(f *fileState) error {
 	}
 
 	fm := &store.FileManifest{File: f.name}
-	prevDup := false
+	var sl algo.Slices
 	for i, s := range f.slots {
 		if !s.resolved {
 			return fmt.Errorf("core: unresolved chunk %d in %q", i, f.name)
@@ -565,72 +425,20 @@ func (d *Dedup) finishFile(f *fileState) error {
 		if err := fm.Append(s.ref); err != nil {
 			return err
 		}
-		if s.dup {
-			d.stats.DupChunks.Add(1)
-			d.stats.DupBytes.Add(s.ref.Size)
-			if !prevDup {
-				d.stats.DupSlices.Add(1)
-			}
-		} else {
-			d.stats.NonDupChunks.Add(1)
-		}
-		prevDup = s.dup
+		d.Classify(&sl, s.dup, s.ref.Size)
 	}
-	return d.st.WriteFileManifest(fm)
+	return d.Store.WriteFileManifest(fm)
 }
 
 // publishHook makes hook hash h point at the finished file's chunk, in the
-// mode-appropriate index: the sparse in-RAM index (SI-MHD) or an on-disk
-// hook object plus the bloom filter (BF-MHD). The per-stripe publication
-// lock makes the known-check and the create one atomic step.
+// mode's index: SI-MHD's in-RAM one, or the substrate's on-disk hook
+// objects behind the bloom filter.
 func (d *Dedup) publishHook(h, chunkName hashutil.Sum) error {
 	if d.sparseIdx != nil {
 		// First writer wins, as in the serial engine: a hook keeps
 		// pointing at the first manifest that published it.
-		d.sparseIdx.putIfAbsent(h, chunkName)
+		d.sparseIdx.PutIfAbsent(h, chunkName)
 		return nil
 	}
-	unlock := d.pubLocks.lock(h)
-	defer unlock()
-	if d.st.HookKnown(h) {
-		return nil // an identical chunk was hooked by an earlier file
-	}
-	if err := d.st.CreateHook(h, chunkName); err != nil {
-		return err
-	}
-	if d.filter != nil {
-		d.filter.Add(h)
-	}
-	return nil
-}
-
-// Finish writes back all cached dirty manifests and finalizes RAM
-// accounting. All streams must have completed their PutFile calls before
-// Finish. The Dedup remains usable for Restore afterwards.
-func (d *Dedup) Finish() error {
-	d.trackRAM()
-	d.cache.Flush()
-	d.stats.RAMBytes.Store(d.peakRAM.Load())
-	d.errMu.Lock()
-	err := d.evictionErr
-	d.evictionErr = nil
-	d.errMu.Unlock()
-	return err
-}
-
-// Stats returns the collected raw statistics.
-func (d *Dedup) Stats() metrics.Stats { return d.stats.Snapshot() }
-
-// Report snapshots statistics plus disk-side accounting.
-func (d *Dedup) Report() metrics.Report {
-	s := d.stats.Snapshot()
-	if s.RAMBytes == 0 {
-		s.RAMBytes = d.peakRAM.Load()
-	}
-	return metrics.BuildReport(s, d.disk)
-}
-
-// Restore rebuilds a previously ingested file into w.
-func (d *Dedup) Restore(name string, w io.Writer) error {
-	return d.st.RestoreFile(name, w)
+	return d.PublishHook(h, chunkName)
 }

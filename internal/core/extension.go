@@ -54,7 +54,7 @@ func (d *Dedup) bme(f *fileState, m *store.Manifest, hitIdx int) (shift int, err
 			sum += f.pending[j].Size()
 		}
 		if sum == e.Size {
-			d.stats.HashedBytes.Add(sum)
+			d.Count.HashedBytes.Add(sum)
 			if hashRun(f.pending[j:]) == e.Hash {
 				d.resolve(f, f.pending[j:], true, m.ContainerOf(e), e.Start)
 				f.pending = f.pending[:j]
@@ -104,10 +104,10 @@ func (d *Dedup) fme(f *fileState, m *store.Manifest, hitIdx int) error {
 			k++
 		}
 		if sum == e.Size {
-			d.stats.HashedBytes.Add(sum)
+			d.Count.HashedBytes.Add(sum)
 			if hashRun(pre[:k]) == e.Hash {
 				d.resolve(f, pre[:k], true, m.ContainerOf(e), e.Start)
-				d.stats.FMEDupChunks.Add(int64(k))
+				d.Count.FMEDupChunks.Add(int64(k))
 				pre = pre[k:]
 				continue
 			}

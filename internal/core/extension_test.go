@@ -19,8 +19,8 @@ func extFixture(t *testing.T, cfg Config, content []byte, sizes []int64, kinds [
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := d.st.NextName()
-	if err := d.st.SealDiskChunk(name, content); err != nil {
+	name := d.Store.NextName()
+	if err := d.Store.SealDiskChunk(name, content); err != nil {
 		t.Fatal(err)
 	}
 	m := store.NewManifest(name, store.FormatMHD)
@@ -37,7 +37,7 @@ func extFixture(t *testing.T, cfg Config, content []byte, sizes []int64, kinds [
 	if off != int64(len(content)) {
 		t.Fatalf("fixture sizes tile %d of %d bytes", off, len(content))
 	}
-	if err := d.st.CreateManifest(m); err != nil {
+	if err := d.Store.CreateManifest(m); err != nil {
 		t.Fatal(err)
 	}
 	return d, m
@@ -55,7 +55,7 @@ func TestBMEConsumesAlignedTail(t *testing.T) {
 		[]store.EntryKind{store.KindHook, store.KindMerged, store.KindHook})
 
 	pending := mkPending(content[:4096], 1024) // 4 chunks: hook + merged region
-	f := &fileState{name: "f", chunkName: d.st.NextName(), pending: pending}
+	f := &fileState{name: "f", chunkName: d.Store.NextName(), pending: pending}
 	for i := range f.pending {
 		f.pending[i].slot = i
 		f.slots = append(f.slots, slotState{})
@@ -70,7 +70,7 @@ func TestBMEConsumesAlignedTail(t *testing.T) {
 	if len(f.pending) != 0 {
 		t.Errorf("pending = %d, want 0 (everything matched)", len(f.pending))
 	}
-	if d.stats.HHROps.Load() != 0 {
+	if d.Count.HHROps.Load() != 0 {
 		t.Error("aligned match must not trigger HHR")
 	}
 	for i := 0; i < 4; i++ {
@@ -95,7 +95,7 @@ func TestBMEStopsAtMismatchWithoutPending(t *testing.T) {
 	if err != nil || shift != 0 {
 		t.Errorf("empty pending: shift=%d err=%v", shift, err)
 	}
-	if d.stats.HHRDiskAccesses.Load() != 0 {
+	if d.Count.HHRDiskAccesses.Load() != 0 {
 		t.Error("empty pending must not reload anything")
 	}
 }
@@ -121,7 +121,7 @@ func (s *sliceChunker) Next() (chunker.Chunk, error) {
 
 // streamFile returns a fresh fileState whose stream continues with chunks.
 func streamFile(t *testing.T, d *Dedup, chunks ...chunker.Chunk) *fileState {
-	f := &fileState{name: "f", chunkName: d.st.NextName(),
+	f := &fileState{name: "f", chunkName: d.Store.NextName(),
 		src: newChunkPipeline(&sliceChunker{chunks: chunks}), scanned: true}
 	t.Cleanup(f.src.stop)
 	return f
@@ -147,7 +147,7 @@ func TestFMEExtendsForwardAcrossEntries(t *testing.T) {
 	if err := d.fme(f, m, 0); err != nil {
 		t.Fatal(err)
 	}
-	if d.stats.HHROps.Load() != 0 {
+	if d.Count.HHROps.Load() != 0 {
 		t.Error("fully matching forward extension must not trigger HHR")
 	}
 	if len(f.replay) != 0 {

@@ -46,20 +46,20 @@ func (d *Dedup) hhrSplit(m *store.Manifest, i int, old []byte, sizes [3]int64, k
 		off += n
 		consumed += n
 	}
-	d.stats.HashedBytes.Add(consumed)
+	d.Count.HashedBytes.Add(consumed)
 	wasClean := !m.Dirty()
 	if err := m.Splice(i, pieces...); err != nil {
 		return nil, err
 	}
 	for _, e := range pieces { // the flat index learns them; stripe locks nest inside m's
-		d.cacheIdx.put(e.Hash, m.Name)
+		d.Index(e.Hash, m.Name)
 	}
-	d.stats.HHROps.Add(1)
+	d.Count.HHROps.Add(1)
 	if wasClean {
 		// The write-back this dirtying forces (at eviction or Finish) is
 		// charged to HHR, per the paper's "at most three disk accesses per
 		// duplicate slice" accounting.
-		d.stats.HHRDiskAccesses.Add(1)
+		d.Count.HHRDiskAccesses.Add(1)
 	}
 	return pieces, nil
 }
@@ -76,11 +76,11 @@ func (d *Dedup) hhrBackward(f *fileState, m *store.Manifest, i int) (shift int, 
 		return 0, nil
 	}
 	// One disk access; the bytes are joined only if they span two runs.
-	runs, err := d.st.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
+	runs, err := d.Store.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
 	if err != nil {
 		return 0, err
 	}
-	d.stats.HHRDiskAccesses.Add(1)
+	d.Count.HHRDiskAccesses.Add(1)
 	old := runs.Bytes()
 
 	// Longest suffix of whole pending chunks matching old's suffix.
@@ -129,11 +129,11 @@ func (d *Dedup) hhrForward(f *fileState, m *store.Manifest, i int, pre []pchunk)
 		return 0, nil
 	}
 	// One disk access; the bytes are joined only if they span two runs.
-	runs, err := d.st.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
+	runs, err := d.Store.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
 	if err != nil {
 		return 0, err
 	}
-	d.stats.HHRDiskAccesses.Add(1)
+	d.Count.HHRDiskAccesses.Add(1)
 	old := runs.Bytes()
 
 	var s int64
@@ -156,7 +156,7 @@ func (d *Dedup) hhrForward(f *fileState, m *store.Manifest, i int, pre []pchunk)
 	}
 	if s > 0 {
 		d.resolve(f, pre[:k], true, m.ContainerOf(e), e.Start)
-		d.stats.FMEDupChunks.Add(int64(k))
+		d.Count.FMEDupChunks.Add(int64(k))
 	}
 	r := e.Size - s - b
 	if _, err := d.hhrSplit(m, i, old,

@@ -22,10 +22,10 @@ func hhrFixture(t *testing.T, cfg Config, content []byte) (*Dedup, *store.Manife
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := d.st.NextName()
+	name := d.Store.NextName()
 	a, b := len(content)/3, 2*len(content)/3
 	runs := [][]byte{bytes.Clone(content[:a]), bytes.Clone(content[a:b]), bytes.Clone(content[b:])}
-	if err := d.st.SealDiskChunk(name, runs...); err != nil {
+	if err := d.Store.SealDiskChunk(name, runs...); err != nil {
 		t.Fatal(err)
 	}
 	m := store.NewManifest(name, store.FormatMHD)
@@ -35,7 +35,7 @@ func hhrFixture(t *testing.T, cfg Config, content []byte) (*Dedup, *store.Manife
 		Size:  int64(len(content)),
 		Kind:  store.KindMerged,
 	})
-	if err := d.st.CreateManifest(m); err != nil {
+	if err := d.Store.CreateManifest(m); err != nil {
 		t.Fatal(err)
 	}
 	return d, m
@@ -62,7 +62,7 @@ func TestHHRBackwardSplitsAtByteBoundary(t *testing.T) {
 	// old's suffix (the Fig 6 shape: N3 then duplicate 4,5).
 	suffix := old[2048:]
 	pending := append(mkPending(randBytes(902, 2048), 1024), mkPending(suffix, 1024)...)
-	f := &fileState{name: "f", chunkName: d.st.NextName(), pending: pending}
+	f := &fileState{name: "f", chunkName: d.Store.NextName(), pending: pending}
 	f.slots = make([]slotState, len(pending))
 	for i := range f.pending {
 		f.pending[i].slot = i
@@ -107,8 +107,8 @@ func TestHHRBackwardSplitsAtByteBoundary(t *testing.T) {
 	if !m.Dirty() {
 		t.Error("HHR must dirty the manifest")
 	}
-	if d.stats.HHROps.Load() != 1 {
-		t.Errorf("HHROps = %d, want 1", d.stats.HHROps.Load())
+	if d.Count.HHROps.Load() != 1 {
+		t.Errorf("HHROps = %d, want 1", d.Count.HHROps.Load())
 	}
 }
 
@@ -119,7 +119,7 @@ func TestHHRForwardSplitsPrefix(t *testing.T) {
 
 	// Prefetched chunks: 2 matching old's prefix, then a mismatch.
 	pre := append(mkPending(old[:2048], 1024), mkPending(randBytes(904, 1024), 1024)...)
-	f := &fileState{name: "f", chunkName: d.st.NextName()}
+	f := &fileState{name: "f", chunkName: d.Store.NextName()}
 	for i := range pre {
 		pre[i].slot = i
 		f.slots = append(f.slots, slotState{})
@@ -156,12 +156,12 @@ func TestHHRRefusesNonMergedEntries(t *testing.T) {
 	d, m := hhrFixture(t, cfg, old)
 	m.Entries[0].Kind = store.KindHook // hooks must never be re-chunked
 	f := &fileState{name: "f", pending: mkPending(old[1024:], 1024)}
-	before := d.stats.HHRDiskAccesses.Load()
+	before := d.Count.HHRDiskAccesses.Load()
 	shift, err := d.hhrBackward(f, m, 0)
 	if err != nil || shift != 0 {
 		t.Errorf("hook entry was processed: shift=%d err=%v", shift, err)
 	}
-	if d.stats.HHRDiskAccesses.Load() != before {
+	if d.Count.HHRDiskAccesses.Load() != before {
 		t.Error("hook entry caused a chunk reload")
 	}
 	if len(m.Entries) != 1 || m.Dirty() {
@@ -185,7 +185,7 @@ func TestHHRNoMatchNoEdgeLeavesEntryIntact(t *testing.T) {
 	}
 	// The reload itself is still charged — that is the repeat cost the
 	// EdgeHash exists to stop.
-	if d.stats.HHRDiskAccesses.Load() == 0 {
+	if d.Count.HHRDiskAccesses.Load() == 0 {
 		t.Error("byte comparison requires a reload even when nothing matches")
 	}
 }
@@ -207,11 +207,11 @@ func TestHHRNoMatchWithEdgePlantsGuard(t *testing.T) {
 		t.Errorf("edge guard wrong: %+v", edge)
 	}
 	// A second identical attempt stops at the plain edge without reload.
-	before := d.stats.HHRDiskAccesses.Load()
+	before := d.Count.HHRDiskAccesses.Load()
 	if _, err := d.hhrBackward(f, m, 1); err != nil {
 		t.Fatal(err)
 	}
-	if d.stats.HHRDiskAccesses.Load() != before {
+	if d.Count.HHRDiskAccesses.Load() != before {
 		t.Error("edge guard did not prevent the repeat reload")
 	}
 }
@@ -224,7 +224,7 @@ func TestHHRWholeEntryMatchedViaBytes(t *testing.T) {
 	d, m := hhrFixture(t, cfg, old)
 	// Chunks of 1000 bytes: 3 chunks exactly covering old.
 	pending := mkPending(old, 1000)
-	f := &fileState{name: "f", chunkName: d.st.NextName(), pending: pending}
+	f := &fileState{name: "f", chunkName: d.Store.NextName(), pending: pending}
 	for i := range f.pending {
 		f.pending[i].slot = i
 		f.slots = append(f.slots, slotState{})
@@ -252,14 +252,14 @@ func TestHHRCorruptMergedEntryFailsIngest(t *testing.T) {
 	cfg := testConfig()
 	base := randBytes(912, 64<<10)
 	d := ingest(t, cfg, map[string][]byte{"gen1": base}, []string{"gen1"})
-	disk := d.st.Disk()
+	disk := d.Store.Disk()
 	corrupted := 0
 	for _, hex := range disk.Names(simdisk.Manifest) {
 		name, err := hashutil.ParseHex(hex)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := d.st.ReadManifest(name)
+		m, err := d.Store.ReadManifest(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,10 +283,10 @@ func TestHHRCorruptMergedEntryFailsIngest(t *testing.T) {
 	}
 	gen2 := append([]byte(nil), base...)
 	copy(gen2[20<<10:], randBytes(913, 2<<10))
-	reloads := d2.stats.HHRDiskAccesses.Load()
+	reloads := d2.Count.HHRDiskAccesses.Load()
 	if err := d2.PutFile("gen2", bytes.NewReader(gen2)); err == nil {
 		t.Fatalf("ingest over %d corrupt merged entries succeeded (%d HHR reloads)",
-			corrupted, d2.stats.HHRDiskAccesses.Load()-reloads)
+			corrupted, d2.Count.HHRDiskAccesses.Load()-reloads)
 	}
 }
 
@@ -297,7 +297,7 @@ func TestHHRSplitPiecesRestoreConcatenation(t *testing.T) {
 	old := randBytes(911, 8192)
 	d, m := hhrFixture(t, cfg, old)
 	pending := mkPending(old[5000:], 700) // unaligned suffix match
-	f := &fileState{name: "f", chunkName: d.st.NextName(), pending: pending}
+	f := &fileState{name: "f", chunkName: d.Store.NextName(), pending: pending}
 	for i := range f.pending {
 		f.pending[i].slot = i
 		f.slots = append(f.slots, slotState{})
@@ -307,7 +307,7 @@ func TestHHRSplitPiecesRestoreConcatenation(t *testing.T) {
 	}
 	var rebuilt []byte
 	for _, e := range m.Entries {
-		runs, err := d.st.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
+		runs, err := d.Store.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -187,7 +187,7 @@ func anyCuts(t *testing.T, seed int64) metrics.Stats {
 		t.Fatal(err)
 	}
 	checkRestore(t, d, files)
-	v := store.NewVerifier(d.st, store.VerifyOpts{})
+	v := store.NewVerifier(d.Store, store.VerifyOpts{})
 	for name, want := range files {
 		var got bytes.Buffer
 		if err := v.RestoreFile(name, &got); err != nil || !bytes.Equal(got.Bytes(), want) {

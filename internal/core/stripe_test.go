@@ -6,11 +6,16 @@ import (
 	"sync"
 	"testing"
 
+	"mhdedup/internal/algo"
 	"mhdedup/internal/hashutil"
 )
 
+// The striped index and its selector live in internal/algo; their contract
+// is pinned here, beside MHD, the engine whose concurrent streams share them
+// (its cache index, its sparse hook index and its hook publication stripes).
+
 // sumWithLowBits builds a Sum whose first 8 little-endian bytes encode v —
-// so the expected stripe is v & (numStripes-1) by construction.
+// so the expected stripe is v & (algo.NumStripes-1) by construction.
 func sumWithLowBits(v uint64) hashutil.Sum {
 	var h hashutil.Sum
 	binary.LittleEndian.PutUint64(h[:8], v)
@@ -28,20 +33,20 @@ func TestStripeOf(t *testing.T) {
 	}{
 		{"zero", 0, 0},
 		{"one", 1, 1},
-		{"last-stripe", numStripes - 1, numStripes - 1},
-		{"wraps", numStripes, 0},
-		{"wraps+1", numStripes + 1, 1},
+		{"last-stripe", algo.NumStripes - 1, algo.NumStripes - 1},
+		{"wraps", algo.NumStripes, 0},
+		{"wraps+1", algo.NumStripes + 1, 1},
 		{"high-bits-ignored", 0xFFFF_FFFF_FFFF_FFC0, 0},
 		{"mixed", 0xDEAD_BEEF_0000_002A, 0x2A},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := sumWithLowBits(tc.v)
-			if got := stripeOf(h); got != tc.want {
-				t.Errorf("stripeOf(%#x) = %d, want %d", tc.v, got, tc.want)
+			if got := algo.StripeOf(h); got != tc.want {
+				t.Errorf("algo.StripeOf(%#x) = %d, want %d", tc.v, got, tc.want)
 			}
 			// Purity: same input, same stripe, every time.
-			if again := stripeOf(h); again != stripeOf(h) {
+			if again := algo.StripeOf(h); again != algo.StripeOf(h) {
 				t.Error("stripeOf is not stable")
 			}
 		})
@@ -52,7 +57,7 @@ func TestStripeOf(t *testing.T) {
 	for i := 8; i < len(b); i++ {
 		b[i] = 0xFF
 	}
-	if stripeOf(a) != stripeOf(b) {
+	if algo.StripeOf(a) != algo.StripeOf(b) {
 		t.Error("bytes past the stripe window changed the stripe")
 	}
 }
@@ -62,61 +67,60 @@ func TestStripeOf(t *testing.T) {
 // contention.
 func TestStripeOfCoversAllStripes(t *testing.T) {
 	seen := make(map[int]bool)
-	for i := 0; len(seen) < numStripes; i++ {
-		if i >= 64*numStripes {
-			t.Fatalf("only %d/%d stripes reached after %d hashed keys", len(seen), numStripes, i)
+	for i := 0; len(seen) < algo.NumStripes; i++ {
+		if i >= 64*algo.NumStripes {
+			t.Fatalf("only %d/%d stripes reached after %d hashed keys", len(seen), algo.NumStripes, i)
 		}
 		h := hashutil.SumBytes([]byte(fmt.Sprintf("key-%d", i)))
-		s := stripeOf(h)
-		if s < 0 || s >= numStripes {
+		s := algo.StripeOf(h)
+		if s < 0 || s >= algo.NumStripes {
 			t.Fatalf("stripeOf out of range: %d", s)
 		}
 		seen[s] = true
 	}
 }
 
-// TestStripedIndexBasics exercises get/put/putIfAbsent/deleteIf/del/len on
+// TestStripedIndexBasics exercises Get/Put/PutIfAbsent/DeleteIf/Len on
 // keys spread across shards.
 func TestStripedIndexBasics(t *testing.T) {
-	idx := newStripedIndex()
+	idx := algo.NewIndex()
 	k1 := sumWithLowBits(5)
-	k2 := sumWithLowBits(5 + numStripes) // same stripe as k1
-	k3 := sumWithLowBits(6)              // different stripe
+	k2 := sumWithLowBits(5 + algo.NumStripes) // same stripe as k1
+	k3 := sumWithLowBits(6)                   // different stripe
 	v1, v2 := sumWithLowBits(100), sumWithLowBits(200)
 
-	if _, ok := idx.get(k1); ok {
+	if _, ok := idx.Get(k1); ok {
 		t.Error("empty index returned a value")
 	}
-	idx.put(k1, v1)
-	idx.put(k2, v1)
-	idx.put(k3, v2)
-	if got, ok := idx.get(k1); !ok || got != v1 {
+	idx.Put(k1, v1)
+	idx.Put(k2, v1)
+	idx.Put(k3, v2)
+	if got, ok := idx.Get(k1); !ok || got != v1 {
 		t.Errorf("get(k1) = %v,%v want %v", got, ok, v1)
 	}
-	if idx.len() != 3 {
-		t.Errorf("len = %d, want 3", idx.len())
+	if idx.Len() != 3 {
+		t.Errorf("len = %d, want 3", idx.Len())
 	}
-	if idx.putIfAbsent(k1, v2) {
+	if idx.PutIfAbsent(k1, v2) {
 		t.Error("putIfAbsent overwrote an existing key")
 	}
-	if got, _ := idx.get(k1); got != v1 {
+	if got, _ := idx.Get(k1); got != v1 {
 		t.Error("putIfAbsent changed the stored value")
 	}
-	if !idx.putIfAbsent(sumWithLowBits(7), v2) {
+	if !idx.PutIfAbsent(sumWithLowBits(7), v2) {
 		t.Error("putIfAbsent refused a fresh key")
 	}
 	// deleteIf honors the value guard.
-	idx.deleteIf(k1, v2) // wrong value: no-op
-	if _, ok := idx.get(k1); !ok {
+	idx.DeleteIf(k1, v2) // wrong value: no-op
+	if _, ok := idx.Get(k1); !ok {
 		t.Error("deleteIf removed a mapping with a different value")
 	}
-	idx.deleteIf(k1, v1)
-	if _, ok := idx.get(k1); ok {
+	idx.DeleteIf(k1, v1)
+	if _, ok := idx.Get(k1); ok {
 		t.Error("deleteIf left a matching mapping behind")
 	}
-	idx.del(k2)
-	if _, ok := idx.get(k2); ok {
-		t.Error("del left the key behind")
+	if got, ok := idx.Get(k2); !ok || got != v1 {
+		t.Error("DeleteIf of one key disturbed another in its stripe")
 	}
 }
 
@@ -124,7 +128,7 @@ func TestStripedIndexBasics(t *testing.T) {
 // under -race): disjoint key ranges per goroutine plus a shared contended
 // key exercising putIfAbsent's first-writer-wins guarantee.
 func TestStripedIndexConcurrent(t *testing.T) {
-	idx := newStripedIndex()
+	idx := algo.NewIndex()
 	shared := hashutil.SumBytes([]byte("contended"))
 	const goroutines, perG = 8, 200
 	winners := make([]bool, goroutines)
@@ -136,14 +140,14 @@ func TestStripedIndexConcurrent(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				k := hashutil.SumBytes([]byte(fmt.Sprintf("g%d-%d", g, i)))
 				v := sumWithLowBits(uint64(g*perG + i))
-				idx.put(k, v)
-				if got, ok := idx.get(k); !ok || got != v {
+				idx.Put(k, v)
+				if got, ok := idx.Get(k); !ok || got != v {
 					t.Errorf("g%d: lost own write", g)
 					return
 				}
-				_ = idx.len()
+				_ = idx.Len()
 			}
-			winners[g] = idx.putIfAbsent(shared, sumWithLowBits(uint64(g)))
+			winners[g] = idx.PutIfAbsent(shared, sumWithLowBits(uint64(g)))
 		}(g)
 	}
 	wg.Wait()
@@ -156,7 +160,7 @@ func TestStripedIndexConcurrent(t *testing.T) {
 	if wins != 1 {
 		t.Errorf("putIfAbsent winners = %d, want exactly 1", wins)
 	}
-	if got, want := idx.len(), goroutines*perG+1; got != want {
+	if got, want := idx.Len(), goroutines*perG+1; got != want {
 		t.Errorf("len = %d, want %d", got, want)
 	}
 }

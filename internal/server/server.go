@@ -384,7 +384,7 @@ func (s *Server) serveIngestConn(c *session.Conn, hello wire.Hello, ss *ingestSe
 			// work is at risk and no queue grows while the server is behind.
 			// So does a send-path failure: the connection is gone.
 			if sf := c.Report(herr); sf != nil {
-				s.ep.Sessions.Expire(ss.token, true)
+				s.ep.Sessions.Fail(ss.token, true, sf.Msg)
 				s.cfg.Events.Error("session.fail",
 					events.F("session", ss.token), events.F("code", sf.Msg.Code),
 					events.F("msg", sf.Msg.Msg))

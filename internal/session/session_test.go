@@ -196,6 +196,44 @@ func TestTableAdmission(t *testing.T) {
 	}
 }
 
+// TestResumeAfterFatalHearsIt: a session ended by a Fatal stays out of the
+// table, but a client that lost its connection before the Error frame and
+// resumes hears that error — non-retryable — instead of "no resumable
+// session", until a parked session would have expired. The record holds
+// no session slot and tells nothing to another tenant.
+func TestResumeAfterFatalHearsIt(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MaxSessions = 1
+	tab := NewTable(&cfg)
+	s := mustAttach(t, tab, wire.Hello{Tenant: "acme"})
+	var fatal *Fatal
+	if !errors.As(Fatalf(wire.CodeInternal, "shard s1 window 8 below gateway window 64 (misconfigured cluster)"), &fatal) {
+		t.Fatal("Fatalf built no Fatal")
+	}
+	tab.Fail(s.token, true, fatal.Msg)
+	if s.expired.Load() != 1 || !s.aborted.Load() || tab.Len() != 0 {
+		t.Fatalf("after Fail: expired=%d aborting=%v len=%d", s.expired.Load(), s.aborted.Load(), tab.Len())
+	}
+
+	_, em := tab.Attach(wire.Hello{ResumeToken: s.token, Tenant: "acme"})
+	wantRefusal(t, em, wire.CodeInternal, false)
+	if em.Msg != fatal.Msg.Msg {
+		t.Fatalf("resume heard %q, want the session's own error %q", em.Msg, fatal.Msg.Msg)
+	}
+	_, em = tab.Attach(wire.Hello{ResumeToken: s.token, Tenant: "initech"})
+	wantRefusal(t, em, wire.CodeNotFound, false) // another tenant learns nothing
+	_, em = tab.Attach(wire.Hello{ResumeToken: s.token + 1, Tenant: "acme"})
+	wantRefusal(t, em, wire.CodeNotFound, false)
+	other := mustAttach(t, tab, wire.Hello{Tenant: "acme"}) // the record holds no slot
+
+	// Past the resume window the token is unknown again.
+	cfg.ResumeTimeout = time.Millisecond
+	tab.Fail(other.token, false, fatal.Msg)
+	time.Sleep(20 * time.Millisecond)
+	_, em = tab.Attach(wire.Hello{ResumeToken: other.token, Tenant: "acme"})
+	wantRefusal(t, em, wire.CodeNotFound, false)
+}
+
 // TestDrainExpiresParkedKeepsAttached is the table half of the drain
 // contract: parked sessions go at once (nothing can reattach), attached
 // ones stay until their handler lets go, and a handler that detaches

@@ -34,7 +34,18 @@ type Table[S any] struct {
 
 	mu       sync.Mutex
 	sessions map[uint64]*entry[S]
+	// failed remembers, for ResumeTimeout, why a session ended on a final
+	// error, so a client that lost the connection before the Error frame
+	// hears it on resume. These records hold no session: they never count
+	// against MaxSessions.
+	failed   map[uint64]failure
 	draining bool
+}
+
+type failure struct {
+	tenant string
+	msg    wire.ErrorMsg
+	until  time.Time
 }
 
 type entry[S any] struct {
@@ -48,7 +59,7 @@ type entry[S any] struct {
 // NewTable builds the table cfg describes (see Config for which fields
 // it reads).
 func NewTable[S any](cfg *Config[S]) *Table[S] {
-	t := &Table[S]{cfg: cfg, sessions: make(map[uint64]*entry[S])}
+	t := &Table[S]{cfg: cfg, sessions: make(map[uint64]*entry[S]), failed: make(map[uint64]failure)}
 	r := cfg.Registry
 	t.cTotal = r.Counter(cfg.Name + ".sessions.total")
 	t.cActive = r.Counter(cfg.Name + ".sessions.active")
@@ -77,9 +88,13 @@ func (t *Table[S]) Attach(hello wire.Hello) (S, *wire.ErrorMsg) {
 		t.mu.Lock()
 		e, ok := t.sessions[tok]
 		if !ok || e.tenant != hello.Tenant {
-			// A token must not let one tenant continue another's session;
-			// answer as if it did not exist.
+			// A token must not let one tenant continue another's session
+			// or hear why it failed; answer as if it did not exist.
+			f, failed := t.failed[tok]
 			t.mu.Unlock()
+			if failed && f.tenant == hello.Tenant && time.Now().Before(f.until) {
+				return none, &f.msg
+			}
 			return none, &wire.ErrorMsg{Code: wire.CodeNotFound,
 				Msg: fmt.Sprintf("no resumable session %d (expired?)", tok)}
 		}
@@ -169,11 +184,30 @@ func (t *Table[S]) expireArmed(token, epoch uint64) {
 // Expire removes a session for good, attached or parked: an orderly end
 // (aborting false) or a teardown that must abort whatever is in flight.
 // Expiring an unknown token is a no-op.
-func (t *Table[S]) Expire(token uint64, aborting bool) {
+func (t *Table[S]) Expire(token uint64, aborting bool) { t.expire(token, aborting, nil) }
+
+// Fail expires a session that ended on a final error msg, the one its
+// client was sent. For ResumeTimeout a resume with its token is refused
+// with msg, not retryable, instead of as an unknown session.
+func (t *Table[S]) Fail(token uint64, aborting bool, msg wire.ErrorMsg) {
+	msg.Retryable = false
+	t.expire(token, aborting, &msg)
+}
+
+func (t *Table[S]) expire(token uint64, aborting bool, failed *wire.ErrorMsg) {
 	t.mu.Lock()
 	e, ok := t.sessions[token]
 	if ok {
 		t.removeLocked(token, e)
+		if failed != nil {
+			now := time.Now()
+			for tok, f := range t.failed {
+				if !now.Before(f.until) {
+					delete(t.failed, tok)
+				}
+			}
+			t.failed[token] = failure{tenant: e.tenant, msg: *failed, until: now.Add(t.cfg.ResumeTimeout)}
+		}
 	}
 	t.mu.Unlock()
 	if ok && t.cfg.OnExpire != nil {
