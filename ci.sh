@@ -129,9 +129,9 @@ echo "== hashutil: every SHA-1 kernel against crypto/sha1, and what the lanes bu
 # The purego and arm64 lines keep the file sets that this machine never
 # executes (kernel_other.go, lanes_other.go) building: one under its own
 # tests, the other through vet of the code and the tests and a full
-# cross-build. The engine's golden determinism and PutChunks parity tests
-# run once more under purego: the same goldens with the lanes (and SHA-NI)
-# off as the race run below holds them to with the lanes on. Then the reason the lanes exist, as a ratio that cannot rot
+# cross-build. The engine's golden determinism, PutChunks parity and run
+# fact tests run once more under purego: the same goldens with the lanes
+# (and SHA-NI) off as the race run below holds them to with the lanes on. Then the reason the lanes exist, as a ratio that cannot rot
 # silently: one batch of 128 chunks of 1.5-5 KiB through SumRuns on the
 # lanes and through SumBytes a chunk at a time, measured 2.7-2.9x on a
 # two-vCPU AVX-512 Xeon; below 1.5x the lanes no longer pay for their
@@ -142,7 +142,7 @@ go test -race -count=3 ./internal/hashutil
 go test -run '^$' -fuzz FuzzDigestMatchesStdlib -fuzztime 20s -fuzzminimizetime 2s ./internal/hashutil
 go test -run '^$' -fuzz FuzzSumRunsMatchesStdlib -fuzztime 20s -fuzzminimizetime 2s ./internal/hashutil
 go vet -tags purego ./internal/hashutil && go test -tags purego ./internal/hashutil
-go test -tags purego -count=1 -run 'TestSingleStreamDeterminism|TestPutChunksMatchesPutFile' ./internal/core
+go test -tags purego -count=1 -run 'TestSingleStreamDeterminism|TestPutChunksMatchesPutFile|TestRunFact' ./internal/core
 GOARCH=arm64 go vet ./... && GOARCH=arm64 go build ./...
 for round in 1 2 3 4 5; do
     go test -run '^$' -bench 'BenchmarkSumRuns' -benchtime 200x ./internal/hashutil
@@ -228,8 +228,9 @@ echo "== ingest pipeline on one P (race) =="
 # taking turns on a single P — is exercised under the race detector too:
 # batch-edge parity, the golden-snapshot determinism test, teardown and
 # cancellation, and the pre-chunked source beside it (PutChunks against
-# PutFile, any cuts, teardown).
-GOMAXPROCS=1 go test -race -count=1 -run 'Pipeline|Determinism|Context|PutChunks' ./internal/core
+# PutFile, any cuts, teardown), and match extension's run facts (learned
+# and read under the manifest lock by two streams at once).
+GOMAXPROCS=1 go test -race -count=1 -run 'Pipeline|Determinism|Context|PutChunks|RunFact' ./internal/core
 
 echo "== crash-consistency smoke (10 seeds, race) =="
 # Kill SaveDir at a random injection point per seed (payloads torn half the

@@ -212,8 +212,18 @@ func (d *Dedup) pull(f *fileState) (pchunk, bool, error) {
 		d.Count.HashedBytes.Add(size)
 	}
 	pc.slot = len(f.slots)
-	f.slots = append(f.slots, slotState{})
+	f.slots = push(f.slots, slotState{})
 	return pc, true, nil
+}
+
+// push appends v to s, doubling s when it is full. append itself grows a
+// slice past 256 elements by about 1.25×, which copies a file's per-chunk
+// arrays about 5× their final size.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s)+1)
+	}
+	return append(s, v)
 }
 
 // process runs one chunk through Fig 4's flow: cached-manifest hit → match
@@ -284,15 +294,10 @@ func (d *Dedup) tryExtend(f *fileState, m *store.Manifest, pc pchunk) (bool, err
 	err := d.extendMatch(f, m, idx, pc)
 	dirty := m.Dirty()
 	m.Unlock()
-	if err != nil {
-		return true, err
+	if err == nil && dirty {
+		err = d.persistIfOrphaned(m)
 	}
-	if dirty {
-		if err := d.persistIfOrphaned(m); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
+	return true, err
 }
 
 // persistIfOrphaned writes a dirty manifest back when it is no longer
@@ -346,7 +351,7 @@ func (d *Dedup) flushGroup(f *fileState, group []pchunk) {
 	d.resolve(f, group, false, f.chunkName, f.size)
 	start, lead, from := f.size, group[0].Size(), len(f.parts)
 	for _, pc := range group {
-		f.parts = append(f.parts, pc.Data)
+		f.parts = push(f.parts, pc.Data)
 		f.stored.Add(pc.Chunk)
 		f.size += pc.Size()
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/store"
 )
@@ -37,32 +39,75 @@ func hashRun(run []pchunk) hashutil.Sum {
 	return h.Sum()
 }
 
+// runMatches reports whether the concatenated bytes of run hash to h: every
+// BME/FME comparison goes through it, m locked. HashedBytes counts the
+// paper's re-hash of the bytes (Fig 8's model), but the bytes are hashed
+// only when what is already known cannot decide. A one-chunk run's digest
+// is its bytes' hash (the digest contract of PutChunksContext). A longer
+// run is named by K, the SHA-1 of its chunks' digests: if m learned that a
+// run named K hashed to h, this run holds the same bytes, under the SHA-1
+// assumption the chunk index rests on. Otherwise the bytes are hashed, and
+// a match teaches m the fact h → K.
+func (d *Dedup) runMatches(m *store.Manifest, run []pchunk, h hashutil.Sum) bool {
+	if len(run) == 1 {
+		d.Count.HashedBytes.Add(run[0].Size())
+		return run[0].hash == h
+	}
+	names := hashutil.NewHasher()
+	var size int64
+	for i := range run {
+		names.Write(run[i].hash[:])
+		size += run[i].Size()
+	}
+	d.Count.HashedBytes.Add(size)
+	k := names.Sum()
+	if m.Fact(h) == k {
+		cExtendFactHits.Add(1)
+		return true
+	}
+	cExtendRehashedBytes.Add(size)
+	if hashRun(run) != h {
+		return false
+	}
+	m.Learn(h, k)
+	return true
+}
+
+// edge returns run's k-th chunk from its head, or from its tail if back.
+func edge(run []pchunk, k int, back bool) *pchunk {
+	if back {
+		return &run[len(run)-1-k]
+	}
+	return &run[k]
+}
+
+// span counts the chunks from run's head (from its tail if back) it takes
+// to reach size bytes, and what they sum to: exactly size when they can
+// stand for an entry of that size, less when run ran out first.
+func span(run []pchunk, size int64, back bool) (n int, sum int64) {
+	for ; n < len(run) && sum < size; n++ {
+		sum += edge(run, n, back).Size()
+	}
+	return n, sum
+}
+
 // bme is Backward Match Extension: walk manifest entries before the hit,
-// re-hash the tail of the pending buffer at each entry's recorded
-// granularity and compare (the "new hash values calculated for the buffered
-// chunk bytes before the HitChunk" of §III). The walk stops at the first
+// compare the tail of the pending buffer at each entry's recorded
+// granularity (the "new hash values calculated for the buffered chunk
+// bytes before the HitChunk" of §III). The walk stops at the first
 // mismatch, where HHR takes over if the mismatched entry is a merged chunk
 // covering the duplicate/non-duplicate edge.
 func (d *Dedup) bme(f *fileState, m *store.Manifest, hitIdx int) (shift int, err error) {
 	for i := hitIdx - 1; i >= 0 && len(f.pending) > 0; i-- {
 		e := m.Entries[i]
-		// Gather pending chunks from the tail whose sizes sum to e.Size.
-		j := len(f.pending)
-		var sum int64
-		for j > 0 && sum < e.Size {
-			j--
-			sum += f.pending[j].Size()
+		n, sum := span(f.pending, e.Size, true)
+		j := len(f.pending) - n
+		if sum != e.Size || !d.runMatches(m, f.pending[j:], e.Hash) {
+			// Mismatch: the duplicate/non-duplicate edge lies at or inside e.
+			return d.hhrBackward(f, m, i)
 		}
-		if sum == e.Size {
-			d.Count.HashedBytes.Add(sum)
-			if hashRun(f.pending[j:]) == e.Hash {
-				d.resolve(f, f.pending[j:], true, m.ContainerOf(e), e.Start)
-				f.pending = f.pending[:j]
-				continue
-			}
-		}
-		// Mismatch: the duplicate/non-duplicate edge lies at or inside e.
-		return d.hhrBackward(f, m, i)
+		d.resolve(f, f.pending[j:], true, m.ContainerOf(e), e.Start)
+		f.pending = f.pending[:j]
 	}
 	return 0, nil
 }
@@ -73,19 +118,11 @@ func (d *Dedup) bme(f *fileState, m *store.Manifest, hitIdx int) (shift int, err
 // replay queue and re-enter the normal deduplication flow (§III).
 func (d *Dedup) fme(f *fileState, m *store.Manifest, hitIdx int) error {
 	var pre []pchunk
-	defer func() {
-		// Unconsumed prefetches precede whatever was already queued.
-		if len(pre) > 0 {
-			f.replay = append(append([]pchunk{}, pre...), f.replay...)
-		}
-	}()
+	defer func() { f.replay = slices.Concat(pre, f.replay) }() // unconsumed prefetches go first
 	for i := hitIdx + 1; i < len(m.Entries); i++ {
 		e := m.Entries[i]
-		var total int64
-		for _, pc := range pre {
-			total += pc.Size()
-		}
-		for total < e.Size {
+		k, sum := span(pre, e.Size, false)
+		for sum < e.Size { // prefetch until pre covers e
 			pc, ok, err := d.nextChunk(f)
 			if err != nil {
 				return err
@@ -94,31 +131,17 @@ func (d *Dedup) fme(f *fileState, m *store.Manifest, hitIdx int) error {
 				break
 			}
 			pre = append(pre, pc)
-			total += pc.Size()
+			k, sum = k+1, sum+pc.Size()
 		}
-		// Take the prefix of pre summing exactly to e.Size.
-		k := 0
-		var sum int64
-		for k < len(pre) && sum < e.Size {
-			sum += pre[k].Size()
-			k++
-		}
-		if sum == e.Size {
-			d.Count.HashedBytes.Add(sum)
-			if hashRun(pre[:k]) == e.Hash {
-				d.resolve(f, pre[:k], true, m.ContainerOf(e), e.Start)
-				d.Count.FMEDupChunks.Add(int64(k))
-				pre = pre[k:]
-				continue
-			}
-		}
-		// Mismatch: forward HHR may recover a duplicate prefix inside e.
-		consumed, err := d.hhrForward(f, m, i, pre)
-		if err != nil {
+		if sum != e.Size || !d.runMatches(m, pre[:k], e.Hash) {
+			// Mismatch: forward HHR may recover a duplicate prefix inside e.
+			consumed, err := d.hhrForward(f, m, i, pre)
+			pre = pre[consumed:]
 			return err
 		}
-		pre = pre[consumed:]
-		return nil
+		d.resolve(f, pre[:k], true, m.ContainerOf(e), e.Start)
+		d.Count.FMEDupChunks.Add(int64(k))
+		pre = pre[k:]
 	}
 	return nil
 }

@@ -23,33 +23,28 @@ import (
 // final granularity — that restriction is the hysteresis that bounds HHR's
 // disk cost (Fig 10(b)).
 
-// hhrSplit performs the splice shared by both directions: entry i of m
-// becomes [remainder r | edge b | shared s] in the given byte order
-// (backward: remainder first; forward: shared first). Offsets are assigned
-// from e.Start across the pieces in order. Returns the new entries.
-func (d *Dedup) hhrSplit(m *store.Manifest, i int, old []byte, sizes [3]int64, kinds [3]store.EntryKind) ([]store.Entry, error) {
+// hhrSplit splices entry i of m into [shared s | edge b | remainder r], in
+// reverse order backward, where the shared region is old's suffix, and
+// returns how many entries it added. Only the remainder stays merged.
+func (d *Dedup) hhrSplit(m *store.Manifest, i int, old []byte, s, b int64, back bool) (added int, err error) {
 	e := m.Entries[i]
-	var pieces []store.Entry
-	off := e.Start
-	var consumed int64
-	for p := 0; p < 3; p++ {
-		n := sizes[p]
-		if n <= 0 {
-			continue
-		}
-		pieces = append(pieces, store.Entry{
-			Hash:  hashutil.SumBytes(old[consumed : consumed+n]),
-			Start: off,
-			Size:  n,
-			Kind:  kinds[p],
-		})
-		off += n
-		consumed += n
+	sizes := [3]int64{s, b, e.Size - s - b}
+	kinds := [3]store.EntryKind{store.KindPlain, store.KindPlain, store.KindMerged}
+	if back {
+		sizes[0], sizes[2], kinds[0], kinds[2] = sizes[2], sizes[0], kinds[2], kinds[0]
 	}
-	d.Count.HashedBytes.Add(consumed)
+	var pieces []store.Entry
+	var off int64
+	for p, n := range sizes {
+		if n > 0 {
+			pieces = append(pieces, store.Entry{Hash: hashutil.SumBytes(old[off : off+n]), Start: e.Start + off, Size: n, Kind: kinds[p]})
+			off += n
+		}
+	}
+	d.Count.HashedBytes.Add(off)
 	wasClean := !m.Dirty()
 	if err := m.Splice(i, pieces...); err != nil {
-		return nil, err
+		return 0, err
 	}
 	for _, e := range pieces { // the flat index learns them; stripe locks nest inside m's
 		d.Index(e.Hash, m.Name)
@@ -61,108 +56,67 @@ func (d *Dedup) hhrSplit(m *store.Manifest, i int, old []byte, sizes [3]int64, k
 		// duplicate slice" accounting.
 		d.Count.HHRDiskAccesses.Add(1)
 	}
-	return pieces, nil
-}
-
-// hhrBackward handles a BME mismatch at entry i. It reloads the merged
-// chunk, byte-compares its suffix against the tail of the pending buffer
-// (whole chunks only — the buffer's chunk boundaries are the paper's
-// comparison grid, cf. Chunk N3 in Fig 6), consumes the matched tail as
-// duplicates and splices the entry. It returns how many extra entries the
-// splice inserted before the hit index.
-func (d *Dedup) hhrBackward(f *fileState, m *store.Manifest, i int) (shift int, err error) {
-	e := m.Entries[i]
-	if d.cfg.DisableByteCompare || e.Kind != store.KindMerged {
-		return 0, nil
-	}
-	// One disk access; the bytes are joined only if they span two runs.
-	runs, err := d.Store.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
-	if err != nil {
-		return 0, err
-	}
-	d.Count.HHRDiskAccesses.Add(1)
-	old := runs.Bytes()
-
-	// Longest suffix of whole pending chunks matching old's suffix.
-	var s int64
-	k := len(f.pending)
-	for k > 0 {
-		c := f.pending[k-1].Data
-		n := int64(len(c))
-		if s+n > e.Size || !bytes.Equal(c, old[e.Size-s-n:e.Size-s]) {
-			break
-		}
-		s += n
-		k--
-	}
-	var b int64
-	if !d.cfg.DisableEdgeHash && s < e.Size && k > 0 {
-		// Boundary block sized like the first mismatching buffered chunk
-		// (the paper's "EdgeHash ... with the same size of Chunk N3").
-		b = min(f.pending[k-1].Size(), e.Size-s)
-	}
-	if s == 0 && b == 0 {
-		return 0, nil
-	}
-	if s > 0 {
-		// Consume the matched tail as duplicates of old's suffix region.
-		d.resolve(f, f.pending[k:], true, m.ContainerOf(e), e.Start+e.Size-s)
-		f.pending = f.pending[:k]
-	}
-	r := e.Size - s - b
-	pieces, err := d.hhrSplit(m, i, old,
-		[3]int64{r, b, s},
-		[3]store.EntryKind{store.KindMerged, store.KindPlain, store.KindPlain})
-	if err != nil {
-		return 0, err
-	}
 	return len(pieces) - 1, nil
 }
 
-// hhrForward handles an FME mismatch at entry i: reload, byte-compare old's
-// prefix against the prefetched chunks, consume the matched prefix as
-// duplicates, splice [shared s | edge b | remainder r]. Returns how many
-// prefetched chunks were consumed.
+// hhrBackward handles a BME mismatch at entry i: old's suffix against the
+// pending buffer's tail, which leaves the buffer as far as it matched. It
+// returns how many entries the splice inserted before the hit index.
+func (d *Dedup) hhrBackward(f *fileState, m *store.Manifest, i int) (shift int, err error) {
+	k, shift, err := d.hhr(f, m, i, f.pending, true)
+	f.pending = f.pending[:len(f.pending)-k]
+	return shift, err
+}
+
+// hhrForward handles an FME mismatch at entry i: old's prefix against the
+// prefetched chunks. It returns how many of them matched.
 func (d *Dedup) hhrForward(f *fileState, m *store.Manifest, i int, pre []pchunk) (consumed int, err error) {
+	consumed, _, err = d.hhr(f, m, i, pre, false)
+	return consumed, err
+}
+
+// hhr reloads merged entry i (one disk access; joined only if it spans two
+// runs) and matches whole chunks of run against it (cf. Chunk N3 in Fig 6):
+// backward old's suffix against run's tail, forward old's prefix against its
+// head. It returns how many chunks matched, and how many entries it added.
+func (d *Dedup) hhr(f *fileState, m *store.Manifest, i int, run []pchunk, back bool) (matched, added int, err error) {
 	e := m.Entries[i]
 	if d.cfg.DisableByteCompare || e.Kind != store.KindMerged {
-		return 0, nil
+		return 0, 0, nil
 	}
-	// One disk access; the bytes are joined only if they span two runs.
 	runs, err := d.Store.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	d.Count.HHRDiskAccesses.Add(1)
 	old := runs.Bytes()
-
-	var s int64
-	k := 0
-	for k < len(pre) {
-		c := pre[k].Data
-		n := int64(len(c))
-		if s+n > e.Size || !bytes.Equal(c, old[s:s+n]) {
+	k, s := 0, int64(0)
+	for ; k < len(run); k++ {
+		c := edge(run, k, back).Data
+		n, lo := int64(len(c)), s
+		if back {
+			lo = e.Size - s - n
+		}
+		if s+n > e.Size || !bytes.Equal(c, old[lo:lo+n]) {
 			break
 		}
 		s += n
-		k++
 	}
 	var b int64
-	if !d.cfg.DisableEdgeHash && s < e.Size && k < len(pre) {
-		b = min(pre[k].Size(), e.Size-s)
+	if !d.cfg.DisableEdgeHash && s < e.Size && k < len(run) {
+		// Boundary block sized like the first mismatching buffered chunk
+		// (the paper's "EdgeHash ... with the same size of Chunk N3").
+		b = min(edge(run, k, back).Size(), e.Size-s)
 	}
 	if s == 0 && b == 0 {
-		return 0, nil
+		return 0, 0, nil
 	}
-	if s > 0 {
-		d.resolve(f, pre[:k], true, m.ContainerOf(e), e.Start)
+	if back {
+		d.resolve(f, run[len(run)-k:], true, m.ContainerOf(e), e.Start+e.Size-s)
+	} else {
+		d.resolve(f, run[:k], true, m.ContainerOf(e), e.Start)
 		d.Count.FMEDupChunks.Add(int64(k))
 	}
-	r := e.Size - s - b
-	if _, err := d.hhrSplit(m, i, old,
-		[3]int64{s, b, r},
-		[3]store.EntryKind{store.KindPlain, store.KindPlain, store.KindMerged}); err != nil {
-		return 0, err
-	}
-	return k, nil
+	added, err = d.hhrSplit(m, i, old, s, b, back)
+	return k, added, err
 }

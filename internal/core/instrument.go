@@ -26,4 +26,10 @@ var (
 	// hManifestLoadNS is one manifest fetched from disk into the cache
 	// (cache hits are not recorded — they cost a map lookup).
 	hManifestLoadNS = metrics.GetHistogram("core.manifest_load_ns")
+
+	// Match extension's counters: compares of a multi-chunk run that a
+	// learned fact decided, and the bytes BME/FME did feed to SHA-1
+	// (Stats.HashedBytes counts the paper's re-hash instead).
+	cExtendFactHits      = metrics.Default.Counter("core.extend.fact_hits")
+	cExtendRehashedBytes = metrics.Default.Counter("core.extend.rehashed_bytes")
 )

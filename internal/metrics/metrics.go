@@ -36,8 +36,9 @@ type Stats struct {
 	// StoredDataBytes is the payload written to DiskChunks.
 	StoredDataBytes int64
 	// ChunkedBytes is the input volume scanned by the rolling fingerprint;
-	// HashedBytes the volume digested by SHA-1 (match extension re-hashes
-	// buffered bytes, so this can exceed ChunkedBytes).
+	// HashedBytes the volume the paper's method digests by SHA-1 (Fig 8's
+	// model; match extension re-hashes buffered bytes, so this can exceed
+	// ChunkedBytes), not what the CPU hashed: see core.extend.rehashed_bytes.
 	ChunkedBytes int64
 	HashedBytes  int64
 	// RAMBytes is the resident memory charged to the algorithm: bloom

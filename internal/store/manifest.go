@@ -105,8 +105,8 @@ type Entry struct {
 //
 // A Manifest is not implicitly synchronized. Single-stream engines use it
 // bare; the concurrent ingest engine shares cache-resident manifests across
-// sessions and brackets every access (Lookup, entry walks, Splice, Encode)
-// with Lock/Unlock. The lock lives here so that the eviction write-back and
+// sessions and brackets every access (Lookup, Fact, Learn, entry walks,
+// Splice, Encode) with Lock/Unlock. The lock lives here so that the eviction write-back and
 // a match extension in another goroutine serialize on the same mutex.
 type Manifest struct {
 	// Name is the manifest's hash-addressable name. For single-container
@@ -118,6 +118,10 @@ type Manifest struct {
 	mu    sync.Mutex
 	dirty bool
 	index map[hashutil.Sum]int
+	// facts maps an entry hash H to K, the SHA-1 of the chunk digests of a
+	// run whose bytes hashed to H: RAM-only, never encoded nor counted, and
+	// gone with the object when the cache evicts it.
+	facts map[hashutil.Sum]hashutil.Sum
 }
 
 // Lock acquires the manifest's mutex. Callers sharing a manifest across
@@ -133,6 +137,7 @@ func NewManifest(name hashutil.Sum, format Format) *Manifest {
 		Name:   name,
 		Format: format,
 		index:  make(map[hashutil.Sum]int),
+		facts:  make(map[hashutil.Sum]hashutil.Sum),
 	}
 }
 
@@ -150,6 +155,13 @@ func (m *Manifest) Lookup(h hashutil.Sum) (int, bool) {
 	i, ok := m.index[h]
 	return i, ok
 }
+
+// Fact returns the K learned for h (see Learn), the zero Sum if none.
+func (m *Manifest) Fact(h hashutil.Sum) hashutil.Sum { return m.facts[h] }
+
+// Learn records that a run whose chunk digests hash to k has bytes that
+// hash to h: a fact about SHA-1, not about an entry, so a splice keeps it.
+func (m *Manifest) Learn(h, k hashutil.Sum) { m.facts[h] = k }
 
 // ContainerOf returns the DiskChunk name holding entry e's bytes.
 func (m *Manifest) ContainerOf(e Entry) hashutil.Sum {
@@ -218,6 +230,17 @@ func (m *Manifest) containers() []hashutil.Sum {
 	return order
 }
 
+// summary counts the entries whose bytes are in container c, and the bytes.
+func (m *Manifest) summary(c hashutil.Sum) (chunks, bytes uint32) {
+	for _, e := range m.Entries {
+		if e.Container == c {
+			chunks++
+			bytes += uint32(e.Size)
+		}
+	}
+	return chunks, bytes
+}
+
 // Encode serializes the manifest. The output length always equals
 // ByteSize(), which is how simdisk's byte counters reproduce Table I.
 func (m *Manifest) Encode() []byte {
@@ -241,13 +264,7 @@ func (m *Manifest) Encode() []byte {
 			out = append(out, c[:]...)
 			// Chunk count and byte count within this container: summary
 			// bookkeeping included in the 28-byte budget.
-			var chunks, bytes uint32
-			for _, e := range m.Entries {
-				if e.Container == c {
-					chunks++
-					bytes += uint32(e.Size)
-				}
-			}
+			chunks, bytes := m.summary(c)
 			out = binary.BigEndian.AppendUint32(out, chunks)
 			out = binary.BigEndian.AppendUint32(out, bytes)
 		}
@@ -321,13 +338,7 @@ func DecodeManifest(name hashutil.Sum, format Format, data []byte) (*Manifest, e
 			if containers[i] != c {
 				return nil, fmt.Errorf("store: container table not in first-use order at %d", i)
 			}
-			var chunks, bytes uint32
-			for _, e := range m.Entries {
-				if e.Container == c {
-					chunks++
-					bytes += uint32(e.Size)
-				}
-			}
+			chunks, bytes := m.summary(c)
 			base := 4 + i*ContainerEntryBytes + 20
 			if binary.BigEndian.Uint32(data[base:base+4]) != chunks ||
 				binary.BigEndian.Uint32(data[base+4:base+8]) != bytes {
