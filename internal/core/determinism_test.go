@@ -78,9 +78,9 @@ func compareSnapshots(t *testing.T, label string, want, got map[string][]byte) {
 	}
 }
 
-// goldenDigest folds a Report and a disk snapshot into one SHA-1: the
-// Report's printed form, then every object as "category/name size" and its
-// bytes, in name order.
+// goldenDigest folds a Report and a disk snapshot into one SHA-1: every
+// field of the Report (%#v; %+v would print only Report.String's headline),
+// then every object as "category/name size" and its bytes, in name order.
 func goldenDigest(rep metrics.Report, disk map[string][]byte) string {
 	names := make([]string, 0, len(disk))
 	for name := range disk {
@@ -88,7 +88,7 @@ func goldenDigest(rep metrics.Report, disk map[string][]byte) string {
 	}
 	sort.Strings(names)
 	h := sha1.New()
-	fmt.Fprintf(h, "%+v\n", rep)
+	fmt.Fprintf(h, "%#v\n", rep)
 	for _, name := range names {
 		fmt.Fprintf(h, "%s %d\n", name, len(disk[name]))
 		h.Write(disk[name])
@@ -98,9 +98,10 @@ func goldenDigest(rep metrics.Report, disk map[string][]byte) string {
 
 // TestSingleStreamDeterminism is the serial-parity regression test. The
 // synchronous engine (chunk, hash and deduplicate one chunk at a time on
-// the calling goroutine) is gone, so its output is kept as goldens: the
-// digests below were recorded from its plain PutFile loop at the last
-// commit that had it. The pipelined PutFile loop and a one-worker
+// the calling goroutine) is gone, so its output is kept as goldens: its
+// store was recorded from its plain PutFile loop at the last commit that
+// had it, and the digests below — the whole Report with it — from the
+// pipelined engine that still reproduced that store. The pipelined PutFile loop and a one-worker
 // IngestStreams run must both reproduce them — the same store, byte for
 // byte, and the same metrics.Report — whatever the schedule and whichever
 // SHA-1 kernels hash the batches and merged runs: the run is repeated at
@@ -140,8 +141,8 @@ func TestSingleStreamDeterminism(t *testing.T) {
 		sparse bool
 		golden string
 	}{
-		{"bf-mhd", false, "0df1afcdafe4b5ff53a50e6d6fbf672152173cbd"},
-		{"si-mhd", true, "c63eba618641315ced49820c15e7721d5362fd3d"},
+		{"bf-mhd", false, "edfc7c647d41502c1b0408ddf429812cb3003db6"},
+		{"si-mhd", true, "7d141dc97a64781e48d6ae96aa50a13b714188fe"},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			ecfg := stressConfig(mode.sparse)
