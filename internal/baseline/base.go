@@ -25,8 +25,10 @@ package baseline
 
 import (
 	"fmt"
+	"io"
 
 	"mhdedup/internal/algo"
+	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/rabin"
 	"mhdedup/internal/simdisk"
@@ -85,6 +87,23 @@ func newBase(cfg Config, disk *simdisk.Disk, minSD int, n algo.Needs) (base, err
 func (b *base) beginFile() {
 	b.Count.FilesTotal.Add(1)
 	b.sl = algo.Slices{}
+}
+
+// scan cuts r into chunks of expected size ecs and feeds each to fn,
+// counted as scanned, until r ends (nil) or the chunker or fn fails.
+func (b *base) scan(r io.Reader, ecs int, fn func(chunker.Chunk) error) error {
+	ch, err := chunker.NewCDC(r, chunker.Params{ECS: ecs, Poly: b.cfg.Poly})
+	for err == nil {
+		c, next := ch.Next()
+		if next == io.EOF {
+			return nil
+		}
+		if err = next; err == nil {
+			b.scanned(c.Size())
+			err = fn(c)
+		}
+	}
+	return err
 }
 
 // scanned accounts size bytes cut from the input stream and hashed once.

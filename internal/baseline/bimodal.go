@@ -44,30 +44,21 @@ type bigChunk struct {
 // PutFile deduplicates one input file: big-chunk pass first, then selective
 // re-chunking at transition points.
 func (d *Bimodal) PutFile(name string, r io.Reader) error {
-	big, err := chunker.NewCDC(r, chunker.Params{ECS: d.cfg.ECS * d.cfg.SD, Poly: d.cfg.Poly})
-	if err != nil {
-		return err
-	}
 	d.beginFile()
 
 	// Pass 1: read and classify every big chunk (one duplicate query each —
 	// Table II's "Big Chunk Query Times").
 	var chunks []bigChunk
-	for {
-		c, err := big.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		d.scanned(c.Size())
+	if err := d.scan(r, d.cfg.ECS*d.cfg.SD, func(c chunker.Chunk) error {
 		bc := bigChunk{data: c.Data, hash: hashutil.SumBytes(c.Data)}
 		d.Count.BigChunkQueries.Add(1)
-		if bc.ref, bc.dup, err = d.lookup(bc.hash); err != nil {
-			return err
+		var err error
+		if bc.ref, bc.dup, err = d.lookup(bc.hash); err == nil {
+			chunks = append(chunks, bc)
 		}
-		chunks = append(chunks, bc)
+		return err
+	}); err != nil {
+		return err
 	}
 
 	// Pass 2: store, re-chunking non-duplicate big chunks at transition

@@ -32,24 +32,12 @@ func NewCDC(cfg Config, disk *simdisk.Disk) (*CDC, error) {
 
 // PutFile deduplicates one input file chunk by chunk.
 func (d *CDC) PutFile(name string, r io.Reader) error {
-	ch, err := chunker.NewCDC(r, chunker.Params{ECS: d.cfg.ECS, Poly: d.cfg.Poly})
-	if err != nil {
-		return err
-	}
 	d.beginFile()
 	out := d.newDiskChunk(name)
-	for {
-		c, err := ch.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		d.scanned(c.Size())
-		if err := out.put(c.Data, hashutil.SumBytes(c.Data)); err != nil {
-			return err
-		}
+	if err := d.scan(r, d.cfg.ECS, func(c chunker.Chunk) error {
+		return out.put(c.Data, hashutil.SumBytes(c.Data))
+	}); err != nil {
+		return err
 	}
 	return out.commit()
 }

@@ -52,25 +52,13 @@ func NewExtremeBinning(cfg Config, disk *simdisk.Disk) (*ExtremeBinning, error) 
 // by design: all chunk hashes are computed first to find the
 // representative, then the file is deduplicated against (at most) one bin.
 func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
-	ch, err := chunker.NewCDC(r, chunker.Params{ECS: d.cfg.ECS, Poly: d.cfg.Poly})
-	if err != nil {
-		return err
-	}
 	d.beginFile()
 
 	var chunks []chunker.Chunk
 	var hashes []hashutil.Sum
 	fileHasher := hashutil.NewHasher()
 	rep := hashutil.Sum{}
-	for {
-		c, err := ch.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		d.scanned(c.Size())
+	if err := d.scan(r, d.cfg.ECS, func(c chunker.Chunk) error {
 		d.Count.HashedBytes.Add(c.Size()) // the whole-file hash reads it again
 		h := hashutil.SumBytes(c.Data)
 		fileHasher.Write(c.Data)
@@ -79,6 +67,9 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 		if rep.IsZero() || bytes.Compare(h[:], rep[:]) < 0 {
 			rep = h
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	fm := &store.FileManifest{File: name}
 	if len(chunks) == 0 {
@@ -113,6 +104,7 @@ func (d *ExtremeBinning) PutFile(name string, r io.Reader) error {
 
 	var bin *store.Manifest
 	var binName hashutil.Sum
+	var err error
 	if known {
 		// Similar (not identical) file: load the one bin and deduplicate
 		// against it; the bin grows by the file's new chunks.

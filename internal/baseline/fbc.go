@@ -50,21 +50,9 @@ func NewFBC(cfg Config, disk *simdisk.Disk) (*FBC, error) {
 
 // PutFile deduplicates one input file.
 func (d *FBC) PutFile(name string, r io.Reader) error {
-	big, err := chunker.NewCDC(r, chunker.Params{ECS: d.cfg.ECS * d.cfg.SD, Poly: d.cfg.Poly})
-	if err != nil {
-		return err
-	}
 	d.beginFile()
 	out := d.newDiskChunk(name)
-	for {
-		c, err := big.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		d.scanned(c.Size())
+	if err := d.scan(r, d.cfg.ECS*d.cfg.SD, func(c chunker.Chunk) error {
 		bh := hashutil.SumBytes(c.Data)
 
 		d.Count.BigChunkQueries.Add(1)
@@ -76,7 +64,7 @@ func (d *FBC) PutFile(name string, r io.Reader) error {
 			if err := out.dup(ref); err != nil {
 				return err
 			}
-			continue
+			return nil
 		}
 
 		// Estimate the small-chunk frequencies inside this big chunk and
@@ -103,7 +91,7 @@ func (d *FBC) PutFile(name string, r io.Reader) error {
 			if err := out.add(c.Data, bh); err != nil {
 				return err
 			}
-			continue
+			return nil
 		}
 		// Popular content inside: re-chunk and deduplicate the small
 		// chunks individually.
@@ -112,6 +100,9 @@ func (d *FBC) PutFile(name string, r io.Reader) error {
 				return err
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	return out.commit()
 }

@@ -41,10 +41,6 @@ func NewFingerdiff(cfg Config, disk *simdisk.Disk) (*Fingerdiff, error) {
 
 // PutFile deduplicates one input file.
 func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
-	ch, err := chunker.NewCDC(r, chunker.Params{ECS: d.cfg.ECS, Poly: d.cfg.Poly})
-	if err != nil {
-		return err
-	}
 	d.beginFile()
 	chunkName := d.Store.NextName()
 	manifest := store.NewManifest(chunkName, store.FormatBasic)
@@ -80,15 +76,7 @@ func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
 		return nil
 	}
 
-	for {
-		c, err := ch.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		d.scanned(c.Size())
+	if err := d.scan(r, d.cfg.ECS, func(c chunker.Chunk) error {
 		h := hashutil.SumBytes(c.Data)
 		if ref, ok := d.db[h]; ok {
 			if err := flushRun(); err != nil {
@@ -98,7 +86,7 @@ func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
 				return err
 			}
 			d.noteDup(c.Size())
-			continue
+			return nil
 		}
 		run = append(run, c)
 		runHashes = append(runHashes, h)
@@ -108,6 +96,9 @@ func (d *Fingerdiff) PutFile(name string, r io.Reader) error {
 				return err
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	if err := flushRun(); err != nil {
 		return err

@@ -68,22 +68,10 @@ func (d *Sparse) segmentTarget() int64 {
 // PutFile deduplicates one input file segment by segment. Segments do not
 // span files (files are the paper's stream boundaries for restore).
 func (d *Sparse) PutFile(name string, r io.Reader) error {
-	ch, err := chunker.NewCDC(r, chunker.Params{ECS: d.cfg.ECS, Poly: d.cfg.Poly})
-	if err != nil {
-		return err
-	}
 	d.beginFile()
 	d.fm = &store.FileManifest{File: name}
 	d.stored = false
-	for {
-		c, err := ch.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		d.scanned(c.Size())
+	if err := d.scan(r, d.cfg.ECS, func(c chunker.Chunk) error {
 		d.seg = append(d.seg, c)
 		d.segBytes += c.Size()
 		if d.segBytes >= d.segmentTarget() {
@@ -91,6 +79,9 @@ func (d *Sparse) PutFile(name string, r io.Reader) error {
 				return err
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	if err := d.flushSegment(); err != nil {
 		return err

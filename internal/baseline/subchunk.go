@@ -47,10 +47,6 @@ func NewSubChunk(cfg Config, disk *simdisk.Disk) (*SubChunk, error) {
 
 // PutFile deduplicates one input file.
 func (d *SubChunk) PutFile(name string, r io.Reader) error {
-	big, err := chunker.NewCDC(r, chunker.Params{ECS: d.cfg.ECS * d.cfg.SD, Poly: d.cfg.Poly})
-	if err != nil {
-		return err
-	}
 	d.beginFile()
 
 	manifestName := d.Store.NextName()
@@ -59,15 +55,7 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 	var fileHook hashutil.Sum
 	stored := false
 
-	for {
-		c, err := big.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		d.scanned(c.Size())
+	if err := d.scan(r, d.cfg.ECS*d.cfg.SD, func(c chunker.Chunk) error {
 		bh := hashutil.SumBytes(c.Data)
 		if fileHook.IsZero() {
 			fileHook = bh
@@ -92,7 +80,7 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 				}
 			}
 			d.noteDup(c.Size())
-			continue
+			return nil
 		}
 
 		// Non-duplicate big chunk: re-chunk into small chunks, deduplicate
@@ -145,6 +133,9 @@ func (d *SubChunk) PutFile(name string, r io.Reader) error {
 		}
 		d.bigIdx[bh] = bigRecipe{manifest: manifestName, refs: recipe}
 		d.FilterAdd(bh)
+		return nil
+	}); err != nil {
+		return err
 	}
 
 	if stored {

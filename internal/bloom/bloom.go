@@ -107,9 +107,6 @@ func (f *Filter) SizeBytes() int64 {
 	return int64(len(f.bits) * 8)
 }
 
-// Stats returns the number of Test calls and how many returned true.
-func (f *Filter) Stats() (tested, hits uint64) { return f.tested.Load(), f.hits.Load() }
-
 // Reset clears the filter. Reset must not race with Add/Test (it is a
 // maintenance operation, not a data-path one).
 func (f *Filter) Reset() {

@@ -136,3 +136,6 @@ func BenchmarkAddTest(b *testing.B) {
 		f.Test(h)
 	}
 }
+
+// Stats returns the number of Test calls and how many returned true.
+func (f *Filter) Stats() (tested, hits uint64) { return f.tested.Load(), f.hits.Load() }

@@ -118,15 +118,28 @@ type fileState struct {
 	parts     [][]byte         // flushed chunks, in DiskChunk order: staged as flushed
 	stored    chunker.Gather   // the same chunks as runs of their slabs: sealed at file end
 	size      int64            // their total length: the DiskChunk offset of the next flush
-	runs      [][][]byte       // merged entries' parts, not yet handed to a hashing goroutine
-	sums      [][]hashutil.Sum // their hashes, one slice per hand-off, in entry order
+	runs      [][][]byte       // what names wait for, not yet handed to a hashing goroutine
+	sums      [][]hashutil.Sum // their hashes, one slice per hand-off, in queue order
 	hashing   sync.WaitGroup   // the goroutines filling sums
+	names     []name           // what each queued run names, in queue order
+	sizes     map[int64]bool   // the sizes of the queued HHR pieces
+	eager     []store.Entry    // pieces named at the split, indexed once the manifest is unlocked
 	pending   []pchunk         // non-duplicate chunks awaiting SHM flush (≤ 2·SD)
 	replay    []pchunk         // chunks prefetched by FME but not consumed
 	slots     []slotState
 	hooks     []hashutil.Sum // hook hashes to publish at file end
 	src       chunkSource    // the stream's hashed chunks, in order
 	scanned   bool           // the engine cut and hashed them itself (PutFile)
+}
+
+// A name is what one queued run names: merged entry entry of the file's
+// own manifest, or, with m set, the unnamed HHR piece of m at start (and its
+// run fact, if the split knew one).
+type name struct {
+	m           *store.Manifest
+	entry       int
+	start, size int64
+	fact        hashutil.Sum
 }
 
 // PutFile deduplicates one input file. Files of one stream must be fed in
@@ -231,6 +244,12 @@ func push[T any](s []T, v T) []T {
 // otherwise buffer as non-duplicate, flushing half the buffer via SHM when
 // it fills.
 func (d *Dedup) process(f *fileState, pc pchunk) error {
+	if f.sizes[pc.Size()] {
+		// Cached and Forget below take pc.hash, which can equal a queued
+		// piece's only if their sizes are equal; index operations on
+		// other hashes commute, so only then must the file settle first.
+		d.settle(f)
+	}
 	lkStart := time.Now()
 	m, hit := d.Cached(pc.hash)
 	hLookupNS.ObserveSince(lkStart)
@@ -251,6 +270,9 @@ func (d *Dedup) process(f *fileState, pc pchunk) error {
 		return err
 	}
 	if ok {
+		if len(f.sizes) > 0 && !d.Resident(target) {
+			d.settle(f) // a read indexes the manifest, may evict another and samples RAM
+		}
 		m, read, err := d.Load(target)
 		if err != nil {
 			return err
@@ -294,6 +316,13 @@ func (d *Dedup) tryExtend(f *fileState, m *store.Manifest, pc pchunk) (bool, err
 	err := d.extendMatch(f, m, idx, pc)
 	dirty := m.Dirty()
 	m.Unlock()
+	for _, e := range f.eager {
+		if f.sizes[e.Size] {
+			d.settle(f)
+		}
+		d.Index(e.Hash, m.Name)
+	}
+	f.eager = f.eager[:0]
 	if err == nil && dirty {
 		err = d.persistIfOrphaned(m)
 	}
@@ -361,15 +390,68 @@ func (d *Dedup) flushGroup(f *fileState, group []pchunk) {
 		return
 	}
 	d.Count.HashedBytes.Add(f.size - start - lead)
+	f.queue(f.parts[from+1:], name{entry: len(f.entries)})
 	f.entries = append(f.entries, store.Entry{Start: start + lead, Size: f.size - start - lead, Kind: store.KindMerged})
-	if f.runs = append(f.runs, f.parts[from+1:]); len(f.runs) == 16 {
+}
+
+// queue adds run to what the next settle names for n, handing the runs
+// to a hashing goroutine 16 at a time (the lanes' width).
+func (f *fileState) queue(run [][]byte, n name) {
+	f.names = append(f.names, n)
+	if f.runs = append(f.runs, run); len(f.runs) == 16 {
 		f.handOff()
 	}
+}
+
+// leave queues piece pe, just spliced into m, for the next settle and
+// leaves its entry unnamed, data its bytes. A shared region is named with
+// its run fact: the run shared matched it.
+func (f *fileState) leave(m *store.Manifest, pe store.Entry, data []byte, shared []pchunk) {
+	n := name{m: m, start: pe.Start, size: pe.Size}
+	if pe.Kind == store.KindPlain {
+		n.fact = runKey(shared)
+	}
+	m.Defer(pe.Start, data)
+	if f.sizes == nil {
+		f.sizes = make(map[int64]bool)
+	}
+	f.sizes[pe.Size] = true
+	cHHRNamedBytes.Add(pe.Size)
+	f.queue([][]byte{data}, n)
+}
+
+// settle names all f queued (DESIGN §7). It waits for the hashes, then, in
+// queue order, fills in the file's merged entries and gives each HHR piece
+// its hash — in its manifest, if still there — its run fact and its
+// cache-index entry, as the serial engine did at the split. The caller
+// holds no manifest lock.
+func (d *Dedup) settle(f *fileState) {
+	f.handOff()
+	f.hashing.Wait()
+	sums := slices.Concat(f.sums...)
+	for i, n := range f.names {
+		if n.m == nil {
+			f.entries[n.entry].Hash = sums[i]
+			continue
+		}
+		n.m.Lock()
+		n.m.Fill(n.start, n.size, sums[i])
+		if !n.fact.IsZero() {
+			n.m.Learn(sums[i], n.fact)
+		}
+		n.m.Unlock()
+		d.Index(sums[i], n.m.Name)
+	}
+	f.names, f.sums = f.names[:0], nil
+	clear(f.sizes)
 }
 
 // handOff starts a goroutine hashing f.runs into a slice of its own, which
 // no later append can move.
 func (f *fileState) handOff() {
+	if len(f.runs) == 0 {
+		return
+	}
 	runs, sums := f.runs, make([]hashutil.Sum, len(f.runs))
 	f.runs, f.sums = nil, append(f.sums, sums)
 	f.hashing.Add(1)
@@ -391,15 +473,10 @@ func (d *Dedup) finishFile(f *fileState) error {
 		return fmt.Errorf("core: %d replay chunks left at end of %q", len(f.replay), f.name)
 	}
 	d.flushPending(f, len(f.pending))
+	d.settle(f)
 	if f.size > 0 {
-		f.handOff()
 		m := store.NewManifest(f.chunkName, store.FormatMHD)
-		f.hashing.Wait()
-		sums := slices.Concat(f.sums...)
 		for _, e := range f.entries {
-			if e.Kind == store.KindMerged {
-				e.Hash, sums = sums[0], sums[1:]
-			}
 			m.Append(e)
 		}
 		if err := d.Store.SealDiskChunk(f.chunkName, f.stored.Runs()...); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 
 	"mhdedup/internal/hashutil"
@@ -39,38 +40,51 @@ func hashRun(run []pchunk) hashutil.Sum {
 	return h.Sum()
 }
 
-// runMatches reports whether the concatenated bytes of run hash to h: every
-// BME/FME comparison goes through it, m locked. HashedBytes counts the
-// paper's re-hash of the bytes (Fig 8's model), but the bytes are hashed
-// only when what is already known cannot decide. A one-chunk run's digest
-// is its bytes' hash (the digest contract of PutChunksContext). A longer
-// run is named by K, the SHA-1 of its chunks' digests: if m learned that a
-// run named K hashed to h, this run holds the same bytes, under the SHA-1
-// assumption the chunk index rests on. Otherwise the bytes are hashed, and
-// a match teaches m the fact h → K.
-func (d *Dedup) runMatches(m *store.Manifest, run []pchunk, h hashutil.Sum) bool {
+// runMatches reports whether the concatenated bytes of run, e.Size of them,
+// hash to e's hash h: every BME/FME comparison goes through it, m locked.
+// HashedBytes counts the paper's re-hash of the bytes (Fig 8's model), but
+// the bytes are hashed only when what is already known cannot decide. An
+// entry an HHR split left unnamed is compared by its bytes. A one-chunk
+// run's digest is its bytes' hash (the digest contract of
+// PutChunksContext). A longer run is named by K, the SHA-1 of its chunks'
+// digests: if m learned that a run named K hashed to h, this run holds the
+// same bytes, under the SHA-1 assumption the chunk index rests on.
+// Otherwise the bytes are hashed, and a match teaches m the fact h → K.
+func (d *Dedup) runMatches(m *store.Manifest, run []pchunk, e store.Entry) bool {
+	d.Count.HashedBytes.Add(e.Size) // the callers' run is e.Size bytes
+	if old := m.Unnamed(e); old != nil {
+		cHHRByteCompares.Add(1)
+		for _, pc := range run {
+			if !bytes.Equal(pc.Data, old[:len(pc.Data)]) {
+				return false
+			}
+			old = old[len(pc.Data):]
+		}
+		return true
+	}
 	if len(run) == 1 {
-		d.Count.HashedBytes.Add(run[0].Size())
-		return run[0].hash == h
+		return run[0].hash == e.Hash
 	}
-	names := hashutil.NewHasher()
-	var size int64
-	for i := range run {
-		names.Write(run[i].hash[:])
-		size += run[i].Size()
-	}
-	d.Count.HashedBytes.Add(size)
-	k := names.Sum()
-	if m.Fact(h) == k {
+	k := runKey(run)
+	if m.Fact(e.Hash) == k {
 		cExtendFactHits.Add(1)
 		return true
 	}
-	cExtendRehashedBytes.Add(size)
-	if hashRun(run) != h {
+	cExtendRehashedBytes.Add(e.Size)
+	if hashRun(run) != e.Hash {
 		return false
 	}
-	m.Learn(h, k)
+	m.Learn(e.Hash, k)
 	return true
+}
+
+// runKey returns K, the SHA-1 of run's chunk digests.
+func runKey(run []pchunk) hashutil.Sum {
+	names := hashutil.NewHasher()
+	for i := range run {
+		names.Write(run[i].hash[:])
+	}
+	return names.Sum()
 }
 
 // edge returns run's k-th chunk from its head, or from its tail if back.
@@ -102,7 +116,7 @@ func (d *Dedup) bme(f *fileState, m *store.Manifest, hitIdx int) (shift int, err
 		e := m.Entries[i]
 		n, sum := span(f.pending, e.Size, true)
 		j := len(f.pending) - n
-		if sum != e.Size || !d.runMatches(m, f.pending[j:], e.Hash) {
+		if sum != e.Size || !d.runMatches(m, f.pending[j:], e) {
 			// Mismatch: the duplicate/non-duplicate edge lies at or inside e.
 			return d.hhrBackward(f, m, i)
 		}
@@ -133,7 +147,7 @@ func (d *Dedup) fme(f *fileState, m *store.Manifest, hitIdx int) error {
 			pre = append(pre, pc)
 			k, sum = k+1, sum+pc.Size()
 		}
-		if sum != e.Size || !d.runMatches(m, pre[:k], e.Hash) {
+		if sum != e.Size || !d.runMatches(m, pre[:k], e) {
 			// Mismatch: forward HHR may recover a duplicate prefix inside e.
 			consumed, err := d.hhrForward(f, m, i, pre)
 			pre = pre[consumed:]

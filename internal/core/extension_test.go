@@ -223,7 +223,7 @@ func TestExtendMatchFullPath(t *testing.T) {
 }
 
 // FMEDupChunks counts what a lazily hashing FME would save (ROADMAP item
-// 3(c)): a first generation has nothing to extend over, a second resolves
+// 5(c)): a first generation has nothing to extend over, a second resolves
 // most of its chunks by forward extension without ever looking their own
 // digests up.
 func TestFMEDupChunksCountsForwardExtension(t *testing.T) {
@@ -360,7 +360,7 @@ func TestRunFactOneByteNeverMatches(t *testing.T) {
 	d, m := extFixture(t, testConfig(), content, []int64{3072}, []store.EntryKind{store.KindMerged})
 	h := m.Entries[0].Hash
 	run := mkPending(content, 1024)
-	if !d.runMatches(m, run, h) {
+	if !d.runMatches(m, run, m.Entries[0]) {
 		t.Fatal("the stored run does not match its own entry")
 	}
 	want := m.Fact(h)
@@ -368,7 +368,7 @@ func TestRunFactOneByteNeverMatches(t *testing.T) {
 		t.Fatal("a matching run taught no fact")
 	}
 	hits, _ := extendCounters()
-	if !d.runMatches(m, run, h) {
+	if !d.runMatches(m, run, m.Entries[0]) {
 		t.Fatal("the learned run no longer matches")
 	}
 	if got, _ := extendCounters(); got != hits+1 {
@@ -379,7 +379,7 @@ func TestRunFactOneByteNeverMatches(t *testing.T) {
 		bad[at] ^= 0x40
 		for _, size := range []int{1024, 3072} {
 			for try := 0; try < 2; try++ {
-				if d.runMatches(m, mkPending(bad, size), h) {
+				if d.runMatches(m, mkPending(bad, size), m.Entries[0]) {
 					t.Fatalf("a run differing at byte %d (%d-byte chunks) matched, try %d", at, size, try)
 				}
 			}
@@ -463,7 +463,7 @@ func TestRunFactSurvivesSpliceDiesWithEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := m.Entries[1].Hash
-	if !d.runMatches(m, mkPending(content[1024:4096], 1024), h) || m.Fact(h).IsZero() {
+	if !d.runMatches(m, mkPending(content[1024:4096], 1024), m.Entries[1]) || m.Fact(h).IsZero() {
 		t.Fatal("the merged run was not learned")
 	}
 	learned := m.Fact(h)
@@ -503,7 +503,7 @@ func TestRunFactSurvivesSpliceDiesWithEviction(t *testing.T) {
 		t.Error("the fact outlived its manifest's eviction")
 	}
 	_, r0 := extendCounters()
-	if !d.runMatches(again, mkPending(content[1024:4096], 1024), h) {
+	if !d.runMatches(again, mkPending(content[1024:4096], 1024), again.Entries[1]) {
 		t.Fatal("the reloaded manifest's run does not match")
 	}
 	if _, r1 := extendCounters(); r1-r0 != 3072 {

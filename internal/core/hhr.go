@@ -24,9 +24,13 @@ import (
 // disk cost (Fig 10(b)).
 
 // hhrSplit splices entry i of m into [shared s | edge b | remainder r], in
-// reverse order backward, where the shared region is old's suffix, and
-// returns how many entries it added. Only the remainder stays merged.
-func (d *Dedup) hhrSplit(m *store.Manifest, i int, old []byte, s, b int64, back bool) (added int, err error) {
+// reverse order backward, where the shared region is old's suffix and the
+// chunks of shared matched it, and returns how many entries it added. Only
+// the remainder stays merged. Only the edge (sized like the very next
+// chunk, so hashed at once) and a one-chunk shared region (the chunk's
+// digest) are named here, and indexed once m is unlocked; the other pieces
+// stay unnamed, as views of old, until the file's next settle (DESIGN §7).
+func (d *Dedup) hhrSplit(f *fileState, m *store.Manifest, i int, old []byte, shared []pchunk, s, b int64, back bool) (added int, err error) {
 	e := m.Entries[i]
 	sizes := [3]int64{s, b, e.Size - s - b}
 	kinds := [3]store.EntryKind{store.KindPlain, store.KindPlain, store.KindMerged}
@@ -37,7 +41,13 @@ func (d *Dedup) hhrSplit(m *store.Manifest, i int, old []byte, s, b int64, back 
 	var off int64
 	for p, n := range sizes {
 		if n > 0 {
-			pieces = append(pieces, store.Entry{Hash: hashutil.SumBytes(old[off : off+n]), Start: e.Start + off, Size: n, Kind: kinds[p]})
+			pe := store.Entry{Start: e.Start + off, Size: n, Kind: kinds[p]}
+			if p == 1 {
+				pe.Hash = hashutil.SumBytes(old[off : off+n])
+			} else if pe.Kind == store.KindPlain && len(shared) == 1 {
+				pe.Hash = shared[0].hash
+			}
+			pieces = append(pieces, pe)
 			off += n
 		}
 	}
@@ -46,8 +56,12 @@ func (d *Dedup) hhrSplit(m *store.Manifest, i int, old []byte, s, b int64, back 
 	if err := m.Splice(i, pieces...); err != nil {
 		return 0, err
 	}
-	for _, e := range pieces { // the flat index learns them; stripe locks nest inside m's
-		d.Index(e.Hash, m.Name)
+	for _, pe := range pieces {
+		if pe.Hash.IsZero() {
+			f.leave(m, pe, old[pe.Start-e.Start:][:pe.Size], shared)
+		} else {
+			f.eager = append(f.eager, pe)
+		}
 	}
 	d.Count.HHROps.Add(1)
 	if wasClean {
@@ -111,12 +125,13 @@ func (d *Dedup) hhr(f *fileState, m *store.Manifest, i int, run []pchunk, back b
 	if s == 0 && b == 0 {
 		return 0, 0, nil
 	}
+	shared, start := run[:k], e.Start
 	if back {
-		d.resolve(f, run[len(run)-k:], true, m.ContainerOf(e), e.Start+e.Size-s)
+		shared, start = run[len(run)-k:], e.Start+e.Size-s
 	} else {
-		d.resolve(f, run[:k], true, m.ContainerOf(e), e.Start)
 		d.Count.FMEDupChunks.Add(int64(k))
 	}
-	added, err = d.hhrSplit(m, i, old, s, b, back)
+	d.resolve(f, shared, true, m.ContainerOf(e), start)
+	added, err = d.hhrSplit(f, m, i, old, shared, s, b, back)
 	return k, added, err
 }

@@ -72,6 +72,8 @@ func TestHHRBackwardSplitsAtByteBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The shared region and the remainder are named later.
+	d.settle(f)
 	if shift != 2 { // [remainder merged][edge plain][shared plain] = 3 entries, +2
 		t.Errorf("shift = %d, want 2", shift)
 	}
@@ -305,6 +307,7 @@ func TestHHRSplitPiecesRestoreConcatenation(t *testing.T) {
 	if _, err := d.hhrBackward(f, m, 0); err != nil {
 		t.Fatal(err)
 	}
+	d.settle(f)
 	var rebuilt []byte
 	for _, e := range m.Entries {
 		runs, err := d.Store.ReadDiskChunkRange(m.ContainerOf(e), e.Start, e.Size)

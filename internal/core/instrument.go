@@ -32,4 +32,9 @@ var (
 	// (Stats.HashedBytes counts the paper's re-hash instead).
 	cExtendFactHits      = metrics.Default.Counter("core.extend.fact_hits")
 	cExtendRehashedBytes = metrics.Default.Counter("core.extend.rehashed_bytes")
+
+	// HHR's counters: the piece bytes queued to be hashed at a settle, and
+	// the BME/FME compares decided by bytes against a piece not named yet.
+	cHHRNamedBytes   = metrics.Default.Counter("core.hhr.named_bytes")
+	cHHRByteCompares = metrics.Default.Counter("core.hhr.byte_compares")
 )

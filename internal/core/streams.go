@@ -49,64 +49,44 @@ type Stream struct {
 }
 
 // IngestStreamsContext deduplicates the given streams, up to workers of them
-// at once. workers ≤ 1 ingests them in slice order on the calling
-// goroutine, bit-identical to a serial PutFile loop. workers > 1 starts
-// min(workers, len(streams)) goroutines, each of which takes the earliest
-// unstarted stream when free. The first error — ctx.Err() once ctx is
-// done — stops the hand-out; the workers finish their current file
-// (in-flight PutFiles abort at their next chunk) and it is returned.
+// at once: min(max(workers, 1), len(streams)) goroutines, each of which
+// takes the earliest unstarted stream when free, so one worker ingests them
+// in slice order, bit-identical to a serial PutFile loop. The first error —
+// ctx.Err() once ctx is done — stops the hand-out; the workers finish their
+// current stream (in-flight PutFiles abort at their next chunk if ctx is
+// done) and it is returned.
 func (d *Dedup) IngestStreamsContext(ctx context.Context, workers int, streams []Stream) error {
 	put := func(name string, r io.Reader) error { return d.PutFileContext(ctx, name, r) }
-	if workers <= 1 || len(streams) <= 1 {
-		for _, st := range streams {
-			if err := IngestStream(ctx, st, put); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > len(streams) {
-		workers = len(streams)
-	}
-	feed := make(chan Stream)
 	var (
 		wg       sync.WaitGroup
-		errOnce  sync.Once
+		mu       sync.Mutex
+		next     int
 		firstErr error
-		failed   = make(chan struct{})
 	)
-	fail := func(err error) {
-		errOnce.Do(func() {
+	// take records the error of the stream a worker finished and hands it
+	// the next one, while there is one and nothing failed.
+	take := func(err error) (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr == nil {
 			firstErr = err
-			close(failed)
-		})
+		}
+		if firstErr != nil || next == len(streams) {
+			return 0, false
+		}
+		next++
+		return next - 1, true
 	}
-	for i := 0; i < workers; i++ {
+	for range min(max(workers, 1), len(streams)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for st := range feed {
-				if err := IngestStream(ctx, st, put); err != nil {
-					fail(err)
-					return
-				}
+			var err error
+			for i, ok := take(nil); ok; i, ok = take(err) {
+				err = IngestStream(ctx, streams[i], put)
 			}
 		}()
 	}
-	// Feed streams in order; stop early once any worker failed or the
-	// context was cancelled.
-feeding:
-	for _, st := range streams {
-		select {
-		case feed <- st:
-		case <-failed:
-			break feeding
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feeding
-		}
-	}
-	close(feed)
 	wg.Wait()
 	return firstErr
 }

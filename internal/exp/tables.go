@@ -130,58 +130,41 @@ func (s *Suite) Table3() (string, error) {
 // Table4 regenerates the paper's Table IV: bytes for all Hooks and
 // Manifests in BF-MHD over the SD × ECS grid.
 func (s *Suite) Table4() (string, error) {
-	header := []string{"SD \\ ECS"}
-	for _, ecs := range s.Scale.ECSList {
-		if ecs == 512 {
-			continue
-		}
-		header = append(header, fmt.Sprintf("%d", ecs))
-	}
-	var rows [][]string
-	for _, sd := range s.Scale.SDSweep {
-		row := []string{fmt.Sprintf("%d", sd)}
-		for _, ecs := range s.Scale.ECSList {
-			if ecs == 512 {
-				continue
-			}
-			rec, err := s.run(AlgoMHD, ecs, sd)
-			if err != nil {
-				return "", err
-			}
-			bytes := rec.Report.HookBytes + rec.Report.ManifestBytes
-			row = append(row, fmt.Sprintf("%d", bytes/1024))
-		}
-		rows = append(rows, row)
-	}
-	return table("Table IV: Hook+Manifest bytes in BF-MHD (KiB)", header, rows), nil
+	return s.mhdGrid("Table IV: Hook+Manifest bytes in BF-MHD (KiB)", func(r metrics.Report) int64 {
+		return (r.HookBytes + r.ManifestBytes) / 1024
+	})
 }
 
 // Table5 regenerates the paper's Table V: disk accesses for manifest
 // loading in BF-MHD over the SD × ECS grid.
 func (s *Suite) Table5() (string, error) {
-	header := []string{"SD \\ ECS"}
+	return s.mhdGrid("Table V: manifest-loading disk accesses in BF-MHD", func(r metrics.Report) int64 {
+		return r.ManifestLoads
+	})
+}
+
+// mhdGrid tabulates cell of each BF-MHD run over the SD × ECS grid, which
+// starts at ECS 1024 as the paper's does.
+func (s *Suite) mhdGrid(title string, cell func(metrics.Report) int64) (string, error) {
+	header, grid := []string{"SD \\ ECS"}, []int(nil)
 	for _, ecs := range s.Scale.ECSList {
-		if ecs == 512 {
-			continue
+		if ecs != 512 {
+			header, grid = append(header, fmt.Sprintf("%d", ecs)), append(grid, ecs)
 		}
-		header = append(header, fmt.Sprintf("%d", ecs))
 	}
 	var rows [][]string
 	for _, sd := range s.Scale.SDSweep {
 		row := []string{fmt.Sprintf("%d", sd)}
-		for _, ecs := range s.Scale.ECSList {
-			if ecs == 512 {
-				continue
-			}
+		for _, ecs := range grid {
 			rec, err := s.run(AlgoMHD, ecs, sd)
 			if err != nil {
 				return "", err
 			}
-			row = append(row, fmt.Sprintf("%d", rec.Report.ManifestLoads))
+			row = append(row, fmt.Sprintf("%d", cell(rec.Report)))
 		}
 		rows = append(rows, row)
 	}
-	return table("Table V: manifest-loading disk accesses in BF-MHD", header, rows), nil
+	return table(title, header, rows), nil
 }
 
 // Ablations runs the design-choice ablations DESIGN.md calls out, at one

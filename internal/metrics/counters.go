@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -143,18 +142,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 		out[name] = c.Load()
 	}
 	return out
-}
-
-// Names returns the registered counter names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // MarshalJSON renders the registry as a flat JSON object of counter

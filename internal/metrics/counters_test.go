@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -83,4 +84,16 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	if got != s {
 		t.Fatalf("round trip: %+v != %+v", got, s)
 	}
+}
+
+// Names returns the registered counter names, sorted.
+func (r *Registry) Names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	names := make([]string, 0, len(r.counters))
+	for name := range r.counters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

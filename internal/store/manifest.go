@@ -12,8 +12,10 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mhdedup/internal/hashutil"
@@ -106,7 +108,7 @@ type Entry struct {
 // A Manifest is not implicitly synchronized. Single-stream engines use it
 // bare; the concurrent ingest engine shares cache-resident manifests across
 // sessions and brackets every access (Lookup, Fact, Learn, entry walks,
-// Splice, Encode) with Lock/Unlock. The lock lives here so that the eviction write-back and
+// Splice, Defer, Unnamed, Fill, Encode) with Lock/Unlock. The lock lives here so that the eviction write-back and
 // a match extension in another goroutine serialize on the same mutex.
 type Manifest struct {
 	// Name is the manifest's hash-addressable name. For single-container
@@ -122,6 +124,10 @@ type Manifest struct {
 	// run whose bytes hashed to H: RAM-only, never encoded nor counted, and
 	// gone with the object when the cache evicts it.
 	facts map[hashutil.Sum]hashutil.Sum
+	// unnamed maps the Start of each entry whose Hash is not known yet (an
+	// HHR piece, left for its stream to name later; FormatMHD only) to its
+	// bytes: its Hash is the zero Sum until Fill or Encode sets it.
+	unnamed map[int64][]byte
 }
 
 // Lock acquires the manifest's mutex. Callers sharing a manifest across
@@ -134,10 +140,11 @@ func (m *Manifest) Unlock() { m.mu.Unlock() }
 // NewManifest returns an empty manifest with the given name and format.
 func NewManifest(name hashutil.Sum, format Format) *Manifest {
 	return &Manifest{
-		Name:   name,
-		Format: format,
-		index:  make(map[hashutil.Sum]int),
-		facts:  make(map[hashutil.Sum]hashutil.Sum),
+		Name:    name,
+		Format:  format,
+		index:   make(map[hashutil.Sum]int),
+		facts:   make(map[hashutil.Sum]hashutil.Sum),
+		unnamed: make(map[int64][]byte),
 	}
 }
 
@@ -182,6 +189,7 @@ func (m *Manifest) Splice(i int, repl ...Entry) error {
 	out = append(out, m.Entries[:i]...)
 	out = append(out, repl...)
 	out = append(out, m.Entries[i+1:]...)
+	delete(m.unnamed, m.Entries[i].Start)
 	m.Entries = out
 	m.reindex()
 	m.dirty = true
@@ -195,6 +203,29 @@ func (m *Manifest) reindex() {
 			m.index[e.Hash] = i
 		}
 	}
+}
+
+// Defer leaves the entry at start unnamed, data its bytes (see unnamed).
+func (m *Manifest) Defer(start int64, data []byte) { m.unnamed[start] = data }
+
+// Unnamed returns the bytes of e, an entry of m, while its Hash is not known.
+func (m *Manifest) Unnamed(e Entry) []byte { return m.unnamed[e.Start] }
+
+// Fill gives the unnamed entry at start its hash h, if it is still the one
+// of size bytes, and reports whether it was: a splice may have replaced it
+// since, or Encode named it. An entry of the same start and size is the
+// same bytes of the same container, so it has the same hash.
+func (m *Manifest) Fill(start, size int64, h hashutil.Sum) bool {
+	if data, ok := m.unnamed[start]; !ok || int64(len(data)) != size {
+		return false
+	}
+	delete(m.unnamed, start)
+	i, _ := slices.BinarySearchFunc(m.Entries, start, func(e Entry, s int64) int { return cmp.Compare(e.Start, s) })
+	m.Entries[i].Hash = h
+	if j, ok := m.index[h]; !ok || i < j {
+		m.index[h] = i
+	}
+	return true
 }
 
 // Dirty reports whether the manifest has unwritten modifications.
@@ -242,8 +273,12 @@ func (m *Manifest) summary(c hashutil.Sum) (chunks, bytes uint32) {
 }
 
 // Encode serializes the manifest. The output length always equals
-// ByteSize(), which is how simdisk's byte counters reproduce Table I.
+// ByteSize(), which is how simdisk's byte counters reproduce Table I. It
+// names every unnamed entry first, so no zero hash is ever written.
 func (m *Manifest) Encode() []byte {
+	for start, data := range m.unnamed {
+		m.Fill(start, int64(len(data)), hashutil.SumBytes(data))
+	}
 	out := make([]byte, 0, m.ByteSize())
 	switch m.Format {
 	case FormatBasic, FormatMHD:

@@ -104,9 +104,6 @@ func recipeECS(v int) int {
 // begins — it is not synchronized against in-flight writes.
 func (s *Store) SetRecipeConfig(rc RecipeConfig) { s.rcfg = rc }
 
-// RecipeConfig returns the store's recipe write configuration.
-func (s *Store) RecipeConfig() RecipeConfig { return s.rcfg }
-
 // RecipeTreeStats describes one recipe-tree write: the shape of the tree
 // and how much of it deduplicated against recipe chunks already stored.
 type RecipeTreeStats struct {
