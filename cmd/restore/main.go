@@ -163,9 +163,6 @@ func run(o restoreOptions, w io.Writer) (err error) {
 		restore = st.VerifyRestore
 	}
 	if o.ranged() {
-		if o.file == "" {
-			return fmt.Errorf("-offset/-length require -file")
-		}
 		restore = func(name string, dst io.Writer) error {
 			rr := st.RestoreRange
 			if o.verify {
@@ -180,26 +177,8 @@ func run(o restoreOptions, w io.Writer) (err error) {
 			return nil
 		}
 	}
-	switch {
-	case o.list:
-		for _, name := range st.Files() {
-			fmt.Fprintln(w, name)
-		}
-		return nil
-	case o.all:
-		return restoreAll(w, o.out, func() ([]string, error) { return st.Files(), nil }, restore)
-	case o.file != "":
-		if o.out == "" {
-			return fmt.Errorf("-file requires -out path")
-		}
-		if err := restoreTo(restore, o.file, o.out); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "restored %s to %s\n", o.file, o.out)
-		return nil
-	default:
-		return fmt.Errorf("one of -list, -file, -all, -check, -scrub, -delete or -gc is required")
-	}
+	return serve(o, w, func() ([]string, error) { return st.Files(), nil }, restore,
+		"one of -list, -file, -all, -check, -scrub, -delete or -gc is required")
 }
 
 // runRemote serves -list, -file and -all from a dedupd server over the
@@ -225,9 +204,6 @@ func runRemote(o restoreOptions, w io.Writer) error {
 		return err
 	}
 	if o.ranged() {
-		if o.file == "" {
-			return fmt.Errorf("-offset/-length require -file")
-		}
 		restore = func(name string, dst io.Writer) error {
 			res, err := client.RestoreRange(cfg, name, o.verify, o.offset, o.length, dst)
 			if err != nil {
@@ -250,9 +226,18 @@ func runRemote(o restoreOptions, w io.Writer) error {
 		sort.Strings(names)
 		return names, nil
 	}
+	return serve(o, w, listSorted, restore, "one of -list, -file or -all is required with -remote")
+}
+
+// serve runs -list, -all or -file over a store's listing and restore
+// function, local or remote alike; usage is the error for none of them.
+func serve(o restoreOptions, w io.Writer, list func() ([]string, error), restore func(string, io.Writer) error, usage string) error {
+	if o.ranged() && o.file == "" {
+		return fmt.Errorf("-offset/-length require -file")
+	}
 	switch {
 	case o.list:
-		names, err := listSorted()
+		names, err := list()
 		if err != nil {
 			return err
 		}
@@ -261,7 +246,7 @@ func runRemote(o restoreOptions, w io.Writer) error {
 		}
 		return nil
 	case o.all:
-		return restoreAll(w, o.out, listSorted, restore)
+		return restoreAll(w, o.out, list, restore)
 	case o.file != "":
 		if o.out == "" {
 			return fmt.Errorf("-file requires -out path")
@@ -271,9 +256,8 @@ func runRemote(o restoreOptions, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "restored %s to %s\n", o.file, o.out)
 		return nil
-	default:
-		return fmt.Errorf("one of -list, -file or -all is required with -remote")
 	}
+	return errors.New(usage)
 }
 
 // restoreAll restores every listed file under dir, continuing past per-file

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -187,16 +186,4 @@ func (a AccessModel) ComponentSum() int64 {
 // algorithm whenever 3L < D/SD.
 func MHDBeatsAllOnAccesses(in Inputs) bool {
 	return 3*in.L < in.D/in.SD
-}
-
-// Validate reports whether the inputs satisfy the table's precondition
-// (SD ≥ 2, non-negative counts).
-func (in Inputs) Validate() error {
-	if in.SD < 2 {
-		return fmt.Errorf("analysis: SD must be >= 2, got %d", in.SD)
-	}
-	if in.F < 0 || in.N < 0 || in.D < 0 || in.L < 0 {
-		return fmt.Errorf("analysis: negative workload counts")
-	}
-	return nil
 }

@@ -30,11 +30,9 @@ import (
 // the serial filter, so a single-session run remains bit-identical to the
 // pre-concurrency engine.
 type Filter struct {
-	bits   []uint64
-	nbits  uint64
-	k      int
-	tested atomic.Uint64
-	hits   atomic.Uint64
+	bits  []uint64
+	nbits uint64
+	k     int
 }
 
 // Probes is the number of probe functions every engine's filter uses: the
@@ -90,14 +88,12 @@ func (f *Filter) Add(h hashutil.Sum) {
 // present; true means present with probability 1 − FP rate.
 func (f *Filter) Test(h hashutil.Sum) bool {
 	h1, h2 := probes(h)
-	f.tested.Add(1)
 	for i := 0; i < f.k; i++ {
 		pos := (h1 + uint64(i)*h2) % f.nbits
 		if atomic.LoadUint64(&f.bits[pos/64])&(1<<(pos%64)) == 0 {
 			return false
 		}
 	}
-	f.hits.Add(1)
 	return true
 }
 
@@ -113,6 +109,4 @@ func (f *Filter) Reset() {
 	for i := range f.bits {
 		atomic.StoreUint64(&f.bits[i], 0)
 	}
-	f.tested.Store(0)
-	f.hits.Store(0)
 }

@@ -78,23 +78,6 @@ func TestEmptyFilterRejectsEverything(t *testing.T) {
 	}
 }
 
-func TestStatsAndCount(t *testing.T) {
-	f, _ := New(1<<14, 5)
-	for i := uint64(0); i < 100; i++ {
-		f.Add(sumOf(i))
-	}
-	for i := uint64(0); i < 200; i++ {
-		f.Test(sumOf(i))
-	}
-	tested, hits := f.Stats()
-	if tested != 200 {
-		t.Errorf("tested = %d, want 200", tested)
-	}
-	if hits < 100 {
-		t.Errorf("hits = %d, want >= 100 (no false negatives)", hits)
-	}
-}
-
 func TestReset(t *testing.T) {
 	f, _ := New(4096, 3)
 	f.Add(sumOf(1))
@@ -136,6 +119,3 @@ func BenchmarkAddTest(b *testing.B) {
 		f.Test(h)
 	}
 }
-
-// Stats returns the number of Test calls and how many returned true.
-func (f *Filter) Stats() (tested, hits uint64) { return f.tested.Load(), f.hits.Load() }

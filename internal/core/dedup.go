@@ -403,23 +403,6 @@ func (f *fileState) queue(run [][]byte, n name) {
 	}
 }
 
-// leave queues piece pe, just spliced into m, for the next settle and
-// leaves its entry unnamed, data its bytes. A shared region is named with
-// its run fact: the run shared matched it.
-func (f *fileState) leave(m *store.Manifest, pe store.Entry, data []byte, shared []pchunk) {
-	n := name{m: m, start: pe.Start, size: pe.Size}
-	if pe.Kind == store.KindPlain {
-		n.fact = runKey(shared)
-	}
-	m.Defer(pe.Start, data)
-	if f.sizes == nil {
-		f.sizes = make(map[int64]bool)
-	}
-	f.sizes[pe.Size] = true
-	cHHRNamedBytes.Add(pe.Size)
-	f.queue([][]byte{data}, n)
-}
-
 // settle names all f queued (DESIGN §7). It waits for the hashes, then, in
 // queue order, fills in the file's merged entries and gives each HHR piece
 // its hash — in its manifest, if still there — its run fact and its

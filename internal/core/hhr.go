@@ -57,11 +57,23 @@ func (d *Dedup) hhrSplit(f *fileState, m *store.Manifest, i int, old []byte, sha
 		return 0, err
 	}
 	for _, pe := range pieces {
-		if pe.Hash.IsZero() {
-			f.leave(m, pe, old[pe.Start-e.Start:][:pe.Size], shared)
-		} else {
+		if !pe.Hash.IsZero() {
 			f.eager = append(f.eager, pe)
+			continue
 		}
+		// Left unnamed with its bytes, and queued; a shared region is the
+		// run shared matched, so its run fact comes with it.
+		n, data := name{m: m, start: pe.Start, size: pe.Size}, old[pe.Start-e.Start:][:pe.Size]
+		if pe.Kind == store.KindPlain {
+			n.fact = runKey(shared)
+		}
+		m.Defer(pe.Start, data)
+		if f.sizes == nil {
+			f.sizes = make(map[int64]bool)
+		}
+		f.sizes[pe.Size] = true
+		cHHRNamedBytes.Add(pe.Size)
+		f.queue([][]byte{data}, n)
 	}
 	d.Count.HHROps.Add(1)
 	if wasClean {

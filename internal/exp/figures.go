@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 
 	"mhdedup/internal/algo"
+	"mhdedup/internal/metrics"
 	"mhdedup/internal/trace"
 )
 
@@ -203,16 +204,9 @@ func (s *Suite) Fig10() (string, []Record, error) {
 			fmt.Sprintf("%.1f", rec.Report.DAD()/1024),
 			fmt.Sprintf("%d", rec.Report.HHRDiskAccesses),
 			fmt.Sprintf("%d", rec.Report.DupSlices),
-			fmt.Sprintf("%.4f", safeRatio(float64(rec.Report.HHRDiskAccesses), float64(rec.Report.DupSlices))),
+			fmt.Sprintf("%.4f", metrics.Ratio(float64(rec.Report.HHRDiskAccesses), float64(rec.Report.DupSlices))),
 		})
 	}
 	header := []string{"ECS", "DAD (KiB)", "HHR disk accesses", "dup slices L", "HHR/L"}
 	return table("Fig 10: DAD and HHR cost vs ECS (HHR accesses stay well below 3L)", header, rows), recs, nil
-}
-
-func safeRatio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

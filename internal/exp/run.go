@@ -195,6 +195,21 @@ func Run(ds *trace.Dataset, p Params) (Record, error) {
 	return Record{Algo: p.Algo, ECS: p.ECS, SD: p.SD, Report: d.Report()}, nil
 }
 
+// Sweep runs every algorithm × ECS combination at a fixed SD.
+func Sweep(ds *trace.Dataset, algos []string, ecsList []int, sd int) ([]Record, error) {
+	var out []Record
+	for _, ecs := range ecsList {
+		for _, a := range algos {
+			rec, err := Run(ds, Params{Algo: a, Options: algo.Options{ECS: ecs, SD: sd}})
+			if err != nil {
+				return nil, fmt.Errorf("exp: %s ECS=%d SD=%d: %w", a, ecs, sd, err)
+			}
+			out = append(out, rec)
+		}
+	}
+	return out, nil
+}
+
 // Scale selects the workload and parameter scale of an experiment run. The
 // paper's 1 TB / SD=1000 setup is scaled so that ECS·SD stays well below
 // the snapshot size; EXPERIMENTS.md records the mapping.

@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"encoding/csv"
-	"fmt"
 	"testing"
 
 	"mhdedup/internal/algo"
@@ -162,19 +161,4 @@ func TestSuiteRecordsSorted(t *testing.T) {
 	if len(recs) != 2 || recs[0].ECS != 1024 || recs[1].ECS != 2048 {
 		t.Errorf("Records not sorted: %+v", recs)
 	}
-}
-
-// Sweep runs every algorithm × ECS combination at a fixed SD.
-func Sweep(ds *trace.Dataset, algos []string, ecsList []int, sd int) ([]Record, error) {
-	var out []Record
-	for _, ecs := range ecsList {
-		for _, a := range algos {
-			rec, err := Run(ds, Params{Algo: a, Options: algo.Options{ECS: ecs, SD: sd}})
-			if err != nil {
-				return nil, fmt.Errorf("exp: %s ECS=%d SD=%d: %w", a, ecs, sd, err)
-			}
-			out = append(out, rec)
-		}
-	}
-	return out, nil
 }

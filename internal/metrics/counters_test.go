@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -15,9 +14,6 @@ func TestRegistryCounterAndSnapshot(t *testing.T) {
 	snap := r.Snapshot()
 	if snap["a"] != 4 || snap["b"] != 7 {
 		t.Fatalf("snapshot = %v", snap)
-	}
-	if names := r.Names(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
 	}
 }
 
@@ -84,16 +80,4 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	if got != s {
 		t.Fatalf("round trip: %+v != %+v", got, s)
 	}
-}
-
-// Names returns the registered counter names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -99,63 +99,47 @@ func (r Report) InodeCount() int64 {
 
 // InodesPerMB returns inodes per MiB of input — Fig 7(a)'s y-axis.
 func (r Report) InodesPerMB() float64 {
-	if r.InputBytes == 0 {
-		return 0
-	}
-	return float64(r.InodeCount()) / (float64(r.InputBytes) / (1 << 20))
+	return Ratio(float64(r.InodeCount()), float64(r.InputBytes)/(1<<20))
 }
 
 // DataOnlyDER is input size over stored data size, ignoring metadata.
 func (r Report) DataOnlyDER() float64 {
-	if r.StoredDataBytes == 0 {
-		return 0
-	}
-	return float64(r.InputBytes) / float64(r.StoredDataBytes)
+	return Ratio(float64(r.InputBytes), float64(r.StoredDataBytes))
 }
 
 // RealDER is input size over everything the file system stores — data plus
 // all metadata. This is the metric MHD optimizes.
 func (r Report) RealDER() float64 {
-	out := r.StoredDataBytes + r.MetadataBytes
-	if out == 0 {
-		return 0
-	}
-	return float64(r.InputBytes) / float64(out)
+	return Ratio(float64(r.InputBytes), float64(r.StoredDataBytes+r.MetadataBytes))
 }
 
 // MetaDataRatio is total metadata over input size (reported as % in Fig 7
 // and Fig 8).
 func (r Report) MetaDataRatio() float64 {
-	if r.InputBytes == 0 {
-		return 0
-	}
-	return float64(r.MetadataBytes) / float64(r.InputBytes)
+	return Ratio(float64(r.MetadataBytes), float64(r.InputBytes))
 }
 
 // ManifestMetaRatio is the Fig 7(b) quantity: manifest + hook bytes over
 // input size.
 func (r Report) ManifestMetaRatio() float64 {
-	if r.InputBytes == 0 {
-		return 0
-	}
-	return float64(r.ManifestBytes+r.HookBytes) / float64(r.InputBytes)
+	return Ratio(float64(r.ManifestBytes+r.HookBytes), float64(r.InputBytes))
 }
 
 // FileManifestMetaRatio is the Fig 7(c) quantity.
 func (r Report) FileManifestMetaRatio() float64 {
-	if r.InputBytes == 0 {
-		return 0
-	}
-	return float64(r.FileManifestBytes) / float64(r.InputBytes)
+	return Ratio(float64(r.FileManifestBytes), float64(r.InputBytes))
 }
 
 // DAD is the Duplication Aggregation Degree: duplicate bytes per duplicate
 // slice. Larger means duplication is more concentrated (Fig 10(a)).
-func (r Report) DAD() float64 {
-	if r.DupSlices == 0 {
+func (r Report) DAD() float64 { return Ratio(float64(r.DupBytes), float64(r.DupSlices)) }
+
+// Ratio is a/b, or 0 when b is 0 (nothing was measured).
+func Ratio(a, b float64) float64 {
+	if b == 0 {
 		return 0
 	}
-	return float64(r.DupBytes) / float64(r.DupSlices)
+	return a / b
 }
 
 // ThroughputRatio evaluates the paper's throughput metric under the given

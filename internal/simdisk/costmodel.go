@@ -1,6 +1,9 @@
 package simdisk
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // CostModel converts access counters into time, standing in for the 2013
 // testbed (a single HDD and software SHA-1) behind the paper's
@@ -30,6 +33,19 @@ func Default2013() CostModel {
 		ChunkingRate:   400e6,
 		HashingRate:    250e6,
 	}
+}
+
+// Validate reports whether the model is usable.
+func (m CostModel) Validate() error {
+	if m.SeekLatency < 0 {
+		return fmt.Errorf("simdisk: negative seek latency")
+	}
+	for _, r := range []float64{m.ReadBandwidth, m.WriteBandwidth, m.ChunkingRate, m.HashingRate} {
+		if r <= 0 {
+			return fmt.Errorf("simdisk: all rates must be positive")
+		}
+	}
+	return nil
 }
 
 // DiskTime returns the modeled time spent on the disk operations recorded

@@ -3,7 +3,6 @@ package simdisk
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -408,17 +407,4 @@ func TestDelete(t *testing.T) {
 	if d.Counters().Accesses() < 2 { // create + delete
 		t.Error("delete not counted as an access")
 	}
-}
-
-// Validate reports whether the model is usable.
-func (m CostModel) Validate() error {
-	if m.SeekLatency < 0 {
-		return fmt.Errorf("simdisk: negative seek latency")
-	}
-	for _, r := range []float64{m.ReadBandwidth, m.WriteBandwidth, m.ChunkingRate, m.HashingRate} {
-		if r <= 0 {
-			return fmt.Errorf("simdisk: all rates must be positive")
-		}
-	}
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
+	"mhdedup/internal/metrics"
 )
 
 // Characteristics summarizes a dataset's duplication structure the way the
@@ -29,18 +30,12 @@ type Characteristics struct {
 
 // DataOnlyDER returns the exact-deduplication ratio estimate.
 func (c Characteristics) DataOnlyDER() float64 {
-	if c.UniqueBytes == 0 {
-		return 0
-	}
-	return float64(c.TotalBytes) / float64(c.UniqueBytes)
+	return metrics.Ratio(float64(c.TotalBytes), float64(c.UniqueBytes))
 }
 
 // DAD returns the Duplication Aggregation Degree in bytes per slice.
 func (c Characteristics) DAD() float64 {
-	if c.DupSlices == 0 {
-		return 0
-	}
-	return float64(c.DupBytes) / float64(c.DupSlices)
+	return metrics.Ratio(float64(c.DupBytes), float64(c.DupSlices))
 }
 
 // String renders the summary.
