@@ -114,7 +114,7 @@ type slotState struct {
 type fileState struct {
 	name      string
 	chunkName hashutil.Sum
-	entries   []store.Entry    // the Manifest's, a merged entry's Hash filled in at file end
+	entries   []store.Entry    // the Manifest's, a merged entry's Hash filled in at a settle
 	parts     [][]byte         // flushed chunks, in DiskChunk order: staged as flushed
 	stored    chunker.Gather   // the same chunks as runs of their slabs: sealed at file end
 	size      int64            // their total length: the DiskChunk offset of the next flush
@@ -132,9 +132,9 @@ type fileState struct {
 	scanned   bool           // the engine cut and hashed them itself (PutFile)
 }
 
-// A name is what one queued run names: merged entry entry of the file's
-// own manifest, or, with m set, the unnamed HHR piece of m at start (and its
-// run fact, if the split knew one).
+// A name is what one queued run names: the merged entry f.entries[entry]
+// of the file's own manifest, or, with m set, the unnamed HHR piece of m at
+// start (and its run fact, if the split knew one).
 type name struct {
 	m           *store.Manifest
 	entry       int

@@ -92,13 +92,15 @@ func (w *namingWatch) next() (pchunk, error) {
 }
 
 // TestHHRNamingHistoryPinned: naming HHR's pieces at a settle instead of
-// at the split changes no decision. A two-machine history at
-// CacheManifests 1 (every manifest read evicts) splits pieces again before
-// they are named, meets chunks whose bytes equal a piece not yet named
-// (which must settle before the cache index is asked) and compares runs
-// against unnamed pieces by their bytes; its Report — every field, RAMBytes
-// (the cache index's size at each manifest read) included — equals the one
-// recorded from the engine that named every piece at the split.
+// at the split changes no decision. namingHistory, at CacheManifests 1
+// (every manifest read evicts) and 2 (both manifests stay, so a piece named
+// at its split can share bytes with an unnamed one of the other manifest),
+// splits pieces again before they are named, meets chunks whose bytes equal
+// a piece not yet named (which must settle before the cache index is asked)
+// and compares runs against unnamed pieces by their bytes; its store and
+// its Report — every field, RAMBytes (the cache index's size at each
+// manifest read) included — equal those recorded from the engine that
+// named every piece at the split.
 func TestHHRNamingHistoryPinned(t *testing.T) {
 	names, files := namingHistory()
 	for _, tc := range []struct {

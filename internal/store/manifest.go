@@ -108,8 +108,9 @@ type Entry struct {
 // A Manifest is not implicitly synchronized. Single-stream engines use it
 // bare; the concurrent ingest engine shares cache-resident manifests across
 // sessions and brackets every access (Lookup, Fact, Learn, entry walks,
-// Splice, Defer, Unnamed, Fill, Encode) with Lock/Unlock. The lock lives here so that the eviction write-back and
-// a match extension in another goroutine serialize on the same mutex.
+// Splice, Defer, Unnamed, Fill, Encode) with Lock/Unlock. The lock lives
+// here so that the eviction write-back and a match extension in another
+// goroutine serialize on the same mutex.
 type Manifest struct {
 	// Name is the manifest's hash-addressable name. For single-container
 	// formats it is also the name of the DiskChunk it describes.
@@ -211,13 +212,13 @@ func (m *Manifest) Defer(start int64, data []byte) { m.unnamed[start] = data }
 // Unnamed returns the bytes of e, an entry of m, while its Hash is not known.
 func (m *Manifest) Unnamed(e Entry) []byte { return m.unnamed[e.Start] }
 
-// Fill gives the unnamed entry at start its hash h, if it is still the one
-// of size bytes, and reports whether it was: a splice may have replaced it
-// since, or Encode named it. An entry of the same start and size is the
-// same bytes of the same container, so it has the same hash.
-func (m *Manifest) Fill(start, size int64, h hashutil.Sum) bool {
+// Fill gives the unnamed entry at start its hash h if it is still the one
+// of size bytes: a splice may have replaced it since, or Encode named it.
+// An entry of the same start and size is the same bytes of the same
+// container, so it has the same hash.
+func (m *Manifest) Fill(start, size int64, h hashutil.Sum) {
 	if data, ok := m.unnamed[start]; !ok || int64(len(data)) != size {
-		return false
+		return
 	}
 	delete(m.unnamed, start)
 	i, _ := slices.BinarySearchFunc(m.Entries, start, func(e Entry, s int64) int { return cmp.Compare(e.Start, s) })
@@ -225,7 +226,6 @@ func (m *Manifest) Fill(start, size int64, h hashutil.Sum) bool {
 	if j, ok := m.index[h]; !ok || i < j {
 		m.index[h] = i
 	}
-	return true
 }
 
 // Dirty reports whether the manifest has unwritten modifications.
