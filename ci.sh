@@ -395,6 +395,11 @@ curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"histograms"'
 curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"server.apply_ns"'
 curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"core.scan_wait_ns"'
 curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"core.hash_wait_ns"'
+# Observed once per batch (chunk) or for one call in 16 (lookup, probe):
+# each must still be exported.
+curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"core.chunk_ns"'
+curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"core.lookup_ns"'
+curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"core.hook_probe_ns"'
 curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"server.restore.frames"'
 curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"hashutil.sha_ni"'
 curl -fsS http://127.0.0.1:7472/metrics.json | grep -q '"hashutil.lanes"'

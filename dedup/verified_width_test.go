@@ -24,7 +24,7 @@ import (
 // default width is inline and nothing is cut.
 func TestVerifiedWidthHashesWhatInlineHashes(t *testing.T) {
 	g := buildGenStore(t, 3, 3<<20)
-	hashed, served := metrics.Counter("store.verify.hashed_bytes"), metrics.Counter("store.verify.served_bytes")
+	hashed, served := metrics.Default.Counter("store.verify.hashed_bytes"), metrics.Default.Counter("store.verify.served_bytes")
 	names := make([]string, 0, len(g.files))
 	for name := range g.files {
 		names = append(names, name)

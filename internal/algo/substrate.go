@@ -57,7 +57,10 @@ type Substrate struct {
 	// index maps every entry hash of every cached manifest to the
 	// manifest holding it — the "cache of Manifests, each organized as a
 	// hash table" of Fig 4, flattened for O(1) lookup.
-	index  *Index
+	index *Index
+	// born holds the run facts (H, K; see store.Manifest.Learn) the newest
+	// CacheManifests manifests created were born with (see Bear).
+	born   *lru.Cache[hashutil.Sum, [][2]hashutil.Sum]
 	pub    publishLocks
 	loadNS *metrics.Histogram
 	peak   atomic.Int64
@@ -94,6 +97,7 @@ func Mount(o Options, disk *simdisk.Disk, n Needs) (*Substrate, error) {
 		if err != nil {
 			return nil, fmt.Errorf("CacheManifests: %w", err)
 		}
+		s.born, _ = lru.New[hashutil.Sum, [][2]hashutil.Sum](o.CacheManifests, nil)
 		s.cache, s.index = cache, NewIndex()
 	}
 	return s, nil
@@ -210,11 +214,21 @@ func (s *Substrate) Resident(name hashutil.Sum) bool {
 	return ok
 }
 
+// Bear records the facts (H, K) a just-created manifest was born with, for
+// each Load that reads it to be taught. Only the newest CacheManifests
+// manifests' are kept; an object read keeps them until it is evicted.
+func (s *Substrate) Bear(name hashutil.Sum, facts [][2]hashutil.Sum) {
+	if len(facts) > 0 {
+		s.born.Put(name, facts)
+	}
+}
+
 // Load returns the named manifest from the cache, or reads it from disk
 // (one access, one ManifestLoad) into the cache and its index; read says
-// which. Two streams racing on a name may both read it: the second Put
-// supersedes the first object, which stays valid for the stream holding
-// it.
+// which. A manifest read is taught the facts it was born with, while Bear's
+// table holds them. Two streams racing on a name may both read it: the
+// second Put supersedes the first object, which stays valid for the
+// stream holding it.
 func (s *Substrate) Load(name hashutil.Sum) (m *store.Manifest, read bool, err error) {
 	if m, ok := s.cache.Get(name); ok {
 		return m, false, nil
@@ -227,8 +241,12 @@ func (s *Substrate) Load(name hashutil.Sum) (m *store.Manifest, read bool, err e
 		s.loadNS.ObserveSince(start)
 	}
 	s.Count.ManifestLoads.Add(1)
-	// The hashes are read while m is still private: it is shared the
-	// instant it enters the cache.
+	// The facts are taught and the hashes read while m is still private:
+	// it is shared the instant it enters the cache.
+	facts, _ := s.born.Peek(name)
+	for _, hk := range facts {
+		m.Learn(hk[0], hk[1])
+	}
 	hashes := make([]hashutil.Sum, len(m.Entries))
 	for i, e := range m.Entries {
 		hashes[i] = e.Hash

@@ -15,24 +15,10 @@
 // rather than silently resolved.
 package analysis
 
-import "fmt"
-
 // Inputs are the workload parameters of §IV.
 type Inputs struct {
 	F, N, D, L int64
 	SD         int64
-}
-
-// Validate reports whether the inputs satisfy the table's precondition
-// (SD ≥ 2, non-negative counts).
-func (in Inputs) Validate() error {
-	if in.SD < 2 {
-		return fmt.Errorf("analysis: SD must be >= 2, got %d", in.SD)
-	}
-	if in.F < 0 || in.N < 0 || in.D < 0 || in.L < 0 {
-		return fmt.Errorf("analysis: negative workload counts")
-	}
-	return nil
 }
 
 // InodeBytes mirrors the paper's 256-byte inode assumption.

@@ -16,22 +16,6 @@ func typical() Inputs {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := typical().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := typical()
-	bad.SD = 1
-	if bad.Validate() == nil {
-		t.Error("SD=1 accepted")
-	}
-	bad = typical()
-	bad.N = -1
-	if bad.Validate() == nil {
-		t.Error("negative N accepted")
-	}
-}
-
 func TestTableIPrintedSummariesConsistentWhereThePaperIs(t *testing.T) {
 	// CDC and Bimodal printed summaries equal their component sums; the
 	// paper's MHD and SubChunk summaries are internally inconsistent (see

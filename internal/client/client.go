@@ -34,7 +34,7 @@ var (
 	// the hash-based protocol pays per batch.
 	hOfferRTT = metrics.GetHistogram("client.offer_rtt_ns")
 	// cReconnects counts successful resume reconnects.
-	cReconnects = metrics.Counter("client.reconnects")
+	cReconnects = metrics.Default.Counter("client.reconnects")
 )
 
 // Config parameterizes a Client. Addr is required; zero fields take the

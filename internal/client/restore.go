@@ -22,7 +22,7 @@ type RestoreResult struct {
 // reused only under the Addr, Tenant and Secret of its Hello, once the server
 // finished answering on it (session.Links); a dial goes through Config.Dial.
 var links = session.NewLinks(4, 16,
-	metrics.Counter("client.restore.dials"), metrics.Counter("client.restore.link_reuses"))
+	metrics.Default.Counter("client.restore.dials"), metrics.Default.Counter("client.restore.link_reuses"))
 
 // List returns the names of files restorable from the server, sorted.
 func List(cfg Config) (names []string, err error) {

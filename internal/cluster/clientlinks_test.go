@@ -26,7 +26,7 @@ const clientIdleTotal = 16
 
 // clientLinks reads the client's process-wide link counters.
 func clientLinks() (dials, reuses int64) {
-	return metrics.Counter("client.restore.dials").Load(), metrics.Counter("client.restore.link_reuses").Load()
+	return metrics.Default.Counter("client.restore.dials").Load(), metrics.Default.Counter("client.restore.link_reuses").Load()
 }
 
 // TestClientLinkOneDialManyRequests: twelve Restores, RestoreRanges and

@@ -151,7 +151,12 @@ func TestStaleRestoreLinkIsRetriedNotFailedOver(t *testing.T) {
 	if got := restoreOne(t, tc.clientConfig(), names[0]); !bytes.Equal(got, files[names[0]]) {
 		t.Fatal("first restore differs")
 	}
-	if idle := tc.gw.IdleRestoreLinks()["s0"]; idle != 1 {
+	// The client has its last byte before the gateway parks the link.
+	idle := tc.gw.IdleRestoreLinks()["s0"]
+	for deadline := time.Now().Add(5 * time.Second); idle != 1 && time.Now().Before(deadline); idle = tc.gw.IdleRestoreLinks()["s0"] {
+		time.Sleep(time.Millisecond)
+	}
+	if idle != 1 {
 		t.Fatalf("%d links to s0 parked after a restore homed there, want 1", idle)
 	}
 	dials := counter(tc, "gateway.restore.shard_dials")

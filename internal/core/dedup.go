@@ -11,6 +11,7 @@ import (
 	"mhdedup/internal/algo"
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
+	"mhdedup/internal/metrics"
 	"mhdedup/internal/simdisk"
 	"mhdedup/internal/store"
 )
@@ -127,14 +128,17 @@ type fileState struct {
 	pending   []pchunk         // non-duplicate chunks awaiting SHM flush (≤ 2·SD)
 	replay    []pchunk         // chunks prefetched by FME but not consumed
 	slots     []slotState
-	hooks     []hashutil.Sum // hook hashes to publish at file end
-	src       chunkSource    // the stream's hashed chunks, in order
-	scanned   bool           // the engine cut and hashed them itself (PutFile)
+	hooks     []hashutil.Sum    // hook hashes to publish at file end
+	facts     [][2]hashutil.Sum // the merged runs' (H, K): the manifest's born facts
+	lookups   sampler           // Cached calls, one in 16 timed
+	probes    sampler           // probeHook calls, likewise
+	src       chunkSource       // the stream's hashed chunks, in order
+	scanned   bool              // the engine cut and hashed them itself (PutFile)
 }
 
 // A name is what one queued run names: the merged entry f.entries[entry]
 // of the file's own manifest, or, with m set, the unnamed HHR piece of m at
-// start (and its run fact, if the split knew one).
+// start; and the run's fact K, if known.
 type name struct {
 	m           *store.Manifest
 	entry       int
@@ -208,7 +212,6 @@ func (d *Dedup) nextChunk(f *fileState) (pchunk, bool, error) {
 // pull takes one fresh, already hashed chunk off the file's source and
 // allocates its recipe slot.
 func (d *Dedup) pull(f *fileState) (pchunk, bool, error) {
-	start := time.Now()
 	pc, err := f.src.next()
 	if err == io.EOF {
 		return pchunk{}, false, nil
@@ -216,7 +219,6 @@ func (d *Dedup) pull(f *fileState) (pchunk, bool, error) {
 	if err != nil {
 		return pchunk{}, false, err
 	}
-	hChunkNS.ObserveSince(start)
 	size := pc.Size()
 	d.Count.ChunksIn.Add(1)
 	d.Count.InputBytes.Add(size)
@@ -250,9 +252,9 @@ func (d *Dedup) process(f *fileState, pc pchunk) error {
 		// other hashes commute, so only then must the file settle first.
 		d.settle(f)
 	}
-	lkStart := time.Now()
+	lkStart := f.lookups.start()
 	m, hit := d.Cached(pc.hash)
-	hLookupNS.ObserveSince(lkStart)
+	observeSampled(hLookupNS, lkStart)
 	if hit {
 		if done, err := d.tryExtend(f, m, pc); err != nil || done {
 			return err
@@ -263,9 +265,9 @@ func (d *Dedup) process(f *fileState, pc pchunk) error {
 		// serial engine treated a revalidation miss.
 		d.Forget(pc.hash, m.Name)
 	}
-	prStart := time.Now()
+	prStart := f.probes.start()
 	target, ok, err := d.probeHook(pc.hash)
-	hHookProbeNS.ObserveSince(prStart)
+	observeSampled(hHookProbeNS, prStart)
 	if err != nil {
 		return err
 	}
@@ -289,6 +291,30 @@ func (d *Dedup) process(f *fileState, pc pchunk) error {
 		d.flushPending(f, d.cfg.SD)
 	}
 	return nil
+}
+
+// sampleEvery is how many calls of a per-chunk step share one clock read:
+// two reads per chunk cost the ordered stage more than the lookups timed.
+const sampleEvery = 16
+
+// A sampler counts one file's calls of a per-chunk step. start returns the
+// time now for the last of every sampleEvery (the first of a file is the
+// coldest, so it would not stand for the rest), the zero Time for others;
+// observeSampled records a timed call with weight sampleEvery, so count
+// and sum stay estimates over every call.
+type sampler int
+
+func (s *sampler) start() time.Time {
+	if *s++; *s%sampleEvery != 0 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func observeSampled(h *metrics.Histogram, start time.Time) {
+	if !start.IsZero() {
+		h.ObserveN(int64(time.Since(start)), sampleEvery)
+	}
 }
 
 // probeHook asks the mode's hook index which manifest first stored h:
@@ -375,7 +401,8 @@ func (d *Dedup) flushPending(f *fileState, n int) {
 // DiskChunk as the runs of the slabs the chunker read them into. Nor are
 // the followers hashed here: their run joins f.runs, which goes to a
 // hashing goroutine every 16 runs (the lanes' width), and finishFile fills
-// the hash in.
+// the hash in. Their digests are at hand, so the run's fact K costs 20
+// bytes of SHA-1 per chunk now.
 func (d *Dedup) flushGroup(f *fileState, group []pchunk) {
 	d.resolve(f, group, false, f.chunkName, f.size)
 	start, lead, from := f.size, group[0].Size(), len(f.parts)
@@ -390,7 +417,7 @@ func (d *Dedup) flushGroup(f *fileState, group []pchunk) {
 		return
 	}
 	d.Count.HashedBytes.Add(f.size - start - lead)
-	f.queue(f.parts[from+1:], name{entry: len(f.entries)})
+	f.queue(f.parts[from+1:], name{entry: len(f.entries), fact: runKey(group[1:])})
 	f.entries = append(f.entries, store.Entry{Start: start + lead, Size: f.size - start - lead, Kind: store.KindMerged})
 }
 
@@ -404,8 +431,9 @@ func (f *fileState) queue(run [][]byte, n name) {
 }
 
 // settle names all f queued (DESIGN §7). It waits for the hashes, then, in
-// queue order, fills in the file's merged entries and gives each HHR piece
-// its hash — in its manifest, if still there — its run fact and its
+// queue order, fills in the file's merged entries, pairing each with its
+// run fact for the manifest to be born with, and gives each HHR piece its
+// hash — in its manifest, if still there — its run fact and its
 // cache-index entry, as the serial engine did at the split. The caller
 // holds no manifest lock.
 func (d *Dedup) settle(f *fileState) {
@@ -415,6 +443,7 @@ func (d *Dedup) settle(f *fileState) {
 	for i, n := range f.names {
 		if n.m == nil {
 			f.entries[n.entry].Hash = sums[i]
+			f.facts = append(f.facts, [2]hashutil.Sum{sums[i], n.fact})
 			continue
 		}
 		n.m.Lock()
@@ -468,6 +497,7 @@ func (d *Dedup) finishFile(f *fileState) error {
 		if err := d.Store.CreateManifest(m); err != nil {
 			return err
 		}
+		d.Bear(m.Name, f.facts)
 		for _, h := range f.hooks {
 			if err := d.publishHook(h, f.chunkName); err != nil {
 				return err

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"mhdedup/internal/chunker"
@@ -548,4 +549,142 @@ func TestRunFactConcurrentStreams(t *testing.T) {
 	}
 	checkRestore(t, d, files)
 	checkInvariants(t, d)
+}
+
+// putDelta puts data as name through PutFile and returns what match
+// extension's counters and the stored bytes gained.
+func putDelta(t *testing.T, d *Dedup, name string, data []byte) (hits, rehashed, stored int64) {
+	t.Helper()
+	h0, r0 := extendCounters()
+	s0 := d.Stats().StoredDataBytes
+	if err := d.PutFile(name, bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	h1, r1 := extendCounters()
+	return h1 - h0, r1 - r0, d.Stats().StoredDataBytes - s0
+}
+
+// TestRunFactBornWithManifest: a manifest is born knowing the facts of its
+// merged runs, so an exact duplicate of a just-written file of many SHM
+// groups is confirmed without re-hashing one merged byte, and stores none.
+func TestRunFactBornWithManifest(t *testing.T) {
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := randBytes(964, 200_000)
+	putDelta(t, d, "gen0", data)
+	hits, rehashed, stored := putDelta(t, d, "gen1", data)
+	if hits == 0 || rehashed != 0 || stored != 0 {
+		t.Errorf("duplicate of a new file: %d fact hits, %d bytes rehashed, %d stored; want hits, 0 and 0", hits, rehashed, stored)
+	}
+	checkRestore(t, d, map[string][]byte{"gen0": data, "gen1": data})
+}
+
+// TestRunFactBornFactsBoundedByCache: the born facts of only the newest
+// CacheManifests manifests are kept. A duplicate of a file followed by
+// CacheManifests−1 newer ones is confirmed by its manifest's born facts;
+// one more newer file and the same duplicate's first compares re-hash.
+func TestRunFactBornFactsBoundedByCache(t *testing.T) {
+	cfg := testConfig()
+	cfg.CacheManifests = 3
+	old := randBytes(965, 100_000)
+	for _, newer := range []int{cfg.CacheManifests - 1, cfg.CacheManifests} {
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putDelta(t, d, "old", old)
+		for i := range newer {
+			putDelta(t, d, fmt.Sprintf("new%d", i), randBytes(int64(966+i), 50_000))
+		}
+		hits, rehashed, stored := putDelta(t, d, "again", old)
+		if stored != 0 {
+			t.Errorf("%d newer: the duplicate stored %d bytes", newer, stored)
+		}
+		want, ok := "fact hits and no re-hash", hits > 0 && rehashed == 0
+		if newer == cfg.CacheManifests {
+			want, ok = "no fact hit and a re-hash", hits == 0 && rehashed > 0
+		}
+		if !ok {
+			t.Errorf("%d newer manifests at cache %d: %d fact hits, %d bytes rehashed; want %s",
+				newer, cfg.CacheManifests, hits, rehashed, want)
+		}
+	}
+}
+
+// TestRunFactBornRacingLoad: two streams start a duplicate of the same new
+// file at once, so both may read its manifest and be taught its born facts
+// at the same time (run it with -race). Each read object learns them while
+// still private; every file restores, verified, and nothing is stored twice.
+func TestRunFactBornRacingLoad(t *testing.T) {
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := randBytes(967, 300_000)
+	putDelta(t, d, "gen0", data)
+	stored := d.Stats().StoredDataBytes
+	files := map[string][]byte{"gen0": data}
+	var ready sync.WaitGroup
+	ready.Add(2)
+	var streams []Stream
+	for s := range 2 {
+		name := fmt.Sprintf("s%d/copy", s)
+		files[name] = data
+		streams = append(streams, Stream{Name: name, Items: []Item{{Name: name, Open: func() (io.ReadCloser, error) {
+			ready.Done()
+			ready.Wait() // both streams open before either reads
+			return io.NopCloser(bytes.NewReader(data)), nil
+		}}}})
+	}
+	h0, _ := extendCounters()
+	if err := d.IngestStreamsContext(context.Background(), 2, streams); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := extendCounters(); h == h0 {
+		t.Error("neither stream decided a run by a born fact")
+	}
+	t.Logf("manifest loads %d", d.Stats().ManifestLoads)
+	if s := d.Stats().StoredDataBytes; s != stored {
+		t.Errorf("two duplicates stored %d bytes", s-stored)
+	}
+	v := store.NewVerifier(d.Store, store.VerifyOpts{})
+	for name, want := range files {
+		var got bytes.Buffer
+		if err := v.RestoreFile(name, &got); err != nil || !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("verified restore of %s: %d bytes of %d, %v", name, got.Len(), len(want), err)
+		}
+	}
+	checkInvariants(t, d)
+}
+
+// TestRunFactBornOtherCuts: born facts name the runs by the cuts the
+// manifest was written with. The same bytes under other cuts, fed through
+// PutChunksContext, match no born fact, fall back to hashing their bytes
+// and still match everything.
+func TestRunFactBornOtherCuts(t *testing.T) {
+	cfg := testConfig()
+	base := randBytes(968, 200_000)
+	other := halveOdd(cutAs(t, cfg, base))
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putDelta(t, d, "gen0", base)
+	h0, r0 := extendCounters()
+	stored := d.Stats().StoredDataBytes
+	if err := d.PutChunksContext(context.Background(), "gen1", pullRuns(other, rand.New(rand.NewSource(2)))); err != nil {
+		t.Fatal(err)
+	}
+	if h, r := extendCounters(); h != h0 || r == r0 {
+		t.Errorf("other cuts: %d fact hits, %d bytes rehashed; want 0 hits and the byte path", h-h0, r-r0)
+	}
+	if s := d.Stats().StoredDataBytes; s != stored {
+		t.Errorf("the same bytes under other cuts stored %d new bytes", s-stored)
+	}
+	checkRestore(t, d, map[string][]byte{"gen0": base, "gen1": base})
 }

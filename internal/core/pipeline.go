@@ -50,10 +50,12 @@ type runSource struct {
 
 func (s *runSource) next() (pchunk, error) {
 	for len(s.run) == 0 {
+		start := time.Now()
 		var err error
 		if s.run, err = s.pull(); err != nil {
 			return pchunk{}, err
 		}
+		hChunkNS.ObserveSince(start)
 	}
 	c := &s.run[0]
 	s.run = s.run[1:]
@@ -148,9 +150,9 @@ func (p *chunkPipeline) next() (pchunk, error) {
 		}
 		start := time.Now()
 		p.cur, p.i = <-p.queue, 0
-		cut := start.Add(hScanWaitNS.ObserveSince(start))
+		scan := hScanWaitNS.ObserveSince(start)
 		<-p.cur.hashed
-		hHashWaitNS.ObserveSince(cut)
+		hChunkNS.Observe(int64(scan + hHashWaitNS.ObserveSince(start.Add(scan))))
 	}
 	p.i++
 	return pchunk{Chunk: p.cur.chunks[p.i-1], hash: p.cur.sums[p.i-1]}, nil

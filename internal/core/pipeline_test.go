@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -342,5 +344,66 @@ func TestSlowReaderShowsAsScanWait(t *testing.T) {
 	if slept := reads * delay; scanWait < slept/2 || hashWait > scanWait/4 {
 		t.Errorf("reader slept %v: scan wait %v (want most of it), hash wait %v (want little)",
 			slept, scanWait, hashWait)
+	}
+}
+
+// TestPipelineChunkWaitIsPerBatch: the ordered stage reads no clock per chunk.
+// core.chunk_ns is observed at most once per batch of a PutFile, its sum
+// exactly the scan and hash waits observed at the same batch edges, and
+// once per run a PutChunks caller's pull returned.
+func TestPipelineChunkWaitIsPerBatch(t *testing.T) {
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := randBytes(602, 2<<20)
+	chunk0, scan0, hash0 := hChunkNS.Snapshot(), hScanWaitNS.Snapshot(), hHashWaitNS.Snapshot()
+	if err := d.PutFile("f", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	chunk, scan, hash := hChunkNS.Snapshot(), hScanWaitNS.Snapshot(), hHashWaitNS.Snapshot()
+	chunks := d.Stats().ChunksIn
+	if n := chunk.Count - chunk0.Count; n == 0 || n > chunks/batchChunks+1 {
+		t.Errorf("core.chunk_ns observed %d times for %d chunks, want one per batch of %d", n, chunks, batchChunks)
+	}
+	if got, want := chunk.Sum-chunk0.Sum, scan.Sum-scan0.Sum+hash.Sum-hash0.Sum; got != want {
+		t.Errorf("core.chunk_ns gained %d ns, the scan and hash waits %d", got, want)
+	}
+
+	pulls := 0
+	pull := pullRuns(cutAs(t, testConfig(), data), rand.New(rand.NewSource(3)))
+	chunk0 = hChunkNS.Snapshot()
+	if err := d.PutChunksContext(context.Background(), "g", func() ([]HashedChunk, error) {
+		run, err := pull()
+		if err == nil {
+			pulls++
+		}
+		return run, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := hChunkNS.Snapshot().Count - chunk0.Count; n != int64(pulls) {
+		t.Errorf("core.chunk_ns observed %d times for %d runs pulled", n, pulls)
+	}
+}
+
+// TestLookupsSampledWithWeight: a file's cache lookups and hook probes are
+// timed one call in sampleEvery, each timed call counted sampleEvery times.
+// Every chunk of a first backup is one lookup and one probe, so each count
+// gains the chunk count rounded down to a multiple of sampleEvery.
+func TestLookupsSampledWithWeight(t *testing.T) {
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookups0, probes0 := hLookupNS.Snapshot().Count, hHookProbeNS.Snapshot().Count
+	if err := d.PutFile("f", bytes.NewReader(randBytes(603, 1<<20))); err != nil {
+		t.Fatal(err)
+	}
+	chunks := d.Stats().ChunksIn
+	want := chunks / sampleEvery * sampleEvery
+	lookups, probes := hLookupNS.Snapshot().Count-lookups0, hHookProbeNS.Snapshot().Count-probes0
+	if want == 0 || lookups != want || probes != want {
+		t.Errorf("%d chunks: %d lookups and %d probes counted, want %d each", chunks, lookups, probes, want)
 	}
 }

@@ -9,15 +9,19 @@ import (
 	"mhdedup/internal/trace"
 )
 
-func microDataset(t *testing.T) *trace.Dataset {
-	t.Helper()
+func microConfig() trace.Config {
 	cfg := trace.Default()
 	cfg.Machines = 1
 	cfg.Days = 2
 	cfg.SnapshotBytes = 1 << 20
 	cfg.EditsPerDay = 6
 	cfg.EditBytes = 8 << 10
-	ds, err := trace.New(cfg)
+	return cfg
+}
+
+func microDataset(t *testing.T) *trace.Dataset {
+	t.Helper()
+	ds, err := trace.New(microConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +80,8 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestSuiteRunCaching(t *testing.T) {
 	s, err := NewSuite(Scale{
-		Name: "micro",
-		Dataset: func() trace.Config {
-			cfg := trace.Default()
-			cfg.Machines = 1
-			cfg.Days = 2
-			cfg.SnapshotBytes = 1 << 20
-			cfg.EditsPerDay = 6
-			cfg.EditBytes = 8 << 10
-			return cfg
-		}(),
+		Name:           "micro",
+		Dataset:        microConfig(),
 		SD:             8,
 		SDSweep:        []int{8},
 		ECSList:        []int{2048},
@@ -142,7 +138,7 @@ func TestWriteCSV(t *testing.T) {
 func TestSuiteRecordsSorted(t *testing.T) {
 	s, err := NewSuite(Scale{
 		Name:           "micro",
-		Dataset:        microDataset(t).Config(),
+		Dataset:        microConfig(),
 		SD:             8,
 		SDSweep:        []int{8},
 		ECSList:        []int{1024, 2048},

@@ -26,8 +26,6 @@ type Cache[K comparable, V any] struct {
 	items    map[K]*list.Element
 	order    *list.List // front = most recently used
 	onEvict  func(K, V)
-
-	hits, misses, evictions uint64
 }
 
 type entry[K comparable, V any] struct {
@@ -57,15 +55,13 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
-		c.hits++
 		return el.Value.(*entry[K, V]).val, true
 	}
-	c.misses++
 	var zero V
 	return zero, false
 }
 
-// Peek returns the value for key without updating recency or hit counters.
+// Peek returns the value for key without updating its recency.
 func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -112,13 +108,6 @@ func (c *Cache[K, V]) Len() int {
 	return c.order.Len()
 }
 
-// Stats returns hit/miss/eviction counters.
-func (c *Cache[K, V]) Stats() (hits, misses, evictions uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
-}
-
 // Each calls fn for every cached entry, most recently used first. fn runs
 // under the cache lock: it must not mutate the cache or call back into it.
 func (c *Cache[K, V]) Each(fn func(K, V)) {
@@ -142,10 +131,8 @@ func (c *Cache[K, V]) Flush() {
 
 // evictOldest must be called with the lock held.
 func (c *Cache[K, V]) evictOldest() {
-	el := c.order.Back()
-	if el != nil {
+	if el := c.order.Back(); el != nil {
 		c.removeElement(el)
-		c.evictions++
 	}
 }
 

@@ -104,19 +104,6 @@ func TestPeekDoesNotTouchRecency(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	c, _ := New[int, int](2, nil)
-	c.Put(1, 1)
-	c.Get(1)
-	c.Get(2)
-	c.Put(2, 2)
-	c.Put(3, 3) // evicts 1
-	hits, misses, evictions := c.Stats()
-	if hits != 1 || misses != 1 || evictions != 1 {
-		t.Errorf("stats = %d/%d/%d, want 1/1/1", hits, misses, evictions)
-	}
-}
-
 func TestEach(t *testing.T) {
 	c, _ := New[int, int](5, nil)
 	for i := 1; i <= 3; i++ {
@@ -174,7 +161,7 @@ func TestLastWriterWins(t *testing.T) {
 }
 
 // TestConcurrentAccess hammers one cache from 8 goroutines mixing Put, Get,
-// Peek, Remove, Each, Stats and Len (run under -race). Each goroutine also
+// Peek, Remove, Each and Len (run under -race). Each goroutine also
 // owns a private key range whose writes it must never lose; the capacity
 // invariant must hold throughout.
 func TestConcurrentAccess(t *testing.T) {
@@ -221,8 +208,6 @@ func TestConcurrentAccess(t *testing.T) {
 							t.Errorf("Each saw %d -> %d", k, v)
 						}
 					})
-				case 7:
-					c.Stats()
 				}
 			}
 		}(g)

@@ -150,15 +150,7 @@ func (r *Registry) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.Snapshot())
 }
 
-// Counter returns a counter of the Default registry.
-func Counter(name string) *atomic.Int64 { return Default.Counter(name) }
-
 // GetHistogram returns a histogram of the Default registry — the
 // package-level hot-path instrumentation hook used by core, store and
 // client (servers with private registries use Registry.Histogram).
 func GetHistogram(name string) *Histogram { return Default.Histogram(name) }
-
-// Snapshot returns the Default registry's current counter values — the
-// JSON-ready operational metrics snapshot served by dedupd's
-// /metrics.json endpoint.
-func Snapshot() map[string]int64 { return Default.Snapshot() }

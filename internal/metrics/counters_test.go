@@ -60,9 +60,9 @@ func TestRegistryJSON(t *testing.T) {
 }
 
 func TestDefaultRegistryHelpers(t *testing.T) {
-	Counter("test.default.counter").Add(5)
-	if Snapshot()["test.default.counter"] < 5 {
-		t.Fatalf("default snapshot = %v", Snapshot())
+	Default.Counter("test.default.counter").Add(5)
+	if Default.Snapshot()["test.default.counter"] < 5 {
+		t.Fatalf("default snapshot = %v", Default.Snapshot())
 	}
 }
 

@@ -58,11 +58,16 @@ func bucketUpper(b int) int64 {
 }
 
 // Observe records one value (for latency histograms: nanoseconds).
-func (h *Histogram) Observe(v int64) {
-	h.count.Add(1)
-	h.sum.Add(v)
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records v as n observations of it: a call site that times one
+// call in n records each timed call this way, so count and sum stay
+// estimates over every call and the buckets keep their shape.
+func (h *Histogram) ObserveN(v, n int64) {
+	h.count.Add(n)
+	h.sum.Add(v * n)
 	MaxInt64(&h.max, v)
-	h.buckets[bucketOf(v)].Add(1)
+	h.buckets[bucketOf(v)].Add(n)
 }
 
 // ObserveSince records the elapsed time since start in nanoseconds and

@@ -185,3 +185,24 @@ func TestRegistryHistogramsAndGauges(t *testing.T) {
 		t.Error("package-level GetHistogram must be stable per name")
 	}
 }
+
+// TestHistogramObserveN: a value observed with weight n counts as n
+// observations of it in count, sum and its bucket, and once in max.
+func TestHistogramObserveN(t *testing.T) {
+	var h Histogram
+	h.ObserveN(100, 16)
+	h.ObserveN(5000, 16)
+	h.Observe(300)
+	s := h.Snapshot()
+	if s.Count != 33 || s.Sum != 16*100+16*5000+300 || s.Max != 5000 {
+		t.Fatalf("count=%d sum=%d max=%d, want 33, %d, 5000", s.Count, s.Sum, s.Max, 16*100+16*5000+300)
+	}
+	b := h.BucketCounts()
+	if b[bucketOf(100)] != 16 || b[bucketOf(5000)] != 16 || b[bucketOf(300)] != 1 {
+		t.Fatalf("buckets %d/%d/%d, want 16/16/1", b[bucketOf(100)], b[bucketOf(5000)], b[bucketOf(300)])
+	}
+	// Half the weight is at 100, so p50 reports that bucket; p90 the slow one.
+	if s.P50 < 100 || s.P50 >= 128 || s.P90 != 5000 {
+		t.Errorf("p50=%d p90=%d, want [100, 128) and 5000", s.P50, s.P90)
+	}
+}

@@ -295,9 +295,6 @@ func TestInvalidCategory(t *testing.T) {
 
 func TestCostModelCopyVsDedupe(t *testing.T) {
 	m := Default2013()
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	const in = int64(1 << 30)
 	copyT := m.CopyTime(in)
 	if copyT <= 0 {
@@ -325,19 +322,6 @@ func TestCostModelMoreSeeksIsSlower(t *testing.T) {
 	many.Reads[Manifest] = 10_000
 	if m.ThroughputRatio(in, in, in, few) <= m.ThroughputRatio(in, in, in, many) {
 		t.Error("more manifest loads should lower the throughput ratio")
-	}
-}
-
-func TestCostModelValidation(t *testing.T) {
-	bad := Default2013()
-	bad.HashingRate = 0
-	if bad.Validate() == nil {
-		t.Error("zero hashing rate accepted")
-	}
-	bad = Default2013()
-	bad.SeekLatency = -time.Millisecond
-	if bad.Validate() == nil {
-		t.Error("negative seek accepted")
 	}
 }
 

@@ -51,8 +51,8 @@ import (
 // verified planned reads. Over restores alone their ratio is what claims
 // straddling a read's edges cost on top of one SHA-1 pass.
 var (
-	cVerifyHashedBytes = metrics.Counter("store.verify.hashed_bytes")
-	cVerifyServedBytes = metrics.Counter("store.verify.served_bytes")
+	cVerifyHashedBytes = metrics.Default.Counter("store.verify.hashed_bytes")
+	cVerifyServedBytes = metrics.Default.Counter("store.verify.served_bytes")
 )
 
 // verifiedWorkers is a verified restore's width when Workers is zero: eight

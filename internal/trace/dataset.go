@@ -15,7 +15,6 @@ const (
 	Windows OSKind = iota
 	Linux
 	Mac
-	numOSKinds
 )
 
 // String returns the OS name.
@@ -232,9 +231,6 @@ func (d *Dataset) Files() []FileInfo {
 
 // TotalBytes returns the exact total input size.
 func (d *Dataset) TotalBytes() int64 { return d.total }
-
-// Config returns the configuration the dataset was built from.
-func (d *Dataset) Config() Config { return d.cfg }
 
 // Open returns a reader streaming the named file's content. The same name
 // always yields identical bytes.
