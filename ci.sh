@@ -57,7 +57,7 @@ echo "== code size =="
 # outside benchmark/ (25,588 before the item's first PR). The ceiling is a
 # ratchet — a PR that deletes code lowers it to its own count; nothing
 # raises it.
-SIZE_CEILING=21959
+SIZE_CEILING=21948
 size=$(find . -name '*.go' ! -name '*_test.go' \
     ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)
 echo "non-test Go lines outside benchmark/: $size (ceiling $SIZE_CEILING)"
@@ -109,6 +109,20 @@ if [ -n "$joins" ]; then
     echo "internal/core joins chunk bytes again:" >&2; echo "$joins" >&2; exit 1
 fi
 
+echo "== chunks are hashed in batches =="
+# The cluster's ingest path names and checks chunks with hashutil.SumChunks,
+# 16 at a time on the lanes (DESIGN §12a.1): the client's Offer digests, the
+# shard's ChunkData check and PeerPut, the gateway's ChunkData check and
+# peerFetch. A per-chunk SumBytes at any of them would hash one at a time.
+body() { awk "/$2/,/$3/" "$1" | grep -n 'hashutil\.SumBytes' | sed "s|^|$1, line of /$2/ |"; }
+single=$( { grep -Hn 'hashutil\.SumBytes' internal/client/ingest.go internal/cluster/gwsession.go
+    body internal/server/session.go '^func .*HandleChunkData' '^}'
+    body internal/server/server.go 'case wire.TypePeerPut:' 'case wire.TypeFileDrop:'
+    body internal/cluster/gateway.go '^func .*peerFetch' '^}'; } || true)
+if [ -n "$single" ]; then
+    echo "chunks hashed one at a time on the cluster ingest path:" >&2; echo "$single" >&2; exit 1
+fi
+
 echo "== no binaries committed =="
 # A `go build ./cmd/...` at the root leaves a binary named after the command,
 # and one was committed once. .gitignore lists those it can, but not dedup —
@@ -131,7 +145,10 @@ echo "== hashutil: every SHA-1 kernel against crypto/sha1, and what the lanes bu
 # tests, the other through vet of the code and the tests and a full
 # cross-build. The engine's golden determinism, PutChunks parity, run fact
 # and deferred-naming tests run once more under purego: the same goldens with the lanes
-# (and SHA-NI) off as the race run below holds them to with the lanes on. Then the reason the lanes exist, as a ratio that cannot rot
+# (and SHA-NI) off as the race run below holds them to with the lanes on. So
+# do the cluster ingest path's batched checks: a shard and a gateway refuse
+# the same ChunkData frames, and drop the same peer chunk, without the lanes,
+# and the client offers the same digests. Then the reason the lanes exist, as a ratio that cannot rot
 # silently: one batch of 128 chunks of 1.5-5 KiB through SumRuns on the
 # lanes and through SumBytes a chunk at a time, measured 2.7-2.9x on a
 # two-vCPU AVX-512 Xeon; below 1.5x the lanes no longer pay for their
@@ -143,6 +160,9 @@ go test -run '^$' -fuzz FuzzDigestMatchesStdlib -fuzztime 20s -fuzzminimizetime 
 go test -run '^$' -fuzz FuzzSumRunsMatchesStdlib -fuzztime 20s -fuzzminimizetime 2s ./internal/hashutil
 go vet -tags purego ./internal/hashutil && go test -tags purego ./internal/hashutil
 go test -tags purego -count=1 -run 'TestSingleStreamDeterminism|TestPutChunksMatchesPutFile|TestRunFact|TestHHRNaming|TestUnnamedPiecesWrittenBackNamed' ./internal/core
+go test -tags purego -count=1 -run 'TestChunkDataFrameCheckedWhole|TestPeerPutCachesUnderBatchedDigests' ./internal/server
+go test -tags purego -count=1 -run 'TestGatewayChunkDataFrameCheckedWhole|TestPeerFetchDropsOnlyTheCorruptChunk' ./internal/cluster
+go test -tags purego -count=1 -run 'TestOfferDigestsMatchSumBytes' ./internal/client
 GOARCH=arm64 go vet ./... && GOARCH=arm64 go build ./...
 for round in 1 2 3 4 5; do
     go test -run '^$' -bench 'BenchmarkSumRuns' -benchtime 200x ./internal/hashutil

@@ -273,23 +273,6 @@ func (s *Store) VerifyRestoreRange(name string, offset, length int64, w io.Write
 	return s.verifier().RestoreRange(name, offset, length, w, store.RestoreOptions{})
 }
 
-// RecipeTreeStats summarizes one file's recipe tree: depth, node/leaf
-// counts and how many of its serialized bytes were new (not shared with
-// an earlier snapshot's tree).
-type RecipeTreeStats = store.RecipeTreeStats
-
-// ConvertRecipeTrees rewrites every flat FileManifest in the store as a
-// recipe tree, in sorted name order (so sibling snapshots converted in
-// sequence share subtrees). Already-converted and empty files are left
-// alone. It returns how many files were rewritten; perFile, when non-nil,
-// observes each conversion.
-func (s *Store) ConvertRecipeTrees(perFile func(name string, st RecipeTreeStats)) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.invalidateVerifier()
-	return s.st.ConvertToRecipeTrees(perFile)
-}
-
 // Check runs an offline consistency check of the store (the system's
 // fsck): every manifest must decode and tile real chunk data, every hook
 // must point at a real manifest, every file must be restorable. It returns

@@ -64,6 +64,8 @@ type hostileServer struct {
 	applied  uint64          // the session's last applied seq
 	endAcked map[uint64]bool // FileEnd seqs honestly acked
 	closeOK  bool            // an orderly CloseOK went out
+	offered  []wire.OfferEntry
+	ends     []wire.FileEnd // every Offer's entries and every FileEnd, as received
 }
 
 func newHostile(t testing.TB, script []byte) *hostileServer {
@@ -205,6 +207,9 @@ func (s *hostileServer) ingest(nc net.Conn, window int) {
 				return
 			}
 			cmds[fe.Seq] = &pending{typ: f.Type}
+			s.mu.Lock()
+			s.ends = append(s.ends, fe)
+			s.mu.Unlock()
 		case wire.TypeOffer:
 			of, err := wire.UnmarshalOffer(f.Payload)
 			if err != nil {
@@ -212,6 +217,9 @@ func (s *hostileServer) ingest(nc net.Conn, window int) {
 				return
 			}
 			p := &pending{typ: f.Type, entries: of.Entries}
+			s.mu.Lock()
+			s.offered = append(s.offered, of.Entries...)
+			s.mu.Unlock()
 			for i, e := range of.Entries {
 				if e.Hash[0]%2 == 0 {
 					p.need = append(p.need, uint32(i))

@@ -161,21 +161,24 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 
 	digests := hashutil.NewHasher() // FileEnd.Sum: over the chunk digests, in order
 	var total uint64
-	batch := make([]wire.OfferEntry, 0, c.cfg.BatchChunks)
 	chunks := make([][]byte, 0, c.cfg.BatchChunks)
+	sums := make([]hashutil.Sum, c.cfg.BatchChunks)
 	flush := func() error {
-		if len(batch) == 0 {
+		if len(chunks) == 0 {
 			return nil
 		}
-		entries := append([]wire.OfferEntry(nil), batch...)
-		data := append([][]byte(nil), chunks...)
+		// The Offer's digests in one call: 16 chunks at a time on the lanes.
+		hashutil.SumChunks(chunks, sums[:len(chunks)])
+		entries := make([]wire.OfferEntry, len(chunks))
 		for i := range entries {
-			digests.Write(entries[i].Hash[:]) // indexed: a copy's Hash[:] would escape
+			entries[i] = wire.OfferEntry{Hash: sums[i], Size: uint32(len(chunks[i]))}
+			digests.Write(sums[i][:])
 		}
+		data := append([][]byte(nil), chunks...)
 		err := c.issue(wire.TypeOffer,
 			func(seq uint64) []byte { return wire.Offer{Seq: seq, Entries: entries}.Marshal() }, data)
 		c.stats.ChunksOffered += int64(len(entries))
-		batch, chunks = batch[:0], chunks[:0]
+		chunks = chunks[:0]
 		return err
 	}
 	for {
@@ -191,9 +194,8 @@ func (c *Ingestor) PutFile(name string, r io.Reader) error {
 		}
 		total += uint64(chunk.Size())
 		c.stats.InputBytes += chunk.Size()
-		batch = append(batch, wire.OfferEntry{Hash: hashutil.SumBytes(chunk.Data), Size: uint32(len(chunk.Data))})
 		chunks = append(chunks, chunk.Data)
-		if len(batch) >= c.cfg.BatchChunks {
+		if len(chunks) >= c.cfg.BatchChunks {
 			if err := flush(); err != nil {
 				return c.fail(err)
 			}

@@ -568,10 +568,10 @@ func (gw *Gateway) peerRPC(sh Shard, reqType uint8, payload []byte, wantType uin
 
 // peerFetch asks sh for the chunks in entries; the result maps the index
 // within entries to verified chunk bytes. Any failure returns nil (all
-// misses). Returned bytes are re-hashed here — a chunk that does not
-// hash to its offered address is dropped rather than injected into the
-// home shard (where it would kill the client's session as an integrity
-// violation).
+// misses). Returned bytes are re-hashed here, the whole reply in one call —
+// a chunk that does not hash to its offered address is dropped rather than
+// injected into the home shard (where it would kill the client's session
+// as an integrity violation).
 func (gw *Gateway) peerFetch(sh Shard, entries []wire.OfferEntry) map[int][]byte {
 	f, err := gw.peerRPC(sh, wire.TypePeerFetch, wire.PeerFetch{Entries: entries}.Marshal(), wire.TypePeerChunks)
 	if err != nil {
@@ -583,14 +583,15 @@ func (gw *Gateway) peerFetch(sh Shard, entries []wire.OfferEntry) map[int][]byte
 	if err != nil || len(pcks.Indices) == 0 {
 		return nil
 	}
+	sums := make([]hashutil.Sum, len(pcks.Chunks))
+	hashutil.SumChunks(pcks.Chunks, sums)
 	out := make(map[int][]byte, len(pcks.Indices))
 	for i, idx := range pcks.Indices {
 		if int(idx) >= len(entries) {
 			continue
 		}
 		data := pcks.Chunks[i]
-		e := entries[idx]
-		if uint32(len(data)) != e.Size || hashutil.SumBytes(data) != e.Hash {
+		if e := entries[idx]; uint32(len(data)) != e.Size || sums[i] != e.Hash {
 			continue
 		}
 		out[int(idx)] = data

@@ -613,7 +613,10 @@ func (ss *gwSession) HandleFileEnd(fe wire.FileEnd, c *session.Conn) error {
 // positions into each replica shard's need positions, relays them to
 // every replica that asked for the chunk, and seeds each chunk's ring
 // owner through the peer plane so the next tenant offering the same hash
-// anywhere in the cluster hits shard-local bytes.
+// anywhere in the cluster hits shard-local bytes. As on a shard, the frame
+// is validated, hashed in one call and compared before any of it is
+// relayed, which happens after the loop: it is relayed whole or refused
+// (DESIGN §9).
 func (ss *gwSession) HandleChunkData(cd wire.ChunkData, _ *session.Conn) error {
 	if cd.Seq <= ss.lastAcked {
 		return nil // late data for an acked batch; harmless
@@ -626,6 +629,18 @@ func (ss *gwSession) HandleChunkData(cd wire.ChunkData, _ *session.Conn) error {
 	if !off.needSent {
 		return session.Fatalf(wire.CodeProtocol, "chunk data for offer %d before its Need was answered", cd.Seq)
 	}
+	for j, chunk := range cd.Chunks {
+		cpos := int(cd.Start) + j
+		if cpos < 0 || cpos >= len(off.clientNeed) {
+			return session.Fatalf(wire.CodeProtocol, "chunk data position %d outside need list (len %d)", cpos, len(off.clientNeed))
+		}
+		idx := off.clientNeed[cpos]
+		if size := off.entries[idx].Size; uint32(len(chunk)) != size {
+			return session.Fatalf(wire.CodeIntegrity, "offer %d index %d: got %d bytes, offered %d", cd.Seq, idx, len(chunk), size)
+		}
+	}
+	sums := make([]hashutil.Sum, len(cd.Chunks))
+	hashutil.SumChunks(cd.Chunks, sums)
 	full, _ := ss.gw.rings()
 	replica := make(map[string]bool, len(cmd.shards))
 	for _, sh := range cmd.shards {
@@ -634,16 +649,8 @@ func (ss *gwSession) HandleChunkData(cd wire.ChunkData, _ *session.Conn) error {
 	runs := make(map[string][]placedChunk, len(cmd.shards))
 	seed := make(map[string][][]byte)
 	for j, chunk := range cd.Chunks {
-		cpos := int(cd.Start) + j
-		if cpos < 0 || cpos >= len(off.clientNeed) {
-			return session.Fatalf(wire.CodeProtocol, "chunk data position %d outside need list (len %d)", cpos, len(off.clientNeed))
-		}
-		idx := off.clientNeed[cpos]
-		e := off.entries[idx]
-		if uint32(len(chunk)) != e.Size {
-			return session.Fatalf(wire.CodeIntegrity, "offer %d index %d: got %d bytes, offered %d", cd.Seq, idx, len(chunk), e.Size)
-		}
-		if hashutil.SumBytes(chunk) != e.Hash {
+		idx := off.clientNeed[int(cd.Start)+j]
+		if sums[j] != off.entries[idx].Hash {
 			return session.Fatalf(wire.CodeIntegrity, "offer %d index %d: chunk bytes do not hash to the offered address", cd.Seq, idx)
 		}
 		for _, sh := range cmd.shards {
@@ -651,7 +658,7 @@ func (ss *gwSession) HandleChunkData(cd wire.ChunkData, _ *session.Conn) error {
 				runs[sh.ID] = append(runs[sh.ID], placedChunk{pos: p, data: chunk})
 			}
 		}
-		owner := full.Owner(e.Hash)
+		owner := full.Owner(sums[j])
 		if !replica[owner.ID] && !ss.gw.shardDraining(owner.ID) {
 			seed[owner.ID] = append(seed[owner.ID], chunk)
 		}

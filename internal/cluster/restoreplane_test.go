@@ -132,7 +132,13 @@ func TestGatewayRestoreIsBoundedFrames(t *testing.T) {
 	if dials, reuses := counter(tc, "gateway.restore.shard_dials"), counter(tc, "gateway.restore.shard_reuses"); dials != 1 || reuses != 4 {
 		t.Fatalf("five requests for one file made %d shard dials and %d reuses, want 1 and 4", dials, reuses)
 	}
-	if n := tc.registry.Histogram("gateway.restore_ns").Snapshot().Count; n != 5 {
+	// The gateway records a restore once it has relayed its RestoreEnd, so
+	// the client can hold the last one before the fifth observation.
+	n := tc.registry.Histogram("gateway.restore_ns").Snapshot().Count
+	for deadline := time.Now().Add(5 * time.Second); n != 5 && time.Now().Before(deadline); n = tc.registry.Histogram("gateway.restore_ns").Snapshot().Count {
+		time.Sleep(time.Millisecond)
+	}
+	if n != 5 {
 		t.Fatalf("gateway.restore_ns holds %d observations, want 5", n)
 	}
 }

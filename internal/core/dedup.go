@@ -127,6 +127,7 @@ type fileState struct {
 	eager     []store.Entry    // pieces named at the split, indexed once the manifest is unlocked
 	pending   []pchunk         // non-duplicate chunks awaiting SHM flush (≤ 2·SD)
 	replay    []pchunk         // chunks prefetched by FME but not consumed
+	pre       []pchunk         // FME's prefetch buffer, reused across extensions
 	slots     []slotState
 	hooks     []hashutil.Sum    // hook hashes to publish at file end
 	facts     [][2]hashutil.Sum // the merged runs' (H, K): the manifest's born facts

@@ -131,11 +131,16 @@ func (d *Dedup) bme(f *fileState, m *store.Manifest, hitIdx int) (shift int, err
 // Prefetched chunks that do not extend the duplicate region go back on the
 // replay queue and re-enter the normal deduplication flow (§III).
 func (d *Dedup) fme(f *fileState, m *store.Manifest, hitIdx int) error {
-	var pre []pchunk
-	defer func() { f.replay = slices.Concat(pre, f.replay) }() // unconsumed prefetches go first
+	pre, at := f.pre[:0], 0 // the prefetches; pre[:at] are consumed
+	defer func() {
+		if at < len(pre) { // unconsumed prefetches go first
+			f.replay = slices.Concat(pre[at:], f.replay)
+		}
+		f.pre = pre[:0]
+	}()
 	for i := hitIdx + 1; i < len(m.Entries); i++ {
 		e := m.Entries[i]
-		k, sum := span(pre, e.Size, false)
+		k, sum := span(pre[at:], e.Size, false)
 		for sum < e.Size { // prefetch until pre covers e
 			pc, ok, err := d.nextChunk(f)
 			if err != nil {
@@ -147,15 +152,15 @@ func (d *Dedup) fme(f *fileState, m *store.Manifest, hitIdx int) error {
 			pre = append(pre, pc)
 			k, sum = k+1, sum+pc.Size()
 		}
-		if sum != e.Size || !d.runMatches(m, pre[:k], e) {
+		if sum != e.Size || !d.runMatches(m, pre[at:at+k], e) {
 			// Mismatch: forward HHR may recover a duplicate prefix inside e.
-			consumed, err := d.hhrForward(f, m, i, pre)
-			pre = pre[consumed:]
+			consumed, err := d.hhrForward(f, m, i, pre[at:])
+			at += consumed
 			return err
 		}
-		d.resolve(f, pre[:k], true, m.ContainerOf(e), e.Start)
+		d.resolve(f, pre[at:at+k], true, m.ContainerOf(e), e.Start)
 		d.Count.FMEDupChunks.Add(int64(k))
-		pre = pre[k:]
+		at += k
 	}
 	return nil
 }

@@ -14,7 +14,7 @@ import (
 //	chunker goroutine ──► SHA-1 per batch ──► in-order delivery ──► dedup
 //
 // The chunker goroutine cuts a batch, starts a goroutine hashing it
-// (hashutil.SumRuns: 16 chunks at a time where the CPU has the lanes) and
+// (hashutil.SumChunks: 16 at a time where the CPU has the lanes) and
 // queues it in input order; the ordered stage waits for each batch's hashes
 // in turn. There is nothing to configure, and results do not depend on the
 // schedule (the determinism test).
@@ -72,7 +72,6 @@ type chunkBatch struct {
 	n      int // chunks cut into it
 	chunks [batchChunks]chunker.Chunk
 	data   [batchChunks][]byte
-	runs   [batchChunks][][]byte // data's chunks as hashutil.SumRuns takes them, one part each
 	sums   [batchChunks]hashutil.Sum
 	err    error
 	hashed chan struct{} // closed once sums is filled in
@@ -120,13 +119,12 @@ func (p *chunkPipeline) produce(ch chunker.Chunker) {
 				break
 			}
 			b.chunks[b.n], b.data[b.n] = c, c.Data
-			b.runs[b.n] = b.data[b.n : b.n+1]
 			b.n++
 		}
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			hashutil.SumRuns(b.runs[:b.n], b.sums[:b.n])
+			hashutil.SumChunks(b.data[:b.n], b.sums[:b.n])
 			close(b.hashed)
 		}()
 		select {

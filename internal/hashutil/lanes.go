@@ -6,7 +6,7 @@ package hashutil
 // bytes (DESIGN §12a).
 func SumRuns(runs [][][]byte, sums []Sum) {
 	if useLanes && len(runs) >= minLanes {
-		s := lanes{runs: runs, sums: sums, busy: min(len(runs), 16)}
+		s := lanes{runs: runs, sums: sums[:len(runs)], busy: min(len(runs), 16)}
 		s.sum()
 		return
 	}
@@ -20,6 +20,20 @@ func SumRuns(runs [][][]byte, sums []Sum) {
 			h.Write(p)
 		}
 		sums[i] = h.Sum()
+	}
+}
+
+// SumChunks is SumRuns over one-part runs: it sets sums[i] to the SHA-1 of
+// chunks[i], and sums must be as long as chunks. The runs are views of
+// chunks, so it allocates nothing either.
+func SumChunks(chunks [][]byte, sums []Sum) {
+	if useLanes && len(chunks) >= minLanes {
+		s := lanes{chunks: chunks, sums: sums[:len(chunks)], busy: min(len(chunks), 16)}
+		s.sum()
+		return
+	}
+	for i, c := range chunks {
+		sums[i] = SumBytes(c)
 	}
 }
 
@@ -42,8 +56,9 @@ type lanes struct {
 		d    digest   // the run's length so far and any block in the making
 	}
 	busy, next int
-	runs       [][][]byte
-	sums       []Sum
+	runs       [][][]byte // the runs, or nil and each run is one chunk
+	chunks     [][]byte
+	sums       []Sum // one per run
 }
 
 func (s *lanes) sum() {
@@ -90,7 +105,7 @@ func (s *lanes) feed(i int) bool {
 	}
 	for {
 		switch {
-		case len(l.cur) >= 64 && l.d.nx == 0 && (s.busy >= minLanes || s.next < len(s.runs)):
+		case len(l.cur) >= 64 && l.d.nx == 0 && (s.busy >= minLanes || s.next < len(s.sums)):
 			for w := range s.h {
 				s.h[w][i] = l.d.h[w]
 			}
@@ -108,10 +123,15 @@ func (s *lanes) feed(i int) bool {
 			if l.out != nil {
 				*l.out = l.d.sum()
 			}
-			if s.next == len(s.runs) {
+			if s.next == len(s.sums) {
 				return false
 			}
-			l.out, l.rest = &s.sums[s.next], s.runs[s.next]
+			l.out = &s.sums[s.next]
+			if s.runs != nil {
+				l.rest = s.runs[s.next]
+			} else {
+				l.rest = s.chunks[s.next : s.next+1]
+			}
 			l.d.reset()
 			s.next++
 		}

@@ -30,7 +30,8 @@ func eachRunKernel(t *testing.T, f func(t *testing.T)) {
 }
 
 // checkRuns holds SumRuns to crypto/sha1 over each run's joined parts, and
-// checks that it writes no sum past the runs.
+// checks that it writes no sum past the runs. Where every run is one part,
+// SumChunks over those parts must write the same sums.
 func checkRuns(t *testing.T, runs [][][]byte) {
 	t.Helper()
 	sums := make([]Sum, len(runs)+1)
@@ -48,6 +49,21 @@ func checkRuns(t *testing.T, runs [][][]byte) {
 	}
 	if sums[len(runs)] != sentinel {
 		t.Fatalf("SumRuns wrote past its %d runs", len(runs))
+	}
+	chunks := make([][]byte, len(runs))
+	for i, run := range runs {
+		if len(run) != 1 {
+			return
+		}
+		chunks[i] = run[0]
+	}
+	got := make([]Sum, len(chunks)+1)
+	got[len(chunks)] = sentinel
+	SumChunks(chunks, got)
+	for i := range got {
+		if got[i] != sums[i] {
+			t.Fatalf("SumChunks: sum %d of %d chunks is %s, SumRuns says %s", i, len(chunks), got[i].Hex(), sums[i].Hex())
+		}
 	}
 }
 
@@ -154,7 +170,7 @@ func FuzzSumRunsMatchesStdlib(f *testing.F) {
 }
 
 // The lanes keep their state on the stack: a batch of one-part runs
-// allocates nothing.
+// allocates nothing, and neither does the same batch as chunks.
 func TestSumRunsDoesNotAllocate(t *testing.T) {
 	if !haveLanes {
 		t.Skip("no lane kernel on this CPU or build")
@@ -163,6 +179,13 @@ func TestSumRunsDoesNotAllocate(t *testing.T) {
 	runs, sums := chunkRuns(11)
 	if n := testing.AllocsPerRun(20, func() { SumRuns(runs, sums) }); n != 0 {
 		t.Errorf("SumRuns allocates %v times per batch, want 0", n)
+	}
+	chunks := make([][]byte, len(runs))
+	for i, run := range runs {
+		chunks[i] = run[0]
+	}
+	if n := testing.AllocsPerRun(20, func() { SumChunks(chunks, sums) }); n != 0 {
+		t.Errorf("SumChunks allocates %v times per batch, want 0", n)
 	}
 }
 

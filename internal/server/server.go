@@ -515,8 +515,10 @@ func (s *Server) servePeerConn(c *session.Conn) {
 				c.Errorf(wire.CodeProtocol, false, "bad PeerPut: %v", err)
 				return
 			}
-			for _, chunk := range pp.Chunks {
-				s.cache.put(hashutil.SumBytes(chunk), chunk)
+			sums := make([]hashutil.Sum, len(pp.Chunks))
+			hashutil.SumChunks(pp.Chunks, sums)
+			for i, chunk := range pp.Chunks {
+				s.cache.put(sums[i], chunk)
 			}
 			s.cPeerPut.Add(int64(len(pp.Chunks)))
 			if err := c.Write(wire.TypePeerPutOK, nil); err != nil {

@@ -149,7 +149,10 @@ func (ss *ingestSession) HandleOffer(of wire.Offer, c *session.Conn) error {
 	return ss.applyReady(c)
 }
 
-// HandleChunkData verifies and stores a run of needed chunk bytes.
+// HandleChunkData verifies and stores a run of needed chunk bytes. The frame
+// is checked whole — positions and sizes, then every chunk against its
+// offered address, hashed in one call — before any of it is applied: a
+// frame is applied whole or refused (DESIGN §9).
 func (ss *ingestSession) HandleChunkData(cd wire.ChunkData, c *session.Conn) error {
 	if cd.Seq <= ss.lastApplied {
 		return nil // late data for an already-applied batch; harmless
@@ -164,22 +167,27 @@ func (ss *ingestSession) HandleChunkData(cd wire.ChunkData, c *session.Conn) err
 			return session.Fatalf(wire.CodeProtocol, "chunk data index %d outside need list (len %d)", pos, len(pc.need))
 		}
 		idx := pc.need[pos]
-		entry := pc.offer.Entries[idx]
 		if pc.run[idx].Data != nil {
 			return session.Fatalf(wire.CodeProtocol, "duplicate chunk data for offer %d index %d", cd.Seq, idx)
 		}
-		if uint32(len(chunk)) != entry.Size {
-			return session.Fatalf(wire.CodeIntegrity, "offer %d index %d: got %d bytes, offered %d", cd.Seq, idx, len(chunk), entry.Size)
+		if size := pc.offer.Entries[idx].Size; uint32(len(chunk)) != size {
+			return session.Fatalf(wire.CodeIntegrity, "offer %d index %d: got %d bytes, offered %d", cd.Seq, idx, len(chunk), size)
 		}
-		if hashutil.SumBytes(chunk) != entry.Hash {
+	}
+	sums := make([]hashutil.Sum, len(cd.Chunks))
+	hashutil.SumChunks(cd.Chunks, sums)
+	for j, sum := range sums {
+		if idx := pc.need[int(cd.Start)+j]; sum != pc.offer.Entries[idx].Hash {
 			return session.Fatalf(wire.CodeIntegrity, "offer %d index %d: chunk bytes do not hash to the offered address", cd.Seq, idx)
 		}
-		pc.run[idx].Data = chunk
-		pc.missing--
-		ss.srv.cache.put(entry.Hash, chunk)
-		ss.srv.cChunksReceived.Add(1)
+	}
+	for j, chunk := range cd.Chunks {
+		pc.run[pc.need[int(cd.Start)+j]].Data = chunk
+		ss.srv.cache.put(sums[j], chunk)
 		ss.srv.cChunkBytesIn.Add(int64(len(chunk)))
 	}
+	pc.missing -= len(cd.Chunks)
+	ss.srv.cChunksReceived.Add(int64(len(cd.Chunks)))
 	return ss.applyReady(c)
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
@@ -605,41 +604,4 @@ func (s *Store) restoreRange(file string, off, length int64, w io.Writer, opts R
 	rs, err := s.runPlan(plan, read, w, opts)
 	return RangeStats{RestoreStats: rs, RecipeReads: reads,
 		FileBytes: total, Offset: off, Length: sub.TotalBytes()}, err
-}
-
-// ConvertToRecipeTrees rewrites every flat FileManifest in the store as a
-// recipe tree (already-tree files are left alone), reporting per-file
-// write statistics through perFile (nil to skip). Files are converted in
-// sorted name order, so snapshot N+1 dedups against the freshly written
-// tree of snapshot N exactly as it would have during ingest. Returns the
-// number of files converted.
-func (s *Store) ConvertToRecipeTrees(perFile func(file string, st RecipeTreeStats)) (int, error) {
-	names := s.disk.Names(simdisk.FileManifest)
-	sort.Strings(names)
-	converted := 0
-	for _, name := range names {
-		raw, err := s.disk.Read(simdisk.FileManifest, name)
-		if err != nil {
-			return converted, fmt.Errorf("store: convert %q: %w", name, err)
-		}
-		if IsRecipeTreeRoot(raw) || len(raw) == 0 {
-			continue
-		}
-		fm, err := DecodeFileManifest(name, raw)
-		if err != nil {
-			return converted, fmt.Errorf("store: convert %q: %w", name, err)
-		}
-		if err := s.disk.Delete(simdisk.FileManifest, name); err != nil {
-			return converted, fmt.Errorf("store: convert %q: %w", name, err)
-		}
-		st, err := s.WriteFileManifestTree(fm)
-		if err != nil {
-			return converted, fmt.Errorf("store: convert %q: %w", name, err)
-		}
-		converted++
-		if perFile != nil {
-			perFile(name, st)
-		}
-	}
-	return converted, nil
 }

@@ -552,85 +552,6 @@ func TestCheckCoversRecipeTrees(t *testing.T) {
 	}
 }
 
-func TestConvertToRecipeTrees(t *testing.T) {
-	// Flat store with real data, converted in place.
-	s := New(simdisk.New(), FormatBasic)
-	c := s.NextName()
-	data := make([]byte, 1<<15)
-	rand.New(rand.NewSource(3)).Read(data)
-	if err := s.SealDiskChunk(c, data); err != nil {
-		t.Fatal(err)
-	}
-	var wants [][]byte
-	for f := 0; f < 3; f++ {
-		fm := &FileManifest{File: fmt.Sprintf("f%d", f)}
-		var want []byte
-		for i := 0; i < 50; i++ {
-			start := int64((f*131 + i*997) % (len(data) - 2048))
-			if err := fm.Append(FileRef{Container: c, Start: start, Size: 1024}); err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, data[start:start+1024]...)
-		}
-		if err := s.WriteFileManifest(fm); err != nil {
-			t.Fatal(err)
-		}
-		wants = append(wants, want)
-	}
-
-	s.SetRecipeConfig(RecipeConfig{Trees: true, LeafChunkBytes: 512})
-	n, err := s.ConvertToRecipeTrees(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("converted %d files, want 3", n)
-	}
-	for f := 0; f < 3; f++ {
-		name := fmt.Sprintf("f%d", f)
-		raw, err := s.Disk().Read(simdisk.FileManifest, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !IsRecipeTreeRoot(raw) {
-			t.Fatalf("%s still flat after conversion", name)
-		}
-		var buf bytes.Buffer
-		if err := s.RestoreFile(name, &buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), wants[f]) {
-			t.Fatalf("%s restores different bytes after conversion", name)
-		}
-		// Ranged restores seek through the converted tree: interior slice,
-		// open-ended tail, offset past EOF.
-		total := int64(len(wants[f]))
-		for _, r := range [][2]int64{{total/2 + 17, 8192}, {total - total/8, -1}, {total + 4096, 64}} {
-			off, length := r[0], r[1]
-			buf.Reset()
-			rs, err := s.RestoreRange(name, off, length, &buf, RestoreOptions{Workers: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			lo, hi := min(off, total), total
-			if length >= 0 {
-				hi = min(off+length, total)
-			}
-			if !bytes.Equal(buf.Bytes(), wants[f][lo:hi]) {
-				t.Fatalf("%s range [%d,+%d) differs after conversion", name, off, length)
-			}
-			if lo < hi && rs.RecipeReads == 0 {
-				t.Fatalf("%s range [%d,+%d) read no recipe chunk; it was not served from the tree", name, off, length)
-			}
-		}
-	}
-	// Converting again is a no-op.
-	n, err = s.ConvertToRecipeTrees(nil)
-	if err != nil || n != 0 {
-		t.Fatalf("second conversion: n=%d err=%v", n, err)
-	}
-}
-
 func TestRecipeTreeRangedEqualsFlatSlice(t *testing.T) {
 	// Differential: the same manifest stored flat and as a tree must serve
 	// identical bytes for identical ranges, across worker counts.
