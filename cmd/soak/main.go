@@ -43,6 +43,7 @@ import (
 	"mhdedup/internal/events"
 	"mhdedup/internal/metrics"
 	"mhdedup/internal/server"
+	"mhdedup/internal/simdisk"
 )
 
 func main() {
@@ -121,16 +122,18 @@ func run(o options) error {
 	// --- Stand up the cluster: N shards, one gateway. -------------------
 	var shards []cluster.Shard
 	var servers []*server.Server
+	var engines []*core.Dedup
 	for i := 0; i < o.shards; i++ {
 		eng, err := dedup.New(dedup.MHD, dedup.Options{ExpectedInputBytes: 64 << 20})
 		if err != nil {
 			return err
 		}
+		engines = append(engines, eng.(*core.Dedup))
 		// Abandoned sessions (quota sheds, injected deaths the client gave
 		// up on) park resumable slots until ResumeTimeout, so a churn run
 		// needs headroom plus a short expiry to keep slots cycling.
 		srv, err := server.New(server.Config{
-			Engine:        eng.(*core.Dedup),
+			Engine:        engines[i],
 			MaxSessions:   o.clients * 8,
 			ResumeTimeout: 15 * time.Second,
 			Registry:      metrics.NewRegistry(),
@@ -311,6 +314,18 @@ func run(o options) error {
 	runtime.ReadMemStats(&ms)
 	heapMB := int(ms.HeapAlloc >> 20)
 	logger.Printf("post-GC heap: %d MiB (bound %d MiB)", heapMB, o.maxHeapMB)
+	// What holds it: every byte the shards store lives in their disks'
+	// memory, and each shard keeps a chunk cache besides.
+	var stored, cached int64
+	for i, srv := range servers {
+		for cat := simdisk.Data; cat <= simdisk.Recipe; cat++ {
+			stored += engines[i].Disk().BytesStored(cat)
+		}
+		b, _ := srv.CacheStats()
+		cached += b
+	}
+	logger.Printf("heap: %d MiB stored by the shards, %d MiB in chunk caches, %d MiB rest; %d KiB per ingest",
+		stored>>20, cached>>20, (int64(ms.HeapAlloc)-stored-cached)>>20, int64(ms.HeapAlloc)>>10/tl.ingests.Load())
 	if heapMB > o.maxHeapMB {
 		return fmt.Errorf("heap %d MiB exceeds the %d MiB bound", heapMB, o.maxHeapMB)
 	}

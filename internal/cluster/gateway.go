@@ -235,6 +235,14 @@ func (gw *Gateway) rings() (full, write *Ring) {
 	return gw.ring, gw.writeRing
 }
 
+// home is where a file lives: the write-ring owners of its namespaced
+// name at the replication factor, primary first. A new file is placed
+// there, a restore probes there first, and rebalance and repair fill it.
+func (gw *Gateway) home(nsName string) []Shard {
+	_, write := gw.rings()
+	return write.OwnersOfName(nsName, gw.cfg.Replication)
+}
+
 // shardDraining reports whether a shard is currently excluded from the
 // write ring.
 func (gw *Gateway) shardDraining(id string) bool {
@@ -317,32 +325,57 @@ func (gw *Gateway) serveRestoreConn(c *session.Conn, tenant string) {
 
 // mergedList unions the tenant's names across all shards, sorted and
 // deduplicated (a name can exist on two shards after a drain rewrote it
-// on a new home).
+// on a new home). It fails only when no shard answered.
 func (gw *Gateway) mergedList(tenant string) ([]string, error) {
+	holders, listed, lastErr := gw.listShards(tenant)
+	if len(listed) == 0 {
+		return nil, lastErr
+	}
+	return sortedNames(holders), nil
+}
+
+// listShards is how the gateway learns where files are: one listing of
+// tenant's names from every shard of the full ring. holders maps each name
+// to the shards that list it, in membership order; listed holds the IDs of
+// the shards that answered. A shard that cannot be listed is not known to
+// hold a file or to lack it; lastErr is the last such failure.
+func (gw *Gateway) listShards(tenant string) (holders map[string][]Shard, listed map[string]bool, lastErr error) {
 	full, _ := gw.rings()
-	seen := make(map[string]bool)
-	var lastErr error
-	reached := 0
+	holders = make(map[string][]Shard)
+	listed = make(map[string]bool)
 	for _, sh := range full.Shards() {
 		names, err := gw.shardList(sh, tenant)
 		if err != nil {
 			lastErr = fmt.Errorf("shard %s: %w", sh.ID, err)
+			gw.cfg.Events.Warn("gateway.shard_unlisted", events.F("shard", sh.ID), events.F("err", err))
 			continue
 		}
-		reached++
+		listed[sh.ID] = true
 		for _, n := range names {
-			seen[n] = true
+			holders[n] = append(holders[n], sh)
 		}
 	}
-	if reached == 0 && lastErr != nil {
-		return nil, lastErr
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
+	return holders, listed, lastErr
+}
+
+// sortedNames returns holders' names in order.
+func sortedNames(holders map[string][]Shard) []string {
+	out := make([]string, 0, len(holders))
+	for n := range holders {
 		out = append(out, n)
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
+}
+
+// holds reports whether the shard id is among shards.
+func holds(shards []Shard, id string) bool {
+	for _, sh := range shards {
+		if sh.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // shardList fetches one shard's tenant-scoped listing over a restore link.
@@ -359,23 +392,19 @@ func (gw *Gateway) shardList(sh Shard, tenant string) (names []string, err error
 	return names, err
 }
 
-// restoreProbeOrder is the shard order a restore tries: the write-ring
-// replica owners first (they hold the newest version of any name
-// (re)written during a drain), then the full-ring owners (placement from
+// restoreProbeOrder is the shard order a restore tries: the file's home
+// first (it holds the newest version of any name (re)written during a
+// drain), then the full-ring owners (placement from
 // before a drain), then every other shard, for belt and braces.
 func (gw *Gateway) restoreProbeOrder(fullName string) []Shard {
-	full, write := gw.rings()
-	r := gw.cfg.Replication
-	probe := append([]Shard(nil), write.OwnersOfName(fullName, r)...)
+	probe := gw.home(fullName)
 	add := func(sh Shard) {
-		for _, p := range probe {
-			if p.ID == sh.ID {
-				return
-			}
+		if !holds(probe, sh.ID) {
+			probe = append(probe, sh)
 		}
-		probe = append(probe, sh)
 	}
-	for _, sh := range full.OwnersOfName(fullName, r) {
+	full, _ := gw.rings()
+	for _, sh := range full.OwnersOfName(fullName, gw.cfg.Replication) {
 		add(sh)
 	}
 	for _, sh := range full.Shards() {

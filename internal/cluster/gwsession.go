@@ -546,8 +546,7 @@ func (ss *gwSession) HandleFileBegin(fb wire.FileBegin, c *session.Conn) error {
 	if err := ss.admit(fb.Seq); err != nil {
 		return err
 	}
-	_, write := ss.gw.rings()
-	shards := write.OwnersOfName(wire.NSJoin(ss.tenant, fb.Name), ss.gw.cfg.Replication)
+	shards := ss.gw.home(wire.NSJoin(ss.tenant, fb.Name))
 	cmd := ss.newCmd(fb.Seq, shards, wire.TypeFileBegin)
 	cmd.name = fb.Name
 	ss.cmds[fb.Seq] = cmd

@@ -5,7 +5,7 @@
 // recorded SHA-1 fails the copy), the gateway cuts and hashes the bytes as
 // any client does, and the target takes the cuts pre-chunked and commits
 // durably before its FileEnd Ack. Nothing is dropped from a source until
-// every live owner has confirmed its copy.
+// every owner of the file was listed holding it or has confirmed its copy.
 package cluster
 
 import (
@@ -18,32 +18,6 @@ import (
 	"mhdedup/internal/session"
 	"mhdedup/internal/wire"
 )
-
-// statBatch bounds one FileStat frame: well under both MaxStatNames and
-// the frame payload cap even with maximal names.
-const statBatch = 512
-
-// statFiles asks sh which of names it holds, in batches, over the pooled
-// peer connection.
-func (gw *Gateway) statFiles(sh Shard, names []string) ([]bool, error) {
-	out := make([]bool, 0, len(names))
-	for start := 0; start < len(names); start += statBatch {
-		end := min(start+statBatch, len(names))
-		f, err := gw.peerRPC(sh, wire.TypeFileStat, wire.FileStat{Names: names[start:end]}.Marshal(), wire.TypeFileStatOK)
-		if err != nil {
-			return nil, err
-		}
-		ok, err := wire.UnmarshalFileStatOK(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if len(ok.Present) != end-start {
-			return nil, fmt.Errorf("shard %s answered %d presence bits for %d names", sh.ID, len(ok.Present), end-start)
-		}
-		out = append(out, ok.Present...)
-	}
-	return out, nil
-}
 
 // dropFile forgets name on sh (idempotent on the shard side).
 func (gw *Gateway) dropFile(sh Shard, name string) error {
@@ -93,6 +67,21 @@ func (gw *Gateway) migrate(src, dst Shard, name string) error {
 	return nil
 }
 
+// copyTo copies name onto owner from the first of srcs whose copy
+// verifies: a holder whose copy does not verify fails its migration, and
+// the next one may have a good one. It returns the last failure when none
+// does.
+func (gw *Gateway) copyTo(name string, owner Shard, srcs []Shard) (err error) {
+	for _, src := range srcs {
+		if err = gw.migrate(src, owner, name); err == nil {
+			return nil
+		}
+		gw.cfg.Events.Warn("gateway.migrate_fail", events.F("file", name),
+			events.F("source", src.ID), events.F("target", owner.ID), events.F("err", err))
+	}
+	return err
+}
+
 // RebalanceReport summarizes one RebalanceShard pass.
 type RebalanceReport struct {
 	Shard    string `json:"shard"`
@@ -102,70 +91,52 @@ type RebalanceReport struct {
 }
 
 // RebalanceShard drains a shard (if it is not already draining) and moves
-// every file it holds onto the file's current write-ring owners: each
-// owner that lacks a copy receives one by verified migration, and only
-// when every owner holds the file is it dropped from the drained shard.
-// The pass is idempotent — a second call finds zero files and is a no-op
-// — and crash-safe in the sense that an interrupted pass leaves every
-// file on at least as many shards as before.
+// every file it holds onto the file's home: each owner that lacks a copy
+// receives one by verified migration from the drained shard, and only once
+// every owner was listed holding the file or confirmed its copy is the file
+// dropped from the drained shard. Presence comes from every shard's
+// listing, as repair's does; an owner that cannot be listed is not known to
+// lack the file, so the file stays and the pass returns an error. The pass
+// is idempotent — a second call finds zero files and is a no-op — and
+// crash-safe in the sense that an interrupted pass leaves every file on at
+// least as many shards as before.
 func (gw *Gateway) RebalanceShard(id string) (RebalanceReport, error) {
 	rep := RebalanceReport{Shard: id}
 	if err := gw.DrainShard(id); err != nil {
 		return rep, err
 	}
-	full, write := gw.rings()
-	src, found := full.Shard(id)
-	if !found {
-		return rep, fmt.Errorf("cluster: no shard %q", id)
-	}
-	names, err := gw.shardList(src, "")
-	if err != nil {
-		return rep, fmt.Errorf("cluster: listing drained shard %s: %w", id, err)
-	}
-	rep.Files = len(names)
-
-	// Presence on each distinct target, batched per shard up front.
-	present := make(map[string]map[string]bool) // target ID → name → present
-	ownersOf := make(map[string][]Shard, len(names))
-	targets := make(map[string][]string)
-	shardByID := make(map[string]Shard)
-	for _, name := range names {
-		owners := write.OwnersOfName(name, gw.cfg.Replication)
-		ownersOf[name] = owners
-		for _, o := range owners {
-			shardByID[o.ID] = o
-			targets[o.ID] = append(targets[o.ID], name)
-		}
-	}
-	for tid, tnames := range targets {
-		bits, err := gw.statFiles(shardByID[tid], tnames)
-		if err != nil {
-			return rep, fmt.Errorf("cluster: stat on %s: %w", tid, err)
-		}
-		m := make(map[string]bool, len(tnames))
-		for i, n := range tnames {
-			m[n] = bits[i]
-		}
-		present[tid] = m
+	full, _ := gw.rings()
+	src, _ := full.Shard(id) // DrainShard refused an unknown id
+	holders, listed, lastErr := gw.listShards("")
+	if !listed[id] {
+		return rep, fmt.Errorf("cluster: listing drained shard %s: %w", id, lastErr)
 	}
 
 	var firstErr error
-	for _, name := range names {
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	for _, name := range sortedNames(holders) {
+		if !holds(holders[name], id) {
+			continue
+		}
+		rep.Files++
 		confirmed := true
-		for _, owner := range ownersOf[name] {
-			if present[owner.ID][name] {
+		for _, owner := range gw.home(name) {
+			if holds(holders[name], owner.ID) {
 				continue
 			}
-			if err := gw.migrate(src, owner, name); err != nil {
-				gw.cfg.Events.Warn("gateway.rebalance_migrate_fail",
-					events.F("file", name), events.F("target", owner.ID), events.F("err", err))
-				if firstErr == nil {
-					firstErr = err
-				}
+			err := fmt.Errorf("cluster: %q stays on %s: its owner %s could not be listed", name, id, owner.ID)
+			if listed[owner.ID] {
+				err = gw.copyTo(name, owner, []Shard{src})
+			}
+			if err != nil {
+				fail(err)
 				confirmed = false
 				continue
 			}
-			present[owner.ID][name] = true
 			rep.Migrated++
 			gw.cMigrated.Add(1)
 		}
@@ -175,9 +146,7 @@ func (gw *Gateway) RebalanceShard(id string) (RebalanceReport, error) {
 		if err := gw.dropFile(src, name); err != nil {
 			gw.cfg.Events.Warn("gateway.rebalance_drop_fail",
 				events.F("file", name), events.F("err", err))
-			if firstErr == nil {
-				firstErr = err
-			}
+			fail(err)
 			continue
 		}
 		rep.Dropped++

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -89,6 +90,143 @@ func TestRebalanceShardConverges(t *testing.T) {
 				name, victim, tc.shards[1].ID)
 		}
 	}
+}
+
+// drainedHomes maps each file to its home once shard 0 is drained: its
+// owners at r on a ring of the other shards.
+func drainedHomes(t *testing.T, tc *testCluster, names []string, r int) map[string][]cluster.Shard {
+	t.Helper()
+	ring, err := cluster.NewRing(tc.shards[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	homes := make(map[string][]cluster.Shard, len(names))
+	for _, name := range names {
+		homes[name] = ring.OwnersOfName(name, r)
+	}
+	return homes
+}
+
+// holding reports whether shard id's engine holds name.
+func (tc *testCluster) holding(id, name string) bool {
+	for i, sh := range tc.shards {
+		if sh.ID == id {
+			return tc.engines[i].Disk().Exists(simdisk.FileManifest, name)
+		}
+	}
+	return false
+}
+
+// TestRebalanceMigratesOnlyWhatOwnersLack: rebalance learns who holds a
+// file from the shards' listings. At R=2 every file of the drained shard
+// keeps one owner that already holds it, and some are also put straight
+// onto their other new owner first; Migrated must be exactly the (file,
+// owner) pairs whose owner lacked a copy before the pass.
+func TestRebalanceMigratesOnlyWhatOwnersLack(t *testing.T) {
+	tc := startCluster(t, 4, func(c *cluster.GatewayConfig) { c.Replication = 2 })
+	files, order := matrixFiles(t, tc, 86, 2, 1<<17)
+	putAll(t, tc.clientConfig(), files, order)
+	var victims []string
+	for _, name := range order {
+		if tc.holding(tc.shards[0].ID, name) {
+			victims = append(victims, name)
+		}
+	}
+	homes := drainedHomes(t, tc, victims, 2)
+	prePut := 0
+	for i, name := range victims {
+		if i%2 != 0 {
+			continue
+		}
+		for _, owner := range homes[name] {
+			if !tc.holding(owner.ID, name) {
+				putAll(t, client.Config{Addr: owner.Addr, Options: tc.options}, files, []string{name})
+				prePut++
+			}
+		}
+	}
+	lacking := 0
+	for _, name := range victims {
+		for _, owner := range homes[name] {
+			if !tc.holding(owner.ID, name) {
+				lacking++
+			}
+		}
+	}
+	if prePut == 0 || lacking == 0 || lacking == len(victims)*2 {
+		t.Fatalf("%d files on the victim, %d put ahead, %d copies lacking: the placement proves nothing",
+			len(victims), prePut, lacking)
+	}
+
+	rep, err := tc.gw.RebalanceShard(tc.shards[0].ID)
+	if err != nil {
+		t.Fatalf("rebalance: %v (report %+v)", err, rep)
+	}
+	if rep.Files != len(victims) || rep.Migrated != lacking || rep.Dropped != len(victims) {
+		t.Fatalf("rebalance %+v; want %d files, %d migrated, %d dropped", rep, len(victims), lacking, len(victims))
+	}
+	for _, name := range victims {
+		for _, owner := range homes[name] {
+			if !tc.holding(owner.ID, name) {
+				t.Fatalf("%s is not on its owner %s after the rebalance", name, owner.ID)
+			}
+		}
+	}
+	requireFullReplication(t, tc.gw)
+}
+
+// TestRebalanceKeepsFilesOfUnlistedOwner: a shard that cannot be listed is
+// not known to hold a file or to lack it. Rebalance drops none of the
+// files that shard should hold and returns an error, still moves every
+// file whose owners could all be listed, and leaves no session behind.
+func TestRebalanceKeepsFilesOfUnlistedOwner(t *testing.T) {
+	tc := startCluster(t, 4, func(c *cluster.GatewayConfig) { c.Replication = 2 })
+	files, order := matrixFiles(t, tc, 87, 3, 1<<17)
+	putAll(t, tc.clientConfig(), files, order)
+	victim, dead := tc.shards[0].ID, tc.shards[3].ID
+	var victims, stuck []string
+	for _, name := range order {
+		if tc.holding(victim, name) {
+			victims = append(victims, name)
+		}
+	}
+	homes := drainedHomes(t, tc, victims, 2)
+	for _, name := range victims {
+		for _, owner := range homes[name] {
+			if owner.ID == dead {
+				stuck = append(stuck, name)
+			}
+		}
+	}
+	if len(stuck) == 0 || len(stuck) == len(victims) {
+		t.Fatalf("%d of the victim's %d files are homed on %s: the placement proves nothing", len(stuck), len(victims), dead)
+	}
+	tc.servers[3].Close()
+
+	rep, err := tc.gw.RebalanceShard(victim)
+	if err == nil {
+		t.Fatalf("rebalance with %s unlisted succeeded: %+v", dead, rep)
+	}
+	if rep.Files != len(victims) || rep.Dropped != len(victims)-len(stuck) {
+		t.Fatalf("rebalance %+v; want %d files and %d dropped", rep, len(victims), len(victims)-len(stuck))
+	}
+	for _, name := range victims {
+		if slices.Contains(stuck, name) {
+			if !tc.holding(victim, name) {
+				t.Fatalf("%s was dropped from %s though its owner %s could not be listed", name, victim, dead)
+			}
+			continue
+		}
+		if tc.holding(victim, name) {
+			t.Fatalf("%s stayed on %s though its owners could all be listed", name, victim)
+		}
+		for _, owner := range homes[name] {
+			if !tc.holding(owner.ID, name) {
+				t.Fatalf("%s is not on its owner %s after the rebalance", name, owner.ID)
+			}
+		}
+	}
+	requireNoSessions(t, tc)
 }
 
 // TestRebalanceUnknownShard pins the error path: rebalancing a shard the

@@ -8,7 +8,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"mhdedup/internal/events"
 )
@@ -30,78 +29,27 @@ type ReplicationReport struct {
 	Under           []string `json:"under_replicated,omitempty"`
 }
 
-// clusterNames unions the root-namespace listing of every reachable
-// shard, recording which shards hold which file. Unreachable shards are
-// skipped (their holdings are what repair exists to reconstruct).
-func (gw *Gateway) clusterNames() (holders map[string][]Shard, reachable []Shard) {
-	full, _ := gw.rings()
-	holders = make(map[string][]Shard)
-	for _, sh := range full.Shards() {
-		names, err := gw.shardList(sh, "")
-		if err != nil {
-			gw.cfg.Events.Warn("gateway.repair_shard_unreachable",
-				events.F("shard", sh.ID), events.F("err", err))
-			continue
-		}
-		reachable = append(reachable, sh)
-		for _, n := range names {
-			holders[n] = append(holders[n], sh)
-		}
-	}
-	return holders, reachable
-}
-
 // RepairScan walks every file the reachable shards hold and re-creates
-// any missing copy on its write-ring owners, sourcing from the first
-// holder whose copy verifies. Owners that are unreachable (dead, not
-// drained) are left for a later pass — repair converges as shards come
-// back or stay drained.
+// any missing copy on its home, sourcing from the first holder whose copy
+// verifies. Owners that cannot be listed (dead, not drained) are left for
+// a later pass — repair converges as shards come back or stay drained.
 func (gw *Gateway) RepairScan() (RepairReport, error) {
-	var rep RepairReport
-	holders, reachable := gw.clusterNames()
-	rep.Shards = len(reachable)
-	rep.Files = len(holders)
-	up := make(map[string]bool, len(reachable))
-	for _, sh := range reachable {
-		up[sh.ID] = true
-	}
-	_, write := gw.rings()
-
-	names := make([]string, 0, len(holders))
-	for n := range holders {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
+	holders, listed, _ := gw.listShards("")
+	rep := RepairReport{Shards: len(listed), Files: len(holders)}
 	var firstErr error
-	for _, name := range names {
+	for _, name := range sortedNames(holders) {
 		srcs := holders[name]
-		has := make(map[string]bool, len(srcs))
-		for _, s := range srcs {
-			has[s.ID] = true
-		}
-		owners := write.OwnersOfName(name, gw.cfg.Replication)
 		anyOwnerReachable := false
-		for _, owner := range owners {
-			if has[owner.ID] {
+		for _, owner := range gw.home(name) {
+			if holds(srcs, owner.ID) {
 				anyOwnerReachable = true
 				continue
 			}
-			if !up[owner.ID] {
+			if !listed[owner.ID] {
 				continue // dead owner: nothing to write to yet
 			}
 			anyOwnerReachable = true
-			// A holder whose copy does not verify fails its migration; the
-			// next holder may have a good one.
-			var err error
-			for _, src := range srcs {
-				if err = gw.migrate(src, owner, name); err == nil {
-					break
-				}
-				gw.cfg.Events.Warn("gateway.repair_migrate_fail", events.F("file", name),
-					events.F("source", src.ID), events.F("target", owner.ID), events.F("err", err))
-			}
-			if err != nil {
+			if err := gw.copyTo(name, owner, srcs); err != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("repair %q onto %s: %w", name, owner.ID, err)
 				}
@@ -122,29 +70,16 @@ func (gw *Gateway) RepairScan() (RepairReport, error) {
 }
 
 // CheckReplication reports, for every file any reachable shard holds,
-// whether all of its write-ring owners hold a copy. It is the invariant
-// the fault matrix gates on after repair: Under empty means every file
-// is at its full replication factor.
+// whether all of its home's owners hold a copy. It is the invariant the
+// fault matrix gates on after repair: Under empty means every file is at
+// its full replication factor.
 func (gw *Gateway) CheckReplication() ReplicationReport {
-	holders, _ := gw.clusterNames()
-	_, write := gw.rings()
+	holders, _, _ := gw.listShards("")
 	rep := ReplicationReport{Files: len(holders)}
-	names := make([]string, 0, len(holders))
-	for n := range holders {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		has := make(map[string]bool)
-		for _, s := range holders[name] {
-			has[s.ID] = true
-		}
+	for _, name := range sortedNames(holders) {
 		full := true
-		for _, owner := range write.OwnersOfName(name, gw.cfg.Replication) {
-			if !has[owner.ID] {
-				full = false
-				break
-			}
+		for _, owner := range gw.home(name) {
+			full = full && holds(holders[name], owner.ID)
 		}
 		if full {
 			rep.FullyReplicated++

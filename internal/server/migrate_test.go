@@ -22,12 +22,13 @@ func peerConn(t *testing.T, addr string) (func(uint8, []byte), func() wire.Frame
 }
 
 // TestPeerMigrateProtocol: frame types 22–25 carried the byte-stream
-// migration, which is gone — a migration is an ingest session. A shard
-// refuses each of them on a peer connection as a protocol error, whatever
-// the payload, and commits nothing.
+// migration, which is gone — a migration is an ingest session — and 28–29
+// a presence query that shard listings replaced. A shard refuses each of
+// them on a peer connection as a protocol error, whatever the payload, and
+// commits nothing.
 func TestPeerMigrateProtocol(t *testing.T) {
 	_, eng, addr := startServer(t, nil)
-	for retired := uint8(22); retired <= 25; retired++ {
+	for _, retired := range []uint8{22, 23, 24, 25, 28, 29} {
 		write, read := peerConn(t, addr)
 		write(retired, []byte("acme/m00/disk.img"))
 		expectError(t, read(), wire.CodeProtocol, false)
@@ -37,35 +38,16 @@ func TestPeerMigrateProtocol(t *testing.T) {
 	}
 }
 
-// TestPeerFileDropAndStat: FileDrop removes the manifest (idempotently —
-// dropping an absent name is success), and FileStat answers presence for
-// a batch of names in order.
-func TestPeerFileDropAndStat(t *testing.T) {
+// TestPeerFileDrop: FileDrop removes the manifest, idempotently —
+// dropping an absent name is success.
+func TestPeerFileDrop(t *testing.T) {
 	srv, eng, addr := startServer(t, nil)
 	write, read := peerConn(t, addr)
 
 	const name = "acme/m00/drop.img"
 	putFiles(t, srv, addr, map[string][]byte{name: genData(13, 128<<10)})
-
-	stat := func(names ...string) []bool {
-		t.Helper()
-		write(wire.TypeFileStat, wire.FileStat{Names: names}.Marshal())
-		f := read()
-		if f.Type != wire.TypeFileStatOK {
-			t.Fatalf("expected FileStatOK, got %s", wire.TypeName(f.Type))
-		}
-		ok, err := wire.UnmarshalFileStatOK(f.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ok.Present) != len(names) {
-			t.Fatalf("stat of %d names answered %d bits", len(names), len(ok.Present))
-		}
-		return ok.Present
-	}
-
-	if got := stat(name, "acme/never-existed"); !got[0] || got[1] {
-		t.Fatalf("stat before drop: %v", got)
+	if !eng.Disk().Exists(simdisk.FileManifest, name) {
+		t.Fatal("the put did not commit a manifest")
 	}
 
 	drop := func() {
@@ -78,9 +60,6 @@ func TestPeerFileDropAndStat(t *testing.T) {
 	drop()
 	if eng.Disk().Exists(simdisk.FileManifest, name) {
 		t.Fatal("manifest survived FileDrop")
-	}
-	if got := stat(name); got[0] {
-		t.Fatal("dropped file still reported present")
 	}
 	drop() // second drop of the same name: idempotent success
 }

@@ -468,10 +468,10 @@ const peerChunkOverhead = 8
 // is always a correct answer. Chunks arriving by PeerPut are re-hashed
 // here: a trusted link is still not a trusted computation, and a cache
 // poisoned with bytes filed under the wrong address would silently
-// corrupt every later negotiation that hits it. Rebalance and repair add
-// two file-level requests: FileStat answers which of a batch of names the
-// shard holds, FileDrop forgets one. The copies they make arrive as
-// ordinary ingest sessions, so every peer frame is a request.
+// corrupt every later negotiation that hits it. Rebalance adds one
+// file-level request: FileDrop forgets a file. Rebalance and repair learn
+// where files are from the shards' listings, and the copies they make
+// arrive as ordinary ingest sessions, so every peer frame is a request.
 func (s *Server) servePeerConn(c *session.Conn) {
 	for {
 		f, err := c.ReadRequest()
@@ -541,20 +541,6 @@ func (s *Server) servePeerConn(c *session.Conn) {
 			}
 			// Dropping an absent file is success: the caller wants "gone".
 			if err := c.Write(wire.TypeFileDropOK, nil); err != nil {
-				return
-			}
-		case wire.TypeFileStat:
-			fs, err := wire.UnmarshalFileStat(f.Payload)
-			if err != nil {
-				c.Errorf(wire.CodeProtocol, false, "bad FileStat: %v", err)
-				return
-			}
-			disk := s.cfg.Engine.Disk()
-			resp := wire.FileStatOK{Present: make([]bool, len(fs.Names))}
-			for i, n := range fs.Names {
-				resp.Present[i] = disk.Exists(simdisk.FileManifest, n)
-			}
-			if err := c.Write(wire.TypeFileStatOK, resp.Marshal()); err != nil {
 				return
 			}
 		case wire.TypeClose:

@@ -17,8 +17,6 @@ const (
 	MaxBatchChunks = 1 << 16
 	// MaxListNames bounds one ListResp.
 	MaxListNames = 1 << 20
-	// MaxStatNames bounds one FileStat batch.
-	MaxStatNames = 1 << 16
 )
 
 // ErrTruncated reports a payload shorter than its grammar requires.
@@ -254,16 +252,6 @@ func (c *codec) strs(s *[]string, max uint32) *codec {
 	}
 	for i := range *s {
 		c.str(&(*s)[i])
-	}
-	return c
-}
-
-func (c *codec) bools(s *[]bool) *codec {
-	if n := c.count(len(*s), MaxStatNames, 1); c.op == decoding {
-		*s = make([]bool, n)
-	}
-	for i := range *s {
-		c.bool(&(*s)[i])
 	}
 	return c
 }

@@ -21,7 +21,7 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add(AppendFrame(nil, TypeListReq, nil))
 	f.Add(AppendFrame(nil, TypeClose, nil))
-	for retired := uint8(22); retired <= 25; retired++ { // no payload grammar any more
+	for _, retired := range retiredTypes { // no payload grammar any more
 		f.Add(AppendFrame(nil, retired, []byte("x")))
 	}
 	f.Add([]byte("MHDW garbage"))
@@ -107,10 +107,6 @@ func UnmarshalAny(f Frame) (any, error) {
 		return UnmarshalPeerPut(f.Payload)
 	case TypeFileDrop:
 		return UnmarshalFileDrop(f.Payload)
-	case TypeFileStat:
-		return UnmarshalFileStat(f.Payload)
-	case TypeFileStatOK:
-		return UnmarshalFileStatOK(f.Payload)
 	case TypeListReq, TypeClose, TypeCloseOK, TypePeerPutOK, TypeFileDropOK:
 		if len(f.Payload) != 0 {
 			return nil, ErrTrailing

@@ -39,8 +39,6 @@ var wireFormat = map[uint8]struct {
 	TypePeerChunks:   {"00000002000000000000000200000002000000036162630000000478797a31", 2},
 	TypePeerPut:      {"000000020000000b6368756e6b20627974657300000000", 1},
 	TypeFileDrop:     {"01000c61636d652f6d30302f643031", 1},
-	TypeFileStat:     {"0100000002000661636d652f61000162", 2},
-	TypeFileStatOK:   {"000000020100", 1},
 }
 
 // TestGoldenPayloads holds both halves of the codec to the recorded bytes
@@ -84,8 +82,7 @@ func TestCodecAllocs(t *testing.T) {
 		TypeRestoreRange: allocsOf(UnmarshalRestoreRange), TypeRestoreData: allocsOf(UnmarshalRestoreData),
 		TypeRestoreEnd: allocsOf(UnmarshalRestoreEnd), TypeListResp: allocsOf(UnmarshalListResp),
 		TypePeerFetch: allocsOf(UnmarshalPeerFetch), TypePeerChunks: allocsOf(UnmarshalPeerChunks),
-		TypePeerPut: allocsOf(UnmarshalPeerPut), TypeFileDrop: allocsOf(UnmarshalFileDrop), TypeFileStat: allocsOf(UnmarshalFileStat),
-		TypeFileStatOK: allocsOf(UnmarshalFileStatOK),
+		TypePeerPut: allocsOf(UnmarshalPeerPut), TypeFileDrop: allocsOf(UnmarshalFileDrop),
 	}
 	for _, tc := range sampleMessages() {
 		if got := testing.AllocsPerRun(200, func() { tc.msg.Marshal() }); got != 1 {

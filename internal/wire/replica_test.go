@@ -2,10 +2,7 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -26,62 +23,17 @@ func TestFileDropRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestFileStatHostileCount(t *testing.T) {
-	s := FileStat{Names: []string{"a", strings.Repeat("n", 64), ""}}
-	got, err := UnmarshalFileStat(s.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Names) != 3 || got.Names[1] != s.Names[1] {
-		t.Fatalf("round trip: %+v", got)
-	}
-	// Hostile count: 2^31 declared names in a 16-byte payload must be
-	// rejected by the count guard (each name needs >= 2 bytes).
-	hostile := []byte{fileStatVersion}
-	hostile = putU32(hostile, 1<<31)
-	hostile = append(hostile, make([]byte, 11)...)
-	if _, err := UnmarshalFileStat(hostile); !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrFieldRange) {
-		t.Errorf("hostile count: got %v", err)
-	}
-	// Count over the hard cap with enough bytes behind it.
-	over := []byte{fileStatVersion}
-	over = putU32(over, MaxStatNames+1)
-	over = append(over, make([]byte, 2*(MaxStatNames+1))...)
-	if _, err := UnmarshalFileStat(over); !errors.Is(err, ErrFieldRange) {
-		t.Errorf("over-cap count: got %v", err)
-	}
-}
-
-func TestFileStatOKHostileCount(t *testing.T) {
-	s := FileStatOK{Present: []bool{true, false, true}}
-	got, err := UnmarshalFileStatOK(s.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Present) != 3 || !got.Present[0] || got.Present[1] {
-		t.Fatalf("round trip: %+v", got)
-	}
-	hostile := putU32(nil, 1<<31)
-	if _, err := UnmarshalFileStatOK(hostile); err == nil {
-		t.Error("hostile count accepted")
-	}
-}
+// retiredTypes are frame numbers no grammar may take again: 22–25 carried
+// the byte-stream migration, 28–29 the presence query shard listings
+// replaced.
+var retiredTypes = []uint8{22, 23, 24, 25, 28, 29}
 
 // TestReplicaFramesDispatch pins that UnmarshalAny routes every replica
 // plane frame type, that the bare ack frame demands an empty payload, and
-// that the retired numbers 22–25 decode as no frame at all.
+// that the retired numbers decode as no frame at all.
 func TestReplicaFramesDispatch(t *testing.T) {
-	for _, tc := range []struct {
-		t   uint8
-		msg interface{ Marshal() []byte }
-	}{
-		{TypeFileDrop, FileDrop{Name: "x"}},
-		{TypeFileStat, FileStat{Names: []string{"x"}}},
-		{TypeFileStatOK, FileStatOK{Present: []bool{true}}},
-	} {
-		if _, err := UnmarshalAny(Frame{Type: tc.t, Payload: tc.msg.Marshal()}); err != nil {
-			t.Errorf("%s: dispatch failed: %v", TypeName(tc.t), err)
-		}
+	if _, err := UnmarshalAny(Frame{Type: TypeFileDrop, Payload: FileDrop{Name: "x"}.Marshal()}); err != nil {
+		t.Errorf("FileDrop: dispatch failed: %v", err)
 	}
 	if _, err := UnmarshalAny(Frame{Type: TypeFileDropOK, Payload: nil}); err != nil {
 		t.Errorf("FileDropOK: empty payload rejected: %v", err)
@@ -89,7 +41,7 @@ func TestReplicaFramesDispatch(t *testing.T) {
 	if _, err := UnmarshalAny(Frame{Type: TypeFileDropOK, Payload: []byte{1}}); err == nil {
 		t.Error("FileDropOK: non-empty payload accepted")
 	}
-	for retired := uint8(22); retired <= 25; retired++ {
+	for _, retired := range retiredTypes {
 		if _, err := UnmarshalAny(Frame{Type: retired}); err == nil {
 			t.Errorf("retired frame type %d decoded", retired)
 		}
@@ -100,28 +52,33 @@ func TestReplicaFramesDispatch(t *testing.T) {
 }
 
 // FuzzWireReplicaDecode hammers the replica-plane decoders with
-// hostile counts, truncation and oversize fields, and checks the
-// canonical-encode invariant: any payload a decoder accepts must
-// re-encode byte-identically.
+// truncation, oversize fields and bad versions, and checks the
+// canonical-encode invariant: any payload a decoder accepts must re-encode
+// byte-identically. The retired presence-query numbers 28–29 are in its
+// range and must decode as nothing, whatever their payload.
 func FuzzWireReplicaDecode(f *testing.F) {
 	f.Add(uint8(TypeFileDrop), FileDrop{Name: "t/file"}.Marshal())
-	f.Add(uint8(TypeFileStat), FileStat{Names: []string{"a", "b", "c"}}.Marshal())
-	f.Add(uint8(TypeFileStatOK), FileStatOK{Present: []bool{true, false}}.Marshal())
 	f.Add(uint8(TypeFileDropOK), []byte{})
-	// Structured garbage: hostile counts, truncated strings, a bad version.
-	hostile := []byte{fileStatVersion}
-	hostile = binary.BigEndian.AppendUint32(hostile, 0xffffffff)
-	f.Add(uint8(TypeFileStat), hostile)
+	// Structured garbage: truncated strings, a bad version, an empty name,
+	// a payload on the bare ack.
 	f.Add(uint8(TypeFileDrop), []byte{fileDropVersion, 0xff, 0xff})
-	f.Add(uint8(TypeFileStatOK), binary.BigEndian.AppendUint32(nil, 1<<31))
-	f.Add(uint8(TypeFileStat), []byte{fileStatVersion, 0, 0, 0, 1, 0, 9, 'x'})
 	f.Add(uint8(TypeFileDrop), []byte{fileDropVersion + 1, 0, 1, 'x'})
+	f.Add(uint8(TypeFileDrop), []byte{fileDropVersion, 0, 0})
+	f.Add(uint8(TypeFileDropOK), []byte{0})
+	// The retired frames with the payloads they used to carry.
+	f.Add(uint8(28), []byte{1, 0, 0, 0, 1, 0, 1, 'x'})
+	f.Add(uint8(29), []byte{0, 0, 0, 1, 1})
+	f.Add(uint8(28), []byte{})
+	const last = 29
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		ft := typ
-		if ft < TypeFileDrop || ft > TypeFileStatOK {
-			ft = TypeFileDrop + typ%(TypeFileStatOK-TypeFileDrop+1)
+		if ft < TypeFileDrop || ft > last {
+			ft = TypeFileDrop + typ%(last-TypeFileDrop+1)
 		}
 		msg, err := UnmarshalAny(Frame{Type: ft, Payload: payload})
+		if ft > TypeFileDropOK && err == nil {
+			t.Fatalf("frame type %d decoded; it is not a replica-plane frame", ft)
+		}
 		if err != nil || msg == nil {
 			return
 		}

@@ -99,15 +99,13 @@ const (
 	// Ranged restore (recipe trees make the seek O(log n) server-side).
 	TypeRestoreRange uint8 = 21 // client → server: restore a byte range
 
-	// Replica plane (gateway ⇄ shard, ModePeer). Used by shard rebalance
-	// and replication repair, which copy a file as an ordinary ingest
-	// session: the gateway batch-checks file presence, and drops a fully
-	// migrated file from its drained source. Numbers 22–25 were the four
-	// frames of a byte-stream migration; they are retired, never reused.
+	// Replica plane (gateway ⇄ shard, ModePeer). Shard rebalance copies a
+	// file as an ordinary ingest session and then drops it from its
+	// drained source. Numbers 22–25 were the four frames of a byte-stream
+	// migration and 28–29 a presence query that shard listings replaced;
+	// they are retired, never reused.
 	TypeFileDrop   uint8 = 26 // gateway → shard: forget a migrated file
 	TypeFileDropOK uint8 = 27 // shard → gateway: dropped (or never had it)
-	TypeFileStat   uint8 = 28 // gateway → shard: which of these files exist?
-	TypeFileStatOK uint8 = 29 // shard → gateway: presence bitmap
 )
 
 // typeNames renders frame types for errors and traces.
@@ -122,7 +120,6 @@ var typeNames = map[uint8]string{
 	TypePeerPut: "PeerPut", TypePeerPutOK: "PeerPutOK",
 	TypeRestoreRange: "RestoreRange",
 	TypeFileDrop:     "FileDrop", TypeFileDropOK: "FileDropOK",
-	TypeFileStat: "FileStat", TypeFileStatOK: "FileStatOK",
 }
 
 // TypeName returns a human-readable frame-type name.

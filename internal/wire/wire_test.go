@@ -44,8 +44,6 @@ func sampleMessages() []struct {
 		{TypePeerChunks, PeerChunks{Indices: []uint32{0, 2}, Chunks: [][]byte{[]byte("abc"), []byte("xyz1")}}},
 		{TypePeerPut, PeerPut{Chunks: [][]byte{[]byte("chunk bytes"), {}}}},
 		{TypeFileDrop, FileDrop{Name: "acme/m00/d01"}},
-		{TypeFileStat, FileStat{Names: []string{"acme/a", "b"}}},
-		{TypeFileStatOK, FileStatOK{Present: []bool{true, false}}},
 	}
 }
 
